@@ -444,7 +444,7 @@ func TestCacheHammer(t *testing.T) {
 	if _, _, err := w.Query(queries[0]).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rootDir := w.rootDir
+	rootDir := w.store.RootDir()
 
 	ok := func(err error) bool { return err == nil || errors.Is(err, ErrClosed) }
 	var wg sync.WaitGroup

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -126,29 +125,12 @@ func OpenCluster(ctx context.Context, cfg Config, opts ...Option) (*Cluster, err
 	for _, o := range opts {
 		o(&opt)
 	}
-	star := cfg.Star
-	if star == nil && cfg.Table != nil {
-		star = cfg.Table.Star
-	}
-	if star == nil {
-		return nil, fmt.Errorf("mdhf: Config.Star is required")
-	}
-	if cfg.Table != nil && cfg.Table.Star != star {
-		return nil, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
-	}
-	if cfg.Fragmentation == "" {
-		return nil, fmt.Errorf("mdhf: OpenCluster requires a fragmentation (it is the sharding function)")
-	}
-	spec, err := frag.Parse(star, cfg.Fragmentation)
+	star, spec, icfg, seed, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	icfg := cfg.Indexes
-	if icfg == nil {
-		icfg = frag.APB1Indexes(star)
-	}
-	if len(icfg) != len(star.Dims) {
-		return nil, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
+	if spec == nil {
+		return nil, fmt.Errorf("mdhf: OpenCluster requires a fragmentation (it is the sharding function)")
 	}
 	n := opt.nodes
 	if len(opt.nodeAddrs) > 0 {
@@ -163,10 +145,6 @@ func OpenCluster(ctx context.Context, cfg Config, opts ...Option) (*Cluster, err
 	cl := alloc.Placement{Disks: n, Scheme: opt.nodeScheme}
 	if err := cl.Validate(); err != nil {
 		return nil, err
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	c := &Cluster{
 		star:  star,
@@ -315,13 +293,7 @@ func (c *Cluster) Query(q Query) *ClusterQuery {
 // QueryText parses and prepares a query in either notation (see
 // Warehouse.QueryText).
 func (c *Cluster) QueryText(text string) (*ClusterQuery, error) {
-	var q frag.Query
-	var err error
-	if strings.Contains(text, "'") || (!strings.Contains(text, "::") && strings.Contains(text, ".")) {
-		q, err = c.Catalog().ParseQuery(text)
-	} else {
-		q, err = frag.ParseQuery(c.star, text)
-	}
+	q, err := parseQueryText(c.star, c.Catalog, text)
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +310,7 @@ func (c *Cluster) Append(ctx context.Context, rows []FactRow) error {
 	if err := c.ensure(ctx); err != nil {
 		return err
 	}
-	crows := make([]cluster.Row, len(rows))
-	for i, r := range rows {
-		crows[i] = cluster.Row{Leaves: r.Leaves, UnitsSold: r.UnitsSold, DollarSales: r.DollarSales, Cost: r.Cost}
-	}
-	return c.coord.Append(ctx, crows)
+	return c.coord.Append(ctx, rows)
 }
 
 // Compact folds every node's sealed deltas into its next epoch, fanning
@@ -469,9 +437,9 @@ func (p *ClusterQuery) Explain(ctx context.Context) (Explain, error) {
 	ex := Explain{Class: c.spec.Classify(p.q)}
 	ex.Cost = cost.Estimate(c.spec, c.icfg, p.q, c.opt.params)
 	dp := cost.DiskParams{
-		Placement:     c.modelPlacement(),
+		Placement:     c.opt.modelPlacement(), // each node's own declustering
 		NodePlacement: c.cl,
-		AccessTime:    c.modelAccessTime(),
+		AccessTime:    c.opt.modelAccessTime(),
 	}
 	if plan := c.opt.faultPlan; plan != nil {
 		// Every node runs the same fault plan on its own disk set, so all
@@ -495,22 +463,6 @@ func (p *ClusterQuery) Explain(ctx context.Context) (Explain, error) {
 	}
 	ex.Plan = plan
 	return ex, nil
-}
-
-// modelPlacement is the per-node disk placement assumed by Explain's
-// response model: each node's own declustering, or one disk per node.
-func (c *Cluster) modelPlacement() alloc.Placement {
-	if c.opt.disks > 0 {
-		return alloc.Placement{Disks: c.opt.disks, Scheme: c.opt.scheme, Staggered: c.opt.staggered, Cluster: c.opt.cluster}
-	}
-	return alloc.Placement{Disks: 1, Scheme: c.opt.scheme, Staggered: c.opt.staggered, Cluster: c.opt.cluster}
-}
-
-func (c *Cluster) modelAccessTime() time.Duration {
-	if c.opt.ioDelaySet {
-		return c.opt.ioDelay
-	}
-	return 12 * time.Millisecond
 }
 
 // Execute scatters the query to the nodes owning its relevant

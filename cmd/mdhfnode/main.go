@@ -16,11 +16,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	mdhf "repro"
@@ -88,13 +91,32 @@ func main() {
 	if err != nil {
 		log.Fatalf("mdhfnode: %v", err)
 	}
-	defer n.Close()
 
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           mdhf.NewNodeHandler(n),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// SIGINT/SIGTERM stop the listener and drain in-flight requests; either
+	// way the node is closed before exit, so its journal and epoch
+	// directories are released cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
 	log.Printf("mdhfnode: node %d serving on %s", *node, *addr)
-	log.Fatal(srv.ListenAndServe())
+	select {
+	case err = <-served: // the listener failed
+	case <-ctx.Done():
+		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = srv.Shutdown(shutCtx)
+		cancel()
+		<-served // http.ErrServerClosed
+	}
+	if closeErr := n.Close(); closeErr != nil {
+		log.Printf("mdhfnode: closing node: %v", closeErr)
+	}
+	if err != nil {
+		log.Fatalf("mdhfnode: %v", err)
+	}
 }

@@ -2,29 +2,13 @@ package mdhf
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"repro/internal/alloc"
-	"repro/internal/frag"
-	"repro/internal/kernel"
+	"repro/internal/epoch"
 )
 
 // FactRow is one incoming fact: the leaf member per dimension (in schema
 // dimension order) plus the three APB-1 measures.
-type FactRow struct {
-	Leaves      []int32
-	UnitsSold   int64
-	DollarSales int64
-	Cost        int64
-}
-
-// coalesceRows bounds tail-segment coalescing: a fragment's most recent
-// delta segment is extended in place (never rewritten — see
-// frag.ExtendSegment) while it holds fewer rows than this, so steady
-// trickle appends don't shatter a fragment into thousands of tiny
-// segments. Larger tails seal and a fresh segment starts.
-const coalesceRows = 4096
+type FactRow = epoch.Row
 
 // Append admits a batch of fact rows into the warehouse: each row is
 // routed to its placement-mapped fragment, sealed into a fragment-
@@ -44,107 +28,32 @@ func (w *Warehouse) Append(ctx context.Context, rows []FactRow) error {
 	if len(rows) == 0 {
 		return nil
 	}
+	if err := w.admit(ctx); err != nil {
+		return err
+	}
+	defer w.store.End()
+	return w.store.Append(rows)
+}
+
+// admit registers one in-flight operation with the store — the caller
+// must End it — and makes sure the backend is built.
+func (w *Warehouse) admit(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	release, err := w.begin()
-	if err != nil {
+	if err := w.store.Begin(); err != nil {
 		return err
 	}
-	defer release()
 	if err := w.ensureBackend(ctx); err != nil {
+		w.store.End()
 		return err
-	}
-	for ri := range rows {
-		r := &rows[ri]
-		if len(r.Leaves) != len(w.star.Dims) {
-			return fmt.Errorf("mdhf: append row %d has %d leaves for %d dimensions", ri, len(r.Leaves), len(w.star.Dims))
-		}
-		for d, leaf := range r.Leaves {
-			if leaf < 0 || int(leaf) >= w.star.Dims[d].LeafCard() {
-				return fmt.Errorf("mdhf: append row %d: %s leaf %d out of range [0,%d)", ri, w.star.Dims[d].Name, leaf, w.star.Dims[d].LeafCard())
-			}
-		}
-	}
-
-	w.appendMu.Lock()
-	defer w.appendMu.Unlock()
-
-	// Partition the batch by fragment, preserving arrival order within
-	// each fragment (the order delta rows are served and compacted in).
-	byFrag := make(map[int64][]int)
-	var order []int64
-	buf := make([]int, len(w.star.Dims))
-	for ri := range rows {
-		for d, leaf := range rows[ri].Leaves {
-			buf[d] = int(leaf)
-		}
-		id := w.spec.ID(w.spec.CoordOf(buf))
-		if _, ok := byFrag[id]; !ok {
-			order = append(order, id)
-		}
-		byFrag[id] = append(byFrag[id], ri)
-	}
-
-	w.mu.Lock()
-	set := w.cur.deltas
-	w.mu.Unlock()
-	for _, id := range order {
-		var sb *frag.SegmentBuilder
-		replace := false
-		// Coalesce into the fragment's small tail segment — except while a
-		// compaction is in flight: segments at or below the compaction
-		// boundary must stay frozen so the epoch swap can drop exactly them.
-		if tail := set.Tail(id); tail != nil && !w.compacting && tail.Rows() < coalesceRows {
-			sb = w.ix.ExtendSegment(tail)
-			replace = true
-		} else {
-			sb = w.ix.NewSegment(id)
-		}
-		for _, ri := range byFrag[id] {
-			r := &rows[ri]
-			sb.Add(r.Leaves, r.UnitsSold, r.DollarSales, r.Cost)
-		}
-		w.seq++
-		seg := sb.Seal(w.seq)
-		if w.dlog != nil {
-			if err := w.dlog.AppendSegment(seg, replace); err != nil {
-				return err
-			}
-		}
-		if replace {
-			set = set.WithTailReplaced(seg)
-		} else {
-			set = set.With(seg)
-		}
-	}
-
-	w.mu.Lock()
-	w.cur.deltas = set
-	if w.rcache != nil {
-		// Fragment-granular invalidation, atomic with the publish: only
-		// result-cache entries whose confinement region contains a touched
-		// fragment are evicted (and intersecting in-flight computations
-		// poisoned); everything else is re-keyed to the new MaxSeq and
-		// keeps serving.
-		w.rcache.invalidate(w.spec, order, set.MaxSeq())
-	}
-	w.mu.Unlock()
-	w.appends.Add(1)
-	w.appendedRows.Add(int64(len(rows)))
-	if n := w.opt.autoCompact; n > 0 && set.Rows() >= int64(n) {
-		w.compactor.Trigger()
 	}
 	return nil
 }
 
 // Epoch returns the current serving epoch: 0 until the first compaction,
 // incremented by each completed one.
-func (w *Warehouse) Epoch() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cur.epoch
-}
+func (w *Warehouse) Epoch() int64 { return w.store.Current().Epoch }
 
 // Compact synchronously folds the sealed delta segments into a rebuilt
 // backend at the next epoch. It is a no-op when nothing was appended.
@@ -155,111 +64,9 @@ func (w *Warehouse) Epoch() int64 {
 // briefly. The previous epoch's files are removed once its last pinned
 // query finishes.
 func (w *Warehouse) Compact(ctx context.Context) error {
-	release, err := w.begin()
-	if err != nil {
+	if err := w.admit(ctx); err != nil {
 		return err
 	}
-	defer release()
-	if err := w.ensureBackend(ctx); err != nil {
-		return err
-	}
-	return w.compact(ctx)
-}
-
-// compactOnce is the background compactor's run function: a synchronous
-// Compact whose errors are deferred to Close.
-func (w *Warehouse) compactOnce() {
-	release, err := w.begin()
-	if err != nil {
-		return // closing: nothing left to compact into
-	}
-	defer release()
-	if err := w.compact(context.Background()); err != nil {
-		w.mu.Lock()
-		w.bgErr = errors.Join(w.bgErr, err)
-		w.mu.Unlock()
-	}
-}
-
-// compact is the three-phase epoch roll-over. Phase 1 (append lock,
-// briefly): freeze the boundary — the highest sealed sequence — and flag
-// the compaction so appends stop extending frozen tails. Phase 2 (no
-// locks): merge the base rows with every delta row at or below the
-// boundary and build a fresh backend at the next epoch. Phase 3 (append
-// + state lock, briefly): swap the serving snapshot to the new backend
-// with only the post-boundary segments, reset the delta journal to
-// those, and retire the old backend (removed when its last pinned query
-// finishes).
-func (w *Warehouse) compact(ctx context.Context) error {
-	w.compactMu.Lock()
-	defer w.compactMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Phase 1: freeze the boundary.
-	w.appendMu.Lock()
-	w.mu.Lock()
-	snap := w.cur
-	if snap.deltas.Rows() == 0 {
-		w.mu.Unlock()
-		w.appendMu.Unlock()
-		return nil
-	}
-	snap.b.refs.Add(1) // keep the base backend alive while rebuilding from it
-	w.mu.Unlock()
-	boundary := snap.deltas.MaxSeq()
-	w.compacting = true
-	w.appendMu.Unlock()
-	defer w.unpin(snap.b)
-	clearCompacting := func() {
-		w.appendMu.Lock()
-		w.compacting = false
-		w.appendMu.Unlock()
-	}
-
-	// Phase 2: rebuild, lock-free.
-	merged := kernel.MergedTable(snap.b.table, snap.deltas)
-	nb, err := w.buildBackendFrom(merged, snap.epoch+1)
-	if err != nil {
-		clearCompacting()
-		return err
-	}
-	w.mu.Lock()
-	d, set := w.curDelay, w.curDelaySet
-	w.mu.Unlock()
-	if set && nb.be != nil {
-		applyIODelay(nb.be, d)
-	}
-
-	// Phase 3: swap.
-	w.appendMu.Lock()
-	w.mu.Lock()
-	old := w.cur
-	w.cur = snapshot{epoch: snap.epoch + 1, b: nb, deltas: old.deltas.After(boundary)}
-	live := w.cur.deltas
-	if w.rcache != nil {
-		// Compaction is result-neutral (the rebuilt backend serves
-		// byte-identical results), so re-key every entry to the new epoch
-		// instead of flushing the cache.
-		w.rcache.rekeyAll(w.cur.epoch, live.MaxSeq())
-	}
-	w.mu.Unlock()
-	w.compacting = false
-	var resetErr error
-	if w.dlog != nil {
-		var liveSegs []*frag.DeltaSegment
-		live.ForEachSegment(func(seg *frag.DeltaSegment) { liveSegs = append(liveSegs, seg) })
-		resetErr = w.dlog.Reset(liveSegs)
-		if nb.be != nil && nb.be.Disks != nil {
-			w.dlog.Attach(nb.be.Disks, nb.be.Placement)
-		} else {
-			w.dlog.Attach(nil, alloc.Placement{})
-		}
-	}
-	w.appendMu.Unlock()
-	w.retire(old.b)
-	w.compactions.Add(1)
-	w.compactedRows.Add(snap.deltas.Rows())
-	return resetErr
+	defer w.store.End()
+	return w.store.Compact(ctx)
 }

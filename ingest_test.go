@@ -319,7 +319,7 @@ func TestIngestHammer(t *testing.T) {
 	if _, _, err := w.Query(q).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rootDir = w.rootDir
+	rootDir = w.store.RootDir()
 
 	ok := func(err error) bool { return err == nil || errors.Is(err, ErrClosed) }
 	var wg sync.WaitGroup

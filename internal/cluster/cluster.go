@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/data"
+	"repro/internal/epoch"
 	"repro/internal/frag"
 )
 
@@ -65,15 +66,9 @@ func (e *NodeError) Error() string {
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// Row is one incoming fact row: the leaf member per dimension (schema
-// dimension order) plus the three APB-1 measures. It is the cluster
-// counterpart of the facade's FactRow, kept gob-friendly for the wire.
-type Row struct {
-	Leaves      []int32
-	UnitsSold   int64
-	DollarSales int64
-	Cost        int64
-}
+// Row is one incoming fact row — the store's own row type, shipped
+// verbatim by both transports (it is gob-friendly).
+type Row = epoch.Row
 
 // NodeOf returns the node owning fragment id under the cluster-level
 // placement — the single writer (and the only server) of that

@@ -25,8 +25,19 @@ const (
 	errHeader     = "X-Cluster-Error"
 	errNodeFailed = "node-failed"
 	errOverloaded = "overloaded"
+	errTooLarge   = "too-large"
 	contentType   = "application/x-gob"
 )
+
+// maxRequestBytes bounds the /exec and /append body a node will buffer:
+// roughly a million appended rows, far beyond any sub-query, and small
+// enough that a misbehaving client cannot make a node allocate without
+// limit. Larger appends must be split by the caller.
+const maxRequestBytes = 64 << 20
+
+// ErrRequestTooLarge marks a request whose body exceeds the node's
+// limit; the node answers 413 without buffering the excess.
+var ErrRequestTooLarge = errors.New("cluster: request body too large")
 
 // NewNodeHandler serves one node over HTTP. Mount it at the server
 // root: the handler owns the /exec, /append, /compact and /stats paths.
@@ -34,8 +45,7 @@ func NewNodeHandler(n *Node) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /exec", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := decodeBody(r.Body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		resp, err := n.Exec(r.Context(), req)
@@ -47,8 +57,7 @@ func NewNodeHandler(n *Node) http.Handler {
 	})
 	mux.HandleFunc("POST /append", func(w http.ResponseWriter, r *http.Request) {
 		var rows []Row
-		if err := decodeBody(r.Body, &rows); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeRequest(w, r, &rows) {
 			return
 		}
 		if err := n.Append(r.Context(), rows); err != nil {
@@ -69,6 +78,27 @@ func NewNodeHandler(n *Node) http.Handler {
 		writeGob(w, &st)
 	})
 	return mux
+}
+
+// decodeRequest decodes a request body of at most maxRequestBytes into
+// v, answering 413 (declared or actual oversize) or 400 (malformed) and
+// reporting false when it could not.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	oversize := r.ContentLength > maxRequestBytes // declared: refuse unread
+	if !oversize {
+		err := decodeBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), v)
+		if err == nil {
+			return true
+		}
+		var tooLarge *http.MaxBytesError
+		if oversize = errors.As(err, &tooLarge); !oversize {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return false
+		}
+	}
+	w.Header().Set(errHeader, errTooLarge)
+	http.Error(w, ErrRequestTooLarge.Error(), http.StatusRequestEntityTooLarge)
+	return false
 }
 
 func decodeBody(body io.Reader, v any) error {
@@ -220,6 +250,8 @@ func (t *HTTPTransport) statusErr(node int, hr *http.Response) error {
 		return &NodeError{Node: node, Err: ErrNodeFailed}
 	case errOverloaded:
 		return &NodeError{Node: node, Err: exec.ErrOverloaded}
+	case errTooLarge:
+		return &NodeError{Node: node, Err: ErrRequestTooLarge}
 	}
 	return &NodeError{Node: node, Err: fmt.Errorf("http %s: %s", strconv.Itoa(hr.StatusCode), string(msg))}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -219,5 +220,59 @@ func TestHTTPUnavailableRetried(t *testing.T) {
 	}
 	if st := coord.ClientStats()[0]; st.Retries != int64(retry.MaxAttempts-1) {
 		t.Fatalf("Retries = %d, want %d (every attempt re-sent)", st.Retries, retry.MaxAttempts-1)
+	}
+}
+
+// countingZeros is an endless body of zero bytes that counts what the
+// server actually consumed.
+type countingZeros struct{ read int64 }
+
+func (z *countingZeros) Read(p []byte) (int, error) {
+	clear(p)
+	z.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestHTTPOversizedBodyRefused: a node must refuse a request body beyond
+// maxRequestBytes with 413 and the typed error — on the declared length
+// without reading anything, on a chunked body without consuming (let
+// alone buffering) more than the limit — and the client must rebuild
+// ErrRequestTooLarge from the reply.
+func TestHTTPOversizedBodyRefused(t *testing.T) {
+	_, spec, icfg, tab, _ := clusterFixture(t)
+	node, err := NewNode(NodeConfig{Spec: spec, Indexes: icfg}, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	h := NewNodeHandler(node)
+	for _, path := range []string{"/exec", "/append"} {
+		for _, declared := range []bool{true, false} {
+			body := &countingZeros{}
+			req := httptest.NewRequest(http.MethodPost, path, io.LimitReader(body, 4*maxRequestBytes))
+			if declared {
+				req.ContentLength = 4 * maxRequestBytes
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge || rec.Header().Get(errHeader) != errTooLarge {
+				t.Fatalf("%s declared=%v: status %d, %s=%q; want 413 %s", path, declared, rec.Code, errHeader, rec.Header().Get(errHeader), errTooLarge)
+			}
+			limit := int64(maxRequestBytes + 1)
+			if declared {
+				limit = 0
+			}
+			if body.read > limit {
+				t.Fatalf("%s declared=%v: node consumed %d body bytes, want <= %d", path, declared, body.read, limit)
+			}
+			err := (&HTTPTransport{}).statusErr(3, rec.Result())
+			var ne *NodeError
+			if !errors.As(err, &ne) || ne.Node != 3 || !errors.Is(err, ErrRequestTooLarge) {
+				t.Fatalf("%s: client rebuilt %v, want NodeError{3, ErrRequestTooLarge}", path, err)
+			}
+		}
+	}
+	if st := node.Stats(); st.Queries != 0 || st.Appends != 0 {
+		t.Fatalf("refused requests reached the node: %+v", st)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 
+	"repro/internal/epoch"
 	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
@@ -53,17 +54,9 @@ type Response struct {
 type NodeStats struct {
 	// Index is the node's position in the cluster placement.
 	Index int
-	// Epoch is the node's current serving epoch.
-	Epoch int64
-	// DeltaSegments and DeltaRows describe the node's live delta set.
-	DeltaSegments int
-	DeltaRows     int64
-	// Appends, AppendedRows, Compactions and CompactedRows count the
-	// node's ingestion activity since it was built.
-	Appends       int64
-	AppendedRows  int64
-	Compactions   int64
-	CompactedRows int64
+	// Counters holds the node's serving epoch, live delta set and
+	// ingestion activity since it was built — the store's own struct.
+	epoch.Counters
 	// Queries counts Exec requests served (including failed ones).
 	Queries int64
 	// Failed reports a killed node (see Node.Fail).

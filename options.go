@@ -49,6 +49,33 @@ func defaultOptions() options {
 	}
 }
 
+// placement is the configured disk placement (Disks == 0 when not
+// declustered).
+func (o *options) placement() alloc.Placement {
+	return alloc.Placement{Disks: o.disks, Scheme: o.scheme, Staggered: o.staggered, Cluster: o.cluster}
+}
+
+// modelPlacement is the placement assumed by Explain's queue response
+// model: the configured declustering, or one disk.
+func (o *options) modelPlacement() alloc.Placement {
+	p := o.placement()
+	if p.Disks < 1 {
+		p.Disks = 1
+	}
+	return p
+}
+
+// modelAccessTime is the per-access latency assumed by Explain's queue
+// response model: the configured I/O delay (an explicit zero models
+// ideal disks), or the paper's Table 4 seek + settle time when
+// WithIODelay was never given.
+func (o *options) modelAccessTime() time.Duration {
+	if o.ioDelaySet {
+		return o.ioDelay
+	}
+	return 12 * time.Millisecond
+}
+
 // WithWorkers sets the size of the warehouse's shared worker pool — the
 // goroutines all concurrent query executions are multiplexed onto, and
 // the fan-out of Advise and ExplainAll. Values below 1 (the default)

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/epoch"
 	"repro/internal/exec"
-	"repro/internal/kernel"
 	"repro/internal/simpad"
 )
 
@@ -191,8 +191,8 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 	// wanting the worker-limited critical path can call EstimateResponse
 	// with an explicit DiskParams.Workers.
 	dp := cost.DiskParams{
-		Placement:  w.modelPlacement(),
-		AccessTime: w.modelAccessTime(),
+		Placement:  w.opt.modelPlacement(),
+		AccessTime: w.opt.modelAccessTime(),
 	}
 	if plan := w.opt.faultPlan; plan != nil {
 		// Degraded-disk response: under a fault plan every read costs
@@ -213,18 +213,15 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 		plan = plan.Clustered(w.opt.cluster)
 	}
 	ex.Plan = plan
-	w.mu.Lock()
-	set := w.cur.deltas
-	w.mu.Unlock()
-	if set.Rows() > 0 {
+	if set := w.store.Current().Deltas; set.Rows() > 0 {
 		ex.Delta = cost.EstimateDelta(w.spec, p.q, cost.DeltaState{
 			Fragments: set.Fragments(),
 			Segments:  set.Segments(),
 			Rows:      set.Rows(),
 		})
 	}
-	if w.pool != nil {
-		ex.Cache = cost.EstimateCache(ex.Cost, w.pool.Budget())
+	if pool := w.store.Pool; pool != nil {
+		ex.Cache = cost.EstimateCache(ex.Cost, pool.Budget())
 	}
 	if w.opt.sharedWindow > 0 {
 		// Predict coalescing against the mix the warehouse actually
@@ -235,7 +232,7 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 			mix = []WeightedQuery{{Query: p.q, Weight: 1}}
 		}
 		k := 2
-		if pk := int(w.sched.Stats().PeakInFlight); pk > k {
+		if pk := int(w.store.Sched.Stats().PeakInFlight); pk > k {
 			k = pk
 		}
 		ex.Shared = cost.EstimateShared(w.spec, p.q, mix, k)
@@ -256,11 +253,10 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 // one group and grouping adds no per-row work and no extra I/O.
 func (p *PreparedQuery) Execute(ctx context.Context) (Result, Stats, error) {
 	w := p.w
-	release, err := w.begin()
-	if err != nil {
+	if err := w.admit(ctx); err != nil {
 		return Result{}, Stats{}, err
 	}
-	defer release()
+	defer w.store.End()
 	if d := w.opt.deadline; d > 0 {
 		// Per-query deadline (WithQueryDeadline): bound this execution so a
 		// query stuck behind failing disks fails with DeadlineExceeded
@@ -269,24 +265,22 @@ func (p *PreparedQuery) Execute(ctx context.Context) (Result, Stats, error) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	if err := w.ensureBackend(ctx); err != nil {
-		return Result{}, Stats{}, err
-	}
 	var res Result
 	var st Stats
+	var err error
 	if w.rcache != nil {
 		res, st, err = p.executeCached(ctx)
 	} else {
 		// Pin the serving snapshot: this epoch's backend plus the delta
 		// segments sealed so far. Concurrent appends and compactions replace
-		// the warehouse's snapshot copy-on-write, so this execution's view —
-		// and result — is frozen at admission.
-		var snap snapshot
-		snap, err = w.pin()
+		// the store's snapshot copy-on-write, so this execution's view — and
+		// result — is frozen at admission.
+		var snap epoch.Snapshot
+		snap, err = w.store.Pin()
 		if err != nil {
 			return Result{}, Stats{}, err
 		}
-		defer w.unpin(snap.b)
+		defer w.store.Unpin(snap.B)
 		res, st, err = p.executeOn(ctx, snap)
 	}
 	if err == nil {
@@ -295,21 +289,18 @@ func (p *PreparedQuery) Execute(ctx context.Context) (Result, Stats, error) {
 	return res, st, err
 }
 
-// errBackendNotBuilt matches pin's failure for the cached admission path.
-func errBackendNotBuilt() error { return fmt.Errorf("mdhf: backend not built") }
-
 // baseStats fills the execution-independent Stats fields for a snapshot —
 // the backend identity a cache-served result still reports.
-func (w *Warehouse) baseStats(snap snapshot) Stats {
+func (w *Warehouse) baseStats(snap epoch.Snapshot) Stats {
 	st := Stats{
 		Compressed: w.opt.compress,
-		Workers:    w.sched.Workers(),
-		Epoch:      snap.epoch,
+		Workers:    w.store.Sched.Workers(),
+		Epoch:      snap.Epoch,
 	}
 	switch {
-	case snap.b.engine != nil:
+	case snap.B.Engine != nil:
 		st.Backend = InMemoryBackend
-	case snap.b.be.Disks != nil:
+	case snap.B.Disk.Disks != nil:
 		st.Backend = DeclusteredBackend
 	default:
 		st.Backend = OnDiskBackend
@@ -323,24 +314,19 @@ func (w *Warehouse) baseStats(snap snapshot) Stats {
 // execution first tries the admission batcher (so even a result-cache
 // miss leader coalesces with merely-overlapping concurrent queries); a
 // batch-wide failure falls back to solo execution here.
-func (p *PreparedQuery) executeOn(ctx context.Context, snap snapshot) (Result, Stats, error) {
-	if p.w.shared != nil {
+func (p *PreparedQuery) executeOn(ctx context.Context, snap epoch.Snapshot) (Result, Stats, error) {
+	w := p.w
+	if w.store.Sharing() {
 		res, st, handled, err := p.executeSharedOn(ctx, snap)
 		if handled {
 			return res, st, err
 		}
 	}
-	return p.executeSoloOn(ctx, snap)
-}
-
-// executeSoloOn is the direct single-query execution path.
-func (p *PreparedQuery) executeSoloOn(ctx context.Context, snap snapshot) (Result, Stats, error) {
-	w := p.w
 	st := w.baseStats(snap)
-	deltas := kernel.Deltas{Ix: w.ix, Set: snap.deltas}
+	deltas := w.store.Deltas(snap)
 	start := time.Now()
-	if snap.b.engine != nil {
-		res, est, err := snap.b.engine.ExecuteGroupedDeltas(ctx, w.sched, p.q, deltas)
+	if snap.B.Engine != nil {
+		res, est, err := snap.B.Engine.ExecuteGroupedDeltas(ctx, w.store.Sched, p.q, deltas)
 		if err != nil {
 			return Result{}, Stats{}, err
 		}
@@ -349,14 +335,14 @@ func (p *PreparedQuery) executeSoloOn(ctx context.Context, snap snapshot) (Resul
 		st.Wall = time.Since(start)
 		return res, st, nil
 	}
-	res, io, err := snap.b.be.Exec.ExecuteGroupedDeltas(ctx, p.q, deltas)
+	res, io, err := snap.B.Disk.Exec.ExecuteGroupedDeltas(ctx, p.q, deltas)
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
 	st.IO = io
 	st.DeltaRows = io.DeltaRows
-	if snap.b.be.Disks != nil {
-		st.Disks = snap.b.be.Disks.Stats()
+	if snap.B.Disk.Disks != nil {
+		st.Disks = snap.B.Disk.Disks.Stats()
 	}
 	st.Wall = time.Since(start)
 	return res, st, nil
@@ -365,12 +351,11 @@ func (p *PreparedQuery) executeSoloOn(ctx context.Context, snap snapshot) (Resul
 // ExplainAll estimates every query, fanning the analyses out over the
 // warehouse's shared worker pool; results return in argument order.
 func (w *Warehouse) ExplainAll(ctx context.Context, qs []Query) ([]Explain, error) {
-	release, err := w.begin()
-	if err != nil {
+	if err := w.store.Begin(); err != nil {
 		return nil, err
 	}
-	defer release()
-	return exec.MapOn(ctx, w.sched, len(qs),
+	defer w.store.End()
+	return exec.MapOn(ctx, w.store.Sched, len(qs),
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) (Explain, error) {
 			return w.Query(qs[i]).Explain(ctx)

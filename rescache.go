@@ -36,7 +36,7 @@ import (
 // own cancellation, say), each follower falls back to computing on its
 // own pinned snapshot.
 //
-// All fields are guarded by Warehouse.mu.
+// All fields are guarded by the store's state lock (epoch.Store.Lock).
 type resCache struct {
 	cap     int
 	entries map[string]*resEntry
@@ -128,7 +128,7 @@ func copyResult(r Result) Result {
 }
 
 // get returns the entry valid for the given serving state, refreshing its
-// recency (Warehouse.mu held).
+// recency (state lock held).
 func (c *resCache) get(text string, epoch int64, maxSeq uint64) *resEntry {
 	e := c.entries[text]
 	if e == nil || e.epoch != epoch || e.maxSeq != maxSeq {
@@ -140,7 +140,7 @@ func (c *resCache) get(text string, epoch int64, maxSeq uint64) *resEntry {
 
 // put stores a computed result under the pending computation's (possibly
 // re-keyed) state, evicting the least recently used entry when at
-// capacity (Warehouse.mu held).
+// capacity (state lock held).
 func (c *resCache) put(text string, epoch int64, maxSeq uint64, region frag.Region, res Result, deltaRows int64) {
 	if c.cap < 1 {
 		return
@@ -160,7 +160,7 @@ func (c *resCache) put(text string, epoch int64, maxSeq uint64, region frag.Regi
 // computations whose region contains a touched fragment are evicted
 // respectively poisoned; everything else is re-keyed to the new MaxSeq
 // (the appended rows cannot change their results). Called in the same
-// critical section that publishes the new delta set (Warehouse.mu held).
+// critical section that publishes the new delta set (state lock held).
 func (c *resCache) invalidate(spec *frag.Spec, touched []int64, newSeq uint64) {
 	coords := make([][]int, len(touched))
 	for i, id := range touched {
@@ -192,7 +192,7 @@ func (c *resCache) invalidate(spec *frag.Spec, touched []int64, newSeq uint64) {
 
 // rekeyAll carries every entry and non-poisoned pending computation
 // across a result-neutral compaction to the new epoch's state. Called in
-// the same critical section as the snapshot swap (Warehouse.mu held).
+// the same critical section as the snapshot swap (state lock held).
 func (c *resCache) rekeyAll(epoch int64, maxSeq uint64) {
 	for e := c.head; e != nil; e = e.next {
 		e.epoch, e.maxSeq = epoch, maxSeq
@@ -279,21 +279,20 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 	start := time.Now()
 	text := frag.Format(w.star, p.q)
 
-	w.mu.Lock()
-	if w.cur.b == nil {
-		w.mu.Unlock()
-		return Result{}, Stats{}, errBackendNotBuilt()
+	w.store.Lock()
+	snap, err := w.store.PinLocked()
+	if err != nil {
+		w.store.Unlock()
+		return Result{}, Stats{}, err
 	}
-	w.cur.b.refs.Add(1)
-	snap := w.cur
-	seq := snap.deltas.MaxSeq()
+	seq := snap.Deltas.MaxSeq()
 	c := w.rcache
-	if e := c.get(text, snap.epoch, seq); e != nil {
+	if e := c.get(text, snap.Epoch, seq); e != nil {
 		c.hits++
 		res := copyResult(e.res)
 		deltaRows := e.deltaRows
-		w.mu.Unlock()
-		w.unpin(snap.b)
+		w.store.Unlock()
+		w.store.Unpin(snap.B)
 		st := w.baseStats(snap)
 		st.CacheHit = true
 		st.DeltaRows = deltaRows
@@ -301,18 +300,18 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 		return res, st, nil
 	}
 	c.misses++
-	if pd := c.pending[text]; pd != nil && pd.epoch == snap.epoch && pd.maxSeq == seq && !pd.poisoned {
-		w.mu.Unlock()
-		defer w.unpin(snap.b)
+	if pd := c.pending[text]; pd != nil && pd.epoch == snap.Epoch && pd.maxSeq == seq && !pd.poisoned {
+		w.store.Unlock()
+		defer w.store.Unpin(snap.B)
 		select {
 		case <-ctx.Done():
 			return Result{}, Stats{}, ctx.Err()
 		case <-pd.done:
 		}
 		if pd.err == nil {
-			w.mu.Lock()
+			w.store.Lock()
 			c.shared++
-			w.mu.Unlock()
+			w.store.Unlock()
 			st := w.baseStats(snap)
 			st.Shared = true
 			st.DeltaRows = pd.deltaRows
@@ -328,23 +327,23 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 	if c.pending[text] != nil {
 		// A pending computation exists for a different state (poisoned or
 		// from an older snapshot): compute solo, without collapsing.
-		w.mu.Unlock()
-		defer w.unpin(snap.b)
+		w.store.Unlock()
+		defer w.store.Unpin(snap.B)
 		res, st, err := p.executeOn(ctx, snap)
 		st.Wall = time.Since(start)
 		return res, st, err
 	}
 	pd := &resPending{
-		text: text, epoch: snap.epoch, maxSeq: seq,
+		text: text, epoch: snap.Epoch, maxSeq: seq,
 		region: w.spec.Relevant(p.q),
 		done:   make(chan struct{}),
 	}
 	c.pending[text] = pd
-	w.mu.Unlock()
+	w.store.Unlock()
 
-	defer w.unpin(snap.b)
+	defer w.store.Unpin(snap.B)
 	res, st, err := p.executeOn(ctx, snap)
-	w.mu.Lock()
+	w.store.Lock()
 	if c.pending[pd.text] == pd {
 		delete(c.pending, pd.text)
 	}
@@ -358,7 +357,7 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 		}
 	}
 	pd.err = err
-	w.mu.Unlock()
+	w.store.Unlock()
 	close(pd.done)
 	st.Wall = time.Since(start)
 	return res, st, err

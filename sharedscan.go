@@ -5,34 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/epoch"
 	"repro/internal/frag"
-	"repro/internal/kernel"
 )
-
-// sharedKey partitions shared-scan compatibility: only executions pinned
-// to the same epoch and the same delta high-water mark may batch. The
-// seal sequence is warehouse-wide and strictly monotone, so an equal
-// MaxSeq at an equal epoch means a byte-identical serving state — every
-// member of a batch would have computed against exactly the same base
-// backend and delta set solo.
-type sharedKey struct {
-	epoch int64
-	seq   uint64
-}
-
-// sharedItem is one query submitted to the admission batcher.
-type sharedItem struct {
-	q frag.Query
-}
-
-// sharedOut is one batched query's outcome: its result and fully
-// assembled Stats (Wall excepted — each member stamps its own), or its
-// per-query validation error.
-type sharedOut struct {
-	res Result
-	st  Stats
-	err error
-}
 
 // SharedServingStats is the warehouse-wide shared-scan accounting
 // surfaced in ServingStats.Shared (zero without WithSharedScans).
@@ -56,114 +31,24 @@ type SharedServingStats struct {
 	Fallbacks int64
 }
 
-// executeSharedOn routes one execution through the shared-scan batcher:
-// it donates at most one admission window waiting for batch-mates, then
-// the group leader scans the queries' fragment union once and every
-// member collects its own result. handled=false reports a batch-wide
-// failure (an I/O error, or the leader's cancellation observed by a
-// follower) — the caller falls back to solo execution on its own pinned
-// snapshot, so batching can only ever be a performance effect.
-func (p *PreparedQuery) executeSharedOn(ctx context.Context, snap snapshot) (res Result, st Stats, handled bool, err error) {
-	w := p.w
+// executeSharedOn routes one execution through the store's shared-scan
+// batcher and assembles the member's Stats exactly as solo execution
+// would have — logical counters untouched, physical savings in
+// Stats.SharedScan. handled=false reports a batch-wide failure: the
+// caller falls back to solo execution on its own pinned snapshot.
+func (p *PreparedQuery) executeSharedOn(ctx context.Context, snap epoch.Snapshot) (Result, Stats, bool, error) {
 	start := time.Now()
-	key := sharedKey{epoch: snap.epoch, seq: snap.deltas.MaxSeq()}
-	out, _, err := w.shared.Do(ctx, key, sharedItem{q: p.q}, func(items []sharedItem) ([]sharedOut, error) {
-		return w.runSharedBatch(ctx, snap, items)
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			// Our own context expired (waiting, or leading): solo retry
-			// would fail identically.
-			return Result{}, Stats{}, true, err
-		}
-		w.sharedFallbacks.Add(1)
-		return Result{}, Stats{}, false, err
+	out, handled, err := p.w.store.ExecShared(ctx, snap, p.q)
+	if !handled || err != nil {
+		return Result{}, Stats{}, handled, err
 	}
-	if out.err != nil {
-		// Per-query error (validation): deterministic and correctly
-		// attributed by the batch, no point re-failing solo.
-		return Result{}, Stats{}, true, out.err
+	st := p.w.baseStats(snap)
+	st.Engine, st.IO, st.DeltaRows, st.SharedScan = out.Engine, out.IO, out.DeltaRows, out.Shared
+	if snap.B.Disk != nil && snap.B.Disk.Disks != nil {
+		st.Disks = snap.B.Disk.Disks.Stats()
 	}
-	out.st.Wall = time.Since(start)
-	return out.res, out.st, true, nil
-}
-
-// runSharedBatch executes one sealed batch against the snapshot every
-// member pinned (the key guarantees they are interchangeable) and
-// assembles each member's Stats exactly as solo execution would have —
-// logical counters untouched, physical savings in Stats.SharedScan.
-func (w *Warehouse) runSharedBatch(ctx context.Context, snap snapshot, items []sharedItem) ([]sharedOut, error) {
-	qs := make([]frag.Query, len(items))
-	for i := range items {
-		qs[i] = items[i].q
-	}
-	deltas := kernel.Deltas{Ix: w.ix, Set: snap.deltas}
-	outs := make([]sharedOut, len(items))
-	if snap.b.engine != nil {
-		rs, err := snap.b.engine.ExecuteSharedDeltas(ctx, w.sched, qs, deltas, nil)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			if r.Err != nil {
-				outs[i].err = r.Err
-				continue
-			}
-			st := w.baseStats(snap)
-			st.Engine = r.St
-			st.DeltaRows = r.St.DeltaRows
-			st.SharedScan = r.Shared
-			outs[i] = sharedOut{res: r.Res, st: st}
-		}
-	} else {
-		rs, err := snap.b.be.Exec.ExecuteSharedDeltas(ctx, qs, deltas, nil)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			if r.Err != nil {
-				outs[i].err = r.Err
-				continue
-			}
-			st := w.baseStats(snap)
-			st.IO = r.St
-			st.DeltaRows = r.St.DeltaRows
-			if snap.b.be.Disks != nil {
-				st.Disks = snap.b.be.Disks.Stats()
-			}
-			st.SharedScan = r.Shared
-			outs[i] = sharedOut{res: r.Res, st: st}
-		}
-	}
-	w.noteSharedBatch(outs, len(items))
-	return outs, nil
-}
-
-// noteSharedBatch folds one batch's effect into the warehouse-wide
-// shared-scan counters.
-func (w *Warehouse) noteSharedBatch(outs []sharedOut, n int) {
-	if n >= 2 {
-		w.sharedBatches.Add(1)
-		w.sharedBatchedQueries.Add(int64(n))
-	} else {
-		w.sharedSoloWindows.Add(1)
-	}
-	for i := range outs {
-		w.sharedFragments.Add(int64(outs[i].st.SharedScan.FragmentsShared))
-		w.sharedPhysSaved.Add(outs[i].st.SharedScan.PhysReadsSaved)
-	}
-}
-
-// sharedServingStats snapshots the warehouse-wide shared-scan counters.
-func (w *Warehouse) sharedServingStats() SharedServingStats {
-	return SharedServingStats{
-		Batches:         w.sharedBatches.Load(),
-		BatchedQueries:  w.sharedBatchedQueries.Load(),
-		SoloWindows:     w.sharedSoloWindows.Load(),
-		FragmentsShared: w.sharedFragments.Load(),
-		PhysReadsSaved:  w.sharedPhysSaved.Load(),
-		Fallbacks:       w.sharedFallbacks.Load(),
-	}
+	st.Wall = time.Since(start)
+	return out.Res, st, true, nil
 }
 
 // observedQueryCap bounds the per-query-text mix map; executions beyond

@@ -4,23 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/dimtable"
-	"repro/internal/engine"
-	"repro/internal/exec"
+	"repro/internal/epoch"
 	"repro/internal/frag"
 	"repro/internal/schema"
 	"repro/internal/simpad"
-	"repro/internal/storage"
 )
 
 // ErrClosed is returned by operations on a closed Warehouse.
@@ -47,36 +41,6 @@ type Config struct {
 	// one table between warehouses; nil means GenerateData(Star, Seed)
 	// on first execution.
 	Table *FactTable
-}
-
-// backend is one built execution backend: the in-memory engine or the
-// on-disk store/bitmaps/executor bundle, plus the rows it was built
-// from (the base the next compaction merges deltas into). Backends are
-// reference-counted: the serving snapshot holds one reference, every
-// pinned execution holds another, and when a compaction swap retires a
-// backend its files close and its epoch directory is removed as soon as
-// the last pinned query finishes — the old epoch stays readable until
-// then.
-type backend struct {
-	engine *engine.Engine
-	be     *storage.Backend
-	table  *data.Table // the rows this backend serves as its base
-	dir    string      // the backend's own epoch directory ("" in-memory)
-	own    bool        // remove dir when retired
-	epoch  int64       // the serving epoch (keys the buffer pool's entries)
-
-	refs    atomic.Int64
-	retired atomic.Bool
-}
-
-// snapshot is what a query pins at admission: one epoch's backend plus
-// the immutable delta set sealed so far. Appends and compactions replace
-// the warehouse's current snapshot copy-on-write, so a pinned snapshot
-// keeps serving unchanged results for the execution's whole lifetime.
-type snapshot struct {
-	epoch  int64
-	b      *backend
-	deltas *frag.DeltaSet
 }
 
 // Warehouse is the serving façade of this library: one handle that owns
@@ -111,50 +75,13 @@ type Warehouse struct {
 	seed int64
 	opt  options
 
-	sched *exec.Scheduler
-
-	// pool is the shared granule/page buffer pool (nil without
-	// WithBufferPool); rcache the query-result cache (nil without
-	// WithResultCache). The pool has its own internal locking; rcache is
-	// guarded by mu like the serving snapshot it is keyed against.
-	pool   *storage.BufPool
+	// store is the epoch-versioned serving core (scheduler, buffer pool,
+	// snapshots, append, journal, compaction, shared scans) — the same
+	// one a cluster node runs over its shard. Its state lock also guards
+	// rcache, the query-result cache (nil without WithResultCache), which
+	// is keyed against the serving snapshot.
+	store  *epoch.Store
 	rcache *resCache
-
-	mu     sync.Mutex // guards closed, cur, delay, bgErr, rcache contents
-	closed bool
-	wg     sync.WaitGroup // in-flight executions, waited on by Close
-	cur    snapshot
-	bgErr  error // background cleanup/compaction errors, returned by Close
-
-	curDelay    time.Duration // last SetIODelay, re-applied to new epochs
-	curDelaySet bool
-
-	appendMu   sync.Mutex // serialises Append and the compaction swap
-	compacting bool       // guarded by appendMu
-	seq        uint64     // guarded by appendMu: warehouse-wide seal sequence
-
-	compactMu sync.Mutex // serialises compaction runs
-
-	ix        *frag.DeltaIndex
-	dlog      *storage.DeltaLog
-	compactor *storage.Compactor
-	rootDir   string // warehouse root holding epoch dirs + delta journal
-	ownRoot   bool
-
-	appends       atomic.Int64
-	appendedRows  atomic.Int64
-	compactions   atomic.Int64
-	compactedRows atomic.Int64
-
-	// shared is the admission batcher of WithSharedScans (nil when
-	// disabled); the atomics are its warehouse-wide accounting.
-	shared               *exec.Batcher[sharedKey, sharedItem, sharedOut]
-	sharedBatches        atomic.Int64
-	sharedBatchedQueries atomic.Int64
-	sharedSoloWindows    atomic.Int64
-	sharedFragments      atomic.Int64
-	sharedPhysSaved      atomic.Int64
-	sharedFallbacks      atomic.Int64
 
 	// Observed query mix (ServingStats.QueryMix, AdviseObserved).
 	mixMu      sync.Mutex
@@ -174,6 +101,43 @@ type Warehouse struct {
 	catalog *dimtable.Catalog
 }
 
+// resolveConfig validates what Open and OpenCluster share: the schema
+// (defaulted from the table), the table's schema identity, the
+// fragmentation (nil when empty) and the index configuration (the APB-1
+// one when nil), and defaults the seed.
+func resolveConfig(cfg Config) (*schema.Star, *frag.Spec, frag.IndexConfig, int64, error) {
+	star := cfg.Star
+	if star == nil && cfg.Table != nil {
+		star = cfg.Table.Star
+	}
+	if star == nil {
+		return nil, nil, nil, 0, fmt.Errorf("mdhf: Config.Star is required")
+	}
+	if cfg.Table != nil && cfg.Table.Star != star {
+		return nil, nil, nil, 0, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
+	}
+	var spec *frag.Spec
+	if cfg.Fragmentation != "" {
+		var err error
+		spec, err = frag.Parse(star, cfg.Fragmentation)
+		if err != nil {
+			return nil, nil, nil, 0, err
+		}
+	}
+	icfg := cfg.Indexes
+	if icfg == nil {
+		icfg = frag.APB1Indexes(star)
+	}
+	if len(icfg) != len(star.Dims) {
+		return nil, nil, nil, 0, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
+	}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return star, spec, icfg, seed, nil
+}
+
 // Open assembles a Warehouse from the configuration and options. It
 // validates the schema, fragmentation and index configuration and starts
 // the shared worker pool; the execution backend itself is built on first
@@ -186,30 +150,9 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 	for _, o := range opts {
 		o(&opt)
 	}
-	star := cfg.Star
-	if star == nil && cfg.Table != nil {
-		star = cfg.Table.Star
-	}
-	if star == nil {
-		return nil, fmt.Errorf("mdhf: Config.Star is required")
-	}
-	if cfg.Table != nil && cfg.Table.Star != star {
-		return nil, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
-	}
-	var spec *frag.Spec
-	if cfg.Fragmentation != "" {
-		var err error
-		spec, err = frag.Parse(star, cfg.Fragmentation)
-		if err != nil {
-			return nil, err
-		}
-	}
-	icfg := cfg.Indexes
-	if icfg == nil {
-		icfg = frag.APB1Indexes(star)
-	}
-	if len(icfg) != len(star.Dims) {
-		return nil, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
+	star, spec, icfg, seed, err := resolveConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if opt.faultPlan != nil && opt.disks == 0 {
 		// Fault injection, retry accounting and circuit breaking live on
@@ -220,38 +163,44 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		opt.disks = 1
 	}
 	if opt.disks != 0 {
-		p := alloc.Placement{Disks: opt.disks, Scheme: opt.scheme, Staggered: opt.staggered, Cluster: opt.cluster}
-		if err := p.Validate(); err != nil {
+		if err := opt.placement().Validate(); err != nil {
 			return nil, err
 		}
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	w := &Warehouse{
-		star:        star,
-		spec:        spec,
-		icfg:        icfg,
-		seed:        seed,
-		opt:         opt,
-		sched:       exec.NewScheduler(opt.workers),
-		table:       cfg.Table,
-		curDelay:    opt.ioDelay,
-		curDelaySet: opt.ioDelay > 0,
-	}
-	if opt.admitLimit > 0 {
-		w.sched.SetLimit(opt.admitLimit)
-	}
-	if opt.poolBytes > 0 && opt.onDisk {
-		w.pool = storage.NewBufPool(opt.poolBytes)
+	w := &Warehouse{star: star, spec: spec, icfg: icfg, seed: seed, opt: opt, table: cfg.Table}
+	scfg := epoch.Config{
+		Spec:         spec,
+		Indexes:      icfg,
+		OnDisk:       opt.onDisk,
+		Dir:          opt.dir,
+		Compress:     opt.compress,
+		Placement:    opt.placement(), // Disks == 0: not declustered
+		PrefetchFact: opt.params.FactPrefetch,
+		IODelay:      opt.ioDelay,
+		FaultPlan:    opt.faultPlan,
+		Retry:        opt.retry,
+		Workers:      opt.workers,
+		AdmitLimit:   opt.admitLimit,
+		PoolBytes:    opt.poolBytes,
+		SharedWindow: opt.sharedWindow,
+		AutoCompact:  opt.autoCompact,
+		Closed:       ErrClosed,
 	}
 	if opt.resultCache > 0 {
-		w.rcache = newResCache(opt.resultCache)
+		rc := newResCache(opt.resultCache)
+		w.rcache = rc
+		// Fragment-granular invalidation, atomic with the publish: only
+		// result-cache entries whose confinement region contains a touched
+		// fragment are evicted (and intersecting in-flight computations
+		// poisoned); everything else is re-keyed to the new MaxSeq and
+		// keeps serving.
+		scfg.Published = func(touched []int64, maxSeq uint64) { rc.invalidate(spec, touched, maxSeq) }
+		// Compaction is result-neutral (the rebuilt backend serves
+		// byte-identical results), so re-key every entry to the new epoch
+		// instead of flushing the cache.
+		scfg.Swapped = rc.rekeyAll
 	}
-	if opt.sharedWindow > 0 {
-		w.shared = exec.NewBatcher[sharedKey, sharedItem, sharedOut](opt.sharedWindow)
-	}
+	w.store = epoch.New(scfg)
 	return w, nil
 }
 
@@ -266,7 +215,7 @@ func (w *Warehouse) Fragmentation() *Fragmentation { return w.spec }
 func (w *Warehouse) Indexes() IndexConfig { return w.icfg }
 
 // Workers returns the size of the shared worker pool.
-func (w *Warehouse) Workers() int { return w.sched.Workers() }
+func (w *Warehouse) Workers() int { return w.store.Sched.Workers() }
 
 // ServingStats is the warehouse-wide serving snapshot: the admission
 // scheduler's accounting plus the epoch/ingestion counters of the
@@ -323,20 +272,21 @@ type FaultStats struct {
 // admitted and done, in-flight and peak concurrency, fragment tasks run
 // — together with the epoch and ingestion counters.
 func (w *Warehouse) ServingStats() ServingStats {
+	c := w.store.Counters()
 	st := ServingStats{
-		SchedStats:    w.sched.Stats(),
-		Appends:       w.appends.Load(),
-		AppendedRows:  w.appendedRows.Load(),
-		Compactions:   w.compactions.Load(),
-		CompactedRows: w.compactedRows.Load(),
-		Shared:        w.sharedServingStats(),
+		SchedStats:    w.store.Sched.Stats(),
+		Epoch:         c.Epoch,
+		DeltaSegments: c.DeltaSegments,
+		DeltaRows:     c.DeltaRows,
+		Appends:       c.Appends,
+		AppendedRows:  c.AppendedRows,
+		Compactions:   c.Compactions,
+		CompactedRows: c.CompactedRows,
+		Shared:        SharedServingStats(w.store.SharedStats()),
 		QueryMix:      w.queryMixStats(),
 	}
-	w.mu.Lock()
-	st.Epoch = w.cur.epoch
-	st.DeltaSegments = w.cur.deltas.Segments()
-	st.DeltaRows = w.cur.deltas.Rows()
 	if c := w.rcache; c != nil {
+		w.store.Lock()
 		st.Cache.Hits = c.hits
 		st.Cache.Misses = c.misses
 		st.Cache.Shared = c.shared
@@ -344,10 +294,10 @@ func (w *Warehouse) ServingStats() ServingStats {
 		st.Cache.Rekeys = c.rekeys
 		st.Cache.Entries = len(c.entries)
 		st.Cache.Capacity = c.cap
+		w.store.Unlock()
 	}
-	w.mu.Unlock()
-	if w.pool != nil {
-		st.Cache.Pool = w.pool.Stats()
+	if pool := w.store.Pool; pool != nil {
+		st.Cache.Pool = pool.Stats()
 	}
 	for _, d := range w.DiskStats() {
 		st.Faults.InjectedFaults += d.InjectedFaults
@@ -383,12 +333,11 @@ func (w *Warehouse) Table(ctx context.Context) (*FactTable, error) {
 // with the backend: the returned set keeps serving queries pinned to its
 // epoch but receives no new ones after the swap.
 func (w *Warehouse) DiskSet() *DiskSet {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cur.b == nil || w.cur.b.be == nil {
+	b := w.store.Current().B
+	if b == nil || b.Disk == nil {
 		return nil
 	}
-	return w.cur.b.be.Disks
+	return b.Disk.Disks
 }
 
 // DiskStats snapshots the per-disk access counters of the declustered
@@ -415,25 +364,7 @@ func (w *Warehouse) ResetDiskStats() {
 // delay survives compaction: each new epoch's backend inherits it. It is
 // a no-op before the backend is built and on in-memory backends — use
 // WithIODelay to configure the delay up front.
-func (w *Warehouse) SetIODelay(d time.Duration) {
-	w.mu.Lock()
-	w.curDelay, w.curDelaySet = d, true
-	b := w.cur.b
-	w.mu.Unlock()
-	if b != nil && b.be != nil {
-		applyIODelay(b.be, d)
-	}
-}
-
-// applyIODelay sets the simulated access latency on a built backend.
-func applyIODelay(be *storage.Backend, d time.Duration) {
-	if be.Disks != nil {
-		be.Disks.SetIODelay(d)
-		return
-	}
-	be.Store.SetIODelay(d)
-	be.Bitmaps.SetIODelay(d)
-}
+func (w *Warehouse) SetIODelay(d time.Duration) { w.store.SetIODelay(d) }
 
 // Query prepares a star query against the warehouse. The returned object
 // is cheap, stateless and safe to Execute concurrently with any number
@@ -450,17 +381,22 @@ func (w *Warehouse) Query(q Query) *PreparedQuery {
 // levels ("... group by time::month, product::family" respectively
 // "... group by time.month").
 func (w *Warehouse) QueryText(text string) (*PreparedQuery, error) {
-	var q frag.Query
-	var err error
-	if strings.Contains(text, "'") || (!strings.Contains(text, "::") && strings.Contains(text, ".")) {
-		q, err = w.Catalog().ParseQuery(text)
-	} else {
-		q, err = frag.ParseQuery(w.star, text)
-	}
+	q, err := parseQueryText(w.star, w.Catalog, text)
 	if err != nil {
 		return nil, err
 	}
 	return w.Query(q), nil
+}
+
+// parseQueryText sniffs the notation of a query text — quoted names or
+// dim.level attribute references mean the dimension-table form — and
+// parses it; catalog is only called (and the catalog only built) for
+// that form.
+func parseQueryText(star *schema.Star, catalog func() *DimCatalog, text string) (frag.Query, error) {
+	if strings.Contains(text, "'") || (!strings.Contains(text, "::") && strings.Contains(text, ".")) {
+		return catalog().ParseQuery(text)
+	}
+	return frag.ParseQuery(star, text)
 }
 
 // Advise ranks the admissible fragmentations of the warehouse's schema
@@ -484,7 +420,8 @@ func (w *Warehouse) Simulate(ctx context.Context, qs ...Query) ([]SimResult, err
 		return nil, fmt.Errorf("mdhf: warehouse opened without a fragmentation")
 	}
 	cfg := w.opt.simCfg
-	pl := alloc.Placement{Disks: cfg.Disks, Scheme: w.opt.scheme, Staggered: w.opt.staggered, Cluster: w.opt.cluster}
+	pl := w.opt.placement()
+	pl.Disks = cfg.Disks
 	sys, err := simpad.NewSystem(cfg, w.icfg, pl, w.seed)
 	if err != nil {
 		return nil, err
@@ -509,106 +446,7 @@ func (w *Warehouse) Simulate(ctx context.Context, qs ...Query) ([]SimResult, err
 // directory (if it created one). Operations submitted after Close fail
 // with ErrClosed. It returns any errors deferred from background
 // cleanup (retired-epoch removal, journal resets) alongside its own.
-func (w *Warehouse) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	// Queries, Appends and any in-flight compaction all hold wg.
-	w.wg.Wait()
-	if w.compactor != nil {
-		// A pending trigger still fires, but its run bails out on ErrClosed.
-		w.compactor.Close()
-	}
-	w.sched.Close()
-	w.mu.Lock()
-	cur := w.cur
-	w.cur = snapshot{}
-	w.mu.Unlock()
-	if cur.b != nil {
-		w.retire(cur.b) // refs are drained, so cleanup runs synchronously
-	}
-	var err error
-	if w.dlog != nil {
-		err = errors.Join(err, w.dlog.Close())
-	}
-	if w.ownRoot && w.rootDir != "" {
-		err = errors.Join(err, os.RemoveAll(w.rootDir))
-	}
-	w.mu.Lock()
-	err = errors.Join(err, w.bgErr)
-	w.bgErr = nil
-	w.mu.Unlock()
-	return err
-}
-
-// begin registers one in-flight execution; the returned release must be
-// called when it finishes.
-func (w *Warehouse) begin() (func(), error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	w.wg.Add(1)
-	return w.wg.Done, nil
-}
-
-// pin acquires the current snapshot for one execution, taking a
-// reference on its backend. Admission is never blocked by appends or
-// compaction: pin only takes the (briefly held) state mutex. The caller
-// must already hold an in-flight registration (begin) and must unpin
-// the snapshot's backend when done.
-func (w *Warehouse) pin() (snapshot, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cur.b == nil {
-		return snapshot{}, fmt.Errorf("mdhf: backend not built")
-	}
-	w.cur.b.refs.Add(1)
-	return w.cur, nil
-}
-
-// unpin releases one reference; the last release of a retired backend
-// cleans it up (closes files, removes its epoch directory).
-func (w *Warehouse) unpin(b *backend) {
-	if b.refs.Add(-1) == 0 && b.retired.Load() {
-		w.cleanupBackend(b)
-	}
-}
-
-// retire marks the backend dead and drops the serving reference the
-// snapshot held since the build.
-func (w *Warehouse) retire(b *backend) {
-	b.retired.Store(true)
-	w.unpin(b)
-}
-
-// cleanupBackend closes a retired backend's files and removes its epoch
-// directory, deferring any errors to Close.
-func (w *Warehouse) cleanupBackend(b *backend) {
-	var err error
-	if b.be != nil {
-		if w.pool != nil {
-			// The retired epoch's last pinned query is done: its pooled
-			// pages can never hit again (new lookups key the new epoch), so
-			// drop them eagerly instead of letting them age out of the LRU.
-			w.pool.InvalidateEpoch(b.epoch)
-		}
-		err = errors.Join(err, b.be.Close())
-	}
-	if b.own && b.dir != "" {
-		err = errors.Join(err, os.RemoveAll(b.dir))
-	}
-	if err != nil {
-		w.mu.Lock()
-		w.bgErr = errors.Join(w.bgErr, err)
-		w.mu.Unlock()
-	}
-}
+func (w *Warehouse) Close() error { return w.store.Close() }
 
 // ensureData generates the fact table once (unless Config.Table supplied
 // it).
@@ -622,173 +460,19 @@ func (w *Warehouse) ensureData() error {
 	return w.dataErr
 }
 
-// ensureBackend builds the execution backend once, on first Execute.
+// ensureBackend builds the execution backend once, on first Execute:
+// epoch 0 over the fact table, plus (on-disk) the delta journal and its
+// replay. The caller holds a store registration, so Close waits for it.
 func (w *Warehouse) ensureBackend(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w.buildOnce.Do(func() { w.buildErr = w.build() })
+	w.buildOnce.Do(func() {
+		if w.spec == nil {
+			w.buildErr = fmt.Errorf("mdhf: warehouse opened without a fragmentation")
+		} else if w.buildErr = w.ensureData(); w.buildErr == nil {
+			w.buildErr = w.store.Build(w.table)
+		}
+	})
 	return w.buildErr
-}
-
-// build assembles the epoch-0 backend, the delta index, the delta
-// journal (on-disk backends) and the background compactor. On failure
-// everything built so far — including an owned temporary directory — is
-// cleaned up immediately, so a warehouse whose lazy first-Execute build
-// failed partway leaves nothing behind even if Close is never called.
-func (w *Warehouse) build() error {
-	if w.spec == nil {
-		return fmt.Errorf("mdhf: warehouse opened without a fragmentation")
-	}
-	if err := w.ensureData(); err != nil {
-		return err
-	}
-	ix, err := frag.NewDeltaIndex(w.spec, w.icfg)
-	if err != nil {
-		return err
-	}
-	b, err := w.buildBackendFrom(w.table, 0)
-	if err != nil {
-		w.removeOwnedRoot()
-		return err
-	}
-	var recovered *frag.DeltaSet
-	if w.opt.onDisk {
-		dlog, recs, err := storage.OpenDeltaLog(w.rootDir, w.star)
-		if err != nil {
-			w.cleanupBackend(b)
-			w.removeOwnedRoot()
-			return err
-		}
-		if b.be.Disks != nil {
-			dlog.Attach(b.be.Disks, b.be.Placement)
-		}
-		w.dlog = dlog
-		// Crash recovery: every acked Append wrote its segment to the
-		// journal before publishing, so replaying the journal's intact
-		// prefix through the delta index reconstructs exactly the delta
-		// set (and seal sequence) the warehouse served before the crash.
-		for _, rec := range recs {
-			sb := ix.NewSegment(rec.Frag)
-			leaves := make([]int32, len(rec.Leaves))
-			for i := 0; i < rec.Rows(); i++ {
-				for d := range rec.Leaves {
-					leaves[d] = rec.Leaves[d][i]
-				}
-				sb.Add(leaves, rec.Units[i], rec.Dollars[i], rec.Costs[i])
-			}
-			seg := sb.Seal(rec.Seq)
-			if rec.Replace {
-				recovered = recovered.WithTailReplaced(seg)
-			} else {
-				recovered = recovered.With(seg)
-			}
-			if rec.Seq > w.seq {
-				w.seq = rec.Seq
-			}
-		}
-	}
-	w.ix = ix
-	w.compactor = storage.NewCompactor(w.compactOnce)
-	w.mu.Lock()
-	w.cur = snapshot{epoch: 0, b: b, deltas: recovered}
-	d, set := w.curDelay, w.curDelaySet
-	w.mu.Unlock()
-	if set && b.be != nil {
-		applyIODelay(b.be, d)
-	}
-	return nil
-}
-
-// removeOwnedRoot deletes the warehouse's own temporary root after a
-// failed build and forgets it, so neither Close nor a later cleanup
-// touches a half-built directory.
-func (w *Warehouse) removeOwnedRoot() {
-	if w.ownRoot && w.rootDir != "" {
-		os.RemoveAll(w.rootDir)
-		w.rootDir, w.ownRoot = "", false
-	}
-}
-
-// buildBackendFrom builds one epoch's backend from the given base rows:
-// the in-memory engine, or an on-disk Backend in its own epoch
-// subdirectory of the warehouse root. On error no partial state leaks —
-// files built before the failure are closed and the epoch directory
-// removed (the root itself is handled by the caller).
-func (w *Warehouse) buildBackendFrom(t *data.Table, epoch int64) (*backend, error) {
-	b := &backend{table: t, epoch: epoch}
-	b.refs.Store(1) // the serving snapshot's reference
-	if !w.opt.onDisk {
-		var err error
-		if w.opt.compress {
-			b.engine, err = engine.BuildCompressed(t, w.spec, w.icfg)
-		} else {
-			b.engine, err = engine.Build(t, w.spec, w.icfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	if w.rootDir == "" {
-		dir := w.opt.dir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "mdhf-warehouse-*")
-			if err != nil {
-				return nil, err
-			}
-			w.ownRoot = true
-		}
-		w.rootDir = dir
-	}
-	epochDir := filepath.Join(w.rootDir, fmt.Sprintf("epoch-%03d", epoch))
-	cfg := storage.BackendConfig{
-		Compress:     w.opt.compress,
-		PrefetchFact: w.opt.params.FactPrefetch,
-		Sched:        w.sched,
-		Pool:         w.pool,
-		PoolEpoch:    epoch,
-	}
-	if w.opt.disks > 0 {
-		cfg.Placement = alloc.Placement{Disks: w.opt.disks, Scheme: w.opt.scheme, Staggered: w.opt.staggered, Cluster: w.opt.cluster}
-	}
-	be, err := storage.BuildBackend(epochDir, t, w.spec, w.icfg, cfg)
-	if err != nil {
-		os.RemoveAll(epochDir)
-		return nil, err
-	}
-	// Install the fault plan and retry policy only after the backend is
-	// fully built: build-time reads stay fault-free, and every epoch a
-	// compaction rebuilds inherits the same plan on its fresh disk set.
-	if be.Disks != nil {
-		if w.opt.retry != nil {
-			be.Disks.SetRetryPolicy(*w.opt.retry)
-		}
-		if w.opt.faultPlan != nil {
-			be.Disks.SetFaultPlan(w.opt.faultPlan)
-		}
-	}
-	b.be, b.dir, b.own = be, epochDir, true
-	return b, nil
-}
-
-// modelPlacement is the placement assumed by Explain's queue response
-// model: the configured declustering, or one disk.
-func (w *Warehouse) modelPlacement() alloc.Placement {
-	if w.opt.disks > 0 {
-		return alloc.Placement{Disks: w.opt.disks, Scheme: w.opt.scheme, Staggered: w.opt.staggered, Cluster: w.opt.cluster}
-	}
-	return alloc.Placement{Disks: 1, Scheme: w.opt.scheme, Staggered: w.opt.staggered, Cluster: w.opt.cluster}
-}
-
-// modelAccessTime is the per-access latency assumed by Explain's queue
-// response model: the configured I/O delay (an explicit zero models
-// ideal disks), or the paper's Table 4 seek + settle time when
-// WithIODelay was never given.
-func (w *Warehouse) modelAccessTime() time.Duration {
-	if w.opt.ioDelaySet {
-		return w.opt.ioDelay
-	}
-	return 12 * time.Millisecond
 }

@@ -309,7 +309,7 @@ func TestWarehouseClose(t *testing.T) {
 	if _, _, err := w.Query(q).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	dir := w.rootDir
+	dir := w.store.RootDir()
 	if dir == "" {
 		t.Fatal("no backend dir recorded")
 	}
