@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/bitmap"
+	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/simpad"
 )
 
 func simStoreOnce(b *testing.B, mutate func(*SimConfig, *Placement)) float64 {
@@ -24,7 +26,7 @@ func simStoreOnce(b *testing.B, mutate func(*SimConfig, *Placement)) float64 {
 	placement := Placement{Disks: cfg.Disks, Scheme: RoundRobin, Staggered: true}
 	mutate(&cfg, &placement)
 	placement.Disks = cfg.Disks
-	sys, err := NewSimSystem(cfg, icfg, placement, 1)
+	sys, err := simpad.NewSystem(cfg, icfg, placement, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func simStoreOnce(b *testing.B, mutate func(*SimConfig, *Placement)) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs := sys.Run([]*SimPlan{NewSimPlan(spec, icfg, q, cfg)})
+	rs := sys.Run([]*SimPlan{simpad.NewPlan(spec, icfg, q, cfg)})
 	return rs[0].ResponseTime
 }
 
@@ -130,7 +132,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	icfg := APB1Indexes(star)
-	eng, err := BuildEngine(tab, spec, icfg)
+	eng, err := engine.Build(tab, spec, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,9 +141,10 @@ func BenchmarkEngineQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sched := newSched(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Execute(q, 8); err != nil {
+		if _, _, err := engineTotal(eng, sched, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,14 +14,16 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
 )
 
 func BenchmarkDiskScaling(b *testing.B) {
 	store, bf, q := parallelBenchStore(b)
 
 	// Single-disk baseline result, page-cache regime.
-	base := workerExecutor(store, bf, 1)
-	wantAgg, wantSt, err := base.Execute(q)
+	base := workerExecutor(b, store, bf, 1)
+	wantAgg, wantSt, err := executorTotal(base, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,14 +32,14 @@ func BenchmarkDiskScaling(b *testing.B) {
 	for _, disks := range []int{1, 2, 4, 8, 16} {
 		for _, scheme := range []AllocScheme{RoundRobin, GapRoundRobin} {
 			placement := Placement{Disks: disks, Scheme: scheme, Staggered: true}
-			ds, err := DeclusterStore(store, bf, placement)
+			ds, err := storage.Decluster(store, bf, placement)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ex := workerExecutor(store, bf, 16)
+			ex := workerExecutor(b, store, bf, 16)
 
 			// Byte-identical to the single-disk path before timing.
-			gotAgg, gotSt, err := ex.Execute(q)
+			gotAgg, gotSt, err := executorTotal(ex, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -48,7 +50,7 @@ func BenchmarkDiskScaling(b *testing.B) {
 			ds.SetIODelay(delay)
 			b.Run(fmt.Sprintf("%v/disks=%d", scheme, disks), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ex.Execute(q); err != nil {
+					if _, _, err := executorTotal(ex, q); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/experiments"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -108,24 +109,24 @@ func BenchmarkExtStorageExecutor(b *testing.B) {
 	}
 	icfg := APB1Indexes(star)
 	dir := b.TempDir()
-	store, err := BuildStore(dir, tab, spec)
+	store, err := storage.Build(dir, tab, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	bf, err := BuildBitmapFile(dir, store, icfg)
+	bf, err := storage.BuildBitmaps(dir, store, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer bf.Close()
-	ex := NewStorageExecutor(store, bf)
+	ex := workerExecutor(b, store, bf, 0)
 	q, err := NewQueryGenerator(star, 7).Next(OneCodeOneQuarter)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ex.Execute(q); err != nil {
+		if _, _, err := executorTotal(ex, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
 // parallelBenchStore builds the reduced-scale APB-1 on-disk warehouse used
 // by the worker-scaling benchmarks.
-func parallelBenchStore(b *testing.B) (*Store, *BitmapFile, Query) {
+func parallelBenchStore(b *testing.B) (*storage.Store, *storage.BitmapFile, Query) {
 	b.Helper()
 	star := APB1Scaled(60)
 	tab, err := GenerateData(star, 3)
@@ -26,12 +29,12 @@ func parallelBenchStore(b *testing.B) (*Store, *BitmapFile, Query) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	store, err := BuildStore(dir, tab, spec)
+	store, err := storage.Build(dir, tab, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { store.Close() })
-	bf, err := BuildBitmapFile(dir, store, APB1Indexes(star))
+	bf, err := storage.BuildBitmaps(dir, store, APB1Indexes(star))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,14 +48,6 @@ func parallelBenchStore(b *testing.B) (*Store, *BitmapFile, Query) {
 	return store, bf, q
 }
 
-// workerExecutor pairs a store with its bitmap file at an explicit
-// fragment-worker count (the former NewParallelStorageExecutor).
-func workerExecutor(s *Store, bf *BitmapFile, workers int) *StorageExecutor {
-	ex := NewStorageExecutor(s, bf)
-	ex.Workers = workers
-	return ex
-}
-
 // BenchmarkExecutorParallel measures the on-disk executor's fragment
 // parallelism: the same 1STORE query at 1, 2, 4 and 8 workers, in two
 // regimes. "pagecache" reads straight from the OS page cache (CPU-bound:
@@ -62,8 +57,8 @@ func workerExecutor(s *Store, bf *BitmapFile, workers int) *StorageExecutor {
 // with the worker count even on a single CPU.
 func BenchmarkExecutorParallel(b *testing.B) {
 	store, bf, q := parallelBenchStore(b)
-	seq := workerExecutor(store, bf, 1)
-	wantAgg, wantSt, err := seq.Execute(q)
+	seq := workerExecutor(b, store, bf, 1)
+	wantAgg, wantSt, err := executorTotal(seq, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,8 +76,8 @@ func BenchmarkExecutorParallel(b *testing.B) {
 		bf.SetIODelay(regime.delay)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", regime.name, workers), func(b *testing.B) {
-				ex := workerExecutor(store, bf, workers)
-				gotAgg, gotSt, err := ex.Execute(q)
+				ex := workerExecutor(b, store, bf, workers)
+				gotAgg, gotSt, err := executorTotal(ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,7 +86,7 @@ func BenchmarkExecutorParallel(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ex.Execute(q); err != nil {
+					if _, _, err := executorTotal(ex, q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -115,7 +110,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := BuildEngine(tab, spec, APB1Indexes(star))
+	eng, err := engine.Build(tab, spec, APB1Indexes(star))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,8 +120,10 @@ func BenchmarkEngineParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sched := newSched(b, workers)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Execute(q, workers); err != nil {
+				if _, _, err := engineTotal(eng, sched, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,33 +148,33 @@ func BenchmarkCompressedPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	icfg := APB1Indexes(star)
-	matEng, err := BuildEngine(tab, spec, icfg)
+	matEng, err := engine.Build(tab, spec, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	compEng, err := BuildCompressedEngine(tab, spec, icfg)
+	compEng, err := engine.BuildCompressed(tab, spec, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 
 	dir := b.TempDir()
-	store, err := BuildStore(dir, tab, spec)
+	store, err := storage.Build(dir, tab, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { store.Close() })
-	plainBF, err := BuildBitmapFile(dir, store, icfg)
+	plainBF, err := storage.BuildBitmaps(dir, store, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { plainBF.Close() })
 	dirC := b.TempDir()
-	storeC, err := BuildStore(dirC, tab, spec)
+	storeC, err := storage.Build(dirC, tab, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { storeC.Close() })
-	compBF, err := BuildCompressedBitmapFile(dirC, storeC, icfg)
+	compBF, err := storage.BuildCompressedBitmaps(dirC, storeC, icfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,16 +190,17 @@ func BenchmarkCompressedPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		class := spec.Classify(q)
-		wantAgg, _, err := matEng.Execute(q, 1)
+		wantAgg, _, err := engineTotal(matEng, newSched(b, 1), q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
+			sched := newSched(b, workers)
 			for _, side := range []struct {
 				name string
-				eng  *Engine
+				eng  *engine.Engine
 			}{{"materialized", matEng}, {"compressed", compEng}} {
-				gotAgg, _, err := side.eng.Execute(q, workers)
+				gotAgg, _, err := engineTotal(side.eng, sched, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -212,7 +210,7 @@ func BenchmarkCompressedPath(b *testing.B) {
 				b.Run(fmt.Sprintf("engine/%s_%v/%s/workers=%d", qt.Name, class, side.name, workers), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := side.eng.Execute(q, workers); err != nil {
+						if _, _, err := engineTotal(side.eng, sched, q); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -220,22 +218,22 @@ func BenchmarkCompressedPath(b *testing.B) {
 			}
 			for _, side := range []struct {
 				name string
-				ex   *StorageExecutor
+				ex   *storage.Executor
 			}{
-				{"materialized", workerExecutor(store, plainBF, workers)},
-				{"compressed", workerExecutor(storeC, compBF, workers)},
+				{"materialized", workerExecutor(b, store, plainBF, workers)},
+				{"compressed", workerExecutor(b, storeC, compBF, workers)},
 			} {
-				gotAgg, _, err := side.ex.Execute(q)
+				gotAgg, _, err := executorTotal(side.ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if Aggregate(gotAgg) != wantAgg {
+				if gotAgg != wantAgg {
 					b.Fatalf("%s storage %s: %+v != %+v", qt.Name, side.name, gotAgg, wantAgg)
 				}
 				b.Run(fmt.Sprintf("storage/%s_%v/%s/workers=%d", qt.Name, class, side.name, workers), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := side.ex.Execute(q); err != nil {
+						if _, _, err := executorTotal(side.ex, q); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -201,9 +201,8 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 		g   *kernel.Grouped
 		st  ExecStats
 	}
-	a, err := exec.ReduceWith(ctx, len(nodes), len(nodes),
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (part, error) {
+	a, err := exec.Reduce(ctx, len(nodes), len(nodes),
+		func(i int) (part, error) {
 			resp, retries, hedges, err := c.execNode(ctx, nodes[i], req)
 			return part{resp, retries, hedges}, err
 		},

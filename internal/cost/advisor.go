@@ -40,9 +40,9 @@ func Advise(star *schema.Star, cfg frag.IndexConfig, mix []WeightedQuery, th fra
 }
 
 // AdviseParallel is Advise with the per-candidate I/O analysis fanned out
-// over `workers` goroutines (values below 1 mean one per CPU) on the
-// shared internal/exec pool. Candidates are gathered in enumeration order
-// before ranking, so the result is identical at any worker count.
+// over `workers` goroutines (values below 1 mean one per CPU) with
+// exec.Map. Candidates are gathered in enumeration order before ranking,
+// so the result is identical at any worker count.
 func AdviseParallel(star *schema.Star, cfg frag.IndexConfig, mix []WeightedQuery, th frag.Thresholds, p Params, workers int) []Ranked {
 	specs := frag.Enumerate(star)
 	ranked, err := exec.Map(context.Background(), workers, len(specs), func(i int) (*Ranked, error) {

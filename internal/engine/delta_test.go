@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
 	"repro/internal/schema"
@@ -75,6 +76,8 @@ func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := deltasOf(t, spec, ix, extra, 3)
+	sched := exec.NewScheduler(2)
+	defer sched.Close()
 	queries := []string{
 		"time::month=1",
 		"product::code=3",
@@ -104,11 +107,11 @@ func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := eFull.ExecuteGrouped(context.Background(), q, 2)
+			want, _, err := eFull.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := eBase.ExecuteGroupedDeltas(context.Background(), nil, q, kernel.Deltas{Ix: ix, Set: set})
+			got, st, err := eBase.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{Ix: ix, Set: set})
 			if err != nil {
 				t.Fatal(err)
 			}

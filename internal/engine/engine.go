@@ -13,6 +13,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -216,15 +217,9 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 // NumFragments returns the number of non-empty fragments materialised.
 func (e *Engine) NumFragments() int { return len(e.frags) }
 
-// Execute runs the star query with the given number of parallel workers
-// (processing nodes) and returns the grand-total aggregate plus work
-// statistics (any GroupBy on the query is ignored — use ExecuteGrouped).
-// Values below 1 mean one worker per available CPU. Results are identical
-// at any worker count: per-fragment partials merge in fragment allocation
-// order on the shared internal/exec pool.
-func (e *Engine) Execute(q frag.Query, workers int) (Aggregate, Stats, error) {
-	return e.ExecuteContext(context.Background(), q, workers)
-}
+// errNilScheduler is returned by every entry point handed no scheduler:
+// the engine owns no worker pool of its own.
+var errNilScheduler = errors.New("engine: nil scheduler")
 
 // partial is one fragment's contribution to a query result.
 type partial struct {
@@ -268,8 +263,7 @@ func rowKey(base uint64, perRow []kernel.RowLevel, dims [][]int32, i int) uint64
 	return base
 }
 
-// fragmentTask returns the per-fragment task body shared by the private
-// worker-pool path and the scheduler path. With a grouper, the
+// fragmentTask returns the per-fragment task body. With a grouper, the
 // fragment-aligned fast path tags the fragment total with its constant
 // group key (zero per-row work); the fallback buckets rows into a
 // fragment-local group map.
@@ -322,7 +316,7 @@ func (e *Engine) fragmentTask(ids []int64, q frag.Query, gr *kernel.Grouper, del
 }
 
 // mergePartial folds one fragment's partial into the running result
-// (strictly in task order under every dispatch mode).
+// (strictly in task order).
 func mergePartial(grouped bool) func(a *acc, p partial) {
 	return func(a *acc, p partial) {
 		if grouped && a.g == nil {
@@ -333,48 +327,28 @@ func mergePartial(grouped bool) func(a *acc, p partial) {
 	}
 }
 
-// ExecuteContext is Execute with cancellation.
-func (e *Engine) ExecuteContext(ctx context.Context, q frag.Query, workers int) (Aggregate, Stats, error) {
-	q.GroupBy = nil // grouping never changes the grand total
-	res, st, err := e.executeFull(ctx, q, workers, nil, kernel.Deltas{})
-	return res.Aggregate, st, err
-}
-
-// ExecuteGrouped is ExecuteContext returning the full result: the grand
-// total plus, when the query has a GroupBy, the per-group rows in the
-// deterministic kernel order. On the fragment-aligned fast path (every
-// GroupBy level at or above its dimension's fragmentation level) grouping
-// performs no per-row work at all.
-func (e *Engine) ExecuteGrouped(ctx context.Context, q frag.Query, workers int) (kernel.Result, Stats, error) {
-	return e.executeFull(ctx, q, workers, nil, kernel.Deltas{})
-}
-
-// ExecuteOn is ExecuteContext dispatched through a shared admission
-// scheduler instead of a private per-query worker set: the query's
-// fragment tasks interleave with every other execution admitted to the
-// scheduler, multiplexing concurrent queries onto one fixed pool. The
-// task-ordered gather makes the result bit-for-bit identical to Execute
-// at any pool size or admission mix.
-func (e *Engine) ExecuteOn(ctx context.Context, s *exec.Scheduler, q frag.Query) (Aggregate, Stats, error) {
-	q.GroupBy = nil
-	res, st, err := e.executeFull(ctx, q, 0, s, kernel.Deltas{})
-	return res.Aggregate, st, err
-}
-
-// ExecuteGroupedOn is ExecuteGrouped dispatched through a shared
-// admission scheduler (see ExecuteOn).
-func (e *Engine) ExecuteGroupedOn(ctx context.Context, s *exec.Scheduler, q frag.Query) (kernel.Result, Stats, error) {
-	return e.executeFull(ctx, q, 0, s, kernel.Deltas{})
-}
-
-// ExecuteGroupedDeltas is ExecuteGroupedOn folding a pinned delta
-// snapshot into every fragment's partial: each relevant fragment
-// aggregates its base rows first, then its delta segments in seal
-// order, so the epoch-versioned warehouse serves base+delta results
-// through the same task-ordered gather — byte-identical to an engine
-// rebuilt from scratch with the same rows.
+// ExecuteGroupedDeltas runs the star query on the scheduler's pool —
+// its fragment tasks interleave with every other execution admitted to
+// the scheduler — and returns the full result: the grand total plus,
+// when the query has a GroupBy, the per-group rows in the deterministic
+// kernel order. On the fragment-aligned fast path (every GroupBy level
+// at or above its dimension's fragmentation level) grouping performs no
+// per-row work at all. The pinned delta snapshot is folded into every
+// fragment's partial: each relevant fragment aggregates its base rows
+// first, then its delta segments in seal order, so the epoch-versioned
+// warehouse serves base+delta results through the same task-ordered
+// gather — byte-identical to an engine rebuilt from scratch with the
+// same rows, at any pool size or admission mix.
 func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas) (kernel.Result, Stats, error) {
-	return e.executeFull(ctx, q, 0, s, deltas)
+	a, gr, err := e.executeAcc(ctx, q, s, deltas, nil)
+	if err != nil {
+		return kernel.Result{}, Stats{}, err
+	}
+	res := kernel.Result{Aggregate: a.agg}
+	if gr != nil {
+		res.Groups = gr.Rows(a.g)
+	}
+	return res, a.st, nil
 }
 
 // ExecutePartialDeltas runs the query over only the relevant fragments
@@ -385,7 +359,7 @@ func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q 
 // and flattening through Grouper.Rows obtains results byte-identical to
 // a single-node execution over the union of the rows.
 func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, Stats, error) {
-	a, gr, err := e.executeAcc(ctx, q, 0, s, deltas, own)
+	a, gr, err := e.executeAcc(ctx, q, s, deltas, own)
 	if err != nil {
 		return kernel.FragPartial{}, Stats{}, err
 	}
@@ -399,26 +373,15 @@ func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q 
 	return p, a.st, nil
 }
 
-// executeFull runs the query on either dispatch path and assembles the
-// (possibly grouped) result.
-func (e *Engine) executeFull(ctx context.Context, q frag.Query, workers int, s *exec.Scheduler, deltas kernel.Deltas) (kernel.Result, Stats, error) {
-	a, gr, err := e.executeAcc(ctx, q, workers, s, deltas, nil)
-	if err != nil {
-		return kernel.Result{}, Stats{}, err
-	}
-	res := kernel.Result{Aggregate: a.agg}
-	if gr != nil {
-		res.Groups = gr.Rows(a.g)
-	}
-	return res, a.st, nil
-}
-
 // executeAcc is the shared execution core: validate, derive the grouper,
 // enumerate (and optionally ownership-filter) the relevant fragments and
 // fold their partials in task order. It returns the raw accumulator so
-// callers can either flatten it (executeFull) or ship it as a partial
-// (ExecutePartialDeltas).
-func (e *Engine) executeAcc(ctx context.Context, q frag.Query, workers int, s *exec.Scheduler, deltas kernel.Deltas, own func(int64) bool) (acc, *kernel.Grouper, error) {
+// callers can either flatten it (ExecuteGroupedDeltas) or ship it as a
+// partial (ExecutePartialDeltas).
+func (e *Engine) executeAcc(ctx context.Context, q frag.Query, s *exec.Scheduler, deltas kernel.Deltas, own func(int64) bool) (acc, *kernel.Grouper, error) {
+	if s == nil {
+		return acc{}, nil, errNilScheduler
+	}
 	if err := q.Validate(e.star); err != nil {
 		return acc{}, nil, err
 	}
@@ -436,14 +399,7 @@ func (e *Engine) executeAcc(ctx context.Context, q frag.Query, workers int, s *e
 		}
 		ids = kept
 	}
-	task := e.fragmentTask(ids, q, gr, deltas)
-	merge := mergePartial(gr != nil)
-	var a acc
-	if s != nil {
-		a, err = exec.ReduceOn(ctx, s, len(ids), newScratch, task, merge)
-	} else {
-		a, err = exec.ReduceWith(ctx, workers, len(ids), newScratch, task, merge)
-	}
+	a, err := exec.ReduceOn(ctx, s, len(ids), newScratch, e.fragmentTask(ids, q, gr, deltas), mergePartial(gr != nil))
 	if err != nil {
 		return acc{}, nil, err
 	}
@@ -577,7 +533,7 @@ func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratc
 }
 
 // Scan computes the query's grand total by a naive full scan of the table
-// — the correctness oracle for Execute. Any GroupBy is ignored; use
+// — the correctness oracle for execution. Any GroupBy is ignored; use
 // ScanGrouped for the grouped oracle.
 func Scan(t *data.Table, q frag.Query) Aggregate {
 	var agg Aggregate

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 	"repro/internal/schema"
 )
 
@@ -33,6 +35,33 @@ func buildTiny(t testing.TB, fragText string) (*schema.Star, *data.Table, *Engin
 	return s, tab, e
 }
 
+// execute runs q's grand total alone on a scheduler of the given size
+// (values below 1 mean GOMAXPROCS) that lives for the one call.
+func execute(e *Engine, q frag.Query, workers int) (Aggregate, Stats, error) {
+	s := exec.NewScheduler(workers)
+	defer s.Close()
+	q.GroupBy = nil // grouping never changes the grand total
+	res, st, err := e.ExecuteGroupedDeltas(context.Background(), s, q, kernel.Deltas{})
+	return res.Aggregate, st, err
+}
+
+// TestNilSchedulerIsAnError: the engine owns no pool, so every entry
+// point refuses a nil scheduler with an error instead of dereferencing
+// it.
+func TestNilSchedulerIsAnError(t *testing.T) {
+	_, _, e := buildTiny(t, "time::month, product::group")
+	ctx, q := context.Background(), frag.Query{}
+	if _, _, err := e.ExecuteGroupedDeltas(ctx, nil, q, kernel.Deltas{}); err == nil {
+		t.Error("ExecuteGroupedDeltas accepted a nil scheduler")
+	}
+	if _, _, err := e.ExecutePartialDeltas(ctx, nil, q, kernel.Deltas{}, nil); err == nil {
+		t.Error("ExecutePartialDeltas accepted a nil scheduler")
+	}
+	if _, err := e.ExecuteSharedDeltas(ctx, nil, []frag.Query{q}, kernel.Deltas{}, nil); err == nil {
+		t.Error("ExecuteSharedDeltas accepted a nil scheduler")
+	}
+}
+
 func TestExecuteMatchesScanAllQueryShapes(t *testing.T) {
 	s, tab, e := buildTiny(t, "time::month, product::group")
 	// Exhaustive: every (dim, level, member) single-predicate query plus a
@@ -41,7 +70,7 @@ func TestExecuteMatchesScanAllQueryShapes(t *testing.T) {
 		for li := 0; li < s.Dims[di].Depth(); li++ {
 			for m := 0; m < s.Dims[di].Levels[li].Card; m++ {
 				q := frag.Query{Preds: []frag.Pred{{Dim: di, Level: li, Member: m}}}
-				got, _, err := e.Execute(q, 4)
+				got, _, err := execute(e, q, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +98,7 @@ func TestExecuteMatchesScanRandomMultiPredicate(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		got, _, err := e.Execute(q, 3)
+		got, _, err := execute(e, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +134,7 @@ func TestExecuteAcrossFragmentations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := e.Execute(q, 2)
+		got, _, err := execute(e, q, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +154,7 @@ func TestWorkConfinement(t *testing.T) {
 	month := s.Dims[td].LevelIndex(schema.LvlMonth)
 
 	q := frag.Query{Preds: []frag.Pred{{Dim: td, Level: month, Member: 2}, {Dim: pd, Level: group, Member: 1}}}
-	agg, st, err := e.Execute(q, 2)
+	agg, st, err := execute(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +180,7 @@ func TestWorkConfinementQ2UsesSuffixBitmaps(t *testing.T) {
 	code := s.Dims[pd].LevelIndex(schema.LvlCode)
 
 	q := frag.Query{Preds: []frag.Pred{{Dim: pd, Level: code, Member: 3}}}
-	agg, st, err := e.Execute(q, 2)
+	agg, st, err := execute(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +201,7 @@ func TestUnsupportedQueryVisitsAllFragments(t *testing.T) {
 	cd := s.DimIndex(schema.DimCustomer)
 	store := s.Dims[cd].LevelIndex(schema.LvlStore)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: store, Member: 2}}}
-	agg, st, err := e.Execute(q, 4)
+	agg, st, err := execute(e, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +218,12 @@ func TestExecuteParallelismInvariance(t *testing.T) {
 	cd := s.DimIndex(schema.DimCustomer)
 	ret := s.Dims[cd].LevelIndex(schema.LvlRetailer)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: ret, Member: 1}}}
-	base, _, err := e.Execute(q, 1)
+	base, _, err := execute(e, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 7, 16} {
-		got, _, err := e.Execute(q, workers)
+		got, _, err := execute(e, q, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +235,7 @@ func TestExecuteParallelismInvariance(t *testing.T) {
 
 func TestExecuteValidatesQuery(t *testing.T) {
 	_, _, e := buildTiny(t, "time::month, product::group")
-	_, _, err := e.Execute(frag.Query{Preds: []frag.Pred{{Dim: 99, Level: 0, Member: 0}}}, 1)
+	_, _, err := execute(e, frag.Query{Preds: []frag.Pred{{Dim: 99, Level: 0, Member: 0}}}, 1)
 	if err == nil {
 		t.Fatal("invalid query accepted")
 	}
@@ -234,7 +263,7 @@ func TestLeafLevelFragmentationEliminatesAllBitmapsOfDim(t *testing.T) {
 	pd := s.DimIndex(schema.DimProduct)
 	code := s.Dims[pd].LevelIndex(schema.LvlCode)
 	q := frag.Query{Preds: []frag.Pred{{Dim: pd, Level: code, Member: 5}}}
-	agg, st, err := e.Execute(q, 2)
+	agg, st, err := execute(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +300,7 @@ func TestScaledSchemaEndToEnd(t *testing.T) {
 			{Dim: td, Level: s.Dims[td].LevelIndex(schema.LvlQuarter), Member: 2}}},
 	}
 	for _, q := range queries {
-		got, _, err := e.Execute(q, 8)
+		got, _, err := execute(e, q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,8 +311,8 @@ func TestScaledSchemaEndToEnd(t *testing.T) {
 }
 
 // TestExecuteDeterministicAcrossWorkers asserts that the engine returns
-// byte-identical Aggregate and Stats at every worker count: partials merge
-// in fragment allocation order on the shared internal/exec pool.
+// byte-identical Aggregate and Stats at every scheduler size: partials
+// merge in fragment allocation order.
 func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	s, _, e := buildTiny(t, "time::month, product::group")
 	rng := rand.New(rand.NewSource(23))
@@ -299,12 +328,12 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		wantAgg, wantSt, err := e.Execute(q, 1)
+		wantAgg, wantSt, err := execute(e, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8, 0} { // 0 = GOMAXPROCS default
-			gotAgg, gotSt, err := e.Execute(q, workers)
+			gotAgg, gotSt, err := execute(e, q, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +353,9 @@ func TestExecuteContextCancellation(t *testing.T) {
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 1}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.ExecuteContext(ctx, q, 4); !errors.Is(err, context.Canceled) {
+	sched := exec.NewScheduler(4)
+	defer sched.Close()
+	if _, _, err := e.ExecuteGroupedDeltas(ctx, sched, q, kernel.Deltas{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -359,12 +390,12 @@ func TestCompressedEngineEquivalence(t *testing.T) {
 		s, tab, e, ce := buildBoth(t, fragText)
 		check := func(q frag.Query) {
 			t.Helper()
-			wantAgg, wantSt, err := e.Execute(q, 1)
+			wantAgg, wantSt, err := execute(e, q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				gotAgg, gotSt, err := ce.Execute(q, workers)
+				gotAgg, gotSt, err := execute(ce, q, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -418,12 +449,12 @@ func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAgg, wantSt, err := ce.Execute(q, 1)
+	wantAgg, wantSt, err := execute(ce, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		gotAgg, gotSt, err := ce.Execute(q, workers)
+		gotAgg, gotSt, err := execute(ce, q, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

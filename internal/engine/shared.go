@@ -24,13 +24,6 @@ type SharedResult struct {
 	Err    error
 }
 
-// engSharedSlot is one query's pre-dispatch state.
-type engSharedSlot struct {
-	q   frag.Query
-	gr  *kernel.Grouper
-	err error
-}
-
 // engSlotPart is one slot's contribution from one fragment task.
 type engSlotPart struct {
 	slot   int
@@ -132,36 +125,15 @@ func (e *Engine) sharedMask(f *fragment, q frag.Query, mask *bitmap.Bitset, st *
 // (kernel.EvalMany). Results and logical statistics are byte-identical
 // to K solo executions.
 func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]SharedResult, error) {
-	slots := make([]engSharedSlot, len(qs))
-	taskOf := make(map[int64][]int32)
-	var unionIDs []int64
-	for si, q := range qs {
-		slots[si].q = q
-		if err := q.Validate(e.star); err != nil {
-			slots[si].err = err
-			continue
-		}
-		gr, err := kernel.NewGrouper(e.star, e.spec, q.GroupBy)
-		if err != nil {
-			slots[si].err = err
-			continue
-		}
-		slots[si].gr = gr
-		for _, id := range e.spec.FragmentIDs(q) {
-			if own != nil && !own(id) {
-				continue
-			}
-			if _, ok := taskOf[id]; !ok {
-				unionIDs = append(unionIDs, id)
-			}
-			taskOf[id] = append(taskOf[id], int32(si))
-		}
+	if s == nil {
+		return nil, errNilScheduler
 	}
-	sortFragIDs(unionIDs)
+	plan := kernel.PlanBatch(e.star, e.spec, qs, own)
+	slots := plan.Queries
 
 	run := func(sc *sharedScratch, ti int) (engTaskPart, error) {
-		id := unionIDs[ti]
-		members := taskOf[id]
+		id := plan.IDs[ti]
+		members := plan.Members(ti)
 		out := engTaskPart{parts: make([]engSlotPart, len(members))}
 		f, ok := e.frags[id]
 		hasDelta := !deltas.Empty() && len(deltas.Set.Of(id)) > 0
@@ -175,14 +147,14 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 		evalSlots := make([]*kernel.Slot, len(members))
 		for k, si := range members {
 			out.parts[k].slot = int(si)
-			kslots[k] = kernel.NewSlot(slots[si].gr, id)
+			kslots[k] = kernel.NewSlot(slots[si].Gr, id)
 			evalSlots[k] = &kslots[k]
 		}
 		if ok {
 			shared := len(members) >= 2
 			masks := make([]*bitmap.Bitset, len(members))
 			for k, si := range members {
-				masks[k] = e.sharedMask(f, slots[si].q, sc.mask(k), &out.parts[k].st, sc)
+				masks[k] = e.sharedMask(f, slots[si].Q, sc.mask(k), &out.parts[k].st, sc)
 				if shared {
 					out.parts[k].shared.FragmentsShared = 1
 				}
@@ -197,7 +169,7 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 				if sc.sc.dsc == nil {
 					sc.sc.dsc = frag.NewDeltaScratch()
 				}
-				n, err := kernel.AddDelta(deltas, id, slots[si].q, &kslots[k].FP, kslots[k].Base, kslots[k].PerRow, sc.sc.dsc)
+				n, err := kernel.AddDelta(deltas, id, slots[si].Q, &kslots[k].FP, kslots[k].Base, kslots[k].PerRow, sc.sc.dsc)
 				if err != nil {
 					return engTaskPart{}, err
 				}
@@ -218,7 +190,7 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 		}
 		for _, sp := range p.parts {
 			si := sp.slot
-			if slots[si].gr != nil && a.g[si] == nil {
+			if slots[si].Gr != nil && a.g[si] == nil {
 				a.g[si] = kernel.NewGrouped()
 			}
 			sp.fp.MergeInto(&a.agg[si], a.g[si])
@@ -228,21 +200,15 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 		}
 	}
 
-	var a engSharedAcc
-	var err error
-	if s != nil {
-		a, err = exec.ReduceOn(ctx, s, len(unionIDs), newSharedScratch, run, merge)
-	} else {
-		a, err = exec.ReduceWith(ctx, 0, len(unionIDs), newSharedScratch, run, merge)
-	}
+	a, err := exec.ReduceOn(ctx, s, len(plan.IDs), newSharedScratch, run, merge)
 	if err != nil {
 		return nil, err
 	}
 
 	out := make([]SharedResult, len(qs))
 	for si := range slots {
-		if slots[si].err != nil {
-			out[si].Err = slots[si].err
+		if slots[si].Err != nil {
+			out[si].Err = slots[si].Err
 			continue
 		}
 		var agg kernel.Aggregate
@@ -257,7 +223,7 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 		out[si].Shared = sh
 		out[si].Res = kernel.Result{Aggregate: agg}
 		out[si].Part = kernel.FragPartial{Agg: agg}
-		if gr := slots[si].gr; gr != nil {
+		if gr := slots[si].Gr; gr != nil {
 			out[si].Res.Groups = gr.Rows(grp)
 			out[si].Part.Groups = grp
 			if out[si].Part.Groups == nil {
@@ -266,14 +232,4 @@ func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs 
 		}
 	}
 	return out, nil
-}
-
-// sortFragIDs sorts fragment ids ascending — each query's own solo
-// dispatch order, preserved by the shared union.
-func sortFragIDs(ids []int64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -1,36 +1,23 @@
-// Package exec is the shared fragment-parallel scatter/gather subsystem:
-// a worker pool that fans independent tasks (typically one per MDHF
-// fragment) out over a configurable number of goroutines — the library's
-// stand-in for the paper's Shared Disk processing nodes — and gathers the
-// per-task partial results back in task order, so that parallel execution
-// is bit-for-bit identical to sequential execution regardless of worker
-// count or scheduling.
+// Package exec is the shared fragment-parallel scatter/gather subsystem.
+// It has one worker pool, Scheduler — a fixed set of goroutines standing
+// in for the paper's Shared Disk processing nodes — and one task loop:
+// every execution submits its independent tasks (typically one per MDHF
+// fragment) to a scheduler and gathers the per-task partial results back
+// in task order, so that parallel execution is bit-for-bit identical to
+// sequential execution regardless of pool size or scheduling.
 //
-// Both the in-memory query engine (internal/engine) and the on-disk
-// executor (internal/storage) run on this pool; the cost advisor and the
-// experiment harness reuse it for their embarrassingly parallel sweeps.
+// The in-memory query engine (internal/engine) and the on-disk executor
+// (internal/storage) run on the serving store's long-lived scheduler
+// through MapOn/ReduceOn and their placement-aware Sharded variants. The
+// control-plane fan-outs — the cost advisor, the experiment harness, the
+// cluster coordinator's scatter — use Map/Reduce, which run the same loop
+// on a scheduler owned by the call.
 package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
-
-// runTask invokes one task, converting a panic into a task-scoped error
-// so a poisoned task can never kill its worker goroutine (and with it
-// the whole process) — the private-pool counterpart of the shared
-// scheduler's in-task recovery.
-func runTask[S, T any](fn func(s S, i int) (T, error), scratch S, i int) (r T, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("exec: task %d panicked: %v", i, p)
-		}
-	}()
-	return fn(scratch, i)
-}
 
 // Workers resolves a worker-count option: any value below 1 means "one
 // worker per available CPU" (GOMAXPROCS).
@@ -41,240 +28,37 @@ func Workers(n int) int {
 	return n
 }
 
-// Map runs fn(i) for every i in [0, n) on `workers` goroutines (values
-// below 1 mean GOMAXPROCS) and returns the results in index order. fn must
-// be safe for concurrent invocation.
-//
-// Error propagation is deterministic: if several tasks fail, the error of
-// the lowest task index is returned. Once any task has failed, or ctx is
-// cancelled, workers stop picking up new tasks; tasks already in flight
-// run to completion. On a non-nil error the partial results are withheld
-// (a nil slice is returned) so callers cannot mistake a partial gather for
-// a complete one.
+// Map runs fn(i) for every i in [0, n) on a scheduler of `workers`
+// goroutines (values below 1 mean GOMAXPROCS, never more than n) that
+// the call starts and closes itself, and returns the results in index
+// order: MapOn's guarantees for callers with no long-lived pool to
+// share. No goroutine outlives the call on any return path. fn must be
+// safe for concurrent invocation.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWith(ctx, workers, n,
+	if n <= 0 {
+		return nil, ctx.Err()
+	}
+	s := NewScheduler(min(Workers(workers), n))
+	defer s.Close()
+	return MapOn(ctx, s, n,
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) (T, error) { return fn(i) },
 	)
 }
 
-// MapWith is Map with a per-worker scratch: every worker goroutine calls
-// newScratch exactly once and passes the value to each task it runs, so
-// buffers allocated there are reused across all of a worker's tasks
-// without synchronisation — the pooling behind the allocation-free
-// fragment hot loops of the query engines. fn must be safe for concurrent
-// invocation with distinct scratch values.
-func MapWith[S, T any](ctx context.Context, workers, n int, newScratch func() S, fn func(s S, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	var (
-		next    atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-	)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			for {
-				if stopped.Load() {
-					return
-				}
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				r, err := runTask(fn, scratch, i)
-				if err != nil {
-					errs[i] = err
-					stopped.Store(true)
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// MapShardedWith is MapWith with placement-keyed dispatch: every task i
-// belongs to shard shardOf(i) (clamped into [0, shards)), typically the
-// disk holding the fragment the task reads. Tasks are queued per shard;
-// each worker is homed on the shards congruent to its index modulo the
-// worker count and drains those queues first, so concurrent tasks spread
-// across shards (disks) instead of piling onto one queue. A worker whose
-// home shards are empty steals from the fullest remaining queue, keeping
-// all workers busy under skewed shard loads. Results are still gathered
-// in task-index order, and error propagation matches MapWith, so sharded
-// execution is bit-for-bit identical to MapWith at any worker count.
-func MapShardedWith[S, T any](ctx context.Context, workers, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(s S, i int) (T, error)) ([]T, error) {
-	if shards <= 1 || n <= 1 {
-		return MapWith(ctx, workers, n, newScratch, fn)
-	}
-	// Per-shard FIFO queues of task indices, consumed via atomic heads.
-	queues := make([][]int32, shards)
-	for i := 0; i < n; i++ {
-		k := shardOf(i)
-		if k < 0 || k >= shards {
-			k = ((k % shards) + shards) % shards
-		}
-		queues[k] = append(queues[k], int32(i))
-	}
-	heads := make([]atomic.Int64, shards)
-	pop := func(k int) (int, bool) {
-		h := int(heads[k].Add(1)) - 1
-		if h >= len(queues[k]) {
-			return 0, false
-		}
-		return int(queues[k][h]), true
-	}
-	// remaining reports a snapshot of shard k's queue length (never
-	// negative; heads overshoot when polled empty).
-	remaining := func(k int) int {
-		r := len(queues[k]) - int(heads[k].Load())
-		if r < 0 {
-			r = 0
-		}
-		return r
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	var (
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-	)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scratch := newScratch()
-			for {
-				if stopped.Load() {
-					return
-				}
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				// Home shards first: k ≡ w (mod workers).
-				i, ok := 0, false
-				for k := w % shards; k < shards; k += workers {
-					if i, ok = pop(k); ok {
-						break
-					}
-				}
-				if !ok {
-					// Steal from the fullest queue.
-					for {
-						best, bestLen := -1, 0
-						for k := 0; k < shards; k++ {
-							if r := remaining(k); r > bestLen {
-								best, bestLen = k, r
-							}
-						}
-						if best < 0 {
-							return // every queue drained
-						}
-						if i, ok = pop(best); ok {
-							break
-						}
-					}
-				}
-				r, err := runTask(fn, scratch, i)
-				if err != nil {
-					errs[i] = err
-					stopped.Store(true)
-					continue
-				}
-				results[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Reduce is Map followed by a deterministic gather: the per-task partials
-// are folded into a single accumulator strictly in task order, so
-// non-commutative merges still give identical results at any worker count.
-// This is also what makes grouped roll-ups deterministic: the query
-// engines' merge funcs fold per-fragment group maps (internal/kernel)
-// through this task-ordered gather, so the accumulated group content —
-// and, after the kernel's sorted row flattening, the output bytes — are
-// identical at any worker count, shard layout or admission mix.
+// Reduce is Map followed by ReduceOn's deterministic gather: the
+// per-task partials are folded into a single accumulator strictly in
+// task order, so non-commutative merges still give identical results at
+// any worker count.
 func Reduce[T, A any](ctx context.Context, workers, n int, fn func(i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	var acc A
 	parts, err := Map(ctx, workers, n, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, p := range parts {
-		merge(&acc, p)
-	}
-	return acc, nil
+	return fold(parts, err, merge)
 }
 
-// ReduceWith is Reduce with MapWith's per-worker scratch threading.
-func ReduceWith[S, T, A any](ctx context.Context, workers, n int, newScratch func() S, fn func(s S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
+// fold merges the gathered partials in task order; a failed gather
+// yields the zero accumulator.
+func fold[T, A any](parts []T, err error, merge func(acc *A, part T)) (A, error) {
 	var acc A
-	parts, err := MapWith(ctx, workers, n, newScratch, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, p := range parts {
-		merge(&acc, p)
-	}
-	return acc, nil
-}
-
-// ReduceShardedWith is ReduceWith dispatched through MapShardedWith's
-// per-shard queues with work stealing. The fold remains strictly
-// task-ordered, so the result is identical to ReduceWith.
-func ReduceShardedWith[S, T, A any](ctx context.Context, workers, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(s S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	var acc A
-	parts, err := MapShardedWith(ctx, workers, n, shardOf, shards, newScratch, fn)
 	if err != nil {
 		return acc, err
 	}

@@ -3,43 +3,12 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestMapPreservesIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		got, err := Map(context.Background(), workers, 50, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != 50 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapZeroTasks(t *testing.T) {
-	got, err := Map(context.Background(), 4, 0, func(int) (int, error) {
-		t.Fatal("fn called for n=0")
-		return 0, nil
-	})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
 
 func TestMapDefaultWorkers(t *testing.T) {
 	// workers < 1 must mean GOMAXPROCS, and still complete all tasks.
@@ -62,100 +31,8 @@ func TestMapDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestMapErrorIsLowestIndex(t *testing.T) {
-	// Several tasks fail; the reported error must deterministically be the
-	// lowest failing index, whatever order workers hit them in.
-	for trial := 0; trial < 20; trial++ {
-		_, err := Map(context.Background(), 8, 40, func(i int) (int, error) {
-			if i%7 == 3 { // fails at 3, 10, 17, ...
-				return 0, fmt.Errorf("task %d failed", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "task 3 failed" {
-			t.Fatalf("trial %d: err = %v, want task 3's", trial, err)
-		}
-	}
-}
-
-func TestMapErrorStopsDispatch(t *testing.T) {
-	// After the first task errors, later tasks must (eventually) stop being
-	// dispatched: with 1 worker, exactly the tasks up to the failure run.
-	var calls atomic.Int64
-	_, err := Map(context.Background(), 1, 1000, func(i int) (int, error) {
-		calls.Add(1)
-		if i == 4 {
-			return 0, errors.New("boom")
-		}
-		return 0, nil
-	})
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if got := calls.Load(); got != 5 {
-		t.Fatalf("sequential worker ran %d tasks after failing at 5th", got)
-	}
-}
-
-func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	started := make(chan struct{})
-	var once sync.Once
-	_, err := Map(ctx, 2, 10_000, func(i int) (int, error) {
-		calls.Add(1)
-		once.Do(func() { close(started); cancel() })
-		time.Sleep(100 * time.Microsecond)
-		return i, nil
-	})
-	<-started
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() >= 10_000 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
-func TestReduceMergesInTaskOrder(t *testing.T) {
-	// A non-commutative merge (string concatenation) must come out in task
-	// order at every worker count.
-	want := ""
-	for i := 0; i < 30; i++ {
-		want += fmt.Sprintf("[%d]", i)
-	}
-	for _, workers := range []int{1, 4, 16} {
-		got, err := Reduce(context.Background(), workers, 30,
-			func(i int) (string, error) { return fmt.Sprintf("[%d]", i), nil },
-			func(acc *string, part string) { *acc += part })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: merge order broken: %q", workers, got)
-		}
-	}
-}
-
-func TestReduceErrorWithheldResults(t *testing.T) {
-	got, err := Reduce(context.Background(), 4, 10,
-		func(i int) (int, error) {
-			if i == 0 {
-				return 0, errors.New("first fails")
-			}
-			return 1, nil
-		},
-		func(acc *int, part int) { *acc += part })
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if got != 0 {
-		t.Fatalf("accumulator %d leaked from failed run", got)
-	}
-}
-
-// TestMapConcurrentCallers exercises the pool under many simultaneous
-// queries — the -race target for the shared subsystem.
+// TestMapConcurrentCallers runs many call-owned schedulers at once — the
+// -race target for the control-plane fan-outs.
 func TestMapConcurrentCallers(t *testing.T) {
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -180,239 +57,59 @@ func TestMapConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMapWithScratchPerWorker(t *testing.T) {
-	// Each worker must create exactly one scratch and thread it through
-	// every task it runs.
-	for _, workers := range []int{1, 2, 4} {
-		var created atomic.Int64
-		type scratch struct{ buf []int }
-		got, err := MapWith(context.Background(), workers, 64,
-			func() *scratch {
-				created.Add(1)
-				return &scratch{buf: make([]int, 0, 8)}
-			},
-			func(s *scratch, i int) (int, error) {
-				// Reuse the scratch buffer; a shared scratch across workers
-				// would race here (caught by -race).
-				s.buf = append(s.buf[:0], i, i, i)
-				return s.buf[0] + s.buf[1] + s.buf[2], nil
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range got {
-			if v != 3*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, 3*i)
-			}
-		}
-		if n := created.Load(); n != int64(workers) {
-			t.Fatalf("workers=%d: %d scratches created", workers, n)
-		}
-	}
-}
-
-func TestReduceWithMatchesReduce(t *testing.T) {
-	for _, workers := range []int{1, 3, 7} {
-		want, err := Reduce(context.Background(), workers, 40,
-			func(i int) (int, error) { return i, nil },
-			func(acc *int, p int) { *acc = *acc*31 + p })
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReduceWith(context.Background(), workers, 40,
-			func() struct{} { return struct{}{} },
-			func(_ struct{}, i int) (int, error) { return i, nil },
-			func(acc *int, p int) { *acc = *acc*31 + p })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: ReduceWith %d != Reduce %d", workers, got, want)
-		}
-	}
-}
-
-func TestMapWithErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := MapWith(context.Background(), 4, 32,
-		func() int { return 0 },
-		func(int, int) (int, error) { return 0, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestMapShardedPreservesIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		for _, shards := range []int{1, 2, 5, 16} {
-			got, err := MapShardedWith(context.Background(), workers, 50,
-				func(i int) int { return i % shards }, shards,
-				func() struct{} { return struct{}{} },
-				func(_ struct{}, i int) (int, error) { return i * i, nil })
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-			}
-			if len(got) != 50 {
-				t.Fatalf("workers=%d shards=%d: %d results", workers, shards, len(got))
-			}
-			for i, v := range got {
-				if v != i*i {
-					t.Fatalf("workers=%d shards=%d: result[%d] = %d, want %d", workers, shards, i, v, i*i)
-				}
-			}
-		}
-	}
-}
-
-func TestMapShardedRunsEveryTaskOnce(t *testing.T) {
-	// Extreme skew: every task in one shard — stealing must still run each
-	// task exactly once with every worker able to participate.
-	counts := make([]atomic.Int64, 200)
-	_, err := MapShardedWith(context.Background(), 8, 200,
-		func(i int) int { return 3 }, 7,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (struct{}, error) {
-			counts[i].Add(1)
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("task %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestMapShardedOutOfRangeShards(t *testing.T) {
-	// Negative and oversized shard keys are folded into range rather than
-	// panicking.
-	got, err := MapShardedWith(context.Background(), 4, 20,
-		func(i int) int { return i - 10 }, 4,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("result[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapShardedErrorPropagation(t *testing.T) {
-	// As with Map, the lowest failing task's error surfaces and results
-	// are withheld.
-	wantErr := errors.New("boom")
-	got, err := MapShardedWith(context.Background(), 4, 32,
-		func(i int) int { return i % 4 }, 4,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) {
-			if i == 5 || i == 20 {
-				return 0, fmt.Errorf("task %d: %w", i, wantErr)
+// TestMapLeavesNoGoroutine: the scheduler a Map call owns is closed on
+// every return path — success, task error, panicking task, cancelled
+// context — so no worker outlives the call.
+func TestMapLeavesNoGoroutine(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	midway, cancelMidway := context.WithCancel(context.Background())
+	defer cancelMidway()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		fn   func(i int) (int, error)
+		ok   func(error) bool
+	}{
+		{"success", context.Background(), func(i int) (int, error) { return i, nil },
+			func(err error) bool { return err == nil }},
+		{"task error", context.Background(), func(i int) (int, error) {
+			if i == 7 {
+				return 0, errors.New("boom")
 			}
 			return i, nil
-		})
-	if got != nil {
-		t.Fatal("partial results returned with error")
+		}, func(err error) bool { return err != nil }},
+		{"panic", context.Background(), func(i int) (int, error) {
+			if i == 7 {
+				panic("poisoned task")
+			}
+			return i, nil
+		}, func(err error) bool { return err != nil }},
+		{"cancelled before", cancelled, func(i int) (int, error) { return i, nil },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"cancelled midway", midway, func(i int) (int, error) {
+			if i == 7 {
+				cancelMidway()
+			}
+			return i, nil
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
 	}
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMapShardedContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := MapShardedWith(ctx, 4, 100,
-		func(i int) int { return i % 4 }, 4,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestReduceShardedMatchesReduce(t *testing.T) {
-	sum := func(acc *int, part int) { *acc += part }
-	want, err := ReduceWith(context.Background(), 3, 100,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) { return i, nil }, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReduceShardedWith(context.Background(), 5, 100,
-		func(i int) int { return i % 6 }, 6,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) { return i, nil }, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("sharded sum %d != %d", got, want)
-	}
-}
-
-func TestMapShardedScratchPerWorker(t *testing.T) {
-	// Each worker allocates exactly one scratch.
-	var scratches atomic.Int64
-	_, err := MapShardedWith(context.Background(), 4, 64,
-		func(i int) int { return i % 8 }, 8,
-		func() int64 { return scratches.Add(1) },
-		func(s int64, i int) (struct{}, error) {
-			time.Sleep(time.Microsecond)
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := scratches.Load(); n < 1 || n > 4 {
-		t.Fatalf("scratch count %d outside [1,4]", n)
-	}
-}
-
-// TestReduceGroupedMapDeterministic folds per-task group-map partials —
-// the shape the query engines' grouped roll-ups reduce — at several
-// worker counts and shard layouts and requires the accumulated map to be
-// identical to the sequential fold: the task-ordered gather makes grouped
-// merges deterministic regardless of scheduling.
-func TestReduceGroupedMapDeterministic(t *testing.T) {
-	const n = 96
-	task := func(_ struct{}, i int) (map[int]int64, error) {
-		// Each task contributes to a few pseudo-random groups.
-		m := map[int]int64{i % 7: int64(i), (i * 13) % 5: int64(i * i)}
-		return m, nil
-	}
-	merge := func(acc *map[int]int64, part map[int]int64) {
-		if *acc == nil {
-			*acc = make(map[int]int64)
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		for rep := 0; rep < 10; rep++ {
+			if _, err := Map(tc.ctx, 4, 64, tc.fn); !tc.ok(err) {
+				t.Fatalf("%s: unexpected err %v", tc.name, err)
+			}
 		}
-		for k, v := range part {
-			(*acc)[k] += v
+		// Close waits for the workers, so nothing should be left; poll
+		// briefly only to let unrelated runtime goroutines settle.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
-	}
-	newS := func() struct{} { return struct{}{} }
-	want, err := ReduceWith(context.Background(), 1, n, newS, task, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := ReduceWith(context.Background(), workers, n, newS, task, merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(got, want) {
-			t.Fatalf("workers=%d: grouped fold diverged: %v != %v", workers, got, want)
-		}
-		got, err = ReduceShardedWith(context.Background(), workers, n,
-			func(i int) int { return i % 6 }, 6, newS, task, merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(got, want) {
-			t.Fatalf("sharded workers=%d: grouped fold diverged", workers)
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines before, %d after:\n%s", tc.name, before, n, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

@@ -80,32 +80,3 @@ func TestSchedulerRecoversTaskPanic(t *testing.T) {
 		t.Fatalf("in-flight = %d after panic, want 0", st.InFlight)
 	}
 }
-
-func TestMapWithRecoversTaskPanic(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		var err error
-		if sharded {
-			_, err = MapShardedWith(context.Background(), 2, 6,
-				func(i int) int { return i % 3 }, 3,
-				func() struct{} { return struct{}{} },
-				func(_ struct{}, i int) (int, error) {
-					if i == 4 {
-						panic("boom")
-					}
-					return i, nil
-				})
-		} else {
-			_, err = MapWith(context.Background(), 2, 6,
-				func() struct{} { return struct{}{} },
-				func(_ struct{}, i int) (int, error) {
-					if i == 4 {
-						panic("boom")
-					}
-					return i, nil
-				})
-		}
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("sharded=%v: panicking task returned %v, want panic-derived error", sharded, err)
-		}
-	}
-}

@@ -24,7 +24,7 @@ var ErrOverloaded = errors.New("exec: scheduler overloaded, execution shed")
 // fills the idle disk and CPU time that a single query's straggler tail
 // and setup leave behind; per-query results are still gathered in task
 // index order, so every execution is bit-for-bit identical to running it
-// alone (or serially via MapWith).
+// alone or on a pool of one.
 //
 // A Scheduler is safe for concurrent use. Close stops the workers once
 // every admitted execution has drained; no execution may be submitted
@@ -144,14 +144,24 @@ func (s *Scheduler) admit() (func(), error) {
 	}
 }
 
-// MapOn is MapWith dispatched through a shared Scheduler: the n tasks are
-// submitted to the pool's task channel and run on whichever of the pool's
-// workers picks them up, interleaved with the tasks of every other
-// execution currently admitted. Scratch values are per pool worker and
-// per call, so fn sees the same reuse guarantees as MapWith; results
-// gather in task index order and error propagation (lowest failing index,
-// partial results withheld) matches MapWith, making MapOn bit-for-bit
-// identical to MapWith at any pool size or admission mix.
+// MapOn runs fn(sc, i) for every i in [0, n) on the scheduler's pool and
+// returns the results in index order: the n tasks are submitted to the
+// pool's task channel and run on whichever worker picks them up,
+// interleaved with the tasks of every other execution currently admitted.
+// Every pool worker that runs a task of this call builds its scratch with
+// newScratch at most once and passes it to each of the call's tasks it
+// runs, so buffers allocated there are reused without synchronisation —
+// the pooling behind the allocation-free fragment hot loops of the query
+// engines. fn must be safe for concurrent invocation with distinct
+// scratch values.
+//
+// Error propagation is deterministic: if several tasks fail, the error of
+// the lowest task index is returned. Once any task has failed, or ctx is
+// cancelled, no further task is submitted; tasks already running run to
+// completion. On a non-nil error the partial results are withheld (a nil
+// slice is returned) so callers cannot mistake a partial gather for a
+// complete one. A panicking task fails its own call with an error naming
+// the task; the pool and every other execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
 	return mapOnOrdered(ctx, s, n, nil, newScratch, fn)
 }
@@ -160,8 +170,10 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 // submitted round-robin across their shards (typically the disk holding
 // each task's fragment, clamped into [0, shards)), so the first tasks an
 // execution gets running are spread over distinct disks instead of
-// convoying on one queue. The gather order is unchanged, so results are
-// identical to MapOn and MapWith.
+// convoying on one queue. With at most one shard it is MapOn. The gather
+// order is unchanged, so results are identical to MapOn; of several
+// failing tasks the one reported is the lowest index among those
+// submitted before the first failure was noticed.
 func MapShardedOn[S, T any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
 	if shards <= 1 || n <= 1 {
 		return mapOnOrdered(ctx, s, n, nil, newScratch, fn)
@@ -208,9 +220,16 @@ func mapOnOrdered[S, T any](ctx context.Context, s *Scheduler, n int, order []in
 		// sequentially, so no synchronisation is needed.
 		scratches = make([]S, s.workers)
 		made      = make([]bool, s.workers)
-		stopped   atomic.Bool
-		wg        sync.WaitGroup
+		// cutoff is the lowest task index known to have failed: n while
+		// none has, -1 once ctx is cancelled. Submission stops as soon as
+		// it drops below n, and a task already handed to a worker still
+		// runs when its index is below the cutoff — so in task order
+		// every task below the lowest failure runs, and that failure, not
+		// whichever was noticed first, is the one reported.
+		cutoff atomic.Int64
+		wg     sync.WaitGroup
 	)
+	cutoff.Store(int64(n))
 	done := ctx.Done()
 submit:
 	for k := 0; k < n; k++ {
@@ -218,13 +237,13 @@ submit:
 		if order != nil {
 			i = int(order[k])
 		}
-		if stopped.Load() {
+		if cutoff.Load() < int64(n) {
 			break
 		}
 		wg.Add(1)
 		task := func(w int) {
 			defer wg.Done()
-			if stopped.Load() {
+			if int64(i) > cutoff.Load() {
 				return
 			}
 			// A panicking task must poison only its own execution, never
@@ -232,7 +251,7 @@ submit:
 			defer func() {
 				if r := recover(); r != nil {
 					errs[i] = fmt.Errorf("exec: task %d panicked: %v", i, r)
-					stopped.Store(true)
+					lowerTo(&cutoff, int64(i))
 				}
 			}()
 			if !made[w] {
@@ -242,7 +261,7 @@ submit:
 			r, err := fn(scratches[w], i)
 			if err != nil {
 				errs[i] = err
-				stopped.Store(true)
+				lowerTo(&cutoff, int64(i))
 				return
 			}
 			results[i] = r
@@ -251,7 +270,7 @@ submit:
 		case s.tasks <- task:
 		case <-done:
 			wg.Done()
-			stopped.Store(true)
+			cutoff.Store(-1)
 			break submit
 		}
 	}
@@ -267,31 +286,33 @@ submit:
 	return results, nil
 }
 
-// ReduceOn is MapOn followed by the deterministic task-order fold of
-// Reduce, so the accumulated result is identical to ReduceWith at any
-// pool size or admission mix.
+// lowerTo lowers *c to v unless it is already at or below it.
+func lowerTo(c *atomic.Int64, v int64) {
+	for {
+		cur := c.Load()
+		if cur <= v || c.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// ReduceOn is MapOn followed by a deterministic gather: the per-task
+// partials are folded into a single accumulator strictly in task order,
+// so non-commutative merges still give identical results at any pool
+// size or admission mix. This is also what makes grouped roll-ups
+// deterministic: the query engines' merge funcs fold per-fragment group
+// maps (internal/kernel) through this task-ordered gather, so the
+// accumulated group content — and, after the kernel's sorted row
+// flattening, the output bytes — are identical at any pool size, shard
+// layout or admission mix.
 func ReduceOn[S, T, A any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	var acc A
 	parts, err := MapOn(ctx, s, n, newScratch, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, p := range parts {
-		merge(&acc, p)
-	}
-	return acc, nil
+	return fold(parts, err, merge)
 }
 
 // ReduceShardedOn is ReduceOn submitted through MapShardedOn's
 // round-robin-across-shards order. The fold remains strictly task-ordered.
 func ReduceShardedOn[S, T, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(sc S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	var acc A
 	parts, err := MapShardedOn(ctx, s, n, shardOf, shards, newScratch, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, p := range parts {
-		merge(&acc, p)
-	}
-	return acc, nil
+	return fold(parts, err, merge)
 }

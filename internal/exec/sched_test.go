@@ -4,14 +4,377 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestMapOnMatchesMapWith runs many concurrent executions on one shared
-// scheduler and checks every result is identical to the serial MapWith
-// gather.
-func TestMapOnMatchesMapWith(t *testing.T) {
+// entry is one way into the package's single task loop, reduced to int
+// tasks with an *int scratch so the semantics tests below can run every
+// guarantee against every entry point.
+type entry struct {
+	name string
+	// run passes newScratch on where the entry point takes one; Map does
+	// not, so its tasks get a fresh scratch each.
+	run    func(ctx context.Context, n int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error)
+	reduce func(ctx context.Context, n int, fn func(i int) (string, error), merge func(acc *string, part string)) (string, error)
+}
+
+// entries returns Map (a scheduler owned by each call) plus MapOn and
+// MapShardedOn on one shared scheduler of the given size. The sharded
+// entry's shard keys run out of range on both sides, so every test also
+// covers the clamp into [0, shards).
+func entries(t *testing.T, workers int) []entry {
+	s := NewScheduler(workers)
+	t.Cleanup(s.Close)
+	noScratch := func() struct{} { return struct{}{} }
+	shardOf := func(i int) int { return i*13 - 7 }
+	const shards = 5
+	return []entry{
+		{
+			name: "Map",
+			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
+				return Map(ctx, workers, n, func(i int) (int, error) { return fn(newScratch(), i) })
+			},
+			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
+				return Reduce(ctx, workers, n, fn, merge)
+			},
+		},
+		{
+			name: "MapOn",
+			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
+				return MapOn(ctx, s, n, newScratch, fn)
+			},
+			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
+				return ReduceOn(ctx, s, n, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
+			},
+		},
+		{
+			name: "MapShardedOn",
+			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
+				return MapShardedOn(ctx, s, n, shardOf, shards, newScratch, fn)
+			},
+			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
+				return ReduceShardedOn(ctx, s, n, shardOf, shards, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
+			},
+		},
+	}
+}
+
+// forEachEntry runs body once per entry point and pool size.
+func forEachEntry(t *testing.T, sizes []int, body func(t *testing.T, e entry, workers int)) {
+	for _, workers := range sizes {
+		for _, e := range entries(t, workers) {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) { body(t, e, workers) })
+		}
+	}
+}
+
+func newInt() *int { return new(int) }
+
+func TestGatherPreservesIndexOrder(t *testing.T) {
+	forEachEntry(t, []int{1, 2, 3, 8, 100}, func(t *testing.T, e entry, _ int) {
+		got, err := e.run(context.Background(), 50, newInt, func(_ *int, i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 50 {
+			t.Fatalf("%d results", len(got))
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
+			}
+		}
+	})
+}
+
+func TestZeroTasks(t *testing.T) {
+	forEachEntry(t, []int{2}, func(t *testing.T, e entry, _ int) {
+		fn := func(*int, int) (int, error) {
+			t.Error("fn called for n=0")
+			return 0, nil
+		}
+		if got, err := e.run(context.Background(), 0, newInt, fn); err != nil || got != nil {
+			t.Fatalf("got %v, %v; want nil, nil", got, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := e.run(ctx, 0, newInt, fn); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled n=0: err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// TestErrorIsLowestIndex: several tasks fail; the reported error must
+// deterministically be the lowest failing index, whatever order workers
+// hit them in, and the partial results are withheld. (Sharded submission
+// is not in task order, so there any failing task's error may surface.)
+func TestErrorIsLowestIndex(t *testing.T) {
+	forEachEntry(t, []int{4, 8}, func(t *testing.T, e entry, _ int) {
+		for trial := 0; trial < 200; trial++ {
+			got, err := e.run(context.Background(), 40, newInt, func(_ *int, i int) (int, error) {
+				if i%7 == 3 { // fails at 3, 10, 17, ...
+					return 0, fmt.Errorf("task %d failed", i)
+				}
+				return i, nil
+			})
+			if err == nil || (e.name != "MapShardedOn" && err.Error() != "task 3 failed") {
+				t.Fatalf("trial %d: err = %v, want task 3's", trial, err)
+			}
+			if got != nil {
+				t.Fatalf("trial %d: partial results returned with the error", trial)
+			}
+		}
+	})
+}
+
+// TestErrorStopsDispatch: on a pool of one nothing is started after the
+// failing task — in task order that is exactly the tasks up to it; the
+// sharded entry submits in shard order, so there it is only "not all".
+func TestErrorStopsDispatch(t *testing.T) {
+	for _, e := range entries(t, 1) {
+		var calls atomic.Int64
+		_, err := e.run(context.Background(), 1000, newInt, func(_ *int, i int) (int, error) {
+			calls.Add(1)
+			if i == 4 {
+				return 0, errors.New("boom")
+			}
+			return 0, nil
+		})
+		if err == nil {
+			t.Fatalf("%s: no error", e.name)
+		}
+		got := calls.Load()
+		if e.name == "MapShardedOn" {
+			if got >= 1000 {
+				t.Fatalf("%s: failure did not stop dispatch", e.name)
+			}
+		} else if got != 5 {
+			t.Fatalf("%s: one worker ran %d tasks, failing at the 5th", e.name, got)
+		}
+	}
+}
+
+// TestCancellationMidSubmit cancels from inside the first task that
+// runs: the call must report the cancellation and stop submitting.
+func TestCancellationMidSubmit(t *testing.T) {
+	forEachEntry(t, []int{2}, func(t *testing.T, e entry, _ int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var calls atomic.Int64
+		var once sync.Once
+		_, err := e.run(ctx, 10_000, newInt, func(_ *int, i int) (int, error) {
+			calls.Add(1)
+			once.Do(cancel)
+			time.Sleep(100 * time.Microsecond)
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if calls.Load() >= 10_000 {
+			t.Fatal("cancellation did not stop dispatch")
+		}
+	})
+}
+
+// TestPanicPoisonsOnlyItsCall: a panicking task fails its own call with
+// a panic-derived error; the pool it ran on keeps serving.
+func TestPanicPoisonsOnlyItsCall(t *testing.T) {
+	forEachEntry(t, []int{2}, func(t *testing.T, e entry, _ int) {
+		_, err := e.run(context.Background(), 6, newInt, func(_ *int, i int) (int, error) {
+			if i == 4 {
+				panic("poisoned task")
+			}
+			return i, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("panicking task returned %v, want panic-derived error", err)
+		}
+		res, err := e.run(context.Background(), 3, newInt, func(_ *int, i int) (int, error) { return i * i, nil })
+		if err != nil || len(res) != 3 || res[2] != 4 {
+			t.Fatalf("pool dead after panic: res=%v err=%v", res, err)
+		}
+	})
+}
+
+// TestScratchBuiltAtMostOncePerWorker: within one call every pool worker
+// builds at most one scratch and threads it through each task it runs; a
+// scratch shared across workers would race on the buffer (-race).
+func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
+	type scratch struct{ buf []int }
+	for _, workers := range []int{1, 2, 4} {
+		s := NewScheduler(workers)
+		var created atomic.Int64
+		newScratch := func() *scratch {
+			created.Add(1)
+			return &scratch{buf: make([]int, 0, 8)}
+		}
+		fn := func(sc *scratch, i int) (int, error) {
+			sc.buf = append(sc.buf[:0], i, i, i)
+			time.Sleep(time.Microsecond)
+			return sc.buf[0] + sc.buf[1] + sc.buf[2], nil
+		}
+		for _, sharded := range []bool{false, true} {
+			created.Store(0)
+			var got []int
+			var err error
+			if sharded {
+				got, err = MapShardedOn(context.Background(), s, 64, func(i int) int { return i % 8 }, 8, newScratch, fn)
+			} else {
+				got, err = MapOn(context.Background(), s, 64, newScratch, fn)
+			}
+			if err != nil {
+				t.Fatalf("workers=%d sharded=%v: %v", workers, sharded, err)
+			}
+			for i, v := range got {
+				if v != 3*i {
+					t.Fatalf("workers=%d sharded=%v: result[%d] = %d, want %d", workers, sharded, i, v, 3*i)
+				}
+			}
+			if n := created.Load(); n < 1 || n > int64(workers) {
+				t.Fatalf("workers=%d sharded=%v: %d scratches built", workers, sharded, n)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestShardedRunsEveryTaskOnce: extreme skew — every task in one shard —
+// must still run each task exactly once.
+func TestShardedRunsEveryTaskOnce(t *testing.T) {
+	s := NewScheduler(8)
+	defer s.Close()
+	counts := make([]atomic.Int64, 200)
+	_, err := MapShardedOn(context.Background(), s, 200,
+		func(i int) int { return 3 }, 7,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (struct{}, error) {
+			counts[i].Add(1)
+			return struct{}{}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range counts {
+		if c := counts[i].Load(); c != 1 {
+			t.Fatalf("task %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestMapShardedOnMatchesMapOn checks the shard-interleaved submission
+// order changes nothing about the gathered results, at shard counts
+// below, at and above the task count's spread and with out-of-range keys.
+func TestMapShardedOnMatchesMapOn(t *testing.T) {
+	s := NewScheduler(3)
+	defer s.Close()
+	ctx := context.Background()
+	newScratch := func() struct{} { return struct{}{} }
+	fn := func(_ struct{}, i int) (int, error) { return i * 3, nil }
+	const n = 41
+	want, err := MapOn(ctx, s, n, newScratch, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 5, 64} {
+		got, err := MapShardedOn(ctx, s, n, func(i int) int { return i*13 - 7 }, shards, newScratch, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d task %d: got %d want %d", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReduceMergesInTaskOrder: a non-commutative merge (string
+// concatenation) must come out in task order at every pool size, and a
+// failed run folds nothing.
+func TestReduceMergesInTaskOrder(t *testing.T) {
+	want := ""
+	for i := 0; i < 30; i++ {
+		want += fmt.Sprintf("[%d]", i)
+	}
+	concat := func(acc *string, part string) { *acc += part }
+	forEachEntry(t, []int{1, 4, 16}, func(t *testing.T, e entry, _ int) {
+		got, err := e.reduce(context.Background(), 30, func(i int) (string, error) { return fmt.Sprintf("[%d]", i), nil }, concat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("merge order broken: %q", got)
+		}
+		got, err = e.reduce(context.Background(), 10, func(i int) (string, error) {
+			if i == 0 {
+				return "", errors.New("first fails")
+			}
+			return "x", nil
+		}, concat)
+		if err == nil || got != "" {
+			t.Fatalf("failed run: acc=%q err=%v, want empty and an error", got, err)
+		}
+	})
+}
+
+// TestReduceGroupedMapDeterministic folds per-task group-map partials —
+// the shape the query engines' grouped roll-ups reduce — at several pool
+// sizes and shard layouts and requires the accumulated map to be
+// identical to the fold on a pool of one: the task-ordered gather makes
+// grouped merges deterministic regardless of scheduling.
+func TestReduceGroupedMapDeterministic(t *testing.T) {
+	const n = 96
+	task := func(_ struct{}, i int) (map[int]int64, error) {
+		// Each task contributes to a few pseudo-random groups.
+		m := map[int]int64{i % 7: int64(i), (i * 13) % 5: int64(i * i)}
+		return m, nil
+	}
+	merge := func(acc *map[int]int64, part map[int]int64) {
+		if *acc == nil {
+			*acc = make(map[int]int64)
+		}
+		for k, v := range part {
+			(*acc)[k] += v
+		}
+	}
+	newS := func() struct{} { return struct{}{} }
+	one := NewScheduler(1)
+	defer one.Close()
+	want, err := ReduceOn(context.Background(), one, n, newS, task, merge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		s := NewScheduler(workers)
+		got, err := ReduceOn(context.Background(), s, n, newS, task, merge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("workers=%d: grouped fold diverged: %v != %v", workers, got, want)
+		}
+		got, err = ReduceShardedOn(context.Background(), s, n,
+			func(i int) int { return i % 6 }, 6, newS, task, merge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("sharded workers=%d: grouped fold diverged", workers)
+		}
+		s.Close()
+	}
+}
+
+// TestConcurrentExecutionsMatchSerial runs many concurrent executions on
+// one shared scheduler and checks every result is identical to the same
+// tasks on a pool of one, and that the admission accounting adds up.
+func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Close()
 	ctx := context.Background()
@@ -22,7 +385,6 @@ func TestMapOnMatchesMapWith(t *testing.T) {
 			return q*1000 + i*i, nil
 		}
 	}
-	newScratch := func() *int { return new(int) }
 
 	const queries = 16
 	var wg sync.WaitGroup
@@ -32,12 +394,12 @@ func TestMapOnMatchesMapWith(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			n := 1 + q*7%53
-			want, err := MapWith(ctx, 1, n, newScratch, fn(q))
+			want, err := Map(ctx, 1, n, func(i int) (int, error) { return fn(q)(newInt(), i) })
 			if err != nil {
 				errsCh <- err
 				return
 			}
-			got, err := MapOn(ctx, s, n, newScratch, fn(q))
+			got, err := MapOn(ctx, s, n, newInt, fn(q))
 			if err != nil {
 				errsCh <- err
 				return
@@ -68,86 +430,5 @@ func TestMapOnMatchesMapWith(t *testing.T) {
 	}
 	if st.Workers != 4 {
 		t.Fatalf("workers %d, want 4", st.Workers)
-	}
-}
-
-// TestMapShardedOnMatchesMapOn checks the shard-interleaved submission
-// order changes nothing about the gathered results.
-func TestMapShardedOnMatchesMapOn(t *testing.T) {
-	s := NewScheduler(3)
-	defer s.Close()
-	ctx := context.Background()
-	newScratch := func() struct{} { return struct{}{} }
-	fn := func(_ struct{}, i int) (int, error) { return i * 3, nil }
-	const n = 41
-	want, err := MapOn(ctx, s, n, newScratch, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 5, 64} {
-		got, err := MapShardedOn(ctx, s, n, func(i int) int { return i*13 - 7 }, shards, newScratch, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d task %d: got %d want %d", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMapOnErrorLowestIndex(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Close()
-	boom := errors.New("boom")
-	_, err := MapOn(context.Background(), s, 100, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (struct{}, error) {
-			if i == 7 || i == 3 {
-				return struct{}{}, fmt.Errorf("task %d: %w", i, boom)
-			}
-			return struct{}{}, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want wrapped boom", err)
-	}
-	// Results withheld on error is implied by the nil slice contract of
-	// MapWith; ReduceOn folds nothing on error.
-	acc, err2 := ReduceOn(context.Background(), s, 10, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) {
-			if i == 5 {
-				return 0, boom
-			}
-			return 1, nil
-		},
-		func(acc *int, p int) { *acc += p })
-	if err2 == nil || acc != 0 {
-		t.Fatalf("ReduceOn on error: acc=%d err=%v, want 0 and boom", acc, err2)
-	}
-}
-
-func TestMapOnCancellation(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	_, err := MapOn(ctx, s, 1000, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) {
-			once.Do(cancel) // cancel mid-execution; MapOn must report it
-			return 0, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-func TestMapOnZeroTasks(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Close()
-	res, err := MapOn(context.Background(), s, 0, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (int, error) { return 0, nil })
-	if err != nil || res != nil {
-		t.Fatalf("got %v, %v; want nil, nil", res, err)
 	}
 }

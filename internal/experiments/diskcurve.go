@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -8,7 +9,9 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/cost"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -24,8 +27,8 @@ type DiskCurveOptions struct {
 	Scale int
 	// Disks are the declustering widths measured (default 1/2/4/8/16).
 	Disks []int
-	// Workers is the executor's fragment worker count (default 16, at
-	// least the widest disk count so the disks are the bottleneck).
+	// Workers is the size of the scheduler the executor runs on (default
+	// 16, at least the widest disk count so the disks are the bottleneck).
 	Workers int
 	// Delay is the simulated per-disk access time (default 500µs), the
 	// disk-model regime where declustering is the bottleneck.
@@ -100,6 +103,10 @@ func DiskScalingCurve(o DiskCurveOptions) (Figure, error) {
 		return fig, err
 	}
 
+	ctx := context.Background()
+	sched := exec.NewScheduler(o.Workers)
+	defer sched.Close()
+
 	measured := Series{Label: fmt.Sprintf("measured (delay %v, %d workers)", o.Delay, o.Workers)}
 	modelled := Series{Label: "queue model"}
 	var baseAgg storage.Aggregate
@@ -113,17 +120,19 @@ func DiskScalingCurve(o DiskCurveOptions) (Figure, error) {
 		if err := bf.Decluster(placement, ds); err != nil {
 			return fig, err
 		}
-		ex := storage.NewExecutor(store, bf)
-		ex.Workers = o.Workers
+		ex, err := storage.NewExecutor(store, bf, sched)
+		if err != nil {
+			return fig, err
+		}
 
 		// Correctness first, without delay: declustered == single-disk.
-		agg, st, err := ex.Execute(q)
+		res, st, err := ex.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{})
 		if err != nil {
 			return fig, err
 		}
 		if i == 0 {
-			baseAgg, baseSt = agg, st
-		} else if agg != baseAgg || st != baseSt {
+			baseAgg, baseSt = res.Aggregate, st
+		} else if res.Aggregate != baseAgg || st != baseSt {
 			return fig, fmt.Errorf("experiments: %d-disk result diverged from %d-disk baseline", d, o.Disks[0])
 		}
 
@@ -131,7 +140,7 @@ func DiskScalingCurve(o DiskCurveOptions) (Figure, error) {
 		var total time.Duration
 		for r := 0; r < o.Queries; r++ {
 			startT := time.Now()
-			if _, _, err := ex.Execute(q); err != nil {
+			if _, _, err := ex.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{}); err != nil {
 				return fig, err
 			}
 			total += time.Since(startT)

@@ -76,10 +76,10 @@ type pointJob struct {
 	qt     workload.QueryType
 }
 
-// simulate runs the jobs on opt.Workers parallel simulation workers via
-// the shared internal/exec pool and appends the resulting points to their
-// series in job order, then annotates speed-ups. Each job builds its own
-// simulator, so parallel regeneration is deterministic.
+// simulate runs the jobs on opt.Workers parallel simulation workers
+// (exec.Map) and appends the resulting points to their series in job
+// order, then annotates speed-ups. Each job builds its own simulator, so
+// parallel regeneration is deterministic.
 func simulate(fig *Figure, jobs []pointJob, icfg frag.IndexConfig, opt Options) {
 	pts, err := exec.Map(context.Background(), opt.workers(), len(jobs), func(i int) (Point, error) {
 		j := jobs[i]

@@ -20,7 +20,8 @@ type BackendConfig struct {
 	// PrefetchFact sets the executor's fact read granule in pages
 	// (values below 1 keep the executor default).
 	PrefetchFact int
-	// Sched attaches the executor to a shared admission scheduler.
+	// Sched is the scheduler the executor dispatches every execution
+	// through (required).
 	Sched *exec.Scheduler
 	// Pool, when non-nil, routes the store's granule reads and the bitmap
 	// file's payload reads through a shared buffer pool, keyed under
@@ -78,12 +79,15 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 		store.AttachPool(cfg.Pool, cfg.PoolEpoch)
 		bf.AttachPool(cfg.Pool, cfg.PoolEpoch)
 	}
-	ex := NewExecutor(store, bf)
-	if cfg.PrefetchFact > 0 {
-		ex.PrefetchFact = cfg.PrefetchFact
+	b.Exec, err = NewExecutor(store, bf, cfg.Sched)
+	if err != nil {
+		store.Close()
+		bf.Close()
+		return nil, err
 	}
-	ex.Sched = cfg.Sched
-	b.Exec = ex
+	if cfg.PrefetchFact > 0 {
+		b.Exec.PrefetchFact = cfg.PrefetchFact
+	}
 	return b, nil
 }
 

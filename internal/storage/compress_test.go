@@ -74,8 +74,8 @@ func TestCompressedBitmapsRoundTrip(t *testing.T) {
 
 func TestCompressedExecutorCorrectAndCheaper(t *testing.T) {
 	s, tab, store, plain, comp := buildBoth(t)
-	exPlain := NewExecutor(store, plain)
-	exComp := NewExecutor(store, comp)
+	exPlain := newTestExecutor(t, store, plain, 0)
+	exComp := newTestExecutor(t, store, comp, 0)
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 60; iter++ {
 		var q frag.Query
@@ -89,11 +89,11 @@ func TestCompressedExecutorCorrectAndCheaper(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		a, _, err := exPlain.Execute(q)
+		a, _, err := execute(exPlain, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := exComp.Execute(q)
+		b, _, err := execute(exComp, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +146,8 @@ func TestReadCompressedFragmentMatchesDecompressed(t *testing.T) {
 // representation differs.
 func TestCompressedFastPathIOStatsMatch(t *testing.T) {
 	s, _, store, plain, comp := buildBoth(t)
-	exPlain := NewExecutor(store, plain)
-	exComp := NewExecutor(store, comp)
+	exPlain := newTestExecutor(t, store, plain, 0)
+	exComp := newTestExecutor(t, store, comp, 0)
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 40; iter++ {
 		var q frag.Query
@@ -161,11 +161,11 @@ func TestCompressedFastPathIOStatsMatch(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		aggP, stP, err := exPlain.Execute(q)
+		aggP, stP, err := execute(exPlain, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggC, stC, err := exComp.Execute(q)
+		aggC, stC, err := execute(exComp, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,16 +190,14 @@ func TestCompressedExecutorWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := NewExecutor(store, comp)
-	seq.Workers = 1
-	wantAgg, wantSt, err := seq.Execute(q)
+	seq := newTestExecutor(t, store, comp, 1)
+	wantAgg, wantSt, err := execute(seq, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		ex := NewExecutor(store, comp)
-		ex.Workers = workers
-		gotAgg, gotSt, err := ex.Execute(q)
+		ex := newTestExecutor(t, store, comp, workers)
+		gotAgg, gotSt, err := execute(ex, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +239,8 @@ func TestCompressedFastPathSimpleIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer comp.Close()
-	exPlain := NewExecutor(storePlain, plain)
-	exComp := NewExecutor(storeComp, comp)
+	exPlain := newTestExecutor(t, storePlain, plain, 0)
+	exComp := newTestExecutor(t, storeComp, comp, 0)
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 40; iter++ {
 		var q frag.Query
@@ -256,11 +254,11 @@ func TestCompressedFastPathSimpleIndexes(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		aggP, stP, err := exPlain.Execute(q)
+		aggP, stP, err := execute(exPlain, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aggC, stC, err := exComp.Execute(q)
+		aggC, stC, err := execute(exComp, q)
 		if err != nil {
 			t.Fatal(err)
 		}

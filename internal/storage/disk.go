@@ -178,8 +178,8 @@ func (ds *DiskSet) validatePlacement(p alloc.Placement) error {
 // placement's fact scheme: every subsequent physical read of fragment id
 // routes through disk p.FactDisk(id)'s serialized queue instead of the
 // store's single implicit disk. Passing a nil set restores the single-disk
-// behaviour. The executor detects a declustered store and switches to
-// placement-keyed dispatch with work stealing.
+// behaviour. The executor detects a declustered store and submits its
+// fragment tasks round-robin across the disks.
 func (s *Store) Decluster(p alloc.Placement, ds *DiskSet) error {
 	if ds == nil {
 		s.disks, s.placement = nil, alloc.Placement{}

@@ -63,9 +63,8 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 			// Baseline: sequential, single implicit disk.
 			want := map[string]partial{}
 			for qname, q := range queries {
-				seq := NewExecutor(store, bf)
-				seq.Workers = 1
-				agg, st, err := seq.Execute(q)
+				seq := newTestExecutor(t, store, bf, 1)
+				agg, st, err := execute(seq, q)
 				if err != nil {
 					t.Fatalf("%s: %v", qname, err)
 				}
@@ -83,10 +82,9 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 2, 4, 8} {
-						ex := NewExecutor(store, bf)
-						ex.Workers = workers
+						ex := newTestExecutor(t, store, bf, workers)
 						for qname, q := range queries {
-							agg, st, err := ex.Execute(q)
+							agg, st, err := execute(ex, q)
 							if err != nil {
 								t.Fatalf("%s d=%d w=%d: %v", qname, disks, workers, err)
 							}
@@ -116,14 +114,14 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 func TestSyncPrefetchMatchesAsync(t *testing.T) {
 	s, _, store, bf := buildStore(t, "time::month, product::group")
 	for qname, q := range classQueries(t, s, store.spec) {
-		async := NewExecutor(store, bf)
-		sync := NewExecutor(store, bf)
+		async := newTestExecutor(t, store, bf, 0)
+		sync := newTestExecutor(t, store, bf, 0)
 		sync.AsyncPrefetch = false
-		aAgg, aSt, err := async.Execute(q)
+		aAgg, aSt, err := execute(async, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qname, err)
 		}
-		sAgg, sSt, err := sync.Execute(q)
+		sAgg, sSt, err := execute(sync, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qname, err)
 		}
@@ -148,8 +146,8 @@ func TestDiskSetStatsAccountAllIO(t *testing.T) {
 	}
 	cd := s.DimIndex(schema.DimCustomer)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 2}}}
-	ex := NewExecutor(store, bf)
-	_, st, err := ex.Execute(q)
+	ex := newTestExecutor(t, store, bf, 0)
+	_, st, err := execute(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +233,9 @@ func TestPerDiskDelayObservable(t *testing.T) {
 			t.Fatal(err)
 		}
 		ds.SetIODelay(200 * time.Microsecond)
-		ex := NewExecutor(store, bf)
-		ex.Workers = 8
+		ex := newTestExecutor(t, store, bf, 8)
 		start := time.Now()
-		if _, _, err := ex.Execute(q); err != nil {
+		if _, _, err := execute(ex, q); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -262,8 +259,7 @@ func TestSetIODelayConcurrent(t *testing.T) {
 	s, _, store, bf := buildStore(t, "time::month, product::group")
 	cd := s.DimIndex(schema.DimCustomer)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 1}}}
-	ex := NewExecutor(store, bf)
-	ex.Workers = 4
+	ex := newTestExecutor(t, store, bf, 4)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -273,7 +269,7 @@ func TestSetIODelayConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		if _, _, err := ex.Execute(q); err != nil {
+		if _, _, err := execute(ex, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,15 +295,14 @@ func TestDeclusteredConcurrentQueries(t *testing.T) {
 		store.Decluster(alloc.Placement{}, nil)
 		bf.Decluster(alloc.Placement{}, nil)
 	}()
-	ex := NewExecutor(store, bf)
-	ex.Workers = 4
+	ex := newTestExecutor(t, store, bf, 4)
 	qs := classQueries(t, s, store.spec)
 	errc := make(chan error, len(qs)*3)
 	for qname, q := range qs {
 		for c := 0; c < 3; c++ {
 			go func(qname string, q frag.Query) {
 				for rep := 0; rep < 3; rep++ {
-					got, _, err := ex.Execute(q)
+					got, _, err := execute(ex, q)
 					if err != nil {
 						errc <- fmt.Errorf("%s: %v", qname, err)
 						return
@@ -387,9 +382,9 @@ func TestDeclusterAtomic(t *testing.T) {
 	if store.Declustered() != ds || bf.Declustered() != ds {
 		t.Fatal("pair not sharing the new disk set")
 	}
-	ex := NewExecutor(store, bf)
+	ex := newTestExecutor(t, store, bf, 0)
 	for qname, q := range classQueries(t, s, store.spec) {
-		if _, _, err := ex.Execute(q); err != nil {
+		if _, _, err := execute(ex, q); err != nil {
 			t.Fatalf("%s after Decluster: %v", qname, err)
 		}
 	}
@@ -418,23 +413,24 @@ func TestExecutorSchedulerMatchesPrivatePool(t *testing.T) {
 		}
 
 		want := map[string]partial{}
-		serial := NewExecutor(store, bf)
-		serial.Workers = 1
+		serial := newTestExecutor(t, store, bf, 1)
 		for qname, q := range queries {
-			agg, st, err := serial.Execute(q)
+			agg, st, err := execute(serial, q)
 			if err != nil {
 				t.Fatalf("serial %s: %v", qname, err)
 			}
 			want[qname] = partial{fp: kernel.FragPartial{Agg: agg}, st: st}
 		}
 
-		shared := NewExecutor(store, bf)
-		shared.Sched = sched
+		shared, err := NewExecutor(store, bf, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
 		errc := make(chan error, len(queries)*4)
 		for qname, q := range queries {
 			for c := 0; c < 4; c++ {
 				go func(qname string, q frag.Query) {
-					agg, st, err := shared.Execute(q)
+					agg, st, err := execute(shared, q)
 					if err != nil {
 						errc <- fmt.Errorf("%s: %v", qname, err)
 						return

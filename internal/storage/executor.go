@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -54,26 +55,18 @@ type Aggregate = kernel.Aggregate
 // processing model of Section 4.3: determine the relevant fragments, read
 // the required bitmap fragments, AND them, read the fact pages containing
 // hits with prefetch granules, and aggregate. Fragments are processed in
-// parallel by a pool of Workers goroutines standing in for the Shared
-// Disk processing nodes; per-worker partial aggregates and IOStats merge
-// in fragment allocation order, so results are identical at any worker
-// count.
+// parallel on the scheduler's pool, standing in for the Shared Disk
+// processing nodes: concurrent executions — from this executor or any
+// other attached to the same scheduler — multiplex onto its fixed
+// workers (and one DiskSet when declustered). Per-fragment partial
+// aggregates and IOStats merge in fragment allocation order, so results
+// are identical at any pool size or admission mix.
 type Executor struct {
 	store   *Store
 	bitmaps *BitmapFile
+	sched   *exec.Scheduler
 	// PrefetchFact is the fact read granule in pages (default 8).
 	PrefetchFact int
-	// Workers is the number of parallel fragment workers; values below 1
-	// (the default) mean one worker per available CPU. Ignored when Sched
-	// is set.
-	Workers int
-	// Sched, when non-nil, dispatches fragment tasks through a shared
-	// admission scheduler instead of a private per-query worker set, so
-	// concurrent Execute calls — from this executor or any other attached
-	// to the same scheduler — multiplex onto one fixed pool (and one
-	// DiskSet when declustered). Results stay identical to the private
-	// pool at any admission mix.
-	Sched *exec.Scheduler
 	// AsyncPrefetch overlaps fact I/O with aggregation: the next granule
 	// read is issued while the current granule is being unpacked and
 	// aggregated (see prefetch.go). On by default via NewExecutor;
@@ -81,9 +74,30 @@ type Executor struct {
 	AsyncPrefetch bool
 }
 
-// NewExecutor pairs a fact store with its bitmap file.
-func NewExecutor(store *Store, bitmaps *BitmapFile) *Executor {
-	return &Executor{store: store, bitmaps: bitmaps, PrefetchFact: 8, AsyncPrefetch: true}
+// NewExecutor pairs a fact store with its bitmap file and attaches the
+// pair to the scheduler every execution dispatches through. The
+// executor owns no worker pool of its own, so a nil scheduler is an
+// error.
+func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Executor, error) {
+	if sched == nil {
+		return nil, errNilScheduler
+	}
+	return &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}, nil
+}
+
+var errNilScheduler = errors.New("storage: nil scheduler")
+
+// shards returns the placement key of a declustered dispatch — the disk
+// holding task i's fragment, and the disk count — so the first tasks an
+// execution gets running spread over distinct disks. Without a disk set
+// there is one implicit shard and tasks are submitted in task order.
+func (e *Executor) shards(ids []int64) (shardOf func(i int) int, shards int) {
+	ds := e.store.disks
+	if ds == nil {
+		return nil, 1
+	}
+	placement := e.store.placement
+	return func(i int) int { return placement.FactDisk(ids[i]) }, ds.Disks()
 }
 
 // partial is one fragment's contribution to a query result.
@@ -171,44 +185,24 @@ func (sc *execScratch) operand(i int) *bitmap.Compressed {
 	return sc.cpool[i]
 }
 
-// Execute runs the query and returns the grand-total aggregate plus
-// physical I/O statistics (any GroupBy on the query is ignored — use
-// ExecuteGrouped).
-func (e *Executor) Execute(q frag.Query) (Aggregate, IOStats, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute with cancellation: scattering the relevant
-// fragments over the worker pool stops early when ctx is cancelled or any
-// fragment fails. On a declustered store the scatter is disk-aware:
-// fragment tasks dispatch through per-disk queues keyed by the placement
-// (with work stealing), so concurrent fragment reads spread over the
-// disks instead of convoying on one queue. Results are identical at any
-// worker and disk count.
-func (e *Executor) ExecuteContext(ctx context.Context, q frag.Query) (Aggregate, IOStats, error) {
-	q.GroupBy = nil // grouping never changes the grand total
-	res, st, err := e.ExecuteGrouped(ctx, q)
-	return res.Aggregate, st, err
-}
-
-// ExecuteGrouped is ExecuteContext returning the full result: the grand
-// total plus, when the query has a GroupBy, the per-group rows in the
-// deterministic kernel order. On the fragment-aligned fast path (every
-// GroupBy level at or above its dimension's fragmentation level) the
-// group key is computed once per fragment from its id, so grouping adds
-// no per-row work and — because the stored tuples carry the dimension
-// keys — never any extra I/O.
-func (e *Executor) ExecuteGrouped(ctx context.Context, q frag.Query) (kernel.Result, IOStats, error) {
-	return e.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{})
-}
-
-// ExecuteGroupedDeltas is ExecuteGrouped folding a pinned delta snapshot
-// into every fragment's partial: each relevant fragment aggregates its
-// on-disk base rows first, then its in-memory delta segments in seal
-// order, inside the fragment's own task — so the cross-fragment gather
-// stays task-ordered and base+delta results are byte-identical to a
-// store rebuilt from scratch with the same rows. Delta rows cost no
-// physical I/O; they are reported in IOStats.DeltaRows.
+// ExecuteGroupedDeltas runs the query and returns the full result: the
+// grand total plus, when the query has a GroupBy, the per-group rows in
+// the deterministic kernel order. On the fragment-aligned fast path
+// (every GroupBy level at or above its dimension's fragmentation level)
+// the group key is computed once per fragment from its id, so grouping
+// adds no per-row work and — because the stored tuples carry the
+// dimension keys — never any extra I/O. Scattering the relevant
+// fragments over the pool stops early when ctx is cancelled or any
+// fragment fails; on a declustered store the scatter is disk-aware (see
+// shards).
+//
+// The pinned delta snapshot is folded into every fragment's partial:
+// each relevant fragment aggregates its on-disk base rows first, then
+// its in-memory delta segments in seal order, inside the fragment's own
+// task — so the cross-fragment gather stays task-ordered and base+delta
+// results are byte-identical to a store rebuilt from scratch with the
+// same rows. Delta rows cost no physical I/O; they are reported in
+// IOStats.DeltaRows.
 func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas) (kernel.Result, IOStats, error) {
 	a, gr, err := e.executeAcc(ctx, q, deltas, nil)
 	if err != nil {
@@ -246,7 +240,7 @@ func (e *Executor) ExecutePartialDeltas(ctx context.Context, q frag.Query, delta
 // executeAcc is the shared execution core behind ExecuteGroupedDeltas
 // and ExecutePartialDeltas: validate, derive the grouper, enumerate (and
 // optionally ownership-filter) the relevant fragments and fold their
-// partials in task order on whichever dispatch path applies.
+// partials in task order.
 func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (acc, *kernel.Grouper, error) {
 	star := e.store.star
 	spec := e.store.spec
@@ -306,25 +300,8 @@ func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.D
 		p.fp.MergeInto(&a.agg, a.g)
 		a.st.Add(p.st)
 	}
-	var a acc
-	ds := e.store.disks
-	declustered := ds != nil && ds.Disks() > 1
-	switch {
-	case e.Sched != nil && declustered:
-		placement := e.store.placement
-		a, err = exec.ReduceShardedOn(ctx, e.Sched, len(ids),
-			func(i int) int { return placement.FactDisk(ids[i]) }, ds.Disks(),
-			e.newScratch, run, merge)
-	case e.Sched != nil:
-		a, err = exec.ReduceOn(ctx, e.Sched, len(ids), e.newScratch, run, merge)
-	case declustered:
-		placement := e.store.placement
-		a, err = exec.ReduceShardedWith(ctx, e.Workers, len(ids),
-			func(i int) int { return placement.FactDisk(ids[i]) }, ds.Disks(),
-			e.newScratch, run, merge)
-	default:
-		a, err = exec.ReduceWith(ctx, e.Workers, len(ids), e.newScratch, run, merge)
-	}
+	shardOf, shards := e.shards(ids)
+	a, err := exec.ReduceShardedOn(ctx, e.sched, len(ids), shardOf, shards, e.newScratch, run, merge)
 	if err != nil {
 		return acc{}, nil, err
 	}

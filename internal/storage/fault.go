@@ -20,26 +20,12 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // castagnoli is the CRC32C table shared by every page and record
 // checksum (hardware-accelerated by hash/crc32 on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// checksumsEnabled gates read-side checksum verification. It exists so
-// the fault benchmark can measure the verify overhead on one warehouse;
-// production code never clears it. Checksums are always computed and
-// stored at build time regardless.
-var checksumsEnabled atomic.Bool
-
-func init() { checksumsEnabled.Store(true) }
-
-// SetChecksumVerification toggles read-side CRC verification globally
-// (default on). Benchmark-only: results are only protected against
-// corruption while verification is on.
-func SetChecksumVerification(on bool) { checksumsEnabled.Store(on) }
 
 // pageCRC computes the stored checksum of one page.
 func pageCRC(page []byte) uint32 { return crc32.Checksum(page, castagnoli) }
@@ -262,7 +248,7 @@ func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite
 		} else {
 			err = read()
 		}
-		if err == nil && verify != nil && checksumsEnabled.Load() {
+		if err == nil && verify != nil {
 			err = verify()
 			if err != nil && ds != nil {
 				ds.disks[disk].checksumFails.Add(1)

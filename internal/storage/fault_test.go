@@ -241,7 +241,7 @@ func TestExecutorEquivalenceUnderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds.SetRetryPolicy(fastRetry())
-			ex := NewExecutor(store, bf)
+			ex := newTestExecutor(t, store, bf, 0)
 			queries := classQueries(t, s, store.spec)
 
 			type outcome struct {
@@ -250,7 +250,7 @@ func TestExecutorEquivalenceUnderFaults(t *testing.T) {
 			}
 			baseline := map[string]outcome{}
 			for name, q := range queries {
-				agg, st, err := ex.Execute(q)
+				agg, st, err := execute(ex, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +259,7 @@ func TestExecutorEquivalenceUnderFaults(t *testing.T) {
 			ds.SetFaultPlan(&FaultPlan{Seed: 42, ReadErrorRate: 0.05, CorruptRate: 0.05,
 				LatencySpikeRate: 0.01, LatencySpike: 50 * time.Microsecond})
 			for name, q := range queries {
-				agg, st, err := ex.Execute(q)
+				agg, st, err := execute(ex, q)
 				if err != nil {
 					t.Fatalf("%s under faults: %v", name, err)
 				}

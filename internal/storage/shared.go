@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bitmap"
 	"repro/internal/exec"
@@ -26,13 +25,6 @@ type SharedResult struct {
 	St     IOStats
 	Shared kernel.SharedScanStats
 	Err    error
-}
-
-// sharedSlot is one query's pre-dispatch state.
-type sharedSlot struct {
-	q   frag.Query
-	gr  *kernel.Grouper
-	err error
 }
 
 // slotPart is one slot's contribution from one fragment task.
@@ -306,54 +298,29 @@ func (e *Executor) sharedMaskCompressed(ctx context.Context, id int64, rows int,
 
 // ExecuteSharedDeltas executes K queries against one pinned snapshot in
 // a single shared pass: the union of the queries' relevant fragments is
-// dispatched as one task set (through the scheduler and the declustered
-// sharded queues exactly like solo execution), and each fragment task
+// dispatched as one task set (through the scheduler, disk-aware when
+// declustered, exactly like solo execution), and each fragment task
 // performs one physical bitmap selection + granule read stream that
 // feeds every query needing the fragment. Per-query results — including
 // the logical I/O statistics — are byte-identical to K solo executions
 // against the same snapshot; only the physical read counts shrink.
 func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]SharedResult, error) {
 	star := e.store.star
-	spec := e.store.spec
-	slots := make([]sharedSlot, len(qs))
-	taskOf := make(map[int64][]int32)
-	var unionIDs []int64
-	for s, q := range qs {
-		slots[s].q = q
-		if err := q.Validate(star); err != nil {
-			slots[s].err = err
-			continue
-		}
-		gr, err := kernel.NewGrouper(star, spec, q.GroupBy)
-		if err != nil {
-			slots[s].err = err
-			continue
-		}
-		slots[s].gr = gr
-		for _, id := range spec.FragmentIDs(q) {
-			if own != nil && !own(id) {
-				continue
-			}
-			if _, ok := taskOf[id]; !ok {
-				unionIDs = append(unionIDs, id)
-			}
-			taskOf[id] = append(taskOf[id], int32(s))
-		}
-	}
-	sortIDs(unionIDs)
+	plan := kernel.PlanBatch(star, e.store.spec, qs, own)
+	slots := plan.Queries
 
 	tpp := TuplesPerPage(star)
 	g := e.PrefetchFact
 
 	run := func(sc *sharedScratch, ti int) (sharedTaskPart, error) {
 		sc.reset()
-		id := unionIDs[ti]
-		members := taskOf[id]
+		id := plan.IDs[ti]
+		members := plan.Members(ti)
 		out := sharedTaskPart{parts: make([]slotPart, len(members))}
 		kslots := make([]kernel.Slot, len(members))
 		for k, s := range members {
 			out.parts[k].slot = int(s)
-			kslots[k] = kernel.NewSlot(slots[s].gr, id)
+			kslots[k] = kernel.NewSlot(slots[s].Gr, id)
 		}
 		loc, ok := e.store.Loc(id)
 		if ok {
@@ -366,7 +333,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 			anyNil := false
 			for k, s := range members {
 				p := &out.parts[k]
-				m, err := e.sharedMask(ctx, id, rows, slots[s].q, sc.mask(k), &p.st, &p.shared, sc)
+				m, err := e.sharedMask(ctx, id, rows, slots[s].Q, sc.mask(k), &p.st, &p.shared, sc)
 				if err != nil {
 					return sharedTaskPart{}, err
 				}
@@ -517,7 +484,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				if sc.sc.dsc == nil {
 					sc.sc.dsc = frag.NewDeltaScratch()
 				}
-				n, err := kernel.AddDelta(deltas, id, slots[s].q, &kslots[k].FP, kslots[k].Base, kslots[k].PerRow, sc.sc.dsc)
+				n, err := kernel.AddDelta(deltas, id, slots[s].Q, &kslots[k].FP, kslots[k].Base, kslots[k].PerRow, sc.sc.dsc)
 				if err != nil {
 					return sharedTaskPart{}, err
 				}
@@ -537,7 +504,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		}
 		for _, sp := range p.parts {
 			s := sp.slot
-			if slots[s].gr != nil && a.g[s] == nil {
+			if slots[s].Gr != nil && a.g[s] == nil {
 				a.g[s] = kernel.NewGrouped()
 			}
 			sp.fp.MergeInto(&a.agg[s], a.g[s])
@@ -547,34 +514,16 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		}
 	}
 
-	var a sharedAcc
-	var err error
-	ds := e.store.disks
-	declustered := ds != nil && ds.Disks() > 1
-	switch {
-	case e.Sched != nil && declustered:
-		placement := e.store.placement
-		a, err = exec.ReduceShardedOn(ctx, e.Sched, len(unionIDs),
-			func(i int) int { return placement.FactDisk(unionIDs[i]) }, ds.Disks(),
-			e.newSharedScratch, run, merge)
-	case e.Sched != nil:
-		a, err = exec.ReduceOn(ctx, e.Sched, len(unionIDs), e.newSharedScratch, run, merge)
-	case declustered:
-		placement := e.store.placement
-		a, err = exec.ReduceShardedWith(ctx, e.Workers, len(unionIDs),
-			func(i int) int { return placement.FactDisk(unionIDs[i]) }, ds.Disks(),
-			e.newSharedScratch, run, merge)
-	default:
-		a, err = exec.ReduceWith(ctx, e.Workers, len(unionIDs), e.newSharedScratch, run, merge)
-	}
+	shardOf, shards := e.shards(plan.IDs)
+	a, err := exec.ReduceShardedOn(ctx, e.sched, len(plan.IDs), shardOf, shards, e.newSharedScratch, run, merge)
 	if err != nil {
 		return nil, err
 	}
 
 	out := make([]SharedResult, len(qs))
 	for s := range slots {
-		if slots[s].err != nil {
-			out[s].Err = slots[s].err
+		if slots[s].Err != nil {
+			out[s].Err = slots[s].Err
 			continue
 		}
 		var agg kernel.Aggregate
@@ -589,7 +538,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		out[s].Shared = sh
 		out[s].Res = kernel.Result{Aggregate: agg}
 		out[s].Part = kernel.FragPartial{Agg: agg}
-		if gr := slots[s].gr; gr != nil {
+		if gr := slots[s].Gr; gr != nil {
 			out[s].Res.Groups = gr.Rows(grp)
 			out[s].Part.Groups = grp
 			if out[s].Part.Groups == nil {
@@ -598,11 +547,4 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		}
 	}
 	return out, nil
-}
-
-// sortIDs sorts fragment ids ascending — the solo executors' dispatch
-// order (FragmentIDs enumerates regions in ascending allocation order),
-// so the shared union preserves each query's own task order.
-func sortIDs(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -4,15 +4,69 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 	"repro/internal/schema"
 )
+
+// newTestExecutor pairs the store with its bitmap file on a scheduler of
+// the given size (values below 1 mean GOMAXPROCS) that is closed with the
+// test.
+func newTestExecutor(t testing.TB, store *Store, bf *BitmapFile, workers int) *Executor {
+	t.Helper()
+	sched := exec.NewScheduler(workers)
+	t.Cleanup(sched.Close)
+	ex, err := NewExecutor(store, bf, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// execute runs q's grand total with no deltas.
+func execute(ex *Executor, q frag.Query) (Aggregate, IOStats, error) {
+	q.GroupBy = nil // grouping never changes the grand total
+	res, st, err := ex.ExecuteGroupedDeltas(context.Background(), q, kernel.Deltas{})
+	return res.Aggregate, st, err
+}
+
+// TestNilSchedulerIsAnError: the executor owns no pool, so NewExecutor
+// and BuildBackend refuse a nil scheduler with an error — and BuildBackend
+// leaves no file open behind it.
+func TestNilSchedulerIsAnError(t *testing.T) {
+	s, tab, store, bf := buildStore(t, "time::month, product::group")
+	if ex, err := NewExecutor(store, bf, nil); err == nil || ex != nil {
+		t.Errorf("NewExecutor(nil scheduler) = %v, %v; want nil and an error", ex, err)
+	}
+	fds := openFDs()
+	be, err := BuildBackend(t.TempDir(), tab, store.spec, frag.APB1Indexes(s), BackendConfig{Compress: true,
+		Placement: alloc.Placement{Disks: 2, Scheme: alloc.RoundRobin, Staggered: true}})
+	if err == nil || be != nil {
+		t.Fatalf("BuildBackend(nil scheduler) = %v, %v; want nil and an error", be, err)
+	}
+	if n := openFDs(); fds >= 0 && n > fds {
+		t.Errorf("%d file descriptors before the refused build, %d after", fds, n)
+	}
+}
+
+// openFDs counts the process's open file descriptors (-1 where /proc is
+// absent).
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
 
 // buildStore creates a store + bitmap file for the tiny schema in a temp
 // dir.
@@ -134,7 +188,7 @@ func TestOpenReloadsDirectory(t *testing.T) {
 
 func TestExecutorMatchesEngineAndScan(t *testing.T) {
 	s, tab, store, bf := buildStore(t, "time::month, product::group")
-	ex := NewExecutor(store, bf)
+	ex := newTestExecutor(t, store, bf, 0)
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 200; iter++ {
 		var q frag.Query
@@ -148,7 +202,7 @@ func TestExecutorMatchesEngineAndScan(t *testing.T) {
 		if len(q.Preds) == 0 {
 			continue
 		}
-		got, _, err := ex.Execute(q)
+		got, _, err := execute(ex, q)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -162,7 +216,7 @@ func TestExecutorMatchesEngineAndScan(t *testing.T) {
 
 func TestExecutorIOAccounting(t *testing.T) {
 	s, _, store, bf := buildStore(t, "time::month, product::group")
-	ex := NewExecutor(store, bf)
+	ex := newTestExecutor(t, store, bf, 0)
 	pd := s.DimIndex(schema.DimProduct)
 	td := s.DimIndex(schema.DimTime)
 	cd := s.DimIndex(schema.DimCustomer)
@@ -172,7 +226,7 @@ func TestExecutorIOAccounting(t *testing.T) {
 
 	// Q1 (IOC1): no bitmap I/O; reads exactly the one fragment's pages.
 	q1 := frag.Query{Preds: []frag.Pred{{Dim: td, Level: month, Member: 1}, {Dim: pd, Level: group, Member: 0}}}
-	_, st, err := ex.Execute(q1)
+	_, st, err := execute(ex, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +241,7 @@ func TestExecutorIOAccounting(t *testing.T) {
 
 	// Unsupported query (1STORE): bitmap I/O on every fragment.
 	qs := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: store1, Member: 2}}}
-	_, st2, err := ex.Execute(qs)
+	_, st2, err := execute(ex, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +289,9 @@ func TestExecutorSkipsHitFreePages(t *testing.T) {
 
 	cd := s.DimIndex(schema.DimCustomer)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 2}}}
-	ex := NewExecutor(store, bf)
+	ex := newTestExecutor(t, store, bf, 0)
 	ex.PrefetchFact = 1
-	got, st, err := ex.Execute(q)
+	got, st, err := execute(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,15 +321,15 @@ func TestExecutorPrefetchGranuleEffect(t *testing.T) {
 	store1 := s.Dims[cd].LevelIndex(schema.LvlStore)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: store1, Member: 1}}}
 
-	ex1 := NewExecutor(store, bf)
+	ex1 := newTestExecutor(t, store, bf, 0)
 	ex1.PrefetchFact = 1
-	_, st1, err := ex1.Execute(q)
+	_, st1, err := execute(ex1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex8 := NewExecutor(store, bf)
+	ex8 := newTestExecutor(t, store, bf, 0)
 	ex8.PrefetchFact = 8
-	_, st8, err := ex8.Execute(q)
+	_, st8, err := execute(ex8, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +422,8 @@ func classQueries(t *testing.T, s *schema.Star, spec *frag.Spec) map[string]frag
 func TestExecutorParallelMatchesSequential(t *testing.T) {
 	s, tab, store, bf := buildStore(t, "time::month, product::group")
 	for name, q := range classQueries(t, s, store.spec) {
-		seq := NewExecutor(store, bf)
-		seq.Workers = 1
-		wantAgg, wantSt, err := seq.Execute(q)
+		seq := newTestExecutor(t, store, bf, 1)
+		wantAgg, wantSt, err := execute(seq, q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -378,9 +431,8 @@ func TestExecutorParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential result %+v disagrees with scan %+v", name, wantAgg, oracle)
 		}
 		for _, workers := range []int{2, 4, 8, 0} { // 0 = GOMAXPROCS default
-			par := NewExecutor(store, bf)
-			par.Workers = workers
-			gotAgg, gotSt, err := par.Execute(q)
+			par := newTestExecutor(t, store, bf, workers)
+			gotAgg, gotSt, err := execute(par, q)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -399,8 +451,7 @@ func TestExecutorParallelMatchesSequential(t *testing.T) {
 // the -race target for the storage layer.
 func TestExecutorConcurrentQueries(t *testing.T) {
 	s, tab, store, bf := buildStore(t, "time::month, product::group")
-	ex := NewExecutor(store, bf)
-	ex.Workers = 4
+	ex := newTestExecutor(t, store, bf, 4)
 	qs := classQueries(t, s, store.spec)
 	var wg sync.WaitGroup
 	for name, q := range qs {
@@ -409,7 +460,7 @@ func TestExecutorConcurrentQueries(t *testing.T) {
 			go func(name string, q frag.Query) {
 				defer wg.Done()
 				for rep := 0; rep < 5; rep++ {
-					got, _, err := ex.Execute(q)
+					got, _, err := execute(ex, q)
 					if err != nil {
 						t.Errorf("%s: %v", name, err)
 						return
@@ -433,10 +484,10 @@ func TestExecutorContextCancellation(t *testing.T) {
 	s, _, store, bf := buildStore(t, "time::month, product::group")
 	cd := s.DimIndex(schema.DimCustomer)
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 2}}}
-	ex := NewExecutor(store, bf)
+	ex := newTestExecutor(t, store, bf, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ex.ExecuteContext(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, _, err := ex.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

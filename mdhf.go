@@ -13,10 +13,10 @@
 //   - disk allocation schemes including staggered round robin;
 //   - a discrete-event Shared Disk PDBS simulator (SIMPAD);
 //   - a real goroutine-parallel query engine over generated fact data and
-//     a fragment-parallel on-disk executor, both running on a shared
-//     scatter/gather worker pool with deterministic merge and per-worker
-//     scratch reuse, with a compressed execution fast path that queries
-//     WAH bitmaps without decompressing them;
+//     a fragment-parallel on-disk executor, both running on the
+//     warehouse's one scatter/gather worker pool with deterministic merge
+//     and per-worker scratch reuse, with a compressed execution fast path
+//     that queries WAH bitmaps without decompressing them;
 //   - the workload generator and the harness regenerating every table and
 //     figure of the paper's evaluation;
 //   - the Warehouse serving façade tying all of it together: one handle
@@ -42,12 +42,12 @@
 // callers onto the shared pool, with results bit-for-bit identical to
 // serial execution.
 //
-// The free functions below predate the Warehouse and remain as thin
-// shims over the same internals (the formerly deprecated
-// explicit-worker-count duplicates are gone — use WithWorkers, or set
-// StorageExecutor.Workers directly). See the README's migration table,
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Execution has no other entry point: the engines are assembled and run
+// only behind Open (and OpenCluster), on the warehouse's scheduler. The
+// free functions and aliases below name the schema, fragmentation, cost
+// model, allocation, simulation-parameter and workload vocabulary that
+// Config, the options, Explain and the advisors speak, plus the
+// brute-force scan oracles.
 package mdhf
 
 import (
@@ -64,11 +64,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-// Workers resolves a fragment-worker count option shared by the parallel
-// engine, the on-disk executor and the advisor: values below 1 mean one
-// worker per available CPU (GOMAXPROCS).
-func Workers(n int) int { return exec.Workers(n) }
 
 // Schema types.
 type (
@@ -243,7 +238,8 @@ func DisksUsed(spec *Fragmentation, q Query, p Placement) int {
 
 // Declustered storage: the multi-disk model making the allocation schemes
 // executable. A DiskSet is D virtual disks with serialized per-disk I/O
-// queues; DeclusterStore shards a store and its bitmap file across one.
+// queues; Open with WithDisks shards the store and its bitmap file across
+// one.
 type (
 	// DiskSet models D disks, each a serialized I/O queue with its own
 	// simulated access delay.
@@ -257,9 +253,6 @@ type (
 	// DiskRanked is one disk-configuration candidate of AdviseDisks.
 	DiskRanked = cost.DiskRanked
 )
-
-// NewDiskSet builds a set of d idle virtual disks.
-func NewDiskSet(d int) *DiskSet { return storage.NewDiskSet(d) }
 
 // Fault tolerance: deterministic fault injection on the disk set, typed
 // fault errors, and the retry/circuit-breaker policy every physical read
@@ -304,28 +297,6 @@ var ErrOverloaded = exec.ErrOverloaded
 // reads.
 func DefaultRetryPolicy() RetryPolicy { return storage.DefaultRetryPolicy() }
 
-// SetChecksumVerification toggles page-checksum verification on reads
-// globally (default on). Disabling it is meant for measuring the
-// checksum overhead in benchmarks, not for production use.
-func SetChecksumVerification(on bool) { storage.SetChecksumVerification(on) }
-
-// DeclusterStore shards a store's fact fragments and its bitmap file's
-// bitmap fragments across one new DiskSet per the placement (Figure 2:
-// round-robin or gap fact placement, staggered or co-located bitmaps).
-// Subsequent executions route every physical read through its disk's
-// serialized queue and dispatch fragment tasks disk-aware with work
-// stealing; results stay byte-identical to the single-disk path at every
-// disk and worker count. Set the returned DiskSet's IODelay to make disk
-// contention observable, and read its Stats for per-disk load balance.
-//
-// The operation is atomic: the placement and the store/bitmap-file
-// pairing are validated before either component is modified, so a
-// failure never leaves the pair half-declustered. (Open with WithDisks
-// performs the same declustering as part of assembling a Warehouse.)
-func DeclusterStore(s *Store, bf *BitmapFile, p Placement) (*DiskSet, error) {
-	return storage.Decluster(s, bf, p)
-}
-
 // EstimateResponse models a query's response time under a placement with
 // serialized per-disk queues: the analytical I/O counts of EstimateCost
 // are routed to disks per the placement and the bottleneck queue bounds
@@ -345,8 +316,6 @@ func AdviseDisks(spec *Fragmentation, cfg IndexConfig, mix []WeightedQuery, p Co
 type (
 	// SimConfig holds SIMPAD parameters (Table 4 defaults).
 	SimConfig = simpad.Config
-	// SimSystem is one simulated Shared Disk PDBS.
-	SimSystem = simpad.System
 	// SimPlan is a physical star query execution plan.
 	SimPlan = simpad.Plan
 	// SimResult is one simulated query execution.
@@ -356,22 +325,10 @@ type (
 // DefaultSimConfig returns the paper's simulation parameters (Table 4).
 func DefaultSimConfig() SimConfig { return simpad.DefaultConfig() }
 
-// NewSimSystem builds a simulated PDBS.
-func NewSimSystem(cfg SimConfig, icfg IndexConfig, placement Placement, seed int64) (*SimSystem, error) {
-	return simpad.NewSystem(cfg, icfg, placement, seed)
-}
-
-// NewSimPlan derives the execution plan of a query.
-func NewSimPlan(spec *Fragmentation, icfg IndexConfig, q Query, cfg SimConfig) *SimPlan {
-	return simpad.NewPlan(spec, icfg, q, cfg)
-}
-
 // Execution engine.
 type (
 	// FactTable is a generated in-memory fact table.
 	FactTable = data.Table
-	// Engine executes star queries over fragmented fact data.
-	Engine = engine.Engine
 	// Aggregate is a star query result: COUNT plus the three APB-1
 	// measure sums. Every backend accumulates into this one shared
 	// kernel type.
@@ -396,22 +353,6 @@ type (
 // GenerateData builds a deterministic fact table for the schema.
 func GenerateData(star *Star, seed int64) (*FactTable, error) {
 	return data.Generate(star, seed)
-}
-
-// BuildEngine fragments the table and constructs per-fragment bitmap
-// indices.
-func BuildEngine(t *FactTable, spec *Fragmentation, icfg IndexConfig) (*Engine, error) {
-	return engine.Build(t, spec, icfg)
-}
-
-// BuildCompressedEngine is BuildEngine storing every per-fragment bitmap
-// WAH-compressed (the space reduction of Section 3.2) and executing
-// queries directly on the compressed words: each fragment's predicates
-// intersect in a single k-way run-skipping AndAll and the hit rows stream
-// out of the compressed result, never materialising an uncompressed
-// bitmap.
-func BuildCompressedEngine(t *FactTable, spec *Fragmentation, icfg IndexConfig) (*Engine, error) {
-	return engine.BuildCompressed(t, spec, icfg)
 }
 
 // ScanAggregate computes a query's grand total by naive full scan (the
@@ -475,52 +416,13 @@ const (
 
 // On-disk storage.
 type (
-	// Store is a paged on-disk fact table fragmented per an MDHF spec.
-	Store = storage.Store
-	// BitmapFile stores the surviving bitmap fragments.
-	BitmapFile = storage.BitmapFile
-	// StorageExecutor runs star queries against the files with real
-	// prefetch-granule I/O.
-	StorageExecutor = storage.Executor
 	// StorageIOStats counts the physical I/O of an execution.
 	StorageIOStats = storage.IOStats
-	// BufferPool is the granule/page buffer pool between the executor's
-	// read paths and the disks (see WithBufferPool).
-	BufferPool = storage.BufPool
 	// PoolStats is the buffer pool's counter snapshot.
 	PoolStats = storage.PoolStats
 	// CacheCost is Explain's predicted buffer-pool effect on one query.
 	CacheCost = cost.CacheCost
 )
-
-// BuildStore writes the fragmented fact table into dir.
-func BuildStore(dir string, t *FactTable, spec *Fragmentation) (*Store, error) {
-	return storage.Build(dir, t, spec)
-}
-
-// OpenStore reopens a previously built store.
-func OpenStore(dir string, star *Star, spec *Fragmentation) (*Store, error) {
-	return storage.Open(dir, star, spec)
-}
-
-// BuildBitmapFile constructs and persists the surviving bitmap fragments.
-func BuildBitmapFile(dir string, s *Store, icfg IndexConfig) (*BitmapFile, error) {
-	return storage.BuildBitmaps(dir, s, icfg)
-}
-
-// BuildCompressedBitmapFile is BuildBitmapFile with WAH compression (the
-// space reduction the paper mentions in Section 3.2).
-func BuildCompressedBitmapFile(dir string, s *Store, icfg IndexConfig) (*BitmapFile, error) {
-	return storage.BuildCompressedBitmaps(dir, s, icfg)
-}
-
-// NewStorageExecutor pairs a store with its bitmap file. The executor
-// fans the relevant fragments of each query out over one worker per
-// available CPU; set its Workers field for an explicit count. Results
-// are identical at any worker count.
-func NewStorageExecutor(s *Store, bf *BitmapFile) *StorageExecutor {
-	return storage.NewExecutor(s, bf)
-}
 
 // Dimension tables.
 type (

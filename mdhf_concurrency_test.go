@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
-// TestConcurrentExecutorHammer hammers one shared StorageExecutor from N
+// TestConcurrentExecutorHammer hammers one shared storage.Executor from N
 // goroutines with the paper's query classes, single-disk and declustered,
 // asserting every result is byte-identical to serial execution — the
 // safety baseline the Warehouse's admission scheduler builds on. Run
@@ -20,12 +23,12 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 	}
 	icfg := APB1Indexes(star)
 	dir := t.TempDir()
-	store, err := BuildStore(dir, tab, spec)
+	store, err := storage.Build(dir, tab, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	bf, err := BuildBitmapFile(dir, store, icfg)
+	bf, err := storage.BuildBitmaps(dir, store, icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 		name := "single-disk"
 		if disks > 0 {
 			name = fmt.Sprintf("declustered-%d", disks)
-			if _, err := DeclusterStore(store, bf, Placement{Disks: disks, Scheme: RoundRobin, Staggered: true}); err != nil {
+			if _, err := storage.Decluster(store, bf, Placement{Disks: disks, Scheme: RoundRobin, Staggered: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,11 +48,10 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 				agg Aggregate
 				io  StorageIOStats
 			}
-			serial := NewStorageExecutor(store, bf)
-			serial.Workers = 1
+			serial := workerExecutor(t, store, bf, 1)
 			want := map[string]result{}
 			for qname, q := range queries {
-				sagg, io, err := serial.Execute(q)
+				sagg, io, err := executorTotal(serial, q)
 				if err != nil {
 					t.Fatalf("serial %s: %v", qname, err)
 				}
@@ -59,9 +61,8 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 				}
 			}
 
-			// One shared executor, its own parallel pool, N goroutines.
-			shared := NewStorageExecutor(store, bf)
-			shared.Workers = 4
+			// One shared executor on one pool of four, N goroutines.
+			shared := workerExecutor(t, store, bf, 4)
 			const goroutines = 8
 			var wg sync.WaitGroup
 			errc := make(chan error, goroutines)
@@ -71,7 +72,7 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 					defer wg.Done()
 					for rep := 0; rep < 3; rep++ {
 						for qname, q := range queries {
-							sagg, io, err := shared.Execute(q)
+							sagg, io, err := executorTotal(shared, q)
 							if err != nil {
 								errc <- fmt.Errorf("g%d %s: %v", g, qname, err)
 								return
@@ -109,9 +110,9 @@ func TestConcurrentEngineHammer(t *testing.T) {
 	queries := warehouseQueries(t, star)
 
 	for _, compressed := range []bool{false, true} {
-		name, build := "materialized", BuildEngine
+		name, build := "materialized", engine.Build
 		if compressed {
-			name, build = "compressed", BuildCompressedEngine
+			name, build = "compressed", engine.BuildCompressed
 		}
 		t.Run(name, func(t *testing.T) {
 			eng, err := build(tab, spec, icfg)
@@ -123,8 +124,9 @@ func TestConcurrentEngineHammer(t *testing.T) {
 				st  EngineStats
 			}
 			want := map[string]result{}
+			serial, shared := newSched(t, 1), newSched(t, 4)
 			for qname, q := range queries {
-				agg, st, err := eng.Execute(q, 1)
+				agg, st, err := engineTotal(eng, serial, q)
 				if err != nil {
 					t.Fatalf("serial %s: %v", qname, err)
 				}
@@ -139,7 +141,7 @@ func TestConcurrentEngineHammer(t *testing.T) {
 					defer wg.Done()
 					for rep := 0; rep < 3; rep++ {
 						for qname, q := range queries {
-							agg, st, err := eng.Execute(q, 4)
+							agg, st, err := engineTotal(eng, shared, q)
 							if err != nil {
 								errc <- fmt.Errorf("g%d %s: %v", g, qname, err)
 								return

@@ -1,7 +1,12 @@
 package mdhf
 
 import (
+	"context"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 func TestPublicAPIRangeFragmentation(t *testing.T) {
@@ -42,23 +47,21 @@ func TestPublicAPISkewedData(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", tab.N(), star.N())
 	}
 	// The skewed table works with the regular engine.
-	spec, err := ParseFragmentation(star, "time::month, product::group")
+	ctx := context.Background()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Table: tab}, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := BuildEngine(tab, spec, APB1Indexes(star))
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer w.Close()
 	q, err := NewQueryGenerator(star, 1).Next(OneGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eng.Execute(q, 4)
+	got, _, err := w.Query(q).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ScanAggregate(tab, q); got != want {
+	if want := ScanAggregate(tab, q); got.Aggregate != want {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
@@ -69,31 +72,22 @@ func TestPublicAPIStorageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ParseFragmentation(star, "time::month, product::group")
-	if err != nil {
-		t.Fatal(err)
-	}
 	icfg := make(IndexConfig, len(star.Dims))
 	for i := range icfg {
 		icfg[i] = IndexSpec{Kind: EncodedIndex}
 	}
+	ctx := context.Background()
 	dir := t.TempDir()
-	store, err := BuildStore(dir, tab, spec)
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Indexes: icfg, Table: tab}, WithOnDisk(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	bf, err := BuildBitmapFile(dir, store, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.Close()
-	ex := NewStorageExecutor(store, bf)
+	defer w.Close()
 	q, err := NewQueryGenerator(star, 3).Next(OneStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, io, err := ex.Execute(q)
+	got, st, err := w.Query(q).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +95,18 @@ func TestPublicAPIStorageRoundTrip(t *testing.T) {
 	if got.Count != want.Count || got.DollarSales != want.DollarSales {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if io.FactPages == 0 {
+	if st.IO.FactPages == 0 {
 		t.Fatal("no physical I/O recorded")
 	}
-	// Reopen path.
-	re, err := OpenStore(dir, star, spec)
+	// Reopen path: the epoch directory the warehouse wrote is a store
+	// storage.Open reads back.
+	snap := w.store.Current()
+	re, err := storage.Open(filepath.Join(dir, "epoch-000"), star, w.Fragmentation())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.NumFragments() != store.NumFragments() {
+	if re.NumFragments() != snap.B.Disk.Store.NumFragments() {
 		t.Fatal("reopened store differs")
 	}
 }
@@ -130,17 +126,19 @@ func TestPublicAPIDimCatalog(t *testing.T) {
 
 func TestPublicAPISharedNothingSim(t *testing.T) {
 	star := APB1()
-	spec, _ := ParseFragmentation(star, "time::month, product::group")
-	icfg := APB1Indexes(star)
 	cfg := DefaultSimConfig()
 	cfg.Architecture = SharedNothing
-	placement := Placement{Disks: cfg.Disks, Scheme: RoundRobin, Staggered: true}
-	sys, err := NewSimSystem(cfg, icfg, placement, 1)
+	ctx := context.Background()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group"}, WithSimConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	q, _ := ParseQuery(star, "time::month=3")
-	rs := sys.Run([]*SimPlan{NewSimPlan(spec, icfg, q, cfg)})
+	rs, err := w.Simulate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rs[0].ResponseTime <= 0 {
 		t.Fatal("shared-nothing query did not complete")
 	}
@@ -160,48 +158,43 @@ func TestPublicAPIDeclusteredStorage(t *testing.T) {
 	for i := range icfg {
 		icfg[i] = IndexSpec{Kind: EncodedIndex}
 	}
-	dir := t.TempDir()
-	store, err := BuildStore(dir, tab, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	bf, err := BuildBitmapFile(dir, store, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.Close()
+	ctx := context.Background()
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Indexes: icfg, Table: tab}
 	q, err := NewQueryGenerator(star, 3).Next(OneStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := workerExecutor(store, bf, 1)
-	wantAgg, wantIO, err := single.Execute(q)
+	single, err := Open(ctx, cfg, WithOnDisk(""), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	want, wantSt, err := single.Query(q).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	placement := Placement{Disks: 4, Scheme: GapRoundRobin, Staggered: true}
-	ds, err := DeclusterStore(store, bf, placement)
+	w, err := Open(ctx, cfg, WithOnDisk(""), WithDisks(4, GapRoundRobin), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Disks() != 4 {
-		t.Fatalf("disk set has %d disks", ds.Disks())
-	}
-	ex := workerExecutor(store, bf, 8)
-	gotAgg, gotIO, err := ex.Execute(q)
+	defer w.Close()
+	got, gotSt, err := w.Query(q).Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotAgg != wantAgg || gotIO != wantIO {
-		t.Fatalf("declustered %+v/%+v != single-disk %+v/%+v", gotAgg, gotIO, wantAgg, wantIO)
+	if ds := w.DiskSet(); ds == nil || ds.Disks() != 4 {
+		t.Fatalf("disk set %v, want 4 disks", ds)
+	}
+	if !reflect.DeepEqual(got, want) || gotSt.IO != wantSt.IO {
+		t.Fatalf("declustered %+v/%+v != single-disk %+v/%+v", got, gotSt.IO, want, wantSt.IO)
 	}
 	var ios int64
-	for _, d := range ds.Stats() {
+	for _, d := range w.DiskStats() {
 		ios += d.IOs
 	}
-	if ios != gotIO.FactIOs+gotIO.BitmapIOs {
+	if gotIO := gotSt.IO; ios != gotIO.FactIOs+gotIO.BitmapIOs {
 		t.Fatalf("disk stats account %d IOs, IOStats %d", ios, gotIO.FactIOs+gotIO.BitmapIOs)
 	}
 

@@ -1,6 +1,9 @@
 package mdhf
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestPublicAPIQuickstart exercises the documented quick-start path.
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -29,29 +32,27 @@ func TestPublicAPIEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ParseFragmentation(star, "time::month, product::group")
-	if err != nil {
-		t.Fatal(err)
-	}
 	icfg := make(IndexConfig, len(star.Dims))
 	for i := range icfg {
 		icfg[i] = IndexSpec{Kind: EncodedIndex}
 	}
-	eng, err := BuildEngine(tab, spec, icfg)
+	ctx := context.Background()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Indexes: icfg, Table: tab}, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	gen := NewQueryGenerator(star, 9)
 	for _, qt := range []QueryType{OneMonth, OneStore, OneCodeOneQuarter} {
 		q, err := gen.Next(qt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := eng.Execute(q, 4)
+		got, _, err := w.Query(q).Execute(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ScanAggregate(tab, q); got != want {
+		if want := ScanAggregate(tab, q); got.Aggregate != want {
 			t.Fatalf("%s: %+v != %+v", qt.Name, got, want)
 		}
 	}
@@ -59,16 +60,17 @@ func TestPublicAPIEngineRoundTrip(t *testing.T) {
 
 func TestPublicAPISimulation(t *testing.T) {
 	star := APB1()
-	spec, _ := ParseFragmentation(star, "time::month, product::group")
-	icfg := APB1Indexes(star)
-	cfg := DefaultSimConfig()
-	placement := Placement{Disks: cfg.Disks, Scheme: RoundRobin, Staggered: true}
-	sys, err := NewSimSystem(cfg, icfg, placement, 1)
+	ctx := context.Background()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group"}, WithSimConfig(DefaultSimConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	q, _ := ParseQuery(star, "time::month=3, product::group=5")
-	rs := sys.Run([]*SimPlan{NewSimPlan(spec, icfg, q, cfg)})
+	rs, err := w.Simulate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rs[0].ResponseTime <= 0 || rs[0].Subqueries != 1 {
 		t.Fatalf("result = %+v", rs[0])
 	}
