@@ -435,11 +435,11 @@ func (p *ClusterQuery) Explain(ctx context.Context) (Explain, error) {
 		return Explain{}, err
 	}
 	ex := Explain{Class: c.spec.Classify(p.q)}
-	ex.Cost = cost.Estimate(c.spec, c.icfg, p.q, c.opt.params)
 	dp := cost.DiskParams{
 		Placement:     c.opt.modelPlacement(), // each node's own declustering
 		NodePlacement: c.cl,
 		AccessTime:    c.opt.modelAccessTime(),
+		PackedBitmaps: c.opt.onDisk,
 	}
 	if plan := c.opt.faultPlan; plan != nil {
 		// Every node runs the same fault plan on its own disk set, so all
@@ -457,6 +457,8 @@ func (p *ClusterQuery) Explain(ctx context.Context) (Explain, error) {
 		}
 	}
 	ex.Response = cost.EstimateResponse(c.spec, c.icfg, p.q, c.opt.params, dp)
+	ex.Cost = ex.Response.Cost
+	ex.Note = cost.BitmapFragNote(c.spec, c.icfg, ex.Cost, dp.PackedBitmaps)
 	plan := simpad.NewPlan(c.spec, c.icfg, p.q, c.opt.simCfg)
 	if c.opt.cluster > 1 {
 		plan = plan.Clustered(c.opt.cluster)

@@ -178,6 +178,9 @@ func printEstimates(fragText string, queryTexts []string, groupBy string, worker
 		fmt.Printf("fact I/O:       %d pages in %d ops\n", e.Cost.FactPages, e.Cost.FactIOs)
 		fmt.Printf("bitmap I/O:     %d pages in %d ops\n", e.Cost.BitmapPages, e.Cost.BitmapIOs)
 		fmt.Printf("total:          %.1f MB\n", e.Cost.TotalMB())
+		if e.Note != "" {
+			fmt.Printf("note:           %s\n", e.Note)
+		}
 		if disks > 0 {
 			r := e.Response
 			fmt.Printf("on %d disks (%s, staggered): %.1f s response, %d disks used, bottleneck %.0f of %d I/Os, imbalance %.2f\n",

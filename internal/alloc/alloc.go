@@ -1,8 +1,8 @@
 // Package alloc implements the physical disk allocation of MDHF fragments
 // (Section 4.6): round-robin placement of fact fragments in allocation
-// order, the "staggered" placement of bitmap fragments onto consecutive
-// disks (Figure 2), gcd-clustering analysis, and the prime / gap
-// counter-measures the paper proposes.
+// order, the "staggered" placement of a fragment's bitmap allocation
+// units onto consecutive disks (Figure 2), gcd-clustering analysis, and
+// the prime / gap counter-measures the paper proposes.
 package alloc
 
 import (
@@ -41,10 +41,16 @@ type Placement struct {
 	Disks int
 	// Scheme is the fact fragment placement scheme.
 	Scheme Scheme
-	// Staggered controls bitmap fragment placement: if true, the k bitmap
-	// fragments belonging to fact fragment i are placed on the consecutive
-	// disks following i's disk (enabling parallel bitmap I/O within a
-	// subquery); if false, they are co-located with the fact fragment.
+	// Staggered controls the placement of the bitmap allocation units
+	// belonging to fact fragment i — the things one bitmap I/O reads: a
+	// bitmap fragment of a page or more is a unit of its own, smaller ones
+	// share a unit (frag.PackBitmapUnits). If true, the units are placed on
+	// the consecutive disks following i's disk, which spreads the reads of
+	// one subquery over distinct disks and keeps them off the disk its fact
+	// pages come from; when all of a fragment's bitmap fragments fit one
+	// unit there is nothing left to spread, and staggering only decides
+	// that this one unit sits on the next disk. If false, the units are
+	// co-located with the fact fragment.
 	Staggered bool
 	// Cluster groups this many consecutive fragments into one allocation
 	// granule sharing a disk (Section 6.3's clustering; 0/1 = none).
@@ -77,13 +83,15 @@ func (p Placement) FactDisk(id int64) int {
 	}
 }
 
-// BitmapDisk returns the disk of the bitmap-th bitmap fragment associated
-// with fact fragment id (Figure 2: disks j+1, j+2, ..., j+k modulo d).
-func (p Placement) BitmapDisk(id int64, bitmap int) int {
+// BitmapDisk returns the disk of the unit-th bitmap allocation unit
+// associated with fact fragment id (Figure 2: disks j+1, j+2, ..., j+k
+// modulo d). In the paper's regime — every bitmap fragment at least a
+// page — the unit index is the bitmap fragment's index.
+func (p Placement) BitmapDisk(id int64, unit int) int {
 	if !p.Staggered {
 		return p.FactDisk(id)
 	}
-	return (p.FactDisk(id) + 1 + bitmap) % p.Disks
+	return (p.FactDisk(id) + 1 + unit) % p.Disks
 }
 
 // DisksUsed returns the number of distinct disks holding the fact fragments

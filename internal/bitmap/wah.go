@@ -483,6 +483,45 @@ func AndAllInto(out *Compressed, ops ...*Compressed) *Compressed {
 	return out
 }
 
+// Selection is the reusable operand and result buffer set of one
+// conjunction of compressed bitmaps taken verbatim or complemented — a
+// star query's bitmap selection within a fragment. The zero value is
+// ready to use.
+type Selection struct {
+	pos, neg []*Compressed
+	res, tmp *Compressed
+}
+
+// Reset empties the operand lists, keeping their storage.
+func (s *Selection) Reset() { s.pos, s.neg = s.pos[:0], s.neg[:0] }
+
+// Add adds c, or its complement, to the conjunction.
+func (s *Selection) Add(c *Compressed, complement bool) {
+	if complement {
+		s.neg = append(s.neg, c)
+	} else {
+		s.pos = append(s.pos, c)
+	}
+}
+
+// Intersect ANDs the operands over rows bits: all verbatim ones with a
+// single k-way AndAll — or, when every operand is complemented (an
+// all-zero pattern), the all-ones bitmap — then the complemented ones
+// folded in with run-skipping AndNot. The result is valid until the next
+// Intersect on the same Selection.
+func (s *Selection) Intersect(rows int) *Compressed {
+	if len(s.pos) > 0 {
+		s.res = AndAllInto(s.res, s.pos...)
+	} else {
+		s.res = CompressedOnesInto(s.res, rows)
+	}
+	for _, n := range s.neg {
+		s.tmp = AndNotInto(s.tmp, s.res, n)
+		s.res, s.tmp = s.tmp, s.res
+	}
+	return s.res
+}
+
 // AndNot returns a AND NOT b over compressed operands of equal length.
 func AndNot(a, b *Compressed) *Compressed {
 	return AndNotInto(nil, a, b)

@@ -10,6 +10,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/frag"
@@ -91,8 +92,79 @@ func BitmapFragPagesStored(spec *frag.Spec) int64 {
 }
 
 // Estimate computes the I/O cost of query q under fragmentation spec with
-// index configuration cfg.
+// index configuration cfg, for the paper's layout: every bitmap fragment
+// a subquery reads is an allocation unit of its own.
 func Estimate(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Params) QueryCost {
+	return estimate(spec, cfg, q, p, spec.BitmapsReadForQuery(cfg, q))
+}
+
+// nominalBitmapBytes is the size of one uncompressed bitmap fragment: one
+// bit per row of an average fragment.
+func nominalBitmapBytes(spec *frag.Spec) int { return int(math.Ceil(spec.FragmentRows() / 8)) }
+
+// BitmapUnits returns the allocation units one subquery of q reads from a
+// store that packs each fact fragment's bitmap fragments by
+// frag.PackBitmapUnits — storage.BitmapFile's layout — as the unit index
+// of every distinct unit the query's bitmap plan touches. The packing
+// runs on the nominal fragment size, ceil(FragmentRows/8) bytes, so at a
+// page or more per bitmap fragment (the paper's regime) the units are the
+// stored indices of the bitmaps read, one each; below a page several
+// bitmap fragments share a unit and the list is shorter than the plan. A
+// query that cannot be planned (callers validate first) reads none.
+func BitmapUnits(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query) []int {
+	ix, err := frag.NewDeltaIndex(spec, cfg)
+	if err != nil {
+		return nil
+	}
+	plan, err := ix.Plan(nil, q)
+	if err != nil {
+		return nil
+	}
+	sizes := make([]int, ix.NumBitmaps())
+	for i := range sizes {
+		sizes[i] = nominalBitmapBytes(spec)
+	}
+	slots := frag.PackBitmapUnits(nil, sizes, spec.Star().PageSize)
+	var units []int
+	for _, op := range plan {
+		if u := int(slots[op.Index].Unit); len(units) == 0 || units[len(units)-1] != u {
+			units = append(units, u)
+		}
+	}
+	return units
+}
+
+// BitmapFragNote is Explain's plain-words note on a fragmentation that
+// breaks threshold (i) of Section 4.7 — bitmap fragments smaller than the
+// page they are read in — given the query's cost under the layout packed
+// names. It is empty at a page or more per bitmap fragment.
+func BitmapFragNote(spec *frag.Spec, cfg frag.IndexConfig, c QueryCost, packed bool) string {
+	bf := spec.BitmapFragmentPages()
+	if bf >= 1 {
+		return ""
+	}
+	var units int64
+	if c.Fragments > 0 {
+		units = c.BitmapIOs / c.Fragments
+	}
+	layout := "each is padded to a page of its own"
+	if packed {
+		share := spec.Star().PageSize / nominalBitmapBytes(spec)
+		if n := spec.SurvivingBitmaps(cfg); share > n {
+			share = n
+		}
+		layout = fmt.Sprintf("%d of them share one allocation unit", share)
+	}
+	return fmt.Sprintf("bitmap fragments are %.2f pages, under the one-page minimum of threshold (i) (Section 4.7): %s, "+
+		"so a subquery reads %d unit(s) for its %d bitmap fragment(s); "+
+		"Advise with Thresholds.MinBitmapFragPages: 1 would have rejected this fragmentation",
+		bf, layout, units, c.BitmapsPerFragment)
+}
+
+// estimate is Estimate with the number of bitmap allocation units one
+// subquery reads given: the number of bitmap fragments under the paper's
+// layout, BitmapUnits under the packed one.
+func estimate(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Params, unitsPerFragment int) QueryCost {
 	star := spec.Star()
 	out := QueryCost{
 		Class:              spec.IOClassOf(q),
@@ -132,12 +204,12 @@ func Estimate(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Params) Que
 		out.FactPages = int64(math.Round(float64(out.Fragments) * pages))
 		out.FactIOs = int64(math.Ceil(float64(out.Fragments) * touched))
 
-		// Bitmap I/O: each required bitmap fragment is read in full. A
-		// fragment of ceil(BF) pages costs ceil(ceil(BF)/prefetch) I/Os.
+		// Bitmap I/O: each required allocation unit is read in full. A
+		// unit of ceil(BF) pages costs ceil(ceil(BF)/prefetch) I/Os.
 		bfPages := BitmapFragPagesStored(spec)
 		bIOs := (bfPages + int64(p.BitmapPrefetch) - 1) / int64(p.BitmapPrefetch)
-		out.BitmapPages = out.Fragments * int64(out.BitmapsPerFragment) * bfPages
-		out.BitmapIOs = out.Fragments * int64(out.BitmapsPerFragment) * bIOs
+		out.BitmapPages = out.Fragments * int64(unitsPerFragment) * bfPages
+		out.BitmapIOs = out.Fragments * int64(unitsPerFragment) * bIOs
 	}
 
 	out.TotalBytes = (out.FactPages + out.BitmapPages) * int64(star.PageSize)

@@ -37,6 +37,14 @@ type DiskParams struct {
 	// node's own bottleneck disk), never a fictitious global pool that
 	// disks of different nodes could share. Zero means a single node.
 	NodePlacement alloc.Placement
+	// PackedBitmaps says the modelled store packs sub-page bitmap fragments
+	// into shared allocation units (storage.BitmapFile's layout): bitmap
+	// I/Os are then counted and routed per unit a subquery reads
+	// (BitmapUnits). It is a fact about a built store, which Warehouse and
+	// Cluster fill in; the zero value is the paper's layout — every bitmap
+	// fragment its own unit, the k-th one a subquery reads on the k-th
+	// staggered disk — which SIMPAD and the paper's tables model.
+	PackedBitmaps bool
 	// Degraded maps disk index → expected-attempts multiplier for a disk
 	// serving reads through retries (see RetryFactor): its routed I/Os are
 	// inflated by the factor, so a flaky disk deepens its queue and can
@@ -96,11 +104,21 @@ type ResponseEstimate struct {
 // EstimateResponse models the response time of query q under the
 // fragmentation, index configuration and disk placement: every relevant
 // fragment contributes its (uniform) share of fact I/Os to its disk and
-// its bitmap reads to the staggered (or co-located) bitmap disks, and the
-// response is the bottleneck disk's serialized service time, bounded
-// below by the worker-limited critical path.
+// the reads of its bitmap allocation units to the staggered (or
+// co-located) bitmap disks, and the response is the bottleneck disk's
+// serialized service time, bounded below by the worker-limited critical
+// path.
 func EstimateResponse(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Params, dp DiskParams) ResponseEstimate {
-	c := Estimate(spec, cfg, q, p)
+	var units []int // the allocation units one subquery reads
+	if dp.PackedBitmaps {
+		units = BitmapUnits(spec, cfg, q)
+	} else {
+		units = make([]int, spec.BitmapsReadForQuery(cfg, q))
+		for k := range units {
+			units[k] = k
+		}
+	}
+	c := estimate(spec, cfg, q, p, len(units))
 	pl := dp.Placement
 	if pl.Disks < 1 {
 		pl.Disks = 1
@@ -128,9 +146,9 @@ func EstimateResponse(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Par
 	// node: queue indices are node-major, so disks of different nodes
 	// never share a queue.
 	factPerFrag := float64(c.FactIOs) / float64(c.Fragments)
-	bmIOsPerBitmap := 0.0
-	if c.BitmapsPerFragment > 0 {
-		bmIOsPerBitmap = float64(c.BitmapIOs) / float64(c.Fragments) / float64(c.BitmapsPerFragment)
+	bmIOsPerUnit := 0.0
+	if len(units) > 0 {
+		bmIOsPerUnit = float64(c.BitmapIOs) / float64(c.Fragments) / float64(len(units))
 	}
 	spec.ForEachFragment(q, func(id int64, _ []int) bool {
 		base := 0
@@ -138,8 +156,8 @@ func EstimateResponse(spec *frag.Spec, cfg frag.IndexConfig, q frag.Query, p Par
 			base = np.FactDisk(id) * d
 		}
 		out.DiskIOs[base+pl.FactDisk(id)] += factPerFrag
-		for k := 0; k < c.BitmapsPerFragment; k++ {
-			out.DiskIOs[base+pl.BitmapDisk(id, k)] += bmIOsPerBitmap
+		for _, u := range units {
+			out.DiskIOs[base+pl.BitmapDisk(id, u)] += bmIOsPerUnit
 		}
 		return true
 	})

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -268,5 +269,52 @@ func TestEstimateResponseTwoTierWorkerBound(t *testing.T) {
 	}
 	if r.EffectiveIOs >= total {
 		t.Errorf("per-node worker bound %.3f reached the pooled cluster total %.3f", r.EffectiveIOs, total)
+	}
+}
+
+// TestPackedBitmapUnits: the packed-layout model counts and routes bitmap
+// I/O per allocation unit. At a page or more per bitmap fragment (the
+// paper's regime) the units are the stored indices of the bitmaps a
+// subquery reads — the counts of the zero-value layout, the paper's,
+// unchanged; below a page the bitmap fragments of a subquery share units,
+// so it issues fewer I/Os than it reads bitmaps, all on the disks of
+// those few units.
+func TestPackedBitmapUnits(t *testing.T) {
+	s, paper, icfg, _, qStore := diskModelFixture(t)
+	p := DefaultParams()
+	pl := alloc.Placement{Disks: 7, Scheme: alloc.RoundRobin, Staggered: true}
+
+	// month x group: 4.7-page bitmap fragments. 1STORE reads the 12
+	// customer bits, stored behind the 5 surviving product bits.
+	units := BitmapUnits(paper, icfg, qStore)
+	if len(units) != 12 || units[0] != 5 || units[11] != 16 {
+		t.Fatalf("paper regime: units %v, want the stored indices 5..16", units)
+	}
+	packed := EstimateResponse(paper, icfg, qStore, p, DiskParams{Placement: pl, PackedBitmaps: true})
+	if want := Estimate(paper, icfg, qStore, p); packed.Cost != want {
+		t.Errorf("paper regime: packed cost %+v, want Estimate's %+v", packed.Cost, want)
+	}
+
+	// month x code: 0.16-page bitmap fragments, 6 to a page. The 12
+	// customer bits are the only survivors (code is the product leaf), so
+	// they fill units 0 and 1.
+	sub := frag.MustParse(s, "time::month, product::code")
+	if units := BitmapUnits(sub, icfg, qStore); len(units) != 2 || units[0] != 0 || units[1] != 1 {
+		t.Fatalf("sub-page regime: units %v, want [0 1]", units)
+	}
+	padded := EstimateResponse(sub, icfg, qStore, p, DiskParams{Placement: pl})
+	packed = EstimateResponse(sub, icfg, qStore, p, DiskParams{Placement: pl, PackedBitmaps: true})
+	if padded.Cost != Estimate(sub, icfg, qStore, p) || padded.Cost.BitmapIOs != 12*padded.Cost.Fragments {
+		t.Errorf("zero-value layout: cost %+v is not the paper's 12 bitmap I/Os per fragment", padded.Cost)
+	}
+	if c := packed.Cost; c.BitmapIOs != 2*c.Fragments || c.BitmapPages != 2*c.Fragments || c.FactIOs != padded.Cost.FactIOs {
+		t.Errorf("packed layout: cost %+v, want 2 one-page bitmap I/Os per fragment and the same fact I/O", c)
+	}
+	var sum float64
+	for _, l := range packed.DiskIOs {
+		sum += l
+	}
+	if math.Round(sum) != float64(packed.Cost.TotalIOs()) {
+		t.Errorf("packed layout routes %.0f I/Os, cost has %d", sum, packed.Cost.TotalIOs())
 	}
 }

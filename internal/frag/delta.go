@@ -13,7 +13,9 @@ package frag
 // of page reads.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitmap"
@@ -73,9 +75,64 @@ func Survivors(spec *Spec, icfg IndexConfig) ([]BitmapRef, []*bitmap.Layout, []i
 	return descs, layouts, skip
 }
 
-// DeltaIndex holds the per-warehouse state shared by every delta
-// segment: the surviving-bitmap enumeration and the encoding layouts.
-// It is immutable after construction and safe for concurrent use.
+// BitmapSlot locates one bitmap fragment inside the block of allocation
+// units that holds all bitmap fragments of one fact fragment.
+type BitmapSlot struct {
+	// Unit is the index of the allocation unit within the block — the
+	// thing one bitmap I/O reads and alloc.Placement.BitmapDisk places.
+	Unit int32
+	// Page is the unit's first page relative to the block, Pages its size.
+	Page, Pages int32
+	// Off and Len locate the payload within the unit, in bytes.
+	Off, Len int32
+}
+
+// PackBitmapUnits lays the bitmap fragments of one fact fragment, given
+// their payload sizes in bytes in Survivors order, into allocation units
+// and appends one slot per payload to dst. The page is the allocation
+// unit (Section 4.2): a payload of a page or more starts on a page
+// boundary and is a unit of its own whole pages — the regime threshold
+// (i) of Section 4.7 keeps a fragmentation in, where every bitmap
+// fragment is its own unit. Sub-page payloads are laid one after another
+// into shared one-page units and never straddle a page boundary, so a
+// page is never fetched for its padding alone. Units are contiguous:
+// each starts where the previous one ends.
+func PackBitmapUnits(dst []BitmapSlot, sizes []int, pageSize int) []BitmapSlot {
+	unit, page := int32(-1), int32(0)
+	fill := -1 // bytes used in the open shared unit; -1 when none is open
+	for _, n := range sizes {
+		if n >= pageSize {
+			unit++
+			pages := int32((n + pageSize - 1) / pageSize)
+			dst = append(dst, BitmapSlot{Unit: unit, Page: page, Pages: pages, Len: int32(n)})
+			page += pages
+			fill = -1 // a shared unit never continues behind an owned one
+			continue
+		}
+		if fill < 0 || fill+n > pageSize {
+			unit++
+			page++
+			fill = 0
+		}
+		dst = append(dst, BitmapSlot{Unit: unit, Page: page - 1, Pages: 1, Off: int32(fill), Len: int32(n)})
+		fill += n
+	}
+	return dst
+}
+
+// BitmapOp is one operand of a query's bitmap selection within a
+// fragment: the stored bitmap (its index in Survivors order), taken
+// verbatim or complemented.
+type BitmapOp struct {
+	Index      int32
+	Complement bool
+}
+
+// DeltaIndex is the surviving-bitmap index of a fragmentation: the
+// Survivors enumeration, the encoding layouts and the position of every
+// bitmap in the enumeration. Every delta segment and the on-disk bitmap
+// file share it, so both evaluate a query by the one Plan. It is
+// immutable after construction and safe for concurrent use.
 type DeltaIndex struct {
 	star    *schema.Star
 	spec    *Spec
@@ -110,6 +167,59 @@ func NewDeltaIndex(spec *Spec, icfg IndexConfig) (*DeltaIndex, error) {
 
 // NumBitmaps returns the number of surviving bitmaps per fragment.
 func (ix *DeltaIndex) NumBitmaps() int { return len(ix.descs) }
+
+// Descs returns the surviving-bitmap enumeration (read-only).
+func (ix *DeltaIndex) Descs() []BitmapRef { return ix.descs }
+
+// Layout returns the encoding layout of dimension d (nil when the
+// dimension carries simple indexes).
+func (ix *DeltaIndex) Layout(d int) *bitmap.Layout { return ix.layouts[d] }
+
+// Pos returns a bitmap's position in the enumeration.
+func (ix *DeltaIndex) Pos(ref BitmapRef) (int, bool) {
+	i, ok := ix.pos[ref]
+	return i, ok
+}
+
+// Plan appends the query's bitmap plan to dst: one operand per stored
+// bitmap its predicates read within a fragment (Section 4.3, step 2),
+// ordered by stored index. A simple index contributes the member's one
+// bitmap; an encoded index the bit-position bitmaps between the
+// fragmentation level (exclusive) and the predicate level (inclusive),
+// each verbatim or complemented per the member's bit pattern. The plan
+// depends on the query alone, never on the fragment; it is empty when no
+// predicate needs bitmap access (IOC1: every row of a relevant fragment
+// matches by confinement).
+func (ix *DeltaIndex) Plan(dst []BitmapOp, q Query) ([]BitmapOp, error) {
+	base := len(dst)
+	for _, p := range q.Preds {
+		if !ix.spec.NeedsBitmap(p) {
+			continue
+		}
+		if ix.icfg[p.Dim].Kind == SimpleIndexes {
+			di, ok := ix.pos[BitmapRef{Dim: p.Dim, Level: p.Level, Member: p.Member, Simple: true}]
+			if !ok {
+				return dst, fmt.Errorf("frag: bitmap %d.%d=%d not stored", p.Dim, p.Level, p.Member)
+			}
+			dst = append(dst, BitmapOp{Index: int32(di)})
+			continue
+		}
+		layout := ix.layouts[p.Dim]
+		skip := ix.skip[p.Dim]
+		hi := layout.PrefixBits(p.Level)
+		if hi <= skip {
+			dim := &ix.star.Dims[p.Dim]
+			return dst, fmt.Errorf("frag: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[p.Level].Name)
+		}
+		pattern := layout.EncodePrefix(p.Level, p.Member)
+		first := ix.pos[BitmapRef{Dim: p.Dim, Bit: skip}] // an encoded dimension's bits are consecutive
+		for b := skip; b < hi; b++ {
+			dst = append(dst, BitmapOp{Index: int32(first + b - skip), Complement: pattern>>uint(hi-1-b)&1 == 0})
+		}
+	}
+	slices.SortFunc(dst[base:], func(a, b BitmapOp) int { return cmp.Compare(a.Index, b.Index) })
+	return dst, nil
+}
 
 // bitOf computes one row's bit in the desc's bitmap from its leaf member.
 func (ix *DeltaIndex) bitOf(desc BitmapRef, leaf int32) bool {
@@ -430,72 +540,29 @@ func (s *DeltaSet) ForEachSegment(fn func(seg *DeltaSegment)) {
 // DeltaScratch is the reusable buffer set of delta predicate selection,
 // one per worker (see the executor scratch it mirrors).
 type DeltaScratch struct {
-	pos, neg   []*bitmap.Compressed
-	cres, ctmp *bitmap.Compressed
+	plan []BitmapOp
+	sel  bitmap.Selection
 }
 
 // NewDeltaScratch returns an empty scratch.
-func NewDeltaScratch() *DeltaScratch {
-	return &DeltaScratch{cres: &bitmap.Compressed{}, ctmp: &bitmap.Compressed{}}
-}
+func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
 
-// Select evaluates the query's bitmap predicates within one delta
-// segment: the segment's compressed bitmaps are split into verbatim and
-// complemented operands exactly like the executor's compressed fast
-// path, intersected with one run-skipping AndAll, and complements
-// folded in via AndNot. It returns the compressed hit bitmap — valid
-// until the next Select on the same scratch — or all=true when no
-// predicate needs bitmap access (IOC1: every row matches by fragment
-// confinement).
+// Select evaluates the query's bitmap plan within one delta segment: the
+// segment's compressed bitmaps are taken verbatim or complemented and
+// intersected exactly like the executor's compressed fast path. It
+// returns the compressed hit bitmap — valid until the next Select on the
+// same scratch — or all=true when the plan is empty (IOC1: every row
+// matches by fragment confinement).
 func (ix *DeltaIndex) Select(seg *DeltaSegment, q Query, sc *DeltaScratch) (res *bitmap.Compressed, all bool, err error) {
-	pos, neg := sc.pos[:0], sc.neg[:0]
-	defer func() { sc.pos, sc.neg = pos, neg }()
-	anyBitmap := false
-	for _, p := range q.Preds {
-		if !ix.spec.NeedsBitmap(p) {
-			continue
-		}
-		anyBitmap = true
-		if ix.icfg[p.Dim].Kind == SimpleIndexes {
-			di, ok := ix.pos[BitmapRef{Dim: p.Dim, Level: p.Level, Member: p.Member, Simple: true}]
-			if !ok {
-				return nil, false, fmt.Errorf("frag: delta bitmap %d.%d=%d not stored", p.Dim, p.Level, p.Member)
-			}
-			pos = append(pos, seg.bms[di])
-			continue
-		}
-		layout := ix.layouts[p.Dim]
-		skip := ix.skip[p.Dim]
-		hi := layout.PrefixBits(p.Level)
-		if hi <= skip {
-			dim := &ix.star.Dims[p.Dim]
-			return nil, false, fmt.Errorf("frag: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[p.Level].Name)
-		}
-		pattern := layout.EncodePrefix(p.Level, p.Member)
-		for b := skip; b < hi; b++ {
-			di, ok := ix.pos[BitmapRef{Dim: p.Dim, Bit: b}]
-			if !ok {
-				return nil, false, fmt.Errorf("frag: delta bitmap bit %d of dim %d not stored", b, p.Dim)
-			}
-			if pattern>>uint(hi-1-b)&1 == 1 {
-				pos = append(pos, seg.bms[di])
-			} else {
-				neg = append(neg, seg.bms[di])
-			}
-		}
+	if sc.plan, err = ix.Plan(sc.plan[:0], q); err != nil {
+		return nil, false, err
 	}
-	if !anyBitmap {
+	if len(sc.plan) == 0 {
 		return nil, true, nil
 	}
-	if len(pos) > 0 {
-		res = bitmap.AndAllInto(sc.cres, pos...)
-	} else {
-		res = bitmap.CompressedOnesInto(sc.cres, seg.rows)
+	sc.sel.Reset()
+	for _, op := range sc.plan {
+		sc.sel.Add(seg.bms[op.Index], op.Complement)
 	}
-	sc.cres = res
-	for _, n := range neg {
-		res = bitmap.AndNotInto(sc.ctmp, res, n)
-		sc.cres, sc.ctmp = res, sc.cres
-	}
-	return res, false, nil
+	return sc.sel.Intersect(seg.rows), false, nil
 }

@@ -24,7 +24,7 @@ type BackendConfig struct {
 	// through (required).
 	Sched *exec.Scheduler
 	// Pool, when non-nil, routes the store's granule reads and the bitmap
-	// file's payload reads through a shared buffer pool, keyed under
+	// file's unit reads through a shared buffer pool, keyed under
 	// PoolEpoch — the backend's serving epoch, so a compaction's epoch
 	// swap invalidates the old backend's entries for free.
 	Pool      *BufPool

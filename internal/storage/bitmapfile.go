@@ -24,54 +24,73 @@ type BitmapDesc = frag.BitmapRef
 
 // BitmapFile stores the surviving bitmap fragments of a fragmented fact
 // table, partitioned congruently with the fact fragments: all bitmap
-// fragments of fragment i are stored together, each padded to whole pages
-// (the paper's allocation unit). With Compress enabled, fragments are
-// WAH-compressed before page padding (the space reduction the paper
-// mentions in Section 3.2), which typically shrinks each fragment to its
-// one-page minimum.
+// fragments of fact fragment i are stored together, in enumeration
+// order, as one block of allocation units (frag.PackBitmapUnits). A
+// bitmap fragment of a page or more is a unit of its own whole pages —
+// the paper's regime, which threshold (i) of Section 4.7 exists to keep a
+// fragmentation in. Smaller fragments share one-page units, so a fact
+// fragment whose bitmap fragments are all tiny costs one bitmap I/O per
+// subquery instead of one per bitmap, most of it padding. The unit is
+// what one I/O reads, what the buffer pool caches and what the placement
+// assigns a disk to. With Compress enabled the payloads are WAH words
+// (the space reduction the paper mentions in Section 3.2), which shrinks
+// multi-page fragments towards a single unit.
 type BitmapFile struct {
-	star     *schema.Star
-	spec     *frag.Spec
-	icfg     frag.IndexConfig
+	star *schema.Star
+	spec *frag.Spec
+	// ix is the surviving-bitmap enumeration and the query -> bitmap plan
+	// shared with the delta segments.
+	ix       *frag.DeltaIndex
 	pageSize int
 	file     *os.File
-	descs    []BitmapDesc
-	// loc[fragID] is the first page of the fragment's bitmap block.
-	loc    map[int64]int64
-	rowsOf map[int64]int32
-	// fragPages[fragID][i] is the page count of the i-th bitmap fragment
-	// (all equal when uncompressed).
-	fragPages  map[int64][]int32
+	// blocks is the directory: where each fact fragment's block starts and,
+	// per stored bitmap, its (unit, byte offset, length) within the block.
+	blocks     map[int64]bitmapBlock
 	compressed bool
-	layouts    []*bitmap.Layout
-	skipBits   []int // per dim: number of eliminated leading bits (encoded)
 	// ioDelay is an optional simulated disk access time (ns) added to
 	// every physical read on the single implicit disk (see SetIODelay).
 	// Atomic: read by N fragment workers while SetIODelay may store.
 	ioDelay atomic.Int64
-	// disks and placement decluster bitmap reads across per-disk
-	// serialized queues when non-nil (see Decluster in disk.go).
+	// disks and placement decluster unit reads across per-disk serialized
+	// queues when non-nil (see Decluster in disk.go).
 	disks     *DiskSet
 	placement alloc.Placement
-	// pool, when non-nil, caches bitmap payload reads under poolEpoch
-	// (see AttachPool on Store; the pool is shared with the fact store).
+	// pool, when non-nil, caches unit reads under poolEpoch (see AttachPool
+	// on Store; the pool is shared with the fact store).
 	pool      *BufPool
 	poolEpoch int64
 	// sums holds one CRC32C per bitmap-file page, indexed by absolute page
-	// number — computed at build and verified on every physical read. The
+	// number — computed at build and verified on every physical read, so a
+	// corrupt shared page fails every bitmap fragment stored in it. The
 	// bitmap file is always rebuilt alongside its store, so the table lives
 	// in memory only.
 	sums []uint32
 }
 
-// AttachPool routes this file's payload reads through a shared buffer
-// pool, keying its entries under the given serving epoch. Must be called
+// bitmapBlock is one fact fragment's directory entry.
+type bitmapBlock struct {
+	page  int64 // first page of the block in the file
+	rows  int32
+	slots []frag.BitmapSlot // per stored bitmap, in enumeration order
+}
+
+// pages returns the block's size: its units are contiguous.
+func (b bitmapBlock) pages() int64 {
+	if len(b.slots) == 0 {
+		return 0
+	}
+	last := b.slots[len(b.slots)-1]
+	return int64(last.Page + last.Pages)
+}
+
+// AttachPool routes this file's unit reads through a shared buffer pool,
+// keying its entries under the given serving epoch. Must be called
 // before queries run; a nil pool detaches.
 func (bf *BitmapFile) AttachPool(p *BufPool, epoch int64) {
 	bf.pool, bf.poolEpoch = p, epoch
 }
 
-// SetIODelay adds a simulated disk access time to every bitmap fragment
+// SetIODelay adds a simulated disk access time to every bitmap unit
 // read — the counterpart of Store.SetIODelay for the bitmap file. Zero
 // (the default) disables it. Safe to call concurrently with running
 // queries. On a declustered file the delay is applied to every disk of
@@ -84,13 +103,6 @@ func (bf *BitmapFile) SetIODelay(d time.Duration) {
 	bf.ioDelay.Store(int64(d))
 }
 
-// survivors enumerates the surviving bitmaps of a fragmentation under an
-// index configuration, in a deterministic order — the shared
-// frag.Survivors enumeration.
-func survivors(_ *schema.Star, spec *frag.Spec, icfg frag.IndexConfig) ([]BitmapDesc, []*bitmap.Layout, []int) {
-	return frag.Survivors(spec, icfg)
-}
-
 // BuildBitmaps constructs and persists the surviving bitmap fragments for
 // an already-built fact store, uncompressed.
 func BuildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile, error) {
@@ -98,44 +110,46 @@ func BuildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile,
 }
 
 // BuildCompressedBitmaps is BuildBitmaps with WAH compression applied to
-// every bitmap fragment before page padding.
+// every bitmap fragment before it is laid into its unit.
 func BuildCompressedBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile, error) {
 	return buildBitmaps(dirPath, s, icfg, true)
 }
 
-func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool) (*BitmapFile, error) {
+// buildBitmaps writes the file block by block. On any error the
+// half-written file is closed and removed, so a failed build (a failed
+// compaction) leaves nothing behind in the directory.
+func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool) (_ *BitmapFile, err error) {
 	star := s.star
-	if len(icfg) != len(star.Dims) {
-		return nil, fmt.Errorf("storage: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
-	}
-	descs, layouts, skip := survivors(star, s.spec, icfg)
-	bf := &BitmapFile{
-		star:       star,
-		spec:       s.spec,
-		icfg:       icfg,
-		pageSize:   s.pageSize,
-		descs:      descs,
-		loc:        make(map[int64]int64, len(s.order)),
-		rowsOf:     make(map[int64]int32, len(s.order)),
-		fragPages:  make(map[int64][]int32, len(s.order)),
-		compressed: compress,
-		layouts:    layouts,
-		skipBits:   skip,
-	}
-	f, err := os.Create(filepath.Join(dirPath, bitmapFileName))
+	ix, err := frag.NewDeltaIndex(s.spec, icfg)
 	if err != nil {
 		return nil, err
 	}
-	bf.file = f
-
-	var pageOff int64
+	path := filepath.Join(dirPath, bitmapFileName)
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(path)
+		}
+	}()
+	bf := &BitmapFile{
+		star:       star,
+		spec:       s.spec,
+		ix:         ix,
+		pageSize:   s.pageSize,
+		file:       f,
+		blocks:     make(map[int64]bitmapBlock, len(s.order)),
+		compressed: compress,
+	}
+	descs := ix.Descs()
 	keysPerDim := make([][]int32, len(star.Dims))
+	payloads := make([][]byte, len(descs))
+	var block []byte
 	for _, id := range s.order {
-		locFact := s.dir[id]
-		rows := int(locFact.Rows)
-		bf.loc[id] = pageOff
-		bf.rowsOf[id] = locFact.Rows
-		pagesOf := make([]int32, 0, len(descs))
+		rows := s.dir[id].Rows
 		// Materialise the fragment's dimension keys.
 		for d := range keysPerDim {
 			keysPerDim[d] = keysPerDim[d][:0]
@@ -146,38 +160,54 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 			}
 		})
 		if err != nil {
-			f.Close()
 			return nil, err
 		}
-		// Build and write each surviving bitmap fragment, page-padded.
-		for _, desc := range descs {
-			bs := buildBitmapFragment(star, layouts, desc, keysPerDim[desc.Dim])
-			var payload []byte
+		for i, desc := range descs {
+			bs := buildBitmapFragment(star, ix.Layout(desc.Dim), desc, keysPerDim[desc.Dim])
 			if compress {
-				payload = encodeCompressed(bitmap.Compress(bs))
+				payloads[i] = encodeCompressed(bitmap.Compress(bs))
 			} else {
-				payload = make([]byte, (rows+7)/8)
-				packBits(bs, payload)
+				payloads[i] = make([]byte, (rows+7)/8)
+				packBits(bs, payloads[i])
 			}
-			pages := (len(payload) + bf.pageSize - 1) / bf.pageSize
-			if pages < 1 {
-				pages = 1
-			}
-			buf := make([]byte, pages*bf.pageSize)
-			copy(buf, payload)
-			for p := 0; p < pages; p++ {
-				bf.sums = append(bf.sums, pageCRC(buf[p*bf.pageSize:(p+1)*bf.pageSize]))
-			}
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("storage: writing bitmap pages of fragment %d: %w", id, err)
-			}
-			pagesOf = append(pagesOf, int32(pages))
-			pageOff += int64(pages)
 		}
-		bf.fragPages[id] = pagesOf
+		if block, err = bf.writeBlock(id, rows, payloads, block); err != nil {
+			return nil, err
+		}
 	}
 	return bf, nil
+}
+
+// writeBlock packs one fact fragment's payloads into allocation units,
+// appends the block to the file and enters it into the directory and the
+// checksum table. block is the reusable page buffer, returned grown.
+func (bf *BitmapFile) writeBlock(id int64, rows int32, payloads [][]byte, block []byte) ([]byte, error) {
+	sizes := make([]int, len(payloads))
+	for i, p := range payloads {
+		sizes[i] = len(p)
+	}
+	blk := bitmapBlock{
+		page:  int64(len(bf.sums)),
+		rows:  rows,
+		slots: frag.PackBitmapUnits(make([]frag.BitmapSlot, 0, len(payloads)), sizes, bf.pageSize),
+	}
+	n := int(blk.pages()) * bf.pageSize
+	if cap(block) < n {
+		block = make([]byte, n)
+	}
+	block = block[:n]
+	clear(block)
+	for i, sl := range blk.slots {
+		copy(block[int(sl.Page)*bf.pageSize+int(sl.Off):], payloads[i])
+	}
+	for off := 0; off < n; off += bf.pageSize {
+		bf.sums = append(bf.sums, pageCRC(block[off:off+bf.pageSize]))
+	}
+	if _, err := bf.file.Write(block); err != nil {
+		return block, fmt.Errorf("storage: writing bitmap block of fragment %d: %w", id, err)
+	}
+	bf.blocks[id] = blk
+	return block, nil
 }
 
 // encodeCompressed serialises a WAH bitmap: uint32 bit length, uint32 word
@@ -218,8 +248,9 @@ func getU64(b []byte) uint64 {
 	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
-// buildBitmapFragment computes one bitmap over the fragment's rows.
-func buildBitmapFragment(star *schema.Star, layouts []*bitmap.Layout, desc BitmapDesc, keys []int32) *bitmap.Bitset {
+// buildBitmapFragment computes one bitmap over the fragment's rows; l is
+// the dimension's encoding layout (nil for a simple index).
+func buildBitmapFragment(star *schema.Star, l *bitmap.Layout, desc BitmapDesc, keys []int32) *bitmap.Bitset {
 	dim := &star.Dims[desc.Dim]
 	bs := bitmap.New(len(keys))
 	if desc.Simple {
@@ -230,7 +261,6 @@ func buildBitmapFragment(star *schema.Star, layouts []*bitmap.Layout, desc Bitma
 		}
 		return bs
 	}
-	l := layouts[desc.Dim]
 	shift := uint(l.TotalBits() - 1 - desc.Bit)
 	for i, k := range keys {
 		if l.Encode(int(k))>>shift&1 == 1 {
@@ -260,97 +290,78 @@ func unpackBitsInto(bs *bitmap.Bitset, buf []byte, n int) {
 }
 
 // NumBitmaps returns the number of surviving bitmaps stored per fragment.
-func (bf *BitmapFile) NumBitmaps() int { return len(bf.descs) }
+func (bf *BitmapFile) NumBitmaps() int { return bf.ix.NumBitmaps() }
 
 // Descs returns the stored bitmap enumeration.
-func (bf *BitmapFile) Descs() []BitmapDesc { return bf.descs }
-
-// descIndex locates a descriptor's position in the enumeration.
-func (bf *BitmapFile) descIndex(want BitmapDesc) int {
-	for i, d := range bf.descs {
-		if d == want {
-			return i
-		}
-	}
-	return -1
-}
+func (bf *BitmapFile) Descs() []BitmapDesc { return bf.ix.Descs() }
 
 // Compressed reports whether the file stores WAH-compressed fragments.
 func (bf *BitmapFile) Compressed() bool { return bf.compressed }
 
-// TotalPages returns the total stored bitmap pages — the quantity WAH
-// compression reduces.
+// TotalPages returns the file's size in pages — the sum of the blocks of
+// the directory, which WAH compression and unit sharing both reduce.
 func (bf *BitmapFile) TotalPages() int64 {
 	var t int64
-	for _, pagesOf := range bf.fragPages {
-		for _, p := range pagesOf {
-			t += int64(p)
-		}
+	for _, blk := range bf.blocks {
+		t += blk.pages()
 	}
 	return t
 }
 
-// readPayload reads the raw page-padded payload of bitmap di of the
-// fragment, consulting the buffer pool first when one is attached. data
-// is the payload to decode from; scratch is the caller's reusable buffer
-// (grown when the unpooled read needed more room — store it back). When
-// ent is non-nil the data is pool-resident and pinned: the caller must
-// ent.Unpin() after decoding (the decode copies, so the pin is short).
-// Pool hit/miss accounting folds into st when non-nil.
-func (bf *BitmapFile) readPayload(ctx context.Context, buf []byte, fragID int64, di int, st *IOStats) (data, scratch []byte, pages int, ent *PoolEntry, err error) {
-	base, ok := bf.loc[fragID]
-	if !ok {
-		return nil, buf, 0, nil, fmt.Errorf("storage: fragment %d has no bitmaps", fragID)
-	}
-	pagesOf := bf.fragPages[fragID]
-	off := base
-	for i := 0; i < di; i++ {
-		off += int64(pagesOf[i])
-	}
-	pages = int(pagesOf[di])
+// readUnit reads the allocation unit holding slot sl of the fragment's
+// block, which starts at blockPage — one bitmap I/O, however many bitmap fragments share the unit —
+// consulting the buffer pool first when one is attached. data is the
+// unit's pages; scratch is the caller's reusable buffer (grown when the
+// unpooled read needed more room — store it back). When ent is non-nil
+// the data is pool-resident and pinned: the caller must ent.Unpin() after
+// decoding (the decode copies, so the pin is short). Pool hit/miss
+// accounting folds into st when non-nil.
+func (bf *BitmapFile) readUnit(ctx context.Context, buf []byte, fragID, blockPage int64, sl frag.BitmapSlot, st *IOStats) (data, scratch []byte, ent *PoolEntry, err error) {
+	pages := int(sl.Pages)
 	n := pages * bf.pageSize
-
 	if bf.pool != nil {
-		key := PoolKey{Epoch: bf.poolEpoch, File: PoolBitmap, Frag: fragID, Off: int32(di), Len: int32(pages)}
+		key := PoolKey{Epoch: bf.poolEpoch, File: PoolBitmap, Frag: fragID, Off: sl.Unit, Len: sl.Pages}
 		if e := bf.pool.Get(key); e != nil {
 			if bf.disks != nil {
-				bf.disks.notePoolHit(bf.placement.BitmapDisk(fragID, di), pages)
+				bf.disks.notePoolHit(bf.placement.BitmapDisk(fragID, int(sl.Unit)), pages)
 			}
 			if st != nil {
 				st.PoolHits++
 				st.PoolBytes += int64(n)
 			}
-			return e.Data(), buf, pages, e, nil
+			return e.Data(), buf, e, nil
 		}
 		if st != nil {
 			st.PoolMisses++
 		}
 		// Miss: read into a fresh buffer the pool can own.
 		fresh := make([]byte, n)
-		if err := bf.readPayloadAt(ctx, fresh, off, fragID, di, pages); err != nil {
-			return nil, buf, 0, nil, err
+		if err := bf.readUnitAt(ctx, fresh, fragID, blockPage, sl); err != nil {
+			return nil, buf, nil, err
 		}
 		if e := bf.pool.Add(key, fresh); e != nil {
-			return e.Data(), buf, pages, e, nil
+			return e.Data(), buf, e, nil
 		}
-		return fresh, buf, pages, nil, nil // pool rejected: serve privately
+		return fresh, buf, nil, nil // pool rejected: serve privately
 	}
 
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if err := bf.readPayloadAt(ctx, buf, off, fragID, di, pages); err != nil {
-		return nil, buf, 0, nil, err
+	if err := bf.readUnitAt(ctx, buf, fragID, blockPage, sl); err != nil {
+		return nil, buf, nil, err
 	}
-	return buf, buf, pages, nil, nil
+	return buf, buf, nil, nil
 }
 
-// readPayloadAt performs the physical read of a payload into dst — one
-// I/O through the disk queue (or the implicit single disk's delay),
-// retried per the disk set's retry policy and verified against the
-// per-page checksum table (see fault.go).
-func (bf *BitmapFile) readPayloadAt(ctx context.Context, dst []byte, off int64, fragID int64, di, pages int) error {
+// readUnitAt performs the physical read of a unit into dst — one I/O
+// through the queue of the disk the placement assigns the unit (or the
+// implicit single disk's delay), retried per the disk set's retry policy
+// and verified page by page against the checksum table (see fault.go).
+func (bf *BitmapFile) readUnitAt(ctx context.Context, dst []byte, fragID, blockPage int64, sl frag.BitmapSlot) error {
+	off := blockPage + int64(sl.Page)
+	pages := int(sl.Pages)
 	byteOff := off * int64(bf.pageSize)
 	read := func() error {
 		if bf.disks == nil {
@@ -359,106 +370,129 @@ func (bf *BitmapFile) readPayloadAt(ctx context.Context, dst []byte, off int64, 
 			}
 		}
 		if _, err := bf.file.ReadAt(dst, byteOff); err != nil {
-			return fmt.Errorf("storage: reading bitmap %d of fragment %d at offset %d: %w", di, fragID, byteOff, err)
+			return fmt.Errorf("storage: reading bitmap unit %d of fragment %d at offset %d: %w", sl.Unit, fragID, byteOff, err)
 		}
 		return nil
 	}
-	var verify func() error
-	if bf.sums != nil {
-		verify = func() error {
-			for i := 0; i < pages; i++ {
-				page := dst[i*bf.pageSize : (i+1)*bf.pageSize]
-				want := bf.sums[off+int64(i)]
-				if got := pageCRC(page); got != want {
-					return &FaultError{
-						File: "bitmaps", Frag: fragID, Offset: byteOff + int64(i*bf.pageSize), Kind: FaultChecksum,
-						Err: fmt.Errorf("page %d crc32c %08x != stored %08x", off+int64(i), got, want),
-					}
+	verify := func() error {
+		for i := 0; i < pages; i++ {
+			page := dst[i*bf.pageSize : (i+1)*bf.pageSize]
+			want := bf.sums[off+int64(i)]
+			if got := pageCRC(page); got != want {
+				return &FaultError{
+					File: "bitmaps", Frag: fragID, Offset: byteOff + int64(i*bf.pageSize), Kind: FaultChecksum,
+					Err: fmt.Errorf("page %d crc32c %08x != stored %08x", off+int64(i), got, want),
 				}
 			}
-			return nil
 		}
+		return nil
 	}
 	site := faultSite{file: "bitmaps", frag: fragID, off: byteOff}
 	disk := 0
 	if bf.disks != nil {
-		disk = bf.placement.BitmapDisk(fragID, di)
+		disk = bf.placement.BitmapDisk(fragID, int(sl.Unit))
 	}
 	corrupt := func() { corruptPages(dst, bf.pageSize) }
 	return retryRead(ctx, bf.disks, disk, pages, site, read, corrupt, verify)
 }
 
-// ReadBitmapFragment reads (one physical I/O per page run) the bitmap
-// fragment identified by desc for the given fact fragment. It returns the
-// bitset and the number of pages read.
-func (bf *BitmapFile) ReadBitmapFragment(fragID int64, desc BitmapDesc) (*bitmap.Bitset, int, error) {
-	bs, _, pages, err := bf.readBitmapInto(context.Background(), nil, nil, fragID, desc, nil)
-	return bs, pages, err
+// unitSet is the units a worker has read for the one fragment it is
+// processing: every operand of the query's plan decodes out of the held
+// unit's pages, so a unit is read once however many operands it holds.
+// begin keys the set by file and fragment and drops whatever was held, so
+// a reused scratch can never serve another block's bytes.
+type unitSet struct {
+	bf   *BitmapFile
+	frag int64
+	blk  bitmapBlock
+	held []heldUnit // the first n are in use; the rest keep their buffers
+	n    int
 }
 
-// readBitmapInto is ReadBitmapFragment decoding into dst (allocated when
-// nil) with buf as the reusable page buffer and st receiving the pool
-// accounting (nil allowed). It returns the bitset, the grown page buffer
-// and the page count. Pool pins are released before returning — the
-// decode copies the payload into dst.
-func (bf *BitmapFile) readBitmapInto(ctx context.Context, dst *bitmap.Bitset, buf []byte, fragID int64, desc BitmapDesc, st *IOStats) (*bitmap.Bitset, []byte, int, error) {
-	di := bf.descIndex(desc)
-	if di < 0 {
-		return nil, buf, 0, fmt.Errorf("storage: bitmap %+v not stored (eliminated by the fragmentation?)", desc)
-	}
-	data, buf, pages, ent, err := bf.readPayload(ctx, buf, fragID, di, st)
-	if err != nil {
-		return nil, buf, 0, err
-	}
-	if dst == nil {
-		dst = bitmap.New(0)
-	}
-	if bf.compressed {
-		var c bitmap.Compressed
-		decodeCompressedInto(&c, data)
-		dst = c.DecompressInto(dst)
-	} else {
-		unpackBitsInto(dst, data, int(bf.rowsOf[fragID]))
-	}
-	if ent != nil {
-		ent.Unpin()
-	}
-	return dst, buf, pages, nil
+// heldUnit is one read unit: data is its pages — buf, the slot's private
+// reusable buffer, or pool-resident bytes pinned through ent.
+type heldUnit struct {
+	unit int32
+	data []byte
+	buf  []byte
+	ent  *PoolEntry
 }
 
-// ReadCompressedFragment reads the bitmap fragment identified by desc and
-// returns its on-page WAH words directly, without decompressing — the
-// entry point of the compressed execution fast path. The file must have
-// been built with compression.
+// begin releases the previous fragment's units and binds the set to the
+// fragment's block.
+func (us *unitSet) begin(bf *BitmapFile, fragID int64) error {
+	us.release()
+	blk, ok := bf.blocks[fragID]
+	if !ok {
+		return fmt.Errorf("storage: fragment %d has no bitmaps", fragID)
+	}
+	us.bf, us.frag, us.blk = bf, fragID, blk
+	return nil
+}
+
+// payload returns the stored bytes of bitmap di together with its slot,
+// reading the slot's unit unless the set already holds it; fresh reports
+// that this call paid the unit read (a disk I/O or a pool lookup, counted
+// into st). The bytes are valid until release or the next begin.
+func (us *unitSet) payload(ctx context.Context, di int, st *IOStats) (p []byte, sl frag.BitmapSlot, fresh bool, err error) {
+	sl = us.blk.slots[di]
+	var h *heldUnit
+	for i := range us.held[:us.n] {
+		if us.held[i].unit == sl.Unit {
+			h = &us.held[i]
+			break
+		}
+	}
+	if h == nil {
+		if us.n == len(us.held) {
+			us.held = append(us.held, heldUnit{})
+		}
+		h = &us.held[us.n]
+		if h.data, h.buf, h.ent, err = us.bf.readUnit(ctx, h.buf, us.frag, us.blk.page, sl, st); err != nil {
+			return nil, sl, false, err
+		}
+		h.unit, fresh = sl.Unit, true
+		us.n++
+	}
+	return h.data[sl.Off : sl.Off+sl.Len], sl, fresh, nil
+}
+
+// release unpins the held units; their private buffers stay for reuse.
+func (us *unitSet) release() {
+	for i := range us.held[:us.n] {
+		if ent := us.held[i].ent; ent != nil {
+			ent.Unpin()
+		}
+		us.held[i].data, us.held[i].ent = nil, nil
+	}
+	us.n = 0
+}
+
+// ReadCompressedFragment reads the bitmap fragment identified by desc for
+// the given fact fragment — one physical I/O of the unit it is stored in
+// — and returns its stored WAH words directly, without decompressing,
+// together with the unit's page count. The file must have been built
+// with compression.
 func (bf *BitmapFile) ReadCompressedFragment(fragID int64, desc BitmapDesc) (*bitmap.Compressed, int, error) {
-	c, _, pages, err := bf.readCompressedInto(context.Background(), nil, nil, fragID, desc, nil)
-	return c, pages, err
-}
-
-// readCompressedInto is ReadCompressedFragment decoding into dst
-// (allocated when nil) with buf as the reusable page buffer and st
-// receiving the pool accounting (nil allowed). Pool pins are released
-// before returning — the decode copies the words into dst.
-func (bf *BitmapFile) readCompressedInto(ctx context.Context, dst *bitmap.Compressed, buf []byte, fragID int64, desc BitmapDesc, st *IOStats) (*bitmap.Compressed, []byte, int, error) {
 	if !bf.compressed {
-		return nil, buf, 0, fmt.Errorf("storage: bitmap file is not compressed")
+		return nil, 0, fmt.Errorf("storage: bitmap file is not compressed")
 	}
-	di := bf.descIndex(desc)
-	if di < 0 {
-		return nil, buf, 0, fmt.Errorf("storage: bitmap %+v not stored (eliminated by the fragmentation?)", desc)
+	di, ok := bf.ix.Pos(desc)
+	if !ok {
+		return nil, 0, fmt.Errorf("storage: bitmap %+v not stored (eliminated by the fragmentation?)", desc)
 	}
-	data, buf, pages, ent, err := bf.readPayload(ctx, buf, fragID, di, st)
+	var us unitSet
+	if err := us.begin(bf, fragID); err != nil {
+		return nil, 0, err
+	}
+	defer us.release()
+	payload, sl, _, err := us.payload(context.Background(), di, nil)
 	if err != nil {
-		return nil, buf, 0, err
+		return nil, 0, err
 	}
-	if dst == nil {
-		dst = &bitmap.Compressed{}
-	}
-	decodeCompressedInto(dst, data)
-	if ent != nil {
-		ent.Unpin()
-	}
-	return dst, buf, pages, nil
+	c := &bitmap.Compressed{}
+	decodeCompressedInto(c, payload)
+	return c, int(sl.Pages), nil
 }
 
 // Close releases the underlying file.

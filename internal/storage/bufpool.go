@@ -7,7 +7,7 @@ import (
 
 // BufPool is the granule/page buffer pool between the executor's read
 // paths and the physical files: a fixed byte budget of recently read
-// units — fact prefetch granules and bitmap fragment payloads — shared by
+// units — fact prefetch granules and bitmap allocation units — shared by
 // every query of a warehouse. Entries are keyed by
 // (epoch, file, fragment, offset, length), so an epoch roll-over
 // (compaction swapping in a rebuilt backend) invalidates the old epoch's
@@ -42,8 +42,8 @@ const (
 	// PoolFact keys a fact prefetch granule: Off is the first page within
 	// the fragment, Len the page count.
 	PoolFact uint8 = iota
-	// PoolBitmap keys one bitmap fragment payload: Off is the descriptor
-	// index within the file's enumeration, Len the page count.
+	// PoolBitmap keys one bitmap allocation unit: Off is the unit's index
+	// within the fragment's block, Len the page count.
 	PoolBitmap
 )
 
@@ -51,7 +51,7 @@ const (
 type PoolKey struct {
 	// Epoch is the serving epoch of the backend the unit was read from.
 	Epoch int64
-	// File distinguishes fact granules from bitmap payloads.
+	// File distinguishes fact granules from bitmap units.
 	File uint8
 	// Frag is the fact fragment id.
 	Frag int64

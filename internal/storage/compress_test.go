@@ -57,11 +57,11 @@ func TestCompressedBitmapsRoundTrip(t *testing.T) {
 	// Every stored bitmap fragment decodes identically in both files.
 	for _, id := range store.Fragments() {
 		for _, desc := range comp.Descs() {
-			want, _, err := plain.ReadBitmapFragment(id, desc)
+			want, _, err := readBitmap(plain, id, desc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := comp.ReadBitmapFragment(id, desc)
+			got, _, err := readBitmap(comp, id, desc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestReadCompressedFragmentMatchesDecompressed(t *testing.T) {
 	_, _, store, plain, comp := buildBoth(t)
 	for _, id := range store.Fragments() {
 		for _, desc := range comp.Descs() {
-			want, wantPages, err := comp.ReadBitmapFragment(id, desc)
+			want, wantPages, err := readBitmap(comp, id, desc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -206,9 +206,9 @@ func (s *Store) DiskOf(id int64) int {
 	return s.placement.FactDisk(id)
 }
 
-// Decluster shards the bitmap fragments across the disk set: the i-th
-// surviving bitmap of fact fragment id routes through disk
-// p.BitmapDisk(id, i) — the staggered placement of Figure 2 when
+// Decluster shards the bitmap allocation units across the disk set: the
+// u-th unit of fact fragment id's block routes through disk
+// p.BitmapDisk(id, u) — the staggered placement of Figure 2 when
 // p.Staggered is set, co-located with the fact fragment otherwise. Use
 // the same DiskSet as the fact store so both compete for the same disks.
 // Passing a nil set restores the single-disk behaviour.

@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/bitmap"
@@ -15,8 +14,11 @@ import (
 // IOStats counts the physical I/O a query execution performed — the
 // observable counterpart of the paper's analytical Table 3.
 type IOStats struct {
-	FactPages   int64
-	FactIOs     int64
+	FactPages int64
+	FactIOs   int64
+	// BitmapIOs counts reads of bitmap allocation units — one per unit a
+	// subquery's plan touches, however many of its bitmap fragments share
+	// the unit — and BitmapPages the pages of those units.
 	BitmapPages int64
 	BitmapIOs   int64
 	RowsRead    int64
@@ -87,6 +89,11 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 
 var errNilScheduler = errors.New("storage: nil scheduler")
 
+// planCap presizes a query's bitmap plan so that deriving it is one small
+// allocation; a longer plan (the paper's index configuration can read
+// 15 + 12 bit positions) just grows.
+const planCap = 16
+
 // shards returns the placement key of a declustered dispatch — the disk
 // holding task i's fragment, and the disk count — so the first tasks an
 // execution gets running spread over distinct disks. Without a disk set
@@ -143,18 +150,17 @@ func (a *tupleAcc) add(tp Tuple) {
 // fragments a worker touches and are reused for every later one, making
 // the fragment hot loop allocation-free once warm.
 type execScratch struct {
-	keys []uint16 // decodeTuple key buffer
-	page []byte   // fact prefetch-granule buffer
-	bbuf []byte   // bitmap page buffer
+	keys  []uint16 // decodeTuple key buffer
+	page  []byte   // fact prefetch-granule buffer
+	units unitSet  // bitmap units read for the current fragment
 
 	// Materialised path.
 	hits *bitmap.Bitset // running AND of predicate selections
 	sel  *bitmap.Bitset // current bitmap fragment read
 
 	// Compressed fast path.
-	cpool      []*bitmap.Compressed // operand bitmaps, reused across fragments
-	pos, neg   []*bitmap.Compressed // verbatim / complemented operand views
-	cres, ctmp *bitmap.Compressed   // AndAll / AndNot ping-pong results
+	cpool []*bitmap.Compressed // operand bitmaps, reused across fragments
+	csel  bitmap.Selection     // their verbatim / complemented intersection
 
 	// Async prefetch pipeline (see prefetch.go).
 	gran   []granule     // the fragment's granule read list
@@ -171,8 +177,6 @@ func (e *Executor) newScratch() *execScratch {
 		keys: make([]uint16, len(e.store.star.Dims)),
 		hits: bitmap.New(0),
 		sel:  bitmap.New(0),
-		cres: &bitmap.Compressed{},
-		ctmp: &bitmap.Compressed{},
 	}
 }
 
@@ -251,6 +255,10 @@ func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.D
 	if err != nil {
 		return acc{}, nil, err
 	}
+	plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), q)
+	if err != nil {
+		return acc{}, nil, err
+	}
 	ids := spec.FragmentIDs(q)
 	if own != nil {
 		kept := ids[:0]
@@ -278,7 +286,7 @@ func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.D
 				p.fp.Groups = kernel.NewGrouped()
 			}
 		}
-		if err := e.processFragment(ctx, ids[i], q, &p, sc, base, perRow); err != nil {
+		if err := e.processFragment(ctx, ids[i], plan, &p, sc, base, perRow); err != nil {
 			return partial{}, err
 		}
 		if !deltas.Empty() {
@@ -308,12 +316,13 @@ func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.D
 	return a, gr, nil
 }
 
-// processFragment evaluates the query within one fragment. On a
-// compressed bitmap file it takes the compressed fast path: bitmap
-// fragments are read as raw WAH words, intersected by one run-skipping
-// AndAll (complemented operands folded in via AndNot), and the hit rows
-// stream out of the compressed result — nothing is ever decompressed.
-func (e *Executor) processFragment(ctx context.Context, id int64, q frag.Query, p *partial, sc *execScratch, base uint64, perRow []kernel.RowLevel) error {
+// processFragment evaluates the query's bitmap plan within one fragment
+// (steps 2-4 of Section 4.3). On a compressed bitmap file it takes the
+// compressed fast path: bitmap fragments are taken as raw WAH words,
+// intersected by one run-skipping AndAll (complemented operands folded in
+// via AndNot), and the hit rows stream out of the compressed result —
+// nothing is ever decompressed.
+func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.BitmapOp, p *partial, sc *execScratch, base uint64, perRow []kernel.RowLevel) error {
 	loc, ok := e.store.Loc(id)
 	if !ok {
 		return nil // no rows at this density
@@ -325,179 +334,67 @@ func (e *Executor) processFragment(ctx context.Context, id int64, q frag.Query, 
 	if len(perRow) != 0 {
 		ta.g = p.fp.Groups
 	}
-	if e.bitmaps.compressed {
-		return e.processFragmentCompressed(ctx, id, loc, q, ta, sc)
-	}
-	spec := e.store.spec
-
-	// Step 2 (Section 4.3): bitmap access for the predicates that need it.
-	first := true
-	for _, pr := range q.Preds {
-		if !spec.NeedsBitmap(pr) {
-			continue
-		}
-		pages, err := e.selectPred(ctx, id, pr, &p.st, sc, first)
-		if err != nil {
-			return err
-		}
-		p.st.BitmapPages += int64(pages)
-		first = false
-	}
-
-	if first {
+	if len(plan) == 0 {
 		// IOC1: every page of the fragment is read with full prefetch.
 		return e.scanWhole(ctx, id, loc, ta, sc)
 	}
-	return e.readHits(ctx, id, loc, sc.hits, ta, sc)
-}
-
-// selectPred evaluates one predicate via the stored bitmap fragments,
-// ANDing the selection into sc.hits (or initialising it when first). It
-// returns the number of bitmap pages read.
-func (e *Executor) selectPred(ctx context.Context, id int64, p frag.Pred, st *IOStats, sc *execScratch, first bool) (int, error) {
-	star := e.store.star
-	dim := &star.Dims[p.Dim]
-	if e.bitmaps.icfg[p.Dim].Kind == frag.SimpleIndexes {
-		dst := sc.hits
-		if !first {
-			dst = sc.sel
-		}
-		var pages int
-		var err error
-		_, sc.bbuf, pages, err = e.bitmaps.readBitmapInto(ctx, dst, sc.bbuf, id, BitmapDesc{Dim: p.Dim, Level: p.Level, Member: p.Member, Simple: true}, st)
-		st.BitmapIOs++
-		if err != nil {
-			return pages, err
-		}
-		if !first {
-			sc.hits.And(sc.sel)
-		}
-		return pages, nil
+	if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
+		return err
 	}
-	// Encoded: AND the bit-position bitmaps in (skip, prefix(level)],
-	// taking each verbatim or complemented per the member's pattern.
-	layout := e.bitmaps.layouts[p.Dim]
-	skip := e.bitmaps.skipBits[p.Dim]
-	hi := layout.PrefixBits(p.Level)
-	if hi <= skip {
-		// The fragmentation already fixes this level: all rows match by
-		// fragment confinement (should not happen when NeedsBitmap holds).
-		return 0, fmt.Errorf("storage: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[p.Level].Name)
+	if !e.bitmaps.compressed {
+		return e.readHits(ctx, id, loc, sc.hits, ta, sc)
 	}
-	pattern := layout.EncodePrefix(p.Level, p.Member)
-	pagesTotal := 0
-	for b := skip; b < hi; b++ {
-		verbatim := pattern>>uint(hi-1-b)&1 == 1
-		dst := sc.sel
-		if first && b == skip {
-			// The first bitmap initialises the running selection directly.
-			dst = sc.hits
-		}
-		var pages int
-		var err error
-		_, sc.bbuf, pages, err = e.bitmaps.readBitmapInto(ctx, dst, sc.bbuf, id, BitmapDesc{Dim: p.Dim, Bit: b}, st)
-		if err != nil {
-			return pagesTotal, err
-		}
-		st.BitmapIOs++
-		pagesTotal += pages
-		if dst == sc.hits {
-			if !verbatim {
-				sc.hits.Not()
-			}
-			continue
-		}
-		if verbatim {
-			sc.hits.And(sc.sel)
-		} else {
-			sc.hits.AndNot(sc.sel)
-		}
-	}
-	return pagesTotal, nil
-}
-
-// processFragmentCompressed is the compressed fast path of Section 4.3's
-// step 2-4: collect each predicate's bit-position bitmaps as raw WAH
-// words, split them into verbatim and complemented operands, intersect
-// all verbatim ones with a single k-way AndAll, fold complements in with
-// run-skipping AndNot, and drive the prefetch-granule fact reads from the
-// compressed result's range iterator.
-func (e *Executor) processFragmentCompressed(ctx context.Context, id int64, loc FragLoc, q frag.Query, ta *tupleAcc, sc *execScratch) error {
-	star := e.store.star
-	spec := e.store.spec
-	st := ta.st
-	pos, neg := sc.pos[:0], sc.neg[:0]
-	nread := 0
-	read := func(desc BitmapDesc) (*bitmap.Compressed, error) {
-		c := sc.operand(nread)
-		nread++
-		var pages int
-		var err error
-		_, sc.bbuf, pages, err = e.bitmaps.readCompressedInto(ctx, c, sc.bbuf, id, desc, st)
-		if err != nil {
-			return nil, err
-		}
-		st.BitmapIOs++
-		st.BitmapPages += int64(pages)
-		return c, nil
-	}
-	anyBitmap := false
-	for _, p := range q.Preds {
-		if !spec.NeedsBitmap(p) {
-			continue
-		}
-		anyBitmap = true
-		if e.bitmaps.icfg[p.Dim].Kind == frag.SimpleIndexes {
-			c, err := read(BitmapDesc{Dim: p.Dim, Level: p.Level, Member: p.Member, Simple: true})
-			if err != nil {
-				return err
-			}
-			pos = append(pos, c)
-			continue
-		}
-		layout := e.bitmaps.layouts[p.Dim]
-		skip := e.bitmaps.skipBits[p.Dim]
-		hi := layout.PrefixBits(p.Level)
-		if hi <= skip {
-			dim := &star.Dims[p.Dim]
-			return fmt.Errorf("storage: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[p.Level].Name)
-		}
-		pattern := layout.EncodePrefix(p.Level, p.Member)
-		for b := skip; b < hi; b++ {
-			c, err := read(BitmapDesc{Dim: p.Dim, Bit: b})
-			if err != nil {
-				return err
-			}
-			if pattern>>uint(hi-1-b)&1 == 1 {
-				pos = append(pos, c)
-			} else {
-				neg = append(neg, c)
-			}
-		}
-	}
-	sc.pos, sc.neg = pos, neg
-
-	if !anyBitmap {
-		// IOC1: every page of the fragment is read with full prefetch.
-		return e.scanWhole(ctx, id, loc, ta, sc)
-	}
-	var res *bitmap.Compressed
-	if len(pos) > 0 {
-		res = bitmap.AndAllInto(sc.cres, pos...)
-	} else {
-		// Every operand is complemented (an all-zero pattern): start from
-		// the all-ones bitmap and fold the complements in below.
-		res = bitmap.CompressedOnesInto(sc.cres, int(loc.Rows))
-	}
-	sc.cres = res
-	for _, n := range neg {
-		res = bitmap.AndNotInto(sc.ctmp, res, n)
-		sc.cres, sc.ctmp = res, sc.cres
-	}
+	res := sc.csel.Intersect(int(loc.Rows))
 	if !res.Any() {
 		return nil // empty intersection: no fact page is touched
 	}
 	return e.readHitsCompressed(ctx, id, loc, res, ta, sc)
+}
+
+// loadOperands is the bitmap access of Section 4.3's step 2: it reads
+// each allocation unit the plan touches exactly once — one bitmap I/O
+// per unit, counted into st — and decodes every operand out of the held
+// unit. On an uncompressed file the operands are ANDed into sc.hits as
+// they arrive; on a compressed one they are collected as raw WAH words
+// into sc.csel, verbatim or complemented, to be intersected.
+func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.BitmapOp, st *IOStats, sc *execScratch) error {
+	us := &sc.units
+	if err := us.begin(e.bitmaps, id); err != nil {
+		return err
+	}
+	defer us.release()
+	rows := int(us.blk.rows)
+	sc.csel.Reset()
+	for i, op := range plan {
+		payload, sl, fresh, err := us.payload(ctx, int(op.Index), st)
+		if err != nil {
+			return err
+		}
+		if fresh {
+			st.BitmapIOs++
+			st.BitmapPages += int64(sl.Pages)
+		}
+		switch {
+		case e.bitmaps.compressed:
+			c := sc.operand(i)
+			decodeCompressedInto(c, payload)
+			sc.csel.Add(c, op.Complement)
+		case i == 0:
+			// The first bitmap initialises the running selection directly.
+			unpackBitsInto(sc.hits, payload, rows)
+			if op.Complement {
+				sc.hits.Not()
+			}
+		default:
+			unpackBitsInto(sc.sel, payload, rows)
+			if op.Complement {
+				sc.hits.AndNot(sc.sel)
+			} else {
+				sc.hits.And(sc.sel)
+			}
+		}
+	}
+	return nil
 }
 
 // scanWhole aggregates every tuple of the fragment, reading it in

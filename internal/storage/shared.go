@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/bitmap"
@@ -49,21 +48,20 @@ type sharedAcc struct {
 	shared []kernel.SharedScanStats
 }
 
-// bmCached is one physically-read bitmap fragment cached for the
-// duration of a fragment task, so batch-mates selecting the same bitmap
-// reuse the pages instead of re-reading them.
+// bmCached is one bitmap fragment decoded for the duration of a fragment
+// task, so batch-mates selecting the same bitmap reuse it instead of
+// reading and decoding it again.
 type bmCached struct {
-	bs    *bitmap.Bitset
-	c     *bitmap.Compressed
-	pages int
+	bs *bitmap.Bitset
+	c  *bitmap.Compressed
 }
 
 // sharedScratch extends the per-worker executor scratch with the shared
-// path's per-task state: the bitmap read cache, per-slot selection
-// masks, the mask union, and the granule ownership table.
+// path's per-task state: the decoded bitmaps, per-slot selection masks,
+// the mask union, and the granule ownership table.
 type sharedScratch struct {
 	sc      *execScratch
-	bm      map[BitmapDesc]*bmCached
+	byIndex []*bmCached // the task's decoded bitmaps by stored index (nil = not yet)
 	entries []*bmCached // bmCached freelist, reused across tasks
 	used    int
 	masks   []*bitmap.Bitset
@@ -74,30 +72,24 @@ type sharedScratch struct {
 
 func (e *Executor) newSharedScratch() *sharedScratch {
 	return &sharedScratch{
-		sc:    e.newScratch(),
-		bm:    make(map[BitmapDesc]*bmCached),
-		union: bitmap.New(0),
+		sc:      e.newScratch(),
+		byIndex: make([]*bmCached, e.bitmaps.NumBitmaps()),
+		union:   bitmap.New(0),
 	}
 }
 
 // reset clears the per-task bitmap cache, recycling its entries.
 func (sc *sharedScratch) reset() {
-	for k := range sc.bm {
-		delete(sc.bm, k)
-	}
+	clear(sc.byIndex)
 	sc.used = 0
 }
 
 func (sc *sharedScratch) entry() *bmCached {
-	if sc.used < len(sc.entries) {
-		ent := sc.entries[sc.used]
-		sc.used++
-		return ent
+	if sc.used == len(sc.entries) {
+		sc.entries = append(sc.entries, &bmCached{bs: bitmap.New(0), c: &bitmap.Compressed{}})
 	}
-	ent := &bmCached{bs: bitmap.New(0), c: &bitmap.Compressed{}}
-	sc.entries = append(sc.entries, ent)
 	sc.used++
-	return ent
+	return sc.entries[sc.used-1]
 }
 
 // mask returns the k-th per-slot selection mask, growing the pool.
@@ -108,187 +100,79 @@ func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
 	return sc.masks[k]
 }
 
-// cachedBitmap reads one materialised bitmap fragment through the task
-// cache: the first slot needing it pays the physical read (attributed
-// to st), later slots get the cached bitset back. The hit flag lets the
-// caller count the saved physical read.
-func (sc *sharedScratch) cachedBitmap(ctx context.Context, e *Executor, id int64, desc BitmapDesc, st *IOStats) (*bmCached, bool, error) {
-	if ent, ok := sc.bm[desc]; ok {
-		return ent, true, nil
+// operand returns stored bitmap di of the task's fragment, decoded: the
+// first slot needing it decodes it out of its unit, later slots get the
+// cached bitmap back. fresh reports that this call paid the unit read
+// (attributed to st); a unit the task already holds, or a bitmap it
+// already decoded, costs nothing.
+func (sc *sharedScratch) operand(ctx context.Context, e *Executor, di int, st *IOStats) (ent *bmCached, sl frag.BitmapSlot, fresh bool, err error) {
+	us := &sc.sc.units
+	if ent = sc.byIndex[di]; ent != nil {
+		return ent, us.blk.slots[di], false, nil
 	}
-	ent := sc.entry()
-	var err error
-	var pages int
-	_, sc.sc.bbuf, pages, err = e.bitmaps.readBitmapInto(ctx, ent.bs, sc.sc.bbuf, id, desc, st)
+	payload, sl, fresh, err := us.payload(ctx, di, st)
 	if err != nil {
-		return nil, false, err
+		return nil, sl, false, err
 	}
-	ent.pages = pages
-	sc.bm[desc] = ent
-	return ent, false, nil
-}
-
-// cachedCompressed is cachedBitmap for the WAH fast path.
-func (sc *sharedScratch) cachedCompressed(ctx context.Context, e *Executor, id int64, desc BitmapDesc, st *IOStats) (*bmCached, bool, error) {
-	if ent, ok := sc.bm[desc]; ok {
-		return ent, true, nil
-	}
-	ent := sc.entry()
-	var err error
-	var pages int
-	_, sc.sc.bbuf, pages, err = e.bitmaps.readCompressedInto(ctx, ent.c, sc.sc.bbuf, id, desc, st)
-	if err != nil {
-		return nil, false, err
-	}
-	ent.pages = pages
-	sc.bm[desc] = ent
-	return ent, false, nil
-}
-
-// sharedMask computes one slot's selection mask for the fragment via the
-// task's bitmap cache. It returns nil when the query needs no bitmap in
-// this fragment (every row is relevant — the solo scanWhole path); an
-// empty mask means no row matches. Logical bitmap counters land on st
-// exactly as solo execution counts them; physically-saved reads land on
-// sh.
-func (e *Executor) sharedMask(ctx context.Context, id int64, rows int, q frag.Query, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *sharedScratch) (*bitmap.Bitset, error) {
+	ent = sc.entry()
 	if e.bitmaps.compressed {
-		return e.sharedMaskCompressed(ctx, id, rows, q, mask, st, sh, sc)
+		decodeCompressedInto(ent.c, payload)
+	} else {
+		unpackBitsInto(ent.bs, payload, int(us.blk.rows))
 	}
-	spec := e.store.spec
-	first := true
-	for _, pr := range q.Preds {
-		if !spec.NeedsBitmap(pr) {
-			continue
-		}
-		if e.bitmaps.icfg[pr.Dim].Kind == frag.SimpleIndexes {
-			ent, hit, err := sc.cachedBitmap(ctx, e, id, BitmapDesc{Dim: pr.Dim, Level: pr.Level, Member: pr.Member, Simple: true}, st)
-			st.BitmapIOs++
-			if err != nil {
-				return nil, err
-			}
-			st.BitmapPages += int64(ent.pages)
-			if hit {
-				sh.PhysReadsSaved++
-			}
-			if first {
-				mask.Reinit(ent.bs.Len())
-				mask.CopyFrom(ent.bs)
-			} else {
-				mask.And(ent.bs)
-			}
-			first = false
-			continue
-		}
-		layout := e.bitmaps.layouts[pr.Dim]
-		skip := e.bitmaps.skipBits[pr.Dim]
-		hi := layout.PrefixBits(pr.Level)
-		if hi <= skip {
-			dim := &e.store.star.Dims[pr.Dim]
-			return nil, fmt.Errorf("storage: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[pr.Level].Name)
-		}
-		pattern := layout.EncodePrefix(pr.Level, pr.Member)
-		for b := skip; b < hi; b++ {
-			ent, hit, err := sc.cachedBitmap(ctx, e, id, BitmapDesc{Dim: pr.Dim, Bit: b}, st)
-			if err != nil {
-				return nil, err
-			}
-			st.BitmapIOs++
-			st.BitmapPages += int64(ent.pages)
-			if hit {
-				sh.PhysReadsSaved++
-			}
-			verbatim := pattern>>uint(hi-1-b)&1 == 1
-			if first {
-				mask.Reinit(ent.bs.Len())
-				mask.CopyFrom(ent.bs)
-				if !verbatim {
-					mask.Not()
-				}
-				first = false
-				continue
-			}
-			if verbatim {
-				mask.And(ent.bs)
-			} else {
-				mask.AndNot(ent.bs)
-			}
-		}
-	}
-	if first {
+	sc.byIndex[di] = ent
+	return ent, sl, fresh, nil
+}
+
+// sharedMask computes one slot's selection mask for the fragment from
+// its bitmap plan via the task's unit set and bitmap cache — solo
+// execution's loadOperands with the physical reads shared. It returns nil
+// when the plan is empty (every row is relevant — the solo scanWhole
+// path); an empty mask means no row matches. Logical bitmap counters land
+// on st exactly as solo execution counts them — one I/O per distinct unit
+// of the plan, whose operands are adjacent because the plan is ordered by
+// stored index; unit reads a batch-mate already paid land on sh. On a
+// compressed file the WAH intersection is decompressed into the mask so
+// the shared row walk is uniform across paths.
+func (e *Executor) sharedMask(ctx context.Context, rows int, plan []frag.BitmapOp, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *sharedScratch) (*bitmap.Bitset, error) {
+	if len(plan) == 0 {
 		return nil, nil // no bitmap access: every fragment row is relevant
 	}
-	return mask, nil
-}
-
-// sharedMaskCompressed mirrors processFragmentCompressed: collect the
-// predicates' WAH operands (through the task cache), one k-way AndAll
-// plus AndNot folds, then decompress the intersection into the slot's
-// mask so the shared row walk is uniform across paths.
-func (e *Executor) sharedMaskCompressed(ctx context.Context, id int64, rows int, q frag.Query, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *sharedScratch) (*bitmap.Bitset, error) {
-	spec := e.store.spec
-	pos, neg := sc.sc.pos[:0], sc.sc.neg[:0]
-	anyBitmap := false
-	read := func(desc BitmapDesc) (*bitmap.Compressed, error) {
-		ent, hit, err := sc.cachedCompressed(ctx, e, id, desc, st)
+	csel := &sc.sc.csel
+	csel.Reset()
+	unit := int32(-1)
+	for i, op := range plan {
+		ent, sl, fresh, err := sc.operand(ctx, e, int(op.Index), st)
 		if err != nil {
 			return nil, err
 		}
-		st.BitmapIOs++
-		st.BitmapPages += int64(ent.pages)
-		if hit {
-			sh.PhysReadsSaved++
-		}
-		return ent.c, nil
-	}
-	for _, pr := range q.Preds {
-		if !spec.NeedsBitmap(pr) {
-			continue
-		}
-		anyBitmap = true
-		if e.bitmaps.icfg[pr.Dim].Kind == frag.SimpleIndexes {
-			c, err := read(BitmapDesc{Dim: pr.Dim, Level: pr.Level, Member: pr.Member, Simple: true})
-			if err != nil {
-				return nil, err
-			}
-			pos = append(pos, c)
-			continue
-		}
-		layout := e.bitmaps.layouts[pr.Dim]
-		skip := e.bitmaps.skipBits[pr.Dim]
-		hi := layout.PrefixBits(pr.Level)
-		if hi <= skip {
-			dim := &e.store.star.Dims[pr.Dim]
-			return nil, fmt.Errorf("storage: predicate on %s.%s needs no bitmaps", dim.Name, dim.Levels[pr.Level].Name)
-		}
-		pattern := layout.EncodePrefix(pr.Level, pr.Member)
-		for b := skip; b < hi; b++ {
-			c, err := read(BitmapDesc{Dim: pr.Dim, Bit: b})
-			if err != nil {
-				return nil, err
-			}
-			if pattern>>uint(hi-1-b)&1 == 1 {
-				pos = append(pos, c)
-			} else {
-				neg = append(neg, c)
+		if sl.Unit != unit {
+			unit = sl.Unit
+			st.BitmapIOs++
+			st.BitmapPages += int64(sl.Pages)
+			if !fresh {
+				sh.PhysReadsSaved++
 			}
 		}
+		switch {
+		case e.bitmaps.compressed:
+			csel.Add(ent.c, op.Complement)
+		case i == 0:
+			mask.Reinit(ent.bs.Len())
+			mask.CopyFrom(ent.bs)
+			if op.Complement {
+				mask.Not()
+			}
+		case op.Complement:
+			mask.AndNot(ent.bs)
+		default:
+			mask.And(ent.bs)
+		}
 	}
-	sc.sc.pos, sc.sc.neg = pos, neg
-	if !anyBitmap {
-		return nil, nil
+	if !e.bitmaps.compressed {
+		return mask, nil
 	}
-	var res *bitmap.Compressed
-	if len(pos) > 0 {
-		res = bitmap.AndAllInto(sc.sc.cres, pos...)
-	} else {
-		res = bitmap.CompressedOnesInto(sc.sc.cres, rows)
-	}
-	sc.sc.cres = res
-	for _, n := range neg {
-		res = bitmap.AndNotInto(sc.sc.ctmp, res, n)
-		sc.sc.cres, sc.sc.ctmp = res, sc.sc.cres
-	}
+	res := csel.Intersect(rows)
 	if !res.Any() {
 		mask.Reinit(rows)
 		return mask, nil // empty intersection: no fact page is touched
@@ -308,6 +192,16 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 	star := e.store.star
 	plan := kernel.PlanBatch(star, e.store.spec, qs, own)
 	slots := plan.Queries
+	bplans := make([][]frag.BitmapOp, len(slots))
+	for s := range slots {
+		if slots[s].Err != nil {
+			continue
+		}
+		var err error
+		if bplans[s], err = e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), slots[s].Q); err != nil {
+			return nil, err
+		}
+	}
 
 	tpp := TuplesPerPage(star)
 	g := e.PrefetchFact
@@ -331,10 +225,15 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 			rows := int(loc.Rows)
 			masks := make([]*bitmap.Bitset, len(members))
 			anyNil := false
+			us := &sc.sc.units
+			if err := us.begin(e.bitmaps, id); err != nil {
+				return sharedTaskPart{}, err
+			}
 			for k, s := range members {
 				p := &out.parts[k]
-				m, err := e.sharedMask(ctx, id, rows, slots[s].Q, sc.mask(k), &p.st, &p.shared, sc)
+				m, err := e.sharedMask(ctx, rows, bplans[s], sc.mask(k), &p.st, &p.shared, sc)
 				if err != nil {
+					us.release()
 					return sharedTaskPart{}, err
 				}
 				masks[k] = m
@@ -345,6 +244,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 					p.shared.FragmentsShared = 1
 				}
 			}
+			us.release()
 
 			// Per-slot logical granule lists (exactly the solo readHits /
 			// scanWhole lists) drive both the logical Fact counters and the

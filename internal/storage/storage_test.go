@@ -352,7 +352,7 @@ func TestBitmapEliminationOnDisk(t *testing.T) {
 		}
 	}
 	// Asking for an eliminated bitmap errors.
-	if _, _, err := bf.ReadBitmapFragment(0, BitmapDesc{Dim: td, Level: month, Member: 0, Simple: true}); err == nil {
+	if _, _, err := readBitmap(bf, 0, BitmapDesc{Dim: td, Level: month, Member: 0, Simple: true}); err == nil {
 		t.Fatal("eliminated bitmap readable")
 	}
 }

@@ -116,9 +116,17 @@ type (
 type Explain struct {
 	// Class is the paper's Q1-Q4 confinement classification (Section 4.4).
 	Class QueryClass
-	// Cost is the analytical I/O estimate of EstimateCost (Section 4.5);
-	// Cost.Class is the I/O overhead class.
+	// Cost is the analytical I/O estimate (Section 4.5) — EstimateCost's,
+	// except that an on-disk warehouse counts bitmap I/O per allocation
+	// unit of the store it builds, where sub-page bitmap fragments share
+	// pages; Cost.Class is the I/O overhead class.
 	Cost QueryCost
+	// Note says so in plain words when the fragmentation breaks threshold
+	// (i) of Section 4.7 (bitmap fragments under a page): their size, how
+	// many share an allocation unit, the units a subquery reads, and that
+	// Advise with Thresholds.MinBitmapFragPages: 1 rejects it. Empty
+	// otherwise.
+	Note string
 	// Response is the per-disk queue response estimate of
 	// EstimateResponse under the warehouse's placement (one disk when not
 	// declustered) and access time (WithIODelay, else the Table 4
@@ -184,15 +192,15 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 		return Explain{}, err
 	}
 	ex := Explain{Class: w.spec.Classify(p.q)}
-	ex.Cost = cost.Estimate(w.spec, w.icfg, p.q, w.opt.params)
 	// The response model is left worker-unbounded (only the disks limit
 	// parallelism): bounding it by the serving pool would make the
 	// analytical estimate vary with the host's core count. Callers
 	// wanting the worker-limited critical path can call EstimateResponse
 	// with an explicit DiskParams.Workers.
 	dp := cost.DiskParams{
-		Placement:  w.opt.modelPlacement(),
-		AccessTime: w.opt.modelAccessTime(),
+		Placement:     w.opt.modelPlacement(),
+		AccessTime:    w.opt.modelAccessTime(),
+		PackedBitmaps: w.opt.onDisk,
 	}
 	if plan := w.opt.faultPlan; plan != nil {
 		// Degraded-disk response: under a fault plan every read costs
@@ -208,6 +216,8 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 		}
 	}
 	ex.Response = cost.EstimateResponse(w.spec, w.icfg, p.q, w.opt.params, dp)
+	ex.Cost = ex.Response.Cost
+	ex.Note = cost.BitmapFragNote(w.spec, w.icfg, ex.Cost, dp.PackedBitmaps)
 	plan := simpad.NewPlan(w.spec, w.icfg, p.q, w.opt.simCfg)
 	if w.opt.cluster > 1 {
 		plan = plan.Clustered(w.opt.cluster)

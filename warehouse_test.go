@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -387,6 +388,66 @@ func TestWarehouseConfigErrors(t *testing.T) {
 		t.Fatal("star not inferred from table")
 	}
 	w.Close()
+}
+
+// TestExplainSubPageNote: when the fragmentation breaks threshold (i) —
+// bitmap fragments under a page, the serving benchmark's baseline shape —
+// Explain says so in words, and an on-disk warehouse counts bitmap I/O
+// per allocation unit of the packed store it builds: one per subquery
+// here, where EstimateCost (the paper's padded layout, which an
+// in-memory warehouse keeps modelling) counts one per bitmap fragment.
+func TestExplainSubPageNote(t *testing.T) {
+	ctx := context.Background()
+	star := APB1Scaled(60)
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group"}
+	explain := func(cfg Config, text string, opts ...Option) (Explain, QueryCost) {
+		t.Helper()
+		w, err := Open(ctx, cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		p, err := w.QueryText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := p.Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex, EstimateCost(w.Fragmentation(), w.Indexes(), p.Query(), DefaultCostParams())
+	}
+
+	ex, paper := explain(cfg, "customer::store=7", WithDisks(4, RoundRobin), WithCompression())
+	for _, want := range []string{"0.03 pages", "15 of them share one allocation unit", "reads 1 unit(s) for its 5 bitmap fragment(s)", "MinBitmapFragPages: 1"} {
+		if !strings.Contains(ex.Note, want) {
+			t.Errorf("on-disk note %q lacks %q", ex.Note, want)
+		}
+	}
+	if ex.Cost.BitmapIOs != ex.Cost.Fragments || ex.Cost.BitmapPages != ex.Cost.Fragments || ex.Response.Cost != ex.Cost {
+		t.Errorf("on-disk cost %+v: want one one-page bitmap I/O per fragment", ex.Cost)
+	}
+	if paper.BitmapIOs != 5*paper.Fragments {
+		t.Errorf("EstimateCost counts %d bitmap I/Os over %d fragments, want the padded layout's 5 each", paper.BitmapIOs, paper.Fragments)
+	}
+	spec, err := ParseFragmentation(star, cfg.Fragmentation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (Thresholds{MinBitmapFragPages: 1}).Admissible(spec, nil) {
+		t.Error("the note promises Advise would reject this fragmentation; the threshold admits it")
+	}
+
+	mem, paper := explain(cfg, "customer::store=7")
+	if mem.Cost != paper || !strings.Contains(mem.Note, "padded to a page of its own") {
+		t.Errorf("in-memory warehouse: cost %+v, want EstimateCost %+v; note %q", mem.Cost, paper, mem.Note)
+	}
+
+	// The paper's regime: nothing to say, and nothing changes.
+	big, paper := explain(Config{Star: APB1(), Fragmentation: "time::month, product::group"}, "customer::store=7", WithDisks(4, RoundRobin))
+	if big.Note != "" || big.Cost != paper {
+		t.Errorf("paper regime: note %q, cost %+v, want none and EstimateCost %+v", big.Note, big.Cost, paper)
+	}
 }
 
 // TestWarehouseReviewRegressions pins the fixes from this PR's review:
