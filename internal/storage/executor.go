@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"math"
 
 	"repro/internal/bitmap"
 	"repro/internal/exec"
@@ -121,38 +120,14 @@ type acc struct {
 	st  IOStats
 }
 
-// tupleAcc accumulates one fragment's decoded tuples: the grand total
-// plus, on the per-row grouping fallback, the fragment-local group map.
-// The tuple's dimension keys carry the leaf members, so per-row grouping
-// needs no extra I/O — only the key arithmetic and map update.
-type tupleAcc struct {
-	agg    *kernel.Aggregate
-	st     *IOStats
-	g      *kernel.Grouped
-	base   uint64
-	perRow []kernel.RowLevel
-}
-
-func (a *tupleAcc) add(tp Tuple) {
-	a.agg.AddRow(int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
-	a.st.RowsRead++
-	if a.g != nil {
-		key := a.base
-		for _, rl := range a.perRow {
-			key += uint64(int64(tp.Keys[rl.Dim])/rl.Div) * rl.Weight
-		}
-		a.g.AddRow(key, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
-	}
-}
-
 // execScratch is the per-worker buffer set threaded through internal/exec.
 // All slices and bitsets grow to the working-set size of the first
 // fragments a worker touches and are reused for every later one, making
 // the fragment hot loop allocation-free once warm.
 type execScratch struct {
-	keys  []uint16 // decodeTuple key buffer
-	page  []byte   // fact prefetch-granule buffer
-	units unitSet  // bitmap units read for the current fragment
+	page  []byte  // fact prefetch-granule buffer
+	units unitSet // bitmap units read for the current fragment
+	acc   rowAcc  // where the current fragment's rows accumulate
 
 	// Materialised path.
 	hits *bitmap.Bitset // running AND of predicate selections
@@ -173,11 +148,7 @@ type execScratch struct {
 }
 
 func (e *Executor) newScratch() *execScratch {
-	return &execScratch{
-		keys: make([]uint16, len(e.store.star.Dims)),
-		hits: bitmap.New(0),
-		sel:  bitmap.New(0),
-	}
+	return &execScratch{hits: bitmap.New(0), sel: bitmap.New(0)}
 }
 
 // operand returns the i-th pooled compressed bitmap, growing the pool on
@@ -330,25 +301,22 @@ func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.Bi
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ta := &tupleAcc{agg: &p.fp.Agg, st: &p.st, base: base, perRow: perRow}
-	if len(perRow) != 0 {
-		ta.g = p.fp.Groups
-	}
+	sc.acc = rowAcc{p: p, base: base, perRow: perRow, rows: int(loc.Rows)}
 	if len(plan) == 0 {
 		// IOC1: every page of the fragment is read with full prefetch.
-		return e.scanWhole(ctx, id, loc, ta, sc)
+		return e.scanWhole(ctx, id, loc, sc)
 	}
 	if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
 		return err
 	}
 	if !e.bitmaps.compressed {
-		return e.readHits(ctx, id, loc, sc.hits, ta, sc)
+		return e.readHits(ctx, id, loc, sc.hits, sc)
 	}
 	res := sc.csel.Intersect(int(loc.Rows))
 	if !res.Any() {
 		return nil // empty intersection: no fact page is touched
 	}
-	return e.readHitsCompressed(ctx, id, loc, res, ta, sc)
+	return e.readHitsCompressed(ctx, id, loc, res, sc)
 }
 
 // loadOperands is the bitmap access of Section 4.3's step 2: it reads
@@ -399,116 +367,90 @@ func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.Bitma
 
 // scanWhole aggregates every tuple of the fragment, reading it in
 // prefetch-granule runs with the next granule read in flight while the
-// current one aggregates.
-func (e *Executor) scanWhole(ctx context.Context, id int64, loc FragLoc, ta *tupleAcc, sc *execScratch) error {
-	tpp := TuplesPerPage(e.store.star)
+// current one aggregates: each granule is one run of rows.
+func (e *Executor) scanWhole(ctx context.Context, id int64, loc FragLoc, sc *execScratch) error {
+	store := e.store
 	sc.gran = appendWholeGranules(sc.gran[:0], int(loc.Pages), e.PrefetchFact)
-	remaining := int(loc.Rows)
-	return e.forEachGranule(ctx, sc, ta.st, id, sc.gran, func(g granule, buf []byte) {
-		for p := 0; p < int(g.count); p++ {
-			n := tpp
-			if remaining < n {
-				n = remaining
-			}
-			off := p * e.store.pageSize
-			for i := 0; i < n; i++ {
-				var tp Tuple
-				tp, off = e.store.decodeTuple(buf, off, sc.keys)
-				ta.add(tp)
-			}
-			remaining -= n
-		}
+	return e.forEachGranule(ctx, sc, &sc.acc.p.st, id, sc.gran, func(g granule, buf []byte) {
+		lo := int(g.start) * store.tpp
+		store.fold(&sc.acc, buf, int(g.start), lo, min(lo+int(g.count)*store.tpp, int(loc.Rows)))
 	})
 }
 
 // readHits reads only the prefetch granules containing hit rows (the
 // prefetch-efficiency effect of Section 4.5), prefetching one granule
-// ahead of aggregation.
-func (e *Executor) readHits(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Bitset, ta *tupleAcc, sc *execScratch) error {
-	tpp := TuplesPerPage(e.store.star)
+// ahead of aggregation, and aggregates each granule's runs of
+// consecutive hits.
+func (e *Executor) readHits(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Bitset, sc *execScratch) error {
+	store := e.store
 	g := e.PrefetchFact
-	granules := int(math.Ceil(float64(loc.Pages) / float64(g)))
+	granules := (int(loc.Pages) + g - 1) / g
 	sc.gran = sc.gran[:0]
 	next := hits.NextSet(0)
 	for gi := 0; gi < granules && next >= 0; gi++ {
-		rowHi := (gi + 1) * g * tpp
+		rowHi := (gi + 1) * g * store.tpp
 		if next >= rowHi {
 			continue // no hit in this granule
 		}
-		start := gi * g
-		count := g
-		if start+count > int(loc.Pages) {
-			count = int(loc.Pages) - start
-		}
-		sc.gran = append(sc.gran, granule{start: int32(start), count: int32(count)})
+		sc.gran = append(sc.gran, granuleAt(gi, g, int(loc.Pages)))
 		next = hits.NextSet(rowHi) // first hit beyond this granule
 	}
-	return e.forEachGranule(ctx, sc, ta.st, id, sc.gran, func(g granule, buf []byte) {
-		rowLo := int(g.start) * tpp
-		rowHi := rowLo + int(g.count)*tpp
-		if rowHi > int(loc.Rows) {
-			rowHi = int(loc.Rows)
-		}
-		for r := hits.NextSet(rowLo); r >= 0 && r < rowHi; r = hits.NextSet(r + 1) {
-			pageIn := r/tpp - int(g.start)
-			off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-			tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-			ta.add(tp)
+	return e.forEachGranule(ctx, sc, &sc.acc.p.st, id, sc.gran, func(g granule, buf []byte) {
+		rowHi := min(int(g.start+g.count)*store.tpp, int(loc.Rows))
+		for lo := hits.NextSet(int(g.start) * store.tpp); lo >= 0 && lo < rowHi; {
+			hi := lo + 1
+			for hi < rowHi && hits.Get(hi) {
+				hi++
+			}
+			store.fold(&sc.acc, buf, int(g.start), lo, hi)
+			lo = hits.NextSet(hi)
 		}
 	})
 }
 
 // readHitsCompressed is readHits driven by the compressed result's range
-// iterator: one I/O-free pass over the WAH words lists the granules
-// containing hits (granules without hits are never read, exactly as the
-// materialised path skips them), the prefetch pipeline reads them ahead,
-// and a second streaming pass aggregates the hit rows as the granule
-// buffers arrive in order.
-func (e *Executor) readHitsCompressed(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Compressed, ta *tupleAcc, sc *execScratch) error {
-	tpp := TuplesPerPage(e.store.star)
+// iterator. A fragment of one prefetch granule has a one-entry read list
+// (the caller has checked that the result has a hit); a larger one takes
+// an I/O-free pass over the WAH words to list the granules containing
+// hits (granules without hits are never read, exactly as the materialised
+// path skips them). The prefetch pipeline reads the list ahead, and a
+// streaming pass cuts every hit range at the granule boundaries and
+// aggregates the pieces as the granule buffers arrive in order.
+func (e *Executor) readHitsCompressed(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Compressed, sc *execScratch) error {
+	store := e.store
 	g := e.PrefetchFact
-	rowsPerGranule := g * tpp
 	sc.gran = sc.gran[:0]
-	last := -1
-	hits.ForEachRange(func(lo, hi int) {
-		for gi := lo / rowsPerGranule; gi <= (hi-1)/rowsPerGranule; gi++ {
-			if gi == last {
-				continue
+	if int(loc.Pages) <= g {
+		sc.gran = append(sc.gran, granule{count: loc.Pages})
+	} else {
+		rowsPerGranule := g * store.tpp
+		last := -1
+		hits.ForEachRange(func(lo, hi int) {
+			for gi := max(lo/rowsPerGranule, last+1); gi <= (hi-1)/rowsPerGranule; gi++ {
+				last = gi
+				sc.gran = append(sc.gran, granuleAt(gi, g, int(loc.Pages)))
 			}
-			last = gi
-			start := gi * g
-			count := g
-			if start+count > int(loc.Pages) {
-				count = int(loc.Pages) - start
-			}
-			sc.gran = append(sc.gran, granule{start: int32(start), count: int32(count)})
-		}
-	})
-	pipe := e.startGranules(ctx, sc, ta.st, id, sc.gran)
+		})
+	}
+	pipe := e.startGranules(ctx, sc, &sc.acc.p.st, id, sc.gran)
+	var gr granule
 	var buf []byte
 	var readErr error
-	loaded := -1 // granule index of buf
+	loadedHi := 0 // first row past the granule in buf
 	hits.ForEachRange(func(lo, hi int) {
-		if readErr != nil {
-			return
-		}
-		for r := lo; r < hi; r++ {
-			gi := r / rowsPerGranule
-			if gi != loaded {
+		for lo < hi && readErr == nil {
+			if lo >= loadedHi {
 				// Hit rows arrive in increasing order and every hit
 				// granule is listed, so the pipe's next granule is
-				// exactly this one.
-				var gr granule
-				gr, buf, readErr = pipe.next()
-				if readErr != nil {
+				// exactly the one holding lo.
+				if gr, buf, readErr = pipe.next(); readErr != nil {
 					return
 				}
-				loaded = int(gr.start) / g
+				loadedHi = int(gr.start+gr.count) * store.tpp
 			}
-			pageIn := r/tpp - loaded*g
-			off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-			tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-			ta.add(tp)
+			end := min(hi, loadedHi)
+			store.fold(&sc.acc, buf, int(gr.start), lo, end)
+			lo = end
 		}
 	})
 	if readErr != nil {

@@ -215,15 +215,17 @@ func (e *Executor) forEachGranule(ctx context.Context, sc *execScratch, st *IOSt
 	return nil
 }
 
+// granuleAt returns granule gi of a fragment of the given page count at
+// granule size g; the last one may be short.
+func granuleAt(gi, g, pages int) granule {
+	return granule{start: int32(gi * g), count: int32(min(g, pages-gi*g))}
+}
+
 // appendWholeGranules appends the granules covering every page of a
 // fragment at granule size g.
 func appendWholeGranules(dst []granule, pages, g int) []granule {
-	for start := 0; start < pages; start += g {
-		count := g
-		if start+count > pages {
-			count = pages - start
-		}
-		dst = append(dst, granule{start: int32(start), count: int32(count)})
+	for gi := 0; gi*g < pages; gi++ {
+		dst = append(dst, granuleAt(gi, g, pages))
 	}
 	return dst
 }

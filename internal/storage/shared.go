@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/bitmap"
 	"repro/internal/exec"
@@ -61,6 +60,7 @@ type bmCached struct {
 // the mask union, and the granule ownership table.
 type sharedScratch struct {
 	sc      *execScratch
+	keys    []uint16    // decodeTuple key buffer
 	byIndex []*bmCached // the task's decoded bitmaps by stored index (nil = not yet)
 	entries []*bmCached // bmCached freelist, reused across tasks
 	used    int
@@ -73,6 +73,7 @@ type sharedScratch struct {
 func (e *Executor) newSharedScratch() *sharedScratch {
 	return &sharedScratch{
 		sc:      e.newScratch(),
+		keys:    make([]uint16, len(e.store.star.Dims)),
 		byIndex: make([]*bmCached, e.bitmaps.NumBitmaps()),
 		union:   bitmap.New(0),
 	}
@@ -203,7 +204,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		}
 	}
 
-	tpp := TuplesPerPage(star)
+	tpp := e.store.tpp
 	g := e.PrefetchFact
 
 	run := func(sc *sharedScratch, ti int) (sharedTaskPart, error) {
@@ -250,7 +251,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 			// scanWhole lists) drive both the logical Fact counters and the
 			// union read list; the first slot listing a granule pays its
 			// physical read, later slots record the saving.
-			granules := int(math.Ceil(float64(loc.Pages) / float64(g)))
+			granules := (int(loc.Pages) + g - 1) / g
 			if cap(sc.payer) < granules {
 				sc.payer = make([]int32, granules)
 			}
@@ -349,7 +350,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 					for r := rowLo; r < rowHi; r++ {
 						pageIn := r/tpp - int(gr.start)
 						off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-						tp, _ := e.store.decodeTuple(buf, off, sc.sc.keys)
+						tp, _ := e.store.decodeTuple(buf, off, sc.keys)
 						for k := range kslots {
 							if masks[k] == nil || masks[k].Get(r) {
 								kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
@@ -361,7 +362,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				for r := rowUnion.NextSet(rowLo); r >= 0 && r < rowHi; r = rowUnion.NextSet(r + 1) {
 					pageIn := r/tpp - int(gr.start)
 					off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-					tp, _ := e.store.decodeTuple(buf, off, sc.sc.keys)
+					tp, _ := e.store.decodeTuple(buf, off, sc.keys)
 					for k := range kslots {
 						if masks[k].Get(r) {
 							kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))

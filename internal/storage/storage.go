@@ -50,6 +50,7 @@ type Store struct {
 	spec      *frag.Spec
 	pageSize  int
 	tupleSize int
+	tpp       int // tuples per page
 	file      *os.File
 	dir       map[int64]FragLoc
 	// order holds the non-empty fragment ids in allocation order.
@@ -121,6 +122,7 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 		spec:      spec,
 		pageSize:  star.PageSize,
 		tupleSize: TupleSize(star),
+		tpp:       TuplesPerPage(star),
 		dir:       make(map[int64]FragLoc),
 	}
 
@@ -142,7 +144,7 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	}
 	s.file = f
 
-	tpp := TuplesPerPage(star)
+	tpp := s.tpp
 	page := make([]byte, s.pageSize)
 	var pageOff int64
 	for _, id := range s.order {
@@ -276,6 +278,7 @@ func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
 		spec:      spec,
 		pageSize:  star.PageSize,
 		tupleSize: TupleSize(star),
+		tpp:       TuplesPerPage(star),
 		dir:       make(map[int64]FragLoc, n),
 	}
 	for i := int64(0); i < n; i++ {
@@ -448,7 +451,7 @@ func (s *Store) ScanFragment(id int64, fn func(Tuple)) error {
 	if !ok {
 		return nil // empty fragment
 	}
-	tpp := TuplesPerPage(s.star)
+	tpp := s.tpp
 	keys := make([]uint16, len(s.star.Dims))
 	page := make([]byte, s.pageSize)
 	remaining := int(loc.Rows)
