@@ -49,6 +49,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdhfnode: -node %d out of range [0,%d)\n", *node, *nodes)
 		os.Exit(2)
 	}
+	if *onDisk == "" && (*disks != 0 || *ioDelay != 0) {
+		fmt.Fprintln(os.Stderr, "mdhfnode: -disks and -iodelay need -ondisk (the in-memory engine has no disks)")
+		os.Exit(2)
+	}
 	star := mdhf.APB1Scaled(*scale)
 	spec, err := mdhf.ParseFragmentation(star, *fragText)
 	if err != nil {
@@ -76,16 +80,12 @@ func main() {
 		Workers:    *workers,
 		AdmitLimit: *admit,
 		Compress:   *compress,
-	}
-	if *onDisk != "" {
-		cfg.OnDisk = true
-		cfg.Dir = *onDisk
-		cfg.Disks = *disks
-		cfg.Staggered = true
-		if *ioDelay > 0 {
-			cfg.IODelay = *ioDelay
-			cfg.IODelaySet = true
-		}
+		OnDisk:     *onDisk != "",
+		Dir:        *onDisk,
+		Disks:      *disks,
+		Staggered:  true,
+		IODelay:    *ioDelay,
+		IODelaySet: *ioDelay > 0,
 	}
 	n, err := mdhf.NewClusterNode(cfg, shard)
 	if err != nil {

@@ -79,7 +79,6 @@ type NodeConfig struct {
 type Node struct {
 	cfg   NodeConfig
 	store *epoch.Store
-	own   func(int64) bool // nil on a single-node cluster: every fragment is local
 
 	failed  atomic.Bool
 	queries atomic.Int64
@@ -109,13 +108,14 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node rows missing or generated for a different schema")
 	}
 	n := &Node{cfg: cfg}
+	var own func(int64) bool // nil on a single-node cluster: every fragment is local
 	if cl, idx := cfg.Cluster, cfg.Index; cl.Disks > 1 {
-		n.own = func(id int64) bool { return cl.FactDisk(id) == idx }
+		own = func(id int64) bool { return cl.FactDisk(id) == idx }
 	}
 	scfg := epoch.Config{
 		Spec:         cfg.Spec,
 		Indexes:      cfg.Indexes,
-		Own:          n.own,
+		Own:          own,
 		OnDisk:       cfg.OnDisk,
 		Dir:          cfg.Dir,
 		Compress:     cfg.Compress,
@@ -188,38 +188,12 @@ func (n *Node) Exec(ctx context.Context, req Request) (Response, error) {
 	}
 	defer n.store.Unpin(snap.B)
 	q := req.Query()
-	resp := Response{Epoch: snap.Epoch, Grouped: len(q.GroupBy) > 0}
-	if n.store.Sharing() {
-		out, handled, err := n.store.ExecShared(ctx, snap, q)
-		if err != nil && handled {
-			return Response{}, n.nodeErr(err)
-		}
-		if handled {
-			resp.Engine, resp.IO, resp.Shared, resp.DeltaRows = out.Engine, out.IO, out.Shared, out.DeltaRows
-			packPartial(&resp, out.Part)
-			return resp, nil
-		}
-		// Batch-wide failure: fall back to solo execution below, so node-
-		// side batching is only ever a performance effect.
-	}
-	deltas := n.store.Deltas(snap)
-	if snap.B.Engine != nil {
-		p, st, err := snap.B.Engine.ExecutePartialDeltas(ctx, n.store.Sched, q, deltas, n.own)
-		if err != nil {
-			return Response{}, n.nodeErr(err)
-		}
-		resp.Engine = st
-		resp.DeltaRows = st.DeltaRows
-		packPartial(&resp, p)
-		return resp, nil
-	}
-	p, io, err := snap.B.Disk.Exec.ExecutePartialDeltas(ctx, q, deltas, n.own)
+	out, err := n.store.Exec(ctx, snap, q)
 	if err != nil {
 		return Response{}, n.nodeErr(err)
 	}
-	resp.IO = io
-	resp.DeltaRows = io.DeltaRows
-	packPartial(&resp, p)
+	resp := Response{Epoch: snap.Epoch, Grouped: len(q.GroupBy) > 0, Engine: out.Engine, IO: out.IO, Shared: out.Shared, DeltaRows: out.DeltaRows}
+	packPartial(&resp, out.Part)
 	return resp, nil
 }
 

@@ -1,19 +1,20 @@
 // Package engine is a real (non-simulated) parallel star query executor
 // over MDHF-fragmented fact data: it partitions a generated fact table into
 // fragments, builds per-fragment bitmap indices, and executes star queries
-// fragment-wise with a pool of worker goroutines standing in for the
-// Shared Disk processing nodes. It validates that the fragment-confinement
-// and bitmap-elimination logic of internal/frag produces correct query
+// fragment-wise on a scheduler's workers standing in for the Shared Disk
+// processing nodes. It validates that the fragment-confinement and
+// bitmap-elimination logic of internal/frag produces correct query
 // answers, complementing the timing-oriented SIMPAD simulator.
 //
-// Aggregation — including grouped roll-ups — runs on the shared
-// internal/kernel types, so the engine's results are structurally
-// identical to the on-disk executor's.
+// Everything around a fragment — validation, fragment enumeration, the
+// delta fold, the task-ordered merge — is internal/kernel's drivers; the
+// engine supplies the fragment folds (processFragment and its compressed
+// twin solo, sharedMask + kernel.EvalMany shared), so its results are
+// structurally identical to the on-disk executor's.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -217,24 +218,6 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 // NumFragments returns the number of non-empty fragments materialised.
 func (e *Engine) NumFragments() int { return len(e.frags) }
 
-// errNilScheduler is returned by every entry point handed no scheduler:
-// the engine owns no worker pool of its own.
-var errNilScheduler = errors.New("engine: nil scheduler")
-
-// partial is one fragment's contribution to a query result.
-type partial struct {
-	fp kernel.FragPartial
-	st Stats
-}
-
-// acc is a query's running result: the task-ordered fold of the
-// fragments' partials.
-type acc struct {
-	agg Aggregate
-	g   *kernel.Grouped
-	st  Stats
-}
-
 // scratch is the per-worker buffer set threaded through internal/exec:
 // selection bitsets for the materialised path, operand and result buffers
 // for the compressed path. Every buffer is reused across all fragments a
@@ -245,8 +228,6 @@ type scratch struct {
 
 	ops  []*bitmap.Compressed // operands of the fragment's single AndAll
 	cres *bitmap.Compressed   // compressed intersection result
-
-	dsc *frag.DeltaScratch // delta segment selection buffers (lazy)
 }
 
 func newScratch() *scratch {
@@ -263,92 +244,43 @@ func rowKey(base uint64, perRow []kernel.RowLevel, dims [][]int32, i int) uint64
 	return base
 }
 
-// fragmentTask returns the per-fragment task body. With a grouper, the
-// fragment-aligned fast path tags the fragment total with its constant
-// group key (zero per-row work); the fallback buckets rows into a
-// fragment-local group map.
-func (e *Engine) fragmentTask(ids []int64, q frag.Query, gr *kernel.Grouper, deltas kernel.Deltas) func(sc *scratch, i int) (partial, error) {
-	var perRow []kernel.RowLevel
-	aligned := false
-	if gr != nil {
-		aligned = gr.Aligned()
-		perRow = gr.PerRow()
-	}
-	return func(sc *scratch, i int) (partial, error) {
-		f, ok := e.frags[ids[i]]
-		hasDelta := !deltas.Empty() && len(deltas.Set.Of(ids[i])) > 0
-		if !ok && !hasDelta {
-			return partial{}, nil // fragment has no rows at this density
-		}
-		var p partial
-		var base uint64
-		if gr != nil {
-			base = gr.FragKey(ids[i])
-			if aligned {
-				p.fp.OneGroup, p.fp.Key = true, base
-			} else {
-				p.fp.Groups = kernel.NewGrouped()
-			}
-		}
-		if ok {
-			if e.compressed {
-				e.processFragmentCompressed(f, q, sc, &p, base, perRow)
-			} else {
-				e.processFragment(f, q, sc, &p, base, perRow)
-			}
-		}
-		if hasDelta {
-			// Base rows first, then the fragment's delta segments in seal
-			// order — all inside the fragment's own task, so the
-			// cross-fragment gather stays task-ordered.
-			if sc.dsc == nil {
-				sc.dsc = frag.NewDeltaScratch()
-			}
-			n, err := kernel.AddDelta(deltas, ids[i], q, &p.fp, base, perRow, sc.dsc)
-			if err != nil {
-				return partial{}, err
-			}
-			p.st.DeltaRows += n
-		}
-		p.st.FragmentsProcessed = 1
-		return p, nil
-	}
-}
-
-// mergePartial folds one fragment's partial into the running result
-// (strictly in task order).
-func mergePartial(grouped bool) func(a *acc, p partial) {
-	return func(a *acc, p partial) {
-		if grouped && a.g == nil {
-			a.g = kernel.NewGrouped()
-		}
-		p.fp.MergeInto(&a.agg, a.g)
-		a.st.Add(p.st)
-	}
-}
-
-// ExecuteGroupedDeltas runs the star query on the scheduler's pool —
+// Solo runs the star query through kernel.Solo on the scheduler's pool —
 // its fragment tasks interleave with every other execution admitted to
-// the scheduler — and returns the full result: the grand total plus,
-// when the query has a GroupBy, the per-group rows in the deterministic
-// kernel order. On the fragment-aligned fast path (every GroupBy level
-// at or above its dimension's fragmentation level) grouping performs no
-// per-row work at all. The pinned delta snapshot is folded into every
-// fragment's partial: each relevant fragment aggregates its base rows
-// first, then its delta segments in seal order, so the epoch-versioned
-// warehouse serves base+delta results through the same task-ordered
-// gather — byte-identical to an engine rebuilt from scratch with the
-// same rows, at any pool size or admission mix.
+// the scheduler — over the relevant fragments own selects (nil selects
+// all). The engine's share is the fragment fold: the fragment-aligned
+// fast path tags the fragment total with its constant group key (no
+// per-row work at all), the fallback buckets rows into a fragment-local
+// group map; a fragment holding neither base rows nor delta segments
+// counts as not processed.
+func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[Stats], error) {
+	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, NewScratch: newScratch}
+	return kernel.Solo(ctx, d, q, deltas, own, func() (kernel.SoloFold[*scratch, Stats], error) {
+		return func(sc *scratch, id int64, q frag.Query, slot kernel.Slot) (kernel.FragPartial, Stats, error) {
+			var st Stats
+			f, ok := e.frags[id] // absent: the fragment has no rows at this density
+			if ok && e.compressed {
+				e.processFragmentCompressed(f, q, sc, &slot.FP, &st, slot.Base, slot.PerRow)
+			} else if ok {
+				e.processFragment(f, q, sc, &slot.FP, &st, slot.Base, slot.PerRow)
+			}
+			if ok || deltas.Has(id) {
+				st.FragmentsProcessed = 1
+			}
+			return slot.FP, st, nil
+		}, nil
+	})
+}
+
+// ExecuteGroupedDeltas runs the query and returns the full result: the
+// grand total plus, when the query has a GroupBy, the per-group rows in
+// the deterministic kernel order. The pinned delta snapshot is folded
+// into every fragment's partial — base rows first, then the delta
+// segments in seal order — so the epoch-versioned warehouse serves
+// base+delta results byte-identical to an engine rebuilt from scratch
+// with the same rows, at any pool size or admission mix.
 func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas) (kernel.Result, Stats, error) {
-	a, gr, err := e.executeAcc(ctx, q, s, deltas, nil)
-	if err != nil {
-		return kernel.Result{}, Stats{}, err
-	}
-	res := kernel.Result{Aggregate: a.agg}
-	if gr != nil {
-		res.Groups = gr.Rows(a.g)
-	}
-	return res, a.st, nil
+	o, err := e.Solo(ctx, s, q, deltas, nil)
+	return o.Gr.Result(o.Part), o.St, err
 }
 
 // ExecutePartialDeltas runs the query over only the relevant fragments
@@ -359,51 +291,8 @@ func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q 
 // and flattening through Grouper.Rows obtains results byte-identical to
 // a single-node execution over the union of the rows.
 func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, Stats, error) {
-	a, gr, err := e.executeAcc(ctx, q, s, deltas, own)
-	if err != nil {
-		return kernel.FragPartial{}, Stats{}, err
-	}
-	p := kernel.FragPartial{Agg: a.agg}
-	if gr != nil {
-		p.Groups = a.g
-		if p.Groups == nil {
-			p.Groups = kernel.NewGrouped()
-		}
-	}
-	return p, a.st, nil
-}
-
-// executeAcc is the shared execution core: validate, derive the grouper,
-// enumerate (and optionally ownership-filter) the relevant fragments and
-// fold their partials in task order. It returns the raw accumulator so
-// callers can either flatten it (ExecuteGroupedDeltas) or ship it as a
-// partial (ExecutePartialDeltas).
-func (e *Engine) executeAcc(ctx context.Context, q frag.Query, s *exec.Scheduler, deltas kernel.Deltas, own func(int64) bool) (acc, *kernel.Grouper, error) {
-	if s == nil {
-		return acc{}, nil, errNilScheduler
-	}
-	if err := q.Validate(e.star); err != nil {
-		return acc{}, nil, err
-	}
-	gr, err := kernel.NewGrouper(e.star, e.spec, q.GroupBy)
-	if err != nil {
-		return acc{}, nil, err
-	}
-	ids := e.spec.FragmentIDs(q)
-	if own != nil {
-		kept := ids[:0]
-		for _, id := range ids {
-			if own(id) {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	}
-	a, err := exec.ReduceOn(ctx, s, len(ids), newScratch, e.fragmentTask(ids, q, gr, deltas), mergePartial(gr != nil))
-	if err != nil {
-		return acc{}, nil, err
-	}
-	return a, gr, nil
+	o, err := e.Solo(ctx, s, q, deltas, own)
+	return o.Part, o.St, err
 }
 
 // processFragment evaluates the query inside one fragment: bitmap
@@ -412,8 +301,7 @@ func (e *Engine) executeAcc(ctx context.Context, q frag.Query, s *exec.Scheduler
 // (query types Q1/Q3). All selections land in sc's reusable bitsets and
 // aggregation runs word-wise; only the per-row grouping fallback (perRow
 // non-empty) adds key computation and map updates to the loop.
-func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *partial, base uint64, perRow []kernel.RowLevel) {
-	st := &p.st
+func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *kernel.FragPartial, st *Stats, base uint64, perRow []kernel.RowLevel) {
 	first := true
 	for _, pr := range q.Preds {
 		if !e.spec.NeedsBitmap(pr) {
@@ -437,7 +325,7 @@ func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *part
 		first = false
 	}
 
-	agg := &p.fp.Agg
+	agg := &p.Agg
 	if first {
 		// All fragment rows are relevant (no bitmap access, IOC1-style).
 		st.RowsScanned += int64(f.rows)
@@ -448,7 +336,7 @@ func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *part
 		} else {
 			for i := 0; i < f.rows; i++ {
 				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.fp.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
+				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
 			}
 		}
 		return
@@ -467,7 +355,7 @@ func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *part
 				i := wordBase + bits.TrailingZeros64(w)
 				w &= w - 1
 				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.fp.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
+				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
 			}
 		})
 	}
@@ -479,8 +367,7 @@ func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *part
 // run-skipping AndAll, and the hit rows stream out of the compressed
 // result range-wise — no Bitset is materialised at any point. Grouping
 // follows the same aligned/per-row split as processFragment.
-func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratch, p *partial, base uint64, perRow []kernel.RowLevel) {
-	st := &p.st
+func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratch, p *kernel.FragPartial, st *Stats, base uint64, perRow []kernel.RowLevel) {
 	ops := sc.ops[:0]
 	for _, pr := range q.Preds {
 		if !e.spec.NeedsBitmap(pr) {
@@ -498,7 +385,7 @@ func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratc
 	}
 	sc.ops = ops
 
-	agg := &p.fp.Agg
+	agg := &p.Agg
 	if len(ops) == 0 {
 		// All fragment rows are relevant (no bitmap access, IOC1-style).
 		st.RowsScanned += int64(f.rows)
@@ -509,7 +396,7 @@ func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratc
 		} else {
 			for i := 0; i < f.rows; i++ {
 				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.fp.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
+				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
 			}
 		}
 		return
@@ -525,7 +412,7 @@ func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratc
 		sc.cres.ForEachRange(func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.fp.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
+				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
 			}
 		})
 	}

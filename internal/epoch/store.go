@@ -26,7 +26,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/frag"
-	"repro/internal/kernel"
 	"repro/internal/storage"
 )
 
@@ -142,7 +141,7 @@ type Store struct {
 	Pool  *storage.BufPool
 
 	cfg    Config
-	shared *exec.Batcher[sharedKey, frag.Query, SharedOut]
+	shared *exec.Batcher[sharedKey, frag.Query, Out]
 
 	mu      sync.Mutex // the state lock: everything down to delay
 	closed  bool
@@ -182,7 +181,7 @@ func New(cfg Config) *Store {
 		s.Pool = storage.NewBufPool(cfg.PoolBytes)
 	}
 	if cfg.SharedWindow > 0 {
-		s.shared = exec.NewBatcher[sharedKey, frag.Query, SharedOut](cfg.SharedWindow)
+		s.shared = exec.NewBatcher[sharedKey, frag.Query, Out](cfg.SharedWindow)
 	}
 	return s
 }
@@ -314,12 +313,6 @@ func (s *Store) Current() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cur
-}
-
-// Deltas pairs a pinned snapshot's delta set with the store's delta
-// index — the form the executors merge with the base backend.
-func (s *Store) Deltas(snap Snapshot) kernel.Deltas {
-	return kernel.Deltas{Ix: s.ix, Set: snap.Deltas}
 }
 
 // Counters snapshots the epoch, live delta set and ingestion counters.

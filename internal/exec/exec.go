@@ -6,12 +6,12 @@
 // in task order, so that parallel execution is bit-for-bit identical to
 // sequential execution regardless of pool size or scheduling.
 //
-// The in-memory query engine (internal/engine) and the on-disk executor
-// (internal/storage) run on the serving store's long-lived scheduler
-// through MapOn/ReduceOn and their placement-aware Sharded variants. The
-// control-plane fan-outs — the cost advisor, the experiment harness, the
-// cluster coordinator's scatter — use Map/Reduce, which run the same loop
-// on a scheduler owned by the call.
+// The query drivers (internal/kernel) run both backends' fragment tasks
+// on the serving store's long-lived scheduler through ReduceShardedOn,
+// placement-aware when the backend is declustered. The control-plane
+// fan-outs — the cost advisor, the experiment harness, the cluster
+// coordinator's scatter — use Map/Reduce, which run the same loop on a
+// scheduler owned by the call.
 package exec
 
 import (
@@ -46,7 +46,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 	)
 }
 
-// Reduce is Map followed by ReduceOn's deterministic gather: the
+// Reduce is Map followed by ReduceShardedOn's deterministic gather: the
 // per-task partials are folded into a single accumulator strictly in
 // task order, so non-commutative merges still give identical results at
 // any worker count.

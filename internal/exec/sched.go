@@ -16,7 +16,7 @@ var ErrOverloaded = errors.New("exec: scheduler overloaded, execution shed")
 
 // Scheduler is the serving layer's admission scheduler: one fixed pool of
 // worker goroutines that concurrent query executions share. Each admitted
-// execution (one MapOn/ReduceOn call) submits its fragment tasks into the
+// execution (one MapOn/ReduceShardedOn call) submits its fragment tasks into the
 // pool's single task channel, so M in-flight queries multiplex onto the
 // same W workers — and, through the executors' disk-aware task bodies,
 // onto the same DiskSet — instead of each spawning a private worker set.
@@ -296,22 +296,15 @@ func lowerTo(c *atomic.Int64, v int64) {
 	}
 }
 
-// ReduceOn is MapOn followed by a deterministic gather: the per-task
-// partials are folded into a single accumulator strictly in task order,
-// so non-commutative merges still give identical results at any pool
-// size or admission mix. This is also what makes grouped roll-ups
-// deterministic: the query engines' merge funcs fold per-fragment group
-// maps (internal/kernel) through this task-ordered gather, so the
-// accumulated group content — and, after the kernel's sorted row
-// flattening, the output bytes — are identical at any pool size, shard
-// layout or admission mix.
-func ReduceOn[S, T, A any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	parts, err := MapOn(ctx, s, n, newScratch, fn)
-	return fold(parts, err, merge)
-}
-
-// ReduceShardedOn is ReduceOn submitted through MapShardedOn's
-// round-robin-across-shards order. The fold remains strictly task-ordered.
+// ReduceShardedOn is MapShardedOn (MapOn with one shard) followed by a
+// deterministic gather: the per-task partials are folded into a single
+// accumulator strictly in task order, so non-commutative merges still
+// give identical results at any pool size, shard layout or admission
+// mix. This is also what makes grouped roll-ups deterministic: the query
+// drivers' merge funcs (internal/kernel) fold per-fragment group maps
+// through this task-ordered gather, so the accumulated group content —
+// and, after the kernel's sorted row flattening, the output bytes — are
+// identical however the tasks were scheduled.
 func ReduceShardedOn[S, T, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(sc S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
 	parts, err := MapShardedOn(ctx, s, n, shardOf, shards, newScratch, fn)
 	return fold(parts, err, merge)

@@ -49,7 +49,7 @@ func entries(t *testing.T, workers int) []entry {
 				return MapOn(ctx, s, n, newScratch, fn)
 			},
 			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
-				return ReduceOn(ctx, s, n, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
+				return ReduceShardedOn(ctx, s, n, nil, 1, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
 			},
 		},
 		{
@@ -346,13 +346,13 @@ func TestReduceGroupedMapDeterministic(t *testing.T) {
 	newS := func() struct{} { return struct{}{} }
 	one := NewScheduler(1)
 	defer one.Close()
-	want, err := ReduceOn(context.Background(), one, n, newS, task, merge)
+	want, err := ReduceShardedOn(context.Background(), one, n, nil, 1, newS, task, merge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		s := NewScheduler(workers)
-		got, err := ReduceOn(context.Background(), s, n, newS, task, merge)
+		got, err := ReduceShardedOn(context.Background(), s, n, nil, 1, newS, task, merge)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,9 @@ type Deltas struct {
 // Empty reports whether there is nothing to fold.
 func (d Deltas) Empty() bool { return d.Ix == nil || d.Set.Rows() == 0 }
 
+// Has reports whether fragment id has delta segments to fold.
+func (d Deltas) Has(id int64) bool { return !d.Empty() && len(d.Set.Of(id)) > 0 }
+
 // AddDelta folds every delta segment of fragment id into the fragment's
 // partial, in seal order: rows selected by the query's bitmap predicates
 // (frag.DeltaIndex.Select — the same verbatim/complemented WAH

@@ -141,6 +141,16 @@ func (g *Grouper) FragKey(id int64) uint64 {
 	return key
 }
 
+// Result flattens a merged partial into the query result: the grand
+// total plus, for a grouped query (g non-nil), its rows in Rows order.
+func (g *Grouper) Result(p FragPartial) Result {
+	res := Result{Aggregate: p.Agg}
+	if g != nil {
+		res.Groups = g.Rows(p.Groups)
+	}
+	return res
+}
+
 // Rows flattens a group accumulator into the deterministic output order:
 // ascending in the composed key, i.e. lexicographic in the GroupBy member
 // tuple. Every backend produces byte-identical rows for the same query.

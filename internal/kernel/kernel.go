@@ -1,12 +1,19 @@
-// Package kernel is the shared aggregation kernel of the query backends:
-// the one Aggregate every executor accumulates into, the work Stats the
+// Package kernel is what the query backends share. Its types: the one
+// Aggregate every executor accumulates into, the work Stats the
 // in-memory engine reports, and the grouped-roll-up machinery (Grouper,
 // Grouped, Row) that turns MDHF's hierarchy-aligned fragments into
-// nearly-free GROUP BY execution. The in-memory engine, its compressed
-// fast path, the on-disk executor and the declustered sharded path all
-// compile against these types instead of defining their own, so a result
-// produced by any backend is structurally — and, after the deterministic
-// Rows ordering, byte-for-byte — comparable with every other.
+// nearly-free GROUP BY execution — so a result produced by any backend
+// is structurally, and after the deterministic Rows ordering
+// byte-for-byte, comparable with every other. And its two drivers, Solo
+// and Shared (driver.go): the paper's processing model (Section 4.3)
+// around the one step in which the backends differ. Both validate,
+// derive the grouper, enumerate the relevant fragments a node owns, run
+// one task per fragment on the backend's scheduler — shape a Slot, let
+// the backend fold the fragment's base rows into it, fold the fragment's
+// delta segments in seal order — and merge the tasks' partials strictly
+// in task order, so a result is identical at any pool size, disk layout
+// or admission mix. A backend hands them where its tasks run (Dispatch)
+// and one function: bind a validated query (batch) to its fragment fold.
 package kernel
 
 // Aggregate is a star query result: COUNT plus the three APB-1 measure
@@ -59,6 +66,18 @@ func (s *Stats) Add(o Stats) {
 	s.RowsScanned += o.RowsScanned
 	s.BitmapsRead += o.BitmapsRead
 	s.DeltaRows += o.DeltaRows
+}
+
+// Plus returns the sum of the two executions' counters.
+func (s Stats) Plus(o Stats) Stats {
+	s.Add(o)
+	return s
+}
+
+// WithDeltaRows returns the counters credited with n delta rows.
+func (s Stats) WithDeltaRows(n int64) Stats {
+	s.DeltaRows += n
+	return s
 }
 
 // Grouped accumulates per-group aggregates keyed by a Grouper's composed

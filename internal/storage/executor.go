@@ -47,6 +47,18 @@ func (st *IOStats) Add(o IOStats) {
 	st.PoolBytes += o.PoolBytes
 }
 
+// Plus returns the sum of the two executions' counters.
+func (st IOStats) Plus(o IOStats) IOStats {
+	st.Add(o)
+	return st
+}
+
+// WithDeltaRows returns the counters credited with n delta rows.
+func (st IOStats) WithDeltaRows(n int64) IOStats {
+	st.DeltaRows += n
+	return st
+}
+
 // Aggregate is the star query result over the stored measures — the
 // shared kernel aggregate, so on-disk results are structurally identical
 // to the in-memory engine's.
@@ -55,13 +67,15 @@ type Aggregate = kernel.Aggregate
 // Executor runs star queries against an on-disk store following the
 // processing model of Section 4.3: determine the relevant fragments, read
 // the required bitmap fragments, AND them, read the fact pages containing
-// hits with prefetch granules, and aggregate. Fragments are processed in
+// hits with prefetch granules, and aggregate. The first step and
+// everything after the last — the delta fold, the merge of the
+// per-fragment partials and IOStats in fragment allocation order — are
+// internal/kernel's drivers; the executor supplies the steps between
+// (processFragment solo, sharedFold shared). Fragments are processed in
 // parallel on the scheduler's pool, standing in for the Shared Disk
 // processing nodes: concurrent executions — from this executor or any
 // other attached to the same scheduler — multiplex onto its fixed
-// workers (and one DiskSet when declustered). Per-fragment partial
-// aggregates and IOStats merge in fragment allocation order, so results
-// are identical at any pool size or admission mix.
+// workers (and one DiskSet when declustered).
 type Executor struct {
 	store   *Store
 	bitmaps *BitmapFile
@@ -93,31 +107,22 @@ var errNilScheduler = errors.New("storage: nil scheduler")
 // 15 + 12 bit positions) just grows.
 const planCap = 16
 
-// shards returns the placement key of a declustered dispatch — the disk
-// holding task i's fragment, and the disk count — so the first tasks an
-// execution gets running spread over distinct disks. Without a disk set
-// there is one implicit shard and tasks are submitted in task order.
-func (e *Executor) shards(ids []int64) (shardOf func(i int) int, shards int) {
-	ds := e.store.disks
-	if ds == nil {
-		return nil, 1
+// dispatch describes where the executor's fragment tasks run: on its
+// scheduler, placement-aware over the disk set when the store is
+// declustered (one implicit disk, tasks in task order, otherwise).
+func dispatch[S any](e *Executor, newScratch func() S) kernel.Dispatch[S] {
+	d := kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, NewScratch: newScratch}
+	if ds := e.store.disks; ds != nil {
+		d.Disks, d.DiskOf = ds.Disks(), e.store
 	}
-	placement := e.store.placement
-	return func(i int) int { return placement.FactDisk(ids[i]) }, ds.Disks()
+	return d
 }
 
-// partial is one fragment's contribution to a query result.
+// partial is what the fragment kernels fold one fragment into: its
+// contribution to the query result and the I/O that took.
 type partial struct {
 	fp kernel.FragPartial
 	st IOStats
-}
-
-// acc is a query's running result: the task-ordered fold of the
-// fragments' partials.
-type acc struct {
-	agg Aggregate
-	g   *kernel.Grouped
-	st  IOStats
 }
 
 // execScratch is the per-worker buffer set threaded through internal/exec.
@@ -143,8 +148,6 @@ type execScratch struct {
 	free   chan []byte   // empty pipeline buffers (capacity 2, unpooled)
 	tok    chan struct{} // read-ahead tokens (capacity 2, pooled)
 	filled chan gread    // completed granule reads
-
-	dsc *frag.DeltaScratch // delta segment selection buffers (lazy)
 }
 
 func (e *Executor) newScratch() *execScratch {
@@ -160,34 +163,35 @@ func (sc *execScratch) operand(i int) *bitmap.Compressed {
 	return sc.cpool[i]
 }
 
+// Solo runs the query through kernel.Solo over the relevant fragments
+// own selects (nil selects all): the scatter over the pool stops early
+// when ctx is cancelled or any fragment fails, and is disk-aware on a
+// declustered store (see dispatch). The executor's share is the bitmap
+// plan, derived once per query, and processFragment. On the
+// fragment-aligned fast path the group key comes from the fragment id,
+// so grouping adds no per-row work and — because the stored tuples
+// carry the dimension keys — never any extra I/O. Delta rows cost no
+// physical I/O; they are reported in IOStats.DeltaRows.
+func (e *Executor) Solo(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[IOStats], error) {
+	return kernel.Solo(ctx, dispatch(e, e.newScratch), q, deltas, own, func() (kernel.SoloFold[*execScratch, IOStats], error) {
+		plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), q)
+		return func(sc *execScratch, id int64, _ frag.Query, slot kernel.Slot) (kernel.FragPartial, IOStats, error) {
+			p := partial{fp: slot.FP}
+			err := e.processFragment(ctx, id, plan, &p, sc, slot.Base, slot.PerRow)
+			return p.fp, p.st, err
+		}, err
+	})
+}
+
 // ExecuteGroupedDeltas runs the query and returns the full result: the
 // grand total plus, when the query has a GroupBy, the per-group rows in
-// the deterministic kernel order. On the fragment-aligned fast path
-// (every GroupBy level at or above its dimension's fragmentation level)
-// the group key is computed once per fragment from its id, so grouping
-// adds no per-row work and — because the stored tuples carry the
-// dimension keys — never any extra I/O. Scattering the relevant
-// fragments over the pool stops early when ctx is cancelled or any
-// fragment fails; on a declustered store the scatter is disk-aware (see
-// shards).
-//
-// The pinned delta snapshot is folded into every fragment's partial:
-// each relevant fragment aggregates its on-disk base rows first, then
-// its in-memory delta segments in seal order, inside the fragment's own
-// task — so the cross-fragment gather stays task-ordered and base+delta
-// results are byte-identical to a store rebuilt from scratch with the
-// same rows. Delta rows cost no physical I/O; they are reported in
-// IOStats.DeltaRows.
+// the deterministic kernel order. The pinned delta snapshot is folded
+// into every fragment's partial — on-disk base rows first, then the
+// in-memory delta segments in seal order — so base+delta results are
+// byte-identical to a store rebuilt from scratch with the same rows.
 func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas) (kernel.Result, IOStats, error) {
-	a, gr, err := e.executeAcc(ctx, q, deltas, nil)
-	if err != nil {
-		return kernel.Result{}, IOStats{}, err
-	}
-	res := kernel.Result{Aggregate: a.agg}
-	if gr != nil {
-		res.Groups = gr.Rows(a.g)
-	}
-	return res, a.st, nil
+	o, err := e.Solo(ctx, q, deltas, nil)
+	return o.Gr.Result(o.Part), o.St, err
 }
 
 // ExecutePartialDeltas runs the query over only the relevant fragments
@@ -198,93 +202,8 @@ func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, delta
 // through Grouper.Rows for results byte-identical to a single store
 // holding the union of the rows.
 func (e *Executor) ExecutePartialDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, IOStats, error) {
-	a, gr, err := e.executeAcc(ctx, q, deltas, own)
-	if err != nil {
-		return kernel.FragPartial{}, IOStats{}, err
-	}
-	p := kernel.FragPartial{Agg: a.agg}
-	if gr != nil {
-		p.Groups = a.g
-		if p.Groups == nil {
-			p.Groups = kernel.NewGrouped()
-		}
-	}
-	return p, a.st, nil
-}
-
-// executeAcc is the shared execution core behind ExecuteGroupedDeltas
-// and ExecutePartialDeltas: validate, derive the grouper, enumerate (and
-// optionally ownership-filter) the relevant fragments and fold their
-// partials in task order.
-func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (acc, *kernel.Grouper, error) {
-	star := e.store.star
-	spec := e.store.spec
-	if err := q.Validate(star); err != nil {
-		return acc{}, nil, err
-	}
-	gr, err := kernel.NewGrouper(star, spec, q.GroupBy)
-	if err != nil {
-		return acc{}, nil, err
-	}
-	plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), q)
-	if err != nil {
-		return acc{}, nil, err
-	}
-	ids := spec.FragmentIDs(q)
-	if own != nil {
-		kept := ids[:0]
-		for _, id := range ids {
-			if own(id) {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	}
-	var perRow []kernel.RowLevel
-	aligned := false
-	if gr != nil {
-		aligned = gr.Aligned()
-		perRow = gr.PerRow()
-	}
-	run := func(sc *execScratch, i int) (partial, error) {
-		var p partial
-		var base uint64
-		if gr != nil {
-			base = gr.FragKey(ids[i])
-			if aligned {
-				p.fp.OneGroup, p.fp.Key = true, base
-			} else {
-				p.fp.Groups = kernel.NewGrouped()
-			}
-		}
-		if err := e.processFragment(ctx, ids[i], plan, &p, sc, base, perRow); err != nil {
-			return partial{}, err
-		}
-		if !deltas.Empty() {
-			if sc.dsc == nil {
-				sc.dsc = frag.NewDeltaScratch()
-			}
-			n, err := kernel.AddDelta(deltas, ids[i], q, &p.fp, base, perRow, sc.dsc)
-			if err != nil {
-				return partial{}, err
-			}
-			p.st.DeltaRows += n
-		}
-		return p, nil
-	}
-	merge := func(a *acc, p partial) {
-		if gr != nil && a.g == nil {
-			a.g = kernel.NewGrouped()
-		}
-		p.fp.MergeInto(&a.agg, a.g)
-		a.st.Add(p.st)
-	}
-	shardOf, shards := e.shards(ids)
-	a, err := exec.ReduceShardedOn(ctx, e.sched, len(ids), shardOf, shards, e.newScratch, run, merge)
-	if err != nil {
-		return acc{}, nil, err
-	}
-	return a, gr, nil
+	o, err := e.Solo(ctx, q, deltas, own)
+	return o.Part, o.St, err
 }
 
 // processFragment evaluates the query's bitmap plan within one fragment

@@ -4,48 +4,9 @@ import (
 	"context"
 
 	"repro/internal/bitmap"
-	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
 )
-
-// SharedResult is one query's outcome in a shared multi-query scan: the
-// flattened result (the warehouse surface), the un-flattened partial
-// (the cluster node surface), the query's own *logical* I/O statistics
-// — byte-identical to what its solo execution would report — and the
-// physical savings sharing bought it. Err carries a per-query
-// validation failure; batch-wide failures (I/O errors, cancellation)
-// fail the whole call instead so every caller can fall back to solo
-// execution.
-type SharedResult struct {
-	Res    kernel.Result
-	Part   kernel.FragPartial
-	St     IOStats
-	Shared kernel.SharedScanStats
-	Err    error
-}
-
-// slotPart is one slot's contribution from one fragment task.
-type slotPart struct {
-	slot   int
-	fp     kernel.FragPartial
-	st     IOStats
-	shared kernel.SharedScanStats
-}
-
-// sharedTaskPart is one fragment task's output: the per-slot partials of
-// every query that needed the fragment.
-type sharedTaskPart struct {
-	parts []slotPart
-}
-
-// sharedAcc folds the tasks' outputs per slot.
-type sharedAcc struct {
-	agg    []kernel.Aggregate
-	g      []*kernel.Grouped
-	st     []IOStats
-	shared []kernel.SharedScanStats
-}
 
 // bmCached is one bitmap fragment decoded for the duration of a fragment
 // task, so batch-mates selecting the same bitmap reuse it instead of
@@ -181,68 +142,72 @@ func (e *Executor) sharedMask(ctx context.Context, rows int, plan []frag.BitmapO
 	return res.DecompressInto(mask), nil
 }
 
-// ExecuteSharedDeltas executes K queries against one pinned snapshot in
-// a single shared pass: the union of the queries' relevant fragments is
-// dispatched as one task set (through the scheduler, disk-aware when
-// declustered, exactly like solo execution), and each fragment task
-// performs one physical bitmap selection + granule read stream that
-// feeds every query needing the fragment. Per-query results — including
-// the logical I/O statistics — are byte-identical to K solo executions
-// against the same snapshot; only the physical read counts shrink.
-func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]SharedResult, error) {
-	star := e.store.star
-	plan := kernel.PlanBatch(star, e.store.spec, qs, own)
-	slots := plan.Queries
-	bplans := make([][]frag.BitmapOp, len(slots))
-	for s := range slots {
-		if slots[s].Err != nil {
-			continue
+// Shared executes K queries against one pinned snapshot through
+// kernel.Shared in a single pass: the union of the queries' relevant
+// fragments is dispatched as one task set (disk-aware when declustered,
+// exactly like Solo), and each fragment task performs one physical
+// bitmap selection + granule read stream that feeds every query needing
+// the fragment. Per-query outcomes — including the logical I/O
+// statistics — are byte-identical to K Solo executions against the same
+// snapshot; only the physical read counts shrink, and Out.Shared says by
+// how much. A batch-wide failure (an I/O error, cancellation) fails the
+// whole call so every caller can fall back to solo execution.
+func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.Out[IOStats], error) {
+	return kernel.Shared(ctx, dispatch(e, e.newSharedScratch), qs, deltas, own, func(slots []kernel.BatchQuery) (kernel.SharedFold[*sharedScratch, IOStats], error) {
+		bplans := make([][]frag.BitmapOp, len(slots))
+		for s := range slots {
+			if slots[s].Err != nil {
+				continue
+			}
+			var err error
+			if bplans[s], err = e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), slots[s].Q); err != nil {
+				return nil, err
+			}
 		}
-		var err error
-		if bplans[s], err = e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), slots[s].Q); err != nil {
-			return nil, err
-		}
-	}
+		return e.sharedFold(ctx, bplans), nil
+	})
+}
 
+// ExecuteSharedDeltas is Shared with every member's rows flattened.
+func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.SharedResult[IOStats], error) {
+	return kernel.Flatten(e.Shared(ctx, qs, deltas, own))
+}
+
+// sharedFold returns the shared fragment task over the batch's bitmap
+// plans (indexed like the batch): every member's mask, the granule payer
+// table and one union granule stream feeding every member's slot.
+func (e *Executor) sharedFold(ctx context.Context, bplans [][]frag.BitmapOp) kernel.SharedFold[*sharedScratch, IOStats] {
 	tpp := e.store.tpp
 	g := e.PrefetchFact
 
-	run := func(sc *sharedScratch, ti int) (sharedTaskPart, error) {
+	return func(sc *sharedScratch, id int64, parts []kernel.Member[IOStats], kslots []kernel.Slot) error {
 		sc.reset()
-		id := plan.IDs[ti]
-		members := plan.Members(ti)
-		out := sharedTaskPart{parts: make([]slotPart, len(members))}
-		kslots := make([]kernel.Slot, len(members))
-		for k, s := range members {
-			out.parts[k].slot = int(s)
-			kslots[k] = kernel.NewSlot(slots[s].Gr, id)
-		}
 		loc, ok := e.store.Loc(id)
 		if ok {
 			if err := ctx.Err(); err != nil {
-				return sharedTaskPart{}, err
+				return err
 			}
-			shared := len(members) >= 2
+			shared := len(parts) >= 2
 			rows := int(loc.Rows)
-			masks := make([]*bitmap.Bitset, len(members))
+			masks := make([]*bitmap.Bitset, len(parts))
 			anyNil := false
 			us := &sc.sc.units
 			if err := us.begin(e.bitmaps, id); err != nil {
-				return sharedTaskPart{}, err
+				return err
 			}
-			for k, s := range members {
-				p := &out.parts[k]
-				m, err := e.sharedMask(ctx, rows, bplans[s], sc.mask(k), &p.st, &p.shared, sc)
+			for k := range parts {
+				p := &parts[k]
+				m, err := e.sharedMask(ctx, rows, bplans[p.Query], sc.mask(k), &p.St, &p.Shared, sc)
 				if err != nil {
 					us.release()
-					return sharedTaskPart{}, err
+					return err
 				}
 				masks[k] = m
 				if m == nil {
 					anyNil = true
 				}
 				if shared {
-					p.shared.FragmentsShared = 1
+					p.Shared.FragmentsShared = 1
 				}
 			}
 			us.release()
@@ -260,16 +225,16 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				sc.payer[i] = -1
 			}
 			visit := func(k int, gi, count int) {
-				p := &out.parts[k]
-				p.st.FactIOs++
-				p.st.FactPages += int64(count)
+				p := &parts[k]
+				p.St.FactIOs++
+				p.St.FactPages += int64(count)
 				if sc.payer[gi] == -1 {
 					sc.payer[gi] = int32(k)
 				} else {
-					p.shared.PhysReadsSaved++
+					p.Shared.PhysReadsSaved++
 				}
 			}
-			for k := range members {
+			for k := range parts {
 				m := masks[k]
 				if m == nil {
 					for gi := 0; gi < granules; gi++ {
@@ -309,9 +274,9 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 
 			// Row union for the masked-only walk.
 			var rowUnion *bitmap.Bitset
-			if !anyNil && len(members) > 0 {
+			if !anyNil && len(parts) > 0 {
 				rowUnion = masks[0]
-				if len(members) > 1 {
+				if len(parts) > 1 {
 					sc.union.Reinit(rows)
 					sc.union.CopyFrom(masks[0])
 					for _, m := range masks[1:] {
@@ -336,10 +301,10 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 					readErr = err
 					break
 				}
-				payer := &out.parts[sc.payer[int(gr.start)/g]]
-				payer.st.PoolHits += phys.PoolHits - prev.PoolHits
-				payer.st.PoolMisses += phys.PoolMisses - prev.PoolMisses
-				payer.st.PoolBytes += phys.PoolBytes - prev.PoolBytes
+				payer := &parts[sc.payer[int(gr.start)/g]]
+				payer.St.PoolHits += phys.PoolHits - prev.PoolHits
+				payer.St.PoolMisses += phys.PoolMisses - prev.PoolMisses
+				payer.St.PoolBytes += phys.PoolBytes - prev.PoolBytes
 				prev = phys
 				rowLo := int(gr.start) * tpp
 				rowHi := rowLo + int(gr.count)*tpp
@@ -371,81 +336,13 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				}
 			}
 			if readErr != nil {
-				return sharedTaskPart{}, readErr
+				return readErr
 			}
 			pipe.finish()
 		}
-
-		// Base rows first, then each slot's delta segments in seal order —
-		// the same fold order as solo execution.
-		for k, s := range members {
-			p := &out.parts[k]
-			p.st.RowsRead += kslots[k].Rows
-			if !deltas.Empty() {
-				if sc.sc.dsc == nil {
-					sc.sc.dsc = frag.NewDeltaScratch()
-				}
-				n, err := kernel.AddDelta(deltas, id, slots[s].Q, &kslots[k].FP, kslots[k].Base, kslots[k].PerRow, sc.sc.dsc)
-				if err != nil {
-					return sharedTaskPart{}, err
-				}
-				p.st.DeltaRows += n
-			}
-			p.fp = kslots[k].FP
+		for k := range parts {
+			parts[k].St.RowsRead += kslots[k].Rows
 		}
-		return out, nil
+		return nil
 	}
-
-	merge := func(a *sharedAcc, p sharedTaskPart) {
-		if a.agg == nil {
-			a.agg = make([]kernel.Aggregate, len(qs))
-			a.g = make([]*kernel.Grouped, len(qs))
-			a.st = make([]IOStats, len(qs))
-			a.shared = make([]kernel.SharedScanStats, len(qs))
-		}
-		for _, sp := range p.parts {
-			s := sp.slot
-			if slots[s].Gr != nil && a.g[s] == nil {
-				a.g[s] = kernel.NewGrouped()
-			}
-			sp.fp.MergeInto(&a.agg[s], a.g[s])
-			a.st[s].Add(sp.st)
-			a.shared[s].FragmentsShared += sp.shared.FragmentsShared
-			a.shared[s].PhysReadsSaved += sp.shared.PhysReadsSaved
-		}
-	}
-
-	shardOf, shards := e.shards(plan.IDs)
-	a, err := exec.ReduceShardedOn(ctx, e.sched, len(plan.IDs), shardOf, shards, e.newSharedScratch, run, merge)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]SharedResult, len(qs))
-	for s := range slots {
-		if slots[s].Err != nil {
-			out[s].Err = slots[s].Err
-			continue
-		}
-		var agg kernel.Aggregate
-		var grp *kernel.Grouped
-		var st IOStats
-		var sh kernel.SharedScanStats
-		if a.agg != nil {
-			agg, grp, st, sh = a.agg[s], a.g[s], a.st[s], a.shared[s]
-		}
-		sh.Batched = len(qs)
-		out[s].St = st
-		out[s].Shared = sh
-		out[s].Res = kernel.Result{Aggregate: agg}
-		out[s].Part = kernel.FragPartial{Agg: agg}
-		if gr := slots[s].Gr; gr != nil {
-			out[s].Res.Groups = gr.Rows(grp)
-			out[s].Part.Groups = grp
-			if out[s].Part.Groups == nil {
-				out[s].Part.Groups = kernel.NewGrouped()
-			}
-		}
-	}
-	return out, nil
 }

@@ -308,7 +308,7 @@ func (w *Warehouse) baseStats(snap epoch.Snapshot) Stats {
 		Epoch:      snap.Epoch,
 	}
 	switch {
-	case snap.B.Engine != nil:
+	case snap.B.Disk == nil:
 		st.Backend = InMemoryBackend
 	case snap.B.Disk.Disks != nil:
 		st.Backend = DeclusteredBackend
@@ -320,42 +320,25 @@ func (w *Warehouse) baseStats(snap epoch.Snapshot) Stats {
 
 // executeOn runs the query against an already-pinned snapshot — the
 // shared tail of the plain and cached Execute paths. The caller owns the
-// pin and the in-flight registration. With shared scans on, the
-// execution first tries the admission batcher (so even a result-cache
-// miss leader coalesces with merely-overlapping concurrent queries); a
-// batch-wide failure falls back to solo execution here.
+// pin and the in-flight registration. The store decides how the query
+// runs (with shared scans on it first tries the admission batcher, so
+// even a result-cache miss leader coalesces with merely-overlapping
+// concurrent queries); the member's Stats are what solo execution would
+// have counted, with the physical savings in Stats.SharedScan. Only here
+// are the rows flattened.
 func (p *PreparedQuery) executeOn(ctx context.Context, snap epoch.Snapshot) (Result, Stats, error) {
-	w := p.w
-	if w.store.Sharing() {
-		res, st, handled, err := p.executeSharedOn(ctx, snap)
-		if handled {
-			return res, st, err
-		}
-	}
-	st := w.baseStats(snap)
-	deltas := w.store.Deltas(snap)
 	start := time.Now()
-	if snap.B.Engine != nil {
-		res, est, err := snap.B.Engine.ExecuteGroupedDeltas(ctx, w.store.Sched, p.q, deltas)
-		if err != nil {
-			return Result{}, Stats{}, err
-		}
-		st.Engine = est
-		st.DeltaRows = est.DeltaRows
-		st.Wall = time.Since(start)
-		return res, st, nil
-	}
-	res, io, err := snap.B.Disk.Exec.ExecuteGroupedDeltas(ctx, p.q, deltas)
+	out, err := p.w.store.Exec(ctx, snap, p.q)
 	if err != nil {
 		return Result{}, Stats{}, err
 	}
-	st.IO = io
-	st.DeltaRows = io.DeltaRows
-	if snap.B.Disk.Disks != nil {
-		st.Disks = snap.B.Disk.Disks.Stats()
+	st := p.w.baseStats(snap)
+	st.Engine, st.IO, st.DeltaRows, st.SharedScan = out.Engine, out.IO, out.DeltaRows, out.Shared
+	if d := snap.B.Disk; d != nil && d.Disks != nil {
+		st.Disks = d.Disks.Stats()
 	}
 	st.Wall = time.Since(start)
-	return res, st, nil
+	return out.Gr.Result(out.Part), st, nil
 }
 
 // ExplainAll estimates every query, fanning the analyses out over the

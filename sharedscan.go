@@ -1,11 +1,8 @@
 package mdhf
 
 import (
-	"context"
 	"sort"
-	"time"
 
-	"repro/internal/epoch"
 	"repro/internal/frag"
 )
 
@@ -29,26 +26,6 @@ type SharedServingStats struct {
 	// Fallbacks counts batch-wide failures whose members re-executed solo
 	// (batching is only ever a performance effect).
 	Fallbacks int64
-}
-
-// executeSharedOn routes one execution through the store's shared-scan
-// batcher and assembles the member's Stats exactly as solo execution
-// would have — logical counters untouched, physical savings in
-// Stats.SharedScan. handled=false reports a batch-wide failure: the
-// caller falls back to solo execution on its own pinned snapshot.
-func (p *PreparedQuery) executeSharedOn(ctx context.Context, snap epoch.Snapshot) (Result, Stats, bool, error) {
-	start := time.Now()
-	out, handled, err := p.w.store.ExecShared(ctx, snap, p.q)
-	if !handled || err != nil {
-		return Result{}, Stats{}, handled, err
-	}
-	st := p.w.baseStats(snap)
-	st.Engine, st.IO, st.DeltaRows, st.SharedScan = out.Engine, out.IO, out.DeltaRows, out.Shared
-	if snap.B.Disk != nil && snap.B.Disk.Disks != nil {
-		st.Disks = snap.B.Disk.Disks.Stats()
-	}
-	st.Wall = time.Since(start)
-	return out.Res, st, true, nil
 }
 
 // observedQueryCap bounds the per-query-text mix map; executions beyond
