@@ -1,17 +1,21 @@
 // Package exec is the shared fragment-parallel scatter/gather subsystem.
 // It has one worker pool, Scheduler — a fixed set of goroutines standing
-// in for the paper's Shared Disk processing nodes — and one task loop:
-// every execution submits its independent tasks (typically one per MDHF
-// fragment) to a scheduler and gathers the per-task partial results back
-// in task order, so that parallel execution is bit-for-bit identical to
-// sequential execution regardless of pool size or scheduling.
+// in for the paper's Shared Disk processing nodes — and one dispatcher:
+// every execution publishes its independent tasks (typically one per MDHF
+// fragment) as one job in the scheduler's job list; the workers pull —
+// pick a job round-robin, claim its next task with an atomic add — and
+// the per-task partial results are gathered back in task order, so that
+// parallel execution is bit-for-bit identical to sequential execution
+// regardless of pool size or scheduling. A publish wakes idle workers;
+// the worker that finishes a job's last task wakes the caller and yields
+// its processor to it. No task costs an allocation or a goroutine switch.
 //
 // The query drivers (internal/kernel) run both backends' fragment tasks
 // on the serving store's long-lived scheduler through ReduceShardedOn,
 // placement-aware when the backend is declustered. The control-plane
 // fan-outs — the cost advisor, the experiment harness, the cluster
-// coordinator's scatter — use Map/Reduce, which run the same loop on a
-// scheduler owned by the call.
+// coordinator's scatter — use Map/Reduce, which run the same dispatcher
+// on a scheduler owned by the call.
 package exec
 
 import (

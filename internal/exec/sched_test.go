@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,8 +112,7 @@ func TestZeroTasks(t *testing.T) {
 
 // TestErrorIsLowestIndex: several tasks fail; the reported error must
 // deterministically be the lowest failing index, whatever order workers
-// hit them in, and the partial results are withheld. (Sharded submission
-// is not in task order, so there any failing task's error may surface.)
+// hit them in, and the partial results are withheld.
 func TestErrorIsLowestIndex(t *testing.T) {
 	forEachEntry(t, []int{4, 8}, func(t *testing.T, e entry, _ int) {
 		for trial := 0; trial < 200; trial++ {
@@ -122,7 +122,7 @@ func TestErrorIsLowestIndex(t *testing.T) {
 				}
 				return i, nil
 			})
-			if err == nil || (e.name != "MapShardedOn" && err.Error() != "task 3 failed") {
+			if err == nil || err.Error() != "task 3 failed" {
 				t.Fatalf("trial %d: err = %v, want task 3's", trial, err)
 			}
 			if got != nil {
@@ -130,6 +130,33 @@ func TestErrorIsLowestIndex(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestShardedErrorIsLowestIndex: two failing tasks on different shards,
+// the higher index first in claim order (32 is position 0, 5 is position
+// 11). Every task below the lowest failing index runs under any order,
+// so the lower index's error is the one reported, every time.
+func TestShardedErrorIsLowestIndex(t *testing.T) {
+	s := NewScheduler(4)
+	defer s.Close()
+	for trial := 0; trial < 200; trial++ {
+		_, err := MapShardedOn(context.Background(), s, 64,
+			func(i int) int {
+				if i >= 32 {
+					return 0
+				}
+				return 1
+			}, 2, newInt,
+			func(_ *int, i int) (int, error) {
+				if i == 32 || i == 5 {
+					return 0, fmt.Errorf("task %d failed", i)
+				}
+				return i, nil
+			})
+		if err == nil || err.Error() != "task 5 failed" {
+			t.Fatalf("trial %d: err = %v, want task 5's", trial, err)
+		}
+	}
 }
 
 // TestErrorStopsDispatch: on a pool of one nothing is started after the
@@ -371,9 +398,11 @@ func TestReduceGroupedMapDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecutionsMatchSerial runs many concurrent executions on
-// one shared scheduler and checks every result is identical to the same
-// tasks on a pool of one, and that the admission accounting adds up.
+// TestConcurrentExecutionsMatchSerial runs many concurrent executions of
+// mixed sizes on one shared scheduler, one of them cancelled mid-flight,
+// and checks every healthy result is identical to the same tasks on a
+// pool of one, the cancelled call reports its context's error with no
+// results, and the admission accounting adds up.
 func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Close()
@@ -387,13 +416,14 @@ func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 	}
 
 	const queries = 16
+	sizes := []int{1, 3, 32, 192}
 	var wg sync.WaitGroup
-	errsCh := make(chan error, queries)
+	errsCh := make(chan error, queries+1)
 	for q := 0; q < queries; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			n := 1 + q*7%53
+			n := sizes[q%len(sizes)]
 			want, err := Map(ctx, 1, n, func(i int) (int, error) { return fn(q)(newInt(), i) })
 			if err != nil {
 				errsCh <- err
@@ -412,6 +442,21 @@ func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 			}
 		}(q)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		got, err := MapOn(cctx, s, 192, newInt, func(_ *int, i int) (int, error) {
+			if i == 5 {
+				cancel()
+			}
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) || got != nil {
+			errsCh <- fmt.Errorf("cancelled call: got %v, %v; want nil, context.Canceled", got, err)
+		}
+	}()
 	wg.Wait()
 	close(errsCh)
 	for err := range errsCh {
@@ -419,16 +464,120 @@ func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.QueriesAdmitted != queries || st.QueriesDone != queries {
-		t.Fatalf("accounting: admitted %d done %d, want %d", st.QueriesAdmitted, st.QueriesDone, queries)
+	if st.QueriesAdmitted != queries+1 || st.QueriesDone != st.QueriesAdmitted {
+		t.Fatalf("accounting: admitted %d done %d, want %d", st.QueriesAdmitted, st.QueriesDone, queries+1)
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight %d after drain", st.InFlight)
 	}
-	if st.PeakInFlight < 1 || st.PeakInFlight > queries {
+	if st.PeakInFlight < 1 || st.PeakInFlight > queries+1 {
 		t.Fatalf("peak in-flight %d out of range", st.PeakInFlight)
 	}
 	if st.Workers != 4 {
 		t.Fatalf("workers %d, want 4", st.Workers)
+	}
+}
+
+// smallBesideBig runs a 1,000-task call on a pool of one whose tasks bump
+// a counter, and from inside its 10th task starts a 1-task call on the
+// same pool, holding the 10th task until that call is published. It
+// returns the counter as the small call's task saw it and as its caller
+// read it on return.
+func smallBesideBig(t *testing.T) (seen, returned int64) {
+	s := NewScheduler(1)
+	defer s.Close()
+	ctx := context.Background()
+	var counter atomic.Int64
+	small := make(chan error, 1)
+	_, err := MapOn(ctx, s, 1000, newInt, func(_ *int, i int) (int, error) {
+		counter.Add(1)
+		if i == 9 {
+			go func() {
+				_, err := MapOn(ctx, s, 1, newInt, func(*int, int) (int, error) {
+					seen = counter.Load()
+					return 0, nil
+				})
+				returned = counter.Load()
+				small <- err
+			}()
+			for len(*s.jobs.Load()) < 2 {
+				runtime.Gosched()
+			}
+		}
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-small; err != nil {
+		t.Fatal(err)
+	}
+	return seen, returned
+}
+
+// TestInterleavesAtFragmentGranularity: a small call published while a
+// big one is running gets the worker's next claim but one, not the turn
+// after the big call has drained (which would read about 1,000).
+func TestInterleavesAtFragmentGranularity(t *testing.T) {
+	if seen, _ := smallBesideBig(t); seen > 10+2 {
+		t.Fatalf("small call's task ran after %d of the big call's tasks, want about 10", seen)
+	}
+}
+
+// TestFinishedCallerIsNotStarved: on one processor a pull worker never
+// blocks while the big call has work, so the small call's caller gets to
+// run only because the worker yields after finishing it — without that
+// it returns once sysmon preempts the worker, hundreds of tasks later.
+// (One yield in 61 hands the processor back to the worker first — the
+// runtime's global-queue fairness tick — hence best of several.)
+func TestFinishedCallerIsNotStarved(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	const trials = 20
+	prompt := 0
+	for trial := 0; trial < trials; trial++ {
+		if seen, returned := smallBesideBig(t); returned-seen <= 2 {
+			prompt++
+		}
+	}
+	if prompt < trials*3/4 {
+		t.Fatalf("caller resumed promptly in %d of %d trials", prompt, trials)
+	}
+}
+
+// TestClose: Close on an idle pool and after concurrent calls returns
+// with no worker left, and a call after Close is refused with ErrClosed.
+func TestClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	NewScheduler(4).Close()
+	s := NewScheduler(4)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := MapOn(context.Background(), s, 50, newInt, func(_ *int, i int) (int, error) { return i, nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after Close", before, n)
+	}
+	got, err := MapOn(context.Background(), s, 3, newInt, func(_ *int, i int) (int, error) {
+		t.Error("task ran on a closed scheduler")
+		return i, nil
+	})
+	if !errors.Is(err, ErrClosed) || got != nil {
+		t.Fatalf("call after Close: got %v, %v; want nil, ErrClosed", got, err)
+	}
+	if st := s.Stats(); st.InFlight != 0 {
+		t.Fatalf("in-flight %d after a refused call", st.InFlight)
 	}
 }
