@@ -19,7 +19,7 @@ type FactRow = epoch.Row
 // new rows; queries admitted after Append returns aggregate base + delta
 // with results byte-identical to a warehouse built from the union of the
 // rows. Appends serialise with each other and with compaction's swap
-// phase, but never wait for a compaction rebuild and never block query
+// phase, but never wait for a compaction's writing and never block query
 // admission.
 //
 // When WithAutoCompaction is configured and the live delta rows reach
@@ -55,9 +55,10 @@ func (w *Warehouse) admit(ctx context.Context) error {
 // incremented by each completed one.
 func (w *Warehouse) Epoch() int64 { return w.store.Current().Epoch }
 
-// Compact synchronously folds the sealed delta segments into a rebuilt
-// backend at the next epoch. It is a no-op when nothing was appended.
-// The rebuild runs without holding the append or admission locks:
+// Compact synchronously folds the sealed delta segments into the next
+// epoch's backend: fragments with deltas are rewritten, the others
+// carried forward as they are. It is a no-op when nothing was appended.
+// The new epoch is written without holding the append or admission locks:
 // queries keep being admitted (pinning the old epoch) and appends keep
 // landing (segments sealed after the compaction boundary stay live
 // across the swap); only the final snapshot swap takes the locks,

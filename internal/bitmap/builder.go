@@ -30,6 +30,8 @@ func NewBuilder() *Builder {
 // reads.
 func NewBuilderFrom(c *Compressed) *Builder {
 	b := &Builder{n: c.Len()}
+	// Room for the replayed words and a short extension in one allocation.
+	b.app.words = make([]uint64, 0, len(c.words)+4)
 	full := c.n / groupBits // complete groups; a partial tail re-opens
 	r := c.n % groupBits
 	total := c.groups()
@@ -118,7 +120,7 @@ func (b *Builder) AppendRun(bit bool, n int) {
 // again, each call returning an independent snapshot.
 func (b *Builder) Finish() *Compressed {
 	app := appender{
-		words:  append([]uint64(nil), b.app.words...),
+		words:  append(make([]uint64, 0, len(b.app.words)+2), b.app.words...), // + the tail group and a flushed run
 		runVal: b.app.runVal,
 		runLen: b.app.runLen,
 	}

@@ -96,7 +96,7 @@ func PartitionTable(spec *frag.Spec, cl alloc.Placement, t *data.Table) []*data.
 	}
 	buf := make([]int, len(t.Star.Dims))
 	for i := 0; i < t.N(); i++ {
-		id := spec.ID(spec.CoordOf(t.LeafMembers(i, buf)))
+		id := spec.IDOf(t.LeafMembers(i, buf))
 		p := parts[NodeOf(cl, id)]
 		for d := range t.Dims {
 			p.Dims[d] = append(p.Dims[d], t.Dims[d][i])

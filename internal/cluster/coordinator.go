@@ -377,7 +377,7 @@ func (c *Coordinator) Append(ctx context.Context, rows []Row) error {
 			}
 			buf[d] = int(leaf)
 		}
-		id := c.spec.ID(c.spec.CoordOf(buf))
+		id := c.spec.IDOf(buf)
 		k := NodeOf(c.cl, id)
 		parts[k] = append(parts[k], r)
 	}

@@ -223,8 +223,8 @@ func (n *Node) Append(ctx context.Context, rows []Row) error {
 	return nil
 }
 
-// Compact synchronously folds the node's sealed delta segments into a
-// rebuilt backend at the next epoch — the store's three-phase epoch
+// Compact synchronously folds the node's sealed delta segments into the
+// next epoch's backend, fragment by fragment — the store's three-phase epoch
 // roll-over scoped to one shard. It is a no-op when nothing was
 // appended; queries keep being admitted throughout (pinning the old
 // epoch) and appends keep landing past the frozen boundary.

@@ -124,3 +124,86 @@ func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// filterTable keeps the rows whose fragment keep selects.
+func filterTable(t *data.Table, spec *frag.Spec, keep func(id int64) bool) *data.Table {
+	out := &data.Table{Star: t.Star, Dims: make([][]int32, len(t.Dims))}
+	buf := make([]int, len(t.Dims))
+	for i := 0; i < t.N(); i++ {
+		if !keep(spec.IDOf(t.LeafMembers(i, buf))) {
+			continue
+		}
+		for d := range t.Dims {
+			out.Dims[d] = append(out.Dims[d], t.Dims[d][i])
+		}
+		out.UnitsSold = append(out.UnitsSold, t.UnitsSold[i])
+		out.DollarSales = append(out.DollarSales, t.DollarSales[i])
+		out.Cost = append(out.Cost, t.Cost[i])
+	}
+	return out
+}
+
+// concatTables appends b's rows to a's.
+func concatTables(a, b *data.Table) *data.Table {
+	out := &data.Table{Star: a.Star, Dims: make([][]int32, len(a.Dims))}
+	for d := range a.Dims {
+		out.Dims[d] = append(append([]int32(nil), a.Dims[d]...), b.Dims[d]...)
+	}
+	out.UnitsSold = append(append([]int64(nil), a.UnitsSold...), b.UnitsSold...)
+	out.DollarSales = append(append([]int64(nil), a.DollarSales...), b.DollarSales...)
+	out.Cost = append(append([]int64(nil), a.Cost...), b.Cost...)
+	return out
+}
+
+// TestCompactSharesUntouchedFragments: folding a delta set that touches
+// fragments 1 and 5 (rows of both in the base) and 6 (none in the base)
+// gives, fragment for fragment, the engine Build gives for the base rows
+// followed by the delta rows in arrival order — twice over, the second
+// fold working on the first one's output — while every other fragment is
+// the old engine's, by pointer.
+func TestCompactSharesUntouchedFragments(t *testing.T) {
+	star := schema.Tiny()
+	full := data.MustGenerate(star, 42)
+	spec := frag.MustParse(star, "time::month, product::group")
+	icfg := frag.APB1Indexes(star)
+	ix, err := frag.NewDeltaIndex(spec, icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := splitTable(full, full.N()/2)
+	base := filterTable(head, spec, func(id int64) bool { return id != 6 })
+	hot := func(id int64) bool { return id == 1 || id == 5 || id == 6 }
+	first, second := splitTable(filterTable(tail, spec, hot), 7)
+	for _, compressed := range []bool{false, true} {
+		build := Build
+		if compressed {
+			build = BuildCompressed
+		}
+		e, err := build(base, spec, icfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := base
+		for round, extra := range []*data.Table{first, second} {
+			set := deltasOf(t, spec, ix, extra, 2)
+			ne := e.Compact(set)
+			rows = concatTables(rows, extra)
+			want, err := build(rows, spec, icfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ne, want) {
+				t.Fatalf("compressed=%v round %d: compacted engine differs from the engine built over the merged rows", compressed, round)
+			}
+			for id, f := range e.frags {
+				if shared := ne.frags[id] == f; shared == (len(set.Of(id)) > 0) {
+					t.Errorf("compressed=%v round %d: fragment %d shared = %v", compressed, round, id, shared)
+				}
+			}
+			e = ne
+		}
+		if e.frags[6] == nil || len(e.frags) != 8 {
+			t.Fatalf("compressed=%v: %d fragments after folding, fragment 6 present = %v", compressed, len(e.frags), e.frags[6] != nil)
+		}
+	}
+}

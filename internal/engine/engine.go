@@ -118,7 +118,7 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 	counts := make(map[int64]int)
 	buf := make([]int, len(star.Dims))
 	for i := 0; i < t.N(); i++ {
-		id := spec.ID(spec.CoordOf(t.LeafMembers(i, buf)))
+		id := spec.IDOf(t.LeafMembers(i, buf))
 		counts[id]++
 	}
 	// Pass 2: distribute rows.
@@ -133,7 +133,7 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 		e.frags[id] = f
 	}
 	for i := 0; i < t.N(); i++ {
-		id := spec.ID(spec.CoordOf(t.LeafMembers(i, buf)))
+		id := spec.IDOf(t.LeafMembers(i, buf))
 		f := e.frags[id]
 		for d := range f.dims {
 			f.dims[d] = append(f.dims[d], t.Dims[d][i])
@@ -150,6 +150,50 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 		vals = e.buildIndexes(f, vals)
 	}
 	return e, nil
+}
+
+// Compact returns the engine of the next epoch: this one's rows
+// followed, fragment by fragment, by the delta set's segments in seal
+// order — the engine Build gives for the merged rows, at the cost of the
+// fragments the set touches. A fragment without a segment is shared with
+// e by pointer (fragments are immutable once built); a fragment with
+// segments is copied out with the segments' rows appended and has its
+// indices rebuilt.
+func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
+	ne := *e
+	ne.frags = make(map[int64]*fragment, len(e.frags)+deltas.Fragments())
+	for id, f := range e.frags {
+		ne.frags[id] = f
+	}
+	var vals []int32
+	for _, id := range deltas.FragmentIDs() {
+		segs := deltas.Of(id)
+		old := e.frags[id]
+		if old == nil { // new to the engine
+			old = &fragment{dims: make([][]int32, len(e.star.Dims))}
+		}
+		f := &fragment{rows: old.rows, dims: make([][]int32, len(old.dims))}
+		for _, seg := range segs {
+			f.rows += seg.Rows()
+		}
+		for d := range f.dims {
+			f.dims[d] = append(make([]int32, 0, f.rows), old.dims[d]...)
+		}
+		f.unitsSold = append(make([]int64, 0, f.rows), old.unitsSold...)
+		f.dollarSales = append(make([]int64, 0, f.rows), old.dollarSales...)
+		f.cost = append(make([]int64, 0, f.rows), old.cost...)
+		for _, seg := range segs {
+			for d := range f.dims {
+				f.dims[d] = append(f.dims[d], seg.Leaves(d)...)
+			}
+			f.unitsSold = append(f.unitsSold, seg.Units()...)
+			f.dollarSales = append(f.dollarSales, seg.Dollars()...)
+			f.cost = append(f.cost, seg.Costs()...)
+		}
+		vals = ne.buildIndexes(f, vals)
+		ne.frags[id] = f
+	}
+	return &ne
 }
 
 // fragLevel returns the fragmentation level of dimension d, or -1.

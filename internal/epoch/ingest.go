@@ -2,10 +2,11 @@ package epoch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/frag"
-	"repro/internal/kernel"
+	"repro/internal/storage"
 )
 
 // Row is one incoming fact: the leaf member per dimension (in schema
@@ -35,7 +36,7 @@ const coalesceRows = 4096
 // rows; queries admitted after Append returns aggregate base + delta
 // with results byte-identical to a store built from the union of the
 // rows. Appends serialise with each other and with compaction's swap
-// phase, but never wait for a compaction rebuild and never block query
+// phase, but never wait for a compaction's writing and never block query
 // admission. The caller holds a Begin registration.
 func (s *Store) Append(rows []Row) error {
 	spec := s.cfg.Spec
@@ -56,7 +57,7 @@ func (s *Store) Append(rows []Row) error {
 			}
 			buf[d] = int(leaf)
 		}
-		id := spec.ID(spec.CoordOf(buf))
+		id := spec.IDOf(buf)
 		if s.cfg.Own != nil && !s.cfg.Own(id) {
 			return fmt.Errorf("mdhf: append row %d: fragment %d is owned by another node (single-writer-per-fragment)", ri, id)
 		}
@@ -69,6 +70,14 @@ func (s *Store) Append(rows []Row) error {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
 	set := s.Current().Deltas
+	// A batch is journaled whole or not at all: should a later segment
+	// fail, the journal and the seal sequence go back to where the batch
+	// began, so a restart cannot replay half of a batch that was refused.
+	seq0 := s.seq
+	var mark storage.DeltaLogStats
+	if s.dlog != nil {
+		mark = s.dlog.Stats()
+	}
 	for _, id := range order {
 		var sb *frag.SegmentBuilder
 		replace := false
@@ -89,7 +98,8 @@ func (s *Store) Append(rows []Row) error {
 		seg := sb.Seal(s.seq)
 		if s.dlog != nil {
 			if err := s.dlog.AppendSegment(seg, replace); err != nil {
-				return err
+				s.seq = seq0
+				return errors.Join(err, s.dlog.Rollback(mark))
 			}
 		}
 		if replace {
@@ -123,14 +133,16 @@ func (s *Store) compactOnce() {
 	s.deferErr(s.Compact(context.Background()))
 }
 
-// Compact synchronously folds the sealed delta segments into a rebuilt
-// backend at the next epoch; a no-op when nothing was appended. It is
-// the three-phase epoch roll-over. Phase 1 (append lock, briefly):
-// freeze the boundary — the highest sealed sequence — and flag the
-// compaction so appends stop extending frozen tails. Phase 2 (no locks):
-// merge the base rows with every delta row at or below the boundary and
-// build a fresh backend at the next epoch — queries keep being admitted
-// (pinning the old epoch) and appends keep landing. Phase 3 (append +
+// Compact synchronously folds the sealed delta segments into the next
+// epoch's backend; a no-op when nothing was appended. It is the
+// three-phase epoch roll-over. Phase 1 (append lock, briefly): freeze
+// the boundary — the highest sealed sequence — and flag the compaction
+// so appends stop extending frozen tails. Phase 2 (no locks): write the
+// next epoch's backend fragment by fragment — a fragment with delta rows
+// at or below the boundary gets them appended behind its base rows, every
+// other fragment is carried forward as it is (storage.Backend.Compact,
+// engine.Engine.Compact) — while queries keep being admitted (pinning
+// the old epoch) and appends keep landing. Phase 3 (append +
 // state lock, briefly): swap the serving snapshot to the new backend
 // with only the post-boundary segments, reset the delta journal to
 // those, and retire the old backend (removed when its last pinned query
@@ -151,15 +163,15 @@ func (s *Store) Compact(ctx context.Context) error {
 		s.appendMu.Unlock()
 		return nil
 	}
-	snap.B.refs.Add(1) // keep the base backend alive while rebuilding from it
+	snap.B.refs.Add(1) // keep the base backend readable while folding into it
 	s.mu.Unlock()
 	boundary := snap.Deltas.MaxSeq()
 	s.compacting = true
 	s.appendMu.Unlock()
 	defer s.Unpin(snap.B)
 
-	// Phase 2: rebuild, lock-free.
-	nb, err := s.buildBackend(kernel.MergedTable(snap.B.table, snap.Deltas), snap.Epoch+1)
+	// Phase 2: write the next epoch, lock-free.
+	nb, err := s.buildBackend(nil, snap, snap.Epoch+1)
 	if err != nil {
 		s.appendMu.Lock()
 		s.compacting = false

@@ -86,18 +86,17 @@ type Config struct {
 }
 
 // Backend is one epoch's built execution backend: the in-memory engine
-// or the on-disk store/bitmaps/executor bundle, plus the rows it was
-// built from (the base the next compaction merges deltas into). Backends
-// are reference-counted: the serving snapshot holds one reference, every
-// pinned execution holds another, and when a compaction swap retires a
-// backend its files close and its epoch directory is removed as soon as
-// the last pinned query finishes — the old epoch stays readable until
-// then.
+// or the on-disk store/bitmaps/executor bundle. It is also the base the
+// next compaction folds deltas into: no copy of its rows is kept beside
+// it. Backends are reference-counted: the serving snapshot holds one
+// reference, every pinned execution (and a running compaction) holds
+// another, and when a compaction swap retires a backend its files close
+// and its epoch directory is removed as soon as the last pin is released
+// — the old epoch stays readable until then.
 type Backend struct {
 	Engine *engine.Engine   // nil on disk
 	Disk   *storage.Backend // nil in memory
 
-	table *data.Table
 	dir   string // the backend's own epoch directory ("" in-memory)
 	epoch int64  // keys the buffer pool's entries
 
@@ -200,7 +199,7 @@ func (s *Store) Build(t *data.Table) error {
 	if err != nil {
 		return err
 	}
-	b, err := s.buildBackend(t, 0)
+	b, err := s.buildBackend(t, Snapshot{}, 0)
 	if err != nil {
 		s.removeOwnedRoot()
 		return err
@@ -429,19 +428,24 @@ func (s *Store) removeOwnedRoot() {
 	}
 }
 
-// buildBackend builds one epoch's backend from the given base rows: the
+// buildBackend builds one epoch's backend — from the table's rows, or,
+// given a base snapshot (base.B non-nil, pinned by the caller), by
+// folding base's deltas into base's backend fragment by fragment: the
 // in-memory engine, or an on-disk Backend in its own epoch subdirectory
 // of the root. On error no partial state leaks — files built before the
 // failure are closed and the epoch directory removed (the root itself is
 // handled by the caller).
-func (s *Store) buildBackend(t *data.Table, epoch int64) (*Backend, error) {
-	b := &Backend{table: t, epoch: epoch}
+func (s *Store) buildBackend(t *data.Table, base Snapshot, epoch int64) (*Backend, error) {
+	b := &Backend{epoch: epoch}
 	b.refs.Store(1) // the serving snapshot's reference
 	if !s.cfg.OnDisk {
 		var err error
-		if s.cfg.Compress {
+		switch {
+		case base.B != nil:
+			b.Engine = base.B.Engine.Compact(base.Deltas)
+		case s.cfg.Compress:
 			b.Engine, err = engine.BuildCompressed(t, s.cfg.Spec, s.cfg.Indexes)
-		} else {
+		default:
 			b.Engine, err = engine.Build(t, s.cfg.Spec, s.cfg.Indexes)
 		}
 		if err != nil {
@@ -462,21 +466,28 @@ func (s *Store) buildBackend(t *data.Table, epoch int64) (*Backend, error) {
 		s.rootDir = dir
 	}
 	epochDir := filepath.Join(s.rootDir, fmt.Sprintf("epoch-%03d", epoch))
-	be, err := storage.BuildBackend(epochDir, t, s.cfg.Spec, s.cfg.Indexes, storage.BackendConfig{
+	cfg := storage.BackendConfig{
 		Compress:     s.cfg.Compress,
 		Placement:    s.cfg.Placement,
 		PrefetchFact: s.cfg.PrefetchFact,
 		Sched:        s.Sched,
 		Pool:         s.Pool,
 		PoolEpoch:    epoch,
-	})
+	}
+	var be *storage.Backend
+	var err error
+	if base.B != nil {
+		be, err = base.B.Disk.Compact(epochDir, base.Deltas, cfg)
+	} else {
+		be, err = storage.BuildBackend(epochDir, t, s.cfg.Spec, s.cfg.Indexes, cfg)
+	}
 	if err != nil {
 		os.RemoveAll(epochDir)
 		return nil, err
 	}
 	// Install the fault plan and retry policy only after the backend is
 	// fully built: build-time reads stay fault-free, and every epoch a
-	// compaction rebuilds inherits the same plan on its fresh disk set.
+	// compaction writes inherits the same plan on its fresh disk set.
 	if be.Disks != nil {
 		if s.cfg.Retry != nil {
 			be.Disks.SetRetryPolicy(*s.cfg.Retry)

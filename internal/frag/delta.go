@@ -260,6 +260,10 @@ func (s *DeltaSegment) Rows() int { return s.rows }
 // returned slice is shared — callers must not modify it.
 func (s *DeltaSegment) Leaves(d int) []int32 { return s.dims[d] }
 
+// Dims returns every dimension's leaf column, Leaves(d) at index d
+// (read-only).
+func (s *DeltaSegment) Dims() [][]int32 { return s.dims }
+
 // Units returns the UnitsSold measure column (read-only).
 func (s *DeltaSegment) Units() []int64 { return s.units }
 
@@ -312,23 +316,26 @@ func (ix *DeltaIndex) NewSegment(fragID int64) *SegmentBuilder {
 
 // ExtendSegment starts a builder whose content equals the sealed
 // segment, ready to append more rows — the coalescing path that keeps a
-// fragment's tail segment from shattering into many tiny ones. The
-// sealed segment is not modified and may keep serving reads; its
-// compressed bitmaps are resumed in place (bitmap.NewBuilderFrom), not
-// re-encoded.
+// fragment's tail segment from shattering into many tiny ones. Nothing
+// the sealed segment's readers see is modified, and it may keep serving
+// reads: the builder continues the segment's column arrays, so its rows
+// land in their spare capacity — beyond the length every reader holds —
+// and a batch allocates for the rows it brings, not for the tail it
+// extends. The arrays are therefore shared by the whole chain of
+// extensions: extend only the newest segment of a chain, with one
+// builder at a time (an abandoned builder's rows are overwritten by the
+// next, never exposed). The compressed bitmaps are resumed
+// (bitmap.NewBuilderFrom), not re-encoded.
 func (ix *DeltaIndex) ExtendSegment(seg *DeltaSegment) *SegmentBuilder {
 	sb := &SegmentBuilder{
 		ix:      ix,
 		frag:    seg.frag,
 		rows:    seg.rows,
-		dims:    make([][]int32, len(seg.dims)),
-		units:   append([]int64(nil), seg.units...),
-		dollars: append([]int64(nil), seg.dollars...),
-		costs:   append([]int64(nil), seg.costs...),
+		dims:    append([][]int32(nil), seg.dims...),
+		units:   seg.units,
+		dollars: seg.dollars,
+		costs:   seg.costs,
 		bbs:     make([]*bitmap.Builder, len(seg.bms)),
-	}
-	for d := range seg.dims {
-		sb.dims[d] = append([]int32(nil), seg.dims[d]...)
 	}
 	for i, c := range seg.bms {
 		sb.bbs[i] = bitmap.NewBuilderFrom(c)
@@ -344,7 +351,7 @@ func (sb *SegmentBuilder) Rows() int { return sb.rows }
 
 // Add appends one fact row given its leaf member per dimension. The
 // caller is responsible for routing the row to the right fragment
-// (spec.ID(spec.CoordOf(...)) == sb.Frag()).
+// (spec.IDOf(leaves) == sb.Frag()).
 func (sb *SegmentBuilder) Add(leaves []int32, units, dollars, cost int64) {
 	for d := range sb.dims {
 		sb.dims[d] = append(sb.dims[d], leaves[d])
@@ -518,19 +525,25 @@ func (s *DeltaSet) After(seq uint64) *DeltaSet {
 	return out
 }
 
-// ForEachSegment calls fn with every segment, fragments in ascending id
-// order and segments in seal order within a fragment — the
-// deterministic iteration compaction rebuilds from.
-func (s *DeltaSet) ForEachSegment(fn func(seg *DeltaSegment)) {
+// FragmentIDs returns the ids of the fragments holding at least one
+// segment, ascending — allocation order.
+func (s *DeltaSet) FragmentIDs() []int64 {
 	if s == nil {
-		return
+		return nil
 	}
 	frags := make([]int64, 0, len(s.segs))
 	for f := range s.segs {
 		frags = append(frags, f)
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i] < frags[j] })
-	for _, f := range frags {
+	slices.Sort(frags)
+	return frags
+}
+
+// ForEachSegment calls fn with every segment, fragments in ascending id
+// order and segments in seal order within a fragment — the
+// deterministic iteration compaction folds in.
+func (s *DeltaSet) ForEachSegment(fn func(seg *DeltaSegment)) {
+	for _, f := range s.FragmentIDs() {
 		for _, seg := range s.segs[f] {
 			fn(seg)
 		}

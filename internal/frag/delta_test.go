@@ -2,6 +2,8 @@ package frag
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -257,5 +259,119 @@ func TestDeltaSetCopyOnWrite(t *testing.T) {
 		if order[i] != wantOrder[i] {
 			t.Fatalf("iteration order %v, want %v", order, wantOrder)
 		}
+	}
+}
+
+// sameSegment fails unless got holds exactly the rows and bitmaps of a
+// segment built in one go from the first n of the given rows (row i
+// carries the measures i, 2i, 3i).
+func sameSegment(t *testing.T, what string, ix *DeltaIndex, got *DeltaSegment, rows [][]int32, n int) {
+	t.Helper()
+	sb := ix.NewSegment(got.Frag())
+	for i := 0; i < n; i++ {
+		sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
+	}
+	want := sb.Seal(got.Seq())
+	if got.Rows() != n || len(got.Units()) != n || len(got.Dollars()) != n || len(got.Costs()) != n {
+		t.Errorf("%s: %d rows, columns of %d/%d/%d, want %d", what, got.Rows(), len(got.Units()), len(got.Dollars()), len(got.Costs()), n)
+		return
+	}
+	for i := 0; i < n; i++ {
+		if got.Units()[i] != want.Units()[i] || got.Dollars()[i] != want.Dollars()[i] || got.Costs()[i] != want.Costs()[i] {
+			t.Errorf("%s: row %d measures differ", what, i)
+			return
+		}
+		for d := range rows[i] {
+			if got.Leaves(d)[i] != rows[i][d] {
+				t.Errorf("%s: row %d dimension %d differs", what, i, d)
+				return
+			}
+		}
+	}
+	for bi := range ix.descs {
+		if !slices.Equal(got.Bitmap(bi).Words(), want.Bitmap(bi).Words()) || got.Bitmap(bi).Len() != n {
+			t.Errorf("%s: bitmap %d differs", what, bi)
+			return
+		}
+	}
+}
+
+// TestExtendSegmentGrowsInPlace: extensions write into the spare
+// capacity of the arrays the sealed segments of the chain share, so a
+// reader holding any earlier segment of the chain keeps reading exactly
+// its own prefix while the arrays grow under it (run under -race: the
+// readers and the extending writer touch the same arrays, never the same
+// elements); and rows of an extension that was abandoned — built, even
+// sealed, but never published — are overwritten by the next extension of
+// the same segment, never exposed.
+func TestExtendSegmentGrowsInPlace(t *testing.T) {
+	star, spec, ix := tinyDelta(t)
+	rng := rand.New(rand.NewSource(17))
+	const frag, first, step, extensions = 5, 40, 8, 120
+	var rows [][]int32
+	for i := 0; i < first+step*extensions+step; i++ {
+		rows = append(rows, randomLeavesFor(rng, star, spec, frag))
+	}
+	extend := func(seg *DeltaSegment, from [][]int32, n int) *DeltaSegment {
+		sb := ix.ExtendSegment(seg)
+		for i := 0; i < n; i++ {
+			r := seg.Rows() + i
+			sb.Add(from[r], int64(r), int64(2*r), int64(3*r))
+		}
+		return sb.Seal(seg.Seq() + 1)
+	}
+	sb := ix.NewSegment(frag)
+	for i := 0; i < first; i++ {
+		sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
+	}
+	tail := sb.Seal(1)
+
+	// An abandoned extension with rows of its own, then the real one.
+	junk := make([][]int32, len(rows))
+	for i := range junk {
+		junk[i] = randomLeavesFor(rng, star, spec, frag)
+	}
+	abandoned := extend(tail, junk, step)
+	next := extend(tail, rows, step)
+	if &abandoned.Units()[0] != &next.Units()[0] {
+		t.Error("the two extensions did not share an array: the abandoned rows were never at risk")
+	}
+	sameSegment(t, "extended after an abandoned extension", ix, next, rows, first+step)
+	sameSegment(t, "the segment both extended", ix, tail, rows, first)
+
+	// Readers pin segments of the chain as it grows and keep checking them.
+	pinned := make(chan *DeltaSegment, extensions)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []*DeltaSegment
+			for seg := range pinned {
+				held = append(held, seg)
+				for _, h := range held[max(0, len(held)-4):] {
+					sameSegment(t, "pinned segment", ix, h, rows, h.Rows())
+				}
+			}
+			for _, h := range held {
+				sameSegment(t, "pinned segment at the end", ix, h, rows, h.Rows())
+			}
+		}()
+	}
+	inPlace := 0
+	tail = next
+	for e := 0; e < extensions; e++ {
+		pinned <- tail
+		next := extend(tail, rows, step)
+		if &next.Units()[0] == &tail.Units()[0] {
+			inPlace++
+		}
+		tail = next
+	}
+	close(pinned)
+	wg.Wait()
+	sameSegment(t, "the final tail", ix, tail, rows, first+step+step*extensions)
+	if inPlace < extensions*3/4 {
+		t.Errorf("%d of %d extensions grew the columns in place", inPlace, extensions)
 	}
 }

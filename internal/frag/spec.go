@@ -161,12 +161,29 @@ func (s *Spec) CoordOf(leafMembers []int) []int {
 func (s *Spec) ID(coord []int) int64 {
 	var id int64
 	for i, c := range coord {
-		if c < 0 || c >= s.radix[i] {
-			panic(fmt.Sprintf("frag: coordinate %d out of range 0..%d", c, s.radix[i]-1))
-		}
-		id = id*int64(s.radix[i]) + int64(c)
+		id = s.shift(id, i, c)
 	}
 	return id
+}
+
+// IDOf is ID(CoordOf(leafMembers)) without the coordinate slice: the
+// per-row form for builds, appends and routing. It panics on the
+// coordinates ID panics on.
+func (s *Spec) IDOf(leafMembers []int) int64 {
+	var id int64
+	for i, a := range s.attrs {
+		d := &s.star.Dims[a.Dim]
+		id = s.shift(id, i, d.Ancestor(d.Leaf(), leafMembers[a.Dim], a.Level))
+	}
+	return id
+}
+
+// shift appends member c of attribute i to the mixed-radix id.
+func (s *Spec) shift(id int64, i, c int) int64 {
+	if c < 0 || c >= s.radix[i] {
+		panic(fmt.Sprintf("frag: coordinate %d out of range 0..%d", c, s.radix[i]-1))
+	}
+	return id*int64(s.radix[i]) + int64(c)
 }
 
 // Coord maps a fragment id back to its coordinate.

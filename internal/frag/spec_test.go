@@ -93,16 +93,31 @@ func TestCoordOfFactRow(t *testing.T) {
 	if id := spec.ID(coord); id != 17*480+479 {
 		t.Fatalf("id = %d, want %d", id, 17*480+479)
 	}
+	if id := spec.IDOf(leaf); id != 17*480+479 {
+		t.Fatalf("IDOf = %d, want %d", id, 17*480+479)
+	}
+	if n := testing.AllocsPerRun(100, func() { spec.IDOf(leaf) }); n != 0 {
+		t.Fatalf("IDOf allocates %v times per row", n)
+	}
 }
 
 func TestIDPanicsOutOfRange(t *testing.T) {
-	_, spec := fMonthGroup(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	spec.ID([]int{24, 0})
+	s, spec := fMonthGroup(t)
+	leaf := make([]int, len(s.Dims))
+	leaf[s.DimIndex(schema.DimTime)] = 24
+	for name, call := range map[string]func(){
+		"ID":   func() { spec.ID([]int{24, 0}) },
+		"IDOf": func() { spec.IDOf(leaf) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestFragmentSizes(t *testing.T) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -51,6 +52,7 @@ type DeltaLog struct {
 
 	mu        sync.Mutex
 	file      *os.File
+	buf       []byte // the record being written, reused
 	byteOff   int64
 	segs      int64
 	rows      int64
@@ -212,7 +214,10 @@ func (l *DeltaLog) Attach(ds *DiskSet, p alloc.Placement) {
 func (l *DeltaLog) AppendSegment(seg *frag.DeltaSegment, replaceTail bool) error {
 	rows := seg.Rows()
 	plen := rows * l.tupleSize
-	buf := make([]byte, recHeaderSize+plen)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = sized(l.buf, recHeaderSize+plen) // every byte is overwritten
+	buf := l.buf
 	units, dollars, costs := seg.Units(), seg.Dollars(), seg.Costs()
 	ndims := len(l.star.Dims)
 	for i := 0; i < rows; i++ {
@@ -239,8 +244,6 @@ func (l *DeltaLog) AppendSegment(seg *frag.DeltaSegment, replaceTail bool) error
 	binary.LittleEndian.PutUint32(buf[28:], crc)
 
 	pages := (len(buf) + l.pageSize - 1) / l.pageSize
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	write := func() error {
 		if _, err := l.file.WriteAt(buf, l.byteOff); err != nil {
 			return fmt.Errorf("storage: journaling segment seq %d of fragment %d at offset %d: %w",
@@ -248,18 +251,37 @@ func (l *DeltaLog) AppendSegment(seg *frag.DeltaSegment, replaceTail bool) error
 		}
 		return nil
 	}
-	var err error
 	if l.disks != nil {
-		err = l.disks.do(l.placement.FactDisk(seg.Frag()), pages, write)
-	} else {
-		err = write()
-	}
-	if err != nil {
+		disk := l.placement.FactDisk(seg.Frag())
+		if err := l.disks.do(disk, pages, write); err != nil {
+			var fe *FaultError
+			if errors.As(err, &fe) { // the disk refused the write
+				return faultSite{file: "delta", frag: seg.Frag(), off: l.byteOff}.wrap(disk, fe.Kind, err)
+			}
+			return err
+		}
+	} else if err := write(); err != nil {
 		return err
 	}
 	l.byteOff += int64(len(buf))
 	l.segs++
 	l.rows += int64(rows)
+	return nil
+}
+
+// Rollback truncates the journal back to what it held at an earlier
+// Stats, dropping every record appended since: the records of a batch
+// whose later segment failed to journal must not survive, or replay after
+// a restart would resurrect rows of a batch the caller was told failed.
+// The caller serialises it with AppendSegment and Reset (the store's
+// append lock).
+func (l *DeltaLog) Rollback(to DeltaLogStats) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.file.Truncate(to.Bytes); err != nil {
+		return fmt.Errorf("storage: rolling the delta journal back to offset %d: %w", to.Bytes, err)
+	}
+	l.byteOff, l.segs, l.rows = to.Bytes, to.Segments, to.Rows
 	return nil
 }
 

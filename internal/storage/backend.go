@@ -2,11 +2,13 @@ package storage
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 )
 
 // BackendConfig selects how BuildBackend assembles an on-disk backend.
@@ -35,8 +37,8 @@ type BackendConfig struct {
 // store, its bitmap file, the executor over both, and (when declustered)
 // the disk set and placement. It is the unit the epoch-versioned
 // warehouse builds, serves from, and retires as a whole — compaction
-// builds a fresh Backend in a fresh directory and swaps it in while the
-// old one stays readable for queries that pinned it.
+// writes the next Backend into a fresh directory and swaps it in while
+// the old one stays readable for queries that pinned it.
 type Backend struct {
 	Store     *Store
 	Bitmaps   *BitmapFile
@@ -55,12 +57,61 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 	if err != nil {
 		return nil, err
 	}
-	var bf *BitmapFile
-	if cfg.Compress {
-		bf, err = BuildCompressedBitmaps(dir, store, icfg)
-	} else {
-		bf, err = BuildBitmaps(dir, store, icfg)
+	bf, err := buildBitmaps(dir, store, icfg, cfg.Compress)
+	return assemble(store, bf, err, cfg)
+}
+
+// Compact writes into dir the backend of the next epoch: this one's rows
+// followed, fragment by fragment, by the delta set's segments in seal
+// order — file for file what BuildBackend writes for the merged rows,
+// at the cost of the fragments the set touches. A fragment without a
+// segment is carried forward: its fact pages and its bitmap block are
+// copied byte for byte with their checksums. A fragment with segments
+// keeps its full pages the same way, gets its last page re-filled and
+// the segments' rows appended, and has its bitmap block rebuilt. b must
+// stay open (pinned) for the duration; it is only read, and only by
+// plain reads of its files — never through its disk set. cfg assembles
+// the new backend as in BuildBackend, except that the bitmap encoding is
+// b's. On error nothing stays open and dir is left to the caller.
+func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) (*Backend, error) {
+	old := b.Store
+	w, err := newFactWriter(dir, old.star, old.spec)
+	if err != nil {
+		return nil, err
 	}
+	// The sorted union of the fragments held and the fragments touched is
+	// the new allocation order.
+	order := append(slices.Clone(old.order), deltas.FragmentIDs()...)
+	slices.Sort(order)
+	for _, id := range slices.Compact(order) {
+		segs := deltas.Of(id)
+		if _, held := old.dir[id]; held {
+			w.carry(old, id, len(segs) > 0)
+		}
+		w.addSegments(segs)
+		w.end(id)
+	}
+	store, err := w.finish()
+	if err != nil {
+		return nil, err
+	}
+	bf, err := writeBitmaps(dir, store, b.Bitmaps.ix, b.Bitmaps.compressed, b.Bitmaps, deltas)
+	return assemble(store, bf, err, cfg)
+}
+
+// addSegments appends the segments' rows to the open fragment.
+func (w *factWriter) addSegments(segs []*frag.DeltaSegment) {
+	for _, seg := range segs {
+		cols := kernel.Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
+		for i := 0; i < seg.Rows(); i++ {
+			w.add(cols, i)
+		}
+	}
+}
+
+// assemble turns a written store and bitmap file (or the error writing
+// the latter) into a serving backend per cfg, closing both on failure.
+func assemble(store *Store, bf *BitmapFile, err error, cfg BackendConfig) (*Backend, error) {
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -69,8 +120,7 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 	if cfg.Placement.Disks > 0 {
 		ds, err := Decluster(store, bf, cfg.Placement)
 		if err != nil {
-			store.Close()
-			bf.Close()
+			b.Close()
 			return nil, err
 		}
 		b.Disks, b.Placement = ds, cfg.Placement
@@ -79,10 +129,8 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 		store.AttachPool(cfg.Pool, cfg.PoolEpoch)
 		bf.AttachPool(cfg.Pool, cfg.PoolEpoch)
 	}
-	b.Exec, err = NewExecutor(store, bf, cfg.Sched)
-	if err != nil {
-		store.Close()
-		bf.Close()
+	if b.Exec, err = NewExecutor(store, bf, cfg.Sched); err != nil {
+		b.Close()
 		return nil, err
 	}
 	if cfg.PrefetchFact > 0 {

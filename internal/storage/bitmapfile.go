@@ -62,8 +62,9 @@ type BitmapFile struct {
 	// sums holds one CRC32C per bitmap-file page, indexed by absolute page
 	// number — computed at build and verified on every physical read, so a
 	// corrupt shared page fails every bitmap fragment stored in it. The
-	// bitmap file is always rebuilt alongside its store, so the table lives
-	// in memory only.
+	// file is only ever written in the process that serves it (by a build,
+	// or by a compaction that carries the entries of the blocks it copies),
+	// so the table lives in memory only.
 	sums []uint32
 }
 
@@ -115,15 +116,23 @@ func BuildCompressedBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*B
 	return buildBitmaps(dirPath, s, icfg, true)
 }
 
-// buildBitmaps writes the file block by block. On any error the
-// half-written file is closed and removed, so a failed build (a failed
-// compaction) leaves nothing behind in the directory.
-func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool) (_ *BitmapFile, err error) {
-	star := s.star
+// buildBitmaps writes the bitmap file of a store whose every fragment is
+// new: each block is built from the fragment's rows.
+func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool) (*BitmapFile, error) {
 	ix, err := frag.NewDeltaIndex(s.spec, icfg)
 	if err != nil {
 		return nil, err
 	}
+	return writeBitmaps(dirPath, s, ix, compress, nil, nil)
+}
+
+// writeBitmaps writes the bitmap file of store s block by block, in
+// allocation order: a fragment that old holds and deltas has no segment
+// of has its block carried over from old (nil: nothing is carried);
+// every other block is built from the fragment's rows in s. On any error
+// the half-written file is closed and removed, so a failed build (a
+// failed compaction) leaves nothing behind in the directory.
+func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, old *BitmapFile, deltas *frag.DeltaSet) (_ *BitmapFile, err error) {
 	path := filepath.Join(dirPath, bitmapFileName)
 	f, err := os.Create(path)
 	if err != nil {
@@ -136,7 +145,7 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 		}
 	}()
 	bf := &BitmapFile{
-		star:       star,
+		star:       s.star,
 		spec:       s.spec,
 		ix:         ix,
 		pageSize:   s.pageSize,
@@ -144,70 +153,110 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 		blocks:     make(map[int64]bitmapBlock, len(s.order)),
 		compressed: compress,
 	}
-	descs := ix.Descs()
-	keysPerDim := make([][]int32, len(star.Dims))
-	payloads := make([][]byte, len(descs))
+	keys := make([][]int32, len(s.star.Dims))
+	payloads := make([][]byte, ix.NumBitmaps())
 	var block []byte
 	for _, id := range s.order {
-		rows := s.dir[id].Rows
-		// Materialise the fragment's dimension keys.
-		for d := range keysPerDim {
-			keysPerDim[d] = keysPerDim[d][:0]
-		}
-		err := s.ScanFragment(id, func(tp Tuple) {
-			for d := range tp.Keys {
-				keysPerDim[d] = append(keysPerDim[d], int32(tp.Keys[d]))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, desc := range descs {
-			bs := buildBitmapFragment(star, ix.Layout(desc.Dim), desc, keysPerDim[desc.Dim])
-			if compress {
-				payloads[i] = encodeCompressed(bitmap.Compress(bs))
-			} else {
-				payloads[i] = make([]byte, (rows+7)/8)
-				packBits(bs, payloads[i])
+		if old != nil && len(deltas.Of(id)) == 0 {
+			if blk, ok := old.blocks[id]; ok {
+				if block, err = bf.carryBlock(old, id, blk, block); err != nil {
+					return nil, err
+				}
+				continue
 			}
 		}
-		if block, err = bf.writeBlock(id, rows, payloads, block); err != nil {
+		if block, err = bf.buildBlock(s, id, keys, payloads, block); err != nil {
 			return nil, err
 		}
 	}
 	return bf, nil
 }
 
-// writeBlock packs one fact fragment's payloads into allocation units,
-// appends the block to the file and enters it into the directory and the
-// checksum table. block is the reusable page buffer, returned grown.
+// buildBlock computes the fragment's bitmap fragments from its rows in
+// the store — read back page by page, every page verified — and writes
+// them as the fragment's block. keys, payloads and block are reusable
+// buffers; block is returned grown.
+func (bf *BitmapFile) buildBlock(s *Store, id int64, keys [][]int32, payloads [][]byte, block []byte) ([]byte, error) {
+	for d := range keys {
+		keys[d] = keys[d][:0]
+	}
+	err := s.ScanFragment(id, func(tp Tuple) {
+		for d := range tp.Keys {
+			keys[d] = append(keys[d], int32(tp.Keys[d]))
+		}
+	})
+	if err != nil {
+		return block, err
+	}
+	rows := s.dir[id].Rows
+	for i, desc := range bf.ix.Descs() {
+		bs := buildBitmapFragment(bf.star, bf.ix.Layout(desc.Dim), desc, keys[desc.Dim])
+		if bf.compressed {
+			payloads[i] = encodeCompressed(bitmap.Compress(bs))
+		} else {
+			payloads[i] = make([]byte, (rows+7)/8)
+			packBits(bs, payloads[i])
+		}
+	}
+	return bf.writeBlock(id, rows, payloads, block)
+}
+
+// writeBlock packs one fact fragment's payloads into allocation units
+// and appends the block to the file. block is the reusable page buffer,
+// returned grown.
 func (bf *BitmapFile) writeBlock(id int64, rows int32, payloads [][]byte, block []byte) ([]byte, error) {
 	sizes := make([]int, len(payloads))
 	for i, p := range payloads {
 		sizes[i] = len(p)
 	}
 	blk := bitmapBlock{
-		page:  int64(len(bf.sums)),
 		rows:  rows,
 		slots: frag.PackBitmapUnits(make([]frag.BitmapSlot, 0, len(payloads)), sizes, bf.pageSize),
 	}
-	n := int(blk.pages()) * bf.pageSize
-	if cap(block) < n {
-		block = make([]byte, n)
-	}
-	block = block[:n]
+	block = sized(block, int(blk.pages())*bf.pageSize)
 	clear(block)
 	for i, sl := range blk.slots {
 		copy(block[int(sl.Page)*bf.pageSize+int(sl.Off):], payloads[i])
 	}
-	for off := 0; off < n; off += bf.pageSize {
-		bf.sums = append(bf.sums, pageCRC(block[off:off+bf.pageSize]))
+	sums := make([]uint32, 0, blk.pages())
+	for off := 0; off < len(block); off += bf.pageSize {
+		sums = append(sums, pageCRC(block[off:off+bf.pageSize]))
 	}
-	if _, err := bf.file.Write(block); err != nil {
-		return block, fmt.Errorf("storage: writing bitmap block of fragment %d: %w", id, err)
+	return block, bf.appendBlock(id, blk, block, sums)
+}
+
+// carryBlock appends fragment id's block of the old epoch's file byte
+// for byte, with its checksum entries: slots are block-relative, so only
+// the block's first page is re-based. Like factWriter.carry it reads
+// straight off the old file and neither decodes nor verifies.
+func (bf *BitmapFile) carryBlock(old *BitmapFile, id int64, blk bitmapBlock, block []byte) ([]byte, error) {
+	block = sized(block, int(blk.pages())*bf.pageSize)
+	byteOff := blk.page * int64(bf.pageSize)
+	if _, err := old.file.ReadAt(block, byteOff); err != nil {
+		return block, fmt.Errorf("storage: carrying bitmap block of fragment %d at offset %d: %w", id, byteOff, err)
 	}
+	return block, bf.appendBlock(id, blk, block, old.sums[blk.page:blk.page+blk.pages()])
+}
+
+// appendBlock is the one place a block reaches the file: its pages are
+// appended, and it enters the directory and the checksum table at the
+// page it landed on.
+func (bf *BitmapFile) appendBlock(id int64, blk bitmapBlock, pages []byte, sums []uint32) error {
+	if _, err := bf.file.Write(pages); err != nil {
+		return fmt.Errorf("storage: writing bitmap block of fragment %d: %w", id, err)
+	}
+	blk.page = int64(len(bf.sums))
+	bf.sums = append(bf.sums, sums...)
 	bf.blocks[id] = blk
-	return block, nil
+	return nil
+}
+
+// sized returns buf with length n, reallocated when its capacity is short.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // encodeCompressed serialises a WAH bitmap: uint32 bit length, uint32 word

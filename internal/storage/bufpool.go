@@ -10,7 +10,7 @@ import (
 // units — fact prefetch granules and bitmap allocation units — shared by
 // every query of a warehouse. Entries are keyed by
 // (epoch, file, fragment, offset, length), so an epoch roll-over
-// (compaction swapping in a rebuilt backend) invalidates the old epoch's
+// (compaction swapping in the next backend) invalidates the old epoch's
 // pages for free: the new backend's reads simply key differently, and the
 // retired epoch's entries age out of the LRU (or are dropped eagerly via
 // InvalidateEpoch once the epoch's last pinned query finishes).

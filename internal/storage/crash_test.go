@@ -189,3 +189,42 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 		})
 	}
 }
+
+// TestJournalRollbackDropsRecordsPastTheMark: rolling back to an earlier
+// Stats truncates the records journaled since, restores the counters, and the
+// next record lands where the dropped ones began — replay sees the
+// records before the mark and the one after the rollback, nothing else.
+func TestJournalRollbackDropsRecordsPastTheMark(t *testing.T) {
+	star := schema.Tiny()
+	dir := t.TempDir()
+	l, _, err := OpenDeltaLog(dir, star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, segs := sealSegments(t, star, 4, 17, 1, 9)
+	if err := l.AppendSegment(segs[0], false); err != nil {
+		t.Fatal(err)
+	}
+	kept := l.Stats()
+	for _, seg := range segs[1:3] {
+		if err := l.AppendSegment(seg, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Rollback(kept); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st != kept {
+		t.Fatalf("stats after rollback = %+v, at the mark %+v", st, kept)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, deltaFileName)); err != nil || fi.Size() != kept.Bytes {
+		t.Fatalf("journal size after rollback = %d, want %d (%v)", fi.Size(), kept.Bytes, err)
+	}
+	if err := l.AppendSegment(segs[3], false); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := reopenLog(t, l, dir, star)
+	if len(recs) != 2 || recs[0].Seq != segs[0].Seq() || recs[1].Seq != segs[3].Seq() || recs[1].Rows() != segs[3].Rows() {
+		t.Fatalf("replay after rollback recovered %d records: %+v", len(recs), recs)
+	}
+}

@@ -147,16 +147,22 @@ func (ds *DiskSet) notePoolHit(disk, pages int) {
 	q.poolPages.Add(int64(pages))
 }
 
-// do performs one physical access of `pages` pages on disk `disk`: the
-// disk is held exclusively for the simulated access delay and the read
-// itself, serializing concurrent accesses to the same disk.
-func (ds *DiskSet) do(disk, pages int, read func() error) error {
+// do performs one physical write of `pages` pages on disk `disk` (the
+// journal's; reads go through readAccess): the disk is held exclusively
+// for the simulated access delay and the write itself, serializing it
+// with every other access to the same disk. A sticky-failed disk refuses
+// it, as it refuses reads; the fault plan's rates are per read and do
+// not apply.
+func (ds *DiskSet) do(disk, pages int, write func() error) error {
 	q := &ds.disks[disk]
+	if q.failed.Load() {
+		return &FaultError{Disk: disk, Kind: FaultDiskFailed}
+	}
 	q.mu.Lock()
 	if d := q.delay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	err := read()
+	err := write()
 	q.mu.Unlock()
 	q.ios.Add(1)
 	q.pages.Add(int64(pages))

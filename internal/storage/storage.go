@@ -2,9 +2,13 @@
 // MDHF-fragmented warehouse: fact fragments packed into fixed-size pages
 // and stored consecutively in allocation order (the layout assumption of
 // the paper's I/O model), plus the surviving bitmap fragments, plus a
-// persisted directory so stores reopen without rebuilding. An executor
-// (executor.go) runs star queries against the files with prefetch-granule
-// reads, making the paper's I/O accounting physically observable.
+// persisted directory so stores reopen without rebuilding. The files of
+// one epoch are written once, fragment by fragment, by one writer — fed
+// from a table (Build) or from an older epoch's files and a delta set
+// (Backend.Compact, which copies what the deltas do not touch) — and
+// never modified. An executor (executor.go) runs star queries against
+// the files with prefetch-granule reads, making the paper's I/O
+// accounting physically observable.
 //
 // Tuple format (matching the paper's 20-byte fact tuples for APB-1):
 // one uint16 foreign key per dimension followed by three int32 measures
@@ -17,13 +21,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 	"repro/internal/schema"
 )
 
@@ -35,6 +40,8 @@ const (
 	// formatV2 appends a per-page CRC32C table to the meta file; pages are
 	// verified against it on every physical read (see fault.go).
 	formatV2 = 2
+	// carryPages is how many pages a compaction copies per read and write.
+	carryPages = 16
 )
 
 // FragLoc locates one fact fragment inside the fact file.
@@ -106,7 +113,10 @@ func TuplesPerPage(star *schema.Star) int { return star.PageSize / TupleSize(sta
 
 // Build partitions the table per spec and writes the fact file and
 // directory into dir (created if needed). Fragments are written in
-// allocation order; each fragment starts on a fresh page.
+// allocation order; each fragment starts on a fresh page. It is the
+// fragment writer with every fragment new and its rows taken from the
+// table; Backend.Compact is the same writer over an old epoch's pages
+// and a delta set.
 func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	star := t.Star
 	for i := range star.Dims {
@@ -114,7 +124,55 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 			return nil, fmt.Errorf("storage: dimension %s cardinality %d exceeds uint16 keys", star.Dims[i].Name, star.Dims[i].LeafCard())
 		}
 	}
+
+	// Partition row indices by fragment.
+	byFrag := make(map[int64][]int32)
+	buf := make([]int, len(star.Dims))
+	for i := 0; i < t.N(); i++ {
+		id := spec.IDOf(t.LeafMembers(i, buf))
+		byFrag[id] = append(byFrag[id], int32(i))
+	}
+	order := make([]int64, 0, len(byFrag))
+	for id := range byFrag {
+		order = append(order, id)
+	}
+	slices.Sort(order)
+
+	w, err := newFactWriter(dirPath, star, spec)
+	if err != nil {
+		return nil, err
+	}
+	cols := kernel.Columns{Dims: t.Dims, Units: t.UnitsSold, Dollars: t.DollarSales, Costs: t.Cost}
+	for _, id := range order {
+		for _, ri := range byFrag[id] {
+			w.add(cols, int(ri))
+		}
+		w.end(id)
+	}
+	return w.finish()
+}
+
+// factWriter writes one epoch's fact file fragment by fragment, in
+// allocation order: the open fragment's rows are encoded into pages
+// (add), or taken over from an older epoch's file (carry), until end
+// closes it and enters it into the directory. The first write error
+// sticks and is reported by finish.
+type factWriter struct {
+	s    *Store
+	dir  string
+	page []byte // the open page; bytes past fill are zero
+	fill int    // bytes of page in use
+	rows int    // rows of the open fragment
+	buf  []byte // carry's copy buffer, carryPages long
+	err  error
+}
+
+func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWriter, error) {
 	if err := os.MkdirAll(dirPath, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.Create(filepath.Join(dirPath, factFileName))
+	if err != nil {
 		return nil, err
 	}
 	s := &Store{
@@ -123,71 +181,119 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 		pageSize:  star.PageSize,
 		tupleSize: TupleSize(star),
 		tpp:       TuplesPerPage(star),
+		file:      f,
 		dir:       make(map[int64]FragLoc),
 	}
-
-	// Partition row indices by fragment.
-	byFrag := make(map[int64][]int32)
-	buf := make([]int, len(star.Dims))
-	for i := 0; i < t.N(); i++ {
-		id := spec.ID(spec.CoordOf(t.LeafMembers(i, buf)))
-		byFrag[id] = append(byFrag[id], int32(i))
-	}
-	for id := range byFrag {
-		s.order = append(s.order, id)
-	}
-	sortInt64s(s.order)
-
-	f, err := os.Create(filepath.Join(dirPath, factFileName))
-	if err != nil {
-		return nil, err
-	}
-	s.file = f
-
-	tpp := s.tpp
-	page := make([]byte, s.pageSize)
-	var pageOff int64
-	for _, id := range s.order {
-		rows := byFrag[id]
-		pages := (len(rows) + tpp - 1) / tpp
-		s.dir[id] = FragLoc{PageOff: pageOff, Pages: int32(pages), Rows: int32(len(rows))}
-		for p := 0; p < pages; p++ {
-			for i := range page {
-				page[i] = 0
-			}
-			lo := p * tpp
-			hi := lo + tpp
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			off := 0
-			for _, ri := range rows[lo:hi] {
-				off = encodeTuple(page, off, t, int(ri))
-			}
-			s.sums = append(s.sums, pageCRC(page))
-			if _, err := f.Write(page); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("storage: writing fact page %d of fragment %d: %w", p, id, err)
-			}
-		}
-		pageOff += int64(pages)
-	}
-	if err := s.writeMeta(dirPath); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	return &factWriter{s: s, dir: dirPath, page: make([]byte, s.pageSize)}, nil
 }
 
-func encodeTuple(page []byte, off int, t *data.Table, row int) int {
-	for d := range t.Dims {
-		binary.LittleEndian.PutUint16(page[off:], uint16(t.Dims[d][row]))
+// add appends row i of cols to the open fragment.
+func (w *factWriter) add(cols kernel.Columns, i int) {
+	if w.fill == w.s.tpp*w.s.tupleSize {
+		w.flush()
+	}
+	off := w.fill
+	for d := range cols.Dims {
+		binary.LittleEndian.PutUint16(w.page[off:], uint16(cols.Dims[d][i]))
 		off += 2
 	}
-	binary.LittleEndian.PutUint32(page[off:], uint32(t.UnitsSold[row]))
-	binary.LittleEndian.PutUint32(page[off+4:], uint32(t.DollarSales[row]))
-	binary.LittleEndian.PutUint32(page[off+8:], uint32(t.Cost[row]))
-	return off + 12
+	binary.LittleEndian.PutUint32(w.page[off:], uint32(cols.Units[i]))
+	binary.LittleEndian.PutUint32(w.page[off+4:], uint32(cols.Dollars[i]))
+	binary.LittleEndian.PutUint32(w.page[off+8:], uint32(cols.Costs[i]))
+	w.fill = off + 12
+	w.rows++
+}
+
+// flush writes the open page with its checksum and starts an empty one.
+func (w *factWriter) flush() {
+	w.write(w.page, pageCRC(w.page))
+	clear(w.page[:w.fill])
+	w.fill = 0
+}
+
+// write appends whole pages and their checksums to the file.
+func (w *factWriter) write(pages []byte, sums ...uint32) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.s.file.Write(pages); err != nil {
+		w.err = fmt.Errorf("storage: writing fact page %d: %w", len(w.s.sums), err)
+		return
+	}
+	w.s.sums = append(w.s.sums, sums...)
+}
+
+// carry opens the fragment with the rows it holds in the old epoch's
+// store: its full pages — all its pages when the fragment is carried
+// forward unchanged (reopen false) — are copied byte for byte together
+// with their checksum entries, neither decoded nor verified, so a page
+// that was corrupt stays detectably corrupt. With reopen, the rows of a
+// last, partly filled page become the start of the open page, to be
+// followed by add; that page is verified first, because it is
+// re-checksummed with the rows that follow.
+//
+// The pages are read straight off the old file: build I/O is not charged
+// to a disk set, and neither injected faults nor a failed disk block a
+// compaction.
+func (w *factWriter) carry(old *Store, id int64, reopen bool) {
+	loc := old.dir[id]
+	n, tail := int(loc.Pages), 0
+	if reopen {
+		n, tail = int(loc.Rows)/old.tpp, int(loc.Rows)%old.tpp
+	}
+	w.rows = int(loc.Rows)
+	if w.buf == nil {
+		w.buf = make([]byte, carryPages*old.pageSize)
+	}
+	read := func(page int64, buf []byte) {
+		if w.err != nil {
+			return
+		}
+		if _, err := old.file.ReadAt(buf, page*int64(old.pageSize)); err != nil {
+			w.err = fmt.Errorf("storage: carrying %d fact pages of fragment %d from page %d: %w", len(buf)/old.pageSize, id, page, err)
+		}
+	}
+	for p := 0; p < n; p += carryPages {
+		c, first := min(carryPages, n-p), loc.PageOff+int64(p)
+		read(first, w.buf[:c*old.pageSize])
+		w.write(w.buf[:c*old.pageSize], old.sums[first:first+int64(c)]...)
+	}
+	if tail > 0 {
+		last, page := w.buf[:old.pageSize], loc.PageOff+int64(n)
+		read(page, last)
+		if w.err == nil {
+			w.err = old.verifyPages(last, page, id, page*int64(old.pageSize))
+		}
+		if w.err == nil {
+			w.fill = copy(w.page, last[:tail*old.tupleSize])
+		}
+	}
+}
+
+// end closes the open fragment — a partly filled last page is written
+// zero-padded — and enters it into the directory.
+func (w *factWriter) end(id int64) {
+	if w.fill > 0 {
+		w.flush()
+	}
+	s := w.s
+	pages := (w.rows + s.tpp - 1) / s.tpp
+	s.dir[id] = FragLoc{PageOff: int64(len(s.sums) - pages), Pages: int32(pages), Rows: int32(w.rows)}
+	s.order = append(s.order, id)
+	w.rows = 0
+}
+
+// finish persists the directory and returns the store; after an error
+// the fact file is closed and nothing is returned.
+func (w *factWriter) finish() (*Store, error) {
+	if w.err == nil {
+		w.err = w.s.writeMeta(w.dir)
+	}
+	if w.err != nil {
+		w.s.file.Close()
+		return nil, w.err
+	}
+	return w.s, nil
 }
 
 // Tuple is one decoded fact tuple.
@@ -474,8 +580,4 @@ func (s *Store) ScanFragment(id int64, fn func(Tuple)) error {
 		remaining -= n
 	}
 	return nil
-}
-
-func sortInt64s(a []int64) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

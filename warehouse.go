@@ -53,8 +53,8 @@ type Config struct {
 // The warehouse is epoch-versioned: Append routes incoming fact rows
 // into sealed, fragment-aligned delta segments that queries merge with
 // the base backend, and a background compactor (see Compact and
-// WithAutoCompaction) folds sealed deltas into a rebuilt backend at the
-// next epoch. Every admitted execution pins a snapshot — one epoch's
+// WithAutoCompaction) folds sealed deltas, fragment by fragment, into
+// the next epoch's backend. Every admitted execution pins a snapshot — one epoch's
 // backend plus the delta set sealed at admission — so compaction never
 // blocks admission and never changes an in-flight query's result; the
 // old epoch's files stay readable until its last pinned query finishes.
