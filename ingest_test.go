@@ -1,6 +1,7 @@
 package mdhf
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -193,26 +195,95 @@ func TestAppendEquivalence(t *testing.T) {
 	}
 }
 
-// TestAppendValidation rejects malformed rows without changing state.
+// TestAppendValidation rejects malformed rows without changing state,
+// on every backend. A measure beyond int32 is malformed exactly where the
+// rows end up in 20-byte tuples: an on-disk warehouse refuses the batch
+// with ErrMeasureRange before anything is journaled — stored, the amount
+// would be answered while it is a delta and lost at the next compaction —
+// and refuses to build over such a table; the in-memory engine takes any
+// int64.
 func TestAppendValidation(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
-	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month", Table: MustGenerateData(star, 8)})
+	tab := MustGenerateData(star, 8)
+	total, err := ParseQuery(star, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	if err := w.Append(ctx, nil); err != nil {
-		t.Fatal("empty append:", err)
-	}
-	if err := w.Append(ctx, []FactRow{{Leaves: []int32{1, 2}}}); err == nil {
-		t.Fatal("short leaves accepted")
-	}
-	if err := w.Append(ctx, []FactRow{{Leaves: []int32{99, 0, 0}}}); err == nil {
-		t.Fatal("out-of-range leaf accepted")
-	}
-	if st := w.ServingStats(); st.Appends != 0 || st.DeltaRows != 0 {
-		t.Fatalf("failed appends changed state: %+v", st)
+	for _, bk := range ingestBackends {
+		t.Run(bk.name, func(t *testing.T) {
+			w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month", Table: tab}, bk.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(ctx, nil); err != nil {
+				t.Fatal("empty append:", err)
+			}
+			good := splitRows(tab, 0, 3)
+			if err := w.Append(ctx, good); err != nil {
+				t.Fatal(err)
+			}
+			before, _, err := w.Query(total).Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal := func() []byte {
+				if w.store.Current().B.Disk == nil {
+					return nil
+				}
+				b, err := os.ReadFile(filepath.Join(w.store.RootDir(), "delta.dat"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			stBefore, logBefore := w.ServingStats(), journal()
+			if err := w.Append(ctx, []FactRow{{Leaves: []int32{1, 2}}}); err == nil {
+				t.Fatal("short leaves accepted")
+			}
+			if err := w.Append(ctx, []FactRow{{Leaves: []int32{99, 0, 0}}}); err == nil {
+				t.Fatal("out-of-range leaf accepted")
+			}
+			big := FactRow{Leaves: good[0].Leaves, UnitsSold: 1, DollarSales: 1 << 33, Cost: -1}
+			err = w.Append(ctx, []FactRow{good[1], big})
+			if onDisk := logBefore != nil; onDisk != errors.Is(err, ErrMeasureRange) || (onDisk && !strings.Contains(err.Error(), "row 1: DollarSales")) {
+				t.Fatalf("append of DollarSales 1<<33 (on disk: %v): %v", onDisk, err)
+			}
+			if err != nil {
+				if st := w.ServingStats(); st.Appends != stBefore.Appends || st.DeltaRows != stBefore.DeltaRows || !bytes.Equal(journal(), logBefore) {
+					t.Fatalf("failed appends changed state or the journal: %+v, was %+v", st, stBefore)
+				}
+				if after, _, err := w.Query(total).Execute(ctx); err != nil || !reflect.DeepEqual(after, before) {
+					t.Fatalf("failed appends changed the answer: %+v, %v; was %+v", after, err, before)
+				}
+				wide := prefixTable(tab, tab.N())
+				wide.Cost = append([]int64(nil), tab.Cost...)
+				wide.Cost[5] = -1 << 40
+				w2, err := Open(ctx, Config{Star: star, Fragmentation: "time::month", Table: wide}, bk.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w2.Close()
+				if _, _, err := w2.Query(total).Execute(ctx); !errors.Is(err, ErrMeasureRange) || !strings.Contains(err.Error(), "row 5: Cost") {
+					t.Fatalf("building the store over Cost -1<<40: %v", err)
+				}
+				return
+			}
+			// In memory the amount is served, as a delta and compacted.
+			want := before
+			want.Count, want.UnitsSold, want.DollarSales, want.Cost = want.Count+2, want.UnitsSold+good[1].UnitsSold+1, want.DollarSales+good[1].DollarSales+1<<33, want.Cost+good[1].Cost-1
+			for _, compacted := range []bool{false, true} {
+				if compacted {
+					if err := w.Compact(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, _, err := w.Query(total).Execute(ctx); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("compacted %v: %+v, %v; want %+v", compacted, got, err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@
 // answers, complementing the timing-oriented SIMPAD simulator.
 //
 // Everything around a fragment — validation, fragment enumeration, the
-// delta fold, the task-ordered merge — is internal/kernel's drivers; the
+// delta fold, the merge of the workers' partials — is internal/kernel's
+// drivers; the
 // engine supplies the fragment folds (processFragment and its compressed
 // twin solo, sharedMask + kernel.EvalMany shared), so its results are
 // structurally identical to the on-disk executor's.
@@ -69,6 +70,11 @@ type Engine struct {
 	// stored compressed and queries intersect / iterate them without
 	// materialising a Bitset.
 	compressed bool
+
+	// The worker scratch of the solo and the shared fold, borrowed by
+	// every call's workers; each epoch's engine has its own.
+	solo   *exec.Scratch[*scratch]
+	shared *exec.Scratch[*sharedScratch]
 }
 
 // Compressed reports whether the engine stores its per-fragment bitmap
@@ -107,6 +113,8 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 		frags:      make(map[int64]*fragment),
 		layouts:    make([]*bitmap.Layout, len(star.Dims)),
 		compressed: compressed,
+		solo:       exec.NewScratch(newScratch),
+		shared:     exec.NewScratch(newSharedScratch),
 	}
 	for d := range star.Dims {
 		if icfg[d].Kind == frag.EncodedIndex {
@@ -161,6 +169,7 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 // indices rebuilt.
 func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 	ne := *e
+	ne.solo, ne.shared = exec.NewScratch(newScratch), exec.NewScratch(newSharedScratch)
 	ne.frags = make(map[int64]*fragment, len(e.frags)+deltas.Fragments())
 	for id, f := range e.frags {
 		ne.frags[id] = f
@@ -265,7 +274,8 @@ func (e *Engine) NumFragments() int { return len(e.frags) }
 // scratch is the per-worker buffer set threaded through internal/exec:
 // selection bitsets for the materialised path, operand and result buffers
 // for the compressed path. Every buffer is reused across all fragments a
-// worker processes, so the hot loops run allocation-free once warm.
+// worker processes, in every call, so the hot loops run allocation-free
+// once warm.
 type scratch struct {
 	hits *bitmap.Bitset // running AND of predicate selections
 	sel  *bitmap.Bitset // current predicate's selection
@@ -297,7 +307,7 @@ func rowKey(base uint64, perRow []kernel.RowLevel, dims [][]int32, i int) uint64
 // group map; a fragment holding neither base rows nor delta segments
 // counts as not processed.
 func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[Stats], error) {
-	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, NewScratch: newScratch}
+	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.solo}
 	return kernel.Solo(ctx, d, q, deltas, own, func() (kernel.SoloFold[*scratch, Stats], error) {
 		return func(sc *scratch, id int64, q frag.Query, slot kernel.Slot) (kernel.FragPartial, Stats, error) {
 			var st Stats

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -311,8 +312,8 @@ func TestScaledSchemaEndToEnd(t *testing.T) {
 }
 
 // TestExecuteDeterministicAcrossWorkers asserts that the engine returns
-// byte-identical Aggregate and Stats at every scheduler size: partials
-// merge in fragment allocation order.
+// byte-identical Aggregate and Stats at every scheduler size: the sums
+// the workers fold and the caller merges commute.
 func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	s, _, e := buildTiny(t, "time::month, product::group")
 	rng := rand.New(rand.NewSource(23))
@@ -461,5 +462,51 @@ func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
 		if gotAgg != wantAgg || gotSt != wantSt {
 			t.Fatalf("workers=%d diverged", workers)
 		}
+	}
+}
+
+// TestSteadyStateAllocation: a call owns neither its workers' scratch
+// nor a result slot per fragment. A warm serial stream of queries over
+// all 192 fragments allocates per query less than 32 bytes per fragment —
+// the fragment id list and per-call state that does not grow with it;
+// the gather alone used to cost a partial and an error slot, 104 bytes,
+// per fragment.
+func TestSteadyStateAllocation(t *testing.T) {
+	s, tab, e := buildTiny(t, "time::month, product::code, customer::store")
+	sched := exec.NewScheduler(4)
+	defer sched.Close()
+	ctx := context.Background()
+	var all frag.Query
+	n := len(e.spec.FragmentIDs(all))
+	if n != 192 {
+		t.Fatalf("%d fragments", n)
+	}
+	byQuarter, err := frag.ParseQuery(s, "group by time::quarter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ScanGrouped(tab, byQuarter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			for _, q := range []frag.Query{all, byQuarter} {
+				got, _, err := e.ExecuteGroupedDeltas(ctx, sched, q, kernel.Deltas{})
+				if err != nil || got.Aggregate != want.Aggregate {
+					t.Fatalf("%+v, %v; want %+v", got.Aggregate, err, want.Aggregate)
+				}
+			}
+		}
+	}
+	run(10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(100)
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / 200
+	t.Logf("%d bytes allocated per warm query over %d fragments", got, n)
+	if got >= uint64(32*n) {
+		t.Errorf("%d bytes allocated per warm query, want under %d", got, 32*n)
 	}
 }

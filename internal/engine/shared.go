@@ -93,7 +93,7 @@ func (e *Engine) sharedMask(f *fragment, q frag.Query, mask *bitmap.Bitset, st *
 // only batch membership and fragment co-scanning (PhysReadsSaved stays
 // 0); the win here is the single column pass feeding K accumulators.
 func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.Out[Stats], error) {
-	d := kernel.Dispatch[*sharedScratch]{Star: e.star, Spec: e.spec, Sched: s, NewScratch: newSharedScratch}
+	d := kernel.Dispatch[*sharedScratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.shared}
 	return kernel.Shared(ctx, d, qs, deltas, own, func([]kernel.BatchQuery) (kernel.SharedFold[*sharedScratch, Stats], error) {
 		return func(sc *sharedScratch, id int64, ms []kernel.Member[Stats], slots []kernel.Slot) error {
 			f, ok := e.frags[id]

@@ -27,8 +27,9 @@ type Row struct {
 const coalesceRows = 4096
 
 // Append admits a batch of fact rows: each row is validated and routed
-// to its fragment (a fragment outside Config.Own rejects the whole batch
-// before anything is admitted), sealed into a fragment-aligned delta
+// to its fragment (a fragment outside Config.Own, or on disk a measure
+// outside int32, rejects the whole batch before anything is admitted),
+// sealed into a fragment-aligned delta
 // segment carrying its own WAH bitmap fragments, journaled to the delta
 // log (on-disk stores — through the segment's disk queue when
 // declustered), and published atomically to subsequent queries. Queries
@@ -56,6 +57,11 @@ func (s *Store) Append(rows []Row) error {
 				return fmt.Errorf("mdhf: append row %d: %s leaf %d out of range [0,%d)", ri, star.Dims[d].Name, leaf, star.Dims[d].LeafCard())
 			}
 			buf[d] = int(leaf)
+		}
+		if s.cfg.OnDisk { // in memory the measures stay int64
+			if err := storage.CheckMeasures(ri, r.UnitsSold, r.DollarSales, r.Cost); err != nil {
+				return fmt.Errorf("mdhf: append: %w", err)
+			}
 		}
 		id := spec.IDOf(buf)
 		if s.cfg.Own != nil && !s.cfg.Own(id) {

@@ -3,19 +3,25 @@
 // in for the paper's Shared Disk processing nodes — and one dispatcher:
 // every execution publishes its independent tasks (typically one per MDHF
 // fragment) as one job in the scheduler's job list; the workers pull —
-// pick a job round-robin, claim its next task with an atomic add — and
-// the per-task partial results are gathered back in task order, so that
-// parallel execution is bit-for-bit identical to sequential execution
-// regardless of pool size or scheduling. A publish wakes idle workers;
-// the worker that finishes a job's last task wakes the caller and yields
-// its processor to it. No task costs an allocation or a goroutine switch.
+// pick a job round-robin, claim its next task with an atomic add. A
+// publish wakes idle workers; the worker that finishes a job's last task
+// wakes the caller and yields its processor to it. A task costs its
+// call one atomic claim: no allocation, no goroutine switch and no slot
+// of its own.
 //
-// The query drivers (internal/kernel) run both backends' fragment tasks
-// on the serving store's long-lived scheduler through ReduceShardedOn,
-// placement-aware when the backend is declustered. The control-plane
-// fan-outs — the cost advisor, the experiment harness, the cluster
-// coordinator's scatter — use Map/Reduce, which run the same dispatcher
-// on a scheduler owned by the call.
+// Two entry points sit on the dispatcher and differ in the gather.
+// ReduceShardedOn is the paper's "aggregate locally, merge globally"
+// (Section 4.3): a worker folds the tasks it runs into a partial of its
+// own, with scratch borrowed from the backend's free list (Scratch), and
+// the caller merges one partial per worker — identical results at any
+// pool size for merges that commute. The query drivers (internal/kernel)
+// run both backends' fragment tasks through it on the serving store's
+// long-lived scheduler, placement-aware when the backend is declustered.
+// MapOn keeps a result slot per task and returns them in task order, for
+// results that do not commute; its scratch lives and dies with the call.
+// The control-plane fan-outs — the cost advisor, the experiment harness,
+// the cluster coordinator's scatter — use Map/Reduce: MapOn on a
+// scheduler owned by the call.
 package exec
 
 import (
@@ -50,19 +56,13 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 	)
 }
 
-// Reduce is Map followed by ReduceShardedOn's deterministic gather: the
-// per-task partials are folded into a single accumulator strictly in
-// task order, so non-commutative merges still give identical results at
-// any worker count.
-func Reduce[T, A any](ctx context.Context, workers, n int, fn func(i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	parts, err := Map(ctx, workers, n, fn)
-	return fold(parts, err, merge)
-}
-
-// fold merges the gathered partials in task order; a failed gather
+// Reduce is Map followed by a fold of the per-task partials into a
+// single accumulator strictly in task order, so non-commutative merges
+// still give identical results at any worker count; a failed gather
 // yields the zero accumulator.
-func fold[T, A any](parts []T, err error, merge func(acc *A, part T)) (A, error) {
+func Reduce[T, A any](ctx context.Context, workers, n int, fn func(i int) (T, error), merge func(acc *A, part T)) (A, error) {
 	var acc A
+	parts, err := Map(ctx, workers, n, fn)
 	if err != nil {
 		return acc, err
 	}

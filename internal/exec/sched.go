@@ -28,9 +28,10 @@ var ErrClosed = errors.New("exec: scheduler closed")
 // bodies, onto the same DiskSet — instead of each spawning a private
 // worker set. Tasks from different queries interleave at fragment
 // granularity, which fills the idle disk and CPU time that a single
-// query's straggler tail and setup leave behind; per-query results are
-// still gathered in task index order, so every execution is bit-for-bit
-// identical to running it alone or on a pool of one.
+// query's straggler tail and setup leave behind; which worker runs which
+// task never shows in a result (see MapOn and ReduceShardedOn), so every
+// execution is bit-for-bit identical to running it alone or on a pool
+// of one.
 //
 // A Scheduler is safe for concurrent use. Close stops the workers once
 // every published execution has drained; an execution submitted after
@@ -91,14 +92,61 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// job is one MapOn call on the pool: n positions, claimed one at a time
-// through next and counted in done; run(w, k) runs position k on worker
-// w; fin is closed by the worker that finishes the last of them.
+// job is one call on the pool: n positions, claimed one at a time
+// through next and counted in done; position k is task order[k] (k
+// itself when order is nil), which run(w, i) runs on worker w; fin is
+// closed by the worker that finishes the last of them.
 type job struct {
 	n          int64
 	next, done atomic.Int64
-	run        func(w, k int)
+	order      []int32
+	run        func(w, i int) error
 	fin        chan struct{}
+
+	// cutoff is the lowest task index known to have failed: n while
+	// none has, -1 once ctx is cancelled. A claimed task runs only when
+	// its index is not above the cutoff — so under any claim order every
+	// task below the lowest failure runs, and that failure (failed, err),
+	// not whichever was noticed first, is the one reported. mu guards
+	// the pair and every store to cutoff.
+	cutoff atomic.Int64
+	mu     sync.Mutex
+	failed int
+	err    error
+}
+
+// runAt runs position k on worker w unless its task is past the cutoff.
+func (j *job) runAt(w, k int) {
+	i := k
+	if j.order != nil {
+		i = int(j.order[k])
+	}
+	if int64(i) > j.cutoff.Load() {
+		return
+	}
+	// A panicking task must poison only its own execution, never the
+	// shared pool: recover it into the call's error.
+	defer func() {
+		if r := recover(); r != nil {
+			j.stop(i, fmt.Errorf("exec: task %d panicked: %v", i, r))
+		}
+	}()
+	if err := j.run(w, i); err != nil {
+		j.stop(i, err)
+	}
+}
+
+// stop lowers the cutoff to i — task i failed with err, or the call was
+// cancelled (i = -1, err nil, which keeps the lowest failure so far).
+func (j *job) stop(i int, err error) {
+	j.mu.Lock()
+	if err != nil && (j.err == nil || i < j.failed) {
+		j.failed, j.err = i, err
+	}
+	if int64(i) < j.cutoff.Load() {
+		j.cutoff.Store(int64(i))
+	}
+	j.mu.Unlock()
 }
 
 // work is worker w's loop: pick an active job round-robin, claim its
@@ -127,8 +175,7 @@ func (s *Scheduler) work(w int) {
 		if k == j.n-1 {
 			s.retire(j)
 		}
-		j.run(w, int(k))
-		s.tasksRun.Add(1)
+		j.runAt(w, int(k))
 		if j.done.Add(1) == j.n {
 			close(j.fin)
 			// Pull workers never block while any job has work, so with
@@ -157,8 +204,10 @@ func (s *Scheduler) publish(j *job) error {
 	return nil
 }
 
-// retire removes j from the job snapshot.
+// retire removes j from the job snapshot, every position of it claimed,
+// and counts its tasks — one add per job, skipped tasks included.
 func (s *Scheduler) retire(j *job) {
+	s.tasksRun.Add(j.n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jobs := slices.DeleteFunc(slices.Clone(*s.jobs.Load()), func(o *job) bool { return o == j })
@@ -205,14 +254,14 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// admit registers one execution and returns its release func, or sheds
-// it with ErrOverloaded when the in-flight limit is reached.
-func (s *Scheduler) admit() (func(), error) {
+// admit registers one execution, or sheds it with ErrOverloaded when the
+// in-flight limit is reached; release undoes an admission.
+func (s *Scheduler) admit() error {
 	for {
 		in := s.inflight.Load()
 		if lim := s.limit.Load(); lim > 0 && in >= lim {
 			s.shed.Add(1)
-			return nil, ErrOverloaded
+			return ErrOverloaded
 		}
 		if s.inflight.CompareAndSwap(in, in+1) {
 			in++
@@ -220,26 +269,26 @@ func (s *Scheduler) admit() (func(), error) {
 			for {
 				p := s.peak.Load()
 				if in <= p || s.peak.CompareAndSwap(p, in) {
-					break
+					return nil
 				}
 			}
-			return func() {
-				s.inflight.Add(-1)
-				s.done.Add(1)
-			}, nil
 		}
 	}
 }
 
+func (s *Scheduler) release() {
+	s.inflight.Add(-1)
+	s.done.Add(1)
+}
+
 // MapOn runs fn(sc, i) for every i in [0, n) on the scheduler's pool and
-// returns the results in index order: the call publishes one job whose n
-// tasks the pool's workers claim one at a time, interleaved with the
-// tasks of every other execution currently admitted.
-// Every pool worker that runs a task of this call builds its scratch with
-// newScratch at most once and passes it to each of the call's tasks it
-// runs, so buffers allocated there are reused without synchronisation —
-// the pooling behind the allocation-free fragment hot loops of the query
-// engines. fn must be safe for concurrent invocation with distinct
+// returns the results in index order — the ordered gather, for results
+// that do not commute, at the price of a slot per task. The call
+// publishes one job whose n tasks the pool's workers claim one at a
+// time, interleaved with the tasks of every other execution admitted,
+// and owns its scratch: a pool worker that runs a task of it builds one
+// with newScratch at most once and passes it to each of the call's tasks
+// it runs. fn must be safe for concurrent invocation with distinct
 // scratch values.
 //
 // Error propagation is deterministic: if several tasks fail, the error of
@@ -251,136 +300,171 @@ func (s *Scheduler) admit() (func(), error) {
 // own call with an error naming the task; the pool and every other
 // execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	return mapOnOrdered(ctx, s, n, nil, newScratch, fn)
-}
-
-// MapShardedOn is MapOn with placement-aware claim order: tasks are
-// claimed round-robin across their shards (typically the disk holding
-// each task's fragment, clamped into [0, shards)), so the first tasks an
-// execution gets running are spread over distinct disks instead of
-// convoying on one queue. With at most one shard it is MapOn. The gather
-// order is unchanged, so results are identical to MapOn, and so is the
-// error: of several failing tasks the lowest index is reported.
-func MapShardedOn[S, T any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	if shards <= 1 || n <= 1 {
-		return mapOnOrdered(ctx, s, n, nil, newScratch, fn)
-	}
-	queues := make([][]int32, shards)
-	for i := 0; i < n; i++ {
-		k := shardOf(i)
-		if k < 0 || k >= shards {
-			k = ((k % shards) + shards) % shards
-		}
-		queues[k] = append(queues[k], int32(i))
-	}
-	order := make([]int32, 0, n)
-	for len(order) < n {
-		for k := 0; k < shards; k++ {
-			if len(queues[k]) > 0 {
-				order = append(order, queues[k][0])
-				queues[k] = queues[k][1:]
-			}
-		}
-	}
-	return mapOnOrdered(ctx, s, n, order, newScratch, fn)
-}
-
-// mapOnOrdered publishes one job whose position k is task order[k]
-// (identity when nil) and gathers results by task index.
-func mapOnOrdered[S, T any](ctx context.Context, s *Scheduler, n int, order []int32, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	release, err := s.admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var (
-		results = make([]T, n)
-		errs    = make([]error, n)
-		// scratches[w] belongs to pool worker w: only that worker's
-		// goroutine touches it, and tasks of one call on one worker run
-		// sequentially, so no synchronisation is needed.
-		scratches = make([]S, s.workers)
-		made      = make([]bool, s.workers)
-		// cutoff is the lowest task index known to have failed: n while
-		// none has, -1 once ctx is cancelled. A claimed task runs only
-		// when its index is not above the cutoff — so under any claim
-		// order every task below the lowest failure runs, and that
-		// failure, not whichever was noticed first, is the one reported.
-		cutoff atomic.Int64
-		j      = &job{n: int64(n), fin: make(chan struct{})}
-	)
-	cutoff.Store(int64(n))
-	j.run = func(w, k int) {
-		i := k
-		if order != nil {
-			i = int(order[k])
-		}
-		if int64(i) > cutoff.Load() {
-			return
-		}
-		// A panicking task must poison only its own execution, never
-		// the shared pool: recover it into this task's error slot.
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("exec: task %d panicked: %v", i, r)
-				lowerTo(&cutoff, int64(i))
-			}
-		}()
-		if !made[w] {
-			scratches[w] = newScratch()
-			made[w] = true
-		}
-		r, err := fn(scratches[w], i)
-		if err != nil {
-			errs[i] = err
-			lowerTo(&cutoff, int64(i))
-			return
-		}
-		results[i] = r
-	}
-	if err := s.publish(j); err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.fin:
-	case <-ctx.Done():
-		cutoff.Store(-1)
-		<-j.fin
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	// Storing result i in slot i commutes: a reduce over a scratch list
+	// that lives for the call, with nothing to merge.
+	results := make([]T, max(n, 0))
+	_, err := ReduceShardedOn(ctx, s, n, nil, 1, NewScratch(newScratch),
+		func(sc S, _ *struct{}, i int) (err error) {
+			results[i], err = fn(sc, i)
+			return err
+		}, func(_, _ *struct{}) {})
+	if err != nil || n <= 0 {
 		return nil, err
 	}
 	return results, nil
 }
 
-// lowerTo lowers *c to v unless it is already at or below it.
-func lowerTo(c *atomic.Int64, v int64) {
-	for {
-		cur := c.Load()
-		if cur <= v || c.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+// Scratch is a backend's free list of worker scratch — the buffers its
+// fragment tasks reuse. The backend owns it and a ReduceShardedOn call
+// borrows from it, so the buffers are built once per backend, serve
+// every later call and die with the backend; at most one scratch per
+// pool worker is kept idle. A plain list, not a sync.Pool, which the
+// collector empties when it pleases: allocation per query must repeat.
+type Scratch[S any] struct {
+	build func() S
+	mu    sync.Mutex
+	idle  []S
 }
 
-// ReduceShardedOn is MapShardedOn (MapOn with one shard) followed by a
-// deterministic gather: the per-task partials are folded into a single
-// accumulator strictly in task order, so non-commutative merges still
-// give identical results at any pool size, shard layout or admission
-// mix. This is also what makes grouped roll-ups deterministic: the query
-// drivers' merge funcs (internal/kernel) fold per-fragment group maps
-// through this task-ordered gather, so the accumulated group content —
-// and, after the kernel's sorted row flattening, the output bytes — are
-// identical however the tasks were scheduled.
-func ReduceShardedOn[S, T, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() S, fn func(sc S, i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	parts, err := MapShardedOn(ctx, s, n, shardOf, shards, newScratch, fn)
-	return fold(parts, err, merge)
+// NewScratch returns an empty free list whose scratches build makes.
+func NewScratch[S any](build func() S) *Scratch[S] { return &Scratch[S]{build: build} }
+
+func (l *Scratch[S]) take() S {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.idle)
+	if n == 0 {
+		return l.build()
+	}
+	sc := l.idle[n-1]
+	l.idle = l.idle[:n-1]
+	return sc
+}
+
+// give returns sc to the list, or drops it when keep are idle already.
+func (l *Scratch[S]) give(sc S, keep int) {
+	l.mu.Lock()
+	if len(l.idle) < keep {
+		l.idle = append(l.idle, sc)
+	}
+	l.mu.Unlock()
+}
+
+// worker is pool worker w's share of one ReduceShardedOn call; only that
+// worker's goroutine touches it until the job has finished.
+type worker[S, A any] struct {
+	sc   S
+	acc  A
+	took bool // sc is taken
+	busy bool // a task is running on sc, or panicked on it
+}
+
+// ReduceShardedOn runs fn(sc, acc, i) for every i in [0, n) on the
+// scheduler's pool and returns the merged partials — the reduce for
+// commutative merges, which costs nothing per task: each pool worker
+// folds the tasks it runs into its own partial (*acc, at first A's zero
+// value) and the caller merges one partial per worker. Which tasks meet
+// in which partial depends on scheduling, so the result is identical at
+// every pool size, shard layout and admission mix exactly when fn's
+// folding and merge commute and associate, as sums and maxima per key
+// do; a merge that needs task order belongs on MapOn. A worker takes its
+// scratch from the backend's list for the first task of the call it
+// runs, and the call gives every one back after its last task has
+// finished, however it ended — except one a task panicked on, whose
+// state nobody knows: that one is dropped.
+//
+// With shards > 1 the tasks are claimed round-robin across their shards
+// (typically the disk of each task's fragment, taken modulo shards), so
+// the first tasks running spread over distinct disks instead of
+// convoying on one queue. Admission, interleaving, the lowest failing
+// index winning, cancellation and panics are MapOn's; on an error the
+// partials are withheld and A's zero value is returned.
+func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
+	scratch *Scratch[S], fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
+	var zero A
+	if n <= 0 {
+		return zero, ctx.Err()
+	}
+	if err := s.admit(); err != nil {
+		return zero, err
+	}
+	defer s.release()
+	ws := make([]worker[S, A], s.workers)
+	j := &job{n: int64(n), order: shardOrder(n, shardOf, shards), fin: make(chan struct{})}
+	j.cutoff.Store(int64(n))
+	j.run = func(w, i int) error {
+		me := &ws[w]
+		if !me.took {
+			me.sc, me.took = scratch.take(), true
+		}
+		me.busy = true
+		err := fn(me.sc, &me.acc, i)
+		me.busy = false
+		return err
+	}
+	if err := s.publish(j); err != nil {
+		return zero, err
+	}
+	// Wait for the last claimed task also after a failure or a
+	// cancellation: nothing of the call runs once it has returned.
+	select {
+	case <-j.fin:
+	case <-ctx.Done():
+		j.stop(-1, nil)
+		<-j.fin
+	}
+	err := j.err
+	if err == nil {
+		err = ctx.Err()
+	}
+	acc := &zero
+	for w := range ws {
+		me := &ws[w]
+		if me.took && !me.busy {
+			scratch.give(me.sc, s.workers)
+		}
+		if !me.took || err != nil {
+			continue
+		}
+		if acc == &zero {
+			acc = &me.acc
+		} else {
+			merge(acc, &me.acc)
+		}
+	}
+	return *acc, err
+}
+
+// shardOrder returns the claim order that interleaves the shards' tasks
+// round-robin, each shard's in task order; nil when there is one shard.
+func shardOrder(n int, shardOf func(i int) int, shards int) []int32 {
+	if shards <= 1 || n <= 1 {
+		return nil
+	}
+	shard := func(i int) int { return (shardOf(i)%shards + shards) % shards }
+	// A counting sort in the one buffer a call pays for: the order, the
+	// tasks bucketed by shard, and where each shard's bucket ends.
+	buf := make([]int32, 2*n+shards+1)
+	order, bucketed, end := buf[:0:n], buf[n:2*n], buf[2*n:]
+	for i := 0; i < n; i++ {
+		end[shard(i)+1]++
+	}
+	for k := 0; k < shards; k++ {
+		end[k+1] += end[k] // for now, where shard k's bucket starts
+	}
+	for i := 0; i < n; i++ {
+		k := shard(i)
+		bucketed[end[k]] = int32(i)
+		end[k]++
+	}
+	for r := int32(0); len(order) < n; r++ {
+		start := int32(0)
+		for k := 0; k < shards; k++ {
+			if start+r < end[k] {
+				order = append(order, bucketed[start+r])
+			}
+			start = end[k]
+		}
+	}
+	return order
 }

@@ -20,28 +20,38 @@ type entry struct {
 	name string
 	// run passes newScratch on where the entry point takes one; Map does
 	// not, so its tasks get a fresh scratch each.
-	run    func(ctx context.Context, n int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error)
-	reduce func(ctx context.Context, n int, fn func(i int) (string, error), merge func(acc *string, part string)) (string, error)
+	run func(ctx context.Context, n int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error)
+}
+
+// shardedMap gathers fn's results by index through ReduceShardedOn:
+// the sharded claim order and the worker-side fold, whose "sum" here is
+// storing result i in slot i of one slice all workers share.
+func shardedMap(ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error) {
+	results := make([]int, max(n, 0))
+	_, err := ReduceShardedOn(ctx, s, n, shardOf, shards, NewScratch(newScratch),
+		func(sc *int, _ *struct{}, i int) (err error) {
+			results[i], err = fn(sc, i)
+			return err
+		}, func(_, _ *struct{}) {})
+	if err != nil || n <= 0 {
+		return nil, err
+	}
+	return results, nil
 }
 
 // entries returns Map (a scheduler owned by each call) plus MapOn and
-// MapShardedOn on one shared scheduler of the given size. The sharded
-// entry's shard keys run out of range on both sides, so every test also
-// covers the clamp into [0, shards).
+// ReduceShardedOn on one shared scheduler of the given size. The third
+// keeps the name of the sharded map it replaced; its shard keys run out
+// of range on both sides, so every test also covers the clamp into
+// [0, shards).
 func entries(t *testing.T, workers int) []entry {
 	s := NewScheduler(workers)
 	t.Cleanup(s.Close)
-	noScratch := func() struct{} { return struct{}{} }
-	shardOf := func(i int) int { return i*13 - 7 }
-	const shards = 5
 	return []entry{
 		{
 			name: "Map",
 			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
 				return Map(ctx, workers, n, func(i int) (int, error) { return fn(newScratch(), i) })
-			},
-			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
-				return Reduce(ctx, workers, n, fn, merge)
 			},
 		},
 		{
@@ -49,17 +59,11 @@ func entries(t *testing.T, workers int) []entry {
 			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
 				return MapOn(ctx, s, n, newScratch, fn)
 			},
-			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
-				return ReduceShardedOn(ctx, s, n, nil, 1, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
-			},
 		},
 		{
 			name: "MapShardedOn",
 			run: func(ctx context.Context, n int, newScratch func() *int, fn func(*int, int) (int, error)) ([]int, error) {
-				return MapShardedOn(ctx, s, n, shardOf, shards, newScratch, fn)
-			},
-			reduce: func(ctx context.Context, n int, fn func(int) (string, error), merge func(*string, string)) (string, error) {
-				return ReduceShardedOn(ctx, s, n, shardOf, shards, noScratch, func(_ struct{}, i int) (string, error) { return fn(i) }, merge)
+				return shardedMap(ctx, s, n, func(i int) int { return i*13 - 7 }, 5, newScratch, fn)
 			},
 		},
 	}
@@ -140,7 +144,7 @@ func TestShardedErrorIsLowestIndex(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Close()
 	for trial := 0; trial < 200; trial++ {
-		_, err := MapShardedOn(context.Background(), s, 64,
+		_, err := shardedMap(context.Background(), s, 64,
 			func(i int) int {
 				if i >= 32 {
 					return 0
@@ -229,45 +233,130 @@ func TestPanicPoisonsOnlyItsCall(t *testing.T) {
 	})
 }
 
-// TestScratchBuiltAtMostOncePerWorker: within one call every pool worker
-// builds at most one scratch and threads it through each task it runs; a
-// scratch shared across workers would race on the buffer (-race).
+// TestScratchBuiltAtMostOncePerWorker: the scratch outlives the call.
+// Over 1,000 sequential calls on one free list every pool worker builds
+// at most one scratch and threads it through each task it runs; a
+// scratch in two tasks at once would race on the buffer (-race).
 func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 	type scratch struct{ buf []int }
 	for _, workers := range []int{1, 2, 4} {
 		s := NewScheduler(workers)
 		var created atomic.Int64
-		newScratch := func() *scratch {
+		pool := NewScratch(func() *scratch {
 			created.Add(1)
 			return &scratch{buf: make([]int, 0, 8)}
-		}
-		fn := func(sc *scratch, i int) (int, error) {
+		})
+		fn := func(sc *scratch, acc *int, i int) error {
 			sc.buf = append(sc.buf[:0], i, i, i)
-			time.Sleep(time.Microsecond)
-			return sc.buf[0] + sc.buf[1] + sc.buf[2], nil
+			*acc += sc.buf[0] + sc.buf[1] + sc.buf[2]
+			return nil
 		}
-		for _, sharded := range []bool{false, true} {
-			created.Store(0)
-			var got []int
-			var err error
-			if sharded {
-				got, err = MapShardedOn(context.Background(), s, 64, func(i int) int { return i % 8 }, 8, newScratch, fn)
-			} else {
-				got, err = MapOn(context.Background(), s, 64, newScratch, fn)
+		for call := 0; call < 1000; call++ {
+			shards := 1 + 7*(call%2)
+			got, err := ReduceShardedOn(context.Background(), s, 64, func(i int) int { return i % 8 }, shards, pool, fn, addInts)
+			if err != nil || got != 3*64*63/2 {
+				t.Fatalf("workers=%d call %d: %d, %v", workers, call, got, err)
 			}
-			if err != nil {
-				t.Fatalf("workers=%d sharded=%v: %v", workers, sharded, err)
-			}
-			for i, v := range got {
-				if v != 3*i {
-					t.Fatalf("workers=%d sharded=%v: result[%d] = %d, want %d", workers, sharded, i, v, 3*i)
-				}
-			}
-			if n := created.Load(); n < 1 || n > int64(workers) {
-				t.Fatalf("workers=%d sharded=%v: %d scratches built", workers, sharded, n)
-			}
+		}
+		if n := created.Load(); n < 1 || n > int64(workers) || len(pool.idle) != int(n) {
+			t.Fatalf("workers=%d: %d scratches built over 1,000 calls, %d idle", workers, n, len(pool.idle))
 		}
 		s.Close()
+	}
+}
+
+func addInts(acc, part *int) { *acc += *part }
+
+// TestScratchGivenBackOnEveryPath counts takes and give-backs: a call
+// that failed, was cancelled mid-flight or had a task panic returns no
+// partial, and every call gives back every scratch it took; the scratch
+// a task panicked on is the one exception — it is dropped, never handed
+// out again.
+func TestScratchGivenBackOnEveryPath(t *testing.T) {
+	type scratch struct{ panicked bool }
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		fn   func(cancel func(), sc *scratch, i int) error
+		ok   func(error) bool
+		lost int64
+	}{
+		{"success", func(func(), *scratch, int) error { return nil }, func(err error) bool { return err == nil }, 0},
+		{"task error", func(_ func(), _ *scratch, i int) error {
+			if i == 17 {
+				return boom
+			}
+			return nil
+		}, func(err error) bool { return err == boom }, 0},
+		{"cancelled", func(cancel func(), _ *scratch, i int) error {
+			if i == 17 {
+				cancel()
+			}
+			return nil
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }, 0},
+		{"panic", func(_ func(), sc *scratch, i int) error {
+			if i == 17 {
+				sc.panicked = true
+				panic("poisoned task")
+			}
+			return nil
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "task 17 panicked") }, 1},
+	} {
+		for _, shards := range []int{1, 3} {
+			s := NewScheduler(4)
+			var built atomic.Int64
+			pool := NewScratch(func() *scratch {
+				built.Add(1)
+				return &scratch{}
+			})
+			for call := 0; call < 50; call++ {
+				before := built.Load() - int64(len(pool.idle)) // built and not idle: lost so far
+				ctx, cancel := context.WithCancel(context.Background())
+				got, err := ReduceShardedOn(ctx, s, 64, func(i int) int { return i }, shards, pool,
+					func(sc *scratch, acc *int, i int) error {
+						*acc++
+						return tc.fn(cancel, sc, i)
+					}, addInts)
+				cancel()
+				if !tc.ok(err) || (err != nil && got != 0) || (err == nil && got != 64) {
+					t.Fatalf("%s shards=%d call %d: %d, %v", tc.name, shards, call, got, err)
+				}
+				if lost := built.Load() - int64(len(pool.idle)) - before; lost != tc.lost {
+					t.Fatalf("%s shards=%d call %d: %d scratches taken and not given back, want %d", tc.name, shards, call, lost, tc.lost)
+				}
+				for _, sc := range pool.idle {
+					if sc.panicked {
+						t.Fatalf("%s: the scratch a task panicked on is back in the list", tc.name)
+					}
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestScratchIdleCappedAtWorkers: concurrent calls can hold more
+// scratches than the pool has workers; when they come back the list
+// keeps at most the number it is told to — one per worker — and hands
+// out what it kept before building anything.
+func TestScratchIdleCappedAtWorkers(t *testing.T) {
+	built := 0
+	pool := NewScratch(func() *int { built++; return new(int) })
+	var out []*int
+	for i := 0; i < 6; i++ {
+		out = append(out, pool.take())
+	}
+	for _, sc := range out {
+		pool.give(sc, 2)
+	}
+	if built != 6 || len(pool.idle) != 2 {
+		t.Fatalf("%d built, %d idle; want 6 and 2", built, len(pool.idle))
+	}
+	if a, b := pool.take(), pool.take(); a != out[1] || b != out[0] || built != 6 {
+		t.Fatalf("the kept scratches were not handed out again (%d built)", built)
+	}
+	if pool.take(); built != 7 {
+		t.Fatalf("%d built after taking from an empty list, want 7", built)
 	}
 }
 
@@ -277,15 +366,15 @@ func TestShardedRunsEveryTaskOnce(t *testing.T) {
 	s := NewScheduler(8)
 	defer s.Close()
 	counts := make([]atomic.Int64, 200)
-	_, err := MapShardedOn(context.Background(), s, 200,
-		func(i int) int { return 3 }, 7,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (struct{}, error) {
+	ran, err := ReduceShardedOn(context.Background(), s, 200,
+		func(i int) int { return 3 }, 7, NewScratch(newInt),
+		func(_ *int, acc *int, i int) error {
 			counts[i].Add(1)
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
+			*acc++
+			return nil
+		}, addInts)
+	if err != nil || ran != 200 {
+		t.Fatalf("%d tasks folded, %v", ran, err)
 	}
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
@@ -294,108 +383,86 @@ func TestShardedRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// TestMapShardedOnMatchesMapOn checks the shard-interleaved submission
-// order changes nothing about the gathered results, at shard counts
-// below, at and above the task count's spread and with out-of-range keys.
-func TestMapShardedOnMatchesMapOn(t *testing.T) {
-	s := NewScheduler(3)
-	defer s.Close()
-	ctx := context.Background()
-	newScratch := func() struct{} { return struct{}{} }
-	fn := func(_ struct{}, i int) (int, error) { return i * 3, nil }
-	const n = 41
-	want, err := MapOn(ctx, s, n, newScratch, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 5, 64} {
-		got, err := MapShardedOn(ctx, s, n, func(i int) int { return i*13 - 7 }, shards, newScratch, fn)
-		if err != nil {
-			t.Fatal(err)
+// TestReduceGroupedMapDeterministic: for a commutative merge — per-key
+// sums into a map, the shape the query drivers' grouped roll-ups reduce —
+// the partials the workers fold and the caller merges equal the serial
+// fold in task order, at every pool size, task count and shard layout
+// (shard keys out of range on both sides), 20 times each.
+func TestReduceGroupedMapDeterministic(t *testing.T) {
+	type sums map[int]int64
+	fn := func(_ *int, acc *sums, i int) error {
+		if *acc == nil {
+			*acc = sums{}
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d task %d: got %d want %d", shards, i, got[i], want[i])
+		(*acc)[i%7] += int64(i)
+		(*acc)[(i*13)%5] += int64(i) * int64(i)
+		return nil
+	}
+	merge := func(acc, part *sums) {
+		for k, v := range *part {
+			(*acc)[k] += v
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		s := NewScheduler(workers)
+		pool := NewScratch(newInt)
+		for _, n := range []int{0, 1, 3, 192} {
+			var want sums
+			for i := 0; i < n; i++ {
+				fn(nil, &want, i)
+			}
+			for _, shards := range []int{1, 2, 5, 64} {
+				for rep := 0; rep < 20; rep++ {
+					got, err := ReduceShardedOn(context.Background(), s, n, func(i int) int { return i*13 - 7 }, shards, pool, fn, merge)
+					if err != nil || !maps.Equal(got, want) {
+						t.Fatalf("workers=%d n=%d shards=%d: %v, %v; serial fold %v", workers, n, shards, got, err, want)
+					}
+				}
 			}
 		}
+		s.Close()
 	}
 }
 
 // TestReduceMergesInTaskOrder: a non-commutative merge (string
-// concatenation) must come out in task order at every pool size, and a
+// concatenation) must come out in task order at every pool size — on
+// Reduce, and on the index-ordered gather of every other entry — and a
 // failed run folds nothing.
 func TestReduceMergesInTaskOrder(t *testing.T) {
 	want := ""
 	for i := 0; i < 30; i++ {
 		want += fmt.Sprintf("[%d]", i)
 	}
-	concat := func(acc *string, part string) { *acc += part }
-	forEachEntry(t, []int{1, 4, 16}, func(t *testing.T, e entry, _ int) {
-		got, err := e.reduce(context.Background(), 30, func(i int) (string, error) { return fmt.Sprintf("[%d]", i), nil }, concat)
+	concat := func(acc *string, part int) { *acc += fmt.Sprintf("[%d]", part) }
+	forEachEntry(t, []int{1, 4, 16}, func(t *testing.T, e entry, workers int) {
+		reduce := func(n int, fn func(i int) (int, error)) (string, error) {
+			if e.name == "Map" {
+				return Reduce(context.Background(), workers, n, fn, concat)
+			}
+			var acc string
+			parts, err := e.run(context.Background(), n, newInt, func(_ *int, i int) (int, error) { return fn(i) })
+			for _, p := range parts {
+				concat(&acc, p)
+			}
+			return acc, err
+		}
+		got, err := reduce(30, func(i int) (int, error) { return i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("merge order broken: %q", got)
 		}
-		got, err = e.reduce(context.Background(), 10, func(i int) (string, error) {
+		got, err = reduce(10, func(i int) (int, error) {
 			if i == 0 {
-				return "", errors.New("first fails")
+				return 0, errors.New("first fails")
 			}
-			return "x", nil
-		}, concat)
+			return i, nil
+		})
 		if err == nil || got != "" {
 			t.Fatalf("failed run: acc=%q err=%v, want empty and an error", got, err)
 		}
 	})
-}
-
-// TestReduceGroupedMapDeterministic folds per-task group-map partials —
-// the shape the query engines' grouped roll-ups reduce — at several pool
-// sizes and shard layouts and requires the accumulated map to be
-// identical to the fold on a pool of one: the task-ordered gather makes
-// grouped merges deterministic regardless of scheduling.
-func TestReduceGroupedMapDeterministic(t *testing.T) {
-	const n = 96
-	task := func(_ struct{}, i int) (map[int]int64, error) {
-		// Each task contributes to a few pseudo-random groups.
-		m := map[int]int64{i % 7: int64(i), (i * 13) % 5: int64(i * i)}
-		return m, nil
-	}
-	merge := func(acc *map[int]int64, part map[int]int64) {
-		if *acc == nil {
-			*acc = make(map[int]int64)
-		}
-		for k, v := range part {
-			(*acc)[k] += v
-		}
-	}
-	newS := func() struct{} { return struct{}{} }
-	one := NewScheduler(1)
-	defer one.Close()
-	want, err := ReduceShardedOn(context.Background(), one, n, nil, 1, newS, task, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		s := NewScheduler(workers)
-		got, err := ReduceShardedOn(context.Background(), s, n, nil, 1, newS, task, merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(got, want) {
-			t.Fatalf("workers=%d: grouped fold diverged: %v != %v", workers, got, want)
-		}
-		got, err = ReduceShardedOn(context.Background(), s, n,
-			func(i int) int { return i % 6 }, 6, newS, task, merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !maps.Equal(got, want) {
-			t.Fatalf("sharded workers=%d: grouped fold diverged", workers)
-		}
-		s.Close()
-	}
 }
 
 // TestConcurrentExecutionsMatchSerial runs many concurrent executions of

@@ -29,10 +29,8 @@ type BatchPlan struct {
 // members' relevant fragments, keeping only those own selects (nil
 // selects all).
 //
-// The union is sorted ascending. FragmentIDs enumerates each query's
-// fragments in ascending allocation order — its solo task order — so
-// every member meets its own fragments in exactly that order and the
-// task-ordered gather folds its partials as solo execution does.
+// The union is sorted ascending, as FragmentIDs enumerates each query's
+// fragments, so a member's tasks are claimed in its solo task order.
 func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, own func(int64) bool) BatchPlan {
 	p := BatchPlan{Queries: make([]BatchQuery, len(qs)), members: make(map[int64][]int32)}
 	for si, q := range qs {

@@ -22,9 +22,8 @@ func (d Deltas) Has(id int64) bool { return !d.Empty() && len(d.Set.Of(id)) > 0 
 // intersection the base paths run) are aggregated into p.Agg and, on the
 // per-row grouping fallback, into p.Groups with the same composed key
 // arithmetic as base rows. Because per-key sums commute, folding deltas
-// inside the fragment's own task keeps the cross-fragment merge
-// task-ordered and the final result byte-identical to a warehouse
-// rebuilt from scratch with the same rows.
+// inside the fragment's own task leaves the final result byte-identical
+// to a warehouse rebuilt from scratch with the same rows.
 //
 // It returns the number of delta rows aggregated.
 func AddDelta(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, perRow []RowLevel, sc *frag.DeltaScratch) (int64, error) {

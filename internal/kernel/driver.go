@@ -29,8 +29,8 @@ func foldDeltas(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, p
 	return AddDelta(d, id, q, p, base, perRow, sc)
 }
 
-// Counts is a backend's work counters as the drivers use them: summed in
-// task order and credited with the delta rows the drivers fold
+// Counts is a backend's work counters as the drivers use them: summed
+// over the tasks and credited with the delta rows the drivers fold
 // themselves. Both are value methods, so that a task's and a query's
 // counters never leave the stack.
 type Counts[St any] interface {
@@ -38,16 +38,18 @@ type Counts[St any] interface {
 	WithDeltaRows(n int64) St
 }
 
-// Dispatch is where a backend's fragment tasks run. With Disks > 1 the
-// tasks are submitted round-robin over the disks DiskOf maps their
-// fragments to, so the first ones running spread over distinct disks.
+// Dispatch is where a backend's fragment tasks run, and with what: the
+// workers borrow their scratch from the backend's free list for the
+// length of a call. With Disks > 1 the tasks are submitted round-robin
+// over the disks DiskOf maps their fragments to, so the first ones
+// running spread over distinct disks.
 type Dispatch[S any] struct {
-	Star       *schema.Star
-	Spec       *frag.Spec
-	Sched      *exec.Scheduler
-	NewScratch func() S
-	Disks      int
-	DiskOf     interface{ DiskOf(id int64) int }
+	Star    *schema.Star
+	Spec    *frag.Spec
+	Sched   *exec.Scheduler
+	Scratch *exec.Scratch[S]
+	Disks   int
+	DiskOf  interface{ DiskOf(id int64) int }
 }
 
 func (d Dispatch[S]) shardOf(ids []int64) func(i int) int {
@@ -75,12 +77,6 @@ type Out[St any] struct {
 // partial and returns it with the work that took.
 type SoloFold[S, St any] func(sc S, id int64, q frag.Query, slot Slot) (FragPartial, St, error)
 
-// part is one fragment task's contribution to a solo execution.
-type part[St any] struct {
-	fp FragPartial
-	st St
-}
-
 // Solo runs one query over the relevant fragments own selects (nil
 // selects all). An invalid query's error is returned and also recorded
 // in Out.Err, which tells it from an execution failure.
@@ -104,44 +100,69 @@ func Solo[S any, St Counts[St]](ctx context.Context, d Dispatch[S], q frag.Query
 	if own != nil {
 		ids = slices.DeleteFunc(ids, func(id int64) bool { return !own(id) })
 	}
-	run := func(sc S, i int) (part[St], error) {
+	// Each worker sums the fragments it runs into an outcome of its own:
+	// sums per key commute, so who ran which fragment does not show.
+	run := func(sc S, acc *Out[St], i int) error {
 		slot := NewSlot(gr, ids[i])
 		fp, st, err := fold(sc, ids[i], q, slot)
 		if err != nil {
-			return part[St]{}, err
+			return err
 		}
 		n, err := foldDeltas(deltas, ids[i], q, &fp, slot.Base, slot.PerRow)
-		return part[St]{fp, st.WithDeltaRows(n)}, err
+		if err != nil {
+			return err
+		}
+		addTo(acc, gr, fp, st.WithDeltaRows(n), SharedScanStats{})
+		return nil
 	}
-	out := Out[St]{Gr: gr}
-	if gr != nil {
-		out.Part.Groups = NewGrouped()
-	}
-	merge := func(_ *struct{}, p part[St]) {
-		p.fp.MergeInto(&out.Part.Agg, out.Part.Groups)
-		out.St = out.St.Plus(p.st)
-	}
-	if _, err := exec.ReduceShardedOn(ctx, d.Sched, len(ids), d.shardOf(ids), d.Disks, d.NewScratch, run, merge); err != nil {
+	out, err := exec.ReduceShardedOn(ctx, d.Sched, len(ids), d.shardOf(ids), d.Disks, d.Scratch, run, mergeOuts[St])
+	if err != nil {
 		return Out[St]{}, err
 	}
+	addTo(&out, gr, FragPartial{}, *new(St), SharedScanStats{}) // with no fragment at all, still the grouper and empty groups
 	return out, nil
 }
 
+// addTo adds to a query's outcome a partial of it — a fragment task's, or
+// everything another worker summed — given the query's grouper.
+func addTo[St Counts[St]](o *Out[St], gr *Grouper, fp FragPartial, st St, sh SharedScanStats) {
+	if gr != nil {
+		if o.Gr = gr; o.Part.Groups == nil {
+			o.Part.Groups = NewGrouped()
+		}
+	}
+	fp.MergeInto(&o.Part.Agg, o.Part.Groups)
+	o.St = o.St.Plus(st)
+	o.Shared.Add(sh)
+}
+
+func mergeOuts[St Counts[St]](acc, part *Out[St]) {
+	addTo(acc, part.Gr, part.Part, part.St, part.Shared)
+}
+
 // Member is one batch member's share of one fragment task of a shared
-// scan: the partial its slot folded, the work that is logically its own
-// — exactly what its solo execution would count — and what the
-// batch-mates' reads saved it.
+// scan: the work that is logically its own — exactly what its solo
+// execution would count — and what the batch-mates' reads saved it.
 type Member[St any] struct {
 	Query  int // index into the batch
-	FP     FragPartial
 	St     St
 	Shared SharedScanStats
 }
 
 // SharedFold folds the base rows of fragment id into slots[k] for every
 // member ms[k] needing the fragment — in one pass over the fragment —
-// and counts each member's work into ms[k].
+// and counts each member's work into ms[k]. Neither slice outlives the
+// call.
 type SharedFold[S, St any] func(sc S, id int64, ms []Member[St], slots []Slot) error
+
+// batchAcc is what one worker sums a shared scan's tasks into — the
+// members' outcomes by batch index — and the running task's members and
+// slots, reused from task to task.
+type batchAcc[St any] struct {
+	outs  []Out[St]
+	ms    []Member[St]
+	slots []Slot
+}
 
 // Shared runs K queries in one pass over the union of their relevant
 // fragments (PlanBatch): one task per fragment feeds every member
@@ -157,47 +178,47 @@ func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.
 	if err != nil {
 		return nil, err
 	}
-	run := func(sc S, ti int) ([]Member[St], error) {
+	run := func(sc S, acc *batchAcc[St], ti int) error {
 		id := plan.IDs[ti]
 		members := plan.Members(ti)
-		ms := make([]Member[St], len(members))
-		slots := make([]Slot, len(members))
-		for k, si := range members {
-			ms[k].Query = int(si)
-			slots[k] = NewSlot(plan.Queries[si].Gr, id)
+		if acc.outs == nil {
+			acc.outs = make([]Out[St], len(qs))
 		}
-		if err := fold(sc, id, ms, slots); err != nil {
-			return nil, err
+		acc.ms, acc.slots = acc.ms[:0], acc.slots[:0]
+		for _, si := range members {
+			acc.ms = append(acc.ms, Member[St]{Query: int(si)})
+			acc.slots = append(acc.slots, NewSlot(plan.Queries[si].Gr, id))
 		}
-		for k := range ms {
-			n, err := foldDeltas(deltas, id, qs[ms[k].Query], &slots[k].FP, slots[k].Base, slots[k].PerRow)
+		if err := fold(sc, id, acc.ms, acc.slots); err != nil {
+			return err
+		}
+		for k, m := range acc.ms {
+			slot := &acc.slots[k]
+			n, err := foldDeltas(deltas, id, qs[m.Query], &slot.FP, slot.Base, slot.PerRow)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			ms[k].FP, ms[k].St = slots[k].FP, ms[k].St.WithDeltaRows(n)
+			addTo(&acc.outs[m.Query], plan.Queries[m.Query].Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
 		}
-		return ms, nil
+		return nil
 	}
-	outs := make([]Out[St], len(qs))
-	for i, m := range plan.Queries {
-		if outs[i].Err = m.Err; m.Err != nil {
-			continue
-		}
-		outs[i].Shared.Batched = len(qs)
-		if outs[i].Gr = m.Gr; m.Gr != nil {
-			outs[i].Part.Groups = NewGrouped()
+	merge := func(acc, part *batchAcc[St]) {
+		for i := range acc.outs {
+			mergeOuts(&acc.outs[i], &part.outs[i])
 		}
 	}
-	merge := func(_ *struct{}, ms []Member[St]) {
-		for _, m := range ms {
-			o := &outs[m.Query]
-			m.FP.MergeInto(&o.Part.Agg, o.Part.Groups)
-			o.St = o.St.Plus(m.St)
-			o.Shared.Add(m.Shared)
-		}
-	}
-	if _, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(plan.IDs), d.Disks, d.NewScratch, run, merge); err != nil {
+	acc, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(plan.IDs), d.Disks, d.Scratch, run, merge)
+	if err != nil {
 		return nil, err
+	}
+	outs := acc.outs
+	if outs == nil { // no fragment to scan
+		outs = make([]Out[St], len(qs))
+	}
+	for i, m := range plan.Queries {
+		if outs[i].Err = m.Err; m.Err == nil {
+			addTo(&outs[i], m.Gr, FragPartial{}, *new(St), SharedScanStats{Batched: len(qs)})
+		}
 	}
 	return outs, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
@@ -33,18 +35,27 @@ type fakeRow struct {
 	u, d, c int64
 }
 
+// fakeScratch is the fake backend's worker scratch: inUse is set while a
+// fold holds it, so two tasks on one scratch show.
+type fakeScratch struct{ inUse atomic.Bool }
+
 // fakeBackend is the substitution the one-function contract exists for:
 // fragment id → rows, scanned row by row. fail makes a fragment's fold
-// fail.
+// fail, panicAt makes it panic. The scratch list counts what it builds
+// and the folds count the times they found their scratch in use.
 type fakeBackend struct {
-	star *schema.Star
-	spec *frag.Spec
-	rows map[int64][]fakeRow
-	fail map[int64]error
+	star    *schema.Star
+	spec    *frag.Spec
+	rows    map[int64][]fakeRow
+	fail    map[int64]error
+	panicAt map[int64]bool
+
+	scratch        *exec.Scratch[*fakeScratch]
+	built, clashes atomic.Int64
 }
 
-func (b *fakeBackend) dispatch(s *exec.Scheduler) Dispatch[*int] {
-	return Dispatch[*int]{Star: b.star, Spec: b.spec, Sched: s, NewScratch: func() *int { return new(int) }}
+func (b *fakeBackend) dispatch(s *exec.Scheduler) Dispatch[*fakeScratch] {
+	return Dispatch[*fakeScratch]{Star: b.star, Spec: b.spec, Sched: s, Scratch: b.scratch}
 }
 
 func (b *fakeBackend) match(q frag.Query, r fakeRow) bool {
@@ -59,7 +70,14 @@ func (b *fakeBackend) match(q frag.Query, r fakeRow) bool {
 
 // fold scans fragment id for q into the slot; it counts every row it
 // looks at.
-func (b *fakeBackend) fold(id int64, q frag.Query, slot *Slot, c *fakeCounts) error {
+func (b *fakeBackend) fold(sc *fakeScratch, id int64, q frag.Query, slot *Slot, c *fakeCounts) error {
+	if !sc.inUse.CompareAndSwap(false, true) {
+		b.clashes.Add(1)
+	}
+	defer sc.inUse.Store(false)
+	if b.panicAt[id] {
+		panic("poisoned fragment")
+	}
 	if err := b.fail[id]; err != nil {
 		return err
 	}
@@ -74,20 +92,20 @@ func (b *fakeBackend) fold(id int64, q frag.Query, slot *Slot, c *fakeCounts) er
 }
 
 func (b *fakeBackend) solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas Deltas, own func(int64) bool) (Out[fakeCounts], error) {
-	return Solo(ctx, b.dispatch(s), q, deltas, own, func() (SoloFold[*int, fakeCounts], error) {
-		return func(_ *int, id int64, q frag.Query, slot Slot) (FragPartial, fakeCounts, error) {
+	return Solo(ctx, b.dispatch(s), q, deltas, own, func() (SoloFold[*fakeScratch, fakeCounts], error) {
+		return func(sc *fakeScratch, id int64, q frag.Query, slot Slot) (FragPartial, fakeCounts, error) {
 			var c fakeCounts
-			err := b.fold(id, q, &slot, &c)
+			err := b.fold(sc, id, q, &slot, &c)
 			return slot.FP, c, err
 		}, nil
 	})
 }
 
 func (b *fakeBackend) shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas Deltas, own func(int64) bool) ([]Out[fakeCounts], error) {
-	return Shared(ctx, b.dispatch(s), qs, deltas, own, func([]BatchQuery) (SharedFold[*int, fakeCounts], error) {
-		return func(_ *int, id int64, ms []Member[fakeCounts], slots []Slot) error {
+	return Shared(ctx, b.dispatch(s), qs, deltas, own, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) {
+		return func(sc *fakeScratch, id int64, ms []Member[fakeCounts], slots []Slot) error {
 			for k := range ms {
-				if err := b.fold(id, qs[ms[k].Query], &slots[k], &ms[k].St); err != nil {
+				if err := b.fold(sc, id, qs[ms[k].Query], &slots[k], &ms[k].St); err != nil {
 					return err
 				}
 				if len(ms) >= 2 {
@@ -118,6 +136,10 @@ func newFakeWorld(t *testing.T) *fakeWorld {
 		t.Fatal(err)
 	}
 	w := &fakeWorld{be: &fakeBackend{star: star, spec: spec, rows: map[int64][]fakeRow{}}, all: map[int64][]fakeRow{}}
+	w.be.scratch = exec.NewScratch(func() *fakeScratch {
+		w.be.built.Add(1)
+		return &fakeScratch{}
+	})
 	builders := map[int64]*frag.SegmentBuilder{}
 	buf := make([]int, len(tab.Dims))
 	leaves := make([]int32, len(tab.Dims))
@@ -371,10 +393,10 @@ func TestDriverFailures(t *testing.T) {
 	}
 
 	bindErr := errors.New("no plan")
-	if _, err := Solo(ctx, w.be.dispatch(sched), all, Deltas{}, nil, func() (SoloFold[*int, fakeCounts], error) { return nil, bindErr }); err != bindErr {
+	if _, err := Solo(ctx, w.be.dispatch(sched), all, Deltas{}, nil, func() (SoloFold[*fakeScratch, fakeCounts], error) { return nil, bindErr }); err != bindErr {
 		t.Errorf("solo bind error: %v", err)
 	}
-	if _, err := Shared(ctx, w.be.dispatch(sched), []frag.Query{all}, Deltas{}, nil, func([]BatchQuery) (SharedFold[*int, fakeCounts], error) { return nil, bindErr }); err != bindErr {
+	if _, err := Shared(ctx, w.be.dispatch(sched), []frag.Query{all}, Deltas{}, nil, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) { return nil, bindErr }); err != bindErr {
 		t.Errorf("shared bind error: %v", err)
 	}
 	if _, err := w.be.solo(ctx, nil, all, Deltas{}, nil); err == nil {
@@ -391,5 +413,65 @@ func TestDriverFailures(t *testing.T) {
 	cancel()
 	if out, err := w.be.solo(cancelled, sched, all, Deltas{}, spared); !errors.Is(err, context.Canceled) || out.Err != nil {
 		t.Errorf("cancelled solo: Out.Err %v, error %v", out.Err, err)
+	}
+}
+
+// TestScratchNeverInTwoTasks: 16 concurrent Solo and Shared calls on 4
+// workers borrow from one scratch list, call after call. No fold ever
+// finds its scratch held by another task, every result equals the serial
+// one, and a failing and a panicking call in the mix return nothing and
+// disturb no one.
+func TestScratchNeverInTwoTasks(t *testing.T) {
+	w := newFakeWorld(t)
+	qs := parseDriverQueries(t, w.be.star)
+	sched := exec.NewScheduler(4)
+	defer sched.Close()
+	ctx := context.Background()
+	ids := w.be.spec.FragmentIDs(frag.Query{})
+	bad := ids[len(ids)/2]
+	spared := func(id int64) bool { return id != bad }
+	want := make([]Result, len(qs))
+	for i, q := range qs {
+		want[i] = w.want(t, q, true, spared)
+	}
+	w.be.fail = map[int64]error{bad: errors.New("bad fragment")}
+	// The same rows and scratch list, the bad fragment panicking.
+	poisoned := &fakeBackend{star: w.be.star, spec: w.be.spec, rows: w.be.rows, scratch: w.be.scratch, panicAt: map[int64]bool{bad: true}}
+
+	const callers, rounds = 16, 30
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (c + r) % len(qs)
+				switch {
+				case c == 0: // every fragment, the bad one included
+					if out, err := w.be.solo(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
+						t.Errorf("failing call: %+v, %v", out, err)
+					}
+				case c == 1:
+					if out, err := poisoned.solo(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
+						t.Errorf("panicking call: %+v, %v", out, err)
+					}
+				case c%2 == 0:
+					out, err := w.be.solo(ctx, sched, qs[i], w.deltas, spared)
+					if err != nil || !reflect.DeepEqual(out.Gr.Result(out.Part), want[i]) {
+						t.Errorf("caller %d round %d: solo %+v, %v; want %+v", c, r, out, err, want[i])
+					}
+				default:
+					j := (i + 1) % len(qs)
+					outs, err := w.be.shared(ctx, sched, []frag.Query{qs[i], qs[j]}, w.deltas, spared)
+					if err != nil || !reflect.DeepEqual(outs[0].Gr.Result(outs[0].Part), want[i]) || !reflect.DeepEqual(outs[1].Gr.Result(outs[1].Part), want[j]) {
+						t.Errorf("caller %d round %d: shared %+v, %v; want %+v and %+v", c, r, outs, err, want[i], want[j])
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := w.be.clashes.Load() + poisoned.clashes.Load(); n != 0 || w.be.built.Load() == 0 {
+		t.Errorf("%d folds found their scratch in another task's hands (%d scratches built)", n, w.be.built.Load())
 	}
 }

@@ -10,10 +10,16 @@
 // derive the grouper, enumerate the relevant fragments a node owns, run
 // one task per fragment on the backend's scheduler — shape a Slot, let
 // the backend fold the fragment's base rows into it, fold the fragment's
-// delta segments in seal order — and merge the tasks' partials strictly
-// in task order, so a result is identical at any pool size, disk layout
-// or admission mix. A backend hands them where its tasks run (Dispatch)
-// and one function: bind a validated query (batch) to its fragment fold.
+// delta segments in seal order — and have each worker add the partials
+// of the tasks it ran to one outcome of its own, the caller adding up
+// the workers' (exec.ReduceShardedOn). Which fragments meet on which
+// worker depends on scheduling, and it does not matter: every merge here
+// is an int64 sum per group key, a sum of counters or, for
+// SharedScanStats.Batched, a maximum — all commutative and associative,
+// overflow included — and Grouper.Rows sorts, so a result is identical
+// at any pool size, disk layout or admission mix. A backend hands them
+// where its tasks run and whose scratch they borrow (Dispatch) and one
+// function: bind a validated query (batch) to its fragment fold.
 package kernel
 
 // Aggregate is a star query result: COUNT plus the three APB-1 measure
@@ -28,8 +34,8 @@ type Aggregate struct {
 
 // Add folds another aggregate in. Addition is commutative and
 // associative, so partial aggregates merge to the same result in any
-// order; the executors nevertheless fold in fragment allocation order so
-// even a future non-commutative measure would stay deterministic.
+// order — which the drivers rely on: a worker sums the fragments it
+// happens to run.
 func (a *Aggregate) Add(o Aggregate) {
 	a.Count += o.Count
 	a.UnitsSold += o.UnitsSold

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -306,6 +308,47 @@ func TestCompactNeverLaundersCorruption(t *testing.T) {
 				t.Fatalf("query over the carried corrupt page returned %v, want a checksum fault on fragment 5", err)
 			}
 		})
+	}
+}
+
+// TestWriterRefusesWideMeasures: a measure the 20-byte tuple cannot hold
+// fails Build, and a compaction whose delta set holds one (a journal
+// written before Append checked), with ErrMeasureRange naming the row —
+// instead of storing the low 32 bits — and leaves no file open.
+func TestWriterRefusesWideMeasures(t *testing.T) {
+	sched := exec.NewScheduler(2)
+	defer sched.Close()
+	cfg := BackendConfig{Sched: sched}
+	fx := newCompactFixture(t)
+	cur, err := BuildBackend(t.TempDir(), fx.rows, fx.spec, fx.icfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	sb := fx.ix.NewSegment(5)
+	leaves := make([]int32, len(fx.full.Dims))
+	for d := range leaves {
+		leaves[d] = fx.full.Dims[d][fx.spare[5][0]]
+	}
+	sb.Add(leaves, 1, 2, 3)
+	sb.Add(leaves, 1, math.MaxInt32+1, 3)
+	if next, err := cur.Compact(t.TempDir(), (*frag.DeltaSet)(nil).With(sb.Seal(1)), cfg); !errors.Is(err, ErrMeasureRange) || !strings.Contains(err.Error(), "row 1: DollarSales = 2147483648") {
+		if err == nil {
+			next.Close()
+		}
+		t.Fatalf("Compact over DollarSales MaxInt32+1: %v", err)
+	}
+	wide := *fx.rows
+	wide.UnitsSold = append([]int64(nil), fx.rows.UnitsSold...)
+	wide.UnitsSold[7] = math.MinInt32 - 1
+	if be, err := BuildBackend(t.TempDir(), &wide, fx.spec, fx.icfg, cfg); !errors.Is(err, ErrMeasureRange) || !strings.Contains(err.Error(), "row 7: UnitsSold") {
+		if err == nil {
+			be.Close()
+		}
+		t.Fatalf("Build over UnitsSold MinInt32-1: %v", err)
+	}
+	if err := CheckMeasures(0, math.MinInt32, math.MaxInt32, -1); err != nil {
+		t.Fatalf("the int32 limits themselves: %v", err)
 	}
 }
 

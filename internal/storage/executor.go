@@ -68,9 +68,9 @@ type Aggregate = kernel.Aggregate
 // processing model of Section 4.3: determine the relevant fragments, read
 // the required bitmap fragments, AND them, read the fact pages containing
 // hits with prefetch granules, and aggregate. The first step and
-// everything after the last — the delta fold, the merge of the
-// per-fragment partials and IOStats in fragment allocation order — are
-// internal/kernel's drivers; the executor supplies the steps between
+// everything after the last — the delta fold, the sum of the
+// per-fragment partials and IOStats on the worker that ran them and of
+// the workers' sums — are internal/kernel's drivers; the executor supplies the steps between
 // (processFragment solo, sharedFold shared). Fragments are processed in
 // parallel on the scheduler's pool, standing in for the Shared Disk
 // processing nodes: concurrent executions — from this executor or any
@@ -87,6 +87,11 @@ type Executor struct {
 	// aggregated (see prefetch.go). On by default via NewExecutor;
 	// results are identical either way.
 	AsyncPrefetch bool
+
+	// The worker scratch of the solo and the shared fold, borrowed by
+	// every call's workers; each epoch's executor has its own.
+	solo   *exec.Scratch[*execScratch]
+	shared *exec.Scratch[*sharedScratch]
 }
 
 // NewExecutor pairs a fact store with its bitmap file and attaches the
@@ -97,7 +102,9 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 	if sched == nil {
 		return nil, errNilScheduler
 	}
-	return &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}, nil
+	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
+	e.solo, e.shared = exec.NewScratch(e.newScratch), exec.NewScratch(e.newSharedScratch)
+	return e, nil
 }
 
 var errNilScheduler = errors.New("storage: nil scheduler")
@@ -110,8 +117,8 @@ const planCap = 16
 // dispatch describes where the executor's fragment tasks run: on its
 // scheduler, placement-aware over the disk set when the store is
 // declustered (one implicit disk, tasks in task order, otherwise).
-func dispatch[S any](e *Executor, newScratch func() S) kernel.Dispatch[S] {
-	d := kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, NewScratch: newScratch}
+func dispatch[S any](e *Executor, scratch *exec.Scratch[S]) kernel.Dispatch[S] {
+	d := kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: scratch}
 	if ds := e.store.disks; ds != nil {
 		d.Disks, d.DiskOf = ds.Disks(), e.store
 	}
@@ -127,11 +134,12 @@ type partial struct {
 
 // execScratch is the per-worker buffer set threaded through internal/exec.
 // All slices and bitsets grow to the working-set size of the first
-// fragments a worker touches and are reused for every later one, making
-// the fragment hot loop allocation-free once warm.
+// fragments a worker touches and are reused for every later one, in
+// every call, making the fragment hot loop allocation-free once warm.
 type execScratch struct {
 	page  []byte  // fact prefetch-granule buffer
 	units unitSet // bitmap units read for the current fragment
+	part  partial // what the solo fold folds the current fragment into
 	acc   rowAcc  // where the current fragment's rows accumulate
 
 	// Materialised path.
@@ -173,11 +181,12 @@ func (sc *execScratch) operand(i int) *bitmap.Compressed {
 // carry the dimension keys — never any extra I/O. Delta rows cost no
 // physical I/O; they are reported in IOStats.DeltaRows.
 func (e *Executor) Solo(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[IOStats], error) {
-	return kernel.Solo(ctx, dispatch(e, e.newScratch), q, deltas, own, func() (kernel.SoloFold[*execScratch, IOStats], error) {
+	return kernel.Solo(ctx, dispatch(e, e.solo), q, deltas, own, func() (kernel.SoloFold[*execScratch, IOStats], error) {
 		plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), q)
 		return func(sc *execScratch, id int64, _ frag.Query, slot kernel.Slot) (kernel.FragPartial, IOStats, error) {
-			p := partial{fp: slot.FP}
-			err := e.processFragment(ctx, id, plan, &p, sc, slot.Base, slot.PerRow)
+			p := &sc.part
+			*p = partial{fp: slot.FP}
+			err := e.processFragment(ctx, id, plan, p, sc, slot.Base, slot.PerRow)
 			return p.fp, p.st, err
 		}, err
 	})

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -21,7 +23,7 @@ import (
 // prefetch granule of 4 pages gives every fragment a 4-granule read list
 // and one of 32 pages makes every fragment a single granule. The last
 // third of the table is the delta snapshot.
-func regimeStore(t *testing.T, compress bool, sched *exec.Scheduler) (be *Backend, dir string, base, full *data.Table, deltas kernel.Deltas) {
+func regimeStore(t *testing.T, cfg BackendConfig) (be *Backend, dir string, base, full *data.Table, deltas kernel.Deltas) {
 	t.Helper()
 	s := sparseSchema()
 	full = data.MustGenerate(s, 5)
@@ -37,7 +39,7 @@ func regimeStore(t *testing.T, compress bool, sched *exec.Scheduler) (be *Backen
 		base.Dims[d] = full.Dims[d][:nBase]
 	}
 	dir = t.TempDir()
-	be, err := BuildBackend(dir, base, spec, icfg, BackendConfig{Compress: compress, Sched: sched})
+	be, err := BuildBackend(dir, base, spec, icfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestExecutorRegimeMatrix(t *testing.T) {
 	defer sched.Close()
 	ctx := context.Background()
 	for _, compress := range []bool{false, true} {
-		be, _, base, full, withDeltas := regimeStore(t, compress, sched)
+		be, _, base, full, withDeltas := regimeStore(t, BackendConfig{Compress: compress, Sched: sched})
 		if loc, _ := be.Store.Loc(be.Store.Fragments()[0]); loc.Pages <= 4 || loc.Pages > 32 {
 			t.Fatalf("fragments of %d pages: not both regimes", loc.Pages)
 		}
@@ -181,89 +183,169 @@ const regimeDeltaRows = 52043
 // selection with hits in every granule over it: the query fails with the
 // typed checksum fault locating that granule, no pool entry stays pinned
 // (the first granule's was, while the second was read), the same worker
-// scratch then serves another fragment correctly, and once the page is
-// repaired the same query is right — the pool never kept the bad granule.
+// scratch then serves another fragment correctly — handed over directly,
+// and recycled through the executor's scratch list, the failed query's
+// dropped prefetch channels coming back — and once the page is repaired
+// the same query is right: the pool never kept the bad granule.
 func TestFaultOnSecondGranule(t *testing.T) {
 	for _, async := range []bool{true, false} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			sched := exec.NewScheduler(1)
-			defer sched.Close()
-			be, dir, base, _, _ := regimeStore(t, true, sched)
-			pool := NewBufPool(64 << 20)
-			be.Store.AttachPool(pool, 0)
-			be.Bitmaps.AttachPool(pool, 0)
-			be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = 4, async
-			ctx := context.Background()
+			for _, pooled := range []bool{true, false} {
+				t.Run(fmt.Sprintf("pool=%v", pooled), func(t *testing.T) {
+					sched := exec.NewScheduler(1)
+					defer sched.Close()
+					be, dir, base, _, _ := regimeStore(t, BackendConfig{Compress: true, Sched: sched})
+					var pool *BufPool
+					if pooled {
+						pool = NewBufPool(64 << 20)
+					}
+					be.Store.AttachPool(pool, 0)
+					be.Bitmaps.AttachPool(pool, 0)
+					be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = 4, async
+					built := 0
+					be.Exec.solo = exec.NewScratch(func() *execScratch {
+						built++
+						return be.Exec.newScratch()
+					})
+					ctx := context.Background()
 
-			bad, err := frag.ParseQuery(base.Star, "time::month=2, product::group=1, customer::retailer=2")
-			if err != nil {
-				t.Fatal(err)
+					bad, err := frag.ParseQuery(base.Star, "time::month=2, product::group=1, customer::retailer=2")
+					if err != nil {
+						t.Fatal(err)
+					}
+					other, err := frag.ParseQuery(base.Star, "time::month=3, product::group=1, customer::retailer=2")
+					if err != nil {
+						t.Fatal(err)
+					}
+					badID, otherID := be.Store.spec.FragmentIDs(bad)[0], be.Store.spec.FragmentIDs(other)[0]
+					loc, _ := be.Store.Loc(badID)
+					off := (loc.PageOff + 4) * int64(be.Store.pageSize)
+					flip := func() {
+						f, err := os.OpenFile(filepath.Join(dir, factFileName), os.O_RDWR, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer f.Close()
+						one := make([]byte, 1)
+						if _, err := f.ReadAt(one, off); err != nil {
+							t.Fatal(err)
+						}
+						one[0] ^= 0xFF
+						if _, err := f.WriteAt(one, off); err != nil {
+							t.Fatal(err)
+						}
+					}
+					flip()
+
+					_, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
+					var fe *FaultError
+					if !errors.As(err, &fe) {
+						t.Fatalf("query over the corrupt granule returned %v, want *FaultError", err)
+					}
+					if fe.Kind != FaultChecksum || fe.File != "fact" || fe.Frag != badID || fe.Offset != off {
+						t.Fatalf("fault %+v, want a checksum fault in fact fragment %d at offset %d", fe, badID, off)
+					}
+					if n := pinnedEntries(pool); n != 0 {
+						t.Fatalf("%d pool entries left pinned after the fault", n)
+					}
+
+					// The scratch the failed query gave back serves the next one.
+					got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, other, kernel.Deltas{})
+					if want := engine.Scan(base, other); err != nil || got.Aggregate != want || want.Count == 0 || st.FactIOs < 2 || built != 1 {
+						t.Fatalf("next query on the recycled scratch (%d built): %+v / %+v, %v; oracle %+v", built, got.Aggregate, st, err, want)
+					}
+
+					// One scratch through the failure and on to the next fragment.
+					plan, err := be.Bitmaps.ix.Plan(nil, bad)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc := be.Exec.newScratch()
+					var p partial
+					if err := be.Exec.processFragment(ctx, badID, plan, &p, sc, 0, nil); !errors.As(err, &fe) {
+						t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
+					}
+					p = partial{}
+					if err := be.Exec.processFragment(ctx, otherID, plan, &p, sc, 0, nil); err != nil {
+						t.Fatal(err)
+					}
+					if want := engine.Scan(base, other); p.fp.Agg != want || p.st.RowsRead != want.Count || p.st.FactIOs < 2 {
+						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", p.fp.Agg, p.st, want)
+					}
+					if n := pinnedEntries(pool); n != 0 {
+						t.Fatalf("%d pool entries left pinned after the next fragment", n)
+					}
+
+					flip() // repair
+					got, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := engine.Scan(base, bad); got.Aggregate != want || want.Count == 0 || built != 1 {
+						t.Fatalf("repaired fragment (%d scratches built): %+v, oracle %+v", built, got.Aggregate, want)
+					}
+				})
 			}
-			other, err := frag.ParseQuery(base.Star, "time::month=3, product::group=1, customer::retailer=2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			badID, otherID := be.Store.spec.FragmentIDs(bad)[0], be.Store.spec.FragmentIDs(other)[0]
-			loc, _ := be.Store.Loc(badID)
-			off := (loc.PageOff + 4) * int64(be.Store.pageSize)
-			flip := func() {
-				f, err := os.OpenFile(filepath.Join(dir, factFileName), os.O_RDWR, 0)
+		})
+	}
+}
+
+// TestSteadyStateAllocation: the worker scratch — granule buffers,
+// bitsets, prefetch channels — belongs to the executor, not to a call.
+// On an unpooled store declustered over 4 disks, a warm serial stream of
+// queries over 1 to 32 fragments of 13 pages each, half of them grouped,
+// allocates per query a fraction of one 8-page granule buffer; when
+// every call built its own scratch it was two such buffers for each of
+// 4 workers. A compaction's executor starts with scratch lists of its
+// own: no scratch crosses an epoch.
+func TestSteadyStateAllocation(t *testing.T) {
+	sched := exec.NewScheduler(4)
+	defer sched.Close()
+	cfg := BackendConfig{Compress: true, Sched: sched, Placement: alloc.Placement{Disks: 4, Scheme: alloc.RoundRobin, Staggered: true}}
+	be, _, base, _, _ := regimeStore(t, cfg)
+	ctx := context.Background()
+	perQuery := func(be *Backend) uint64 {
+		var qs []frag.Query
+		for _, qt := range regimeQueries {
+			for _, gb := range regimeGroupBys[:2] { // per-row grouping builds a map per fragment
+				q, err := frag.ParseQuery(base.Star, qt+gb)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer f.Close()
-				one := make([]byte, 1)
-				if _, err := f.ReadAt(one, off); err != nil {
-					t.Fatal(err)
+				qs = append(qs, q)
+			}
+		}
+		run := func(rounds int) {
+			for r := 0; r < rounds; r++ {
+				for _, q := range qs {
+					if _, _, err := be.Exec.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				one[0] ^= 0xFF
-				if _, err := f.WriteAt(one, off); err != nil {
-					t.Fatal(err)
-				}
 			}
-			flip()
-
-			_, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
-			var fe *FaultError
-			if !errors.As(err, &fe) {
-				t.Fatalf("query over the corrupt granule returned %v, want *FaultError", err)
-			}
-			if fe.Kind != FaultChecksum || fe.File != "fact" || fe.Frag != badID || fe.Offset != off {
-				t.Fatalf("fault %+v, want a checksum fault in fact fragment %d at offset %d", fe, badID, off)
-			}
-			if n := pinnedEntries(pool); n != 0 {
-				t.Fatalf("%d pool entries left pinned after the fault", n)
-			}
-
-			// One scratch through the failure and on to the next fragment.
-			plan, err := be.Bitmaps.ix.Plan(nil, bad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := be.Exec.newScratch()
-			var p partial
-			if err := be.Exec.processFragment(ctx, badID, plan, &p, sc, 0, nil); !errors.As(err, &fe) {
-				t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
-			}
-			p = partial{}
-			if err := be.Exec.processFragment(ctx, otherID, plan, &p, sc, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-			if want := engine.Scan(base, other); p.fp.Agg != want || p.st.RowsRead != want.Count || p.st.FactIOs < 2 {
-				t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", p.fp.Agg, p.st, want)
-			}
-			if n := pinnedEntries(pool); n != 0 {
-				t.Fatalf("%d pool entries left pinned after the next fragment", n)
-			}
-
-			flip() // repair
-			got, _, err := be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := engine.Scan(base, bad); got.Aggregate != want || want.Count == 0 {
-				t.Fatalf("repaired fragment: %+v, oracle %+v", got.Aggregate, want)
-			}
-		})
+		}
+		run(5)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(20)
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(20*len(qs))
+	}
+	bound := uint64(be.Exec.PrefetchFact * be.Store.pageSize / 2)
+	got := perQuery(be)
+	t.Logf("%d bytes allocated per warm query", got)
+	if got >= bound {
+		t.Errorf("%d bytes allocated per warm query, want under half a granule buffer (%d)", got, bound)
+	}
+	next, err := be.Compact(t.TempDir(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if next.Exec.solo == be.Exec.solo || next.Exec.shared == be.Exec.shared {
+		t.Fatal("the next epoch's executor borrows the old executor's scratch")
+	}
+	if got := perQuery(next); got >= bound {
+		t.Errorf("next epoch: %d bytes allocated per warm query, want under half a granule buffer (%d)", got, bound)
 	}
 }

@@ -153,7 +153,7 @@ func (e *Executor) sharedMask(ctx context.Context, rows int, plan []frag.BitmapO
 // how much. A batch-wide failure (an I/O error, cancellation) fails the
 // whole call so every caller can fall back to solo execution.
 func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.Out[IOStats], error) {
-	return kernel.Shared(ctx, dispatch(e, e.newSharedScratch), qs, deltas, own, func(slots []kernel.BatchQuery) (kernel.SharedFold[*sharedScratch, IOStats], error) {
+	return kernel.Shared(ctx, dispatch(e, e.shared), qs, deltas, own, func(slots []kernel.BatchQuery) (kernel.SharedFold[*sharedScratch, IOStats], error) {
 		bplans := make([][]frag.BitmapOp, len(slots))
 		for s := range slots {
 			if slots[s].Err != nil {

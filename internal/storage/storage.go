@@ -18,6 +18,7 @@ package storage
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,8 +188,27 @@ func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWri
 	return &factWriter{s: s, dir: dirPath, page: make([]byte, s.pageSize)}, nil
 }
 
+// ErrMeasureRange is wrapped by the error that refuses a fact row whose
+// measure does not fit the tuple format's int32: stored, it would lose
+// its high bits without a trace.
+var ErrMeasureRange = errors.New("storage: measure outside the int32 range of the tuple format")
+
+// CheckMeasures returns nil, or an ErrMeasureRange naming the row and the
+// first of its measures that does not fit.
+func CheckMeasures(row int, unitsSold, dollarSales, cost int64) error {
+	for i, v := range [...]int64{unitsSold, dollarSales, cost} {
+		if v != int64(int32(v)) {
+			return fmt.Errorf("%w: row %d: %s = %d", ErrMeasureRange, row, [...]string{"UnitsSold", "DollarSales", "Cost"}[i], v)
+		}
+	}
+	return nil
+}
+
 // add appends row i of cols to the open fragment.
 func (w *factWriter) add(cols kernel.Columns, i int) {
+	if w.err == nil {
+		w.err = CheckMeasures(i, cols.Units[i], cols.Dollars[i], cols.Costs[i])
+	}
 	if w.fill == w.s.tpp*w.s.tupleSize {
 		w.flush()
 	}

@@ -291,6 +291,11 @@ const (
 // limit is reached and the execution is shed (see WithAdmissionLimit).
 var ErrOverloaded = exec.ErrOverloaded
 
+// ErrMeasureRange is wrapped by the error with which an on-disk
+// warehouse refuses, building its store and at Append, a fact row with a
+// measure outside int32, which is what its 20-byte tuples hold.
+var ErrMeasureRange = storage.ErrMeasureRange
+
 // DefaultRetryPolicy returns the retry policy physical reads run under
 // when WithRetryPolicy is not given: 6 attempts with full-jitter
 // exponential backoff, breaker opening after 3 consecutively exhausted
