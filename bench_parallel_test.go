@@ -130,115 +130,3 @@ func BenchmarkEngineParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkCompressedPath compares the old materialised execution (every
-// predicate bitmap inflated to a Bitset, AND-ed word by word) against the
-// compressed fast path (one k-way run-skipping AndAll over WAH words,
-// streaming aggregation) across the paper's query classes at 1 and 4
-// workers — in memory on the engine and on disk through the storage
-// executor. Results are asserted identical before timing.
-func BenchmarkCompressedPath(b *testing.B) {
-	star := APB1Scaled(60)
-	tab, err := GenerateData(star, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := ParseFragmentation(star, "time::month, product::group")
-	if err != nil {
-		b.Fatal(err)
-	}
-	icfg := APB1Indexes(star)
-	matEng, err := engine.Build(tab, spec, icfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	compEng, err := engine.BuildCompressed(tab, spec, icfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	dir := b.TempDir()
-	store, err := storage.Build(dir, tab, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { store.Close() })
-	plainBF, err := storage.BuildBitmaps(dir, store, icfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { plainBF.Close() })
-	dirC := b.TempDir()
-	storeC, err := storage.Build(dirC, tab, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { storeC.Close() })
-	compBF, err := storage.BuildCompressedBitmaps(dirC, storeC, icfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { compBF.Close() })
-
-	gen := NewQueryGenerator(star, 7)
-	// One query type per query class of Section 4.2 under the standard
-	// FMonthGroup fragmentation: 1MONTH1GROUP=Q1, 1CODE1MONTH=Q2,
-	// 1GROUP1QUARTER=Q3, 1CODE1QUARTER=Q4, plus the bitmap-heavy 1STORE.
-	for _, qt := range []QueryType{OneMonthOneGroup, OneCodeOneMonth, OneGroupOneQuarter, OneCodeOneQuarter, OneStore} {
-		q, err := gen.Next(qt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		class := spec.Classify(q)
-		wantAgg, _, err := engineTotal(matEng, newSched(b, 1), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			sched := newSched(b, workers)
-			for _, side := range []struct {
-				name string
-				eng  *engine.Engine
-			}{{"materialized", matEng}, {"compressed", compEng}} {
-				gotAgg, _, err := engineTotal(side.eng, sched, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if gotAgg != wantAgg {
-					b.Fatalf("%s %s: %+v != %+v", qt.Name, side.name, gotAgg, wantAgg)
-				}
-				b.Run(fmt.Sprintf("engine/%s_%v/%s/workers=%d", qt.Name, class, side.name, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := engineTotal(side.eng, sched, q); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-			for _, side := range []struct {
-				name string
-				ex   *storage.Executor
-			}{
-				{"materialized", workerExecutor(b, store, plainBF, workers)},
-				{"compressed", workerExecutor(b, storeC, compBF, workers)},
-			} {
-				gotAgg, _, err := executorTotal(side.ex, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if gotAgg != wantAgg {
-					b.Fatalf("%s storage %s: %+v != %+v", qt.Name, side.name, gotAgg, wantAgg)
-				}
-				b.Run(fmt.Sprintf("storage/%s_%v/%s/workers=%d", qt.Name, class, side.name, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := executorTotal(side.ex, q); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}

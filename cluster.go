@@ -10,12 +10,10 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cluster"
-	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/dimtable"
 	"repro/internal/frag"
 	"repro/internal/schema"
-	"repro/internal/simpad"
 )
 
 // Multi-node serving types (see OpenCluster).
@@ -428,43 +426,7 @@ func (p *ClusterQuery) Class() QueryClass { return p.c.spec.Classify(p.q) }
 // node round trips.
 func (p *ClusterQuery) Explain(ctx context.Context) (Explain, error) {
 	c := p.c
-	if err := ctx.Err(); err != nil {
-		return Explain{}, err
-	}
-	if err := p.q.Validate(c.star); err != nil {
-		return Explain{}, err
-	}
-	ex := Explain{Class: c.spec.Classify(p.q)}
-	dp := cost.DiskParams{
-		Placement:     c.opt.modelPlacement(), // each node's own declustering
-		NodePlacement: c.cl,
-		AccessTime:    c.opt.modelAccessTime(),
-		PackedBitmaps: c.opt.onDisk,
-	}
-	if plan := c.opt.faultPlan; plan != nil {
-		// Every node runs the same fault plan on its own disk set, so all
-		// node×disk queues deepen by the same expected-attempts factor.
-		f := cost.RetryFactor(plan.ReadErrorRate + plan.CorruptRate)
-		if f > 1 {
-			nodes := dp.NodePlacement.Disks
-			if nodes < 1 {
-				nodes = 1
-			}
-			dp.Degraded = make(map[int]float64, nodes*dp.Placement.Disks)
-			for k := 0; k < nodes*dp.Placement.Disks; k++ {
-				dp.Degraded[k] = f
-			}
-		}
-	}
-	ex.Response = cost.EstimateResponse(c.spec, c.icfg, p.q, c.opt.params, dp)
-	ex.Cost = ex.Response.Cost
-	ex.Note = cost.BitmapFragNote(c.spec, c.icfg, ex.Cost, dp.PackedBitmaps)
-	plan := simpad.NewPlan(c.spec, c.icfg, p.q, c.opt.simCfg)
-	if c.opt.cluster > 1 {
-		plan = plan.Clustered(c.opt.cluster)
-	}
-	ex.Plan = plan
-	return ex, nil
+	return explainModel(ctx, c.star, c.spec, c.icfg, &c.opt, p.q, c.cl)
 }
 
 // Execute scatters the query to the nodes owning its relevant

@@ -1,9 +1,10 @@
 package bitmap
 
 // Compressed counterparts of the simple and encoded bitmap indices: the
-// per-row bitmaps are stored WAH-compressed and queries execute on them
-// directly (AndAll / ForEachRange) without ever inflating a Bitset —
-// the in-memory side of the compressed execution fast path.
+// per-row bitmaps are stored WAH-compressed and a selection decodes the
+// operands it needs into the caller's scratch Bitset, through the same
+// SelectInto / SelectPartialInto the materialised indices have — WAH is
+// how the index is stored, not a second way to execute on it.
 
 // CompressedSimpleIndex is a SimpleIndex whose member bitmaps are stored
 // WAH-compressed.
@@ -32,6 +33,10 @@ func (c *CompressedSimpleIndex) Rows() int { return c.rows }
 // modify it.
 func (c *CompressedSimpleIndex) Bitmap(m int) *Compressed { return c.maps[m] }
 
+// SelectInto is SimpleIndex.SelectInto: member m's bitmap decompressed
+// into dst, reusing dst's storage.
+func (c *CompressedSimpleIndex) SelectInto(dst *Bitset, m int) { c.maps[m].DecompressInto(dst) }
+
 // Bytes returns the total compressed storage in bytes.
 func (c *CompressedSimpleIndex) Bytes() int {
 	t := 0
@@ -42,28 +47,18 @@ func (c *CompressedSimpleIndex) Bytes() int {
 }
 
 // CompressedEncodedIndex is an EncodedIndex whose bit-position bitmaps are
-// stored WAH-compressed, together with their precomputed complements so
-// that a selection is a single AndAll over verbatim-or-complement operands
-// — no per-query Not, no materialisation.
+// stored WAH-compressed.
 type CompressedEncodedIndex struct {
 	layout *Layout
 	rows   int
 	maps   []*Compressed // bit j of every row's encoding
-	cmpl   []*Compressed // complement of maps[j]
 }
 
-// CompressEncodedIndex compresses every bit-position bitmap of e and its
-// complement.
+// CompressEncodedIndex compresses every bit-position bitmap of e.
 func CompressEncodedIndex(e *EncodedIndex) *CompressedEncodedIndex {
-	c := &CompressedEncodedIndex{
-		layout: e.layout,
-		rows:   e.rows,
-		maps:   make([]*Compressed, len(e.maps)),
-		cmpl:   make([]*Compressed, len(e.maps)),
-	}
+	c := &CompressedEncodedIndex{layout: e.layout, rows: e.rows, maps: make([]*Compressed, len(e.maps))}
 	for j, b := range e.maps {
 		c.maps[j] = Compress(b)
-		c.cmpl[j] = Not(c.maps[j])
 	}
 	return c
 }
@@ -74,35 +69,25 @@ func (c *CompressedEncodedIndex) Layout() *Layout { return c.layout }
 // Rows returns the number of fact rows covered.
 func (c *CompressedEncodedIndex) Rows() int { return c.rows }
 
-// SelectOperands appends to dst the compressed operands whose intersection
-// selects member m of the given hierarchy level using only the bit fields
-// of levels in (skipLevel, level] — the compressed counterpart of
-// EncodedIndex.SelectPartial, leaving the single AndAll to the caller so
-// operands from several predicates intersect in one k-way pass. It returns
-// the extended slice and the number of bitmaps evaluated.
-func (c *CompressedEncodedIndex) SelectOperands(dst []*Compressed, skipLevel, level, m int) ([]*Compressed, int) {
-	skip := 0
-	if skipLevel >= 0 {
-		skip = c.layout.PrefixBits(skipLevel)
-	}
-	nb := c.layout.PrefixBits(level) - skip
-	pattern := c.layout.EncodePrefix(level, m) & (1<<uint(nb) - 1)
+// SelectPartialInto is EncodedIndex.SelectPartialInto: every bit-position
+// bitmap of levels (skipLevel, level] is decoded out of its WAH words and
+// ANDed into dst, verbatim or complemented as member m's pattern says. It
+// returns the number of bitmaps evaluated.
+func (c *CompressedEncodedIndex) SelectPartialInto(dst *Bitset, skipLevel, level, m int) int {
+	skip, nb, pattern := c.layout.partialPattern(skipLevel, level, m)
+	dst.Reinit(c.rows)
+	dst.SetAll()
 	for j := 0; j < nb; j++ {
-		if pattern>>uint(nb-1-j)&1 == 1 {
-			dst = append(dst, c.maps[skip+j])
-		} else {
-			dst = append(dst, c.cmpl[skip+j])
-		}
+		c.maps[skip+j].andInto(dst, pattern>>uint(nb-1-j)&1 == 0)
 	}
-	return dst, nb
+	return nb
 }
 
-// Bytes returns the total compressed storage in bytes, complements
-// included.
+// Bytes returns the total compressed storage in bytes.
 func (c *CompressedEncodedIndex) Bytes() int {
 	t := 0
-	for j := range c.maps {
-		t += c.maps[j].Bytes() + c.cmpl[j].Bytes()
+	for _, m := range c.maps {
+		t += m.Bytes()
 	}
 	return t
 }

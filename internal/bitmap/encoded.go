@@ -207,14 +207,20 @@ func (e *EncodedIndex) SelectPartial(skipLevel, level, m int) (*Bitset, int) {
 // allocation-free variant for per-worker scratch bitsets. It returns the
 // number of bitmaps evaluated.
 func (e *EncodedIndex) SelectPartialInto(dst *Bitset, skipLevel, level, m int) int {
-	skip := 0
-	if skipLevel >= 0 {
-		skip = e.layout.PrefixBits(skipLevel)
-	}
-	nb := e.layout.PrefixBits(level) - skip
-	pattern := e.layout.EncodePrefix(level, m) & (1<<uint(nb) - 1)
+	skip, nb, pattern := e.layout.partialPattern(skipLevel, level, m)
 	e.selectBits(dst, skip, nb, pattern)
 	return nb
+}
+
+// partialPattern returns what a selection of member m of the given level
+// evaluates when the bit fields up to skipLevel (-1: none) are constant:
+// bitmaps [skip, skip+nb), matched against the low nb bits of pattern.
+func (l *Layout) partialPattern(skipLevel, level, m int) (skip, nb int, pattern uint64) {
+	if skipLevel >= 0 {
+		skip = l.PrefixBits(skipLevel)
+	}
+	nb = l.PrefixBits(level) - skip
+	return skip, nb, l.EncodePrefix(level, m) & (1<<uint(nb) - 1)
 }
 
 // SelectSuffix matches only the suffix bit fields of the levels strictly

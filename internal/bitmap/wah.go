@@ -9,13 +9,15 @@ package bitmap
 // and carries one group in its low 63 bits. A fill word has MSB 1, the
 // fill bit in bit 62, and the run length (in groups) in the low 62 bits.
 //
-// Beyond the round-trip codec this file implements the compressed
-// execution kernels of the star query fast path: logical operations
-// (AndAll, AndNot, Not) that run directly on the encoded words with
-// run skipping — a zero-fill run in any operand advances every operand
-// by the whole run without decoding a single group — and streaming
-// iterators (ForEach, ForEachRange) so hit positions flow out of a
-// compressed result without ever materialising a Bitset.
+// Beyond the round-trip codec this file implements kernels that run
+// directly on the encoded words — what the delta segments' selections
+// (frag.DeltaIndex.Select) execute on; the base-row folds of the two
+// backends decode stored bitmaps into Bitsets instead. Logical operations
+// (AndAll, AndNot, Not) skip runs — a zero-fill run in any operand
+// advances every operand by the whole run without decoding a single
+// group — and streaming iterators (ForEach, ForEachRange) let hit
+// positions flow out of a compressed result without ever materialising
+// a Bitset.
 
 import "math/bits"
 
@@ -219,6 +221,31 @@ func (c *Compressed) DecompressInto(dst *Bitset) *Bitset {
 	return dst
 }
 
+// andInto sets dst = dst AND c (AND NOT c when complement), decoding c
+// group by group straight into dst's words: how a stored WAH bitmap joins
+// a materialised selection without a Bitset of its own. dst has c's
+// length and zero padding, which a complemented final group cannot set.
+func (c *Compressed) andInto(dst *Bitset, complement bool) {
+	if dst.n != c.n {
+		panic("bitmap: compressed length mismatch")
+	}
+	var flip uint64
+	if complement {
+		flip = groupMask
+	}
+	cu := cursor{words: c.words}
+	for g, total := 0, c.groups(); g < total; g++ {
+		v := cu.take() ^ flip
+		// The group is bits [off, off+63) of the two words it straddles;
+		// every bit outside that window is kept (a shift of 64 gives 0).
+		w0, off := g*groupBits/wordBits, uint(g*groupBits%wordBits)
+		dst.words[w0] &= v<<off | ^(groupMask << off)
+		if w0+1 < len(dst.words) {
+			dst.words[w0+1] &= v>>(wordBits-off) | ^(groupMask >> (wordBits - off))
+		}
+	}
+}
+
 // OnesCount returns the number of set bits without decompressing.
 func (c *Compressed) OnesCount() int {
 	count := 0
@@ -262,7 +289,7 @@ func (c *Compressed) Any() bool {
 // ForEachRange calls fn with every maximal run [lo, hi) of consecutive set
 // bits, in ascending order, streaming directly over the encoded words:
 // one-fill runs yield without decoding, literals are scanned with bit
-// tricks. It is the aggregation iterator of the compressed query path.
+// tricks.
 func (c *Compressed) ForEachRange(fn func(lo, hi int)) {
 	g := 0
 	open := -1 // start of the in-progress run of ones, or -1
@@ -388,8 +415,7 @@ func And(a, b *Compressed) *Compressed {
 // AndAll intersects any number of compressed bitmaps of equal length in a
 // single k-way pass. When any operand presents a zero-fill run the result
 // is zero for the run's whole extent, so every operand skips that many
-// groups without decoding them — the run-skipping core of the compressed
-// execution path.
+// groups without decoding them.
 func AndAll(ops ...*Compressed) *Compressed {
 	return AndAllInto(nil, ops...)
 }

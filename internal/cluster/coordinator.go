@@ -108,7 +108,7 @@ func NewCoordinator(cfg CoordinatorConfig, tr Transport) (*Coordinator, error) {
 	if tr.Nodes() != n {
 		return nil, fmt.Errorf("cluster: placement has %d nodes but transport serves %d", n, tr.Nodes())
 	}
-	p := normalizeRetry(cfg.Retry)
+	p := cfg.Retry.Normalize()
 	c := &Coordinator{
 		spec:     cfg.Spec,
 		cl:       cfg.Cluster,
@@ -122,26 +122,6 @@ func NewCoordinator(cfg CoordinatorConfig, tr Transport) (*Coordinator, error) {
 		c.breakers[i] = newBreaker(p.BreakerThreshold, p.BreakerCooldown)
 	}
 	return c, nil
-}
-
-func normalizeRetry(p storage.RetryPolicy) storage.RetryPolicy {
-	d := storage.DefaultRetryPolicy()
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.BreakerThreshold < 1 {
-		p.BreakerThreshold = d.BreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = d.BreakerCooldown
-	}
-	return p
 }
 
 // Nodes returns the cluster's node count.

@@ -187,14 +187,14 @@ func (t *HTTPTransport) Stats(ctx context.Context, node int) (NodeStats, error) 
 	}
 	hr, err := t.client.Do(req)
 	if err != nil {
-		return st, fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return st, unavailable(ctx, err)
 	}
 	defer hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
 		return st, t.statusErr(node, hr)
 	}
 	if err := decodeBody(hr.Body, &st); err != nil {
-		return st, fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return st, unavailable(ctx, err)
 	}
 	return st, nil
 }
@@ -222,10 +222,7 @@ func (t *HTTPTransport) post(ctx context.Context, node int, path string, in, out
 	req.Header.Set("Content-Type", contentType)
 	hr, err := t.client.Do(req)
 	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return unavailable(ctx, err)
 	}
 	defer hr.Body.Close()
 	if hr.StatusCode < 200 || hr.StatusCode > 299 {
@@ -236,9 +233,20 @@ func (t *HTTPTransport) post(ctx context.Context, node int, path string, in, out
 		return nil
 	}
 	if err := decodeBody(hr.Body, out); err != nil {
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return unavailable(ctx, err)
 	}
 	return nil
+}
+
+// unavailable classifies a failure to get a whole reply out of a node: a
+// caller that cancelled or ran out of time gave up and is told so
+// (ctx.Err()); otherwise the node could not be reached — ErrUnavailable,
+// which the coordinator retries.
+func unavailable(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
 // statusErr rebuilds the node-side error from the status and typed

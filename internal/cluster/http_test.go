@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/alloc"
@@ -220,6 +221,67 @@ func TestHTTPUnavailableRetried(t *testing.T) {
 	}
 	if st := coord.ClientStats()[0]; st.Retries != int64(retry.MaxAttempts-1) {
 		t.Fatalf("Retries = %d, want %d (every attempt re-sent)", st.Retries, retry.MaxAttempts-1)
+	}
+}
+
+// TestHTTPStatsCancelledIsNotUnavailable: a caller that cancels Stats —
+// before the request is sent, or while the node is still answering —
+// gets its own context.Canceled back, not ErrUnavailable: the node is
+// healthy, the caller gave up. The same node answers an uncancelled
+// Stats, and a dead one is still ErrUnavailable.
+func TestHTTPStatsCancelledIsNotUnavailable(t *testing.T) {
+	_, spec, icfg, tab, _ := clusterFixture(t)
+	cl := alloc.Placement{Disks: 1, Scheme: alloc.RoundRobin}
+	node, err := NewNode(NodeConfig{Spec: spec, Indexes: icfg, Index: 0, Cluster: cl}, PartitionTable(spec, cl, tab)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	// While holding, every request is announced on hold once it has
+	// reached the node and kept there until the client goes away.
+	var holding atomic.Bool
+	hold := make(chan struct{})
+	inner := NewNodeHandler(node)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if holding.Load() {
+			hold <- struct{}{}
+			<-r.Context().Done()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	tr, err := NewHTTPTransport([]string{srv.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Stats(context.Background(), 0); err != nil {
+		t.Fatalf("uncancelled Stats: %v", err)
+	}
+	check := func(when string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrUnavailable) {
+			t.Fatalf("Stats cancelled %s the request: got %v, want context.Canceled and not ErrUnavailable", when, err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = tr.Stats(ctx, 0)
+	check("before", err)
+
+	holding.Store(true)
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		<-hold // the request is at the node
+		cancel()
+	}()
+	_, err = tr.Stats(ctx, 0)
+	check("during", err)
+
+	srv.Close()
+	if _, err := tr.Stats(context.Background(), 0); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("dead server: got %v, want ErrUnavailable", err)
 	}
 }
 

@@ -40,7 +40,7 @@ type NodeConfig struct {
 	// engine is the default.
 	OnDisk bool
 	Dir    string
-	// Compress stores/executes WAH-compressed bitmaps.
+	// Compress stores the bitmaps WAH-compressed.
 	Compress bool
 	// Disks declusters the node's on-disk backend over its own disk set
 	// with DiskScheme and Staggered (the per-disk tier of the two-tier

@@ -9,9 +9,11 @@
 // Everything around a fragment — validation, fragment enumeration, the
 // delta fold, the merge of the workers' partials — is internal/kernel's
 // drivers; the
-// engine supplies the fragment folds (processFragment and its compressed
-// twin solo, sharedMask + kernel.EvalMany shared), so its results are
-// structurally identical to the on-disk executor's.
+// engine supplies the fragment folds (processFragment solo, selectInto +
+// kernel.EvalMany shared), so its results are structurally identical to
+// the on-disk executor's. Whether the index fragments are kept as Bitsets
+// or as WAH words (BuildCompressed) is a storage format: either way a
+// selection lands in a worker's scratch Bitset and the fold is the same.
 package engine
 
 import (
@@ -46,15 +48,22 @@ type fragment struct {
 
 	// encoded[d] is the encoded bitmap join index fragment for dimension d
 	// (nil for simple-indexed dimensions).
-	encoded []*bitmap.EncodedIndex
+	encoded []encodedIndex
 	// simple[d][l] is the simple bitmap index fragment on level l of
 	// dimension d (nil where not materialised).
-	simple [][]*bitmap.SimpleIndex
+	simple [][]simpleIndex
+}
 
-	// Compressed-mode counterparts (only one family is populated per
-	// engine): queries execute directly on the WAH words.
-	encodedC []*bitmap.CompressedEncodedIndex
-	simpleC  [][]*bitmap.CompressedSimpleIndex
+// encodedIndex and simpleIndex are what the folds ask of an index
+// fragment: a selection written into worker scratch. bitmap.EncodedIndex
+// and bitmap.SimpleIndex answer from stored Bitsets, their Compressed
+// twins by decoding stored WAH words.
+type encodedIndex interface {
+	SelectPartialInto(dst *bitmap.Bitset, skipLevel, level, m int) int
+}
+
+type simpleIndex interface {
+	SelectInto(dst *bitmap.Bitset, m int)
 }
 
 // Engine executes star queries over a fragmented fact table.
@@ -66,19 +75,19 @@ type Engine struct {
 	frags map[int64]*fragment
 	// layouts[d] is the encoding layout of dimension d (nil for simple).
 	layouts []*bitmap.Layout
-	// compressed selects the WAH execution path: per-fragment indices are
-	// stored compressed and queries intersect / iterate them without
-	// materialising a Bitset.
+	// compressed stores the per-fragment indices as WAH words instead of
+	// Bitsets; read where an index is built and by Compressed, never by a
+	// fold.
 	compressed bool
 
 	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's workers; each epoch's engine has its own.
+	// every call's fragment tasks; each epoch's engine has its own.
 	solo   *exec.Scratch[*scratch]
 	shared *exec.Scratch[*sharedScratch]
 }
 
 // Compressed reports whether the engine stores its per-fragment bitmap
-// indices WAH-compressed and executes on them directly.
+// indices WAH-compressed.
 func (e *Engine) Compressed() bool { return e.compressed }
 
 // Build partitions the table per the fragmentation spec and constructs the
@@ -90,10 +99,8 @@ func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, erro
 }
 
 // BuildCompressed is Build storing every per-fragment bitmap
-// WAH-compressed (encoded-index bit positions together with their
-// precomputed complements). Queries then run on the compressed execution
-// fast path: one k-way run-skipping AndAll per fragment and streaming
-// aggregation over the compressed result, never inflating a Bitset.
+// WAH-compressed. Queries run exactly as on Build's engine; a selection
+// decodes the bitmaps it needs into the worker's scratch.
 func BuildCompressed(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, error) {
 	return build(t, spec, icfg, true)
 }
@@ -219,13 +226,8 @@ func (e *Engine) fragLevel(d int) int {
 // returned for the next fragment.
 func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 	nd := len(e.star.Dims)
-	if e.compressed {
-		f.encodedC = make([]*bitmap.CompressedEncodedIndex, nd)
-		f.simpleC = make([][]*bitmap.CompressedSimpleIndex, nd)
-	} else {
-		f.encoded = make([]*bitmap.EncodedIndex, nd)
-		f.simple = make([][]*bitmap.SimpleIndex, nd)
-	}
+	f.encoded = make([]encodedIndex, nd)
+	f.simple = make([][]simpleIndex, nd)
 	for d := 0; d < nd; d++ {
 		dim := &e.star.Dims[d]
 		fl := e.fragLevel(d)
@@ -237,17 +239,13 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 			if fl != dim.Leaf() { // fully eliminated when fragmenting on the leaf
 				idx := bitmap.NewEncodedIndex(e.layouts[d], f.dims[d])
 				if e.compressed {
-					f.encodedC[d] = bitmap.CompressEncodedIndex(idx)
+					f.encoded[d] = bitmap.CompressEncodedIndex(idx)
 				} else {
 					f.encoded[d] = idx
 				}
 			}
 		default:
-			if e.compressed {
-				f.simpleC[d] = make([]*bitmap.CompressedSimpleIndex, dim.Depth())
-			} else {
-				f.simple[d] = make([]*bitmap.SimpleIndex, dim.Depth())
-			}
+			f.simple[d] = make([]simpleIndex, dim.Depth())
 			for l := fl + 1; l < dim.Depth(); l++ {
 				if cap(vals) < f.rows {
 					vals = make([]int32, f.rows)
@@ -258,7 +256,7 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 				}
 				idx := bitmap.NewSimpleIndex(dim.Levels[l].Card, vals)
 				if e.compressed {
-					f.simpleC[d][l] = bitmap.CompressSimpleIndex(idx)
+					f.simple[d][l] = bitmap.CompressSimpleIndex(idx)
 				} else {
 					f.simple[d][l] = idx
 				}
@@ -272,20 +270,15 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 func (e *Engine) NumFragments() int { return len(e.frags) }
 
 // scratch is the per-worker buffer set threaded through internal/exec:
-// selection bitsets for the materialised path, operand and result buffers
-// for the compressed path. Every buffer is reused across all fragments a
-// worker processes, in every call, so the hot loops run allocation-free
-// once warm.
+// the selection bitsets, reused across all fragments a worker processes,
+// in every call, so the hot loops run allocation-free once warm.
 type scratch struct {
 	hits *bitmap.Bitset // running AND of predicate selections
 	sel  *bitmap.Bitset // current predicate's selection
-
-	ops  []*bitmap.Compressed // operands of the fragment's single AndAll
-	cres *bitmap.Compressed   // compressed intersection result
 }
 
 func newScratch() *scratch {
-	return &scratch{hits: bitmap.New(0), sel: bitmap.New(0), cres: &bitmap.Compressed{}}
+	return &scratch{hits: bitmap.New(0), sel: bitmap.New(0)}
 }
 
 // rowKey composes a row's group key from the fragment-constant base and
@@ -312,9 +305,7 @@ func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, delt
 		return func(sc *scratch, id int64, q frag.Query, slot kernel.Slot) (kernel.FragPartial, Stats, error) {
 			var st Stats
 			f, ok := e.frags[id] // absent: the fragment has no rows at this density
-			if ok && e.compressed {
-				e.processFragmentCompressed(f, q, sc, &slot.FP, &st, slot.Base, slot.PerRow)
-			} else if ok {
+			if ok {
 				e.processFragment(f, q, sc, &slot.FP, &st, slot.Base, slot.PerRow)
 			}
 			if ok || deltas.Has(id) {
@@ -349,38 +340,45 @@ func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q 
 	return o.Part, o.St, err
 }
 
-// processFragment evaluates the query inside one fragment: bitmap
-// selections for the predicates that need them (Section 4.3 step 2), AND
-// them, then aggregate the hit rows — or all rows when no bitmap is needed
-// (query types Q1/Q3). All selections land in sc's reusable bitsets and
+// selectInto is the bitmap access of one query inside one fragment
+// (Section 4.3 step 2): the selections of the predicates that need a
+// bitmap, ANDed into dst with sel as the second operand's buffer. It
+// reports false, leaving dst alone, when no predicate needs one — every
+// fragment row is relevant. BitmapsRead lands on st.
+func (e *Engine) selectInto(f *fragment, q frag.Query, dst, sel *bitmap.Bitset, st *Stats) bool {
+	selected := false
+	for _, pr := range q.Preds {
+		if !e.spec.NeedsBitmap(pr) {
+			continue
+		}
+		into := dst
+		if selected {
+			into = sel
+		}
+		switch e.icfg[pr.Dim].Kind {
+		case frag.EncodedIndex:
+			nb := f.encoded[pr.Dim].SelectPartialInto(into, e.fragLevel(pr.Dim), pr.Level, pr.Member)
+			st.BitmapsRead += int64(nb)
+		default:
+			f.simple[pr.Dim][pr.Level].SelectInto(into, pr.Member)
+			st.BitmapsRead++
+		}
+		if selected {
+			dst.And(sel)
+		}
+		selected = true
+	}
+	return selected
+}
+
+// processFragment evaluates the query inside one fragment: selectInto,
+// then aggregate the hit rows — or all rows when no bitmap is needed
+// (query types Q1/Q3). The selection lands in sc's reusable bitsets and
 // aggregation runs word-wise; only the per-row grouping fallback (perRow
 // non-empty) adds key computation and map updates to the loop.
 func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *kernel.FragPartial, st *Stats, base uint64, perRow []kernel.RowLevel) {
-	first := true
-	for _, pr := range q.Preds {
-		if !e.spec.NeedsBitmap(pr) {
-			continue
-		}
-		dst := sc.hits
-		if !first {
-			dst = sc.sel
-		}
-		switch e.icfg[pr.Dim].Kind {
-		case frag.EncodedIndex:
-			nb := f.encoded[pr.Dim].SelectPartialInto(dst, e.fragLevel(pr.Dim), pr.Level, pr.Member)
-			st.BitmapsRead += int64(nb)
-		default:
-			f.simple[pr.Dim][pr.Level].SelectInto(dst, pr.Member)
-			st.BitmapsRead++
-		}
-		if !first {
-			sc.hits.And(sc.sel)
-		}
-		first = false
-	}
-
 	agg := &p.Agg
-	if first {
+	if !e.selectInto(f, q, sc.hits, sc.sel, st) {
 		// All fragment rows are relevant (no bitmap access, IOC1-style).
 		st.RowsScanned += int64(f.rows)
 		if len(perRow) == 0 {
@@ -408,63 +406,6 @@ func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *kern
 			for w != 0 {
 				i := wordBase + bits.TrailingZeros64(w)
 				w &= w - 1
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		})
-	}
-	st.RowsScanned += agg.Count
-}
-
-// processFragmentCompressed is the compressed-execution counterpart: the
-// predicates' bitmaps stay WAH-encoded, intersect in one k-way
-// run-skipping AndAll, and the hit rows stream out of the compressed
-// result range-wise — no Bitset is materialised at any point. Grouping
-// follows the same aligned/per-row split as processFragment.
-func (e *Engine) processFragmentCompressed(f *fragment, q frag.Query, sc *scratch, p *kernel.FragPartial, st *Stats, base uint64, perRow []kernel.RowLevel) {
-	ops := sc.ops[:0]
-	for _, pr := range q.Preds {
-		if !e.spec.NeedsBitmap(pr) {
-			continue
-		}
-		switch e.icfg[pr.Dim].Kind {
-		case frag.EncodedIndex:
-			var nb int
-			ops, nb = f.encodedC[pr.Dim].SelectOperands(ops, e.fragLevel(pr.Dim), pr.Level, pr.Member)
-			st.BitmapsRead += int64(nb)
-		default:
-			ops = append(ops, f.simpleC[pr.Dim][pr.Level].Bitmap(pr.Member))
-			st.BitmapsRead++
-		}
-	}
-	sc.ops = ops
-
-	agg := &p.Agg
-	if len(ops) == 0 {
-		// All fragment rows are relevant (no bitmap access, IOC1-style).
-		st.RowsScanned += int64(f.rows)
-		if len(perRow) == 0 {
-			for i := 0; i < f.rows; i++ {
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		} else {
-			for i := 0; i < f.rows; i++ {
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		}
-		return
-	}
-	sc.cres = bitmap.AndAllInto(sc.cres, ops...)
-	if len(perRow) == 0 {
-		sc.cres.ForEachRange(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		})
-	} else {
-		sc.cres.ForEachRange(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
 				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
 				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
 			}

@@ -470,12 +470,37 @@ func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
 // all 192 fragments allocates per query less than 32 bytes per fragment —
 // the fragment id list and per-call state that does not grow with it;
 // the gather alone used to cost a partial and an error slot, 104 bytes,
-// per fragment.
+// per fragment. The same holds for the bitmap-selecting fold — predicates
+// below the fragmentation level, on a simple and on both kinds of encoded
+// selection — whether the index fragments are stored as Bitsets (Build)
+// or as WAH words decoded into the worker's scratch (BuildCompressed):
+// one ceiling for both.
 func TestSteadyStateAllocation(t *testing.T) {
-	s, tab, e := buildTiny(t, "time::month, product::code, customer::store")
 	sched := exec.NewScheduler(4)
 	defer sched.Close()
 	ctx := context.Background()
+	// warm returns the bytes one query allocates once the scratch is warm.
+	warm := func(tab *data.Table, e *Engine, qs ...frag.Query) uint64 {
+		t.Helper()
+		run := func(rounds int) {
+			for r := 0; r < rounds; r++ {
+				for _, q := range qs {
+					got, _, err := e.ExecuteGroupedDeltas(ctx, sched, q, kernel.Deltas{})
+					if want := Scan(tab, q); err != nil || got.Aggregate != want {
+						t.Fatalf("%+v, %v; want %+v", got.Aggregate, err, want)
+					}
+				}
+			}
+		}
+		run(10)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(100)
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(100*len(qs))
+	}
+
+	s, tab, e := buildTiny(t, "time::month, product::code, customer::store")
 	var all frag.Query
 	n := len(e.spec.FragmentIDs(all))
 	if n != 192 {
@@ -485,28 +510,29 @@ func TestSteadyStateAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ScanGrouped(tab, byQuarter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(rounds int) {
-		for r := 0; r < rounds; r++ {
-			for _, q := range []frag.Query{all, byQuarter} {
-				got, _, err := e.ExecuteGroupedDeltas(ctx, sched, q, kernel.Deltas{})
-				if err != nil || got.Aggregate != want.Aggregate {
-					t.Fatalf("%+v, %v; want %+v", got.Aggregate, err, want.Aggregate)
-				}
-			}
-		}
-	}
-	run(10)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run(100)
-	runtime.ReadMemStats(&after)
-	got := (after.TotalAlloc - before.TotalAlloc) / 200
+	got := warm(tab, e, all, byQuarter)
 	t.Logf("%d bytes allocated per warm query over %d fragments", got, n)
 	if got >= uint64(32*n) {
 		t.Errorf("%d bytes allocated per warm query, want under %d", got, 32*n)
+	}
+
+	_, tab, e, ce := buildBoth(t, "time::quarter, product::group")
+	selecting, err := frag.ParseQuery(s, "time::month=1, product::code=3, customer::store=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl := e.spec.Classify(selecting); cl == frag.Q1 || cl == frag.Q3 {
+		t.Fatalf("class %v: the query selects no bitmap", cl)
+	}
+	const ceiling = 2048 // per-call state only: no bitmap, operand or result buffer
+	for _, b := range []struct {
+		name string
+		e    *Engine
+	}{{"Build", e}, {"BuildCompressed", ce}} {
+		got := warm(tab, b.e, selecting)
+		t.Logf("%s: %d bytes allocated per warm bitmap-selecting query", b.name, got)
+		if got >= ceiling {
+			t.Errorf("%s: %d bytes allocated per warm bitmap-selecting query, want under %d", b.name, got, ceiling)
+		}
 	}
 }

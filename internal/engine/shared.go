@@ -9,16 +9,17 @@ import (
 	"repro/internal/kernel"
 )
 
-// sharedScratch extends the per-worker engine scratch with per-slot
-// selection masks and their union for the shared row walk.
+// sharedScratch is the shared fold's per-worker buffer set: the per-slot
+// selection masks, the second-operand buffer they are computed with, and
+// the mask union for the shared row walk.
 type sharedScratch struct {
-	sc    *scratch
+	sel   *bitmap.Bitset
 	masks []*bitmap.Bitset
 	union *bitmap.Bitset
 }
 
 func newSharedScratch() *sharedScratch {
-	return &sharedScratch{sc: newScratch(), union: bitmap.New(0)}
+	return &sharedScratch{sel: bitmap.New(0), union: bitmap.New(0)}
 }
 
 func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
@@ -28,66 +29,11 @@ func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
 	return sc.masks[k]
 }
 
-// sharedMask computes one slot's selection mask for the fragment: nil
-// when the query needs no bitmap there (every row relevant), an empty
-// mask when nothing matches. BitmapsRead lands on st exactly as solo
-// execution counts it.
-func (e *Engine) sharedMask(f *fragment, q frag.Query, mask *bitmap.Bitset, st *Stats, sc *sharedScratch) *bitmap.Bitset {
-	if e.compressed {
-		ops := sc.sc.ops[:0]
-		for _, pr := range q.Preds {
-			if !e.spec.NeedsBitmap(pr) {
-				continue
-			}
-			switch e.icfg[pr.Dim].Kind {
-			case frag.EncodedIndex:
-				var nb int
-				ops, nb = f.encodedC[pr.Dim].SelectOperands(ops, e.fragLevel(pr.Dim), pr.Level, pr.Member)
-				st.BitmapsRead += int64(nb)
-			default:
-				ops = append(ops, f.simpleC[pr.Dim][pr.Level].Bitmap(pr.Member))
-				st.BitmapsRead++
-			}
-		}
-		sc.sc.ops = ops
-		if len(ops) == 0 {
-			return nil
-		}
-		sc.sc.cres = bitmap.AndAllInto(sc.sc.cres, ops...)
-		return sc.sc.cres.DecompressInto(mask)
-	}
-	first := true
-	for _, pr := range q.Preds {
-		if !e.spec.NeedsBitmap(pr) {
-			continue
-		}
-		dst := mask
-		if !first {
-			dst = sc.sc.sel
-		}
-		switch e.icfg[pr.Dim].Kind {
-		case frag.EncodedIndex:
-			nb := f.encoded[pr.Dim].SelectPartialInto(dst, e.fragLevel(pr.Dim), pr.Level, pr.Member)
-			st.BitmapsRead += int64(nb)
-		default:
-			f.simple[pr.Dim][pr.Level].SelectInto(dst, pr.Member)
-			st.BitmapsRead++
-		}
-		if !first {
-			mask.And(sc.sc.sel)
-		}
-		first = false
-	}
-	if first {
-		return nil
-	}
-	return mask
-}
-
 // Shared executes K queries through kernel.Shared in a single pass: one
 // task per fragment of the queries' union, each task computing every
 // interested query's selection mask and then feeding all K slots from
-// one walk over the fragment's columns (kernel.EvalMany). Results and
+// one walk over the fragment's columns (kernel.EvalMany); a query that
+// needs no bitmap there has a nil mask (every row relevant). Results and
 // logical statistics are byte-identical to K Solo executions. The
 // in-memory engine performs no physical reads, so Out.Shared records
 // only batch membership and fragment co-scanning (PhysReadsSaved stays
@@ -106,7 +52,9 @@ func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query,
 				evalSlots := make([]*kernel.Slot, len(ms))
 				for k := range ms {
 					evalSlots[k] = &slots[k]
-					masks[k] = e.sharedMask(f, qs[ms[k].Query], sc.mask(k), &ms[k].St, sc)
+					if m := sc.mask(k); e.selectInto(f, qs[ms[k].Query], m, sc.sel, &ms[k].St) {
+						masks[k] = m
+					}
 					if shared {
 						ms[k].Shared.FragmentsShared = 1
 					}

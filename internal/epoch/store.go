@@ -48,7 +48,7 @@ type Config struct {
 	// journal at Build.
 	OnDisk bool
 	Dir    string
-	// Compress stores/executes WAH-compressed bitmaps.
+	// Compress stores the bitmaps WAH-compressed.
 	Compress bool
 	// Placement declusters the on-disk backend when Disks > 0.
 	Placement alloc.Placement

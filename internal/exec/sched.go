@@ -286,10 +286,9 @@ func (s *Scheduler) release() {
 // that do not commute, at the price of a slot per task. The call
 // publishes one job whose n tasks the pool's workers claim one at a
 // time, interleaved with the tasks of every other execution admitted,
-// and owns its scratch: a pool worker that runs a task of it builds one
-// with newScratch at most once and passes it to each of the call's tasks
-// it runs. fn must be safe for concurrent invocation with distinct
-// scratch values.
+// and owns its scratch: newScratch builds at most one per pool worker,
+// and a task has the one it is passed to itself while it runs. fn must
+// be safe for concurrent invocation with distinct scratch values.
 //
 // Error propagation is deterministic: if several tasks fail, the error of
 // the lowest task index is returned. Once any task has failed no task of
@@ -315,11 +314,17 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 }
 
 // Scratch is a backend's free list of worker scratch — the buffers its
-// fragment tasks reuse. The backend owns it and a ReduceShardedOn call
-// borrows from it, so the buffers are built once per backend, serve
-// every later call and die with the backend; at most one scratch per
-// pool worker is kept idle. A plain list, not a sync.Pool, which the
-// collector empties when it pleases: allocation per query must repeat.
+// fragment tasks reuse. The backend owns it and a task of a
+// ReduceShardedOn call borrows from it for as long as it runs, so the
+// buffers are built once per backend, serve every later call and die
+// with the backend. A worker runs one task at a time, so however many
+// calls are in flight no more scratches are out than the pool has
+// workers, and none of them is ever surplus: a scratch held for a whole
+// call sat idle while its worker ran another call's task on a second
+// one, and what came back beyond one per worker was dropped and built
+// again — as often as the calls happened to overlap. A plain list, not
+// a sync.Pool, which the collector empties when it pleases: allocation
+// per query must repeat.
 type Scratch[S any] struct {
 	build func() S
 	mu    sync.Mutex
@@ -352,11 +357,9 @@ func (l *Scratch[S]) give(sc S, keep int) {
 
 // worker is pool worker w's share of one ReduceShardedOn call; only that
 // worker's goroutine touches it until the job has finished.
-type worker[S, A any] struct {
-	sc   S
-	acc  A
-	took bool // sc is taken
-	busy bool // a task is running on sc, or panicked on it
+type worker[A any] struct {
+	acc A
+	ran bool // a task of the call ran here: acc is part of the result
 }
 
 // ReduceShardedOn runs fn(sc, acc, i) for every i in [0, n) on the
@@ -367,11 +370,10 @@ type worker[S, A any] struct {
 // in which partial depends on scheduling, so the result is identical at
 // every pool size, shard layout and admission mix exactly when fn's
 // folding and merge commute and associate, as sums and maxima per key
-// do; a merge that needs task order belongs on MapOn. A worker takes its
-// scratch from the backend's list for the first task of the call it
-// runs, and the call gives every one back after its last task has
-// finished, however it ended — except one a task panicked on, whose
-// state nobody knows: that one is dropped.
+// do; a merge that needs task order belongs on MapOn. A task takes its
+// scratch from the backend's list and gives it back when it returns,
+// with or without an error — except one it panicked on, whose state
+// nobody knows: that one is dropped.
 //
 // With shards > 1 the tasks are claimed round-robin across their shards
 // (typically the disk of each task's fragment, taken modulo shards), so
@@ -389,17 +391,15 @@ func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf
 		return zero, err
 	}
 	defer s.release()
-	ws := make([]worker[S, A], s.workers)
+	ws := make([]worker[A], s.workers)
 	j := &job{n: int64(n), order: shardOrder(n, shardOf, shards), fin: make(chan struct{})}
 	j.cutoff.Store(int64(n))
 	j.run = func(w, i int) error {
 		me := &ws[w]
-		if !me.took {
-			me.sc, me.took = scratch.take(), true
-		}
-		me.busy = true
-		err := fn(me.sc, &me.acc, i)
-		me.busy = false
+		me.ran = true
+		sc := scratch.take()
+		err := fn(sc, &me.acc, i)
+		scratch.give(sc, s.workers)
 		return err
 	}
 	if err := s.publish(j); err != nil {
@@ -420,10 +420,7 @@ func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf
 	acc := &zero
 	for w := range ws {
 		me := &ws[w]
-		if me.took && !me.busy {
-			scratch.give(me.sc, s.workers)
-		}
-		if !me.took || err != nil {
+		if !me.ran || err != nil {
 			continue
 		}
 		if acc == &zero {

@@ -267,6 +267,47 @@ func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 
 func addInts(acc, part *int) { *acc += *part }
 
+// TestScratchBuiltOncePerWorkerUnderOverlap: calls that overlap borrow
+// per task, not per call, so eight callers at once never have more
+// scratches out than the pool has workers and none comes back surplus
+// to be dropped and built again — held per call, the same load built
+// one whenever two calls met on a worker, a number that moved with the
+// timing from run to run.
+func TestScratchBuiltOncePerWorkerUnderOverlap(t *testing.T) {
+	const workers, callers, calls = 4, 8, 200
+	s := NewScheduler(workers)
+	defer s.Close()
+	var created atomic.Int64
+	pool := NewScratch(func() *int {
+		created.Add(1)
+		return new(int)
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for call := 0; call < calls; call++ {
+				got, err := ReduceShardedOn(context.Background(), s, 16, nil, 1, pool,
+					func(sc *int, acc *int, i int) error {
+						*sc = i // a scratch in two tasks at once races here (-race)
+						runtime.Gosched()
+						*acc += *sc
+						return nil
+					}, addInts)
+				if err != nil || got != 16*15/2 {
+					t.Errorf("%d, %v", got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := created.Load(); n < 1 || n > workers || len(pool.idle) != int(n) {
+		t.Fatalf("%d scratches built by %d overlapping callers on %d workers, %d idle", n, callers, workers, len(pool.idle))
+	}
+}
+
 // TestScratchGivenBackOnEveryPath counts takes and give-backs: a call
 // that failed, was cancelled mid-flight or had a task panic returns no
 // partial, and every call gives back every scratch it took; the scratch

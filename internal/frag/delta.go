@@ -562,7 +562,8 @@ func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
 
 // Select evaluates the query's bitmap plan within one delta segment: the
 // segment's compressed bitmaps are taken verbatim or complemented and
-// intersected exactly like the executor's compressed fast path. It
+// intersected on their WAH words (bitmap.Selection) — the one place a
+// selection still runs compressed. It
 // returns the compressed hit bitmap — valid until the next Select on the
 // same scratch — or all=true when the plan is empty (IOC1: every row
 // matches by fragment confinement).

@@ -13,8 +13,8 @@ import (
 
 // BackendConfig selects how BuildBackend assembles an on-disk backend.
 type BackendConfig struct {
-	// Compress stores the bitmap fragments WAH-compressed and executes on
-	// the compressed words.
+	// Compress stores the bitmap fragments WAH-compressed (a storage
+	// format: the executor decodes either into the same bitsets).
 	Compress bool
 	// Placement declusters the store and bitmap file over a fresh DiskSet
 	// when Placement.Disks > 0 (single implicit disk otherwise).

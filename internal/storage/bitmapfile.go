@@ -34,7 +34,9 @@ type BitmapDesc = frag.BitmapRef
 // what one I/O reads, what the buffer pool caches and what the placement
 // assigns a disk to. With Compress enabled the payloads are WAH words
 // (the space reduction the paper mentions in Section 3.2), which shrinks
-// multi-page fragments towards a single unit.
+// multi-page fragments towards a single unit. Compression is a storage
+// format only: decodeInto turns either payload into the Bitset the
+// executor works on, and nothing after it knows which one the file has.
 type BitmapFile struct {
 	star *schema.Star
 	spec *frag.Spec
@@ -270,6 +272,19 @@ func encodeCompressed(c *bitmap.Compressed) []byte {
 		putU64(out[8+8*i:], w)
 	}
 	return out
+}
+
+// decodeInto is the one place a stored bitmap fragment becomes an
+// operand: payload — packed bits, or on a compressed file WAH words,
+// which pass through the caller's scratch wah — is decoded into dst, a
+// Bitset of the fragment's rows.
+func (bf *BitmapFile) decodeInto(dst *bitmap.Bitset, wah *bitmap.Compressed, payload []byte, rows int) {
+	if !bf.compressed {
+		unpackBitsInto(dst, payload, rows)
+		return
+	}
+	decodeCompressedInto(wah, payload)
+	wah.DecompressInto(dst)
 }
 
 // decodeCompressedInto deserialises a WAH bitmap into dst, reusing its

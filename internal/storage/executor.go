@@ -67,7 +67,9 @@ type Aggregate = kernel.Aggregate
 // Executor runs star queries against an on-disk store following the
 // processing model of Section 4.3: determine the relevant fragments, read
 // the required bitmap fragments, AND them, read the fact pages containing
-// hits with prefetch granules, and aggregate. The first step and
+// hits with prefetch granules, and aggregate — one model, whether the
+// file stores its bitmaps packed or WAH-compressed: BitmapFile.decodeInto
+// makes either a bitset and nothing here asks which. The first step and
 // everything after the last — the delta fold, the sum of the
 // per-fragment partials and IOStats on the worker that ran them and of
 // the workers' sums — are internal/kernel's drivers; the executor supplies the steps between
@@ -89,7 +91,7 @@ type Executor struct {
 	AsyncPrefetch bool
 
 	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's workers; each epoch's executor has its own.
+	// every call's fragment tasks; each epoch's executor has its own.
 	solo   *exec.Scratch[*execScratch]
 	shared *exec.Scratch[*sharedScratch]
 }
@@ -142,13 +144,9 @@ type execScratch struct {
 	part  partial // what the solo fold folds the current fragment into
 	acc   rowAcc  // where the current fragment's rows accumulate
 
-	// Materialised path.
-	hits *bitmap.Bitset // running AND of predicate selections
-	sel  *bitmap.Bitset // current bitmap fragment read
-
-	// Compressed fast path.
-	cpool []*bitmap.Compressed // operand bitmaps, reused across fragments
-	csel  bitmap.Selection     // their verbatim / complemented intersection
+	hits *bitmap.Bitset    // running AND of predicate selections
+	sel  *bitmap.Bitset    // current bitmap fragment read
+	wah  bitmap.Compressed // a compressed file's words on their way into a Bitset
 
 	// Async prefetch pipeline (see prefetch.go).
 	gran   []granule     // the fragment's granule read list
@@ -160,15 +158,6 @@ type execScratch struct {
 
 func (e *Executor) newScratch() *execScratch {
 	return &execScratch{hits: bitmap.New(0), sel: bitmap.New(0)}
-}
-
-// operand returns the i-th pooled compressed bitmap, growing the pool on
-// first use.
-func (sc *execScratch) operand(i int) *bitmap.Compressed {
-	for len(sc.cpool) <= i {
-		sc.cpool = append(sc.cpool, &bitmap.Compressed{})
-	}
-	return sc.cpool[i]
 }
 
 // Solo runs the query through kernel.Solo over the relevant fragments
@@ -216,11 +205,8 @@ func (e *Executor) ExecutePartialDeltas(ctx context.Context, q frag.Query, delta
 }
 
 // processFragment evaluates the query's bitmap plan within one fragment
-// (steps 2-4 of Section 4.3). On a compressed bitmap file it takes the
-// compressed fast path: bitmap fragments are taken as raw WAH words,
-// intersected by one run-skipping AndAll (complemented operands folded in
-// via AndNot), and the hit rows stream out of the compressed result —
-// nothing is ever decompressed.
+// (steps 2-4 of Section 4.3): every row when the plan is empty, otherwise
+// the plan's bitmaps ANDed into sc.hits and the granules holding hits.
 func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.BitmapOp, p *partial, sc *execScratch, base uint64, perRow []kernel.RowLevel) error {
 	loc, ok := e.store.Loc(id)
 	if !ok {
@@ -237,22 +223,14 @@ func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.Bi
 	if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
 		return err
 	}
-	if !e.bitmaps.compressed {
-		return e.readHits(ctx, id, loc, sc.hits, sc)
-	}
-	res := sc.csel.Intersect(int(loc.Rows))
-	if !res.Any() {
-		return nil // empty intersection: no fact page is touched
-	}
-	return e.readHitsCompressed(ctx, id, loc, res, sc)
+	return e.readHits(ctx, id, loc, sc.hits, sc)
 }
 
 // loadOperands is the bitmap access of Section 4.3's step 2: it reads
 // each allocation unit the plan touches exactly once — one bitmap I/O
-// per unit, counted into st — and decodes every operand out of the held
-// unit. On an uncompressed file the operands are ANDed into sc.hits as
-// they arrive; on a compressed one they are collected as raw WAH words
-// into sc.csel, verbatim or complemented, to be intersected.
+// per unit, counted into st — decodes every operand out of the held unit
+// (BitmapFile.decodeInto) and ANDs it into sc.hits, verbatim or
+// complemented, as it arrives.
 func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.BitmapOp, st *IOStats, sc *execScratch) error {
 	us := &sc.units
 	if err := us.begin(e.bitmaps, id); err != nil {
@@ -260,7 +238,6 @@ func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.Bitma
 	}
 	defer us.release()
 	rows := int(us.blk.rows)
-	sc.csel.Reset()
 	for i, op := range plan {
 		payload, sl, fresh, err := us.payload(ctx, int(op.Index), st)
 		if err != nil {
@@ -270,24 +247,19 @@ func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.Bitma
 			st.BitmapIOs++
 			st.BitmapPages += int64(sl.Pages)
 		}
-		switch {
-		case e.bitmaps.compressed:
-			c := sc.operand(i)
-			decodeCompressedInto(c, payload)
-			sc.csel.Add(c, op.Complement)
-		case i == 0:
+		if i == 0 {
 			// The first bitmap initialises the running selection directly.
-			unpackBitsInto(sc.hits, payload, rows)
+			e.bitmaps.decodeInto(sc.hits, &sc.wah, payload, rows)
 			if op.Complement {
 				sc.hits.Not()
 			}
-		default:
-			unpackBitsInto(sc.sel, payload, rows)
-			if op.Complement {
-				sc.hits.AndNot(sc.sel)
-			} else {
-				sc.hits.And(sc.sel)
-			}
+			continue
+		}
+		e.bitmaps.decodeInto(sc.sel, &sc.wah, payload, rows)
+		if op.Complement {
+			sc.hits.AndNot(sc.sel)
+		} else {
+			sc.hits.And(sc.sel)
 		}
 	}
 	return nil
@@ -334,56 +306,4 @@ func (e *Executor) readHits(ctx context.Context, id int64, loc FragLoc, hits *bi
 			lo = hits.NextSet(hi)
 		}
 	})
-}
-
-// readHitsCompressed is readHits driven by the compressed result's range
-// iterator. A fragment of one prefetch granule has a one-entry read list
-// (the caller has checked that the result has a hit); a larger one takes
-// an I/O-free pass over the WAH words to list the granules containing
-// hits (granules without hits are never read, exactly as the materialised
-// path skips them). The prefetch pipeline reads the list ahead, and a
-// streaming pass cuts every hit range at the granule boundaries and
-// aggregates the pieces as the granule buffers arrive in order.
-func (e *Executor) readHitsCompressed(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Compressed, sc *execScratch) error {
-	store := e.store
-	g := e.PrefetchFact
-	sc.gran = sc.gran[:0]
-	if int(loc.Pages) <= g {
-		sc.gran = append(sc.gran, granule{count: loc.Pages})
-	} else {
-		rowsPerGranule := g * store.tpp
-		last := -1
-		hits.ForEachRange(func(lo, hi int) {
-			for gi := max(lo/rowsPerGranule, last+1); gi <= (hi-1)/rowsPerGranule; gi++ {
-				last = gi
-				sc.gran = append(sc.gran, granuleAt(gi, g, int(loc.Pages)))
-			}
-		})
-	}
-	pipe := e.startGranules(ctx, sc, &sc.acc.p.st, id, sc.gran)
-	var gr granule
-	var buf []byte
-	var readErr error
-	loadedHi := 0 // first row past the granule in buf
-	hits.ForEachRange(func(lo, hi int) {
-		for lo < hi && readErr == nil {
-			if lo >= loadedHi {
-				// Hit rows arrive in increasing order and every hit
-				// granule is listed, so the pipe's next granule is
-				// exactly the one holding lo.
-				if gr, buf, readErr = pipe.next(); readErr != nil {
-					return
-				}
-				loadedHi = int(gr.start+gr.count) * store.tpp
-			}
-			end := min(hi, loadedHi)
-			store.fold(&sc.acc, buf, int(gr.start), lo, end)
-			lo = end
-		}
-	})
-	if readErr != nil {
-		return readErr
-	}
-	pipe.finish()
-	return nil
 }

@@ -164,8 +164,8 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// normalize fills zero fields with the defaults.
-func (p RetryPolicy) normalize() RetryPolicy {
+// Normalize fills zero fields with the defaults.
+func (p RetryPolicy) Normalize() RetryPolicy {
 	d := DefaultRetryPolicy()
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = d.MaxAttempts
@@ -330,7 +330,7 @@ func (ds *DiskSet) SetRetryPolicy(p RetryPolicy) {
 // policy returns the active retry policy, normalized.
 func (ds *DiskSet) policy() RetryPolicy {
 	if p := ds.retry.Load(); p != nil {
-		return p.normalize()
+		return p.Normalize()
 	}
 	return DefaultRetryPolicy()
 }

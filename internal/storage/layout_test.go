@@ -192,20 +192,47 @@ func bitsFile(t testing.TB, page int, compressed bool, frags [][]*bitmap.Bitset)
 }
 
 // readBitsOf decodes stored bitmap di of the fragment the way the
-// executor's two paths do.
+// executor does: through the file's decode seam.
 func readBitsOf(bf *BitmapFile, id int64, di int) (*bitmap.Bitset, error) {
 	p, err := readPayloadOf(bf, id, di)
 	if err != nil {
 		return nil, err
 	}
 	bs := bitmap.New(0)
-	if bf.compressed {
-		var c bitmap.Compressed
-		decodeCompressedInto(&c, p)
-		return c.DecompressInto(bs), nil
-	}
-	unpackBitsInto(bs, p, int(bf.blocks[id].rows))
+	var wah bitmap.Compressed
+	bf.decodeInto(bs, &wah, p, int(bf.blocks[id].rows))
 	return bs, nil
+}
+
+// TestDecodeSeamPackedEqualsWAH: the decode seam yields the same Bitset
+// — the bitmap that was stored — from the packed and from the WAH payload
+// of one bitmap, at densities from empty to full and row counts whose
+// last WAH group is full, one bit and one bit short. Destinations and the
+// WAH scratch are reused across bitmaps the way a worker reuses them, so
+// every decode starts from the previous one's stale words and length.
+func TestDecodeSeamPackedEqualsWAH(t *testing.T) {
+	packed, wahFile := &BitmapFile{}, &BitmapFile{compressed: true}
+	rng := rand.New(rand.NewSource(24))
+	fromPacked, fromWAH := bitmap.New(0), bitmap.New(0)
+	var wah bitmap.Compressed
+	for _, groups := range []int{100, 0, 1, 10} {
+		for _, tail := range []int{0, 1, 62} {
+			n := 63*groups + tail
+			if n == 0 {
+				continue
+			}
+			for _, density := range []float64{0, 0.01, 0.5, 1} {
+				bs := randomBits(rng, n, density)
+				p := make([]byte, (n+7)/8)
+				packBits(bs, p)
+				packed.decodeInto(fromPacked, &wah, p, n)
+				wahFile.decodeInto(fromWAH, &wah, encodeCompressed(bitmap.Compress(bs)), n)
+				if !fromPacked.Equal(bs) || !fromWAH.Equal(bs) {
+					t.Fatalf("n=%d (n%%63=%d) density=%v: packed ok=%v, WAH ok=%v", n, tail, density, fromPacked.Equal(bs), fromWAH.Equal(bs))
+				}
+			}
+		}
+	}
 }
 
 // readBitmap is readBitsOf by descriptor, the way ReadCompressedFragment

@@ -8,22 +8,16 @@ import (
 	"repro/internal/kernel"
 )
 
-// bmCached is one bitmap fragment decoded for the duration of a fragment
-// task, so batch-mates selecting the same bitmap reuse it instead of
-// reading and decoding it again.
-type bmCached struct {
-	bs *bitmap.Bitset
-	c  *bitmap.Compressed
-}
-
 // sharedScratch extends the per-worker executor scratch with the shared
-// path's per-task state: the decoded bitmaps, per-slot selection masks,
-// the mask union, and the granule ownership table.
+// path's per-task state: the bitmap fragments decoded for the duration of
+// the task (so batch-mates selecting the same bitmap reuse it instead of
+// reading and decoding it again), per-slot selection masks, the mask
+// union, and the granule ownership table.
 type sharedScratch struct {
 	sc      *execScratch
-	keys    []uint16    // decodeTuple key buffer
-	byIndex []*bmCached // the task's decoded bitmaps by stored index (nil = not yet)
-	entries []*bmCached // bmCached freelist, reused across tasks
+	keys    []uint16         // decodeTuple key buffer
+	byIndex []*bitmap.Bitset // the task's decoded bitmaps by stored index (nil = not yet)
+	entries []*bitmap.Bitset // decoded-bitmap freelist, reused across tasks
 	used    int
 	masks   []*bitmap.Bitset
 	union   *bitmap.Bitset
@@ -35,7 +29,7 @@ func (e *Executor) newSharedScratch() *sharedScratch {
 	return &sharedScratch{
 		sc:      e.newScratch(),
 		keys:    make([]uint16, len(e.store.star.Dims)),
-		byIndex: make([]*bmCached, e.bitmaps.NumBitmaps()),
+		byIndex: make([]*bitmap.Bitset, e.bitmaps.NumBitmaps()),
 		union:   bitmap.New(0),
 	}
 }
@@ -46,9 +40,9 @@ func (sc *sharedScratch) reset() {
 	sc.used = 0
 }
 
-func (sc *sharedScratch) entry() *bmCached {
+func (sc *sharedScratch) entry() *bitmap.Bitset {
 	if sc.used == len(sc.entries) {
-		sc.entries = append(sc.entries, &bmCached{bs: bitmap.New(0), c: &bitmap.Compressed{}})
+		sc.entries = append(sc.entries, bitmap.New(0))
 	}
 	sc.used++
 	return sc.entries[sc.used-1]
@@ -67,23 +61,19 @@ func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
 // cached bitmap back. fresh reports that this call paid the unit read
 // (attributed to st); a unit the task already holds, or a bitmap it
 // already decoded, costs nothing.
-func (sc *sharedScratch) operand(ctx context.Context, e *Executor, di int, st *IOStats) (ent *bmCached, sl frag.BitmapSlot, fresh bool, err error) {
+func (sc *sharedScratch) operand(ctx context.Context, e *Executor, di int, st *IOStats) (bs *bitmap.Bitset, sl frag.BitmapSlot, fresh bool, err error) {
 	us := &sc.sc.units
-	if ent = sc.byIndex[di]; ent != nil {
-		return ent, us.blk.slots[di], false, nil
+	if bs = sc.byIndex[di]; bs != nil {
+		return bs, us.blk.slots[di], false, nil
 	}
 	payload, sl, fresh, err := us.payload(ctx, di, st)
 	if err != nil {
 		return nil, sl, false, err
 	}
-	ent = sc.entry()
-	if e.bitmaps.compressed {
-		decodeCompressedInto(ent.c, payload)
-	} else {
-		unpackBitsInto(ent.bs, payload, int(us.blk.rows))
-	}
-	sc.byIndex[di] = ent
-	return ent, sl, fresh, nil
+	bs = sc.entry()
+	e.bitmaps.decodeInto(bs, &sc.sc.wah, payload, int(us.blk.rows))
+	sc.byIndex[di] = bs
+	return bs, sl, fresh, nil
 }
 
 // sharedMask computes one slot's selection mask for the fragment from
@@ -93,18 +83,14 @@ func (sc *sharedScratch) operand(ctx context.Context, e *Executor, di int, st *I
 // path); an empty mask means no row matches. Logical bitmap counters land
 // on st exactly as solo execution counts them — one I/O per distinct unit
 // of the plan, whose operands are adjacent because the plan is ordered by
-// stored index; unit reads a batch-mate already paid land on sh. On a
-// compressed file the WAH intersection is decompressed into the mask so
-// the shared row walk is uniform across paths.
-func (e *Executor) sharedMask(ctx context.Context, rows int, plan []frag.BitmapOp, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *sharedScratch) (*bitmap.Bitset, error) {
+// stored index; unit reads a batch-mate already paid land on sh.
+func (e *Executor) sharedMask(ctx context.Context, plan []frag.BitmapOp, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *sharedScratch) (*bitmap.Bitset, error) {
 	if len(plan) == 0 {
 		return nil, nil // no bitmap access: every fragment row is relevant
 	}
-	csel := &sc.sc.csel
-	csel.Reset()
 	unit := int32(-1)
 	for i, op := range plan {
-		ent, sl, fresh, err := sc.operand(ctx, e, int(op.Index), st)
+		bs, sl, fresh, err := sc.operand(ctx, e, int(op.Index), st)
 		if err != nil {
 			return nil, err
 		}
@@ -117,29 +103,18 @@ func (e *Executor) sharedMask(ctx context.Context, rows int, plan []frag.BitmapO
 			}
 		}
 		switch {
-		case e.bitmaps.compressed:
-			csel.Add(ent.c, op.Complement)
 		case i == 0:
-			mask.Reinit(ent.bs.Len())
-			mask.CopyFrom(ent.bs)
+			mask.CopyFrom(bs)
 			if op.Complement {
 				mask.Not()
 			}
 		case op.Complement:
-			mask.AndNot(ent.bs)
+			mask.AndNot(bs)
 		default:
-			mask.And(ent.bs)
+			mask.And(bs)
 		}
 	}
-	if !e.bitmaps.compressed {
-		return mask, nil
-	}
-	res := csel.Intersect(rows)
-	if !res.Any() {
-		mask.Reinit(rows)
-		return mask, nil // empty intersection: no fact page is touched
-	}
-	return res.DecompressInto(mask), nil
+	return mask, nil
 }
 
 // Shared executes K queries against one pinned snapshot through
@@ -197,7 +172,7 @@ func (e *Executor) sharedFold(ctx context.Context, bplans [][]frag.BitmapOp) ker
 			}
 			for k := range parts {
 				p := &parts[k]
-				m, err := e.sharedMask(ctx, rows, bplans[p.Query], sc.mask(k), &p.St, &p.Shared, sc)
+				m, err := e.sharedMask(ctx, bplans[p.Query], sc.mask(k), &p.St, &p.Shared, sc)
 				if err != nil {
 					us.release()
 					return err

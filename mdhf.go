@@ -15,8 +15,9 @@
 //   - a real goroutine-parallel query engine over generated fact data and
 //     a fragment-parallel on-disk executor, both running on the
 //     warehouse's one scatter/gather worker pool with deterministic merge
-//     and per-worker scratch reuse, with a compressed execution fast path
-//     that queries WAH bitmaps without decompressing them;
+//     and per-worker scratch reuse, over bitmaps stored plain or
+//     WAH-compressed (a storage format: either decodes into the same
+//     scratch bitsets, and one fold per backend runs on them);
 //   - the workload generator and the harness regenerating every table and
 //     figure of the paper's evaluation;
 //   - the Warehouse serving façade tying all of it together: one handle

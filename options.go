@@ -117,10 +117,12 @@ func WithColocatedBitmaps() Option {
 	return func(o *options) { o.staggered = false }
 }
 
-// WithCompression stores every bitmap WAH-compressed and executes
-// queries on the compressed words directly (the Section 3.2 space
-// reduction plus the run-skipping fast path), on both the in-memory and
-// the on-disk backend.
+// WithCompression stores every bitmap WAH-compressed (the Section 3.2
+// space reduction), on both the in-memory and the on-disk backend. It is
+// a storage format only: a stored bitmap is decoded into a worker's
+// scratch bitset where a plain one is copied or unpacked, and queries
+// execute — and count their logical I/O — exactly as without it; on disk
+// a compressed bitmap fragment may span fewer pages.
 func WithCompression() Option {
 	return func(o *options) { o.compress = true }
 }

@@ -55,7 +55,8 @@ func (k BackendKind) String() string {
 type Stats struct {
 	// Backend identifies which executor served the query.
 	Backend BackendKind
-	// Compressed reports the WAH fast path.
+	// Compressed reports that the bitmaps are stored WAH-compressed
+	// (WithCompression).
 	Compressed bool
 	// Workers is the size of the shared pool the execution was admitted
 	// to.
@@ -175,6 +176,55 @@ func (p *PreparedQuery) Class() QueryClass {
 	return p.w.spec.Classify(p.q)
 }
 
+// explainModel is the part of Explain a warehouse and a cluster share:
+// validation, the query class, the analytical cost and the modelled
+// response under opt's disk placement, the bitmap-fragment note and the
+// SIMPAD plan. nodes is a cluster's node placement (zero for a single
+// warehouse): I/Os then route to (node, disk-within-node) queues.
+func explainModel(ctx context.Context, star *Star, spec *Fragmentation, icfg IndexConfig, opt *options, q Query, nodes Placement) (Explain, error) {
+	if err := ctx.Err(); err != nil {
+		return Explain{}, err
+	}
+	if err := q.Validate(star); err != nil {
+		return Explain{}, err
+	}
+	ex := Explain{Class: spec.Classify(q)}
+	// The response model is left worker-unbounded (only the disks limit
+	// parallelism): bounding it by the serving pool would make the
+	// analytical estimate vary with the host's core count. Callers
+	// wanting the worker-limited critical path can call EstimateResponse
+	// with an explicit DiskParams.Workers.
+	dp := cost.DiskParams{
+		Placement:     opt.modelPlacement(), // in a cluster, each node's own declustering
+		NodePlacement: nodes,
+		AccessTime:    opt.modelAccessTime(),
+		PackedBitmaps: opt.onDisk,
+	}
+	if plan := opt.faultPlan; plan != nil {
+		// Degraded-disk response: under a fault plan every read costs
+		// RetryFactor(p) expected attempts, so every queue — each disk of
+		// each node, all running the same plan — deepens by that factor (a
+		// permanently failed disk fails queries instead of slowing them,
+		// so it is not modelled here).
+		if f := cost.RetryFactor(plan.ReadErrorRate + plan.CorruptRate); f > 1 {
+			queues := max(nodes.Disks, 1) * dp.Placement.Disks
+			dp.Degraded = make(map[int]float64, queues)
+			for k := 0; k < queues; k++ {
+				dp.Degraded[k] = f
+			}
+		}
+	}
+	ex.Response = cost.EstimateResponse(spec, icfg, q, opt.params, dp)
+	ex.Cost = ex.Response.Cost
+	ex.Note = cost.BitmapFragNote(spec, icfg, ex.Cost, dp.PackedBitmaps)
+	plan := simpad.NewPlan(spec, icfg, q, opt.simCfg)
+	if opt.cluster > 1 {
+		plan = plan.Clustered(opt.cluster)
+	}
+	ex.Plan = plan
+	return ex, nil
+}
+
 // Explain estimates the query without executing it: the analytical I/O
 // cost (Section 4.5), the modelled response under the warehouse's disk
 // placement (Section 4.6's queue model), and the SIMPAD physical plan.
@@ -182,47 +232,13 @@ func (p *PreparedQuery) Class() QueryClass {
 // at schema scales that could never be materialised.
 func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 	w := p.w
-	if err := ctx.Err(); err != nil {
-		return Explain{}, err
-	}
 	if w.spec == nil {
 		return Explain{}, fmt.Errorf("mdhf: warehouse opened without a fragmentation")
 	}
-	if err := p.q.Validate(w.star); err != nil {
+	ex, err := explainModel(ctx, w.star, w.spec, w.icfg, &w.opt, p.q, Placement{})
+	if err != nil {
 		return Explain{}, err
 	}
-	ex := Explain{Class: w.spec.Classify(p.q)}
-	// The response model is left worker-unbounded (only the disks limit
-	// parallelism): bounding it by the serving pool would make the
-	// analytical estimate vary with the host's core count. Callers
-	// wanting the worker-limited critical path can call EstimateResponse
-	// with an explicit DiskParams.Workers.
-	dp := cost.DiskParams{
-		Placement:     w.opt.modelPlacement(),
-		AccessTime:    w.opt.modelAccessTime(),
-		PackedBitmaps: w.opt.onDisk,
-	}
-	if plan := w.opt.faultPlan; plan != nil {
-		// Degraded-disk response: under a fault plan every read costs
-		// RetryFactor(p) expected attempts, so each disk's queue deepens by
-		// that factor (a permanently failed disk fails queries instead of
-		// slowing them, so it is not modelled here).
-		f := cost.RetryFactor(plan.ReadErrorRate + plan.CorruptRate)
-		if f > 1 {
-			dp.Degraded = make(map[int]float64, dp.Placement.Disks)
-			for k := 0; k < dp.Placement.Disks; k++ {
-				dp.Degraded[k] = f
-			}
-		}
-	}
-	ex.Response = cost.EstimateResponse(w.spec, w.icfg, p.q, w.opt.params, dp)
-	ex.Cost = ex.Response.Cost
-	ex.Note = cost.BitmapFragNote(w.spec, w.icfg, ex.Cost, dp.PackedBitmaps)
-	plan := simpad.NewPlan(w.spec, w.icfg, p.q, w.opt.simCfg)
-	if w.opt.cluster > 1 {
-		plan = plan.Clustered(w.opt.cluster)
-	}
-	ex.Plan = plan
 	if set := w.store.Current().Deltas; set.Rows() > 0 {
 		ex.Delta = cost.EstimateDelta(w.spec, p.q, cost.DeltaState{
 			Fragments: set.Fragments(),
