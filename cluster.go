@@ -57,8 +57,8 @@ func NewClusterNode(cfg ClusterNodeConfig, rows *FactTable) (*ClusterNode, error
 	return cluster.NewNode(cfg, rows)
 }
 
-// NewNodeHandler serves one node over HTTP (gob bodies; POST /exec,
-// /append, /compact, GET /stats) — the server side of WithNodeAddrs.
+// NewNodeHandler serves one node over HTTP (binary-framed POST /exec,
+// /append, /compact; JSON GET /stats) — the server side of WithNodeAddrs.
 func NewNodeHandler(n *ClusterNode) http.Handler {
 	return cluster.NewNodeHandler(n)
 }

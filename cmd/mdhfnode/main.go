@@ -3,7 +3,8 @@
 // generates the fact table deterministically from the schema scale and
 // seed, keeps only the shard the cluster placement assigns to its node
 // index, and serves scattered sub-queries, appends, compactions and
-// stats on the given address.
+// stats on the given address (`curl <addr>/stats` prints the node's
+// counters as JSON).
 //
 // Every node of a cluster must be started with identical -frag, -nodes,
 // -scheme, -scale and -seed (they are the sharding contract); only

@@ -16,7 +16,7 @@
 // in-process harness over a []*Node used for deterministic -race
 // equivalence testing (the same oracle discipline as storage.DiskSet),
 // and HTTPTransport, a real loopback/network transport exchanging
-// gob-encoded partials, with per-node retry/backoff (reusing the storage
+// binary-framed partials, with per-node retry/backoff (reusing the storage
 // RetryPolicy shape), a per-node circuit breaker and hedged straggler
 // requests in the Coordinator.
 //
@@ -66,8 +66,8 @@ func (e *NodeError) Error() string {
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// Row is one incoming fact row — the store's own row type, shipped
-// verbatim by both transports (it is gob-friendly).
+// Row is one incoming fact row — the store's own row type, shipped by
+// both transports.
 type Row = epoch.Row
 
 // NodeOf returns the node owning fragment id under the cluster-level

@@ -192,8 +192,8 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 				if a.g == nil {
 					a.g = kernel.NewGrouped()
 				}
-				for i, k := range p.resp.GroupKeys {
-					a.g.Add(k, p.resp.GroupAggs[i])
+				for _, g := range p.resp.Groups {
+					a.g.Add(g.Key, g.Agg)
 				}
 			}
 			a.st.DeltaRows += p.resp.DeltaRows

@@ -14,19 +14,20 @@ import (
 )
 
 // The HTTP transport: one Node behind NewNodeHandler (POST /exec,
-// /append, /compact; GET /stats; gob bodies), N base URLs in front of
-// HTTPTransport. Node-side failures travel as status codes plus an
-// X-Cluster-Error header naming the typed error, so the client can
-// rebuild the same error values the Local transport returns; transport-
-// level failures (connection refused, body cut short) wrap
-// ErrUnavailable and are the coordinator's only retryable errors.
+// /append, /compact; GET /stats), N base URLs in front of HTTPTransport.
+// This file only moves bytes; wire.go owns every body's format. Node-side
+// failures travel as status codes plus an X-Cluster-Error header naming
+// the typed error, so the client can rebuild the same error values the
+// Local transport returns; transport-level failures (connection refused,
+// body cut short or undecodable) wrap ErrUnavailable and are the
+// coordinator's only retryable errors.
 
 const (
 	errHeader     = "X-Cluster-Error"
 	errNodeFailed = "node-failed"
 	errOverloaded = "overloaded"
 	errTooLarge   = "too-large"
-	contentType   = "application/x-gob"
+	contentType   = "application/x-mdhf-frame"
 )
 
 // maxRequestBytes bounds the /exec and /append body a node will buffer:
@@ -44,8 +45,8 @@ var ErrRequestTooLarge = errors.New("cluster: request body too large")
 func NewNodeHandler(n *Node) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /exec", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if !decodeRequest(w, r, &req) {
+		req, ok := readRequest(w, r, decodeFrame[Request])
+		if !ok {
 			return
 		}
 		resp, err := n.Exec(r.Context(), req)
@@ -53,11 +54,13 @@ func NewNodeHandler(n *Node) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeGob(w, &resp)
+		body, _ := EncodeResponse(resp) // never fails
+		w.Header().Set("Content-Type", contentType)
+		w.Write(body) // under 2 kB, net/http declares the length itself
 	})
 	mux.HandleFunc("POST /append", func(w http.ResponseWriter, r *http.Request) {
-		var rows []Row
-		if !decodeRequest(w, r, &rows) {
+		rows, ok := readRequest(w, r, decodeFrame[[]Row])
+		if !ok {
 			return
 		}
 		if err := n.Append(r.Context(), rows); err != nil {
@@ -74,39 +77,49 @@ func NewNodeHandler(n *Node) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		st := n.Stats()
-		writeGob(w, &st)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(encodeStats(n.Stats()))
 	})
 	return mux
 }
 
-// decodeRequest decodes a request body of at most maxRequestBytes into
-// v, answering 413 (declared or actual oversize) or 400 (malformed) and
-// reporting false when it could not.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	oversize := r.ContentLength > maxRequestBytes // declared: refuse unread
-	if !oversize {
-		err := decodeBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), v)
-		if err == nil {
-			return true
-		}
-		var tooLarge *http.MaxBytesError
-		if oversize = errors.As(err, &tooLarge); !oversize {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return false
-		}
+// readRequest reads and decodes a request body, answering 413 (declared
+// or actual oversize) or 400 (malformed) and reporting false when it
+// could not.
+func readRequest[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (T, bool) {
+	data, err := readBody(w, r.Body, r.ContentLength)
+	var v T
+	if err == nil {
+		v, err = decode(data)
 	}
-	w.Header().Set(errHeader, errTooLarge)
-	http.Error(w, ErrRequestTooLarge.Error(), http.StatusRequestEntityTooLarge)
-	return false
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return v, true
+	case errors.As(err, &tooLarge):
+		w.Header().Set(errHeader, errTooLarge)
+		http.Error(w, ErrRequestTooLarge.Error(), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return v, false
 }
 
-func decodeBody(body io.Reader, v any) error {
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return err
+// readBody reads a whole body of at most maxRequestBytes. A declared
+// length is read into one exact-size slice, and refused unread when it
+// is over the cap, so a lying peer cannot make the reader allocate
+// without limit; an undeclared (chunked) one goes through MaxBytesReader,
+// which stops consuming at the cap.
+func readBody(w http.ResponseWriter, body io.ReadCloser, length int64) ([]byte, error) {
+	switch {
+	case length > maxRequestBytes:
+		return nil, &http.MaxBytesError{Limit: maxRequestBytes}
+	case length < 0:
+		return io.ReadAll(http.MaxBytesReader(w, body, maxRequestBytes))
 	}
-	return decodeGob(data, v)
+	data := make([]byte, length)
+	_, err := io.ReadFull(body, data)
+	return data, err
 }
 
 // writeError maps a node-side error onto a status code and the typed
@@ -125,16 +138,6 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-func writeGob(w http.ResponseWriter, v any) {
-	data, err := encodeGob(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.Write(data)
-}
-
 // HTTPTransport talks to N node servers (NewNodeHandler each) at the
 // given base URLs, node k at addrs[k]. Connection-level failures wrap
 // ErrUnavailable so the coordinator's retry loop re-sends them; node-
@@ -143,19 +146,27 @@ func writeGob(w http.ResponseWriter, v any) {
 type HTTPTransport struct {
 	addrs  []string
 	client *http.Client
+	owned  bool // the client is ours: Close drops its idle connections
 }
 
 // NewHTTPTransport returns a transport over the node base URLs
-// (e.g. "http://10.0.0.7:7070"). A nil client uses a default with a
-// 30s overall timeout.
+// (e.g. "http://10.0.0.7:7070"). A nil client uses one of the
+// transport's own — a clone of http.DefaultTransport with a 30s overall
+// timeout — whose keep-alive connections Close releases; a caller's
+// client stays the caller's.
 func NewHTTPTransport(addrs []string, client *http.Client) (*HTTPTransport, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no node addresses")
 	}
+	t := &HTTPTransport{addrs: addrs, client: client}
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		rt := &http.Transport{}
+		if def, ok := http.DefaultTransport.(*http.Transport); ok {
+			rt = def.Clone()
+		}
+		t.client, t.owned = &http.Client{Timeout: 30 * time.Second, Transport: rt}, true
 	}
-	return &HTTPTransport{addrs: addrs, client: client}, nil
+	return t, nil
 }
 
 // Nodes returns the node count.
@@ -163,79 +174,62 @@ func (t *HTTPTransport) Nodes() int { return len(t.addrs) }
 
 // Exec runs one sub-query on node k's server.
 func (t *HTTPTransport) Exec(ctx context.Context, node int, req Request) (Response, error) {
-	var resp Response
-	err := t.post(ctx, node, "/exec", &req, &resp)
-	return resp, err
+	return call(ctx, t, node, http.MethodPost, "/exec", encodeRequest(req), DecodeResponse)
 }
 
 // Append ingests rows on node k's server.
 func (t *HTTPTransport) Append(ctx context.Context, node int, rows []Row) error {
-	return t.post(ctx, node, "/append", &rows, nil)
+	_, err := call[any](ctx, t, node, http.MethodPost, "/append", encodeRows(rows), nil)
+	return err
 }
 
 // Compact compacts node k's shard.
 func (t *HTTPTransport) Compact(ctx context.Context, node int) error {
-	return t.post(ctx, node, "/compact", nil, nil)
+	_, err := call[any](ctx, t, node, http.MethodPost, "/compact", nil, nil)
+	return err
 }
 
 // Stats snapshots node k's counters.
 func (t *HTTPTransport) Stats(ctx context.Context, node int) (NodeStats, error) {
-	var st NodeStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.addrs[node]+"/stats", nil)
-	if err != nil {
-		return st, err
-	}
-	hr, err := t.client.Do(req)
-	if err != nil {
-		return st, unavailable(ctx, err)
-	}
-	defer hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		return st, t.statusErr(node, hr)
-	}
-	if err := decodeBody(hr.Body, &st); err != nil {
-		return st, unavailable(ctx, err)
-	}
-	return st, nil
+	return call(ctx, t, node, http.MethodGet, "/stats", nil, decodeStats)
 }
 
-// Close is a no-op: the http.Client's pooled connections are shared.
-func (t *HTTPTransport) Close() error { return nil }
-
-// post sends a gob body and decodes the gob reply into out (when
-// non-nil). Errors before a status line arrives — and truncated reply
-// bodies — wrap ErrUnavailable; error statuses are rebuilt into the
-// node's typed error.
-func (t *HTTPTransport) post(ctx context.Context, node int, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := encodeGob(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(data)
+// Close releases the idle keep-alive connections of the transport's own
+// client; it leaves a caller-supplied client alone.
+func (t *HTTPTransport) Close() error {
+	if t.owned {
+		t.client.CloseIdleConnections()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.addrs[node]+path, body)
+	return nil
+}
+
+// call sends body to node k's path and decodes the whole reply (when
+// decode is non-nil). Errors before a status line arrives — and replies
+// cut short, over maxRequestBytes or undecodable — wrap ErrUnavailable;
+// error statuses are rebuilt into the node's typed error.
+func call[T any](ctx context.Context, t *HTTPTransport, node int, method, path string, body []byte, decode func([]byte) (T, error)) (T, error) {
+	var v T
+	req, err := http.NewRequestWithContext(ctx, method, t.addrs[node]+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return v, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	hr, err := t.client.Do(req)
 	if err != nil {
-		return unavailable(ctx, err)
+		return v, unavailable(ctx, err)
 	}
 	defer hr.Body.Close()
 	if hr.StatusCode < 200 || hr.StatusCode > 299 {
-		return t.statusErr(node, hr)
+		return v, t.statusErr(node, hr)
 	}
-	if out == nil {
-		io.Copy(io.Discard, hr.Body)
-		return nil
+	data, err := readBody(nil, hr.Body, hr.ContentLength)
+	if err == nil && decode != nil {
+		v, err = decode(data)
 	}
-	if err := decodeBody(hr.Body, out); err != nil {
-		return unavailable(ctx, err)
+	if err != nil {
+		return v, unavailable(ctx, err)
 	}
-	return nil
+	return v, nil
 }
 
 // unavailable classifies a failure to get a whole reply out of a node: a

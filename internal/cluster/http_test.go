@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 	"repro/internal/storage"
 )
 
@@ -282,6 +285,65 @@ func TestHTTPStatsCancelledIsNotUnavailable(t *testing.T) {
 	srv.Close()
 	if _, err := tr.Stats(context.Background(), 0); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dead server: got %v, want ErrUnavailable", err)
+	}
+}
+
+// TestHTTPMalformedReplyIsUnavailable: a node answering 200 with a body
+// that is not a whole, well-formed reply frame fails the coordinator's
+// grouped query with an error wrapping ErrUnavailable — never a panic
+// in the caller's merge, never a result.
+func TestHTTPMalformedReplyIsUnavailable(t *testing.T) {
+	star, spec, _, _, _ := clusterFixture(t)
+	q, err := frag.ParseQuery(star, "group by time::month")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := Response{Grouped: true, Groups: []Group{
+		{Key: 1, Agg: kernel.Aggregate{Count: 1, UnitsSold: 300}},
+		{Key: 2, Agg: kernel.Aggregate{Count: 1, UnitsSold: 300}},
+	}}
+	valid, err := EncodeResponse(grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noGroups, err := EncodeResponse(Response{Grouped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooMany := bytes.Clone(noGroups)
+	tooMany[len(tooMany)-1] = 100 // a one-byte group count, 100 groups in no bytes
+	badVersion := bytes.Clone(valid)
+	badVersion[0] = wireVersion + 1
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"truncated-mid-group", valid[:len(valid)-2]},
+		{"trailing-bytes", append(bytes.Clone(valid), 0)},
+		{"group-count-beyond-body", tooMany},
+		{"unknown-version", badVersion},
+		{"empty", []byte{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write(tc.body)
+			}))
+			defer srv.Close()
+			tr, err := NewHTTPTransport([]string{srv.URL}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retry := storage.RetryPolicy{MaxAttempts: 1, BreakerThreshold: 100}
+			coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, Cluster: alloc.Placement{Disks: 1}, Retry: retry}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			res, _, err := coord.Execute(context.Background(), q)
+			if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), errFrame.Error()) {
+				t.Fatalf("got %+v, %v; want an ErrUnavailable naming the malformed frame", res, err)
+			}
+		})
 	}
 }
 

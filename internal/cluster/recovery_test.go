@@ -40,7 +40,7 @@ func tableRows(t *data.Table, lo, hi int) []Row {
 // the coordinator merges, which must not depend on whether a row arrived
 // in the base table, in a live delta or through a journal replay.
 func partialOf(r Response) Response {
-	return Response{Agg: r.Agg, Grouped: r.Grouped, GroupKeys: r.GroupKeys, GroupAggs: r.GroupAggs}
+	return Response{Agg: r.Agg, Grouped: r.Grouped, Groups: r.Groups}
 }
 
 // TestNodeJournalCrashRecovery abandons an on-disk node without Close

@@ -11,8 +11,8 @@ import (
 )
 
 // Request is one scattered sub-query: the star query's predicates and
-// GROUP BY, shipped verbatim (both are plain index triples, so the gob
-// encoding is trivial). Each node intersects the query's relevant
+// GROUP BY, shipped verbatim (both are plain index tuples, a few varints
+// each on the wire). Each node intersects the query's relevant
 // fragments with the fragment range it owns; the coordinator never
 // enumerates per-node fragment lists onto the wire.
 type Request struct {
@@ -26,17 +26,16 @@ func (r Request) Query() frag.Query {
 }
 
 // Response is one node's partial: the grand-total contribution plus, for
-// grouped queries, the per-group partial aggregates as parallel slices
-// sorted by group key — a canonical (deterministic) encoding of the
-// kernel's group map. Both transports exchange this one struct, so the
-// coordinator's merge is transport-independent.
+// grouped queries, the per-group partial aggregates sorted by group key —
+// a canonical (deterministic) encoding of the kernel's group map. Both
+// transports exchange this one struct, so the coordinator's merge is
+// transport-independent.
 type Response struct {
 	Agg kernel.Aggregate
 	// Grouped distinguishes "grouped query, zero matching groups" from an
-	// ungrouped execution (both carry empty key slices).
-	Grouped   bool
-	GroupKeys []uint64
-	GroupAggs []kernel.Aggregate
+	// ungrouped execution (both carry no groups).
+	Grouped bool
+	Groups  []Group
 
 	// Epoch and DeltaRows report the node snapshot the partial was served
 	// from; Engine and IO carry the node's work/physical-I/O counters for
@@ -48,6 +47,12 @@ type Response struct {
 	// Shared reports the node-side shared-scan batching effect on this
 	// sub-request (zero unless the node was built with a SharedWindow).
 	Shared kernel.SharedScanStats
+}
+
+// Group is one group's partial aggregate under its composed group key.
+type Group struct {
+	Key uint64
+	Agg kernel.Aggregate
 }
 
 // NodeStats is one node's serving snapshot, fetched over the transport.

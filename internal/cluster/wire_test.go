@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/frag"
 	"repro/internal/kernel"
 )
 
@@ -37,9 +40,9 @@ func TestPackPartialCanonical(t *testing.T) {
 	if !bytes.Equal(ea, eb) {
 		t.Fatal("same partial content encoded to different bytes")
 	}
-	for i := 1; i < len(ra.GroupKeys); i++ {
-		if ra.GroupKeys[i-1] >= ra.GroupKeys[i] {
-			t.Fatalf("keys not strictly ascending: %v", ra.GroupKeys)
+	for i := 1; i < len(ra.Groups); i++ {
+		if ra.Groups[i-1].Key >= ra.Groups[i].Key {
+			t.Fatalf("keys not strictly ascending: %v", ra.Groups)
 		}
 	}
 }
@@ -49,7 +52,20 @@ func TestResponsePartialRoundTrip(t *testing.T) {
 	g.Add(3, kernel.Aggregate{Count: 2, UnitsSold: 5, DollarSales: 7, Cost: 11})
 	g.Add(1, kernel.Aggregate{Count: 1, UnitsSold: 1})
 	p := kernel.FragPartial{Agg: kernel.Aggregate{Count: 3, UnitsSold: 6, DollarSales: 7, Cost: 11}, Groups: g}
-	resp := Response{Grouped: true, Epoch: 4, DeltaRows: 2}
+	// Every counter field non-zero and distinct (negative ones too), so a
+	// field the frame forgets — or two it swaps — cannot round-trip.
+	resp := Response{Grouped: true}
+	next := int64(-5)
+	fill := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			next++
+			v.Field(i).SetInt(next * 1000003)
+		}
+	}
+	fill(reflect.ValueOf(&resp.Engine).Elem())
+	fill(reflect.ValueOf(&resp.IO).Elem())
+	fill(reflect.ValueOf(&resp.Shared).Elem())
+	resp.Epoch, resp.DeltaRows = 4, -2
 	packPartial(&resp, p)
 	data, err := EncodeResponse(resp)
 	if err != nil {
@@ -59,25 +75,18 @@ func TestResponsePartialRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Epoch != 4 || dec.DeltaRows != 2 {
-		t.Fatalf("metadata lost: %+v", dec)
+	if !reflect.DeepEqual(dec, resp) {
+		t.Fatalf("round trip changed the response:\n%+v\n%+v", dec, resp)
 	}
-	got := dec.Partial()
-	if got.Agg != p.Agg {
-		t.Fatalf("Agg %+v != %+v", got.Agg, p.Agg)
-	}
-	want := map[uint64]kernel.Aggregate{}
-	p.Groups.ForEach(func(k uint64, a kernel.Aggregate) { want[k] = a })
-	gotm := map[uint64]kernel.Aggregate{}
-	got.Groups.ForEach(func(k uint64, a kernel.Aggregate) { gotm[k] = a })
-	if !reflect.DeepEqual(gotm, want) {
-		t.Fatalf("groups %v != %v", gotm, want)
+	want := []Group{{1, kernel.Aggregate{Count: 1, UnitsSold: 1}}, {3, kernel.Aggregate{Count: 2, UnitsSold: 5, DollarSales: 7, Cost: 11}}}
+	if !reflect.DeepEqual(dec.Groups, want) {
+		t.Fatalf("groups %v != %v", dec.Groups, want)
 	}
 }
 
 func TestResponsePartialUngroupedVsEmptyGroups(t *testing.T) {
-	// Grouped-with-zero-matches and ungrouped both carry empty slices;
-	// the Grouped flag must keep them distinguishable through the wire.
+	// Grouped-with-zero-matches and ungrouped both carry no groups; the
+	// Grouped flag must keep them distinguishable through the wire.
 	grouped := Response{Grouped: true}
 	packPartial(&grouped, kernel.FragPartial{Groups: kernel.NewGrouped()})
 	ungrouped := Response{}
@@ -95,16 +104,84 @@ func TestResponsePartialUngroupedVsEmptyGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := dec.Partial()
-		if (p.Groups != nil) != tc.want {
-			t.Errorf("%s: Groups non-nil = %v, want %v", tc.name, p.Groups != nil, tc.want)
+		if dec.Grouped != tc.want || len(dec.Groups) != 0 {
+			t.Errorf("%s: Grouped = %v with %d groups, want %v with none", tc.name, dec.Grouped, len(dec.Groups), tc.want)
 		}
 	}
+}
+
+// allocated reports the bytes fn allocates on the heap: the least of
+// three runs, since the fuzzing engine's own goroutines allocate beside
+// it now and then.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// checkFrame is the rule every fuzzed body obeys: arbitrary bytes decode
+// to an errFrame error, or to a value whose encoding is the input byte
+// for byte — never a panic, and never an allocation beyond a small
+// multiple of the input (plus the error's own few hundred bytes).
+func checkFrame[T any](t *testing.T, data []byte, decode func([]byte) (T, error), encode func(T) []byte) {
+	t.Helper()
+	var v T
+	var err error
+	if n := allocated(func() { v, err = decode(data) }); n > 32*uint64(len(data))+1024 {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+	}
+	if err != nil {
+		if !errors.Is(err, errFrame) {
+			t.Fatalf("decode error %v does not wrap errFrame", err)
+		}
+		return
+	}
+	if enc := encode(v); !bytes.Equal(enc, data) {
+		t.Fatalf("decoded %+v re-encodes to %x, not %x", v, enc, data)
+	}
+}
+
+// FuzzRequestDecode fuzzes the /exec request body a node reads.
+func FuzzRequestDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{wireVersion, 0x7f, 0})
+	f.Add([]byte{wireVersion, 0x80, 0, 0})
+	f.Add(encodeRequest(Request{}))
+	f.Add(encodeRequest(Request{
+		Preds:   []frag.Pred{{Dim: 0, Level: 2, Member: 11}, {Dim: 3, Level: 0, Member: -1}},
+		GroupBy: []frag.LevelRef{{Dim: 1, Level: 1}},
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrame(t, data, decodeFrame[Request], encodeRequest)
+	})
+}
+
+// FuzzRowsDecode fuzzes the /append row body a node reads.
+func FuzzRowsDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{wireVersion, 0, 3})
+	f.Add([]byte{wireVersion, 0x7f, 1, 0, 0, 0, 0})
+	f.Add(encodeRows([]Row{
+		{Leaves: []int32{1, 2, 3, 1 << 30}, UnitsSold: 5, DollarSales: -6, Cost: 1 << 40},
+		{Leaves: []int32{-1, 0, 7, 9}, UnitsSold: 1},
+		{},
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrame(t, data, decodeFrame[[]Row], encodeRows)
+	})
 }
 
 // FuzzFragPartialRoundTrip fuzzes the transport codec: arbitrary group
 // maps must survive encode/decode with content intact, and the encoding
 // must be a fixed point (canonical form re-encodes byte-identically).
+// The raw bytes are also a reply body the coordinator reads, under
+// checkFrame's rule.
 func FuzzFragPartialRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -114,6 +191,10 @@ func FuzzFragPartialRoundTrip(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkFrame(t, raw, DecodeResponse, func(r Response) []byte {
+			b, _ := EncodeResponse(r)
+			return b
+		})
 		g := kernel.NewGrouped()
 		var total kernel.Aggregate
 		want := map[uint64]kernel.Aggregate{}
@@ -138,13 +219,16 @@ func FuzzFragPartialRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := dec.Partial()
-		if p.Agg != total {
-			t.Fatalf("Agg %+v != %+v", p.Agg, total)
+		if dec.Agg != total {
+			t.Fatalf("Agg %+v != %+v", dec.Agg, total)
 		}
+		p := kernel.FragPartial{Agg: dec.Agg, Groups: kernel.NewGrouped()}
 		got := map[uint64]kernel.Aggregate{}
-		p.Groups.ForEach(func(k uint64, a kernel.Aggregate) { got[k] = a })
-		if len(got) != len(want) {
+		for _, g := range dec.Groups {
+			got[g.Key] = g.Agg
+			p.Groups.Add(g.Key, g.Agg)
+		}
+		if len(got) != len(dec.Groups) || len(got) != len(want) {
 			t.Fatalf("%d groups != %d", len(got), len(want))
 		}
 		for k, a := range want {

@@ -10,8 +10,8 @@ import (
 )
 
 // Row is one incoming fact: the leaf member per dimension (in schema
-// dimension order) plus the three APB-1 measures. It is gob-friendly:
-// the cluster transports ship it verbatim.
+// dimension order) plus the three APB-1 measures — what the cluster
+// transports ship for an append.
 type Row struct {
 	Leaves      []int32
 	UnitsSold   int64

@@ -2,6 +2,7 @@ package mdhf
 
 import (
 	"context"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
@@ -112,6 +113,41 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 		o := append(opts(), WithNodes(3, RoundRobin))
 		assertNoLeaks(t, func() {
 			c, err := OpenCluster(ctx, cfg, o...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workload(
+				func(q Query) error { _, _, err := c.Query(q).Execute(ctx); return err },
+				func(rows []FactRow) error { return c.Append(ctx, rows) },
+				func() error { return c.Compact(ctx) },
+				c.Close)
+		})
+	})
+	// Nodes behind servers that outlive the façade: its Close must still
+	// release every keep-alive connection it opened to them.
+	t.Run("cluster-http", func(t *testing.T) {
+		spec, err := ParseFragmentation(star, cfg.Fragmentation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := Placement{Disks: 3, Scheme: RoundRobin}
+		shards := PartitionFactTable(spec, cl, cfg.Table)
+		addrs := make([]string, len(shards))
+		for k, shard := range shards {
+			node, err := NewClusterNode(ClusterNodeConfig{
+				Spec: spec, Indexes: APB1Indexes(star), Index: k, Cluster: cl,
+				OnDisk: true, Dir: t.TempDir(), Disks: 2, Compress: true, SharedWindow: time.Millisecond,
+			}, shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { node.Close() })
+			srv := httptest.NewServer(NewNodeHandler(node))
+			t.Cleanup(srv.Close)
+			addrs[k] = srv.URL
+		}
+		assertNoLeaks(t, func() {
+			c, err := OpenCluster(ctx, cfg, WithNodes(len(addrs), RoundRobin), WithNodeAddrs(addrs...))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -274,7 +274,7 @@ func WithNodes(n int, scheme AllocScheme) Option {
 // WithNodeAddrs serves the cluster over HTTP (OpenCluster only): node k
 // is the server at addrs[k] (see NewNodeHandler and cmd/mdhfnode), the
 // scheme of WithNodes still decides fragment ownership, and sub-queries
-// travel as gob-encoded partials with per-node retry/backoff, circuit
+// travel as binary-framed partials with per-node retry/backoff, circuit
 // breaking and (WithHedgedRequests) straggler hedging. Without it the
 // cluster runs in-process over locally built nodes.
 func WithNodeAddrs(addrs ...string) Option {
