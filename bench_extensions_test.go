@@ -88,9 +88,10 @@ func BenchmarkExtWAHCompression(b *testing.B) {
 		dense.Set(i)
 	}
 	cs, cd := bitmap.Compress(sparse), bitmap.Compress(dense)
+	var and bitmap.Compressed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bitmap.And(cs, cd)
+		bitmap.AndAllInto(&and, cs, cd)
 	}
 	b.ReportMetric(float64(cs.Bytes())/float64(sparse.Bytes()), "sparse-ratio")
 }

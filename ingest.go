@@ -12,9 +12,9 @@ type FactRow = epoch.Row
 
 // Append admits a batch of fact rows into the warehouse: each row is
 // routed to its placement-mapped fragment, sealed into a fragment-
-// aligned delta segment carrying its own WAH bitmap fragments, journaled
-// to the delta log (on-disk backends — through the segment's disk queue
-// when declustered), and published atomically to subsequent queries.
+// aligned delta segment of plain row columns, journaled to the delta log
+// (on-disk backends — through the segment's disk queue when
+// declustered), and published atomically to subsequent queries.
 // Queries already admitted keep their pinned snapshot and do not see the
 // new rows; queries admitted after Append returns aggregate base + delta
 // with results byte-identical to a warehouse built from the union of the

@@ -9,17 +9,11 @@ package bitmap
 // and carries one group in its low 63 bits. A fill word has MSB 1, the
 // fill bit in bit 62, and the run length (in groups) in the low 62 bits.
 //
-// Beyond the round-trip codec this file implements kernels that run
-// directly on the encoded words — what the delta segments' selections
-// (frag.DeltaIndex.Select) execute on; the base-row folds of the two
-// backends decode stored bitmaps into Bitsets instead. Logical operations
-// (AndAll, AndNot, Not) skip runs — a zero-fill run in any operand
-// advances every operand by the whole run without decoding a single
-// group — and streaming iterators (ForEach, ForEachRange) let hit
-// positions flow out of a compressed result without ever materialising
-// a Bitset.
-
-import "math/bits"
+// WAH is a storage format: both backends decode a stored bitmap into a
+// Bitset (DecompressInto, or andInto for an index's operands) and execute
+// on that. Beyond the codec, only AndAllInto runs on the encoded words, a
+// k-way intersection that skips a zero-fill run in any operand in every
+// operand at once without decoding a single group.
 
 const (
 	groupBits = 63
@@ -43,11 +37,6 @@ func (c *Compressed) Bytes() int { return len(c.words) * 8 }
 
 // Words exposes the raw encoded words for serialisation.
 func (c *Compressed) Words() []uint64 { return c.words }
-
-// FromWords reconstructs a compressed bitmap from serialised words.
-func FromWords(nBits int, words []uint64) *Compressed {
-	return &Compressed{n: nBits, words: words}
-}
 
 // ResetWords reinitialises c to an n-bit bitmap backed by k encoded words,
 // reusing the existing allocation where possible, and returns the words
@@ -140,45 +129,21 @@ func (a *appender) group(v uint64) {
 }
 
 // Compress encodes a bitset.
-func Compress(b *Bitset) *Compressed {
-	c := &Compressed{n: b.Len()}
+func Compress(b *Bitset) *Compressed { return CompressInto(&Compressed{}, b) }
+
+// CompressInto encodes a bitset into dst, reusing dst's words, and
+// returns dst.
+func CompressInto(dst *Compressed, b *Bitset) *Compressed {
+	dst.n = b.Len()
 	groups := (b.Len() + groupBits - 1) / groupBits
 	// Zero-pad semantics: the final partial group is stored as-is.
-	var app appender
+	app := appender{words: dst.words[:0]}
 	for g := 0; g < groups; g++ {
 		app.group(group(b, g))
 	}
 	app.flush()
-	c.words = app.words
-	return c
-}
-
-// CompressedOnes returns the compressed all-ones bitmap of n bits — the
-// neutral element for AndNot chains when a selection has no positive
-// operand.
-func CompressedOnes(n int) *Compressed {
-	return CompressedOnesInto(nil, n)
-}
-
-// CompressedOnesInto is CompressedOnes writing into out (allocated when
-// nil), reusing its storage.
-func CompressedOnesInto(out *Compressed, n int) *Compressed {
-	if out == nil {
-		out = &Compressed{}
-	}
-	out.n = n
-	groups := (n + groupBits - 1) / groupBits
-	r := n % groupBits
-	app := appender{words: out.words[:0]}
-	if r == 0 {
-		app.run(1, uint64(groups))
-	} else {
-		app.run(1, uint64(groups-1))
-		app.group(uint64(1)<<uint(r) - 1)
-	}
-	app.flush()
-	out.words = app.words
-	return out
+	dst.words = app.words
+	return dst
 }
 
 // Decompress reconstructs the bitset.
@@ -246,118 +211,6 @@ func (c *Compressed) andInto(dst *Bitset, complement bool) {
 	}
 }
 
-// OnesCount returns the number of set bits without decompressing.
-func (c *Compressed) OnesCount() int {
-	count := 0
-	g := 0
-	groups := c.groups()
-	lastBits := c.n - (groups-1)*groupBits
-	for _, w := range c.words {
-		if w&fillFlag == 0 {
-			count += bits.OnesCount64(w & groupMask)
-			g++
-			continue
-		}
-		run := int(w & maxRun)
-		if w&fillOne != 0 {
-			// Full groups of ones; the final group of the bitmap may be
-			// partial.
-			count += run * groupBits
-			if g+run == groups {
-				count -= groupBits - lastBits
-			}
-		}
-		g += run
-	}
-	return count
-}
-
-// Any reports whether at least one bit is set, without decompressing.
-func (c *Compressed) Any() bool {
-	for _, w := range c.words {
-		if w&fillFlag == 0 {
-			if w&groupMask != 0 {
-				return true
-			}
-		} else if w&fillOne != 0 && w&maxRun > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ForEachRange calls fn with every maximal run [lo, hi) of consecutive set
-// bits, in ascending order, streaming directly over the encoded words:
-// one-fill runs yield without decoding, literals are scanned with bit
-// tricks.
-func (c *Compressed) ForEachRange(fn func(lo, hi int)) {
-	g := 0
-	open := -1 // start of the in-progress run of ones, or -1
-	for _, w := range c.words {
-		if w&fillFlag != 0 {
-			run := int(w & maxRun)
-			if w&fillOne != 0 {
-				if open < 0 {
-					open = g * groupBits
-				}
-			} else if open >= 0 {
-				fn(open, g*groupBits)
-				open = -1
-			}
-			g += run
-			continue
-		}
-		base := g * groupBits
-		g++
-		v := w & groupMask
-		if v == 0 {
-			if open >= 0 {
-				fn(open, base)
-				open = -1
-			}
-			continue
-		}
-		off := 0
-		for v != 0 {
-			if tz := bits.TrailingZeros64(v); tz > 0 {
-				if open >= 0 {
-					fn(open, base+off)
-					open = -1
-				}
-				v >>= uint(tz)
-				off += tz
-			}
-			ones := bits.TrailingZeros64(^v)
-			if open < 0 {
-				open = base + off
-			}
-			v >>= uint(ones)
-			off += ones
-		}
-		// Trailing zeros inside the group close the run.
-		if off < groupBits && open >= 0 {
-			fn(open, base+off)
-			open = -1
-		}
-	}
-	if open >= 0 {
-		hi := c.n
-		if open < hi {
-			fn(open, hi)
-		}
-	}
-}
-
-// ForEach calls fn with the index of every set bit, in ascending order,
-// without materialising a Bitset.
-func (c *Compressed) ForEach(fn func(i int)) {
-	c.ForEachRange(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // cursor walks the groups of a compressed bitmap with O(1) run skipping:
 // skip(n) advances n groups touching only the fill words they live in.
 type cursor struct {
@@ -406,25 +259,15 @@ func (cu *cursor) take() uint64 {
 	return cu.val
 }
 
-// And intersects two compressed bitmaps of equal length, producing a
-// compressed result without materialising either side.
-func And(a, b *Compressed) *Compressed {
-	return AndAll(a, b)
-}
-
-// AndAll intersects any number of compressed bitmaps of equal length in a
-// single k-way pass. When any operand presents a zero-fill run the result
-// is zero for the run's whole extent, so every operand skips that many
-// groups without decoding them.
-func AndAll(ops ...*Compressed) *Compressed {
-	return AndAllInto(nil, ops...)
-}
-
-// AndAllInto is AndAll writing the result into out (allocated when nil),
-// reusing out's storage. out must not alias any operand.
+// AndAllInto intersects any number of compressed bitmaps of equal length
+// in a single k-way pass, writing the result into out (allocated when
+// nil) and reusing out's storage. When any operand presents a zero-fill
+// run the result is zero for the run's whole extent, so every operand
+// skips that many groups without decoding them. out must not alias any
+// operand.
 func AndAllInto(out *Compressed, ops ...*Compressed) *Compressed {
 	if len(ops) == 0 {
-		panic("bitmap: AndAll of no operands")
+		panic("bitmap: AndAllInto of no operands")
 	}
 	n := ops[0].n
 	for _, o := range ops[1:] {
@@ -502,214 +345,6 @@ func AndAllInto(out *Compressed, ops ...*Compressed) *Compressed {
 			v &= cur[i].take()
 		}
 		app.group(v)
-		g++
-	}
-	app.flush()
-	out.words = app.words
-	return out
-}
-
-// Selection is the reusable operand and result buffer set of one
-// conjunction of compressed bitmaps taken verbatim or complemented — a
-// star query's bitmap selection within a fragment. The zero value is
-// ready to use.
-type Selection struct {
-	pos, neg []*Compressed
-	res, tmp *Compressed
-}
-
-// Reset empties the operand lists, keeping their storage.
-func (s *Selection) Reset() { s.pos, s.neg = s.pos[:0], s.neg[:0] }
-
-// Add adds c, or its complement, to the conjunction.
-func (s *Selection) Add(c *Compressed, complement bool) {
-	if complement {
-		s.neg = append(s.neg, c)
-	} else {
-		s.pos = append(s.pos, c)
-	}
-}
-
-// Intersect ANDs the operands over rows bits: all verbatim ones with a
-// single k-way AndAll — or, when every operand is complemented (an
-// all-zero pattern), the all-ones bitmap — then the complemented ones
-// folded in with run-skipping AndNot. The result is valid until the next
-// Intersect on the same Selection.
-func (s *Selection) Intersect(rows int) *Compressed {
-	if len(s.pos) > 0 {
-		s.res = AndAllInto(s.res, s.pos...)
-	} else {
-		s.res = CompressedOnesInto(s.res, rows)
-	}
-	for _, n := range s.neg {
-		s.tmp = AndNotInto(s.tmp, s.res, n)
-		s.res, s.tmp = s.tmp, s.res
-	}
-	return s.res
-}
-
-// AndNot returns a AND NOT b over compressed operands of equal length.
-func AndNot(a, b *Compressed) *Compressed {
-	return AndNotInto(nil, a, b)
-}
-
-// AndNotInto is AndNot writing into out (allocated when nil), reusing its
-// storage. out must not alias a or b. Zero runs of a and one runs of b
-// skip whole extents without decoding; one runs of a over zero runs of b
-// emit fills directly.
-func AndNotInto(out *Compressed, a, b *Compressed) *Compressed {
-	if a.n != b.n {
-		panic("bitmap: compressed length mismatch")
-	}
-	if out == nil {
-		out = &Compressed{}
-	}
-	out.n = a.n
-	ca := cursor{words: a.words}
-	cb := cursor{words: b.words}
-	app := appender{words: out.words[:0]}
-	total := a.groups()
-	g := 0
-	for g < total {
-		rem := uint64(total - g)
-		ca.load()
-		cb.load()
-		// a&^b is zero wherever a is zero or b is one.
-		var zskip uint64
-		if ca.fill && ca.val == 0 && ca.left > zskip {
-			zskip = ca.left
-		}
-		if cb.fill && cb.val == groupMask && cb.left > zskip {
-			zskip = cb.left
-		}
-		if zskip > 0 {
-			if zskip > rem {
-				zskip = rem
-			}
-			app.run(0, zskip)
-			ca.skip(zskip)
-			cb.skip(zskip)
-			g += int(zskip)
-			continue
-		}
-		if ca.fill && ca.val == groupMask && cb.fill && cb.val == 0 {
-			n := ca.left
-			if cb.left < n {
-				n = cb.left
-			}
-			app.run(1, n)
-			ca.skip(n)
-			cb.skip(n)
-			g += int(n)
-			continue
-		}
-		// The zero padding of a's final group keeps the result's padding
-		// zero without masking.
-		app.group(ca.take() &^ cb.take())
-		g++
-	}
-	app.flush()
-	out.words = app.words
-	return out
-}
-
-// Not returns the complement of c as a compressed bitmap: fills flip
-// wholesale, literals flip word-wise, and the final partial group is
-// masked so padding bits stay zero.
-func Not(c *Compressed) *Compressed {
-	out := &Compressed{n: c.n}
-	total := c.groups()
-	lastMask := groupMask
-	if r := c.n % groupBits; r != 0 {
-		lastMask = uint64(1)<<uint(r) - 1
-	}
-	cu := cursor{words: c.words}
-	var app appender
-	g := 0
-	for g < total {
-		cu.load()
-		if cu.fill {
-			cnt := cu.left
-			if rem := uint64(total - g); cnt > rem {
-				cnt = rem
-			}
-			flip := uint64(0)
-			if cu.val == 0 {
-				flip = 1
-			}
-			if g+int(cnt) == total && lastMask != groupMask {
-				// The run reaches the padded final group: emit it masked.
-				app.run(flip, cnt-1)
-				if cu.val == 0 {
-					app.group(lastMask)
-				} else {
-					app.group(0)
-				}
-			} else {
-				app.run(flip, cnt)
-			}
-			cu.skip(cnt)
-			g += int(cnt)
-			continue
-		}
-		v := cu.take() ^ groupMask
-		if g == total-1 {
-			v &= lastMask
-		}
-		app.group(v)
-		g++
-	}
-	app.flush()
-	out.words = app.words
-	return out
-}
-
-// Or unions two compressed bitmaps of equal length. Runs are processed
-// wholesale: a one-fill in either operand forces ones, twin zero-fills
-// skip together.
-func Or(a, b *Compressed) *Compressed {
-	if a.n != b.n {
-		panic("bitmap: compressed length mismatch")
-	}
-	out := &Compressed{n: a.n}
-	ca := cursor{words: a.words}
-	cb := cursor{words: b.words}
-	var app appender
-	total := a.groups()
-	g := 0
-	for g < total {
-		rem := uint64(total - g)
-		ca.load()
-		cb.load()
-		var oskip uint64
-		if ca.fill && ca.val == groupMask && ca.left > oskip {
-			oskip = ca.left
-		}
-		if cb.fill && cb.val == groupMask && cb.left > oskip {
-			oskip = cb.left
-		}
-		if oskip > 0 {
-			if oskip > rem {
-				oskip = rem
-			}
-			app.run(1, oskip)
-			ca.skip(oskip)
-			cb.skip(oskip)
-			g += int(oskip)
-			continue
-		}
-		if ca.fill && ca.val == 0 && cb.fill && cb.val == 0 {
-			n := ca.left
-			if cb.left < n {
-				n = cb.left
-			}
-			app.run(0, n)
-			ca.skip(n)
-			cb.skip(n)
-			g += int(n)
-			continue
-		}
-		app.group(ca.take() | cb.take())
 		g++
 	}
 	app.flush()

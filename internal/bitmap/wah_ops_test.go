@@ -2,14 +2,16 @@ package bitmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/schema"
 )
 
-// Property tests for the compressed execution kernels: every operation on
-// Compressed is checked against the Bitset oracle across densities
-// (all-zero, all-one, sparse, dense) and run-boundary lengths
+// Property tests for the WAH codec and the kernels that read encoded
+// words: every operation on Compressed is checked against the Bitset
+// oracle across densities (all-zero, all-one, sparse, dense) and
+// run-boundary lengths
 // (n % 63 ∈ {0, 1, 62}).
 
 // opTestLens covers the group-boundary cases: n % 63 ∈ {0, 1, 62}, plus
@@ -75,9 +77,9 @@ func TestAndAllMatchesOracle(t *testing.T) {
 				for _, p := range plain[1:] {
 					want.And(p)
 				}
-				got := AndAll(ops...).Decompress()
+				got := AndAllInto(nil, ops...).Decompress()
 				if !got.Equal(want) {
-					t.Fatalf("n=%d k=%d trial=%d: AndAll diverges from Bitset oracle", n, k, trial)
+					t.Fatalf("n=%d k=%d trial=%d: AndAllInto diverges from Bitset oracle", n, k, trial)
 				}
 			}
 		}
@@ -99,145 +101,6 @@ func TestAndAllIntoReusesScratch(t *testing.T) {
 		}
 		if !got.Decompress().Equal(want) {
 			t.Fatalf("trial %d: AndAllInto with reused scratch diverges", trial)
-		}
-	}
-}
-
-func TestAndNotMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range opTestLens {
-		for _, da := range opTestDensities {
-			for _, db := range opTestDensities {
-				pa := densityBitset(rng, n, da)
-				pb := densityBitset(rng, n, db)
-				want := pa.Clone()
-				want.AndNot(pb)
-				got := AndNot(Compress(pa), Compress(pb)).Decompress()
-				if !got.Equal(want) {
-					t.Fatalf("n=%d da=%g db=%g: AndNot diverges", n, da, db)
-				}
-			}
-		}
-		a := runnyBitset(rng, n)
-		b := runnyBitset(rng, n)
-		want := a.Clone()
-		want.AndNot(b)
-		if got := AndNot(Compress(a), Compress(b)).Decompress(); !got.Equal(want) {
-			t.Fatalf("n=%d: AndNot diverges on runny inputs", n)
-		}
-	}
-}
-
-func TestNotMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, n := range opTestLens {
-		for _, d := range opTestDensities {
-			p := densityBitset(rng, n, d)
-			want := p.Clone()
-			want.Not()
-			nc := Not(Compress(p))
-			if got := nc.Decompress(); !got.Equal(want) {
-				t.Fatalf("n=%d d=%g: Not diverges", n, d)
-			}
-			if nc.OnesCount() != want.OnesCount() {
-				t.Fatalf("n=%d d=%g: Not OnesCount %d != %d (padding bits leaked?)",
-					n, d, nc.OnesCount(), want.OnesCount())
-			}
-		}
-	}
-}
-
-func TestOrMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, n := range opTestLens {
-		for _, da := range opTestDensities {
-			for _, db := range opTestDensities {
-				pa := densityBitset(rng, n, da)
-				pb := densityBitset(rng, n, db)
-				want := pa.Clone()
-				want.Or(pb)
-				got := Or(Compress(pa), Compress(pb)).Decompress()
-				if !got.Equal(want) {
-					t.Fatalf("n=%d da=%g db=%g: Or diverges", n, da, db)
-				}
-			}
-		}
-	}
-}
-
-func TestForEachAndRangesMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, n := range opTestLens {
-		for _, d := range opTestDensities {
-			for _, runny := range []bool{false, true} {
-				var p *Bitset
-				if runny {
-					p = runnyBitset(rng, n)
-				} else {
-					p = densityBitset(rng, n, d)
-				}
-				c := Compress(p)
-				var want, got []int
-				p.ForEach(func(i int) { want = append(want, i) })
-				c.ForEach(func(i int) { got = append(got, i) })
-				if len(want) != len(got) {
-					t.Fatalf("n=%d d=%g runny=%v: ForEach yields %d bits, oracle %d", n, d, runny, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("n=%d d=%g runny=%v: ForEach bit %d = %d, oracle %d", n, d, runny, i, got[i], want[i])
-					}
-				}
-				// Ranges must be maximal, ascending, non-adjacent.
-				prevHi := -1
-				total := 0
-				c.ForEachRange(func(lo, hi int) {
-					if lo >= hi || lo <= prevHi {
-						t.Fatalf("n=%d: bad range [%d,%d) after hi=%d", n, lo, hi, prevHi)
-					}
-					if lo > 0 && p.Get(lo-1) || hi < n && p.Get(hi) {
-						t.Fatalf("n=%d: range [%d,%d) not maximal", n, lo, hi)
-					}
-					for i := lo; i < hi; i++ {
-						if !p.Get(i) {
-							t.Fatalf("n=%d: range [%d,%d) covers clear bit %d", n, lo, hi, i)
-						}
-					}
-					prevHi = hi
-					total += hi - lo
-				})
-				if total != p.OnesCount() {
-					t.Fatalf("n=%d: ranges cover %d bits, oracle %d", n, total, p.OnesCount())
-				}
-			}
-		}
-	}
-}
-
-func TestCompressedOnes(t *testing.T) {
-	for _, n := range opTestLens {
-		c := CompressedOnes(n)
-		if c.OnesCount() != n {
-			t.Fatalf("n=%d: CompressedOnes counts %d", n, c.OnesCount())
-		}
-		all := New(n)
-		all.SetAll()
-		if !c.Decompress().Equal(all) {
-			t.Fatalf("n=%d: CompressedOnes decompresses wrong", n)
-		}
-	}
-}
-
-func TestCompressedAny(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range opTestLens {
-		if Compress(New(n)).Any() {
-			t.Fatalf("n=%d: empty bitmap reports Any", n)
-		}
-		p := New(n)
-		p.Set(rng.Intn(n))
-		if !Compress(p).Any() {
-			t.Fatalf("n=%d: one-bit bitmap reports !Any", n)
 		}
 	}
 }
@@ -335,8 +198,9 @@ func TestCompressedSimpleIndexMatches(t *testing.T) {
 	}
 }
 
-// FuzzCompressedOps cross-checks the compressed kernels against the Bitset
-// oracle on fuzzer-chosen lengths and bit patterns.
+// FuzzCompressedOps cross-checks the codec and the kernels that read
+// encoded words against the Bitset oracle on fuzzer-chosen lengths and
+// bit patterns.
 func FuzzCompressedOps(f *testing.F) {
 	f.Add(uint16(63), uint64(0xdeadbeef), uint64(0x12345))
 	f.Add(uint16(1), uint64(1), uint64(0))
@@ -349,25 +213,25 @@ func FuzzCompressedOps(f *testing.F) {
 		a := runnyBitset(rngA, n)
 		b := densityBitset(rngB, n, float64(seedB%100)/99)
 		ca, cb := Compress(a), Compress(b)
+		if !ca.DecompressInto(b.Clone()).Equal(a) {
+			t.Fatal("DecompressInto over a dirty destination diverges")
+		}
 		andWant := a.Clone()
 		andWant.And(b)
-		if !AndAll(ca, cb).Decompress().Equal(andWant) {
-			t.Fatal("AndAll diverges")
+		if !AndAllInto(nil, ca, cb).Decompress().Equal(andWant) {
+			t.Fatal("AndAllInto diverges")
 		}
-		notWant := a.Clone()
-		notWant.Not()
-		if !Not(ca).Decompress().Equal(notWant) {
-			t.Fatal("Not diverges")
+		anGot, anWant := b.Clone(), b.Clone()
+		anWant.AndNot(a)
+		if ca.andInto(anGot, true); !anGot.Equal(anWant) {
+			t.Fatal("andInto complemented diverges")
 		}
-		anWant := a.Clone()
-		anWant.AndNot(b)
-		if !AndNot(ca, cb).Decompress().Equal(anWant) {
-			t.Fatal("AndNot diverges")
-		}
-		count := 0
-		ca.ForEachRange(func(lo, hi int) { count += hi - lo })
-		if count != a.OnesCount() {
-			t.Fatalf("ForEachRange covers %d bits, oracle %d", count, a.OnesCount())
+		// A destination holding more words and bits than the result must
+		// come out exactly as a fresh encoding.
+		dst := Compress(densityBitset(rngB, 2*n+126, 0.5))
+		dirty := len(dst.Words())
+		if got := CompressInto(dst, a); got.Len() != ca.Len() || !slices.Equal(got.Words(), ca.Words()) {
+			t.Fatalf("CompressInto over %d dirty words: %x, Compress: %x", dirty, got.Words(), ca.Words())
 		}
 	})
 }

@@ -29,10 +29,10 @@ const coalesceRows = 4096
 // Append admits a batch of fact rows: each row is validated and routed
 // to its fragment (a fragment outside Config.Own, or on disk a measure
 // outside int32, rejects the whole batch before anything is admitted),
-// sealed into a fragment-aligned delta
-// segment carrying its own WAH bitmap fragments, journaled to the delta
-// log (on-disk stores — through the segment's disk queue when
-// declustered), and published atomically to subsequent queries. Queries
+// sealed into a fragment-aligned delta segment of plain row columns,
+// journaled to the delta log (on-disk stores — through the segment's disk
+// queue when declustered), and published atomically to subsequent
+// queries with one copy of the delta set per batch. Queries
 // already admitted keep their pinned snapshot and do not see the new
 // rows; queries admitted after Append returns aggregate base + delta
 // with results byte-identical to a store built from the union of the
@@ -84,36 +84,34 @@ func (s *Store) Append(rows []Row) error {
 	if s.dlog != nil {
 		mark = s.dlog.Stats()
 	}
-	for _, id := range order {
+	segs := make([]*frag.DeltaSegment, len(order))
+	replace := make([]bool, len(order))
+	for i, id := range order {
 		var sb *frag.SegmentBuilder
-		replace := false
 		// Coalesce into the fragment's small tail segment — except while a
 		// compaction is in flight: segments at or below the compaction
 		// boundary must stay frozen so the epoch swap can drop exactly them.
 		if tail := set.Tail(id); tail != nil && !s.compacting && tail.Rows() < coalesceRows {
 			sb = s.ix.ExtendSegment(tail)
-			replace = true
+			replace[i] = true
 		} else {
 			sb = s.ix.NewSegment(id)
 		}
+		sb.Grow(len(byFrag[id]))
 		for _, ri := range byFrag[id] {
 			r := &rows[ri]
 			sb.Add(r.Leaves, r.UnitsSold, r.DollarSales, r.Cost)
 		}
 		s.seq++
-		seg := sb.Seal(s.seq)
+		segs[i] = sb.Seal(s.seq)
 		if s.dlog != nil {
-			if err := s.dlog.AppendSegment(seg, replace); err != nil {
+			if err := s.dlog.AppendSegment(segs[i], replace[i]); err != nil {
 				s.seq = seq0
 				return errors.Join(err, s.dlog.Rollback(mark))
 			}
 		}
-		if replace {
-			set = set.WithTailReplaced(seg)
-		} else {
-			set = set.With(seg)
-		}
 	}
+	set = set.WithBatch(segs, replace)
 
 	s.mu.Lock()
 	s.cur.Deltas = set

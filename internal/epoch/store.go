@@ -233,9 +233,14 @@ func (s *Store) Build(t *data.Table) error {
 // folded are not in the journal: epoch 0 is rebuilt from the supplied
 // table, so they come back only if the caller's table holds them.
 func (s *Store) replay(ix *frag.DeltaIndex, recs []storage.DeltaRecord) *frag.DeltaSet {
-	var set *frag.DeltaSet
-	for _, rec := range recs {
+	if len(recs) == 0 {
+		return nil
+	}
+	segs := make([]*frag.DeltaSegment, len(recs))
+	replace := make([]bool, len(recs))
+	for ri, rec := range recs {
 		sb := ix.NewSegment(rec.Frag)
+		sb.Grow(rec.Rows())
 		leaves := make([]int32, len(rec.Leaves))
 		for i := 0; i < rec.Rows(); i++ {
 			for d := range rec.Leaves {
@@ -243,17 +248,10 @@ func (s *Store) replay(ix *frag.DeltaIndex, recs []storage.DeltaRecord) *frag.De
 			}
 			sb.Add(leaves, rec.Units[i], rec.Dollars[i], rec.Costs[i])
 		}
-		seg := sb.Seal(rec.Seq)
-		if rec.Replace {
-			set = set.WithTailReplaced(seg)
-		} else {
-			set = set.With(seg)
-		}
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
-		}
+		segs[ri], replace[ri] = sb.Seal(rec.Seq), rec.Replace
+		s.seq = max(s.seq, rec.Seq)
 	}
-	return set
+	return (*frag.DeltaSet)(nil).WithBatch(segs, replace)
 }
 
 // Begin registers one in-flight operation; End must be called when it

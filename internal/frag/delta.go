@@ -3,14 +3,13 @@ package frag
 // Delta fragments: the append side of the epoch-versioned warehouse. A
 // fragment's data becomes base + []delta — the base is whatever the
 // backend built at the last compaction, and each delta is a sealed,
-// immutable, fragment-aligned row buffer carrying its own WAH bitmap
-// fragments, built incrementally (bitmap.Builder) as rows arrive so a
-// segment extension never rewrites the compressed words it already has.
-// The surviving-bitmap enumeration is exactly the one the on-disk
-// bitmap file stores (Survivors), so predicate evaluation over a delta
-// segment is the same verbatim/complemented WAH intersection the
-// compressed executor path runs — just against in-memory words instead
-// of page reads.
+// immutable, fragment-aligned segment of plain row columns. A segment
+// carries no bitmaps: bitmap join indices exist to spare fact-page I/O
+// (Section 4.3), and a segment is in memory and already confined to its
+// fragment. A query selects a segment's rows by testing each row's leaf
+// members against the leaf ranges of its predicates (DeltaIndex.Ranges),
+// which select exactly the rows the base bitmap plan (Plan) selects over
+// the same leaves.
 
 import (
 	"cmp"
@@ -130,8 +129,8 @@ type BitmapOp struct {
 
 // DeltaIndex is the surviving-bitmap index of a fragmentation: the
 // Survivors enumeration, the encoding layouts and the position of every
-// bitmap in the enumeration. Every delta segment and the on-disk bitmap
-// file share it, so both evaluate a query by the one Plan. It is
+// bitmap in the enumeration. The on-disk bitmap file evaluates a query by
+// its Plan, and the delta segments select rows by its Ranges. It is
 // immutable after construction and safe for concurrent use.
 type DeltaIndex struct {
 	star    *schema.Star
@@ -221,21 +220,46 @@ func (ix *DeltaIndex) Plan(dst []BitmapOp, q Query) ([]BitmapOp, error) {
 	return dst, nil
 }
 
-// bitOf computes one row's bit in the desc's bitmap from its leaf member.
-func (ix *DeltaIndex) bitOf(desc BitmapRef, leaf int32) bool {
-	dim := &ix.star.Dims[desc.Dim]
-	if desc.Simple {
-		return dim.Ancestor(dim.Leaf(), int(leaf), desc.Level) == desc.Member
-	}
-	l := ix.layouts[desc.Dim]
-	return l.Encode(int(leaf))>>uint(l.TotalBits()-1-desc.Bit)&1 == 1
+// LeafRange is one row predicate of a query within a relevant fragment: a
+// row matches when its leaf member on Dim lies in [Lo, Hi).
+type LeafRange struct {
+	Dim    int
+	Lo, Hi int32
 }
 
+// Ranges compiles the query's row predicates within a relevant fragment
+// into sc and returns them, valid until the next Ranges on sc: one range
+// per predicate that needs bitmap access, the predicate member's
+// descendants at the leaf level. Within a fragment a row lies in them
+// exactly when Plan's bitmaps select it (the stored bits below the
+// fragmentation level spell the member's leaf prefix). None is left when
+// every row of a relevant fragment matches by confinement (IOC1).
+func (ix *DeltaIndex) Ranges(q Query, sc *DeltaScratch) []LeafRange {
+	sc.ranges = sc.ranges[:0]
+	for _, p := range q.Preds {
+		if !ix.spec.NeedsBitmap(p) {
+			continue
+		}
+		dim := &ix.star.Dims[p.Dim]
+		lo, hi := dim.DescendantRange(p.Level, p.Member, dim.Leaf())
+		sc.ranges = append(sc.ranges, LeafRange{Dim: p.Dim, Lo: int32(lo), Hi: int32(hi)})
+	}
+	return sc.ranges
+}
+
+// DeltaScratch is the reusable compiled query of the delta fold, one per
+// worker (see the executor scratch it mirrors).
+type DeltaScratch struct {
+	ranges []LeafRange
+}
+
+// NewDeltaScratch returns an empty scratch.
+func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
+
 // DeltaSegment is one sealed, immutable batch of appended fact rows, all
-// belonging to one fragment: the leaf members per dimension, the three
-// measures, and one compressed bitmap per surviving desc — the delta
-// counterpart of a fact fragment plus its bitmap fragments. Segments
-// are ordered by Seq, the warehouse-wide seal sequence number.
+// belonging to one fragment: the leaf members per dimension and the three
+// measures — the delta counterpart of a fact fragment. Segments are
+// ordered by Seq, the warehouse-wide seal sequence number.
 type DeltaSegment struct {
 	frag    int64
 	seq     uint64
@@ -244,7 +268,16 @@ type DeltaSegment struct {
 	units   []int64
 	dollars []int64
 	costs   []int64
-	bms     []*bitmap.Compressed
+}
+
+// Selects reports whether row i lies in every range (see Ranges).
+func (s *DeltaSegment) Selects(ranges []LeafRange, i int) bool {
+	for _, r := range ranges {
+		if l := s.dims[r.Dim][i]; l < r.Lo || l >= r.Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // Frag returns the fragment id the segment belongs to.
@@ -273,45 +306,21 @@ func (s *DeltaSegment) Dollars() []int64 { return s.dollars }
 // Costs returns the Cost measure column (read-only).
 func (s *DeltaSegment) Costs() []int64 { return s.costs }
 
-// Bitmap returns the i-th surviving bitmap of the segment.
-func (s *DeltaSegment) Bitmap(i int) *bitmap.Compressed { return s.bms[i] }
-
-// Bytes returns the approximate in-memory size of the segment: the
-// column data plus the compressed bitmap words.
-func (s *DeltaSegment) Bytes() int {
-	b := s.rows * (4*len(s.dims) + 3*8)
-	for _, c := range s.bms {
-		b += c.Bytes()
-	}
-	return b
-}
-
 // SegmentBuilder accumulates rows into one fragment's next delta
 // segment. Not safe for concurrent use; Seal freezes the content into
 // an immutable DeltaSegment and the builder must then be discarded.
 type SegmentBuilder struct {
-	ix      *DeltaIndex
 	frag    int64
 	rows    int
 	dims    [][]int32
 	units   []int64
 	dollars []int64
 	costs   []int64
-	bbs     []*bitmap.Builder
 }
 
 // NewSegment starts an empty segment builder for the fragment.
 func (ix *DeltaIndex) NewSegment(fragID int64) *SegmentBuilder {
-	sb := &SegmentBuilder{
-		ix:   ix,
-		frag: fragID,
-		dims: make([][]int32, len(ix.star.Dims)),
-		bbs:  make([]*bitmap.Builder, len(ix.descs)),
-	}
-	for i := range sb.bbs {
-		sb.bbs[i] = bitmap.NewBuilder()
-	}
-	return sb
+	return &SegmentBuilder{frag: fragID, dims: make([][]int32, len(ix.star.Dims))}
 }
 
 // ExtendSegment starts a builder whose content equals the sealed
@@ -324,23 +333,16 @@ func (ix *DeltaIndex) NewSegment(fragID int64) *SegmentBuilder {
 // extends. The arrays are therefore shared by the whole chain of
 // extensions: extend only the newest segment of a chain, with one
 // builder at a time (an abandoned builder's rows are overwritten by the
-// next, never exposed). The compressed bitmaps are resumed
-// (bitmap.NewBuilderFrom), not re-encoded.
+// next, never exposed).
 func (ix *DeltaIndex) ExtendSegment(seg *DeltaSegment) *SegmentBuilder {
-	sb := &SegmentBuilder{
-		ix:      ix,
+	return &SegmentBuilder{
 		frag:    seg.frag,
 		rows:    seg.rows,
 		dims:    append([][]int32(nil), seg.dims...),
 		units:   seg.units,
 		dollars: seg.dollars,
 		costs:   seg.costs,
-		bbs:     make([]*bitmap.Builder, len(seg.bms)),
 	}
-	for i, c := range seg.bms {
-		sb.bbs[i] = bitmap.NewBuilderFrom(c)
-	}
-	return sb
 }
 
 // Frag returns the fragment the builder appends to.
@@ -348,6 +350,18 @@ func (sb *SegmentBuilder) Frag() int64 { return sb.frag }
 
 // Rows returns the number of rows accumulated so far.
 func (sb *SegmentBuilder) Rows() int { return sb.rows }
+
+// Grow makes room for n more rows in every column at once, so the rows a
+// batch brings land without the columns growing row by row. Rows still
+// go into the spare capacity a chain of extensions shares.
+func (sb *SegmentBuilder) Grow(n int) {
+	for d := range sb.dims {
+		sb.dims[d] = slices.Grow(sb.dims[d], n)
+	}
+	sb.units = slices.Grow(sb.units, n)
+	sb.dollars = slices.Grow(sb.dollars, n)
+	sb.costs = slices.Grow(sb.costs, n)
+}
 
 // Add appends one fact row given its leaf member per dimension. The
 // caller is responsible for routing the row to the right fragment
@@ -359,16 +373,13 @@ func (sb *SegmentBuilder) Add(leaves []int32, units, dollars, cost int64) {
 	sb.units = append(sb.units, units)
 	sb.dollars = append(sb.dollars, dollars)
 	sb.costs = append(sb.costs, cost)
-	for i, desc := range sb.ix.descs {
-		sb.bbs[i].Append(sb.ix.bitOf(desc, leaves[desc.Dim]))
-	}
 	sb.rows++
 }
 
 // Seal freezes the builder into an immutable segment with the given
-// warehouse-wide sequence number.
+// warehouse-wide sequence number: a header over the builder's columns.
 func (sb *SegmentBuilder) Seal(seq uint64) *DeltaSegment {
-	seg := &DeltaSegment{
+	return &DeltaSegment{
 		frag:    sb.frag,
 		seq:     seq,
 		rows:    sb.rows,
@@ -376,19 +387,14 @@ func (sb *SegmentBuilder) Seal(seq uint64) *DeltaSegment {
 		units:   sb.units,
 		dollars: sb.dollars,
 		costs:   sb.costs,
-		bms:     make([]*bitmap.Compressed, len(sb.bbs)),
 	}
-	for i, bb := range sb.bbs {
-		seg.bms[i] = bb.Finish()
-	}
-	return seg
 }
 
 // DeltaSet is an immutable snapshot of every fragment's delta segments.
-// Mutation is copy-on-write (With / WithTailReplaced / After return new
-// sets), so a query that pinned a set at admission keeps reading it
-// unaffected by concurrent appends and compactions. A nil *DeltaSet is
-// the valid empty set.
+// Mutation is copy-on-write (WithBatch / With / After return new sets),
+// so a query that pinned a set at admission keeps reading it unaffected
+// by concurrent appends and compactions. A nil *DeltaSet is the valid
+// empty set.
 type DeltaSet struct {
 	segs   map[int64][]*DeltaSegment
 	rows   int64
@@ -449,51 +455,44 @@ func (s *DeltaSet) Tail(frag int64) *DeltaSegment {
 	return segs[len(segs)-1]
 }
 
-// clone shallow-copies the set with room for one more segment list.
-func (s *DeltaSet) clone() *DeltaSet {
-	out := &DeltaSet{segs: make(map[int64][]*DeltaSegment, s.Fragments()+1)}
+// WithBatch returns a new set with one batch's segments published in
+// order, at the cost of one copy of the set: segs[i] replaces its
+// fragment's tail segment (it is the sealed extension of that tail) when
+// replace[i], and is appended to the fragment's list otherwise (always
+// when replace is nil). Every Seq must exceed MaxSeq.
+func (s *DeltaSet) WithBatch(segs []*DeltaSegment, replace []bool) *DeltaSet {
+	out := &DeltaSet{segs: make(map[int64][]*DeltaSegment, s.Fragments()+len(segs))}
 	if s != nil {
-		for f, segs := range s.segs {
-			out.segs[f] = segs
+		for f, fs := range s.segs {
+			out.segs[f] = fs
 		}
 		out.rows, out.nsegs, out.maxSeq = s.rows, s.nsegs, s.maxSeq
 	}
+	for i, seg := range segs {
+		keep := out.segs[seg.frag]
+		if replace != nil && replace[i] {
+			if len(keep) == 0 {
+				panic("frag: tail replaced on a fragment without segments")
+			}
+			tail := keep[len(keep)-1]
+			keep = keep[:len(keep)-1]
+			out.rows -= int64(tail.rows)
+			out.nsegs--
+		}
+		// Copy the per-fragment slice so no other set's view aliases a
+		// growing array.
+		out.segs[seg.frag] = append(append(make([]*DeltaSegment, 0, len(keep)+1), keep...), seg)
+		out.rows += int64(seg.rows)
+		out.nsegs++
+		out.maxSeq = max(out.maxSeq, seg.seq)
+	}
 	return out
 }
 
-// With returns a new set with seg appended to its fragment's list. seg's
-// Seq must exceed MaxSeq.
+// With returns a new set with seg appended to its fragment's list: a
+// batch of one new segment.
 func (s *DeltaSet) With(seg *DeltaSegment) *DeltaSet {
-	out := s.clone()
-	prev := out.segs[seg.frag]
-	// Copy the per-fragment slice so the old set's view never aliases a
-	// growing array.
-	out.segs[seg.frag] = append(append(make([]*DeltaSegment, 0, len(prev)+1), prev...), seg)
-	out.rows += int64(seg.rows)
-	out.nsegs++
-	if seg.seq > out.maxSeq {
-		out.maxSeq = seg.seq
-	}
-	return out
-}
-
-// WithTailReplaced returns a new set whose fragment tail segment is
-// replaced by seg (the sealed extension of the old tail). The fragment
-// must have at least one segment.
-func (s *DeltaSet) WithTailReplaced(seg *DeltaSegment) *DeltaSet {
-	out := s.clone()
-	prev := out.segs[seg.frag]
-	if len(prev) == 0 {
-		panic("frag: WithTailReplaced on fragment without segments")
-	}
-	old := prev[len(prev)-1]
-	nl := append(make([]*DeltaSegment, 0, len(prev)), prev[:len(prev)-1]...)
-	out.segs[seg.frag] = append(nl, seg)
-	out.rows += int64(seg.rows - old.rows)
-	if seg.seq > out.maxSeq {
-		out.maxSeq = seg.seq
-	}
-	return out
+	return s.WithBatch([]*DeltaSegment{seg}, nil)
 }
 
 // After returns the subset of segments sealed strictly after seq — the
@@ -548,35 +547,4 @@ func (s *DeltaSet) ForEachSegment(fn func(seg *DeltaSegment)) {
 			fn(seg)
 		}
 	}
-}
-
-// DeltaScratch is the reusable buffer set of delta predicate selection,
-// one per worker (see the executor scratch it mirrors).
-type DeltaScratch struct {
-	plan []BitmapOp
-	sel  bitmap.Selection
-}
-
-// NewDeltaScratch returns an empty scratch.
-func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
-
-// Select evaluates the query's bitmap plan within one delta segment: the
-// segment's compressed bitmaps are taken verbatim or complemented and
-// intersected on their WAH words (bitmap.Selection) — the one place a
-// selection still runs compressed. It
-// returns the compressed hit bitmap — valid until the next Select on the
-// same scratch — or all=true when the plan is empty (IOC1: every row
-// matches by fragment confinement).
-func (ix *DeltaIndex) Select(seg *DeltaSegment, q Query, sc *DeltaScratch) (res *bitmap.Compressed, all bool, err error) {
-	if sc.plan, err = ix.Plan(sc.plan[:0], q); err != nil {
-		return nil, false, err
-	}
-	if len(sc.plan) == 0 {
-		return nil, true, nil
-	}
-	sc.sel.Reset()
-	for _, op := range sc.plan {
-		sc.sel.Add(seg.bms[op.Index], op.Complement)
-	}
-	return sc.sel.Intersect(seg.rows), false, nil
 }

@@ -2,11 +2,9 @@ package frag
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/bitmap"
 	"repro/internal/schema"
 )
 
@@ -46,45 +44,8 @@ func buildSegment(rng *rand.Rand, star *schema.Star, spec *Spec, ix *DeltaIndex,
 	return sb.Seal(seq)
 }
 
-// TestSegmentBitmapsMatchBatchEncoding checks that the incrementally
-// built segment bitmaps equal the batch Compress encoding of the same
-// bit pattern — the property the base/delta equivalence rests on.
-func TestSegmentBitmapsMatchBatchEncoding(t *testing.T) {
-	star, spec, ix := tinyDelta(t)
-	rng := rand.New(rand.NewSource(11))
-	for frag := int64(0); frag < spec.NumFragments(); frag += 3 {
-		rows := 1 + rng.Intn(200)
-		sb := ix.NewSegment(frag)
-		var leavesOf [][]int32
-		for i := 0; i < rows; i++ {
-			l := randomLeavesFor(rng, star, spec, frag)
-			leavesOf = append(leavesOf, l)
-			sb.Add(l, 1, 2, 3)
-		}
-		seg := sb.Seal(1)
-		for bi, desc := range ix.descs {
-			want := bitmap.New(rows)
-			for i, l := range leavesOf {
-				if ix.bitOf(desc, l[desc.Dim]) {
-					want.Set(i)
-				}
-			}
-			wc := bitmap.Compress(want)
-			got := seg.Bitmap(bi)
-			if got.Len() != wc.Len() || len(got.Words()) != len(wc.Words()) {
-				t.Fatalf("frag %d desc %d: encoding shape differs", frag, bi)
-			}
-			for wi := range wc.Words() {
-				if got.Words()[wi] != wc.Words()[wi] {
-					t.Fatalf("frag %d desc %d word %d: got %#x want %#x", frag, bi, wi, got.Words()[wi], wc.Words()[wi])
-				}
-			}
-		}
-	}
-}
-
-// TestSelectMatchesScan checks delta predicate selection against a
-// direct per-row scan with the schema's Ancestor arithmetic.
+// TestSelectMatchesScan checks delta row selection (Ranges, Selects)
+// against a direct per-row scan with the schema's Ancestor arithmetic.
 func TestSelectMatchesScan(t *testing.T) {
 	star, spec, ix := tinyDelta(t)
 	rng := rand.New(rand.NewSource(12))
@@ -102,7 +63,7 @@ func TestSelectMatchesScan(t *testing.T) {
 			lvl := rng.Intn(dim.Depth())
 			q.Preds = append(q.Preds, Pred{Dim: d, Level: lvl, Member: rng.Intn(dim.Levels[lvl].Card)})
 		}
-		// Select assumes fragment confinement, exactly like the executor:
+		// Ranges assume fragment confinement, exactly like the executor:
 		// only fragments in FragmentIDs(q) are ever selected against.
 		relevant := false
 		for _, id := range spec.FragmentIDs(q) {
@@ -116,10 +77,7 @@ func TestSelectMatchesScan(t *testing.T) {
 		}
 		valid++
 		seg := buildSegment(rng, star, spec, ix, frag, 1+rng.Intn(150), 1)
-		res, all, err := ix.Select(seg, q, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ranges := ix.Ranges(q, sc)
 		want := make([]bool, seg.Rows())
 		for i := range want {
 			want[i] = true
@@ -134,25 +92,17 @@ func TestSelectMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		got := make([]bool, seg.Rows())
-		if all {
-			for i := range got {
-				got[i] = true
-			}
-		} else {
-			res.ForEach(func(i int) { got[i] = true })
-		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d row %d: got %v want %v (query %+v)", trial, i, got[i], want[i], q)
+			if got := seg.Selects(ranges, i); got != want[i] {
+				t.Fatalf("trial %d row %d: got %v want %v (query %+v)", trial, i, got, want[i], q)
 			}
 		}
 	}
 }
 
 // TestExtendSegmentEquivalence checks that sealing an extension of a
-// sealed segment yields the same content and bitmap encodings as one
-// continuous build — and leaves the original segment untouched.
+// sealed segment yields the same content as one continuous build — and
+// leaves the original segment untouched.
 func TestExtendSegmentEquivalence(t *testing.T) {
 	star, spec, ix := tinyDelta(t)
 	rng := rand.New(rand.NewSource(13))
@@ -176,8 +126,6 @@ func TestExtendSegmentEquivalence(t *testing.T) {
 			sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
 		}
 		first := sb.Seal(1)
-		firstRows := first.Rows()
-		firstWords := append([]uint64(nil), first.Bitmap(0).Words()...)
 		ext := ix.ExtendSegment(first)
 		for i := split; i < len(rows); i++ {
 			ext.Add(rows[i], int64(i), int64(2*i), int64(3*i))
@@ -186,31 +134,18 @@ func TestExtendSegmentEquivalence(t *testing.T) {
 		if got.Rows() != want.Rows() {
 			t.Fatalf("split %d: rows %d want %d", split, got.Rows(), want.Rows())
 		}
-		for bi := range ix.descs {
-			gw, ww := got.Bitmap(bi).Words(), want.Bitmap(bi).Words()
-			if len(gw) != len(ww) {
-				t.Fatalf("split %d desc %d: %d words want %d", split, bi, len(gw), len(ww))
-			}
-			for wi := range ww {
-				if gw[wi] != ww[wi] {
-					t.Fatalf("split %d desc %d word %d differs", split, bi, wi)
-				}
-			}
-		}
 		for i := range rows {
 			if got.Units()[i] != int64(i) || got.Dollars()[i] != int64(2*i) || got.Costs()[i] != int64(3*i) {
 				t.Fatalf("split %d row %d: measures differ", split, i)
 			}
 		}
 		// The sealed prefix must be unchanged.
-		if first.Rows() != firstRows || len(first.Bitmap(0).Words()) != len(firstWords) {
-			t.Fatalf("split %d: extension mutated the sealed segment", split)
-		}
+		sameSegment(t, "the extended prefix", ix, first, rows, split)
 	}
 }
 
-// TestDeltaSetCopyOnWrite checks snapshot isolation of With,
-// WithTailReplaced and After.
+// TestDeltaSetCopyOnWrite checks snapshot isolation of With, WithBatch
+// and After.
 func TestDeltaSetCopyOnWrite(t *testing.T) {
 	star, spec, ix := tinyDelta(t)
 	rng := rand.New(rand.NewSource(14))
@@ -236,7 +171,7 @@ func TestDeltaSetCopyOnWrite(t *testing.T) {
 	ext := ix.ExtendSegment(segB)
 	ext.Add(randomLeavesFor(rng, star, spec, 3), 1, 1, 1)
 	segB2 := ext.Seal(4)
-	s3 := s2.WithTailReplaced(segB2)
+	s3 := s2.WithBatch([]*DeltaSegment{segB2}, []bool{true})
 	if s3.Rows() != 20 || s3.Segments() != 3 {
 		t.Fatalf("s3 = %d rows %d segs", s3.Rows(), s3.Segments())
 	}
@@ -262,9 +197,9 @@ func TestDeltaSetCopyOnWrite(t *testing.T) {
 	}
 }
 
-// sameSegment fails unless got holds exactly the rows and bitmaps of a
-// segment built in one go from the first n of the given rows (row i
-// carries the measures i, 2i, 3i).
+// sameSegment fails unless got holds exactly the rows of a segment built
+// in one go from the first n of the given rows (row i carries the
+// measures i, 2i, 3i).
 func sameSegment(t *testing.T, what string, ix *DeltaIndex, got *DeltaSegment, rows [][]int32, n int) {
 	t.Helper()
 	sb := ix.NewSegment(got.Frag())
@@ -286,12 +221,6 @@ func sameSegment(t *testing.T, what string, ix *DeltaIndex, got *DeltaSegment, r
 				t.Errorf("%s: row %d dimension %d differs", what, i, d)
 				return
 			}
-		}
-	}
-	for bi := range ix.descs {
-		if !slices.Equal(got.Bitmap(bi).Words(), want.Bitmap(bi).Words()) || got.Bitmap(bi).Len() != n {
-			t.Errorf("%s: bitmap %d differs", what, bi)
-			return
 		}
 	}
 }

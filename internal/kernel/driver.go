@@ -13,8 +13,8 @@ import (
 
 var errNilScheduler = errors.New("kernel: nil scheduler")
 
-// deltaScratch pools the delta fold's selection buffers: a fragment task
-// borrows a set only while its fragment has delta segments to fold.
+// deltaScratch pools the delta fold's compiled queries: a fragment task
+// borrows one only while its fragment has delta segments to fold.
 var deltaScratch = sync.Pool{New: func() any { return frag.NewDeltaScratch() }}
 
 // foldDeltas folds fragment id's delta segments into p in seal order —

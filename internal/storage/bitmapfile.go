@@ -155,30 +155,54 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 		blocks:     make(map[int64]bitmapBlock, len(s.order)),
 		compressed: compress,
 	}
-	keys := make([][]int32, len(s.star.Dims))
-	payloads := make([][]byte, ix.NumBitmaps())
+	carried := func(id int64) (bitmapBlock, bool) {
+		if old == nil || len(deltas.Of(id)) > 0 {
+			return bitmapBlock{}, false
+		}
+		blk, ok := old.blocks[id]
+		return blk, ok
+	}
+	var most int32 // rows of the largest fragment rebuilt
+	for _, id := range s.order {
+		if _, ok := carried(id); !ok {
+			most = max(most, s.dir[id].Rows)
+		}
+	}
+	sc := blockScratch{keys: make([][]int32, len(s.star.Dims)), payloads: make([][]byte, ix.NumBitmaps())}
+	for d := range sc.keys {
+		sc.keys[d] = make([]int32, 0, most)
+	}
 	var block []byte
 	for _, id := range s.order {
-		if old != nil && len(deltas.Of(id)) == 0 {
-			if blk, ok := old.blocks[id]; ok {
-				if block, err = bf.carryBlock(old, id, blk, block); err != nil {
-					return nil, err
-				}
-				continue
-			}
+		if blk, ok := carried(id); ok {
+			block, err = bf.carryBlock(old, id, blk, block)
+		} else {
+			block, err = bf.buildBlock(s, id, &sc, block)
 		}
-		if block, err = bf.buildBlock(s, id, keys, payloads, block); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
 	return bf, nil
 }
 
+// blockScratch is the reusable buffer set of one writeBitmaps call: every
+// block it rebuilds reads its keys, builds and encodes one bitmap at a
+// time and lays out its payloads in the same buffers, so a call allocates
+// for its largest block rather than for every bitmap of every block.
+type blockScratch struct {
+	keys     [][]int32
+	bits     bitmap.Bitset
+	wah      bitmap.Compressed
+	payloads [][]byte
+}
+
 // buildBlock computes the fragment's bitmap fragments from its rows in
 // the store — read back page by page, every page verified — and writes
-// them as the fragment's block. keys, payloads and block are reusable
-// buffers; block is returned grown.
-func (bf *BitmapFile) buildBlock(s *Store, id int64, keys [][]int32, payloads [][]byte, block []byte) ([]byte, error) {
+// them as the fragment's block. block is the reusable page buffer,
+// returned grown.
+func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *blockScratch, block []byte) ([]byte, error) {
+	keys := sc.keys
 	for d := range keys {
 		keys[d] = keys[d][:0]
 	}
@@ -192,15 +216,16 @@ func (bf *BitmapFile) buildBlock(s *Store, id int64, keys [][]int32, payloads []
 	}
 	rows := s.dir[id].Rows
 	for i, desc := range bf.ix.Descs() {
-		bs := buildBitmapFragment(bf.star, bf.ix.Layout(desc.Dim), desc, keys[desc.Dim])
+		bs := buildBitmapFragment(&sc.bits, bf.star, bf.ix.Layout(desc.Dim), desc, keys[desc.Dim])
 		if bf.compressed {
-			payloads[i] = encodeCompressed(bitmap.Compress(bs))
+			sc.payloads[i] = encodeCompressed(sc.payloads[i], bitmap.CompressInto(&sc.wah, bs))
 		} else {
-			payloads[i] = make([]byte, (rows+7)/8)
-			packBits(bs, payloads[i])
+			sc.payloads[i] = sized(sc.payloads[i], (int(rows)+7)/8)
+			clear(sc.payloads[i])
+			packBits(bs, sc.payloads[i])
 		}
 	}
-	return bf.writeBlock(id, rows, payloads, block)
+	return bf.writeBlock(id, rows, sc.payloads, block)
 }
 
 // writeBlock packs one fact fragment's payloads into allocation units
@@ -261,11 +286,12 @@ func sized(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// encodeCompressed serialises a WAH bitmap: uint32 bit length, uint32 word
-// count, then the words, little endian.
-func encodeCompressed(c *bitmap.Compressed) []byte {
+// encodeCompressed serialises a WAH bitmap into out, resized (every byte
+// is written): uint32 bit length, uint32 word count, then the words,
+// little endian.
+func encodeCompressed(out []byte, c *bitmap.Compressed) []byte {
 	words := c.Words()
-	out := make([]byte, 8+8*len(words))
+	out = sized(out, 8+8*len(words))
 	putU32(out, uint32(c.Len()))
 	putU32(out[4:], uint32(len(words)))
 	for i, w := range words {
@@ -312,11 +338,12 @@ func getU64(b []byte) uint64 {
 	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
-// buildBitmapFragment computes one bitmap over the fragment's rows; l is
-// the dimension's encoding layout (nil for a simple index).
-func buildBitmapFragment(star *schema.Star, l *bitmap.Layout, desc BitmapDesc, keys []int32) *bitmap.Bitset {
+// buildBitmapFragment computes one bitmap over the fragment's rows into
+// bs, reusing its storage, and returns it; l is the dimension's encoding
+// layout (nil for a simple index).
+func buildBitmapFragment(bs *bitmap.Bitset, star *schema.Star, l *bitmap.Layout, desc BitmapDesc, keys []int32) *bitmap.Bitset {
 	dim := &star.Dims[desc.Dim]
-	bs := bitmap.New(len(keys))
+	bs.Reinit(len(keys))
 	if desc.Simple {
 		for i, k := range keys {
 			if dim.Ancestor(dim.Leaf(), int(k), desc.Level) == desc.Member {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -180,7 +181,7 @@ func bitsFile(t testing.TB, page int, compressed bool, frags [][]*bitmap.Bitset)
 			rows[id] = int32(bs.Len())
 			var p []byte
 			if compressed {
-				p = encodeCompressed(bitmap.Compress(bs))
+				p = encodeCompressed(nil, bitmap.Compress(bs))
 			} else {
 				p = make([]byte, (bs.Len()+7)/8)
 				packBits(bs, p)
@@ -226,7 +227,7 @@ func TestDecodeSeamPackedEqualsWAH(t *testing.T) {
 				p := make([]byte, (n+7)/8)
 				packBits(bs, p)
 				packed.decodeInto(fromPacked, &wah, p, n)
-				wahFile.decodeInto(fromWAH, &wah, encodeCompressed(bitmap.Compress(bs)), n)
+				wahFile.decodeInto(fromWAH, &wah, encodeCompressed(nil, bitmap.Compress(bs)), n)
 				if !fromPacked.Equal(bs) || !fromWAH.Equal(bs) {
 					t.Fatalf("n=%d (n%%63=%d) density=%v: packed ok=%v, WAH ok=%v", n, tail, density, fromPacked.Equal(bs), fromWAH.Equal(bs))
 				}
@@ -511,6 +512,98 @@ func TestSubPageOneBitmapIOPerSubquery(t *testing.T) {
 				t.Fatal(err)
 			}
 			sched.Close()
+		}
+	}
+}
+
+// TestDeltaRangesMatchBasePlan: for random queries relevant to a
+// fragment, the delta rows a segment selects (frag.DeltaIndex.Ranges) are
+// exactly the rows the base bitmap Plan selects from bitmaps built over
+// the same leaves (buildBitmapFragment) — verbatim and complemented
+// operands alike — under simple, encoded and padded encoded indexes.
+func TestDeltaRangesMatchBasePlan(t *testing.T) {
+	star := schema.Tiny()
+	spec := frag.MustParse(star, "time::month, product::group")
+	uniform := func(kind frag.IndexKind, pad bool) frag.IndexConfig {
+		icfg := make(frag.IndexConfig, len(star.Dims))
+		for d := range icfg {
+			icfg[d].Kind = kind
+			if pad { // one always-zero bit in the top level's field
+				icfg[d].PadBits = make([]int, star.Dims[d].Depth())
+				icfg[d].PadBits[0] = 1
+			}
+		}
+		return icfg
+	}
+	rng := rand.New(rand.NewSource(11))
+	sc := frag.NewDeltaScratch()
+	for ci, icfg := range []frag.IndexConfig{
+		frag.APB1Indexes(star),
+		uniform(frag.SimpleIndexes, false),
+		uniform(frag.EncodedIndex, false),
+		uniform(frag.EncodedIndex, true),
+	} {
+		ix, err := frag.NewDeltaIndex(spec, icfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		complemented := 0
+		for valid, trial := 0, 0; valid < 150 && trial < 5000; trial++ {
+			id := rng.Int63n(spec.NumFragments())
+			var q frag.Query
+			for d := range star.Dims {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				lvl := rng.Intn(star.Dims[d].Depth())
+				q.Preds = append(q.Preds, frag.Pred{Dim: d, Level: lvl, Member: rng.Intn(star.Dims[d].Levels[lvl].Card)})
+			}
+			if !slices.Contains(spec.FragmentIDs(q), id) {
+				continue // the executor folds only relevant fragments
+			}
+			valid++
+			sb := ix.NewSegment(id)
+			coord := spec.Coord(id)
+			leaves := make([]int32, len(star.Dims))
+			for range 1 + rng.Intn(150) {
+				for d := range star.Dims {
+					dim := &star.Dims[d]
+					lo, hi := 0, dim.LeafCard()
+					if ai := spec.AttrOfDim(d); ai != -1 {
+						lo, hi = dim.DescendantRange(spec.Attrs()[ai].Level, coord[ai], dim.Leaf())
+					}
+					leaves[d] = int32(lo + rng.Intn(hi-lo))
+				}
+				sb.Add(leaves, 1, 2, 3)
+			}
+			seg := sb.Seal(1)
+
+			plan, err := ix.Plan(nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bitmap.New(seg.Rows())
+			want.SetAll()
+			var bits bitmap.Bitset
+			for _, op := range plan {
+				desc := ix.Descs()[op.Index]
+				b := buildBitmapFragment(&bits, star, ix.Layout(desc.Dim), desc, seg.Leaves(desc.Dim))
+				if op.Complement {
+					want.AndNot(b)
+					complemented++
+				} else {
+					want.And(b)
+				}
+			}
+			ranges := ix.Ranges(q, sc)
+			for i := range seg.Rows() {
+				if got := seg.Selects(ranges, i); got != want.Get(i) {
+					t.Fatalf("config %d, fragment %d, query %+v, row %d: ranges select %v, the bitmap plan %v", ci, id, q, i, got, want.Get(i))
+				}
+			}
+		}
+		if complemented == 0 && ci != 1 { // config 1 has simple indexes only: never complemented
+			t.Errorf("config %d: no complemented operand was exercised", ci)
 		}
 	}
 }
