@@ -201,9 +201,9 @@ func (n *Node) Exec(ctx context.Context, req Request) (Response, error) {
 // must belong to a fragment this node owns — the single-writer-per-
 // fragment invariant; a batch holding a foreign fragment's row is
 // rejected before anything is admitted. Within each fragment the rows
-// keep arrival order, small tail segments coalesce (except while a
-// compaction has frozen its boundary), an on-disk node journals each
-// sealed segment before acknowledging, and the new delta set publishes
+// keep arrival order, each touched fragment gets one new write-once
+// segment, an on-disk node journals each sealed segment before
+// acknowledging, and the new delta set publishes
 // atomically: queries admitted after Append returns see the rows,
 // pinned ones do not.
 func (n *Node) Append(ctx context.Context, rows []Row) error {

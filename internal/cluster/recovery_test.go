@@ -101,22 +101,25 @@ func TestNodeJournalCrashRecovery(t *testing.T) {
 
 	dir := t.TempDir()
 	n1 := newNode(onDisk(dir), base)
-	// Three batches over the same fragments, so the second and third
-	// coalesce into the first's tail segments (replace-flagged records).
+	// Three batches over the same fragments: each seals one segment (and
+	// journals one record) per fragment it touches.
 	per := (len(extra) + 2) / 3
+	segs := 0
+	buf := make([]int, len(tab.Star.Dims))
 	for lo := 0; lo < len(extra); lo += per {
-		if err := n1.Append(ctx, extra[lo:min(lo+per, len(extra))]); err != nil {
+		hi := min(lo+per, len(extra))
+		if err := n1.Append(ctx, extra[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
+		frags := map[int64]bool{}
+		for i := half + lo; i < half+hi; i++ {
+			frags[spec.ID(spec.CoordOf(shard.LeafMembers(i, buf)))] = true
+		}
+		segs += len(frags)
 	}
-	frags := map[int64]bool{}
-	buf := make([]int, len(tab.Star.Dims))
-	for i := half; i < shard.N(); i++ {
-		frags[spec.ID(spec.CoordOf(shard.LeafMembers(i, buf)))] = true
-	}
-	if st := n1.Stats(); st.DeltaSegments != len(frags) || st.DeltaRows != int64(len(extra)) {
-		t.Fatalf("pre-crash delta set: %d segments / %d rows, want %d coalesced segments / %d rows",
-			st.DeltaSegments, st.DeltaRows, len(frags), len(extra))
+	if st := n1.Stats(); st.DeltaSegments != segs || st.DeltaRows != int64(len(extra)) {
+		t.Fatalf("pre-crash delta set: %d segments / %d rows, want one segment per batch and fragment, %d / %d rows",
+			st.DeltaSegments, st.DeltaRows, segs, len(extra))
 	}
 	preCrash := partials(n1)
 	// "Crash": n1 is not closed before the rebuild (only at test cleanup)
@@ -135,8 +138,7 @@ func TestNodeJournalCrashRecovery(t *testing.T) {
 	}
 
 	// Torn tail: everything but the last row is acked in one batch, the
-	// last row in a second one that coalesces into a tail — one journal
-	// record, cut short below.
+	// last row in a second one — one journal record, cut short below.
 	dir = t.TempDir()
 	n3 := newNode(onDisk(dir), base)
 	last := len(extra) - 1

@@ -21,8 +21,8 @@ type DeltaState struct {
 
 // DeltaCost is the estimated extra work a query pays for reading the
 // delta segments on top of its base-fragment cost: delta rows live in
-// sealed in-memory segments, so the overhead is per-row aggregation work
-// (and the segment bitmap intersections), not page I/O. Bytes reports
+// sealed in-memory segments, so the overhead is per-row work (a leaf
+// range test and the aggregation), not page I/O. Bytes reports
 // the tuple-equivalent volume scanned, for comparison against the base
 // QueryCost.TotalBytes.
 type DeltaCost struct {

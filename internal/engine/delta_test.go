@@ -192,10 +192,10 @@ func TestCompactSharesUntouchedFragments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// No scratch crosses the epoch: the new engine has scratch
-			// lists of its own, and nothing else tells it from want.
-			if ne.solo == e.solo || ne.shared == e.shared {
-				t.Fatalf("compressed=%v round %d: the compacted engine borrows the old engine's scratch", compressed, round)
+			// The scratch lists outlive the epoch: the new engine keeps the
+			// old one's, and nothing else tells it from want.
+			if ne.solo != e.solo || ne.shared != e.shared {
+				t.Fatalf("compressed=%v round %d: the compacted engine builds scratch lists of its own", compressed, round)
 			}
 			ne.solo, ne.shared = want.solo, want.shared
 			if !reflect.DeepEqual(ne, want) {

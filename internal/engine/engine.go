@@ -81,7 +81,8 @@ type Engine struct {
 	compressed bool
 
 	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's fragment tasks; each epoch's engine has its own.
+	// every call's fragment tasks; Compact hands the lists on to the next
+	// epoch's engine, so they live as long as the store.
 	solo   *exec.Scratch[*scratch]
 	shared *exec.Scratch[*sharedScratch]
 }
@@ -173,10 +174,10 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 // fragments the set touches. A fragment without a segment is shared with
 // e by pointer (fragments are immutable once built); a fragment with
 // segments is copied out with the segments' rows appended and has its
-// indices rebuilt.
+// indices rebuilt. The worker scratch lists are e's: both engines' tasks
+// share them.
 func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 	ne := *e
-	ne.solo, ne.shared = exec.NewScratch(newScratch), exec.NewScratch(newSharedScratch)
 	ne.frags = make(map[int64]*fragment, len(e.frags)+deltas.Fragments())
 	for id, f := range e.frags {
 		ne.frags[id] = f

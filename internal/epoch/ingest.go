@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/frag"
 	"repro/internal/storage"
@@ -19,38 +20,35 @@ type Row struct {
 	Cost        int64
 }
 
-// coalesceRows bounds tail-segment coalescing: a fragment's most recent
-// delta segment is extended in place (never rewritten — see
-// frag.ExtendSegment) while it holds fewer rows than this, so steady
-// trickle appends don't shatter a fragment into thousands of tiny
-// segments. Larger tails seal and a fresh segment starts.
-const coalesceRows = 4096
-
 // Append admits a batch of fact rows: each row is validated and routed
 // to its fragment (a fragment outside Config.Own, or on disk a measure
 // outside int32, rejects the whole batch before anything is admitted),
-// sealed into a fragment-aligned delta segment of plain row columns,
-// journaled to the delta log (on-disk stores — through the segment's disk
-// queue when declustered), and published atomically to subsequent
-// queries with one copy of the delta set per batch. Queries
-// already admitted keep their pinned snapshot and do not see the new
-// rows; queries admitted after Append returns aggregate base + delta
-// with results byte-identical to a store built from the union of the
-// rows. Appends serialise with each other and with compaction's swap
-// phase, but never wait for a compaction's writing and never block query
-// admission. The caller holds a Begin registration.
+// the batch is sealed into one new delta segment of plain row columns per
+// fragment it touches, each segment is journaled to the delta log
+// (on-disk stores — through the segment's disk queue when declustered),
+// and the batch is published atomically to subsequent queries with one
+// copy of the delta set. A sealed segment is never extended, re-copied or
+// re-journaled. Queries already admitted keep their pinned snapshot and
+// do not see the new rows; queries admitted after Append returns
+// aggregate base + delta with results byte-identical to a store built
+// from the union of the rows. Appends serialise with each other and with
+// compaction's swap phase, but never wait for a compaction's writing and
+// never block query admission. The caller holds a Begin registration.
 func (s *Store) Append(rows []Row) error {
 	spec := s.cfg.Spec
 	star := spec.Star()
-	// Partition the batch by fragment, preserving arrival order within
-	// each fragment (the order delta rows are served and compacted in).
-	byFrag := make(map[int64][]int)
+	nd, n := len(star.Dims), len(rows)
+	// Route every row: at[ri] indexes order, the fragments the batch
+	// touches in first-arrival order, and start[k+1] counts fragment k's rows.
+	at := make([]int32, n)
 	var order []int64
-	buf := make([]int, len(star.Dims))
+	var start []int
+	slot := make(map[int64]int32)
+	buf := make([]int, nd)
 	for ri := range rows {
 		r := &rows[ri]
-		if len(r.Leaves) != len(star.Dims) {
-			return fmt.Errorf("mdhf: append row %d has %d leaves for %d dimensions", ri, len(r.Leaves), len(star.Dims))
+		if len(r.Leaves) != nd {
+			return fmt.Errorf("mdhf: append row %d has %d leaves for %d dimensions", ri, len(r.Leaves), nd)
 		}
 		for d, leaf := range r.Leaves {
 			if leaf < 0 || int(leaf) >= star.Dims[d].LeafCard() {
@@ -67,15 +65,39 @@ func (s *Store) Append(rows []Row) error {
 		if s.cfg.Own != nil && !s.cfg.Own(id) {
 			return fmt.Errorf("mdhf: append row %d: fragment %d is owned by another node (single-writer-per-fragment)", ri, id)
 		}
-		if _, ok := byFrag[id]; !ok {
+		k, ok := slot[id]
+		if !ok {
+			k = int32(len(order))
+			slot[id] = k
 			order = append(order, id)
+			start = append(start, 0)
 		}
-		byFrag[id] = append(byFrag[id], ri)
+		at[ri] = k
+		start[k]++
 	}
+	// Scatter the rows, in arrival order within each fragment, into one
+	// slab per column type: fragment k's rows are [start[k], start[k+1])
+	// of every column, and its segment's columns are exact windows of the
+	// slabs. A batch's segments lie on the same side of every compaction
+	// boundary, so they retire together and the slab with them.
+	start = append(start, 0)
+	for k, sum := 0, 0; k < len(start); k++ {
+		start[k], sum = sum, sum+start[k]
+	}
+	leaves, measures := make([]int32, nd*n), make([]int64, 3*n)
+	fill := slices.Clone(start)
+	for ri := range rows {
+		r, i := &rows[ri], fill[at[ri]]
+		fill[at[ri]]++
+		for d, leaf := range r.Leaves {
+			leaves[d*n+i] = leaf
+		}
+		measures[i], measures[n+i], measures[2*n+i] = r.UnitsSold, r.DollarSales, r.Cost
+	}
+	cols := make([][]int32, nd*len(order))
 
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	set := s.Current().Deltas
 	// A batch is journaled whole or not at all: should a later segment
 	// fail, the journal and the seal sequence go back to where the batch
 	// began, so a restart cannot replay half of a batch that was refused.
@@ -85,33 +107,23 @@ func (s *Store) Append(rows []Row) error {
 		mark = s.dlog.Stats()
 	}
 	segs := make([]*frag.DeltaSegment, len(order))
-	replace := make([]bool, len(order))
-	for i, id := range order {
-		var sb *frag.SegmentBuilder
-		// Coalesce into the fragment's small tail segment — except while a
-		// compaction is in flight: segments at or below the compaction
-		// boundary must stay frozen so the epoch swap can drop exactly them.
-		if tail := set.Tail(id); tail != nil && !s.compacting && tail.Rows() < coalesceRows {
-			sb = s.ix.ExtendSegment(tail)
-			replace[i] = true
-		} else {
-			sb = s.ix.NewSegment(id)
-		}
-		sb.Grow(len(byFrag[id]))
-		for _, ri := range byFrag[id] {
-			r := &rows[ri]
-			sb.Add(r.Leaves, r.UnitsSold, r.DollarSales, r.Cost)
+	for k, id := range order {
+		lo, hi := start[k], start[k+1]
+		dims := cols[k*nd : (k+1)*nd : (k+1)*nd]
+		for d := range dims {
+			dims[d] = window(leaves, n, d, lo, hi)
 		}
 		s.seq++
-		segs[i] = sb.Seal(s.seq)
+		segs[k] = frag.SealColumns(id, s.seq, dims,
+			window(measures, n, 0, lo, hi), window(measures, n, 1, lo, hi), window(measures, n, 2, lo, hi))
 		if s.dlog != nil {
-			if err := s.dlog.AppendSegment(segs[i], replace[i]); err != nil {
+			if err := s.dlog.AppendSegment(segs[k], false); err != nil {
 				s.seq = seq0
 				return errors.Join(err, s.dlog.Rollback(mark))
 			}
 		}
 	}
-	set = set.WithBatch(segs, replace)
+	set := s.Current().Deltas.WithBatch(segs)
 
 	s.mu.Lock()
 	s.cur.Deltas = set
@@ -127,6 +139,10 @@ func (s *Store) Append(rows []Row) error {
 	return nil
 }
 
+// window returns rows [lo, hi) of column c of a slab of n-row columns,
+// capped there, so that nothing can grow into the rows that follow.
+func window[T any](slab []T, n, c, lo, hi int) []T { return slab[c*n+lo : c*n+hi : c*n+hi] }
+
 // compactOnce is the background compactor's run function: a Compact
 // whose errors are deferred to Close.
 func (s *Store) compactOnce() {
@@ -140,8 +156,8 @@ func (s *Store) compactOnce() {
 // Compact synchronously folds the sealed delta segments into the next
 // epoch's backend; a no-op when nothing was appended. It is the
 // three-phase epoch roll-over. Phase 1 (append lock, briefly): freeze
-// the boundary — the highest sealed sequence — and flag the compaction
-// so appends stop extending frozen tails. Phase 2 (no locks): write the
+// the boundary — the highest sealed sequence; sealed segments are final,
+// so the boundary is all there is to freeze. Phase 2 (no locks): write the
 // next epoch's backend fragment by fragment — a fragment with delta rows
 // at or below the boundary gets them appended behind its base rows, every
 // other fragment is carried forward as it is (storage.Backend.Compact,
@@ -170,16 +186,12 @@ func (s *Store) Compact(ctx context.Context) error {
 	snap.B.refs.Add(1) // keep the base backend readable while folding into it
 	s.mu.Unlock()
 	boundary := snap.Deltas.MaxSeq()
-	s.compacting = true
 	s.appendMu.Unlock()
 	defer s.Unpin(snap.B)
 
 	// Phase 2: write the next epoch, lock-free.
 	nb, err := s.buildBackend(nil, snap, snap.Epoch+1)
 	if err != nil {
-		s.appendMu.Lock()
-		s.compacting = false
-		s.appendMu.Unlock()
 		return err
 	}
 
@@ -195,7 +207,6 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.ctr.Compactions++
 	s.ctr.CompactedRows += snap.Deltas.Rows()
 	s.mu.Unlock()
-	s.compacting = false
 	var resetErr error
 	if s.dlog != nil {
 		var liveSegs []*frag.DeltaSegment

@@ -2,9 +2,10 @@
 // cluster.Node: an epoch-versioned store of one fragmented fact table.
 // It owns the reference-counted per-epoch backends and the snapshots
 // queries pin at admission, the append path (validation, fragment
-// routing, tail-coalescing seal, journal write, atomic publish), journal
-// replay, the three-phase compaction, the optional background compactor
-// and the shared-scan batch run. In the paper every processing node runs
+// routing, one write-once segment per touched fragment, journal write,
+// atomic publish), journal replay, the three-phase compaction, the
+// optional background compactor and the shared-scan batch run. In the
+// paper every processing node runs
 // the same fragment-subquery machinery over the fragment subset the
 // allocation gives it, so the store is parameterised only by an
 // ownership predicate (Config.Own, nil = every fragment): a warehouse is
@@ -151,9 +152,8 @@ type Store struct {
 	sharing SharedStats   // the shared-scan counts
 	delay   time.Duration // re-applied to each new epoch (a fresh backend has none)
 
-	appendMu   sync.Mutex // serialises Append and the compaction swap
-	compacting bool       // guarded by appendMu
-	seq        uint64     // guarded by appendMu: store-wide seal sequence
+	appendMu sync.Mutex // serialises Append and the compaction swap
+	seq      uint64     // guarded by appendMu: store-wide seal sequence
 
 	compactMu sync.Mutex // serialises compaction runs
 
@@ -214,7 +214,7 @@ func (s *Store) Build(t *data.Table) error {
 		}
 		dlog.Attach(b.Disk.Disks, b.Disk.Placement)
 		s.dlog = dlog
-		recovered = s.replay(ix, recs)
+		recovered = s.replay(recs)
 	}
 	s.ix = ix
 	if s.cfg.AutoCompact > 0 {
@@ -226,32 +226,23 @@ func (s *Store) Build(t *data.Table) error {
 	return nil
 }
 
-// replay is crash recovery: every acked Append wrote its segment to the
-// journal before publishing, so replaying the journal's intact prefix
-// through the delta index reconstructs exactly the delta set (and seal
-// sequence) the store served before the crash. Rows a compaction already
+// replay is crash recovery: every acked Append wrote its segments to the
+// journal before publishing, so the journal's intact prefix (replace
+// flags already resolved by the log) reconstructs exactly the delta set
+// (and seal sequence) the store served before the crash, each segment
+// sealed over its record's decoded columns. Rows a compaction already
 // folded are not in the journal: epoch 0 is rebuilt from the supplied
 // table, so they come back only if the caller's table holds them.
-func (s *Store) replay(ix *frag.DeltaIndex, recs []storage.DeltaRecord) *frag.DeltaSet {
+func (s *Store) replay(recs []storage.DeltaRecord) *frag.DeltaSet {
 	if len(recs) == 0 {
 		return nil
 	}
 	segs := make([]*frag.DeltaSegment, len(recs))
-	replace := make([]bool, len(recs))
-	for ri, rec := range recs {
-		sb := ix.NewSegment(rec.Frag)
-		sb.Grow(rec.Rows())
-		leaves := make([]int32, len(rec.Leaves))
-		for i := 0; i < rec.Rows(); i++ {
-			for d := range rec.Leaves {
-				leaves[d] = rec.Leaves[d][i]
-			}
-			sb.Add(leaves, rec.Units[i], rec.Dollars[i], rec.Costs[i])
-		}
-		segs[ri], replace[ri] = sb.Seal(rec.Seq), rec.Replace
+	for i, rec := range recs {
+		segs[i] = frag.SealColumns(rec.Frag, rec.Seq, rec.Leaves, rec.Units, rec.Dollars, rec.Costs)
 		s.seq = max(s.seq, rec.Seq)
 	}
-	return (*frag.DeltaSet)(nil).WithBatch(segs, replace)
+	return (*frag.DeltaSet)(nil).WithBatch(segs)
 }
 
 // Begin registers one in-flight operation; End must be called when it

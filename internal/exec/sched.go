@@ -313,11 +313,13 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 	return results, nil
 }
 
-// Scratch is a backend's free list of worker scratch — the buffers its
-// fragment tasks reuse. The backend owns it and a task of a
-// ReduceShardedOn call borrows from it for as long as it runs, so the
-// buffers are built once per backend, serve every later call and die
-// with the backend. A worker runs one task at a time, so however many
+// Scratch is a store's free list of worker scratch — the buffers its
+// fragment tasks reuse. Each epoch's backend holds it, a compaction hands
+// it to the next epoch's, and a task of a ReduceShardedOn call borrows
+// from it for as long as it runs, so the buffers are built once per
+// store and serve every later call of every epoch. A scratch must not
+// keep the epoch it last served alive. A worker runs one task at a time,
+// and old- and new-epoch tasks share one scheduler, so however many
 // calls are in flight no more scratches are out than the pool has
 // workers, and none of them is ever surplus: a scratch held for a whole
 // call sat idle while its worker ran another call's task on a second

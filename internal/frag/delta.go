@@ -259,15 +259,23 @@ func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
 // DeltaSegment is one sealed, immutable batch of appended fact rows, all
 // belonging to one fragment: the leaf members per dimension and the three
 // measures — the delta counterpart of a fact fragment. Segments are
-// ordered by Seq, the warehouse-wide seal sequence number.
+// ordered by Seq, the warehouse-wide seal sequence number. A sealed
+// segment is final: later appends add segments, never rows to this one.
 type DeltaSegment struct {
 	frag    int64
 	seq     uint64
-	rows    int
 	dims    [][]int32
 	units   []int64
 	dollars []int64
 	costs   []int64
+}
+
+// SealColumns seals columns the caller built into a segment, without a
+// copy: dims[d] holds every row's leaf member on dimension d and the
+// three measure columns one value per row, all of the same length. The
+// segment keeps the slices, so the caller must never write them again.
+func SealColumns(fragID int64, seq uint64, dims [][]int32, units, dollars, costs []int64) *DeltaSegment {
+	return &DeltaSegment{frag: fragID, seq: seq, dims: dims, units: units, dollars: dollars, costs: costs}
 }
 
 // Selects reports whether row i lies in every range (see Ranges).
@@ -287,7 +295,7 @@ func (s *DeltaSegment) Frag() int64 { return s.frag }
 func (s *DeltaSegment) Seq() uint64 { return s.seq }
 
 // Rows returns the number of rows in the segment.
-func (s *DeltaSegment) Rows() int { return s.rows }
+func (s *DeltaSegment) Rows() int { return len(s.units) }
 
 // Leaves returns the leaf members of dimension d, one per row. The
 // returned slice is shared — callers must not modify it.
@@ -306,12 +314,11 @@ func (s *DeltaSegment) Dollars() []int64 { return s.dollars }
 // Costs returns the Cost measure column (read-only).
 func (s *DeltaSegment) Costs() []int64 { return s.costs }
 
-// SegmentBuilder accumulates rows into one fragment's next delta
-// segment. Not safe for concurrent use; Seal freezes the content into
+// SegmentBuilder accumulates rows into one fragment's next delta segment
+// row by row. Not safe for concurrent use; Seal freezes the content into
 // an immutable DeltaSegment and the builder must then be discarded.
 type SegmentBuilder struct {
 	frag    int64
-	rows    int
 	dims    [][]int32
 	units   []int64
 	dollars []int64
@@ -323,49 +330,8 @@ func (ix *DeltaIndex) NewSegment(fragID int64) *SegmentBuilder {
 	return &SegmentBuilder{frag: fragID, dims: make([][]int32, len(ix.star.Dims))}
 }
 
-// ExtendSegment starts a builder whose content equals the sealed
-// segment, ready to append more rows — the coalescing path that keeps a
-// fragment's tail segment from shattering into many tiny ones. Nothing
-// the sealed segment's readers see is modified, and it may keep serving
-// reads: the builder continues the segment's column arrays, so its rows
-// land in their spare capacity — beyond the length every reader holds —
-// and a batch allocates for the rows it brings, not for the tail it
-// extends. The arrays are therefore shared by the whole chain of
-// extensions: extend only the newest segment of a chain, with one
-// builder at a time (an abandoned builder's rows are overwritten by the
-// next, never exposed).
-func (ix *DeltaIndex) ExtendSegment(seg *DeltaSegment) *SegmentBuilder {
-	return &SegmentBuilder{
-		frag:    seg.frag,
-		rows:    seg.rows,
-		dims:    append([][]int32(nil), seg.dims...),
-		units:   seg.units,
-		dollars: seg.dollars,
-		costs:   seg.costs,
-	}
-}
-
-// Frag returns the fragment the builder appends to.
-func (sb *SegmentBuilder) Frag() int64 { return sb.frag }
-
-// Rows returns the number of rows accumulated so far.
-func (sb *SegmentBuilder) Rows() int { return sb.rows }
-
-// Grow makes room for n more rows in every column at once, so the rows a
-// batch brings land without the columns growing row by row. Rows still
-// go into the spare capacity a chain of extensions shares.
-func (sb *SegmentBuilder) Grow(n int) {
-	for d := range sb.dims {
-		sb.dims[d] = slices.Grow(sb.dims[d], n)
-	}
-	sb.units = slices.Grow(sb.units, n)
-	sb.dollars = slices.Grow(sb.dollars, n)
-	sb.costs = slices.Grow(sb.costs, n)
-}
-
 // Add appends one fact row given its leaf member per dimension. The
-// caller is responsible for routing the row to the right fragment
-// (spec.IDOf(leaves) == sb.Frag()).
+// caller is responsible for routing the row to the builder's fragment.
 func (sb *SegmentBuilder) Add(leaves []int32, units, dollars, cost int64) {
 	for d := range sb.dims {
 		sb.dims[d] = append(sb.dims[d], leaves[d])
@@ -373,21 +339,12 @@ func (sb *SegmentBuilder) Add(leaves []int32, units, dollars, cost int64) {
 	sb.units = append(sb.units, units)
 	sb.dollars = append(sb.dollars, dollars)
 	sb.costs = append(sb.costs, cost)
-	sb.rows++
 }
 
 // Seal freezes the builder into an immutable segment with the given
 // warehouse-wide sequence number: a header over the builder's columns.
 func (sb *SegmentBuilder) Seal(seq uint64) *DeltaSegment {
-	return &DeltaSegment{
-		frag:    sb.frag,
-		seq:     seq,
-		rows:    sb.rows,
-		dims:    sb.dims,
-		units:   sb.units,
-		dollars: sb.dollars,
-		costs:   sb.costs,
-	}
+	return SealColumns(sb.frag, seq, sb.dims, sb.units, sb.dollars, sb.costs)
 }
 
 // DeltaSet is an immutable snapshot of every fragment's delta segments.
@@ -443,24 +400,10 @@ func (s *DeltaSet) Of(frag int64) []*DeltaSegment {
 	return s.segs[frag]
 }
 
-// Tail returns the fragment's most recently sealed segment, or nil.
-func (s *DeltaSet) Tail(frag int64) *DeltaSegment {
-	if s == nil {
-		return nil
-	}
-	segs := s.segs[frag]
-	if len(segs) == 0 {
-		return nil
-	}
-	return segs[len(segs)-1]
-}
-
-// WithBatch returns a new set with one batch's segments published in
-// order, at the cost of one copy of the set: segs[i] replaces its
-// fragment's tail segment (it is the sealed extension of that tail) when
-// replace[i], and is appended to the fragment's list otherwise (always
-// when replace is nil). Every Seq must exceed MaxSeq.
-func (s *DeltaSet) WithBatch(segs []*DeltaSegment, replace []bool) *DeltaSet {
+// WithBatch returns a new set with one batch's segments appended to
+// their fragments' lists in order, at the cost of one copy of the set and
+// of the lists it touches. Every Seq must exceed MaxSeq.
+func (s *DeltaSet) WithBatch(segs []*DeltaSegment) *DeltaSet {
 	out := &DeltaSet{segs: make(map[int64][]*DeltaSegment, s.Fragments()+len(segs))}
 	if s != nil {
 		for f, fs := range s.segs {
@@ -468,21 +411,15 @@ func (s *DeltaSet) WithBatch(segs []*DeltaSegment, replace []bool) *DeltaSet {
 		}
 		out.rows, out.nsegs, out.maxSeq = s.rows, s.nsegs, s.maxSeq
 	}
-	for i, seg := range segs {
+	for _, seg := range segs {
 		keep := out.segs[seg.frag]
-		if replace != nil && replace[i] {
-			if len(keep) == 0 {
-				panic("frag: tail replaced on a fragment without segments")
-			}
-			tail := keep[len(keep)-1]
-			keep = keep[:len(keep)-1]
-			out.rows -= int64(tail.rows)
-			out.nsegs--
+		if old := s.Of(seg.frag); len(old) > 0 && &keep[0] == &old[0] {
+			// Copy a list s still holds, so that no other set's view aliases
+			// a growing array; one copied here may grow in place.
+			keep = append(make([]*DeltaSegment, 0, len(keep)+1), keep...)
 		}
-		// Copy the per-fragment slice so no other set's view aliases a
-		// growing array.
-		out.segs[seg.frag] = append(append(make([]*DeltaSegment, 0, len(keep)+1), keep...), seg)
-		out.rows += int64(seg.rows)
+		out.segs[seg.frag] = append(keep, seg)
+		out.rows += int64(seg.Rows())
 		out.nsegs++
 		out.maxSeq = max(out.maxSeq, seg.seq)
 	}
@@ -492,7 +429,7 @@ func (s *DeltaSet) WithBatch(segs []*DeltaSegment, replace []bool) *DeltaSet {
 // With returns a new set with seg appended to its fragment's list: a
 // batch of one new segment.
 func (s *DeltaSet) With(seg *DeltaSegment) *DeltaSet {
-	return s.WithBatch([]*DeltaSegment{seg}, nil)
+	return s.WithBatch([]*DeltaSegment{seg})
 }
 
 // After returns the subset of segments sealed strictly after seq — the
@@ -512,7 +449,7 @@ func (s *DeltaSet) After(seq uint64) *DeltaSet {
 		out.segs[f] = keep
 		out.nsegs += len(keep)
 		for _, seg := range keep {
-			out.rows += int64(seg.rows)
+			out.rows += int64(seg.Rows())
 			if seg.seq > out.maxSeq {
 				out.maxSeq = seg.seq
 			}

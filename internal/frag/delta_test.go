@@ -2,7 +2,7 @@ package frag
 
 import (
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/schema"
@@ -100,57 +100,16 @@ func TestSelectMatchesScan(t *testing.T) {
 	}
 }
 
-// TestExtendSegmentEquivalence checks that sealing an extension of a
-// sealed segment yields the same content as one continuous build — and
-// leaves the original segment untouched.
-func TestExtendSegmentEquivalence(t *testing.T) {
-	star, spec, ix := tinyDelta(t)
-	rng := rand.New(rand.NewSource(13))
-	frag := int64(5)
-	var rows [][]int32
-	for i := 0; i < 137; i++ {
-		rows = append(rows, randomLeavesFor(rng, star, spec, frag))
-	}
-	oneShot := ix.NewSegment(frag)
-	for i, l := range rows {
-		oneShot.Add(l, int64(i), int64(2*i), int64(3*i))
-	}
-	want := oneShot.Seal(9)
-
-	for _, split := range []int{0, 1, 50, 136, 137} {
-		if split == 0 {
-			continue // ExtendSegment needs a sealed prefix
-		}
-		sb := ix.NewSegment(frag)
-		for i := 0; i < split; i++ {
-			sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
-		}
-		first := sb.Seal(1)
-		ext := ix.ExtendSegment(first)
-		for i := split; i < len(rows); i++ {
-			ext.Add(rows[i], int64(i), int64(2*i), int64(3*i))
-		}
-		got := ext.Seal(9)
-		if got.Rows() != want.Rows() {
-			t.Fatalf("split %d: rows %d want %d", split, got.Rows(), want.Rows())
-		}
-		for i := range rows {
-			if got.Units()[i] != int64(i) || got.Dollars()[i] != int64(2*i) || got.Costs()[i] != int64(3*i) {
-				t.Fatalf("split %d row %d: measures differ", split, i)
-			}
-		}
-		// The sealed prefix must be unchanged.
-		sameSegment(t, "the extended prefix", ix, first, rows, split)
-	}
-}
-
 // TestDeltaSetCopyOnWrite checks snapshot isolation of With, WithBatch
-// and After.
+// and After: a batch appends to its fragments' lists, two batches on one
+// set never see each other's segments (even two segments of a fragment
+// in one batch, whose list grows inside the call), and After keeps the
+// segments past the boundary.
 func TestDeltaSetCopyOnWrite(t *testing.T) {
 	star, spec, ix := tinyDelta(t)
 	rng := rand.New(rand.NewSource(14))
 	var s *DeltaSet
-	if s.Rows() != 0 || s.Segments() != 0 || s.MaxSeq() != 0 || s.Of(0) != nil || s.Tail(0) != nil {
+	if s.Rows() != 0 || s.Segments() != 0 || s.MaxSeq() != 0 || s.Of(0) != nil {
 		t.Fatal("nil set is not empty")
 	}
 	segA := buildSegment(rng, star, spec, ix, 3, 10, 1)
@@ -167,140 +126,36 @@ func TestDeltaSetCopyOnWrite(t *testing.T) {
 	if len(s1.Of(3)) != 1 {
 		t.Fatal("s1 sees s2's appends")
 	}
-	// Replace fragment 3's tail with an extension.
-	ext := ix.ExtendSegment(segB)
-	ext.Add(randomLeavesFor(rng, star, spec, 3), 1, 1, 1)
-	segB2 := ext.Seal(4)
-	s3 := s2.WithBatch([]*DeltaSegment{segB2}, []bool{true})
-	if s3.Rows() != 20 || s3.Segments() != 3 {
-		t.Fatalf("s3 = %d rows %d segs", s3.Rows(), s3.Segments())
+	// Two batches on s2, the first with two segments of fragment 3.
+	segD := buildSegment(rng, star, spec, ix, 3, 1, 4)
+	segE := buildSegment(rng, star, spec, ix, 3, 2, 5)
+	segF := buildSegment(rng, star, spec, ix, 3, 3, 4)
+	s3 := s2.WithBatch([]*DeltaSegment{segD, segE})
+	s3b := s2.WithBatch([]*DeltaSegment{segF})
+	if s3.Rows() != 22 || s3.Segments() != 5 || s3.MaxSeq() != 5 {
+		t.Fatalf("s3 = %d rows %d segs maxSeq %d", s3.Rows(), s3.Segments(), s3.MaxSeq())
 	}
-	if s2.Tail(3) != segB || s3.Tail(3) != segB2 {
-		t.Fatal("tail replacement leaked across snapshots")
+	if got, want := s3.Of(3), []*DeltaSegment{segA, segB, segD, segE}; !slices.Equal(got, want) {
+		t.Fatalf("s3 fragment 3 = %v, want %v", got, want)
 	}
-	// After(2): only segC (seq 3) and segB2 (seq 4) survive.
+	if got, want := s3b.Of(3), []*DeltaSegment{segA, segB, segF}; !slices.Equal(got, want) {
+		t.Fatalf("s3b fragment 3 = %v, want %v", got, want)
+	}
+	if len(s2.Of(3)) != 2 || s3.Of(7)[0] != segC {
+		t.Fatal("a batch leaked across snapshots")
+	}
+	// After(2): segC (seq 3), segD and segE (4, 5) survive.
 	s4 := s3.After(2)
-	if s4.Segments() != 2 || s4.Rows() != int64(segC.Rows()+segB2.Rows()) || s4.MaxSeq() != 4 {
+	if s4.Segments() != 3 || s4.Rows() != int64(segC.Rows()+segD.Rows()+segE.Rows()) || s4.MaxSeq() != 5 {
 		t.Fatalf("After(2): %d segs %d rows maxSeq %d", s4.Segments(), s4.Rows(), s4.MaxSeq())
 	}
-	if s3.After(4) != nil {
+	if s3.After(5) != nil {
 		t.Fatal("After(maxSeq) should be nil")
 	}
 	// Deterministic iteration order: ascending fragment, then seal order.
 	var order []uint64
 	s3.ForEachSegment(func(seg *DeltaSegment) { order = append(order, seg.Seq()) })
-	wantOrder := []uint64{1, 4, 3}
-	for i := range wantOrder {
-		if order[i] != wantOrder[i] {
-			t.Fatalf("iteration order %v, want %v", order, wantOrder)
-		}
-	}
-}
-
-// sameSegment fails unless got holds exactly the rows of a segment built
-// in one go from the first n of the given rows (row i carries the
-// measures i, 2i, 3i).
-func sameSegment(t *testing.T, what string, ix *DeltaIndex, got *DeltaSegment, rows [][]int32, n int) {
-	t.Helper()
-	sb := ix.NewSegment(got.Frag())
-	for i := 0; i < n; i++ {
-		sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
-	}
-	want := sb.Seal(got.Seq())
-	if got.Rows() != n || len(got.Units()) != n || len(got.Dollars()) != n || len(got.Costs()) != n {
-		t.Errorf("%s: %d rows, columns of %d/%d/%d, want %d", what, got.Rows(), len(got.Units()), len(got.Dollars()), len(got.Costs()), n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		if got.Units()[i] != want.Units()[i] || got.Dollars()[i] != want.Dollars()[i] || got.Costs()[i] != want.Costs()[i] {
-			t.Errorf("%s: row %d measures differ", what, i)
-			return
-		}
-		for d := range rows[i] {
-			if got.Leaves(d)[i] != rows[i][d] {
-				t.Errorf("%s: row %d dimension %d differs", what, i, d)
-				return
-			}
-		}
-	}
-}
-
-// TestExtendSegmentGrowsInPlace: extensions write into the spare
-// capacity of the arrays the sealed segments of the chain share, so a
-// reader holding any earlier segment of the chain keeps reading exactly
-// its own prefix while the arrays grow under it (run under -race: the
-// readers and the extending writer touch the same arrays, never the same
-// elements); and rows of an extension that was abandoned — built, even
-// sealed, but never published — are overwritten by the next extension of
-// the same segment, never exposed.
-func TestExtendSegmentGrowsInPlace(t *testing.T) {
-	star, spec, ix := tinyDelta(t)
-	rng := rand.New(rand.NewSource(17))
-	const frag, first, step, extensions = 5, 40, 8, 120
-	var rows [][]int32
-	for i := 0; i < first+step*extensions+step; i++ {
-		rows = append(rows, randomLeavesFor(rng, star, spec, frag))
-	}
-	extend := func(seg *DeltaSegment, from [][]int32, n int) *DeltaSegment {
-		sb := ix.ExtendSegment(seg)
-		for i := 0; i < n; i++ {
-			r := seg.Rows() + i
-			sb.Add(from[r], int64(r), int64(2*r), int64(3*r))
-		}
-		return sb.Seal(seg.Seq() + 1)
-	}
-	sb := ix.NewSegment(frag)
-	for i := 0; i < first; i++ {
-		sb.Add(rows[i], int64(i), int64(2*i), int64(3*i))
-	}
-	tail := sb.Seal(1)
-
-	// An abandoned extension with rows of its own, then the real one.
-	junk := make([][]int32, len(rows))
-	for i := range junk {
-		junk[i] = randomLeavesFor(rng, star, spec, frag)
-	}
-	abandoned := extend(tail, junk, step)
-	next := extend(tail, rows, step)
-	if &abandoned.Units()[0] != &next.Units()[0] {
-		t.Error("the two extensions did not share an array: the abandoned rows were never at risk")
-	}
-	sameSegment(t, "extended after an abandoned extension", ix, next, rows, first+step)
-	sameSegment(t, "the segment both extended", ix, tail, rows, first)
-
-	// Readers pin segments of the chain as it grows and keep checking them.
-	pinned := make(chan *DeltaSegment, extensions)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var held []*DeltaSegment
-			for seg := range pinned {
-				held = append(held, seg)
-				for _, h := range held[max(0, len(held)-4):] {
-					sameSegment(t, "pinned segment", ix, h, rows, h.Rows())
-				}
-			}
-			for _, h := range held {
-				sameSegment(t, "pinned segment at the end", ix, h, rows, h.Rows())
-			}
-		}()
-	}
-	inPlace := 0
-	tail = next
-	for e := 0; e < extensions; e++ {
-		pinned <- tail
-		next := extend(tail, rows, step)
-		if &next.Units()[0] == &tail.Units()[0] {
-			inPlace++
-		}
-		tail = next
-	}
-	close(pinned)
-	wg.Wait()
-	sameSegment(t, "the final tail", ix, tail, rows, first+step+step*extensions)
-	if inPlace < extensions*3/4 {
-		t.Errorf("%d of %d extensions grew the columns in place", inPlace, extensions)
+	if wantOrder := []uint64{1, 2, 4, 5, 3}; !slices.Equal(order, wantOrder) {
+		t.Fatalf("iteration order %v, want %v", order, wantOrder)
 	}
 }

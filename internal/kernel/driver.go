@@ -39,8 +39,8 @@ type Counts[St any] interface {
 }
 
 // Dispatch is where a backend's fragment tasks run, and with what: the
-// workers borrow their scratch from the backend's free list for the
-// length of a call. With Disks > 1 the tasks are submitted round-robin
+// workers borrow their scratch, a task at a time, from the free list the
+// backend shares with every epoch of its store. With Disks > 1 the tasks are submitted round-robin
 // over the disks DiskOf maps their fragments to, so the first ones
 // running spread over distinct disks.
 type Dispatch[S any] struct {

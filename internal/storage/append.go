@@ -24,9 +24,10 @@ const (
 	// header bytes and the payload), little endian.
 	recHeaderSize = 32
 	// recFlagReplace, set in the rows field's top bit, marks a record that
-	// supersedes its fragment's previous tail record (tail-segment
-	// coalescing re-journals the whole extended segment): replay must
-	// replace the tail, not append, or the extended rows double-count.
+	// supersedes its fragment's previous record. Stores no longer write it
+	// (a sealed segment is never re-journaled), but journals written when
+	// a fragment's tail segment was extended and re-journaled whole hold
+	// it, and replay resolves it so they recover without double-counting.
 	recFlagReplace = 1 << 31
 )
 
@@ -68,13 +69,11 @@ type DeltaLogStats struct {
 }
 
 // DeltaRecord is one replayed journal record: the sealed segment's
-// fragment, sequence number and decoded rows, in append order.
+// fragment, sequence number and decoded rows, in append order. Every
+// column is exactly Rows() long.
 type DeltaRecord struct {
 	Frag int64
 	Seq  uint64
-	// Replace marks a coalescing record that supersedes the fragment's
-	// previous tail record (see AppendSegment).
-	Replace bool
 	// Leaves[d][i] is row i's leaf member on dimension d.
 	Leaves  [][]int32
 	Units   []int64
@@ -87,10 +86,12 @@ func (r *DeltaRecord) Rows() int { return len(r.Units) }
 
 // OpenDeltaLog opens (creating if needed) the delta journal in dir and
 // replays it: every intact record is decoded and returned in append
-// order, and a torn tail — a record cut short by a crash mid-write, or
-// one whose checksum does not match — is truncated away. Records after a
-// torn record are dropped too: the journal is strictly arrival-ordered,
-// so nothing after the first tear can be trusted to have been acked.
+// order — a replace-flagged record in place of its fragment's previous
+// record, or appended when there is none — and a torn tail — a record
+// cut short by a crash mid-write, or one whose checksum does not match —
+// is truncated away. Records after a torn record are dropped too: the
+// journal is strictly arrival-ordered, so nothing after the first tear
+// can be trusted to have been acked.
 func OpenDeltaLog(dir string, star *schema.Star) (*DeltaLog, []DeltaRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -130,6 +131,7 @@ func (l *DeltaLog) replay() ([]DeltaRecord, int64, error) {
 		return nil, 0, err
 	}
 	var recs []DeltaRecord
+	last := make(map[int64]int) // each fragment's latest record in recs
 	var off int64
 	hdr := make([]byte, recHeaderSize)
 	var payload []byte
@@ -161,10 +163,14 @@ func (l *DeltaLog) replay() ([]DeltaRecord, int64, error) {
 		if crc != want {
 			break // tear: payload or header corrupted mid-write
 		}
-		rec := l.decodeRecord(fragID, seq, rows, payload)
-		rec.Replace = replace
-		recs = append(recs, rec)
 		off += recHeaderSize + int64(plen)
+		rec := l.decodeRecord(fragID, seq, rows, payload)
+		if i, ok := last[fragID]; ok && replace {
+			recs[i] = rec
+			continue
+		}
+		last[fragID] = len(recs)
+		recs = append(recs, rec)
 	}
 	return recs, off, nil
 }
@@ -208,9 +214,9 @@ func (l *DeltaLog) Attach(ds *DiskSet, p alloc.Placement) {
 // AppendSegment journals one sealed segment as a checksummed record at
 // the log's tail. When AppendSegment returns nil the record is fully
 // written: a crash at any later point leaves it recoverable by replay.
-// replaceTail marks a coalescing record: the segment extends (and its
-// record supersedes) the fragment's previous tail record, which replay
-// then replaces instead of appending.
+// replaceTail writes the replace flag, which makes replay substitute the
+// record for its fragment's previous one; a store always passes false,
+// since it never journals a segment twice.
 func (l *DeltaLog) AppendSegment(seg *frag.DeltaSegment, replaceTail bool) error {
 	rows := seg.Rows()
 	plen := rows * l.tupleSize

@@ -72,7 +72,9 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 // stay open (pinned) for the duration; it is only read, and only by
 // plain reads of its files — never through its disk set. cfg assembles
 // the new backend as in BuildBackend, except that the bitmap encoding is
-// b's. On error nothing stays open and dir is left to the caller.
+// b's and the executor borrows its worker scratch from b's free lists,
+// which both epochs' tasks then share. On error nothing stays open and
+// dir is left to the caller.
 func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) (*Backend, error) {
 	old := b.Store
 	w, err := newFactWriter(dir, old.star, old.spec)
@@ -96,7 +98,12 @@ func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) 
 		return nil, err
 	}
 	bf, err := writeBitmaps(dir, store, b.Bitmaps.ix, b.Bitmaps.compressed, b.Bitmaps, deltas)
-	return assemble(store, bf, err, cfg)
+	nb, err := assemble(store, bf, err, cfg)
+	if err == nil {
+		// Same schema, same bitmaps: the worker scratch carries over.
+		nb.Exec.solo, nb.Exec.shared = b.Exec.solo, b.Exec.shared
+	}
+	return nb, err
 }
 
 // addSegments appends the segments' rows to the open fragment.

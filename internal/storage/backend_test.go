@@ -12,7 +12,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/data"
@@ -388,5 +390,107 @@ func TestCompactAllocatesForTouchedFragments(t *testing.T) {
 	t.Logf("TotalAlloc: 1 touched fragment %d B, 32 touched fragments %d B", a1, a32)
 	if a32 > a1 && (a32-a1)/31 > 2048 {
 		t.Errorf("each touched fragment beyond the first allocated %d B, more than 2048 B (1 touched: %d B, 32 touched: %d B)", (a32-a1)/31, a1, a32)
+	}
+}
+
+// TestScratchSurvivesCompaction: the worker scratch lives as long as the
+// store, not the epoch. The first backend's free lists serve solo and
+// shared queries through three compactions and build no more scratches
+// than the pool has workers; the
+// first query on a new epoch allocates no more than the same query warm
+// on the old one; and a scratch resting on the list keeps no pointer
+// into the epoch that last used it, so a retired executor is collected.
+func TestScratchSurvivesCompaction(t *testing.T) {
+	// A scratch rebuilt for the new epoch costs some 25 allocations a
+	// worker; the runtime's own (and the race detector's) now and then
+	// add up to 10 to a single run.
+	const workers, compactions, runtimeJitter = 2, 3, 12
+	sched := exec.NewScheduler(workers)
+	defer sched.Close()
+	ctx := context.Background()
+	cfg := BackendConfig{Sched: sched}
+	fx := newCompactFixture(t)
+	cur, err := BuildBackend(t.TempDir(), fx.rows, fx.spec, fx.icfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cur.Close() }()
+	var solo, shared atomic.Int64
+	cur.Exec.solo = exec.NewScratch(func() *execScratch { solo.Add(1); return newScratch() })
+	buildShared := newSharedScratch(len(fx.full.Dims), cur.Bitmaps.NumBitmaps())
+	cur.Exec.shared = exec.NewScratch(func() *sharedScratch { shared.Add(1); return buildShared() })
+
+	// The deltas land in month 7; the measured queries read month 2, so
+	// their working set is the same in every epoch.
+	parse := func(text string) frag.Query {
+		q, err := frag.ParseQuery(fx.full.Star, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	hot := fx.spec.FragmentIDs(parse("time::month=7"))
+	qs := []frag.Query{parse("time::month=2"), parse("time::month=2, customer::retailer=3 group by product::code")}
+	serve := func(be *Backend) {
+		for _, q := range qs {
+			if _, _, err := be.Exec.ExecuteGroupedDeltas(ctx, q, kernel.Deltas{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := be.Exec.Shared(ctx, qs, kernel.Deltas{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mallocs := func(f func()) uint64 { // measured as testing.AllocsPerRun measures
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for k := 0; k < compactions; k++ {
+		for i := 0; i < 8; i++ {
+			serve(cur)
+		}
+		warm := testing.AllocsPerRun(10, func() { serve(cur) })
+		var set *frag.DeltaSet
+		for _, id := range hot {
+			set = fx.seal(t, set, id, 10)
+		}
+		next, err := cur.Compact(t.TempDir(), set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := cur
+		cur = next
+		if first := mallocs(func() { serve(cur) }); float64(first) > warm+runtimeJitter {
+			t.Errorf("compaction %d: the first queries on the new epoch allocated %d times, warm ones on the old %.0f", k+1, first, warm)
+		}
+		// The retired executor and bitmap file (what a resting granule
+		// pipe and unit set would point to) must be collected.
+		retired := make(chan struct{}, 2)
+		runtime.SetFinalizer(old.Exec, func(*Executor) { retired <- struct{}{} })
+		runtime.SetFinalizer(old.Bitmaps, func(*BitmapFile) { retired <- struct{}{} })
+		if err := old.Close(); err != nil {
+			t.Fatal(err)
+		}
+		old = nil
+		collected := 0
+		for try := 0; try < 50 && collected < 2; try++ {
+			runtime.GC()
+			select {
+			case <-retired:
+				collected++
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if collected < 2 {
+			t.Fatalf("compaction %d: the retired executor or bitmap file is still reachable", k+1)
+		}
+	}
+	serve(cur)
+	if solo.Load() > workers || shared.Load() > workers {
+		t.Errorf("%d solo and %d shared scratches built over %d epochs of a %d-worker pool", solo.Load(), shared.Load(), compactions+1, workers)
 	}
 }

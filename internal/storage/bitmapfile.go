@@ -548,7 +548,8 @@ func (us *unitSet) payload(ctx context.Context, di int, st *IOStats) (p []byte, 
 	return h.data[sl.Off : sl.Off+sl.Len], sl, fresh, nil
 }
 
-// release unpins the held units; their private buffers stay for reuse.
+// release unpins the held units and unbinds the set from the file; the
+// units' private buffers stay for reuse.
 func (us *unitSet) release() {
 	for i := range us.held[:us.n] {
 		if ent := us.held[i].ent; ent != nil {
@@ -556,7 +557,7 @@ func (us *unitSet) release() {
 		}
 		us.held[i].data, us.held[i].ent = nil, nil
 	}
-	us.n = 0
+	us.n, us.bf, us.blk = 0, nil, bitmapBlock{}
 }
 
 // ReadCompressedFragment reads the bitmap fragment identified by desc for

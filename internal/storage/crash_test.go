@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/frag"
 	"repro/internal/schema"
 )
 
@@ -21,6 +23,25 @@ func reopenLog(t *testing.T, l *DeltaLog, dir string, star *schema.Star) (*Delta
 	}
 	t.Cleanup(func() { re.Close() })
 	return re, recs
+}
+
+// sameRecord fails unless the replayed record holds exactly the segment.
+func sameRecord(t *testing.T, what string, rec DeltaRecord, seg *frag.DeltaSegment) {
+	t.Helper()
+	if rec.Frag != seg.Frag() || rec.Seq != seg.Seq() || rec.Rows() != seg.Rows() {
+		t.Fatalf("%s = frag %d seq %d rows %d, want frag %d seq %d rows %d",
+			what, rec.Frag, rec.Seq, rec.Rows(), seg.Frag(), seg.Seq(), seg.Rows())
+	}
+	for i := 0; i < seg.Rows(); i++ {
+		for d := range rec.Leaves {
+			if rec.Leaves[d][i] != seg.Leaves(d)[i] {
+				t.Fatalf("%s row %d dim %d: leaf %d != %d", what, i, d, rec.Leaves[d][i], seg.Leaves(d)[i])
+			}
+		}
+		if rec.Units[i] != seg.Units()[i] || rec.Dollars[i] != seg.Dollars()[i] || rec.Costs[i] != seg.Costs()[i] {
+			t.Fatalf("%s row %d: measures differ", what, i)
+		}
+	}
 }
 
 func TestJournalReplayRecoversAckedSegments(t *testing.T) {
@@ -42,41 +63,57 @@ func TestJournalReplayRecoversAckedSegments(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", len(recs), len(segs))
 	}
 	for i, rec := range recs {
-		seg := segs[i]
-		if rec.Frag != seg.Frag() || rec.Seq != seg.Seq() || rec.Rows() != seg.Rows() || rec.Replace {
-			t.Fatalf("record %d = frag %d seq %d rows %d replace %v, want frag %d seq %d rows %d replace false",
-				i, rec.Frag, rec.Seq, rec.Rows(), rec.Replace, seg.Frag(), seg.Seq(), seg.Rows())
-		}
-		for i2 := 0; i2 < seg.Rows(); i2++ {
-			for d := range rec.Leaves {
-				if rec.Leaves[d][i2] != seg.Leaves(d)[i2] {
-					t.Fatalf("record %d row %d dim %d: leaf %d != %d", i, i2, d, rec.Leaves[d][i2], seg.Leaves(d)[i2])
-				}
-			}
-			if rec.Units[i2] != seg.Units()[i2] || rec.Dollars[i2] != seg.Dollars()[i2] || rec.Costs[i2] != seg.Costs()[i2] {
-				t.Fatalf("record %d row %d: measures differ", i, i2)
-			}
-		}
+		sameRecord(t, fmt.Sprintf("record %d", i), rec, segs[i])
 	}
 }
 
-func TestJournalReplayPreservesReplaceFlag(t *testing.T) {
+// journalSegment seals rows rows of fragment id with deterministic
+// content under the given sequence number.
+func journalSegment(ix *frag.DeltaIndex, star *schema.Star, id int64, seq uint64, rows int) *frag.DeltaSegment {
+	sb := ix.NewSegment(id)
+	leaves := make([]int32, len(star.Dims))
+	for i := 0; i < rows; i++ {
+		for d := range leaves {
+			leaves[d] = int32((int(seq)*7 + i) % star.Dims[d].LeafCard())
+		}
+		sb.Add(leaves, int64(i), int64(seq), -int64(i))
+	}
+	return sb.Seal(seq)
+}
+
+// TestJournalReplayResolvesReplaceFlag: a journal written when stores
+// re-journaled an extended tail segment whole, with the replace flag,
+// replays losslessly — the flagged record takes its fragment's previous
+// record's place, and a flagged record without one is kept as it is —
+// and the file is kept whole, not mistaken for a tear.
+func TestJournalReplayResolvesReplaceFlag(t *testing.T) {
 	star := schema.Tiny()
 	dir := t.TempDir()
 	l, _, err := OpenDeltaLog(dir, star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, segs := sealSegments(t, star, 3, 8)
-	if err := l.AppendSegment(segs[0], false); err != nil {
-		t.Fatal(err)
+	ix, _ := sealSegments(t, star)
+	a, b := journalSegment(ix, star, 0, 1, 3), journalSegment(ix, star, 1, 2, 8)
+	a2, c := journalSegment(ix, star, 0, 3, 5), journalSegment(ix, star, 2, 4, 2)
+	for _, w := range []struct {
+		seg     *frag.DeltaSegment
+		replace bool
+	}{{a, false}, {b, false}, {a2, true}, {c, true}} {
+		if err := l.AppendSegment(w.seg, w.replace); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.AppendSegment(segs[1], true); err != nil {
-		t.Fatal(err)
-	}
+	size := l.Stats().Bytes
 	_, recs := reopenLog(t, l, dir, star)
-	if len(recs) != 2 || recs[0].Replace || !recs[1].Replace {
-		t.Fatalf("replace flags = %v, want [false true]", []bool{recs[0].Replace, recs[1].Replace})
+	if len(recs) != 3 {
+		t.Fatalf("replayed %d records, want [A' B C]", len(recs))
+	}
+	for i, want := range []*frag.DeltaSegment{a2, b, c} {
+		sameRecord(t, fmt.Sprintf("record %d", i), recs[i], want)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, deltaFileName)); err != nil || fi.Size() != size {
+		t.Fatalf("journal size after replay %d, written %d (%v)", fi.Size(), size, err)
 	}
 }
 
@@ -227,4 +264,119 @@ func TestJournalRollbackDropsRecordsPastTheMark(t *testing.T) {
 	if len(recs) != 2 || recs[0].Seq != segs[0].Seq() || recs[1].Seq != segs[3].Seq() || recs[1].Rows() != segs[3].Rows() {
 		t.Fatalf("replay after rollback recovered %d records: %+v", len(recs), recs)
 	}
+}
+
+// FuzzDeltaLogReplay writes a journal of valid records — some of them
+// replace-flagged — followed by arbitrary bytes, and reopens it.
+// OpenDeltaLog must neither fail nor panic, must truncate the file to the
+// end of its intact prefix, which covers every valid record, and must
+// return those records with the replace flags resolved. The arbitrary
+// bytes can extend the prefix only with intact records of their own,
+// which must then replay whole on their own too.
+func FuzzDeltaLogReplay(f *testing.F) {
+	star := schema.Tiny()
+	spec := frag.MustParse(star, "time::month, product::group")
+	ix, err := frag.NewDeltaIndex(spec, frag.APB1Indexes(star))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seeds: garbage, a record cut short, and a whole record (flagged).
+	dir := f.TempDir()
+	l, _, err := OpenDeltaLog(dir, star)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := l.AppendSegment(journalSegment(ix, star, 1, 9, 3), true); err != nil {
+		f.Fatal(err)
+	}
+	l.Close()
+	record, err := os.ReadFile(filepath.Join(dir, deltaFileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{0x04, 0x89, 0x05}, []byte{})
+	f.Add([]byte{0x00, 0x81, 0x80}, []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
+	f.Add([]byte{0x09, 0x8d}, record[:len(record)-5])
+	f.Add([]byte{0x01, 0x02}, record)
+
+	f.Fuzz(func(t *testing.T, plan, garbage []byte) {
+		if len(plan) > 16 {
+			plan = plan[:16]
+		}
+		dir := t.TempDir()
+		l, _, err := OpenDeltaLog(dir, star)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each plan byte is one record: fragment (low 2 bits), rows (next
+		// 3, plus one) and the replace flag (top bit).
+		var want []*frag.DeltaSegment
+		for k, b := range plan {
+			seg := journalSegment(ix, star, int64(b&3), uint64(k+1), 1+int(b>>2&7))
+			if err := l.AppendSegment(seg, b&0x80 != 0); err != nil {
+				t.Fatal(err)
+			}
+			at := -1
+			for i, w := range want {
+				if w.Frag() == seg.Frag() {
+					at = i
+				}
+			}
+			if b&0x80 != 0 && at >= 0 {
+				want[at] = seg
+			} else {
+				want = append(want, seg)
+			}
+		}
+		valid := l.Stats().Bytes
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, deltaFileName)
+		file, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := file.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		file.Close()
+
+		re, recs, err := OpenDeltaLog(dir, star)
+		if err != nil {
+			t.Fatalf("reopening %d valid bytes and %d arbitrary ones: %v", valid, len(garbage), err)
+		}
+		re.Close()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := fi.Size()
+		if tail < valid || tail > valid+int64(len(garbage)) {
+			t.Fatalf("truncated to %d bytes: %d are valid records, %d more arbitrary", tail, valid, len(garbage))
+		}
+		if tail == valid {
+			if len(recs) != len(want) {
+				t.Fatalf("replayed %d records, want %d", len(recs), len(want))
+			}
+			for i := range want {
+				sameRecord(t, fmt.Sprintf("record %d", i), recs[i], want[i])
+			}
+			return
+		}
+		// The arbitrary bytes began with intact records: alone, they replay
+		// whole.
+		alone := t.TempDir()
+		if err := os.WriteFile(filepath.Join(alone, deltaFileName), garbage[:tail-valid], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err = OpenDeltaLog(alone, star)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		if fi, err := os.Stat(filepath.Join(alone, deltaFileName)); err != nil || fi.Size() != tail-valid {
+			t.Fatalf("the %d bytes taken as records after the valid ones do not replay whole alone (%v)", tail-valid, err)
+		}
+	})
 }

@@ -91,7 +91,8 @@ type Executor struct {
 	AsyncPrefetch bool
 
 	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's fragment tasks; each epoch's executor has its own.
+	// every call's fragment tasks. Compact hands the lists on to the next
+	// epoch's executor, so they live as long as the store.
 	solo   *exec.Scratch[*execScratch]
 	shared *exec.Scratch[*sharedScratch]
 }
@@ -105,7 +106,8 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 		return nil, errNilScheduler
 	}
 	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
-	e.solo, e.shared = exec.NewScratch(e.newScratch), exec.NewScratch(e.newSharedScratch)
+	e.solo = exec.NewScratch(newScratch)
+	e.shared = exec.NewScratch(newSharedScratch(len(store.star.Dims), bitmaps.NumBitmaps()))
 	return e, nil
 }
 
@@ -137,7 +139,10 @@ type partial struct {
 // execScratch is the per-worker buffer set threaded through internal/exec.
 // All slices and bitsets grow to the working-set size of the first
 // fragments a worker touches and are reused for every later one, in
-// every call, making the fragment hot loop allocation-free once warm.
+// every call and every epoch, making the fragment hot loop
+// allocation-free once warm. Between tasks it holds no pointer into the
+// epoch that last used it (granulePipe.finish, unitSet.release), so a
+// retired epoch's files and directories stay collectable.
 type execScratch struct {
 	page  []byte  // fact prefetch-granule buffer
 	units unitSet // bitmap units read for the current fragment
@@ -156,7 +161,7 @@ type execScratch struct {
 	filled chan gread    // completed granule reads
 }
 
-func (e *Executor) newScratch() *execScratch {
+func newScratch() *execScratch {
 	return &execScratch{hits: bitmap.New(0), sel: bitmap.New(0)}
 }
 

@@ -138,21 +138,23 @@ func (p *granulePipe) advance() {
 
 // next returns the next granule of the list and its filled page buffer,
 // recycling the previously handed-out buffer (or pin) into the pipeline.
-// The buffer is valid until the following next (or finish) call.
+// The buffer is valid until the following next (or finish) call. After
+// an error the pipe is over, as after finish.
 func (p *granulePipe) next() (granule, []byte, error) {
 	g := p.grans[p.k]
 	p.k++
 	p.advance()
 	var buf []byte
 	var hit bool
+	var err error
 	switch {
 	case p.async:
 		r := <-p.sc.filled
-		if r.err != nil {
+		if err = r.err; err != nil {
 			// The reader has exited; drop the channels (and any buffer or
 			// token still inside) so the next fragment starts fresh.
 			p.sc.free, p.sc.tok, p.sc.filled = nil, nil, nil
-			return g, nil, r.err
+			break
 		}
 		p.pent, hit = r.ent, r.hit
 		p.ptok = p.pooled
@@ -161,18 +163,14 @@ func (p *granulePipe) next() (granule, []byte, error) {
 		}
 		buf = r.buf
 	case p.pooled:
-		var err error
 		buf, p.pent, hit, err = p.e.store.ReadGranuleCtx(p.ctx, nil, p.id, int(g.start), int(g.count))
-		if err != nil {
-			return g, nil, err
-		}
 	default:
-		var err error
 		p.sc.page, err = p.e.store.ReadPagesCtx(p.ctx, p.sc.page, p.id, int(g.start), int(g.count))
-		if err != nil {
-			return g, nil, err
-		}
 		buf = p.sc.page
+	}
+	if err != nil {
+		*p = granulePipe{}
+		return g, nil, err
 	}
 	p.st.FactIOs++
 	p.st.FactPages += int64(g.count)
@@ -189,7 +187,8 @@ func (p *granulePipe) next() (granule, []byte, error) {
 
 // finish returns the last buffer (or pin and token) to the pipeline once
 // every granule has been consumed, restoring the pipeline invariants for
-// the next fragment.
+// the next fragment, and forgets the call: a scratch resting on its free
+// list keeps no executor, context or counters alive.
 func (p *granulePipe) finish() {
 	p.advance()
 	if p.pooled && p.async {
@@ -198,6 +197,7 @@ func (p *granulePipe) finish() {
 		<-p.sc.tok
 		<-p.sc.tok
 	}
+	*p = granulePipe{}
 }
 
 // forEachGranule streams the granule list through the pipe, calling fn

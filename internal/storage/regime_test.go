@@ -205,7 +205,7 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					built := 0
 					be.Exec.solo = exec.NewScratch(func() *execScratch {
 						built++
-						return be.Exec.newScratch()
+						return newScratch()
 					})
 					ctx := context.Background()
 
@@ -260,7 +260,7 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sc := be.Exec.newScratch()
+					sc := newScratch()
 					var p partial
 					if err := be.Exec.processFragment(ctx, badID, plan, &p, sc, 0, nil); !errors.As(err, &fe) {
 						t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
@@ -296,8 +296,8 @@ func TestFaultOnSecondGranule(t *testing.T) {
 // queries over 1 to 32 fragments of 13 pages each, half of them grouped,
 // allocates per query a fraction of one 8-page granule buffer; when
 // every call built its own scratch it was two such buffers for each of
-// 4 workers. A compaction's executor starts with scratch lists of its
-// own: no scratch crosses an epoch.
+// 4 workers. A compaction's executor takes over the lists, and its warm
+// queries allocate as little.
 func TestSteadyStateAllocation(t *testing.T) {
 	sched := exec.NewScheduler(4)
 	defer sched.Close()
@@ -342,8 +342,8 @@ func TestSteadyStateAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer next.Close()
-	if next.Exec.solo == be.Exec.solo || next.Exec.shared == be.Exec.shared {
-		t.Fatal("the next epoch's executor borrows the old executor's scratch")
+	if next.Exec.solo != be.Exec.solo || next.Exec.shared != be.Exec.shared {
+		t.Fatal("the next epoch's executor builds scratch lists of its own")
 	}
 	if got := perQuery(next); got >= bound {
 		t.Errorf("next epoch: %d bytes allocated per warm query, want under half a granule buffer (%d)", got, bound)

@@ -25,12 +25,17 @@ type sharedScratch struct {
 	ugran   []granule
 }
 
-func (e *Executor) newSharedScratch() *sharedScratch {
-	return &sharedScratch{
-		sc:      e.newScratch(),
-		keys:    make([]uint16, len(e.store.star.Dims)),
-		byIndex: make([]*bitmap.Bitset, e.bitmaps.NumBitmaps()),
-		union:   bitmap.New(0),
+// newSharedScratch returns the builder of shared scratch for a schema of
+// dims dimensions and bitmaps stored bitmaps per fragment — all it needs
+// of the executor, which the lists outlive.
+func newSharedScratch(dims, bitmaps int) func() *sharedScratch {
+	return func() *sharedScratch {
+		return &sharedScratch{
+			sc:      newScratch(),
+			keys:    make([]uint16, dims),
+			byIndex: make([]*bitmap.Bitset, bitmaps),
+			union:   bitmap.New(0),
+		}
 	}
 }
 
