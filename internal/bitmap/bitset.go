@@ -237,16 +237,9 @@ func (b *Bitset) OrByte(base int, v byte) {
 	b.words[base/wordBits] |= uint64(v) << uint(base%wordBits)
 }
 
-// ForEachWord calls fn once per nonzero 64-bit word with the bit index of
-// the word's least significant bit — one call per word instead of one
-// closure invocation per set bit, for batch aggregation loops.
-func (b *Bitset) ForEachWord(fn func(base int, w uint64)) {
-	for wi, w := range b.words {
-		if w != 0 {
-			fn(wi*wordBits, w)
-		}
-	}
-}
+// Words returns the backing words, bit i in word i/64 (read-only): the
+// batch aggregation loops walk a selection a word at a time.
+func (b *Bitset) Words() []uint64 { return b.words }
 
 // NextSet returns the index of the first set bit at or after i, or -1.
 func (b *Bitset) NextSet(i int) int {

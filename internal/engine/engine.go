@@ -8,18 +8,16 @@
 //
 // Everything around a fragment — validation, fragment enumeration, the
 // delta fold, the merge of the workers' partials — is internal/kernel's
-// drivers; the
-// engine supplies the fragment folds (processFragment solo, selectInto +
-// kernel.EvalMany shared), so its results are structurally identical to
-// the on-disk executor's. Whether the index fragments are kept as Bitsets
-// or as WAH words (BuildCompressed) is a storage format: either way a
-// selection lands in a worker's scratch Bitset and the fold is the same.
+// drivers; the engine supplies the fragment folds (selectInto + a column
+// Sum solo, selectInto + kernel.EvalMany shared), so its results are
+// structurally identical to the on-disk executor's. Index fragments kept
+// as Bitsets or as WAH words (BuildCompressed) differ only in storage:
+// either way a selection lands in a worker's scratch Bitset.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/bitmap"
 	"repro/internal/data"
@@ -40,11 +38,8 @@ type Stats = kernel.Stats
 // fragment holds one fact fragment's rows (column-oriented) and its bitmap
 // index fragments.
 type fragment struct {
-	rows        int
-	dims        [][]int32
-	unitsSold   []int64
-	dollarSales []int64
-	cost        []int64
+	rows int
+	cols kernel.Columns
 
 	// encoded[d] is the encoded bitmap join index fragment for dimension d
 	// (nil for simple-indexed dimensions).
@@ -139,24 +134,22 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 	}
 	// Pass 2: distribute rows.
 	for id, c := range counts {
-		f := &fragment{dims: make([][]int32, len(star.Dims))}
-		for d := range f.dims {
-			f.dims[d] = make([]int32, 0, c)
+		f := &fragment{cols: kernel.Columns{Dims: make([][]int32, len(star.Dims)),
+			Units: make([]int64, 0, c), Dollars: make([]int64, 0, c), Costs: make([]int64, 0, c)}}
+		for d := range f.cols.Dims {
+			f.cols.Dims[d] = make([]int32, 0, c)
 		}
-		f.unitsSold = make([]int64, 0, c)
-		f.dollarSales = make([]int64, 0, c)
-		f.cost = make([]int64, 0, c)
 		e.frags[id] = f
 	}
 	for i := 0; i < t.N(); i++ {
 		id := spec.IDOf(t.LeafMembers(i, buf))
 		f := e.frags[id]
-		for d := range f.dims {
-			f.dims[d] = append(f.dims[d], t.Dims[d][i])
+		for d, col := range f.cols.Dims {
+			f.cols.Dims[d] = append(col, t.Dims[d][i])
 		}
-		f.unitsSold = append(f.unitsSold, t.UnitsSold[i])
-		f.dollarSales = append(f.dollarSales, t.DollarSales[i])
-		f.cost = append(f.cost, t.Cost[i])
+		f.cols.Units = append(f.cols.Units, t.UnitsSold[i])
+		f.cols.Dollars = append(f.cols.Dollars, t.DollarSales[i])
+		f.cols.Costs = append(f.cols.Costs, t.Cost[i])
 		f.rows++
 	}
 	// Pass 3: per-fragment index construction. vals is reused across all
@@ -187,25 +180,27 @@ func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 		segs := deltas.Of(id)
 		old := e.frags[id]
 		if old == nil { // new to the engine
-			old = &fragment{dims: make([][]int32, len(e.star.Dims))}
+			old = &fragment{cols: kernel.Columns{Dims: make([][]int32, len(e.star.Dims))}}
 		}
-		f := &fragment{rows: old.rows, dims: make([][]int32, len(old.dims))}
+		f := &fragment{rows: old.rows}
 		for _, seg := range segs {
 			f.rows += seg.Rows()
 		}
-		for d := range f.dims {
-			f.dims[d] = append(make([]int32, 0, f.rows), old.dims[d]...)
+		c := &f.cols
+		c.Dims = make([][]int32, len(old.cols.Dims))
+		for d := range c.Dims {
+			c.Dims[d] = append(make([]int32, 0, f.rows), old.cols.Dims[d]...)
 		}
-		f.unitsSold = append(make([]int64, 0, f.rows), old.unitsSold...)
-		f.dollarSales = append(make([]int64, 0, f.rows), old.dollarSales...)
-		f.cost = append(make([]int64, 0, f.rows), old.cost...)
+		c.Units = append(make([]int64, 0, f.rows), old.cols.Units...)
+		c.Dollars = append(make([]int64, 0, f.rows), old.cols.Dollars...)
+		c.Costs = append(make([]int64, 0, f.rows), old.cols.Costs...)
 		for _, seg := range segs {
-			for d := range f.dims {
-				f.dims[d] = append(f.dims[d], seg.Leaves(d)...)
+			for d := range c.Dims {
+				c.Dims[d] = append(c.Dims[d], seg.Leaves(d)...)
 			}
-			f.unitsSold = append(f.unitsSold, seg.Units()...)
-			f.dollarSales = append(f.dollarSales, seg.Dollars()...)
-			f.cost = append(f.cost, seg.Costs()...)
+			c.Units = append(c.Units, seg.Units()...)
+			c.Dollars = append(c.Dollars, seg.Dollars()...)
+			c.Costs = append(c.Costs, seg.Costs()...)
 		}
 		vals = ne.buildIndexes(f, vals)
 		ne.frags[id] = f
@@ -238,7 +233,7 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 			// bitmaps below the fragmentation level carry information and
 			// only they are evaluated (SelectPartial).
 			if fl != dim.Leaf() { // fully eliminated when fragmenting on the leaf
-				idx := bitmap.NewEncodedIndex(e.layouts[d], f.dims[d])
+				idx := bitmap.NewEncodedIndex(e.layouts[d], f.cols.Dims[d])
 				if e.compressed {
 					f.encoded[d] = bitmap.CompressEncodedIndex(idx)
 				} else {
@@ -252,7 +247,7 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 					vals = make([]int32, f.rows)
 				}
 				vals = vals[:f.rows]
-				for i, leaf := range f.dims[d] {
+				for i, leaf := range f.cols.Dims[d] {
 					vals[i] = int32(dim.Ancestor(dim.Leaf(), int(leaf), l))
 				}
 				idx := bitmap.NewSimpleIndex(dim.Levels[l].Card, vals)
@@ -295,20 +290,25 @@ func rowKey(base uint64, perRow []kernel.RowLevel, dims [][]int32, i int) uint64
 // Solo runs the star query through kernel.Solo on the scheduler's pool —
 // its fragment tasks interleave with every other execution admitted to
 // the scheduler — over the relevant fragments own selects (nil selects
-// all). The engine's share is the fragment fold: the fragment-aligned
-// fast path tags the fragment total with its constant group key (no
-// per-row work at all), the fallback buckets rows into a fragment-local
-// group map; a fragment holding neither base rows nor delta segments
-// counts as not processed.
+// all). The engine's share is the fragment fold (Section 4.3): bitmap
+// access into sc's reusable bitsets, then aggregation of the hit rows —
+// of all rows when no bitmap is needed (query types Q1/Q3) — by the
+// kernel's column Sum, or row by row into a fragment-local group map on
+// the per-row grouping fallback. A fragment holding neither base rows
+// nor delta segments counts as not processed.
 func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[Stats], error) {
 	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.solo}
 	return kernel.Solo(ctx, d, q, deltas, own, func() (kernel.SoloFold[*scratch, Stats], error) {
 		return func(sc *scratch, id int64, q frag.Query, slot kernel.Slot) (kernel.FragPartial, Stats, error) {
 			var st Stats
 			f, ok := e.frags[id] // absent: the fragment has no rows at this density
-			if ok {
-				e.processFragment(f, q, sc, &slot.FP, &st, slot.Base, slot.PerRow)
+			switch {
+			case ok && e.selectInto(f, q, sc.hits, sc.sel, &st):
+				slot.AddColsSelected(f.cols, sc.hits)
+			case ok: // every fragment row is relevant (no bitmap access, IOC1-style)
+				slot.AddColsRange(f.cols, 0, f.rows)
 			}
+			st.RowsScanned = slot.Rows
 			if ok || deltas.Has(id) {
 				st.FragmentsProcessed = 1
 			}
@@ -370,49 +370,6 @@ func (e *Engine) selectInto(f *fragment, q frag.Query, dst, sel *bitmap.Bitset, 
 		selected = true
 	}
 	return selected
-}
-
-// processFragment evaluates the query inside one fragment: selectInto,
-// then aggregate the hit rows — or all rows when no bitmap is needed
-// (query types Q1/Q3). The selection lands in sc's reusable bitsets and
-// aggregation runs word-wise; only the per-row grouping fallback (perRow
-// non-empty) adds key computation and map updates to the loop.
-func (e *Engine) processFragment(f *fragment, q frag.Query, sc *scratch, p *kernel.FragPartial, st *Stats, base uint64, perRow []kernel.RowLevel) {
-	agg := &p.Agg
-	if !e.selectInto(f, q, sc.hits, sc.sel, st) {
-		// All fragment rows are relevant (no bitmap access, IOC1-style).
-		st.RowsScanned += int64(f.rows)
-		if len(perRow) == 0 {
-			for i := 0; i < f.rows; i++ {
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		} else {
-			for i := 0; i < f.rows; i++ {
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		}
-		return
-	}
-	if len(perRow) == 0 {
-		sc.hits.ForEachWord(func(wordBase int, w uint64) {
-			for w != 0 {
-				i := wordBase + bits.TrailingZeros64(w)
-				w &= w - 1
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		})
-	} else {
-		sc.hits.ForEachWord(func(wordBase int, w uint64) {
-			for w != 0 {
-				i := wordBase + bits.TrailingZeros64(w)
-				w &= w - 1
-				agg.AddRow(f.unitsSold[i], f.dollarSales[i], f.cost[i])
-				p.Groups.AddRow(rowKey(base, perRow, f.dims, i), f.unitsSold[i], f.dollarSales[i], f.cost[i])
-			}
-		})
-	}
-	st.RowsScanned += agg.Count
 }
 
 // Scan computes the query's grand total by a naive full scan of the table

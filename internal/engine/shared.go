@@ -59,8 +59,7 @@ func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query,
 						ms[k].Shared.FragmentsShared = 1
 					}
 				}
-				cols := kernel.Columns{Dims: f.dims, Units: f.unitsSold, Dollars: f.dollarSales, Costs: f.cost}
-				kernel.EvalMany(evalSlots, masks, f.rows, cols, sc.union)
+				kernel.EvalMany(evalSlots, masks, f.rows, f.cols, sc.union)
 			}
 			for k := range ms {
 				ms[k].St.RowsScanned += slots[k].Rows

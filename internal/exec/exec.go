@@ -12,7 +12,7 @@
 // Two entry points sit on the dispatcher and differ in the gather.
 // ReduceShardedOn is the paper's "aggregate locally, merge globally"
 // (Section 4.3): a worker folds the tasks it runs into a partial of its
-// own, with scratch borrowed from the store's free list (Scratch), and
+// own, with the scratch of its slot in the store's Scratch, and
 // the caller merges one partial per worker — identical results at any
 // pool size for merges that commute. The query drivers (internal/kernel)
 // run both backends' fragment tasks through it on the serving store's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -46,7 +47,7 @@ type Scheduler struct {
 	mu     sync.Mutex
 	wake   *sync.Cond
 	jobs   atomic.Pointer[[]*job]
-	closed bool
+	closed atomic.Bool // written under mu
 
 	admitted atomic.Int64
 	done     atomic.Int64
@@ -158,7 +159,7 @@ func (s *Scheduler) work(w int) {
 		if len(jobs) == 0 {
 			s.mu.Lock()
 			if len(*s.jobs.Load()) == 0 { // re-checked under mu: no publish is missed
-				if s.closed {
+				if s.closed.Load() {
 					s.mu.Unlock()
 					return
 				}
@@ -190,7 +191,7 @@ func (s *Scheduler) work(w int) {
 // position; on a closed scheduler it publishes nothing.
 func (s *Scheduler) publish(j *job) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -248,7 +249,7 @@ func (s *Scheduler) SetLimit(n int) {
 // either runs to completion or fails with it.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	s.wake.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -299,66 +300,83 @@ func (s *Scheduler) release() {
 // own call with an error naming the task; the pool and every other
 // execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	// Storing result i in slot i commutes: a reduce over a scratch list
-	// that lives for the call, with nothing to merge.
+	// Storing result i in slot i commutes: a reduce whose per-worker
+	// partial is the worker's scratch for the call, with nothing to merge.
 	results := make([]T, max(n, 0))
-	_, err := ReduceShardedOn(ctx, s, n, nil, 1, NewScratch(newScratch),
-		func(sc S, _ *struct{}, i int) (err error) {
-			results[i], err = fn(sc, i)
-			return err
-		}, func(_, _ *struct{}) {})
+	ws := make([]worker[slot[S]], s.workers)
+	_, err := reduce(ctx, s, n, nil, 1, ws, func(w, i int) (err error) {
+		own := &ws[w].acc
+		results[i], err = fn(own.take(newScratch), i)
+		own.ok = true
+		return err
+	}, func(_, _ *slot[S]) {})
 	if err != nil || n <= 0 {
 		return nil, err
 	}
 	return results, nil
 }
 
-// Scratch is a store's free list of worker scratch — the buffers its
-// fragment tasks reuse. Each epoch's backend holds it, a compaction hands
-// it to the next epoch's, and a task of a ReduceShardedOn call borrows
-// from it for as long as it runs, so the buffers are built once per
-// store and serve every later call of every epoch. A scratch must not
-// keep the epoch it last served alive. A worker runs one task at a time,
-// and old- and new-epoch tasks share one scheduler, so however many
-// calls are in flight no more scratches are out than the pool has
-// workers, and none of them is ever surplus: a scratch held for a whole
-// call sat idle while its worker ran another call's task on a second
-// one, and what came back beyond one per worker was dropped and built
-// again — as often as the calls happened to overlap. A plain list, not
-// a sync.Pool, which the collector empties when it pleases: allocation
-// per query must repeat.
+// Scratch is a store's worker scratch — the buffers its fragment tasks
+// reuse — in a slot per pool worker, each on a cache line of its own.
+// Each epoch's backend holds it and a compaction hands it on, so a task
+// of a ReduceShardedOn call on worker w reuses what w's earlier tasks of
+// every epoch built: one scratch per worker, taken with no lock and no
+// atomic another worker takes. Each scheduler a list serves gets slots
+// of its own at its first call (those of closed ones are dropped then),
+// so no scratch is ever in two tasks. A scratch must not keep the epoch
+// it last served alive. Not a sync.Pool, which the collector empties
+// when it pleases: allocation per query must repeat.
 type Scratch[S any] struct {
 	build func() S
 	mu    sync.Mutex
-	idle  []S
+	slots map[*Scheduler]*[]paddedSlot[S]
 }
 
-// NewScratch returns an empty free list whose scratches build makes.
-func NewScratch[S any](build func() S) *Scratch[S] { return &Scratch[S]{build: build} }
+// paddedSlot keeps neighbouring workers' slots off one cache line.
+type paddedSlot[S any] struct {
+	slot[S]
+	_ [64]byte
+}
 
-func (l *Scratch[S]) take() S {
+// slot is one worker's scratch. take hands it out, building it when
+// there is none, and marks the slot empty until the task returns and
+// sets ok again: a task that panics never does, so the worker's next
+// task builds a new one, as its first does.
+type slot[S any] struct {
+	sc S
+	ok bool
+}
+
+func (sl *slot[S]) take(build func() S) S {
+	if !sl.ok {
+		sl.sc = build()
+	}
+	sl.ok = false
+	return sl.sc
+}
+
+// NewScratch returns an empty list whose scratches build makes.
+func NewScratch[S any](build func() S) *Scratch[S] {
+	return &Scratch[S]{build: build, slots: make(map[*Scheduler]*[]paddedSlot[S])}
+}
+
+// of returns s's slots (a pointer: one word for a task closure), adding
+// them on s's first call and dropping those of closed schedulers.
+func (l *Scratch[S]) of(s *Scheduler) *[]paddedSlot[S] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.idle)
-	if n == 0 {
-		return l.build()
+	ws, ok := l.slots[s]
+	if !ok {
+		maps.DeleteFunc(l.slots, func(o *Scheduler, _ *[]paddedSlot[S]) bool { return o.closed.Load() })
+		ws = new([]paddedSlot[S])
+		*ws = make([]paddedSlot[S], s.workers)
+		l.slots[s] = ws
 	}
-	sc := l.idle[n-1]
-	l.idle = l.idle[:n-1]
-	return sc
+	return ws
 }
 
-// give returns sc to the list, or drops it when keep are idle already.
-func (l *Scratch[S]) give(sc S, keep int) {
-	l.mu.Lock()
-	if len(l.idle) < keep {
-		l.idle = append(l.idle, sc)
-	}
-	l.mu.Unlock()
-}
-
-// worker is pool worker w's share of one ReduceShardedOn call; only that
-// worker's goroutine touches it until the job has finished.
+// worker is pool worker w's share of one call; only that worker's
+// goroutine touches it until the job has finished.
 type worker[A any] struct {
 	acc A
 	ran bool // a task of the call ran here: acc is part of the result
@@ -372,10 +390,10 @@ type worker[A any] struct {
 // in which partial depends on scheduling, so the result is identical at
 // every pool size, shard layout and admission mix exactly when fn's
 // folding and merge commute and associate, as sums and maxima per key
-// do; a merge that needs task order belongs on MapOn. A task takes its
-// scratch from the backend's list and gives it back when it returns,
-// with or without an error — except one it panicked on, whose state
-// nobody knows: that one is dropped.
+// do; a merge that needs task order belongs on MapOn. A task uses the
+// scratch of its worker's slot in the backend's list, with or without an
+// error — except one it panicked on, whose state nobody knows: that one
+// is dropped and the worker builds another.
 //
 // With shards > 1 the tasks are claimed round-robin across their shards
 // (typically the disk of each task's fragment, taken modulo shards), so
@@ -385,6 +403,21 @@ type worker[A any] struct {
 // partials are withheld and A's zero value is returned.
 func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
 	scratch *Scratch[S], fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
+	slots := scratch.of(s)
+	ws := make([]worker[A], s.workers)
+	return reduce(ctx, s, n, shardOf, shards, ws, func(w, i int) error {
+		me, own := &ws[w], &(*slots)[w].slot
+		me.ran = true
+		err := fn(own.take(scratch.build), &me.acc, i)
+		own.ok = true
+		return err
+	}, merge)
+}
+
+// reduce runs the call whose task i run runs on worker w, and merges the
+// partials ws of the workers that ran one.
+func reduce[A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
+	ws []worker[A], run func(w, i int) error, merge func(acc, part *A)) (A, error) {
 	var zero A
 	if n <= 0 {
 		return zero, ctx.Err()
@@ -393,17 +426,8 @@ func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf
 		return zero, err
 	}
 	defer s.release()
-	ws := make([]worker[A], s.workers)
-	j := &job{n: int64(n), order: shardOrder(n, shardOf, shards), fin: make(chan struct{})}
+	j := &job{n: int64(n), order: shardOrder(n, shardOf, shards), fin: make(chan struct{}), run: run}
 	j.cutoff.Store(int64(n))
-	j.run = func(w, i int) error {
-		me := &ws[w]
-		me.ran = true
-		sc := scratch.take()
-		err := fn(sc, &me.acc, i)
-		scratch.give(sc, s.workers)
-		return err
-	}
 	if err := s.publish(j); err != nil {
 		return zero, err
 	}

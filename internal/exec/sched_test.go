@@ -234,9 +234,9 @@ func TestPanicPoisonsOnlyItsCall(t *testing.T) {
 }
 
 // TestScratchBuiltAtMostOncePerWorker: the scratch outlives the call.
-// Over 1,000 sequential calls on one free list every pool worker builds
-// at most one scratch and threads it through each task it runs; a
-// scratch in two tasks at once would race on the buffer (-race).
+// Over 1,000 sequential calls on one list every pool worker builds at
+// most one scratch and threads it through each task it runs; a scratch
+// in two tasks at once would race on the buffer (-race).
 func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 	type scratch struct{ buf []int }
 	for _, workers := range []int{1, 2, 4} {
@@ -258,8 +258,8 @@ func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 				t.Fatalf("workers=%d call %d: %d, %v", workers, call, got, err)
 			}
 		}
-		if n := created.Load(); n < 1 || n > int64(workers) || len(pool.idle) != int(n) {
-			t.Fatalf("workers=%d: %d scratches built over 1,000 calls, %d idle", workers, n, len(pool.idle))
+		if n := created.Load(); n < 1 || n > int64(workers) || int64(held(pool, s)) != n {
+			t.Fatalf("workers=%d: %d scratches built over 1,000 calls, %d held by slots", workers, n, held(pool, s))
 		}
 		s.Close()
 	}
@@ -267,12 +267,20 @@ func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 
 func addInts(acc, part *int) { *acc += *part }
 
-// TestScratchBuiltOncePerWorkerUnderOverlap: calls that overlap borrow
-// per task, not per call, so eight callers at once never have more
-// scratches out than the pool has workers and none comes back surplus
-// to be dropped and built again — held per call, the same load built
-// one whenever two calls met on a worker, a number that moved with the
-// timing from run to run.
+// held counts the slots of scheduler s in the list that hold a scratch.
+func held[S any](pool *Scratch[S], s *Scheduler) int {
+	n := 0
+	for _, sl := range *pool.slots[s] {
+		if sl.ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestScratchBuiltOncePerWorkerUnderOverlap: eight callers at once on
+// four workers never build more scratches than the pool has workers —
+// a task uses its worker's, whichever call it belongs to.
 func TestScratchBuiltOncePerWorkerUnderOverlap(t *testing.T) {
 	const workers, callers, calls = 4, 8, 200
 	s := NewScheduler(workers)
@@ -303,101 +311,177 @@ func TestScratchBuiltOncePerWorkerUnderOverlap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := created.Load(); n < 1 || n > workers || len(pool.idle) != int(n) {
-		t.Fatalf("%d scratches built by %d overlapping callers on %d workers, %d idle", n, callers, workers, len(pool.idle))
+	if n := created.Load(); n < 1 || n > workers || int64(held(pool, s)) != n {
+		t.Fatalf("%d scratches built by %d overlapping callers on %d workers, %d held by slots", n, callers, workers, held(pool, s))
 	}
 }
 
-// TestScratchGivenBackOnEveryPath counts takes and give-backs: a call
-// that failed, was cancelled mid-flight or had a task panic returns no
-// partial, and every call gives back every scratch it took; the scratch
-// a task panicked on is the one exception — it is dropped, never handed
-// out again.
+// TestScratchGivenBackOnEveryPath: a call that failed, was cancelled
+// mid-flight or had a task panic returns no partial, and every worker
+// keeps its scratch — except the one whose task panicked: its scratch,
+// in a state nobody knows, is dropped, and that worker alone builds a
+// new one on its next task, exactly once. Every call's four tasks wait
+// for each other, so each of the four workers runs one of them; the
+// first call builds the four scratches.
 func TestScratchGivenBackOnEveryPath(t *testing.T) {
 	type scratch struct{ panicked bool }
+	const workers = 4
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		name string
 		fn   func(cancel func(), sc *scratch, i int) error
 		ok   func(error) bool
-		lost int64
+		lost int
 	}{
 		{"success", func(func(), *scratch, int) error { return nil }, func(err error) bool { return err == nil }, 0},
 		{"task error", func(_ func(), _ *scratch, i int) error {
-			if i == 17 {
+			if i == 2 {
 				return boom
 			}
 			return nil
 		}, func(err error) bool { return err == boom }, 0},
 		{"cancelled", func(cancel func(), _ *scratch, i int) error {
-			if i == 17 {
+			if i == 2 {
 				cancel()
 			}
 			return nil
 		}, func(err error) bool { return errors.Is(err, context.Canceled) }, 0},
 		{"panic", func(_ func(), sc *scratch, i int) error {
-			if i == 17 {
+			if i == 2 {
 				sc.panicked = true
 				panic("poisoned task")
 			}
 			return nil
-		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "task 17 panicked") }, 1},
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "task 2 panicked") }, 1},
 	} {
-		for _, shards := range []int{1, 3} {
-			s := NewScheduler(4)
-			var built atomic.Int64
-			pool := NewScratch(func() *scratch {
-				built.Add(1)
-				return &scratch{}
-			})
-			for call := 0; call < 50; call++ {
-				before := built.Load() - int64(len(pool.idle)) // built and not idle: lost so far
-				ctx, cancel := context.WithCancel(context.Background())
-				got, err := ReduceShardedOn(ctx, s, 64, func(i int) int { return i }, shards, pool,
-					func(sc *scratch, acc *int, i int) error {
-						*acc++
-						return tc.fn(cancel, sc, i)
-					}, addInts)
-				cancel()
-				if !tc.ok(err) || (err != nil && got != 0) || (err == nil && got != 64) {
-					t.Fatalf("%s shards=%d call %d: %d, %v", tc.name, shards, call, got, err)
-				}
-				if lost := built.Load() - int64(len(pool.idle)) - before; lost != tc.lost {
-					t.Fatalf("%s shards=%d call %d: %d scratches taken and not given back, want %d", tc.name, shards, call, lost, tc.lost)
-				}
-				for _, sc := range pool.idle {
-					if sc.panicked {
-						t.Fatalf("%s: the scratch a task panicked on is back in the list", tc.name)
-					}
-				}
-			}
-			s.Close()
+		s := NewScheduler(workers)
+		var built atomic.Int64
+		pool := NewScratch(func() *scratch {
+			built.Add(1)
+			return &scratch{}
+		})
+		call := func(fn func(cancel func(), sc *scratch, i int) error) (int, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var met sync.WaitGroup
+			met.Add(workers)
+			return ReduceShardedOn(ctx, s, workers, nil, 1, pool, func(sc *scratch, acc *int, i int) error {
+				met.Done()
+				met.Wait()
+				*acc++
+				return fn(cancel, sc, i)
+			}, addInts)
 		}
+		noop := func(func(), *scratch, int) error { return nil }
+		if got, err := call(noop); err != nil || got != workers {
+			t.Fatalf("%s, first call: %d, %v", tc.name, got, err)
+		}
+		if got, err := call(tc.fn); !tc.ok(err) || (err != nil && got != 0) || (err == nil && got != workers) {
+			t.Fatalf("%s: %d, %v", tc.name, got, err)
+		}
+		if lost := workers - held(pool, s); built.Load() != workers || lost != tc.lost {
+			t.Fatalf("%s: %d built, %d dropped; want %d and %d", tc.name, built.Load(), lost, workers, tc.lost)
+		}
+		kept := map[*scratch]bool{}
+		for _, sl := range *pool.slots[s] {
+			if sl.ok {
+				kept[sl.sc] = true
+			}
+		}
+		if got, err := call(noop); err != nil || got != workers {
+			t.Fatalf("%s, next call: %d, %v", tc.name, got, err)
+		}
+		if held(pool, s) != workers || built.Load() != int64(workers+tc.lost) {
+			t.Fatalf("%s, next call: %d held, %d built; want %d and %d", tc.name, held(pool, s), built.Load(), workers, workers+tc.lost)
+		}
+		for _, sl := range *pool.slots[s] {
+			if sl.sc.panicked {
+				t.Fatalf("%s: the scratch a task panicked on is in use again", tc.name)
+			}
+			delete(kept, sl.sc)
+		}
+		if len(kept) != 0 {
+			t.Fatalf("%s: %d kept scratches were replaced", tc.name, len(kept))
+		}
+		s.Close()
 	}
 }
 
-// TestScratchIdleCappedAtWorkers: concurrent calls can hold more
-// scratches than the pool has workers; when they come back the list
-// keeps at most the number it is told to — one per worker — and hands
-// out what it kept before building anything.
-func TestScratchIdleCappedAtWorkers(t *testing.T) {
-	built := 0
-	pool := NewScratch(func() *int { built++; return new(int) })
-	var out []*int
-	for i := 0; i < 6; i++ {
-		out = append(out, pool.take())
+// TestScratchSharedBySchedulers: one list serving a 2-worker and a
+// 4-worker scheduler at once, call after call, never has one scratch in
+// two tasks — a task finding its scratch in use counts a clash, and the
+// unsynchronised write races (-race) — and builds at most one per worker
+// of each. A scheduler closed since is dropped at the next one's first
+// call.
+func TestScratchSharedBySchedulers(t *testing.T) {
+	type scratch struct {
+		inUse atomic.Bool
+		last  int
 	}
-	for _, sc := range out {
-		pool.give(sc, 2)
+	var built, clashes atomic.Int64
+	pool := NewScratch(func() *scratch {
+		built.Add(1)
+		return &scratch{}
+	})
+	fn := func(sc *scratch, acc *int, i int) error {
+		if !sc.inUse.CompareAndSwap(false, true) {
+			clashes.Add(1)
+		}
+		sc.last = i
+		runtime.Gosched()
+		*acc += sc.last
+		sc.inUse.Store(false)
+		return nil
 	}
-	if built != 6 || len(pool.idle) != 2 {
-		t.Fatalf("%d built, %d idle; want 6 and 2", built, len(pool.idle))
+	scheds := []*Scheduler{NewScheduler(2), NewScheduler(4)}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(s *Scheduler) {
+			defer wg.Done()
+			for call := 0; call < 100; call++ {
+				if got, err := ReduceShardedOn(context.Background(), s, 32, nil, 1, pool, fn, addInts); err != nil || got != 32*31/2 {
+					t.Errorf("%d, %v", got, err)
+					return
+				}
+			}
+		}(scheds[c%2])
 	}
-	if a, b := pool.take(), pool.take(); a != out[1] || b != out[0] || built != 6 {
-		t.Fatalf("the kept scratches were not handed out again (%d built)", built)
+	wg.Wait()
+	if n := clashes.Load(); n != 0 || built.Load() > 6 {
+		t.Fatalf("%d tasks found their scratch in another's hands; %d built for 6 workers", n, built.Load())
 	}
-	if pool.take(); built != 7 {
-		t.Fatalf("%d built after taking from an empty list, want 7", built)
+	scheds[0].Close()
+	s := NewScheduler(1)
+	defer s.Close()
+	defer scheds[1].Close()
+	if _, err := ReduceShardedOn(context.Background(), s, 1, nil, 1, pool, fn, addInts); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pool.slots[scheds[0]]; ok || len(pool.slots) != 2 {
+		t.Fatalf("slots of %d schedulers kept, the closed one's among them: %v", len(pool.slots), ok)
+	}
+}
+
+// BenchmarkScratchBorrow: the per-task cost of a call's dispatch and
+// scratch use, on empty tasks.
+func BenchmarkScratchBorrow(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			const tasks = 192
+			s := NewScheduler(workers)
+			defer s.Close()
+			pool := NewScratch(newInt)
+			fn := func(sc *int, acc *int, i int) error { return nil }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReduceShardedOn(context.Background(), s, tasks, nil, 1, pool, fn, addInts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+		})
 	}
 }
 

@@ -247,8 +247,8 @@ func (ix *DeltaIndex) Ranges(q Query, sc *DeltaScratch) []LeafRange {
 	return sc.ranges
 }
 
-// DeltaScratch is the reusable compiled query of the delta fold, one per
-// worker (see the executor scratch it mirrors).
+// DeltaScratch holds a query compiled for the delta fold (Ranges), which
+// the kernel drivers compile once per query.
 type DeltaScratch struct {
 	ranges []LeafRange
 }

@@ -14,6 +14,8 @@ type BatchQuery struct {
 	Q   frag.Query
 	Gr  *Grouper
 	Err error
+
+	ranges []frag.LeafRange // Q compiled for the delta fold (Deltas.ranges)
 }
 
 // BatchPlan is the task set of a shared multi-query scan: one task per
@@ -25,13 +27,13 @@ type BatchPlan struct {
 	members map[int64][]int32
 }
 
-// PlanBatch validates every query, derives its grouper and unions the
-// members' relevant fragments, keeping only those own selects (nil
-// selects all).
+// PlanBatch validates every query, derives its grouper, compiles it for
+// the delta fold and unions the members' relevant fragments, keeping only
+// those own selects (nil selects all).
 //
 // The union is sorted ascending, as FragmentIDs enumerates each query's
 // fragments, so a member's tasks are claimed in its solo task order.
-func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, own func(int64) bool) BatchPlan {
+func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) BatchPlan {
 	p := BatchPlan{Queries: make([]BatchQuery, len(qs)), members: make(map[int64][]int32)}
 	for si, q := range qs {
 		m := &p.Queries[si]
@@ -42,6 +44,7 @@ func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, own func(int
 		if m.Gr, m.Err = NewGrouper(star, spec, q.GroupBy); m.Err != nil {
 			continue
 		}
+		m.ranges = deltas.ranges(q)
 		for _, id := range spec.FragmentIDs(q) {
 			if own != nil && !own(id) {
 				continue

@@ -16,44 +16,61 @@ func (d Deltas) Empty() bool { return d.Ix == nil || d.Set.Rows() == 0 }
 // Has reports whether fragment id has delta segments to fold.
 func (d Deltas) Has(id int64) bool { return !d.Empty() && len(d.Set.Of(id)) > 0 }
 
+// ranges compiles a validated query for the delta fold, once per query:
+// nil when there is nothing to fold.
+func (d Deltas) ranges(q frag.Query) []frag.LeafRange {
+	if d.Empty() {
+		return nil
+	}
+	return d.Ix.Ranges(q, frag.NewDeltaScratch())
+}
+
 // AddDelta folds every delta segment of fragment id into the fragment's
-// partial, in seal order. The query is compiled once per call into sc's
-// leaf ranges (frag.DeltaIndex.Ranges), and each row inside them — the
-// rows the base bitmap plan selects over the same leaves — is aggregated
-// into p.Agg and, on the per-row grouping fallback, into p.Groups with
-// the same composed key arithmetic as base rows. Because per-key sums
-// commute, folding deltas inside the fragment's own task leaves the final
-// result byte-identical to a warehouse rebuilt from scratch with the same
-// rows.
-//
-// It returns the number of delta rows aggregated.
+// partial in seal order — addDeltas, with the query compiled into sc —
+// and returns the number of delta rows aggregated.
 func AddDelta(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, perRow []RowLevel, sc *frag.DeltaScratch) (int64, error) {
 	if d.Empty() {
 		return 0, nil
 	}
-	segs := d.Set.Of(id)
-	if len(segs) == 0 {
-		return 0, nil
+	s := Slot{Base: base, PerRow: perRow, FP: *p}
+	n := s.addDeltas(d, id, d.Ix.Ranges(q, sc))
+	*p = s.FP
+	return n, nil
+}
+
+// addDeltas folds into the slot, in seal order, the rows of fragment id's
+// delta segments inside the query's leaf ranges — those the base bitmap
+// plan selects over the same leaves — and returns how many. Per-key sums
+// commute, so the result is byte-identical to a warehouse rebuilt from
+// scratch with the same rows.
+func (s *Slot) addDeltas(d Deltas, id int64, ranges []frag.LeafRange) int64 {
+	if !d.Has(id) {
+		return 0
 	}
-	ranges := d.Ix.Ranges(q, sc)
-	grouped := p.Groups != nil && len(perRow) > 0
-	var rows int64
-	for _, seg := range segs {
-		units, dollars, costs, dims := seg.Units(), seg.Dollars(), seg.Costs(), seg.Dims()
-		for i := range seg.Rows() {
-			if !seg.Selects(ranges, i) {
-				continue
-			}
-			p.Agg.AddRow(units[i], dollars[i], costs[i])
-			if grouped {
-				key := base
-				for _, rl := range perRow {
-					key += uint64(int64(dims[rl.Dim][i])/rl.Div) * rl.Weight
+	before := s.Rows
+	for _, seg := range d.Set.Of(id) {
+		cols := Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
+		n := seg.Rows()
+		switch {
+		case s.FP.Groups != nil: // the per-row grouping fallback
+			for i := range n {
+				if seg.Selects(ranges, i) {
+					s.AddCols(cols, i)
 				}
-				p.Groups.AddRow(key, units[i], dollars[i], costs[i])
 			}
-			rows++
+		case len(ranges) == 0: // every row matches by confinement
+			s.add(cols.Sum(0, n))
+		default: // a 64-row word of selection at a time
+			for base := 0; base < n; base += 64 {
+				var w uint64
+				for b := range min(64, n-base) {
+					if seg.Selects(ranges, base+b) {
+						w |= 1 << b
+					}
+				}
+				s.add(cols.sumWord(base, w))
+			}
 		}
 	}
-	return rows, nil
+	return s.Rows - before
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/frag"
@@ -12,22 +11,6 @@ import (
 )
 
 var errNilScheduler = errors.New("kernel: nil scheduler")
-
-// deltaScratch pools the delta fold's compiled queries: a fragment task
-// borrows one only while its fragment has delta segments to fold.
-var deltaScratch = sync.Pool{New: func() any { return frag.NewDeltaScratch() }}
-
-// foldDeltas folds fragment id's delta segments into p in seal order —
-// after the base rows, inside the fragment's own task — and returns the
-// number of rows folded.
-func foldDeltas(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, perRow []RowLevel) (int64, error) {
-	if !d.Has(id) {
-		return 0, nil
-	}
-	sc := deltaScratch.Get().(*frag.DeltaScratch)
-	defer deltaScratch.Put(sc)
-	return AddDelta(d, id, q, p, base, perRow, sc)
-}
 
 // Counts is a backend's work counters as the drivers use them: summed
 // over the tasks and credited with the delta rows the drivers fold
@@ -38,11 +21,11 @@ type Counts[St any] interface {
 	WithDeltaRows(n int64) St
 }
 
-// Dispatch is where a backend's fragment tasks run, and with what: the
-// workers borrow their scratch, a task at a time, from the free list the
-// backend shares with every epoch of its store. With Disks > 1 the tasks are submitted round-robin
-// over the disks DiskOf maps their fragments to, so the first ones
-// running spread over distinct disks.
+// Dispatch is where a backend's fragment tasks run, and with what: each
+// worker keeps its scratch in its own slot of the list the backend
+// shares with every epoch of its store. With Disks > 1 the tasks are
+// submitted round-robin over the disks DiskOf maps their fragments to, so
+// the first ones running spread over distinct disks.
 type Dispatch[S any] struct {
 	Star    *schema.Star
 	Spec    *frag.Spec
@@ -100,19 +83,19 @@ func Solo[S any, St Counts[St]](ctx context.Context, d Dispatch[S], q frag.Query
 	if own != nil {
 		ids = slices.DeleteFunc(ids, func(id int64) bool { return !own(id) })
 	}
+	ranges := deltas.ranges(q)
 	// Each worker sums the fragments it runs into an outcome of its own:
-	// sums per key commute, so who ran which fragment does not show.
+	// sums per key commute, so who ran which fragment does not show. A
+	// fragment's delta segments fold after its base rows, in its own task.
 	run := func(sc S, acc *Out[St], i int) error {
 		slot := NewSlot(gr, ids[i])
 		fp, st, err := fold(sc, ids[i], q, slot)
 		if err != nil {
 			return err
 		}
-		n, err := foldDeltas(deltas, ids[i], q, &fp, slot.Base, slot.PerRow)
-		if err != nil {
-			return err
-		}
-		addTo(acc, gr, fp, st.WithDeltaRows(n), SharedScanStats{})
+		slot.FP = fp
+		n := slot.addDeltas(deltas, ids[i], ranges)
+		addTo(acc, gr, slot.FP, st.WithDeltaRows(n), SharedScanStats{})
 		return nil
 	}
 	out, err := exec.ReduceShardedOn(ctx, d.Sched, len(ids), d.shardOf(ids), d.Disks, d.Scratch, run, mergeOuts[St])
@@ -173,7 +156,7 @@ func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.
 	if d.Sched == nil {
 		return nil, errNilScheduler
 	}
-	plan := PlanBatch(d.Star, d.Spec, qs, own)
+	plan := PlanBatch(d.Star, d.Spec, qs, deltas, own)
 	fold, err := bind(plan.Queries)
 	if err != nil {
 		return nil, err
@@ -194,10 +177,7 @@ func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.
 		}
 		for k, m := range acc.ms {
 			slot := &acc.slots[k]
-			n, err := foldDeltas(deltas, id, qs[m.Query], &slot.FP, slot.Base, slot.PerRow)
-			if err != nil {
-				return err
-			}
+			n := slot.addDeltas(deltas, id, plan.Queries[m.Query].ranges)
 			addTo(&acc.outs[m.Query], plan.Queries[m.Query].Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
 		}
 		return nil

@@ -43,6 +43,54 @@ type Columns struct {
 	Costs   []int64
 }
 
+// Sum returns the aggregate of rows [lo, hi), summed in registers over
+// columns re-sliced once, so that the loop carries no bounds check.
+func (c Columns) Sum(lo, hi int) Aggregate {
+	u := c.Units[lo:hi]
+	d, k := c.Dollars[lo:hi][:len(u)], c.Costs[lo:hi][:len(u)]
+	var su, sd, sk int64
+	for i, x := range u {
+		su += x
+		sd += d[i]
+		sk += k[i]
+	}
+	return Aggregate{Count: int64(len(u)), UnitsSold: su, DollarSales: sd, Cost: sk}
+}
+
+// SumSelected returns the aggregate of the rows sel selects, a word at a
+// time; bits at or past sel.Len() are ignored, so no row past it is read.
+func (c Columns) SumSelected(sel *bitmap.Bitset) Aggregate {
+	var a Aggregate
+	n := sel.Len()
+	for wi, w := range sel.Words() {
+		base := wi * 64
+		if rest := n - base; rest < 64 {
+			w &= 1<<max(rest, 0) - 1
+		}
+		if w != 0 {
+			a.Add(c.sumWord(base, w))
+		}
+	}
+	return a
+}
+
+// sumWord returns the aggregate of rows base+b for the set bits b of w:
+// a full word is a 64-row Sum, any other contributes its popcount to the
+// count and has its set bits visited.
+func (c Columns) sumWord(base int, w uint64) Aggregate {
+	if w == ^uint64(0) {
+		return c.Sum(base, base+64)
+	}
+	a := Aggregate{Count: int64(bits.OnesCount64(w))}
+	for ; w != 0; w &= w - 1 {
+		i := base + bits.TrailingZeros64(w)
+		a.UnitsSold += c.Units[i]
+		a.DollarSales += c.Dollars[i]
+		a.Cost += c.Costs[i]
+	}
+	return a
+}
+
 // Slot is one query's accumulator in a shared multi-query scan: the
 // query's grouping shape for the fragment at hand (constant base key,
 // per-row GroupBy levels) plus its running FragPartial. Rows counts the
@@ -89,11 +137,36 @@ func (s *Slot) AddCols(cols Columns, i int) {
 	}
 }
 
-// AddColsRange folds rows [lo, hi) of the columnar fragment in.
+// AddColsRange folds rows [lo, hi) of the columnar fragment in: with no
+// per-row groups — ungrouped, or fragment-aligned with its constant key —
+// as one column Sum.
 func (s *Slot) AddColsRange(cols Columns, lo, hi int) {
+	if s.FP.Groups == nil {
+		s.add(cols.Sum(lo, hi))
+		return
+	}
 	for i := lo; i < hi; i++ {
 		s.AddCols(cols, i)
 	}
+}
+
+// AddColsSelected folds the rows sel selects in, as AddColsRange a range.
+func (s *Slot) AddColsSelected(cols Columns, sel *bitmap.Bitset) {
+	if s.FP.Groups == nil {
+		s.add(cols.SumSelected(sel))
+		return
+	}
+	for wi, w := range sel.Words() {
+		for ; w != 0; w &= w - 1 {
+			s.AddCols(cols, wi*64+bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// add folds an aggregate of rows in (the slot has no per-row groups).
+func (s *Slot) add(a Aggregate) {
+	s.Rows += a.Count
+	s.FP.Agg.Add(a)
 }
 
 // AddLeaves folds one decoded tuple in: the row's leaf members per
@@ -121,15 +194,9 @@ func EvalMany(slots []*Slot, masks []*bitmap.Bitset, n int, cols Columns, union 
 	if len(slots) == 1 {
 		if masks[0] == nil {
 			slots[0].AddColsRange(cols, 0, n)
-			return
+		} else {
+			slots[0].AddColsSelected(cols, masks[0])
 		}
-		masks[0].ForEachWord(func(base int, w uint64) {
-			for w != 0 {
-				i := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				slots[0].AddCols(cols, i)
-			}
-		})
 		return
 	}
 	anyNil := false
@@ -157,15 +224,14 @@ func EvalMany(slots []*Slot, masks []*bitmap.Bitset, n int, cols Columns, union 
 	for _, m := range masks[1:] {
 		union.Or(m)
 	}
-	union.ForEachWord(func(base int, w uint64) {
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
+	for wi, w := range union.Words() {
+		for ; w != 0; w &= w - 1 {
+			i := wi*64 + bits.TrailingZeros64(w)
 			for k, m := range masks {
 				if m.Get(i) {
 					slots[k].AddCols(cols, i)
 				}
 			}
 		}
-	})
+	}
 }

@@ -72,8 +72,8 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 // stay open (pinned) for the duration; it is only read, and only by
 // plain reads of its files — never through its disk set. cfg assembles
 // the new backend as in BuildBackend, except that the bitmap encoding is
-// b's and the executor borrows its worker scratch from b's free lists,
-// which both epochs' tasks then share. On error nothing stays open and
+// b's and the executor keeps its worker scratch in b's lists, which both
+// epochs' tasks then share. On error nothing stays open and
 // dir is left to the caller.
 func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) (*Backend, error) {
 	old := b.Store
