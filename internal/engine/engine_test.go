@@ -466,15 +466,18 @@ func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSteadyStateAllocation: a call owns neither its workers' scratch
-// nor a result slot per fragment. A warm serial stream of queries over
-// all 192 fragments allocates per query less than 32 bytes per fragment —
-// the fragment id list and per-call state that does not grow with it;
-// the gather alone used to cost a partial and an error slot, 104 bytes,
-// per fragment. The same holds for the bitmap-selecting fold — predicates
+// nor a result slot per fragment, and lists no fragment ids — its tasks
+// compute them from the query's region. A warm serial stream of queries
+// over all 192 fragments allocates per query only per-call state that
+// does not grow with the fragments: 1,113 bytes measured (amd64, go1.24),
+// under a ceiling of 1,400 with 25 % headroom. The gather alone used to
+// cost a partial and an error slot, 104 bytes, per fragment, and the id
+// list 8 more. The same holds for the bitmap-selecting fold — predicates
 // below the fragmentation level, on a simple and on both kinds of encoded
 // selection — whether the index fragments are stored as Bitsets (Build)
 // or as WAH words decoded into the worker's scratch (BuildCompressed):
-// one ceiling for both.
+// one ceiling for both, 520 bytes over the 416 measured. That query
+// touches one fragment and runs on its caller.
 func TestSteadyStateAllocation(t *testing.T) {
 	sched := exec.NewScheduler(4)
 	defer sched.Close()
@@ -512,8 +515,8 @@ func TestSteadyStateAllocation(t *testing.T) {
 	}
 	got := warm(tab, e, all, byQuarter)
 	t.Logf("%d bytes allocated per warm query over %d fragments", got, n)
-	if got >= uint64(32*n) {
-		t.Errorf("%d bytes allocated per warm query, want under %d", got, 32*n)
+	if got >= 1400 {
+		t.Errorf("%d bytes allocated per warm query, want under 1400", got)
 	}
 
 	_, tab, e, ce := buildBoth(t, "time::quarter, product::group")
@@ -524,7 +527,7 @@ func TestSteadyStateAllocation(t *testing.T) {
 	if cl := e.spec.Classify(selecting); cl == frag.Q1 || cl == frag.Q3 {
 		t.Fatalf("class %v: the query selects no bitmap", cl)
 	}
-	const ceiling = 2048 // per-call state only: no bitmap, operand or result buffer
+	const ceiling = 520 // per-call state only: no bitmap, operand or result buffer
 	for _, b := range []struct {
 		name string
 		e    *Engine

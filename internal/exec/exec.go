@@ -3,11 +3,11 @@
 // in for the paper's Shared Disk processing nodes — and one dispatcher:
 // every execution publishes its independent tasks (typically one per MDHF
 // fragment) as one job in the scheduler's job list; the workers pull —
-// pick a job round-robin, claim its next task with an atomic add. A
-// publish wakes idle workers; the worker that finishes a job's last task
-// wakes the caller and yields its processor to it. A task costs its
-// call one atomic claim: no allocation, no goroutine switch and no slot
-// of its own.
+// pick a job round-robin, claim its next task with an atomic add — and
+// the one that finishes a job's last task wakes the caller and yields to
+// it: a task costs one atomic claim, no allocation, goroutine switch or
+// slot of its own. A call of one task runs on its caller instead, in a
+// caller slot, with no job published and no worker woken.
 //
 // Two entry points sit on the dispatcher and differ in the gather.
 // ReduceShardedOn is the paper's "aggregate locally, merge globally"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -32,7 +33,7 @@ var ErrClosed = errors.New("exec: scheduler closed")
 // query's straggler tail and setup leave behind; which worker runs which
 // task never shows in a result (see MapOn and ReduceShardedOn), so every
 // execution is bit-for-bit identical to running it alone or on a pool
-// of one.
+// of one. A call of one task runs on its caller instead (see inline).
 //
 // A Scheduler is safe for concurrent use. Close stops the workers once
 // every published execution has drained; an execution submitted after
@@ -40,6 +41,7 @@ var ErrClosed = errors.New("exec: scheduler closed")
 type Scheduler struct {
 	workers int
 	wg      sync.WaitGroup
+	callers atomic.Uint64 // bit c set: caller slot c is taken
 
 	// jobs is an immutable snapshot of the active jobs: workers read it
 	// without a lock; its two writers per call (publish, retire) copy it
@@ -72,7 +74,7 @@ type SchedStats struct {
 	InFlight int64
 	// PeakInFlight is the high-water mark of InFlight.
 	PeakInFlight int64
-	// TasksRun counts fragment tasks executed by the pool.
+	// TasksRun counts fragment tasks run, by the pool or by their callers.
 	TasksRun int64
 	// AdmitLimit is the in-flight admission bound (0 = unlimited).
 	AdmitLimit int64
@@ -125,16 +127,20 @@ func (j *job) runAt(w, k int) {
 	if int64(i) > j.cutoff.Load() {
 		return
 	}
-	// A panicking task must poison only its own execution, never the
-	// shared pool: recover it into the call's error.
-	defer func() {
-		if r := recover(); r != nil {
-			j.stop(i, fmt.Errorf("exec: task %d panicked: %v", i, r))
-		}
-	}()
-	if err := j.run(w, i); err != nil {
+	if err := try(j.run, w, i); err != nil {
 		j.stop(i, err)
 	}
+}
+
+// try runs task i on slot w. A panicking task must poison only its own
+// execution, never the shared pool: the panic is recovered into its error.
+func try(run func(w, i int) error, w, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("exec: task %d panicked: %v", i, r)
+		}
+	}()
+	return run(w, i)
 }
 
 // stop lowers the cutoff to i — task i failed with err, or the call was
@@ -215,6 +221,49 @@ func (s *Scheduler) retire(j *job) {
 	s.jobs.Store(&jobs)
 }
 
+// callerSlots bounds the one-task calls running on their callers at once.
+// A caller runs only its own call's single task, in place of a worker: one
+// that helped with longer calls would run a task beyond the pool's size,
+// one more outstanding I/O on a disk.
+const callerSlots = 8
+
+// inline runs a one-task call on its caller — no job, no wake-up, no
+// hand-back — in a free caller slot c, run(c, acc) folding the task into
+// acc. With n != 1 or every slot taken it does nothing (ran is false).
+// Admission, ErrClosed, cancellation, panics and TasksRun are the pool's.
+func inline[A any](ctx context.Context, s *Scheduler, n int, run func(c int, acc *A) error) (acc A, ran bool, err error) {
+	c := -1
+	for m := s.callers.Load(); n == 1 && c < 0 && m != 1<<callerSlots-1; m = s.callers.Load() {
+		if bit := ^m & (m + 1); s.callers.CompareAndSwap(m, m|bit) { // the lowest free slot
+			c = bits.TrailingZeros64(bit)
+		}
+	}
+	if c < 0 {
+		return acc, false, nil
+	}
+	defer s.callers.Add(-(1 << c)) // clears bit c, set by this call alone
+	if err = s.admit(); err != nil {
+		return acc, true, err
+	}
+	defer s.release()
+	p := new(A)
+	switch {
+	case s.closed.Load():
+		err = ErrClosed
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	default:
+		s.tasksRun.Add(1)
+		if err = try(func(c, _ int) error { return run(c, p) }, c, 0); err == nil {
+			err = ctx.Err()
+		}
+	}
+	if err == nil {
+		acc = *p
+	}
+	return acc, true, err
+}
+
 // Workers returns the fixed pool size.
 func (s *Scheduler) Workers() int { return s.workers }
 
@@ -289,7 +338,8 @@ func (s *Scheduler) release() {
 // time, interleaved with the tasks of every other execution admitted,
 // and owns its scratch: newScratch builds at most one per pool worker,
 // and a task has the one it is passed to itself while it runs. fn must
-// be safe for concurrent invocation with distinct scratch values.
+// be safe for concurrent invocation with distinct scratch values. A call
+// of one task runs on its caller when a caller slot is free.
 //
 // Error propagation is deterministic: if several tasks fail, the error of
 // the lowest task index is returned. Once any task has failed no task of
@@ -300,11 +350,20 @@ func (s *Scheduler) release() {
 // own call with an error naming the task; the pool and every other
 // execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
+	if r, ran, err := inline(ctx, s, n, func(_ int, r *T) (err error) {
+		*r, err = fn(newScratch(), 0)
+		return err
+	}); ran {
+		if err != nil {
+			return nil, err
+		}
+		return []T{r}, nil
+	}
 	// Storing result i in slot i commutes: a reduce whose per-worker
 	// partial is the worker's scratch for the call, with nothing to merge.
 	results := make([]T, max(n, 0))
 	ws := make([]worker[slot[S]], s.workers)
-	_, err := reduce(ctx, s, n, nil, 1, ws, func(w, i int) (err error) {
+	_, err := reduce(ctx, s, n, nil, ws, func(w, i int) (err error) {
 		own := &ws[w].acc
 		results[i], err = fn(own.take(newScratch), i)
 		own.ok = true
@@ -317,19 +376,27 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 }
 
 // Scratch is a store's worker scratch — the buffers its fragment tasks
-// reuse — in a slot per pool worker, each on a cache line of its own.
-// Each epoch's backend holds it and a compaction hands it on, so a task
-// of a ReduceShardedOn call on worker w reuses what w's earlier tasks of
-// every epoch built: one scratch per worker, taken with no lock and no
-// atomic another worker takes. Each scheduler a list serves gets slots
-// of its own at its first call (those of closed ones are dropped then),
-// so no scratch is ever in two tasks. A scratch must not keep the epoch
-// it last served alive. Not a sync.Pool, which the collector empties
-// when it pleases: allocation per query must repeat.
+// reuse — in a slot per pool worker and per caller slot, each on a cache
+// line of its own. Each epoch's backend holds it and a compaction hands
+// it on, so a task of a ReduceShardedOn call on worker w reuses what w's
+// earlier tasks of every epoch built: one scratch per worker, taken with
+// no lock and no atomic another worker takes. Each scheduler a list
+// serves gets slots of its own at its first call (those of closed ones
+// are dropped then), so no scratch is ever in two tasks. A scratch must
+// not keep the epoch it last served alive. Not a sync.Pool, which the
+// collector empties when it pleases: allocation per query must repeat.
+// The list also keeps finished calls' partials, zeroed, for reuse.
 type Scratch[S any] struct {
 	build func() S
 	mu    sync.Mutex
-	slots map[*Scheduler]*[]paddedSlot[S]
+	slots map[*Scheduler]*scratchSet[S]
+}
+
+// scratchSet is one scheduler's share of a list: slot w is pool worker
+// w's, slot workers+c caller slot c's; idle holds *partials[A] values.
+type scratchSet[S any] struct {
+	slots []paddedSlot[S]
+	idle  []any
 }
 
 // paddedSlot keeps neighbouring workers' slots off one cache line.
@@ -357,22 +424,19 @@ func (sl *slot[S]) take(build func() S) S {
 
 // NewScratch returns an empty list whose scratches build makes.
 func NewScratch[S any](build func() S) *Scratch[S] {
-	return &Scratch[S]{build: build, slots: make(map[*Scheduler]*[]paddedSlot[S])}
+	return &Scratch[S]{build: build, slots: make(map[*Scheduler]*scratchSet[S])}
 }
 
-// of returns s's slots (a pointer: one word for a task closure), adding
-// them on s's first call and dropping those of closed schedulers.
-func (l *Scratch[S]) of(s *Scheduler) *[]paddedSlot[S] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ws, ok := l.slots[s]
+// of returns s's share of the list (l.mu held), adding it on s's first
+// call and dropping those of closed schedulers.
+func (l *Scratch[S]) of(s *Scheduler) *scratchSet[S] {
+	set, ok := l.slots[s]
 	if !ok {
-		maps.DeleteFunc(l.slots, func(o *Scheduler, _ *[]paddedSlot[S]) bool { return o.closed.Load() })
-		ws = new([]paddedSlot[S])
-		*ws = make([]paddedSlot[S], s.workers)
-		l.slots[s] = ws
+		maps.DeleteFunc(l.slots, func(o *Scheduler, _ *scratchSet[S]) bool { return o.closed.Load() })
+		set = &scratchSet[S]{slots: make([]paddedSlot[S], s.workers+callerSlots)}
+		l.slots[s] = set
 	}
-	return ws
+	return set
 }
 
 // worker is pool worker w's share of one call; only that worker's
@@ -380,6 +444,34 @@ func (l *Scratch[S]) of(s *Scheduler) *[]paddedSlot[S] {
 type worker[A any] struct {
 	acc A
 	ran bool // a task of the call ran here: acc is part of the result
+}
+
+// partials is a pooled call's partial per worker and claim order buffer.
+type partials[A any] struct {
+	ws    []worker[A]
+	order []int32
+}
+
+// takePartials returns s's share of l and idle partials for a call on s.
+func takePartials[S, A any](l *Scratch[S], s *Scheduler) (*scratchSet[S], *partials[A]) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	set := l.of(s)
+	if k := len(set.idle) - 1; k >= 0 {
+		if p, ok := set.idle[k].(*partials[A]); ok {
+			set.idle = set.idle[:k]
+			return set, p
+		}
+	}
+	return set, &partials[A]{ws: make([]worker[A], s.workers)}
+}
+
+// givePartials zeroes p, its call's merged value copied out, for reuse.
+func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
+	clear(p.ws)
+	l.mu.Lock()
+	set.idle = append(set.idle, p)
+	l.mu.Unlock()
 }
 
 // ReduceShardedOn runs fn(sc, acc, i) for every i in [0, n) on the
@@ -393,7 +485,8 @@ type worker[A any] struct {
 // do; a merge that needs task order belongs on MapOn. A task uses the
 // scratch of its worker's slot in the backend's list, with or without an
 // error — except one it panicked on, whose state nobody knows: that one
-// is dropped and the worker builds another.
+// is dropped and the worker builds another. A call of one task runs on
+// its caller, with the scratch of its caller slot, when one is free.
 //
 // With shards > 1 the tasks are claimed round-robin across their shards
 // (typically the disk of each task's fragment, taken modulo shards), so
@@ -403,20 +496,32 @@ type worker[A any] struct {
 // partials are withheld and A's zero value is returned.
 func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
 	scratch *Scratch[S], fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
-	slots := scratch.of(s)
-	ws := make([]worker[A], s.workers)
-	return reduce(ctx, s, n, shardOf, shards, ws, func(w, i int) error {
-		me, own := &ws[w], &(*slots)[w].slot
+	if acc, ran, err := inline(ctx, s, n, func(c int, acc *A) error {
+		scratch.mu.Lock()
+		own := &scratch.of(s).slots[s.workers+c].slot
+		scratch.mu.Unlock()
+		err := fn(own.take(scratch.build), acc, 0)
+		own.ok = true
+		return err
+	}); ran {
+		return acc, err
+	}
+	set, ps := takePartials[S, A](scratch, s)
+	acc, err := reduce(ctx, s, n, shardOrder(&ps.order, n, shardOf, shards), ps.ws, func(w, i int) error {
+		me, own := &ps.ws[w], &set.slots[w].slot
 		me.ran = true
 		err := fn(own.take(scratch.build), &me.acc, i)
 		own.ok = true
 		return err
 	}, merge)
+	givePartials(scratch, set, ps)
+	return acc, err
 }
 
-// reduce runs the call whose task i run runs on worker w, and merges the
-// partials ws of the workers that ran one.
-func reduce[A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
+// reduce runs the call whose task i run runs on worker w, claimed in
+// order (task order when nil), and merges the partials ws of the workers
+// that ran one.
+func reduce[A any](ctx context.Context, s *Scheduler, n int, order []int32,
 	ws []worker[A], run func(w, i int) error, merge func(acc, part *A)) (A, error) {
 	var zero A
 	if n <= 0 {
@@ -426,7 +531,7 @@ func reduce[A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int)
 		return zero, err
 	}
 	defer s.release()
-	j := &job{n: int64(n), order: shardOrder(n, shardOf, shards), fin: make(chan struct{}), run: run}
+	j := &job{n: int64(n), order: order, fin: make(chan struct{}), run: run}
 	j.cutoff.Store(int64(n))
 	if err := s.publish(j); err != nil {
 		return zero, err
@@ -443,32 +548,39 @@ func reduce[A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int)
 	if err == nil {
 		err = ctx.Err()
 	}
-	acc := &zero
+	var acc *A
 	for w := range ws {
 		me := &ws[w]
 		if !me.ran || err != nil {
 			continue
 		}
-		if acc == &zero {
+		if acc == nil {
 			acc = &me.acc
 		} else {
 			merge(acc, &me.acc)
 		}
+	}
+	if acc == nil {
+		return zero, err
 	}
 	return *acc, err
 }
 
 // shardOrder returns the claim order that interleaves the shards' tasks
 // round-robin, each shard's in task order; nil when there is one shard.
-func shardOrder(n int, shardOf func(i int) int, shards int) []int32 {
+// It is built in *buf, which grows when it is too small.
+func shardOrder(buf *[]int32, n int, shardOf func(i int) int, shards int) []int32 {
 	if shards <= 1 || n <= 1 {
 		return nil
 	}
 	shard := func(i int) int { return (shardOf(i)%shards + shards) % shards }
-	// A counting sort in the one buffer a call pays for: the order, the
-	// tasks bucketed by shard, and where each shard's bucket ends.
-	buf := make([]int32, 2*n+shards+1)
-	order, bucketed, end := buf[:0:n], buf[n:2*n], buf[2*n:]
+	// A counting sort in one buffer: the order, the tasks bucketed by
+	// shard, and where each shard's bucket ends.
+	if size := 2*n + shards + 1; cap(*buf) < size {
+		*buf = make([]int32, size)
+	}
+	order, bucketed, end := (*buf)[:0:n], (*buf)[n:2*n], (*buf)[2*n:2*n+shards+1]
+	clear(end)
 	for i := 0; i < n; i++ {
 		end[shard(i)+1]++
 	}

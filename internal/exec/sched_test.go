@@ -270,7 +270,7 @@ func addInts(acc, part *int) { *acc += *part }
 // held counts the slots of scheduler s in the list that hold a scratch.
 func held[S any](pool *Scratch[S], s *Scheduler) int {
 	n := 0
-	for _, sl := range *pool.slots[s] {
+	for _, sl := range pool.slots[s].slots {
 		if sl.ok {
 			n++
 		}
@@ -383,7 +383,7 @@ func TestScratchGivenBackOnEveryPath(t *testing.T) {
 			t.Fatalf("%s: %d built, %d dropped; want %d and %d", tc.name, built.Load(), lost, workers, tc.lost)
 		}
 		kept := map[*scratch]bool{}
-		for _, sl := range *pool.slots[s] {
+		for _, sl := range pool.slots[s].slots {
 			if sl.ok {
 				kept[sl.sc] = true
 			}
@@ -394,7 +394,7 @@ func TestScratchGivenBackOnEveryPath(t *testing.T) {
 		if held(pool, s) != workers || built.Load() != int64(workers+tc.lost) {
 			t.Fatalf("%s, next call: %d held, %d built; want %d and %d", tc.name, held(pool, s), built.Load(), workers, workers+tc.lost)
 		}
-		for _, sl := range *pool.slots[s] {
+		for _, sl := range pool.slots[s].slots[:workers] {
 			if sl.sc.panicked {
 				t.Fatalf("%s: the scratch a task panicked on is in use again", tc.name)
 			}
@@ -672,12 +672,14 @@ func TestConcurrentExecutionsMatchSerial(t *testing.T) {
 
 // smallBesideBig runs a 1,000-task call on a pool of one whose tasks bump
 // a counter, and from inside its 10th task starts a 1-task call on the
-// same pool, holding the 10th task until that call is published. It
-// returns the counter as the small call's task saw it and as its caller
-// read it on return.
+// same pool, holding the 10th task until that call is published. Every
+// caller slot is held throughout, so the small call goes to the pool
+// instead of running on its caller. It returns the counter as the small
+// call's task saw it and as its caller read it on return.
 func smallBesideBig(t *testing.T) (seen, returned int64) {
 	s := NewScheduler(1)
 	defer s.Close()
+	s.callers.Store(1<<callerSlots - 1)
 	ctx := context.Background()
 	var counter atomic.Int64
 	small := make(chan error, 1)
@@ -692,8 +694,10 @@ func smallBesideBig(t *testing.T) (seen, returned int64) {
 				returned = counter.Load()
 				small <- err
 			}()
-			for len(*s.jobs.Load()) < 2 {
-				runtime.Gosched()
+			for deadline := time.Now().Add(10 * time.Second); len(*s.jobs.Load()) < 2; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					return 0, errors.New("the small call was never published")
+				}
 			}
 		}
 		return 0, nil

@@ -357,7 +357,9 @@ func (r Region) Count() int64 {
 // predicate selects the descendant range; no predicate on the dimension
 // selects the full domain.
 func (s *Spec) Relevant(q Query) Region {
-	r := Region{Lo: make([]int, len(s.attrs)), Hi: make([]int, len(s.attrs))}
+	m := len(s.attrs)
+	b := make([]int, 2*m)
+	r := Region{Lo: b[:m:m], Hi: b[m:]}
 	for i, a := range s.attrs {
 		d := &s.star.Dims[a.Dim]
 		p, ok := q.PredOnDim(a.Dim)
@@ -402,6 +404,20 @@ func (s *Spec) ForEachFragment(q Query, fn func(id int64, coord []int) bool) {
 			return
 		}
 	}
+}
+
+// FragmentAt returns the i-th fragment of region r (0 <= i < r.Count())
+// in ForEachFragment's order — mixed radix, last attribute fastest —
+// without enumerating the ones before it.
+func (s *Spec) FragmentAt(r Region, i int64) int64 {
+	var id, stride int64 = 0, 1
+	for a := len(r.Lo) - 1; a >= 0; a-- {
+		w := int64(r.Hi[a] - r.Lo[a])
+		id += (int64(r.Lo[a]) + i%w) * stride
+		i /= w
+		stride *= int64(s.radix[a])
+	}
+	return id
 }
 
 // FragmentIDs materialises the relevant fragment ids (allocation order).

@@ -3,7 +3,6 @@ package kernel
 import (
 	"context"
 	"errors"
-	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/frag"
@@ -35,12 +34,13 @@ type Dispatch[S any] struct {
 	DiskOf  interface{ DiskOf(id int64) int }
 }
 
-func (d Dispatch[S]) shardOf(ids []int64) func(i int) int {
+// shardOf maps task i to the disk of its fragment fs.at(i).
+func (d Dispatch[S]) shardOf(fs fragments) func(i int) int {
 	if d.Disks <= 1 {
 		return nil
 	}
 	disk := d.DiskOf
-	return func(i int) int { return disk.DiskOf(ids[i]) }
+	return func(i int) int { return disk.DiskOf(fs.at(i)) }
 }
 
 // Out is one query's un-flattened outcome: the merged partial (Groups
@@ -79,31 +79,54 @@ func Solo[S any, St Counts[St]](ctx context.Context, d Dispatch[S], q frag.Query
 	if err != nil {
 		return Out[St]{}, err
 	}
-	ids := d.Spec.FragmentIDs(q)
-	if own != nil {
-		ids = slices.DeleteFunc(ids, func(id int64) bool { return !own(id) })
+	fs := fragments{spec: d.Spec, r: d.Spec.Relevant(q)}
+	n := int(fs.r.Count())
+	if own != nil { // a node's share: the fragments it owns, listed
+		for i := 0; i < n; i++ {
+			if id := fs.spec.FragmentAt(fs.r, int64(i)); own(id) {
+				fs.ids = append(fs.ids, id)
+			}
+		}
+		n = len(fs.ids)
 	}
 	ranges := deltas.ranges(q)
 	// Each worker sums the fragments it runs into an outcome of its own:
 	// sums per key commute, so who ran which fragment does not show. A
 	// fragment's delta segments fold after its base rows, in its own task.
 	run := func(sc S, acc *Out[St], i int) error {
-		slot := NewSlot(gr, ids[i])
-		fp, st, err := fold(sc, ids[i], q, slot)
+		id := fs.at(i)
+		slot := NewSlot(gr, id)
+		fp, st, err := fold(sc, id, q, slot)
 		if err != nil {
 			return err
 		}
 		slot.FP = fp
-		n := slot.addDeltas(deltas, ids[i], ranges)
+		n := slot.addDeltas(deltas, id, ranges)
 		addTo(acc, gr, slot.FP, st.WithDeltaRows(n), SharedScanStats{})
 		return nil
 	}
-	out, err := exec.ReduceShardedOn(ctx, d.Sched, len(ids), d.shardOf(ids), d.Disks, d.Scratch, run, mergeOuts[St])
+	out, err := exec.ReduceShardedOn(ctx, d.Sched, n, d.shardOf(fs), d.Disks, d.Scratch, run, mergeOuts[St])
 	if err != nil {
 		return Out[St]{}, err
 	}
 	addTo(&out, gr, FragPartial{}, *new(St), SharedScanStats{}) // with no fragment at all, still the grouper and empty groups
 	return out, nil
+}
+
+// fragments are the fragments of a call's tasks: the i-th is computed
+// from a query's region, in ForEachFragment's order, unless they are
+// listed in ids (a node's share, a shared scan's union).
+type fragments struct {
+	spec *frag.Spec
+	r    frag.Region
+	ids  []int64
+}
+
+func (f fragments) at(i int) int64 {
+	if f.ids != nil {
+		return f.ids[i]
+	}
+	return f.spec.FragmentAt(f.r, int64(i))
 }
 
 // addTo adds to a query's outcome a partial of it — a fragment task's, or
@@ -187,7 +210,7 @@ func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.
 			mergeOuts(&acc.outs[i], &part.outs[i])
 		}
 	}
-	acc, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(plan.IDs), d.Disks, d.Scratch, run, merge)
+	acc, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(fragments{ids: plan.IDs}), d.Disks, d.Scratch, run, merge)
 	if err != nil {
 		return nil, err
 	}

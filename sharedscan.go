@@ -1,6 +1,7 @@
 package mdhf
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/frag"
@@ -35,9 +36,26 @@ const observedQueryCap = 512
 // observedQuery is one recorded query of the observed mix.
 type observedQuery struct {
 	q     frag.Query
+	text  string
 	class QueryClass
 	frags int64
 	count int64
+}
+
+// appendKey appends q's structure — its predicates, then its GROUP BY,
+// each in order — which is exactly the identity its canonical text has.
+func appendKey(b []byte, q Query) []byte {
+	b = binary.AppendUvarint(b, uint64(len(q.Preds)))
+	for _, p := range q.Preds {
+		b = binary.AppendUvarint(b, uint64(p.Dim))
+		b = binary.AppendUvarint(b, uint64(p.Level))
+		b = binary.AppendUvarint(b, uint64(p.Member))
+	}
+	for _, g := range q.GroupBy {
+		b = binary.AppendUvarint(b, uint64(g.Dim))
+		b = binary.AppendUvarint(b, uint64(g.Level))
+	}
+	return b
 }
 
 // ObservedQuery is one entry of the observed query mix (see
@@ -75,12 +93,14 @@ type QueryMixStats struct {
 }
 
 // recordObserved folds one successful execution into the observed mix.
+// Only a query recorded for the first time is formatted.
 func (w *Warehouse) recordObserved(q Query) {
 	if w.spec == nil {
 		return
 	}
 	class := w.spec.Classify(q)
-	text := frag.Format(w.star, q)
+	var buf [64]byte
+	key := appendKey(buf[:0], q)
 	w.mixMu.Lock()
 	defer w.mixMu.Unlock()
 	w.mixTotal++
@@ -88,7 +108,7 @@ func (w *Warehouse) recordObserved(q Query) {
 		w.mixByClass = make(map[QueryClass]int64)
 	}
 	w.mixByClass[class]++
-	o := w.mix[text]
+	o := w.mix[string(key)]
 	if o == nil {
 		if len(w.mix) >= observedQueryCap {
 			w.mixDropped++
@@ -97,8 +117,8 @@ func (w *Warehouse) recordObserved(q Query) {
 		if w.mix == nil {
 			w.mix = make(map[string]*observedQuery)
 		}
-		o = &observedQuery{q: q, class: class, frags: w.spec.Relevant(q).Count()}
-		w.mix[text] = o
+		o = &observedQuery{q: q, text: frag.Format(w.star, q), class: class, frags: w.spec.Relevant(q).Count()}
+		w.mix[string(key)] = o
 	}
 	o.count++
 }
@@ -115,8 +135,8 @@ func (w *Warehouse) queryMixStats() QueryMixStats {
 		}
 	}
 	st.Queries = make([]ObservedQuery, 0, len(w.mix))
-	for text, o := range w.mix {
-		st.Queries = append(st.Queries, ObservedQuery{Text: text, Class: o.class, Fragments: o.frags, Count: o.count})
+	for _, o := range w.mix {
+		st.Queries = append(st.Queries, ObservedQuery{Text: o.text, Class: o.class, Fragments: o.frags, Count: o.count})
 	}
 	sort.Slice(st.Queries, func(i, j int) bool {
 		if st.Queries[i].Count != st.Queries[j].Count {
@@ -138,17 +158,16 @@ func (w *Warehouse) ObservedMix() []WeightedQuery {
 	if len(w.mix) == 0 {
 		return nil
 	}
-	texts := make([]string, 0, len(w.mix))
+	recorded := make([]*observedQuery, 0, len(w.mix))
 	var total int64
-	for text, o := range w.mix {
-		texts = append(texts, text)
+	for _, o := range w.mix {
+		recorded = append(recorded, o)
 		total += o.count
 	}
-	sort.Strings(texts)
-	mix := make([]WeightedQuery, len(texts))
-	for i, text := range texts {
-		o := w.mix[text]
-		mix[i] = WeightedQuery{Name: text, Query: o.q, Weight: float64(o.count) / float64(total)}
+	sort.Slice(recorded, func(i, j int) bool { return recorded[i].text < recorded[j].text })
+	mix := make([]WeightedQuery, len(recorded))
+	for i, o := range recorded {
+		mix[i] = WeightedQuery{Name: o.text, Query: o.q, Weight: float64(o.count) / float64(total)}
 	}
 	return mix
 }

@@ -88,7 +88,7 @@ type Warehouse struct {
 	mixTotal   int64
 	mixDropped int64
 	mixByClass map[QueryClass]int64
-	mix        map[string]*observedQuery
+	mix        map[string]*observedQuery // by appendKey, not by formatted text
 
 	dataOnce sync.Once
 	dataErr  error

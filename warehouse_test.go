@@ -96,7 +96,9 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 
 // TestWarehouseConcurrentMatchesSerial is the serving guarantee: M
 // goroutines hammering the declustered backend get results byte-identical
-// to one-at-a-time execution, and the per-query IOStats match too.
+// to one-at-a-time execution, and the per-query IOStats match too. The
+// goroutines start together and every read takes a simulated 200 µs, so
+// their executions overlap however fast the host is.
 func TestWarehouseConcurrentMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
@@ -107,7 +109,7 @@ func TestWarehouseConcurrentMatchesSerial(t *testing.T) {
 		Star:          star,
 		Fragmentation: "time::month, product::group",
 		Table:         tab,
-	}, WithWorkers(4), WithDisks(4, RoundRobin))
+	}, WithWorkers(4), WithDisks(4, RoundRobin), WithIODelay(200*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +130,14 @@ func TestWarehouseConcurrentMatchesSerial(t *testing.T) {
 
 	const goroutines = 8
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	errc := make(chan error, goroutines*len(queries))
 	for g := 0; g < goroutines; g++ {
 		for qname, q := range queries {
 			wg.Add(1)
 			go func(qname string, q Query) {
 				defer wg.Done()
+				<-start
 				for rep := 0; rep < 3; rep++ {
 					agg, st, err := w.Query(q).Execute(ctx)
 					if err != nil {
@@ -149,6 +153,7 @@ func TestWarehouseConcurrentMatchesSerial(t *testing.T) {
 			}(qname, q)
 		}
 	}
+	close(start)
 	wg.Wait()
 	close(errc)
 	for err := range errc {
