@@ -9,17 +9,20 @@ import (
 	"repro/internal/kernel"
 )
 
-// sharedScratch is the shared fold's per-worker buffer set: the per-slot
-// selection masks, the second-operand buffer they are computed with, and
-// the mask union for the shared row walk.
+// sharedScratch is the shared fold's per-worker buffer set: the task's
+// members and slots, the per-slot selection masks, the second-operand
+// buffer they are computed with, and the mask and slot lists handed to
+// kernel.EvalMany.
 type sharedScratch struct {
-	sel   *bitmap.Bitset
-	masks []*bitmap.Bitset
-	union *bitmap.Bitset
+	kernel.SharedTask[Stats]
+	sel       *bitmap.Bitset
+	masks     []*bitmap.Bitset
+	evalMasks []*bitmap.Bitset
+	evalSlots []*kernel.Slot
 }
 
 func newSharedScratch() *sharedScratch {
-	return &sharedScratch{sel: bitmap.New(0), union: bitmap.New(0)}
+	return &sharedScratch{sel: bitmap.New(0)}
 }
 
 func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
@@ -31,13 +34,13 @@ func (sc *sharedScratch) mask(k int) *bitmap.Bitset {
 
 // Shared executes K queries through kernel.Shared in a single pass: one
 // task per fragment of the queries' union, each task computing every
-// interested query's selection mask and then feeding all K slots from
-// one walk over the fragment's columns (kernel.EvalMany); a query that
-// needs no bitmap there has a nil mask (every row relevant). Results and
-// logical statistics are byte-identical to K Solo executions. The
-// in-memory engine performs no physical reads, so Out.Shared records
-// only batch membership and fragment co-scanning (PhysReadsSaved stays
-// 0); the win here is the single column pass feeding K accumulators.
+// interested query's selection mask and then folding each slot on its
+// own over the fragment's columns with the solo column kernel
+// (kernel.EvalMany); a query that needs no bitmap there has a nil mask
+// (every row relevant). Results and logical statistics are
+// byte-identical to K Solo executions. The in-memory engine performs no
+// physical reads, so Out.Shared records only batch membership and
+// fragment co-scanning (PhysReadsSaved stays 0).
 func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.Out[Stats], error) {
 	d := kernel.Dispatch[*sharedScratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.shared}
 	return kernel.Shared(ctx, d, qs, deltas, own, func([]kernel.BatchQuery) (kernel.SharedFold[*sharedScratch, Stats], error) {
@@ -48,18 +51,18 @@ func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query,
 			}
 			if ok {
 				shared := len(ms) >= 2
-				masks := make([]*bitmap.Bitset, len(ms))
-				evalSlots := make([]*kernel.Slot, len(ms))
+				sc.evalMasks, sc.evalSlots = sc.evalMasks[:0], sc.evalSlots[:0]
 				for k := range ms {
-					evalSlots[k] = &slots[k]
+					var mask *bitmap.Bitset
 					if m := sc.mask(k); e.selectInto(f, qs[ms[k].Query], m, sc.sel, &ms[k].St) {
-						masks[k] = m
+						mask = m
 					}
+					sc.evalMasks, sc.evalSlots = append(sc.evalMasks, mask), append(sc.evalSlots, &slots[k])
 					if shared {
 						ms[k].Shared.FragmentsShared = 1
 					}
 				}
-				kernel.EvalMany(evalSlots, masks, f.rows, f.cols, sc.union)
+				kernel.EvalMany(sc.evalSlots, sc.evalMasks, f.rows, f.cols, nil)
 			}
 			for k := range ms {
 				ms[k].St.RowsScanned += slots[k].Rows

@@ -23,7 +23,8 @@ func fourDims() *schema.Star {
 }
 
 // checkFragmentAt asserts that the i-th fragment of q's region is
-// FragmentIDs(q)[i] for every i, and returns how many there are.
+// FragmentIDs(q)[i] for every i, and that InRegion holds for exactly
+// those fragments, and returns how many there are.
 func checkFragmentAt(t *testing.T, spec *Spec, q Query) int {
 	t.Helper()
 	ids := spec.FragmentIDs(q)
@@ -34,6 +35,15 @@ func checkFragmentAt(t *testing.T, spec *Spec, q Query) int {
 	for i, want := range ids {
 		if got := spec.FragmentAt(r, int64(i)); got != want {
 			t.Fatalf("%v %+v: fragment %d is %d, FragmentIDs has %d", spec, q, i, got, want)
+		}
+	}
+	for id, next := int64(0), 0; id < spec.NumFragments(); id++ {
+		in := next < len(ids) && ids[next] == id
+		if in {
+			next++
+		}
+		if spec.InRegion(r, id) != in {
+			t.Fatalf("%v %+v: InRegion(%d) = %v, FragmentIDs lists it: %v", spec, q, id, !in, in)
 		}
 	}
 	return len(ids)
@@ -79,7 +89,8 @@ func TestFragmentAtMatchesFragmentIDs(t *testing.T) {
 // FuzzFragmentAt draws a fragmentation of one to four attributes of
 // fourDims, in any order and at any level, and a query with a coarser,
 // equal, finer or no predicate on each dimension: the i-th fragment of
-// its region must be FragmentIDs' i-th, for every i.
+// its region must be FragmentIDs' i-th, for every i, and InRegion must
+// hold for exactly those.
 func FuzzFragmentAt(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 0, 1, 2, 3, 2, 1, 0, 1, 1, 2, 2, 0, 5, 1, 7, 3, 3})

@@ -420,6 +420,19 @@ func (s *Spec) FragmentAt(r Region, i int64) int64 {
 	return id
 }
 
+// InRegion reports whether fragment id lies in region r: FragmentAt's
+// mixed radix read backwards, each coordinate inside its member range.
+func (s *Spec) InRegion(r Region, id int64) bool {
+	for a := len(r.Lo) - 1; a >= 0; a-- {
+		c := int(id % int64(s.radix[a]))
+		if c < r.Lo[a] || c >= r.Hi[a] {
+			return false
+		}
+		id /= int64(s.radix[a])
+	}
+	return true
+}
+
 // FragmentIDs materialises the relevant fragment ids (allocation order).
 func (s *Spec) FragmentIDs(q Query) []int64 {
 	n := s.RelevantCount(q)

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"slices"
-
 	"repro/internal/frag"
 	"repro/internal/schema"
 )
@@ -16,6 +14,10 @@ type BatchQuery struct {
 	Err error
 
 	ranges []frag.LeafRange // Q compiled for the delta fold (Deltas.ranges)
+	region frag.Region      // Q's relevant fragments (Spec.Relevant)
+	count  int64            // region.Count(), 0 for an invalid member
+	next   int64            // the union merge's cursor into region
+	head   int64            // region's next-th fragment
 }
 
 // BatchPlan is the task set of a shared multi-query scan: one task per
@@ -23,18 +25,19 @@ type BatchQuery struct {
 type BatchPlan struct {
 	Queries []BatchQuery
 	// IDs lists the union's fragment ids, one task each, ascending.
-	IDs     []int64
-	members map[int64][]int32
+	IDs  []int64
+	spec *frag.Spec
 }
 
 // PlanBatch validates every query, derives its grouper, compiles it for
 // the delta fold and unions the members' relevant fragments, keeping only
 // those own selects (nil selects all).
 //
-// The union is sorted ascending, as FragmentIDs enumerates each query's
-// fragments, so a member's tasks are claimed in its solo task order.
+// The union is ascending, as FragmentAt enumerates each region, so a
+// member's tasks are claimed in its solo task order. It is merged twice,
+// once to count it and once to fill IDs sized to the count.
 func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) BatchPlan {
-	p := BatchPlan{Queries: make([]BatchQuery, len(qs)), members: make(map[int64][]int32)}
+	p := BatchPlan{Queries: make([]BatchQuery, len(qs)), spec: spec}
 	for si, q := range qs {
 		m := &p.Queries[si]
 		m.Q = q
@@ -45,20 +48,49 @@ func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Delta
 			continue
 		}
 		m.ranges = deltas.ranges(q)
-		for _, id := range spec.FragmentIDs(q) {
-			if own != nil && !own(id) {
-				continue
-			}
-			if _, ok := p.members[id]; !ok {
-				p.IDs = append(p.IDs, id)
-			}
-			p.members[id] = append(p.members[id], int32(si))
-		}
+		m.region = spec.Relevant(q)
+		m.count = m.region.Count()
 	}
-	slices.Sort(p.IDs)
+	n := 0
+	p.union(own, func(int64) { n++ })
+	p.IDs = make([]int64, 0, n)
+	p.union(own, func(id int64) { p.IDs = append(p.IDs, id) })
 	return p
 }
 
-// Members returns, ascending, the indices into Queries of the members
-// that need task ti's fragment.
-func (p BatchPlan) Members(ti int) []int32 { return p.members[p.IDs[ti]] }
+// union calls fn with every fragment of the valid members' regions that
+// own selects, ascending and once each: a k-way merge of the regions,
+// each member's cursor advancing past the fragment just emitted.
+func (p *BatchPlan) union(own func(int64) bool, fn func(id int64)) {
+	for si := range p.Queries {
+		m := &p.Queries[si]
+		m.next, m.head = 0, p.spec.FragmentAt(m.region, 0)
+	}
+	for {
+		id := int64(-1)
+		for si := range p.Queries {
+			if m := &p.Queries[si]; m.next < m.count && (id < 0 || m.head < id) {
+				id = m.head
+			}
+		}
+		if id < 0 {
+			return
+		}
+		if own == nil || own(id) {
+			fn(id)
+		}
+		for si := range p.Queries {
+			if m := &p.Queries[si]; m.next < m.count && m.head == id {
+				m.next++
+				m.head = p.spec.FragmentAt(m.region, m.next)
+			}
+		}
+	}
+}
+
+// Needs reports whether member si needs task ti's fragment: whether it is
+// valid and the fragment lies in its region.
+func (p *BatchPlan) Needs(si, ti int) bool {
+	m := &p.Queries[si]
+	return m.Err == nil && p.spec.InRegion(m.region, p.IDs[ti])
+}

@@ -156,25 +156,31 @@ type Member[St any] struct {
 }
 
 // SharedFold folds the base rows of fragment id into slots[k] for every
-// member ms[k] needing the fragment — in one pass over the fragment —
+// member ms[k] needing the fragment — K solo folds over one read of it —
 // and counts each member's work into ms[k]. Neither slice outlives the
 // call.
 type SharedFold[S, St any] func(sc S, id int64, ms []Member[St], slots []Slot) error
 
-// batchAcc is what one worker sums a shared scan's tasks into — the
-// members' outcomes by batch index — and the running task's members and
-// slots, reused from task to task.
-type batchAcc[St any] struct {
-	outs  []Out[St]
+// SharedTask is a shared scan's per-task buffers, the running task's
+// members and their slots. Each backend's shared worker scratch embeds
+// one, so that they are reused from task to task and call to call.
+type SharedTask[St any] struct {
 	ms    []Member[St]
 	slots []Slot
 }
 
+func (t *SharedTask[St]) sharedTask() *SharedTask[St] { return t }
+
+// TaskScratch is a worker scratch that embeds a SharedTask.
+type TaskScratch[St any] interface{ sharedTask() *SharedTask[St] }
+
 // Shared runs K queries in one pass over the union of their relevant
 // fragments (PlanBatch): one task per fragment feeds every member
 // needing it. Every outcome is byte-identical to the member's Solo run;
-// the error is batch-wide, so every member can fall back to Solo.
-func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
+// the error is batch-wide, so every member can fall back to Solo. Each
+// worker sums the tasks it runs into an outcome array of its own, by
+// batch index; nothing else is allocated per task.
+func Shared[S TaskScratch[St], St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
 	bind func([]BatchQuery) (SharedFold[S, St], error)) ([]Out[St], error) {
 	if d.Sched == nil {
 		return nil, errNilScheduler
@@ -184,37 +190,39 @@ func Shared[S any, St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.
 	if err != nil {
 		return nil, err
 	}
-	run := func(sc S, acc *batchAcc[St], ti int) error {
+	run := func(sc S, outs *[]Out[St], ti int) error {
 		id := plan.IDs[ti]
-		members := plan.Members(ti)
-		if acc.outs == nil {
-			acc.outs = make([]Out[St], len(qs))
+		t := sc.sharedTask()
+		defer clear(t.slots) // no task's partial outlives it in the scratch
+		t.ms, t.slots = t.ms[:0], t.slots[:0]
+		for si := range plan.Queries {
+			if plan.Needs(si, ti) {
+				t.ms = append(t.ms, Member[St]{Query: si})
+				t.slots = append(t.slots, NewSlot(plan.Queries[si].Gr, id))
+			}
 		}
-		acc.ms, acc.slots = acc.ms[:0], acc.slots[:0]
-		for _, si := range members {
-			acc.ms = append(acc.ms, Member[St]{Query: int(si)})
-			acc.slots = append(acc.slots, NewSlot(plan.Queries[si].Gr, id))
-		}
-		if err := fold(sc, id, acc.ms, acc.slots); err != nil {
+		if err := fold(sc, id, t.ms, t.slots); err != nil {
 			return err
 		}
-		for k, m := range acc.ms {
-			slot := &acc.slots[k]
-			n := slot.addDeltas(deltas, id, plan.Queries[m.Query].ranges)
-			addTo(&acc.outs[m.Query], plan.Queries[m.Query].Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
+		if *outs == nil {
+			*outs = make([]Out[St], len(qs))
+		}
+		for k, m := range t.ms {
+			slot, mq := &t.slots[k], &plan.Queries[m.Query]
+			n := slot.addDeltas(deltas, id, mq.ranges)
+			addTo(&(*outs)[m.Query], mq.Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
 		}
 		return nil
 	}
-	merge := func(acc, part *batchAcc[St]) {
-		for i := range acc.outs {
-			mergeOuts(&acc.outs[i], &part.outs[i])
+	merge := func(acc, part *[]Out[St]) {
+		for i := range *acc {
+			mergeOuts(&(*acc)[i], &(*part)[i])
 		}
 	}
-	acc, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(fragments{ids: plan.IDs}), d.Disks, d.Scratch, run, merge)
+	outs, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(fragments{ids: plan.IDs}), d.Disks, d.Scratch, run, merge)
 	if err != nil {
 		return nil, err
 	}
-	outs := acc.outs
 	if outs == nil { // no fragment to scan
 		outs = make([]Out[St], len(qs))
 	}

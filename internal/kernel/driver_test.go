@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/frag"
@@ -37,12 +38,16 @@ type fakeRow struct {
 
 // fakeScratch is the fake backend's worker scratch: inUse is set while a
 // fold holds it, so two tasks on one scratch show.
-type fakeScratch struct{ inUse atomic.Bool }
+type fakeScratch struct {
+	SharedTask[fakeCounts]
+	inUse atomic.Bool
+}
 
 // fakeBackend is the substitution the one-function contract exists for:
-// fragment id → rows, scanned row by row. fail makes a fragment's fold
-// fail, panicAt makes it panic. The scratch list counts what it builds
-// and the folds count the times they found their scratch in use.
+// fragment id → rows, matched row by row and folded with the column
+// kernel. fail makes a fragment's fold fail, panicAt makes it panic. The
+// scratch list counts what it builds and the folds count the times they
+// found their scratch in use.
 type fakeBackend struct {
 	star    *schema.Star
 	spec    *frag.Spec
@@ -82,13 +87,30 @@ func (b *fakeBackend) fold(sc *fakeScratch, id int64, q frag.Query, slot *Slot, 
 		return err
 	}
 	c.Frags = 1
-	for _, r := range b.rows[id] {
-		c.Rows++
+	c.Rows += int64(len(b.rows[id]))
+	b.foldRows(q, b.rows[id], slot)
+	return nil
+}
+
+// foldRows folds the rows q selects into the slot with the column
+// kernel, over a column view of them and a mask of the matches.
+func (b *fakeBackend) foldRows(q frag.Query, rows []fakeRow, slot *Slot) {
+	cols := Columns{Dims: make([][]int32, len(b.star.Dims)),
+		Units: make([]int64, len(rows)), Dollars: make([]int64, len(rows)), Costs: make([]int64, len(rows))}
+	for d := range cols.Dims {
+		cols.Dims[d] = make([]int32, len(rows))
+	}
+	sel := bitmap.New(len(rows))
+	for i, r := range rows {
+		for d := range cols.Dims {
+			cols.Dims[d][i] = int32(r.keys[d])
+		}
+		cols.Units[i], cols.Dollars[i], cols.Costs[i] = r.u, r.d, r.c
 		if b.match(q, r) {
-			slot.AddLeaves(r.keys, r.u, r.d, r.c)
+			sel.Set(i)
 		}
 	}
-	return nil
+	slot.AddColsSelected(cols, sel)
 }
 
 func (b *fakeBackend) solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas Deltas, own func(int64) bool) (Out[fakeCounts], error) {
@@ -192,11 +214,7 @@ func (w *fakeWorld) want(t *testing.T, q frag.Query, withDeltas bool, own func(i
 		if own != nil && !own(id) {
 			continue
 		}
-		for _, r := range rows {
-			if w.be.match(q, r) {
-				slot.AddLeaves(r.keys, r.u, r.d, r.c)
-			}
-		}
+		w.be.foldRows(q, rows, &slot)
 	}
 	return gr.Result(slot.FP)
 }

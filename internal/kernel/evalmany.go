@@ -34,8 +34,7 @@ func (s *SharedScanStats) Add(o SharedScanStats) {
 }
 
 // Columns is a columnar view of one fragment's rows — the engine's
-// in-memory layout, handed to EvalMany so one pass over the arrays can
-// feed every slot of a shared scan.
+// in-memory layout and a delta segment's, folded by the column kernel.
 type Columns struct {
 	Dims    [][]int32
 	Units   []int64
@@ -169,69 +168,18 @@ func (s *Slot) add(a Aggregate) {
 	s.FP.Agg.Add(a)
 }
 
-// AddLeaves folds one decoded tuple in: the row's leaf members per
-// dimension plus its measures (the storage executors' row shape).
-func (s *Slot) AddLeaves(keys []uint16, units, dollars, cost int64) {
-	s.Rows++
-	s.FP.Agg.AddRow(units, dollars, cost)
-	if s.FP.Groups != nil {
-		key := s.Base
-		for _, rl := range s.PerRow {
-			key += uint64(int64(keys[rl.Dim])/rl.Div) * rl.Weight
-		}
-		s.FP.Groups.AddRow(key, units, dollars, cost)
-	}
-}
-
-// EvalMany evaluates K slots against one in-memory fragment in a single
-// pass: slot k aggregates the rows selected by masks[k] (nil = every
-// one of the n rows). Each slot sees its rows in ascending order —
-// exactly the solo executors' iteration order — so results are
-// byte-identical to K independent scans. union is caller-owned scratch
-// for the masks' OR (it may be nil only when a pass over all n rows is
-// unavoidable anyway, i.e. some mask is nil or K == 1).
+// EvalMany folds K slots over one in-memory fragment of n rows read
+// once: slot k, on its own, aggregates the rows masks[k] selects (nil =
+// every row) with the column kernel, as AddColsRange / AddColsSelected
+// fold it solo, so results are byte-identical to K independent scans.
+// union is unused; it stays in the signature for the benchmark probes
+// that compile against it.
 func EvalMany(slots []*Slot, masks []*bitmap.Bitset, n int, cols Columns, union *bitmap.Bitset) {
-	if len(slots) == 1 {
-		if masks[0] == nil {
-			slots[0].AddColsRange(cols, 0, n)
+	for k, s := range slots {
+		if masks[k] == nil {
+			s.AddColsRange(cols, 0, n)
 		} else {
-			slots[0].AddColsSelected(cols, masks[0])
-		}
-		return
-	}
-	anyNil := false
-	for _, m := range masks {
-		if m == nil {
-			anyNil = true
-			break
-		}
-	}
-	if anyNil {
-		// Some slot touches every row: sweep them all once and fan each
-		// row out to the slots whose mask admits it.
-		for i := 0; i < n; i++ {
-			for k, m := range masks {
-				if m == nil || m.Get(i) {
-					slots[k].AddCols(cols, i)
-				}
-			}
-		}
-		return
-	}
-	// Sweep only the union of the masks — one pass feeds every slot.
-	union.Reinit(n)
-	union.CopyFrom(masks[0])
-	for _, m := range masks[1:] {
-		union.Or(m)
-	}
-	for wi, w := range union.Words() {
-		for ; w != 0; w &= w - 1 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			for k, m := range masks {
-				if m.Get(i) {
-					slots[k].AddCols(cols, i)
-				}
-			}
+			s.AddColsSelected(cols, masks[k])
 		}
 	}
 }

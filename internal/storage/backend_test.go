@@ -417,7 +417,7 @@ func TestScratchSurvivesCompaction(t *testing.T) {
 	defer func() { cur.Close() }()
 	var solo, shared atomic.Int64
 	cur.Exec.solo = exec.NewScratch(func() *execScratch { solo.Add(1); return newScratch() })
-	buildShared := newSharedScratch(len(fx.full.Dims), cur.Bitmaps.NumBitmaps())
+	buildShared := newSharedScratch(cur.Bitmaps.NumBitmaps())
 	cur.Exec.shared = exec.NewScratch(func() *sharedScratch { shared.Add(1); return buildShared() })
 
 	// The deltas land in month 7; the measured queries read month 2, so

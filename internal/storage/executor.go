@@ -107,7 +107,7 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 	}
 	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
 	e.solo = exec.NewScratch(newScratch)
-	e.shared = exec.NewScratch(newSharedScratch(len(store.star.Dims), bitmaps.NumBitmaps()))
+	e.shared = exec.NewScratch(newSharedScratch(bitmaps.NumBitmaps()))
 	return e, nil
 }
 
@@ -221,14 +221,14 @@ func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.Bi
 		return err
 	}
 	sc.acc = rowAcc{p: p, base: base, perRow: perRow, rows: int(loc.Rows)}
-	if len(plan) == 0 {
-		// IOC1: every page of the fragment is read with full prefetch.
-		return e.scanWhole(ctx, id, loc, sc)
+	var hits *bitmap.Bitset // IOC1: every page of the fragment is read with full prefetch
+	if len(plan) > 0 {
+		if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
+			return err
+		}
+		hits = sc.hits
 	}
-	if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
-		return err
-	}
-	return e.readHits(ctx, id, loc, sc.hits, sc)
+	return e.readRows(ctx, id, loc, hits, sc)
 }
 
 // loadOperands is the bitmap access of Section 4.3's step 2: it reads
@@ -270,45 +270,15 @@ func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.Bitma
 	return nil
 }
 
-// scanWhole aggregates every tuple of the fragment, reading it in
-// prefetch-granule runs with the next granule read in flight while the
-// current one aggregates: each granule is one run of rows.
-func (e *Executor) scanWhole(ctx context.Context, id int64, loc FragLoc, sc *execScratch) error {
+// readRows reads the prefetch granules holding a row hits selects —
+// every granule when hits is nil, only those with a hit otherwise (the
+// prefetch-efficiency effect of Section 4.5) — with the next granule
+// read in flight while the current one aggregates, and folds each
+// granule's selected rows (foldGranule).
+func (e *Executor) readRows(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Bitset, sc *execScratch) error {
 	store := e.store
-	sc.gran = appendWholeGranules(sc.gran[:0], int(loc.Pages), e.PrefetchFact)
+	sc.gran = appendGranules(sc.gran[:0], hits, int(loc.Pages), e.PrefetchFact, store.tpp)
 	return e.forEachGranule(ctx, sc, &sc.acc.p.st, id, sc.gran, func(g granule, buf []byte) {
-		lo := int(g.start) * store.tpp
-		store.fold(&sc.acc, buf, int(g.start), lo, min(lo+int(g.count)*store.tpp, int(loc.Rows)))
-	})
-}
-
-// readHits reads only the prefetch granules containing hit rows (the
-// prefetch-efficiency effect of Section 4.5), prefetching one granule
-// ahead of aggregation, and aggregates each granule's runs of
-// consecutive hits.
-func (e *Executor) readHits(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Bitset, sc *execScratch) error {
-	store := e.store
-	g := e.PrefetchFact
-	granules := (int(loc.Pages) + g - 1) / g
-	sc.gran = sc.gran[:0]
-	next := hits.NextSet(0)
-	for gi := 0; gi < granules && next >= 0; gi++ {
-		rowHi := (gi + 1) * g * store.tpp
-		if next >= rowHi {
-			continue // no hit in this granule
-		}
-		sc.gran = append(sc.gran, granuleAt(gi, g, int(loc.Pages)))
-		next = hits.NextSet(rowHi) // first hit beyond this granule
-	}
-	return e.forEachGranule(ctx, sc, &sc.acc.p.st, id, sc.gran, func(g granule, buf []byte) {
-		rowHi := min(int(g.start+g.count)*store.tpp, int(loc.Rows))
-		for lo := hits.NextSet(int(g.start) * store.tpp); lo >= 0 && lo < rowHi; {
-			hi := lo + 1
-			for hi < rowHi && hits.Get(hi) {
-				hi++
-			}
-			store.fold(&sc.acc, buf, int(g.start), lo, hi)
-			lo = hits.NextSet(hi)
-		}
+		store.foldGranule(&sc.acc, buf, g, hits)
 	})
 }

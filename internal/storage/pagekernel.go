@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/bitmap"
 	"repro/internal/kernel"
 )
 
@@ -86,5 +87,26 @@ func (s *Store) fold(a *rowAcc, buf []byte, start, lo, hi int) {
 		}
 		lo += n
 		first = 0
+	}
+}
+
+// foldGranule folds the fragment rows of granule g, whose pages buf
+// holds, that hits selects: the whole row range when hits is nil,
+// otherwise each run of consecutive hits, cut at the granule, as one
+// fold.
+func (s *Store) foldGranule(a *rowAcc, buf []byte, g granule, hits *bitmap.Bitset) {
+	start := int(g.start)
+	lo, hi := start*s.tpp, min(int(g.start+g.count)*s.tpp, a.rows)
+	if hits == nil {
+		s.fold(a, buf, start, lo, hi)
+		return
+	}
+	for lo = hits.NextSet(lo); lo >= 0 && lo < hi; {
+		end := lo + 1
+		for end < hi && hits.Get(end) {
+			end++
+		}
+		s.fold(a, buf, start, lo, end)
+		lo = hits.NextSet(end)
 	}
 }

@@ -1,6 +1,10 @@
 package storage
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/bitmap"
+)
 
 // Async granule prefetch: the executor's fact reads are issued one
 // prefetch granule ahead of aggregation, so the disk (or the simulated
@@ -221,10 +225,19 @@ func granuleAt(gi, g, pages int) granule {
 	return granule{start: int32(gi * g), count: int32(min(g, pages-gi*g))}
 }
 
-// appendWholeGranules appends the granules covering every page of a
-// fragment at granule size g.
-func appendWholeGranules(dst []granule, pages, g int) []granule {
-	for gi := 0; gi*g < pages; gi++ {
+// appendGranules appends the granules, at granule size g, of a fragment
+// of the given page count and tpp rows a page that hold a row hits
+// selects: every granule when hits is nil.
+func appendGranules(dst []granule, hits *bitmap.Bitset, pages, g, tpp int) []granule {
+	next := 0
+	for gi := 0; gi*g < pages && next >= 0; gi++ {
+		if hits != nil {
+			rowHi := (gi + 1) * g * tpp
+			if next = hits.NextSet(next); next < 0 || next >= rowHi {
+				continue // no hit in this granule
+			}
+			next = rowHi // the next granule's hits start past this one
+		}
 		dst = append(dst, granuleAt(gi, g, pages))
 	}
 	return dst

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bitmap"
 	"repro/internal/frag"
@@ -9,33 +10,32 @@ import (
 )
 
 // sharedScratch extends the per-worker executor scratch with the shared
-// path's per-task state: the bitmap fragments decoded for the duration of
-// the task (so batch-mates selecting the same bitmap reuse it instead of
-// reading and decoding it again), per-slot selection masks, the mask
-// union, and the granule ownership table.
+// path's per-task state: the task's members and slots, the bitmap
+// fragments decoded for the duration of the task (so batch-mates
+// selecting the same bitmap reuse it instead of reading and decoding it
+// again), per-slot selection masks, partials and row accumulators, the
+// granule ownership table and the union stream's counters.
 type sharedScratch struct {
+	kernel.SharedTask[IOStats]
 	sc      *execScratch
-	keys    []uint16         // decodeTuple key buffer
 	byIndex []*bitmap.Bitset // the task's decoded bitmaps by stored index (nil = not yet)
 	entries []*bitmap.Bitset // decoded-bitmap freelist, reused across tasks
 	used    int
-	masks   []*bitmap.Bitset
-	union   *bitmap.Bitset
-	payer   []int32 // granule index -> first-paying local slot (-1 = unread)
+	masks   []*bitmap.Bitset // mask buffers by slot
+	sel     []*bitmap.Bitset // the task's masks by slot (nil = every row)
+	parts   []partial        // the task's partials by slot
+	accs    []rowAcc         // where each slot's rows accumulate
+	payer   []int32          // granule index -> first-paying local slot (-1 = unread)
 	ugran   []granule
+	phys    IOStats // the union stream's physical counters
 }
 
-// newSharedScratch returns the builder of shared scratch for a schema of
-// dims dimensions and bitmaps stored bitmaps per fragment — all it needs
-// of the executor, which the lists outlive.
-func newSharedScratch(dims, bitmaps int) func() *sharedScratch {
+// newSharedScratch returns the builder of shared scratch for a file of
+// bitmaps stored bitmaps per fragment — all it needs of the executor,
+// which the lists outlive.
+func newSharedScratch(bitmaps int) func() *sharedScratch {
 	return func() *sharedScratch {
-		return &sharedScratch{
-			sc:      newScratch(),
-			keys:    make([]uint16, dims),
-			byIndex: make([]*bitmap.Bitset, bitmaps),
-			union:   bitmap.New(0),
-		}
+		return &sharedScratch{sc: newScratch(), byIndex: make([]*bitmap.Bitset, bitmaps)}
 	}
 }
 
@@ -84,7 +84,7 @@ func (sc *sharedScratch) operand(ctx context.Context, e *Executor, di int, st *I
 // sharedMask computes one slot's selection mask for the fragment from
 // its bitmap plan via the task's unit set and bitmap cache — solo
 // execution's loadOperands with the physical reads shared. It returns nil
-// when the plan is empty (every row is relevant — the solo scanWhole
+// when the plan is empty (every row is relevant — the solo whole-fragment
 // path); an empty mask means no row matches. Logical bitmap counters land
 // on st exactly as solo execution counts them — one I/O per distinct unit
 // of the plan, whose operands are adjacent because the plan is ordered by
@@ -155,173 +155,99 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 
 // sharedFold returns the shared fragment task over the batch's bitmap
 // plans (indexed like the batch): every member's mask, the granule payer
-// table and one union granule stream feeding every member's slot.
+// table, and one union granule stream over which each member's own rows
+// are folded with the solo page kernel (foldGranule).
 func (e *Executor) sharedFold(ctx context.Context, bplans [][]frag.BitmapOp) kernel.SharedFold[*sharedScratch, IOStats] {
-	tpp := e.store.tpp
+	store := e.store
 	g := e.PrefetchFact
 
-	return func(sc *sharedScratch, id int64, parts []kernel.Member[IOStats], kslots []kernel.Slot) error {
+	return func(sc *sharedScratch, id int64, ms []kernel.Member[IOStats], slots []kernel.Slot) error {
 		sc.reset()
-		loc, ok := e.store.Loc(id)
-		if ok {
-			if err := ctx.Err(); err != nil {
+		loc, ok := store.Loc(id)
+		if !ok {
+			return nil // no rows at this density
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		us := &sc.sc.units
+		if err := us.begin(e.bitmaps, id); err != nil {
+			return err
+		}
+		sc.sel = sc.sel[:0]
+		for k := range ms {
+			m := &ms[k]
+			mask, err := e.sharedMask(ctx, bplans[m.Query], sc.mask(k), &m.St, &m.Shared, sc)
+			if err != nil {
+				us.release()
 				return err
 			}
-			shared := len(parts) >= 2
-			rows := int(loc.Rows)
-			masks := make([]*bitmap.Bitset, len(parts))
-			anyNil := false
-			us := &sc.sc.units
-			if err := us.begin(e.bitmaps, id); err != nil {
-				return err
+			sc.sel = append(sc.sel, mask)
+			if len(ms) >= 2 {
+				m.Shared.FragmentsShared = 1
 			}
-			for k := range parts {
-				p := &parts[k]
-				m, err := e.sharedMask(ctx, bplans[p.Query], sc.mask(k), &p.St, &p.Shared, sc)
-				if err != nil {
-					us.release()
-					return err
-				}
-				masks[k] = m
-				if m == nil {
-					anyNil = true
-				}
-				if shared {
-					p.Shared.FragmentsShared = 1
-				}
-			}
-			us.release()
+		}
+		us.release()
 
-			// Per-slot logical granule lists (exactly the solo readHits /
-			// scanWhole lists) drive both the logical Fact counters and the
-			// union read list; the first slot listing a granule pays its
-			// physical read, later slots record the saving.
-			granules := (int(loc.Pages) + g - 1) / g
-			if cap(sc.payer) < granules {
-				sc.payer = make([]int32, granules)
-			}
-			sc.payer = sc.payer[:granules]
-			for i := range sc.payer {
-				sc.payer[i] = -1
-			}
-			visit := func(k int, gi, count int) {
-				p := &parts[k]
-				p.St.FactIOs++
-				p.St.FactPages += int64(count)
-				if sc.payer[gi] == -1 {
+		// Per-slot logical granule lists (exactly the solo readRows lists)
+		// drive both the logical Fact counters and the union read list;
+		// the first slot listing a granule pays its physical read, later
+		// slots record the saving.
+		pages := int(loc.Pages)
+		granules := (pages + g - 1) / g
+		sc.payer = slices.Grow(sc.payer[:0], granules)[:granules]
+		for i := range sc.payer {
+			sc.payer[i] = -1
+		}
+		for k, mask := range sc.sel {
+			m := &ms[k]
+			sc.sc.gran = appendGranules(sc.sc.gran[:0], mask, pages, g, store.tpp)
+			for _, gr := range sc.sc.gran {
+				m.St.FactIOs++
+				m.St.FactPages += int64(gr.count)
+				if gi := int(gr.start) / g; sc.payer[gi] < 0 {
 					sc.payer[gi] = int32(k)
 				} else {
-					p.Shared.PhysReadsSaved++
+					m.Shared.PhysReadsSaved++
 				}
 			}
-			for k := range parts {
-				m := masks[k]
-				if m == nil {
-					for gi := 0; gi < granules; gi++ {
-						count := g
-						if gi*g+count > int(loc.Pages) {
-							count = int(loc.Pages) - gi*g
-						}
-						visit(k, gi, count)
-					}
-					continue
-				}
-				next := m.NextSet(0)
-				for gi := 0; gi < granules && next >= 0; gi++ {
-					rowHi := (gi + 1) * g * tpp
-					if next >= rowHi {
-						continue
-					}
-					count := g
-					if gi*g+count > int(loc.Pages) {
-						count = int(loc.Pages) - gi*g
-					}
-					visit(k, gi, count)
-					next = m.NextSet(rowHi)
-				}
-			}
-			sc.ugran = sc.ugran[:0]
-			for gi := 0; gi < granules; gi++ {
-				if sc.payer[gi] < 0 {
-					continue
-				}
-				count := g
-				if gi*g+count > int(loc.Pages) {
-					count = int(loc.Pages) - gi*g
-				}
-				sc.ugran = append(sc.ugran, granule{start: int32(gi * g), count: int32(count)})
-			}
-
-			// Row union for the masked-only walk.
-			var rowUnion *bitmap.Bitset
-			if !anyNil && len(parts) > 0 {
-				rowUnion = masks[0]
-				if len(parts) > 1 {
-					sc.union.Reinit(rows)
-					sc.union.CopyFrom(masks[0])
-					for _, m := range masks[1:] {
-						sc.union.Or(m)
-					}
-					rowUnion = sc.union
-				}
-			}
-
-			// One physical stream over the union granules feeds every slot.
-			// The pipe's counters land in phys: its Fact counters are the
-			// physical read set (the per-slot logical counts are already
-			// accounted above) and its pool counters are credited to the
-			// granule's paying slot.
-			var phys IOStats
-			pipe := e.startGranules(ctx, sc.sc, &phys, id, sc.ugran)
-			prev := phys
-			var readErr error
-			for range sc.ugran {
-				gr, buf, err := pipe.next()
-				if err != nil {
-					readErr = err
-					break
-				}
-				payer := &parts[sc.payer[int(gr.start)/g]]
-				payer.St.PoolHits += phys.PoolHits - prev.PoolHits
-				payer.St.PoolMisses += phys.PoolMisses - prev.PoolMisses
-				payer.St.PoolBytes += phys.PoolBytes - prev.PoolBytes
-				prev = phys
-				rowLo := int(gr.start) * tpp
-				rowHi := rowLo + int(gr.count)*tpp
-				if rowHi > rows {
-					rowHi = rows
-				}
-				if anyNil {
-					for r := rowLo; r < rowHi; r++ {
-						pageIn := r/tpp - int(gr.start)
-						off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-						tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-						for k := range kslots {
-							if masks[k] == nil || masks[k].Get(r) {
-								kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
-							}
-						}
-					}
-					continue
-				}
-				for r := rowUnion.NextSet(rowLo); r >= 0 && r < rowHi; r = rowUnion.NextSet(r + 1) {
-					pageIn := r/tpp - int(gr.start)
-					off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-					tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-					for k := range kslots {
-						if masks[k].Get(r) {
-							kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
-						}
-					}
-				}
-			}
-			if readErr != nil {
-				return readErr
-			}
-			pipe.finish()
 		}
-		for k := range parts {
-			parts[k].St.RowsRead += kslots[k].Rows
+		sc.ugran = sc.ugran[:0]
+		for gi, k := range sc.payer {
+			if k >= 0 {
+				sc.ugran = append(sc.ugran, granuleAt(gi, g, pages))
+			}
+		}
+
+		// Each slot folds into a partial of its own, as its solo run does.
+		sc.parts, sc.accs = slices.Grow(sc.parts[:0], len(ms))[:len(ms)], slices.Grow(sc.accs[:0], len(ms))[:len(ms)]
+		for k := range slots {
+			sc.parts[k] = partial{fp: slots[k].FP}
+			sc.accs[k] = rowAcc{p: &sc.parts[k], base: slots[k].Base, perRow: slots[k].PerRow, rows: int(loc.Rows)}
+		}
+
+		// One physical stream over the union granules feeds every slot.
+		// Its Fact counters are the physical read set (the per-slot
+		// logical counts are already accounted above); its pool counters
+		// are credited to the granule's paying slot.
+		sc.phys = IOStats{}
+		var paid IOStats
+		err := e.forEachGranule(ctx, sc.sc, &sc.phys, id, sc.ugran, func(gr granule, buf []byte) {
+			payer := &ms[sc.payer[int(gr.start)/g]].St
+			payer.PoolHits += sc.phys.PoolHits - paid.PoolHits
+			payer.PoolMisses += sc.phys.PoolMisses - paid.PoolMisses
+			payer.PoolBytes += sc.phys.PoolBytes - paid.PoolBytes
+			paid = sc.phys
+			for k, mask := range sc.sel {
+				store.foldGranule(&sc.accs[k], buf, gr, mask)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		for k := range ms {
+			slots[k].FP = sc.parts[k].fp
+			ms[k].St.RowsRead += sc.parts[k].st.RowsRead
 		}
 		return nil
 	}
