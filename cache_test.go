@@ -136,7 +136,7 @@ func TestCachedEquivalence(t *testing.T) {
 			if st.Cache.Invalidations == 0 {
 				t.Fatal("appends evicted nothing from the result cache")
 			}
-			if bk.name != "in-memory" && bk.name != "in-memory/compressed" {
+			if bk.name != "in-memory" {
 				if st.Cache.Pool.Hits == 0 {
 					t.Fatalf("on-disk backend never hit the buffer pool: %+v", st.Cache.Pool)
 				}

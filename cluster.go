@@ -123,6 +123,9 @@ func OpenCluster(ctx context.Context, cfg Config, opts ...Option) (*Cluster, err
 	for _, o := range opts {
 		o(&opt)
 	}
+	if err := rejectUnhonored("OpenCluster", opt.warehouseOnly); err != nil {
+		return nil, err
+	}
 	star, spec, icfg, seed, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -453,7 +456,7 @@ func (p *ClusterQuery) Execute(ctx context.Context) (Result, Stats, error) {
 	}
 	st := Stats{
 		Backend:    ClusterBackend,
-		Compressed: c.opt.compress,
+		Compressed: c.opt.compress && c.opt.onDisk,
 		Workers:    c.cl.Disks,
 		Wall:       time.Since(start),
 		DeltaRows:  est.DeltaRows,

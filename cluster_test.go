@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // clusterOracle executes every ingest query on a plain single-node
@@ -313,5 +315,43 @@ func TestClusterExplainNodeBottleneck(t *testing.T) {
 	}
 	if pooled.Response.Nodes != 1 || pooled.Response.NodesUsed != 1 {
 		t.Errorf("single node models %d/%d nodes", pooled.Response.Nodes, pooled.Response.NodesUsed)
+	}
+}
+
+// TestFacadesRejectUnhonoredOptions: each façade refuses, by name, the
+// options only the other one honors, instead of silently dropping them.
+func TestFacadesRejectUnhonoredOptions(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 8)}
+	for _, tc := range []struct {
+		name    string
+		opt     Option
+		cluster bool // honored by OpenCluster only
+	}{
+		{"WithBufferPool", WithBufferPool(1 << 20), false},
+		{"WithAutoCompaction", WithAutoCompaction(64), false},
+		{"WithResultCache", WithResultCache(16), false},
+		{"WithNodes", WithNodes(2, RoundRobin), true},
+		{"WithNodeAddrs", WithNodeAddrs("http://127.0.0.1:1"), true},
+		{"WithHedgedRequests", WithHedgedRequests(time.Millisecond), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			if tc.cluster {
+				var w *Warehouse
+				if w, err = Open(ctx, cfg, tc.opt); err == nil {
+					w.Close()
+				}
+			} else {
+				var c *Cluster
+				if c, err = OpenCluster(ctx, cfg, WithNodes(2, RoundRobin), tc.opt); err == nil {
+					c.Close()
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.name)
+			}
+		})
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 	admit := flag.Int("admit", 0, "admission limit (0 = unbounded)")
 	onDisk := flag.String("ondisk", "", "serve from paged files under this directory (empty = in-memory engine)")
 	disks := flag.Int("disks", 0, "decluster the on-disk backend over this many virtual disks")
-	compress := flag.Bool("compress", false, "WAH-compressed bitmaps")
+	compress := flag.Bool("compress", false, "WAH-compressed bitmap files (an on-disk format: no effect without -ondisk)")
 	ioDelay := flag.Duration("iodelay", 0, "simulated per-access disk latency (on-disk only)")
 	flag.Parse()
 

@@ -1,8 +1,8 @@
 package mdhf
 
 // Grouped roll-up equivalence and property tests: every backend — the
-// in-memory engine, its compressed fast path, the on-disk executor and
-// the declustered executor — must produce byte-identical grouped results
+// in-memory engine, the on-disk executor, plain and compressed, and the
+// declustered executor — must produce byte-identical grouped results
 // (deterministic group order) at every worker and disk count, all checked
 // against the brute-force ScanGroupedAggregate oracle, with the roll-up
 // invariants on top: summing all groups equals the ungrouped aggregate,
@@ -29,7 +29,6 @@ func groupedBackends() []struct {
 		opts []Option
 	}{
 		{"in-memory", nil},
-		{"in-memory/compressed", []Option{WithCompression()}},
 		{"on-disk", []Option{WithOnDisk("")}},
 		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}},
 		{"declustered/1", []Option{WithDisks(1, RoundRobin)}},

@@ -15,14 +15,13 @@ import (
 )
 
 // ingestBackends are the backend configurations every ingestion test
-// exercises: both engines, both bitmap representations, and declustered
-// disk sets under both placement schemes.
+// exercises: both engines, the on-disk one under both bitmap formats, and
+// declustered disk sets under both placement schemes.
 var ingestBackends = []struct {
 	name string
 	opts []Option
 }{
 	{"in-memory", nil},
-	{"in-memory/compressed", []Option{WithCompression()}},
 	{"on-disk", []Option{WithOnDisk("")}},
 	{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}},
 	{"declustered", []Option{WithDisks(4, RoundRobin)}},

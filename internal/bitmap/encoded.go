@@ -204,23 +204,27 @@ func (e *EncodedIndex) SelectPartial(skipLevel, level, m int) (*Bitset, int) {
 
 // SelectPartialInto is SelectPartial writing the selection into dst,
 // reusing dst's storage (resized to the fragment's row count) — the
-// allocation-free variant for per-worker scratch bitsets. It returns the
-// number of bitmaps evaluated.
+// allocation-free variant for per-worker scratch bitsets. The bit fields
+// up to skipLevel are constant, so it ANDs bitmaps [skip, skip+nb), each
+// taken verbatim where member m's pattern bit is 1 and complemented where
+// it is 0. It returns nb, the number of bitmaps evaluated.
 func (e *EncodedIndex) SelectPartialInto(dst *Bitset, skipLevel, level, m int) int {
-	skip, nb, pattern := e.layout.partialPattern(skipLevel, level, m)
-	e.selectBits(dst, skip, nb, pattern)
-	return nb
-}
-
-// partialPattern returns what a selection of member m of the given level
-// evaluates when the bit fields up to skipLevel (-1: none) are constant:
-// bitmaps [skip, skip+nb), matched against the low nb bits of pattern.
-func (l *Layout) partialPattern(skipLevel, level, m int) (skip, nb int, pattern uint64) {
+	skip := 0
 	if skipLevel >= 0 {
-		skip = l.PrefixBits(skipLevel)
+		skip = e.layout.PrefixBits(skipLevel)
 	}
-	nb = l.PrefixBits(level) - skip
-	return skip, nb, l.EncodePrefix(level, m) & (1<<uint(nb) - 1)
+	nb := e.layout.PrefixBits(level) - skip
+	pattern := e.layout.EncodePrefix(level, m)
+	dst.Reinit(e.rows)
+	dst.SetAll()
+	for j := 0; j < nb; j++ {
+		if b := e.maps[skip+j]; pattern>>uint(nb-1-j)&1 == 1 {
+			dst.And(b)
+		} else {
+			dst.AndNot(b)
+		}
+	}
+	return nb
 }
 
 // SelectSuffix matches only the suffix bit fields of the levels strictly
@@ -230,22 +234,6 @@ func (l *Layout) partialPattern(skipLevel, level, m int) (skip, nb int, pattern 
 // Q2). It returns the result and the number of bitmaps evaluated.
 func (e *EncodedIndex) SelectSuffix(prefixLevel, leafMember int) (*Bitset, int) {
 	return e.SelectPartial(prefixLevel, e.layout.dim.Leaf(), leafMember)
-}
-
-// selectBits ANDs together bitmaps [first, first+n) into out, each taken
-// verbatim where the corresponding pattern bit is 1 and complemented where
-// it is 0.
-func (e *EncodedIndex) selectBits(out *Bitset, first, n int, pattern uint64) {
-	out.Reinit(e.rows)
-	out.SetAll()
-	for j := 0; j < n; j++ {
-		b := e.maps[first+j]
-		if pattern>>uint(n-1-j)&1 == 1 {
-			out.And(b)
-		} else {
-			out.AndNot(b)
-		}
-	}
 }
 
 // Bytes returns the total storage of all bitmaps in bytes.

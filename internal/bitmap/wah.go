@@ -9,11 +9,12 @@ package bitmap
 // and carries one group in its low 63 bits. A fill word has MSB 1, the
 // fill bit in bit 62, and the run length (in groups) in the low 62 bits.
 //
-// WAH is a storage format: both backends decode a stored bitmap into a
-// Bitset (DecompressInto, or andInto for an index's operands) and execute
-// on that. Beyond the codec, only AndAllInto runs on the encoded words, a
-// k-way intersection that skips a zero-fill run in any operand in every
-// operand at once without decoding a single group.
+// WAH is a format of the on-disk store only: the executor decodes a
+// stored bitmap into a Bitset (DecompressInto) and executes on that, and
+// the in-memory engine keeps Bitsets throughout. Beyond the codec, only
+// AndAllInto runs on the encoded words, a k-way intersection that skips a
+// zero-fill run in any operand in every operand at once without decoding
+// a single group.
 
 const (
 	groupBits = 63
@@ -184,31 +185,6 @@ func (c *Compressed) DecompressInto(dst *Bitset) *Bitset {
 	}
 	dst.trim()
 	return dst
-}
-
-// andInto sets dst = dst AND c (AND NOT c when complement), decoding c
-// group by group straight into dst's words: how a stored WAH bitmap joins
-// a materialised selection without a Bitset of its own. dst has c's
-// length and zero padding, which a complemented final group cannot set.
-func (c *Compressed) andInto(dst *Bitset, complement bool) {
-	if dst.n != c.n {
-		panic("bitmap: compressed length mismatch")
-	}
-	var flip uint64
-	if complement {
-		flip = groupMask
-	}
-	cu := cursor{words: c.words}
-	for g, total := 0, c.groups(); g < total; g++ {
-		v := cu.take() ^ flip
-		// The group is bits [off, off+63) of the two words it straddles;
-		// every bit outside that window is kept (a shift of 64 gives 0).
-		w0, off := g*groupBits/wordBits, uint(g*groupBits%wordBits)
-		dst.words[w0] &= v<<off | ^(groupMask << off)
-		if w0+1 < len(dst.words) {
-			dst.words[w0+1] &= v>>(wordBits-off) | ^(groupMask >> (wordBits - off))
-		}
-	}
 }
 
 // cursor walks the groups of a compressed bitmap with O(1) run skipping:

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"repro/internal/schema"
 )
 
 // Property tests for the WAH codec and the kernels that read encoded
@@ -117,87 +115,6 @@ func TestDecompressIntoReuse(t *testing.T) {
 	}
 }
 
-func TestAndIntoMatchesBitset(t *testing.T) {
-	// dst AND c and dst AND NOT c, decoded group by group, against the
-	// Bitset oracle on run-heavy and density-spanning operands.
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range opTestLens {
-		ops := []*Bitset{runnyBitset(rng, n), runnyBitset(rng, n)}
-		for _, d := range opTestDensities {
-			ops = append(ops, densityBitset(rng, n, d))
-		}
-		for _, acc := range ops {
-			for _, op := range ops {
-				for _, complement := range []bool{false, true} {
-					got, want := acc.Clone(), acc.Clone()
-					Compress(op).andInto(got, complement)
-					if complement {
-						want.AndNot(op)
-					} else {
-						want.And(op)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("n=%d complement=%v: andInto diverges from the Bitset oracle", n, complement)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestCompressedSelectPartialIntoMatchesMaterialised(t *testing.T) {
-	// Compressed SelectPartialInto ≡ materialised SelectPartialInto: same
-	// rows, same bitmap count, for every member of every level under every
-	// skip level, into one reused (so stale and wrongly sized) destination.
-	// 63, 64 and 700 rows put the last group on, past and inside a word
-	// boundary.
-	dim := schema.Tiny().Dim(schema.DimProduct)
-	layout := NewLayout(dim, nil)
-	got, want := New(0), New(0)
-	for _, rows := range []int{1, 62, 63, 64, 126, 700} {
-		e := NewEncodedIndex(layout, buildRandomRows(dim, rows, 21))
-		c := CompressEncodedIndex(e)
-		for level := 0; level < len(layout.fieldBits); level++ {
-			for skip := -1; skip < level; skip++ {
-				for m := 0; m < layout.dim.Levels[level].Card; m++ {
-					wantNB := e.SelectPartialInto(want, skip, level, m)
-					if nb := c.SelectPartialInto(got, skip, level, m); nb != wantNB {
-						t.Fatalf("rows=%d skip=%d level=%d m=%d: %d bitmaps evaluated, want %d", rows, skip, level, m, nb, wantNB)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("rows=%d skip=%d level=%d m=%d: compressed selection diverges", rows, skip, level, m)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestCompressedSimpleIndexMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	const card, rows = 7, 500
-	vals := make([]int32, rows)
-	for i := range vals {
-		vals[i] = int32(rng.Intn(card))
-	}
-	s := NewSimpleIndex(card, vals)
-	c := CompressSimpleIndex(s)
-	if c.Card() != card || c.Rows() != rows {
-		t.Fatalf("shape %d/%d, want %d/%d", c.Card(), c.Rows(), card, rows)
-	}
-	for m := 0; m < card; m++ {
-		if !c.Bitmap(m).Decompress().Equal(s.Bitmap(m)) {
-			t.Fatalf("member %d: compressed simple index diverges", m)
-		}
-		got, want := New(3), New(0)
-		c.SelectInto(got, m)
-		s.SelectInto(want, m)
-		if !got.Equal(want) {
-			t.Fatalf("member %d: compressed SelectInto diverges", m)
-		}
-	}
-}
-
 // FuzzCompressedOps cross-checks the codec and the kernels that read
 // encoded words against the Bitset oracle on fuzzer-chosen lengths and
 // bit patterns.
@@ -220,11 +137,6 @@ func FuzzCompressedOps(f *testing.F) {
 		andWant.And(b)
 		if !AndAllInto(nil, ca, cb).Decompress().Equal(andWant) {
 			t.Fatal("AndAllInto diverges")
-		}
-		anGot, anWant := b.Clone(), b.Clone()
-		anWant.AndNot(a)
-		if ca.andInto(anGot, true); !anGot.Equal(anWant) {
-			t.Fatal("andInto complemented diverges")
 		}
 		// A destination holding more words and bits than the result must
 		// come out exactly as a fresh encoding.

@@ -40,7 +40,8 @@ type NodeConfig struct {
 	// engine is the default.
 	OnDisk bool
 	Dir    string
-	// Compress stores the bitmaps WAH-compressed.
+	// Compress stores the on-disk bitmaps WAH-compressed; the in-memory
+	// engine keeps Bitsets either way.
 	Compress bool
 	// Disks declusters the node's on-disk backend over its own disk set
 	// with DiskScheme and Staggered (the per-disk tier of the two-tier

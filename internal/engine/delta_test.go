@@ -64,7 +64,7 @@ func deltasOf(t *testing.T, spec *frag.Spec, ix *frag.DeltaIndex, tab *data.Tabl
 // TestExecuteGroupedDeltasEquivalence asserts that an engine over a base
 // prefix plus delta segments for the remaining rows produces results
 // byte-identical to an engine built from the full table — grouped and
-// ungrouped, materialised and compressed.
+// ungrouped.
 func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 	star := schema.Tiny()
 	full := data.MustGenerate(star, 42)
@@ -89,38 +89,32 @@ func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 		"customer::retailer=1 group by time::month, product::class",
 		"group by time::quarter, customer::store",
 	}
-	for _, compressed := range []bool{false, true} {
-		build := Build
-		if compressed {
-			build = BuildCompressed
-		}
-		eBase, err := build(base, spec, icfg)
+	eBase, err := Build(base, spec, icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eFull, err := Build(full, spec, icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range queries {
+		q, err := frag.ParseQuery(star, text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eFull, err := build(full, spec, icfg)
+		want, _, err := eFull.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, text := range queries {
-			q, err := frag.ParseQuery(star, text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := eFull.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := eBase.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{Ix: ix, Set: set})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("compressed=%v query %q: base+delta %+v != full %+v", compressed, text, got, want)
-			}
-			if q.Preds == nil && st.DeltaRows != int64(extra.N()) {
-				t.Errorf("compressed=%v: DeltaRows = %d, want %d", compressed, st.DeltaRows, extra.N())
-			}
+		got, st, err := eBase.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{Ix: ix, Set: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %q: base+delta %+v != full %+v", text, got, want)
+		}
+		if q.Preds == nil && st.DeltaRows != int64(extra.N()) {
+			t.Errorf("DeltaRows = %d, want %d", st.DeltaRows, extra.N())
 		}
 	}
 }
@@ -174,42 +168,36 @@ func TestCompactSharesUntouchedFragments(t *testing.T) {
 	base := filterTable(head, spec, func(id int64) bool { return id != 6 })
 	hot := func(id int64) bool { return id == 1 || id == 5 || id == 6 }
 	first, second := splitTable(filterTable(tail, spec, hot), 7)
-	for _, compressed := range []bool{false, true} {
-		build := Build
-		if compressed {
-			build = BuildCompressed
-		}
-		e, err := build(base, spec, icfg)
+	e, err := Build(base, spec, icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := base
+	for round, extra := range []*data.Table{first, second} {
+		set := deltasOf(t, spec, ix, extra, 2)
+		ne := e.Compact(set)
+		rows = concatTables(rows, extra)
+		want, err := Build(rows, spec, icfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := base
-		for round, extra := range []*data.Table{first, second} {
-			set := deltasOf(t, spec, ix, extra, 2)
-			ne := e.Compact(set)
-			rows = concatTables(rows, extra)
-			want, err := build(rows, spec, icfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The scratch lists outlive the epoch: the new engine keeps the
-			// old one's, and nothing else tells it from want.
-			if ne.solo != e.solo || ne.shared != e.shared {
-				t.Fatalf("compressed=%v round %d: the compacted engine builds scratch lists of its own", compressed, round)
-			}
-			ne.solo, ne.shared = want.solo, want.shared
-			if !reflect.DeepEqual(ne, want) {
-				t.Fatalf("compressed=%v round %d: compacted engine differs from the engine built over the merged rows", compressed, round)
-			}
-			for id, f := range e.frags {
-				if shared := ne.frags[id] == f; shared == (len(set.Of(id)) > 0) {
-					t.Errorf("compressed=%v round %d: fragment %d shared = %v", compressed, round, id, shared)
-				}
-			}
-			e = ne
+		// The scratch lists outlive the epoch: the new engine keeps the
+		// old one's, and nothing else tells it from want.
+		if ne.solo != e.solo || ne.shared != e.shared {
+			t.Fatalf("round %d: the compacted engine builds scratch lists of its own", round)
 		}
-		if e.frags[6] == nil || len(e.frags) != 8 {
-			t.Fatalf("compressed=%v: %d fragments after folding, fragment 6 present = %v", compressed, len(e.frags), e.frags[6] != nil)
+		ne.solo, ne.shared = want.solo, want.shared
+		if !reflect.DeepEqual(ne, want) {
+			t.Fatalf("round %d: compacted engine differs from the engine built over the merged rows", round)
 		}
+		for id, f := range e.frags {
+			if shared := ne.frags[id] == f; shared == (len(set.Of(id)) > 0) {
+				t.Errorf("round %d: fragment %d shared = %v", round, id, shared)
+			}
+		}
+		e = ne
+	}
+	if e.frags[6] == nil || len(e.frags) != 8 {
+		t.Fatalf("%d fragments after folding, fragment 6 present = %v", len(e.frags), e.frags[6] != nil)
 	}
 }

@@ -10,9 +10,9 @@
 // delta fold, the merge of the workers' partials — is internal/kernel's
 // drivers; the engine supplies the fragment folds (selectInto + a column
 // Sum solo, selectInto + kernel.EvalMany shared), so its results are
-// structurally identical to the on-disk executor's. Index fragments kept
-// as Bitsets or as WAH words (BuildCompressed) differ only in storage:
-// either way a selection lands in a worker's scratch Bitset.
+// structurally identical to the on-disk executor's. Index fragments are
+// Bitsets: a selection lands in a worker's scratch Bitset. WAH compression
+// is a format of the on-disk store only (internal/storage).
 package engine
 
 import (
@@ -43,22 +43,10 @@ type fragment struct {
 
 	// encoded[d] is the encoded bitmap join index fragment for dimension d
 	// (nil for simple-indexed dimensions).
-	encoded []encodedIndex
+	encoded []*bitmap.EncodedIndex
 	// simple[d][l] is the simple bitmap index fragment on level l of
 	// dimension d (nil where not materialised).
-	simple [][]simpleIndex
-}
-
-// encodedIndex and simpleIndex are what the folds ask of an index
-// fragment: a selection written into worker scratch. bitmap.EncodedIndex
-// and bitmap.SimpleIndex answer from stored Bitsets, their Compressed
-// twins by decoding stored WAH words.
-type encodedIndex interface {
-	SelectPartialInto(dst *bitmap.Bitset, skipLevel, level, m int) int
-}
-
-type simpleIndex interface {
-	SelectInto(dst *bitmap.Bitset, m int)
+	simple [][]*bitmap.SimpleIndex
 }
 
 // Engine executes star queries over a fragmented fact table.
@@ -70,10 +58,6 @@ type Engine struct {
 	frags map[int64]*fragment
 	// layouts[d] is the encoding layout of dimension d (nil for simple).
 	layouts []*bitmap.Layout
-	// compressed stores the per-fragment indices as WAH words instead of
-	// Bitsets; read where an index is built and by Compressed, never by a
-	// fold.
-	compressed bool
 
 	// The worker scratch of the solo and the shared fold, borrowed by
 	// every call's fragment tasks; Compact hands the lists on to the next
@@ -82,26 +66,11 @@ type Engine struct {
 	shared *exec.Scratch[*sharedScratch]
 }
 
-// Compressed reports whether the engine stores its per-fragment bitmap
-// indices WAH-compressed.
-func (e *Engine) Compressed() bool { return e.compressed }
-
 // Build partitions the table per the fragmentation spec and constructs the
 // per-fragment bitmap indices that survive bitmap elimination
 // (Section 4.2): for fragmentation dimensions only levels strictly below
 // the fragmentation attribute are indexed.
 func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, error) {
-	return build(t, spec, icfg, false)
-}
-
-// BuildCompressed is Build storing every per-fragment bitmap
-// WAH-compressed. Queries run exactly as on Build's engine; a selection
-// decodes the bitmaps it needs into the worker's scratch.
-func BuildCompressed(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, error) {
-	return build(t, spec, icfg, true)
-}
-
-func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed bool) (*Engine, error) {
 	star := t.Star
 	if spec.Star() != star {
 		return nil, fmt.Errorf("engine: spec built for a different schema")
@@ -110,14 +79,13 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 		return nil, fmt.Errorf("engine: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
 	}
 	e := &Engine{
-		star:       star,
-		spec:       spec,
-		icfg:       icfg,
-		frags:      make(map[int64]*fragment),
-		layouts:    make([]*bitmap.Layout, len(star.Dims)),
-		compressed: compressed,
-		solo:       exec.NewScratch(newScratch),
-		shared:     exec.NewScratch(newSharedScratch),
+		star:    star,
+		spec:    spec,
+		icfg:    icfg,
+		frags:   make(map[int64]*fragment),
+		layouts: make([]*bitmap.Layout, len(star.Dims)),
+		solo:    exec.NewScratch(newScratch),
+		shared:  exec.NewScratch(newSharedScratch),
 	}
 	for d := range star.Dims {
 		if icfg[d].Kind == frag.EncodedIndex {
@@ -159,6 +127,13 @@ func build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, compressed boo
 		vals = e.buildIndexes(f, vals)
 	}
 	return e, nil
+}
+
+// BuildCompressed is Build: the engine keeps its indices as Bitsets only.
+//
+// Deprecated: compression is a format of the on-disk store. Use Build.
+func BuildCompressed(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, error) {
+	return Build(t, spec, icfg)
 }
 
 // Compact returns the engine of the next epoch: this one's rows
@@ -216,14 +191,13 @@ func (e *Engine) fragLevel(d int) int {
 	return -1
 }
 
-// buildIndexes constructs the fragment's surviving bitmap indices,
-// compressing them (and dropping the uncompressed forms) in compressed
-// mode. vals is a reusable level-member buffer; the grown slice is
-// returned for the next fragment.
+// buildIndexes constructs the fragment's surviving bitmap indices. vals
+// is a reusable level-member buffer; the grown slice is returned for the
+// next fragment.
 func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 	nd := len(e.star.Dims)
-	f.encoded = make([]encodedIndex, nd)
-	f.simple = make([][]simpleIndex, nd)
+	f.encoded = make([]*bitmap.EncodedIndex, nd)
+	f.simple = make([][]*bitmap.SimpleIndex, nd)
 	for d := 0; d < nd; d++ {
 		dim := &e.star.Dims[d]
 		fl := e.fragLevel(d)
@@ -233,15 +207,10 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 			// bitmaps below the fragmentation level carry information and
 			// only they are evaluated (SelectPartial).
 			if fl != dim.Leaf() { // fully eliminated when fragmenting on the leaf
-				idx := bitmap.NewEncodedIndex(e.layouts[d], f.cols.Dims[d])
-				if e.compressed {
-					f.encoded[d] = bitmap.CompressEncodedIndex(idx)
-				} else {
-					f.encoded[d] = idx
-				}
+				f.encoded[d] = bitmap.NewEncodedIndex(e.layouts[d], f.cols.Dims[d])
 			}
 		default:
-			f.simple[d] = make([]simpleIndex, dim.Depth())
+			f.simple[d] = make([]*bitmap.SimpleIndex, dim.Depth())
 			for l := fl + 1; l < dim.Depth(); l++ {
 				if cap(vals) < f.rows {
 					vals = make([]int32, f.rows)
@@ -250,12 +219,7 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 				for i, leaf := range f.cols.Dims[d] {
 					vals[i] = int32(dim.Ancestor(dim.Leaf(), int(leaf), l))
 				}
-				idx := bitmap.NewSimpleIndex(dim.Levels[l].Card, vals)
-				if e.compressed {
-					f.simple[d][l] = bitmap.CompressSimpleIndex(idx)
-				} else {
-					f.simple[d][l] = idx
-				}
+				f.simple[d][l] = bitmap.NewSimpleIndex(dim.Levels[l].Card, vals)
 			}
 		}
 	}

@@ -361,100 +361,25 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 }
 
-// buildBoth builds the materialised and the compressed engine over the
-// same table and fragmentation.
-func buildBoth(t testing.TB, fragText string) (*schema.Star, *data.Table, *Engine, *Engine) {
-	t.Helper()
-	s, tab, e := buildTiny(t, fragText)
+// TestCompressedEngineDeterministicAcrossWorkers: the deprecated
+// BuildCompressed alias still builds a working engine — Build's, with
+// Bitset indices — whose answers and work counters are identical at
+// every worker count and to Build's.
+func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
+	_, tab, e := buildTiny(t, "time::month, product::group")
 	ce, err := BuildCompressed(tab, e.spec, e.icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ce.Compressed() || e.Compressed() {
-		t.Fatal("compressed flags wrong")
-	}
-	return s, tab, e, ce
-}
-
-// TestCompressedEngineEquivalence is the tentpole oracle: for every single
-// predicate query shape (covering Q1-Q4 under the paper's standard
-// fragmentation) and a sample of multi-predicate queries, the compressed
-// execution path must produce results and work statistics identical to the
-// materialised path and aggregates identical to the full scan, at every
-// worker count.
-func TestCompressedEngineEquivalence(t *testing.T) {
-	for _, fragText := range []string{
-		"time::month, product::group",
-		"customer::store",
-		"time::quarter",
-	} {
-		s, tab, e, ce := buildBoth(t, fragText)
-		check := func(q frag.Query) {
-			t.Helper()
-			wantAgg, wantSt, err := execute(e, q, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3} {
-				gotAgg, gotSt, err := execute(ce, q, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotAgg != wantAgg || gotSt != wantSt {
-					t.Fatalf("frag %q query %v workers=%d: compressed %+v/%+v != materialised %+v/%+v",
-						fragText, q, workers, gotAgg, gotSt, wantAgg, wantSt)
-				}
-			}
-			if scan := Scan(tab, q); scan != wantAgg {
-				t.Fatalf("frag %q query %v: engine %+v != scan %+v", fragText, q, wantAgg, scan)
-			}
-		}
-		spec := e.spec
-		classes := make(map[frag.QueryClass]bool)
-		for di := range s.Dims {
-			for li := 0; li < s.Dims[di].Depth(); li++ {
-				for m := 0; m < s.Dims[di].Levels[li].Card; m++ {
-					q := frag.Query{Preds: []frag.Pred{{Dim: di, Level: li, Member: m}}}
-					classes[spec.Classify(q)] = true
-					check(q)
-				}
-			}
-		}
-		rng := rand.New(rand.NewSource(23))
-		for iter := 0; iter < 60; iter++ {
-			var q frag.Query
-			for di := range s.Dims {
-				if rng.Intn(2) == 0 {
-					continue
-				}
-				li := rng.Intn(s.Dims[di].Depth())
-				q.Preds = append(q.Preds, frag.Pred{Dim: di, Level: li, Member: rng.Intn(s.Dims[di].Levels[li].Card)})
-			}
-			if len(q.Preds) == 0 {
-				continue
-			}
-			classes[spec.Classify(q)] = true
-			check(q)
-		}
-		for _, cl := range []frag.QueryClass{frag.Q1, frag.Q2, frag.Q3, frag.Q4} {
-			if !classes[cl] && fragText == "time::month, product::group" {
-				t.Errorf("frag %q: query class %v never exercised", fragText, cl)
-			}
-		}
-	}
-}
-
-func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
-	_, _, _, ce := buildBoth(t, "time::month, product::group")
 	q, err := frag.ParseQuery(ce.star, "customer::store=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAgg, wantSt, err := execute(ce, q, 1)
+	wantAgg, wantSt, err := execute(e, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		gotAgg, gotSt, err := execute(ce, q, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -474,10 +399,8 @@ func TestCompressedEngineDeterministicAcrossWorkers(t *testing.T) {
 // cost a partial and an error slot, 104 bytes, per fragment, and the id
 // list 8 more. The same holds for the bitmap-selecting fold — predicates
 // below the fragmentation level, on a simple and on both kinds of encoded
-// selection — whether the index fragments are stored as Bitsets (Build)
-// or as WAH words decoded into the worker's scratch (BuildCompressed):
-// one ceiling for both, 520 bytes over the 416 measured. That query
-// touches one fragment and runs on its caller.
+// selection: 520 bytes over the 416 measured. That query touches one
+// fragment and runs on its caller.
 func TestSteadyStateAllocation(t *testing.T) {
 	sched := exec.NewScheduler(4)
 	defer sched.Close()
@@ -519,7 +442,7 @@ func TestSteadyStateAllocation(t *testing.T) {
 		t.Errorf("%d bytes allocated per warm query, want under 1400", got)
 	}
 
-	_, tab, e, ce := buildBoth(t, "time::quarter, product::group")
+	_, tab, e = buildTiny(t, "time::quarter, product::group")
 	selecting, err := frag.ParseQuery(s, "time::month=1, product::code=3, customer::store=2")
 	if err != nil {
 		t.Fatal(err)
@@ -528,14 +451,9 @@ func TestSteadyStateAllocation(t *testing.T) {
 		t.Fatalf("class %v: the query selects no bitmap", cl)
 	}
 	const ceiling = 520 // per-call state only: no bitmap, operand or result buffer
-	for _, b := range []struct {
-		name string
-		e    *Engine
-	}{{"Build", e}, {"BuildCompressed", ce}} {
-		got := warm(tab, b.e, selecting)
-		t.Logf("%s: %d bytes allocated per warm bitmap-selecting query", b.name, got)
-		if got >= ceiling {
-			t.Errorf("%s: %d bytes allocated per warm bitmap-selecting query, want under %d", b.name, got, ceiling)
-		}
+	got = warm(tab, e, selecting)
+	t.Logf("%d bytes allocated per warm bitmap-selecting query", got)
+	if got >= ceiling {
+		t.Errorf("%d bytes allocated per warm bitmap-selecting query, want under %d", got, ceiling)
 	}
 }

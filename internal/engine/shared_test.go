@@ -55,71 +55,65 @@ func TestSharedEqualsSolo(t *testing.T) {
 	owns := map[string]func(int64) bool{"all": nil, "own": func(id int64) bool { return id%3 != 1 }}
 	ctx := context.Background()
 
-	for _, compressed := range []bool{false, true} {
-		build := Build
-		if compressed {
-			build = BuildCompressed
-		}
-		e, err := build(base, spec, icfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 7} {
-			sched := exec.NewScheduler(workers)
-			for dname, deltas := range map[string]kernel.Deltas{"base": {}, "deltas": withDeltas} {
-				for oname, own := range owns {
-					for _, k := range []int{1, 2, 16} {
-						name := fmt.Sprintf("compressed=%v/workers=%d/%s/%s/K=%d", compressed, workers, dname, oname, k)
-						batch := make([]frag.Query, k)
-						for i := range batch {
-							batch[i] = queries[i%len(queries)]
+	e, err := Build(base, spec, icfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 7} {
+		sched := exec.NewScheduler(workers)
+		for dname, deltas := range map[string]kernel.Deltas{"base": {}, "deltas": withDeltas} {
+			for oname, own := range owns {
+				for _, k := range []int{1, 2, 16} {
+					name := fmt.Sprintf("workers=%d/%s/%s/K=%d", workers, dname, oname, k)
+					batch := make([]frag.Query, k)
+					for i := range batch {
+						batch[i] = queries[i%len(queries)]
+					}
+					if k >= 2 {
+						batch[1] = invalid
+					}
+					out, err := e.ExecuteSharedDeltas(ctx, sched, batch, deltas, own)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(out) != k {
+						t.Fatalf("%s: %d results", name, len(out))
+					}
+					for i, q := range batch {
+						got := out[i]
+						wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, sched, q, deltas, own)
+						if wantErr != nil {
+							if got.Err == nil || got.Err.Error() != wantErr.Error() {
+								t.Errorf("%s slot %d: err %v, solo %v", name, i, got.Err, wantErr)
+							}
+							continue
 						}
-						if k >= 2 {
-							batch[1] = invalid
+						if got.Err != nil {
+							t.Errorf("%s slot %d: %v", name, i, got.Err)
+							continue
 						}
-						out, err := e.ExecuteSharedDeltas(ctx, sched, batch, deltas, own)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						if !reflect.DeepEqual(got.Part, wantPart) || got.St != wantSt {
+							t.Errorf("%s slot %d: partial %+v/%+v, solo %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
 						}
-						if len(out) != k {
-							t.Fatalf("%s: %d results", name, len(out))
+						if own == nil {
+							wantRes, wantSt, err := e.ExecuteGroupedDeltas(ctx, sched, q, deltas)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt {
+								t.Errorf("%s slot %d: result %+v/%+v, solo %+v/%+v", name, i, got.Res, got.St, wantRes, wantSt)
+							}
+						} else if got.Res.Aggregate != wantPart.Agg {
+							t.Errorf("%s slot %d: result total %+v, solo partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
 						}
-						for i, q := range batch {
-							got := out[i]
-							wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, sched, q, deltas, own)
-							if wantErr != nil {
-								if got.Err == nil || got.Err.Error() != wantErr.Error() {
-									t.Errorf("%s slot %d: err %v, solo %v", name, i, got.Err, wantErr)
-								}
-								continue
-							}
-							if got.Err != nil {
-								t.Errorf("%s slot %d: %v", name, i, got.Err)
-								continue
-							}
-							if !reflect.DeepEqual(got.Part, wantPart) || got.St != wantSt {
-								t.Errorf("%s slot %d: partial %+v/%+v, solo %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
-							}
-							if own == nil {
-								wantRes, wantSt, err := e.ExecuteGroupedDeltas(ctx, sched, q, deltas)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt {
-									t.Errorf("%s slot %d: result %+v/%+v, solo %+v/%+v", name, i, got.Res, got.St, wantRes, wantSt)
-								}
-							} else if got.Res.Aggregate != wantPart.Agg {
-								t.Errorf("%s slot %d: result total %+v, solo partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
-							}
-							if got.Shared.Batched != k || (k == 1 && got.Shared != kernel.SharedScanStats{Batched: 1}) {
-								t.Errorf("%s slot %d: shared stats %+v", name, i, got.Shared)
-							}
+						if got.Shared.Batched != k || (k == 1 && got.Shared != kernel.SharedScanStats{Batched: 1}) {
+							t.Errorf("%s slot %d: shared stats %+v", name, i, got.Shared)
 						}
 					}
 				}
 			}
-			sched.Close()
 		}
+		sched.Close()
 	}
 }
 

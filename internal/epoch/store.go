@@ -49,7 +49,8 @@ type Config struct {
 	// journal at Build.
 	OnDisk bool
 	Dir    string
-	// Compress stores the bitmaps WAH-compressed.
+	// Compress stores the on-disk bitmaps WAH-compressed; the in-memory
+	// engine keeps Bitsets either way.
 	Compress bool
 	// Placement declusters the on-disk backend when Disks > 0.
 	Placement alloc.Placement
@@ -428,16 +429,12 @@ func (s *Store) buildBackend(t *data.Table, base Snapshot, epoch int64) (*Backen
 	b := &Backend{epoch: epoch}
 	b.refs.Store(1) // the serving snapshot's reference
 	if !s.cfg.OnDisk {
-		var err error
-		switch {
-		case base.B != nil:
+		if base.B != nil {
 			b.Engine = base.B.Engine.Compact(base.Deltas)
-		case s.cfg.Compress:
-			b.Engine, err = engine.BuildCompressed(t, s.cfg.Spec, s.cfg.Indexes)
-		default:
-			b.Engine, err = engine.Build(t, s.cfg.Spec, s.cfg.Indexes)
+			return b, nil
 		}
-		if err != nil {
+		var err error
+		if b.Engine, err = engine.Build(t, s.cfg.Spec, s.cfg.Indexes); err != nil {
 			return nil, err
 		}
 		return b, nil

@@ -20,6 +20,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -307,7 +309,7 @@ func (w *factWriter) end(id int64) {
 // the fact file is closed and nothing is returned.
 func (w *factWriter) finish() (*Store, error) {
 	if w.err == nil {
-		w.err = w.s.writeMeta(w.dir)
+		w.err = os.WriteFile(filepath.Join(w.dir, metaFileName), w.s.encodeMeta(), 0o644)
 	}
 	if w.err != nil {
 		w.s.file.Close()
@@ -338,64 +340,39 @@ func (s *Store) decodeTuple(page []byte, off int, keys []uint16) (Tuple, int) {
 	return tp, off + 12
 }
 
-// writeMeta persists the directory: magic, version, page size, #frags,
-// then (id, pageOff, pages, rows) per fragment, then (formatV2) the
-// per-page CRC32C table: a page count followed by one uint32 per page.
-func (s *Store) writeMeta(dirPath string) error {
-	f, err := os.Create(filepath.Join(dirPath, metaFileName))
-	if err != nil {
-		return err
+// encodeMeta returns the meta file of the directory: magic, version,
+// page size, #frags, then (id, pageOff, pages, rows) per fragment, then
+// (formatV2) the per-page CRC32C table: a page count followed by one
+// uint32 per page. A store without a checksum table (reopened from a
+// formatV1 file) is encoded as formatV1.
+func (s *Store) encodeMeta() []byte {
+	ver := int64(formatV2)
+	if s.sums == nil {
+		ver = formatV1
 	}
-	defer f.Close()
-	w := func(vals ...int64) error {
-		for _, v := range vals {
-			if err := binary.Write(f, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := w(magic, formatV2, int64(s.pageSize), int64(len(s.order))); err != nil {
-		return err
+	b := binary.LittleEndian.AppendUint64(nil, magic)
+	for _, v := range []int64{ver, int64(s.pageSize), int64(len(s.order))} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	for _, id := range s.order {
 		loc := s.dir[id]
-		if err := w(id, loc.PageOff, int64(loc.Pages), int64(loc.Rows)); err != nil {
-			return err
+		for _, v := range []int64{id, loc.PageOff, int64(loc.Pages), int64(loc.Rows)} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
 	}
-	if err := w(int64(len(s.sums))); err != nil {
-		return err
+	if s.sums != nil {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s.sums)))
+		for _, c := range s.sums {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
 	}
-	return binary.Write(f, binary.LittleEndian, s.sums)
+	return b
 }
 
 // Open reopens a store built earlier in dirPath. star and spec must match
 // the ones used at build time (only the page size is verified).
 func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
-	mf, err := os.Open(filepath.Join(dirPath, metaFileName))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	r := func() (int64, error) {
-		var v int64
-		err := binary.Read(mf, binary.LittleEndian, &v)
-		return v, err
-	}
-	mg, err := r()
-	if err != nil || mg != magic {
-		return nil, fmt.Errorf("storage: bad meta file (magic %x)", mg)
-	}
-	ver, _ := r()
-	if ver != formatV1 && ver != formatV2 {
-		return nil, fmt.Errorf("storage: unsupported format %d", ver)
-	}
-	ps, _ := r()
-	if int(ps) != star.PageSize {
-		return nil, fmt.Errorf("storage: page size %d != schema %d", ps, star.PageSize)
-	}
-	n, err := r()
+	meta, err := os.ReadFile(filepath.Join(dirPath, metaFileName))
 	if err != nil {
 		return nil, err
 	}
@@ -405,31 +382,9 @@ func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
 		pageSize:  star.PageSize,
 		tupleSize: TupleSize(star),
 		tpp:       TuplesPerPage(star),
-		dir:       make(map[int64]FragLoc, n),
 	}
-	for i := int64(0); i < n; i++ {
-		id, err := r()
-		if err != nil {
-			return nil, err
-		}
-		off, _ := r()
-		pages, _ := r()
-		rows, err := r()
-		if err != nil {
-			return nil, err
-		}
-		s.dir[id] = FragLoc{PageOff: off, Pages: int32(pages), Rows: int32(rows)}
-		s.order = append(s.order, id)
-	}
-	if ver >= formatV2 {
-		npages, err := r()
-		if err != nil {
-			return nil, fmt.Errorf("storage: reading checksum table length: %w", err)
-		}
-		s.sums = make([]uint32, npages)
-		if err := binary.Read(mf, binary.LittleEndian, s.sums); err != nil {
-			return nil, fmt.Errorf("storage: reading checksum table: %w", err)
-		}
+	if err := s.readMeta(meta); err != nil {
+		return nil, fmt.Errorf("storage: meta file: %w", err)
 	}
 	f, err := os.Open(filepath.Join(dirPath, factFileName))
 	if err != nil {
@@ -437,6 +392,79 @@ func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
 	}
 	s.file = f
 	return s, nil
+}
+
+// readMeta parses encodeMeta's encoding into s's directory and checksum
+// table. A count is checked against the bytes left before anything is
+// sized by it, so a corrupt file yields an error, never a panic or an
+// outsized allocation; an accepted file is byte for byte what encodeMeta
+// returns for the directory it holds.
+func (s *Store) readMeta(b []byte) error {
+	truncated := false
+	r := func() int64 {
+		if len(b) < 8 {
+			truncated = true
+			return 0
+		}
+		v := int64(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v
+	}
+	mg, ver, ps, n := r(), r(), r(), r()
+	switch {
+	case truncated:
+		return io.ErrUnexpectedEOF
+	case mg != magic:
+		return fmt.Errorf("bad magic %x", mg)
+	case ver != formatV1 && ver != formatV2:
+		return fmt.Errorf("unsupported format %d", ver)
+	case ps != int64(s.pageSize):
+		return fmt.Errorf("page size %d != schema %d", ps, s.pageSize)
+	case n < 0 || n > int64(len(b)/32):
+		return fmt.Errorf("%d fragments in %d directory bytes", n, len(b))
+	}
+	s.dir = make(map[int64]FragLoc, n)
+	s.order = make([]int64, 0, n)
+	var pages int64
+	for i := int64(0); i < n; i++ { // n bounds these reads by the bytes left
+		id, loc := r(), FragLoc{PageOff: r()}
+		np, rows := r(), r()
+		if _, dup := s.dir[id]; dup {
+			return fmt.Errorf("fragment %d listed twice", id)
+		}
+		if rows < 0 || rows > math.MaxInt32 || np != (rows+int64(s.tpp)-1)/int64(s.tpp) || loc.PageOff < 0 {
+			return fmt.Errorf("fragment %d: %d rows on %d pages from page %d", id, rows, np, loc.PageOff)
+		}
+		loc.Pages, loc.Rows = int32(np), int32(rows)
+		s.dir[id] = loc
+		s.order = append(s.order, id)
+		pages += np
+	}
+	if ver == formatV1 {
+		if len(b) != 0 {
+			return fmt.Errorf("%d bytes past the directory", len(b))
+		}
+		return nil
+	}
+	npages := r()
+	switch {
+	case truncated:
+		return fmt.Errorf("reading checksum table length: %w", io.ErrUnexpectedEOF)
+	case npages != pages:
+		return fmt.Errorf("checksum table of %d pages for %d directory pages", npages, pages)
+	case int64(len(b)) != 4*npages:
+		return fmt.Errorf("checksum table of %d pages in %d bytes", npages, len(b))
+	}
+	for _, id := range s.order {
+		if loc := s.dir[id]; loc.PageOff > npages-int64(loc.Pages) {
+			return fmt.Errorf("fragment %d: pages %d+%d past the %d-page table", id, loc.PageOff, loc.Pages, npages)
+		}
+	}
+	s.sums = make([]uint32, npages)
+	for i := range s.sums {
+		s.sums[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return nil
 }
 
 // Close releases the underlying file.

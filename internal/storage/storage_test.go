@@ -1,11 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -184,6 +188,96 @@ func TestOpenReloadsDirectory(t *testing.T) {
 	if _, err := Open(filepath.Join(dir, "nope"), s, spec); err == nil {
 		t.Fatal("missing dir accepted")
 	}
+}
+
+// validMetas returns the meta file of a store built over Tiny (formatV2)
+// and the same directory without its checksum table (formatV1), and the
+// schema and spec to reopen them with.
+func validMetas(t testing.TB) (v2, v1 []byte, s *schema.Star, spec *frag.Spec) {
+	t.Helper()
+	s = schema.Tiny()
+	spec = frag.MustParse(s, "time::month, product::group")
+	dir := t.TempDir()
+	store, err := Build(dir, data.MustGenerate(s, 21), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if v2, err = os.ReadFile(filepath.Join(dir, metaFileName)); err != nil {
+		t.Fatal(err)
+	}
+	store.sums = nil
+	return v2, store.encodeMeta(), s, spec
+}
+
+// withInt64 returns meta with the int64 at byte offset off set to v.
+func withInt64(meta []byte, off int, v int64) []byte {
+	out := slices.Clone(meta)
+	binary.LittleEndian.PutUint64(out[off:], uint64(v))
+	return out
+}
+
+// TestOpenRejectsCorruptMeta: negative and oversized counts, a checksum
+// table that disagrees with the directory, and a file cut at any byte
+// are errors — never a panic, never an allocation sized by a corrupt
+// count.
+func TestOpenRejectsCorruptMeta(t *testing.T) {
+	v2, v1, s, spec := validMetas(t)
+	n := int(binary.LittleEndian.Uint64(v2[24:]))
+	table := 32 + 32*n // offset of the checksum table length
+	bad := map[string][]byte{
+		"fragments=-1":    withInt64(v2, 24, -1),
+		"fragments=2^40":  withInt64(v2, 24, 1<<40),
+		"table=-1":        withInt64(v2, table, -1),
+		"table=2^40":      withInt64(v2, table, 1<<40),
+		"table=pages+1":   withInt64(v2, table, int64(len(v2)-table-8)/4+1),
+		"rows=-1":         withInt64(v2, 32+24, -1),
+		"pages=-1":        withInt64(v2, 32+16, -1),
+		"pageoff=2^62":    withInt64(v2, 32+8, 1<<62),
+		"duplicate id":    withInt64(v2, 32+32, int64(binary.LittleEndian.Uint64(v2[32:]))),
+		"v1 with a table": withInt64(v2, 8, formatV1),
+		"trailing byte":   append(slices.Clone(v1), 0),
+	}
+	for i := range v2 {
+		bad[fmt.Sprintf("v2 cut at %d", i)] = v2[:i]
+	}
+	for i := range v1 {
+		bad[fmt.Sprintf("v1 cut at %d", i)] = v1[:i]
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, factFileName), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, meta := range bad {
+		if err := os.WriteFile(filepath.Join(dir, metaFileName), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if store, err := Open(dir, s, spec); err == nil {
+			store.Close()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzStoreMeta: arbitrary meta file bytes — valid formatV2 and formatV1
+// files and their mutations — parse (readMeta, the whole of what Open
+// does with them) as an error, or as a directory encodeMeta writes back
+// byte for byte. Never a panic.
+func FuzzStoreMeta(f *testing.F) {
+	v2, v1, s, spec := validMetas(f)
+	f.Add(v2)
+	f.Add(v1)
+	f.Add(withInt64(v2, 32+32*int(binary.LittleEndian.Uint64(v2[24:])), -1))
+	f.Add(withInt64(v2, 24, 1<<40))
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		store := &Store{star: s, spec: spec, pageSize: s.PageSize, tpp: TuplesPerPage(s)}
+		if store.readMeta(meta) != nil {
+			return
+		}
+		if got := store.encodeMeta(); !bytes.Equal(got, meta) {
+			t.Fatalf("accepted meta file does not round-trip:\n%x\nencodes as\n%x", meta, got)
+		}
+	})
 }
 
 func TestExecutorMatchesEngineAndScan(t *testing.T) {

@@ -91,12 +91,12 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := func() []Option {
-		return []Option{WithOnDisk(t.TempDir()), WithDisks(2, RoundRobin), WithCompression(),
-			WithBufferPool(1 << 20), WithSharedScans(time.Millisecond), WithAutoCompaction(1 << 30)}
+	opts := func(more ...Option) []Option {
+		return append([]Option{WithOnDisk(t.TempDir()), WithDisks(2, RoundRobin), WithCompression(),
+			WithSharedScans(time.Millisecond)}, more...)
 	}
 	t.Run("warehouse", func(t *testing.T) {
-		o := opts()
+		o := opts(WithBufferPool(1<<20), WithAutoCompaction(1<<30))
 		assertNoLeaks(t, func() {
 			w, err := Open(ctx, cfg, o...)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 		})
 	})
 	t.Run("cluster", func(t *testing.T) {
-		o := append(opts(), WithNodes(3, RoundRobin))
+		o := opts(WithNodes(3, RoundRobin))
 		assertNoLeaks(t, func() {
 			c, err := OpenCluster(ctx, cfg, o...)
 			if err != nil {

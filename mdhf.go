@@ -15,9 +15,10 @@
 //   - a real goroutine-parallel query engine over generated fact data and
 //     a fragment-parallel on-disk executor, both running on the
 //     warehouse's one scatter/gather worker pool with deterministic merge
-//     and per-worker scratch reuse, over bitmaps stored plain or
-//     WAH-compressed (a storage format: either decodes into the same
-//     scratch bitsets, and one fold per backend runs on them);
+//     and per-worker scratch reuse, over in-memory bitsets or bitmap
+//     files stored plain or WAH-compressed (an on-disk format: either
+//     decodes into the same scratch bitsets, and one fold per backend
+//     runs on them);
 //   - the workload generator and the harness regenerating every table and
 //     figure of the paper's evaluation;
 //   - the Warehouse serving façade tying all of it together: one handle

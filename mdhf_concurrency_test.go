@@ -97,8 +97,8 @@ func TestConcurrentExecutorHammer(t *testing.T) {
 }
 
 // TestConcurrentEngineHammer is the in-memory counterpart: one Engine
-// (materialised and compressed) executed from N goroutines concurrently,
-// each result byte-identical to serial execution.
+// executed from N goroutines concurrently, each result byte-identical to
+// serial execution.
 func TestConcurrentEngineHammer(t *testing.T) {
 	star := TinySchema()
 	tab := MustGenerateData(star, 8)
@@ -109,57 +109,51 @@ func TestConcurrentEngineHammer(t *testing.T) {
 	icfg := APB1Indexes(star)
 	queries := warehouseQueries(t, star)
 
-	for _, compressed := range []bool{false, true} {
-		name, build := "materialized", engine.Build
-		if compressed {
-			name, build = "compressed", engine.BuildCompressed
+	t.Run("materialized", func(t *testing.T) {
+		eng, err := engine.Build(tab, spec, icfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			eng, err := build(tab, spec, icfg)
+		type result struct {
+			agg Aggregate
+			st  EngineStats
+		}
+		want := map[string]result{}
+		serial, shared := newSched(t, 1), newSched(t, 4)
+		for qname, q := range queries {
+			agg, st, err := engineTotal(eng, serial, q)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("serial %s: %v", qname, err)
 			}
-			type result struct {
-				agg Aggregate
-				st  EngineStats
-			}
-			want := map[string]result{}
-			serial, shared := newSched(t, 1), newSched(t, 4)
-			for qname, q := range queries {
-				agg, st, err := engineTotal(eng, serial, q)
-				if err != nil {
-					t.Fatalf("serial %s: %v", qname, err)
-				}
-				want[qname] = result{agg: agg, st: st}
-			}
-			const goroutines = 8
-			var wg sync.WaitGroup
-			errc := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for rep := 0; rep < 3; rep++ {
-						for qname, q := range queries {
-							agg, st, err := engineTotal(eng, shared, q)
-							if err != nil {
-								errc <- fmt.Errorf("g%d %s: %v", g, qname, err)
-								return
-							}
-							if agg != want[qname].agg || st != want[qname].st {
-								errc <- fmt.Errorf("g%d %s: diverged from serial: got %+v/%+v want %+v/%+v",
-									g, qname, agg, st, want[qname].agg, want[qname].st)
-								return
-							}
+			want[qname] = result{agg: agg, st: st}
+		}
+		const goroutines = 8
+		var wg sync.WaitGroup
+		errc := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for qname, q := range queries {
+						agg, st, err := engineTotal(eng, shared, q)
+						if err != nil {
+							errc <- fmt.Errorf("g%d %s: %v", g, qname, err)
+							return
+						}
+						if agg != want[qname].agg || st != want[qname].st {
+							errc <- fmt.Errorf("g%d %s: diverged from serial: got %+v/%+v want %+v/%+v",
+								g, qname, agg, st, want[qname].agg, want[qname].st)
+							return
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
-			}
-		})
-	}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package mdhf
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/alloc"
@@ -38,6 +39,19 @@ type options struct {
 	nodeAddrs    []string
 	hedge        time.Duration
 	sharedWindow time.Duration
+
+	// clusterOnly and warehouseOnly name the given options that only
+	// OpenCluster, resp. only Open, honors; the other façade rejects them.
+	clusterOnly, warehouseOnly []string
+}
+
+// rejectUnhonored returns an error naming the first of the given options,
+// which facade does not honor, or nil when there are none.
+func rejectUnhonored(facade string, given []string) error {
+	if len(given) == 0 {
+		return nil
+	}
+	return fmt.Errorf("mdhf: %s does not honor %s", facade, given[0])
 }
 
 func defaultOptions() options {
@@ -117,12 +131,14 @@ func WithColocatedBitmaps() Option {
 	return func(o *options) { o.staggered = false }
 }
 
-// WithCompression stores every bitmap WAH-compressed (the Section 3.2
-// space reduction), on both the in-memory and the on-disk backend. It is
-// a storage format only: a stored bitmap is decoded into a worker's
-// scratch bitset where a plain one is copied or unpacked, and queries
-// execute — and count their logical I/O — exactly as without it; on disk
-// a compressed bitmap fragment may span fewer pages.
+// WithCompression selects the on-disk bitmap format: every bitmap
+// fragment is written WAH-compressed (the Section 3.2 space reduction)
+// and may span fewer pages. It is a storage format only: a stored bitmap
+// is decoded into a worker's scratch bitset where a plain one is
+// unpacked, and queries execute — and count their logical I/O — exactly
+// as without it. The in-memory engine keeps its bitmaps as plain bitsets
+// either way, so without an on-disk backend the option has no effect
+// (Stats.Compressed stays false).
 func WithCompression() Option {
 	return func(o *options) { o.compress = true }
 }
@@ -158,9 +174,10 @@ func WithClustering(n int) Option {
 // its own goroutine and never blocks Append or query admission; queries
 // in flight during a compaction keep their pinned epoch. Zero (the
 // default) disables automatic compaction — call Warehouse.Compact
-// explicitly instead.
+// explicitly instead. Open only: OpenCluster rejects it.
 func WithAutoCompaction(rows int) Option {
 	return func(o *options) {
+		o.warehouseOnly = append(o.warehouseOnly, "WithAutoCompaction")
 		if rows < 0 {
 			rows = 0
 		}
@@ -178,9 +195,10 @@ func WithAutoCompaction(rows int) Option {
 // (PoolHits/PoolMisses), DiskStats and ServingStats.Cache.Pool, and
 // predicted by Explain.Cache. Values below 1 disable the pool. The pool
 // only applies to on-disk backends (the in-memory engine reads no
-// pages).
+// pages). Open only: OpenCluster rejects it.
 func WithBufferPool(bytes int64) Option {
 	return func(o *options) {
+		o.warehouseOnly = append(o.warehouseOnly, "WithBufferPool")
 		if bytes < 1 {
 			bytes = 0
 		}
@@ -197,9 +215,10 @@ func WithBufferPool(bytes int64) Option {
 // them. Identical concurrent executions collapse onto one computation
 // (singleflight). Results are byte-identical to uncached execution;
 // Stats.CacheHit/Shared and ServingStats.Cache report the effect.
-// Values below 1 disable the cache.
+// Values below 1 disable the cache. Open only: OpenCluster rejects it.
 func WithResultCache(entries int) Option {
 	return func(o *options) {
+		o.warehouseOnly = append(o.warehouseOnly, "WithResultCache")
 		if entries < 1 {
 			entries = 0
 		}
@@ -257,7 +276,7 @@ func WithQueryDeadline(d time.Duration) Option {
 }
 
 // WithNodes shards the warehouse over n serving nodes (OpenCluster
-// only): the cluster-level placement assigns every fragment to exactly
+// only; Open rejects it): the cluster-level placement assigns every fragment to exactly
 // one node by the given scheme — the same round-robin / gap-round-robin
 // math that declusters fragments over disks, applied one level up —
 // and queries scatter to the owning nodes and gather their partials.
@@ -266,29 +285,35 @@ func WithQueryDeadline(d time.Duration) Option {
 // queue model.
 func WithNodes(n int, scheme AllocScheme) Option {
 	return func(o *options) {
+		o.clusterOnly = append(o.clusterOnly, "WithNodes")
 		o.nodes = n
 		o.nodeScheme = scheme
 	}
 }
 
-// WithNodeAddrs serves the cluster over HTTP (OpenCluster only): node k
+// WithNodeAddrs serves the cluster over HTTP (OpenCluster only; Open
+// rejects it): node k
 // is the server at addrs[k] (see NewNodeHandler and cmd/mdhfnode), the
 // scheme of WithNodes still decides fragment ownership, and sub-queries
 // travel as binary-framed partials with per-node retry/backoff, circuit
 // breaking and (WithHedgedRequests) straggler hedging. Without it the
 // cluster runs in-process over locally built nodes.
 func WithNodeAddrs(addrs ...string) Option {
-	return func(o *options) { o.nodeAddrs = addrs }
+	return func(o *options) {
+		o.clusterOnly = append(o.clusterOnly, "WithNodeAddrs")
+		o.nodeAddrs = addrs
+	}
 }
 
 // WithHedgedRequests launches a duplicate sub-query against any node
 // that has not answered within d; the first answer wins (OpenCluster
-// only). Reads are idempotent so hedging never changes results for a
+// only; Open rejects it). Reads are idempotent so hedging never changes results for a
 // fixed serving state, but a hedge pair racing a concurrent Append may
 // observe different epochs — leave hedging off when byte-stable replay
 // matters.
 func WithHedgedRequests(d time.Duration) Option {
 	return func(o *options) {
+		o.clusterOnly = append(o.clusterOnly, "WithHedgedRequests")
 		if d < 0 {
 			d = 0
 		}

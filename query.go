@@ -55,8 +55,9 @@ func (k BackendKind) String() string {
 type Stats struct {
 	// Backend identifies which executor served the query.
 	Backend BackendKind
-	// Compressed reports that the bitmaps are stored WAH-compressed
-	// (WithCompression).
+	// Compressed reports that the store's bitmaps are WAH-compressed:
+	// WithCompression on an on-disk backend. The in-memory engine keeps
+	// plain bitsets, so it is false there whatever the options.
 	Compressed bool
 	// Workers is the size of the shared pool the execution was admitted
 	// to.
@@ -319,7 +320,7 @@ func (p *PreparedQuery) Execute(ctx context.Context) (Result, Stats, error) {
 // the backend identity a cache-served result still reports.
 func (w *Warehouse) baseStats(snap epoch.Snapshot) Stats {
 	st := Stats{
-		Compressed: w.opt.compress,
+		Compressed: w.opt.compress && w.opt.onDisk,
 		Workers:    w.store.Sched.Workers(),
 		Epoch:      snap.Epoch,
 	}

@@ -126,7 +126,6 @@ func TestSharedScanEquivalence(t *testing.T) {
 		onDisk bool
 	}{
 		{"in-memory", nil, false},
-		{"in-memory/compressed", []Option{WithCompression()}, false},
 		{"on-disk", []Option{WithOnDisk("")}, true},
 		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}, true},
 		{"declustered/8", []Option{WithDisks(8, RoundRobin)}, true},

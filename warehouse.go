@@ -150,6 +150,9 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 	for _, o := range opts {
 		o(&opt)
 	}
+	if err := rejectUnhonored("Open", opt.clusterOnly); err != nil {
+		return nil, err
+	}
 	star, spec, icfg, seed, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err

@@ -37,16 +37,17 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 	queries := warehouseQueries(t, star)
 
 	cases := []struct {
-		name string
-		opts []Option
-		kind BackendKind
+		name       string
+		opts       []Option
+		kind       BackendKind
+		compressed bool // Stats.Compressed: the store's actual bitmap format
 	}{
-		{"in-memory", nil, InMemoryBackend},
-		{"in-memory/compressed", []Option{WithCompression()}, InMemoryBackend},
-		{"on-disk", []Option{WithOnDisk("")}, OnDiskBackend},
-		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}, OnDiskBackend},
-		{"declustered", []Option{WithDisks(4, RoundRobin)}, DeclusteredBackend},
-		{"declustered/gap/compressed", []Option{WithDisks(3, GapRoundRobin), WithCompression()}, DeclusteredBackend},
+		{"in-memory", nil, InMemoryBackend, false},
+		{"in-memory/compressed", []Option{WithCompression()}, InMemoryBackend, false},
+		{"on-disk", []Option{WithOnDisk("")}, OnDiskBackend, false},
+		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}, OnDiskBackend, true},
+		{"declustered", []Option{WithDisks(4, RoundRobin)}, DeclusteredBackend, false},
+		{"declustered/gap/compressed", []Option{WithDisks(3, GapRoundRobin), WithCompression()}, DeclusteredBackend, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,6 +73,9 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 				}
 				if st.Workers != 4 {
 					t.Fatalf("%s: workers %d, want 4", qname, st.Workers)
+				}
+				if st.Compressed != tc.compressed {
+					t.Fatalf("%s: Compressed = %v, want %v", qname, st.Compressed, tc.compressed)
 				}
 				switch tc.kind {
 				case InMemoryBackend:
