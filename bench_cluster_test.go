@@ -81,7 +81,7 @@ func BenchmarkClusterServing(b *testing.B) {
 
 	for _, nodes := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			c, err := OpenCluster(ctx,
+			c, err := Open(ctx,
 				Config{Star: star, Fragmentation: "time::month, product::group", Table: tab},
 				WithNodes(nodes, GapRoundRobin),
 				WithOnDisk(b.TempDir()), WithIODelay(ioDelay), WithWorkers(8))
@@ -145,7 +145,7 @@ func BenchmarkClusterServing(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			st, err := c.ServingStats(ctx)
+			st, err := c.NodeStats(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,9 +38,10 @@ func clusterOracle(t *testing.T, star *Star, tab *FactTable) []Result {
 	return out
 }
 
-// checkCluster runs every ingest query on the cluster and compares each
-// result to the oracle's.
-func checkCluster(t *testing.T, c *Cluster, want []Result, leg string) {
+// checkCluster runs every ingest query on a warehouse over the given
+// node count and compares each result to the oracle's. A node count of
+// one is a plain single store.
+func checkCluster(t *testing.T, c *Warehouse, nodes int, want []Result, leg string) {
 	t.Helper()
 	ctx := context.Background()
 	for i, text := range ingestQueries {
@@ -54,10 +56,16 @@ func checkCluster(t *testing.T, c *Cluster, want []Result, leg string) {
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: query %q: cluster %+v != warehouse %+v", leg, text, got, want[i])
 		}
+		if nodes == 1 {
+			if st.Backend == ClusterBackend || st.Cluster != nil {
+				t.Fatalf("%s: one node served by %v with fan-out %+v, want the single store", leg, st.Backend, st.Cluster)
+			}
+			continue
+		}
 		if st.Backend != ClusterBackend {
 			t.Fatalf("%s: backend %v", leg, st.Backend)
 		}
-		if st.Cluster == nil || st.Cluster.NodesUsed < 1 || st.Cluster.NodesUsed > c.Nodes() {
+		if st.Cluster == nil || st.Cluster.NodesUsed < 1 || st.Cluster.NodesUsed > nodes {
 			t.Fatalf("%s: query %q: bad fan-out stats %+v", leg, text, st.Cluster)
 		}
 	}
@@ -67,7 +75,8 @@ func checkCluster(t *testing.T, c *Cluster, want []Result, leg string) {
 // query (Q1-Q4, grouped and ungrouped) over node counts 1/2/4/8 and both
 // ownership schemes, with appends mid-flight (awaited), a compaction
 // leg, and an injected node fault — byte-identical to a single Warehouse
-// over the same rows throughout. Run with -race.
+// over the same rows throughout. WithNodes(1) is that single store
+// itself, which has no node to fail. Run with -race.
 func TestClusterEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
@@ -81,7 +90,7 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 	for _, scheme := range []AllocScheme{RoundRobin, GapRoundRobin} {
 		for _, nodes := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("scheme=%v/nodes=%d", scheme, nodes), func(t *testing.T) {
-				c, err := OpenCluster(ctx,
+				c, err := Open(ctx,
 					Config{Star: star, Fragmentation: "time::month, product::group", Table: base},
 					WithNodes(nodes, scheme))
 				if err != nil {
@@ -89,19 +98,25 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 				}
 				defer c.Close()
 
-				checkCluster(t, c, wantBase, "base")
+				checkCluster(t, c, nodes, wantBase, "base")
 				if err := c.Append(ctx, extra); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, wantFull, "appended")
+				checkCluster(t, c, nodes, wantFull, "appended")
 				if err := c.Compact(ctx); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, wantFull, "compacted")
+				checkCluster(t, c, nodes, wantFull, "compacted")
 
 				// Injected fault: a cluster-wide query fails with a typed
 				// NodeError naming the victim; never a wrong answer.
 				victim := nodes - 1
+				if nodes == 1 {
+					if err := c.FailNode(victim); err == nil {
+						t.Fatal("FailNode on a single store should error")
+					}
+					return
+				}
 				if err := c.FailNode(victim); err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +135,7 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 				if err := c.ReviveNode(victim); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, wantFull, "revived")
+				checkCluster(t, c, nodes, wantFull, "revived")
 			})
 		}
 	}
@@ -160,7 +175,7 @@ func TestClusterHTTPFacade(t *testing.T) {
 		addrs[k] = srv.URL
 	}
 
-	c, err := OpenCluster(ctx,
+	c, err := Open(ctx,
 		Config{Star: star, Fragmentation: "time::month, product::group"},
 		WithNodes(nodes, GapRoundRobin), WithNodeAddrs(addrs...))
 	if err != nil {
@@ -168,17 +183,17 @@ func TestClusterHTTPFacade(t *testing.T) {
 	}
 	defer c.Close()
 
-	checkCluster(t, c, wantBase, "http/base")
+	checkCluster(t, c, nodes, wantBase, "http/base")
 	if err := c.Append(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
-	checkCluster(t, c, wantFull, "http/appended")
+	checkCluster(t, c, nodes, wantFull, "http/appended")
 	if err := c.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkCluster(t, c, wantFull, "http/compacted")
+	checkCluster(t, c, nodes, wantFull, "http/compacted")
 
-	st, err := c.ServingStats(ctx)
+	st, err := c.NodeStats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +230,7 @@ func TestClusterServingStats(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
 	tab := MustGenerateData(star, 8)
-	c, err := OpenCluster(ctx,
+	c, err := Open(ctx,
 		Config{Star: star, Fragmentation: "time::month, product::group", Table: tab},
 		WithNodes(4, RoundRobin))
 	if err != nil {
@@ -234,7 +249,7 @@ func TestClusterServingStats(t *testing.T) {
 	if err := c.Append(ctx, rows); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.ServingStats(ctx)
+	st, err := c.NodeStats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +279,8 @@ func TestClusterServingStats(t *testing.T) {
 func TestClusterExplainNodeBottleneck(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
-	open := func(nodes, disks int) *Cluster {
-		c, err := OpenCluster(ctx,
+	open := func(nodes, disks int) *Warehouse {
+		c, err := Open(ctx,
 			Config{Star: star, Fragmentation: "time::month, product::group"},
 			WithNodes(nodes, RoundRobin), WithDisks(disks, RoundRobin))
 		if err != nil {
@@ -274,7 +289,7 @@ func TestClusterExplainNodeBottleneck(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	explain := func(c *Cluster, text string) Explain {
+	explain := func(c *Warehouse, text string) Explain {
 		cq, err := c.QueryText(text)
 		if err != nil {
 			t.Fatal(err)
@@ -318,40 +333,163 @@ func TestClusterExplainNodeBottleneck(t *testing.T) {
 	}
 }
 
-// TestFacadesRejectUnhonoredOptions: each façade refuses, by name, the
-// options only the other one honors, instead of silently dropping them.
+// TestFacadesRejectUnhonoredOptions: Open refuses, by name, exactly the
+// two combinations it cannot honor — a result cache over many nodes and
+// hedging without nodes — and accepts every option the two façades once
+// refused each other.
 func TestFacadesRejectUnhonoredOptions(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
 	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 8)}
+	nodes := WithNodes(2, RoundRobin)
 	for _, tc := range []struct {
 		name    string
-		opt     Option
-		cluster bool // honored by OpenCluster only
+		opts    []Option
+		refused bool
 	}{
-		{"WithBufferPool", WithBufferPool(1 << 20), false},
-		{"WithAutoCompaction", WithAutoCompaction(64), false},
-		{"WithResultCache", WithResultCache(16), false},
-		{"WithNodes", WithNodes(2, RoundRobin), true},
-		{"WithNodeAddrs", WithNodeAddrs("http://127.0.0.1:1"), true},
-		{"WithHedgedRequests", WithHedgedRequests(time.Millisecond), true},
+		{"WithResultCache", []Option{nodes, WithResultCache(16)}, true},
+		{"WithHedgedRequests", []Option{WithHedgedRequests(time.Millisecond)}, true},
+		{"WithBufferPool", []Option{nodes, WithBufferPool(1 << 20)}, false},
+		{"WithAutoCompaction", []Option{nodes, WithAutoCompaction(64)}, false},
+		{"WithNodes", []Option{nodes}, false},
+		{"WithNodeAddrs", []Option{WithNodeAddrs("http://127.0.0.1:1")}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var err error
-			if tc.cluster {
-				var w *Warehouse
-				if w, err = Open(ctx, cfg, tc.opt); err == nil {
-					w.Close()
+			w, err := Open(ctx, cfg, tc.opts...)
+			if err == nil {
+				w.Close()
+			}
+			if !tc.refused {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
 				}
-			} else {
-				var c *Cluster
-				if c, err = OpenCluster(ctx, cfg, WithNodes(2, RoundRobin), tc.opt); err == nil {
-					c.Close()
-				}
+				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.name) {
 				t.Fatalf("err = %v, want one naming %s", err, tc.name)
 			}
 		})
+	}
+	// A node count must match the addresses it names, above and below.
+	addrs := WithNodeAddrs("http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3")
+	for _, n := range []int{2, 5} {
+		if w, err := Open(ctx, cfg, WithNodes(n, RoundRobin), addrs); err == nil {
+			w.Close()
+			t.Errorf("WithNodes(%d) over 3 addresses accepted", n)
+		}
+	}
+}
+
+// TestMultiNodeHonorsPoolAndAutoCompaction: WithBufferPool and
+// WithAutoCompaction reach every in-process node, which pools its reads
+// and compacts its own deltas, and every answer stays the oracle's.
+func TestMultiNodeHonorsPoolAndAutoCompaction(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	full := MustGenerateData(star, 8)
+	n := full.N()
+	base := prefixTable(full, n*2/3)
+	extra := splitRows(full, n*2/3, n)
+	wantBase := clusterOracle(t, star, base)
+	wantFull := clusterOracle(t, star, full)
+
+	const nodes = 3
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Table: base},
+		WithNodes(nodes, RoundRobin), WithOnDisk(t.TempDir()), WithBufferPool(1<<20), WithAutoCompaction(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	checkCluster(t, w, nodes, wantBase, "base")
+	var hits int64
+	for _, text := range ingestQueries {
+		pq, err := w.QueryText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := pq.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += st.IO.PoolHits
+	}
+	if hits == 0 {
+		t.Error("no buffer-pool hit on a repeated query mix: the nodes have no pool")
+	}
+	if err := w.Append(ctx, extra); err != nil {
+		t.Fatal(err)
+	}
+	checkCluster(t, w, nodes, wantFull, "appended")
+	var compactions int64
+	for deadline := time.Now().Add(10 * time.Second); compactions == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		st, err := w.NodeStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ns := range st.Nodes {
+			compactions += ns.Compactions
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no node compacted past its auto-compaction threshold")
+	}
+	checkCluster(t, w, nodes, wantFull, "auto-compacted")
+}
+
+// TestMultiNodeCloseRacesExecute: Close drains the queries in flight on
+// a multi-node warehouse before it closes the nodes, so a query racing
+// Close returns its result or ErrClosed — never a closed node's error —
+// and nothing races.
+func TestMultiNodeCloseRacesExecute(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	tab := MustGenerateData(star, 8)
+	want := clusterOracle(t, star, tab)[0]
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Table: tab},
+		WithNodes(2, RoundRobin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := w.QueryText(ingestQueries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pq.Execute(ctx); err != nil { // build before the race
+		t.Fatal(err)
+	}
+	var wg, running sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				got, _, err := pq.Execute(ctx)
+				if i == 0 {
+					running.Done()
+				}
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("result %+v != %+v", got, want)
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}()
+	}
+	running.Wait() // every goroutine is in its query loop
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command mdhfnode serves one node of an MDHF cluster over HTTP — the
-// server side of mdhf.OpenCluster(..., mdhf.WithNodeAddrs(...)). It
+// server side of mdhf.Open(..., mdhf.WithNodeAddrs(...)). It
 // generates the fact table deterministically from the schema scale and
 // seed, keeps only the shard the cluster placement assigns to its node
 // index, and serves scattered sub-queries, appends, compactions and

@@ -32,6 +32,9 @@ func (w *Warehouse) Append(ctx context.Context, rows []FactRow) error {
 		return err
 	}
 	defer w.store.End()
+	if w.coord != nil {
+		return w.coord.Append(ctx, rows)
+	}
 	return w.store.Append(rows)
 }
 
@@ -52,7 +55,7 @@ func (w *Warehouse) admit(ctx context.Context) error {
 }
 
 // Epoch returns the current serving epoch: 0 until the first compaction,
-// incremented by each completed one.
+// incremented by each completed one (always 0 over nodes: see NodeStats).
 func (w *Warehouse) Epoch() int64 { return w.store.Current().Epoch }
 
 // Compact synchronously folds the sealed delta segments into the next
@@ -69,5 +72,8 @@ func (w *Warehouse) Compact(ctx context.Context) error {
 		return err
 	}
 	defer w.store.End()
+	if w.coord != nil {
+		return w.coord.Compact(ctx)
+	}
 	return w.store.Compact(ctx)
 }

@@ -78,45 +78,20 @@ type NodeConfig struct {
 // the kill switch, NodeError wrapping and the wire types. All methods
 // are safe for concurrent use.
 type Node struct {
-	cfg   NodeConfig
+	index int
 	store *epoch.Store
 
 	failed  atomic.Bool
 	queries atomic.Int64
 }
 
-// NewNode builds a node serving the given shard at epoch 0. The rows
-// must all belong to fragments the node owns (PartitionTable produces
-// exactly that); ownership is enforced on Append, while the initial
-// build trusts its caller. An on-disk node journals every acknowledged
-// Append under its root, so a node rebuilt over the same Dir and rows
-// replays the journal and serves what it served before it went down.
-// The caller must Close the node.
+// NewNode builds a node serving the given shard at epoch 0 from a
+// NodeConfig — the server side's flat configuration (cmd/mdhfnode); see
+// NewStoreNode.
 func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("cluster: NodeConfig.Spec is required")
-	}
-	if cfg.Cluster.Disks < 1 {
-		cfg.Cluster.Disks = 1
-	}
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Index < 0 || cfg.Index >= cfg.Cluster.Disks {
-		return nil, fmt.Errorf("cluster: node index %d out of range [0,%d)", cfg.Index, cfg.Cluster.Disks)
-	}
-	if rows == nil || rows.Star != cfg.Spec.Star() {
-		return nil, fmt.Errorf("cluster: node rows missing or generated for a different schema")
-	}
-	n := &Node{cfg: cfg}
-	var own func(int64) bool // nil on a single-node cluster: every fragment is local
-	if cl, idx := cfg.Cluster, cfg.Index; cl.Disks > 1 {
-		own = func(id int64) bool { return cl.FactDisk(id) == idx }
-	}
 	scfg := epoch.Config{
 		Spec:         cfg.Spec,
 		Indexes:      cfg.Indexes,
-		Own:          own,
 		OnDisk:       cfg.OnDisk,
 		Dir:          cfg.Dir,
 		Compress:     cfg.Compress,
@@ -127,12 +102,44 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 		Workers:      cfg.Workers,
 		AdmitLimit:   cfg.AdmitLimit,
 		SharedWindow: cfg.SharedWindow,
-		Closed:       ErrNodeClosed,
 	}
 	if cfg.IODelaySet {
 		scfg.IODelay = cfg.IODelay
 	}
-	n.store = epoch.New(scfg)
+	return NewStoreNode(scfg, cfg.Index, cfg.Cluster, rows)
+}
+
+// NewStoreNode builds node index of the cluster placement cl, serving
+// the given shard at epoch 0 on a store configured by scfg, which it
+// scopes to the node's fragments (Own) and whose Closed it sets. The
+// rows must all belong to fragments the node owns (PartitionTable
+// produces exactly that); ownership is enforced on Append, while the
+// initial build trusts its caller. An on-disk node journals every
+// acknowledged Append under its root, so a node rebuilt over the same
+// Dir and rows replays the journal and serves what it served before it
+// went down. The caller must Close the node.
+func NewStoreNode(scfg epoch.Config, index int, cl alloc.Placement, rows *data.Table) (*Node, error) {
+	if scfg.Spec == nil {
+		return nil, fmt.Errorf("cluster: a node needs a fragmentation (Spec)")
+	}
+	if cl.Disks < 1 {
+		cl.Disks = 1
+	}
+	if err := cl.Validate(); err != nil {
+		return nil, err
+	}
+	if index < 0 || index >= cl.Disks {
+		return nil, fmt.Errorf("cluster: node index %d out of range [0,%d)", index, cl.Disks)
+	}
+	if rows == nil || rows.Star != scfg.Spec.Star() {
+		return nil, fmt.Errorf("cluster: node rows missing or generated for a different schema")
+	}
+	scfg.Own = nil // a single-node cluster: every fragment is local
+	if cl.Disks > 1 {
+		scfg.Own = func(id int64) bool { return cl.FactDisk(id) == index }
+	}
+	scfg.Closed = ErrNodeClosed
+	n := &Node{index: index, store: epoch.New(scfg)}
 	if err := n.store.Build(rows); err != nil {
 		n.store.Close()
 		return nil, err
@@ -141,7 +148,7 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 }
 
 // Index returns the node's position in the cluster placement.
-func (n *Node) Index() int { return n.cfg.Index }
+func (n *Node) Index() int { return n.index }
 
 // Fail kills the node: every subsequent request fails fast with a typed
 // NodeError wrapping ErrNodeFailed until Revive. In-flight executions
@@ -157,7 +164,7 @@ func (n *Node) Failed() bool { return n.failed.Load() }
 
 // nodeErr wraps a node-side failure with the node index.
 func (n *Node) nodeErr(err error) error {
-	return &NodeError{Node: n.cfg.Index, Err: err}
+	return &NodeError{Node: n.index, Err: err}
 }
 
 // begin admits one request: it fails fast on a killed node, else
@@ -243,7 +250,7 @@ func (n *Node) Compact(ctx context.Context) error {
 // Stats snapshots the node's serving counters.
 func (n *Node) Stats() NodeStats {
 	return NodeStats{
-		Index:    n.cfg.Index,
+		Index:    n.index,
 		Counters: n.store.Counters(),
 		Queries:  n.queries.Load(),
 		Failed:   n.failed.Load(),

@@ -43,12 +43,13 @@ func assertNoLeaks(t *testing.T, serve func()) {
 	}
 }
 
-// TestNothingLeaksAfterClose: both façades run the one epoch store, so
-// one workload — on-disk, declustered, pooled, shared scans on,
-// concurrent queries, an append, a compaction, queries on the new epoch
-// — must leave no goroutine (scheduler workers, disk queues, admission
-// windows, background compactor) and no file descriptor (store, bitmap
-// and journal files of either epoch) behind after Close.
+// TestNothingLeaksAfterClose: one store or three nodes, one workload —
+// on-disk, declustered, pooled, shared scans on, concurrent queries, an
+// append, a compaction, queries on the new epoch, and again under
+// transient read faults with retries on — must leave no goroutine
+// (scheduler workers, disk queues, admission windows, background
+// compactors) and no file descriptor (store, bitmap and journal files of
+// either epoch) behind after Close.
 func TestNothingLeaksAfterClose(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
@@ -62,8 +63,8 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// workload drives one opened façade through its whole life.
-	workload := func(exec func(Query) error, appendRows func([]FactRow) error, compact func() error, closeIt func() error) {
+	// workload drives one opened warehouse through its whole life.
+	workload := func(w *Warehouse) {
 		t.Helper()
 		queryAll := func() {
 			var wg sync.WaitGroup
@@ -71,7 +72,7 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if err := exec(q); err != nil {
+					if _, _, err := w.Query(q).Execute(ctx); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -79,50 +80,45 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 			wg.Wait()
 		}
 		queryAll()
-		if err := appendRows(extra); err != nil {
+		if err := w.Append(ctx, extra); err != nil {
 			t.Fatal(err)
 		}
 		queryAll()
-		if err := compact(); err != nil {
+		if err := w.Compact(ctx); err != nil {
 			t.Fatal(err)
 		}
 		queryAll()
-		if err := closeIt(); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	opts := func(more ...Option) []Option {
-		return append([]Option{WithOnDisk(t.TempDir()), WithDisks(2, RoundRobin), WithCompression(),
-			WithSharedScans(time.Millisecond)}, more...)
+	faults := []Option{
+		WithFaultPlan(FaultPlan{Seed: 7, ReadErrorRate: 0.05}),
+		WithRetryPolicy(fastFaultRetry()),
 	}
-	t.Run("warehouse", func(t *testing.T) {
-		o := opts(WithBufferPool(1<<20), WithAutoCompaction(1<<30))
-		assertNoLeaks(t, func() {
-			w, err := Open(ctx, cfg, o...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workload(
-				func(q Query) error { _, _, err := w.Query(q).Execute(ctx); return err },
-				func(rows []FactRow) error { return w.Append(ctx, rows) },
-				func() error { return w.Compact(ctx) },
-				w.Close)
+	for _, leg := range []struct {
+		name  string
+		nodes int
+		more  []Option
+	}{
+		{"warehouse", 1, nil},
+		{"cluster", 3, nil},
+		{"warehouse-faults", 1, faults},
+		{"cluster-faults", 3, faults},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			o := append([]Option{WithNodes(leg.nodes, RoundRobin), WithOnDisk(t.TempDir()), WithDisks(2, RoundRobin),
+				WithCompression(), WithSharedScans(time.Millisecond), WithBufferPool(1 << 20),
+				WithAutoCompaction(1 << 30)}, leg.more...)
+			assertNoLeaks(t, func() {
+				w, err := Open(ctx, cfg, o...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				workload(w)
+			})
 		})
-	})
-	t.Run("cluster", func(t *testing.T) {
-		o := opts(WithNodes(3, RoundRobin))
-		assertNoLeaks(t, func() {
-			c, err := OpenCluster(ctx, cfg, o...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workload(
-				func(q Query) error { _, _, err := c.Query(q).Execute(ctx); return err },
-				func(rows []FactRow) error { return c.Append(ctx, rows) },
-				func() error { return c.Compact(ctx) },
-				c.Close)
-		})
-	})
+	}
 	// Nodes behind servers that outlive the façade: its Close must still
 	// release every keep-alive connection it opened to them.
 	t.Run("cluster-http", func(t *testing.T) {
@@ -147,15 +143,11 @@ func TestNothingLeaksAfterClose(t *testing.T) {
 			addrs[k] = srv.URL
 		}
 		assertNoLeaks(t, func() {
-			c, err := OpenCluster(ctx, cfg, WithNodes(len(addrs), RoundRobin), WithNodeAddrs(addrs...))
+			w, err := Open(ctx, cfg, WithNodes(len(addrs), RoundRobin), WithNodeAddrs(addrs...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			workload(
-				func(q Query) error { _, _, err := c.Query(q).Execute(ctx); return err },
-				func(rows []FactRow) error { return c.Append(ctx, rows) },
-				func() error { return c.Compact(ctx) },
-				c.Close)
+			workload(w)
 		})
 	})
 }

@@ -45,11 +45,11 @@
 // serial execution.
 //
 // Execution has no other entry point: the engines are assembled and run
-// only behind Open (and OpenCluster), on the warehouse's scheduler. The
-// free functions and aliases below name the schema, fragmentation, cost
-// model, allocation, simulation-parameter and workload vocabulary that
-// Config, the options, Explain and the advisors speak, plus the
-// brute-force scan oracles.
+// only behind Open — over one store or, WithNodes, many — on the
+// warehouse's schedulers. The free functions and aliases below name the
+// schema, fragmentation, cost model, allocation, simulation-parameter and
+// workload vocabulary that Config, the options, Explain and the advisors
+// speak, plus the brute-force scan oracles.
 package mdhf
 
 import (

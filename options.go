@@ -1,7 +1,6 @@
 package mdhf
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/alloc"
@@ -39,19 +38,6 @@ type options struct {
 	nodeAddrs    []string
 	hedge        time.Duration
 	sharedWindow time.Duration
-
-	// clusterOnly and warehouseOnly name the given options that only
-	// OpenCluster, resp. only Open, honors; the other façade rejects them.
-	clusterOnly, warehouseOnly []string
-}
-
-// rejectUnhonored returns an error naming the first of the given options,
-// which facade does not honor, or nil when there are none.
-func rejectUnhonored(facade string, given []string) error {
-	if len(given) == 0 {
-		return nil
-	}
-	return fmt.Errorf("mdhf: %s does not honor %s", facade, given[0])
 }
 
 func defaultOptions() options {
@@ -174,10 +160,10 @@ func WithClustering(n int) Option {
 // its own goroutine and never blocks Append or query admission; queries
 // in flight during a compaction keep their pinned epoch. Zero (the
 // default) disables automatic compaction — call Warehouse.Compact
-// explicitly instead. Open only: OpenCluster rejects it.
+// explicitly instead. On a multi-node warehouse every in-process node
+// compacts its own delta rows at the threshold.
 func WithAutoCompaction(rows int) Option {
 	return func(o *options) {
-		o.warehouseOnly = append(o.warehouseOnly, "WithAutoCompaction")
 		if rows < 0 {
 			rows = 0
 		}
@@ -195,10 +181,10 @@ func WithAutoCompaction(rows int) Option {
 // (PoolHits/PoolMisses), DiskStats and ServingStats.Cache.Pool, and
 // predicted by Explain.Cache. Values below 1 disable the pool. The pool
 // only applies to on-disk backends (the in-memory engine reads no
-// pages). Open only: OpenCluster rejects it.
+// pages). On a multi-node warehouse every in-process node gets a pool of
+// this budget.
 func WithBufferPool(bytes int64) Option {
 	return func(o *options) {
-		o.warehouseOnly = append(o.warehouseOnly, "WithBufferPool")
 		if bytes < 1 {
 			bytes = 0
 		}
@@ -215,10 +201,10 @@ func WithBufferPool(bytes int64) Option {
 // them. Identical concurrent executions collapse onto one computation
 // (singleflight). Results are byte-identical to uncached execution;
 // Stats.CacheHit/Shared and ServingStats.Cache report the effect.
-// Values below 1 disable the cache. Open only: OpenCluster rejects it.
+// Values below 1 disable the cache. Open refuses it with WithNodes(n > 1)
+// or WithNodeAddrs: the cache's keys are one store's epoch and MaxSeq.
 func WithResultCache(entries int) Option {
 	return func(o *options) {
-		o.warehouseOnly = append(o.warehouseOnly, "WithResultCache")
 		if entries < 1 {
 			entries = 0
 		}
@@ -275,45 +261,46 @@ func WithQueryDeadline(d time.Duration) Option {
 	}
 }
 
-// WithNodes shards the warehouse over n serving nodes (OpenCluster
-// only; Open rejects it): the cluster-level placement assigns every fragment to exactly
-// one node by the given scheme — the same round-robin / gap-round-robin
-// math that declusters fragments over disks, applied one level up —
-// and queries scatter to the owning nodes and gather their partials.
-// Each node gets its own worker pool, admission limit and (WithDisks)
-// disk set; Explain's response model becomes the two-tier node×disk
-// queue model.
+// WithNodes shards the warehouse over n serving nodes: the cluster-level
+// placement assigns every fragment to exactly one node by the given
+// scheme — the same round-robin / gap-round-robin math that declusters
+// fragments over disks, applied one level up — and queries scatter to
+// the owning nodes and gather their partials (Stats.Backend is then
+// ClusterBackend). Every other option applies per node: each in-process
+// node is a store configured like a single warehouse's, under its own
+// WithOnDisk subdirectory node-NN, with its own worker pool, admission
+// limit, buffer pool, compactor and (WithDisks) disk set; Explain's
+// response model becomes the two-tier node×disk queue model. n ≤ 1
+// means a single store (unless WithNodeAddrs names the nodes).
 func WithNodes(n int, scheme AllocScheme) Option {
 	return func(o *options) {
-		o.clusterOnly = append(o.clusterOnly, "WithNodes")
 		o.nodes = n
 		o.nodeScheme = scheme
 	}
 }
 
-// WithNodeAddrs serves the cluster over HTTP (OpenCluster only; Open
-// rejects it): node k
+// WithNodeAddrs serves the warehouse over HTTP from remote nodes: node k
 // is the server at addrs[k] (see NewNodeHandler and cmd/mdhfnode), the
 // scheme of WithNodes still decides fragment ownership, and sub-queries
 // travel as binary-framed partials with per-node retry/backoff, circuit
-// breaking and (WithHedgedRequests) straggler hedging. Without it the
-// cluster runs in-process over locally built nodes.
+// breaking and (WithHedgedRequests) straggler hedging. Nothing is built
+// locally. Without it a multi-node warehouse runs in-process over
+// locally built nodes.
 func WithNodeAddrs(addrs ...string) Option {
 	return func(o *options) {
-		o.clusterOnly = append(o.clusterOnly, "WithNodeAddrs")
 		o.nodeAddrs = addrs
 	}
 }
 
 // WithHedgedRequests launches a duplicate sub-query against any node
-// that has not answered within d; the first answer wins (OpenCluster
-// only; Open rejects it). Reads are idempotent so hedging never changes results for a
-// fixed serving state, but a hedge pair racing a concurrent Append may
-// observe different epochs — leave hedging off when byte-stable replay
-// matters.
+// that has not answered within d; the first answer wins. Open refuses a
+// positive d without WithNodes(n > 1) or WithNodeAddrs: a single store
+// has no sub-requests to hedge. Reads are idempotent so hedging never
+// changes results for a fixed serving state, but a hedge pair racing a
+// concurrent Append may observe different epochs — leave hedging off when
+// byte-stable replay matters.
 func WithHedgedRequests(d time.Duration) Option {
 	return func(o *options) {
-		o.clusterOnly = append(o.clusterOnly, "WithHedgedRequests")
 		if d < 0 {
 			d = 0
 		}
@@ -333,8 +320,8 @@ func WithHedgedRequests(d time.Duration) Option {
 // it well under one physical disk access); solo queries pay exactly one
 // window. Where the result cache collapses *identical* concurrent
 // queries, shared scans coalesce merely *overlapping* ones — the two
-// compose. OpenCluster passes the window to every node, batching each
-// shard's sub-requests. Values ≤ 0 disable sharing.
+// compose. A multi-node warehouse passes the window to every node,
+// batching each shard's sub-requests. Values ≤ 0 disable sharing.
 func WithSharedScans(window time.Duration) Option {
 	return func(o *options) {
 		if window < 0 {

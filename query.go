@@ -28,8 +28,8 @@ const (
 	// DeclusteredBackend is the on-disk executor over a DiskSet of
 	// per-disk serialized I/O queues.
 	DeclusteredBackend
-	// ClusterBackend is the multi-node scatter/gather coordinator over
-	// node shards (see OpenCluster).
+	// ClusterBackend is a multi-node warehouse's scatter/gather
+	// coordinator over node shards (see WithNodes and WithNodeAddrs).
 	ClusterBackend
 )
 
@@ -177,27 +177,37 @@ func (p *PreparedQuery) Class() QueryClass {
 	return p.w.spec.Classify(p.q)
 }
 
-// explainModel is the part of Explain a warehouse and a cluster share:
-// validation, the query class, the analytical cost and the modelled
-// response under opt's disk placement, the bitmap-fragment note and the
-// SIMPAD plan. nodes is a cluster's node placement (zero for a single
-// warehouse): I/Os then route to (node, disk-within-node) queues.
-func explainModel(ctx context.Context, star *Star, spec *Fragmentation, icfg IndexConfig, opt *options, q Query, nodes Placement) (Explain, error) {
+// Explain estimates the query without executing it: the analytical I/O
+// cost (Section 4.5), the modelled response under the warehouse's disk
+// placement (Section 4.6's queue model), and the SIMPAD physical plan.
+// It needs no fact data, so it works before the backend is built — and
+// at schema scales that could never be materialised. On a multi-node
+// warehouse the response model is two-tier: I/Os route to (node,
+// disk-within-node) queues and the modelled bottleneck is the slowest
+// node's own bottleneck disk — never a global pool that disks of
+// different nodes could share; the delta, cache and shared-scan
+// estimates, which read one store's live state, stay zero there.
+func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
+	w := p.w
+	if w.spec == nil {
+		return Explain{}, fmt.Errorf("mdhf: warehouse opened without a fragmentation")
+	}
 	if err := ctx.Err(); err != nil {
 		return Explain{}, err
 	}
-	if err := q.Validate(star); err != nil {
+	if err := p.q.Validate(w.star); err != nil {
 		return Explain{}, err
 	}
-	ex := Explain{Class: spec.Classify(q)}
+	opt := &w.opt
+	ex := Explain{Class: w.spec.Classify(p.q)}
 	// The response model is left worker-unbounded (only the disks limit
 	// parallelism): bounding it by the serving pool would make the
 	// analytical estimate vary with the host's core count. Callers
 	// wanting the worker-limited critical path can call EstimateResponse
 	// with an explicit DiskParams.Workers.
 	dp := cost.DiskParams{
-		Placement:     opt.modelPlacement(), // in a cluster, each node's own declustering
-		NodePlacement: nodes,
+		Placement:     opt.modelPlacement(), // on many nodes, each node's own declustering
+		NodePlacement: w.cl,
 		AccessTime:    opt.modelAccessTime(),
 		PackedBitmaps: opt.onDisk,
 	}
@@ -208,37 +218,22 @@ func explainModel(ctx context.Context, star *Star, spec *Fragmentation, icfg Ind
 		// permanently failed disk fails queries instead of slowing them,
 		// so it is not modelled here).
 		if f := cost.RetryFactor(plan.ReadErrorRate + plan.CorruptRate); f > 1 {
-			queues := max(nodes.Disks, 1) * dp.Placement.Disks
+			queues := max(w.cl.Disks, 1) * dp.Placement.Disks
 			dp.Degraded = make(map[int]float64, queues)
 			for k := 0; k < queues; k++ {
 				dp.Degraded[k] = f
 			}
 		}
 	}
-	ex.Response = cost.EstimateResponse(spec, icfg, q, opt.params, dp)
+	ex.Response = cost.EstimateResponse(w.spec, w.icfg, p.q, opt.params, dp)
 	ex.Cost = ex.Response.Cost
-	ex.Note = cost.BitmapFragNote(spec, icfg, ex.Cost, dp.PackedBitmaps)
-	plan := simpad.NewPlan(spec, icfg, q, opt.simCfg)
+	ex.Note = cost.BitmapFragNote(w.spec, w.icfg, ex.Cost, dp.PackedBitmaps)
+	ex.Plan = simpad.NewPlan(w.spec, w.icfg, p.q, opt.simCfg)
 	if opt.cluster > 1 {
-		plan = plan.Clustered(opt.cluster)
+		ex.Plan = ex.Plan.Clustered(opt.cluster)
 	}
-	ex.Plan = plan
-	return ex, nil
-}
-
-// Explain estimates the query without executing it: the analytical I/O
-// cost (Section 4.5), the modelled response under the warehouse's disk
-// placement (Section 4.6's queue model), and the SIMPAD physical plan.
-// It needs no fact data, so it works before the backend is built — and
-// at schema scales that could never be materialised.
-func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
-	w := p.w
-	if w.spec == nil {
-		return Explain{}, fmt.Errorf("mdhf: warehouse opened without a fragmentation")
-	}
-	ex, err := explainModel(ctx, w.star, w.spec, w.icfg, &w.opt, p.q, Placement{})
-	if err != nil {
-		return Explain{}, err
+	if w.cl.Disks > 0 {
+		return ex, nil
 	}
 	if set := w.store.Current().Deltas; set.Rows() > 0 {
 		ex.Delta = cost.EstimateDelta(w.spec, p.q, cost.DeltaState{
@@ -250,7 +245,7 @@ func (p *PreparedQuery) Explain(ctx context.Context) (Explain, error) {
 	if pool := w.store.Pool; pool != nil {
 		ex.Cache = cost.EstimateCache(ex.Cost, pool.Budget())
 	}
-	if w.opt.sharedWindow > 0 {
+	if opt.sharedWindow > 0 {
 		// Predict coalescing against the mix the warehouse actually
 		// serves; before anything ran, a self-mix (worst case: full
 		// overlap only with itself).
@@ -295,9 +290,12 @@ func (p *PreparedQuery) Execute(ctx context.Context) (Result, Stats, error) {
 	var res Result
 	var st Stats
 	var err error
-	if w.rcache != nil {
+	switch {
+	case w.coord != nil:
+		res, st, err = p.executeNodes(ctx)
+	case w.rcache != nil:
 		res, st, err = p.executeCached(ctx)
-	} else {
+	default:
 		// Pin the serving snapshot: this epoch's backend plus the delta
 		// segments sealed so far. Concurrent appends and compactions replace
 		// the store's snapshot copy-on-write, so this execution's view — and

@@ -265,12 +265,12 @@ func TestSharedScanClusterEquivalence(t *testing.T) {
 	qs := sharedScanQueries(t, star)
 	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: tab}
 
-	oracle, err := OpenCluster(ctx, cfg, WithNodes(3, RoundRobin))
+	oracle, err := Open(ctx, cfg, WithNodes(3, RoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oracle.Close()
-	shared, err := OpenCluster(ctx, cfg, WithNodes(3, RoundRobin), WithSharedScans(2*time.Millisecond))
+	shared, err := Open(ctx, cfg, WithNodes(3, RoundRobin), WithSharedScans(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

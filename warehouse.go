@@ -1,6 +1,7 @@
 package mdhf
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/alloc"
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/dimtable"
@@ -50,6 +53,14 @@ type Config struct {
 // it; Query hands out per-query objects whose Explain and Execute run
 // the analytical models and the real backend respectively.
 //
+// The same handle serves a warehouse sharded over nodes (WithNodes,
+// WithNodeAddrs): each fragment is owned by one node, queries scatter to
+// the owning nodes and gather partials, and results are byte-identical
+// to a single store's. Each node pins its own snapshots; a query racing
+// an Append may see the new rows on one node before another. Only a
+// single store has a result cache, DiskSet/DiskStats and Explain's
+// delta, cache and shared-scan estimates; NodeStats reports the nodes.
+//
 // The warehouse is epoch-versioned: Append routes incoming fact rows
 // into sealed, fragment-aligned delta segments that queries merge with
 // the base backend, and a background compactor (see Compact and
@@ -83,6 +94,15 @@ type Warehouse struct {
 	store  *epoch.Store
 	rcache *resCache
 
+	// A multi-node warehouse serves through coord over the nodes placed
+	// by cl (Disks == 0: a single store), in-process ones (local) built
+	// from nodeCfg or remote ones. Its store builds nothing: it admits,
+	// so Close drains the nodes' callers, and runs ExplainAll's pool.
+	cl      alloc.Placement
+	nodeCfg epoch.Config
+	coord   *cluster.Coordinator
+	local   []*cluster.Node
+
 	// Observed query mix (ServingStats.QueryMix, AdviseObserved).
 	mixMu      sync.Mutex
 	mixTotal   int64
@@ -99,43 +119,8 @@ type Warehouse struct {
 
 	catOnce sync.Once
 	catalog *dimtable.Catalog
-}
 
-// resolveConfig validates what Open and OpenCluster share: the schema
-// (defaulted from the table), the table's schema identity, the
-// fragmentation (nil when empty) and the index configuration (the APB-1
-// one when nil), and defaults the seed.
-func resolveConfig(cfg Config) (*schema.Star, *frag.Spec, frag.IndexConfig, int64, error) {
-	star := cfg.Star
-	if star == nil && cfg.Table != nil {
-		star = cfg.Table.Star
-	}
-	if star == nil {
-		return nil, nil, nil, 0, fmt.Errorf("mdhf: Config.Star is required")
-	}
-	if cfg.Table != nil && cfg.Table.Star != star {
-		return nil, nil, nil, 0, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
-	}
-	var spec *frag.Spec
-	if cfg.Fragmentation != "" {
-		var err error
-		spec, err = frag.Parse(star, cfg.Fragmentation)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-	}
-	icfg := cfg.Indexes
-	if icfg == nil {
-		icfg = frag.APB1Indexes(star)
-	}
-	if len(icfg) != len(star.Dims) {
-		return nil, nil, nil, 0, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(icfg), len(star.Dims))
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return star, spec, icfg, seed, nil
+	closeOnce sync.Once
 }
 
 // Open assembles a Warehouse from the configuration and options. It
@@ -150,13 +135,6 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 	for _, o := range opts {
 		o(&opt)
 	}
-	if err := rejectUnhonored("Open", opt.clusterOnly); err != nil {
-		return nil, err
-	}
-	star, spec, icfg, seed, err := resolveConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if opt.faultPlan != nil && opt.disks == 0 {
 		// Fault injection, retry accounting and circuit breaking live on
 		// the per-disk queues, so a fault plan needs a disk set even when
@@ -170,10 +148,52 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 			return nil, err
 		}
 	}
-	w := &Warehouse{star: star, spec: spec, icfg: icfg, seed: seed, opt: opt, table: cfg.Table}
+	// The schema defaults to the table's, the index configuration to the
+	// APB-1 one and the seed to 1; an empty fragmentation leaves spec nil.
+	w := &Warehouse{star: cfg.Star, icfg: cfg.Indexes, seed: cmp.Or(cfg.Seed, 1), opt: opt, table: cfg.Table}
+	if w.star == nil && cfg.Table != nil {
+		w.star = cfg.Table.Star
+	}
+	if w.star == nil {
+		return nil, fmt.Errorf("mdhf: Config.Star is required")
+	}
+	if cfg.Table != nil && cfg.Table.Star != w.star {
+		return nil, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
+	}
+	if cfg.Fragmentation != "" {
+		var err error
+		if w.spec, err = frag.Parse(w.star, cfg.Fragmentation); err != nil {
+			return nil, err
+		}
+	}
+	if w.icfg == nil {
+		w.icfg = frag.APB1Indexes(w.star)
+	}
+	if len(w.icfg) != len(w.star.Dims) {
+		return nil, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(w.icfg), len(w.star.Dims))
+	}
+	n := max(opt.nodes, len(opt.nodeAddrs))
+	if len(opt.nodeAddrs) > 0 && opt.nodes != 0 && opt.nodes != len(opt.nodeAddrs) {
+		return nil, fmt.Errorf("mdhf: WithNodes(%d) disagrees with %d node addresses", opt.nodes, len(opt.nodeAddrs))
+	}
+	switch {
+	case n > 1 || len(opt.nodeAddrs) > 0:
+		if w.spec == nil {
+			return nil, fmt.Errorf("mdhf: WithNodes requires a fragmentation (it is the sharding function)")
+		}
+		if opt.resultCache > 0 {
+			return nil, fmt.Errorf("mdhf: WithResultCache needs a single store (its keys are one store's epoch and MaxSeq), not %d nodes", n)
+		}
+		w.cl = alloc.Placement{Disks: n, Scheme: opt.nodeScheme}
+		if err := w.cl.Validate(); err != nil {
+			return nil, err
+		}
+	case opt.hedge > 0:
+		return nil, fmt.Errorf("mdhf: WithHedgedRequests needs WithNodes(n > 1) or WithNodeAddrs: a single store has no sub-requests to hedge")
+	}
 	scfg := epoch.Config{
-		Spec:         spec,
-		Indexes:      icfg,
+		Spec:         w.spec,
+		Indexes:      w.icfg,
 		OnDisk:       opt.onDisk,
 		Dir:          opt.dir,
 		Compress:     opt.compress,
@@ -189,6 +209,21 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		AutoCompact:  opt.autoCompact,
 		Closed:       ErrClosed,
 	}
+	if len(opt.nodeAddrs) > 0 {
+		tr, err := cluster.NewHTTPTransport(opt.nodeAddrs, nil)
+		if err != nil {
+			return nil, err
+		}
+		if w.coord, err = w.newCoordinator(tr); err != nil {
+			return nil, err
+		}
+		w.buildOnce.Do(func() {}) // remote nodes: nothing to build
+	}
+	if w.cl.Disks > 0 {
+		w.nodeCfg = scfg
+		w.store = epoch.New(epoch.Config{Workers: opt.workers, Closed: ErrClosed})
+		return w, nil
+	}
 	if opt.resultCache > 0 {
 		rc := newResCache(opt.resultCache)
 		w.rcache = rc
@@ -197,7 +232,7 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		// fragment are evicted (and intersecting in-flight computations
 		// poisoned); everything else is re-keyed to the new MaxSeq and
 		// keeps serving.
-		scfg.Published = func(touched []int64, maxSeq uint64) { rc.invalidate(spec, touched, maxSeq) }
+		scfg.Published = func(touched []int64, maxSeq uint64) { rc.invalidate(w.spec, touched, maxSeq) }
 		// Compaction is result-neutral (the rebuilt backend serves
 		// byte-identical results), so re-key every entry to the new epoch
 		// instead of flushing the cache.
@@ -273,7 +308,8 @@ type FaultStats struct {
 
 // ServingStats snapshots the admission scheduler's accounting — queries
 // admitted and done, in-flight and peak concurrency, fragment tasks run
-// — together with the epoch and ingestion counters.
+// — together with the epoch and ingestion counters. On a multi-node
+// warehouse only QueryMix counts served queries: see NodeStats.
 func (w *Warehouse) ServingStats() ServingStats {
 	c := w.store.Counters()
 	st := ServingStats{
@@ -332,7 +368,8 @@ func (w *Warehouse) Table(ctx context.Context) (*FactTable, error) {
 }
 
 // DiskSet returns the declustered backend's current disk set (nil unless
-// opened WithDisks and already built). Compaction replaces it together
+// opened WithDisks and already built, and nil on a multi-node warehouse,
+// whose disk sets are per node). Compaction replaces it together
 // with the backend: the returned set keeps serving queries pinned to its
 // epoch but receives no new ones after the swap.
 func (w *Warehouse) DiskSet() *DiskSet {
@@ -344,7 +381,7 @@ func (w *Warehouse) DiskSet() *DiskSet {
 }
 
 // DiskStats snapshots the per-disk access counters of the declustered
-// backend (nil otherwise). The counters are warehouse-wide: they
+// backend (nil otherwise, and on a multi-node warehouse). The counters are warehouse-wide: they
 // accumulate over every query served since the last ResetDiskStats (or
 // the last compaction, which installs a fresh disk set).
 func (w *Warehouse) DiskStats() []DiskStats {
@@ -365,8 +402,8 @@ func (w *Warehouse) ResetDiskStats() {
 // SetIODelay adjusts the simulated per-access disk latency of a built
 // on-disk backend at run time (all disks of a declustered set). The
 // delay survives compaction: each new epoch's backend inherits it. It is
-// a no-op before the backend is built and on in-memory backends — use
-// WithIODelay to configure the delay up front.
+// a no-op before the backend is built, on in-memory backends and on a
+// multi-node warehouse — use WithIODelay to configure the delay up front.
 func (w *Warehouse) SetIODelay(d time.Duration) { w.store.SetIODelay(d) }
 
 // Query prepares a star query against the warehouse. The returned object
@@ -446,10 +483,26 @@ func (w *Warehouse) Simulate(ctx context.Context, qs ...Query) ([]SimResult, err
 // Close drains in-flight executions, appends and compaction, stops the
 // background compactor and the shared worker pool, closes the backend
 // and delta-journal files and removes the warehouse's own temporary
-// directory (if it created one). Operations submitted after Close fail
-// with ErrClosed. It returns any errors deferred from background
-// cleanup (retired-epoch removal, journal resets) alongside its own.
-func (w *Warehouse) Close() error { return w.store.Close() }
+// directory (if it created one) — on a multi-node warehouse, every
+// in-process node's, and then the transport. Operations submitted after
+// Close fail with ErrClosed. It returns any errors deferred from
+// background cleanup (retired-epoch removal, journal resets) alongside
+// its own.
+func (w *Warehouse) Close() error {
+	var err error
+	w.closeOnce.Do(func() {
+		// Every call that reaches the nodes holds a store registration, so
+		// none is in flight once the store's Close has drained them.
+		err = w.store.Close()
+		if w.coord != nil {
+			err = errors.Join(err, w.coord.Close())
+		}
+		for _, n := range w.local {
+			err = errors.Join(err, n.Close())
+		}
+	})
+	return err
+}
 
 // ensureData generates the fact table once (unless Config.Table supplied
 // it).
@@ -473,7 +526,9 @@ func (w *Warehouse) ensureBackend(ctx context.Context) error {
 	w.buildOnce.Do(func() {
 		if w.spec == nil {
 			w.buildErr = fmt.Errorf("mdhf: warehouse opened without a fragmentation")
-		} else if w.buildErr = w.ensureData(); w.buildErr == nil {
+		} else if w.buildErr = w.ensureData(); w.buildErr == nil && w.cl.Disks > 0 {
+			w.buildErr = w.buildNodes()
+		} else if w.buildErr == nil {
 			w.buildErr = w.store.Build(w.table)
 		}
 	})
