@@ -2,15 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/data"
-	"repro/internal/frag"
 	"repro/internal/schema"
 )
 
@@ -96,47 +93,83 @@ func TestChecksumsCatchInjectedCorruption(t *testing.T) {
 	}
 }
 
+// TestChecksumCatchesOnDiskCorruption pins the site of every fault a read
+// of either file can raise: a fact granule and a bitmap unit of a
+// declustered store, each read with a page corrupted on disk, on a failed
+// disk and under a plan that fails every attempt, surface one
+// *FaultError naming the disk the placement routed the read to, the
+// file, the fragment and the byte offset of the read.
 func TestChecksumCatchesOnDiskCorruption(t *testing.T) {
-	s := schema.Tiny()
-	tab := data.MustGenerate(s, 21)
-	spec := frag.MustParse(s, "time::month, product::group")
-	dir := t.TempDir()
-	store, err := Build(dir, tab, spec)
-	if err != nil {
-		t.Fatal(err)
+	type target struct {
+		name, file string
+		// site returns the fragment read, its disk and byte offset, and
+		// read performs the read.
+		site func(store *Store, bf *BitmapFile) (id int64, disk int, off int64, read func() error)
 	}
-	defer store.Close()
-	id := store.Fragments()[0]
-	if _, err := store.ReadPagesInto(nil, id, 0, 1); err != nil {
-		t.Fatal(err)
+	targets := []target{
+		{"fact granule", "fact", func(store *Store, _ *BitmapFile) (int64, int, int64, func() error) {
+			id := store.Fragments()[0]
+			for _, f := range store.Fragments() {
+				if store.placement.FactDisk(f) == 1 {
+					id = f
+					break
+				}
+			}
+			loc, _ := store.Loc(id)
+			return id, store.placement.FactDisk(id), loc.PageOff * int64(store.pageSize), func() error {
+				_, err := store.ReadPagesCtx(context.Background(), nil, id, 0, 1)
+				return err
+			}
+		}},
+		{"bitmap unit", "bitmaps", func(store *Store, bf *BitmapFile) (int64, int, int64, func() error) {
+			id := store.Fragments()[0]
+			blk := bf.blocks[id]
+			sl := blk.slots[0]
+			return id, bf.placement.BitmapDisk(id, int(sl.Unit)), (blk.page + int64(sl.Page)) * int64(bf.pageSize), func() error {
+				_, err := readPayloadOf(bf, id, 0)
+				return err
+			}
+		}},
 	}
-	// Flip one byte of the fragment's first page in the fact file.
-	loc, _ := store.Loc(id)
-	off := loc.PageOff * int64(s.PageSize)
-	f, err := os.OpenFile(filepath.Join(dir, factFileName), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
+	faults := []struct {
+		name   string
+		inject func(t *testing.T, path string, off int64, disk int, ds *DiskSet)
+		kind   FaultKind
+	}{
+		{"corrupt page on disk", func(t *testing.T, path string, off int64, _ int, _ *DiskSet) { flipByte(t, path, off) }, FaultChecksum},
+		{"failed disk", func(_ *testing.T, _ string, _ int64, disk int, ds *DiskSet) { ds.FailDisk(disk) }, FaultDiskFailed},
+		{"every attempt fails", func(_ *testing.T, _ string, _ int64, _ int, ds *DiskSet) {
+			ds.SetFaultPlan(&FaultPlan{Seed: 1, ReadErrorRate: 1})
+		}, FaultTransient},
 	}
-	one := make([]byte, 1)
-	if _, err := f.ReadAt(one, off); err != nil {
-		t.Fatal(err)
-	}
-	one[0] ^= 0xFF
-	if _, err := f.WriteAt(one, off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	_, err = store.ReadPagesInto(nil, id, 0, 1)
-	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("corrupted page read returned %v, want *FaultError", err)
-	}
-	if fe.Kind != FaultChecksum {
-		t.Fatalf("fault kind = %s, want checksum", fe.Kind)
-	}
-	if fe.File != "fact" || fe.Frag != id {
-		t.Fatalf("fault site = %s/%d, want fact/%d", fe.File, fe.Frag, id)
+	for _, tg := range targets {
+		for _, fl := range faults {
+			t.Run(tg.name+"/"+fl.name, func(t *testing.T) {
+				_, store, bf, ds := declusterStore(t, 2)
+				id, disk, off, read := tg.site(store, bf)
+				if err := read(); err != nil {
+					t.Fatalf("clean read: %v", err)
+				}
+				file := store.file.Name()
+				if tg.file == "bitmaps" {
+					file = bf.file.Name()
+				}
+				fl.inject(t, file, off, disk, ds)
+				var fe *FaultError
+				if err := read(); !errors.As(err, &fe) {
+					t.Fatalf("read returned %v, want *FaultError", err)
+				}
+				want := FaultError{Disk: disk, File: tg.file, Frag: id, Offset: off, Kind: fl.kind}
+				if got := (FaultError{Disk: fe.Disk, File: fe.File, Frag: fe.Frag, Offset: fe.Offset, Kind: fe.Kind}); got != want {
+					t.Fatalf("fault = %+v, want %+v", got, want)
+				}
+				if fl.kind == FaultTransient {
+					if st := ds.Stats()[disk]; st.InjectedFaults != int64(fastRetry().MaxAttempts) {
+						t.Fatalf("%d injected faults, want one per attempt (%d)", st.InjectedFaults, fastRetry().MaxAttempts)
+					}
+				}
+			})
+		}
 	}
 }
 
