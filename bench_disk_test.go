@@ -59,12 +59,4 @@ func BenchmarkDiskScaling(b *testing.B) {
 			ds.SetIODelay(0)
 		}
 	}
-	// Restore the store's single-disk behaviour for any benchmark
-	// sharing the fixture after us.
-	if err := store.Decluster(Placement{}, nil); err != nil {
-		b.Fatal(err)
-	}
-	if err := bf.Decluster(Placement{}, nil); err != nil {
-		b.Fatal(err)
-	}
 }

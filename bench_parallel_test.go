@@ -50,13 +50,18 @@ func parallelBenchStore(b *testing.B) (*storage.Store, *storage.BitmapFile, Quer
 
 // BenchmarkExecutorParallel measures the on-disk executor's fragment
 // parallelism: the same 1STORE query at 1, 2, 4 and 8 workers, in two
-// regimes. "pagecache" reads straight from the OS page cache (CPU-bound:
-// scales with physical cores). "diskmodel" adds the paper's Table 4
-// per-access disk latency via SetIODelay, exposing the intra-query I/O
-// parallelism of Section 4.3 — workers overlap disk waits, so it scales
-// with the worker count even on a single CPU.
+// regimes, on 8 declustered disks. "pagecache" reads straight from the
+// OS page cache (CPU-bound: scales with physical cores). "diskmodel" adds
+// the paper's Table 4 per-access disk latency via SetIODelay, exposing
+// the intra-query I/O parallelism of Section 4.3 — workers overlap the
+// waits of distinct disks, so it scales with the worker count even on a
+// single CPU.
 func BenchmarkExecutorParallel(b *testing.B) {
 	store, bf, q := parallelBenchStore(b)
+	ds, err := storage.Decluster(store, bf, Placement{Disks: 8, Scheme: RoundRobin, Staggered: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	seq := workerExecutor(b, store, bf, 1)
 	wantAgg, wantSt, err := executorTotal(seq, q)
 	if err != nil {
@@ -72,8 +77,7 @@ func BenchmarkExecutorParallel(b *testing.B) {
 		{"diskmodel", time.Millisecond},
 	}
 	for _, regime := range regimes {
-		store.SetIODelay(regime.delay)
-		bf.SetIODelay(regime.delay)
+		ds.SetIODelay(regime.delay)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", regime.name, workers), func(b *testing.B) {
 				ex := workerExecutor(b, store, bf, workers)
@@ -94,8 +98,6 @@ func BenchmarkExecutorParallel(b *testing.B) {
 			})
 		}
 	}
-	store.SetIODelay(0)
-	bf.SetIODelay(0)
 }
 
 // BenchmarkEngineParallel is the in-memory counterpart on the same shared

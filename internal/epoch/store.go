@@ -52,13 +52,14 @@ type Config struct {
 	// Compress stores the on-disk bitmaps WAH-compressed; the in-memory
 	// engine keeps Bitsets either way.
 	Compress bool
-	// Placement declusters the on-disk backend when Disks > 0.
+	// Placement declusters the on-disk backend when Disks > 0 (one disk
+	// otherwise).
 	Placement alloc.Placement
 	// PrefetchFact is the fact read granule in pages (0 = default).
 	PrefetchFact int
 	// IODelay is the initial simulated per-access disk latency.
 	IODelay time.Duration
-	// FaultPlan and Retry are installed on every epoch's disk set.
+	// FaultPlan and Retry are installed on every on-disk epoch's disk set.
 	FaultPlan *storage.FaultPlan
 	Retry     *storage.RetryPolicy
 
@@ -314,25 +315,16 @@ func (s *Store) Counters() Counters {
 }
 
 // SetIODelay adjusts the simulated per-access disk latency of the
-// current on-disk backend at run time (all disks of a declustered set).
-// The delay survives compaction: each new epoch's backend inherits it.
+// current on-disk backend at run time (every disk of its set). The delay
+// survives compaction: each new epoch's backend inherits it.
 func (s *Store) SetIODelay(d time.Duration) {
 	s.mu.Lock()
 	s.delay = d
 	b := s.cur.B
 	s.mu.Unlock()
 	if b != nil && b.Disk != nil {
-		applyIODelay(b.Disk, d)
+		b.Disk.Disks.SetIODelay(d)
 	}
-}
-
-func applyIODelay(be *storage.Backend, d time.Duration) {
-	if be.Disks != nil {
-		be.Disks.SetIODelay(d)
-		return
-	}
-	be.Store.SetIODelay(d)
-	be.Bitmaps.SetIODelay(d)
 }
 
 // Close drains in-flight operations (queries, appends, compaction),
@@ -471,23 +463,18 @@ func (s *Store) buildBackend(t *data.Table, base Snapshot, epoch int64) (*Backen
 		os.RemoveAll(epochDir)
 		return nil, err
 	}
-	// Install the fault plan and retry policy only after the backend is
-	// fully built: build-time reads stay fault-free, and every epoch a
-	// compaction writes inherits the same plan on its fresh disk set.
-	if be.Disks != nil {
-		if s.cfg.Retry != nil {
-			be.Disks.SetRetryPolicy(*s.cfg.Retry)
-		}
-		if s.cfg.FaultPlan != nil {
-			be.Disks.SetFaultPlan(s.cfg.FaultPlan)
-		}
+	// Install the fault plan, retry policy and delay only after the
+	// backend is fully built: build-time reads stay fault-free, and every
+	// epoch a compaction writes inherits them on its fresh disk set.
+	if s.cfg.Retry != nil {
+		be.Disks.SetRetryPolicy(*s.cfg.Retry)
+	}
+	if s.cfg.FaultPlan != nil {
+		be.Disks.SetFaultPlan(s.cfg.FaultPlan)
 	}
 	s.mu.Lock()
-	d := s.delay
+	be.Disks.SetIODelay(s.delay)
 	s.mu.Unlock()
-	if d > 0 {
-		applyIODelay(be, d)
-	}
 	b.Disk, b.dir = be, epochDir
 	return b, nil
 }

@@ -113,11 +113,8 @@ func DiskScalingCurve(o DiskCurveOptions) (Figure, error) {
 	var baseSt storage.IOStats
 	for i, d := range o.Disks {
 		placement := alloc.Placement{Disks: d, Scheme: o.Scheme, Staggered: true}
-		ds := storage.NewDiskSet(d)
-		if err := store.Decluster(placement, ds); err != nil {
-			return fig, err
-		}
-		if err := bf.Decluster(placement, ds); err != nil {
+		ds, err := storage.Decluster(store, bf, placement)
+		if err != nil {
 			return fig, err
 		}
 		ex, err := storage.NewExecutor(store, bf, sched)
@@ -156,12 +153,6 @@ func DiskScalingCurve(o DiskCurveOptions) (Figure, error) {
 			Workers:    o.Workers,
 		})
 		modelled.Points = append(modelled.Points, Point{X: float64(d), ResponseTime: est.Response.Seconds()})
-	}
-	if err := store.Decluster(alloc.Placement{}, nil); err != nil {
-		return fig, err
-	}
-	if err := bf.Decluster(alloc.Placement{}, nil); err != nil {
-		return fig, err
 	}
 	annotateSpeedup(&measured)
 	annotateSpeedup(&modelled)

@@ -37,10 +37,10 @@ const (
 // crash — OpenDeltaLog replays intact records and truncates a torn tail
 // (a record cut short by the crash, detected by its length prefix or
 // CRC32C). Rows are encoded in the store's own tuple format (uint16 keys
-// + three uint32 measures). When the warehouse is declustered the write
-// is routed through the segment's placement-mapped disk queue — appends
-// contend with query reads for the same virtual disks, as real ingestion
-// would.
+// + three uint32 measures). Every write is routed through the queue of
+// the segment's placement-mapped disk — one disk of its own until Attach
+// hands it the store's set — so appends contend with query reads for the
+// same virtual disks, as real ingestion would.
 //
 // The log is an arrival-ordered journal, not a random-access store:
 // queries serve delta rows from the in-memory segments, and compaction
@@ -106,6 +106,7 @@ func OpenDeltaLog(dir string, star *schema.Star) (*DeltaLog, []DeltaRecord, erro
 		tupleSize: TupleSize(star),
 		file:      f,
 	}
+	l.disks, l.placement = oneDisk()
 	recs, tail, err := l.replay()
 	if err != nil {
 		f.Close()
@@ -204,7 +205,6 @@ func (l *DeltaLog) decodeRecord(fragID int64, seq uint64, rows int, payload []by
 
 // Attach routes subsequent segment writes through the disk set's
 // serialized per-disk queues (each segment to its fragment's fact disk).
-// A nil set restores direct writes.
 func (l *DeltaLog) Attach(ds *DiskSet, p alloc.Placement) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -257,16 +257,12 @@ func (l *DeltaLog) AppendSegment(seg *frag.DeltaSegment, replaceTail bool) error
 		}
 		return nil
 	}
-	if l.disks != nil {
-		disk := l.placement.FactDisk(seg.Frag())
-		if err := l.disks.do(disk, pages, write); err != nil {
-			var fe *FaultError
-			if errors.As(err, &fe) { // the disk refused the write
-				return faultSite{file: "delta", frag: seg.Frag(), off: l.byteOff}.wrap(disk, fe.Kind, err)
-			}
-			return err
+	disk := l.placement.FactDisk(seg.Frag())
+	if err := l.disks.do(disk, pages, write); err != nil {
+		var fe *FaultError
+		if errors.As(err, &fe) { // the disk refused the write
+			return faultSite{file: "delta", frag: seg.Frag(), off: l.byteOff}.wrap(disk, fe.Kind, err)
 		}
-	} else if err := write(); err != nil {
 		return err
 	}
 	l.byteOff += int64(len(buf))

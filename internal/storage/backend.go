@@ -17,7 +17,7 @@ type BackendConfig struct {
 	// format: the executor decodes either into the same bitsets).
 	Compress bool
 	// Placement declusters the store and bitmap file over a fresh DiskSet
-	// when Placement.Disks > 0 (single implicit disk otherwise).
+	// of Placement.Disks disks (a fresh one-disk set when Disks is 0).
 	Placement alloc.Placement
 	// PrefetchFact sets the executor's fact read granule in pages
 	// (values below 1 keep the executor default).
@@ -34,11 +34,12 @@ type BackendConfig struct {
 }
 
 // Backend bundles one complete on-disk execution backend: the paged fact
-// store, its bitmap file, the executor over both, and (when declustered)
-// the disk set and placement. It is the unit the epoch-versioned
-// warehouse builds, serves from, and retires as a whole — compaction
-// writes the next Backend into a fresh directory and swaps it in while
-// the old one stays readable for queries that pinned it.
+// store, its bitmap file, the executor over both, and the disk set and
+// placement both read through (one disk unless declustered). It is the
+// unit the epoch-versioned warehouse builds, serves from, and retires as
+// a whole — compaction writes the next Backend into a fresh directory
+// and swaps it in while the old one stays readable for queries that
+// pinned it.
 type Backend struct {
 	Store     *Store
 	Bitmaps   *BitmapFile
@@ -123,14 +124,12 @@ func assemble(store *Store, bf *BitmapFile, err error, cfg BackendConfig) (*Back
 		store.Close()
 		return nil, err
 	}
-	b := &Backend{Store: store, Bitmaps: bf}
-	if cfg.Placement.Disks > 0 {
-		ds, err := Decluster(store, bf, cfg.Placement)
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-		b.Disks, b.Placement = ds, cfg.Placement
+	b := &Backend{Store: store, Bitmaps: bf, Placement: cfg.Placement}
+	b.Placement.Disks = max(b.Placement.Disks, 1)
+	// A fresh set: the build's own reads are not served queries.
+	if b.Disks, err = Decluster(store, bf, b.Placement); err != nil {
+		b.Close()
+		return nil, err
 	}
 	if cfg.Pool != nil {
 		store.AttachPool(cfg.Pool, cfg.PoolEpoch)

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/bitmap"
 	"repro/internal/frag"
 	"repro/internal/schema"
@@ -37,37 +34,24 @@ type BitmapDesc = frag.BitmapRef
 // multi-page fragments towards a single unit. Compression is a storage
 // format only: decodeInto turns either payload into the Bitset the
 // executor works on, and nothing after it knows which one the file has.
+//
+// The paged file shares the store's disk set, and a unit's reads queue
+// on the disk BitmapDisk maps it to. Its checksum table is computed at
+// build, so a corrupt shared page fails every bitmap fragment stored in
+// it. The file is only ever written in the process that serves it (by a
+// build, or by a compaction that carries the entries of the blocks it
+// copies), so the table lives in memory only.
 type BitmapFile struct {
+	pagedFile
 	star *schema.Star
 	spec *frag.Spec
 	// ix is the surviving-bitmap enumeration and the query -> bitmap plan
 	// shared with the delta segments.
-	ix       *frag.DeltaIndex
-	pageSize int
-	file     *os.File
+	ix *frag.DeltaIndex
 	// blocks is the directory: where each fact fragment's block starts and,
 	// per stored bitmap, its (unit, byte offset, length) within the block.
 	blocks     map[int64]bitmapBlock
 	compressed bool
-	// ioDelay is an optional simulated disk access time (ns) added to
-	// every physical read on the single implicit disk (see SetIODelay).
-	// Atomic: read by N fragment workers while SetIODelay may store.
-	ioDelay atomic.Int64
-	// disks and placement decluster unit reads across per-disk serialized
-	// queues when non-nil (see Decluster in disk.go).
-	disks     *DiskSet
-	placement alloc.Placement
-	// pool, when non-nil, caches unit reads under poolEpoch (see AttachPool
-	// on Store; the pool is shared with the fact store).
-	pool      *BufPool
-	poolEpoch int64
-	// sums holds one CRC32C per bitmap-file page, indexed by absolute page
-	// number — computed at build and verified on every physical read, so a
-	// corrupt shared page fails every bitmap fragment stored in it. The
-	// file is only ever written in the process that serves it (by a build,
-	// or by a compaction that carries the entries of the blocks it copies),
-	// so the table lives in memory only.
-	sums []uint32
 }
 
 // bitmapBlock is one fact fragment's directory entry.
@@ -84,26 +68,6 @@ func (b bitmapBlock) pages() int64 {
 	}
 	last := b.slots[len(b.slots)-1]
 	return int64(last.Page + last.Pages)
-}
-
-// AttachPool routes this file's unit reads through a shared buffer pool,
-// keying its entries under the given serving epoch. Must be called
-// before queries run; a nil pool detaches.
-func (bf *BitmapFile) AttachPool(p *BufPool, epoch int64) {
-	bf.pool, bf.poolEpoch = p, epoch
-}
-
-// SetIODelay adds a simulated disk access time to every bitmap unit
-// read — the counterpart of Store.SetIODelay for the bitmap file. Zero
-// (the default) disables it. Safe to call concurrently with running
-// queries. On a declustered file the delay is applied to every disk of
-// the shared set.
-func (bf *BitmapFile) SetIODelay(d time.Duration) {
-	if bf.disks != nil {
-		bf.disks.SetIODelay(d)
-		return
-	}
-	bf.ioDelay.Store(int64(d))
 }
 
 // BuildBitmaps constructs and persists the surviving bitmap fragments for
@@ -131,7 +95,8 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 // writeBitmaps writes the bitmap file of store s block by block, in
 // allocation order: a fragment that old holds and deltas has no segment
 // of has its block carried over from old (nil: nothing is carried);
-// every other block is built from the fragment's rows in s. On any error
+// every other block is built from the fragment's rows in s. The file
+// reads through s's disk set and placement. On any error
 // the half-written file is closed and removed, so a failed build (a
 // failed compaction) leaves nothing behind in the directory.
 func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, old *BitmapFile, deltas *frag.DeltaSet) (_ *BitmapFile, err error) {
@@ -147,11 +112,10 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 		}
 	}()
 	bf := &BitmapFile{
+		pagedFile:  pagedFile{file: f, name: "bitmaps", pageSize: s.pageSize, disks: s.disks, placement: s.placement},
 		star:       s.star,
 		spec:       s.spec,
 		ix:         ix,
-		pageSize:   s.pageSize,
-		file:       f,
 		blocks:     make(map[int64]bitmapBlock, len(s.order)),
 		compressed: compress,
 	}
@@ -249,7 +213,10 @@ func (bf *BitmapFile) writeBlock(id int64, rows int32, payloads [][]byte, block 
 	for off := 0; off < len(block); off += bf.pageSize {
 		sums = append(sums, pageCRC(block[off:off+bf.pageSize]))
 	}
-	return block, bf.appendBlock(id, blk, block, sums)
+	var err error
+	blk.page, err = bf.appendPages(block, sums)
+	bf.blocks[id] = blk
+	return block, err
 }
 
 // carryBlock appends fragment id's block of the old epoch's file byte
@@ -262,20 +229,10 @@ func (bf *BitmapFile) carryBlock(old *BitmapFile, id int64, blk bitmapBlock, blo
 	if _, err := old.file.ReadAt(block, byteOff); err != nil {
 		return block, fmt.Errorf("storage: carrying bitmap block of fragment %d at offset %d: %w", id, byteOff, err)
 	}
-	return block, bf.appendBlock(id, blk, block, old.sums[blk.page:blk.page+blk.pages()])
-}
-
-// appendBlock is the one place a block reaches the file: its pages are
-// appended, and it enters the directory and the checksum table at the
-// page it landed on.
-func (bf *BitmapFile) appendBlock(id int64, blk bitmapBlock, pages []byte, sums []uint32) error {
-	if _, err := bf.file.Write(pages); err != nil {
-		return fmt.Errorf("storage: writing bitmap block of fragment %d: %w", id, err)
-	}
-	blk.page = int64(len(bf.sums))
-	bf.sums = append(bf.sums, sums...)
+	var err error
+	blk.page, err = bf.appendPages(block, old.sums[blk.page:blk.page+blk.pages()])
 	bf.blocks[id] = blk
-	return nil
+	return block, err
 }
 
 // sized returns buf with length n, reallocated when its capacity is short.
@@ -399,94 +356,6 @@ func (bf *BitmapFile) TotalPages() int64 {
 	return t
 }
 
-// readUnit reads the allocation unit holding slot sl of the fragment's
-// block, which starts at blockPage — one bitmap I/O, however many bitmap fragments share the unit —
-// consulting the buffer pool first when one is attached. data is the
-// unit's pages; scratch is the caller's reusable buffer (grown when the
-// unpooled read needed more room — store it back). When ent is non-nil
-// the data is pool-resident and pinned: the caller must ent.Unpin() after
-// decoding (the decode copies, so the pin is short). Pool hit/miss
-// accounting folds into st when non-nil.
-func (bf *BitmapFile) readUnit(ctx context.Context, buf []byte, fragID, blockPage int64, sl frag.BitmapSlot, st *IOStats) (data, scratch []byte, ent *PoolEntry, err error) {
-	pages := int(sl.Pages)
-	n := pages * bf.pageSize
-	if bf.pool != nil {
-		key := PoolKey{Epoch: bf.poolEpoch, File: PoolBitmap, Frag: fragID, Off: sl.Unit, Len: sl.Pages}
-		if e := bf.pool.Get(key); e != nil {
-			if bf.disks != nil {
-				bf.disks.notePoolHit(bf.placement.BitmapDisk(fragID, int(sl.Unit)), pages)
-			}
-			if st != nil {
-				st.PoolHits++
-				st.PoolBytes += int64(n)
-			}
-			return e.Data(), buf, e, nil
-		}
-		if st != nil {
-			st.PoolMisses++
-		}
-		// Miss: read into a fresh buffer the pool can own.
-		fresh := make([]byte, n)
-		if err := bf.readUnitAt(ctx, fresh, fragID, blockPage, sl); err != nil {
-			return nil, buf, nil, err
-		}
-		if e := bf.pool.Add(key, fresh); e != nil {
-			return e.Data(), buf, e, nil
-		}
-		return fresh, buf, nil, nil // pool rejected: serve privately
-	}
-
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if err := bf.readUnitAt(ctx, buf, fragID, blockPage, sl); err != nil {
-		return nil, buf, nil, err
-	}
-	return buf, buf, nil, nil
-}
-
-// readUnitAt performs the physical read of a unit into dst — one I/O
-// through the queue of the disk the placement assigns the unit (or the
-// implicit single disk's delay), retried per the disk set's retry policy
-// and verified page by page against the checksum table (see fault.go).
-func (bf *BitmapFile) readUnitAt(ctx context.Context, dst []byte, fragID, blockPage int64, sl frag.BitmapSlot) error {
-	off := blockPage + int64(sl.Page)
-	pages := int(sl.Pages)
-	byteOff := off * int64(bf.pageSize)
-	read := func() error {
-		if bf.disks == nil {
-			if d := bf.ioDelay.Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
-		}
-		if _, err := bf.file.ReadAt(dst, byteOff); err != nil {
-			return fmt.Errorf("storage: reading bitmap unit %d of fragment %d at offset %d: %w", sl.Unit, fragID, byteOff, err)
-		}
-		return nil
-	}
-	verify := func() error {
-		for i := 0; i < pages; i++ {
-			page := dst[i*bf.pageSize : (i+1)*bf.pageSize]
-			want := bf.sums[off+int64(i)]
-			if got := pageCRC(page); got != want {
-				return &FaultError{
-					File: "bitmaps", Frag: fragID, Offset: byteOff + int64(i*bf.pageSize), Kind: FaultChecksum,
-					Err: fmt.Errorf("page %d crc32c %08x != stored %08x", off+int64(i), got, want),
-				}
-			}
-		}
-		return nil
-	}
-	site := faultSite{file: "bitmaps", frag: fragID, off: byteOff}
-	disk := 0
-	if bf.disks != nil {
-		disk = bf.placement.BitmapDisk(fragID, int(sl.Unit))
-	}
-	corrupt := func() { corruptPages(dst, bf.pageSize) }
-	return retryRead(ctx, bf.disks, disk, pages, site, read, corrupt, verify)
-}
-
 // unitSet is the units a worker has read for the one fragment it is
 // processing: every operand of the query's plan decodes out of the held
 // unit's pages, so a unit is read once however many operands it holds.
@@ -522,9 +391,11 @@ func (us *unitSet) begin(bf *BitmapFile, fragID int64) error {
 }
 
 // payload returns the stored bytes of bitmap di together with its slot,
-// reading the slot's unit unless the set already holds it; fresh reports
-// that this call paid the unit read (a disk I/O or a pool lookup, counted
-// into st). The bytes are valid until release or the next begin.
+// reading the slot's unit unless the set already holds it — one bitmap
+// I/O on the disk BitmapDisk assigns the unit, however many bitmap
+// fragments share it, or a pool hit; fresh reports that this call paid
+// the unit read, and st (when non-nil) counts how the pool served it.
+// The bytes are valid until release or the next begin.
 func (us *unitSet) payload(ctx context.Context, di int, st *IOStats) (p []byte, sl frag.BitmapSlot, fresh bool, err error) {
 	sl = us.blk.slots[di]
 	var h *heldUnit
@@ -539,8 +410,17 @@ func (us *unitSet) payload(ctx context.Context, di int, st *IOStats) (p []byte, 
 			us.held = append(us.held, heldUnit{})
 		}
 		h = &us.held[us.n]
-		if h.data, h.buf, h.ent, err = us.bf.readUnit(ctx, h.buf, us.frag, us.blk.page, sl, st); err != nil {
+		bf := us.bf
+		key := PoolKey{File: PoolBitmap, Frag: us.frag, Off: sl.Unit, Len: sl.Pages}
+		var hit bool
+		h.data, h.ent, hit, err = bf.readPooled(ctx, h.buf, key, us.blk.page+int64(sl.Page), bf.placement.BitmapDisk(us.frag, int(sl.Unit)))
+		if err != nil {
 			return nil, sl, false, err
+		}
+		if bf.pool == nil {
+			h.buf = h.data // grown: the slot's buffer for its next read
+		} else if st != nil {
+			st.notePool(hit, len(h.data))
 		}
 		h.unit, fresh = sl.Unit, true
 		us.n++

@@ -20,9 +20,10 @@ import (
 // bottleneck disk's queue length, exactly the quantity the paper's
 // allocation schemes minimise.
 //
-// A DiskSet is shared between a Store and its BitmapFile (see Decluster)
-// so that staggered bitmap placement competes for the same D disks as the
-// fact fragments, as in Figure 2.
+// Every on-disk store reads through a DiskSet — one disk unless it was
+// declustered (Decluster) — and shares it with its BitmapFile, so that
+// staggered bitmap placement competes for the same D disks as the fact
+// fragments, as in Figure 2.
 type DiskSet struct {
 	disks []diskQueue
 	// retry holds the read retry policy override (nil means defaults); see
@@ -100,12 +101,6 @@ func (ds *DiskSet) SetIODelay(d time.Duration) {
 	}
 }
 
-// SetDiskIODelay sets one disk's access time, for modelling heterogeneous
-// devices or a degraded disk.
-func (ds *DiskSet) SetDiskIODelay(disk int, d time.Duration) {
-	ds.disks[disk].delay.Store(int64(d))
-}
-
 // Stats snapshots the per-disk access counters accumulated since the last
 // ResetStats.
 func (ds *DiskSet) Stats() []DiskStats {
@@ -169,98 +164,29 @@ func (ds *DiskSet) do(disk, pages int, write func() error) error {
 	return err
 }
 
-// validatePlacement checks that a placement is usable with this set.
-func (ds *DiskSet) validatePlacement(p alloc.Placement) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if p.Disks != len(ds.disks) {
-		return fmt.Errorf("storage: placement over %d disks, disk set has %d", p.Disks, len(ds.disks))
-	}
-	return nil
-}
-
-// Decluster shards the store's fact fragments across the disk set per the
-// placement's fact scheme: every subsequent physical read of fragment id
-// routes through disk p.FactDisk(id)'s serialized queue instead of the
-// store's single implicit disk. Passing a nil set restores the single-disk
-// behaviour. The executor detects a declustered store and submits its
-// fragment tasks round-robin across the disks.
-func (s *Store) Decluster(p alloc.Placement, ds *DiskSet) error {
-	if ds == nil {
-		s.disks, s.placement = nil, alloc.Placement{}
-		return nil
-	}
-	if err := ds.validatePlacement(p); err != nil {
-		return err
-	}
-	s.disks, s.placement = ds, p
-	return nil
-}
-
-// Declustered reports the store's disk set (nil when single-disk).
-func (s *Store) Declustered() *DiskSet { return s.disks }
-
-// Placement returns the active placement (zero value when single-disk).
-func (s *Store) Placement() alloc.Placement { return s.placement }
-
-// DiskOf returns the disk holding fact fragment id (0 when single-disk).
-func (s *Store) DiskOf(id int64) int {
-	if s.disks == nil {
-		return 0
-	}
-	return s.placement.FactDisk(id)
-}
-
-// Decluster shards the bitmap allocation units across the disk set: the
-// u-th unit of fact fragment id's block routes through disk
-// p.BitmapDisk(id, u) — the staggered placement of Figure 2 when
-// p.Staggered is set, co-located with the fact fragment otherwise. Use
-// the same DiskSet as the fact store so both compete for the same disks.
-// Passing a nil set restores the single-disk behaviour.
-func (bf *BitmapFile) Decluster(p alloc.Placement, ds *DiskSet) error {
-	if ds == nil {
-		bf.disks, bf.placement = nil, alloc.Placement{}
-		return nil
-	}
-	if err := ds.validatePlacement(p); err != nil {
-		return err
-	}
-	bf.disks, bf.placement = ds, p
-	return nil
-}
-
-// Declustered reports the bitmap file's disk set (nil when single-disk).
-func (bf *BitmapFile) Declustered() *DiskSet { return bf.disks }
-
 // Decluster shards a store and its bitmap file (which may be nil) across
-// one new DiskSet per the placement, atomically: the placement and the
-// store/bitmap-file pairing are validated before either component is
-// modified, so a failure can never leave the pair half-declustered —
-// previously a bitmap-file error after the store had already switched
-// would strand fact reads on the new disks while bitmap reads stayed on
-// the old ones. Should a component mutation fail anyway, the store is
-// rolled back to its prior disk set and placement before returning.
+// one new DiskSet per the placement — the only way to change a store's
+// disks: every later physical read of fact fragment id routes through
+// disk p.FactDisk(id)'s serialized queue, and the u-th bitmap unit of its
+// block through disk p.BitmapDisk(id, u) — the staggered placement of
+// Figure 2 when p.Staggered is set, co-located with the fact fragment
+// otherwise. Both files share the set, so they compete for the same
+// disks. The placement and the pairing are validated before either file
+// is touched. The executor submits a declustered store's fragment tasks
+// round-robin across the disks.
 func Decluster(s *Store, bf *BitmapFile, p alloc.Placement) (*DiskSet, error) {
-	ds := NewDiskSet(p.Disks)
-	// Validate everything up front: the placement itself, and that the
-	// bitmap file belongs to the store (a foreign file would accept the
-	// placement today yet desynchronise the pair's physical layout).
-	if err := ds.validatePlacement(p); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// A foreign bitmap file would accept the placement yet desynchronise
+	// the pair's physical layout.
 	if bf != nil && (bf.star != s.star || bf.spec != s.spec) {
 		return nil, fmt.Errorf("storage: bitmap file belongs to a different store (schema/fragmentation mismatch)")
 	}
-	prevDisks, prevPlacement := s.disks, s.placement
-	if err := s.Decluster(p, ds); err != nil {
-		return nil, err
-	}
+	ds := NewDiskSet(p.Disks)
+	s.disks, s.placement = ds, p
 	if bf != nil {
-		if err := bf.Decluster(p, ds); err != nil {
-			s.disks, s.placement = prevDisks, prevPlacement // undo
-			return nil, err
-		}
+		bf.disks, bf.placement = ds, p
 	}
 	return ds, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,11 +75,7 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 			for _, disks := range []int{1, 2, 4, 8} {
 				for _, scheme := range []alloc.Scheme{alloc.RoundRobin, alloc.GapRoundRobin} {
 					p := alloc.Placement{Disks: disks, Scheme: scheme, Staggered: true}
-					ds := NewDiskSet(disks)
-					if err := store.Decluster(p, ds); err != nil {
-						t.Fatal(err)
-					}
-					if err := bf.Decluster(p, ds); err != nil {
+					if _, err := Decluster(store, bf, p); err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 2, 4, 8} {
@@ -97,12 +94,6 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 						}
 					}
 				}
-			}
-			if err := store.Decluster(alloc.Placement{}, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := bf.Decluster(alloc.Placement{}, nil); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -136,12 +127,8 @@ func TestSyncPrefetchMatchesAsync(t *testing.T) {
 // and fact accesses land on the placement's fact disks.
 func TestDiskSetStatsAccountAllIO(t *testing.T) {
 	s, _, store, bf := buildStore(t, "time::month, product::group")
-	p := alloc.Placement{Disks: 4, Scheme: alloc.RoundRobin, Staggered: true}
-	ds := NewDiskSet(4)
-	if err := store.Decluster(p, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Decluster(p, ds); err != nil {
+	ds, err := Decluster(store, bf, alloc.Placement{Disks: 4, Scheme: alloc.RoundRobin, Staggered: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cd := s.DimIndex(schema.DimCustomer)
@@ -177,36 +164,70 @@ func TestDiskSetStatsAccountAllIO(t *testing.T) {
 	}
 }
 
-// TestDeclusterValidation covers the placement/disk-set wiring errors and
-// reset semantics.
+// TestDeclusterValidation covers the disk set a store starts on, the
+// placement validation and the routing Decluster installs.
 func TestDeclusterValidation(t *testing.T) {
 	_, _, store, bf := buildStore(t, "time::month, product::group")
-	ds := NewDiskSet(4)
-	bad := alloc.Placement{Disks: 8, Scheme: alloc.RoundRobin}
-	if err := store.Decluster(bad, ds); err == nil {
-		t.Error("store accepted placement over 8 disks on a 4-disk set")
+	if store.disks.Disks() != 1 || bf.disks != store.disks || store.DiskOf(7) != 0 {
+		t.Error("a built store and its bitmap file do not share one one-disk set")
 	}
-	if err := bf.Decluster(bad, ds); err == nil {
-		t.Error("bitmap file accepted placement over 8 disks on a 4-disk set")
+	if _, err := Decluster(store, bf, alloc.Placement{Disks: 0}); err == nil {
+		t.Error("Decluster accepted a placement over no disks")
 	}
 	good := alloc.Placement{Disks: 4, Scheme: alloc.RoundRobin}
-	if err := store.Decluster(good, ds); err != nil {
+	ds, err := Decluster(store, bf, good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Declustered() != ds || store.Placement() != good {
+	if ds.Disks() != 4 || store.disks != ds || bf.disks != ds || store.placement != good {
 		t.Error("store declustering not recorded")
 	}
 	if got := store.DiskOf(7); got != 3 {
 		t.Errorf("DiskOf(7) = %d, want 3", got)
 	}
-	if err := store.Decluster(alloc.Placement{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if store.Declustered() != nil || store.DiskOf(7) != 0 {
-		t.Error("store declustering not reset")
+	if _, err := Decluster(store, bf, alloc.Placement{Disks: 1}); err != nil || store.DiskOf(7) != 0 {
+		t.Error("store declustering not reset to one disk")
 	}
 	if NewDiskSet(0).Disks() != 1 {
 		t.Error("NewDiskSet(0) should clamp to one disk")
+	}
+}
+
+// TestUndeclusteredStoreIsOneQueue: a store that is not declustered
+// reads through one disk, whose delay serialises concurrent reads —
+// the single FIFO queue Explain models — and whose counters see every
+// read.
+func TestUndeclusteredStoreIsOneQueue(t *testing.T) {
+	_, _, store, _ := buildStore(t, "time::month, product::group")
+	const reads, delay = 8, 2 * time.Millisecond
+	ids := store.Fragments()[:reads]
+	ds := store.disks
+	ds.ResetStats()
+	ds.SetIODelay(delay)
+	var wg sync.WaitGroup
+	errc := make(chan error, reads)
+	start := time.Now()
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			_, err := store.ReadPagesInto(nil, id, 0, 1)
+			errc <- err
+		}(id)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed < reads*delay {
+		t.Errorf("%d concurrent reads at %v took %v, want at least %v: they did not queue on one disk", reads, delay, elapsed, reads*delay)
+	}
+	if st := ds.Stats(); len(st) != 1 || st[0].IOs != reads {
+		t.Errorf("disk stats %+v, want %d I/Os on disk 0", st, reads)
 	}
 }
 
@@ -224,12 +245,8 @@ func TestPerDiskDelayObservable(t *testing.T) {
 	q := frag.Query{Preds: []frag.Pred{{Dim: cd, Level: s.Dims[cd].LevelIndex(schema.LvlStore), Member: 2}}}
 
 	elapsed := func(disks int) time.Duration {
-		p := alloc.Placement{Disks: disks, Scheme: alloc.RoundRobin, Staggered: true}
-		ds := NewDiskSet(disks)
-		if err := store.Decluster(p, ds); err != nil {
-			t.Fatal(err)
-		}
-		if err := bf.Decluster(p, ds); err != nil {
+		ds, err := Decluster(store, bf, alloc.Placement{Disks: disks, Scheme: alloc.RoundRobin, Staggered: true})
+		if err != nil {
 			t.Fatal(err)
 		}
 		ds.SetIODelay(200 * time.Microsecond)
@@ -242,12 +259,6 @@ func TestPerDiskDelayObservable(t *testing.T) {
 	}
 	t1 := elapsed(1)
 	t4 := elapsed(4)
-	if err := store.Decluster(alloc.Placement{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Decluster(alloc.Placement{}, nil); err != nil {
-		t.Fatal(err)
-	}
 	if ratio := float64(t1) / float64(t4); ratio < 1.5 {
 		t.Errorf("4 disks only %.2fx faster than 1 (t1=%v t4=%v)", ratio, t1, t4)
 	}
@@ -264,8 +275,7 @@ func TestSetIODelayConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			store.SetIODelay(time.Duration(i%2) * time.Microsecond)
-			bf.SetIODelay(time.Duration(i%2) * time.Microsecond)
+			store.disks.SetIODelay(time.Duration(i%2) * time.Microsecond)
 		}
 	}()
 	for i := 0; i < 10; i++ {
@@ -274,8 +284,6 @@ func TestSetIODelayConcurrent(t *testing.T) {
 		}
 	}
 	<-done
-	store.SetIODelay(0)
-	bf.SetIODelay(0)
 }
 
 // TestDeclusteredConcurrentQueries runs concurrent queries against one
@@ -283,18 +291,9 @@ func TestSetIODelayConcurrent(t *testing.T) {
 // prefetch pipeline.
 func TestDeclusteredConcurrentQueries(t *testing.T) {
 	s, tab, store, bf := buildStore(t, "time::month, product::group")
-	p := alloc.Placement{Disks: 4, Scheme: alloc.GapRoundRobin, Staggered: true}
-	ds := NewDiskSet(4)
-	if err := store.Decluster(p, ds); err != nil {
+	if _, err := Decluster(store, bf, alloc.Placement{Disks: 4, Scheme: alloc.GapRoundRobin, Staggered: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bf.Decluster(p, ds); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		store.Decluster(alloc.Placement{}, nil)
-		bf.Decluster(alloc.Placement{}, nil)
-	}()
 	ex := newTestExecutor(t, store, bf, 4)
 	qs := classQueries(t, s, store.spec)
 	errc := make(chan error, len(qs)*3)
@@ -338,12 +337,12 @@ func TestDeclusterAtomic(t *testing.T) {
 	}
 	checkUnchanged := func(when string) {
 		t.Helper()
-		if store.Declustered() != prevDS || bf.Declustered() != prevDS {
+		if store.disks != prevDS || bf.disks != prevDS {
 			t.Fatalf("%s: pair not left on prior disk set (store %p, bf %p, want %p)",
-				when, store.Declustered(), bf.Declustered(), prevDS)
+				when, store.disks, bf.disks, prevDS)
 		}
-		if store.Placement() != prev {
-			t.Fatalf("%s: store placement mutated to %+v", when, store.Placement())
+		if store.placement != prev {
+			t.Fatalf("%s: store placement mutated to %+v", when, store.placement)
 		}
 	}
 
@@ -364,12 +363,13 @@ func TestDeclusterAtomic(t *testing.T) {
 	// leave the store declustered while the bitmap file kept its old
 	// routing.
 	_, _, _, foreignBF := buildStore(t, "time::quarter")
+	foreignDS := foreignBF.disks
 	good := alloc.Placement{Disks: 4, Scheme: alloc.GapRoundRobin, Staggered: true}
 	if _, err := Decluster(store, foreignBF, good); err == nil {
 		t.Fatal("Decluster with a foreign bitmap file succeeded, want error")
 	}
 	checkUnchanged("after foreign bitmap file")
-	if foreignBF.Declustered() != nil {
+	if foreignBF.disks != foreignDS {
 		t.Fatal("foreign bitmap file was declustered")
 	}
 
@@ -379,7 +379,7 @@ func TestDeclusterAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Declustered() != ds || bf.Declustered() != ds {
+	if store.disks != ds || bf.disks != ds {
 		t.Fatal("pair not sharing the new disk set")
 	}
 	ex := newTestExecutor(t, store, bf, 0)

@@ -53,6 +53,17 @@ func (st IOStats) Plus(o IOStats) IOStats {
 	return st
 }
 
+// notePool counts one read the buffer pool served (hit) or missed; a hit
+// served n bytes.
+func (st *IOStats) notePool(hit bool, n int) {
+	if hit {
+		st.PoolHits++
+		st.PoolBytes += int64(n)
+	} else {
+		st.PoolMisses++
+	}
+}
+
 // WithDeltaRows returns the counters credited with n delta rows.
 func (st IOStats) WithDeltaRows(n int64) IOStats {
 	st.DeltaRows += n
@@ -119,14 +130,11 @@ var errNilScheduler = errors.New("storage: nil scheduler")
 const planCap = 16
 
 // dispatch describes where the executor's fragment tasks run: on its
-// scheduler, placement-aware over the disk set when the store is
-// declustered (one implicit disk, tasks in task order, otherwise).
+// scheduler, placement-aware over the store's disk set (in task order on
+// one disk).
 func dispatch[S any](e *Executor, scratch *exec.Scratch[S]) kernel.Dispatch[S] {
-	d := kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: scratch}
-	if ds := e.store.disks; ds != nil {
-		d.Disks, d.DiskOf = ds.Disks(), e.store
-	}
-	return d
+	return kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: scratch,
+		Disks: e.store.disks.Disks(), DiskOf: e.store}
 }
 
 // partial is what the fragment kernels fold one fragment into: its

@@ -70,8 +70,8 @@ func (k FaultKind) String() string {
 // down to the physical access that caused it. It wraps the underlying
 // error (errors.Is/As see through it).
 type FaultError struct {
-	// Disk is the virtual disk the access routed to (0 on a single-disk
-	// store).
+	// Disk is the virtual disk the access routed to (0 on a store that
+	// is not declustered, whose disk set has one disk).
 	Disk int
 	// File names the component: "fact", "bitmaps" or "delta".
 	File string
@@ -213,28 +213,20 @@ func (s faultSite) wrap(disk int, kind FaultKind, err error) *FaultError {
 	return &FaultError{Disk: disk, File: s.file, Frag: s.frag, Offset: s.off, Kind: kind, Err: err}
 }
 
-// retryRead runs one logical page-run read under the retry policy:
-// read performs the physical access (routed through ds's per-disk
-// queue when ds is non-nil) and fills the destination buffer; corrupt
+// retryRead runs one logical page-run read under ds's retry policy
+// (pagedFile.read is its one caller): read performs the physical access
+// inside disk `disk`'s queue and fills the destination buffer; corrupt
 // flips bytes in that buffer when the fault plan injects corruption
-// (applied inside the disk's critical section; nil disables injection
-// for this read); verify checks the buffer's checksums (nil when the
-// caller has none). Failed attempts back off and re-read; exhausted
-// reads strike the breaker; breaker-open and context errors return
-// immediately. ds may be nil (single implicit disk): no faults are
-// injected and no breaker applies, but verification and retries still
-// run under the default policy.
+// (applied inside the disk's critical section); verify checks the
+// buffer's checksums (nil when the file has none). Failed attempts back
+// off and re-read; exhausted reads strike the breaker; breaker-open and
+// context errors return immediately.
 func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite, read func() error, corrupt func(), verify func() error) error {
-	pol := DefaultRetryPolicy()
-	if ds != nil {
-		pol = ds.policy()
-	}
+	pol := ds.policy()
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if ds != nil {
-				ds.disks[disk].retries.Add(1)
-			}
+			ds.disks[disk].retries.Add(1)
 			if err := backoff(ctx, pol, attempt); err != nil {
 				return err
 			}
@@ -242,22 +234,14 @@ func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var err error
-		if ds != nil {
-			err = ds.readAccess(disk, pages, read, corrupt)
-		} else {
-			err = read()
-		}
+		err := ds.readAccess(disk, pages, read, corrupt)
 		if err == nil && verify != nil {
-			err = verify()
-			if err != nil && ds != nil {
+			if err = verify(); err != nil {
 				ds.disks[disk].checksumFails.Add(1)
 			}
 		}
 		if err == nil {
-			if ds != nil {
-				ds.breakerOK(disk)
-			}
+			ds.breakerOK(disk)
 			return nil
 		}
 		lastErr = err
@@ -268,9 +252,7 @@ func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite
 			return site.wrap(disk, fe.Kind, err)
 		}
 	}
-	if ds != nil {
-		ds.breakerStrike(disk, pol)
-	}
+	ds.breakerStrike(disk, pol)
 	return site.wrap(disk, FaultTransient, lastErr)
 }
 
@@ -394,7 +376,7 @@ func (ds *DiskSet) readAccess(disk, pages int, read func() error, corrupt func()
 		err = &FaultError{Disk: disk, Kind: FaultTransient, Err: errInjectedRead}
 	} else {
 		err = read()
-		if err == nil && injectCorrupt && corrupt != nil {
+		if err == nil && injectCorrupt {
 			corrupt()
 		}
 	}
@@ -404,7 +386,7 @@ func (ds *DiskSet) readAccess(disk, pages int, read func() error, corrupt func()
 	if injectErr {
 		q.injected.Add(1)
 	}
-	if err == nil && injectCorrupt && corrupt != nil {
+	if err == nil && injectCorrupt {
 		q.injected.Add(1)
 	}
 	return err

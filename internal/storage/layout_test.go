@@ -33,7 +33,9 @@ func rawBitmapFile(t testing.TB, pageSize int, compressed bool, rows []int32, pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := &BitmapFile{pageSize: pageSize, file: f, blocks: make(map[int64]bitmapBlock), compressed: compressed}
+	ds, p := oneDisk()
+	bf := &BitmapFile{pagedFile: pagedFile{file: f, name: "bitmaps", pageSize: pageSize, disks: ds, placement: p},
+		blocks: make(map[int64]bitmapBlock), compressed: compressed}
 	t.Cleanup(func() { bf.Close() })
 	var block []byte
 	for i := range payloads {
@@ -313,11 +315,7 @@ func FuzzBitmapFileRoundTrip(f *testing.F) {
 		bf, path := bitsFile(t, page, rng.Intn(2) == 0, frags)
 		// One attempt per read and no breaker: a checksum failure must
 		// surface as itself, at once.
-		ds := NewDiskSet(1)
-		ds.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BreakerThreshold: 1 << 30})
-		if err := bf.Decluster(alloc.Placement{Disks: 1}, ds); err != nil {
-			t.Fatal(err)
-		}
+		bf.disks.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BreakerThreshold: 1 << 30})
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // and decodeTuple read nothing but the tuple geometry.
 func kernelStore(dims, pageSize int) *Store {
 	ts := 2*dims + 12
-	return &Store{pageSize: pageSize, tupleSize: ts, tpp: pageSize / ts}
+	return &Store{pagedFile: pagedFile{pageSize: pageSize}, tupleSize: ts, tpp: pageSize / ts}
 }
 
 // kernelPerRow buckets every dimension per row with distinct divisors and

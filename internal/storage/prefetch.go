@@ -179,12 +179,7 @@ func (p *granulePipe) next() (granule, []byte, error) {
 	p.st.FactIOs++
 	p.st.FactPages += int64(g.count)
 	if p.pooled {
-		if hit {
-			p.st.PoolHits++
-			p.st.PoolBytes += int64(len(buf))
-		} else {
-			p.st.PoolMisses++
-		}
+		p.st.notePool(hit, len(buf))
 	}
 	return g, buf, nil
 }

@@ -25,10 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/frag"
 	"repro/internal/kernel"
@@ -54,57 +51,32 @@ type FragLoc struct {
 	Rows    int32 // number of tuples
 }
 
-// Store is an on-disk fact table fragmented per an MDHF spec.
+// Store is an on-disk fact table fragmented per an MDHF spec. Its paged
+// file's checksum table is computed at Build and persisted in the
+// formatV2 meta file; its reads queue on the disk FactDisk maps a
+// fragment to.
 type Store struct {
+	pagedFile
 	star      *schema.Star
 	spec      *frag.Spec
-	pageSize  int
 	tupleSize int
 	tpp       int // tuples per page
-	file      *os.File
 	dir       map[int64]FragLoc
 	// order holds the non-empty fragment ids in allocation order.
 	order []int64
-	// ioDelay is an optional simulated disk access time (ns) added to
-	// every physical read on the single implicit disk (see SetIODelay).
-	// Atomic: read by N fragment workers while SetIODelay may store.
-	ioDelay atomic.Int64
-	// disks and placement decluster reads across per-disk serialized
-	// queues when non-nil (see Decluster in disk.go).
-	disks     *DiskSet
-	placement alloc.Placement
-	// pool, when non-nil, caches prefetch-granule reads under poolEpoch
-	// (see AttachPool and ReadGranule).
-	pool      *BufPool
-	poolEpoch int64
-	// sums holds one CRC32C per fact-file page, indexed by absolute page
-	// number — computed at Build, persisted in the formatV2 meta file, and
-	// verified on every physical read (nil for pre-checksum V1 stores).
-	sums []uint32
 }
 
-// AttachPool routes this store's granule reads through a shared buffer
-// pool, keying its entries under the given serving epoch. Must be called
-// before queries run (backend assembly time); a nil pool detaches.
-func (s *Store) AttachPool(p *BufPool, epoch int64) {
-	s.pool, s.poolEpoch = p, epoch
-}
-
-// Pooled reports whether a buffer pool is attached.
-func (s *Store) Pooled() bool { return s.pool != nil }
-
-// SetIODelay adds a simulated disk access time to every physical read —
-// the per-access latency of the paper's Table 4 disk model (seek + settle
-// + controller), for measuring intra-query I/O parallelism independently
-// of the page cache. Zero (the default) disables it. Safe to call
-// concurrently with running queries. On a declustered store the delay is
-// applied to every disk of the set.
-func (s *Store) SetIODelay(d time.Duration) {
-	if s.disks != nil {
-		s.disks.SetIODelay(d)
-		return
+// newStore returns an empty store over the fact file f, on one disk.
+func newStore(star *schema.Star, spec *frag.Spec, f *os.File) *Store {
+	ds, p := oneDisk()
+	return &Store{
+		pagedFile: pagedFile{file: f, name: "fact", pageSize: star.PageSize, disks: ds, placement: p},
+		star:      star,
+		spec:      spec,
+		tupleSize: TupleSize(star),
+		tpp:       TuplesPerPage(star),
+		dir:       make(map[int64]FragLoc),
 	}
-	s.ioDelay.Store(int64(d))
 }
 
 // TupleSize returns the on-disk tuple size for a schema: 2 bytes per
@@ -178,15 +150,7 @@ func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWri
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		star:      star,
-		spec:      spec,
-		pageSize:  star.PageSize,
-		tupleSize: TupleSize(star),
-		tpp:       TuplesPerPage(star),
-		file:      f,
-		dir:       make(map[int64]FragLoc),
-	}
+	s := newStore(star, spec, f)
 	return &factWriter{s: s, dir: dirPath, page: make([]byte, s.pageSize)}, nil
 }
 
@@ -228,21 +192,11 @@ func (w *factWriter) add(cols kernel.Columns, i int) {
 
 // flush writes the open page with its checksum and starts an empty one.
 func (w *factWriter) flush() {
-	w.write(w.page, pageCRC(w.page))
+	if w.err == nil {
+		_, w.err = w.s.appendPages(w.page, []uint32{pageCRC(w.page)})
+	}
 	clear(w.page[:w.fill])
 	w.fill = 0
-}
-
-// write appends whole pages and their checksums to the file.
-func (w *factWriter) write(pages []byte, sums ...uint32) {
-	if w.err != nil {
-		return
-	}
-	if _, err := w.s.file.Write(pages); err != nil {
-		w.err = fmt.Errorf("storage: writing fact page %d: %w", len(w.s.sums), err)
-		return
-	}
-	w.s.sums = append(w.s.sums, sums...)
 }
 
 // carry opens the fragment with the rows it holds in the old epoch's
@@ -278,13 +232,15 @@ func (w *factWriter) carry(old *Store, id int64, reopen bool) {
 	for p := 0; p < n; p += carryPages {
 		c, first := min(carryPages, n-p), loc.PageOff+int64(p)
 		read(first, w.buf[:c*old.pageSize])
-		w.write(w.buf[:c*old.pageSize], old.sums[first:first+int64(c)]...)
+		if w.err == nil {
+			_, w.err = w.s.appendPages(w.buf[:c*old.pageSize], old.sums[first:first+int64(c)])
+		}
 	}
 	if tail > 0 {
 		last, page := w.buf[:old.pageSize], loc.PageOff+int64(n)
 		read(page, last)
 		if w.err == nil {
-			w.err = old.verifyPages(last, page, id, page*int64(old.pageSize))
+			w.err = old.verify(last, page, id)
 		}
 		if w.err == nil {
 			w.fill = copy(w.page, last[:tail*old.tupleSize])
@@ -376,21 +332,13 @@ func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		star:      star,
-		spec:      spec,
-		pageSize:  star.PageSize,
-		tupleSize: TupleSize(star),
-		tpp:       TuplesPerPage(star),
-	}
+	s := newStore(star, spec, nil)
 	if err := s.readMeta(meta); err != nil {
 		return nil, fmt.Errorf("storage: meta file: %w", err)
 	}
-	f, err := os.Open(filepath.Join(dirPath, factFileName))
-	if err != nil {
+	if s.file, err = os.Open(filepath.Join(dirPath, factFileName)); err != nil {
 		return nil, err
 	}
-	s.file = f
 	return s, nil
 }
 
@@ -467,9 +415,6 @@ func (s *Store) readMeta(b []byte) error {
 	return nil
 }
 
-// Close releases the underlying file.
-func (s *Store) Close() error { return s.file.Close() }
-
 // NumFragments returns the number of non-empty fragments stored.
 func (s *Store) NumFragments() int { return len(s.order) }
 
@@ -482,120 +427,62 @@ func (s *Store) Loc(id int64) (FragLoc, bool) {
 	return loc, ok
 }
 
-// ReadPages reads `count` pages of fragment id starting at page `start`
-// within the fragment (one physical I/O).
-func (s *Store) ReadPages(id int64, start, count int) ([]byte, error) {
-	return s.ReadPagesInto(nil, id, start, count)
-}
+// DiskOf returns the disk holding fact fragment id.
+func (s *Store) DiskOf(id int64) int { return s.placement.FactDisk(id) }
 
-// ReadPagesInto is ReadPages reading into buf when its capacity suffices
-// (allocating otherwise) — the buffer-reuse variant for the executor's
-// per-worker scratch. It returns the filled slice.
+// ReadPagesInto reads `count` pages of fragment id starting at page
+// `start` within the fragment — one physical I/O — into buf when its
+// capacity suffices (allocating otherwise), and returns the filled slice.
 func (s *Store) ReadPagesInto(buf []byte, id int64, start, count int) ([]byte, error) {
 	return s.ReadPagesCtx(context.Background(), buf, id, start, count)
 }
 
-// ReadPagesCtx is ReadPagesInto under a context: the physical read runs
-// under the retry policy (backoff between attempts is context-aware and
-// a cancelled ctx stops the read before it queues on the disk), every
-// page is verified against its stored CRC32C, and failures surface as
-// typed *FaultError values locating the disk, file, fragment and byte
-// offset.
+// ReadPagesCtx is ReadPagesInto under a context: the physical read
+// queues on the fragment's disk, runs under the retry policy and is
+// verified page by page (see pagedFile.read); failures surface as typed
+// *FaultError values.
 func (s *Store) ReadPagesCtx(ctx context.Context, buf []byte, id int64, start, count int) ([]byte, error) {
-	loc, ok := s.dir[id]
-	if !ok {
-		return nil, fmt.Errorf("storage: fragment %d not stored", id)
+	absPage, err := s.run(id, start, count)
+	if err != nil {
+		return nil, err
 	}
-	if start < 0 || start+count > int(loc.Pages) {
-		return nil, fmt.Errorf("storage: fragment %d pages [%d,%d) out of fragment's %d", id, start, start+count, loc.Pages)
-	}
-	n := count * s.pageSize
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	absPage := loc.PageOff + int64(start)
-	byteOff := absPage * int64(s.pageSize)
-	read := func() error {
-		if s.disks == nil {
-			if d := s.ioDelay.Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
-		}
-		if _, err := s.file.ReadAt(buf, byteOff); err != nil {
-			return fmt.Errorf("storage: reading %d fact pages of fragment %d at offset %d: %w", count, id, byteOff, err)
-		}
-		return nil
-	}
-	var verify func() error
-	if s.sums != nil {
-		verify = func() error { return s.verifyPages(buf, absPage, id, byteOff) }
-	}
-	site := faultSite{file: "fact", frag: id, off: byteOff}
-	disk := 0
-	if s.disks != nil {
-		disk = s.placement.FactDisk(id)
-	}
-	corrupt := func() { corruptPages(buf, s.pageSize) }
-	if err := retryRead(ctx, s.disks, disk, count, site, read, corrupt, verify); err != nil {
+	buf = sized(buf, count*s.pageSize)
+	if err := s.read(ctx, buf, absPage, s.DiskOf(id), id); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// verifyPages checks each page of buf against the checksum table.
-func (s *Store) verifyPages(buf []byte, absPage, id int64, byteOff int64) error {
-	for i := 0; i*s.pageSize < len(buf); i++ {
-		page := buf[i*s.pageSize : (i+1)*s.pageSize]
-		want := s.sums[absPage+int64(i)]
-		if got := pageCRC(page); got != want {
-			return &FaultError{
-				File: "fact", Frag: id, Offset: byteOff + int64(i*s.pageSize), Kind: FaultChecksum,
-				Err: fmt.Errorf("page %d crc32c %08x != stored %08x", absPage+int64(i), got, want),
-			}
-		}
+// run returns the absolute page of page start of fragment id, checking
+// that [start, start+count) lies inside the fragment.
+func (s *Store) run(id int64, start, count int) (int64, error) {
+	loc, ok := s.dir[id]
+	if !ok {
+		return 0, fmt.Errorf("storage: fragment %d not stored", id)
 	}
-	return nil
+	if start < 0 || start+count > int(loc.Pages) {
+		return 0, fmt.Errorf("storage: fragment %d pages [%d,%d) out of fragment's %d", id, start, start+count, loc.Pages)
+	}
+	return loc.PageOff + int64(start), nil
 }
 
 // ReadGranule is the pool-aware ReadPagesInto used by the executor's
-// prefetch pipeline. With no pool attached it behaves exactly like
-// ReadPagesInto (data == the grown buf, ent nil). With a pool, a hit
-// returns the resident pages with zero physical I/O and a miss reads into
-// a fresh buffer and offers it to the pool. When ent is non-nil the
-// returned data belongs to the pool and is pinned — the caller must
-// ent.Unpin() once done aggregating from it (and must not retain or reuse
-// data as scratch); when ent is nil the data is the caller's private
-// buffer. hit reports whether the pool served the read.
+// prefetch pipeline (see pagedFile.readPooled): with no pool attached
+// data is the grown buf and ent nil; with one, a hit costs no physical
+// I/O, and a non-nil ent pins pool-owned data the caller must Unpin once
+// done aggregating from it.
 func (s *Store) ReadGranule(buf []byte, id int64, start, count int) (data []byte, ent *PoolEntry, hit bool, err error) {
 	return s.ReadGranuleCtx(context.Background(), buf, id, start, count)
 }
 
-// ReadGranuleCtx is ReadGranule under a context (see ReadPagesCtx for
-// the retry/verification semantics of the miss path; pool hits never
-// touch the disk and need no verification).
+// ReadGranuleCtx is ReadGranule under a context.
 func (s *Store) ReadGranuleCtx(ctx context.Context, buf []byte, id int64, start, count int) (data []byte, ent *PoolEntry, hit bool, err error) {
-	if s.pool == nil {
-		data, err = s.ReadPagesCtx(ctx, buf, id, start, count)
-		return data, nil, false, err
-	}
-	key := PoolKey{Epoch: s.poolEpoch, File: PoolFact, Frag: id, Off: int32(start), Len: int32(count)}
-	if e := s.pool.Get(key); e != nil {
-		if s.disks != nil {
-			s.disks.notePoolHit(s.placement.FactDisk(id), count)
-		}
-		return e.Data(), e, true, nil
-	}
-	// Miss: read into a fresh buffer the pool can take ownership of (the
-	// caller's scratch would be overwritten by its next read).
-	data, err = s.ReadPagesCtx(ctx, make([]byte, 0, count*s.pageSize), id, start, count)
+	absPage, err := s.run(id, start, count)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if e := s.pool.Add(key, data); e != nil {
-		return e.Data(), e, false, nil
-	}
-	return data, nil, false, nil // pool full of pinned entries: serve privately
+	key := PoolKey{File: PoolFact, Frag: id, Off: int32(start), Len: int32(count)}
+	return s.readPooled(ctx, buf, key, absPage, s.DiskOf(id))
 }
 
 // ScanFragment calls fn for every tuple of the fragment, reading it page

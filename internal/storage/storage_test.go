@@ -270,7 +270,7 @@ func FuzzStoreMeta(f *testing.F) {
 	f.Add(withInt64(v2, 32+32*int(binary.LittleEndian.Uint64(v2[24:])), -1))
 	f.Add(withInt64(v2, 24, 1<<40))
 	f.Fuzz(func(t *testing.T, meta []byte) {
-		store := &Store{star: s, spec: spec, pageSize: s.PageSize, tpp: TuplesPerPage(s)}
+		store := newStore(s, spec, nil)
 		if store.readMeta(meta) != nil {
 			return
 		}

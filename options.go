@@ -131,9 +131,11 @@ func WithCompression() Option {
 
 // WithIODelay adds a simulated per-access disk latency to every physical
 // read (the Table 4 seek + settle + controller model), making disk
-// queueing observable on the on-disk backend; it also becomes the access
-// time of Explain's queue response model — including an explicit zero,
-// which models ideal disks. Implies the on-disk backend.
+// queueing observable on the on-disk backend: every disk of its set —
+// the one disk of a store opened without WithDisks — serves one access
+// at a time. It also becomes the access time of Explain's queue response
+// model — including an explicit zero, which models ideal disks. Implies
+// the on-disk backend.
 func WithIODelay(d time.Duration) Option {
 	return func(o *options) {
 		o.onDisk = true
@@ -217,7 +219,8 @@ func WithResultCache(entries int) Option {
 // pages and sticky disk failures are injected at the configured rates,
 // and every physical read runs under the retry policy with per-page
 // CRC32C verification and per-disk circuit breaking. Implies the
-// on-disk backend (a single-disk set when WithDisks was not given).
+// on-disk backend (a single-disk set when WithDisks was not given, which
+// Stats.Backend reports as OnDiskBackend).
 // With retries on, query results under a transient/corrupt plan are
 // byte-identical to the fault-free run; ServingStats and DiskStats
 // report Retries/BreakerTrips/ChecksumFailures/InjectedFaults.

@@ -25,8 +25,8 @@ const (
 	// OnDiskBackend is the paged fact store + bitmap file executor with
 	// real prefetch-granule I/O.
 	OnDiskBackend
-	// DeclusteredBackend is the on-disk executor over a DiskSet of
-	// per-disk serialized I/O queues.
+	// DeclusteredBackend is the on-disk executor over the DiskSet of
+	// per-disk serialized I/O queues WithDisks configured.
 	DeclusteredBackend
 	// ClusterBackend is a multi-node warehouse's scatter/gather
 	// coordinator over node shards (see WithNodes and WithNodeAddrs).
@@ -92,9 +92,10 @@ type Stats struct {
 	Engine EngineStats
 	// IO holds the on-disk executor's physical I/O counters.
 	IO StorageIOStats
-	// Disks snapshots the declustered backend's per-disk access counters
-	// at completion. The counters are warehouse-wide (shared by all
-	// in-flight queries); per-query attribution lives in IO.
+	// Disks snapshots the on-disk backend's per-disk access counters at
+	// completion (one disk unless opened WithDisks). The counters are
+	// warehouse-wide (shared by all in-flight queries); per-query
+	// attribution lives in IO.
 	Disks []DiskStats
 	// Cluster reports a scattered execution's fan-out — nodes used,
 	// transport retries, hedges — on the ClusterBackend (nil otherwise);
@@ -325,7 +326,7 @@ func (w *Warehouse) baseStats(snap epoch.Snapshot) Stats {
 	switch {
 	case snap.B.Disk == nil:
 		st.Backend = InMemoryBackend
-	case snap.B.Disk.Disks != nil:
+	case w.opt.disks > 0:
 		st.Backend = DeclusteredBackend
 	default:
 		st.Backend = OnDiskBackend
@@ -349,7 +350,7 @@ func (p *PreparedQuery) executeOn(ctx context.Context, snap epoch.Snapshot) (Res
 	}
 	st := p.w.baseStats(snap)
 	st.Engine, st.IO, st.DeltaRows, st.SharedScan = out.Engine, out.IO, out.DeltaRows, out.Shared
-	if d := snap.B.Disk; d != nil && d.Disks != nil {
+	if d := snap.B.Disk; d != nil {
 		st.Disks = d.Disks.Stats()
 	}
 	st.Wall = time.Since(start)

@@ -135,14 +135,6 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 	for _, o := range opts {
 		o(&opt)
 	}
-	if opt.faultPlan != nil && opt.disks == 0 {
-		// Fault injection, retry accounting and circuit breaking live on
-		// the per-disk queues, so a fault plan needs a disk set even when
-		// declustering was not asked for: a single-disk set routes every
-		// physical read through one faultable queue while keeping the
-		// executor's non-sharded dispatch.
-		opt.disks = 1
-	}
 	if opt.disks != 0 {
 		if err := opt.placement().Validate(); err != nil {
 			return nil, err
@@ -367,11 +359,12 @@ func (w *Warehouse) Table(ctx context.Context) (*FactTable, error) {
 	return w.table, nil
 }
 
-// DiskSet returns the declustered backend's current disk set (nil unless
-// opened WithDisks and already built, and nil on a multi-node warehouse,
-// whose disk sets are per node). Compaction replaces it together
-// with the backend: the returned set keeps serving queries pinned to its
-// epoch but receives no new ones after the swap.
+// DiskSet returns the on-disk backend's current disk set: WithDisks' d
+// disks, or the one disk of an on-disk store that is not declustered
+// (nil before the backend is built, in memory, and on a multi-node
+// warehouse, whose disk sets are per node). Compaction replaces it
+// together with the backend: the returned set keeps serving queries
+// pinned to its epoch but receives no new ones after the swap.
 func (w *Warehouse) DiskSet() *DiskSet {
 	b := w.store.Current().B
 	if b == nil || b.Disk == nil {
@@ -380,10 +373,11 @@ func (w *Warehouse) DiskSet() *DiskSet {
 	return b.Disk.Disks
 }
 
-// DiskStats snapshots the per-disk access counters of the declustered
-// backend (nil otherwise, and on a multi-node warehouse). The counters are warehouse-wide: they
-// accumulate over every query served since the last ResetDiskStats (or
-// the last compaction, which installs a fresh disk set).
+// DiskStats snapshots the per-disk access counters of the on-disk
+// backend's DiskSet — one entry on a store that is not declustered (nil
+// whenever DiskSet is). The counters are warehouse-wide: they accumulate
+// over every query served since the last ResetDiskStats (or the last
+// compaction, which installs a fresh disk set).
 func (w *Warehouse) DiskStats() []DiskStats {
 	ds := w.DiskSet()
 	if ds == nil {
@@ -392,7 +386,7 @@ func (w *Warehouse) DiskStats() []DiskStats {
 	return ds.Stats()
 }
 
-// ResetDiskStats zeroes the per-disk access counters.
+// ResetDiskStats zeroes the per-disk access counters of DiskSet.
 func (w *Warehouse) ResetDiskStats() {
 	if ds := w.DiskSet(); ds != nil {
 		ds.ResetStats()
@@ -400,10 +394,11 @@ func (w *Warehouse) ResetDiskStats() {
 }
 
 // SetIODelay adjusts the simulated per-access disk latency of a built
-// on-disk backend at run time (all disks of a declustered set). The
-// delay survives compaction: each new epoch's backend inherits it. It is
-// a no-op before the backend is built, on in-memory backends and on a
-// multi-node warehouse — use WithIODelay to configure the delay up front.
+// on-disk backend at run time (every disk of DiskSet: one unless opened
+// WithDisks). The delay survives compaction: each new epoch's backend
+// inherits it. It is a no-op before the backend is built, on in-memory
+// backends and on a multi-node warehouse — use WithIODelay to configure
+// the delay up front.
 func (w *Warehouse) SetIODelay(d time.Duration) { w.store.SetIODelay(d) }
 
 // Query prepares a star query against the warehouse. The returned object

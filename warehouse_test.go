@@ -46,6 +46,7 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 		{"in-memory/compressed", []Option{WithCompression()}, InMemoryBackend, false},
 		{"on-disk", []Option{WithOnDisk("")}, OnDiskBackend, false},
 		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}, OnDiskBackend, true},
+		{"on-disk/fault-plan", []Option{WithFaultPlan(FaultPlan{Seed: 1})}, OnDiskBackend, false},
 		{"declustered", []Option{WithDisks(4, RoundRobin)}, DeclusteredBackend, false},
 		{"declustered/gap/compressed", []Option{WithDisks(3, GapRoundRobin), WithCompression()}, DeclusteredBackend, true},
 	}
@@ -89,6 +90,9 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 				}
 				if tc.kind == DeclusteredBackend && len(st.Disks) == 0 {
 					t.Fatalf("%s: no per-disk stats on declustered backend", qname)
+				}
+				if tc.kind == OnDiskBackend && len(st.Disks) != 1 {
+					t.Fatalf("%s: %d per-disk stats on an on-disk backend, want its one disk", qname, len(st.Disks))
 				}
 			}
 			if st := w.ServingStats(); st.QueriesAdmitted == 0 || st.InFlight != 0 {
