@@ -100,6 +100,38 @@ func (b *Bitset) SetRange(lo, hi int) {
 	b.words[w1] |= last
 }
 
+// KeyRule selects the rows of a bitmap built by FromKeys: with Codes
+// set, the keys whose code has bit Shift (from the least significant)
+// set — an encoded index bitmap; with Codes nil, the keys in [Lo, Hi),
+// Lo <= Hi — a simple index bitmap, its member's leaf range.
+type KeyRule struct {
+	Codes  []uint64
+	Shift  uint
+	Lo, Hi int32
+}
+
+// FromKeys makes b, reusing its storage, the bitmap of rule over keys:
+// the one constructor of an index bitmap from a fact column, filled a
+// 64-row word at a time. A key outside Codes panics.
+func (b *Bitset) FromKeys(keys []int32, rule KeyRule) {
+	b.Reinit(len(keys))
+	span := uint32(rule.Hi - rule.Lo)
+	for w := range b.words {
+		var x uint64
+		if block := keys[w*wordBits : min(b.n, (w+1)*wordBits)]; rule.Codes != nil {
+			for i, key := range block {
+				x |= rule.Codes[key] >> rule.Shift & 1 << uint(i)
+			}
+		} else {
+			for i, key := range block {
+				// key-Lo < span, unsigned, is Lo <= key < Hi without a branch.
+				x |= (uint64(uint32(key-rule.Lo)) - uint64(span)) >> 63 << uint(i)
+			}
+		}
+		b.words[w] = x
+	}
+}
+
 // trim zeroes the unused high bits of the last word so that population
 // counts and comparisons stay exact.
 func (b *Bitset) trim() {

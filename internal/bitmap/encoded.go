@@ -3,6 +3,7 @@ package bitmap
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/schema"
 )
@@ -14,12 +15,19 @@ import (
 // where the field of level i holds the member's child index within its
 // parent. Members of the same coarser value thus share a bit-pattern prefix,
 // so selections at level L only need the first PrefixBits(L) bitmaps.
+// A builder encodes each leaf member once, through Codes: a table built
+// on first use and sized by the leaf domain, 8 B a member (115 kB for
+// APB-1's 14,400 product codes, at most 512 kB under the on-disk uint16
+// key limit); a layout that only counts bits never builds it.
 type Layout struct {
 	dim *schema.Dimension
 	// fieldBits[i] is the width of the bit field for level i.
 	fieldBits []int
 	// prefix[i] is the total width of fields 0..i.
 	prefix []int
+
+	codesOnce sync.Once
+	codes     []uint64
 }
 
 // NewLayout derives the minimal hierarchical encoding for a dimension:
@@ -90,15 +98,24 @@ func (l *Layout) Encode(m int) uint64 {
 	return v
 }
 
+// Codes returns the pattern of every leaf member, Codes()[m] ==
+// Encode(m), built on the first call; the caller must not modify it.
+func (l *Layout) Codes() []uint64 {
+	l.codesOnce.Do(func() {
+		l.codes = make([]uint64, l.dim.LeafCard())
+		for m := range l.codes {
+			l.codes[m] = l.Encode(m)
+		}
+	})
+	return l.codes
+}
+
 // EncodePrefix returns the bit pattern of member m of the given level,
-// occupying the low PrefixBits(level) bits.
+// occupying the low PrefixBits(level) bits: the leading fields of the
+// code of its first leaf, whose fields below the level are all zero.
 func (l *Layout) EncodePrefix(level, m int) uint64 {
-	var v uint64
-	for i := 0; i <= level; i++ {
-		member := l.dim.Ancestor(level, m, i)
-		v = v<<uint(l.fieldBits[i]) | uint64(l.dim.ChildIndex(i, member))
-	}
-	return v
+	lo, _ := l.dim.DescendantRange(level, m, l.dim.Leaf())
+	return l.Codes()[lo] >> uint(l.SuffixBits(level))
 }
 
 // Decode maps a full bit pattern back to the leaf member it encodes.
@@ -158,15 +175,8 @@ func NewEncodedIndex(layout *Layout, values []int32) *EncodedIndex {
 	k := layout.TotalBits()
 	idx := &EncodedIndex{layout: layout, rows: len(values), maps: make([]*Bitset, k)}
 	for j := range idx.maps {
-		idx.maps[j] = New(len(values))
-	}
-	for i, v := range values {
-		enc := layout.Encode(int(v))
-		for j := 0; j < k; j++ {
-			if enc>>uint(k-1-j)&1 == 1 {
-				idx.maps[j].Set(i)
-			}
-		}
+		idx.maps[j] = &Bitset{}
+		idx.maps[j].FromKeys(values, KeyRule{Codes: layout.Codes(), Shift: uint(k - 1 - j)})
 	}
 	return idx
 }

@@ -15,15 +15,22 @@ type SimpleIndex struct {
 // NewSimpleIndex builds a simple bitmap index over rows, where values[i] is
 // the member (0..card-1) row i refers to at the indexed level.
 func NewSimpleIndex(card int, values []int32) *SimpleIndex {
-	idx := &SimpleIndex{card: card, rows: len(values), maps: make([]*Bitset, card)}
-	for m := range idx.maps {
-		idx.maps[m] = New(len(values))
-	}
-	for i, v := range values {
+	for _, v := range values {
 		if int(v) < 0 || int(v) >= card {
 			panic(fmt.Sprintf("bitmap: value %d out of domain 0..%d", v, card-1))
 		}
-		idx.maps[v].Set(i)
+	}
+	return NewLevelIndex(card, 1, values)
+}
+
+// NewLevelIndex builds the simple bitmap index on a level of card
+// members over rows whose leaf members are leaves: member m's bitmap is
+// its leaf range [m*width, (m+1)*width), so no row's member is derived.
+func NewLevelIndex(card, width int, leaves []int32) *SimpleIndex {
+	idx := &SimpleIndex{card: card, rows: len(leaves), maps: make([]*Bitset, card)}
+	for m := range idx.maps {
+		idx.maps[m] = &Bitset{}
+		idx.maps[m].FromKeys(leaves, KeyRule{Lo: int32(m * width), Hi: int32((m + 1) * width)})
 	}
 	return idx
 }

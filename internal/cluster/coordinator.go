@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
@@ -348,13 +349,10 @@ func (c *Coordinator) Append(ctx context.Context, rows []Row) error {
 	parts := make([][]Row, len(c.counters))
 	buf := make([]int, len(star.Dims))
 	for ri, r := range rows {
-		if len(r.Leaves) != len(star.Dims) {
-			return fmt.Errorf("cluster: append row %d: %d leaves for %d dimensions", ri, len(r.Leaves), len(star.Dims))
+		if err := data.CheckLeaves(star, r.Leaves); err != nil {
+			return fmt.Errorf("cluster: append row %d: %w", ri, err)
 		}
 		for d, leaf := range r.Leaves {
-			if leaf < 0 || int(leaf) >= star.Dims[d].LeafCard() {
-				return fmt.Errorf("cluster: append row %d: %s leaf %d out of range [0,%d)", ri, star.Dims[d].Name, leaf, star.Dims[d].LeafCard())
-			}
 			buf[d] = int(leaf)
 		}
 		id := c.spec.IDOf(buf)

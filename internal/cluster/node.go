@@ -134,6 +134,9 @@ func NewStoreNode(scfg epoch.Config, index int, cl alloc.Placement, rows *data.T
 	if rows == nil || rows.Star != scfg.Spec.Star() {
 		return nil, fmt.Errorf("cluster: node rows missing or generated for a different schema")
 	}
+	if err := rows.Check(); err != nil {
+		return nil, fmt.Errorf("cluster: node rows: %w", err)
+	}
 	scfg.Own = nil // a single-node cluster: every fragment is local
 	if cl.Disks > 1 {
 		scfg.Own = func(id int64) bool { return cl.FactDisk(id) == index }

@@ -8,7 +8,9 @@
 package data
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/schema"
 )
@@ -85,6 +87,44 @@ func MustGenerate(star *schema.Star, seed int64) *Table {
 		panic(err)
 	}
 	return t
+}
+
+// ErrBadFacts is wrapped by every error refusing fact rows that do not
+// fit their schema (a leaf outside its domain, too many or too few).
+var ErrBadFacts = errors.New("data: fact rows do not fit the schema")
+
+// CheckLeaves returns an error wrapping ErrBadFacts unless leaves holds
+// one leaf member per dimension of star, each in [0, LeafCard).
+func CheckLeaves(star *schema.Star, leaves []int32) error {
+	if len(leaves) != len(star.Dims) {
+		return fmt.Errorf("%w: %d leaves for %d dimensions", ErrBadFacts, len(leaves), len(star.Dims))
+	}
+	for d, m := range leaves {
+		if card := star.Dims[d].LeafCard(); m < 0 || int(m) >= card {
+			return fmt.Errorf("%w: %s leaf %d out of range [0,%d)", ErrBadFacts, star.Dims[d].Name, m, card)
+		}
+	}
+	return nil
+}
+
+// Check returns an error wrapping ErrBadFacts unless t's columns are N
+// long, one leaf column per dimension, and every row passes CheckLeaves.
+func (t *Table) Check() error {
+	n := t.N()
+	if len(t.Dims) != len(t.Star.Dims) || len(t.DollarSales) != n || len(t.Cost) != n ||
+		slices.ContainsFunc(t.Dims, func(col []int32) bool { return len(col) != n }) {
+		return fmt.Errorf("%w: %d leaf columns for %d dimensions, or columns of unequal length", ErrBadFacts, len(t.Dims), len(t.Star.Dims))
+	}
+	row := make([]int32, len(t.Dims))
+	for i := range n {
+		for d := range row {
+			row[d] = t.Dims[d][i]
+		}
+		if err := CheckLeaves(t.Star, row); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // LeafMembers returns the leaf member per dimension of row i, for use with

@@ -93,24 +93,24 @@ func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, erro
 		}
 	}
 
-	// Pass 1: row counts per fragment.
+	// Pass 1: route every row once, counting rows per fragment.
+	ids := make([]int64, t.N())
 	counts := make(map[int64]int)
 	buf := make([]int, len(star.Dims))
-	for i := 0; i < t.N(); i++ {
-		id := spec.IDOf(t.LeafMembers(i, buf))
-		counts[id]++
+	for i := range ids {
+		ids[i] = spec.IDOf(t.LeafMembers(i, buf))
+		counts[ids[i]]++
 	}
 	// Pass 2: distribute rows.
 	for id, c := range counts {
-		f := &fragment{cols: kernel.Columns{Dims: make([][]int32, len(star.Dims)),
+		f := &fragment{rows: c, cols: kernel.Columns{Dims: make([][]int32, len(star.Dims)),
 			Units: make([]int64, 0, c), Dollars: make([]int64, 0, c), Costs: make([]int64, 0, c)}}
 		for d := range f.cols.Dims {
 			f.cols.Dims[d] = make([]int32, 0, c)
 		}
 		e.frags[id] = f
 	}
-	for i := 0; i < t.N(); i++ {
-		id := spec.IDOf(t.LeafMembers(i, buf))
+	for i, id := range ids {
 		f := e.frags[id]
 		for d, col := range f.cols.Dims {
 			f.cols.Dims[d] = append(col, t.Dims[d][i])
@@ -118,13 +118,10 @@ func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, erro
 		f.cols.Units = append(f.cols.Units, t.UnitsSold[i])
 		f.cols.Dollars = append(f.cols.Dollars, t.DollarSales[i])
 		f.cols.Costs = append(f.cols.Costs, t.Cost[i])
-		f.rows++
 	}
-	// Pass 3: per-fragment index construction. vals is reused across all
-	// fragments and levels.
-	var vals []int32
+	// Pass 3: per-fragment index construction.
 	for _, f := range e.frags {
-		vals = e.buildIndexes(f, vals)
+		e.buildIndexes(f)
 	}
 	return e, nil
 }
@@ -150,7 +147,6 @@ func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 	for id, f := range e.frags {
 		ne.frags[id] = f
 	}
-	var vals []int32
 	for _, id := range deltas.FragmentIDs() {
 		segs := deltas.Of(id)
 		old := e.frags[id]
@@ -177,7 +173,7 @@ func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 			c.Dollars = append(c.Dollars, seg.Dollars()...)
 			c.Costs = append(c.Costs, seg.Costs()...)
 		}
-		vals = ne.buildIndexes(f, vals)
+		ne.buildIndexes(f)
 		ne.frags[id] = f
 	}
 	return &ne
@@ -191,10 +187,10 @@ func (e *Engine) fragLevel(d int) int {
 	return -1
 }
 
-// buildIndexes constructs the fragment's surviving bitmap indices. vals
-// is a reusable level-member buffer; the grown slice is returned for the
-// next fragment.
-func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
+// buildIndexes constructs the fragment's surviving bitmap indices from
+// its leaf columns: an encoded index through the layout's code table, a
+// simple one as one leaf range per member.
+func (e *Engine) buildIndexes(f *fragment) {
 	nd := len(e.star.Dims)
 	f.encoded = make([]*bitmap.EncodedIndex, nd)
 	f.simple = make([][]*bitmap.SimpleIndex, nd)
@@ -212,18 +208,10 @@ func (e *Engine) buildIndexes(f *fragment, vals []int32) []int32 {
 		default:
 			f.simple[d] = make([]*bitmap.SimpleIndex, dim.Depth())
 			for l := fl + 1; l < dim.Depth(); l++ {
-				if cap(vals) < f.rows {
-					vals = make([]int32, f.rows)
-				}
-				vals = vals[:f.rows]
-				for i, leaf := range f.cols.Dims[d] {
-					vals[i] = int32(dim.Ancestor(dim.Leaf(), int(leaf), l))
-				}
-				f.simple[d][l] = bitmap.NewSimpleIndex(dim.Levels[l].Card, vals)
+				f.simple[d][l] = bitmap.NewLevelIndex(dim.Levels[l].Card, dim.FanOutBetween(l, dim.Leaf()), f.cols.Dims[d])
 			}
 		}
 	}
-	return vals
 }
 
 // NumFragments returns the number of non-empty fragments materialised.

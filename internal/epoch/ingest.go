@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/data"
 	"repro/internal/frag"
 	"repro/internal/storage"
 )
@@ -47,13 +48,10 @@ func (s *Store) Append(rows []Row) error {
 	buf := make([]int, nd)
 	for ri := range rows {
 		r := &rows[ri]
-		if len(r.Leaves) != nd {
-			return fmt.Errorf("mdhf: append row %d has %d leaves for %d dimensions", ri, len(r.Leaves), nd)
+		if err := data.CheckLeaves(star, r.Leaves); err != nil {
+			return fmt.Errorf("mdhf: append row %d: %w", ri, err)
 		}
 		for d, leaf := range r.Leaves {
-			if leaf < 0 || int(leaf) >= star.Dims[d].LeafCard() {
-				return fmt.Errorf("mdhf: append row %d: %s leaf %d out of range [0,%d)", ri, star.Dims[d].Name, leaf, star.Dims[d].LeafCard())
-			}
 			buf[d] = int(leaf)
 		}
 		if s.cfg.OnDisk { // in memory the measures stay int64

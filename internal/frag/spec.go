@@ -29,6 +29,7 @@ type Spec struct {
 	star  *schema.Star
 	attrs []Attr
 	radix []int // cardinality of each fragmentation attribute
+	div   []int // a leaf's member of attribute i is leaf / div[i]
 	// byDim[d] is the index into attrs of dimension d's attribute, or -1.
 	byDim []int
 }
@@ -56,6 +57,7 @@ func New(star *schema.Star, attrs []Attr) (*Spec, error) {
 		}
 		s.byDim[a.Dim] = i
 		s.radix = append(s.radix, d.Levels[a.Level].Card)
+		s.div = append(s.div, d.FanOutBetween(a.Level, d.Leaf()))
 	}
 	return s, nil
 }
@@ -167,13 +169,12 @@ func (s *Spec) ID(coord []int) int64 {
 }
 
 // IDOf is ID(CoordOf(leafMembers)) without the coordinate slice: the
-// per-row form for builds, appends and routing. It panics on the
-// coordinates ID panics on.
+// per-row form for builds, appends and routing, one division per
+// attribute. It panics on the coordinates ID panics on.
 func (s *Spec) IDOf(leafMembers []int) int64 {
 	var id int64
 	for i, a := range s.attrs {
-		d := &s.star.Dims[a.Dim]
-		id = s.shift(id, i, d.Ancestor(d.Leaf(), leafMembers[a.Dim], a.Level))
+		id = s.shift(id, i, leafMembers[a.Dim]/s.div[i])
 	}
 	return id
 }

@@ -185,7 +185,6 @@ func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *blockScratch, block []b
 			sc.payloads[i] = encodeCompressed(sc.payloads[i], bitmap.CompressInto(&sc.wah, bs))
 		} else {
 			sc.payloads[i] = sized(sc.payloads[i], (int(rows)+7)/8)
-			clear(sc.payloads[i])
 			packBits(bs, sc.payloads[i])
 		}
 	}
@@ -299,30 +298,24 @@ func getU64(b []byte) uint64 {
 // bs, reusing its storage, and returns it; l is the dimension's encoding
 // layout (nil for a simple index).
 func buildBitmapFragment(bs *bitmap.Bitset, star *schema.Star, l *bitmap.Layout, desc BitmapDesc, keys []int32) *bitmap.Bitset {
-	dim := &star.Dims[desc.Dim]
-	bs.Reinit(len(keys))
+	var rule bitmap.KeyRule
 	if desc.Simple {
-		for i, k := range keys {
-			if dim.Ancestor(dim.Leaf(), int(k), desc.Level) == desc.Member {
-				bs.Set(i)
-			}
-		}
-		return bs
+		dim := &star.Dims[desc.Dim]
+		lo, hi := dim.DescendantRange(desc.Level, desc.Member, dim.Leaf())
+		rule.Lo, rule.Hi = int32(lo), int32(hi)
+	} else {
+		rule.Codes, rule.Shift = l.Codes(), uint(l.TotalBits()-1-desc.Bit)
 	}
-	shift := uint(l.TotalBits() - 1 - desc.Bit)
-	for i, k := range keys {
-		if l.Encode(int(k))>>shift&1 == 1 {
-			bs.Set(i)
-		}
-	}
+	bs.FromKeys(keys, rule)
 	return bs
 }
 
-// packBits serialises a bitset into buf, 8 rows per byte, LSB first.
+// packBits serialises a bitset into buf, 8 rows per byte, LSB first:
+// every byte of buf, (Len+7)/8 long, is written off the bitset's words.
 func packBits(bs *bitmap.Bitset, buf []byte) {
-	bs.ForEach(func(i int) {
-		buf[i/8] |= 1 << uint(i%8)
-	})
+	for i := range buf {
+		buf[i] = byte(bs.Words()[i/8] >> (8 * (i % 8)))
+	}
 }
 
 // unpackBitsInto deserialises n bits from buf into bs, reusing its

@@ -298,6 +298,10 @@ var ErrOverloaded = exec.ErrOverloaded
 // measure outside int32, which is what its 20-byte tuples hold.
 var ErrMeasureRange = storage.ErrMeasureRange
 
+// ErrBadFacts is wrapped by the error with which Open (Config.Table),
+// NewClusterNode and Append refuse fact rows that do not fit the schema.
+var ErrBadFacts = data.ErrBadFacts
+
 // DefaultRetryPolicy returns the retry policy physical reads run under
 // when WithRetryPolicy is not given: 6 attempts with full-jitter
 // exponential backoff, breaker opening after 3 consecutively exhausted

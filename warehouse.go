@@ -152,6 +152,11 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 	if cfg.Table != nil && cfg.Table.Star != w.star {
 		return nil, fmt.Errorf("mdhf: Config.Table was generated for a different schema")
 	}
+	if cfg.Table != nil {
+		if err := cfg.Table.Check(); err != nil {
+			return nil, fmt.Errorf("mdhf: Config.Table: %w", err)
+		}
+	}
 	if cfg.Fragmentation != "" {
 		var err error
 		if w.spec, err = frag.Parse(w.star, cfg.Fragmentation); err != nil {
