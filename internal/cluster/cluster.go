@@ -36,6 +36,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/epoch"
 	"repro/internal/frag"
+	"repro/internal/kernel"
 )
 
 // ErrNodeFailed is the terminal error of a node that was killed (see
@@ -80,30 +81,26 @@ func NodeOf(cl alloc.Placement, id int64) int {
 	return cl.FactDisk(id)
 }
 
-// PartitionTable splits a fact table into one shard per node, routing
-// every row to the node owning its fragment. Shards share the input's
-// *schema.Star (engines and stores check schema identity by pointer)
-// and preserve the input's row order within each shard, so a shard
-// rebuilt elsewhere serves deterministic results.
+// PartitionTable splits a fact table into one shard per node, cut from
+// the table's one partition (kernel.NewPartition): a shard holds the
+// fragments its node owns in id order, each fragment's rows in input
+// order, so a shard rebuilt elsewhere serves deterministic results.
+// Shards share the input's *schema.Star (engines and stores check schema
+// identity by pointer).
 func PartitionTable(spec *frag.Spec, cl alloc.Placement, t *data.Table) []*data.Table {
-	n := cl.Disks
-	if n < 1 {
-		n = 1
+	p := kernel.NewPartition(spec, t)
+	parts := make([]*data.Table, max(cl.Disks, 1))
+	for n := range parts {
+		parts[n] = &data.Table{Star: t.Star, Dims: make([][]int32, len(t.Dims))}
 	}
-	parts := make([]*data.Table, n)
-	for k := range parts {
-		parts[k] = &data.Table{Star: t.Star, Dims: make([][]int32, len(t.Dims))}
-	}
-	buf := make([]int, len(t.Star.Dims))
-	for i := 0; i < t.N(); i++ {
-		id := spec.IDOf(t.LeafMembers(i, buf))
-		p := parts[NodeOf(cl, id)]
-		for d := range t.Dims {
-			p.Dims[d] = append(p.Dims[d], t.Dims[d][i])
+	for k, id := range p.IDs {
+		f, s := p.Fragment(k), parts[NodeOf(cl, id)]
+		for d := range s.Dims {
+			s.Dims[d] = append(s.Dims[d], f.Dims[d]...)
 		}
-		p.UnitsSold = append(p.UnitsSold, t.UnitsSold[i])
-		p.DollarSales = append(p.DollarSales, t.DollarSales[i])
-		p.Cost = append(p.Cost, t.Cost[i])
+		s.UnitsSold = append(s.UnitsSold, f.Units...)
+		s.DollarSales = append(s.DollarSales, f.Dollars...)
+		s.Cost = append(s.Cost, f.Costs...)
 	}
 	return parts
 }

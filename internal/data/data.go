@@ -108,23 +108,35 @@ func CheckLeaves(star *schema.Star, leaves []int32) error {
 }
 
 // Check returns an error wrapping ErrBadFacts unless t's columns are N
-// long, one leaf column per dimension, and every row passes CheckLeaves.
+// long, one leaf column per dimension, and every row passes CheckLeaves;
+// the error is CheckLeaves' for the first row that does not. It checks a
+// column at a time, each only as far as the first bad row found so far,
+// so the first bad row, and within it the first bad dimension, is the
+// row-major check's.
 func (t *Table) Check() error {
 	n := t.N()
 	if len(t.Dims) != len(t.Star.Dims) || len(t.DollarSales) != n || len(t.Cost) != n ||
 		slices.ContainsFunc(t.Dims, func(col []int32) bool { return len(col) != n }) {
 		return fmt.Errorf("%w: %d leaf columns for %d dimensions, or columns of unequal length", ErrBadFacts, len(t.Dims), len(t.Star.Dims))
 	}
-	row := make([]int32, len(t.Dims))
-	for i := range n {
-		for d := range row {
-			row[d] = t.Dims[d][i]
-		}
-		if err := CheckLeaves(t.Star, row); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
+	bad := n
+	for d, col := range t.Dims {
+		card := uint32(t.Star.Dims[d].LeafCard())
+		for i, m := range col[:bad] {
+			if uint32(m) >= card {
+				bad = i
+				break
+			}
 		}
 	}
-	return nil
+	if bad == n {
+		return nil
+	}
+	row := make([]int32, len(t.Dims))
+	for d := range row {
+		row[d] = t.Dims[d][bad]
+	}
+	return fmt.Errorf("row %d: %w", bad, CheckLeaves(t.Star, row))
 }
 
 // LeafMembers returns the leaf member per dimension of row i, for use with

@@ -1,6 +1,11 @@
 package data
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +147,49 @@ func TestLeafMembersBufferReuse(t *testing.T) {
 	for d := range s.Dims {
 		if m1[d] != int(tab.Dims[d][1]) {
 			t.Fatalf("buffer reuse wrong at dim %d", d)
+		}
+	}
+}
+
+// TestCheckFindsTheRowMajorFirstBadCell plants one to four bad leaves —
+// below or past the domain, on any dimension, often sharing a row — at
+// random cells of a generated table: Check's column-at-a-time scan must
+// report the error of the row-major reference, which checks each row in
+// turn with CheckLeaves.
+func TestCheckFindsTheRowMajorFirstBadCell(t *testing.T) {
+	s := schema.APB1Scaled(60)
+	good := MustGenerate(s, 1)
+	rowMajor := func(t *Table) error {
+		row := make([]int32, len(t.Dims))
+		for i := range t.N() {
+			for d := range row {
+				row[d] = t.Dims[d][i]
+			}
+			if err := CheckLeaves(t.Star, row); err != nil {
+				return fmt.Errorf("row %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	if err := good.Check(); err != nil {
+		t.Fatalf("generated table: %v", err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		bad := *good
+		bad.Dims = slices.Clone(good.Dims)
+		rows := []int{rng.Intn(good.N()), rng.Intn(good.N())} // a second cell often shares a row
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			d, i := rng.Intn(len(s.Dims)), rows[rng.Intn(2)]
+			if rng.Intn(2) == 0 {
+				i = rng.Intn(good.N())
+			}
+			bad.Dims[d] = slices.Clone(bad.Dims[d])
+			bad.Dims[d][i] = [...]int32{-1, int32(s.Dims[d].LeafCard()), math.MaxInt32, math.MinInt32}[rng.Intn(4)]
+		}
+		got, want := bad.Check(), rowMajor(&bad)
+		if got == nil || want == nil || got.Error() != want.Error() || !errors.Is(got, ErrBadFacts) {
+			t.Fatalf("trial %d: Check = %v, row-major reference = %v", trial, got, want)
 		}
 	}
 }

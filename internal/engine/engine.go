@@ -93,35 +93,12 @@ func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, erro
 		}
 	}
 
-	// Pass 1: route every row once, counting rows per fragment.
-	ids := make([]int64, t.N())
-	counts := make(map[int64]int)
-	buf := make([]int, len(star.Dims))
-	for i := range ids {
-		ids[i] = spec.IDOf(t.LeafMembers(i, buf))
-		counts[ids[i]]++
-	}
-	// Pass 2: distribute rows.
-	for id, c := range counts {
-		f := &fragment{rows: c, cols: kernel.Columns{Dims: make([][]int32, len(star.Dims)),
-			Units: make([]int64, 0, c), Dollars: make([]int64, 0, c), Costs: make([]int64, 0, c)}}
-		for d := range f.cols.Dims {
-			f.cols.Dims[d] = make([]int32, 0, c)
-		}
-		e.frags[id] = f
-	}
-	for i, id := range ids {
-		f := e.frags[id]
-		for d, col := range f.cols.Dims {
-			f.cols.Dims[d] = append(col, t.Dims[d][i])
-		}
-		f.cols.Units = append(f.cols.Units, t.UnitsSold[i])
-		f.cols.Dollars = append(f.cols.Dollars, t.DollarSales[i])
-		f.cols.Costs = append(f.cols.Costs, t.Cost[i])
-	}
-	// Pass 3: per-fragment index construction.
-	for _, f := range e.frags {
+	// Each fragment indexes its capped range of the one partition in place.
+	p := kernel.NewPartition(spec, t)
+	for k, id := range p.IDs {
+		f := &fragment{rows: p.Starts[k+1] - p.Starts[k], cols: p.Fragment(k)}
 		e.buildIndexes(f)
+		e.frags[id] = f
 	}
 	return e, nil
 }

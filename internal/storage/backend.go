@@ -111,9 +111,10 @@ func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) 
 func (w *factWriter) addSegments(segs []*frag.DeltaSegment) {
 	for _, seg := range segs {
 		cols := kernel.Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
-		for i := 0; i < seg.Rows(); i++ {
-			w.add(cols, i)
+		if w.err == nil {
+			w.err = checkColumns(cols)
 		}
+		w.add(cols)
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,9 +135,9 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 	}
 	sc := blockScratch{keys: make([][]int32, len(s.star.Dims)), payloads: make([][]byte, ix.NumBitmaps())}
 	for d := range sc.keys {
-		sc.keys[d] = make([]int32, 0, most)
+		sc.keys[d] = make([]int32, most)
 	}
-	var block []byte
+	block := make([]byte, min((int(most)+s.tpp-1)/s.tpp, carryPages)*s.pageSize)
 	for _, id := range s.order {
 		if blk, ok := carried(id); ok {
 			block, err = bf.carryBlock(old, id, blk, block)
@@ -151,7 +152,7 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 }
 
 // blockScratch is the reusable buffer set of one writeBitmaps call: every
-// block it rebuilds reads its keys, builds and encodes one bitmap at a
+// block it rebuilds decodes its keys, builds and encodes one bitmap at a
 // time and lays out its payloads in the same buffers, so a call allocates
 // for its largest block rather than for every bitmap of every block.
 type blockScratch struct {
@@ -162,33 +163,42 @@ type blockScratch struct {
 }
 
 // buildBlock computes the fragment's bitmap fragments from its rows in
-// the store — read back page by page, every page verified — and writes
-// them as the fragment's block. block is the reusable page buffer,
-// returned grown.
+// the store — read back into block with one read per run of up to
+// carryPages pages (one read for all but the largest fragments), every
+// page verified, and decoded straight off the pages — and writes them as
+// the fragment's block. block is the reusable page buffer, returned grown.
 func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *blockScratch, block []byte) ([]byte, error) {
-	keys := sc.keys
+	loc := s.dir[id]
+	rows, keys := int(loc.Rows), sc.keys
 	for d := range keys {
-		keys[d] = keys[d][:0]
+		keys[d] = keys[d][:rows]
 	}
-	err := s.ScanFragment(id, func(tp Tuple) {
-		for d := range tp.Keys {
-			keys[d] = append(keys[d], int32(tp.Keys[d]))
+	for run := 0; run < int(loc.Pages); run += carryPages {
+		pages, err := s.ReadPagesInto(block, id, run, min(carryPages, int(loc.Pages)-run))
+		if err != nil {
+			return block, err
 		}
-	})
-	if err != nil {
-		return block, err
+		block = pages
+		for p := 0; p*s.pageSize < len(pages); p++ {
+			page, lo := pages[p*s.pageSize:], (run+p)*s.tpp
+			for d, col := range keys {
+				out := col[lo:min(lo+s.tpp, rows)]
+				for r := range out {
+					out[r] = int32(binary.LittleEndian.Uint16(page[r*s.tupleSize+2*d:]))
+				}
+			}
+		}
 	}
-	rows := s.dir[id].Rows
 	for i, desc := range bf.ix.Descs() {
 		bs := buildBitmapFragment(&sc.bits, bf.star, bf.ix.Layout(desc.Dim), desc, keys[desc.Dim])
 		if bf.compressed {
 			sc.payloads[i] = encodeCompressed(sc.payloads[i], bitmap.CompressInto(&sc.wah, bs))
 		} else {
-			sc.payloads[i] = sized(sc.payloads[i], (int(rows)+7)/8)
+			sc.payloads[i] = sized(sc.payloads[i], (rows+7)/8)
 			packBits(bs, sc.payloads[i])
 		}
 	}
-	return bf.writeBlock(id, rows, sc.payloads, block)
+	return bf.writeBlock(id, loc.Rows, sc.payloads, block)
 }
 
 // writeBlock packs one fact fragment's payloads into allocation units

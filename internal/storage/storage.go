@@ -24,7 +24,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/data"
 	"repro/internal/frag"
@@ -89,9 +88,10 @@ func TuplesPerPage(star *schema.Star) int { return star.PageSize / TupleSize(sta
 // Build partitions the table per spec and writes the fact file and
 // directory into dir (created if needed). Fragments are written in
 // allocation order; each fragment starts on a fresh page. It is the
-// fragment writer with every fragment new and its rows taken from the
-// table; Backend.Compact is the same writer over an old epoch's pages
-// and a delta set.
+// fragment writer with every fragment new and its rows taken, front to
+// back, from the table's partition; Backend.Compact is the same writer
+// over an old epoch's pages and a delta set. The measures are checked in
+// table order first, so an error names the table row.
 func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	star := t.Star
 	for i := range star.Dims {
@@ -99,29 +99,16 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 			return nil, fmt.Errorf("storage: dimension %s cardinality %d exceeds uint16 keys", star.Dims[i].Name, star.Dims[i].LeafCard())
 		}
 	}
-
-	// Partition row indices by fragment.
-	byFrag := make(map[int64][]int32)
-	buf := make([]int, len(star.Dims))
-	for i := 0; i < t.N(); i++ {
-		id := spec.IDOf(t.LeafMembers(i, buf))
-		byFrag[id] = append(byFrag[id], int32(i))
+	if err := checkColumns(kernel.Columns{Units: t.UnitsSold, Dollars: t.DollarSales, Costs: t.Cost}); err != nil {
+		return nil, err
 	}
-	order := make([]int64, 0, len(byFrag))
-	for id := range byFrag {
-		order = append(order, id)
-	}
-	slices.Sort(order)
-
 	w, err := newFactWriter(dirPath, star, spec)
 	if err != nil {
 		return nil, err
 	}
-	cols := kernel.Columns{Dims: t.Dims, Units: t.UnitsSold, Dollars: t.DollarSales, Costs: t.Cost}
-	for _, id := range order {
-		for _, ri := range byFrag[id] {
-			w.add(cols, int(ri))
-		}
+	p := kernel.NewPartition(spec, t)
+	for k, id := range p.IDs {
+		w.add(p.Fragment(k))
 		w.end(id)
 	}
 	return w.finish()
@@ -130,15 +117,19 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 // factWriter writes one epoch's fact file fragment by fragment, in
 // allocation order: the open fragment's rows are encoded into pages
 // (add), or taken over from an older epoch's file (carry), until end
-// closes it and enters it into the directory. The first write error
+// closes it and enters it into the directory. Encoded pages collect in a
+// run of up to carryPages, written with one call. The first write error
 // sticks and is reported by finish.
 type factWriter struct {
-	s    *Store
-	dir  string
-	page []byte // the open page; bytes past fill are zero
-	fill int    // bytes of page in use
-	rows int    // rows of the open fragment
-	buf  []byte // carry's copy buffer, carryPages long
+	s   *Store
+	dir string
+	// run holds the run's full pages, whose checksums are sums, then the
+	// open page, fill bytes of it in use; bytes past fill are zero. carry
+	// copies through it too.
+	run  []byte
+	sums []uint32
+	fill int
+	rows int // rows of the open fragment
 	err  error
 }
 
@@ -151,7 +142,7 @@ func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWri
 		return nil, err
 	}
 	s := newStore(star, spec, f)
-	return &factWriter{s: s, dir: dirPath, page: make([]byte, s.pageSize)}, nil
+	return &factWriter{s: s, dir: dirPath, run: make([]byte, carryPages*s.pageSize)}, nil
 }
 
 // ErrMeasureRange is wrapped by the error that refuses a fact row whose
@@ -170,33 +161,58 @@ func CheckMeasures(row int, unitsSold, dollarSales, cost int64) error {
 	return nil
 }
 
-// add appends row i of cols to the open fragment.
-func (w *factWriter) add(cols kernel.Columns, i int) {
-	if w.err == nil {
-		w.err = CheckMeasures(i, cols.Units[i], cols.Dollars[i], cols.Costs[i])
+// checkColumns returns CheckMeasures' error for the first row of cols
+// whose measures do not fit, or nil.
+func checkColumns(cols kernel.Columns) error {
+	for i, u := range cols.Units {
+		if d, c := cols.Dollars[i], cols.Costs[i]; u != int64(int32(u)) || d != int64(int32(d)) || c != int64(int32(c)) {
+			return CheckMeasures(i, u, d, c)
+		}
 	}
-	if w.fill == w.s.tpp*w.s.tupleSize {
-		w.flush()
-	}
-	off := w.fill
-	for d := range cols.Dims {
-		binary.LittleEndian.PutUint16(w.page[off:], uint16(cols.Dims[d][i]))
-		off += 2
-	}
-	binary.LittleEndian.PutUint32(w.page[off:], uint32(cols.Units[i]))
-	binary.LittleEndian.PutUint32(w.page[off+4:], uint32(cols.Dollars[i]))
-	binary.LittleEndian.PutUint32(w.page[off+8:], uint32(cols.Costs[i]))
-	w.fill = off + 12
-	w.rows++
+	return nil
 }
 
-// flush writes the open page with its checksum and starts an empty one.
-func (w *factWriter) flush() {
-	if w.err == nil {
-		_, w.err = w.s.appendPages(w.page, []uint32{pageCRC(w.page)})
+// add appends the rows of cols, whose measures fit, to the open fragment,
+// a page at a time and within a page a column at a time.
+func (w *factWriter) add(cols kernel.Columns) {
+	ts, n := w.s.tupleSize, len(cols.Units)
+	for lo := 0; lo < n; {
+		if w.fill == w.s.tpp*ts {
+			w.flush(false)
+		}
+		hi := min(n, lo+w.s.tpp-w.fill/ts)
+		page, m := w.run[len(w.sums)*w.s.pageSize+w.fill:], 2*len(cols.Dims)
+		for d, col := range cols.Dims {
+			for r, v := range col[lo:hi] {
+				binary.LittleEndian.PutUint16(page[r*ts+2*d:], uint16(v))
+			}
+		}
+		dollars, costs := cols.Dollars[lo:hi], cols.Costs[lo:hi]
+		for r, u := range cols.Units[lo:hi] {
+			binary.LittleEndian.PutUint64(page[r*ts+m:], uint64(uint32(u))|uint64(uint32(dollars[r]))<<32)
+			binary.LittleEndian.PutUint32(page[r*ts+m+8:], uint32(costs[r]))
+		}
+		w.fill += (hi - lo) * ts
+		lo = hi
 	}
-	clear(w.page[:w.fill])
-	w.fill = 0
+	w.rows += n
+}
+
+// flush closes the open page, if it holds rows, with its checksum; once
+// the run holds carryPages pages, or at the fragment's end, the run is
+// written with one call and emptied.
+func (w *factWriter) flush(end bool) {
+	ps := w.s.pageSize
+	if w.fill > 0 {
+		w.sums, w.fill = append(w.sums, pageCRC(w.run[len(w.sums)*ps:][:ps])), 0
+	}
+	if n := len(w.sums) * ps; end || len(w.sums) == carryPages {
+		if w.err == nil && n > 0 {
+			_, w.err = w.s.appendPages(w.run[:n], w.sums)
+		}
+		clear(w.run[:n])
+		w.sums = w.sums[:0]
+	}
 }
 
 // carry opens the fragment with the rows it holds in the old epoch's
@@ -218,9 +234,6 @@ func (w *factWriter) carry(old *Store, id int64, reopen bool) {
 		n, tail = int(loc.Rows)/old.tpp, int(loc.Rows)%old.tpp
 	}
 	w.rows = int(loc.Rows)
-	if w.buf == nil {
-		w.buf = make([]byte, carryPages*old.pageSize)
-	}
 	read := func(page int64, buf []byte) {
 		if w.err != nil {
 			return
@@ -229,31 +242,33 @@ func (w *factWriter) carry(old *Store, id int64, reopen bool) {
 			w.err = fmt.Errorf("storage: carrying %d fact pages of fragment %d from page %d: %w", len(buf)/old.pageSize, id, page, err)
 		}
 	}
+	used := 0 // bytes of the run the copies overwrote
 	for p := 0; p < n; p += carryPages {
 		c, first := min(carryPages, n-p), loc.PageOff+int64(p)
-		read(first, w.buf[:c*old.pageSize])
+		used = max(used, c*old.pageSize)
+		read(first, w.run[:c*old.pageSize])
 		if w.err == nil {
-			_, w.err = w.s.appendPages(w.buf[:c*old.pageSize], old.sums[first:first+int64(c)])
+			_, w.err = w.s.appendPages(w.run[:c*old.pageSize], old.sums[first:first+int64(c)])
 		}
 	}
 	if tail > 0 {
-		last, page := w.buf[:old.pageSize], loc.PageOff+int64(n)
+		last, page := w.run[:old.pageSize], loc.PageOff+int64(n)
+		used = max(used, old.pageSize)
 		read(page, last)
 		if w.err == nil {
 			w.err = old.verify(last, page, id)
 		}
 		if w.err == nil {
-			w.fill = copy(w.page, last[:tail*old.tupleSize])
+			w.fill = tail * old.tupleSize
 		}
 	}
+	clear(w.run[w.fill:used])
 }
 
 // end closes the open fragment — a partly filled last page is written
 // zero-padded — and enters it into the directory.
 func (w *factWriter) end(id int64) {
-	if w.fill > 0 {
-		w.flush()
-	}
+	w.flush(true)
 	s := w.s
 	pages := (w.rows + s.tpp - 1) / s.tpp
 	s.dir[id] = FragLoc{PageOff: int64(len(s.sums) - pages), Pages: int32(pages), Rows: int32(w.rows)}
@@ -485,34 +500,24 @@ func (s *Store) ReadGranuleCtx(ctx context.Context, buf []byte, id int64, start,
 	return s.readPooled(ctx, buf, key, absPage, s.DiskOf(id))
 }
 
-// ScanFragment calls fn for every tuple of the fragment, reading it page
-// by page into one reused buffer. keys is reused across calls.
+// ScanFragment calls fn for every tuple of the fragment, read with one
+// read. Each call allocates the fragment's pages and a key slice; a
+// Tuple's Keys is that slice, overwritten for the next tuple, so fn must
+// copy what it keeps. It is the oracle scan: a build reads its fragments
+// back into its own scratch instead (BitmapFile.buildBlock).
 func (s *Store) ScanFragment(id int64, fn func(Tuple)) error {
 	loc, ok := s.dir[id]
 	if !ok {
 		return nil // empty fragment
 	}
-	tpp := s.tpp
+	pages, err := s.ReadPagesInto(nil, id, 0, int(loc.Pages))
+	if err != nil {
+		return err
+	}
 	keys := make([]uint16, len(s.star.Dims))
-	page := make([]byte, s.pageSize)
-	remaining := int(loc.Rows)
-	var err error
-	for p := 0; p < int(loc.Pages); p++ {
-		page, err = s.ReadPagesInto(page, id, p, 1)
-		if err != nil {
-			return err
-		}
-		n := tpp
-		if remaining < n {
-			n = remaining
-		}
-		off := 0
-		for i := 0; i < n; i++ {
-			var tp Tuple
-			tp, off = s.decodeTuple(page, off, keys)
-			fn(tp)
-		}
-		remaining -= n
+	for i := range int(loc.Rows) {
+		tp, _ := s.decodeTuple(pages, i/s.tpp*s.pageSize+i%s.tpp*s.tupleSize, keys)
+		fn(tp)
 	}
 	return nil
 }
