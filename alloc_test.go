@@ -59,3 +59,51 @@ func TestExecuteAllocationFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestServingStatsPollIsFlat: a ServingStats poll reads counters only —
+// it copies neither the observed query mix nor a per-disk slice — so it
+// allocates the same with observedQueryCap recorded queries as with none,
+// and on 8 disks as on 1, within a small constant.
+func TestServingStatsPollIsFlat(t *testing.T) {
+	const slack = 64 // bytes per poll
+	ctx := context.Background()
+	star := TinySchema()
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 5)}
+	poll := func(w *Warehouse) uint64 {
+		w.ServingStats()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			w.ServingStats()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	var base uint64 // one disk, nothing recorded
+	for _, disks := range []int{1, 8} {
+		w, err := Open(ctx, cfg, WithWorkers(2), WithDisks(disks, RoundRobin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		empty := poll(w)
+		for _, q := range distinctQueries(star, 4)[:observedQueryCap] {
+			if _, _, err := w.Query(q).Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(w.QueryMix().Queries); n != observedQueryCap {
+			t.Fatalf("%d disks: %d queries recorded, want %d", disks, n, observedQueryCap)
+		}
+		full := poll(w)
+		t.Logf("%d disks: %d B per poll with no query recorded, %d B with %d", disks, empty, full, observedQueryCap)
+		if disks == 1 {
+			base = empty
+		}
+		for _, b := range []uint64{empty, full} {
+			if b > base+slack || base > b+slack {
+				t.Errorf("%d disks: a poll allocated %d B with no query recorded and %d B with %d; %d B on one disk with none", disks, empty, full, observedQueryCap, base)
+			}
+		}
+	}
+}

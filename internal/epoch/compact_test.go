@@ -143,6 +143,31 @@ func (w *loadWorld) checkOracle(t *testing.T, what string, s *Store, rows *data.
 	}
 }
 
+// equalsRebuild fails unless the three files of the store's epoch are,
+// byte for byte, those of BuildBackend over rows.
+func (w *loadWorld) equalsRebuild(t *testing.T, what string, s *Store, epoch int64, rows *data.Table) {
+	t.Helper()
+	oracleDir := t.TempDir()
+	want, err := storage.BuildBackend(oracleDir, rows, w.spec, w.icfg, storage.BackendConfig{Compress: s.cfg.Compress, Sched: s.Sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	for _, file := range []string{"fact.dat", "bitmaps.dat", "meta.dat"} {
+		got, err := os.ReadFile(filepath.Join(s.RootDir(), fmt.Sprintf("epoch-%03d", epoch), file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := os.ReadFile(filepath.Join(oracleDir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("%s: %s differs from the from-scratch build", what, file)
+		}
+	}
+}
+
 func declustered(c *Config) {
 	c.Compress = true
 	c.Placement = alloc.Placement{Disks: 3, Scheme: alloc.RoundRobin, Staggered: true}
@@ -214,26 +239,7 @@ func TestCompactEpochEqualsRebuild(t *testing.T) {
 				} else if live > 0 {
 					raced = true
 				}
-				oracleDir := t.TempDir()
-				want, err := storage.BuildBackend(oracleDir, tableOf(w.star, w.base, w.batches[:folded]...), w.spec, w.icfg,
-					storage.BackendConfig{Compress: s.cfg.Compress, Sched: s.Sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want.Close()
-				for _, file := range []string{"fact.dat", "bitmaps.dat", "meta.dat"} {
-					got, err := os.ReadFile(filepath.Join(s.RootDir(), fmt.Sprintf("epoch-%03d", snap.Epoch), file))
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := os.ReadFile(filepath.Join(oracleDir, file))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, ref) {
-						t.Errorf("round %d: %s differs from the from-scratch build over %d batches", round, file, folded)
-					}
-				}
+				w.equalsRebuild(t, fmt.Sprintf("round %d (%d batches folded)", round, folded), s, snap.Epoch, tableOf(w.star, w.base, w.batches[:folded]...))
 				w.checkOracle(t, fmt.Sprintf("round %d", round), s, tableOf(w.star, w.base, w.batches[:acked]...))
 			}
 			if !raced {
@@ -248,6 +254,59 @@ func TestCompactEpochEqualsRebuild(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCompactScratchRacesAutoCompaction: the background compactor and
+// explicit Compact calls write every epoch through one build scratch,
+// which compactMu alone keeps them from sharing. A writer appends with
+// auto-compaction due every two batches while Compact is called in a
+// loop; once the writer is done, a last Compact leaves an epoch whose
+// files are those of a fresh build over every acknowledged batch, and
+// whose answers are the scan oracle's. Under the race detector, two
+// compactions in the scratch at once are reported.
+func TestCompactScratchRacesAutoCompaction(t *testing.T) {
+	w := newLoadWorld(t)
+	n := min(len(w.batches), 16)
+	s := w.open(t, t.TempDir(), func(c *Config) { declustered(c); c.AutoCompact = 2 * loadBatchRows })
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.End()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range w.batches[:n] {
+			if err := s.Append(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { <-done }() // the writer is done before the store closes
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false
+		default:
+		}
+		if err := s.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, rows := s.Current(), tableOf(w.star, w.base, w.batches[:n]...)
+	if snap.Deltas.Rows() != 0 {
+		t.Fatalf("%d delta rows left after the last compaction", snap.Deltas.Rows())
+	}
+	w.equalsRebuild(t, "after the last compaction", s, snap.Epoch, rows)
+	w.checkOracle(t, "after the last compaction", s, rows)
 }
 
 // TestFailedCompactLeavesEpochIntact: a flipped byte in the last, partly

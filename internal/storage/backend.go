@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/alloc"
+	"repro/internal/bitmap"
 	"repro/internal/data"
 	"repro/internal/exec"
 	"repro/internal/frag"
@@ -46,7 +47,34 @@ type Backend struct {
 	Exec      *Executor
 	Disks     *DiskSet
 	Placement alloc.Placement
+	// scratch is what the backend was built through; Compact writes the
+	// next epoch through it and hands it on.
+	scratch *buildScratch
 }
+
+// buildScratch is the buffer set a store's builds write through: the
+// fact writer's run, the meta file's bytes, and the bitmap blocks' pages,
+// key columns, payloads, sizes and checksums, in which every rebuilt
+// block decodes its keys and builds and encodes one bitmap at a time.
+// BuildBackend makes it and Compact hands it to the backend it writes,
+// so it lives as long as the store, not the epoch: every buffer grows
+// geometrically (grow), and a hot fragment that grew by a batch is
+// rebuilt in the buffers of the last compaction. Nothing locks it: a
+// store runs one compaction at a time (epoch.Store.compactMu), and that
+// lock is what keeps two writers off the scratch.
+type buildScratch struct {
+	run, meta, block []byte
+	keys             [][]int32
+	payloads         [][]byte
+	sizes            []int
+	sums             []uint32
+	bits             bitmap.Bitset
+	wah              bitmap.Compressed
+}
+
+// grow returns buf with length n and unspecified contents, reallocated —
+// geometrically, as append grows — only when its capacity is short.
+func grow[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // BuildBackend writes the fragmented fact table and its surviving bitmap
 // fragments into dir and assembles the executor over them, optionally
@@ -54,12 +82,13 @@ type Backend struct {
 // the failure is closed before returning (the directory itself is left to
 // the caller, which owns its lifecycle).
 func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexConfig, cfg BackendConfig) (*Backend, error) {
-	store, err := Build(dir, t, spec)
+	sc := new(buildScratch)
+	store, err := build(dir, t, spec, sc)
 	if err != nil {
 		return nil, err
 	}
-	bf, err := buildBitmaps(dir, store, icfg, cfg.Compress)
-	return assemble(store, bf, err, cfg)
+	bf, err := buildBitmaps(dir, store, icfg, cfg.Compress, sc)
+	return assemble(store, bf, err, cfg, sc)
 }
 
 // Compact writes into dir the backend of the next epoch: this one's rows
@@ -73,12 +102,14 @@ func BuildBackend(dir string, t *data.Table, spec *frag.Spec, icfg frag.IndexCon
 // stay open (pinned) for the duration; it is only read, and only by
 // plain reads of its files — never through its disk set. cfg assembles
 // the new backend as in BuildBackend, except that the bitmap encoding is
-// b's and the executor keeps its worker scratch in b's lists, which both
-// epochs' tasks then share. On error nothing stays open and
-// dir is left to the caller.
+// b's, the executor keeps its worker scratch in b's lists, which both
+// epochs' tasks then share, and the files are written through b's build
+// scratch, which the new backend inherits: one Compact at a time over b
+// and its successors. On error nothing stays open and dir is left to
+// the caller.
 func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) (*Backend, error) {
-	old := b.Store
-	w, err := newFactWriter(dir, old.star, old.spec)
+	old, sc := b.Store, b.scratch
+	w, err := newFactWriter(dir, old.star, old.spec, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +129,8 @@ func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) 
 	if err != nil {
 		return nil, err
 	}
-	bf, err := writeBitmaps(dir, store, b.Bitmaps.ix, b.Bitmaps.compressed, b.Bitmaps, deltas)
-	nb, err := assemble(store, bf, err, cfg)
+	bf, err := writeBitmaps(dir, store, b.Bitmaps.ix, b.Bitmaps.compressed, b.Bitmaps, deltas, sc)
+	nb, err := assemble(store, bf, err, cfg, sc)
 	if err == nil {
 		// Same schema, same bitmaps: the worker scratch carries over.
 		nb.Exec.solo, nb.Exec.shared = b.Exec.solo, b.Exec.shared
@@ -119,13 +150,14 @@ func (w *factWriter) addSegments(segs []*frag.DeltaSegment) {
 }
 
 // assemble turns a written store and bitmap file (or the error writing
-// the latter) into a serving backend per cfg, closing both on failure.
-func assemble(store *Store, bf *BitmapFile, err error, cfg BackendConfig) (*Backend, error) {
+// the latter) into a serving backend per cfg, closing both on failure;
+// sc is the build scratch both were written through.
+func assemble(store *Store, bf *BitmapFile, err error, cfg BackendConfig, sc *buildScratch) (*Backend, error) {
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	b := &Backend{Store: store, Bitmaps: bf, Placement: cfg.Placement}
+	b := &Backend{Store: store, Bitmaps: bf, Placement: cfg.Placement, scratch: sc}
 	b.Placement.Disks = max(b.Placement.Disks, 1)
 	// A fresh set: the build's own reads are not served queries.
 	if b.Disks, err = Decluster(store, bf, b.Placement); err != nil {

@@ -357,8 +357,10 @@ func TestWriterRefusesWideMeasures(t *testing.T) {
 // TestCompactAllocatesForTouchedFragments: each touched fragment a
 // compaction rebuilds beyond the first costs at most 2 kB of allocation
 // (measured between 1 and 32 touched fragments) — its block is built in
-// the call's reused buffers, and carried fragments cost a directory entry
-// and a copy through one reused buffer.
+// the store's reused build scratch, and carried fragments cost a
+// directory entry and a copy through one reused buffer. A compaction
+// that is thrown away first warms the scratch, which would otherwise
+// charge its growth to whichever set is measured first.
 func TestCompactAllocatesForTouchedFragments(t *testing.T) {
 	sched := exec.NewScheduler(1)
 	defer sched.Close()
@@ -386,10 +388,86 @@ func TestCompactAllocatesForTouchedFragments(t *testing.T) {
 		next.Close()
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	measure(all)
 	a1, a32 := measure(one), measure(all)
 	t.Logf("TotalAlloc: 1 touched fragment %d B, 32 touched fragments %d B", a1, a32)
 	if a32 > a1 && (a32-a1)/31 > 2048 {
 		t.Errorf("each touched fragment beyond the first allocated %d B, more than 2048 B (1 touched: %d B, 32 touched: %d B)", (a32-a1)/31, a1, a32)
+	}
+}
+
+// TestCompactScratchCarriesNoStaleBytes: four compactions in a row write
+// through one build scratch, handed from backend to backend — a hot
+// fragment grown past all others, the same delta shape on it again, a
+// smaller fragment alone, then a touched set neither was in, one
+// fragment new — and after each the three files are those of a fresh
+// build over the same rows, compressed and packed: nothing a larger
+// block left in the scratch leaks into a smaller one. The second
+// compaction of the hot fragment finds the buffers the first grew for
+// it — three int32 key columns, payloads and pages — so it allocates at
+// least 4 × 4 B less per row the first rebuilt.
+func TestCompactScratchCarriesNoStaleBytes(t *testing.T) {
+	sched := exec.NewScheduler(2)
+	defer sched.Close()
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			fx := newCompactFixture(t, 13)
+			cfg := BackendConfig{Compress: compress, Sched: sched}
+			cur, err := BuildBackend(t.TempDir(), fx.rows, fx.spec, fx.icfg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { cur.Close() }()
+			// hot, grown past every other fragment, is the last block a
+			// compaction writes and small the first, so small's block
+			// is laid out over what hot's left in the scratch.
+			ids := cur.Store.Fragments()
+			hot, small := ids[len(ids)-1], ids[0]
+			batch := len(fx.spare[hot]) / 3
+			folds := []func() *frag.DeltaSet{
+				func() *frag.DeltaSet { return fx.seal(t, nil, hot, batch) },
+				func() *frag.DeltaSet { return fx.seal(t, nil, hot, batch) },
+				func() *frag.DeltaSet { return fx.seal(t, nil, small, 1) },
+				func() *frag.DeltaSet {
+					set := fx.seal(t, nil, 13, 5)
+					set = fx.seal(t, set, 2, 7)
+					return fx.seal(t, set, 17, 7)
+				},
+			}
+			allocs := make([]uint64, len(folds))
+			var rows uint64 // the hot fragment's, as the first compaction rebuilt it
+			for round, fold := range folds {
+				set := fold()
+				dir, oracleDir := t.TempDir(), t.TempDir()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				next, err := cur.Compact(dir, set, cfg)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				allocs[round] = after.TotalAlloc - before.TotalAlloc
+				if next.scratch != cur.scratch {
+					t.Errorf("round %d: the new backend does not inherit the build scratch", round)
+				}
+				want, err := BuildBackend(oracleDir, fx.rows, fx.spec, fx.icfg, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameFiles(t, fmt.Sprintf("round %d", round), dir, oracleDir)
+				want.Close()
+				cur.Close()
+				cur = next
+				if round == 0 {
+					rows = uint64(cur.Store.dir[hot].Rows)
+				}
+			}
+			t.Logf("TotalAlloc per compaction %v; the first rebuilt fragment %d with %d rows", allocs, hot, rows)
+			if allocs[1]+4*rows*4 > allocs[0] {
+				t.Errorf("the second %d-row delta on fragment %d allocated %d B, the first %d B: want at least %d B less",
+					batch, hot, allocs[1], allocs[0], 4*rows*4)
+			}
+		})
 	}
 }
 

@@ -74,33 +74,34 @@ func (b bitmapBlock) pages() int64 {
 // BuildBitmaps constructs and persists the surviving bitmap fragments for
 // an already-built fact store, uncompressed.
 func BuildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile, error) {
-	return buildBitmaps(dirPath, s, icfg, false)
+	return buildBitmaps(dirPath, s, icfg, false, new(buildScratch))
 }
 
 // BuildCompressedBitmaps is BuildBitmaps with WAH compression applied to
 // every bitmap fragment before it is laid into its unit.
 func BuildCompressedBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile, error) {
-	return buildBitmaps(dirPath, s, icfg, true)
+	return buildBitmaps(dirPath, s, icfg, true, new(buildScratch))
 }
 
 // buildBitmaps writes the bitmap file of a store whose every fragment is
-// new: each block is built from the fragment's rows.
-func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool) (*BitmapFile, error) {
+// new: each block is built from the fragment's rows, through sc.
+func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool, sc *buildScratch) (*BitmapFile, error) {
 	ix, err := frag.NewDeltaIndex(s.spec, icfg)
 	if err != nil {
 		return nil, err
 	}
-	return writeBitmaps(dirPath, s, ix, compress, nil, nil)
+	return writeBitmaps(dirPath, s, ix, compress, nil, nil, sc)
 }
 
 // writeBitmaps writes the bitmap file of store s block by block, in
 // allocation order: a fragment that old holds and deltas has no segment
 // of has its block carried over from old (nil: nothing is carried);
-// every other block is built from the fragment's rows in s. The file
+// every other block is built from the fragment's rows in s, in sc's
+// buffers, which are grown for the largest block rebuilt. The file
 // reads through s's disk set and placement. On any error
 // the half-written file is closed and removed, so a failed build (a
 // failed compaction) leaves nothing behind in the directory.
-func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, old *BitmapFile, deltas *frag.DeltaSet) (_ *BitmapFile, err error) {
+func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, old *BitmapFile, deltas *frag.DeltaSet, sc *buildScratch) (_ *BitmapFile, err error) {
 	path := filepath.Join(dirPath, bitmapFileName)
 	f, err := os.Create(path)
 	if err != nil {
@@ -133,16 +134,16 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 			most = max(most, s.dir[id].Rows)
 		}
 	}
-	sc := blockScratch{keys: make([][]int32, len(s.star.Dims)), payloads: make([][]byte, ix.NumBitmaps())}
+	sc.keys, sc.payloads = grow(sc.keys, len(s.star.Dims)), grow(sc.payloads, ix.NumBitmaps())
 	for d := range sc.keys {
-		sc.keys[d] = make([]int32, most)
+		sc.keys[d] = grow(sc.keys[d], int(most))
 	}
-	block := make([]byte, min((int(most)+s.tpp-1)/s.tpp, carryPages)*s.pageSize)
+	sc.block = grow(sc.block, min((int(most)+s.tpp-1)/s.tpp, carryPages)*s.pageSize)
 	for _, id := range s.order {
 		if blk, ok := carried(id); ok {
-			block, err = bf.carryBlock(old, id, blk, block)
+			err = bf.carryBlock(old, id, blk, sc)
 		} else {
-			block, err = bf.buildBlock(s, id, &sc, block)
+			err = bf.buildBlock(s, id, sc)
 		}
 		if err != nil {
 			return nil, err
@@ -151,34 +152,22 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 	return bf, nil
 }
 
-// blockScratch is the reusable buffer set of one writeBitmaps call: every
-// block it rebuilds decodes its keys, builds and encodes one bitmap at a
-// time and lays out its payloads in the same buffers, so a call allocates
-// for its largest block rather than for every bitmap of every block.
-type blockScratch struct {
-	keys     [][]int32
-	bits     bitmap.Bitset
-	wah      bitmap.Compressed
-	payloads [][]byte
-}
-
 // buildBlock computes the fragment's bitmap fragments from its rows in
-// the store — read back into block with one read per run of up to
+// the store — read back into sc.block with one read per run of up to
 // carryPages pages (one read for all but the largest fragments), every
 // page verified, and decoded straight off the pages — and writes them as
-// the fragment's block. block is the reusable page buffer, returned grown.
-func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *blockScratch, block []byte) ([]byte, error) {
+// the fragment's block.
+func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *buildScratch) error {
 	loc := s.dir[id]
 	rows, keys := int(loc.Rows), sc.keys
 	for d := range keys {
 		keys[d] = keys[d][:rows]
 	}
 	for run := 0; run < int(loc.Pages); run += carryPages {
-		pages, err := s.ReadPagesInto(block, id, run, min(carryPages, int(loc.Pages)-run))
+		pages, err := s.ReadPagesInto(sc.block, id, run, min(carryPages, int(loc.Pages)-run))
 		if err != nil {
-			return block, err
+			return err
 		}
-		block = pages
 		for p := 0; p*s.pageSize < len(pages); p++ {
 			page, lo := pages[p*s.pageSize:], (run+p)*s.tpp
 			for d, col := range keys {
@@ -194,54 +183,55 @@ func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *blockScratch, block []b
 		if bf.compressed {
 			sc.payloads[i] = encodeCompressed(sc.payloads[i], bitmap.CompressInto(&sc.wah, bs))
 		} else {
-			sc.payloads[i] = sized(sc.payloads[i], (rows+7)/8)
+			sc.payloads[i] = grow(sc.payloads[i], (rows+7)/8)
 			packBits(bs, sc.payloads[i])
 		}
 	}
-	return bf.writeBlock(id, loc.Rows, sc.payloads, block)
+	return bf.writeBlock(id, loc.Rows, sc)
 }
 
-// writeBlock packs one fact fragment's payloads into allocation units
-// and appends the block to the file. block is the reusable page buffer,
-// returned grown.
-func (bf *BitmapFile) writeBlock(id int64, rows int32, payloads [][]byte, block []byte) ([]byte, error) {
-	sizes := make([]int, len(payloads))
-	for i, p := range payloads {
-		sizes[i] = len(p)
+// writeBlock packs one fact fragment's payloads, sc.payloads, into
+// allocation units laid out in sc.block and appends the block to the
+// file.
+func (bf *BitmapFile) writeBlock(id int64, rows int32, sc *buildScratch) error {
+	sc.sizes = grow(sc.sizes, len(sc.payloads))
+	for i, p := range sc.payloads {
+		sc.sizes[i] = len(p)
 	}
 	blk := bitmapBlock{
 		rows:  rows,
-		slots: frag.PackBitmapUnits(make([]frag.BitmapSlot, 0, len(payloads)), sizes, bf.pageSize),
+		slots: frag.PackBitmapUnits(make([]frag.BitmapSlot, 0, len(sc.payloads)), sc.sizes, bf.pageSize),
 	}
-	block = sized(block, int(blk.pages())*bf.pageSize)
-	clear(block)
+	sc.block = grow(sc.block, int(blk.pages())*bf.pageSize)
+	clear(sc.block)
 	for i, sl := range blk.slots {
-		copy(block[int(sl.Page)*bf.pageSize+int(sl.Off):], payloads[i])
+		copy(sc.block[int(sl.Page)*bf.pageSize+int(sl.Off):], sc.payloads[i])
 	}
-	sums := make([]uint32, 0, blk.pages())
-	for off := 0; off < len(block); off += bf.pageSize {
-		sums = append(sums, pageCRC(block[off:off+bf.pageSize]))
+	sc.sums = grow(sc.sums, int(blk.pages()))
+	for i := range sc.sums {
+		sc.sums[i] = pageCRC(sc.block[i*bf.pageSize : (i+1)*bf.pageSize])
 	}
 	var err error
-	blk.page, err = bf.appendPages(block, sums)
+	blk.page, err = bf.appendPages(sc.block, sc.sums)
 	bf.blocks[id] = blk
-	return block, err
+	return err
 }
 
 // carryBlock appends fragment id's block of the old epoch's file byte
 // for byte, with its checksum entries: slots are block-relative, so only
 // the block's first page is re-based. Like factWriter.carry it reads
-// straight off the old file and neither decodes nor verifies.
-func (bf *BitmapFile) carryBlock(old *BitmapFile, id int64, blk bitmapBlock, block []byte) ([]byte, error) {
-	block = sized(block, int(blk.pages())*bf.pageSize)
+// straight off the old file, through sc.block, and neither decodes nor
+// verifies.
+func (bf *BitmapFile) carryBlock(old *BitmapFile, id int64, blk bitmapBlock, sc *buildScratch) error {
+	sc.block = grow(sc.block, int(blk.pages())*bf.pageSize)
 	byteOff := blk.page * int64(bf.pageSize)
-	if _, err := old.file.ReadAt(block, byteOff); err != nil {
-		return block, fmt.Errorf("storage: carrying bitmap block of fragment %d at offset %d: %w", id, byteOff, err)
+	if _, err := old.file.ReadAt(sc.block, byteOff); err != nil {
+		return fmt.Errorf("storage: carrying bitmap block of fragment %d at offset %d: %w", id, byteOff, err)
 	}
 	var err error
-	blk.page, err = bf.appendPages(block, old.sums[blk.page:blk.page+blk.pages()])
+	blk.page, err = bf.appendPages(sc.block, old.sums[blk.page:blk.page+blk.pages()])
 	bf.blocks[id] = blk
-	return block, err
+	return err
 }
 
 // sized returns buf with length n, reallocated when its capacity is short.
@@ -257,7 +247,7 @@ func sized(buf []byte, n int) []byte {
 // little endian.
 func encodeCompressed(out []byte, c *bitmap.Compressed) []byte {
 	words := c.Words()
-	out = sized(out, 8+8*len(words))
+	out = grow(out, 8+8*len(words))
 	putU32(out, uint32(c.Len()))
 	putU32(out[4:], uint32(len(words)))
 	for i, w := range words {

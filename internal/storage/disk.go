@@ -106,18 +106,34 @@ func (ds *DiskSet) SetIODelay(d time.Duration) {
 func (ds *DiskSet) Stats() []DiskStats {
 	out := make([]DiskStats, len(ds.disks))
 	for i := range ds.disks {
-		out[i] = DiskStats{
-			IOs:              ds.disks[i].ios.Load(),
-			Pages:            ds.disks[i].pages.Load(),
-			PoolHits:         ds.disks[i].poolHits.Load(),
-			PoolPages:        ds.disks[i].poolPages.Load(),
-			Retries:          ds.disks[i].retries.Load(),
-			BreakerTrips:     ds.disks[i].trips.Load(),
-			ChecksumFailures: ds.disks[i].checksumFails.Load(),
-			InjectedFaults:   ds.disks[i].injected.Load(),
-		}
+		out[i] = ds.disks[i].stats()
 	}
 	return out
+}
+
+// Sum is Stats added up over the disks, without the per-disk slice.
+func (ds *DiskSet) Sum() (t DiskStats) {
+	for i := range ds.disks {
+		d := ds.disks[i].stats()
+		t.IOs, t.Pages, t.PoolHits, t.PoolPages = t.IOs+d.IOs, t.Pages+d.Pages, t.PoolHits+d.PoolHits, t.PoolPages+d.PoolPages
+		t.Retries, t.BreakerTrips = t.Retries+d.Retries, t.BreakerTrips+d.BreakerTrips
+		t.ChecksumFailures, t.InjectedFaults = t.ChecksumFailures+d.ChecksumFailures, t.InjectedFaults+d.InjectedFaults
+	}
+	return t
+}
+
+// stats snapshots the disk's counters.
+func (q *diskQueue) stats() DiskStats {
+	return DiskStats{
+		IOs:              q.ios.Load(),
+		Pages:            q.pages.Load(),
+		PoolHits:         q.poolHits.Load(),
+		PoolPages:        q.poolPages.Load(),
+		Retries:          q.retries.Load(),
+		BreakerTrips:     q.trips.Load(),
+		ChecksumFailures: q.checksumFails.Load(),
+		InjectedFaults:   q.injected.Load(),
+	}
 }
 
 // ResetStats zeroes the per-disk access counters.

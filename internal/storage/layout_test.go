@@ -37,9 +37,10 @@ func rawBitmapFile(t testing.TB, pageSize int, compressed bool, rows []int32, pa
 	bf := &BitmapFile{pagedFile: pagedFile{file: f, name: "bitmaps", pageSize: pageSize, disks: ds, placement: p},
 		blocks: make(map[int64]bitmapBlock), compressed: compressed}
 	t.Cleanup(func() { bf.Close() })
-	var block []byte
+	var sc buildScratch
 	for i := range payloads {
-		if block, err = bf.writeBlock(int64(i), rows[i], payloads[i], block); err != nil {
+		sc.payloads = payloads[i]
+		if err := bf.writeBlock(int64(i), rows[i], &sc); err != nil {
 			t.Fatal(err)
 		}
 	}

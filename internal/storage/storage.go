@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/frag"
@@ -93,6 +94,11 @@ func TuplesPerPage(star *schema.Star) int { return star.PageSize / TupleSize(sta
 // over an old epoch's pages and a delta set. The measures are checked in
 // table order first, so an error names the table row.
 func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
+	return build(dirPath, t, spec, new(buildScratch))
+}
+
+// build is Build writing through the build scratch sc.
+func build(dirPath string, t *data.Table, spec *frag.Spec, sc *buildScratch) (*Store, error) {
 	star := t.Star
 	for i := range star.Dims {
 		if star.Dims[i].LeafCard() > 1<<16 {
@@ -102,7 +108,7 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	if err := checkColumns(kernel.Columns{Units: t.UnitsSold, Dollars: t.DollarSales, Costs: t.Cost}); err != nil {
 		return nil, err
 	}
-	w, err := newFactWriter(dirPath, star, spec)
+	w, err := newFactWriter(dirPath, star, spec, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -123,9 +129,11 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 type factWriter struct {
 	s   *Store
 	dir string
-	// run holds the run's full pages, whose checksums are sums, then the
-	// open page, fill bytes of it in use; bytes past fill are zero. carry
-	// copies through it too.
+	sc  *buildScratch
+	// run (sc.run) holds the run's full pages, whose checksums are sums,
+	// then the open page, fill bytes of it in use; bytes past fill are
+	// zero. carry copies through it too. flush and carry clear what they
+	// used, so a writer leaves it all zero for the next.
 	run  []byte
 	sums []uint32
 	fill int
@@ -133,7 +141,8 @@ type factWriter struct {
 	err  error
 }
 
-func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWriter, error) {
+// newFactWriter creates the fact file in dirPath, written through sc.
+func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec, sc *buildScratch) (*factWriter, error) {
 	if err := os.MkdirAll(dirPath, 0o755); err != nil {
 		return nil, err
 	}
@@ -142,7 +151,8 @@ func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec) (*factWri
 		return nil, err
 	}
 	s := newStore(star, spec, f)
-	return &factWriter{s: s, dir: dirPath, run: make([]byte, carryPages*s.pageSize)}, nil
+	sc.run = grow(sc.run, carryPages*s.pageSize) // zero: see factWriter.run
+	return &factWriter{s: s, dir: dirPath, sc: sc, run: sc.run}, nil
 }
 
 // ErrMeasureRange is wrapped by the error that refuses a fact row whose
@@ -280,7 +290,8 @@ func (w *factWriter) end(id int64) {
 // the fact file is closed and nothing is returned.
 func (w *factWriter) finish() (*Store, error) {
 	if w.err == nil {
-		w.err = os.WriteFile(filepath.Join(w.dir, metaFileName), w.s.encodeMeta(), 0o644)
+		w.sc.meta = w.s.encodeMeta(w.sc.meta[:0])
+		w.err = os.WriteFile(filepath.Join(w.dir, metaFileName), w.sc.meta, 0o644)
 	}
 	if w.err != nil {
 		w.s.file.Close()
@@ -311,17 +322,18 @@ func (s *Store) decodeTuple(page []byte, off int, keys []uint16) (Tuple, int) {
 	return tp, off + 12
 }
 
-// encodeMeta returns the meta file of the directory: magic, version,
-// page size, #frags, then (id, pageOff, pages, rows) per fragment, then
-// (formatV2) the per-page CRC32C table: a page count followed by one
-// uint32 per page. A store without a checksum table (reopened from a
-// formatV1 file) is encoded as formatV1.
-func (s *Store) encodeMeta() []byte {
+// encodeMeta appends to b, grown once, the meta file of the directory:
+// magic, version, page size, #frags, then (id, pageOff, pages, rows) per
+// fragment, then (formatV2) the per-page CRC32C table: a page count
+// followed by one uint32 per page. A store without a checksum table
+// (reopened from a formatV1 file) is encoded as formatV1.
+func (s *Store) encodeMeta(b []byte) []byte {
 	ver := int64(formatV2)
 	if s.sums == nil {
 		ver = formatV1
 	}
-	b := binary.LittleEndian.AppendUint64(nil, magic)
+	b = slices.Grow(b, 8*(5+4*len(s.order))+4*len(s.sums))
+	b = binary.LittleEndian.AppendUint64(b, magic)
 	for _, v := range []int64{ver, int64(s.pageSize), int64(len(s.order))} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}

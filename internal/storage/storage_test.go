@@ -207,7 +207,7 @@ func validMetas(t testing.TB) (v2, v1 []byte, s *schema.Star, spec *frag.Spec) {
 		t.Fatal(err)
 	}
 	store.sums = nil
-	return v2, store.encodeMeta(), s, spec
+	return v2, store.encodeMeta(nil), s, spec
 }
 
 // withInt64 returns meta with the int64 at byte offset off set to v.
@@ -274,7 +274,7 @@ func FuzzStoreMeta(f *testing.F) {
 		if store.readMeta(meta) != nil {
 			return
 		}
-		if got := store.encodeMeta(); !bytes.Equal(got, meta) {
+		if got := store.encodeMeta(nil); !bytes.Equal(got, meta) {
 			t.Fatalf("accepted meta file does not round-trip:\n%x\nencodes as\n%x", meta, got)
 		}
 	})

@@ -114,7 +114,7 @@ func TestObservedMixMatchesTextKeys(t *testing.T) {
 		executed = append(executed, q)
 	}
 	want, wantMix := textKeyedMix(w, executed)
-	if got := w.ServingStats().QueryMix; !reflect.DeepEqual(got, want) {
+	if got := w.QueryMix(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryMix differs from the text-keyed mix: total %d/%d, dropped %d/%d, %d/%d queries",
 			got.Total, want.Total, got.Dropped, want.Dropped, len(got.Queries), len(want.Queries))
 	}
@@ -144,7 +144,7 @@ func TestObservedMixCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := w.ServingStats().QueryMix
+	full := w.QueryMix()
 	if full.Dropped != 0 || len(full.Queries) != observedQueryCap {
 		t.Fatalf("%d recorded, %d dropped", len(full.Queries), full.Dropped)
 	}
@@ -152,7 +152,7 @@ func TestObservedMixCap(t *testing.T) {
 	if _, _, err := w.Query(extra).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got := w.ServingStats().QueryMix
+	got := w.QueryMix()
 	class := w.spec.Classify(extra)
 	if got.Dropped != 1 || got.Total != full.Total+1 || got.ByClass[class] != full.ByClass[class]+1 || !reflect.DeepEqual(got.Queries, full.Queries) {
 		t.Fatalf("the %dth distinct query: dropped %d, total %d (was %d), class %v %d (was %d), entries unchanged %v",
@@ -161,7 +161,7 @@ func TestObservedMixCap(t *testing.T) {
 	if _, _, err := w.Query(pool[0]).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ServingStats().QueryMix; got.Dropped != 1 || got.Queries[0].Count != 2 || got.Queries[0].Text != frag.Format(star, pool[0]) {
+	if got := w.QueryMix(); got.Dropped != 1 || got.Queries[0].Count != 2 || got.Queries[0].Text != frag.Format(star, pool[0]) {
 		t.Fatalf("a recorded query past the cap: dropped %d, top entry %+v", got.Dropped, got.Queries[0])
 	}
 }
@@ -190,7 +190,7 @@ func TestObservedMixKeepsPredicateOrder(t *testing.T) {
 			}
 		}
 	}
-	mix := w.ServingStats().QueryMix.Queries
+	mix := w.QueryMix().Queries
 	if len(mix) != 2 || mix[0].Text != "time::month=2, customer::store=1" || mix[0].Count != 2 || mix[1].Count != 1 {
 		t.Fatalf("mix %+v", mix)
 	}
@@ -204,7 +204,7 @@ func TestObservedMixKeepsPredicateOrder(t *testing.T) {
 	if _, _, err := w.Query(q).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range w.ServingStats().QueryMix.Queries {
+	for _, o := range w.QueryMix().Queries {
 		if o.Text == frag.Format(star, q) || (o.Text == "recorded text" && o.Count != 2) {
 			t.Fatalf("the query was not counted under the entry it was recorded in: %+v", o)
 		}

@@ -160,8 +160,8 @@ func TestSharedScanEquivalence(t *testing.T) {
 			} else if st.Shared.FragmentsShared == 0 {
 				t.Fatalf("no fragments co-scanned: %+v", st.Shared)
 			}
-			if st.QueryMix.Total == 0 || len(st.QueryMix.Queries) == 0 {
-				t.Fatalf("query mix not recorded: %+v", st.QueryMix)
+			if mix := shared.QueryMix(); mix.Total == 0 || len(mix.Queries) == 0 {
+				t.Fatalf("query mix not recorded: %+v", mix)
 			}
 		})
 	}

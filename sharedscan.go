@@ -59,7 +59,7 @@ func appendKey(b []byte, q Query) []byte {
 }
 
 // ObservedQuery is one entry of the observed query mix (see
-// ServingStats.QueryMix): a query actually executed against the
+// Warehouse.QueryMix): a query actually executed against the
 // warehouse, its classification and fragment-region size, and how often
 // it ran.
 type ObservedQuery struct {
@@ -123,8 +123,13 @@ func (w *Warehouse) recordObserved(q Query) {
 	o.count++
 }
 
-// queryMixStats snapshots the observed mix (Warehouse.mixMu taken).
-func (w *Warehouse) queryMixStats() QueryMixStats {
+// QueryMix snapshots the observed query mix over every successful
+// Execute — per-class counts and the most-executed queries with their
+// fragment regions; AdviseObserved feeds it back into the advisor. It
+// copies and sorts the recorded queries, so it is no per-request poll
+// (ServingStats is). On a multi-node warehouse it is the only count of
+// served queries: see NodeStats.
+func (w *Warehouse) QueryMix() QueryMixStats {
 	w.mixMu.Lock()
 	defer w.mixMu.Unlock()
 	st := QueryMixStats{Total: w.mixTotal, Dropped: w.mixDropped}

@@ -103,7 +103,7 @@ type Warehouse struct {
 	coord   *cluster.Coordinator
 	local   []*cluster.Node
 
-	// Observed query mix (ServingStats.QueryMix, AdviseObserved).
+	// Observed query mix (QueryMix, AdviseObserved).
 	mixMu      sync.Mutex
 	mixTotal   int64
 	mixDropped int64
@@ -283,10 +283,6 @@ type ServingStats struct {
 	// batches formed, physical reads saved, solo fallbacks. Zero when
 	// sharing is disabled.
 	Shared SharedServingStats
-	// QueryMix is the observed query mix over every successful Execute —
-	// per-class counts and the most-executed queries with their fragment
-	// regions. AdviseObserved feeds it back into the advisor.
-	QueryMix QueryMixStats
 }
 
 // FaultStats is the warehouse-wide fault-tolerance accounting: the sum of
@@ -305,8 +301,10 @@ type FaultStats struct {
 
 // ServingStats snapshots the admission scheduler's accounting — queries
 // admitted and done, in-flight and peak concurrency, fragment tasks run
-// — together with the epoch and ingestion counters. On a multi-node
-// warehouse only QueryMix counts served queries: see NodeStats.
+// — together with the epoch and ingestion counters. It reads counters
+// only, so a poll costs the same whatever the warehouse has served; the
+// observed query mix, on a multi-node warehouse the one count of served
+// queries, is QueryMix.
 func (w *Warehouse) ServingStats() ServingStats {
 	c := w.store.Counters()
 	st := ServingStats{
@@ -319,7 +317,6 @@ func (w *Warehouse) ServingStats() ServingStats {
 		Compactions:   c.Compactions,
 		CompactedRows: c.CompactedRows,
 		Shared:        SharedServingStats(w.store.SharedStats()),
-		QueryMix:      w.queryMixStats(),
 	}
 	if c := w.rcache; c != nil {
 		w.store.Lock()
@@ -335,11 +332,9 @@ func (w *Warehouse) ServingStats() ServingStats {
 	if pool := w.store.Pool; pool != nil {
 		st.Cache.Pool = pool.Stats()
 	}
-	for _, d := range w.DiskStats() {
-		st.Faults.InjectedFaults += d.InjectedFaults
-		st.Faults.Retries += d.Retries
-		st.Faults.ChecksumFailures += d.ChecksumFailures
-		st.Faults.BreakerTrips += d.BreakerTrips
+	if ds := w.DiskSet(); ds != nil {
+		d := ds.Sum()
+		st.Faults = FaultStats{InjectedFaults: d.InjectedFaults, Retries: d.Retries, ChecksumFailures: d.ChecksumFailures, BreakerTrips: d.BreakerTrips}
 	}
 	return st
 }
