@@ -181,12 +181,12 @@ func TestCompactSharesUntouchedFragments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The scratch lists outlive the epoch: the new engine keeps the
+		// The scratch list outlives the epoch: the new engine keeps the
 		// old one's, and nothing else tells it from want.
-		if ne.solo != e.solo || ne.shared != e.shared {
-			t.Fatalf("round %d: the compacted engine builds scratch lists of its own", round)
+		if ne.scratch != e.scratch {
+			t.Fatalf("round %d: the compacted engine builds a scratch list of its own", round)
 		}
-		ne.solo, ne.shared = want.solo, want.shared
+		ne.scratch = want.scratch
 		if !reflect.DeepEqual(ne, want) {
 			t.Fatalf("round %d: compacted engine differs from the engine built over the merged rows", round)
 		}

@@ -8,9 +8,9 @@
 //
 // Everything around a fragment — validation, fragment enumeration, the
 // delta fold, the merge of the workers' partials — is internal/kernel's
-// drivers; the engine supplies the fragment folds (selectInto + a column
-// Sum solo, selectInto + kernel.EvalMany shared), so its results are
-// structurally identical to the on-disk executor's. Index fragments are
+// driver; the engine supplies the fragment fold (selectInto per member,
+// then kernel.EvalMany), so its results are structurally identical to the
+// on-disk executor's. Index fragments are
 // Bitsets: a selection lands in a worker's scratch Bitset. WAH compression
 // is a format of the on-disk store only (internal/storage).
 package engine
@@ -59,11 +59,10 @@ type Engine struct {
 	// layouts[d] is the encoding layout of dimension d (nil for simple).
 	layouts []*bitmap.Layout
 
-	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's fragment tasks; Compact hands the lists on to the next
-	// epoch's engine, so they live as long as the store.
-	solo   *exec.Scratch[*scratch]
-	shared *exec.Scratch[*sharedScratch]
+	// The worker scratch of the fragment fold, borrowed by every call's
+	// tasks; Compact hands the list on to the next epoch's engine, so it
+	// lives as long as the store.
+	scratch *exec.Scratch[*scratch]
 }
 
 // Build partitions the table per the fragmentation spec and constructs the
@@ -84,8 +83,7 @@ func Build(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*Engine, erro
 		icfg:    icfg,
 		frags:   make(map[int64]*fragment),
 		layouts: make([]*bitmap.Layout, len(star.Dims)),
-		solo:    exec.NewScratch(newScratch),
-		shared:  exec.NewScratch(newSharedScratch),
+		scratch: exec.NewScratch(newScratch),
 	}
 	for d := range star.Dims {
 		if icfg[d].Kind == frag.EncodedIndex {
@@ -116,8 +114,8 @@ func BuildCompressed(t *data.Table, spec *frag.Spec, icfg frag.IndexConfig) (*En
 // fragments the set touches. A fragment without a segment is shared with
 // e by pointer (fragments are immutable once built); a fragment with
 // segments is copied out with the segments' rows appended and has its
-// indices rebuilt. The worker scratch lists are e's: both engines' tasks
-// share them.
+// indices rebuilt. The worker scratch list is e's: both engines' tasks
+// share it.
 func (e *Engine) Compact(deltas *frag.DeltaSet) *Engine {
 	ne := *e
 	ne.frags = make(map[int64]*fragment, len(e.frags)+deltas.Fragments())
@@ -194,18 +192,6 @@ func (e *Engine) buildIndexes(f *fragment) {
 // NumFragments returns the number of non-empty fragments materialised.
 func (e *Engine) NumFragments() int { return len(e.frags) }
 
-// scratch is the per-worker buffer set threaded through internal/exec:
-// the selection bitsets, reused across all fragments a worker processes,
-// in every call, so the hot loops run allocation-free once warm.
-type scratch struct {
-	hits *bitmap.Bitset // running AND of predicate selections
-	sel  *bitmap.Bitset // current predicate's selection
-}
-
-func newScratch() *scratch {
-	return &scratch{hits: bitmap.New(0), sel: bitmap.New(0)}
-}
-
 // rowKey composes a row's group key from the fragment-constant base and
 // the per-row GroupBy levels, reading the row's leaf members off the
 // column store.
@@ -216,34 +202,76 @@ func rowKey(base uint64, perRow []kernel.RowLevel, dims [][]int32, i int) uint64
 	return base
 }
 
-// Solo runs the star query through kernel.Solo on the scheduler's pool —
-// its fragment tasks interleave with every other execution admitted to
-// the scheduler — over the relevant fragments own selects (nil selects
-// all). The engine's share is the fragment fold (Section 4.3): bitmap
-// access into sc's reusable bitsets, then aggregation of the hit rows —
-// of all rows when no bitmap is needed (query types Q1/Q3) — by the
-// kernel's column Sum, or row by row into a fragment-local group map on
-// the per-row grouping fallback. A fragment holding neither base rows
-// nor delta segments counts as not processed.
-func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[Stats], error) {
-	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.solo}
-	return kernel.Solo(ctx, d, q, deltas, own, func() (kernel.SoloFold[*scratch, Stats], error) {
-		return func(sc *scratch, id int64, q frag.Query, slot kernel.Slot) (kernel.FragPartial, Stats, error) {
-			var st Stats
-			f, ok := e.frags[id] // absent: the fragment has no rows at this density
-			switch {
-			case ok && e.selectInto(f, q, sc.hits, sc.sel, &st):
-				slot.AddColsSelected(f.cols, sc.hits)
-			case ok: // every fragment row is relevant (no bitmap access, IOC1-style)
-				slot.AddColsRange(f.cols, 0, f.rows)
+// scratch is the fold's per-worker buffer set, reused across all
+// fragments a worker processes, in every call, so the hot loops run
+// allocation-free once warm: the task's members and slots, the per-slot
+// selection masks, the second-operand buffer they are computed with, and
+// the mask and slot lists handed to kernel.EvalMany.
+type scratch struct {
+	kernel.SharedTask[Stats]
+	sel       *bitmap.Bitset
+	masks     []*bitmap.Bitset
+	evalMasks []*bitmap.Bitset
+	evalSlots []*kernel.Slot
+}
+
+func newScratch() *scratch {
+	return &scratch{sel: bitmap.New(0)}
+}
+
+func (sc *scratch) mask(k int) *bitmap.Bitset {
+	for len(sc.masks) <= k {
+		sc.masks = append(sc.masks, bitmap.New(0))
+	}
+	return sc.masks[k]
+}
+
+// Shared runs K star queries through kernel.Shared on the scheduler's
+// pool — its fragment tasks interleave with every other execution
+// admitted to the scheduler — over the relevant fragments own selects
+// (nil selects all); a lone query is a batch of one. The engine's share
+// is the fragment fold (Section 4.3): each member's bitmap access into
+// the task's reusable masks, then every member's aggregation of its hit
+// rows — of all rows when it needs no bitmap (query types Q1/Q3, a nil
+// mask) — by the column kernel (kernel.EvalMany). A fragment holding
+// neither base rows nor delta segments counts as not processed. The
+// engine performs no physical reads, so Out.Shared records only batch
+// membership and fragment co-scanning (PhysReadsSaved stays 0).
+func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Outs[Stats], error) {
+	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.scratch}
+	return kernel.Shared(ctx, d, qs, deltas, own, func([]kernel.BatchQuery) (kernel.SharedFold[*scratch, Stats], error) {
+		return func(sc *scratch, id int64, batch []kernel.BatchQuery, ms []kernel.Member[Stats], slots []kernel.Slot) error {
+			f, ok := e.frags[id]
+			if !ok && !deltas.Has(id) {
+				return nil // fragment has no rows at this density
 			}
-			st.RowsScanned = slot.Rows
-			if ok || deltas.Has(id) {
-				st.FragmentsProcessed = 1
+			if ok {
+				shared := len(ms) >= 2
+				sc.evalMasks, sc.evalSlots = sc.evalMasks[:0], sc.evalSlots[:0]
+				for k := range ms {
+					var mask *bitmap.Bitset
+					if m := sc.mask(k); e.selectInto(f, batch[ms[k].Query].Preds, m, sc.sel, &ms[k].St) {
+						mask = m
+					}
+					sc.evalMasks, sc.evalSlots = append(sc.evalMasks, mask), append(sc.evalSlots, &slots[k])
+					if shared {
+						ms[k].Shared.FragmentsShared = 1
+					}
+				}
+				kernel.EvalMany(sc.evalSlots, sc.evalMasks, f.rows, f.cols, nil)
 			}
-			return slot.FP, st, nil
+			for k := range ms {
+				ms[k].St.RowsScanned += slots[k].Rows
+				ms[k].St.FragmentsProcessed = 1
+			}
+			return nil
 		}, nil
 	})
+}
+
+// ExecuteSharedDeltas is Shared with every member's rows flattened.
+func (e *Engine) ExecuteSharedDeltas(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.SharedResult[Stats], error) {
+	return kernel.Flatten(e.Shared(ctx, s, qs, deltas, own))
 }
 
 // ExecuteGroupedDeltas runs the query and returns the full result: the
@@ -254,7 +282,7 @@ func (e *Engine) Solo(ctx context.Context, s *exec.Scheduler, q frag.Query, delt
 // base+delta results byte-identical to an engine rebuilt from scratch
 // with the same rows, at any pool size or admission mix.
 func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas) (kernel.Result, Stats, error) {
-	o, err := e.Solo(ctx, s, q, deltas, nil)
+	o, err := kernel.Lone(e.Shared(ctx, s, []frag.Query{q}, deltas, nil))
 	return o.Gr.Result(o.Part), o.St, err
 }
 
@@ -266,7 +294,7 @@ func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q 
 // and flattening through Grouper.Rows obtains results byte-identical to
 // a single-node execution over the union of the rows.
 func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, Stats, error) {
-	o, err := e.Solo(ctx, s, q, deltas, own)
+	o, err := kernel.Lone(e.Shared(ctx, s, []frag.Query{q}, deltas, own))
 	return o.Part, o.St, err
 }
 
@@ -275,9 +303,9 @@ func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q 
 // bitmap, ANDed into dst with sel as the second operand's buffer. It
 // reports false, leaving dst alone, when no predicate needs one — every
 // fragment row is relevant. BitmapsRead lands on st.
-func (e *Engine) selectInto(f *fragment, q frag.Query, dst, sel *bitmap.Bitset, st *Stats) bool {
+func (e *Engine) selectInto(f *fragment, preds []frag.Pred, dst, sel *bitmap.Bitset, st *Stats) bool {
 	selected := false
-	for _, pr := range q.Preds {
+	for _, pr := range preds {
 		if !e.spec.NeedsBitmap(pr) {
 			continue
 		}

@@ -30,10 +30,11 @@ var sharedQueries = []string{
 
 // TestSharedEqualsSolo: every slot of an ExecuteSharedDeltas batch —
 // result, partial and logical statistics — is byte-identical to the same
-// query run alone through ExecuteGroupedDeltas / ExecutePartialDeltas on
-// the same scheduler. K = 1 pins that a lone batch member is exactly a
-// solo execution; K = 16 cycles the query list, so the batch holds
-// duplicates; from K = 2 on one slot is invalid and must fail alone.
+// query's batch of one through ExecuteGroupedDeltas /
+// ExecutePartialDeltas on the same scheduler, and its result to the
+// ScanGrouped oracle over every fragment. K = 16 cycles the query list,
+// so the batch holds duplicates; from K = 2 on one slot is invalid and
+// must fail alone.
 func TestSharedEqualsSolo(t *testing.T) {
 	star := schema.Tiny()
 	full := data.MustGenerate(star, 42)
@@ -45,6 +46,7 @@ func TestSharedEqualsSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	withDeltas := kernel.Deltas{Ix: ix, Set: deltasOf(t, spec, ix, extra, 3)}
+	tables := map[string]*data.Table{"base": base, "deltas": full}
 	queries := make([]frag.Query, len(sharedQueries))
 	for i, text := range sharedQueries {
 		if queries[i], err = frag.ParseQuery(star, text); err != nil {
@@ -84,7 +86,7 @@ func TestSharedEqualsSolo(t *testing.T) {
 						wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, sched, q, deltas, own)
 						if wantErr != nil {
 							if got.Err == nil || got.Err.Error() != wantErr.Error() {
-								t.Errorf("%s slot %d: err %v, solo %v", name, i, got.Err, wantErr)
+								t.Errorf("%s slot %d: err %v, alone %v", name, i, got.Err, wantErr)
 							}
 							continue
 						}
@@ -93,18 +95,19 @@ func TestSharedEqualsSolo(t *testing.T) {
 							continue
 						}
 						if !reflect.DeepEqual(got.Part, wantPart) || got.St != wantSt {
-							t.Errorf("%s slot %d: partial %+v/%+v, solo %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
+							t.Errorf("%s slot %d: partial %+v/%+v, alone %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
 						}
 						if own == nil {
 							wantRes, wantSt, err := e.ExecuteGroupedDeltas(ctx, sched, q, deltas)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt {
-								t.Errorf("%s slot %d: result %+v/%+v, solo %+v/%+v", name, i, got.Res, got.St, wantRes, wantSt)
+							oracle, _ := ScanGrouped(tables[dname], q)
+							if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt || !reflect.DeepEqual(got.Res, oracle) {
+								t.Errorf("%s slot %d: result %+v/%+v, alone %+v/%+v, oracle %+v", name, i, got.Res, got.St, wantRes, wantSt, oracle)
 							}
 						} else if got.Res.Aggregate != wantPart.Agg {
-							t.Errorf("%s slot %d: result total %+v, solo partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
+							t.Errorf("%s slot %d: result total %+v, alone partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
 						}
 						if got.Shared.Batched != k || (k == 1 && got.Shared != kernel.SharedScanStats{Batched: 1}) {
 							t.Errorf("%s slot %d: shared stats %+v", name, i, got.Shared)
@@ -143,7 +146,7 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := len(kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).IDs); int64(n) != frags {
+		if n := kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).Tasks(); int64(n) != frags {
 			t.Fatalf("%q: a union of %d fragments, want %d", texts, n, frags)
 		}
 		run := func() {
@@ -169,8 +172,8 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 
 // BenchmarkSharedFold reports the CPU cost per batch member of sixteen
 // mix.flash5-shaped queries over the serving benchmark's table
-// (APB1Scaled(60), month × group, one worker): each run alone through
-// the solo fold, each as a batch of one, and all sixteen as one batch.
+// (APB1Scaled(60), month × group, one worker): each as a batch of one,
+// and all sixteen as one batch.
 func BenchmarkSharedFold(b *testing.B) {
 	star := schema.APB1Scaled(60)
 	spec := frag.MustParse(star, "time::month, product::group")
@@ -198,14 +201,6 @@ func BenchmarkSharedFold(b *testing.B) {
 		name string
 		run  func() error
 	}{
-		{"solo", func() error {
-			for _, q := range qs {
-				if _, err := e.Solo(ctx, sched, q, kernel.Deltas{}, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 		{"K=1", func() error {
 			for i := range qs {
 				if _, err := e.Shared(ctx, sched, qs[i:i+1], kernel.Deltas{}, nil); err != nil {

@@ -13,7 +13,7 @@ import (
 // seal sequence is store-wide and strictly monotone, so an equal MaxSeq
 // at an equal epoch means a byte-identical serving state — every member
 // of a batch would have computed against exactly the same base backend
-// and delta set solo.
+// and delta set alone.
 type sharedKey struct {
 	epoch int64
 	seq   uint64
@@ -21,8 +21,8 @@ type sharedKey struct {
 
 // Out is one execution's outcome, un-flattened: the partial a node ships
 // as is, the grouper that flattens it into rows (Gr.Result), the backend's
-// own work counters (Engine in memory, IO on disk) exactly as solo
-// execution counts them and, for a query that rode a shared scan, the
+// own work counters (Engine in memory, IO on disk) exactly as the query
+// alone counts them and, for a query that rode a shared scan, the
 // physical savings in Shared. Err is the query's own (validation) error.
 type Out struct {
 	Part      kernel.FragPartial
@@ -58,8 +58,8 @@ type SharedStats struct {
 // (deterministic, correctly attributed by the batch) or its own expired
 // context. A batch-wide failure (an I/O error, or the leader's
 // cancellation observed by a follower) counts as a fallback and the
-// query runs solo, as it does without sharing, so batching is only ever
-// a performance effect.
+// query runs alone, as it does without sharing — a batch of one that
+// reports no sharing — so batching is only ever a performance effect.
 func (s *Store) Exec(ctx context.Context, snap Snapshot, q frag.Query) (Out, error) {
 	if s.shared != nil {
 		key := sharedKey{epoch: snap.Epoch, seq: snap.Deltas.MaxSeq()}
@@ -76,56 +76,46 @@ func (s *Store) Exec(ctx context.Context, snap Snapshot, q frag.Query) (Out, err
 		s.sharing.Fallbacks++
 		s.mu.Unlock()
 	}
-	return s.solo(ctx, snap, q)
+	var outs [1]Out
+	if err := s.scan(ctx, snap, []frag.Query{q}, outs[:]); err != nil {
+		return Out{}, err
+	}
+	outs[0].Shared = kernel.SharedScanStats{}
+	return outs[0], outs[0].Err
 }
 
-// solo runs the query alone on the snapshot's backend, merging the
-// snapshot's delta set (interpreted by the store's delta index).
-func (s *Store) solo(ctx context.Context, snap Snapshot, q frag.Query) (Out, error) {
+// scan runs the queries in one pass over the snapshot's backend, merging
+// the snapshot's delta set (interpreted by the store's delta index), into
+// outs — one per query.
+func (s *Store) scan(ctx context.Context, snap Snapshot, qs []frag.Query, outs []Out) error {
 	deltas := kernel.Deltas{Ix: s.ix, Set: snap.Deltas}
 	if snap.B.Engine != nil {
-		o, err := snap.B.Engine.Solo(ctx, s.Sched, q, deltas, s.cfg.Own)
-		return engineOut(o), err
+		ko, err := snap.B.Engine.Shared(ctx, s.Sched, qs, deltas, s.cfg.Own)
+		return fill(outs, ko, err, engineOut)
 	}
-	o, err := snap.B.Disk.Exec.Solo(ctx, q, deltas, s.cfg.Own)
-	return diskOut(o), err
+	ko, err := snap.B.Disk.Exec.Shared(ctx, qs, deltas, s.cfg.Own)
+	return fill(outs, ko, err, diskOut)
+}
+
+// fill converts a backend's outcomes into outs, unless the batch failed.
+func fill[St any](outs []Out, ko kernel.Outs[St], err error, conv func(kernel.Out[St]) Out) error {
+	if err != nil {
+		return err
+	}
+	for i := range outs {
+		outs[i] = conv(*ko.At(i))
+	}
+	return nil
 }
 
 // runSharedBatch executes one sealed batch against the snapshot every
 // member pinned (the key guarantees they are interchangeable) and folds
-// its effect into the store-wide counters. A window that sealed with one
-// query runs it solo. A batch of one now costs what the solo run costs:
-// BenchmarkSharedFold (one worker, 2 vCPUs, go1.24) puts K = 1 : solo per
-// member at 1.0–1.1 on disk (650–687 : 606–686 µs) and 0.9–1.0 in memory
-// (97–118 : 112–120 µs). The routing stays until the solo driver goes.
+// its effect into the store-wide counters: a window that sealed with one
+// query is a batch of one and counts as a solo window.
 func (s *Store) runSharedBatch(ctx context.Context, snap Snapshot, qs []frag.Query) ([]Out, error) {
 	outs := make([]Out, len(qs))
-	deltas := kernel.Deltas{Ix: s.ix, Set: snap.Deltas}
-	switch {
-	case len(qs) == 1:
-		out, err := s.solo(ctx, snap, qs[0])
-		if err != nil && out.Err == nil {
-			return nil, err // an execution failure, not the query's own error
-		}
-		if outs[0] = out; err == nil {
-			outs[0].Shared.Batched = 1
-		}
-	case snap.B.Engine != nil:
-		rs, err := snap.B.Engine.Shared(ctx, s.Sched, qs, deltas, s.cfg.Own)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			outs[i] = engineOut(r)
-		}
-	default:
-		rs, err := snap.B.Disk.Exec.Shared(ctx, qs, deltas, s.cfg.Own)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			outs[i] = diskOut(r)
-		}
+	if err := s.scan(ctx, snap, qs, outs); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,41 +6,49 @@ import (
 )
 
 // BatchQuery is one member of a shared multi-query scan before dispatch:
-// the query, its grouper (nil when ungrouped) and its own validation
-// error, which stays the member's instead of failing the batch.
+// the query's predicates, its grouper (nil when ungrouped) — the query's
+// GROUP BY — and its own validation error, which stays the member's
+// instead of failing the batch.
 type BatchQuery struct {
-	Q   frag.Query
-	Gr  *Grouper
-	Err error
+	Preds []frag.Pred
+	Gr    *Grouper
+	Err   error
 
-	ranges []frag.LeafRange // Q compiled for the delta fold (Deltas.ranges)
-	region frag.Region      // Q's relevant fragments (Spec.Relevant)
-	count  int64            // region.Count(), 0 for an invalid member
-	next   int64            // the union merge's cursor into region
-	head   int64            // region's next-th fragment
+	ranges []frag.LeafRange // the query compiled for the delta fold (Deltas.ranges)
+	region frag.Region      // the query's relevant fragments (Spec.Relevant)
 }
 
 // BatchPlan is the task set of a shared multi-query scan: one task per
 // fragment of the union of the valid members' relevant fragments.
 type BatchPlan struct {
 	Queries []BatchQuery
-	// IDs lists the union's fragment ids, one task each, ascending.
-	IDs  []int64
-	spec *frag.Spec
+	ids     []int64 // the union's fragments, ascending, one task each; nil: one's region
+	spec    *frag.Spec
+	one     [1]BatchQuery // Queries in a batch of one
 }
 
 // PlanBatch validates every query, derives its grouper, compiles it for
 // the delta fold and unions the members' relevant fragments, keeping only
 // those own selects (nil selects all).
-//
-// The union is ascending, as FragmentAt enumerates each region, so a
-// member's tasks are claimed in its solo task order. It is merged twice,
-// once to count it and once to fill IDs sized to the count.
-func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) BatchPlan {
-	p := BatchPlan{Queries: make([]BatchQuery, len(qs)), spec: spec}
+func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) *BatchPlan {
+	p := new(BatchPlan)
+	p.plan(star, spec, qs, deltas, own)
+	return p
+}
+
+// plan is PlanBatch into p. The union is ascending, as FragmentAt
+// enumerates each region, so a member's tasks are claimed in its
+// region's order. A valid batch of one takes its tasks from its region,
+// listing them only under an own filter; a larger union is merged twice,
+// once to count it and once to list it.
+func (p *BatchPlan) plan(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) {
+	p.spec = spec
+	if p.Queries = p.one[:]; len(qs) != 1 {
+		p.Queries = make([]BatchQuery, len(qs))
+	}
 	for si, q := range qs {
 		m := &p.Queries[si]
-		m.Q = q
+		m.Preds = q.Preds
 		if m.Err = q.Validate(star); m.Err != nil {
 			continue
 		}
@@ -49,28 +57,66 @@ func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Delta
 		}
 		m.ranges = deltas.ranges(q)
 		m.region = spec.Relevant(q)
-		m.count = m.region.Count()
+	}
+	if len(qs) == 1 && own == nil && p.one[0].Err == nil {
+		return
+	}
+	var cur []cursor
+	if len(qs) > 1 {
+		cur = make([]cursor, len(qs))
 	}
 	n := 0
-	p.union(own, func(int64) { n++ })
-	p.IDs = make([]int64, 0, n)
-	p.union(own, func(id int64) { p.IDs = append(p.IDs, id) })
-	return p
+	p.each(own, cur, func(int64) { n++ })
+	p.ids = make([]int64, 0, n)
+	p.each(own, cur, func(id int64) { p.ids = append(p.ids, id) })
 }
 
-// union calls fn with every fragment of the valid members' regions that
-// own selects, ascending and once each: a k-way merge of the regions,
-// each member's cursor advancing past the fragment just emitted.
-func (p *BatchPlan) union(own func(int64) bool, fn func(id int64)) {
+// Tasks returns the number of the plan's tasks.
+func (p *BatchPlan) Tasks() int {
+	if p.ids == nil {
+		return int(p.one[0].region.Count())
+	}
+	return len(p.ids)
+}
+
+// at returns task ti's fragment: listed, or the ti-th of a batch of
+// one's region in ForEachFragment's order.
+func (p *BatchPlan) at(ti int) int64 {
+	if p.ids != nil {
+		return p.ids[ti]
+	}
+	return p.spec.FragmentAt(p.one[0].region, int64(ti))
+}
+
+// cursor is the union merge's position in one member's region: its next
+// fragment, which is the region's i-th of n.
+type cursor struct{ i, n, head int64 }
+
+// each calls fn with every fragment of the valid members' regions that
+// own selects, ascending and once each: a batch of one walks its region,
+// a larger one merges the regions — a k-way merge, each member's cursor
+// in cur advancing past the fragment just emitted.
+func (p *BatchPlan) each(own func(int64) bool, cur []cursor, fn func(id int64)) {
+	if len(p.Queries) == 1 {
+		if m := &p.one[0]; m.Err == nil {
+			for i, n := int64(0), m.region.Count(); i < n; i++ {
+				if id := p.spec.FragmentAt(m.region, i); own == nil || own(id) {
+					fn(id)
+				}
+			}
+		}
+		return
+	}
 	for si := range p.Queries {
-		m := &p.Queries[si]
-		m.next, m.head = 0, p.spec.FragmentAt(m.region, 0)
+		if m := &p.Queries[si]; m.Err == nil {
+			cur[si] = cursor{n: m.region.Count(), head: p.spec.FragmentAt(m.region, 0)}
+		}
 	}
 	for {
 		id := int64(-1)
-		for si := range p.Queries {
-			if m := &p.Queries[si]; m.next < m.count && (id < 0 || m.head < id) {
-				id = m.head
+		for _, c := range cur {
+			if c.i < c.n && (id < 0 || c.head < id) {
+				id = c.head
 			}
 		}
 		if id < 0 {
@@ -79,18 +125,19 @@ func (p *BatchPlan) union(own func(int64) bool, fn func(id int64)) {
 		if own == nil || own(id) {
 			fn(id)
 		}
-		for si := range p.Queries {
-			if m := &p.Queries[si]; m.next < m.count && m.head == id {
-				m.next++
-				m.head = p.spec.FragmentAt(m.region, m.next)
+		for si := range cur {
+			if c := &cur[si]; c.i < c.n && c.head == id {
+				c.i++
+				c.head = p.spec.FragmentAt(p.Queries[si].region, c.i)
 			}
 		}
 	}
 }
 
-// Needs reports whether member si needs task ti's fragment: whether it is
-// valid and the fragment lies in its region.
-func (p *BatchPlan) Needs(si, ti int) bool {
+// Needs reports whether member si needs fragment id of the plan's tasks:
+// whether it is valid and the fragment lies in its region, as every task
+// of a batch of one does.
+func (p *BatchPlan) Needs(si int, id int64) bool {
 	m := &p.Queries[si]
-	return m.Err == nil && p.spec.InRegion(m.region, p.IDs[ti])
+	return m.Err == nil && (len(p.Queries) == 1 || p.spec.InRegion(m.region, id))
 }

@@ -25,9 +25,11 @@ func planStar() *schema.Star {
 	}
 }
 
-// checkPlan holds PlanBatch against FragmentIDs: IDs is the ascending,
-// de-duplicated union of the valid members' fragments that own selects,
-// and task ti's members are exactly those whose list holds IDs[ti].
+// checkPlan holds PlanBatch against FragmentIDs: the tasks' fragments are
+// the ascending, de-duplicated union of the valid members' fragments
+// that own selects, listed unless there is one valid member and no own
+// filter, and task ti's members are exactly those whose list holds
+// its fragment.
 func checkPlan(t *testing.T, star *schema.Star, spec *frag.Spec, qs []frag.Query, own func(int64) bool) {
 	t.Helper()
 	p := PlanBatch(star, spec, qs, Deltas{}, own)
@@ -52,13 +54,18 @@ func checkPlan(t *testing.T, star *schema.Star, spec *frag.Spec, qs []frag.Query
 	}
 	slices.Sort(want)
 	want = slices.Compact(want)
-	if !slices.Equal(p.IDs, want) || (len(want) > 0 && cap(p.IDs) != len(want)) {
-		t.Fatalf("%v %+v: IDs %v (capacity %d), want %v", spec, qs, p.IDs, cap(p.IDs), want)
+	ids := make([]int64, p.Tasks())
+	for ti := range ids {
+		ids[ti] = p.at(ti)
 	}
-	for ti, id := range p.IDs {
+	listed := p.ids != nil
+	if !slices.Equal(ids, want) || (len(want) > 0 && listed && cap(p.ids) != len(want)) || listed == (len(qs) == 1 && own == nil && p.Queries[0].Err == nil) {
+		t.Fatalf("%v %+v: tasks %v (listed %v, capacity %d), want %v", spec, qs, ids, listed, cap(p.ids), want)
+	}
+	for _, id := range ids {
 		for si := range qs {
 			_, in := slices.BinarySearch(lists[si], id)
-			if got := p.Needs(si, ti); got != in {
+			if got := p.Needs(si, id); got != in {
 				t.Fatalf("%v %+v: member %d needs fragment %d: %v, its list holds it: %v", spec, qs, si, id, got, in)
 			}
 		}

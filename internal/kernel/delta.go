@@ -33,22 +33,19 @@ func AddDelta(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, per
 		return 0, nil
 	}
 	s := Slot{Base: base, PerRow: perRow, FP: *p}
-	n := s.addDeltas(d, id, d.Ix.Ranges(q, sc))
+	n := s.addDeltas(d.Set, id, d.Ix.Ranges(q, sc))
 	*p = s.FP
 	return n, nil
 }
 
 // addDeltas folds into the slot, in seal order, the rows of fragment id's
-// delta segments inside the query's leaf ranges — those the base bitmap
-// plan selects over the same leaves — and returns how many. Per-key sums
-// commute, so the result is byte-identical to a warehouse rebuilt from
-// scratch with the same rows.
-func (s *Slot) addDeltas(d Deltas, id int64, ranges []frag.LeafRange) int64 {
-	if !d.Has(id) {
-		return 0
-	}
+// delta segments in set (nil: none) inside the query's leaf ranges —
+// those the base bitmap plan selects over the same leaves — and returns
+// how many. Per-key sums commute, so the result is byte-identical to a
+// warehouse rebuilt from scratch with the same rows.
+func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) int64 {
 	before := s.Rows
-	for _, seg := range d.Set.Of(id) {
+	for _, seg := range set.Of(id) {
 		cols := Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
 		n := seg.Rows()
 		switch {

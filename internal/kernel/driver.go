@@ -34,13 +34,13 @@ type Dispatch[S any] struct {
 	DiskOf  interface{ DiskOf(id int64) int }
 }
 
-// shardOf maps task i to the disk of its fragment fs.at(i).
-func (d Dispatch[S]) shardOf(fs fragments) func(i int) int {
+// shardOf maps task i of the plan to the disk of its fragment.
+func (d Dispatch[S]) shardOf(p *BatchPlan) func(i int) int {
 	if d.Disks <= 1 {
 		return nil
 	}
 	disk := d.DiskOf
-	return func(i int) int { return disk.DiskOf(fs.at(i)) }
+	return func(i int) int { return disk.DiskOf(p.at(i)) }
 }
 
 // Out is one query's un-flattened outcome: the merged partial (Groups
@@ -53,80 +53,6 @@ type Out[St any] struct {
 	St     St
 	Shared SharedScanStats
 	Err    error
-}
-
-// SoloFold folds the base rows of fragment id that q selects (Solo's
-// argument, passed so that no fold need capture it) into the slot's
-// partial and returns it with the work that took.
-type SoloFold[S, St any] func(sc S, id int64, q frag.Query, slot Slot) (FragPartial, St, error)
-
-// Solo runs one query over the relevant fragments own selects (nil
-// selects all). An invalid query's error is returned and also recorded
-// in Out.Err, which tells it from an execution failure.
-func Solo[S any, St Counts[St]](ctx context.Context, d Dispatch[S], q frag.Query, deltas Deltas, own func(int64) bool,
-	bind func() (SoloFold[S, St], error)) (Out[St], error) {
-	if d.Sched == nil {
-		return Out[St]{}, errNilScheduler
-	}
-	if err := q.Validate(d.Star); err != nil {
-		return Out[St]{Err: err}, err
-	}
-	gr, err := NewGrouper(d.Star, d.Spec, q.GroupBy)
-	if err != nil {
-		return Out[St]{Err: err}, err
-	}
-	fold, err := bind()
-	if err != nil {
-		return Out[St]{}, err
-	}
-	fs := fragments{spec: d.Spec, r: d.Spec.Relevant(q)}
-	n := int(fs.r.Count())
-	if own != nil { // a node's share: the fragments it owns, listed
-		for i := 0; i < n; i++ {
-			if id := fs.spec.FragmentAt(fs.r, int64(i)); own(id) {
-				fs.ids = append(fs.ids, id)
-			}
-		}
-		n = len(fs.ids)
-	}
-	ranges := deltas.ranges(q)
-	// Each worker sums the fragments it runs into an outcome of its own:
-	// sums per key commute, so who ran which fragment does not show. A
-	// fragment's delta segments fold after its base rows, in its own task.
-	run := func(sc S, acc *Out[St], i int) error {
-		id := fs.at(i)
-		slot := NewSlot(gr, id)
-		fp, st, err := fold(sc, id, q, slot)
-		if err != nil {
-			return err
-		}
-		slot.FP = fp
-		n := slot.addDeltas(deltas, id, ranges)
-		addTo(acc, gr, slot.FP, st.WithDeltaRows(n), SharedScanStats{})
-		return nil
-	}
-	out, err := exec.ReduceShardedOn(ctx, d.Sched, n, d.shardOf(fs), d.Disks, d.Scratch, run, mergeOuts[St])
-	if err != nil {
-		return Out[St]{}, err
-	}
-	addTo(&out, gr, FragPartial{}, *new(St), SharedScanStats{}) // with no fragment at all, still the grouper and empty groups
-	return out, nil
-}
-
-// fragments are the fragments of a call's tasks: the i-th is computed
-// from a query's region, in ForEachFragment's order, unless they are
-// listed in ids (a node's share, a shared scan's union).
-type fragments struct {
-	spec *frag.Spec
-	r    frag.Region
-	ids  []int64
-}
-
-func (f fragments) at(i int) int64 {
-	if f.ids != nil {
-		return f.ids[i]
-	}
-	return f.spec.FragmentAt(f.r, int64(i))
 }
 
 // addTo adds to a query's outcome a partial of it — a fragment task's, or
@@ -147,8 +73,8 @@ func mergeOuts[St Counts[St]](acc, part *Out[St]) {
 }
 
 // Member is one batch member's share of one fragment task of a shared
-// scan: the work that is logically its own — exactly what its solo
-// execution would count — and what the batch-mates' reads saved it.
+// scan: the work that is logically its own — exactly what the query
+// alone would count — and what the batch-mates' reads saved it.
 type Member[St any] struct {
 	Query  int // index into the batch
 	St     St
@@ -156,14 +82,14 @@ type Member[St any] struct {
 }
 
 // SharedFold folds the base rows of fragment id into slots[k] for every
-// member ms[k] needing the fragment — K solo folds over one read of it —
-// and counts each member's work into ms[k]. Neither slice outlives the
-// call.
-type SharedFold[S, St any] func(sc S, id int64, ms []Member[St], slots []Slot) error
+// member ms[k] of batch needing the fragment — one fold per member over
+// one read of it — and counts each member's work into ms[k]. Neither
+// slice outlives the call.
+type SharedFold[S, St any] func(sc S, id int64, batch []BatchQuery, ms []Member[St], slots []Slot) error
 
 // SharedTask is a shared scan's per-task buffers, the running task's
-// members and their slots. Each backend's shared worker scratch embeds
-// one, so that they are reused from task to task and call to call.
+// members and their slots. Each backend's worker scratch embeds one, so
+// that they are reused from task to task and call to call.
 type SharedTask[St any] struct {
 	ms    []Member[St]
 	slots []Slot
@@ -174,64 +100,120 @@ func (t *SharedTask[St]) sharedTask() *SharedTask[St] { return t }
 // TaskScratch is a worker scratch that embeds a SharedTask.
 type TaskScratch[St any] interface{ sharedTask() *SharedTask[St] }
 
+// Outs is a batch's outcomes by member index. The first is held in
+// place, so that a batch of one needs no slice for its outcome.
+type Outs[St any] struct {
+	first Out[St]
+	rest  []Out[St] // the others; nil until sized
+}
+
+// size makes room for n outcomes, unless there is room already.
+func (o *Outs[St]) size(n int) {
+	if o.rest == nil && n > 0 {
+		o.rest = make([]Out[St], n-1)
+	}
+}
+
+// Len returns the number of outcomes: the batch's size.
+func (o *Outs[St]) Len() int {
+	if o.rest == nil {
+		return 0
+	}
+	return 1 + len(o.rest)
+}
+
+// At returns member i's outcome.
+func (o *Outs[St]) At(i int) *Out[St] {
+	if i == 0 {
+		return &o.first
+	}
+	return &o.rest[i-1]
+}
+
+// batch is what a Shared call's tasks share: its plan, the fold bound to
+// it and the delta segments folded after it (nil: none).
+type batch[S TaskScratch[St], St Counts[St]] struct {
+	BatchPlan
+	fold SharedFold[S, St]
+	set  *frag.DeltaSet
+}
+
+// task runs fragment task ti: it shapes a slot for every member needing
+// the fragment, lets the backend fold the base rows into them, folds the
+// fragment's delta segments in seal order and adds each slot to its
+// member's outcome in outs, the worker's own.
+func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
+	id := b.at(ti)
+	t := sc.sharedTask()
+	defer clear(t.slots) // no task's partial outlives it in the scratch
+	t.ms, t.slots = t.ms[:0], t.slots[:0]
+	for si := range b.Queries {
+		if b.Needs(si, id) {
+			t.ms = append(t.ms, Member[St]{Query: si})
+			t.slots = append(t.slots, NewSlot(b.Queries[si].Gr, id))
+		}
+	}
+	if err := b.fold(sc, id, b.Queries, t.ms, t.slots); err != nil {
+		return err
+	}
+	outs.size(len(b.Queries))
+	for k, m := range t.ms {
+		slot, mq := &t.slots[k], &b.Queries[m.Query]
+		n := slot.addDeltas(b.set, id, mq.ranges)
+		addTo(outs.At(m.Query), mq.Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
+	}
+	return nil
+}
+
+// mergeAll adds a worker's outcomes to another's.
+func mergeAll[St Counts[St]](acc, part *Outs[St]) {
+	for i := 0; i < acc.Len(); i++ {
+		mergeOuts(acc.At(i), part.At(i))
+	}
+}
+
 // Shared runs K queries in one pass over the union of their relevant
 // fragments (PlanBatch): one task per fragment feeds every member
-// needing it. Every outcome is byte-identical to the member's Solo run;
-// the error is batch-wide, so every member can fall back to Solo. Each
-// worker sums the tasks it runs into an outcome array of its own, by
-// batch index; nothing else is allocated per task.
+// needing it; a lone query is a batch of one. A member's own validation
+// error is recorded in its Out.Err; the returned error is batch-wide (an
+// execution failure). Each worker sums the tasks it runs into outcomes
+// of its own, by batch index; nothing else is allocated per task.
 func Shared[S TaskScratch[St], St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
-	bind func([]BatchQuery) (SharedFold[S, St], error)) ([]Out[St], error) {
+	bind func([]BatchQuery) (SharedFold[S, St], error)) (Outs[St], error) {
 	if d.Sched == nil {
-		return nil, errNilScheduler
+		return Outs[St]{}, errNilScheduler
 	}
-	plan := PlanBatch(d.Star, d.Spec, qs, deltas, own)
-	fold, err := bind(plan.Queries)
+	b := new(batch[S, St])
+	if b.plan(d.Star, d.Spec, qs, deltas, own); !deltas.Empty() {
+		b.set = deltas.Set
+	}
+	var err error
+	if b.fold, err = bind(b.Queries); err != nil {
+		return Outs[St]{}, err
+	}
+	outs, err := exec.ReduceShardedOn(ctx, d.Sched, b.Tasks(), d.shardOf(&b.BatchPlan), d.Disks, d.Scratch, b.task, mergeAll[St])
 	if err != nil {
-		return nil, err
+		return Outs[St]{}, err
 	}
-	run := func(sc S, outs *[]Out[St], ti int) error {
-		id := plan.IDs[ti]
-		t := sc.sharedTask()
-		defer clear(t.slots) // no task's partial outlives it in the scratch
-		t.ms, t.slots = t.ms[:0], t.slots[:0]
-		for si := range plan.Queries {
-			if plan.Needs(si, ti) {
-				t.ms = append(t.ms, Member[St]{Query: si})
-				t.slots = append(t.slots, NewSlot(plan.Queries[si].Gr, id))
-			}
-		}
-		if err := fold(sc, id, t.ms, t.slots); err != nil {
-			return err
-		}
-		if *outs == nil {
-			*outs = make([]Out[St], len(qs))
-		}
-		for k, m := range t.ms {
-			slot, mq := &t.slots[k], &plan.Queries[m.Query]
-			n := slot.addDeltas(deltas, id, mq.ranges)
-			addTo(&(*outs)[m.Query], mq.Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
-		}
-		return nil
-	}
-	merge := func(acc, part *[]Out[St]) {
-		for i := range *acc {
-			mergeOuts(&(*acc)[i], &(*part)[i])
-		}
-	}
-	outs, err := exec.ReduceShardedOn(ctx, d.Sched, len(plan.IDs), d.shardOf(fragments{ids: plan.IDs}), d.Disks, d.Scratch, run, merge)
-	if err != nil {
-		return nil, err
-	}
-	if outs == nil { // no fragment to scan
-		outs = make([]Out[St], len(qs))
-	}
-	for i, m := range plan.Queries {
-		if outs[i].Err = m.Err; m.Err == nil {
-			addTo(&outs[i], m.Gr, FragPartial{}, *new(St), SharedScanStats{Batched: len(qs)})
+	outs.size(len(qs)) // no fragment to scan
+	for i := range b.Queries {
+		m := &b.Queries[i]
+		if o := outs.At(i); m.Err != nil {
+			o.Err = m.Err
+		} else {
+			addTo(o, m.Gr, FragPartial{}, *new(St), SharedScanStats{Batched: len(qs)}) // with no fragment at all, still the grouper and empty groups
 		}
 	}
 	return outs, nil
+}
+
+// Lone returns a batch of one's outcome, and its member's own error as
+// the error when the batch did not fail.
+func Lone[St any](outs Outs[St], err error) (Out[St], error) {
+	if err == nil {
+		err = outs.first.Err
+	}
+	return outs.first, err
 }
 
 // SharedResult is Out with the rows flattened: what the backends'
@@ -242,13 +224,14 @@ type SharedResult[St any] struct {
 }
 
 // Flatten turns a shared run's outcomes into SharedResults.
-func Flatten[St any](outs []Out[St], err error) ([]SharedResult[St], error) {
+func Flatten[St any](outs Outs[St], err error) ([]SharedResult[St], error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := make([]SharedResult[St], len(outs))
-	for i, o := range outs {
-		rs[i] = SharedResult[St]{Out: o, Res: o.Gr.Result(o.Part)}
+	rs := make([]SharedResult[St], outs.Len())
+	for i := range rs {
+		o := outs.At(i)
+		rs[i] = SharedResult[St]{Out: *o, Res: o.Gr.Result(o.Part)}
 	}
 	return rs, nil
 }

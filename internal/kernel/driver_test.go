@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,8 +88,10 @@ func (b *fakeBackend) fold(sc *fakeScratch, id int64, q frag.Query, slot *Slot, 
 		return err
 	}
 	c.Frags = 1
-	c.Rows += int64(len(b.rows[id]))
-	b.foldRows(q, b.rows[id], slot)
+	if rows := b.rows[id]; len(rows) > 0 {
+		c.Rows += int64(len(rows))
+		b.foldRows(q, rows, slot)
+	}
 	return nil
 }
 
@@ -113,21 +116,16 @@ func (b *fakeBackend) foldRows(q frag.Query, rows []fakeRow, slot *Slot) {
 	slot.AddColsSelected(cols, sel)
 }
 
-func (b *fakeBackend) solo(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas Deltas, own func(int64) bool) (Out[fakeCounts], error) {
-	return Solo(ctx, b.dispatch(s), q, deltas, own, func() (SoloFold[*fakeScratch, fakeCounts], error) {
-		return func(sc *fakeScratch, id int64, q frag.Query, slot Slot) (FragPartial, fakeCounts, error) {
-			var c fakeCounts
-			err := b.fold(sc, id, q, &slot, &c)
-			return slot.FP, c, err
-		}, nil
-	})
+// lone runs q as a batch of one.
+func (b *fakeBackend) lone(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas Deltas, own func(int64) bool) (Out[fakeCounts], error) {
+	return Lone(b.shared(ctx, s, []frag.Query{q}, deltas, own))
 }
 
-func (b *fakeBackend) shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas Deltas, own func(int64) bool) ([]Out[fakeCounts], error) {
+func (b *fakeBackend) shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas Deltas, own func(int64) bool) (Outs[fakeCounts], error) {
 	return Shared(ctx, b.dispatch(s), qs, deltas, own, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) {
-		return func(sc *fakeScratch, id int64, ms []Member[fakeCounts], slots []Slot) error {
+		return func(sc *fakeScratch, id int64, batch []BatchQuery, ms []Member[fakeCounts], slots []Slot) error {
 			for k := range ms {
-				if err := b.fold(sc, id, qs[ms[k].Query], &slots[k], &ms[k].St); err != nil {
+				if err := b.fold(sc, id, frag.Query{Preds: batch[ms[k].Query].Preds}, &slots[k], &ms[k].St); err != nil {
 					return err
 				}
 				if len(ms) >= 2 {
@@ -241,11 +239,11 @@ func parseDriverQueries(t *testing.T, star *schema.Star) []frag.Query {
 	return qs
 }
 
-// TestDriversEqualBruteForce: Solo and every member of a Shared batch
-// equal the brute-force fold — ungrouped, fragment-aligned and per-row
-// GROUP BY, with and without deltas, over all fragments and over an
-// owned subset — and a shared member's outcome equals its solo run
-// field by field, stats included, at K = 1, 2 and 16.
+// TestDriversEqualBruteForce: every member of a Shared batch equals the
+// brute-force fold — ungrouped, fragment-aligned and per-row GROUP BY,
+// with and without deltas, over all fragments and over an owned subset —
+// and its outcome equals the same query's batch of one field by field,
+// stats included, at K = 1, 2 and 16.
 func TestDriversEqualBruteForce(t *testing.T) {
 	w := newFakeWorld(t)
 	qs := parseDriverQueries(t, w.be.star)
@@ -256,23 +254,20 @@ func TestDriversEqualBruteForce(t *testing.T) {
 		defer sched.Close()
 		for dname, deltas := range map[string]Deltas{"base": {}, "deltas": w.deltas} {
 			for oname, own := range map[string]func(int64) bool{"all": nil, "own": func(id int64) bool { return id%3 != 1 }} {
-				solos := make([]Out[fakeCounts], len(qs))
+				lones := make([]Out[fakeCounts], len(qs))
 				for i, q := range qs {
 					name := fmt.Sprintf("workers=%d/%s/%s/%q", workers, dname, oname, driverQueries[i])
-					out, err := w.be.solo(ctx, sched, q, deltas, own)
+					out, err := w.be.lone(ctx, sched, q, deltas, own)
 					if err != nil || out.Err != nil {
 						t.Fatalf("%s: %v / %v", name, err, out.Err)
-					}
-					if got, want := out.Gr.Result(out.Part), w.want(t, q, dname == "deltas", own); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: solo %+v, brute force %+v", name, got, want)
 					}
 					if (out.Gr != nil) != (len(q.GroupBy) > 0) || (out.Part.Groups != nil) != (out.Gr != nil) {
 						t.Errorf("%s: grouper %v, groups %v", name, out.Gr, out.Part.Groups)
 					}
-					if out.Shared != (SharedScanStats{}) {
-						t.Errorf("%s: solo shared stats %+v", name, out.Shared)
+					if out.Shared != (SharedScanStats{Batched: 1}) {
+						t.Errorf("%s: batch of one shared stats %+v", name, out.Shared)
 					}
-					solos[i] = out
+					lones[i] = out
 				}
 				for _, k := range []int{1, 2, 16} {
 					name := fmt.Sprintf("workers=%d/%s/%s/K=%d", workers, dname, oname, k)
@@ -284,27 +279,31 @@ func TestDriversEqualBruteForce(t *testing.T) {
 						batch[1] = invalid
 					}
 					outs, err := w.be.shared(ctx, sched, batch, deltas, own)
-					if err != nil || len(outs) != k {
-						t.Fatalf("%s: %d outcomes, %v", name, len(outs), err)
+					if err != nil || outs.Len() != k {
+						t.Fatalf("%s: %d outcomes, %v", name, outs.Len(), err)
 					}
-					for i, got := range outs {
+					for i := 0; i < k; i++ {
+						got := *outs.At(i)
 						if k >= 2 && i == 1 {
 							// The invalid member's error is its own; its
 							// batch-mates are served.
-							_, wantErr := w.be.solo(ctx, sched, invalid, deltas, own)
+							_, wantErr := w.be.lone(ctx, sched, invalid, deltas, own)
 							if got.Err == nil || wantErr == nil || got.Err.Error() != wantErr.Error() || got.Gr != nil || got.Part.Groups != nil {
-								t.Errorf("%s slot 1: %+v, solo error %v", name, got, wantErr)
+								t.Errorf("%s slot 1: %+v, alone error %v", name, got, wantErr)
 							}
 							continue
 						}
-						want := solos[i%len(qs)]
+						if res, want := got.Gr.Result(got.Part), w.want(t, batch[i], dname == "deltas", own); !reflect.DeepEqual(res, want) {
+							t.Errorf("%s slot %d: %+v, brute force %+v", name, i, res, want)
+						}
+						want := lones[i%len(qs)]
 						if got.Shared.Batched != k || (k == 1 && got.Shared != SharedScanStats{Batched: 1}) {
 							t.Errorf("%s slot %d: shared stats %+v", name, i, got.Shared)
 						}
-						got.Shared = SharedScanStats{}
+						got.Shared, want.Shared = SharedScanStats{}, SharedScanStats{}
 						if got.St != want.St || got.Err != nil || !reflect.DeepEqual(got.Part, want.Part) ||
 							!reflect.DeepEqual(got.Gr.Result(got.Part), want.Gr.Result(want.Part)) {
-							t.Errorf("%s slot %d: shared %+v, solo %+v", name, i, got, want)
+							t.Errorf("%s slot %d: shared %+v, alone %+v", name, i, got, want)
 						}
 					}
 				}
@@ -313,9 +312,9 @@ func TestDriversEqualBruteForce(t *testing.T) {
 	}
 }
 
-// TestDriverStats: the drivers sum the backend's counters over exactly
-// the owned relevant fragments and credit the delta rows they fold
-// themselves — also for a fragment that has delta segments and no base
+// TestDriverStats: the driver sums the backend's counters over exactly
+// the owned relevant fragments and credits the delta rows it folds
+// itself — also for a fragment that has delta segments and no base
 // rows.
 func TestDriverStats(t *testing.T) {
 	w := newFakeWorld(t)
@@ -357,26 +356,27 @@ func TestDriverStats(t *testing.T) {
 	if deltaRows == 0 {
 		t.Fatal("the query selects no delta row")
 	}
-	out, err := w.be.solo(ctx, sched, q, w.deltas, own)
+	out, err := w.be.lone(ctx, sched, q, w.deltas, own)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.St != want {
-		t.Errorf("solo counts %+v, want %+v", out.St, want)
+		t.Errorf("lone counts %+v, want %+v", out.St, want)
 	}
 	if got, ref := out.Gr.Result(out.Part), w.want(t, q, true, own); !reflect.DeepEqual(got, ref) {
-		t.Errorf("solo %+v, brute force %+v", got, ref)
+		t.Errorf("lone %+v, brute force %+v", got, ref)
 	}
 	outs, err := w.be.shared(ctx, sched, []frag.Query{q, q}, w.deltas, own)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range outs {
+	for i := 0; i < outs.Len(); i++ {
+		o := outs.At(i)
 		if o.St != want || o.Shared != (SharedScanStats{Batched: 2, FragmentsShared: int(frags)}) {
 			t.Errorf("slot %d: counts %+v shared %+v, want %+v over %d shared fragments", i, o.St, o.Shared, want, frags)
 		}
 		if !reflect.DeepEqual(o.Part, out.Part) {
-			t.Errorf("slot %d: partial %+v, solo %+v", i, o.Part, out.Part)
+			t.Errorf("slot %d: partial %+v, lone %+v", i, o.Part, out.Part)
 		}
 	}
 }
@@ -395,46 +395,43 @@ func TestDriverFailures(t *testing.T) {
 	low, high := errors.New("low fragment failed"), errors.New("high fragment failed")
 	w.be.fail = map[int64]error{ids[2]: low, ids[len(ids)-1]: high}
 	for i := 0; i < 20; i++ {
-		out, err := w.be.solo(ctx, sched, all, w.deltas, nil)
+		out, err := w.be.lone(ctx, sched, all, w.deltas, nil)
 		if err != low || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
-			t.Fatalf("solo: %+v, %v; want nothing and the lowest task's error", out, err)
+			t.Fatalf("lone: %+v, %v; want nothing and the lowest task's error", out, err)
 		}
 		outs, err := w.be.shared(ctx, sched, []frag.Query{all, all}, w.deltas, nil)
-		if err != low || outs != nil {
+		if err != low || !reflect.DeepEqual(outs, Outs[fakeCounts]{}) {
 			t.Fatalf("shared: %+v, %v; want nothing and the lowest task's error", outs, err)
 		}
 	}
 	// The failing fragments are not relevant to an owner of the others.
 	spared := func(id int64) bool { return w.be.fail[id] == nil }
-	if out, err := w.be.solo(ctx, sched, all, w.deltas, spared); err != nil || !reflect.DeepEqual(out.Gr.Result(out.Part), w.want(t, all, true, spared)) {
-		t.Errorf("solo over the healthy fragments: %+v, %v", out, err)
+	if out, err := w.be.lone(ctx, sched, all, w.deltas, spared); err != nil || !reflect.DeepEqual(out.Gr.Result(out.Part), w.want(t, all, true, spared)) {
+		t.Errorf("lone over the healthy fragments: %+v, %v", out, err)
 	}
 
 	bindErr := errors.New("no plan")
-	if _, err := Solo(ctx, w.be.dispatch(sched), all, Deltas{}, nil, func() (SoloFold[*fakeScratch, fakeCounts], error) { return nil, bindErr }); err != bindErr {
-		t.Errorf("solo bind error: %v", err)
-	}
 	if _, err := Shared(ctx, w.be.dispatch(sched), []frag.Query{all}, Deltas{}, nil, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) { return nil, bindErr }); err != bindErr {
 		t.Errorf("shared bind error: %v", err)
 	}
-	if _, err := w.be.solo(ctx, nil, all, Deltas{}, nil); err == nil {
-		t.Error("solo accepted a nil scheduler")
+	if _, err := w.be.lone(ctx, nil, all, Deltas{}, nil); err == nil {
+		t.Error("lone accepted a nil scheduler")
 	}
 	if _, err := w.be.shared(ctx, nil, []frag.Query{all}, Deltas{}, nil); err == nil {
 		t.Error("shared accepted a nil scheduler")
 	}
 	invalid := frag.Query{Preds: []frag.Pred{{Dim: 99}}}
-	if out, err := w.be.solo(ctx, sched, invalid, Deltas{}, nil); err == nil || out.Err != err {
-		t.Errorf("invalid solo query: Out.Err %v, error %v", out.Err, err)
+	if out, err := w.be.lone(ctx, sched, invalid, Deltas{}, nil); err == nil || out.Err != err {
+		t.Errorf("invalid lone query: Out.Err %v, error %v", out.Err, err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if out, err := w.be.solo(cancelled, sched, all, Deltas{}, spared); !errors.Is(err, context.Canceled) || out.Err != nil {
-		t.Errorf("cancelled solo: Out.Err %v, error %v", out.Err, err)
+	if out, err := w.be.lone(cancelled, sched, all, Deltas{}, spared); !errors.Is(err, context.Canceled) || out.Err != nil {
+		t.Errorf("cancelled lone: Out.Err %v, error %v", out.Err, err)
 	}
 }
 
-// TestScratchNeverInTwoTasks: 16 concurrent Solo and Shared calls on 4
+// TestScratchNeverInTwoTasks: 16 concurrent lone and shared calls on 4
 // workers borrow from one scratch list, call after call. No fold ever
 // finds its scratch held by another task, every result equals the serial
 // one, and a failing and a panicking call in the mix return nothing and
@@ -466,23 +463,25 @@ func TestScratchNeverInTwoTasks(t *testing.T) {
 				i := (c + r) % len(qs)
 				switch {
 				case c == 0: // every fragment, the bad one included
-					if out, err := w.be.solo(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
+					if out, err := w.be.lone(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
 						t.Errorf("failing call: %+v, %v", out, err)
 					}
 				case c == 1:
-					if out, err := poisoned.solo(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
+					if out, err := poisoned.lone(ctx, sched, frag.Query{}, w.deltas, nil); err == nil || !reflect.DeepEqual(out, Out[fakeCounts]{}) {
 						t.Errorf("panicking call: %+v, %v", out, err)
 					}
 				case c%2 == 0:
-					out, err := w.be.solo(ctx, sched, qs[i], w.deltas, spared)
+					out, err := w.be.lone(ctx, sched, qs[i], w.deltas, spared)
 					if err != nil || !reflect.DeepEqual(out.Gr.Result(out.Part), want[i]) {
-						t.Errorf("caller %d round %d: solo %+v, %v; want %+v", c, r, out, err, want[i])
+						t.Errorf("caller %d round %d: lone %+v, %v; want %+v", c, r, out, err, want[i])
 					}
 				default:
 					j := (i + 1) % len(qs)
 					outs, err := w.be.shared(ctx, sched, []frag.Query{qs[i], qs[j]}, w.deltas, spared)
-					if err != nil || !reflect.DeepEqual(outs[0].Gr.Result(outs[0].Part), want[i]) || !reflect.DeepEqual(outs[1].Gr.Result(outs[1].Part), want[j]) {
-						t.Errorf("caller %d round %d: shared %+v, %v; want %+v and %+v", c, r, outs, err, want[i], want[j])
+					if err != nil {
+						t.Errorf("caller %d round %d: shared %v", c, r, err)
+					} else if o0, o1 := outs.At(0), outs.At(1); !reflect.DeepEqual(o0.Gr.Result(o0.Part), want[i]) || !reflect.DeepEqual(o1.Gr.Result(o1.Part), want[j]) {
+						t.Errorf("caller %d round %d: shared %+v; want %+v and %+v", c, r, outs, want[i], want[j])
 					}
 				}
 			}
@@ -491,5 +490,52 @@ func TestScratchNeverInTwoTasks(t *testing.T) {
 	wg.Wait()
 	if n := w.be.clashes.Load() + poisoned.clashes.Load(); n != 0 || w.be.built.Load() == 0 {
 		t.Errorf("%d folds found their scratch in another task's hands (%d scratches built)", n, w.be.built.Load())
+	}
+}
+
+// TestLoneBatchListsNoTasks: a batch of one takes its tasks from its
+// region and lists none, so a warm one over every fragment of a
+// 192-fragment spec allocates within 64 B of a warm one over two. (One
+// over a single fragment is a one-task call, which runs on its caller
+// and skips the pool's job, so it is logged but not compared.) When a
+// batch of one listed its region, 8 B a fragment, it took 2,561 B over
+// all and 964 B over two (amd64, go1.24).
+func TestLoneBatchListsNoTasks(t *testing.T) {
+	star := schema.Tiny()
+	spec := frag.MustParse(star, "time::month, product::code, customer::store")
+	be := &fakeBackend{star: star, spec: spec, scratch: exec.NewScratch(func() *fakeScratch { return &fakeScratch{} })}
+	sched := exec.NewScheduler(2)
+	defer sched.Close()
+	bytes := func(text string, frags int64) uint64 {
+		q, err := frag.ParseQuery(star, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := spec.Relevant(q).Count(); n != frags {
+			t.Fatalf("%q: %d fragments, want %d", text, n, frags)
+		}
+		run := func() {
+			if _, err := be.lone(context.Background(), sched, q, Deltas{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	one := bytes("time::month=1, product::code=3, customer::store=2", 1)
+	two := bytes("time::month=1, product::class=1, customer::store=2", 2)
+	all := bytes("", spec.NumFragments())
+	t.Logf("batch of one: %d B over one fragment, %d B over two, %d B over all %d", one, two, all, spec.NumFragments())
+	if all > two+64 {
+		t.Errorf("a batch of one over all %d fragments allocated %d B, over two %d B: more than 64 B apart", spec.NumFragments(), all, two)
 	}
 }

@@ -94,7 +94,7 @@ func (c Columns) sumWord(base int, w uint64) Aggregate {
 // query's grouping shape for the fragment at hand (constant base key,
 // per-row GroupBy levels) plus its running FragPartial. Rows counts the
 // rows folded in — the slot's logical scan count for the fragment,
-// identical to what solo execution would have reported.
+// identical to what the query alone would have reported.
 type Slot struct {
 	Base   uint64
 	PerRow []RowLevel
@@ -102,8 +102,7 @@ type Slot struct {
 	Rows   int64
 }
 
-// NewSlot shapes a slot for one fragment of one query, mirroring the
-// solo executors' per-fragment partial setup: ungrouped queries
+// NewSlot shapes a slot for one fragment of one query: ungrouped queries
 // aggregate into FP.Agg only; fragment-aligned grouping tags the partial
 // with its constant key; the per-row fallback carries a fragment-local
 // group map.

@@ -4,22 +4,23 @@
 // Grouped, Row) that turns MDHF's hierarchy-aligned fragments into
 // nearly-free GROUP BY execution — so a result produced by any backend
 // is structurally, and after the deterministic Rows ordering
-// byte-for-byte, comparable with every other. And its two drivers, Solo
-// and Shared (driver.go): the paper's processing model (Section 4.3)
-// around the one step in which the backends differ. Both validate,
-// derive the grouper, enumerate the relevant fragments a node owns, run
-// one task per fragment on the backend's scheduler — shape a Slot, let
-// the backend fold the fragment's base rows into it, fold the fragment's
-// delta segments in seal order — and have each worker add the partials
-// of the tasks it ran to one outcome of its own, the caller adding up
-// the workers' (exec.ReduceShardedOn). Which fragments meet on which
+// byte-for-byte, comparable with every other. And its one driver,
+// Shared (driver.go), for which a lone query is a batch of one: the
+// paper's processing model (Section 4.3) around the one step in which
+// the backends differ. It validates every member, derives its grouper,
+// enumerates the relevant fragments a node owns, runs one task per
+// fragment on the backend's scheduler — shape a Slot per member needing
+// it, let the backend fold the fragment's base rows into them, fold the
+// fragment's delta segments in seal order — and has each worker add the
+// partials of the tasks it ran to outcomes of its own, the caller adding
+// up the workers' (exec.ReduceShardedOn). Which fragments meet on which
 // worker depends on scheduling, and it does not matter: every merge here
 // is an int64 sum per group key, a sum of counters or, for
 // SharedScanStats.Batched, a maximum — all commutative and associative,
 // overflow included — and Grouper.Rows sorts, so a result is identical
-// at any pool size, disk layout or admission mix. A backend hands them
+// at any pool size, disk layout or admission mix. A backend hands it
 // where its tasks run and whose scratch they borrow (Dispatch) and one
-// function: bind a validated query (batch) to its fragment fold.
+// function: bind a validated batch to its fragment fold.
 package kernel
 
 // Aggregate is a star query result: COUNT plus the three APB-1 measure

@@ -133,7 +133,7 @@ func (b *Backend) Compact(dir string, deltas *frag.DeltaSet, cfg BackendConfig) 
 	nb, err := assemble(store, bf, err, cfg, sc)
 	if err == nil {
 		// Same schema, same bitmaps: the worker scratch carries over.
-		nb.Exec.solo, nb.Exec.shared = b.Exec.solo, b.Exec.shared
+		nb.Exec.scratch = b.Exec.scratch
 	}
 	return nb, err
 }

@@ -472,8 +472,8 @@ func TestCompactScratchCarriesNoStaleBytes(t *testing.T) {
 }
 
 // TestScratchSurvivesCompaction: the worker scratch lives as long as the
-// store, not the epoch. The first backend's free lists serve solo and
-// shared queries through three compactions and build no more scratches
+// store, not the epoch. The first backend's free list serves lone and
+// shared queries through three compactions and builds no more scratches
 // than the pool has workers; the
 // first query on a new epoch allocates no more than the same query warm
 // on the old one; and a scratch resting on the list keeps no pointer
@@ -493,10 +493,9 @@ func TestScratchSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { cur.Close() }()
-	var solo, shared atomic.Int64
-	cur.Exec.solo = exec.NewScratch(func() *execScratch { solo.Add(1); return newScratch() })
-	buildShared := newSharedScratch(cur.Bitmaps.NumBitmaps())
-	cur.Exec.shared = exec.NewScratch(func() *sharedScratch { shared.Add(1); return buildShared() })
+	var built atomic.Int64
+	build := newScratch(cur.Bitmaps.NumBitmaps())
+	cur.Exec.scratch = exec.NewScratch(func() *scratch { built.Add(1); return build() })
 
 	// The deltas land in month 7; the measured queries read month 2, so
 	// their working set is the same in every epoch.
@@ -568,7 +567,7 @@ func TestScratchSurvivesCompaction(t *testing.T) {
 		}
 	}
 	serve(cur)
-	if solo.Load() > workers || shared.Load() > workers {
-		t.Errorf("%d solo and %d shared scratches built over %d epochs of a %d-worker pool", solo.Load(), shared.Load(), compactions+1, workers)
+	if built.Load() > workers {
+		t.Errorf("%d scratches built over %d epochs of a %d-worker pool", built.Load(), compactions+1, workers)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/bitmap"
 	"repro/internal/exec"
@@ -83,8 +84,8 @@ type Aggregate = kernel.Aggregate
 // makes either a bitset and nothing here asks which. The first step and
 // everything after the last — the delta fold, the sum of the
 // per-fragment partials and IOStats on the worker that ran them and of
-// the workers' sums — are internal/kernel's drivers; the executor supplies the steps between
-// (processFragment solo, sharedFold shared). Fragments are processed in
+// the workers' sums — are internal/kernel's driver; the executor supplies
+// the steps between (fold). Fragments are processed in
 // parallel on the scheduler's pool, standing in for the Shared Disk
 // processing nodes: concurrent executions — from this executor or any
 // other attached to the same scheduler — multiplex onto its fixed
@@ -101,11 +102,10 @@ type Executor struct {
 	// results are identical either way.
 	AsyncPrefetch bool
 
-	// The worker scratch of the solo and the shared fold, borrowed by
-	// every call's fragment tasks. Compact hands the lists on to the next
-	// epoch's executor, so they live as long as the store.
-	solo   *exec.Scratch[*execScratch]
-	shared *exec.Scratch[*sharedScratch]
+	// The worker scratch of the fragment fold, borrowed by every call's
+	// tasks. Compact hands the list on to the next epoch's executor, so it
+	// lives as long as the store.
+	scratch *exec.Scratch[*scratch]
 }
 
 // NewExecutor pairs a fact store with its bitmap file and attaches the
@@ -117,8 +117,7 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 		return nil, errNilScheduler
 	}
 	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
-	e.solo = exec.NewScratch(newScratch)
-	e.shared = exec.NewScratch(newSharedScratch(bitmaps.NumBitmaps()))
+	e.scratch = exec.NewScratch(newScratch(bitmaps.NumBitmaps()))
 	return e, nil
 }
 
@@ -129,14 +128,6 @@ var errNilScheduler = errors.New("storage: nil scheduler")
 // 15 + 12 bit positions) just grows.
 const planCap = 16
 
-// dispatch describes where the executor's fragment tasks run: on its
-// scheduler, placement-aware over the store's disk set (in task order on
-// one disk).
-func dispatch[S any](e *Executor, scratch *exec.Scratch[S]) kernel.Dispatch[S] {
-	return kernel.Dispatch[S]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: scratch,
-		Disks: e.store.disks.Disks(), DiskOf: e.store}
-}
-
 // partial is what the fragment kernels fold one fragment into: its
 // contribution to the query result and the I/O that took.
 type partial struct {
@@ -144,54 +135,297 @@ type partial struct {
 	st IOStats
 }
 
-// execScratch is the per-worker buffer set threaded through internal/exec.
-// All slices and bitsets grow to the working-set size of the first
-// fragments a worker touches and are reused for every later one, in
-// every call and every epoch, making the fragment hot loop
-// allocation-free once warm. Between tasks it holds no pointer into the
-// epoch that last used it (granulePipe.finish, unitSet.release), so a
-// retired epoch's files and directories stay collectable.
-type execScratch struct {
-	page  []byte  // fact prefetch-granule buffer
-	units unitSet // bitmap units read for the current fragment
-	part  partial // what the solo fold folds the current fragment into
-	acc   rowAcc  // where the current fragment's rows accumulate
-
-	hits *bitmap.Bitset    // running AND of predicate selections
-	sel  *bitmap.Bitset    // current bitmap fragment read
-	wah  bitmap.Compressed // a compressed file's words on their way into a Bitset
+// scratch is a worker's buffer set threaded through internal/exec. Its
+// buffers grow to the working-set size of the first fragments a worker
+// touches and are reused for every later one, in every call and every
+// epoch, making the fragment hot loop allocation-free once warm: the
+// fragment I/O buffers and the task's state — its members and slots, the
+// bitmap fragments decoded for the duration of the task (so batch-mates
+// selecting the same bitmap reuse it instead of reading and decoding it
+// again), per-slot selection masks, partials and row accumulators, the
+// granule ownership table and the union stream's counters. Between
+// tasks it holds no pointer into the epoch that last used it
+// (granulePipe.finish, unitSet.release), so a retired epoch's files and
+// directories stay collectable.
+type scratch struct {
+	kernel.SharedTask[IOStats]
+	page    []byte            // fact prefetch-granule buffer
+	units   unitSet           // bitmap units read for the current fragment
+	wah     bitmap.Compressed // a compressed file's words on their way into a Bitset
+	gran    []granule         // one member's granule read list
+	byIndex []*bitmap.Bitset  // the task's decoded bitmaps by stored index (nil = not yet)
+	entries []*bitmap.Bitset  // decoded-bitmap freelist, reused across tasks
+	used    int
+	masks   []*bitmap.Bitset // mask buffers by slot
+	sel     []*bitmap.Bitset // the task's masks by slot (nil = every row)
+	parts   []partial        // the task's partials by slot
+	accs    []rowAcc         // where each slot's rows accumulate
+	payer   []int32          // granule index -> first-paying local slot (-1 = unread)
+	ugran   []granule
+	phys    IOStats // the union stream's physical counters
 
 	// Async prefetch pipeline (see prefetch.go).
-	gran   []granule     // the fragment's granule read list
 	gpipe  granulePipe   // in-flight pipeline state
 	free   chan []byte   // empty pipeline buffers (capacity 2, unpooled)
 	tok    chan struct{} // read-ahead tokens (capacity 2, pooled)
 	filled chan gread    // completed granule reads
 }
 
-func newScratch() *execScratch {
-	return &execScratch{hits: bitmap.New(0), sel: bitmap.New(0)}
+// newScratch returns the builder of scratch for a file of bitmaps stored
+// bitmaps per fragment — all it needs of the executor, which the list
+// outlives.
+func newScratch(bitmaps int) func() *scratch {
+	return func() *scratch {
+		return &scratch{byIndex: make([]*bitmap.Bitset, bitmaps)}
+	}
 }
 
-// Solo runs the query through kernel.Solo over the relevant fragments
-// own selects (nil selects all): the scatter over the pool stops early
-// when ctx is cancelled or any fragment fails, and is disk-aware on a
-// declustered store (see dispatch). The executor's share is the bitmap
-// plan, derived once per query, and processFragment. On the
+// reset clears the per-task bitmap cache, recycling its entries.
+func (sc *scratch) reset() {
+	clear(sc.byIndex)
+	sc.used = 0
+}
+
+func (sc *scratch) entry() *bitmap.Bitset {
+	if sc.used == len(sc.entries) {
+		sc.entries = append(sc.entries, bitmap.New(0))
+	}
+	sc.used++
+	return sc.entries[sc.used-1]
+}
+
+// mask returns the k-th per-slot selection mask, growing the pool.
+func (sc *scratch) mask(k int) *bitmap.Bitset {
+	for len(sc.masks) <= k {
+		sc.masks = append(sc.masks, bitmap.New(0))
+	}
+	return sc.masks[k]
+}
+
+// operand returns stored bitmap di of the task's fragment, decoded: the
+// first slot needing it decodes it out of its unit, later slots get the
+// cached bitmap back. fresh reports that this call paid the unit read
+// (attributed to st); a unit the task already holds, or a bitmap it
+// already decoded, costs nothing.
+func (sc *scratch) operand(ctx context.Context, e *Executor, di int, st *IOStats) (bs *bitmap.Bitset, sl frag.BitmapSlot, fresh bool, err error) {
+	us := &sc.units
+	if bs = sc.byIndex[di]; bs != nil {
+		return bs, us.blk.slots[di], false, nil
+	}
+	payload, sl, fresh, err := us.payload(ctx, di, st)
+	if err != nil {
+		return nil, sl, false, err
+	}
+	bs = sc.entry()
+	e.bitmaps.decodeInto(bs, &sc.wah, payload, int(us.blk.rows))
+	sc.byIndex[di] = bs
+	return bs, sl, fresh, nil
+}
+
+// selectInto computes one slot's selection mask for the fragment from its
+// bitmap plan via the task's unit set and bitmap cache: the bitmap
+// access of Section 4.3's step 2, the plan's operands ANDed, verbatim or
+// complemented. It returns nil when the plan is empty (every row is
+// relevant — the whole fragment is read); an empty mask means no row
+// matches. Logical bitmap counters land on st as the query alone counts
+// them — one I/O per distinct unit of the plan, whose operands are
+// adjacent because the plan is ordered by stored index; unit reads a
+// batch-mate already paid land on sh.
+func (e *Executor) selectInto(ctx context.Context, plan []frag.BitmapOp, mask *bitmap.Bitset, st *IOStats, sh *kernel.SharedScanStats, sc *scratch) (*bitmap.Bitset, error) {
+	if len(plan) == 0 {
+		return nil, nil // no bitmap access: every fragment row is relevant
+	}
+	unit := int32(-1)
+	for i, op := range plan {
+		bs, sl, fresh, err := sc.operand(ctx, e, int(op.Index), st)
+		if err != nil {
+			return nil, err
+		}
+		if sl.Unit != unit {
+			unit = sl.Unit
+			st.BitmapIOs++
+			st.BitmapPages += int64(sl.Pages)
+			if !fresh {
+				sh.PhysReadsSaved++
+			}
+		}
+		switch {
+		case i == 0:
+			mask.CopyFrom(bs)
+			if op.Complement {
+				mask.Not()
+			}
+		case op.Complement:
+			mask.AndNot(bs)
+		default:
+			mask.And(bs)
+		}
+	}
+	return mask, nil
+}
+
+// Shared executes K queries against one pinned snapshot through
+// kernel.Shared in a single pass — a lone query is a batch of one — over
+// the relevant fragments own selects (nil selects all): the union of the
+// queries' relevant fragments is dispatched as one task set on the
+// executor's scheduler, placement-aware over the store's disk set (in
+// task order on one disk), and each fragment task performs one physical
+// bitmap selection + granule read stream that feeds every query needing
+// the fragment (fold). The executor's share is each member's bitmap
+// plan, derived once per query, and the fold. Per-query outcomes —
+// including the logical I/O statistics — are byte-identical to each
+// query run alone against the same snapshot; only the physical read
+// counts shrink, and Out.Shared says by how much. On the
 // fragment-aligned fast path the group key comes from the fragment id,
-// so grouping adds no per-row work and — because the stored tuples
-// carry the dimension keys — never any extra I/O. Delta rows cost no
-// physical I/O; they are reported in IOStats.DeltaRows.
-func (e *Executor) Solo(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Out[IOStats], error) {
-	return kernel.Solo(ctx, dispatch(e, e.solo), q, deltas, own, func() (kernel.SoloFold[*execScratch, IOStats], error) {
-		plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), q)
-		return func(sc *execScratch, id int64, _ frag.Query, slot kernel.Slot) (kernel.FragPartial, IOStats, error) {
-			p := &sc.part
-			*p = partial{fp: slot.FP}
-			err := e.processFragment(ctx, id, plan, p, sc, slot.Base, slot.PerRow)
-			return p.fp, p.st, err
-		}, err
+// so grouping adds no per-row work and — because the stored tuples carry
+// the dimension keys — never any extra I/O. Delta rows cost no physical
+// I/O; they are reported in IOStats.DeltaRows. A batch-wide failure (an
+// I/O error, cancellation) fails the whole call, so every caller can
+// retry alone.
+func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Outs[IOStats], error) {
+	d := kernel.Dispatch[*scratch]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: e.scratch,
+		Disks: e.store.disks.Disks(), DiskOf: e.store}
+	return kernel.Shared(ctx, d, qs, deltas, own, func(batch []kernel.BatchQuery) (kernel.SharedFold[*scratch, IOStats], error) {
+		var plans bitmapPlans
+		if len(batch) > 1 {
+			plans.rest = make([][]frag.BitmapOp, len(batch)-1)
+		}
+		for i := range batch {
+			if batch[i].Err != nil {
+				continue
+			}
+			plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), frag.Query{Preds: batch[i].Preds})
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				plans.first = plan
+			} else {
+				plans.rest[i-1] = plan
+			}
+		}
+		return e.fold(ctx, plans), nil
 	})
+}
+
+// bitmapPlans are a batch's bitmap plans by member index. The first is
+// held in place, so that a batch of one needs no list for its plan.
+type bitmapPlans struct {
+	first []frag.BitmapOp
+	rest  [][]frag.BitmapOp
+}
+
+func (p bitmapPlans) at(i int) []frag.BitmapOp {
+	if i == 0 {
+		return p.first
+	}
+	return p.rest[i-1]
+}
+
+// ExecuteSharedDeltas is Shared with every member's rows flattened.
+func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.SharedResult[IOStats], error) {
+	return kernel.Flatten(e.Shared(ctx, qs, deltas, own))
+}
+
+// fold returns the fragment task over the batch's bitmap plans, steps
+// 2-4 of Section 4.3: every member's mask, the granule payer table, and
+// one union granule stream — the granules holding a hit of some member,
+// with the next read in flight while the current one aggregates — over
+// which each member's own rows are folded with the page kernel
+// (foldGranule).
+func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFold[*scratch, IOStats] {
+	return func(sc *scratch, id int64, _ []kernel.BatchQuery, ms []kernel.Member[IOStats], slots []kernel.Slot) error {
+		store, g := e.store, e.PrefetchFact
+		sc.reset()
+		loc, ok := store.Loc(id)
+		if !ok {
+			return nil // no rows at this density
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		us := &sc.units
+		if err := us.begin(e.bitmaps, id); err != nil {
+			return err
+		}
+		sc.sel = sc.sel[:0]
+		for k := range ms {
+			m := &ms[k]
+			mask, err := e.selectInto(ctx, plans.at(m.Query), sc.mask(k), &m.St, &m.Shared, sc)
+			if err != nil {
+				us.release()
+				return err
+			}
+			sc.sel = append(sc.sel, mask)
+			if len(ms) >= 2 {
+				m.Shared.FragmentsShared = 1
+			}
+		}
+		us.release()
+
+		// Per-slot logical granule lists (every granule of the fragment
+		// without a mask, only those with a hit otherwise: the
+		// prefetch-efficiency effect of Section 4.5) drive both the logical Fact counters and the union read list;
+		// the first slot listing a granule pays its physical read, later
+		// slots record the saving.
+		pages := int(loc.Pages)
+		granules := (pages + g - 1) / g
+		sc.payer = slices.Grow(sc.payer[:0], granules)[:granules]
+		for i := range sc.payer {
+			sc.payer[i] = -1
+		}
+		for k, mask := range sc.sel {
+			m := &ms[k]
+			sc.gran = appendGranules(sc.gran[:0], mask, pages, g, store.tpp)
+			for _, gr := range sc.gran {
+				m.St.FactIOs++
+				m.St.FactPages += int64(gr.count)
+				if gi := int(gr.start) / g; sc.payer[gi] < 0 {
+					sc.payer[gi] = int32(k)
+				} else {
+					m.Shared.PhysReadsSaved++
+				}
+			}
+		}
+		sc.ugran = sc.ugran[:0]
+		for gi, k := range sc.payer {
+			if k >= 0 {
+				sc.ugran = append(sc.ugran, granuleAt(gi, g, pages))
+			}
+		}
+
+		// Each slot folds into a partial of its own, as it would alone.
+		sc.parts, sc.accs = slices.Grow(sc.parts[:0], len(ms))[:len(ms)], slices.Grow(sc.accs[:0], len(ms))[:len(ms)]
+		for k := range slots {
+			sc.parts[k] = partial{fp: slots[k].FP}
+			sc.accs[k] = rowAcc{p: &sc.parts[k], base: slots[k].Base, perRow: slots[k].PerRow, rows: int(loc.Rows)}
+		}
+
+		// One physical stream over the union granules feeds every slot.
+		// Its Fact counters are the physical read set (the per-slot
+		// logical counts are already accounted above); its pool counters
+		// are credited to the granule's paying slot.
+		sc.phys = IOStats{}
+		var paid IOStats
+		err := e.forEachGranule(ctx, sc, &sc.phys, id, sc.ugran, func(gr granule, buf []byte) {
+			payer := &ms[sc.payer[int(gr.start)/g]].St
+			payer.PoolHits += sc.phys.PoolHits - paid.PoolHits
+			payer.PoolMisses += sc.phys.PoolMisses - paid.PoolMisses
+			payer.PoolBytes += sc.phys.PoolBytes - paid.PoolBytes
+			paid = sc.phys
+			for k, mask := range sc.sel {
+				store.foldGranule(&sc.accs[k], buf, gr, mask)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		for k := range ms {
+			slots[k].FP = sc.parts[k].fp
+			ms[k].St.RowsRead += sc.parts[k].st.RowsRead
+		}
+		return nil
+	}
 }
 
 // ExecuteGroupedDeltas runs the query and returns the full result: the
@@ -201,7 +435,7 @@ func (e *Executor) Solo(ctx context.Context, q frag.Query, deltas kernel.Deltas,
 // in-memory delta segments in seal order — so base+delta results are
 // byte-identical to a store rebuilt from scratch with the same rows.
 func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas) (kernel.Result, IOStats, error) {
-	o, err := e.Solo(ctx, q, deltas, nil)
+	o, err := kernel.Lone(e.Shared(ctx, []frag.Query{q}, deltas, nil))
 	return o.Gr.Result(o.Part), o.St, err
 }
 
@@ -213,80 +447,6 @@ func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, delta
 // through Grouper.Rows for results byte-identical to a single store
 // holding the union of the rows.
 func (e *Executor) ExecutePartialDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, IOStats, error) {
-	o, err := e.Solo(ctx, q, deltas, own)
+	o, err := kernel.Lone(e.Shared(ctx, []frag.Query{q}, deltas, own))
 	return o.Part, o.St, err
-}
-
-// processFragment evaluates the query's bitmap plan within one fragment
-// (steps 2-4 of Section 4.3): every row when the plan is empty, otherwise
-// the plan's bitmaps ANDed into sc.hits and the granules holding hits.
-func (e *Executor) processFragment(ctx context.Context, id int64, plan []frag.BitmapOp, p *partial, sc *execScratch, base uint64, perRow []kernel.RowLevel) error {
-	loc, ok := e.store.Loc(id)
-	if !ok {
-		return nil // no rows at this density
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sc.acc = rowAcc{p: p, base: base, perRow: perRow, rows: int(loc.Rows)}
-	var hits *bitmap.Bitset // IOC1: every page of the fragment is read with full prefetch
-	if len(plan) > 0 {
-		if err := e.loadOperands(ctx, id, plan, &p.st, sc); err != nil {
-			return err
-		}
-		hits = sc.hits
-	}
-	return e.readRows(ctx, id, loc, hits, sc)
-}
-
-// loadOperands is the bitmap access of Section 4.3's step 2: it reads
-// each allocation unit the plan touches exactly once — one bitmap I/O
-// per unit, counted into st — decodes every operand out of the held unit
-// (BitmapFile.decodeInto) and ANDs it into sc.hits, verbatim or
-// complemented, as it arrives.
-func (e *Executor) loadOperands(ctx context.Context, id int64, plan []frag.BitmapOp, st *IOStats, sc *execScratch) error {
-	us := &sc.units
-	if err := us.begin(e.bitmaps, id); err != nil {
-		return err
-	}
-	defer us.release()
-	rows := int(us.blk.rows)
-	for i, op := range plan {
-		payload, sl, fresh, err := us.payload(ctx, int(op.Index), st)
-		if err != nil {
-			return err
-		}
-		if fresh {
-			st.BitmapIOs++
-			st.BitmapPages += int64(sl.Pages)
-		}
-		if i == 0 {
-			// The first bitmap initialises the running selection directly.
-			e.bitmaps.decodeInto(sc.hits, &sc.wah, payload, rows)
-			if op.Complement {
-				sc.hits.Not()
-			}
-			continue
-		}
-		e.bitmaps.decodeInto(sc.sel, &sc.wah, payload, rows)
-		if op.Complement {
-			sc.hits.AndNot(sc.sel)
-		} else {
-			sc.hits.And(sc.sel)
-		}
-	}
-	return nil
-}
-
-// readRows reads the prefetch granules holding a row hits selects —
-// every granule when hits is nil, only those with a hit otherwise (the
-// prefetch-efficiency effect of Section 4.5) — with the next granule
-// read in flight while the current one aggregates, and folds each
-// granule's selected rows (foldGranule).
-func (e *Executor) readRows(ctx context.Context, id int64, loc FragLoc, hits *bitmap.Bitset, sc *execScratch) error {
-	store := e.store
-	sc.gran = appendGranules(sc.gran[:0], hits, int(loc.Pages), e.PrefetchFact, store.tpp)
-	return e.forEachGranule(ctx, sc, &sc.acc.p.st, id, sc.gran, func(g granule, buf []byte) {
-		store.foldGranule(&sc.acc, buf, g, hits)
-	})
 }

@@ -48,7 +48,7 @@ type gread struct {
 type granulePipe struct {
 	e      *Executor
 	ctx    context.Context
-	sc     *execScratch
+	sc     *scratch
 	st     *IOStats
 	id     int64
 	grans  []granule
@@ -63,7 +63,7 @@ type granulePipe struct {
 // startGranules begins reading the fragment's granules in list order.
 // Async prefetch engages when enabled and there is more than one granule
 // (a single granule has nothing to overlap with).
-func (e *Executor) startGranules(ctx context.Context, sc *execScratch, st *IOStats, id int64, grans []granule) *granulePipe {
+func (e *Executor) startGranules(ctx context.Context, sc *scratch, st *IOStats, id int64, grans []granule) *granulePipe {
 	p := &sc.gpipe
 	*p = granulePipe{e: e, ctx: ctx, sc: sc, st: st, id: id, grans: grans,
 		pooled: e.store.pool != nil,
@@ -201,7 +201,7 @@ func (p *granulePipe) finish() {
 
 // forEachGranule streams the granule list through the pipe, calling fn
 // with each granule and its pages.
-func (e *Executor) forEachGranule(ctx context.Context, sc *execScratch, st *IOStats, id int64, grans []granule, fn func(g granule, buf []byte)) error {
+func (e *Executor) forEachGranule(ctx context.Context, sc *scratch, st *IOStats, id int64, grans []granule, fn func(g granule, buf []byte)) error {
 	p := e.startGranules(ctx, sc, st, id, grans)
 	for range grans {
 		g, buf, err := p.next()

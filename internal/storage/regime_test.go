@@ -202,10 +202,10 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					be.Store.AttachPool(pool, 0)
 					be.Bitmaps.AttachPool(pool, 0)
 					be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = 4, async
-					built := 0
-					be.Exec.solo = exec.NewScratch(func() *execScratch {
+					built, build := 0, newScratch(be.Bitmaps.NumBitmaps())
+					be.Exec.scratch = exec.NewScratch(func() *scratch {
 						built++
-						return newScratch()
+						return build()
 					})
 					ctx := context.Background()
 
@@ -260,17 +260,17 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sc := newScratch()
-					var p partial
-					if err := be.Exec.processFragment(ctx, badID, plan, &p, sc, 0, nil); !errors.As(err, &fe) {
+					fold, sc := be.Exec.fold(ctx, bitmapPlans{first: plan}), build()
+					ms, slots := make([]kernel.Member[IOStats], 1), make([]kernel.Slot, 1)
+					if err := fold(sc, badID, nil, ms, slots); !errors.As(err, &fe) {
 						t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
 					}
-					p = partial{}
-					if err := be.Exec.processFragment(ctx, otherID, plan, &p, sc, 0, nil); err != nil {
+					ms[0], slots[0] = kernel.Member[IOStats]{}, kernel.Slot{}
+					if err := fold(sc, otherID, nil, ms, slots); err != nil {
 						t.Fatal(err)
 					}
-					if want := engine.Scan(base, other); p.fp.Agg != want || p.st.RowsRead != want.Count || p.st.FactIOs < 2 {
-						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", p.fp.Agg, p.st, want)
+					if want := engine.Scan(base, other); slots[0].FP.Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
+						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", slots[0].FP.Agg, ms[0].St, want)
 					}
 					if n := pinnedEntries(pool); n != 0 {
 						t.Fatalf("%d pool entries left pinned after the next fragment", n)
@@ -342,8 +342,8 @@ func TestSteadyStateAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer next.Close()
-	if next.Exec.solo != be.Exec.solo || next.Exec.shared != be.Exec.shared {
-		t.Fatal("the next epoch's executor builds scratch lists of its own")
+	if next.Exec.scratch != be.Exec.scratch {
+		t.Fatal("the next epoch's executor builds a scratch list of its own")
 	}
 	if got := perQuery(next); got >= bound {
 		t.Errorf("next epoch: %d bytes allocated per warm query, want under half a granule buffer (%d)", got, bound)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
@@ -63,9 +64,9 @@ func tailDeltas(t *testing.T, spec *frag.Spec, icfg frag.IndexConfig, tab *data.
 
 // TestSharedEqualsSolo: every slot of an ExecuteSharedDeltas batch —
 // result, partial and logical I/O statistics — is byte-identical to the
-// same query run alone through ExecuteGroupedDeltas /
-// ExecutePartialDeltas on the same scheduler. K = 1 pins that a lone
-// batch member is exactly a solo execution; K = 16 cycles the query list,
+// same query's batch of one through ExecuteGroupedDeltas /
+// ExecutePartialDeltas on the same scheduler, and its result to the
+// ScanGrouped oracle over every fragment. K = 16 cycles the query list,
 // so the batch holds duplicates; from K = 2 on one slot is invalid and
 // must fail alone.
 func TestSharedEqualsSolo(t *testing.T) {
@@ -80,6 +81,7 @@ func TestSharedEqualsSolo(t *testing.T) {
 		base.Dims[d] = full.Dims[d][:nBase]
 	}
 	withDeltas := tailDeltas(t, spec, icfg, full, nBase)
+	tables := map[string]*data.Table{"base": base, "deltas": full}
 	queries := make([]frag.Query, len(sharedQueries))
 	for i, text := range sharedQueries {
 		var err error
@@ -124,7 +126,7 @@ func TestSharedEqualsSolo(t *testing.T) {
 								wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, q, deltas, own)
 								if wantErr != nil {
 									if got.Err == nil || got.Err.Error() != wantErr.Error() {
-										t.Errorf("%s slot %d: err %v, solo %v", name, i, got.Err, wantErr)
+										t.Errorf("%s slot %d: err %v, alone %v", name, i, got.Err, wantErr)
 									}
 									continue
 								}
@@ -133,18 +135,19 @@ func TestSharedEqualsSolo(t *testing.T) {
 									continue
 								}
 								if !reflect.DeepEqual(got.Part, wantPart) || got.St != wantSt {
-									t.Errorf("%s slot %d: partial %+v/%+v, solo %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
+									t.Errorf("%s slot %d: partial %+v/%+v, alone %+v/%+v", name, i, got.Part, got.St, wantPart, wantSt)
 								}
 								if own == nil {
 									wantRes, wantSt, err := e.ExecuteGroupedDeltas(ctx, q, deltas)
 									if err != nil {
 										t.Fatal(err)
 									}
-									if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt {
-										t.Errorf("%s slot %d: result %+v/%+v, solo %+v/%+v", name, i, got.Res, got.St, wantRes, wantSt)
+									oracle, _ := engine.ScanGrouped(tables[dname], q)
+									if !reflect.DeepEqual(got.Res, wantRes) || got.St != wantSt || !reflect.DeepEqual(got.Res, oracle) {
+										t.Errorf("%s slot %d: result %+v/%+v, alone %+v/%+v, oracle %+v", name, i, got.Res, got.St, wantRes, wantSt, oracle)
 									}
 								} else if got.Res.Aggregate != wantPart.Agg {
-									t.Errorf("%s slot %d: result total %+v, solo partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
+									t.Errorf("%s slot %d: result total %+v, alone partial %+v", name, i, got.Res.Aggregate, wantPart.Agg)
 								}
 								if got.Shared.Batched != k || (k == 1 && got.Shared != kernel.SharedScanStats{Batched: 1}) {
 									t.Errorf("%s slot %d: shared stats %+v", name, i, got.Shared)
@@ -189,7 +192,7 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := len(kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).IDs); int64(n) != frags {
+		if n := kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).Tasks(); int64(n) != frags {
 			t.Fatalf("%q: a union of %d fragments, want %d", texts, n, frags)
 		}
 		run := func() {
@@ -216,8 +219,7 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 // BenchmarkSharedFold reports the CPU cost per batch member of sixteen
 // mix.flash5-shaped queries over the serving benchmark's store
 // (APB1Scaled(60), month × group, no disk delay, no pool, one worker):
-// each run alone through the solo fold, each as a batch of one, and all
-// sixteen as one batch.
+// each as a batch of one, and all sixteen as one batch.
 func BenchmarkSharedFold(b *testing.B) {
 	star := schema.APB1Scaled(60)
 	spec := frag.MustParse(star, "time::month, product::group")
@@ -246,14 +248,6 @@ func BenchmarkSharedFold(b *testing.B) {
 		name string
 		run  func() error
 	}{
-		{"solo", func() error {
-			for _, q := range qs {
-				if _, err := be.Exec.Solo(ctx, q, kernel.Deltas{}, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 		{"K=1", func() error {
 			for i := range qs {
 				if _, err := be.Exec.Shared(ctx, qs[i:i+1], kernel.Deltas{}, nil); err != nil {
