@@ -116,7 +116,7 @@ func (p *PreparedQuery) executeNodes(ctx context.Context) (Result, Stats, error)
 	return res, Stats{
 		Backend:    ClusterBackend,
 		Compressed: w.opt.compress && w.opt.onDisk,
-		Workers:    w.cl.Disks,
+		Workers:    w.store.Sched.Workers(),
 		Wall:       time.Since(start),
 		DeltaRows:  est.DeltaRows,
 		Engine:     est.Engine,

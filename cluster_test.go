@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -491,5 +492,58 @@ func TestMultiNodeCloseRacesExecute(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestOpenRefusesInvalidOptionValues: a negative node count and a
+// placement scheme that is neither RoundRobin nor GapRoundRobin — for the
+// disks, for the nodes, and for the nodes' disks — are refused by Open
+// with an error, before anything is written to the store directory.
+func TestOpenRefusesInvalidOptionValues(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 3)}
+	bad := AllocScheme(99)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"negative node count", []Option{WithNodes(-3, RoundRobin)}},
+		{"unknown disk scheme", []Option{WithDisks(4, bad)}},
+		{"unknown node scheme", []Option{WithNodes(2, bad)}},
+		{"unknown node disk scheme", []Option{WithNodes(2, RoundRobin), WithDisks(2, bad)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(ctx, cfg, append(tc.opts, WithOnDisk(dir))...)
+			if err == nil {
+				_, _, err = w.Query(Query{}).Execute(ctx)
+				w.Close()
+				t.Fatalf("accepted; the first Execute returned %v", err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Errorf("refused with %v, but wrote %d entries to the store directory", err, len(entries))
+			}
+		})
+	}
+}
+
+// TestMultiNodeStatsWorkersIsThePool: a multi-node execution reports the
+// size of the pool it was admitted to, not the node count.
+func TestMultiNodeStatsWorkersIsThePool(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 3)},
+		WithNodes(4, RoundRobin), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	_, st, err := w.Query(Query{}).Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Backend != ClusterBackend || st.Workers != 3 || w.Workers() != 3 {
+		t.Fatalf("%s: Stats.Workers %d, Workers() %d, want both 3", st.Backend, st.Workers, w.Workers())
 	}
 }

@@ -57,13 +57,15 @@ type Placement struct {
 	Cluster int
 }
 
-// Validate checks the placement is well-formed: at least one disk and a
-// non-negative clustering granule.
+// Validate checks the placement is well-formed: at least one disk, a
+// known scheme and a non-negative clustering granule.
 func (p Placement) Validate() error {
-	if p.Disks < 1 {
+	switch {
+	case p.Disks < 1:
 		return fmt.Errorf("alloc: placement needs >= 1 disk (got %d)", p.Disks)
-	}
-	if p.Cluster < 0 {
+	case p.Scheme != RoundRobin && p.Scheme != GapRoundRobin:
+		return fmt.Errorf("alloc: unknown placement %v", p.Scheme)
+	case p.Cluster < 0:
 		return fmt.Errorf("alloc: negative clustering granule %d", p.Cluster)
 	}
 	return nil

@@ -276,14 +276,22 @@ func TestRoundRobinCoversCoprimeFragmentCounts(t *testing.T) {
 	}
 }
 
+// TestPlacementValidate: a placement needs a disk, a known scheme and a
+// non-negative clustering granule.
 func TestPlacementValidate(t *testing.T) {
-	if err := (Placement{Disks: 4}).Validate(); err != nil {
-		t.Errorf("valid placement rejected: %v", err)
-	}
-	if err := (Placement{Disks: 0}).Validate(); err == nil {
-		t.Error("zero-disk placement accepted")
-	}
-	if err := (Placement{Disks: 2, Cluster: -1}).Validate(); err == nil {
-		t.Error("negative cluster accepted")
+	for _, tc := range []struct {
+		p  Placement
+		ok bool
+	}{
+		{Placement{Disks: 4}, true},
+		{Placement{Disks: 4, Scheme: GapRoundRobin, Cluster: 2}, true},
+		{Placement{Disks: 0}, false},
+		{Placement{Disks: 4, Scheme: Scheme(99)}, false},
+		{Placement{Disks: 4, Scheme: Scheme(-1)}, false},
+		{Placement{Disks: 4, Cluster: -1}, false},
+	} {
+		if err := tc.p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok %v", tc.p, err, tc.ok)
+		}
 	}
 }

@@ -188,21 +188,6 @@ func (b *Bitset) AndNot(o *Bitset) {
 	}
 }
 
-// AndInto sets b = x AND y, reusing b's storage — the destination-reuse
-// batch kernel of the fragment hot loops.
-func (b *Bitset) AndInto(x, y *Bitset) {
-	x.check(y)
-	k := len(x.words)
-	if cap(b.words) < k {
-		b.words = make([]uint64, k)
-	}
-	b.words = b.words[:k]
-	for i := range b.words {
-		b.words[i] = x.words[i] & y.words[i]
-	}
-	b.n = x.n
-}
-
 // Xor sets b = b XOR o in place.
 func (b *Bitset) Xor(o *Bitset) {
 	b.check(o)

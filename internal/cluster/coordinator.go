@@ -156,9 +156,9 @@ func (c *Coordinator) relevantNodes(q frag.Query) []int {
 }
 
 // Execute scatters the query to its relevant nodes, gathers the
-// partials in node order, and flattens groups through the shared
-// grouper — so the result is byte-identical to a single node holding
-// all the rows. Any node failing (after retries, or fast via its
+// partials in node order, merges their runs and flattens them through
+// the shared grouper — so the result is byte-identical to a single node
+// holding all the rows. Any node failing (after retries, or fast via its
 // breaker) fails the query with a NodeError naming it.
 func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result, ExecStats, error) {
 	star := c.spec.Star()
@@ -179,7 +179,7 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 	}
 	type acc struct {
 		agg kernel.Aggregate
-		g   *kernel.Grouped
+		run []kernel.Group
 		st  ExecStats
 	}
 	a, err := exec.Reduce(ctx, len(nodes), len(nodes),
@@ -189,14 +189,7 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 		},
 		func(a *acc, p part) {
 			a.agg.Add(p.resp.Agg)
-			if p.resp.Grouped {
-				if a.g == nil {
-					a.g = kernel.NewGrouped()
-				}
-				for _, g := range p.resp.Groups {
-					a.g.Add(g.Key, g.Agg)
-				}
-			}
+			a.run = kernel.MergeRuns(a.run, p.resp.Groups)
 			a.st.DeltaRows += p.resp.DeltaRows
 			a.st.Engine.Add(p.resp.Engine)
 			a.st.IO.Add(p.resp.IO)
@@ -210,7 +203,7 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 	a.st.NodesUsed = len(nodes)
 	res := kernel.Result{Aggregate: a.agg}
 	if gr != nil {
-		res.Groups = gr.Rows(a.g)
+		res.Groups = gr.Rows(a.run)
 	}
 	return res, a.st, nil
 }

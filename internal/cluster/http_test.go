@@ -298,7 +298,7 @@ func TestHTTPMalformedReplyIsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped := Response{Grouped: true, Groups: []Group{
+	grouped := Response{Grouped: true, Groups: []kernel.Group{
 		{Key: 1, Agg: kernel.Aggregate{Count: 1, UnitsSold: 300}},
 		{Key: 2, Agg: kernel.Aggregate{Count: 1, UnitsSold: 300}},
 	}}
@@ -314,6 +314,10 @@ func TestHTTPMalformedReplyIsUnavailable(t *testing.T) {
 	tooMany[len(tooMany)-1] = 100 // a one-byte group count, 100 groups in no bytes
 	badVersion := bytes.Clone(valid)
 	badVersion[0] = wireVersion + 1
+	unsorted, err := EncodeResponse(Response{Grouped: true, Groups: []kernel.Group{grouped.Groups[1], grouped.Groups[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		body []byte
@@ -322,6 +326,7 @@ func TestHTTPMalformedReplyIsUnavailable(t *testing.T) {
 		{"trailing-bytes", append(bytes.Clone(valid), 0)},
 		{"group-count-beyond-body", tooMany},
 		{"unknown-version", badVersion},
+		{"groups-not-a-run", unsorted},
 		{"empty", []byte{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,8 +26,8 @@ func (r Request) Query() frag.Query {
 }
 
 // Response is one node's partial: the grand-total contribution plus, for
-// grouped queries, the per-group partial aggregates sorted by group key —
-// a canonical (deterministic) encoding of the kernel's group map. Both
+// grouped queries, the per-group partial aggregates as a run — sorted by
+// group key, so a partial has one (deterministic) encoding. Both
 // transports exchange this one struct, so the coordinator's merge is
 // transport-independent.
 type Response struct {
@@ -35,7 +35,7 @@ type Response struct {
 	// Grouped distinguishes "grouped query, zero matching groups" from an
 	// ungrouped execution (both carry no groups).
 	Grouped bool
-	Groups  []Group
+	Groups  []kernel.Group
 
 	// Epoch and DeltaRows report the node snapshot the partial was served
 	// from; Engine and IO carry the node's work/physical-I/O counters for
@@ -47,12 +47,6 @@ type Response struct {
 	// Shared reports the node-side shared-scan batching effect on this
 	// sub-request (zero unless the node was built with a SharedWindow).
 	Shared kernel.SharedScanStats
-}
-
-// Group is one group's partial aggregate under its composed group key.
-type Group struct {
-	Key uint64
-	Agg kernel.Aggregate
 }
 
 // NodeStats is one node's serving snapshot, fetched over the transport.

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/frag"
 	"repro/internal/kernel"
@@ -27,18 +25,10 @@ const wireVersion = 1
 // failed.
 var errFrame = errors.New("cluster: malformed wire frame")
 
-// packPartial canonicalises a node partial onto the response: groups
+// packPartial puts a node partial on the response: its groups are a run,
 // sorted by key, so the same partial always encodes to the same bytes.
 func packPartial(resp *Response, p kernel.FragPartial) {
-	resp.Agg = p.Agg
-	if p.Groups == nil || p.Groups.Len() == 0 {
-		return
-	}
-	resp.Groups = make([]Group, 0, p.Groups.Len())
-	p.Groups.ForEach(func(k uint64, a kernel.Aggregate) {
-		resp.Groups = append(resp.Groups, Group{Key: k, Agg: a})
-	})
-	slices.SortFunc(resp.Groups, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
+	resp.Agg, resp.Groups = p.Agg, p.Groups
 }
 
 // EncodeResponse frames a response — what the HTTP transport ships a
@@ -74,11 +64,17 @@ func walkResponse(c *codec, r *Response) {
 	ints(c, &r.Epoch, &r.DeltaRows, &e.RowsScanned, &e.BitmapsRead, &e.DeltaRows,
 		&s.FactPages, &s.FactIOs, &s.BitmapPages, &s.BitmapIOs, &s.RowsRead, &s.DeltaRows,
 		&s.PoolHits, &s.PoolMisses, &s.PoolBytes, &sh.PhysReadsSaved)
-	// A group is at least a one-byte key and four one-byte measures.
-	slice(c, &r.Groups, 5, func(g *Group) {
+	// A group is at least a one-byte key and four one-byte measures, and
+	// the groups are a run: the coordinator merges runs.
+	slice(c, &r.Groups, 5, func(g *kernel.Group) {
 		c.u64(&g.Key)
 		ints(c, &g.Agg.Count, &g.Agg.UnitsSold, &g.Agg.DollarSales, &g.Agg.Cost)
 	})
+	for i := 1; i < len(r.Groups) && !c.enc; i++ {
+		if r.Groups[i-1].Key >= r.Groups[i].Key {
+			c.fail("group keys not ascending")
+		}
+	}
 }
 
 // walkRequest lists the predicate triples, then the GROUP BY pairs.

@@ -14,17 +14,16 @@ import (
 
 func TestPackPartialCanonical(t *testing.T) {
 	// Two partials with the same content built in different insertion
-	// orders must encode to identical bytes (sorted parallel slices).
+	// orders must encode to identical bytes (their groups are one run).
 	build := func(keys []uint64) kernel.FragPartial {
-		g := kernel.NewGrouped()
-		for i, k := range keys {
-			g.Add(k, kernel.Aggregate{Count: int64(i%3) + 1, UnitsSold: int64(k)})
+		var g kernel.Grouped
+		for _, k := range keys {
+			g.Add(k, kernel.Aggregate{Count: int64(k%3) + 1, UnitsSold: int64(k)})
 		}
-		// Re-add in the given order so both builds hold identical sums.
-		return kernel.FragPartial{Agg: kernel.Aggregate{Count: 9}, Groups: g}
+		return kernel.FragPartial{Agg: kernel.Aggregate{Count: 9}, Groups: g.Run()}
 	}
 	a := build([]uint64{7, 1, 99, 3})
-	b := build([]uint64{7, 1, 99, 3})
+	b := build([]uint64{3, 99, 1, 7})
 	var ra, rb Response
 	ra.Grouped, rb.Grouped = true, true
 	packPartial(&ra, a)
@@ -48,10 +47,10 @@ func TestPackPartialCanonical(t *testing.T) {
 }
 
 func TestResponsePartialRoundTrip(t *testing.T) {
-	g := kernel.NewGrouped()
+	var g kernel.Grouped
 	g.Add(3, kernel.Aggregate{Count: 2, UnitsSold: 5, DollarSales: 7, Cost: 11})
 	g.Add(1, kernel.Aggregate{Count: 1, UnitsSold: 1})
-	p := kernel.FragPartial{Agg: kernel.Aggregate{Count: 3, UnitsSold: 6, DollarSales: 7, Cost: 11}, Groups: g}
+	p := kernel.FragPartial{Agg: kernel.Aggregate{Count: 3, UnitsSold: 6, DollarSales: 7, Cost: 11}, Groups: g.Run()}
 	// Every counter field non-zero and distinct (negative ones too), so a
 	// field the frame forgets — or two it swaps — cannot round-trip.
 	resp := Response{Grouped: true}
@@ -78,7 +77,7 @@ func TestResponsePartialRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(dec, resp) {
 		t.Fatalf("round trip changed the response:\n%+v\n%+v", dec, resp)
 	}
-	want := []Group{{1, kernel.Aggregate{Count: 1, UnitsSold: 1}}, {3, kernel.Aggregate{Count: 2, UnitsSold: 5, DollarSales: 7, Cost: 11}}}
+	want := []kernel.Group{{Key: 1, Agg: kernel.Aggregate{Count: 1, UnitsSold: 1}}, {Key: 3, Agg: kernel.Aggregate{Count: 2, UnitsSold: 5, DollarSales: 7, Cost: 11}}}
 	if !reflect.DeepEqual(dec.Groups, want) {
 		t.Fatalf("groups %v != %v", dec.Groups, want)
 	}
@@ -88,7 +87,7 @@ func TestResponsePartialUngroupedVsEmptyGroups(t *testing.T) {
 	// Grouped-with-zero-matches and ungrouped both carry no groups; the
 	// Grouped flag must keep them distinguishable through the wire.
 	grouped := Response{Grouped: true}
-	packPartial(&grouped, kernel.FragPartial{Groups: kernel.NewGrouped()})
+	packPartial(&grouped, kernel.FragPartial{})
 	ungrouped := Response{}
 	packPartial(&ungrouped, kernel.FragPartial{})
 	for _, tc := range []struct {
@@ -177,9 +176,10 @@ func FuzzRowsDecode(f *testing.F) {
 	})
 }
 
-// FuzzFragPartialRoundTrip fuzzes the transport codec: arbitrary group
-// maps must survive encode/decode with content intact, and the encoding
-// must be a fixed point (canonical form re-encodes byte-identically).
+// FuzzFragPartialRoundTrip fuzzes the transport codec: the run of
+// arbitrary groups must survive encode/decode with content intact, and
+// the encoding must be a fixed point (canonical form re-encodes
+// byte-identically).
 // The raw bytes are also a reply body the coordinator reads, under
 // checkFrame's rule.
 func FuzzFragPartialRoundTrip(f *testing.F) {
@@ -195,7 +195,7 @@ func FuzzFragPartialRoundTrip(f *testing.F) {
 			b, _ := EncodeResponse(r)
 			return b
 		})
-		g := kernel.NewGrouped()
+		var g kernel.Grouped
 		var total kernel.Aggregate
 		want := map[uint64]kernel.Aggregate{}
 		for len(raw) >= 12 {
@@ -210,7 +210,7 @@ func FuzzFragPartialRoundTrip(f *testing.F) {
 			want[key] = cur
 		}
 		resp := Response{Grouped: true, Epoch: 1}
-		packPartial(&resp, kernel.FragPartial{Agg: total, Groups: g})
+		packPartial(&resp, kernel.FragPartial{Agg: total, Groups: g.Run()})
 		enc, err := EncodeResponse(resp)
 		if err != nil {
 			t.Fatal(err)
@@ -222,12 +222,13 @@ func FuzzFragPartialRoundTrip(f *testing.F) {
 		if dec.Agg != total {
 			t.Fatalf("Agg %+v != %+v", dec.Agg, total)
 		}
-		p := kernel.FragPartial{Agg: dec.Agg, Groups: kernel.NewGrouped()}
+		var regrouped kernel.Grouped
 		got := map[uint64]kernel.Aggregate{}
 		for _, g := range dec.Groups {
 			got[g.Key] = g.Agg
-			p.Groups.Add(g.Key, g.Agg)
+			regrouped.Add(g.Key, g.Agg)
 		}
+		p := kernel.FragPartial{Agg: dec.Agg, Groups: regrouped.Run()}
 		if len(got) != len(dec.Groups) || len(got) != len(want) {
 			t.Fatalf("%d groups != %d", len(got), len(want))
 		}

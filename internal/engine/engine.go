@@ -356,10 +356,9 @@ func ScanGrouped(t *data.Table, q frag.Query) (kernel.Result, error) {
 		return kernel.Result{}, err
 	}
 	var res kernel.Result
-	var g *kernel.Grouped
+	var g kernel.Grouped
 	var perRow []kernel.RowLevel
 	if gr != nil {
-		g = kernel.NewGrouped()
 		perRow = gr.PerRow() // spec-free: every level buckets per row
 	}
 	for i := 0; i < t.N(); i++ {
@@ -367,12 +366,12 @@ func ScanGrouped(t *data.Table, q frag.Query) (kernel.Result, error) {
 			continue
 		}
 		res.AddRow(t.UnitsSold[i], t.DollarSales[i], t.Cost[i])
-		if g != nil {
+		if gr != nil {
 			g.AddRow(rowKey(0, perRow, t.Dims, i), t.UnitsSold[i], t.DollarSales[i], t.Cost[i])
 		}
 	}
 	if gr != nil {
-		res.Groups = gr.Rows(g)
+		res.Groups = gr.Rows(g.Run())
 	}
 	return res, nil
 }

@@ -228,10 +228,10 @@ func (s *Scheduler) retire(j *job) {
 const callerSlots = 8
 
 // inline runs a one-task call on its caller — no job, no wake-up, no
-// hand-back — in a free caller slot c, run(c, acc) folding the task into
-// acc. With n != 1 or every slot taken it does nothing (ran is false).
-// Admission, ErrClosed, cancellation, panics and TasksRun are the pool's.
-func inline[A any](ctx context.Context, s *Scheduler, n int, run func(c int, acc *A) error) (acc A, ran bool, err error) {
+// hand-back — in a free caller slot c, running run(c). With n != 1 or
+// every slot taken it does nothing (ran is false). Admission, ErrClosed,
+// cancellation, panics and TasksRun are the pool's.
+func inline(ctx context.Context, s *Scheduler, n int, run func(c int) error) (ran bool, err error) {
 	c := -1
 	for m := s.callers.Load(); n == 1 && c < 0 && m != 1<<callerSlots-1; m = s.callers.Load() {
 		if bit := ^m & (m + 1); s.callers.CompareAndSwap(m, m|bit) { // the lowest free slot
@@ -239,14 +239,13 @@ func inline[A any](ctx context.Context, s *Scheduler, n int, run func(c int, acc
 		}
 	}
 	if c < 0 {
-		return acc, false, nil
+		return false, nil
 	}
 	defer s.callers.Add(-(1 << c)) // clears bit c, set by this call alone
 	if err = s.admit(); err != nil {
-		return acc, true, err
+		return true, err
 	}
 	defer s.release()
-	p := new(A)
 	switch {
 	case s.closed.Load():
 		err = ErrClosed
@@ -254,14 +253,11 @@ func inline[A any](ctx context.Context, s *Scheduler, n int, run func(c int, acc
 		err = ctx.Err()
 	default:
 		s.tasksRun.Add(1)
-		if err = try(func(c, _ int) error { return run(c, p) }, c, 0); err == nil {
+		if err = try(func(c, _ int) error { return run(c) }, c, 0); err == nil {
 			err = ctx.Err()
 		}
 	}
-	if err == nil {
-		acc = *p
-	}
-	return acc, true, err
+	return true, err
 }
 
 // Workers returns the fixed pool size.
@@ -350,8 +346,9 @@ func (s *Scheduler) release() {
 // own call with an error naming the task; the pool and every other
 // execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	if r, ran, err := inline(ctx, s, n, func(_ int, r *T) (err error) {
-		*r, err = fn(newScratch(), 0)
+	var r T
+	if ran, err := inline(ctx, s, n, func(int) (err error) {
+		r, err = fn(newScratch(), 0)
 		return err
 	}); ran {
 		if err != nil {
@@ -385,7 +382,7 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 // are dropped then), so no scratch is ever in two tasks. A scratch must
 // not keep the epoch it last served alive. Not a sync.Pool, which the
 // collector empties when it pleases: allocation per query must repeat.
-// The list also keeps finished calls' partials, zeroed, for reuse.
+// The list also keeps finished calls' partial sets, emptied, for reuse.
 type Scratch[S any] struct {
 	build func() S
 	mu    sync.Mutex
@@ -446,13 +443,24 @@ type worker[A any] struct {
 	ran bool // a task of the call ran here: acc is part of the result
 }
 
-// partials is a pooled call's partial per worker and claim order buffer.
+// partials is a call's partial set: a partial per worker, the caller's
+// in the first on a call run inline, and the claim order buffer.
 type partials[A any] struct {
 	ws    []worker[A]
 	order []int32
 }
 
-// takePartials returns s's share of l and idle partials for a call on s.
+// Recycler is a partial that keeps its buffers in its call's partial set
+// from call to call. Seal returns the merged partial as the call returns
+// it, owning nothing the set keeps; Reset empties a partial for the next
+// call. A partial that is not a Recycler is copied out and zeroed.
+type Recycler[A any] interface {
+	Seal() A
+	Reset()
+}
+
+// takePartials returns s's share of l and an idle partial set for a call
+// on s.
 func takePartials[S, A any](l *Scratch[S], s *Scheduler) (*scratchSet[S], *partials[A]) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -466,9 +474,19 @@ func takePartials[S, A any](l *Scratch[S], s *Scheduler) (*scratchSet[S], *parti
 	return set, &partials[A]{ws: make([]worker[A], s.workers)}
 }
 
-// givePartials zeroes p, its call's merged value copied out, for reuse.
+// givePartials empties p's partials that ran, its call's merged value
+// sealed, and hands the set back for reuse.
 func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
-	clear(p.ws)
+	for w := range p.ws {
+		if me := &p.ws[w]; me.ran {
+			if r, ok := any(&me.acc).(Recycler[A]); ok {
+				r.Reset()
+			} else {
+				me.acc = *new(A)
+			}
+			me.ran = false
+		}
+	}
 	l.mu.Lock()
 	set.idle = append(set.idle, p)
 	l.mu.Unlock()
@@ -477,12 +495,14 @@ func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
 // ReduceShardedOn runs fn(sc, acc, i) for every i in [0, n) on the
 // scheduler's pool and returns the merged partials — the reduce for
 // commutative merges, which costs nothing per task: each pool worker
-// folds the tasks it runs into its own partial (*acc, at first A's zero
-// value) and the caller merges one partial per worker. Which tasks meet
-// in which partial depends on scheduling, so the result is identical at
+// folds the tasks it runs into its own partial (*acc, at first empty)
+// and the caller merges one partial per worker. Which tasks meet in
+// which partial depends on scheduling, so the result is identical at
 // every pool size, shard layout and admission mix exactly when fn's
 // folding and merge commute and associate, as sums and maxima per key
-// do; a merge that needs task order belongs on MapOn. A task uses the
+// do; a merge that needs task order belongs on MapOn. The partials are
+// a set the scratch list keeps from call to call: a Recycler keeps its
+// buffers there, sealed before the set goes back. A task uses the
 // scratch of its worker's slot in the backend's list, with or without an
 // error — except one it panicked on, whose state nobody knows: that one
 // is dropped and the worker builds another. A call of one task runs on
@@ -496,45 +516,51 @@ func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
 // partials are withheld and A's zero value is returned.
 func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
 	scratch *Scratch[S], fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
-	if acc, ran, err := inline(ctx, s, n, func(c int, acc *A) error {
-		scratch.mu.Lock()
-		own := &scratch.of(s).slots[s.workers+c].slot
-		scratch.mu.Unlock()
-		err := fn(own.take(scratch.build), acc, 0)
-		own.ok = true
-		return err
-	}); ran {
-		return acc, err
-	}
 	set, ps := takePartials[S, A](scratch, s)
-	acc, err := reduce(ctx, s, n, shardOrder(&ps.order, n, shardOf, shards), ps.ws, func(w, i int) error {
-		me, own := &ps.ws[w], &set.slots[w].slot
+	defer givePartials(scratch, set, ps)
+	ran, err := inline(ctx, s, n, func(c int) error {
+		me, own := &ps.ws[0], &set.slots[s.workers+c].slot
 		me.ran = true
-		err := fn(own.take(scratch.build), &me.acc, i)
+		err := fn(own.take(scratch.build), &me.acc, 0)
 		own.ok = true
 		return err
-	}, merge)
-	givePartials(scratch, set, ps)
-	return acc, err
+	})
+	acc := &ps.ws[0].acc
+	if !ran {
+		acc, err = reduce(ctx, s, n, shardOrder(&ps.order, n, shardOf, shards), ps.ws, func(w, i int) error {
+			me, own := &ps.ws[w], &set.slots[w].slot
+			me.ran = true
+			err := fn(own.take(scratch.build), &me.acc, i)
+			own.ok = true
+			return err
+		}, merge)
+	}
+	if err != nil || acc == nil {
+		return *new(A), err
+	}
+	if r, ok := any(acc).(Recycler[A]); ok {
+		return r.Seal(), nil
+	}
+	return *acc, nil
 }
 
 // reduce runs the call whose task i run runs on worker w, claimed in
 // order (task order when nil), and merges the partials ws of the workers
-// that ran one.
+// that ran one into the first of them, which it returns (nil: none, or
+// an error).
 func reduce[A any](ctx context.Context, s *Scheduler, n int, order []int32,
-	ws []worker[A], run func(w, i int) error, merge func(acc, part *A)) (A, error) {
-	var zero A
+	ws []worker[A], run func(w, i int) error, merge func(acc, part *A)) (*A, error) {
 	if n <= 0 {
-		return zero, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if err := s.admit(); err != nil {
-		return zero, err
+		return nil, err
 	}
 	defer s.release()
 	j := &job{n: int64(n), order: order, fin: make(chan struct{}), run: run}
 	j.cutoff.Store(int64(n))
 	if err := s.publish(j); err != nil {
-		return zero, err
+		return nil, err
 	}
 	// Wait for the last claimed task also after a failure or a
 	// cancellation: nothing of the call runs once it has returned.
@@ -548,22 +574,20 @@ func reduce[A any](ctx context.Context, s *Scheduler, n int, order []int32,
 	if err == nil {
 		err = ctx.Err()
 	}
+	if err != nil {
+		return nil, err
+	}
 	var acc *A
 	for w := range ws {
-		me := &ws[w]
-		if !me.ran || err != nil {
+		if me := &ws[w]; !me.ran {
 			continue
-		}
-		if acc == nil {
+		} else if acc == nil {
 			acc = &me.acc
 		} else {
 			merge(acc, &me.acc)
 		}
 	}
-	if acc == nil {
-		return zero, err
-	}
-	return *acc, err
+	return acc, nil
 }
 
 // shardOrder returns the claim order that interleaves the shards' tasks

@@ -311,17 +311,6 @@ func (s *Spec) NeedsBitmap(p Pred) bool {
 	return p.Level > s.attrs[ai].Level
 }
 
-// BitmapPreds returns the query predicates that require bitmap access.
-func (s *Spec) BitmapPreds(q Query) []Pred {
-	var out []Pred
-	for _, p := range q.Preds {
-		if s.NeedsBitmap(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // GroupAligned reports whether every GroupBy level of the query is at or
 // above the fragmentation level of its dimension — the fast path on which
 // the group key is constant per fragment (internal/kernel.Grouper). A

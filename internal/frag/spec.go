@@ -119,9 +119,6 @@ func (s *Spec) Dimensionality() int { return len(s.attrs) }
 // on dimension d, or -1 if d is not a fragmentation dimension.
 func (s *Spec) AttrOfDim(d int) int { return s.byDim[d] }
 
-// HasDim reports whether dimension d is a fragmentation dimension.
-func (s *Spec) HasDim(d int) bool { return s.byDim[d] != -1 }
-
 // NumFragments returns n, the total number of fact fragments: the product
 // of the fragmentation attributes' cardinalities.
 func (s *Spec) NumFragments() int64 {

@@ -101,8 +101,8 @@ func checkColumnFold(t *testing.T, cols Columns, sel *bitmap.Bitset, lo, hi int)
 	var s Slot
 	s.AddColsSelected(cols, sel)
 	s.AddColsRange(cols, lo, hi)
-	if all := foldRows(cols, append(picked, span...)); s.FP.Agg != all || s.Rows != all.Count {
-		t.Fatalf("slot %+v over %d rows, row by row %+v", s.FP.Agg, s.Rows, all)
+	if all := foldRows(cols, append(picked, span...)); s.Agg != all || s.Rows != all.Count {
+		t.Fatalf("slot %+v over %d rows, row by row %+v", s.Agg, s.Rows, all)
 	}
 }
 

@@ -27,14 +27,19 @@ func (d Deltas) ranges(q frag.Query) []frag.LeafRange {
 
 // AddDelta folds every delta segment of fragment id into the fragment's
 // partial in seal order — addDeltas, with the query compiled into sc —
-// and returns the number of delta rows aggregated.
+// and returns the number of delta rows aggregated. With per-row levels
+// the rows' groups, keyed from base, are merged into the partial's run.
 func AddDelta(d Deltas, id int64, q frag.Query, p *FragPartial, base uint64, perRow []RowLevel, sc *frag.DeltaScratch) (int64, error) {
 	if d.Empty() {
 		return 0, nil
 	}
-	s := Slot{Base: base, PerRow: perRow, FP: *p}
+	s := Slot{Base: base, PerRow: perRow, Agg: p.Agg}
+	var g Grouped
+	if len(perRow) > 0 {
+		s.Groups = &g
+	}
 	n := s.addDeltas(d.Set, id, d.Ix.Ranges(q, sc))
-	*p = s.FP
+	p.Agg, p.Groups = s.Agg, MergeRuns(p.Groups, g.Run())
 	return n, nil
 }
 
@@ -49,7 +54,7 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 		cols := Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
 		n := seg.Rows()
 		switch {
-		case s.FP.Groups != nil: // the per-row grouping fallback
+		case s.Groups != nil: // the per-row grouping fallback
 			for i := range n {
 				if seg.Selects(ranges, i) {
 					s.AddCols(cols, i)

@@ -43,33 +43,40 @@ func (d Dispatch[S]) shardOf(p *BatchPlan) func(i int) int {
 	return func(i int) int { return disk.DiskOf(p.at(i)) }
 }
 
-// Out is one query's un-flattened outcome: the merged partial (Groups
-// non-nil exactly when Gr is — a node ships it as is, Gr.Result flattens
-// it), the work counted and, in a shared scan, what sharing saved. Err
-// is the query's own validation error; it fails no batch-mate.
+// Out is one query's un-flattened outcome: the merged partial — its
+// groups a run, nil for an ungrouped query (Gr nil) or one no row
+// matched; a node ships it as is, Gr.Result flattens it — the work
+// counted and, in a shared scan, what sharing saved. Err is the query's
+// own validation error; it fails no batch-mate.
 type Out[St any] struct {
 	Part   FragPartial
 	Gr     *Grouper
 	St     St
 	Shared SharedScanStats
 	Err    error
+
+	g Grouped // a worker's groups of the query; sealed into Part.Groups
 }
 
-// addTo adds to a query's outcome a partial of it — a fragment task's, or
-// everything another worker summed — given the query's grouper.
-func addTo[St Counts[St]](o *Out[St], gr *Grouper, fp FragPartial, st St, sh SharedScanStats) {
-	if gr != nil {
-		if o.Gr = gr; o.Part.Groups == nil {
-			o.Part.Groups = NewGrouped()
-		}
+// addTo adds one fragment's slot to a query's outcome, given the query's
+// grouper: the aligned path keys the slot's whole total by its base key
+// — an aligned fragment whose selection matched nothing contributes no
+// group — and the per-row fallback's groups are in o.g already.
+func addTo[St Counts[St]](o *Out[St], gr *Grouper, s *Slot, st St, sh SharedScanStats) {
+	o.Part.Agg.Add(s.Agg)
+	if gr != nil && s.Groups == nil && s.Agg.Count != 0 {
+		o.g.Add(s.Base, s.Agg)
 	}
-	fp.MergeInto(&o.Part.Agg, o.Part.Groups)
 	o.St = o.St.Plus(st)
 	o.Shared.Add(sh)
 }
 
+// mergeOuts adds another worker's outcome of a query to acc.
 func mergeOuts[St Counts[St]](acc, part *Out[St]) {
-	addTo(acc, part.Gr, part.Part, part.St, part.Shared)
+	acc.Part.Agg.Add(part.Part.Agg)
+	acc.g.Merge(&part.g)
+	acc.St = acc.St.Plus(part.St)
+	acc.Shared.Add(part.Shared)
 }
 
 // Member is one batch member's share of one fragment task of a shared
@@ -101,26 +108,29 @@ func (t *SharedTask[St]) sharedTask() *SharedTask[St] { return t }
 type TaskScratch[St any] interface{ sharedTask() *SharedTask[St] }
 
 // Outs is a batch's outcomes by member index. The first is held in
-// place, so that a batch of one needs no slice for its outcome.
+// place, so that a batch of one needs no slice for its outcome. A
+// worker's outcomes live in its call's partial set and are recycled with
+// it (exec.Recycler): Reset empties them, keeping the list and the group
+// accumulators, and Seal publishes the merged ones.
 type Outs[St any] struct {
+	n     int // the batch's size; 0 until sized
 	first Out[St]
-	rest  []Out[St] // the others; nil until sized
+	rest  []Out[St] // the others
 }
 
-// size makes room for n outcomes, unless there is room already.
+// size makes room for n outcomes, unless it has been sized.
 func (o *Outs[St]) size(n int) {
-	if o.rest == nil && n > 0 {
+	if o.n != 0 || n <= 0 {
+		return
+	}
+	if o.n = n; n-1 > cap(o.rest) {
 		o.rest = make([]Out[St], n-1)
 	}
+	o.rest = o.rest[:n-1]
 }
 
 // Len returns the number of outcomes: the batch's size.
-func (o *Outs[St]) Len() int {
-	if o.rest == nil {
-		return 0
-	}
-	return 1 + len(o.rest)
-}
+func (o *Outs[St]) Len() int { return o.n }
 
 // At returns member i's outcome.
 func (o *Outs[St]) At(i int) *Out[St] {
@@ -128,6 +138,29 @@ func (o *Outs[St]) At(i int) *Out[St] {
 		return &o.first
 	}
 	return &o.rest[i-1]
+}
+
+// Seal returns the merged outcomes as a call publishes them: every
+// member's groups copied once into a run, the list a copy — nothing of
+// it aliases o, which the partial set keeps.
+func (o *Outs[St]) Seal() Outs[St] {
+	s := Outs[St]{n: o.n, rest: make([]Out[St], max(o.n-1, 0))}
+	for i := range o.n {
+		out := s.At(i)
+		*out = *o.At(i)
+		out.Part.Groups, out.g = out.g.Run(), Grouped{}
+	}
+	return s
+}
+
+// Reset empties the outcomes for the next call of the partial set.
+func (o *Outs[St]) Reset() {
+	for i := range o.n {
+		out := o.At(i)
+		out.g.reset()
+		*out = Out[St]{g: out.g}
+	}
+	o.n = 0
 }
 
 // batch is what a Shared call's tasks share: its plan, the fold bound to
@@ -145,22 +178,26 @@ type batch[S TaskScratch[St], St Counts[St]] struct {
 func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
 	id := b.at(ti)
 	t := sc.sharedTask()
-	defer clear(t.slots) // no task's partial outlives it in the scratch
+	defer clear(t.slots) // no task's slot outlives it in the scratch
+	outs.size(len(b.Queries))
 	t.ms, t.slots = t.ms[:0], t.slots[:0]
 	for si := range b.Queries {
 		if b.Needs(si, id) {
+			slot := NewSlot(b.Queries[si].Gr, id)
+			if len(slot.PerRow) > 0 {
+				slot.Groups = &outs.At(si).g
+			}
 			t.ms = append(t.ms, Member[St]{Query: si})
-			t.slots = append(t.slots, NewSlot(b.Queries[si].Gr, id))
+			t.slots = append(t.slots, slot)
 		}
 	}
 	if err := b.fold(sc, id, b.Queries, t.ms, t.slots); err != nil {
 		return err
 	}
-	outs.size(len(b.Queries))
 	for k, m := range t.ms {
 		slot, mq := &t.slots[k], &b.Queries[m.Query]
 		n := slot.addDeltas(b.set, id, mq.ranges)
-		addTo(outs.At(m.Query), mq.Gr, slot.FP, m.St.WithDeltaRows(n), m.Shared)
+		addTo(outs.At(m.Query), mq.Gr, slot, m.St.WithDeltaRows(n), m.Shared)
 	}
 	return nil
 }
@@ -177,7 +214,9 @@ func mergeAll[St Counts[St]](acc, part *Outs[St]) {
 // needing it; a lone query is a batch of one. A member's own validation
 // error is recorded in its Out.Err; the returned error is batch-wide (an
 // execution failure). Each worker sums the tasks it runs into outcomes
-// of its own, by batch index; nothing else is allocated per task.
+// of its own, by batch index, which its call's partial set keeps from
+// call to call; nothing else is allocated per task, and a call allocates
+// only what it returns.
 func Shared[S TaskScratch[St], St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
 	bind func([]BatchQuery) (SharedFold[S, St], error)) (Outs[St], error) {
 	if d.Sched == nil {
@@ -197,11 +236,9 @@ func Shared[S TaskScratch[St], St Counts[St]](ctx context.Context, d Dispatch[S]
 	}
 	outs.size(len(qs)) // no fragment to scan
 	for i := range b.Queries {
-		m := &b.Queries[i]
-		if o := outs.At(i); m.Err != nil {
-			o.Err = m.Err
-		} else {
-			addTo(o, m.Gr, FragPartial{}, *new(St), SharedScanStats{Batched: len(qs)}) // with no fragment at all, still the grouper and empty groups
+		m, o := &b.Queries[i], outs.At(i)
+		if o.Gr, o.Err = m.Gr, m.Err; m.Err == nil {
+			o.Shared.Add(SharedScanStats{Batched: len(qs)})
 		}
 	}
 	return outs, nil

@@ -90,33 +90,28 @@ func (c Columns) sumWord(base int, w uint64) Aggregate {
 	return a
 }
 
-// Slot is one query's accumulator in a shared multi-query scan: the
-// query's grouping shape for the fragment at hand (constant base key,
-// per-row GroupBy levels) plus its running FragPartial. Rows counts the
-// rows folded in — the slot's logical scan count for the fragment,
-// identical to what the query alone would have reported.
+// Slot is one query's accumulator for one fragment in a shared
+// multi-query scan: the query's grouping shape for the fragment (constant
+// base key, per-row GroupBy levels), the fragment's total and, on the
+// per-row fallback, where its rows' groups accumulate — the running
+// worker's accumulator for the query. Rows counts the rows folded in —
+// the slot's logical scan count for the fragment, identical to what the
+// query alone would have reported.
 type Slot struct {
 	Base   uint64
 	PerRow []RowLevel
-	FP     FragPartial
+	Agg    Aggregate
+	Groups *Grouped // nil unless PerRow is non-empty
 	Rows   int64
 }
 
-// NewSlot shapes a slot for one fragment of one query: ungrouped queries
-// aggregate into FP.Agg only; fragment-aligned grouping tags the partial
-// with its constant key; the per-row fallback carries a fragment-local
-// group map.
+// NewSlot shapes a slot for one fragment of one query: an ungrouped one
+// aggregates into Agg only; fragment-aligned grouping keys the whole
+// total by Base; the per-row fallback also needs Groups set.
 func NewSlot(gr *Grouper, id int64) Slot {
 	var s Slot
-	if gr == nil {
-		return s
-	}
-	s.Base = gr.FragKey(id)
-	if gr.Aligned() {
-		s.FP.OneGroup, s.FP.Key = true, s.Base
-	} else {
-		s.PerRow = gr.PerRow()
-		s.FP.Groups = NewGrouped()
+	if gr != nil {
+		s.Base, s.PerRow = gr.FragKey(id), gr.PerRow()
 	}
 	return s
 }
@@ -125,13 +120,13 @@ func NewSlot(gr *Grouper, id int64) Slot {
 func (s *Slot) AddCols(cols Columns, i int) {
 	u, d, c := cols.Units[i], cols.Dollars[i], cols.Costs[i]
 	s.Rows++
-	s.FP.Agg.AddRow(u, d, c)
-	if s.FP.Groups != nil {
+	s.Agg.AddRow(u, d, c)
+	if s.Groups != nil {
 		key := s.Base
 		for _, rl := range s.PerRow {
 			key += uint64(int64(cols.Dims[rl.Dim][i])/rl.Div) * rl.Weight
 		}
-		s.FP.Groups.AddRow(key, u, d, c)
+		s.Groups.AddRow(key, u, d, c)
 	}
 }
 
@@ -139,7 +134,7 @@ func (s *Slot) AddCols(cols Columns, i int) {
 // per-row groups — ungrouped, or fragment-aligned with its constant key —
 // as one column Sum.
 func (s *Slot) AddColsRange(cols Columns, lo, hi int) {
-	if s.FP.Groups == nil {
+	if s.Groups == nil {
 		s.add(cols.Sum(lo, hi))
 		return
 	}
@@ -150,7 +145,7 @@ func (s *Slot) AddColsRange(cols Columns, lo, hi int) {
 
 // AddColsSelected folds the rows sel selects in, as AddColsRange a range.
 func (s *Slot) AddColsSelected(cols Columns, sel *bitmap.Bitset) {
-	if s.FP.Groups == nil {
+	if s.Groups == nil {
 		s.add(cols.SumSelected(sel))
 		return
 	}
@@ -164,7 +159,7 @@ func (s *Slot) AddColsSelected(cols Columns, sel *bitmap.Bitset) {
 // add folds an aggregate of rows in (the slot has no per-row groups).
 func (s *Slot) add(a Aggregate) {
 	s.Rows += a.Count
-	s.FP.Agg.Add(a)
+	s.Agg.Add(a)
 }
 
 // EvalMany folds K slots over one in-memory fragment of n rows read

@@ -15,10 +15,10 @@ import (
 func evalSlot(shape int) Slot {
 	switch shape % 3 {
 	case 1:
-		return Slot{Base: 7, FP: FragPartial{OneGroup: true, Key: 7}}
+		return Slot{Base: 7}
 	case 2:
 		return Slot{Base: 3, PerRow: []RowLevel{{Dim: 0, Div: 2, Weight: 1}, {Dim: 1, Div: 1, Weight: 100}},
-			FP: FragPartial{Groups: NewGrouped()}}
+			Groups: new(Grouped)}
 	}
 	return Slot{}
 }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/frag"
 	"repro/internal/schema"
@@ -151,25 +150,23 @@ func (g *Grouper) Result(p FragPartial) Result {
 	return res
 }
 
-// Rows flattens a group accumulator into the deterministic output order:
-// ascending in the composed key, i.e. lexicographic in the GroupBy member
-// tuple. Every backend produces byte-identical rows for the same query.
-func (g *Grouper) Rows(acc *Grouped) []Row {
-	if acc == nil || len(acc.m) == 0 {
+// Rows flattens a run into the deterministic output order: ascending in
+// the composed key, i.e. lexicographic in the GroupBy member tuple — the
+// run's own order. Every backend produces byte-identical rows for the
+// same query, in two allocations: the rows and one array holding every
+// row's Members, each capped at its own.
+func (g *Grouper) Rows(run []Group) []Row {
+	if len(run) == 0 {
 		return nil
 	}
-	keys := make([]uint64, 0, len(acc.m))
-	for k := range acc.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rows := make([]Row, len(keys))
-	for i, k := range keys {
-		members := make([]int, len(g.weights))
-		for l := range g.weights {
-			members[l] = int((k / g.weights[l]) % uint64(g.radices[l]))
+	nl := len(g.weights)
+	rows, members := make([]Row, len(run)), make([]int, len(run)*nl)
+	for i, gr := range run {
+		m := members[i*nl : (i+1)*nl : (i+1)*nl]
+		for l, w := range g.weights {
+			m[l] = int((gr.Key / w) % uint64(g.radices[l]))
 		}
-		rows[i] = Row{Members: members, Agg: acc.m[k]}
+		rows[i] = Row{Members: m, Agg: gr.Agg}
 	}
 	return rows
 }

@@ -13,15 +13,22 @@
 // it, let the backend fold the fragment's base rows into them, fold the
 // fragment's delta segments in seal order — and has each worker add the
 // partials of the tasks it ran to outcomes of its own, the caller adding
-// up the workers' (exec.ReduceShardedOn). Which fragments meet on which
-// worker depends on scheduling, and it does not matter: every merge here
-// is an int64 sum per group key, a sum of counters or, for
-// SharedScanStats.Batched, a maximum — all commutative and associative,
-// overflow included — and Grouper.Rows sorts, so a result is identical
-// at any pool size, disk layout or admission mix. A backend hands it
+// up the workers' and publishing each member's groups once, as a run
+// (exec.ReduceShardedOn; the workers' outcomes are emptied, not dropped,
+// for the next call). Which fragments meet on which worker depends on
+// scheduling, and it does not matter: every merge here is an int64 sum
+// per group key, a sum of counters or, for SharedScanStats.Batched, a
+// maximum — all commutative and associative, overflow included — and a
+// run is sorted by key, so a result is identical at any pool size, disk
+// layout or admission mix. A backend hands it
 // where its tasks run and whose scratch they borrow (Dispatch) and one
 // function: bind a validated batch to its fragment fold.
 package kernel
+
+import (
+	"cmp"
+	"slices"
+)
 
 // Aggregate is a star query result: COUNT plus the three APB-1 measure
 // sums. It is the single aggregate type shared by every backend (the
@@ -87,21 +94,32 @@ func (s Stats) WithDeltaRows(n int64) Stats {
 	return s
 }
 
+// Group is one group's aggregate under its composed group key. A run —
+// groups in ascending key order, each key once — is the one published
+// shape of a group result: what FragPartial.Groups holds, what a cluster
+// node ships and what Grouper.Rows reads.
+type Group struct {
+	Key uint64
+	Agg Aggregate
+}
+
 // Grouped accumulates per-group aggregates keyed by a Grouper's composed
-// mixed-radix group key. The map form is the merge-friendly intermediate;
-// Grouper.Rows flattens it into the deterministic output order.
+// mixed-radix group key: a worker's local phase of a grouped execution,
+// kept with the call's partials and emptied, not dropped, between calls.
+// The zero value is empty and ready; Run publishes it.
 type Grouped struct {
 	m map[uint64]Aggregate
 }
 
-// NewGrouped returns an empty group accumulator.
-func NewGrouped() *Grouped { return &Grouped{m: make(map[uint64]Aggregate)} }
-
-// Len returns the number of non-empty groups.
-func (g *Grouped) Len() int { return len(g.m) }
+// keptGroups bounds the map an emptied accumulator keeps: clearing a map
+// costs its capacity, so one grown by a rare huge grouping is dropped.
+const keptGroups = 1 << 12
 
 // Add folds an aggregate into the group with the given key.
 func (g *Grouped) Add(key uint64, a Aggregate) {
+	if g.m == nil {
+		g.m = make(map[uint64]Aggregate)
+	}
 	cur := g.m[key]
 	cur.Add(a)
 	g.m[key] = cur
@@ -109,32 +127,59 @@ func (g *Grouped) Add(key uint64, a Aggregate) {
 
 // AddRow folds one fact row's measures into the group with the given key.
 func (g *Grouped) AddRow(key uint64, unitsSold, dollarSales, cost int64) {
-	cur := g.m[key]
-	cur.AddRow(unitsSold, dollarSales, cost)
-	g.m[key] = cur
-}
-
-// ForEach calls fn for every non-empty group. Iteration order is
-// unspecified (the map's); callers needing the deterministic order sort
-// the keys themselves or go through Grouper.Rows.
-func (g *Grouped) ForEach(fn func(key uint64, a Aggregate)) {
-	for k, a := range g.m {
-		fn(k, a)
-	}
+	g.Add(key, Aggregate{Count: 1, UnitsSold: unitsSold, DollarSales: dollarSales, Cost: cost})
 }
 
 // Merge folds another accumulator in. Per-key addition commutes, so the
 // merged content is independent of merge order; ordering is imposed only
-// by Grouper.Rows.
+// by Run.
 func (g *Grouped) Merge(o *Grouped) {
-	if o == nil {
-		return
-	}
 	for k, a := range o.m {
-		cur := g.m[k]
-		cur.Add(a)
-		g.m[k] = cur
+		g.Add(k, a)
 	}
+}
+
+// Run returns the groups as a run in an exactly sized slice of its own
+// (nil when there are none): nothing of it aliases the accumulator.
+func (g *Grouped) Run() []Group {
+	if len(g.m) == 0 {
+		return nil
+	}
+	run := make([]Group, 0, len(g.m))
+	for k, a := range g.m {
+		run = append(run, Group{Key: k, Agg: a})
+	}
+	slices.SortFunc(run, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
+	return run
+}
+
+// reset empties the accumulator for its next call.
+func (g *Grouped) reset() {
+	if len(g.m) > keptGroups {
+		g.m = nil
+	}
+	clear(g.m)
+}
+
+// MergeRuns returns the run of both runs' groups, a key in both summed;
+// b itself when a is empty.
+func MergeRuns(a, b []Group) []Group {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]Group, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch g := a[0]; {
+		case g.Key < b[0].Key:
+			out, a = append(out, g), a[1:]
+		case g.Key > b[0].Key:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			g.Agg.Add(b[0].Agg)
+			out, a, b = append(out, g), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Row is one group of a grouped query result: the member index per
@@ -154,36 +199,10 @@ type Result struct {
 	Groups []Row
 }
 
-// FragPartial is one fragment's contribution to a (possibly grouped)
-// execution. On the fragment-aligned fast path the whole fragment belongs
-// to one group, so the partial is just the fragment total plus its
-// constant key — no map is built at all; the per-row fallback carries the
-// fragment's own small group map instead.
+// FragPartial is a (possibly grouped) execution's un-flattened outcome:
+// the grand total plus, for a grouped query, its groups as a run — what
+// a cluster node ships, and what Grouper.Result flattens into rows.
 type FragPartial struct {
-	Agg Aggregate
-	// OneGroup marks the aligned fast path: the fragment total lands
-	// entirely in the group with key Key.
-	OneGroup bool
-	Key      uint64
-	// Groups holds the per-row fallback's fragment-local group partials
-	// (nil otherwise).
-	Groups *Grouped
-}
-
-// MergeInto folds the partial into a running total and group accumulator
-// (g may be nil for ungrouped executions).
-func (p FragPartial) MergeInto(total *Aggregate, g *Grouped) {
-	total.Add(p.Agg)
-	if g == nil {
-		return
-	}
-	if p.OneGroup {
-		// A group exists only if at least one row landed in it: an aligned
-		// fragment whose selection matched nothing contributes no group.
-		if p.Agg.Count != 0 {
-			g.Add(p.Key, p.Agg)
-		}
-		return
-	}
-	g.Merge(p.Groups)
+	Agg    Aggregate
+	Groups []Group
 }

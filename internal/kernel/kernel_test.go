@@ -101,24 +101,27 @@ func TestGroupedMergeOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
-	parts := make([]*Grouped, 8)
+	parts := make([]Grouped, 8)
 	for i := range parts {
-		parts[i] = NewGrouped()
 		for j := 0; j < 20; j++ {
 			key := uint64(rng.Intn(8))
 			parts[i].AddRow(key, int64(rng.Intn(100)), int64(rng.Intn(100)), int64(rng.Intn(100)))
 		}
 	}
-	merge := func(order []int) []Row {
-		acc := NewGrouped()
+	// Accumulators merged in either order, and their runs merged pairwise
+	// in either order, publish the same rows.
+	merge := func(order []int) ([]Row, []Row) {
+		var acc Grouped
+		var run []Group
 		for _, i := range order {
-			acc.Merge(parts[i])
+			acc.Merge(&parts[i])
+			run = MergeRuns(run, parts[i].Run())
 		}
-		return g.Rows(acc)
+		return g.Rows(acc.Run()), g.Rows(run)
 	}
-	fwd := merge([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	rev := merge([]int{7, 6, 5, 4, 3, 2, 1, 0})
-	if !reflect.DeepEqual(fwd, rev) {
+	fwd, fwdRuns := merge([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	rev, revRuns := merge([]int{7, 6, 5, 4, 3, 2, 1, 0})
+	if !reflect.DeepEqual(fwd, rev) || !reflect.DeepEqual(fwd, fwdRuns) || !reflect.DeepEqual(fwd, revRuns) {
 		t.Fatal("merge order changed grouped result")
 	}
 	if !sort.SliceIsSorted(fwd, func(i, j int) bool {
@@ -132,20 +135,28 @@ func TestGroupedMergeOrderIndependent(t *testing.T) {
 	}) {
 		t.Fatalf("rows not in lexicographic member order: %v", fwd)
 	}
+	for i, r := range fwd {
+		if cap(r.Members) != len(r.Members) {
+			t.Fatalf("row %d: Members %v has room for %d; a caller's append would write into row %d", i, r.Members, cap(r.Members), i+1)
+		}
+	}
 }
 
-// TestFragPartialZeroGroupSuppressed checks that an aligned fragment
-// whose selection matched nothing contributes no group.
+// TestFragPartialZeroGroupSuppressed checks that an aligned fragment whose
+// selection matched nothing contributes no group.
 func TestFragPartialZeroGroupSuppressed(t *testing.T) {
-	g := NewGrouped()
-	var total Aggregate
-	FragPartial{OneGroup: true, Key: 3}.MergeInto(&total, g)
-	if g.Len() != 0 {
-		t.Fatalf("zero-count partial created %d groups", g.Len())
+	gr, err := NewGrouper(schema.Tiny(), nil, []frag.LevelRef{{Dim: 0, Level: 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	FragPartial{OneGroup: true, Key: 3, Agg: Aggregate{Count: 2, UnitsSold: 5}}.MergeInto(&total, g)
-	if g.Len() != 1 || total.Count != 2 {
-		t.Fatalf("non-empty partial not merged: groups=%d total=%+v", g.Len(), total)
+	var o Out[Stats]
+	addTo(&o, gr, &Slot{Base: 3}, Stats{}, SharedScanStats{})
+	if len(o.g.m) != 0 {
+		t.Fatalf("zero-count slot created %d groups", len(o.g.m))
+	}
+	addTo(&o, gr, &Slot{Base: 3, Agg: Aggregate{Count: 2, UnitsSold: 5}}, Stats{}, SharedScanStats{})
+	if len(o.g.m) != 1 || o.Part.Agg.Count != 2 {
+		t.Fatalf("non-empty slot not merged: groups=%d total=%+v", len(o.g.m), o.Part.Agg)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/frag"
-	"repro/internal/kernel"
 	"repro/internal/schema"
 )
 
@@ -69,7 +68,7 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", qname, err)
 				}
-				want[qname] = partial{fp: kernel.FragPartial{Agg: agg}, st: st}
+				want[qname] = partial{agg: agg, st: st}
 			}
 
 			for _, disks := range []int{1, 2, 4, 8} {
@@ -85,8 +84,8 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s d=%d w=%d: %v", qname, disks, workers, err)
 							}
-							if agg != want[qname].fp.Agg {
-								t.Errorf("%s %v d=%d w=%d: aggregate %+v != single-disk %+v", qname, scheme, disks, workers, agg, want[qname].fp.Agg)
+							if agg != want[qname].agg {
+								t.Errorf("%s %v d=%d w=%d: aggregate %+v != single-disk %+v", qname, scheme, disks, workers, agg, want[qname].agg)
 							}
 							if st != want[qname].st {
 								t.Errorf("%s %v d=%d w=%d: IOStats %+v != single-disk %+v", qname, scheme, disks, workers, st, want[qname].st)
@@ -419,7 +418,7 @@ func TestExecutorSchedulerMatchesPrivatePool(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial %s: %v", qname, err)
 			}
-			want[qname] = partial{fp: kernel.FragPartial{Agg: agg}, st: st}
+			want[qname] = partial{agg: agg, st: st}
 		}
 
 		shared, err := NewExecutor(store, bf, sched)
@@ -435,9 +434,9 @@ func TestExecutorSchedulerMatchesPrivatePool(t *testing.T) {
 						errc <- fmt.Errorf("%s: %v", qname, err)
 						return
 					}
-					if agg != want[qname].fp.Agg || st != want[qname].st {
+					if agg != want[qname].agg || st != want[qname].st {
 						errc <- fmt.Errorf("%s on %d disks: scheduler result diverged: got %+v/%+v want %+v/%+v",
-							qname, disks, agg, st, want[qname].fp.Agg, want[qname].st)
+							qname, disks, agg, st, want[qname].agg, want[qname].st)
 						return
 					}
 					errc <- nil

@@ -123,16 +123,18 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 
 var errNilScheduler = errors.New("storage: nil scheduler")
 
-// planCap presizes a query's bitmap plan so that deriving it is one small
-// allocation; a longer plan (the paper's index configuration can read
-// 15 + 12 bit positions) just grows.
-const planCap = 16
+// planCap is the stack room a member's bitmap plan is derived in; a
+// longer plan (the paper's index configuration can read 15 + 12 bit
+// positions) grows on the heap.
+const planCap = 32
 
 // partial is what the fragment kernels fold one fragment into: its
-// contribution to the query result and the I/O that took.
+// total, its groups on the per-row GROUP BY fallback (the slot's
+// accumulator; nil otherwise) and the I/O that took.
 type partial struct {
-	fp kernel.FragPartial
-	st IOStats
+	agg    kernel.Aggregate
+	groups *kernel.Grouped
+	st     IOStats
 }
 
 // scratch is a worker's buffer set threaded through internal/exec. Its
@@ -286,23 +288,9 @@ func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.De
 	d := kernel.Dispatch[*scratch]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: e.scratch,
 		Disks: e.store.disks.Disks(), DiskOf: e.store}
 	return kernel.Shared(ctx, d, qs, deltas, own, func(batch []kernel.BatchQuery) (kernel.SharedFold[*scratch, IOStats], error) {
-		var plans bitmapPlans
-		if len(batch) > 1 {
-			plans.rest = make([][]frag.BitmapOp, len(batch)-1)
-		}
-		for i := range batch {
-			if batch[i].Err != nil {
-				continue
-			}
-			plan, err := e.bitmaps.ix.Plan(make([]frag.BitmapOp, 0, planCap), frag.Query{Preds: batch[i].Preds})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				plans.first = plan
-			} else {
-				plans.rest[i-1] = plan
-			}
+		plans, err := e.plan(batch)
+		if err != nil {
+			return nil, err
 		}
 		return e.fold(ctx, plans), nil
 	})
@@ -313,6 +301,31 @@ func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.De
 type bitmapPlans struct {
 	first []frag.BitmapOp
 	rest  [][]frag.BitmapOp
+}
+
+// plan derives every valid member's bitmap plan in room on the stack and
+// copies it out exactly sized — none when it reads no bitmap.
+func (e *Executor) plan(batch []kernel.BatchQuery) (bitmapPlans, error) {
+	var plans bitmapPlans
+	if len(batch) > 1 {
+		plans.rest = make([][]frag.BitmapOp, len(batch)-1)
+	}
+	var room [planCap]frag.BitmapOp
+	for i := range batch {
+		if batch[i].Err != nil {
+			continue
+		}
+		derived, err := e.bitmaps.ix.Plan(room[:0], frag.Query{Preds: batch[i].Preds})
+		if err != nil {
+			return plans, err
+		}
+		if plan := slices.Clone(derived); i == 0 {
+			plans.first = plan
+		} else {
+			plans.rest[i-1] = plan
+		}
+	}
+	return plans, nil
 }
 
 func (p bitmapPlans) at(i int) []frag.BitmapOp {
@@ -397,7 +410,7 @@ func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFol
 		// Each slot folds into a partial of its own, as it would alone.
 		sc.parts, sc.accs = slices.Grow(sc.parts[:0], len(ms))[:len(ms)], slices.Grow(sc.accs[:0], len(ms))[:len(ms)]
 		for k := range slots {
-			sc.parts[k] = partial{fp: slots[k].FP}
+			sc.parts[k] = partial{groups: slots[k].Groups}
 			sc.accs[k] = rowAcc{p: &sc.parts[k], base: slots[k].Base, perRow: slots[k].PerRow, rows: int(loc.Rows)}
 		}
 
@@ -421,7 +434,7 @@ func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFol
 			return err
 		}
 		for k := range ms {
-			slots[k].FP = sc.parts[k].fp
+			slots[k].Agg = sc.parts[k].agg
 			ms[k].St.RowsRead += sc.parts[k].st.RowsRead
 		}
 		return nil

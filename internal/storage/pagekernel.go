@@ -10,9 +10,8 @@ import (
 
 // rowAcc is where one fragment's rows accumulate: the partial's grand
 // total plus, on the per-row grouping fallback (perRow non-empty), its
-// fragment-local group map. The tuple's dimension keys carry the leaf
-// members, so per-row grouping needs no extra I/O — only the key
-// arithmetic and map update. It lives in the per-worker scratch and is
+// groups. The tuple's dimension keys carry the leaf members, so per-row
+// grouping needs no extra I/O — only the key arithmetic and map update. It lives in the per-worker scratch and is
 // re-pointed at every fragment's partial.
 type rowAcc struct {
 	p      *partial
@@ -59,8 +58,8 @@ func (s *Store) groupRun(a *rowAcc, page []byte, first, n int) {
 		units := int64(int32(binary.LittleEndian.Uint32(m)))
 		dollars := int64(int32(binary.LittleEndian.Uint32(m[4:])))
 		cost := int64(int32(binary.LittleEndian.Uint32(m[8:])))
-		a.p.fp.Agg.AddRow(units, dollars, cost)
-		a.p.fp.Groups.AddRow(key, units, dollars, cost)
+		a.p.agg.AddRow(units, dollars, cost)
+		a.p.groups.AddRow(key, units, dollars, cost)
 	}
 }
 
@@ -81,7 +80,7 @@ func (s *Store) fold(a *rowAcc, buf []byte, start, lo, hi int) {
 		n := min(s.tpp-first, hi-lo)
 		page := buf[off : off+s.pageSize : off+s.pageSize]
 		if len(a.perRow) == 0 {
-			a.p.fp.Agg.Add(s.sumRun(page, first, n))
+			a.p.agg.Add(s.sumRun(page, first, n))
 		} else {
 			s.groupRun(a, page, first, n)
 		}

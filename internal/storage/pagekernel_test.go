@@ -33,18 +33,18 @@ func kernelPerRow(dims int) []kernel.RowLevel {
 // fold of decodeTuple over fragment rows [lo, hi) of a buffer whose first
 // page is page start of the fragment.
 func refFold(s *Store, buf []byte, start, lo, hi int, base uint64, perRow []kernel.RowLevel) partial {
-	p := partial{fp: kernel.FragPartial{Groups: kernel.NewGrouped()}}
+	p := partial{groups: new(kernel.Grouped)}
 	keys := make([]uint16, (s.tupleSize-12)/2)
 	for r := lo; r < hi; r++ {
 		off := (r/s.tpp-start)*s.pageSize + (r%s.tpp)*s.tupleSize
 		tp, _ := s.decodeTuple(buf, off, keys)
-		p.fp.Agg.AddRow(int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+		p.agg.AddRow(int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
 		p.st.RowsRead++
 		key := base
 		for _, rl := range perRow {
 			key += uint64(int64(tp.Keys[rl.Dim])/rl.Div) * rl.Weight
 		}
-		p.fp.Groups.AddRow(key, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+		p.groups.AddRow(key, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
 	}
 	return p
 }
@@ -59,10 +59,10 @@ func checkFold(t testing.TB, s *Store, buf []byte, start, rows, lo, hi int) {
 
 	var sum partial
 	s.fold(&rowAcc{p: &sum, rows: rows}, buf, start, lo, hi)
-	if sum.fp.Agg != want.fp.Agg || sum.st != want.st || sum.fp.Groups != nil {
-		t.Fatalf("sum kernel rows [%d,%d): %+v / %+v, reference %+v / %+v", lo, hi, sum.fp, sum.st, want.fp.Agg, want.st)
+	if sum.agg != want.agg || sum.st != want.st || sum.groups != nil {
+		t.Fatalf("sum kernel rows [%d,%d): %+v / %+v, reference %+v / %+v", lo, hi, sum.agg, sum.st, want.agg, want.st)
 	}
-	keyed := partial{fp: kernel.FragPartial{Groups: kernel.NewGrouped()}}
+	keyed := partial{groups: new(kernel.Grouped)}
 	s.fold(&rowAcc{p: &keyed, base: base, perRow: perRow, rows: rows}, buf, start, lo, hi)
 	if !reflect.DeepEqual(keyed, want) {
 		t.Fatalf("keyed kernel rows [%d,%d): %+v, reference %+v", lo, hi, keyed, want)
@@ -149,7 +149,7 @@ func TestPageKernels(t *testing.T) {
 				mustPanic(t, "run before the buffer", func() { s.fold(acc, buf[pageSize:], 1, 0, 1) })
 				mustPanic(t, "sumRun past the page's tuples", func() { s.sumRun(page, 1, tpp) })
 				mustPanic(t, "sumRun of negative length", func() { s.sumRun(page, 3, -1) })
-				keyedAcc := &rowAcc{p: &partial{fp: kernel.FragPartial{Groups: kernel.NewGrouped()}}, perRow: kernelPerRow(dims), rows: rows}
+				keyedAcc := &rowAcc{p: &partial{groups: new(kernel.Grouped)}, perRow: kernelPerRow(dims), rows: rows}
 				mustPanic(t, "keyed run past the page's tuples", func() { s.groupRun(keyedAcc, page, 1, tpp) })
 			})
 		}

@@ -269,8 +269,8 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					if err := fold(sc, otherID, nil, ms, slots); err != nil {
 						t.Fatal(err)
 					}
-					if want := engine.Scan(base, other); slots[0].FP.Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
-						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", slots[0].FP.Agg, ms[0].St, want)
+					if want := engine.Scan(base, other); slots[0].Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
+						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", slots[0].Agg, ms[0].St, want)
 					}
 					if n := pinnedEntries(pool); n != 0 {
 						t.Fatalf("%d pool entries left pinned after the next fragment", n)

@@ -92,11 +92,6 @@ type Stats struct {
 	Engine EngineStats
 	// IO holds the on-disk executor's physical I/O counters.
 	IO StorageIOStats
-	// Disks snapshots the on-disk backend's per-disk access counters at
-	// completion (one disk unless opened WithDisks). The counters are
-	// warehouse-wide (shared by all in-flight queries); per-query
-	// attribution lives in IO.
-	Disks []DiskStats
 	// Cluster reports a scattered execution's fan-out — nodes used,
 	// transport retries, hedges — on the ClusterBackend (nil otherwise);
 	// Engine, IO and DeltaRows above then aggregate the per-node partial
@@ -350,9 +345,6 @@ func (p *PreparedQuery) executeOn(ctx context.Context, snap epoch.Snapshot) (Res
 	}
 	st := p.w.baseStats(snap)
 	st.Engine, st.IO, st.DeltaRows, st.SharedScan = out.Engine, out.IO, out.DeltaRows, out.Shared
-	if d := snap.B.Disk; d != nil {
-		st.Disks = d.Disks.Stats()
-	}
 	st.Wall = time.Since(start)
 	return out.Gr.Result(out.Part), st, nil
 }

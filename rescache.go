@@ -2,10 +2,10 @@ package mdhf
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/frag"
-	"repro/internal/kernel"
 )
 
 // resCache is the warehouse's query-result cache (level 2 of the caching
@@ -112,16 +112,18 @@ type CacheStats struct {
 }
 
 // copyResult deep-copies a result so cache residents never alias caller-
-// visible slices (Row.Members is mutable).
+// visible slices (Row.Members is mutable) — in two allocations, as
+// Grouper.Rows makes them: the rows and one array for every row's
+// Members, as many per row.
 func copyResult(r Result) Result {
 	out := r
-	if r.Groups != nil {
-		out.Groups = make([]kernel.Row, len(r.Groups))
+	if len(r.Groups) > 0 {
+		out.Groups = slices.Clone(r.Groups)
+		members := make([]int, 0, len(r.Groups)*len(r.Groups[0].Members))
 		for i, g := range r.Groups {
-			out.Groups[i] = g
-			if g.Members != nil {
-				out.Groups[i].Members = append([]int(nil), g.Members...)
-			}
+			n := len(members)
+			members = append(members, g.Members...)
+			out.Groups[i].Members = members[n:len(members):len(members)]
 		}
 	}
 	return out

@@ -324,3 +324,84 @@ func TestSharedScanClusterEquivalence(t *testing.T) {
 		t.Fatalf("no node-side batch formed under %d concurrent cluster queries", k)
 	}
 }
+
+// TestRecycledPartialsNeverAlias: the workers' group accumulators and
+// outcome lists are kept from call to call, so a result must own what it
+// returns. Goroutines interleave aligned and per-row grouped queries,
+// ungrouped ones and, through 1 ms shared-scan windows, K >= 2 batches
+// on one warehouse per backend; every answer must equal the scan oracle,
+// and the first answer each goroutine got for each query must still
+// equal it after 100 later calls.
+func TestRecycledPartialsNeverAlias(t *testing.T) {
+	const goroutines, calls = 4, 100
+	ctx := context.Background()
+	star := TinySchema()
+	tab := MustGenerateData(star, 5)
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: tab}
+	texts := []string{
+		"time::quarter=1 group by product::group",                    // aligned
+		"group by time::quarter, product::group",                     // aligned, every fragment
+		"product::group=1 group by customer::store",                  // per row
+		"customer::retailer=1 group by time::month, customer::store", // aligned and per row
+		"customer::store=3",                                          // ungrouped
+		"time::month=2, product::group=1",                            // ungrouped, one fragment
+	}
+	qs := make([]Query, len(texts))
+	want := make([]Result, len(texts))
+	for i, text := range texts {
+		var err error
+		if qs[i], err = ParseQuery(star, text); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = ScanGroupedAggregate(tab, qs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, backend := range []struct {
+		name string
+		opts []Option
+	}{
+		{"in-memory", nil},
+		{"on-disk", []Option{WithOnDisk(""), WithDisks(4, RoundRobin)}},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			w, err := Open(ctx, cfg, append([]Option{WithWorkers(2), WithSharedScans(time.Millisecond)}, backend.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					kept := make([]Result, len(qs))
+					for c := 0; c < calls+len(qs); c++ {
+						i := (g + c) % len(qs)
+						res, _, err := w.Query(qs[i]).Execute(ctx)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !reflect.DeepEqual(res, want[i]) {
+							t.Errorf("goroutine %d call %d %q: %+v, oracle %+v", g, c, texts[i], res, want[i])
+							return
+						}
+						if c < len(qs) {
+							kept[i] = res
+						}
+					}
+					for i, res := range kept {
+						if !reflect.DeepEqual(res, want[i]) {
+							t.Errorf("goroutine %d %q: kept result changed to %+v, oracle %+v", g, texts[i], res, want[i])
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if st := w.ServingStats().Shared; st.Batches == 0 {
+				t.Errorf("no K >= 2 batch formed: %+v", st)
+			}
+		})
+	}
+}

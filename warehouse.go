@@ -170,6 +170,9 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		return nil, fmt.Errorf("mdhf: index config has %d entries for %d dimensions", len(w.icfg), len(w.star.Dims))
 	}
 	n := max(opt.nodes, len(opt.nodeAddrs))
+	if opt.nodes < 0 {
+		return nil, fmt.Errorf("mdhf: WithNodes(%d): a node count is at least 0", opt.nodes)
+	}
 	if len(opt.nodeAddrs) > 0 && opt.nodes != 0 && opt.nodes != len(opt.nodeAddrs) {
 		return nil, fmt.Errorf("mdhf: WithNodes(%d) disagrees with %d node addresses", opt.nodes, len(opt.nodeAddrs))
 	}

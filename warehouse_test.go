@@ -88,11 +88,10 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 						t.Fatalf("%s: no physical I/O recorded", qname)
 					}
 				}
-				if tc.kind == DeclusteredBackend && len(st.Disks) == 0 {
+				if ds := w.DiskStats(); tc.kind == DeclusteredBackend && len(ds) == 0 {
 					t.Fatalf("%s: no per-disk stats on declustered backend", qname)
-				}
-				if tc.kind == OnDiskBackend && len(st.Disks) != 1 {
-					t.Fatalf("%s: %d per-disk stats on an on-disk backend, want its one disk", qname, len(st.Disks))
+				} else if tc.kind == OnDiskBackend && len(ds) != 1 {
+					t.Fatalf("%s: %d per-disk stats on an on-disk backend, want its one disk", qname, len(ds))
 				}
 			}
 			if st := w.ServingStats(); st.QueriesAdmitted == 0 || st.InFlight != 0 {
