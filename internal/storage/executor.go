@@ -288,9 +288,24 @@ func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.De
 	d := kernel.Dispatch[*scratch]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: e.scratch,
 		Disks: e.store.disks.Disks(), DiskOf: e.store}
 	return kernel.Shared(ctx, d, qs, deltas, own, func(batch []kernel.BatchQuery) (kernel.SharedFold[*scratch, IOStats], error) {
-		plans, err := e.plan(batch)
-		if err != nil {
-			return nil, err
+		var plans bitmapPlans
+		if len(batch) > 1 {
+			plans.rest = make([][]frag.BitmapOp, len(batch)-1)
+		}
+		var room [planCap]frag.BitmapOp // a plan is derived here and copied out exactly sized
+		for i := range batch {
+			if batch[i].Err != nil {
+				continue
+			}
+			derived, err := e.bitmaps.ix.Plan(room[:0], frag.Query{Preds: batch[i].Preds})
+			if err != nil {
+				return nil, err
+			}
+			if plan := slices.Clone(derived); i == 0 {
+				plans.first = plan
+			} else {
+				plans.rest[i-1] = plan
+			}
 		}
 		return e.fold(ctx, plans), nil
 	})
@@ -301,31 +316,6 @@ func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.De
 type bitmapPlans struct {
 	first []frag.BitmapOp
 	rest  [][]frag.BitmapOp
-}
-
-// plan derives every valid member's bitmap plan in room on the stack and
-// copies it out exactly sized — none when it reads no bitmap.
-func (e *Executor) plan(batch []kernel.BatchQuery) (bitmapPlans, error) {
-	var plans bitmapPlans
-	if len(batch) > 1 {
-		plans.rest = make([][]frag.BitmapOp, len(batch)-1)
-	}
-	var room [planCap]frag.BitmapOp
-	for i := range batch {
-		if batch[i].Err != nil {
-			continue
-		}
-		derived, err := e.bitmaps.ix.Plan(room[:0], frag.Query{Preds: batch[i].Preds})
-		if err != nil {
-			return plans, err
-		}
-		if plan := slices.Clone(derived); i == 0 {
-			plans.first = plan
-		} else {
-			plans.rest[i-1] = plan
-		}
-	}
-	return plans, nil
 }
 
 func (p bitmapPlans) at(i int) []frag.BitmapOp {
