@@ -12,9 +12,9 @@ import (
 // Multi-node serving types (see WithNodes).
 type (
 	// ClusterNode is one serving node: the fragments the cluster
-	// placement assigns to its index, behind the node's own scheduler,
-	// snapshot pinning and delta ingestion. Build one per shard with
-	// NewClusterNode, serve it with NewNodeHandler (or cmd/mdhfnode).
+	// placement assigns to its index, on the node's own pool (in process,
+	// the warehouse's). Build one per shard with NewClusterNode, serve it
+	// with NewNodeHandler (or cmd/mdhfnode).
 	ClusterNode = cluster.Node
 	// ClusterNodeConfig configures one ClusterNode.
 	ClusterNodeConfig = cluster.NodeConfig
@@ -64,8 +64,8 @@ func PartitionFactTable(spec *Fragmentation, cl Placement, t *FactTable) []*Fact
 
 // buildNodes materialises the shards and brings up one in-process node
 // per placement slot, each a store configured like a single warehouse's
-// (nodeCfg) under its own Dir/node-NN, then the Local transport and the
-// coordinator.
+// (nodeCfg) under its own Dir/node-NN and on the warehouse's pool, then
+// the Local transport and the coordinator.
 func (w *Warehouse) buildNodes() error {
 	parts := cluster.PartitionTable(w.spec, w.cl, w.table)
 	nodes := make([]*cluster.Node, 0, len(parts))

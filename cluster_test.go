@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -545,5 +546,127 @@ func TestMultiNodeStatsWorkersIsThePool(t *testing.T) {
 	}
 	if st.Backend != ClusterBackend || st.Workers != 3 || w.Workers() != 3 {
 		t.Fatalf("%s: Stats.Workers %d, Workers() %d, want both 3", st.Backend, st.Workers, w.Workers())
+	}
+}
+
+// TestOneWorkerPoolOverNodes: in-process nodes run on the warehouse's one
+// pool, and a scatter starts none, so eight nodes add the pool's
+// WithWorkers goroutines and nothing per node or per query — in memory
+// and on disk alike — and Close leaves none behind. Every ingest query
+// runs at once and must match the single-store oracle, also on a pool of
+// one worker, which a scatter waiting on its nodes from the pool would
+// deadlock.
+func TestOneWorkerPoolOverNodes(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	tab := MustGenerateData(star, 3)
+	cfg := Config{Star: star, Fragmentation: "time::month, product::group", Table: tab}
+	want := clusterOracle(t, star, tab)
+	for _, leg := range []struct {
+		name    string
+		backend []Option
+	}{{"memory", nil}, {"disk", []Option{WithOnDisk("")}}} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", leg.name, workers), func(t *testing.T) {
+				assertNoLeaks(t, func() {
+					before := runtime.NumGoroutine()
+					w, err := Open(ctx, cfg, append([]Option{WithNodes(8, RoundRobin), WithWorkers(workers)}, leg.backend...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close()
+					for range 2 {
+						var wg sync.WaitGroup
+						for i, text := range ingestQueries {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								pq, err := w.QueryText(text)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								got, _, err := pq.Execute(ctx)
+								if err != nil || !reflect.DeepEqual(got, want[i]) {
+									t.Errorf("query %q: %+v, %v; want %+v", text, got, err, want[i])
+								}
+							}()
+						}
+						wg.Wait()
+					}
+					// A scatter goroutine exits just after its node's answer is
+					// gathered, so let the count settle.
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > before+workers && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if n := runtime.NumGoroutine(); n > before+workers {
+						buf := make([]byte, 1<<16)
+						t.Errorf("%d goroutines before Open, %d after the queries: want the pool's %d more at most:\n%s",
+							before, n, workers, buf[:runtime.Stack(buf, true)])
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestOneAdmissionLimitOverNodes: WithAdmissionLimit is one limit for the
+// warehouse, over every in-process node, and a query scattered to k nodes
+// is k admitted executions. Two concurrent queries over four slow nodes at
+// a limit of 1 shed the excess with ErrOverloaded inside a NodeError;
+// ServingStats counts every node's executions, and every node reports the
+// same pool.
+func TestOneAdmissionLimitOverNodes(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::group", Table: MustGenerateData(star, 3)},
+		WithNodes(4, RoundRobin), WithAdmissionLimit(1), WithOnDisk(t.TempDir()), WithIODelay(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.NodeStats(ctx); err != nil { // builds the nodes
+		t.Fatal(err)
+	}
+	// Even one query's sub-executions contend for the one slot. Two
+	// queries, so no node fails the three times in a row that open its
+	// breaker: every sub-request reaches its node.
+	const queries = 2
+	errs := make([]error, queries)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = w.Query(Query{}).Execute(ctx)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		var ne *NodeError
+		if err != nil && (!errors.Is(err, ErrOverloaded) || !errors.As(err, &ne)) {
+			t.Fatalf("got %v, want ErrOverloaded inside a NodeError", err)
+		}
+	}
+	st := w.ServingStats()
+	ns, err := w.NodeStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execs int64
+	for _, n := range ns.Nodes {
+		execs += n.Queries
+		if n.Sched != st.SchedStats {
+			t.Errorf("node %d reports pool %+v, the warehouse %+v: want one pool", n.Index, n.Sched, st.SchedStats)
+		}
+	}
+	if execs != 4*queries {
+		t.Errorf("nodes served %d executions, want %d", execs, 4*queries)
+	}
+	if st.AdmitLimit != 1 || st.Shed < 1 || st.QueriesAdmitted+st.Shed != execs || st.QueriesDone != st.QueriesAdmitted ||
+		st.TasksRun < st.QueriesAdmitted || st.PeakInFlight != 1 {
+		t.Errorf("ServingStats %+v over %d node executions: want limit 1, at least one shed, admitted + shed = executions, one at a time",
+			st.SchedStats, execs)
 	}
 }

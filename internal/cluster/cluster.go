@@ -2,15 +2,16 @@
 // placement math the paper uses to decluster MDHF fragments over D disks
 // (Section 4.6, Figure 2), applied one level up to shard fragments over
 // N nodes. A Node wraps one node's shard — an in-memory engine or an
-// on-disk storage.Backend plus its own admission scheduler, snapshot
-// pinning and delta ingestion — and serves fragment-range partials; a
-// Coordinator plans a query against the cluster-level alloc.Placement,
-// scatters per-node sub-queries over a Transport, and merges the
-// returned partials in node order. Per-key aggregate addition commutes
-// and the nodes' fragment ranges are disjoint, so the merged result —
-// flattened through the shared kernel.Grouper — is byte-identical to a
-// single node holding the union of the rows, at any node count, either
-// placement scheme, and on either transport.
+// on-disk storage.Backend plus snapshot pinning and delta ingestion, on
+// an admission-bounded pool (a node process's own, or the one its
+// warehouse shares over in-process nodes) — and serves fragment-range
+// partials; a Coordinator plans a query against the cluster-level
+// alloc.Placement, scatters per-node sub-queries over a Transport, and
+// merges the returned partials in node order. Per-key aggregate
+// addition commutes and the nodes' fragment ranges are disjoint, so the
+// merged result — flattened through the shared kernel.Grouper — is
+// byte-identical to a single node holding the union of the rows, at any
+// node count, either placement scheme, and on either transport.
 //
 // Two transports implement the one Transport interface: Local, an
 // in-process harness over a []*Node used for deterministic -race

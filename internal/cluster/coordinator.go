@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/data"
-	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
 	"repro/internal/storage"
@@ -171,41 +171,68 @@ func (c *Coordinator) Execute(ctx context.Context, q frag.Query) (kernel.Result,
 	}
 	nodes := c.relevantNodes(q)
 	req := Request{Preds: q.Preds, GroupBy: q.GroupBy}
-
 	type part struct {
-		resp    Response
-		retries int64
-		hedges  int64
+		resp            Response
+		retries, hedges int64
+		err             error
 	}
-	type acc struct {
+	parts := make([]part, len(nodes))
+	scatter(len(nodes), func(i int) {
+		p := &parts[i]
+		p.resp, p.retries, p.hedges, p.err = c.execNode(ctx, nodes[i], req)
+	})
+	var (
 		agg kernel.Aggregate
 		run []kernel.Group
-		st  ExecStats
+		st  = ExecStats{NodesUsed: len(nodes)}
+	)
+	for _, p := range parts {
+		if p.err != nil {
+			return kernel.Result{}, ExecStats{}, p.err // the first in node order
+		}
+		agg.Add(p.resp.Agg)
+		run = kernel.MergeRuns(run, p.resp.Groups)
+		st.DeltaRows += p.resp.DeltaRows
+		st.Engine.Add(p.resp.Engine)
+		st.IO.Add(p.resp.IO)
+		st.Retries += p.retries
+		st.Hedges += p.hedges
+		st.Shared.Add(p.resp.Shared)
 	}
-	a, err := exec.Reduce(ctx, len(nodes), len(nodes),
-		func(i int) (part, error) {
-			resp, retries, hedges, err := c.execNode(ctx, nodes[i], req)
-			return part{resp, retries, hedges}, err
-		},
-		func(a *acc, p part) {
-			a.agg.Add(p.resp.Agg)
-			a.run = kernel.MergeRuns(a.run, p.resp.Groups)
-			a.st.DeltaRows += p.resp.DeltaRows
-			a.st.Engine.Add(p.resp.Engine)
-			a.st.IO.Add(p.resp.IO)
-			a.st.Retries += p.retries
-			a.st.Hedges += p.hedges
-			a.st.Shared.Add(p.resp.Shared)
-		})
-	if err != nil {
-		return kernel.Result{}, ExecStats{}, err
-	}
-	a.st.NodesUsed = len(nodes)
-	res := kernel.Result{Aggregate: a.agg}
+	res := kernel.Result{Aggregate: agg}
 	if gr != nil {
-		res.Groups = gr.Rows(a.run)
+		res.Groups = gr.Rows(run)
 	}
-	return res, a.st, nil
+	return res, st, nil
+}
+
+// scatter runs fn(k) for k in [0, n), one call per node, each keeping its
+// own result: a lone one on the caller, more on a goroutine each. A call
+// only waits on a node, whose work runs on a pool or the wire; on a pool
+// it would hold a worker the node needs, at one worker a deadlock.
+func scatter(n int, fn func(k int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for k := range n {
+		go func() {
+			defer wg.Done()
+			fn(k)
+		}()
+	}
+	wg.Wait()
+}
+
+// nodeErr names node k in err unless a NodeError already does.
+func nodeErr(k int, err error) error {
+	var ne *NodeError
+	if err == nil || errors.As(err, &ne) {
+		return err
+	}
+	return &NodeError{Node: k, Err: err}
 }
 
 // execNode runs one node's sub-request through breaker, hedging and the
@@ -226,11 +253,7 @@ func (c *Coordinator) execNode(ctx context.Context, k int, req Request) (Respons
 	if err != nil {
 		cnt.errors.Add(1)
 		brk.failure(time.Now())
-		var ne *NodeError
-		if !errors.As(err, &ne) {
-			err = &NodeError{Node: k, Err: err}
-		}
-		return Response{}, retries, hedges, err
+		return Response{}, retries, hedges, nodeErr(k, err)
 	}
 	brk.success()
 	return resp, retries, hedges, nil
@@ -352,73 +375,35 @@ func (c *Coordinator) Append(ctx context.Context, rows []Row) error {
 		k := NodeOf(c.cl, id)
 		parts[k] = append(parts[k], r)
 	}
-	// Fan out on the shared exec helper. Per-node failures come back as
-	// values, not task errors: exec.Map aborts remaining tasks on the
-	// first task error, but every node's batch must still land even when
-	// one node fails.
-	errs, err := exec.Map(ctx, len(parts), len(parts), func(k int) (error, error) {
-		if len(parts[k]) == 0 {
-			return nil, nil
+	errs := make([]error, len(parts))
+	scatter(len(parts), func(k int) {
+		if len(parts[k]) > 0 {
+			errs[k] = nodeErr(k, c.tr.Append(ctx, k, parts[k]))
 		}
-		if err := c.tr.Append(ctx, k, parts[k]); err != nil {
-			var ne *NodeError
-			if !errors.As(err, &ne) {
-				err = &NodeError{Node: k, Err: err}
-			}
-			return err, nil
-		}
-		return nil, nil
 	})
-	if err != nil {
-		return err // ctx cancellation: nothing was gathered
-	}
 	return errors.Join(errs...)
 }
 
 // Compact fans compaction out to every node in parallel and joins any
 // failures in node order.
 func (c *Coordinator) Compact(ctx context.Context) error {
-	// Per-node failures return as values so every node still compacts
-	// (exec.Map would abort remaining tasks on a task error).
-	errs, err := exec.Map(ctx, len(c.counters), len(c.counters), func(k int) (error, error) {
-		if err := c.tr.Compact(ctx, k); err != nil {
-			var ne *NodeError
-			if !errors.As(err, &ne) {
-				err = &NodeError{Node: k, Err: err}
-			}
-			return err, nil
-		}
-		return nil, nil
-	})
-	if err != nil {
-		return err
-	}
+	errs := make([]error, len(c.counters))
+	scatter(len(errs), func(k int) { errs[k] = nodeErr(k, c.tr.Compact(ctx, k)) })
 	return errors.Join(errs...)
 }
 
 // NodeStats fetches every node's serving snapshot over the transport.
 // A node that cannot answer gets a zero snapshot with only its index
-// set, and the first such error is returned alongside the slice.
+// set, and the nodes' errors are joined in node order beside the slice.
 func (c *Coordinator) NodeStats(ctx context.Context) ([]NodeStats, error) {
-	type nodeStat struct {
-		st  NodeStats
-		err error
-	}
-	parts, err := exec.Map(ctx, len(c.counters), len(c.counters), func(k int) (nodeStat, error) {
-		st, err := c.tr.Stats(ctx, k)
-		if err != nil {
-			return nodeStat{st: NodeStats{Index: k}, err: &NodeError{Node: k, Err: err}}, nil
+	out := make([]NodeStats, len(c.counters))
+	errs := make([]error, len(out))
+	scatter(len(out), func(k int) {
+		var err error
+		if out[k], err = c.tr.Stats(ctx, k); err != nil {
+			out[k], errs[k] = NodeStats{Index: k}, nodeErr(k, err)
 		}
-		return nodeStat{st: st}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]NodeStats, len(parts))
-	errs := make([]error, len(parts))
-	for k, p := range parts {
-		out[k], errs[k] = p.st, p.err
-	}
 	return out, errors.Join(errs...)
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/epoch"
+	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/storage"
 )
@@ -54,8 +55,8 @@ type NodeConfig struct {
 	// IODelay simulates per-access disk latency when IODelaySet.
 	IODelay    time.Duration
 	IODelaySet bool
-	// Workers sizes the node's own scheduler pool (<1 = one per CPU);
-	// AdmitLimit bounds concurrently admitted executions (0 = unbounded),
+	// Workers sizes the pool a node process runs on (<1 = one per CPU);
+	// AdmitLimit bounds the executions it admits at once (0 = unbounded),
 	// shedding excess with exec.ErrOverloaded.
 	Workers    int
 	AdmitLimit int
@@ -72,23 +73,26 @@ type NodeConfig struct {
 
 // Node serves one shard of a declustered cluster: the fragments the
 // cluster placement assigns to its index. It is the warehouse's own
-// serving core — epoch.Store: scheduler with bounded admission, snapshot
-// pinning, journaled delta ingestion, epoch-rolling compaction, shared
-// scans — scoped to that fragment range by an ownership predicate, plus
-// the kill switch, NodeError wrapping and the wire types. All methods
-// are safe for concurrent use.
+// serving core — epoch.Store: snapshot pinning, journaled delta
+// ingestion, epoch-rolling compaction, shared scans, on a pool with
+// bounded admission — scoped to that fragment range by an ownership
+// predicate, plus the kill switch, NodeError wrapping and the wire types.
+// All methods are safe for concurrent use.
 type Node struct {
 	index int
 	store *epoch.Store
+	sched *exec.Scheduler // the pool NewNode started, closed by Close; nil on a caller's pool
 
 	failed  atomic.Bool
 	queries atomic.Int64
 }
 
-// NewNode builds a node serving the given shard at epoch 0 from a
-// NodeConfig — the server side's flat configuration (cmd/mdhfnode); see
-// NewStoreNode.
+// NewNode builds a node process's node over the given shard at epoch 0
+// from a NodeConfig (cmd/mdhfnode), on a pool of its own that Close
+// closes; see NewStoreNode.
 func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
+	sched := exec.NewScheduler(cfg.Workers)
+	sched.SetLimit(cfg.AdmitLimit)
 	scfg := epoch.Config{
 		Spec:         cfg.Spec,
 		Indexes:      cfg.Indexes,
@@ -99,19 +103,25 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 		PrefetchFact: cfg.PrefetchFact,
 		FaultPlan:    cfg.FaultPlan,
 		Retry:        cfg.Retry,
-		Workers:      cfg.Workers,
-		AdmitLimit:   cfg.AdmitLimit,
+		Sched:        sched,
 		SharedWindow: cfg.SharedWindow,
 	}
 	if cfg.IODelaySet {
 		scfg.IODelay = cfg.IODelay
 	}
-	return NewStoreNode(scfg, cfg.Index, cfg.Cluster, rows)
+	n, err := NewStoreNode(scfg, cfg.Index, cfg.Cluster, rows)
+	if err != nil {
+		sched.Close()
+		return nil, err
+	}
+	n.sched = sched
+	return n, nil
 }
 
 // NewStoreNode builds node index of the cluster placement cl, serving
 // the given shard at epoch 0 on a store configured by scfg, which it
 // scopes to the node's fragments (Own) and whose Closed it sets. The
+// node runs on scfg.Sched, the caller's pool, which must outlive it. The
 // rows must all belong to fragments the node owns (PartitionTable
 // produces exactly that); ownership is enforced on Append, while the
 // initial build trusts its caller. An on-disk node journals every
@@ -119,8 +129,8 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 // Dir and rows replays the journal and serves what it served before it
 // went down. The caller must Close the node.
 func NewStoreNode(scfg epoch.Config, index int, cl alloc.Placement, rows *data.Table) (*Node, error) {
-	if scfg.Spec == nil {
-		return nil, fmt.Errorf("cluster: a node needs a fragmentation (Spec)")
+	if scfg.Spec == nil || scfg.Sched == nil {
+		return nil, fmt.Errorf("cluster: a node needs a fragmentation (Spec) and a pool (Sched)")
 	}
 	if cl.Disks < 1 {
 		cl.Disks = 1
@@ -183,10 +193,10 @@ func (n *Node) begin() error {
 }
 
 // Exec runs one scattered sub-query over the fragments this node owns
-// and returns the node's partial. The execution is admitted to the
-// node's own scheduler (shedding with exec.ErrOverloaded past the
-// admission limit) and pins the node's serving snapshot, so concurrent
-// appends and compactions never change an in-flight partial.
+// and returns the node's partial. The execution is admitted to the pool
+// the node runs on (shedding with exec.ErrOverloaded past its admission
+// limit) and pins the node's serving snapshot, so concurrent appends and
+// compactions never change an in-flight partial.
 func (n *Node) Exec(ctx context.Context, req Request) (Response, error) {
 	n.queries.Add(1)
 	if err := n.begin(); err != nil {
@@ -261,6 +271,11 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// Close drains in-flight work, stops the scheduler, closes the backend
-// and journal files and removes the node's own temporary directory.
-func (n *Node) Close() error { return n.store.Close() }
+// Close drains in-flight work, closes the backend and journal files,
+// removes the node's own temporary directory and stops NewNode's pool.
+func (n *Node) Close() error {
+	if n.sched != nil {
+		defer n.sched.Close()
+	}
+	return n.store.Close()
+}

@@ -60,7 +60,8 @@ type NodeStats struct {
 	Queries int64
 	// Failed reports a killed node (see Node.Fail).
 	Failed bool
-	// Sched is the node's admission scheduler accounting.
+	// Sched is the accounting of the pool the node runs on; in-process
+	// nodes share the warehouse's.
 	Sched exec.SchedStats
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -109,10 +110,13 @@ func tableOf(star *schema.Star, base *data.Table, batches ...[]Row) *data.Table 
 	return t
 }
 
-// open builds a store over the world's base in dir; the caller closes it.
+// open builds a store over the world's base in dir; the caller closes it,
+// and the test's end its pool.
 func (w *loadWorld) open(t *testing.T, dir string, mutate func(*Config)) *Store {
 	t.Helper()
-	cfg := Config{Spec: w.spec, Indexes: w.icfg, OnDisk: dir != "", Dir: dir, Workers: 2, Closed: errors.New("store closed")}
+	sched := exec.NewScheduler(2)
+	t.Cleanup(sched.Close)
+	cfg := Config{Spec: w.spec, Indexes: w.icfg, OnDisk: dir != "", Dir: dir, Sched: sched, Closed: errors.New("store closed")}
 	if mutate != nil {
 		mutate(&cfg)
 	}

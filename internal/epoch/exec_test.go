@@ -14,6 +14,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/kernel"
 	"repro/internal/schema"
@@ -90,7 +91,9 @@ func newTestWorld(t *testing.T, own func(int64) bool) *testWorld {
 // configuration. The store is closed with the test.
 func (w *testWorld) open(t *testing.T, own func(int64) bool, mutate func(*Config)) *Store {
 	t.Helper()
-	cfg := Config{Spec: w.spec, Indexes: frag.APB1Indexes(w.star), Own: own, Workers: 2, Closed: w.errClosed}
+	sched := exec.NewScheduler(2)
+	t.Cleanup(sched.Close) // after the store's Close, registered below
+	cfg := Config{Spec: w.spec, Indexes: frag.APB1Indexes(w.star), Own: own, Sched: sched, Closed: w.errClosed}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -63,10 +63,9 @@ type Config struct {
 	FaultPlan *storage.FaultPlan
 	Retry     *storage.RetryPolicy
 
-	// Workers sizes the store's scheduler (<1 = one per CPU); AdmitLimit
-	// bounds concurrently admitted executions (0 = unbounded).
-	Workers    int
-	AdmitLimit int
+	// Sched is the pool every execution runs on (required). The store
+	// never starts or closes it: exec.NewScheduler's caller does.
+	Sched *exec.Scheduler
 	// PoolBytes is the buffer pool budget of an on-disk store (0 = none).
 	PoolBytes int64
 	// SharedWindow enables shared-scan admission batching when > 0.
@@ -137,7 +136,7 @@ type Counters struct {
 // Store is the epoch-versioned serving core. All methods are safe for
 // concurrent use.
 type Store struct {
-	// Sched is the admission scheduler every execution runs on; Pool the
+	// Sched is Config.Sched, the pool every execution runs on; Pool the
 	// buffer pool (nil without Config.PoolBytes). Both are fixed by New.
 	Sched *exec.Scheduler
 	Pool  *storage.BufPool
@@ -166,17 +165,13 @@ type Store struct {
 	ownRoot   bool
 }
 
-// New starts a store's scheduler, buffer pool and admission batcher.
-// Nothing is built yet: Build installs epoch 0. The caller must Close
-// the store.
+// New starts a store's buffer pool and admission batcher. Nothing is
+// built yet: Build installs epoch 0. The caller must Close the store.
 func New(cfg Config) *Store {
 	s := &Store{
-		Sched: exec.NewScheduler(cfg.Workers),
+		Sched: cfg.Sched,
 		cfg:   cfg,
 		delay: cfg.IODelay,
-	}
-	if cfg.AdmitLimit > 0 {
-		s.Sched.SetLimit(cfg.AdmitLimit)
 	}
 	if cfg.PoolBytes > 0 && cfg.OnDisk {
 		s.Pool = storage.NewBufPool(cfg.PoolBytes)
@@ -328,7 +323,7 @@ func (s *Store) SetIODelay(d time.Duration) {
 }
 
 // Close drains in-flight operations (queries, appends, compaction),
-// stops the background compactor and the scheduler, closes the backend
+// stops the background compactor, closes the backend
 // and journal files and removes the store's own temporary root. Begin
 // fails afterwards. It returns any errors deferred from background
 // cleanup (retired-epoch removal, failed background compactions)
@@ -346,7 +341,6 @@ func (s *Store) Close() error {
 		// A pending trigger still fires, but its run bails out in Begin.
 		s.compactor.Close()
 	}
-	s.Sched.Close()
 	s.mu.Lock()
 	cur := s.cur
 	s.cur = Snapshot{}

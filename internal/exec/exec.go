@@ -15,13 +15,13 @@
 // own, with the scratch of its slot in the store's Scratch, and
 // the caller merges one partial per worker — identical results at any
 // pool size for merges that commute. The query drivers (internal/kernel)
-// run both backends' fragment tasks through it on the serving store's
-// long-lived scheduler, placement-aware when the backend is declustered.
+// run both backends' fragment tasks through it on the serving process's
+// one scheduler, placement-aware when the backend is declustered.
 // MapOn keeps a result slot per task and returns them in task order, for
 // results that do not commute; its scratch lives and dies with the call.
-// The control-plane fan-outs — the cost advisor, the experiment harness,
-// the cluster coordinator's scatter — use Map/Reduce: MapOn on a
-// scheduler owned by the call.
+// The two offline fan-outs, the cost advisor and the experiment harness,
+// use Map: MapOn on a scheduler owned by the call. The cluster
+// coordinator's scatter, which only waits on nodes, runs on no pool.
 package exec
 
 import (
@@ -54,20 +54,4 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) (T, error) { return fn(i) },
 	)
-}
-
-// Reduce is Map followed by a fold of the per-task partials into a
-// single accumulator strictly in task order, so non-commutative merges
-// still give identical results at any worker count; a failed gather
-// yields the zero accumulator.
-func Reduce[T, A any](ctx context.Context, workers, n int, fn func(i int) (T, error), merge func(acc *A, part T)) (A, error) {
-	var acc A
-	parts, err := Map(ctx, workers, n, fn)
-	if err != nil {
-		return acc, err
-	}
-	for _, p := range parts {
-		merge(&acc, p)
-	}
-	return acc, nil
 }

@@ -32,7 +32,7 @@ func TestMapDefaultWorkers(t *testing.T) {
 }
 
 // TestMapConcurrentCallers runs many call-owned schedulers at once — the
-// -race target for the control-plane fan-outs.
+// -race target for the offline fan-outs.
 func TestMapConcurrentCallers(t *testing.T) {
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -40,12 +40,14 @@ func TestMapConcurrentCallers(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				sum, err := Reduce(context.Background(), 4, 100,
-					func(i int) (int, error) { return i + c, nil },
-					func(acc *int, part int) { *acc += part })
+				parts, err := Map(context.Background(), 4, 100, func(i int) (int, error) { return i + c, nil })
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				sum := 0
+				for _, p := range parts {
+					sum += p
 				}
 				if want := 100*99/2 + 100*c; sum != want {
 					t.Errorf("caller %d: sum = %d, want %d", c, sum, want)

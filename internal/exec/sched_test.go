@@ -550,24 +550,19 @@ func TestReduceGroupedMapDeterministic(t *testing.T) {
 }
 
 // TestReduceMergesInTaskOrder: a non-commutative merge (string
-// concatenation) must come out in task order at every pool size — on
-// Reduce, and on the index-ordered gather of every other entry — and a
-// failed run folds nothing.
+// concatenation) over the index-ordered gather of every entry must come
+// out in task order at every pool size, and a failed run folds nothing.
 func TestReduceMergesInTaskOrder(t *testing.T) {
 	want := ""
 	for i := 0; i < 30; i++ {
 		want += fmt.Sprintf("[%d]", i)
 	}
-	concat := func(acc *string, part int) { *acc += fmt.Sprintf("[%d]", part) }
-	forEachEntry(t, []int{1, 4, 16}, func(t *testing.T, e entry, workers int) {
+	forEachEntry(t, []int{1, 4, 16}, func(t *testing.T, e entry, _ int) {
 		reduce := func(n int, fn func(i int) (int, error)) (string, error) {
-			if e.name == "Map" {
-				return Reduce(context.Background(), workers, n, fn, concat)
-			}
 			var acc string
 			parts, err := e.run(context.Background(), n, newInt, func(_ *int, i int) (int, error) { return fn(i) })
 			for _, p := range parts {
-				concat(&acc, p)
+				acc += fmt.Sprintf("[%d]", p)
 			}
 			return acc, err
 		}

@@ -77,9 +77,10 @@ func (o *options) modelAccessTime() time.Duration {
 }
 
 // WithWorkers sets the size of the warehouse's shared worker pool — the
-// goroutines all concurrent query executions are multiplexed onto, and
-// the fan-out of Advise and ExplainAll. Values below 1 (the default)
-// mean one worker per available CPU.
+// goroutines all concurrent query executions are multiplexed onto, a
+// single store's or every in-process node's (WithNodes) alike, and the
+// fan-out of Advise and ExplainAll. Values below 1 (the default) mean
+// one worker per available CPU.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -245,6 +246,10 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // executions: executions beyond the limit are shed immediately with
 // ErrOverloaded instead of queueing unboundedly — the warehouse stays
 // responsive for the admitted load. Zero (the default) means unbounded.
+// One limit covers the warehouse's pool: over in-process nodes a query
+// scattered to k nodes is k admitted executions, and an excess one fails
+// the query with ErrOverloaded inside a NodeError. A node process
+// (WithNodeAddrs) admits by its own ClusterNodeConfig.AdmitLimit.
 func WithAdmissionLimit(n int) Option {
 	return func(o *options) { o.admitLimit = n }
 }

@@ -72,10 +72,10 @@ type resPending struct {
 	maxSeq uint64
 	region frag.Region
 
-	done      chan struct{} // closed by the leader when res/err are set
+	done      chan struct{} // closed by the leader when it leaves
 	res       Result
 	deltaRows int64
-	err       error
+	ok        bool // res is computed; followers of a failed leader compute alone
 
 	// poisoned marks the computation's snapshot invalidated by an append
 	// that touched its region: the result still reaches followers (it is
@@ -310,7 +310,7 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 			return Result{}, Stats{}, ctx.Err()
 		case <-pd.done:
 		}
-		if pd.err == nil {
+		if pd.ok {
 			w.store.Lock()
 			c.shared++
 			w.store.Unlock()
@@ -344,23 +344,31 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 	w.store.Unlock()
 
 	defer w.store.Unpin(snap.B)
+	// However the leader leaves, a panic included, it releases the state
+	// lock, takes pd out of pending and wakes the followers.
+	locked := false
+	defer func() {
+		if !locked {
+			w.store.Lock()
+		}
+		if c.pending[pd.text] == pd {
+			delete(c.pending, pd.text)
+		}
+		w.store.Unlock()
+		close(pd.done)
+	}()
 	res, st, err := p.executeOn(ctx, snap)
 	w.store.Lock()
-	if c.pending[pd.text] == pd {
-		delete(c.pending, pd.text)
-	}
+	locked = true
 	if err == nil {
 		shared := copyResult(res)
-		pd.res, pd.deltaRows = shared, st.DeltaRows
+		pd.res, pd.deltaRows, pd.ok = shared, st.DeltaRows, true
 		if !pd.poisoned {
 			// pd's state was re-keyed alongside every invalidation that left
 			// the result valid, so storing under it is sound.
 			c.put(pd.text, pd.epoch, pd.maxSeq, pd.region, shared, st.DeltaRows)
 		}
 	}
-	pd.err = err
-	w.store.Unlock()
-	close(pd.done)
 	st.Wall = time.Since(start)
 	return res, st, err
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dimtable"
 	"repro/internal/epoch"
+	"repro/internal/exec"
 	"repro/internal/frag"
 	"repro/internal/schema"
 	"repro/internal/simpad"
@@ -86,9 +87,10 @@ type Warehouse struct {
 	seed int64
 	opt  options
 
-	// store is the epoch-versioned serving core (scheduler, buffer pool,
-	// snapshots, append, journal, compaction, shared scans) — the same
-	// one a cluster node runs over its shard. Its state lock also guards
+	// store is the epoch-versioned serving core (buffer pool, snapshots,
+	// append, journal, compaction, shared scans) — the same one a cluster
+	// node runs over its shard — on the warehouse's one pool, store.Sched,
+	// which Close closes. Its state lock also guards
 	// rcache, the query-result cache (nil without WithResultCache), which
 	// is keyed against the serving snapshot.
 	store  *epoch.Store
@@ -97,7 +99,7 @@ type Warehouse struct {
 	// A multi-node warehouse serves through coord over the nodes placed
 	// by cl (Disks == 0: a single store), in-process ones (local) built
 	// from nodeCfg or remote ones. Its store builds nothing: it admits,
-	// so Close drains the nodes' callers, and runs ExplainAll's pool.
+	// so Close drains the nodes' callers, and holds the one pool.
 	cl      alloc.Placement
 	nodeCfg epoch.Config
 	coord   *cluster.Coordinator
@@ -202,8 +204,6 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		IODelay:      opt.ioDelay,
 		FaultPlan:    opt.faultPlan,
 		Retry:        opt.retry,
-		Workers:      opt.workers,
-		AdmitLimit:   opt.admitLimit,
 		PoolBytes:    opt.poolBytes,
 		SharedWindow: opt.sharedWindow,
 		AutoCompact:  opt.autoCompact,
@@ -219,9 +219,12 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Warehouse, error) {
 		}
 		w.buildOnce.Do(func() {}) // remote nodes: nothing to build
 	}
+	// The one pool, for the store and every in-process node.
+	scfg.Sched = exec.NewScheduler(opt.workers)
+	scfg.Sched.SetLimit(opt.admitLimit)
 	if w.cl.Disks > 0 {
 		w.nodeCfg = scfg
-		w.store = epoch.New(epoch.Config{Workers: opt.workers, Closed: ErrClosed})
+		w.store = epoch.New(epoch.Config{Sched: scfg.Sched, Closed: ErrClosed})
 		return w, nil
 	}
 	if opt.resultCache > 0 {
@@ -479,13 +482,13 @@ func (w *Warehouse) Simulate(ctx context.Context, qs ...Query) ([]SimResult, err
 }
 
 // Close drains in-flight executions, appends and compaction, stops the
-// background compactor and the shared worker pool, closes the backend
-// and delta-journal files and removes the warehouse's own temporary
-// directory (if it created one) — on a multi-node warehouse, every
-// in-process node's, and then the transport. Operations submitted after
-// Close fail with ErrClosed. It returns any errors deferred from
-// background cleanup (retired-epoch removal, journal resets) alongside
-// its own.
+// background compactor, closes the backend and delta-journal files and
+// removes the warehouse's own temporary directory (if it created one) —
+// on a multi-node warehouse, every in-process node's, and then the
+// transport — and stops the shared worker pool last. Operations
+// submitted after Close fail with ErrClosed. It returns any errors
+// deferred from background cleanup (retired-epoch removal, journal
+// resets) alongside its own.
 func (w *Warehouse) Close() error {
 	var err error
 	w.closeOnce.Do(func() {
@@ -498,6 +501,7 @@ func (w *Warehouse) Close() error {
 		for _, n := range w.local {
 			err = errors.Join(err, n.Close())
 		}
+		w.store.Sched.Close() // every store above ran on it
 	})
 	return err
 }
