@@ -87,7 +87,8 @@ func BenchmarkExtWAHCompression(b *testing.B) {
 	for i := 0; i < n; i += 24 {
 		dense.Set(i)
 	}
-	cs, cd := bitmap.Compress(sparse), bitmap.Compress(dense)
+	cs := bitmap.CompressInto(&bitmap.Compressed{}, sparse)
+	cd := bitmap.CompressInto(&bitmap.Compressed{}, dense)
 	var and bitmap.Compressed
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

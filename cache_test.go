@@ -420,6 +420,8 @@ func TestCacheSingleflight(t *testing.T) {
 // the race detector; every operation either succeeds or reports ErrClosed
 // and the owned files are removed.
 func TestCacheHammer(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	ctx := context.Background()
 	star := TinySchema()
 	full := MustGenerateData(star, 8)
@@ -444,7 +446,7 @@ func TestCacheHammer(t *testing.T) {
 	if _, _, err := w.Query(queries[0]).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rootDir := w.store.RootDir()
+	rootDir := storeRoot(t, tmp)
 
 	ok := func(err error) bool { return err == nil || errors.Is(err, ErrClosed) }
 	var wg sync.WaitGroup

@@ -1,7 +1,7 @@
 // Warehouse: a full on-disk round trip through the serving façade —
 // Open writes the MDHF-fragmented fact file and bitmap files to a
 // temporary directory on first execution, name-level queries resolve
-// through the B+-tree-indexed dimension tables, and every execution
+// through the dimension tables' per-level name maps, and every execution
 // reports the physical I/O counts that the paper's Table 3 models
 // analytically.
 package main
@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("warehouse: %d rows in %d fragments, %d surviving bitmaps\n",
 		star.N(), spec.NumFragments(), spec.SurvivingBitmaps(w.Indexes()))
 
-	// Dimension tables with B+-tree indices resolve names to members.
+	// Dimension tables resolve names to members.
 	fmt.Printf("dimension tables: %.2f MB (the paper: \"only occupy 1 MB\")\n", float64(w.Catalog().Bytes())/(1<<20))
 	fmt.Printf("executing with %d fragment workers\n\n", w.Workers())
 

@@ -211,6 +211,8 @@ func TestAppendValidation(t *testing.T) {
 	}
 	for _, bk := range ingestBackends {
 		t.Run(bk.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
 			w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month", Table: tab}, bk.opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -231,7 +233,7 @@ func TestAppendValidation(t *testing.T) {
 				if w.store.Current().B.Disk == nil {
 					return nil
 				}
-				b, err := os.ReadFile(filepath.Join(w.store.RootDir(), "delta.dat"))
+				b, err := os.ReadFile(filepath.Join(storeRoot(t, tmp), "delta.dat"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,6 +374,8 @@ func TestCompactionDoesNotBlockOrChangeResults(t *testing.T) {
 // shared warehouse under the race detector: every operation must either
 // succeed or fail with ErrClosed, and Close must drain cleanly.
 func TestIngestHammer(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	ctx := context.Background()
 	star := TinySchema()
 	full := MustGenerateData(star, 8)
@@ -389,7 +393,7 @@ func TestIngestHammer(t *testing.T) {
 	if _, _, err := w.Query(q).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rootDir = w.store.RootDir()
+	rootDir = storeRoot(t, tmp)
 
 	ok := func(err error) bool { return err == nil || errors.Is(err, ErrClosed) }
 	var wg sync.WaitGroup

@@ -108,25 +108,6 @@ func DisksUsed(spec *frag.Spec, q frag.Query, p Placement) int {
 	return len(used)
 }
 
-// Gcd returns the greatest common divisor of a and b.
-func Gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
-// StrideDisks returns the number of distinct disks reached by accessing
-// every stride-th fragment under plain round robin over d disks:
-// d / gcd(stride, d). This is the analytical form of the Section 4.6
-// example (stride 480, d = 100, gcd 20 → only 5 disks).
-func StrideDisks(stride, d int64) int64 {
-	return d / Gcd(stride, d)
-}
-
 // IsPrime reports whether n is prime; the paper recommends a prime number
 // of disks to avoid gcd clustering.
 func IsPrime(n int) bool {

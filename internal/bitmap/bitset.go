@@ -34,11 +34,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear sets bit i to 0.
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Get reports whether bit i is 1.
 func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
@@ -188,14 +183,6 @@ func (b *Bitset) AndNot(o *Bitset) {
 	}
 }
 
-// Xor sets b = b XOR o in place.
-func (b *Bitset) Xor(o *Bitset) {
-	b.check(o)
-	for i := range b.words {
-		b.words[i] ^= o.words[i]
-	}
-}
-
 // Not inverts every bit in place.
 func (b *Bitset) Not() {
 	for i := range b.words {
@@ -211,16 +198,6 @@ func (b *Bitset) OnesCount() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Any reports whether at least one bit is set.
-func (b *Bitset) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether b and o have identical contents and length.

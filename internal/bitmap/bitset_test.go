@@ -20,10 +20,6 @@ func TestBitsetBasics(t *testing.T) {
 	if got := b.OnesCount(); got != 3 {
 		t.Fatalf("OnesCount = %d, want 3", got)
 	}
-	b.Clear(64)
-	if b.Get(64) || b.OnesCount() != 2 {
-		t.Fatal("Clear failed")
-	}
 }
 
 func TestBitsetSetAllNotTrims(t *testing.T) {
@@ -70,13 +66,6 @@ func TestBitsetBooleanOps(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if an.Get(i) != (i%2 == 0 && i%3 != 0) {
 			t.Fatalf("AndNot bit %d wrong", i)
-		}
-	}
-	x := a.Clone()
-	x.Xor(b)
-	for i := 0; i < 100; i++ {
-		if x.Get(i) != ((i%2 == 0) != (i%3 == 0)) {
-			t.Fatalf("Xor bit %d wrong", i)
 		}
 	}
 }
@@ -128,12 +117,12 @@ func TestBitsetSlice(t *testing.T) {
 func TestBitsetEqualAndAny(t *testing.T) {
 	a := New(65)
 	b := New(65)
-	if !a.Equal(b) || a.Any() {
+	if !a.Equal(b) || a.OnesCount() != 0 {
 		t.Fatal("fresh bitsets should be equal and empty")
 	}
 	a.Set(64)
-	if a.Equal(b) || !a.Any() {
-		t.Fatal("Equal/Any after Set wrong")
+	if a.Equal(b) || a.OnesCount() == 0 {
+		t.Fatal("Equal/OnesCount after Set wrong")
 	}
 	if a.Equal(New(64)) {
 		t.Fatal("different lengths must not be equal")

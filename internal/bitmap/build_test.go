@@ -27,9 +27,9 @@ func TestLayoutCodes(t *testing.T) {
 					t.Fatalf("%s %s pad %v: %d codes for %d leaves", s.Name, d.Name, padBits, len(codes), d.LeafCard())
 				}
 				for m, c := range codes {
-					if c != l.Encode(m) || l.Decode(c) != m {
+					if c != l.Encode(m) || l.decode(c) != m {
 						t.Fatalf("%s %s pad %v: Codes()[%d] = %b, Encode = %b, Decode = %d",
-							s.Name, d.Name, padBits, m, c, l.Encode(m), l.Decode(c))
+							s.Name, d.Name, padBits, m, c, l.Encode(m), l.decode(c))
 					}
 				}
 			}

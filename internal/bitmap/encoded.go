@@ -118,27 +118,6 @@ func (l *Layout) EncodePrefix(level, m int) uint64 {
 	return l.Codes()[lo] >> uint(l.SuffixBits(level))
 }
 
-// Decode maps a full bit pattern back to the leaf member it encodes.
-// Patterns containing out-of-range field values yield -1.
-func (l *Layout) Decode(v uint64) int {
-	leaf := l.dim.Leaf()
-	m := 0
-	shift := l.TotalBits()
-	for i := 0; i <= leaf; i++ {
-		shift -= l.fieldBits[i]
-		digit := int(v >> uint(shift) & (1<<uint(l.fieldBits[i]) - 1))
-		fanIn := l.dim.Levels[i].Card
-		if i > 0 {
-			fanIn = l.dim.FanOut(i - 1)
-		}
-		if digit >= fanIn {
-			return -1
-		}
-		m = m*fanIn + digit
-	}
-	return m
-}
-
 // String renders the layout like the paper's Table 1 sample pattern, e.g.
 // "dddllfffggcoooo" for the APB-1 product dimension.
 func (l *Layout) String() string {
@@ -235,15 +214,6 @@ func (e *EncodedIndex) SelectPartialInto(dst *Bitset, skipLevel, level, m int) i
 		}
 	}
 	return nb
-}
-
-// SelectSuffix matches only the suffix bit fields of the levels strictly
-// below prefixLevel against the low SuffixBits(prefixLevel) bits of member
-// m's full encoding. It is used inside MDHF fragments where the prefix is
-// constant and its bitmaps have been eliminated (Section 4.2, query type
-// Q2). It returns the result and the number of bitmaps evaluated.
-func (e *EncodedIndex) SelectSuffix(prefixLevel, leafMember int) (*Bitset, int) {
-	return e.SelectPartial(prefixLevel, e.layout.dim.Leaf(), leafMember)
 }
 
 // Bytes returns the total storage of all bitmaps in bytes.

@@ -55,16 +55,6 @@ func (s *SimpleIndex) Select(m int) *Bitset { return s.maps[m].Clone() }
 // SelectInto is Select copying into dst, reusing dst's storage.
 func (s *SimpleIndex) SelectInto(dst *Bitset, m int) { dst.CopyFrom(s.maps[m]) }
 
-// SelectRange returns a fresh bitset marking all rows whose value lies in
-// [lo, hi), OR-ing hi-lo bitmaps.
-func (s *SimpleIndex) SelectRange(lo, hi int) *Bitset {
-	out := New(s.rows)
-	for m := lo; m < hi; m++ {
-		out.Or(s.maps[m])
-	}
-	return out
-}
-
 // BitmapsRead returns how many bitmaps a point selection must access: one.
 func (s *SimpleIndex) BitmapsRead() int { return 1 }
 

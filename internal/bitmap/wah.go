@@ -129,9 +129,6 @@ func (a *appender) group(v uint64) {
 	}
 }
 
-// Compress encodes a bitset.
-func Compress(b *Bitset) *Compressed { return CompressInto(&Compressed{}, b) }
-
 // CompressInto encodes a bitset into dst, reusing dst's words, and
 // returns dst.
 func CompressInto(dst *Compressed, b *Bitset) *Compressed {
@@ -145,11 +142,6 @@ func CompressInto(dst *Compressed, b *Bitset) *Compressed {
 	app.flush()
 	dst.words = app.words
 	return dst
-}
-
-// Decompress reconstructs the bitset.
-func (c *Compressed) Decompress() *Bitset {
-	return c.DecompressInto(New(c.n))
 }
 
 // DecompressInto reconstructs the bitset into dst, reusing its storage,

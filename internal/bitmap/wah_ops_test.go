@@ -69,13 +69,13 @@ func TestAndAllMatchesOracle(t *testing.T) {
 					} else {
 						plain[i] = runnyBitset(rng, n)
 					}
-					ops[i] = Compress(plain[i])
+					ops[i] = compress(plain[i])
 				}
 				want := plain[0].Clone()
 				for _, p := range plain[1:] {
 					want.And(p)
 				}
-				got := AndAllInto(nil, ops...).Decompress()
+				got := decompress(AndAllInto(nil, ops...))
 				if !got.Equal(want) {
 					t.Fatalf("n=%d k=%d trial=%d: AndAllInto diverges from Bitset oracle", n, k, trial)
 				}
@@ -93,11 +93,11 @@ func TestAndAllIntoReusesScratch(t *testing.T) {
 		b := runnyBitset(rng, n)
 		want := a.Clone()
 		want.And(b)
-		got := AndAllInto(scratch, Compress(a), Compress(b))
+		got := AndAllInto(scratch, compress(a), compress(b))
 		if got != scratch {
 			t.Fatalf("AndAllInto did not return its destination")
 		}
-		if !got.Decompress().Equal(want) {
+		if !decompress(got).Equal(want) {
 			t.Fatalf("trial %d: AndAllInto with reused scratch diverges", trial)
 		}
 	}
@@ -109,7 +109,7 @@ func TestDecompressIntoReuse(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := opTestLens[rng.Intn(len(opTestLens))]
 		p := runnyBitset(rng, n)
-		if got := Compress(p).DecompressInto(dst); !got.Equal(p) {
+		if got := compress(p).DecompressInto(dst); !got.Equal(p) {
 			t.Fatalf("trial %d n=%d: DecompressInto diverges", trial, n)
 		}
 	}
@@ -129,18 +129,18 @@ func FuzzCompressedOps(f *testing.F) {
 		rngB := rand.New(rand.NewSource(int64(seedB)))
 		a := runnyBitset(rngA, n)
 		b := densityBitset(rngB, n, float64(seedB%100)/99)
-		ca, cb := Compress(a), Compress(b)
+		ca, cb := compress(a), compress(b)
 		if !ca.DecompressInto(b.Clone()).Equal(a) {
 			t.Fatal("DecompressInto over a dirty destination diverges")
 		}
 		andWant := a.Clone()
 		andWant.And(b)
-		if !AndAllInto(nil, ca, cb).Decompress().Equal(andWant) {
+		if !decompress(AndAllInto(nil, ca, cb)).Equal(andWant) {
 			t.Fatal("AndAllInto diverges")
 		}
 		// A destination holding more words and bits than the result must
 		// come out exactly as a fresh encoding.
-		dst := Compress(densityBitset(rngB, 2*n+126, 0.5))
+		dst := compress(densityBitset(rngB, 2*n+126, 0.5))
 		dirty := len(dst.Words())
 		if got := CompressInto(dst, a); got.Len() != ca.Len() || !slices.Equal(got.Words(), ca.Words()) {
 			t.Fatalf("CompressInto over %d dirty words: %x, Compress: %x", dirty, got.Words(), ca.Words())

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// compress and decompress are the allocating round trip through
+// CompressInto and DecompressInto.
+func compress(b *Bitset) *Compressed { return CompressInto(&Compressed{}, b) }
+
+func decompress(c *Compressed) *Bitset { return c.DecompressInto(New(c.Len())) }
+
 func randomBitset(n int, density float64, seed int64) *Bitset {
 	rng := rand.New(rand.NewSource(seed))
 	b := New(n)
@@ -27,7 +33,7 @@ func TestCompressRoundTripVarious(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := randomBitset(c.n, c.density, int64(c.n)+1)
-		got := Compress(b).Decompress()
+		got := decompress(compress(b))
 		if !got.Equal(b) {
 			t.Fatalf("n=%d density=%g: round trip mismatch", c.n, c.density)
 		}
@@ -39,11 +45,11 @@ func TestCompressRoundTripProperty(t *testing.T) {
 		n := int(nRaw)%5000 + 1
 		density := float64(dRaw) / 255
 		b := randomBitset(n, density, seed)
-		c := Compress(b)
+		c := compress(b)
 		if c.Len() != n {
 			return false
 		}
-		return c.Decompress().Equal(b)
+		return decompress(c).Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -58,13 +64,13 @@ func TestCompressionRatioOnSparseBitmaps(t *testing.T) {
 	for i := 0; i < n; i += 14_400 {
 		sparse.Set(i)
 	}
-	cs := Compress(sparse)
+	cs := compress(sparse)
 	if ratio := float64(cs.Bytes()) / float64(sparse.Bytes()); ratio > 0.01 {
 		t.Errorf("sparse compression ratio = %.4f, want < 0.01", ratio)
 	}
 
 	dense := randomBitset(n, 0.5, 9)
-	cd := Compress(dense)
+	cd := compress(dense)
 	if ratio := float64(cd.Bytes()) / float64(dense.Bytes()); ratio > 1.05 {
 		t.Errorf("dense compression ratio = %.3f, want <= ~1.02", ratio)
 	}
@@ -73,20 +79,20 @@ func TestCompressionRatioOnSparseBitmaps(t *testing.T) {
 func TestCompressAllOnesAllZeros(t *testing.T) {
 	n := 100_000
 	zeros := New(n)
-	cz := Compress(zeros)
+	cz := compress(zeros)
 	if cz.Bytes() > 16 {
 		t.Errorf("all-zero bitmap compressed to %d bytes", cz.Bytes())
 	}
-	if !cz.Decompress().Equal(zeros) {
+	if !decompress(cz).Equal(zeros) {
 		t.Error("all-zero round trip failed")
 	}
 	ones := New(n)
 	ones.SetAll()
-	co := Compress(ones)
+	co := compress(ones)
 	if co.Bytes() > 16 {
 		t.Errorf("all-one bitmap compressed to %d bytes", co.Bytes())
 	}
-	if !co.Decompress().Equal(ones) {
+	if !decompress(co).Equal(ones) {
 		t.Error("all-one round trip failed")
 	}
 }
@@ -97,7 +103,7 @@ func TestCompressedAndPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AndAllInto(nil, Compress(New(10)), Compress(New(11)))
+	AndAllInto(nil, compress(New(10)), compress(New(11)))
 }
 
 func TestCompressedStarJoinIntersection(t *testing.T) {
@@ -114,7 +120,7 @@ func TestCompressedStarJoinIntersection(t *testing.T) {
 	group := randomBitset(n, 1.0/480, 5)
 	want := month.Clone()
 	want.And(group)
-	got := AndAllInto(nil, Compress(month), Compress(group)).Decompress()
+	got := decompress(AndAllInto(nil, compress(month), compress(group)))
 	if !got.Equal(want) {
 		t.Fatal("compressed star join intersection mismatch")
 	}

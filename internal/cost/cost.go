@@ -254,17 +254,6 @@ func estimateGroups(star *schema.Star, q frag.Query) int64 {
 	return groups
 }
 
-// TotalWork estimates the weighted total I/O bytes of a query mix under a
-// fragmentation — the ranking criterion of the guidelines in Section 4.7.
-func TotalWork(spec *frag.Spec, cfg frag.IndexConfig, mix []WeightedQuery, p Params) float64 {
-	var total float64
-	for _, wq := range mix {
-		c := Estimate(spec, cfg, wq.Query, p)
-		total += wq.Weight * float64(c.TotalBytes)
-	}
-	return total
-}
-
 // WeightedQuery is one entry of a query mix.
 type WeightedQuery struct {
 	Name   string

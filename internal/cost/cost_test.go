@@ -246,10 +246,13 @@ func TestAdviseMixedWorkload(t *testing.T) {
 	if got := len(ranked[0].PerQuery); got != 2 {
 		t.Fatalf("PerQuery entries = %d, want 2", got)
 	}
-	// TotalWork agrees with the advisor's Work field.
-	w := TotalWork(ranked[0].Spec, cfg, mix, DefaultParams())
+	// Work is the mix's weighted total of the per-query estimates.
+	var w float64
+	for _, wq := range mix {
+		w += wq.Weight * float64(Estimate(ranked[0].Spec, cfg, wq.Query, DefaultParams()).TotalBytes)
+	}
 	if math.Abs(w-ranked[0].Work) > 1 {
-		t.Errorf("TotalWork = %g, Work = %g", w, ranked[0].Work)
+		t.Errorf("weighted estimates = %g, Work = %g", w, ranked[0].Work)
 	}
 }
 

@@ -77,20 +77,6 @@ func (s *Sim) Run() Time {
 	return s.now
 }
 
-// RunUntil executes events with timestamps <= t, then stops. Remaining
-// events stay scheduled.
-func (s *Sim) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		e := heap.Pop(&s.events).(event)
-		s.now = e.at
-		s.nRun++
-		e.fn()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
 // Resource is a FCFS multi-server queueing station (CSIM "facility").
 // Requests are granted in arrival order as servers free up.
 type Resource struct {
@@ -104,9 +90,6 @@ type Resource struct {
 	// statistics
 	lastChange Time
 	busyArea   float64 // integral of busy servers over time
-	queueArea  float64 // integral of queue length over time
-	served     int64
-	maxQueue   int
 }
 
 type request struct {
@@ -140,16 +123,12 @@ func (r *Resource) UseFunc(durFn func() Time, done func()) {
 		return
 	}
 	r.queue = append(r.queue, request{durFn: durFn, done: done})
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
-	}
 }
 
 func (r *Resource) start(req request) {
 	d := req.durFn()
 	r.sim.Schedule(d, func() {
 		r.accumulate()
-		r.served++
 		if len(r.queue) > 0 {
 			next := r.queue[0]
 			r.queue = r.queue[1:]
@@ -166,21 +145,8 @@ func (r *Resource) start(req request) {
 func (r *Resource) accumulate() {
 	dt := float64(r.sim.now - r.lastChange)
 	r.busyArea += dt * float64(r.busy)
-	r.queueArea += dt * float64(len(r.queue))
 	r.lastChange = r.sim.now
 }
-
-// Served returns the number of completed services.
-func (r *Resource) Served() int64 { return r.served }
-
-// Busy returns the number of currently busy servers.
-func (r *Resource) Busy() int { return r.busy }
-
-// QueueLen returns the current queue length.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// MaxQueue returns the maximal observed queue length.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
 
 // Utilization returns the mean fraction of busy servers over [0, now].
 func (r *Resource) Utilization() float64 {
@@ -190,14 +156,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return r.busyArea / t / float64(r.servers)
-}
-
-// MeanQueue returns the time-averaged queue length over [0, now].
-func (r *Resource) MeanQueue() float64 {
-	r.accumulate()
-	t := float64(r.sim.now)
-	if t == 0 {
-		return 0
-	}
-	return r.queueArea / t
 }

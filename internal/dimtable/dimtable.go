@@ -1,16 +1,17 @@
 // Package dimtable materialises the denormalized dimension tables of a
-// star schema (Figure 1) with generated member names and B+-tree indices
-// per hierarchy level (Section 5: "The dimension tables have B*-tree
-// indices"). It resolves attribute names to member ids, turning name-level
-// selections into the integer predicates the fragmentation layer works
-// with — the piece a SQL front end would sit on.
+// star schema (Figure 1) with generated member names and one name → member
+// map per hierarchy level. It resolves attribute names to member ids,
+// turning name-level selections into the integer predicates the
+// fragmentation layer works with — the piece a SQL front end would sit on.
+// The paper's dimension tables have B*-tree indices (Section 5); no model
+// here costs a dimension-table access, so a map is all name resolution
+// needs.
 package dimtable
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/btree"
 	"repro/internal/frag"
 	"repro/internal/schema"
 )
@@ -22,7 +23,7 @@ type Table struct {
 	// names[level][member] is the generated member name.
 	names [][]string
 	// index[level] maps name -> member id at that level.
-	index []*btree.Tree
+	index []map[string]int
 }
 
 // MemberName returns the canonical generated name of a member:
@@ -36,16 +37,16 @@ func Build(dim *schema.Dimension) *Table {
 	t := &Table{
 		Dim:   dim,
 		names: make([][]string, dim.Depth()),
-		index: make([]*btree.Tree, dim.Depth()),
+		index: make([]map[string]int, dim.Depth()),
 	}
 	for l := range dim.Levels {
 		card := dim.Levels[l].Card
 		t.names[l] = make([]string, card)
-		t.index[l] = btree.New(64)
+		t.index[l] = make(map[string]int, card)
 		for m := 0; m < card; m++ {
 			name := MemberName(dim.Levels[l], m)
 			t.names[l][m] = name
-			t.index[l].Insert(name, int64(m))
+			t.index[l][name] = m
 		}
 	}
 	return t
@@ -68,22 +69,10 @@ func (t *Table) Row(m int) []string {
 	return row
 }
 
-// Lookup resolves a member name at a level via the B+-tree index.
+// Lookup resolves a member name at a level.
 func (t *Table) Lookup(level int, name string) (int, bool) {
-	v, ok := t.index[level].Get(name)
-	return int(v), ok
-}
-
-// LookupPrefix returns all members at the level whose names start with the
-// prefix, via a B+-tree range scan.
-func (t *Table) LookupPrefix(level int, prefix string) []int {
-	var out []int
-	hi := prefix + "\xff"
-	t.index[level].AscendRange(prefix, hi, func(_ string, v int64) bool {
-		out = append(out, int(v))
-		return true
-	})
-	return out
+	m, ok := t.index[level][name]
+	return m, ok
 }
 
 // Catalog holds the dimension tables of a star schema.
@@ -133,8 +122,8 @@ func (c *Catalog) levelRef(attr string) (frag.LevelRef, error) {
 }
 
 // ParseQuery resolves a name-level star query of the form
-// "dim.level = 'NAME', ..." into integer predicates, using the B+-tree
-// indices — the front-end path of query processing step 1 (Section 4.3).
+// "dim.level = 'NAME', ..." into integer predicates through the per-level
+// name maps — the front-end path of query processing step 1 (Section 4.3).
 // A trailing "group by dim.level, ..." clause (case-insensitive) sets the
 // query's GroupBy levels.
 func (c *Catalog) ParseQuery(text string) (frag.Query, error) {

@@ -23,8 +23,22 @@ func TestBuildAndLookup(t *testing.T) {
 	if !ok || m != 42 {
 		t.Fatalf("Lookup = %d, %v", m, ok)
 	}
-	if _, ok := tab.Lookup(group, "GROUP-9999"); ok {
-		t.Fatal("missing member found")
+	for _, name := range []string{"GROUP-9999", "group-0042", "GROUP-42", "GROUP-99999", ""} {
+		if m, ok := tab.Lookup(group, name); ok {
+			t.Fatalf("Lookup(%q) = %d, want no member", name, m)
+		}
+	}
+	// Every member at every level of every dimension resolves back to
+	// itself through its name.
+	for i := range s.Dims {
+		tab := Build(&s.Dims[i])
+		for l, lv := range tab.Dim.Levels {
+			for m := 0; m < lv.Card; m++ {
+				if got, ok := tab.Lookup(l, tab.Name(l, m)); !ok || got != m {
+					t.Fatalf("%s.%s: Lookup(Name(%d)) = %d, %v", tab.Dim.Name, lv.Name, m, got, ok)
+				}
+			}
+		}
 	}
 }
 
@@ -39,22 +53,6 @@ func TestRowDenormalized(t *testing.T) {
 		if row[i] != want[i] {
 			t.Fatalf("row = %v, want %v", row, want)
 		}
-	}
-}
-
-func TestLookupPrefix(t *testing.T) {
-	s := schema.APB1()
-	tab := Build(s.Dim(schema.DimTime))
-	month := tab.Dim.LevelIndex(schema.LvlMonth)
-	// All 24 months share the MONTH- prefix.
-	all := tab.LookupPrefix(month, "MONTH-")
-	if len(all) != 24 {
-		t.Fatalf("prefix members = %d", len(all))
-	}
-	// Narrower prefix.
-	ones := tab.LookupPrefix(month, "MONTH-001")
-	if len(ones) != 10 {
-		t.Fatalf("MONTH-001x members = %d, want 10", len(ones))
 	}
 }
 

@@ -286,18 +286,6 @@ func (e *Engine) ExecuteGroupedDeltas(ctx context.Context, s *exec.Scheduler, q 
 	return o.Gr.Result(o.Part), o.St, err
 }
 
-// ExecutePartialDeltas runs the query over only the relevant fragments
-// selected by own (nil selects all) and returns the un-flattened partial
-// — the fragment-range contribution one cluster node serves. The grand
-// total and per-key group aggregates commute under addition, so a
-// coordinator merging the partials of a fragment-disjoint node partition
-// and flattening through Grouper.Rows obtains results byte-identical to
-// a single-node execution over the union of the rows.
-func (e *Engine) ExecutePartialDeltas(ctx context.Context, s *exec.Scheduler, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, Stats, error) {
-	o, err := kernel.Lone(e.Shared(ctx, s, []frag.Query{q}, deltas, own))
-	return o.Part, o.St, err
-}
-
 // selectInto is the bitmap access of one query inside one fragment
 // (Section 4.3 step 2): the selections of the predicates that need a
 // bitmap, ANDed into dst with sel as the second operand's buffer. It

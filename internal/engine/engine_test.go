@@ -55,9 +55,6 @@ func TestNilSchedulerIsAnError(t *testing.T) {
 	if _, _, err := e.ExecuteGroupedDeltas(ctx, nil, q, kernel.Deltas{}); err == nil {
 		t.Error("ExecuteGroupedDeltas accepted a nil scheduler")
 	}
-	if _, _, err := e.ExecutePartialDeltas(ctx, nil, q, kernel.Deltas{}, nil); err == nil {
-		t.Error("ExecutePartialDeltas accepted a nil scheduler")
-	}
 	if _, err := e.ExecuteSharedDeltas(ctx, nil, []frag.Query{q}, kernel.Deltas{}, nil); err == nil {
 		t.Error("ExecuteSharedDeltas accepted a nil scheduler")
 	}

@@ -30,11 +30,10 @@ var sharedQueries = []string{
 
 // TestSharedEqualsSolo: every slot of an ExecuteSharedDeltas batch —
 // result, partial and logical statistics — is byte-identical to the same
-// query's batch of one through ExecuteGroupedDeltas /
-// ExecutePartialDeltas on the same scheduler, and its result to the
-// ScanGrouped oracle over every fragment. K = 16 cycles the query list,
-// so the batch holds duplicates; from K = 2 on one slot is invalid and
-// must fail alone.
+// query's batch of one through ExecuteGroupedDeltas / Shared on the same
+// scheduler, and its result to the ScanGrouped oracle over every
+// fragment. K = 16 cycles the query list, so the batch holds duplicates;
+// from K = 2 on one slot is invalid and must fail alone.
 func TestSharedEqualsSolo(t *testing.T) {
 	star := schema.Tiny()
 	full := data.MustGenerate(star, 42)
@@ -83,7 +82,8 @@ func TestSharedEqualsSolo(t *testing.T) {
 					}
 					for i, q := range batch {
 						got := out[i]
-						wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, sched, q, deltas, own)
+						alone, wantErr := kernel.Lone(e.Shared(ctx, sched, []frag.Query{q}, deltas, own))
+						wantPart, wantSt := alone.Part, alone.St
 						if wantErr != nil {
 							if got.Err == nil || got.Err.Error() != wantErr.Error() {
 								t.Errorf("%s slot %d: err %v, alone %v", name, i, got.Err, wantErr)
@@ -146,7 +146,13 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).Tasks(); int64(n) != frags {
+		union := map[int64]bool{}
+		for _, q := range batch {
+			for _, id := range spec.FragmentIDs(q) {
+				union[id] = true
+			}
+		}
+		if n := len(union); int64(n) != frags {
 			t.Fatalf("%q: a union of %d fragments, want %d", texts, n, frags)
 		}
 		run := func() {

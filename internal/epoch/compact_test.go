@@ -158,7 +158,7 @@ func (w *loadWorld) equalsRebuild(t *testing.T, what string, s *Store, epoch int
 	}
 	want.Close()
 	for _, file := range []string{"fact.dat", "bitmaps.dat", "meta.dat"} {
-		got, err := os.ReadFile(filepath.Join(s.RootDir(), fmt.Sprintf("epoch-%03d", epoch), file))
+		got, err := os.ReadFile(filepath.Join(s.rootDir, fmt.Sprintf("epoch-%03d", epoch), file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestFailedCompactLeavesEpochIntact(t *testing.T) {
 	if int(loc.Rows)%storage.TuplesPerPage(w.star) == 0 {
 		t.Fatalf("fragment %d has no partly filled page", id)
 	}
-	fact := filepath.Join(s.RootDir(), "epoch-000", "fact.dat")
+	fact := filepath.Join(s.rootDir, "epoch-000", "fact.dat")
 	pristine, err := os.ReadFile(fact)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestFailedCompactLeavesEpochIntact(t *testing.T) {
 	if snap, c := s.Current(), s.Counters(); snap.Epoch != 0 || c.Compactions != 0 || c.DeltaRows != loadBatchRows {
 		t.Fatalf("after the failed compaction: epoch %d, counters %+v", snap.Epoch, c)
 	}
-	if _, err := os.Stat(filepath.Join(s.RootDir(), "epoch-001")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(s.rootDir, "epoch-001")); !os.IsNotExist(err) {
 		t.Errorf("the failed compaction left its epoch directory behind (%v)", err)
 	}
 	elsewhere, err := frag.ParseQuery(w.star, "time::month=2")

@@ -284,7 +284,7 @@ func TestExecBatchFailureFallsBack(t *testing.T) {
 	if !ok || loc.Rows == 0 {
 		t.Fatalf("fragment %d has no rows", badID)
 	}
-	f, err := os.OpenFile(filepath.Join(s.RootDir(), "epoch-000", "fact.dat"), os.O_RDWR, 0)
+	f, err := os.OpenFile(filepath.Join(s.rootDir, "epoch-000", "fact.dat"), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

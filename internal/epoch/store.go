@@ -182,9 +182,6 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// RootDir returns the on-disk root ("" in memory or before Build).
-func (s *Store) RootDir() string { return s.rootDir }
-
 // Build installs epoch 0 over the given base rows, opens the delta
 // journal (on-disk stores) and replays it, and starts the background
 // compactor. It must be called once, before any Pin, Append or Compact.

@@ -132,6 +132,18 @@ func TestEnumerateCounts(t *testing.T) {
 	}
 }
 
+// admitted is the subset of specs passing the thresholds, the filter the
+// advisor applies through Admissible.
+func admitted(th Thresholds, specs []*Spec, cfg IndexConfig) []*Spec {
+	var out []*Spec
+	for _, s := range specs {
+		if th.Admissible(s, cfg) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestThresholdsFilter(t *testing.T) {
 	s := schema.APB1()
 	cfg := APB1Indexes(s)
@@ -142,13 +154,13 @@ func TestThresholdsFilter(t *testing.T) {
 	// is internally inconsistent with its own nmax formula — see
 	// EXPERIMENTS.md T2).
 	t1 := Thresholds{MinBitmapFragPages: 1}
-	if got := len(t1.Filter(specs, cfg)); got != 74 {
+	if got := len(admitted(t1, specs, cfg)); got != 74 {
 		t.Errorf("options with >=1 page bitmap fragments = %d, want 74", got)
 	}
 
 	// MaxFragments and MaxBitmaps thresholds compose.
 	t2 := Thresholds{MaxFragments: 20_000, MaxBitmaps: 40}
-	for _, sp := range t2.Filter(specs, cfg) {
+	for _, sp := range admitted(t2, specs, cfg) {
 		if sp.NumFragments() > 20_000 {
 			t.Errorf("%s exceeds MaxFragments", sp)
 		}
@@ -159,7 +171,7 @@ func TestThresholdsFilter(t *testing.T) {
 
 	// MinFragments: at least one fragment per disk (d=100).
 	t3 := Thresholds{MinFragments: 100}
-	for _, sp := range t3.Filter(specs, cfg) {
+	for _, sp := range admitted(t3, specs, cfg) {
 		if sp.NumFragments() < 100 {
 			t.Errorf("%s below MinFragments", sp)
 		}

@@ -63,14 +63,3 @@ func (t Thresholds) Admissible(s *Spec, cfg IndexConfig) bool {
 	}
 	return true
 }
-
-// Filter returns the subset of specs passing the thresholds.
-func (t Thresholds) Filter(specs []*Spec, cfg IndexConfig) []*Spec {
-	var out []*Spec
-	for _, s := range specs {
-		if t.Admissible(s, cfg) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

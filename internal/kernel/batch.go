@@ -27,16 +27,9 @@ type BatchPlan struct {
 	one     [1]BatchQuery // Queries in a batch of one
 }
 
-// PlanBatch validates every query, derives its grouper, compiles it for
-// the delta fold and unions the members' relevant fragments, keeping only
-// those own selects (nil selects all).
-func PlanBatch(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) *BatchPlan {
-	p := new(BatchPlan)
-	p.plan(star, spec, qs, deltas, own)
-	return p
-}
-
-// plan is PlanBatch into p. The union is ascending, as FragmentAt
+// plan validates every query, derives its grouper, compiles it for the
+// delta fold and unions the members' relevant fragments, keeping only
+// those own selects (nil selects all). The union is ascending, as FragmentAt
 // enumerates each region, so a member's tasks are claimed in its
 // region's order. A valid batch of one takes its tasks from its region,
 // listing them only under an own filter; a larger union is merged twice,

@@ -25,14 +25,15 @@ func planStar() *schema.Star {
 	}
 }
 
-// checkPlan holds PlanBatch against FragmentIDs: the tasks' fragments are
+// checkPlan holds a BatchPlan against FragmentIDs: the tasks' fragments are
 // the ascending, de-duplicated union of the valid members' fragments
 // that own selects, listed unless there is one valid member and no own
 // filter, and task ti's members are exactly those whose list holds
 // its fragment.
 func checkPlan(t *testing.T, star *schema.Star, spec *frag.Spec, qs []frag.Query, own func(int64) bool) {
 	t.Helper()
-	p := PlanBatch(star, spec, qs, Deltas{}, own)
+	p := new(BatchPlan)
+	p.plan(star, spec, qs, Deltas{}, own)
 	lists := make([][]int64, len(qs))
 	var want []int64
 	for si, q := range qs {

@@ -210,7 +210,7 @@ func mergeAll[St Counts[St]](acc, part *Outs[St]) {
 }
 
 // Shared runs K queries in one pass over the union of their relevant
-// fragments (PlanBatch): one task per fragment feeds every member
+// fragments (BatchPlan): one task per fragment feeds every member
 // needing it; a lone query is a batch of one. A member's own validation
 // error is recorded in its Out.Err; the returned error is batch-wide (an
 // execution failure). Each worker sums the tasks it runs into outcomes

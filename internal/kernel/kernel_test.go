@@ -30,7 +30,7 @@ func TestGrouperFragKeyMatchesCoordArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.Aligned() {
+		if len(g.PerRow()) != 0 {
 			t.Fatalf("case %d: expected aligned", ci)
 		}
 		for id := int64(0); id < spec.NumFragments(); id++ {
@@ -69,14 +69,14 @@ func TestGrouperAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Aligned() || len(g.PerRow()) != 1 {
-		t.Fatalf("finer level should fall back per row: aligned=%v perRow=%d", g.Aligned(), len(g.PerRow()))
+	if len(g.PerRow()) != 1 {
+		t.Fatalf("finer level should fall back per row: perRow=%d", len(g.PerRow()))
 	}
 	g, err = NewGrouper(s, spec, []frag.LevelRef{{Dim: cd, Level: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Aligned() {
+	if len(g.PerRow()) == 0 {
 		t.Fatal("non-fragmentation dimension should fall back per row")
 	}
 	// Without a spec (the oracle's view), everything buckets per row.
@@ -84,8 +84,37 @@ func TestGrouperAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Aligned() {
+	if len(g.PerRow()) == 0 {
 		t.Fatal("spec-free grouper should not be aligned")
+	}
+}
+
+// TestNewGrouperAllocatesTwice pins NewGrouper at two allocations, the
+// Grouper and its levels, for aligned, per-row, mixed and spec-free
+// GroupBys (it used to make four for a one-level GroupBy).
+func TestNewGrouperAllocatesTwice(t *testing.T) {
+	s := schema.Tiny()
+	spec := frag.MustParse(s, "time::month, product::group")
+	for _, text := range []string{
+		"group by time::month",   // aligned
+		"group by product::code", // per row
+		"group by customer::store, product::group",
+		"group by time::quarter, product::code, customer::store, time::month",
+	} {
+		q, err := frag.ParseQuery(s, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range []*frag.Spec{spec, nil} {
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := NewGrouper(s, sp, q.GroupBy); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%q (spec %v): NewGrouper made %.0f allocations, want at most 2", text, sp, allocs)
+			}
+		}
 	}
 }
 

@@ -227,8 +227,3 @@ func (s *Star) BitmapBytes() int64 {
 func (s *Star) BitmapPages() int64 {
 	return (s.BitmapBytes() + int64(s.PageSize) - 1) / int64(s.PageSize)
 }
-
-// FactBytes returns the total fact table size in bytes (page-aligned).
-func (s *Star) FactBytes() int64 {
-	return s.FactPages() * int64(s.PageSize)
-}

@@ -184,9 +184,6 @@ func TestFactPagesAndBytes(t *testing.T) {
 	if pages != 9_331_200 {
 		t.Fatalf("FactPages = %d, want 9,331,200", pages)
 	}
-	if got := s.FactBytes(); got != pages*4096 {
-		t.Fatalf("FactBytes = %d, want %d", got, pages*4096)
-	}
 	// Default tuples-per-page when not pinned.
 	s.TuplesPerPage = 0
 	if got := s.FactTuplesPerPage(); got != 204 {

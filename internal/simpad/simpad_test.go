@@ -324,20 +324,19 @@ func TestRunConcurrentMultiUser(t *testing.T) {
 	sysSeq, _ := NewSystem(cfg, icfg, placement, 7)
 	sysCon, _ := NewSystem(cfg, icfg, placement, 7)
 
-	mk := func() []*Plan {
-		var plans []*Plan
-		for i := 0; i < 3; i++ {
-			plans = append(plans, NewPlan(spec, icfg, monthQuery(s), cfg))
-		}
-		return plans
+	var plans []*Plan
+	var streams [][]*Plan
+	for i := 0; i < 3; i++ {
+		plans = append(plans, NewPlan(spec, icfg, monthQuery(s), cfg))
+		streams = append(streams, []*Plan{NewPlan(spec, icfg, monthQuery(s), cfg)})
 	}
-	seq := sysSeq.Run(mk())
-	con := sysCon.RunConcurrent(mk())
+	seq := sysSeq.Run(plans)
+	con := sysCon.RunStreams(streams) // three one-query streams start at time zero
 	// Concurrent queries contend: each individual response time is at least
 	// the unloaded one (compare against the first sequential query, which
 	// ran on a cold system).
-	for i, r := range con {
-		if r.ResponseTime < seq[0].ResponseTime*0.5 {
+	for i, stream := range con {
+		if r := stream[0]; r.ResponseTime < seq[0].ResponseTime*0.5 {
 			t.Errorf("concurrent query %d faster than unloaded system: %g vs %g",
 				i, r.ResponseTime, seq[0].ResponseTime)
 		}

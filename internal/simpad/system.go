@@ -99,18 +99,6 @@ func (s *System) Run(plans []*Plan) []Result {
 	return results
 }
 
-// RunConcurrent executes all plans starting at time zero (multi-user mode;
-// an extension over the paper's single-user experiments).
-func (s *System) RunConcurrent(plans []*Plan) []Result {
-	results := make([]Result, len(plans))
-	for i, p := range plans {
-		i, p := i, p
-		s.runQuery(p, func(r Result) { results[i] = r })
-	}
-	s.sim.Run()
-	return results
-}
-
 // RunStreams models a closed multi-user workload: each stream issues its
 // queries sequentially, all streams run concurrently (the multi-user mode
 // the paper defers to future work). It returns one result list per stream.

@@ -77,12 +77,6 @@ func BuildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile,
 	return buildBitmaps(dirPath, s, icfg, false, new(buildScratch))
 }
 
-// BuildCompressedBitmaps is BuildBitmaps with WAH compression applied to
-// every bitmap fragment before it is laid into its unit.
-func BuildCompressedBitmaps(dirPath string, s *Store, icfg frag.IndexConfig) (*BitmapFile, error) {
-	return buildBitmaps(dirPath, s, icfg, true, new(buildScratch))
-}
-
 // buildBitmaps writes the bitmap file of a store whose every fragment is
 // new: each block is built from the fragment's rows, through sc.
 func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool, sc *buildScratch) (*BitmapFile, error) {
@@ -338,16 +332,6 @@ func (bf *BitmapFile) Descs() []BitmapDesc { return bf.ix.Descs() }
 
 // Compressed reports whether the file stores WAH-compressed fragments.
 func (bf *BitmapFile) Compressed() bool { return bf.compressed }
-
-// TotalPages returns the file's size in pages — the sum of the blocks of
-// the directory, which WAH compression and unit sharing both reduce.
-func (bf *BitmapFile) TotalPages() int64 {
-	var t int64
-	for _, blk := range bf.blocks {
-		t += blk.pages()
-	}
-	return t
-}
 
 // unitSet is the units a worker has read for the one fragment it is
 // processing: every operand of the query's plan decodes out of the held

@@ -160,17 +160,6 @@ func (p *BufPool) Budget() int64 {
 	return b
 }
 
-// Used returns the bytes currently resident.
-func (p *BufPool) Used() int64 {
-	var u int64
-	for i := range p.shards {
-		p.shards[i].mu.Lock()
-		u += p.shards[i].used
-		p.shards[i].mu.Unlock()
-	}
-	return u
-}
-
 // Stats snapshots the pool counters.
 func (p *BufPool) Stats() PoolStats {
 	st := PoolStats{

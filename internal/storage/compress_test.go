@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/frag"
@@ -36,7 +37,7 @@ func buildBoth(t testing.TB) (*schema.Star, *data.Table, *Store, *BitmapFile, *B
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BuildCompressedBitmaps(dirComp, storeComp, icfg)
+	comp, err := buildBitmaps(dirComp, storeComp, icfg, true, new(buildScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +107,8 @@ func TestCompressedExecutorCorrectAndCheaper(t *testing.T) {
 		}
 	}
 	// Storage: compressed total pages never exceed plain.
-	if comp.TotalPages() > plain.TotalPages() {
-		t.Errorf("compressed bitmaps use %d pages, plain %d", comp.TotalPages(), plain.TotalPages())
+	if comp.totalPages() > plain.totalPages() {
+		t.Errorf("compressed bitmaps use %d pages, plain %d", comp.totalPages(), plain.totalPages())
 	}
 }
 
@@ -126,7 +127,7 @@ func TestReadCompressedFragmentMatchesDecompressed(t *testing.T) {
 			if pages != wantPages {
 				t.Fatalf("fragment %d bitmap %+v: %d pages, want %d", id, desc, pages, wantPages)
 			}
-			if !c.Decompress().Equal(want) {
+			if !c.DecompressInto(bitmap.New(c.Len())).Equal(want) {
 				t.Fatalf("fragment %d bitmap %+v: raw WAH words decode differently", id, desc)
 			}
 		}
@@ -231,7 +232,7 @@ func TestCompressedFastPathSimpleIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer storeComp.Close()
-	comp, err := BuildCompressedBitmaps(dirComp, storeComp, icfg)
+	comp, err := buildBitmaps(dirComp, storeComp, icfg, true, new(buildScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func buildCompressedStore(t testing.TB, fragText string) (*schema.Star, *data.Ta
 			icfg[i] = frag.IndexSpec{Kind: frag.SimpleIndexes}
 		}
 	}
-	bf, err := BuildCompressedBitmaps(dir, store, icfg)
+	bf, err := buildBitmaps(dir, store, icfg, true, new(buildScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -441,15 +441,3 @@ func (e *Executor) ExecuteGroupedDeltas(ctx context.Context, q frag.Query, delta
 	o, err := kernel.Lone(e.Shared(ctx, []frag.Query{q}, deltas, nil))
 	return o.Gr.Result(o.Part), o.St, err
 }
-
-// ExecutePartialDeltas runs the query over only the relevant fragments
-// selected by own (nil selects all) and returns the un-flattened partial
-// — the fragment-range contribution one cluster node serves from its
-// shard of the store. Partials of a fragment-disjoint node partition
-// merge commutatively; the coordinator flattens the merged accumulator
-// through Grouper.Rows for results byte-identical to a single store
-// holding the union of the rows.
-func (e *Executor) ExecutePartialDeltas(ctx context.Context, q frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.FragPartial, IOStats, error) {
-	o, err := kernel.Lone(e.Shared(ctx, []frag.Query{q}, deltas, own))
-	return o.Part, o.St, err
-}

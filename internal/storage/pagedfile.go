@@ -23,8 +23,8 @@ type pagedFile struct {
 	name     string
 	pageSize int
 	// sums holds one CRC32C per page, indexed by absolute page number and
-	// verified on every physical read (nil for a fact file reopened from
-	// a pre-checksum formatV1 store).
+	// verified on every physical read (nil for a fact file the tests
+	// reopen from a pre-checksum formatV1 store).
 	sums      []uint32
 	disks     *DiskSet
 	placement alloc.Placement

@@ -54,8 +54,8 @@ func TestPaperRegimePinned(t *testing.T) {
 	if got, want := fmt.Sprintf("%d:%x", len(raw), sha256.Sum256(raw)), paperRegimeFile; got != want {
 		t.Errorf("bitmaps.dat = %s, want %s", got, want)
 	}
-	if got, want := be.Bitmaps.TotalPages(), int64(len(raw)/s.PageSize); got != want {
-		t.Errorf("TotalPages() = %d, file holds %d pages", got, want)
+	if got, want := be.Bitmaps.totalPages(), int64(len(raw)/s.PageSize); got != want {
+		t.Errorf("totalPages() = %d, file holds %d pages", got, want)
 	}
 
 	var sum IOStats

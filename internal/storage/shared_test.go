@@ -64,11 +64,10 @@ func tailDeltas(t *testing.T, spec *frag.Spec, icfg frag.IndexConfig, tab *data.
 
 // TestSharedEqualsSolo: every slot of an ExecuteSharedDeltas batch —
 // result, partial and logical I/O statistics — is byte-identical to the
-// same query's batch of one through ExecuteGroupedDeltas /
-// ExecutePartialDeltas on the same scheduler, and its result to the
-// ScanGrouped oracle over every fragment. K = 16 cycles the query list,
-// so the batch holds duplicates; from K = 2 on one slot is invalid and
-// must fail alone.
+// same query's batch of one through ExecuteGroupedDeltas / Shared on the
+// same scheduler, and its result to the ScanGrouped oracle over every
+// fragment. K = 16 cycles the query list, so the batch holds duplicates;
+// from K = 2 on one slot is invalid and must fail alone.
 func TestSharedEqualsSolo(t *testing.T) {
 	star := schema.Tiny()
 	full := data.MustGenerate(star, 42)
@@ -123,7 +122,8 @@ func TestSharedEqualsSolo(t *testing.T) {
 							}
 							for i, q := range batch {
 								got := out[i]
-								wantPart, wantSt, wantErr := e.ExecutePartialDeltas(ctx, q, deltas, own)
+								alone, wantErr := kernel.Lone(e.Shared(ctx, []frag.Query{q}, deltas, own))
+								wantPart, wantSt := alone.Part, alone.St
 								if wantErr != nil {
 									if got.Err == nil || got.Err.Error() != wantErr.Error() {
 										t.Errorf("%s slot %d: err %v, alone %v", name, i, got.Err, wantErr)
@@ -192,7 +192,13 @@ func TestSharedAllocatesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := kernel.PlanBatch(star, spec, batch, kernel.Deltas{}, nil).Tasks(); int64(n) != frags {
+		union := map[int64]bool{}
+		for _, q := range batch {
+			for _, id := range spec.FragmentIDs(q) {
+				union[id] = true
+			}
+		}
+		if n := len(union); int64(n) != frags {
 			t.Fatalf("%q: a union of %d fragments, want %d", texts, n, frags)
 		}
 		run := func() {

@@ -2,7 +2,8 @@
 // MDHF-fragmented warehouse: fact fragments packed into fixed-size pages
 // and stored consecutively in allocation order (the layout assumption of
 // the paper's I/O model), plus the surviving bitmap fragments, plus a
-// persisted directory so stores reopen without rebuilding. The files of
+// persisted directory, the meta file (only the package's tests read an
+// epoch's files back; the program never reopens them). The files of
 // one epoch are written once, fragment by fragment, by one writer — fed
 // from a table (Build) or from an older epoch's files and a delta set
 // (Backend.Compact, which copies what the deltas do not touch) — and
@@ -20,8 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -300,33 +299,11 @@ func (w *factWriter) finish() (*Store, error) {
 	return w.s, nil
 }
 
-// Tuple is one decoded fact tuple.
-type Tuple struct {
-	Keys        []uint16
-	UnitsSold   int32
-	DollarSales int32
-	Cost        int32
-}
-
-// decodeTuple reads the tuple at off; keys must have len(star.Dims).
-func (s *Store) decodeTuple(page []byte, off int, keys []uint16) (Tuple, int) {
-	var tp Tuple
-	for d := range keys {
-		keys[d] = binary.LittleEndian.Uint16(page[off:])
-		off += 2
-	}
-	tp.Keys = keys
-	tp.UnitsSold = int32(binary.LittleEndian.Uint32(page[off:]))
-	tp.DollarSales = int32(binary.LittleEndian.Uint32(page[off+4:]))
-	tp.Cost = int32(binary.LittleEndian.Uint32(page[off+8:]))
-	return tp, off + 12
-}
-
 // encodeMeta appends to b, grown once, the meta file of the directory:
 // magic, version, page size, #frags, then (id, pageOff, pages, rows) per
 // fragment, then (formatV2) the per-page CRC32C table: a page count
 // followed by one uint32 per page. A store without a checksum table
-// (reopened from a formatV1 file) is encoded as formatV1.
+// (reopened by the tests from a formatV1 file) is encoded as formatV1.
 func (s *Store) encodeMeta(b []byte) []byte {
 	ver := int64(formatV2)
 	if s.sums == nil {
@@ -350,96 +327,6 @@ func (s *Store) encodeMeta(b []byte) []byte {
 		}
 	}
 	return b
-}
-
-// Open reopens a store built earlier in dirPath. star and spec must match
-// the ones used at build time (only the page size is verified).
-func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
-	meta, err := os.ReadFile(filepath.Join(dirPath, metaFileName))
-	if err != nil {
-		return nil, err
-	}
-	s := newStore(star, spec, nil)
-	if err := s.readMeta(meta); err != nil {
-		return nil, fmt.Errorf("storage: meta file: %w", err)
-	}
-	if s.file, err = os.Open(filepath.Join(dirPath, factFileName)); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// readMeta parses encodeMeta's encoding into s's directory and checksum
-// table. A count is checked against the bytes left before anything is
-// sized by it, so a corrupt file yields an error, never a panic or an
-// outsized allocation; an accepted file is byte for byte what encodeMeta
-// returns for the directory it holds.
-func (s *Store) readMeta(b []byte) error {
-	truncated := false
-	r := func() int64 {
-		if len(b) < 8 {
-			truncated = true
-			return 0
-		}
-		v := int64(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		return v
-	}
-	mg, ver, ps, n := r(), r(), r(), r()
-	switch {
-	case truncated:
-		return io.ErrUnexpectedEOF
-	case mg != magic:
-		return fmt.Errorf("bad magic %x", mg)
-	case ver != formatV1 && ver != formatV2:
-		return fmt.Errorf("unsupported format %d", ver)
-	case ps != int64(s.pageSize):
-		return fmt.Errorf("page size %d != schema %d", ps, s.pageSize)
-	case n < 0 || n > int64(len(b)/32):
-		return fmt.Errorf("%d fragments in %d directory bytes", n, len(b))
-	}
-	s.dir = make(map[int64]FragLoc, n)
-	s.order = make([]int64, 0, n)
-	var pages int64
-	for i := int64(0); i < n; i++ { // n bounds these reads by the bytes left
-		id, loc := r(), FragLoc{PageOff: r()}
-		np, rows := r(), r()
-		if _, dup := s.dir[id]; dup {
-			return fmt.Errorf("fragment %d listed twice", id)
-		}
-		if rows < 0 || rows > math.MaxInt32 || np != (rows+int64(s.tpp)-1)/int64(s.tpp) || loc.PageOff < 0 {
-			return fmt.Errorf("fragment %d: %d rows on %d pages from page %d", id, rows, np, loc.PageOff)
-		}
-		loc.Pages, loc.Rows = int32(np), int32(rows)
-		s.dir[id] = loc
-		s.order = append(s.order, id)
-		pages += np
-	}
-	if ver == formatV1 {
-		if len(b) != 0 {
-			return fmt.Errorf("%d bytes past the directory", len(b))
-		}
-		return nil
-	}
-	npages := r()
-	switch {
-	case truncated:
-		return fmt.Errorf("reading checksum table length: %w", io.ErrUnexpectedEOF)
-	case npages != pages:
-		return fmt.Errorf("checksum table of %d pages for %d directory pages", npages, pages)
-	case int64(len(b)) != 4*npages:
-		return fmt.Errorf("checksum table of %d pages in %d bytes", npages, len(b))
-	}
-	for _, id := range s.order {
-		if loc := s.dir[id]; loc.PageOff > npages-int64(loc.Pages) {
-			return fmt.Errorf("fragment %d: pages %d+%d past the %d-page table", id, loc.PageOff, loc.Pages, npages)
-		}
-	}
-	s.sums = make([]uint32, npages)
-	for i := range s.sums {
-		s.sums[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return nil
 }
 
 // NumFragments returns the number of non-empty fragments stored.
@@ -510,26 +397,4 @@ func (s *Store) ReadGranuleCtx(ctx context.Context, buf []byte, id int64, start,
 	}
 	key := PoolKey{File: PoolFact, Frag: id, Off: int32(start), Len: int32(count)}
 	return s.readPooled(ctx, buf, key, absPage, s.DiskOf(id))
-}
-
-// ScanFragment calls fn for every tuple of the fragment, read with one
-// read. Each call allocates the fragment's pages and a key slice; a
-// Tuple's Keys is that slice, overwritten for the next tuple, so fn must
-// copy what it keeps. It is the oracle scan: a build reads its fragments
-// back into its own scratch instead (BitmapFile.buildBlock).
-func (s *Store) ScanFragment(id int64, fn func(Tuple)) error {
-	loc, ok := s.dir[id]
-	if !ok {
-		return nil // empty fragment
-	}
-	pages, err := s.ReadPagesInto(nil, id, 0, int(loc.Pages))
-	if err != nil {
-		return err
-	}
-	keys := make([]uint16, len(s.star.Dims))
-	for i := range int(loc.Rows) {
-		tp, _ := s.decodeTuple(pages, i/s.tpp*s.pageSize+i%s.tpp*s.tupleSize, keys)
-		fn(tp)
-	}
-	return nil
 }

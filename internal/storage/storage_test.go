@@ -109,7 +109,7 @@ func TestStoreRoundTripAllRows(t *testing.T) {
 	total := 0
 	sumDollars := int64(0)
 	for _, id := range store.Fragments() {
-		err := store.ScanFragment(id, func(tp Tuple) {
+		err := store.scanFragment(id, func(tp tuple) {
 			total++
 			sumDollars += int64(tp.DollarSales)
 		})
@@ -136,7 +136,7 @@ func TestStoreFragmentMembership(t *testing.T) {
 	// Every tuple in a fragment must map back to that fragment id.
 	leaf := make([]int, len(s.Dims))
 	for _, id := range store.Fragments() {
-		err := store.ScanFragment(id, func(tp Tuple) {
+		err := store.scanFragment(id, func(tp tuple) {
 			for d := range tp.Keys {
 				leaf[d] = int(tp.Keys[d])
 			}
@@ -162,7 +162,7 @@ func TestOpenReloadsDirectory(t *testing.T) {
 	frags := append([]int64(nil), store.Fragments()...)
 	store.Close()
 
-	re, err := Open(dir, s, spec)
+	re, err := reopen(dir, s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,20 +172,20 @@ func TestOpenReloadsDirectory(t *testing.T) {
 	}
 	total := 0
 	for _, id := range re.Fragments() {
-		if err := re.ScanFragment(id, func(Tuple) { total++ }); err != nil {
+		if err := re.scanFragment(id, func(tuple) { total++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if total != tab.N() {
 		t.Fatalf("reopened rows = %d, want %d", total, tab.N())
 	}
-	// Open with a wrong page size fails.
+	// A wrong page size fails.
 	s2 := schema.Tiny()
 	s2.PageSize = 8192
-	if _, err := Open(dir, s2, spec); err == nil {
+	if _, err := reopen(dir, s2, spec); err == nil {
 		t.Fatal("page size mismatch accepted")
 	}
-	if _, err := Open(filepath.Join(dir, "nope"), s, spec); err == nil {
+	if _, err := reopen(filepath.Join(dir, "nope"), s, spec); err == nil {
 		t.Fatal("missing dir accepted")
 	}
 }
@@ -252,7 +252,7 @@ func TestOpenRejectsCorruptMeta(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, metaFileName), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if store, err := Open(dir, s, spec); err == nil {
+		if store, err := reopen(dir, s, spec); err == nil {
 			store.Close()
 			t.Errorf("%s: accepted", name)
 		}
@@ -260,7 +260,7 @@ func TestOpenRejectsCorruptMeta(t *testing.T) {
 }
 
 // FuzzStoreMeta: arbitrary meta file bytes — valid formatV2 and formatV1
-// files and their mutations — parse (readMeta, the whole of what Open
+// files and their mutations — parse (readMeta, the whole of what reopen
 // does with them) as an error, or as a directory encodeMeta writes back
 // byte for byte. Never a panic.
 func FuzzStoreMeta(f *testing.F) {

@@ -124,17 +124,3 @@ func (g *Generator) Next(qt QueryType) (frag.Query, error) {
 	}
 	return qt.Bind(g.star, members)
 }
-
-// Stream returns n queries of the same type — the paper's single-user
-// query stream for one simulation run.
-func (g *Generator) Stream(qt QueryType, n int) ([]frag.Query, error) {
-	out := make([]frag.Query, 0, n)
-	for i := 0; i < n; i++ {
-		q, err := g.Next(qt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, q)
-	}
-	return out, nil
-}

@@ -58,16 +58,17 @@ func TestBindExplicitMembers(t *testing.T) {
 
 func TestGeneratorDeterministicAndVarying(t *testing.T) {
 	s := schema.APB1()
-	a, _ := NewGenerator(s, 7).Stream(OneStore, 20)
-	b, _ := NewGenerator(s, 7).Stream(OneStore, 20)
-	for i := range a {
-		if a[i].Preds[0].Member != b[i].Preds[0].Member {
+	ga, gb := NewGenerator(s, 7), NewGenerator(s, 7)
+	distinct := map[int]bool{}
+	for i := 0; i < 20; i++ {
+		a, err := ga.Next(OneStore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := gb.Next(OneStore); a.Preds[0].Member != b.Preds[0].Member {
 			t.Fatal("same seed produced different streams")
 		}
-	}
-	distinct := map[int]bool{}
-	for _, q := range a {
-		distinct[q.Preds[0].Member] = true
+		distinct[a.Preds[0].Member] = true
 	}
 	if len(distinct) < 2 {
 		t.Error("stream shows no parameter variation")

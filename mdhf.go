@@ -135,28 +135,6 @@ func NewFragmentation(star *Star, attrs []FragAttr) (*Fragmentation, error) {
 	return frag.New(star, attrs)
 }
 
-// Range fragmentation (the general MDHF of Section 4.1; the paper's
-// evaluation — and this library's simulator and engines — focus on the
-// point special case, but RangeFragmentation provides the confinement and
-// bitmap-need analysis for arbitrary value-range partitionings).
-type (
-	// RangeFragmentation is a general multi-dimensional hierarchical range
-	// fragmentation.
-	RangeFragmentation = frag.RangeSpec
-	// RangeFragAttr is one range-partitioned fragmentation attribute.
-	RangeFragAttr = frag.RangeAttr
-)
-
-// NewRangeFragmentation builds and validates a range fragmentation.
-func NewRangeFragmentation(star *Star, attrs []RangeFragAttr) (*RangeFragmentation, error) {
-	return frag.NewRange(star, attrs)
-}
-
-// UniformRanges splits a hierarchy level's domain into n equal ranges.
-func UniformRanges(star *Star, dim, level, n int) RangeFragAttr {
-	return frag.UniformRanges(star, dim, level, n)
-}
-
 // ParseFragmentation parses the paper's notation, e.g.
 // "time::month, product::group".
 func ParseFragmentation(star *Star, text string) (*Fragmentation, error) {
@@ -437,8 +415,8 @@ type (
 
 // Dimension tables.
 type (
-	// DimCatalog holds the denormalized dimension tables with B+-tree
-	// indices and resolves name-level queries.
+	// DimCatalog holds the denormalized dimension tables and resolves
+	// name-level queries.
 	DimCatalog = dimtable.Catalog
 	// DimTable is one dimension table.
 	DimTable = dimtable.Table

@@ -2,37 +2,9 @@ package mdhf
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/storage"
 )
-
-func TestPublicAPIRangeFragmentation(t *testing.T) {
-	star := APB1()
-	tm := star.DimIndex("time")
-	pd := star.DimIndex("product")
-	month := star.Dims[tm].LevelIndex("month")
-	group := star.Dims[pd].LevelIndex("group")
-	spec, err := NewRangeFragmentation(star, []RangeFragAttr{
-		UniformRanges(star, tm, month, 6),
-		UniformRanges(star, pd, group, 48),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.NumFragments() != 288 {
-		t.Fatalf("fragments = %d", spec.NumFragments())
-	}
-	q, err := ParseQuery(star, "time::month=3, product::group=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := spec.RelevantCount(q); got != 1 {
-		t.Fatalf("relevant = %d, want 1", got)
-	}
-}
 
 func TestPublicAPISkewedData(t *testing.T) {
 	star := APB1Scaled(60)
@@ -97,17 +69,6 @@ func TestPublicAPIStorageRoundTrip(t *testing.T) {
 	}
 	if st.IO.FactPages == 0 {
 		t.Fatal("no physical I/O recorded")
-	}
-	// Reopen path: the epoch directory the warehouse wrote is a store
-	// storage.Open reads back.
-	snap := w.store.Current()
-	re, err := storage.Open(filepath.Join(dir, "epoch-000"), star, w.Fragmentation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.NumFragments() != snap.B.Disk.Store.NumFragments() {
-		t.Fatal("reopened store differs")
 	}
 }
 

@@ -345,9 +345,11 @@ func (w *Warehouse) ServingStats() ServingStats {
 	return st
 }
 
-// Catalog returns the denormalized dimension tables with B+-tree
-// indices, built on first use; its ParseQuery resolves name-level
-// predicates like "time.month = 'MONTH-0003'".
+// Catalog returns the denormalized dimension tables, built on first use;
+// its ParseQuery resolves name-level predicates like
+// "time.month = 'MONTH-0003'" through one name → member map per level.
+// The paper's B*-tree indices on the dimension tables (Section 5) are
+// costed by no model here.
 func (w *Warehouse) Catalog() *DimCatalog {
 	w.catOnce.Do(func() { w.catalog = dimtable.BuildCatalog(w.star) })
 	return w.catalog
@@ -417,7 +419,7 @@ func (w *Warehouse) Query(q Query) *PreparedQuery {
 // QueryText parses and prepares a query in either notation: member
 // indices ("customer::store=7, time::month=3") or, when the text quotes
 // names or references attributes as dim.level, the dimension-table form
-// resolved through the B+-tree catalog ("customer.store = 'STORE-0007'").
+// resolved through the dimension catalog ("customer.store = 'STORE-0007'").
 // Both notations accept a trailing GROUP BY clause naming hierarchy
 // levels ("... group by time::month, product::family" respectively
 // "... group by time.month").

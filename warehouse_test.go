@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -301,10 +302,23 @@ func TestWarehouseSimulate(t *testing.T) {
 	}
 }
 
+// storeRoot returns the one store root that a warehouse opened without a
+// directory made under tmp, the test's TMPDIR.
+func storeRoot(t *testing.T, tmp string) string {
+	t.Helper()
+	roots, err := filepath.Glob(filepath.Join(tmp, "mdhf-store-*"))
+	if err != nil || len(roots) != 1 {
+		t.Fatalf("store roots under %s: %v %v", tmp, roots, err)
+	}
+	return roots[0]
+}
+
 // TestWarehouseClose checks the lifecycle: Execute after Close fails with
 // ErrClosed, Close is idempotent, and an owned temporary directory is
 // removed.
 func TestWarehouseClose(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	ctx := context.Background()
 	star := TinySchema()
 	w, err := Open(ctx, Config{
@@ -322,10 +336,7 @@ func TestWarehouseClose(t *testing.T) {
 	if _, _, err := w.Query(q).Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	dir := w.store.RootDir()
-	if dir == "" {
-		t.Fatal("no backend dir recorded")
-	}
+	dir := storeRoot(t, tmp)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
