@@ -16,7 +16,9 @@ import (
 // through a code table; any later change to how a build computes its
 // bitmaps, fact pages or directory must leave them as they are.
 // TestCompactByteIdentical pins compaction's rebuilt blocks to a fresh
-// build, and so to these bytes.
+// build, and so to these bytes; internal/storage's TestBuildRowsPinned
+// pins the rows the same store's fact pages decode to, which a change of
+// the page layout must leave as they are.
 func TestBuildBytesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two APB1Scaled(60) stores")
@@ -37,7 +39,9 @@ func TestBuildBytesPinned(t *testing.T) {
 			"meta.dat":    "10024:1a7aede445b7bda3cf88df6adce5987f19069512147c30d50e25c9d8adb7e370",
 		}},
 		{"packed", nil, map[string]string{
+			"fact.dat":    "3932160:c6fcc411c358e2097c659416e544e95b1cd614ad6b7d84fb20248bda38a13207",
 			"bitmaps.dat": "786432:79fe5bb5541aaf3cf4aecfcb6d4a6cd2d1968c59449ca7a10215a633d7933114",
+			"meta.dat":    "10024:1a7aede445b7bda3cf88df6adce5987f19069512147c30d50e25c9d8adb7e370",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

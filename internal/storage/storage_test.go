@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -128,6 +129,50 @@ func TestStoreRoundTripAllRows(t *testing.T) {
 		t.Fatalf("sum dollars = %d, want %d", sumDollars, want)
 	}
 	_ = s
+}
+
+// TestBuildRowsPinned pins the rows a build stores, as the oracle scan
+// decodes them, for the store whose bytes the root package's
+// TestBuildBytesPinned pins: APB1Scaled(60), seed 1, "time::month,
+// product::group". The digest runs over every fragment in allocation
+// order and, per row, its keys and then its three measures, little
+// endian, so it holds across a change of the page layout that changes
+// the file digests; the fact and meta file sizes hold with it.
+func TestBuildRowsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an APB1Scaled(60) store")
+	}
+	s := schema.APB1Scaled(60)
+	dir := t.TempDir()
+	store, err := Build(dir, data.MustGenerate(s, 1), frag.MustParse(s, "time::month, product::group"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	h, row := sha256.New(), []byte(nil)
+	for _, id := range store.Fragments() {
+		err := store.scanFragment(id, func(tp tuple) {
+			row = row[:0]
+			for _, k := range tp.Keys {
+				row = binary.LittleEndian.AppendUint16(row, k)
+			}
+			for _, m := range [...]int32{tp.UnitsSold, tp.DollarSales, tp.Cost} {
+				row = binary.LittleEndian.AppendUint32(row, uint32(m))
+			}
+			h.Write(row)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "ab8c7c58d293e46c8ccd59061effc161d4cf2b27232b1a356270935fd39b410b"; got != want {
+		t.Errorf("row stream sha256 = %s, want %s", got, want)
+	}
+	for name, want := range map[string]int64{factFileName: 3932160, metaFileName: 10024} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() != want {
+			t.Errorf("%s: %v, %v; want %d bytes", name, fi, err, want)
+		}
+	}
 }
 
 func TestStoreFragmentMembership(t *testing.T) {
