@@ -10,18 +10,19 @@ import (
 
 // foldRows is the column folds' oracle: AddRow, row by row, over the
 // given rows.
-func foldRows(cols Columns, rows []int) Aggregate {
+func foldRows[K uint16 | int32, M int32 | int64](cols Cols[K, M], rows []int) Aggregate {
 	var a Aggregate
 	for _, i := range rows {
-		a.AddRow(cols.Units[i], cols.Dollars[i], cols.Costs[i])
+		a.AddRow(int64(cols.Units[i]), int64(cols.Dollars[i]), int64(cols.Costs[i]))
 	}
 	return a
 }
 
 // testCols returns n rows of measures: small values, values within a few
 // hundred of ±2^63 — whose sums wrap, in any order to the same int64 —
-// or a mix of both, by regime.
-func testCols(rng *rand.Rand, n int, regime int) Columns {
+// or a mix of both, by regime; int32 measures, as a fact page holds
+// them, are those values truncated.
+func testCols[K uint16 | int32, M int32 | int64](rng *rand.Rand, n int, regime int) Cols[K, M] {
 	val := func() int64 {
 		switch regime % 3 {
 		case 0:
@@ -35,9 +36,9 @@ func testCols(rng *rand.Rand, n int, regime int) Columns {
 			return rng.Int63() - rng.Int63()
 		}
 	}
-	c := Columns{Units: make([]int64, n), Dollars: make([]int64, n), Costs: make([]int64, n)}
+	c := Cols[K, M]{Units: make([]M, n), Dollars: make([]M, n), Costs: make([]M, n)}
 	for i := 0; i < n; i++ {
-		c.Units[i], c.Dollars[i], c.Costs[i] = val(), val(), val()
+		c.Units[i], c.Dollars[i], c.Costs[i] = M(val()), M(val()), M(val())
 	}
 	return c
 }
@@ -78,46 +79,63 @@ func testMask(rng *rand.Rand, n int, kind int, stray bool) *bitmap.Bitset {
 	return sel
 }
 
-// checkColumnFold checks both kernels, and the ungrouped slot folds on
-// them, against the oracle: rows [lo, hi) and the rows sel selects.
-func checkColumnFold(t *testing.T, cols Columns, sel *bitmap.Bitset, lo, hi int) {
+// checkColumnFold checks the kernels against the oracle: Sum over rows
+// [lo, hi), and Fold into an ungrouped slot over every row sel selects,
+// over rows [lo, hi) and over the rows of [lo, hi) the same selection
+// selects from an unaligned offset into a wider bitset — as a fact page's
+// rows sit in their fragment's selection — with stray bits past its end.
+func checkColumnFold[K uint16 | int32, M int32 | int64](t *testing.T, cols Cols[K, M], sel *bitmap.Bitset, lo, hi int) {
 	t.Helper()
-	var span, picked []int
+	const off = 37
+	wide := bitmap.New(off + sel.Len())
+	for i := wide.Len(); i%64 != 0; i++ {
+		wide.Set(i)
+	}
+	var span, picked, inSpan []int
 	for i := lo; i < hi; i++ {
 		span = append(span, i)
 	}
 	for i := 0; i < sel.Len(); i++ {
 		if sel.Get(i) {
 			picked = append(picked, i)
+			wide.Set(off + i)
+			if lo <= i && i < hi {
+				inSpan = append(inSpan, i)
+			}
 		}
 	}
 	if got, want := cols.Sum(lo, hi), foldRows(cols, span); got != want {
 		t.Fatalf("Sum(%d, %d) = %+v, row by row %+v", lo, hi, got, want)
 	}
-	want := foldRows(cols, picked)
-	if got := cols.SumSelected(sel); got != want {
-		t.Fatalf("SumSelected over %d rows = %+v, row by row %+v", sel.Len(), got, want)
+	var s, w Slot
+	Fold(&s, cols, 0, sel.Len(), sel, 0)
+	if want := foldRows(cols, picked); s.Agg != want || s.Rows != want.Count {
+		t.Fatalf("Fold over %d selected rows = %+v / %d, row by row %+v", sel.Len(), s.Agg, s.Rows, want)
 	}
-	var s Slot
-	s.AddColsSelected(cols, sel)
-	s.AddColsRange(cols, lo, hi)
+	Fold(&s, cols, lo, hi, nil, 0)
 	if all := foldRows(cols, append(picked, span...)); s.Agg != all || s.Rows != all.Count {
 		t.Fatalf("slot %+v over %d rows, row by row %+v", s.Agg, s.Rows, all)
+	}
+	Fold(&w, cols, lo, hi, wide, off)
+	if want := foldRows(cols, inSpan); w.Agg != want || w.Rows != want.Count {
+		t.Fatalf("Fold of rows [%d, %d) at offset %d = %+v / %d, row by row %+v", lo, hi, off, w.Agg, w.Rows, want)
 	}
 }
 
 // TestColumnFold: the range and selection kernels equal AddRow row by
 // row at lengths with n%64 in {0, 1, 63}, on full, empty and partial
-// words, stray bits past n, and sums that wrap around ±2^63.
+// words, stray bits past n, and sums that wrap around ±2^63 — and over a
+// fact page's int32/uint16 columns.
 func TestColumnFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 191, 640, 641, 703} {
 		for regime := 0; regime < 3; regime++ {
-			cols := testCols(rng, n, regime)
+			cols, narrow := testCols[int32, int64](rng, n, regime), testCols[uint16, int32](rng, n, regime)
 			for kind := 0; kind < 6; kind++ {
 				for _, stray := range []bool{false, true} {
 					sel := testMask(rng, n, kind, stray)
 					checkColumnFold(t, cols, sel, 0, n)
+					checkColumnFold(t, narrow, sel, 0, n)
 					if n > 2 {
 						checkColumnFold(t, cols, sel, 1, n-1)
 						checkColumnFold(t, cols, sel, n/2, n/2)
@@ -133,24 +151,31 @@ func TestColumnFold(t *testing.T) {
 	}
 	sel := bitmap.New(64)
 	sel.SetAll()
-	if got, want := cols.SumSelected(sel), (Aggregate{Count: 64, UnitsSold: -64, DollarSales: 0, Cost: -64}); got != want {
-		t.Fatalf("full word of extremes: %+v, want %+v", got, want)
+	var s Slot
+	if Fold(&s, cols, 0, 64, sel, 0); s.Agg != (Aggregate{Count: 64, UnitsSold: -64, DollarSales: 0, Cost: -64}) {
+		t.Fatalf("full word of extremes: %+v", s.Agg)
 	}
 }
 
-// FuzzColumnFold: any length, value regime, mask shape and row range —
-// both kernels equal the row-by-row oracle.
+// FuzzColumnFold: any length, value regime, mask shape and row range, in
+// memory's columns or a fact page's (narrow) — the kernels equal the
+// row-by-row oracle.
 func FuzzColumnFold(f *testing.F) {
-	f.Add(int64(1), uint16(64), uint8(0), uint16(0), uint16(64))
-	f.Add(int64(2), uint16(129), uint8(0x15), uint16(3), uint16(100))
-	f.Add(int64(3), uint16(63), uint8(0x2d), uint16(0), uint16(63))
-	f.Add(int64(4), uint16(1), uint8(0x3a), uint16(1), uint16(0))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8, lo, hi uint16) {
+	f.Add(int64(1), uint16(64), uint8(0), uint16(0), uint16(64), false)
+	f.Add(int64(2), uint16(129), uint8(0x15), uint16(3), uint16(100), false)
+	f.Add(int64(3), uint16(63), uint8(0x2d), uint16(0), uint16(63), false)
+	f.Add(int64(4), uint16(1), uint8(0x3a), uint16(1), uint16(0), false)
+	f.Add(int64(5), uint16(204), uint8(0x16), uint16(5), uint16(200), true)
+	f.Add(int64(6), uint16(409), uint8(0x9e), uint16(0), uint16(409), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8, lo, hi uint16, narrow bool) {
 		rows := int(n % 2048)
 		rng := rand.New(rand.NewSource(seed))
-		cols := testCols(rng, rows, int(shape&3))
 		sel := testMask(rng, rows, int(shape>>2)&7, shape&0x80 != 0)
 		a, b := int(lo)%(rows+1), int(hi)%(rows+1)
-		checkColumnFold(t, cols, sel, min(a, b), max(a, b))
+		if narrow {
+			checkColumnFold(t, testCols[uint16, int32](rng, rows, int(shape&3)), sel, min(a, b), max(a, b))
+		} else {
+			checkColumnFold(t, testCols[int32, int64](rng, rows, int(shape&3)), sel, min(a, b), max(a, b))
+		}
 	})
 }

@@ -53,25 +53,18 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 	for _, seg := range set.Of(id) {
 		cols := Columns{Dims: seg.Dims(), Units: seg.Units(), Dollars: seg.Dollars(), Costs: seg.Costs()}
 		n := seg.Rows()
-		switch {
-		case s.Groups != nil: // the per-row grouping fallback
-			for i := range n {
-				if seg.Selects(ranges, i) {
-					s.AddCols(cols, i)
+		if len(ranges) == 0 { // every row matches by confinement
+			Fold(s, cols, 0, n, nil, 0)
+			continue
+		}
+		for base := 0; base < n; base += 64 { // a 64-row word of selection at a time
+			var w uint64
+			for b := range min(64, n-base) {
+				if seg.Selects(ranges, base+b) {
+					w |= 1 << b
 				}
 			}
-		case len(ranges) == 0: // every row matches by confinement
-			s.add(cols.Sum(0, n))
-		default: // a 64-row word of selection at a time
-			for base := 0; base < n; base += 64 {
-				var w uint64
-				for b := range min(64, n-base) {
-					if seg.Selects(ranges, base+b) {
-						w |= 1 << b
-					}
-				}
-				s.add(cols.sumWord(base, w))
-			}
+			addWord(s, cols, base, w)
 		}
 	}
 	return s.Rows - before

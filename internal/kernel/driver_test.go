@@ -113,7 +113,7 @@ func (b *fakeBackend) foldRows(q frag.Query, rows []fakeRow, slot *Slot) {
 			sel.Set(i)
 		}
 	}
-	slot.AddColsSelected(cols, sel)
+	Fold(slot, cols, 0, len(rows), sel, 0)
 }
 
 // lone runs q as a batch of one.

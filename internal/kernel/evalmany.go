@@ -33,59 +33,47 @@ func (s *SharedScanStats) Add(o SharedScanStats) {
 	s.PhysReadsSaved += o.PhysReadsSaved
 }
 
-// Columns is a columnar view of one fragment's rows — the engine's
-// in-memory layout and a delta segment's, folded by the column kernel.
-type Columns struct {
-	Dims    [][]int32
-	Units   []int64
-	Dollars []int64
-	Costs   []int64
+// Cols is a columnar view of rows: one key column per dimension and the
+// three measure columns — an engine fragment and a delta segment as
+// Columns, a fact page in place as Cols[uint16, int32]. Every row source
+// is folded by the one column kernel: Sum, sumWord, AddCols and Fold.
+type Cols[K uint16 | int32, M int32 | int64] struct {
+	Dims    [][]K
+	Units   []M
+	Dollars []M
+	Costs   []M
 }
+
+// Columns is the in-memory instantiation: int32 keys, int64 measures.
+type Columns = Cols[int32, int64]
 
 // Sum returns the aggregate of rows [lo, hi), summed in registers over
 // columns re-sliced once, so that the loop carries no bounds check.
-func (c Columns) Sum(lo, hi int) Aggregate {
+func (c Cols[K, M]) Sum(lo, hi int) Aggregate {
 	u := c.Units[lo:hi]
 	d, k := c.Dollars[lo:hi][:len(u)], c.Costs[lo:hi][:len(u)]
 	var su, sd, sk int64
 	for i, x := range u {
-		su += x
-		sd += d[i]
-		sk += k[i]
+		su += int64(x)
+		sd += int64(d[i])
+		sk += int64(k[i])
 	}
 	return Aggregate{Count: int64(len(u)), UnitsSold: su, DollarSales: sd, Cost: sk}
-}
-
-// SumSelected returns the aggregate of the rows sel selects, a word at a
-// time; bits at or past sel.Len() are ignored, so no row past it is read.
-func (c Columns) SumSelected(sel *bitmap.Bitset) Aggregate {
-	var a Aggregate
-	n := sel.Len()
-	for wi, w := range sel.Words() {
-		base := wi * 64
-		if rest := n - base; rest < 64 {
-			w &= 1<<max(rest, 0) - 1
-		}
-		if w != 0 {
-			a.Add(c.sumWord(base, w))
-		}
-	}
-	return a
 }
 
 // sumWord returns the aggregate of rows base+b for the set bits b of w:
 // a full word is a 64-row Sum, any other contributes its popcount to the
 // count and has its set bits visited.
-func (c Columns) sumWord(base int, w uint64) Aggregate {
+func (c Cols[K, M]) sumWord(base int, w uint64) Aggregate {
 	if w == ^uint64(0) {
 		return c.Sum(base, base+64)
 	}
 	a := Aggregate{Count: int64(bits.OnesCount64(w))}
 	for ; w != 0; w &= w - 1 {
 		i := base + bits.TrailingZeros64(w)
-		a.UnitsSold += c.Units[i]
-		a.DollarSales += c.Dollars[i]
-		a.Cost += c.Costs[i]
+		a.UnitsSold += int64(c.Units[i])
+		a.DollarSales += int64(c.Dollars[i])
+		a.Cost += int64(c.Costs[i])
 	}
 	return a
 }
@@ -116,44 +104,67 @@ func NewSlot(gr *Grouper, id int64) Slot {
 	return s
 }
 
-// AddCols folds row i of the columnar fragment into the slot.
-func (s *Slot) AddCols(cols Columns, i int) {
-	u, d, c := cols.Units[i], cols.Dollars[i], cols.Costs[i]
+// AddCols folds row i of the columns into the slot.
+func AddCols[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], i int) {
+	u, d, k := int64(c.Units[i]), int64(c.Dollars[i]), int64(c.Costs[i])
 	s.Rows++
-	s.Agg.AddRow(u, d, c)
+	s.Agg.AddRow(u, d, k)
 	if s.Groups != nil {
 		key := s.Base
 		for _, rl := range s.PerRow {
-			key += uint64(int64(cols.Dims[rl.Dim][i])/rl.Div) * rl.Weight
+			key += uint64(int64(c.Dims[rl.Dim][i])/rl.Div) * rl.Weight
 		}
-		s.Groups.AddRow(key, u, d, c)
+		s.Groups.AddRow(key, u, d, k)
 	}
 }
 
-// AddColsRange folds rows [lo, hi) of the columnar fragment in: with no
-// per-row groups — ungrouped, or fragment-aligned with its constant key —
-// as one column Sum.
-func (s *Slot) AddColsRange(cols Columns, lo, hi int) {
-	if s.Groups == nil {
-		s.add(cols.Sum(lo, hi))
-		return
-	}
-	for i := lo; i < hi; i++ {
-		s.AddCols(cols, i)
-	}
-}
-
-// AddColsSelected folds the rows sel selects in, as AddColsRange a range.
-func (s *Slot) AddColsSelected(cols Columns, sel *bitmap.Bitset) {
-	if s.Groups == nil {
-		s.add(cols.SumSelected(sel))
-		return
-	}
-	for wi, w := range sel.Words() {
+// addWord folds rows base+b of the columns, for the set bits b of w, into
+// the slot: with no per-row groups — ungrouped, or fragment-aligned with
+// its constant key — as one sumWord, otherwise row by row.
+func addWord[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], base int, w uint64) {
+	switch {
+	case w == 0:
+	case s.Groups == nil:
+		s.add(c.sumWord(base, w))
+	default:
 		for ; w != 0; w &= w - 1 {
-			s.AddCols(cols, wi*64+bits.TrailingZeros64(w))
+			AddCols(s, c, base+bits.TrailingZeros64(w))
 		}
 	}
+}
+
+// Fold folds rows [lo, hi) of the columns into the slot: every one when
+// sel is nil, otherwise those whose bit off+i sel sets, a 64-row word of
+// selection at a time; a bit at or past sel.Len() selects nothing. It is
+// the fold of every row source — an engine fragment's columns (off 0), a
+// fact page's view (off the page's first row in its fragment's
+// selection) — and results, Rows included, equal AddCols row by row.
+func Fold[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], lo, hi int, sel *bitmap.Bitset, off int) {
+	if sel == nil {
+		if s.Groups == nil {
+			s.add(c.Sum(lo, hi))
+			return
+		}
+		for i := lo; i < hi; i++ {
+			AddCols(s, c, i)
+		}
+		return
+	}
+	words, end := sel.Words(), min(hi, sel.Len()-off)
+	for base := lo; base < end; base += 64 {
+		addWord(s, c, base, window(words, off+base)&(^uint64(0)>>(64-min(end-base, 64))))
+	}
+}
+
+// window returns bits [i, i+64) of the words as one word, bit i as bit 0;
+// bits past the words read as zero.
+func window(words []uint64, i int) uint64 {
+	wi, sh := i/64, uint(i%64)
+	w := words[wi] >> sh
+	if sh != 0 && wi+1 < len(words) {
+		w |= words[wi+1] << (64 - sh)
+	}
+	return w
 }
 
 // add folds an aggregate of rows in (the slot has no per-row groups).
@@ -164,16 +175,11 @@ func (s *Slot) add(a Aggregate) {
 
 // EvalMany folds K slots over one in-memory fragment of n rows read
 // once: slot k, on its own, aggregates the rows masks[k] selects (nil =
-// every row) with the column kernel, as AddColsRange / AddColsSelected
-// fold it solo, so results are byte-identical to K independent scans.
-// union is unused; it stays in the signature for the benchmark probes
-// that compile against it.
+// every row) with Fold, so results are byte-identical to K independent
+// scans. union is unused; it stays in the signature for the benchmark
+// probes that compile against it.
 func EvalMany(slots []*Slot, masks []*bitmap.Bitset, n int, cols Columns, union *bitmap.Bitset) {
 	for k, s := range slots {
-		if masks[k] == nil {
-			s.AddColsRange(cols, 0, n)
-		} else {
-			s.AddColsSelected(cols, masks[k])
-		}
+		Fold(s, cols, 0, n, masks[k], 0)
 	}
 }

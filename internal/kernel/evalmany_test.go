@@ -24,14 +24,14 @@ func evalSlot(shape int) Slot {
 }
 
 // TestEvalManyEqualsSolo: each of K slots folded by EvalMany equals the
-// same slot folded alone by AddColsRange (nil mask) or AddColsSelected,
+// same slot folded alone by Fold,
 // Rows included, and the row-by-row AddCols fold of the selected rows —
 // for K = 1, 2 and 16, nil, empty, full, overlapping and identical masks,
 // n % 64 of 0, 1 and 63, and every slot shape.
 func TestEvalManyEqualsSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 63, 64, 129, 191, 256} {
-		cols := testCols(rng, n, n)
+		cols := testCols[int32, int64](rng, n, n)
 		cols.Dims = [][]int32{make([]int32, n), make([]int32, n)}
 		for i := 0; i < n; i++ {
 			cols.Dims[0][i], cols.Dims[1][i] = int32(rng.Intn(9)), int32(rng.Intn(5))
@@ -56,14 +56,10 @@ func TestEvalManyEqualsSolo(t *testing.T) {
 					}
 					s := evalSlot(start/5 + j)
 					slots[j], want[j], rowWise[j] = &s, evalSlot(start/5+j), evalSlot(start/5+j)
-					if masks[j] == nil {
-						want[j].AddColsRange(cols, 0, n)
-					} else {
-						want[j].AddColsSelected(cols, masks[j])
-					}
+					Fold(&want[j], cols, 0, n, masks[j], 0)
 					for i := 0; i < n; i++ {
 						if masks[j] == nil || masks[j].Get(i) {
-							rowWise[j].AddCols(cols, i)
+							AddCols(&rowWise[j], cols, i)
 						}
 					}
 				}

@@ -65,6 +65,7 @@ type Backend struct {
 type buildScratch struct {
 	run, meta, block []byte
 	keys             [][]int32
+	dims             [][]uint16 // a fact page's key columns (Store.pageCols)
 	payloads         [][]byte
 	sizes            []int
 	sums             []uint32

@@ -494,7 +494,7 @@ func TestScratchSurvivesCompaction(t *testing.T) {
 	}
 	defer func() { cur.Close() }()
 	var built atomic.Int64
-	build := newScratch(cur.Bitmaps.NumBitmaps())
+	build := newScratch(cur.Bitmaps.NumBitmaps(), len(fx.spec.Star().Dims))
 	cur.Exec.scratch = exec.NewScratch(func() *scratch { built.Add(1); return build() })
 
 	// The deltas land in month 7; the measured queries read month 2, so

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -128,7 +127,7 @@ func writeBitmaps(dirPath string, s *Store, ix *frag.DeltaIndex, compress bool, 
 			most = max(most, s.dir[id].Rows)
 		}
 	}
-	sc.keys, sc.payloads = grow(sc.keys, len(s.star.Dims)), grow(sc.payloads, ix.NumBitmaps())
+	sc.keys, sc.dims, sc.payloads = grow(sc.keys, len(s.star.Dims)), grow(sc.dims, len(s.star.Dims)), grow(sc.payloads, ix.NumBitmaps())
 	for d := range sc.keys {
 		sc.keys[d] = grow(sc.keys[d], int(most))
 	}
@@ -163,12 +162,10 @@ func (bf *BitmapFile) buildBlock(s *Store, id int64, sc *buildScratch) error {
 			return err
 		}
 		for p := 0; p*s.pageSize < len(pages); p++ {
-			page, lo := pages[p*s.pageSize:], (run+p)*s.tpp
+			page, lo := s.pageCols(pages[p*s.pageSize:], sc.dims), (run+p)*s.tpp
 			for d, col := range keys {
 				out := col[lo:min(lo+s.tpp, rows)]
-				for r := range out {
-					out[r] = int32(binary.LittleEndian.Uint16(page[r*s.tupleSize+2*d:]))
-				}
+				convert(out, page.Dims[d][:len(out)])
 			}
 		}
 	}

@@ -14,6 +14,12 @@ import (
 	"repro/internal/schema"
 )
 
+// outcome is one query's grand total and I/O counters.
+type outcome struct {
+	agg Aggregate
+	st  IOStats
+}
+
 // buildCompressedStore is buildStore with a WAH-compressed bitmap file.
 func buildCompressedStore(t testing.TB, fragText string) (*schema.Star, *data.Table, *Store, *BitmapFile) {
 	t.Helper()
@@ -61,14 +67,14 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 			queries := classQueries(t, s, store.spec)
 
 			// Baseline: sequential, single implicit disk.
-			want := map[string]partial{}
+			want := map[string]outcome{}
 			for qname, q := range queries {
 				seq := newTestExecutor(t, store, bf, 1)
 				agg, st, err := execute(seq, q)
 				if err != nil {
 					t.Fatalf("%s: %v", qname, err)
 				}
-				want[qname] = partial{agg: agg, st: st}
+				want[qname] = outcome{agg: agg, st: st}
 			}
 
 			for _, disks := range []int{1, 2, 4, 8} {
@@ -411,14 +417,14 @@ func TestExecutorSchedulerMatchesPrivatePool(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		want := map[string]partial{}
+		want := map[string]outcome{}
 		serial := newTestExecutor(t, store, bf, 1)
 		for qname, q := range queries {
 			agg, st, err := execute(serial, q)
 			if err != nil {
 				t.Fatalf("serial %s: %v", qname, err)
 			}
-			want[qname] = partial{agg: agg, st: st}
+			want[qname] = outcome{agg: agg, st: st}
 		}
 
 		shared, err := NewExecutor(store, bf, sched)

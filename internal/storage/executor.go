@@ -117,7 +117,7 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 		return nil, errNilScheduler
 	}
 	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
-	e.scratch = exec.NewScratch(newScratch(bitmaps.NumBitmaps()))
+	e.scratch = exec.NewScratch(newScratch(bitmaps.NumBitmaps(), len(store.star.Dims)))
 	return e, nil
 }
 
@@ -128,15 +128,6 @@ var errNilScheduler = errors.New("storage: nil scheduler")
 // positions) grows on the heap.
 const planCap = 32
 
-// partial is what the fragment kernels fold one fragment into: its
-// total, its groups on the per-row GROUP BY fallback (the slot's
-// accumulator; nil otherwise) and the I/O that took.
-type partial struct {
-	agg    kernel.Aggregate
-	groups *kernel.Grouped
-	st     IOStats
-}
-
 // scratch is a worker's buffer set threaded through internal/exec. Its
 // buffers grow to the working-set size of the first fragments a worker
 // touches and are reused for every later one, in every call and every
@@ -144,11 +135,11 @@ type partial struct {
 // fragment I/O buffers and the task's state — its members and slots, the
 // bitmap fragments decoded for the duration of the task (so batch-mates
 // selecting the same bitmap reuse it instead of reading and decoding it
-// again), per-slot selection masks, partials and row accumulators, the
+// again), per-slot selection masks, a fact page's key column view, the
 // granule ownership table and the union stream's counters. Between
 // tasks it holds no pointer into the epoch that last used it
-// (granulePipe.finish, unitSet.release), so a retired epoch's files and
-// directories stay collectable.
+// (granulePipe.finish, unitSet.release, the page view cleared), so a
+// retired epoch's files and directories stay collectable.
 type scratch struct {
 	kernel.SharedTask[IOStats]
 	page    []byte            // fact prefetch-granule buffer
@@ -160,8 +151,7 @@ type scratch struct {
 	used    int
 	masks   []*bitmap.Bitset // mask buffers by slot
 	sel     []*bitmap.Bitset // the task's masks by slot (nil = every row)
-	parts   []partial        // the task's partials by slot
-	accs    []rowAcc         // where each slot's rows accumulate
+	dims    [][]uint16       // a fact page's key columns (Store.pageCols)
 	payer   []int32          // granule index -> first-paying local slot (-1 = unread)
 	ugran   []granule
 	phys    IOStats // the union stream's physical counters
@@ -174,11 +164,11 @@ type scratch struct {
 }
 
 // newScratch returns the builder of scratch for a file of bitmaps stored
-// bitmaps per fragment — all it needs of the executor, which the list
-// outlives.
-func newScratch(bitmaps int) func() *scratch {
+// bitmaps per fragment over a schema of dims dimensions — all it needs of
+// the executor, which the list outlives.
+func newScratch(bitmaps, dims int) func() *scratch {
 	return func() *scratch {
-		return &scratch{byIndex: make([]*bitmap.Bitset, bitmaps)}
+		return &scratch{byIndex: make([]*bitmap.Bitset, bitmaps), dims: make([][]uint16, dims)}
 	}
 }
 
@@ -334,8 +324,8 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 // 2-4 of Section 4.3: every member's mask, the granule payer table, and
 // one union granule stream — the granules holding a hit of some member,
 // with the next read in flight while the current one aggregates — over
-// which each member's own rows are folded with the page kernel
-// (foldGranule).
+// which each member's own rows are folded into its slot with the column
+// kernel, a page's column view at a time (Store.fold).
 func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFold[*scratch, IOStats] {
 	return func(sc *scratch, id int64, _ []kernel.BatchQuery, ms []kernel.Member[IOStats], slots []kernel.Slot) error {
 		store, g := e.store, e.PrefetchFact
@@ -397,13 +387,6 @@ func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFol
 			}
 		}
 
-		// Each slot folds into a partial of its own, as it would alone.
-		sc.parts, sc.accs = slices.Grow(sc.parts[:0], len(ms))[:len(ms)], slices.Grow(sc.accs[:0], len(ms))[:len(ms)]
-		for k := range slots {
-			sc.parts[k] = partial{groups: slots[k].Groups}
-			sc.accs[k] = rowAcc{p: &sc.parts[k], base: slots[k].Base, perRow: slots[k].PerRow, rows: int(loc.Rows)}
-		}
-
 		// One physical stream over the union granules feeds every slot.
 		// Its Fact counters are the physical read set (the per-slot
 		// logical counts are already accounted above); its pool counters
@@ -416,16 +399,20 @@ func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFol
 			payer.PoolMisses += sc.phys.PoolMisses - paid.PoolMisses
 			payer.PoolBytes += sc.phys.PoolBytes - paid.PoolBytes
 			paid = sc.phys
+			// Each slot folds the granule's rows its mask selects, as it
+			// would alone.
+			lo := int(gr.start) * store.tpp
+			hi := min(lo+int(gr.count)*store.tpp, int(loc.Rows))
 			for k, mask := range sc.sel {
-				store.foldGranule(&sc.accs[k], buf, gr, mask)
+				store.fold(&slots[k], sc.dims, buf, int(gr.start), int(loc.Rows), lo, hi, mask)
 			}
 		})
+		clear(sc.dims)
 		if err != nil {
 			return err
 		}
 		for k := range ms {
-			slots[k].Agg = sc.parts[k].agg
-			ms[k].St.RowsRead += sc.parts[k].st.RowsRead
+			ms[k].St.RowsRead += slots[k].Rows
 		}
 		return nil
 	}

@@ -218,7 +218,7 @@ func (s faultSite) wrap(disk int, kind FaultKind, err error) *FaultError {
 // inside disk `disk`'s queue and fills the destination buffer; corrupt
 // flips bytes in that buffer when the fault plan injects corruption
 // (applied inside the disk's critical section); verify checks the
-// buffer's checksums (nil when the file has none). Failed attempts back
+// buffer's checksums. Failed attempts back
 // off and re-read; exhausted reads strike the breaker; breaker-open and
 // context errors return immediately.
 func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite, read func() error, corrupt func(), verify func() error) error {
@@ -235,7 +235,7 @@ func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite
 			return err
 		}
 		err := ds.readAccess(disk, pages, read, corrupt)
-		if err == nil && verify != nil {
+		if err == nil {
 			if err = verify(); err != nil {
 				ds.disks[disk].checksumFails.Add(1)
 			}

@@ -1,7 +1,8 @@
 package storage
 
 // The oracles of the store's formats: a store reopened from its meta
-// file, and a fragment's tuples decoded one at a time.
+// file, and a fragment's tuples decoded one at a time with explicit
+// offsets into the column pages, never through the in-place view.
 
 import (
 	"encoding/binary"
@@ -54,7 +55,7 @@ func (s *Store) readMeta(b []byte) error {
 		return io.ErrUnexpectedEOF
 	case mg != magic:
 		return fmt.Errorf("bad magic %x", mg)
-	case ver != formatV1 && ver != formatV2:
+	case ver != formatV3:
 		return fmt.Errorf("unsupported format %d", ver)
 	case ps != int64(s.pageSize):
 		return fmt.Errorf("page size %d != schema %d", ps, s.pageSize)
@@ -77,12 +78,6 @@ func (s *Store) readMeta(b []byte) error {
 		s.dir[id] = loc
 		s.order = append(s.order, id)
 		pages += np
-	}
-	if ver == formatV1 {
-		if len(b) != 0 {
-			return fmt.Errorf("%d bytes past the directory", len(b))
-		}
-		return nil
 	}
 	npages := r()
 	switch {
@@ -113,18 +108,16 @@ type tuple struct {
 	Cost        int32
 }
 
-// decodeTuple reads the tuple at off; keys must have len(star.Dims).
-func (s *Store) decodeTuple(page []byte, off int, keys []uint16) (tuple, int) {
-	var tp tuple
+// decodeTuple reads row r of a column page: measure m at 4·(m·tpp + r),
+// then the key of dimension d at 12·tpp + 2·(d·tpp + r). keys must have
+// len(star.Dims).
+func (s *Store) decodeTuple(page []byte, r int, keys []uint16) tuple {
+	n := s.tpp
 	for d := range keys {
-		keys[d] = binary.LittleEndian.Uint16(page[off:])
-		off += 2
+		keys[d] = binary.LittleEndian.Uint16(page[12*n+2*(d*n+r):])
 	}
-	tp.Keys = keys
-	tp.UnitsSold = int32(binary.LittleEndian.Uint32(page[off:]))
-	tp.DollarSales = int32(binary.LittleEndian.Uint32(page[off+4:]))
-	tp.Cost = int32(binary.LittleEndian.Uint32(page[off+8:]))
-	return tp, off + 12
+	m := func(i int) int32 { return int32(binary.LittleEndian.Uint32(page[4*(i*n+r):])) }
+	return tuple{Keys: keys, UnitsSold: m(0), DollarSales: m(1), Cost: m(2)}
 }
 
 // scanFragment calls fn for every tuple of the fragment, read with one
@@ -143,8 +136,7 @@ func (s *Store) scanFragment(id int64, fn func(tuple)) error {
 	}
 	keys := make([]uint16, len(s.star.Dims))
 	for i := range int(loc.Rows) {
-		tp, _ := s.decodeTuple(pages, i/s.tpp*s.pageSize+i%s.tpp*s.tupleSize, keys)
-		fn(tp)
+		fn(s.decodeTuple(pages[i/s.tpp*s.pageSize:], i%s.tpp, keys))
 	}
 	return nil
 }

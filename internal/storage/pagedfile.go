@@ -23,8 +23,7 @@ type pagedFile struct {
 	name     string
 	pageSize int
 	// sums holds one CRC32C per page, indexed by absolute page number and
-	// verified on every physical read (nil for a fact file the tests
-	// reopen from a pre-checksum formatV1 store).
+	// verified on every physical read.
 	sums      []uint32
 	disks     *DiskSet
 	placement alloc.Placement
@@ -60,10 +59,7 @@ func (f *pagedFile) read(ctx context.Context, dst []byte, absPage int64, disk in
 		}
 		return nil
 	}
-	var verify func() error
-	if f.sums != nil {
-		verify = func() error { return f.verify(dst, absPage, frag) }
-	}
+	verify := func() error { return f.verify(dst, absPage, frag) }
 	corrupt := func() { corruptPages(dst, f.pageSize) }
 	return retryRead(ctx, f.disks, disk, len(dst)/f.pageSize, faultSite{file: f.name, frag: frag, off: off}, read, corrupt, verify)
 }

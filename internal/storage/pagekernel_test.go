@@ -8,18 +8,18 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/kernel"
 )
 
-// kernelStore is a file-less store of the given shape: the page kernels
-// and decodeTuple read nothing but the tuple geometry.
+// kernelStore is a file-less store of the given shape: the fold, the page
+// view and decodeTuple read nothing but the page geometry.
 func kernelStore(dims, pageSize int) *Store {
-	ts := 2*dims + 12
-	return &Store{pagedFile: pagedFile{pageSize: pageSize}, tupleSize: ts, tpp: pageSize / ts}
+	return &Store{pagedFile: pagedFile{pageSize: pageSize}, tpp: pageSize / (2*dims + 12)}
 }
 
 // kernelPerRow buckets every dimension per row with distinct divisors and
-// weights, so a kernel reading the wrong key bytes cannot compose the
+// weights, so a fold reading the wrong key column cannot compose the
 // reference's group keys.
 func kernelPerRow(dims int) []kernel.RowLevel {
 	perRow := make([]kernel.RowLevel, dims)
@@ -29,44 +29,69 @@ func kernelPerRow(dims int) []kernel.RowLevel {
 	return perRow
 }
 
-// refFold is the tuple-at-a-time reference the run kernels replaced: the
-// fold of decodeTuple over fragment rows [lo, hi) of a buffer whose first
-// page is page start of the fragment.
-func refFold(s *Store, buf []byte, start, lo, hi int, base uint64, perRow []kernel.RowLevel) partial {
-	p := partial{groups: new(kernel.Grouped)}
-	keys := make([]uint16, (s.tupleSize-12)/2)
+// putMeasure writes measure m of fragment row r into buf, whose first page
+// is the fragment's page 0, at the explicit offset decodeTuple reads.
+func putMeasure(s *Store, buf []byte, r, m int, v int32) {
+	binary.LittleEndian.PutUint32(buf[r/s.tpp*s.pageSize+4*(m*s.tpp+r%s.tpp):], uint32(v))
+}
+
+// refFold is the fold's reference: decodeTuple, row by row, over the
+// fragment rows [lo, hi) that sel selects (nil: all) of a buffer whose
+// first page is page start of the fragment, into a per-row grouped slot.
+func refFold(s *Store, buf []byte, start, lo, hi int, sel *bitmap.Bitset, base uint64, perRow []kernel.RowLevel) kernel.Slot {
+	sl := kernel.Slot{Base: base, PerRow: perRow, Groups: new(kernel.Grouped)}
+	keys := make([]uint16, len(perRow))
 	for r := lo; r < hi; r++ {
-		off := (r/s.tpp-start)*s.pageSize + (r%s.tpp)*s.tupleSize
-		tp, _ := s.decodeTuple(buf, off, keys)
-		p.agg.AddRow(int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
-		p.st.RowsRead++
+		if sel != nil && !sel.Get(r) {
+			continue
+		}
+		tp := s.decodeTuple(buf[(r/s.tpp-start)*s.pageSize:], r%s.tpp, keys)
+		u, d, c := int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost)
+		sl.Agg.AddRow(u, d, c)
+		sl.Rows++
 		key := base
 		for _, rl := range perRow {
 			key += uint64(int64(tp.Keys[rl.Dim])/rl.Div) * rl.Weight
 		}
-		p.groups.AddRow(key, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+		sl.Groups.AddRow(key, u, d, c)
 	}
-	return p
+	return sl
 }
 
-// checkFold folds rows [lo, hi) through the run kernels, ungrouped and
+// checkFold folds rows [lo, hi) through the column kernel, ungrouped and
 // per-row grouped, and compares both with the reference.
-func checkFold(t testing.TB, s *Store, buf []byte, start, rows, lo, hi int) {
+func checkFold(t testing.TB, s *Store, dims, start, rows, lo, hi int, buf []byte, sel *bitmap.Bitset) {
 	t.Helper()
 	const base = 7 << 50
-	perRow := kernelPerRow((s.tupleSize - 12) / 2)
-	want := refFold(s, buf, start, lo, hi, base, perRow)
+	perRow := kernelPerRow(dims)
+	want := refFold(s, buf, start, lo, hi, sel, base, perRow)
+	view := make([][]uint16, dims)
 
-	var sum partial
-	s.fold(&rowAcc{p: &sum, rows: rows}, buf, start, lo, hi)
-	if sum.agg != want.agg || sum.st != want.st || sum.groups != nil {
-		t.Fatalf("sum kernel rows [%d,%d): %+v / %+v, reference %+v / %+v", lo, hi, sum.agg, sum.st, want.agg, want.st)
+	var sum kernel.Slot
+	s.fold(&sum, view, buf, start, rows, lo, hi, sel)
+	if sum.Agg != want.Agg || sum.Rows != want.Rows || sum.Groups != nil {
+		t.Fatalf("ungrouped fold of rows [%d,%d): %+v / %d, reference %+v / %d", lo, hi, sum.Agg, sum.Rows, want.Agg, want.Rows)
 	}
-	keyed := partial{groups: new(kernel.Grouped)}
-	s.fold(&rowAcc{p: &keyed, base: base, perRow: perRow, rows: rows}, buf, start, lo, hi)
+	keyed := kernel.Slot{Base: base, PerRow: perRow, Groups: new(kernel.Grouped)}
+	s.fold(&keyed, view, buf, start, rows, lo, hi, sel)
 	if !reflect.DeepEqual(keyed, want) {
-		t.Fatalf("keyed kernel rows [%d,%d): %+v, reference %+v", lo, hi, keyed, want)
+		t.Fatalf("grouped fold of rows [%d,%d): %+v, reference %+v", lo, hi, keyed, want)
 	}
+}
+
+// pageSel returns a selection of the fragment's rows, every third bit set
+// and then some at random, with stray bits past its end.
+func pageSel(rng *rand.Rand, rows int) *bitmap.Bitset {
+	sel := bitmap.New(rows)
+	for r := 0; r < rows; r++ {
+		if r%3 == 0 || rng.Intn(4) == 0 {
+			sel.Set(r)
+		}
+	}
+	for r := rows; r%64 != 0; r++ {
+		sel.Set(r)
+	}
+	return sel
 }
 
 // mustPanic runs fn and fails unless it panics.
@@ -80,12 +105,12 @@ func mustPanic(t testing.TB, what string, fn func()) {
 	fn()
 }
 
-// TestPageKernels: over 1-6 dimensions and both page sizes, sumRun and the
-// keyed kernel equal the fold of decodeTuple over the same rows for runs
-// that start and end mid-page, cover exactly one page, span the short
-// last page or are empty, with extreme measures; and a run reaching past
-// the fragment's rows, the page's tuples or the buffer panics instead of
-// reading padding.
+// TestPageKernels: over 1-6 dimensions and both page sizes, the column
+// fold of a page's view equals decodeTuple's row by row, with or without
+// a selection, for runs that start and end mid-page, cover exactly one
+// page, span the short last page or are empty, with extreme measures;
+// and a run reaching past the fragment's rows, the page's tuples or the
+// buffer panics instead of reading padding.
 func TestPageKernels(t *testing.T) {
 	extremes := []int32{0, -1, 1, math.MinInt32, math.MaxInt32, -123456789}
 	for dims := 1; dims <= 6; dims++ {
@@ -98,68 +123,86 @@ func TestPageKernels(t *testing.T) {
 				buf := make([]byte, pages*pageSize)
 				rng.Read(buf) // padding is garbage: reading it cannot go unnoticed
 				for r := 0; r < rows; r++ {
-					off := (r/s.tpp)*pageSize + (r%s.tpp)*s.tupleSize + 2*dims
 					for m := 0; m < 3; m++ {
 						v := extremes[rng.Intn(len(extremes))]
 						if rng.Intn(3) == 0 {
 							v = int32(rng.Uint32())
 						}
-						binary.LittleEndian.PutUint32(buf[off+4*m:], uint32(v))
+						putMeasure(s, buf, r, m, v)
 					}
 				}
 				tpp := s.tpp
-				for _, c := range [][2]int{
-					{0, 0}, {5, 5}, {rows, rows}, // n = 0
-					{0, 1}, {tpp - 1, tpp}, {tpp - 1, tpp + 1}, // one row, page edge
-					{0, tpp}, {tpp, 2 * tpp}, // exactly one page
-					{1, tpp - 1}, {tpp / 2, tpp + tpp/2}, // mid-page to mid-page
-					{2*tpp + 3, rows}, {3 * tpp, rows}, {rows - 1, rows}, // the short last page
-					{0, rows}, {1, rows - 1}, // everything
-				} {
-					checkFold(t, s, buf, 0, rows, c[0], c[1])
+				for _, sel := range []*bitmap.Bitset{nil, pageSel(rng, rows)} {
+					for _, c := range [][2]int{
+						{0, 0}, {5, 5}, {rows, rows}, // n = 0
+						{0, 1}, {tpp - 1, tpp}, {tpp - 1, tpp + 1}, // one row, page edge
+						{0, tpp}, {tpp, 2 * tpp}, // exactly one page
+						{1, tpp - 1}, {tpp / 2, tpp + tpp/2}, // mid-page to mid-page
+						{2*tpp + 3, rows}, {3 * tpp, rows}, {rows - 1, rows}, // the short last page
+						{0, rows}, {1, rows - 1}, // everything
+					} {
+						checkFold(t, s, dims, 0, rows, c[0], c[1], buf, sel)
+					}
+					// A granule window that starts at the fragment's page 2.
+					checkFold(t, s, dims, 2, rows, 2*tpp+1, rows, buf[2*pageSize:], sel)
 				}
-				// A granule window that starts at the fragment's page 2.
-				checkFold(t, s, buf[2*pageSize:], 2, rows, 2*tpp+1, rows)
 
-				// sumRun on one page, directly: n = 0 anywhere, and the MinInt32 /
-				// MaxInt32 sums must not wrap in 32 bits.
+				// One full page of extremes: the MinInt32 / MaxInt32 sums must
+				// not wrap in 32 bits.
 				page := make([]byte, pageSize)
-				for i := 0; i < tpp; i++ {
-					off := i*s.tupleSize + 2*dims
-					binary.LittleEndian.PutUint32(page[off:], uint32(1<<31)) // MinInt32
-					binary.LittleEndian.PutUint32(page[off+4:], math.MaxInt32)
-					binary.LittleEndian.PutUint32(page[off+8:], ^uint32(0)) // -1
+				for r := 0; r < tpp; r++ {
+					putMeasure(s, page, r, 0, math.MinInt32)
+					putMeasure(s, page, r, 1, math.MaxInt32)
+					putMeasure(s, page, r, 2, -1)
 				}
-				if got := s.sumRun(page, tpp, 0); got != (Aggregate{}) {
-					t.Fatalf("empty run = %+v", got)
-				}
+				var full kernel.Slot
+				view := make([][]uint16, dims)
+				s.fold(&full, view, page, 0, tpp, 0, tpp, nil)
 				n := int64(tpp)
-				if got, want := s.sumRun(page, 0, tpp), (Aggregate{Count: n, UnitsSold: n * math.MinInt32, DollarSales: n * math.MaxInt32, Cost: -n}); got != want {
-					t.Fatalf("full page = %+v, want %+v", got, want)
+				if want := (kernel.Aggregate{Count: n, UnitsSold: n * math.MinInt32, DollarSales: n * math.MaxInt32, Cost: -n}); full.Agg != want {
+					t.Fatalf("full page = %+v, want %+v", full.Agg, want)
 				}
 
-				var p partial
-				acc := &rowAcc{p: &p, rows: rows}
-				mustPanic(t, "run past the fragment's rows", func() { s.fold(acc, buf, 0, rows-1, rows+1) })
-				mustPanic(t, "negative row", func() { s.fold(acc, buf, 0, -1, 1) })
-				if p != (partial{}) {
-					t.Fatalf("refused runs left %+v behind", p)
+				var sl kernel.Slot
+				mustPanic(t, "run past the fragment's rows", func() { s.fold(&sl, view, buf, 0, rows, rows-1, rows+1, nil) })
+				mustPanic(t, "negative row", func() { s.fold(&sl, view, buf, 0, rows, -1, 1, nil) })
+				if !reflect.DeepEqual(sl, kernel.Slot{}) {
+					t.Fatalf("refused runs left %+v behind", sl)
 				}
-				mustPanic(t, "run past the buffer", func() { s.fold(acc, buf[:2*pageSize], 0, tpp, 2*tpp+1) })
-				mustPanic(t, "run before the buffer", func() { s.fold(acc, buf[pageSize:], 1, 0, 1) })
-				mustPanic(t, "sumRun past the page's tuples", func() { s.sumRun(page, 1, tpp) })
-				mustPanic(t, "sumRun of negative length", func() { s.sumRun(page, 3, -1) })
-				keyedAcc := &rowAcc{p: &partial{groups: new(kernel.Grouped)}, perRow: kernelPerRow(dims), rows: rows}
-				mustPanic(t, "keyed run past the page's tuples", func() { s.groupRun(keyedAcc, page, 1, tpp) })
+				mustPanic(t, "run past the buffer", func() { s.fold(&sl, view, buf[:2*pageSize], 0, rows, tpp, 2*tpp+1, nil) })
+				mustPanic(t, "run before the buffer", func() { s.fold(&sl, view, buf[pageSize:], 1, rows, 0, 1, nil) })
+				mustPanic(t, "view of a short page", func() { s.pageCols(page[:pageSize-1], view) })
+				mustPanic(t, "fold past the page's tuples", func() { kernel.Fold(&sl, s.pageCols(page, view), 1, tpp+1, nil, 0) })
+				keyed := kernel.Slot{PerRow: kernelPerRow(dims), Groups: new(kernel.Grouped)}
+				mustPanic(t, "keyed fold past the page's tuples", func() { kernel.Fold(&keyed, s.pageCols(page, view), 1, tpp+1, nil, 0) })
 			})
 		}
 	}
 }
 
-// FuzzPageKernel feeds arbitrary page bytes and an arbitrary row range of
-// an arbitrary granule window to the run kernels: a range inside the
-// window and the fragment's rows must equal the decodeTuple fold, any
-// other must panic.
+// TestPageFoldAllocatesNothing: folding a granule's pages — every row or
+// a selection, ungrouped or per-row grouped into warm groups — allocates
+// nothing; the view's key columns are the caller's scratch.
+func TestPageFoldAllocatesNothing(t *testing.T) {
+	s, rng := kernelStore(4, 4096), rand.New(rand.NewSource(3))
+	rows, buf, view := 8*s.tpp-5, make([]byte, 8*4096), make([][]uint16, 4)
+	rng.Read(buf)
+	sel := pageSel(rng, rows)
+	sum, keyed := kernel.Slot{}, kernel.Slot{PerRow: kernelPerRow(4), Groups: new(kernel.Grouped)}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, sl := range []*kernel.Slot{&sum, &keyed} {
+			s.fold(sl, view, buf, 0, rows, 0, rows, nil)
+			s.fold(sl, view, buf, 0, rows, 0, rows, sel)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a granule fold allocates %.1f times", allocs)
+	}
+}
+
+// FuzzPageKernel feeds arbitrary page bytes, an arbitrary selection and
+// an arbitrary row range of an arbitrary granule window to the fold: a
+// range inside the window and the fragment's rows must equal the
+// decodeTuple fold, any other must panic.
 func FuzzPageKernel(f *testing.F) {
 	f.Add(uint8(4), false, uint8(3), uint16(500), uint8(1), uint16(204), uint16(409), []byte("seed"))
 	f.Add(uint8(1), true, uint8(2), uint16(40), uint8(0), uint16(0), uint16(40), []byte{0xff, 0x7f, 0, 0x80})
@@ -171,7 +214,8 @@ func FuzzPageKernel(f *testing.F) {
 		if small {
 			pageSize = 512
 		}
-		s := kernelStore(1+int(dims)%6, pageSize)
+		nd := 1 + int(dims)%6
+		s := kernelStore(nd, pageSize)
 		npages := 1 + int(pages)%6
 		nrows := int(rows) % (npages*s.tpp + 1)
 		first := int(start) % npages // the window holds pages [first, npages)
@@ -181,15 +225,19 @@ func FuzzPageKernel(f *testing.F) {
 				buf[i] = fill[i%len(fill)] + byte(i/len(fill))
 			}
 		}
+		var sel *bitmap.Bitset
+		if len(fill)%2 == 1 {
+			sel = pageSel(rand.New(rand.NewSource(int64(fill[0]))), nrows)
+		}
 		l, h := int(lo), int(hi)
 		if l >= h {
 			return // an empty range reads nothing, wherever it lies
 		}
 		if l < first*s.tpp || h > nrows {
-			var p partial
-			mustPanic(t, "range outside the window or the rows", func() { s.fold(&rowAcc{p: &p, rows: nrows}, buf, first, l, h) })
+			var sl kernel.Slot
+			mustPanic(t, "range outside the window or the rows", func() { s.fold(&sl, make([][]uint16, nd), buf, first, nrows, l, h, sel) })
 			return
 		}
-		checkFold(t, s, buf, first, nrows, l, h)
+		checkFold(t, s, nd, first, nrows, l, h, buf, sel)
 	})
 }

@@ -202,7 +202,7 @@ func TestFaultOnSecondGranule(t *testing.T) {
 					be.Store.AttachPool(pool, 0)
 					be.Bitmaps.AttachPool(pool, 0)
 					be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = 4, async
-					built, build := 0, newScratch(be.Bitmaps.NumBitmaps())
+					built, build := 0, newScratch(be.Bitmaps.NumBitmaps(), len(be.Store.star.Dims))
 					be.Exec.scratch = exec.NewScratch(func() *scratch {
 						built++
 						return build()

@@ -11,9 +11,11 @@
 // the files with prefetch-granule reads, making the paper's I/O
 // accounting physically observable.
 //
-// Tuple format (matching the paper's 20-byte fact tuples for APB-1):
-// one uint16 foreign key per dimension followed by three int32 measures
-// (UnitsSold, DollarSales, Cost), little endian.
+// Page format: a fact page holds the paper's tuples — 20 bytes for APB-1,
+// one uint16 foreign key per dimension and three int32 measures — as a
+// column block (PAX): its TuplesPerPage rows' UnitsSold, DollarSales and
+// Cost columns, then one key column per dimension, little endian
+// (pagekernel.go). Pages, granules and I/O counts are the tuple layout's.
 package storage
 
 import (
@@ -35,10 +37,10 @@ const (
 	factFileName = "fact.dat"
 	metaFileName = "meta.dat"
 	magic        = 0x4d444846 // "MDHF"
-	formatV1     = 1
-	// formatV2 appends a per-page CRC32C table to the meta file; pages are
-	// verified against it on every physical read (see fault.go).
-	formatV2 = 2
+	// formatV3 is the meta file of a store whose fact pages are column
+	// blocks, with a per-page CRC32C table every physical read is verified
+	// against (see fault.go). Formats 1 and 2 stored row tuples.
+	formatV3 = 3
 	// carryPages is how many pages a compaction copies per read and write.
 	carryPages = 16
 )
@@ -52,15 +54,14 @@ type FragLoc struct {
 
 // Store is an on-disk fact table fragmented per an MDHF spec. Its paged
 // file's checksum table is computed at Build and persisted in the
-// formatV2 meta file; its reads queue on the disk FactDisk maps a
+// formatV3 meta file; its reads queue on the disk FactDisk maps a
 // fragment to.
 type Store struct {
 	pagedFile
-	star      *schema.Star
-	spec      *frag.Spec
-	tupleSize int
-	tpp       int // tuples per page
-	dir       map[int64]FragLoc
+	star *schema.Star
+	spec *frag.Spec
+	tpp  int // tuples per page
+	dir  map[int64]FragLoc
 	// order holds the non-empty fragment ids in allocation order.
 	order []int64
 }
@@ -72,7 +73,6 @@ func newStore(star *schema.Star, spec *frag.Spec, f *os.File) *Store {
 		pagedFile: pagedFile{file: f, name: "fact", pageSize: star.PageSize, disks: ds, placement: p},
 		star:      star,
 		spec:      spec,
-		tupleSize: TupleSize(star),
 		tpp:       TuplesPerPage(star),
 		dir:       make(map[int64]FragLoc),
 	}
@@ -91,7 +91,8 @@ func TuplesPerPage(star *schema.Star) int { return star.PageSize / TupleSize(sta
 // fragment writer with every fragment new and its rows taken, front to
 // back, from the table's partition; Backend.Compact is the same writer
 // over an old epoch's pages and a delta set. The measures are checked in
-// table order first, so an error names the table row.
+// table order first, so an error names the table row. A page size that
+// is not a multiple of 8 is refused: the column pages need it aligned.
 func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	return build(dirPath, t, spec, new(buildScratch))
 }
@@ -99,6 +100,9 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 // build is Build writing through the build scratch sc.
 func build(dirPath string, t *data.Table, spec *frag.Spec, sc *buildScratch) (*Store, error) {
 	star := t.Star
+	if star.PageSize%8 != 0 {
+		return nil, fmt.Errorf("storage: page size %d is not a multiple of 8", star.PageSize)
+	}
 	for i := range star.Dims {
 		if star.Dims[i].LeafCard() > 1<<16 {
 			return nil, fmt.Errorf("storage: dimension %s cardinality %d exceeds uint16 keys", star.Dims[i].Name, star.Dims[i].LeafCard())
@@ -130,9 +134,9 @@ type factWriter struct {
 	dir string
 	sc  *buildScratch
 	// run (sc.run) holds the run's full pages, whose checksums are sums,
-	// then the open page, fill bytes of it in use; bytes past fill are
-	// zero. carry copies through it too. flush and carry clear what they
-	// used, so a writer leaves it all zero for the next.
+	// then the open page, fill rows of each of its columns in use; the
+	// rest of it is zero. carry copies through it too. flush and carry
+	// clear what they used, so a writer leaves it all zero for the next.
 	run  []byte
 	sums []uint32
 	fill int
@@ -151,6 +155,7 @@ func newFactWriter(dirPath string, star *schema.Star, spec *frag.Spec, sc *build
 	}
 	s := newStore(star, spec, f)
 	sc.run = grow(sc.run, carryPages*s.pageSize) // zero: see factWriter.run
+	sc.dims = grow(sc.dims, len(star.Dims))
 	return &factWriter{s: s, dir: dirPath, sc: sc, run: sc.run}, nil
 }
 
@@ -184,24 +189,20 @@ func checkColumns(cols kernel.Columns) error {
 // add appends the rows of cols, whose measures fit, to the open fragment,
 // a page at a time and within a page a column at a time.
 func (w *factWriter) add(cols kernel.Columns) {
-	ts, n := w.s.tupleSize, len(cols.Units)
+	n := len(cols.Units)
 	for lo := 0; lo < n; {
-		if w.fill == w.s.tpp*ts {
+		if w.fill == w.s.tpp {
 			w.flush(false)
 		}
-		hi := min(n, lo+w.s.tpp-w.fill/ts)
-		page, m := w.run[len(w.sums)*w.s.pageSize+w.fill:], 2*len(cols.Dims)
+		hi := min(n, lo+w.s.tpp-w.fill)
+		page := w.s.pageCols(w.run[len(w.sums)*w.s.pageSize:], w.sc.dims)
 		for d, col := range cols.Dims {
-			for r, v := range col[lo:hi] {
-				binary.LittleEndian.PutUint16(page[r*ts+2*d:], uint16(v))
-			}
+			convert(page.Dims[d][w.fill:], col[lo:hi])
 		}
-		dollars, costs := cols.Dollars[lo:hi], cols.Costs[lo:hi]
-		for r, u := range cols.Units[lo:hi] {
-			binary.LittleEndian.PutUint64(page[r*ts+m:], uint64(uint32(u))|uint64(uint32(dollars[r]))<<32)
-			binary.LittleEndian.PutUint32(page[r*ts+m+8:], uint32(costs[r]))
-		}
-		w.fill += (hi - lo) * ts
+		convert(page.Units[w.fill:], cols.Units[lo:hi])
+		convert(page.Dollars[w.fill:], cols.Dollars[lo:hi])
+		convert(page.Costs[w.fill:], cols.Costs[lo:hi])
+		w.fill += hi - lo
 		lo = hi
 	}
 	w.rows += n
@@ -268,10 +269,12 @@ func (w *factWriter) carry(old *Store, id int64, reopen bool) {
 			w.err = old.verify(last, page, id)
 		}
 		if w.err == nil {
-			w.fill = tail * old.tupleSize
+			w.fill = tail
 		}
 	}
-	clear(w.run[w.fill:used])
+	// A re-opened page is kept whole: past its rows, each column holds the
+	// zeros it was written with.
+	clear(w.run[min(w.fill, 1)*old.pageSize : used])
 }
 
 // end closes the open fragment — a partly filled last page is written
@@ -301,17 +304,12 @@ func (w *factWriter) finish() (*Store, error) {
 
 // encodeMeta appends to b, grown once, the meta file of the directory:
 // magic, version, page size, #frags, then (id, pageOff, pages, rows) per
-// fragment, then (formatV2) the per-page CRC32C table: a page count
-// followed by one uint32 per page. A store without a checksum table
-// (reopened by the tests from a formatV1 file) is encoded as formatV1.
+// fragment, then the per-page CRC32C table: a page count followed by one
+// uint32 per page.
 func (s *Store) encodeMeta(b []byte) []byte {
-	ver := int64(formatV2)
-	if s.sums == nil {
-		ver = formatV1
-	}
 	b = slices.Grow(b, 8*(5+4*len(s.order))+4*len(s.sums))
 	b = binary.LittleEndian.AppendUint64(b, magic)
-	for _, v := range []int64{ver, int64(s.pageSize), int64(len(s.order))} {
+	for _, v := range []int64{formatV3, int64(s.pageSize), int64(len(s.order))} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	for _, id := range s.order {
@@ -320,11 +318,9 @@ func (s *Store) encodeMeta(b []byte) []byte {
 			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
 	}
-	if s.sums != nil {
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(s.sums)))
-		for _, c := range s.sums {
-			b = binary.LittleEndian.AppendUint32(b, c)
-		}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s.sums)))
+	for _, c := range s.sums {
+		b = binary.LittleEndian.AppendUint32(b, c)
 	}
 	return b
 }

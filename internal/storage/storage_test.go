@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestStoreRoundTripAllRows(t *testing.T) {
 // product::group". The digest runs over every fragment in allocation
 // order and, per row, its keys and then its three measures, little
 // endian, so it holds across a change of the page layout that changes
-// the file digests; the fact and meta file sizes hold with it.
+// the file digests.
 func TestBuildRowsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an APB1Scaled(60) store")
@@ -149,29 +150,17 @@ func TestBuildRowsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	h, row := sha256.New(), []byte(nil)
+	h := sha256.New()
 	for _, id := range store.Fragments() {
-		err := store.scanFragment(id, func(tp tuple) {
-			row = row[:0]
-			for _, k := range tp.Keys {
-				row = binary.LittleEndian.AppendUint16(row, k)
-			}
-			for _, m := range [...]int32{tp.UnitsSold, tp.DollarSales, tp.Cost} {
-				row = binary.LittleEndian.AppendUint32(row, uint32(m))
-			}
-			h.Write(row)
-		})
-		if err != nil {
+		if err := store.scanFragment(id, func(tp tuple) {
+			binary.Write(h, binary.LittleEndian, tp.Keys)
+			binary.Write(h, binary.LittleEndian, [...]int32{tp.UnitsSold, tp.DollarSales, tp.Cost})
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "ab8c7c58d293e46c8ccd59061effc161d4cf2b27232b1a356270935fd39b410b"; got != want {
 		t.Errorf("row stream sha256 = %s, want %s", got, want)
-	}
-	for name, want := range map[string]int64{factFileName: 3932160, metaFileName: 10024} {
-		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() != want {
-			t.Errorf("%s: %v, %v; want %d bytes", name, fi, err, want)
-		}
 	}
 }
 
@@ -235,10 +224,9 @@ func TestOpenReloadsDirectory(t *testing.T) {
 	}
 }
 
-// validMetas returns the meta file of a store built over Tiny (formatV2)
-// and the same directory without its checksum table (formatV1), and the
-// schema and spec to reopen them with.
-func validMetas(t testing.TB) (v2, v1 []byte, s *schema.Star, spec *frag.Spec) {
+// validMeta returns the meta file of a store built over Tiny, and the
+// schema and spec to reopen it with.
+func validMeta(t testing.TB) (meta []byte, s *schema.Star, spec *frag.Spec) {
 	t.Helper()
 	s = schema.Tiny()
 	spec = frag.MustParse(s, "time::month, product::group")
@@ -248,11 +236,10 @@ func validMetas(t testing.TB) (v2, v1 []byte, s *schema.Star, spec *frag.Spec) {
 		t.Fatal(err)
 	}
 	store.Close()
-	if v2, err = os.ReadFile(filepath.Join(dir, metaFileName)); err != nil {
+	if meta, err = os.ReadFile(filepath.Join(dir, metaFileName)); err != nil {
 		t.Fatal(err)
 	}
-	store.sums = nil
-	return v2, store.encodeMeta(nil), s, spec
+	return meta, s, spec
 }
 
 // withInt64 returns meta with the int64 at byte offset off set to v.
@@ -265,29 +252,29 @@ func withInt64(meta []byte, off int, v int64) []byte {
 // TestOpenRejectsCorruptMeta: negative and oversized counts, a checksum
 // table that disagrees with the directory, and a file cut at any byte
 // are errors — never a panic, never an allocation sized by a corrupt
-// count.
+// count. A formatV1 or formatV2 file, whose fact pages held row tuples,
+// is refused by an error that names its format.
 func TestOpenRejectsCorruptMeta(t *testing.T) {
-	v2, v1, s, spec := validMetas(t)
-	n := int(binary.LittleEndian.Uint64(v2[24:]))
+	v3, s, spec := validMeta(t)
+	n := int(binary.LittleEndian.Uint64(v3[24:]))
 	table := 32 + 32*n // offset of the checksum table length
 	bad := map[string][]byte{
-		"fragments=-1":    withInt64(v2, 24, -1),
-		"fragments=2^40":  withInt64(v2, 24, 1<<40),
-		"table=-1":        withInt64(v2, table, -1),
-		"table=2^40":      withInt64(v2, table, 1<<40),
-		"table=pages+1":   withInt64(v2, table, int64(len(v2)-table-8)/4+1),
-		"rows=-1":         withInt64(v2, 32+24, -1),
-		"pages=-1":        withInt64(v2, 32+16, -1),
-		"pageoff=2^62":    withInt64(v2, 32+8, 1<<62),
-		"duplicate id":    withInt64(v2, 32+32, int64(binary.LittleEndian.Uint64(v2[32:]))),
-		"v1 with a table": withInt64(v2, 8, formatV1),
-		"trailing byte":   append(slices.Clone(v1), 0),
+		"fragments=-1":    withInt64(v3, 24, -1),
+		"fragments=2^40":  withInt64(v3, 24, 1<<40),
+		"table=-1":        withInt64(v3, table, -1),
+		"table=2^40":      withInt64(v3, table, 1<<40),
+		"table=pages+1":   withInt64(v3, table, int64(len(v3)-table-8)/4+1),
+		"rows=-1":         withInt64(v3, 32+24, -1),
+		"pages=-1":        withInt64(v3, 32+16, -1),
+		"pageoff=2^62":    withInt64(v3, 32+8, 1<<62),
+		"duplicate id":    withInt64(v3, 32+32, int64(binary.LittleEndian.Uint64(v3[32:]))),
+		"trailing byte":   append(slices.Clone(v3), 0),
+		"format 1":        withInt64(v3[:table], 8, 1),
+		"format 1, table": withInt64(v3, 8, 1),
+		"format 2":        withInt64(v3, 8, 2),
 	}
-	for i := range v2 {
-		bad[fmt.Sprintf("v2 cut at %d", i)] = v2[:i]
-	}
-	for i := range v1 {
-		bad[fmt.Sprintf("v1 cut at %d", i)] = v1[:i]
+	for i := range v3 {
+		bad[fmt.Sprintf("v3 cut at %d", i)] = v3[:i]
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, factFileName), nil, 0o644); err != nil {
@@ -300,20 +287,25 @@ func TestOpenRejectsCorruptMeta(t *testing.T) {
 		if store, err := reopen(dir, s, spec); err == nil {
 			store.Close()
 			t.Errorf("%s: accepted", name)
+		} else if strings.HasPrefix(name, "format ") && !strings.Contains(err.Error(), name[:8]) {
+			t.Errorf("%s: %v does not name the format", name, err)
 		}
 	}
 }
 
-// FuzzStoreMeta: arbitrary meta file bytes — valid formatV2 and formatV1
-// files and their mutations — parse (readMeta, the whole of what reopen
-// does with them) as an error, or as a directory encodeMeta writes back
-// byte for byte. Never a panic.
+// FuzzStoreMeta: arbitrary meta file bytes — a valid formatV3 file, the
+// formatV1 and formatV2 files it would have been and their mutations —
+// parse (readMeta, the whole of what reopen does with them) as an error,
+// or as a directory encodeMeta writes back byte for byte; a formatV1 or
+// formatV2 file cannot re-encode, so it must be refused. Never a panic.
 func FuzzStoreMeta(f *testing.F) {
-	v2, v1, s, spec := validMetas(f)
-	f.Add(v2)
-	f.Add(v1)
-	f.Add(withInt64(v2, 32+32*int(binary.LittleEndian.Uint64(v2[24:])), -1))
-	f.Add(withInt64(v2, 24, 1<<40))
+	v3, s, spec := validMeta(f)
+	table := 32 + 32*int(binary.LittleEndian.Uint64(v3[24:]))
+	f.Add(v3)
+	f.Add(withInt64(v3[:table], 8, 1))
+	f.Add(withInt64(v3, 8, 2))
+	f.Add(withInt64(v3, table, -1))
+	f.Add(withInt64(v3, 24, 1<<40))
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		store := newStore(s, spec, nil)
 		if store.readMeta(meta) != nil {
@@ -517,6 +509,18 @@ func TestBuildRejectsWideDimensions(t *testing.T) {
 	spec := frag.MustParse(s, "time::month")
 	if _, err := Build(t.TempDir(), tab, spec); err == nil {
 		t.Fatal("oversized dimension accepted")
+	}
+}
+
+// TestBuildRejectsUnalignedPageSize: a column page must start 8-byte
+// aligned, so Build refuses a page size that is not a multiple of 8 — a
+// multiple of 4 included — with an error.
+func TestBuildRejectsUnalignedPageSize(t *testing.T) {
+	s := schema.Tiny()
+	tab := data.MustGenerate(s, 21)
+	s.PageSize = 4092
+	if store, err := Build(t.TempDir(), tab, frag.MustParse(s, "time::month")); err == nil || store != nil {
+		t.Fatalf("page size 4092: %v, %v; want an error", store, err)
 	}
 }
 
