@@ -57,6 +57,7 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 			Fold(s, cols, 0, n, nil, 0)
 			continue
 		}
+		var a Aggregate
 		for base := 0; base < n; base += 64 { // a 64-row word of selection at a time
 			var w uint64
 			for b := range min(64, n-base) {
@@ -64,8 +65,9 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 					w |= 1 << b
 				}
 			}
-			addWord(s, cols, base, w)
+			addWord(s, &a, &cols, base, w)
 		}
+		s.add(a)
 	}
 	return s.Rows - before
 }

@@ -64,7 +64,7 @@ func (c Cols[K, M]) Sum(lo, hi int) Aggregate {
 // sumWord returns the aggregate of rows base+b for the set bits b of w:
 // a full word is a 64-row Sum, any other contributes its popcount to the
 // count and has its set bits visited.
-func (c Cols[K, M]) sumWord(base int, w uint64) Aggregate {
+func (c *Cols[K, M]) sumWord(base int, w uint64) Aggregate {
 	if w == ^uint64(0) {
 		return c.Sum(base, base+64)
 	}
@@ -105,7 +105,7 @@ func NewSlot(gr *Grouper, id int64) Slot {
 }
 
 // AddCols folds row i of the columns into the slot.
-func AddCols[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], i int) {
+func AddCols[K uint16 | int32, M int32 | int64](s *Slot, c *Cols[K, M], i int) {
 	u, d, k := int64(c.Units[i]), int64(c.Dollars[i]), int64(c.Costs[i])
 	s.Rows++
 	s.Agg.AddRow(u, d, k)
@@ -118,18 +118,19 @@ func AddCols[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], i int) {
 	}
 }
 
-// addWord folds rows base+b of the columns, for the set bits b of w, into
-// the slot: with no per-row groups — ungrouped, or fragment-aligned with
-// its constant key — as one sumWord, otherwise row by row.
-func addWord[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], base int, w uint64) {
-	switch {
-	case w == 0:
-	case s.Groups == nil:
-		s.add(c.sumWord(base, w))
-	default:
-		for ; w != 0; w &= w - 1 {
-			AddCols(s, c, base+bits.TrailingZeros64(w))
+// addWord folds rows base+b of the columns, for the set bits b of w: with
+// no per-row groups in the slot — ungrouped, or fragment-aligned with its
+// constant key — into a as one sumWord, for the caller to add to the slot
+// once; otherwise into the slot row by row.
+func addWord[K uint16 | int32, M int32 | int64](s *Slot, a *Aggregate, c *Cols[K, M], base int, w uint64) {
+	if s.Groups == nil {
+		if w != 0 {
+			a.Add(c.sumWord(base, w))
 		}
+		return
+	}
+	for ; w != 0; w &= w - 1 {
+		AddCols(s, c, base+bits.TrailingZeros64(w))
 	}
 }
 
@@ -146,14 +147,16 @@ func Fold[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], lo, hi int, 
 			return
 		}
 		for i := lo; i < hi; i++ {
-			AddCols(s, c, i)
+			AddCols(s, &c, i)
 		}
 		return
 	}
+	var a Aggregate
 	words, end := sel.Words(), min(hi, sel.Len()-off)
 	for base := lo; base < end; base += 64 {
-		addWord(s, c, base, window(words, off+base)&(^uint64(0)>>(64-min(end-base, 64))))
+		addWord(s, &a, &c, base, window(words, off+base)&(^uint64(0)>>(64-min(end-base, 64))))
 	}
+	s.add(a)
 }
 
 // window returns bits [i, i+64) of the words as one word, bit i as bit 0;

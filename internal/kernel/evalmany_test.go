@@ -59,7 +59,7 @@ func TestEvalManyEqualsSolo(t *testing.T) {
 					Fold(&want[j], cols, 0, n, masks[j], 0)
 					for i := 0; i < n; i++ {
 						if masks[j] == nil || masks[j].Get(i) {
-							AddCols(&rowWise[j], cols, i)
+							AddCols(&rowWise[j], &cols, i)
 						}
 					}
 				}
