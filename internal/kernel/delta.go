@@ -65,7 +65,11 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 					w |= 1 << b
 				}
 			}
-			addWord(s, &a, &cols, base, w)
+			if s.Groups == nil {
+				a.Add(cols.sumWord(base, w))
+			} else {
+				addRows(s, &cols, base, w)
+			}
 		}
 		s.add(a)
 	}

@@ -118,17 +118,9 @@ func AddCols[K uint16 | int32, M int32 | int64](s *Slot, c *Cols[K, M], i int) {
 	}
 }
 
-// addWord folds rows base+b of the columns, for the set bits b of w: with
-// no per-row groups in the slot — ungrouped, or fragment-aligned with its
-// constant key — into a as one sumWord, for the caller to add to the slot
-// once; otherwise into the slot row by row.
-func addWord[K uint16 | int32, M int32 | int64](s *Slot, a *Aggregate, c *Cols[K, M], base int, w uint64) {
-	if s.Groups == nil {
-		if w != 0 {
-			a.Add(c.sumWord(base, w))
-		}
-		return
-	}
+// addRows folds rows base+b of the columns, for the set bits b of w, into
+// the slot one by one: the per-row GROUP BY fallback's word.
+func addRows[K uint16 | int32, M int32 | int64](s *Slot, c *Cols[K, M], base int, w uint64) {
 	for ; w != 0; w &= w - 1 {
 		AddCols(s, c, base+bits.TrailingZeros64(w))
 	}
@@ -151,10 +143,15 @@ func Fold[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], lo, hi int, 
 		}
 		return
 	}
-	var a Aggregate
+	var a Aggregate // without per-row groups, the words' sums, added once
 	words, end := sel.Words(), min(hi, sel.Len()-off)
 	for base := lo; base < end; base += 64 {
-		addWord(s, &a, &c, base, window(words, off+base)&(^uint64(0)>>(64-min(end-base, 64))))
+		w := window(words, off+base) & (^uint64(0) >> (64 - min(end-base, 64)))
+		if s.Groups == nil {
+			a.Add(c.sumWord(base, w))
+		} else {
+			addRows(s, &c, base, w)
+		}
 	}
 	s.add(a)
 }
