@@ -65,9 +65,11 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 					w |= 1 << b
 				}
 			}
-			if s.Groups == nil {
+			switch {
+			case w == 0:
+			case s.Groups == nil:
 				a.Add(cols.sumWord(base, w))
-			} else {
+			default:
 				addRows(s, &cols, base, w)
 			}
 		}

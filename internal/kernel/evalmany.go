@@ -143,28 +143,29 @@ func Fold[K uint16 | int32, M int32 | int64](s *Slot, c Cols[K, M], lo, hi int, 
 		}
 		return
 	}
+	end := min(hi, sel.Len()-off)
+	if lo >= end {
+		return
+	}
 	var a Aggregate // without per-row groups, the words' sums, added once
-	words, end := sel.Words(), min(hi, sel.Len()-off)
-	for base := lo; base < end; base += 64 {
-		w := window(words, off+base) & (^uint64(0) >> (64 - min(end-base, 64)))
-		if s.Groups == nil {
+	ws, sh := sel.Words()[(off+lo)/64:], uint(off+lo)%64
+	for base := lo; base < end; base, ws = base+64, ws[1:] {
+		w := ws[0] >> sh // bits [off+base, off+base+64) of the selection
+		if sh != 0 && len(ws) > 1 {
+			w |= ws[1] << (64 - sh)
+		}
+		if end-base < 64 {
+			w &= 1<<(end-base) - 1
+		}
+		switch {
+		case w == 0:
+		case s.Groups == nil:
 			a.Add(c.sumWord(base, w))
-		} else {
+		default:
 			addRows(s, &c, base, w)
 		}
 	}
 	s.add(a)
-}
-
-// window returns bits [i, i+64) of the words as one word, bit i as bit 0;
-// bits past the words read as zero.
-func window(words []uint64, i int) uint64 {
-	wi, sh := i/64, uint(i%64)
-	w := words[wi] >> sh
-	if sh != 0 && wi+1 < len(words) {
-		w |= words[wi+1] << (64 - sh)
-	}
-	return w
 }
 
 // add folds an aggregate of rows in (the slot has no per-row groups).
