@@ -50,8 +50,6 @@ type NodeConfig struct {
 	Disks      int
 	DiskScheme alloc.Scheme
 	Staggered  bool
-	// PrefetchFact is the fact read granule in pages (0 = default 8).
-	PrefetchFact int
 	// IODelay simulates per-access disk latency when IODelaySet.
 	IODelay    time.Duration
 	IODelaySet bool
@@ -100,7 +98,6 @@ func NewNode(cfg NodeConfig, rows *data.Table) (*Node, error) {
 		Dir:          cfg.Dir,
 		Compress:     cfg.Compress,
 		Placement:    alloc.Placement{Disks: cfg.Disks, Scheme: cfg.DiskScheme, Staggered: cfg.Staggered},
-		PrefetchFact: cfg.PrefetchFact,
 		FaultPlan:    cfg.FaultPlan,
 		Retry:        cfg.Retry,
 		Sched:        sched,

@@ -104,29 +104,6 @@ func TestDeclusteredMatchesSingleDisk(t *testing.T) {
 	}
 }
 
-// TestSyncPrefetchMatchesAsync asserts the async granule pipeline changes
-// nothing observable: with AsyncPrefetch off, every query returns the
-// same aggregates and IOStats.
-func TestSyncPrefetchMatchesAsync(t *testing.T) {
-	s, _, store, bf := buildStore(t, "time::month, product::group")
-	for qname, q := range classQueries(t, s, store.spec) {
-		async := newTestExecutor(t, store, bf, 0)
-		sync := newTestExecutor(t, store, bf, 0)
-		sync.AsyncPrefetch = false
-		aAgg, aSt, err := execute(async, q)
-		if err != nil {
-			t.Fatalf("%s: %v", qname, err)
-		}
-		sAgg, sSt, err := execute(sync, q)
-		if err != nil {
-			t.Fatalf("%s: %v", qname, err)
-		}
-		if aAgg != sAgg || aSt != sSt {
-			t.Errorf("%s: async %+v/%+v != sync %+v/%+v", qname, aAgg, aSt, sAgg, sSt)
-		}
-	}
-}
-
 // TestDiskSetStatsAccountAllIO asserts every physical access lands on
 // exactly one disk: the per-disk counters sum to the executor's IOStats,
 // and fact accesses land on the placement's fact disks.
@@ -292,8 +269,8 @@ func TestSetIODelayConcurrent(t *testing.T) {
 }
 
 // TestDeclusteredConcurrentQueries runs concurrent queries against one
-// declustered executor — the -race target for the disk queue and
-// prefetch pipeline.
+// declustered executor — the -race target for the disk queue and the
+// workers' granule reads.
 func TestDeclusteredConcurrentQueries(t *testing.T) {
 	s, tab, store, bf := buildStore(t, "time::month, product::group")
 	if _, err := Decluster(store, bf, alloc.Placement{Disks: 4, Scheme: alloc.GapRoundRobin, Staggered: true}); err != nil {

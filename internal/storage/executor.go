@@ -96,11 +96,6 @@ type Executor struct {
 	sched   *exec.Scheduler
 	// PrefetchFact is the fact read granule in pages (default 8).
 	PrefetchFact int
-	// AsyncPrefetch overlaps fact I/O with aggregation: the next granule
-	// read is issued while the current granule is being unpacked and
-	// aggregated (see prefetch.go). On by default via NewExecutor;
-	// results are identical either way.
-	AsyncPrefetch bool
 
 	// The worker scratch of the fragment fold, borrowed by every call's
 	// tasks. Compact hands the list on to the next epoch's executor, so it
@@ -116,7 +111,7 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 	if sched == nil {
 		return nil, errNilScheduler
 	}
-	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8, AsyncPrefetch: true}
+	e := &Executor{store: store, bitmaps: bitmaps, sched: sched, PrefetchFact: 8}
 	e.scratch = exec.NewScratch(newScratch(bitmaps.NumBitmaps(), len(store.star.Dims)))
 	return e, nil
 }
@@ -138,11 +133,12 @@ const planCap = 32
 // again), per-slot selection masks, a fact page's key column view, the
 // granule ownership table and the union stream's counters. Between
 // tasks it holds no pointer into the epoch that last used it
-// (granulePipe.finish, unitSet.release, the page view cleared), so a
-// retired epoch's files and directories stay collectable.
+// (unitSet.release, the page view cleared; a granule's pool pin ends
+// with its fold), so a retired epoch's files and directories stay
+// collectable.
 type scratch struct {
 	kernel.SharedTask[IOStats]
-	page    []byte            // fact prefetch-granule buffer
+	page    []byte            // fact prefetch-granule buffer of an unpooled read
 	units   unitSet           // bitmap units read for the current fragment
 	wah     bitmap.Compressed // a compressed file's words on their way into a Bitset
 	gran    []granule         // one member's granule read list
@@ -155,12 +151,6 @@ type scratch struct {
 	payer   []int32          // granule index -> first-paying local slot (-1 = unread)
 	ugran   []granule
 	phys    IOStats // the union stream's physical counters
-
-	// Async prefetch pipeline (see prefetch.go).
-	gpipe  granulePipe   // in-flight pipeline state
-	free   chan []byte   // empty pipeline buffers (capacity 2, unpooled)
-	tok    chan struct{} // read-ahead tokens (capacity 2, pooled)
-	filled chan gread    // completed granule reads
 }
 
 // newScratch returns the builder of scratch for a file of bitmaps stored
@@ -323,7 +313,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 // fold returns the fragment task over the batch's bitmap plans, steps
 // 2-4 of Section 4.3: every member's mask, the granule payer table, and
 // one union granule stream — the granules holding a hit of some member,
-// with the next read in flight while the current one aggregates — over
+// each read on this worker and folded before the next is read — over
 // which each member's own rows are folded into its slot with the column
 // kernel, a page's column view at a time (Store.fold).
 func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFold[*scratch, IOStats] {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -117,7 +116,7 @@ func TestChecksumCatchesOnDiskCorruption(t *testing.T) {
 			}
 			loc, _ := store.Loc(id)
 			return id, store.placement.FactDisk(id), loc.PageOff * int64(store.pageSize), func() error {
-				_, err := store.ReadPagesCtx(context.Background(), nil, id, 0, 1)
+				_, err := store.ReadPagesInto(nil, id, 0, 1)
 				return err
 			}
 		}},

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,11 +63,10 @@ var regimeGroupBys = []string{"", " group by time::month, product::group", " gro
 
 // TestExecutorRegimeMatrix runs every scan path of the solo executor —
 // single-granule fragments (no granule-listing pass) and multi-granule
-// ones × compressed / materialised × pool on / off × async prefetch on /
-// off × ungrouped / aligned / per-row GROUP BY × with and without deltas
-// — against the scan oracle, requires the I/O statistics to be
-// independent of prefetch mode and grouping, and pins their sums to the
-// values the tuple-at-a-time executor returned.
+// ones × compressed / materialised × pool on / off × ungrouped / aligned
+// / per-row GROUP BY × with and without deltas — against the scan
+// oracle, requires the I/O statistics to be independent of grouping, and
+// pins their sums to the values the tuple-at-a-time executor returned.
 func TestExecutorRegimeMatrix(t *testing.T) {
 	sched := exec.NewScheduler(2)
 	defer sched.Close()
@@ -96,37 +96,35 @@ func TestExecutorRegimeMatrix(t *testing.T) {
 			for _, prefetch := range []int{4, 32} {
 				for _, pooled := range []bool{false, true} {
 					name := fmt.Sprintf("compress=%v/%s/prefetch=%d/pool=%v", compress, dl.name, prefetch, pooled)
-					var first []IOStats // per query, from the first (async, grouping) variant
-					for _, async := range []bool{true, false} {
-						for _, gb := range regimeGroupBys {
-							var pool *BufPool
-							if pooled {
-								pool = NewBufPool(64 << 20) // fresh per variant: hits repeat exactly
+					var first []IOStats // per query, from the first grouping variant
+					for _, gb := range regimeGroupBys {
+						var pool *BufPool
+						if pooled {
+							pool = NewBufPool(64 << 20) // fresh per variant: hits repeat exactly
+						}
+						be.Store.AttachPool(pool, 0)
+						be.Bitmaps.AttachPool(pool, 0)
+						be.Exec.PrefetchFact = prefetch
+						for i, qt := range regimeQueries {
+							q, err := frag.ParseQuery(base.Star, qt+gb)
+							if err != nil {
+								t.Fatal(err)
 							}
-							be.Store.AttachPool(pool, 0)
-							be.Bitmaps.AttachPool(pool, 0)
-							be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = prefetch, async
-							for i, qt := range regimeQueries {
-								q, err := frag.ParseQuery(base.Star, qt+gb)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, q, dl.deltas)
-								if err != nil {
-									t.Fatalf("%s async=%v %q: %v", name, async, qt+gb, err)
-								}
-								if !reflect.DeepEqual(got, want[qt+gb]) {
-									t.Errorf("%s async=%v %q: result differs from the scan oracle", name, async, qt+gb)
-								}
-								if len(first) <= i {
-									first = append(first, st)
-								} else if st != first[i] {
-									t.Errorf("%s async=%v %q: IOStats %+v, first variant %+v", name, async, qt+gb, st, first[i])
-								}
+							got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, q, dl.deltas)
+							if err != nil {
+								t.Fatalf("%s %q: %v", name, qt+gb, err)
 							}
-							if n := pinnedEntries(pool); n != 0 {
-								t.Fatalf("%s: %d pool entries left pinned", name, n)
+							if !reflect.DeepEqual(got, want[qt+gb]) {
+								t.Errorf("%s %q: result differs from the scan oracle", name, qt+gb)
 							}
+							if len(first) <= i {
+								first = append(first, st)
+							} else if st != first[i] {
+								t.Errorf("%s %q: IOStats %+v, first variant %+v", name, qt+gb, st, first[i])
+							}
+						}
+						if n := pinnedEntries(pool); n != 0 {
+							t.Fatalf("%s: %d pool entries left pinned", name, n)
 						}
 					}
 					var sum IOStats
@@ -182,116 +180,167 @@ const regimeDeltaRows = 52043
 // granule of a multi-granule fragment and runs a compressed bitmap
 // selection with hits in every granule over it: the query fails with the
 // typed checksum fault locating that granule, no pool entry stays pinned
-// (the first granule's was, while the second was read), the same worker
-// scratch then serves another fragment correctly — handed over directly,
-// and recycled through the executor's scratch list, the failed query's
-// dropped prefetch channels coming back — and once the page is repaired
-// the same query is right: the pool never kept the bad granule.
+// (the first granule's pin ends with its fold), the same worker scratch
+// then serves another fragment correctly — handed over directly, and
+// recycled through the executor's scratch list — and once the page is
+// repaired the same query is right: the pool never kept the bad granule.
 func TestFaultOnSecondGranule(t *testing.T) {
-	for _, async := range []bool{true, false} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			for _, pooled := range []bool{true, false} {
-				t.Run(fmt.Sprintf("pool=%v", pooled), func(t *testing.T) {
-					sched := exec.NewScheduler(1)
-					defer sched.Close()
-					be, dir, base, _, _ := regimeStore(t, BackendConfig{Compress: true, Sched: sched})
-					var pool *BufPool
-					if pooled {
-						pool = NewBufPool(64 << 20)
-					}
-					be.Store.AttachPool(pool, 0)
-					be.Bitmaps.AttachPool(pool, 0)
-					be.Exec.PrefetchFact, be.Exec.AsyncPrefetch = 4, async
-					built, build := 0, newScratch(be.Bitmaps.NumBitmaps(), len(be.Store.star.Dims))
-					be.Exec.scratch = exec.NewScratch(func() *scratch {
-						built++
-						return build()
-					})
-					ctx := context.Background()
+	for _, pooled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pool=%v", pooled), func(t *testing.T) {
+			sched := exec.NewScheduler(1)
+			defer sched.Close()
+			be, dir, base, _, _ := regimeStore(t, BackendConfig{Compress: true, Sched: sched})
+			var pool *BufPool
+			if pooled {
+				pool = NewBufPool(64 << 20)
+			}
+			be.Store.AttachPool(pool, 0)
+			be.Bitmaps.AttachPool(pool, 0)
+			be.Exec.PrefetchFact = 4
+			built, build := 0, newScratch(be.Bitmaps.NumBitmaps(), len(be.Store.star.Dims))
+			be.Exec.scratch = exec.NewScratch(func() *scratch {
+				built++
+				return build()
+			})
+			ctx := context.Background()
 
-					bad, err := frag.ParseQuery(base.Star, "time::month=2, product::group=1, customer::retailer=2")
-					if err != nil {
-						t.Fatal(err)
-					}
-					other, err := frag.ParseQuery(base.Star, "time::month=3, product::group=1, customer::retailer=2")
-					if err != nil {
-						t.Fatal(err)
-					}
-					badID, otherID := be.Store.spec.FragmentIDs(bad)[0], be.Store.spec.FragmentIDs(other)[0]
-					loc, _ := be.Store.Loc(badID)
-					off := (loc.PageOff + 4) * int64(be.Store.pageSize)
-					flip := func() {
-						f, err := os.OpenFile(filepath.Join(dir, factFileName), os.O_RDWR, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer f.Close()
-						one := make([]byte, 1)
-						if _, err := f.ReadAt(one, off); err != nil {
-							t.Fatal(err)
-						}
-						one[0] ^= 0xFF
-						if _, err := f.WriteAt(one, off); err != nil {
-							t.Fatal(err)
-						}
-					}
-					flip()
+			bad, err := frag.ParseQuery(base.Star, "time::month=2, product::group=1, customer::retailer=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := frag.ParseQuery(base.Star, "time::month=3, product::group=1, customer::retailer=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			badID, otherID := be.Store.spec.FragmentIDs(bad)[0], be.Store.spec.FragmentIDs(other)[0]
+			loc, _ := be.Store.Loc(badID)
+			off := (loc.PageOff + 4) * int64(be.Store.pageSize)
+			flip := func() {
+				f, err := os.OpenFile(filepath.Join(dir, factFileName), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				one := make([]byte, 1)
+				if _, err := f.ReadAt(one, off); err != nil {
+					t.Fatal(err)
+				}
+				one[0] ^= 0xFF
+				if _, err := f.WriteAt(one, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flip()
 
-					_, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
-					var fe *FaultError
-					if !errors.As(err, &fe) {
-						t.Fatalf("query over the corrupt granule returned %v, want *FaultError", err)
-					}
-					if fe.Kind != FaultChecksum || fe.File != "fact" || fe.Frag != badID || fe.Offset != off {
-						t.Fatalf("fault %+v, want a checksum fault in fact fragment %d at offset %d", fe, badID, off)
-					}
-					if n := pinnedEntries(pool); n != 0 {
-						t.Fatalf("%d pool entries left pinned after the fault", n)
-					}
+			_, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
+			var fe *FaultError
+			if !errors.As(err, &fe) {
+				t.Fatalf("query over the corrupt granule returned %v, want *FaultError", err)
+			}
+			if fe.Kind != FaultChecksum || fe.File != "fact" || fe.Frag != badID || fe.Offset != off {
+				t.Fatalf("fault %+v, want a checksum fault in fact fragment %d at offset %d", fe, badID, off)
+			}
+			if n := pinnedEntries(pool); n != 0 {
+				t.Fatalf("%d pool entries left pinned after the fault", n)
+			}
 
-					// The scratch the failed query gave back serves the next one.
-					got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, other, kernel.Deltas{})
-					if want := engine.Scan(base, other); err != nil || got.Aggregate != want || want.Count == 0 || st.FactIOs < 2 || built != 1 {
-						t.Fatalf("next query on the recycled scratch (%d built): %+v / %+v, %v; oracle %+v", built, got.Aggregate, st, err, want)
-					}
+			// The scratch the failed query gave back serves the next one.
+			got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, other, kernel.Deltas{})
+			if want := engine.Scan(base, other); err != nil || got.Aggregate != want || want.Count == 0 || st.FactIOs < 2 || built != 1 {
+				t.Fatalf("next query on the recycled scratch (%d built): %+v / %+v, %v; oracle %+v", built, got.Aggregate, st, err, want)
+			}
 
-					// One scratch through the failure and on to the next fragment.
-					plan, err := be.Bitmaps.ix.Plan(nil, bad)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fold, sc := be.Exec.fold(ctx, bitmapPlans{first: plan}), build()
-					ms, slots := make([]kernel.Member[IOStats], 1), make([]kernel.Slot, 1)
-					if err := fold(sc, badID, nil, ms, slots); !errors.As(err, &fe) {
-						t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
-					}
-					ms[0], slots[0] = kernel.Member[IOStats]{}, kernel.Slot{}
-					if err := fold(sc, otherID, nil, ms, slots); err != nil {
-						t.Fatal(err)
-					}
-					if want := engine.Scan(base, other); slots[0].Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
-						t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", slots[0].Agg, ms[0].St, want)
-					}
-					if n := pinnedEntries(pool); n != 0 {
-						t.Fatalf("%d pool entries left pinned after the next fragment", n)
-					}
+			// One scratch through the failure and on to the next fragment.
+			plan, err := be.Bitmaps.ix.Plan(nil, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold, sc := be.Exec.fold(ctx, bitmapPlans{first: plan}), build()
+			ms, slots := make([]kernel.Member[IOStats], 1), make([]kernel.Slot, 1)
+			if err := fold(sc, badID, nil, ms, slots); !errors.As(err, &fe) {
+				t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
+			}
+			ms[0], slots[0] = kernel.Member[IOStats]{}, kernel.Slot{}
+			if err := fold(sc, otherID, nil, ms, slots); err != nil {
+				t.Fatal(err)
+			}
+			if want := engine.Scan(base, other); slots[0].Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
+				t.Fatalf("next fragment on the same scratch: %+v / %+v, oracle %+v", slots[0].Agg, ms[0].St, want)
+			}
+			if n := pinnedEntries(pool); n != 0 {
+				t.Fatalf("%d pool entries left pinned after the next fragment", n)
+			}
 
-					flip() // repair
-					got, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := engine.Scan(base, bad); got.Aggregate != want || want.Count == 0 || built != 1 {
-						t.Fatalf("repaired fragment (%d scratches built): %+v, oracle %+v", built, got.Aggregate, want)
-					}
-				})
+			flip() // repair
+			got, _, err = be.Exec.ExecuteGroupedDeltas(ctx, bad, kernel.Deltas{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := engine.Scan(base, bad); got.Aggregate != want || want.Count == 0 || built != 1 {
+				t.Fatalf("repaired fragment (%d scratches built): %+v, oracle %+v", built, got.Aggregate, want)
 			}
 		})
 	}
 }
 
-// TestSteadyStateAllocation: the worker scratch — granule buffers,
-// bitsets, prefetch channels — belongs to the executor, not to a call.
+// TestGranuleStreamStaysOnWorker streams a 4-granule fragment, pooled and
+// unpooled, through forEachGranule: the granules arrive in order with the
+// fragment's pages, no goroutine runs beside the worker while it folds
+// the second one, a warm stream allocates nothing, and no pool entry
+// stays pinned. Not parallel: it counts the process's goroutines.
+func TestGranuleStreamStaysOnWorker(t *testing.T) {
+	sched := exec.NewScheduler(1)
+	defer sched.Close()
+	be, _, _, _, _ := regimeStore(t, BackendConfig{Sched: sched})
+	id := be.Store.Fragments()[0]
+	loc, _ := be.Store.Loc(id)
+	whole, err := be.Store.ReadPagesInto(nil, id, 0, int(loc.Pages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be.Exec.PrefetchFact = 4
+	grans := appendGranules(nil, nil, int(loc.Pages), 4, be.Store.tpp)
+	if len(grans) != 4 {
+		t.Fatalf("%d granules, want 4", len(grans))
+	}
+	for _, pooled := range []bool{false, true} {
+		var pool *BufPool
+		if pooled {
+			pool = NewBufPool(64 << 20)
+		}
+		be.Store.AttachPool(pool, 0)
+		sc := newScratch(be.Bitmaps.NumBitmaps(), len(be.Store.star.Dims))()
+		var st IOStats
+		stream := func(check func(k int, g granule, buf []byte)) {
+			k := 0
+			if err := be.Exec.forEachGranule(context.Background(), sc, &st, id, grans, func(g granule, buf []byte) {
+				check(k, g, buf)
+				k++
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := runtime.NumGoroutine()
+		stream(func(k int, g granule, buf []byte) {
+			off := int(g.start) * be.Store.pageSize
+			if g != grans[k] || !bytes.Equal(buf, whole[off:off+int(g.count)*be.Store.pageSize]) {
+				t.Errorf("pool=%v: granule %d is %+v with other pages, want %+v", pooled, k, g, grans[k])
+			}
+			if n := runtime.NumGoroutine(); k == 1 && n != before {
+				t.Errorf("pool=%v: %d goroutines while folding the second granule, %d before the stream", pooled, n, before)
+			}
+		})
+		if allocs := testing.AllocsPerRun(10, func() { stream(func(int, granule, []byte) {}) }); allocs != 0 {
+			t.Errorf("pool=%v: a warm granule stream allocates %.1f times", pooled, allocs)
+		}
+		if n := pinnedEntries(pool); n != 0 {
+			t.Errorf("pool=%v: %d pool entries left pinned", pooled, n)
+		}
+	}
+}
+
+// TestSteadyStateAllocation: the worker scratch — granule buffer,
+// bitsets, masks — belongs to the executor, not to a call.
 // On an unpooled store declustered over 4 disks, a warm serial stream of
 // queries over 1 to 32 fragments of 13 pages each, half of them grouped,
 // allocates per query a fraction of one 8-page granule buffer; when

@@ -341,23 +341,18 @@ func (s *Store) Loc(id int64) (FragLoc, bool) {
 func (s *Store) DiskOf(id int64) int { return s.placement.FactDisk(id) }
 
 // ReadPagesInto reads `count` pages of fragment id starting at page
-// `start` within the fragment — one physical I/O — into buf when its
-// capacity suffices (allocating otherwise), and returns the filled slice.
+// `start` within the fragment — one physical I/O, past any buffer pool —
+// into buf when its capacity suffices (allocating otherwise), and returns
+// the filled slice. The read queues on the fragment's disk, runs under
+// the retry policy and is verified page by page (see pagedFile.read);
+// failures surface as typed *FaultError values.
 func (s *Store) ReadPagesInto(buf []byte, id int64, start, count int) ([]byte, error) {
-	return s.ReadPagesCtx(context.Background(), buf, id, start, count)
-}
-
-// ReadPagesCtx is ReadPagesInto under a context: the physical read
-// queues on the fragment's disk, runs under the retry policy and is
-// verified page by page (see pagedFile.read); failures surface as typed
-// *FaultError values.
-func (s *Store) ReadPagesCtx(ctx context.Context, buf []byte, id int64, start, count int) ([]byte, error) {
 	absPage, err := s.run(id, start, count)
 	if err != nil {
 		return nil, err
 	}
 	buf = sized(buf, count*s.pageSize)
-	if err := s.read(ctx, buf, absPage, s.DiskOf(id), id); err != nil {
+	if err := s.read(context.Background(), buf, absPage, s.DiskOf(id), id); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -376,16 +371,17 @@ func (s *Store) run(id int64, start, count int) (int64, error) {
 	return loc.PageOff + int64(start), nil
 }
 
-// ReadGranule is the pool-aware ReadPagesInto used by the executor's
-// prefetch pipeline (see pagedFile.readPooled): with no pool attached
-// data is the grown buf and ent nil; with one, a hit costs no physical
-// I/O, and a non-nil ent pins pool-owned data the caller must Unpin once
-// done aggregating from it.
+// ReadGranule is the pool-aware ReadPagesInto, one fact prefetch granule
+// (see pagedFile.readPooled): with no pool attached data is the grown buf
+// and ent nil; with one, a hit costs no physical I/O, and a non-nil ent
+// pins pool-owned data the caller must Unpin once done aggregating from
+// it.
 func (s *Store) ReadGranule(buf []byte, id int64, start, count int) (data []byte, ent *PoolEntry, hit bool, err error) {
 	return s.ReadGranuleCtx(context.Background(), buf, id, start, count)
 }
 
-// ReadGranuleCtx is ReadGranule under a context.
+// ReadGranuleCtx is ReadGranule under a context: the executor's one fact
+// read, issued by the worker that folds the granule (forEachGranule).
 func (s *Store) ReadGranuleCtx(ctx context.Context, buf []byte, id int64, start, count int) (data []byte, ent *PoolEntry, hit bool, err error) {
 	absPage, err := s.run(id, start, count)
 	if err != nil {
