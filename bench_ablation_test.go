@@ -165,7 +165,8 @@ func BenchmarkBitmapAnd(b *testing.B) {
 	b.SetBytes(n / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z := x.Clone()
+		z := bitmap.New(n)
+		z.CopyFrom(x)
 		z.And(y)
 	}
 }

@@ -194,7 +194,7 @@ func BenchmarkCachedServing(b *testing.B) {
 			if lookups := post.Cache.Hits + post.Cache.Misses - pre.Cache.Hits - pre.Cache.Misses; lookups > 0 {
 				report.ResultHitRateWarm = float64(post.Cache.Hits-pre.Cache.Hits) / float64(lookups)
 			}
-			report.PoolHitRateWarm = post.Cache.Pool.HitRate()
+			report.PoolHitRateWarm = poolHitRate(post.Cache.Pool)
 		}
 		b.ReportMetric(report.CachedWarmQPS, "q/s")
 		report.WarmSpeedup = report.CachedWarmQPS / report.UncachedQPS
@@ -250,7 +250,7 @@ func BenchmarkCachedServing(b *testing.B) {
 				qps, _ := pass(w, wl.sequence(seed+1, execs, frac), nil)
 				st := w.ServingStats()
 				report.SkewSweep = append(report.SkewSweep, skewPoint{
-					HotFraction: frac, PoolHitRate: st.Cache.Pool.HitRate(), QPS: qps,
+					HotFraction: frac, PoolHitRate: poolHitRate(st.Cache.Pool), QPS: qps,
 				})
 				if err := w.Close(); err != nil {
 					b.Fatal(err)
@@ -269,4 +269,12 @@ func BenchmarkCachedServing(b *testing.B) {
 	fmt.Printf("BENCH_cache.json: uncached %.0f q/s, cached cold %.0f q/s, warm %.0f q/s (%.1fx); pool hit rate %.2f, result hit rate %.2f\n",
 		report.UncachedQPS, report.CachedColdQPS, report.CachedWarmQPS, report.WarmSpeedup,
 		report.PoolHitRateWarm, report.ResultHitRateWarm)
+}
+
+// poolHitRate returns Hits/(Hits+Misses), 0 when nothing was looked up.
+func poolHitRate(st PoolStats) float64 {
+	if n := st.Hits + st.Misses; n > 0 {
+		return float64(st.Hits) / float64(n)
+	}
+	return 0
 }

@@ -94,7 +94,7 @@ func BenchmarkExtWAHCompression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bitmap.AndAllInto(&and, cs, cd)
 	}
-	b.ReportMetric(float64(cs.Bytes())/float64(sparse.Bytes()), "sparse-ratio")
+	b.ReportMetric(float64(cs.Bytes())/float64(8*len(sparse.Words())), "sparse-ratio")
 }
 
 // BenchmarkExtStorageExecutor measures real page-I/O star query execution

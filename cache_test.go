@@ -96,6 +96,9 @@ func TestCachedEquivalence(t *testing.T) {
 			if st.Cache.Hits < int64(len(ingestQueries)) {
 				t.Fatalf("pre-compaction cache hits %d, want >= %d", st.Cache.Hits, len(ingestQueries))
 			}
+			if st.Cache.Hits+st.Cache.Misses != 2*int64(len(ingestQueries)) || st.Cache.Shared != 0 {
+				t.Fatalf("pre-compaction cache lookups %+v, want one hit or miss per execution", st.Cache)
+			}
 			if st.Cache.Capacity != 64 || st.Cache.Entries == 0 {
 				t.Fatalf("cache occupancy: %+v", st.Cache)
 			}

@@ -41,9 +41,10 @@ func clusterOracle(t *testing.T, star *Star, tab *FactTable) []Result {
 }
 
 // checkCluster runs every ingest query on a warehouse over the given
-// node count and compares each result to the oracle's. A node count of
-// one is a plain single store.
-func checkCluster(t *testing.T, c *Warehouse, nodes int, want []Result, leg string) {
+// node count and compares each result to the oracle's; the full scan must
+// fold delta rows, unless delta is -1 (a background compaction may have
+// run). A node count of one is a plain single store.
+func checkCluster(t *testing.T, c *Warehouse, nodes int, want []Result, leg string, delta int64) {
 	t.Helper()
 	ctx := context.Background()
 	for i, text := range ingestQueries {
@@ -57,6 +58,9 @@ func checkCluster(t *testing.T, c *Warehouse, nodes int, want []Result, leg stri
 		}
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: query %q: cluster %+v != warehouse %+v", leg, text, got, want[i])
+		}
+		if text == "" && delta >= 0 && st.DeltaRows != delta {
+			t.Errorf("%s: full scan folded %d delta rows, want %d", leg, st.DeltaRows, delta)
 		}
 		if nodes == 1 {
 			if st.Backend == ClusterBackend || st.Cluster != nil {
@@ -100,15 +104,15 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 				}
 				defer c.Close()
 
-				checkCluster(t, c, nodes, wantBase, "base")
+				checkCluster(t, c, nodes, wantBase, "base", 0)
 				if err := c.Append(ctx, extra); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, nodes, wantFull, "appended")
+				checkCluster(t, c, nodes, wantFull, "appended", int64(len(extra)))
 				if err := c.Compact(ctx); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, nodes, wantFull, "compacted")
+				checkCluster(t, c, nodes, wantFull, "compacted", 0)
 
 				// Injected fault: a cluster-wide query fails with a typed
 				// NodeError naming the victim; never a wrong answer.
@@ -137,7 +141,7 @@ func TestClusterEquivalenceMatrix(t *testing.T) {
 				if err := c.ReviveNode(victim); err != nil {
 					t.Fatal(err)
 				}
-				checkCluster(t, c, nodes, wantFull, "revived")
+				checkCluster(t, c, nodes, wantFull, "revived", 0)
 			})
 		}
 	}
@@ -185,15 +189,15 @@ func TestClusterHTTPFacade(t *testing.T) {
 	}
 	defer c.Close()
 
-	checkCluster(t, c, nodes, wantBase, "http/base")
+	checkCluster(t, c, nodes, wantBase, "http/base", 0)
 	if err := c.Append(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
-	checkCluster(t, c, nodes, wantFull, "http/appended")
+	checkCluster(t, c, nodes, wantFull, "http/appended", int64(len(extra)))
 	if err := c.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkCluster(t, c, nodes, wantFull, "http/compacted")
+	checkCluster(t, c, nodes, wantFull, "http/compacted", 0)
 
 	st, err := c.NodeStats(ctx)
 	if err != nil {
@@ -402,7 +406,7 @@ func TestMultiNodeHonorsPoolAndAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	checkCluster(t, w, nodes, wantBase, "base")
+	checkCluster(t, w, nodes, wantBase, "base", 0)
 	var hits int64
 	for _, text := range ingestQueries {
 		pq, err := w.QueryText(text)
@@ -421,7 +425,7 @@ func TestMultiNodeHonorsPoolAndAutoCompaction(t *testing.T) {
 	if err := w.Append(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
-	checkCluster(t, w, nodes, wantFull, "appended")
+	checkCluster(t, w, nodes, wantFull, "appended", -1)
 	var compactions int64
 	for deadline := time.Now().Add(10 * time.Second); compactions == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		st, err := w.NodeStats(ctx)
@@ -435,7 +439,7 @@ func TestMultiNodeHonorsPoolAndAutoCompaction(t *testing.T) {
 	if compactions == 0 {
 		t.Fatal("no node compacted past its auto-compaction threshold")
 	}
-	checkCluster(t, w, nodes, wantFull, "auto-compacted")
+	checkCluster(t, w, nodes, wantFull, "auto-compacted", -1)
 }
 
 // TestMultiNodeCloseRacesExecute: Close drains the queries in flight on

@@ -78,6 +78,16 @@ func TestWarehouseFaultEquivalence(t *testing.T) {
 				}
 			}
 			st := faulty.ServingStats()
+			var disks FaultStats
+			for _, d := range faulty.DiskStats() {
+				disks.InjectedFaults += d.InjectedFaults
+				disks.Retries += d.Retries
+				disks.ChecksumFailures += d.ChecksumFailures
+				disks.BreakerTrips += d.BreakerTrips
+			}
+			if st.Faults != disks {
+				t.Errorf("ServingStats.Faults %+v, the disk set's fault counters %+v", st.Faults, disks)
+			}
 			injected += st.Faults.InjectedFaults
 			retries += st.Faults.Retries
 		})

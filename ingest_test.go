@@ -163,7 +163,9 @@ func TestAppendEquivalence(t *testing.T) {
 			}
 			check("pre-compaction", 0, int64(len(extra)))
 			st := w.ServingStats()
-			if st.Appends != 3 || st.AppendedRows != int64(len(extra)) || st.DeltaRows != int64(len(extra)) {
+			if st.Epoch != 0 || st.Appends != 3 || st.AppendedRows != int64(len(extra)) || st.DeltaRows != int64(len(extra)) ||
+				st.DeltaSegments != 17 || st.Compactions != 0 || st.CompactedRows != 0 ||
+				st.Workers != w.Workers() || st.QueriesAdmitted != int64(len(ingestQueries)) || st.QueriesDone != st.QueriesAdmitted || st.InFlight != 0 {
 				t.Fatalf("serving stats after appends: %+v", st)
 			}
 
@@ -175,7 +177,7 @@ func TestAppendEquivalence(t *testing.T) {
 			}
 			check("post-compaction", 1, 0)
 			st = w.ServingStats()
-			if st.Compactions != 1 || st.CompactedRows != int64(len(extra)) || st.DeltaRows != 0 || st.DeltaSegments != 0 {
+			if st.Epoch != 1 || st.Compactions != 1 || st.CompactedRows != int64(len(extra)) || st.DeltaRows != 0 || st.DeltaSegments != 0 {
 				t.Fatalf("serving stats after compaction: %+v", st)
 			}
 

@@ -47,13 +47,6 @@ func (b *Bitset) SetAll() {
 	b.trim()
 }
 
-// Reset sets every bit to 0.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // Reinit resizes b to n bits, all zero, reusing the backing array when it
 // is large enough — the growth primitive of the per-worker scratch
 // bitsets, allocation-free once warm.
@@ -135,13 +128,6 @@ func (b *Bitset) trim() {
 	}
 }
 
-// Clone returns a deep copy.
-func (b *Bitset) Clone() *Bitset {
-	c := &Bitset{n: b.n, words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
-}
-
 // CopyFrom makes b a copy of o, reusing b's storage.
 func (b *Bitset) CopyFrom(o *Bitset) {
 	k := len(o.words)
@@ -164,14 +150,6 @@ func (b *Bitset) And(o *Bitset) {
 	b.check(o)
 	for i := range b.words {
 		b.words[i] &= o.words[i]
-	}
-}
-
-// Or sets b = b OR o in place.
-func (b *Bitset) Or(o *Bitset) {
-	b.check(o)
-	for i := range b.words {
-		b.words[i] |= o.words[i]
 	}
 }
 
@@ -255,29 +233,3 @@ func (b *Bitset) NextSet(i int) int {
 	}
 	return -1
 }
-
-// Slice returns a new Bitset containing bits [lo, hi) of b.
-func (b *Bitset) Slice(lo, hi int) *Bitset {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic(fmt.Sprintf("bitmap: slice [%d,%d) out of range 0..%d", lo, hi, b.n))
-	}
-	out := New(hi - lo)
-	if lo == hi {
-		return out
-	}
-	// Word-wise gather: output word i spans at most two source words.
-	w0 := lo / wordBits
-	off := uint(lo % wordBits)
-	for i := range out.words {
-		v := b.words[w0+i] >> off
-		if off != 0 && w0+i+1 < len(b.words) {
-			v |= b.words[w0+i+1] << (wordBits - off)
-		}
-		out.words[i] = v
-	}
-	out.trim()
-	return out
-}
-
-// Bytes returns the storage size of the bitset in bytes (word-aligned).
-func (b *Bitset) Bytes() int { return len(b.words) * 8 }

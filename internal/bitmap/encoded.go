@@ -160,15 +160,6 @@ func NewEncodedIndex(layout *Layout, values []int32) *EncodedIndex {
 	return idx
 }
 
-// Layout returns the index's encoding layout.
-func (e *EncodedIndex) Layout() *Layout { return e.layout }
-
-// Rows returns the number of fact rows covered.
-func (e *EncodedIndex) Rows() int { return e.rows }
-
-// NumBitmaps returns the number of bitmaps materialised (= total bits).
-func (e *EncodedIndex) NumBitmaps() int { return len(e.maps) }
-
 // Bitmap returns bitmap j. The caller must not modify it.
 func (e *EncodedIndex) Bitmap(j int) *Bitset { return e.maps[j] }
 
@@ -214,13 +205,4 @@ func (e *EncodedIndex) SelectPartialInto(dst *Bitset, skipLevel, level, m int) i
 		}
 	}
 	return nb
-}
-
-// Bytes returns the total storage of all bitmaps in bytes.
-func (e *EncodedIndex) Bytes() int {
-	t := 0
-	for _, m := range e.maps {
-		t += m.Bytes()
-	}
-	return t
 }

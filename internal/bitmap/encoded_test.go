@@ -123,13 +123,14 @@ func TestEncodedSelectMatchesScan(t *testing.T) {
 	s := schema.Tiny()
 	p := s.Dim(schema.DimProduct)
 	rows := buildRandomRows(p, 500, 42)
-	idx := NewEncodedIndex(NewLayout(p, nil), rows)
+	l := NewLayout(p, nil)
+	idx := NewEncodedIndex(l, rows)
 
 	for level := 0; level <= p.Leaf(); level++ {
 		for m := 0; m < p.Levels[level].Card; m++ {
 			got, nb := idx.Select(level, m)
-			if nb != idx.Layout().PrefixBits(level) {
-				t.Fatalf("level %d bitmaps read = %d, want %d", level, nb, idx.Layout().PrefixBits(level))
+			if nb != l.PrefixBits(level) {
+				t.Fatalf("level %d bitmaps read = %d, want %d", level, nb, l.PrefixBits(level))
 			}
 			for i, v := range rows {
 				want := p.Ancestor(p.Leaf(), int(v), level) == m
@@ -155,11 +156,12 @@ func TestEncodedSelectSuffixWithinFragment(t *testing.T) {
 	for i := range rows {
 		rows[i] = int32(lo + rng.Intn(hi-lo))
 	}
-	idx := NewEncodedIndex(NewLayout(p, nil), rows)
+	l := NewLayout(p, nil)
+	idx := NewEncodedIndex(l, rows)
 	for m := lo; m < hi; m++ {
 		got, nb := idx.SelectPartial(group, leaf, m)
-		if nb != idx.Layout().SuffixBits(group) {
-			t.Fatalf("bitmaps read = %d, want %d", nb, idx.Layout().SuffixBits(group))
+		if nb != l.SuffixBits(group) {
+			t.Fatalf("bitmaps read = %d, want %d", nb, l.SuffixBits(group))
 		}
 		for i, v := range rows {
 			if got.Get(i) != (int(v) == m) {
@@ -174,19 +176,17 @@ func TestSimpleIndexSelect(t *testing.T) {
 	tm := s.Dim(schema.DimTime)
 	rows := buildRandomRows(tm, 1000, 11)
 	idx := NewSimpleIndex(tm.LeafCard(), rows)
-	if idx.NumBitmaps() != 24 {
-		t.Fatalf("NumBitmaps = %d, want 24", idx.NumBitmaps())
+	if len(idx.maps) != 24 {
+		t.Fatalf("%d bitmaps, want 24", len(idx.maps))
 	}
+	got := New(len(rows))
 	for m := 0; m < 24; m++ {
-		got := idx.Select(m)
+		idx.SelectInto(got, m)
 		for i, v := range rows {
 			if got.Get(i) != (int(v) == m) {
 				t.Fatalf("month %d row %d wrong", m, i)
 			}
 		}
-	}
-	if idx.BitmapsRead() != 1 {
-		t.Fatal("point select must read exactly 1 bitmap")
 	}
 }
 

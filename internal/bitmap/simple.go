@@ -7,8 +7,6 @@ import "fmt"
 // fact row (Section 3.2). Suitable for low-cardinality attributes (TIME,
 // CHANNEL in the paper).
 type SimpleIndex struct {
-	card int
-	rows int
 	maps []*Bitset
 }
 
@@ -27,7 +25,7 @@ func NewSimpleIndex(card int, values []int32) *SimpleIndex {
 // members over rows whose leaf members are leaves: member m's bitmap is
 // its leaf range [m*width, (m+1)*width), so no row's member is derived.
 func NewLevelIndex(card, width int, leaves []int32) *SimpleIndex {
-	idx := &SimpleIndex{card: card, rows: len(leaves), maps: make([]*Bitset, card)}
+	idx := &SimpleIndex{maps: make([]*Bitset, card)}
 	for m := range idx.maps {
 		idx.maps[m] = &Bitset{}
 		idx.maps[m].FromKeys(leaves, KeyRule{Lo: int32(m * width), Hi: int32((m + 1) * width)})
@@ -35,34 +33,9 @@ func NewLevelIndex(card, width int, leaves []int32) *SimpleIndex {
 	return idx
 }
 
-// Card returns the number of bitmaps (the attribute's cardinality).
-func (s *SimpleIndex) Card() int { return s.card }
-
-// Rows returns the number of fact rows covered.
-func (s *SimpleIndex) Rows() int { return s.rows }
-
-// NumBitmaps returns the number of bitmaps materialised, which for a simple
-// index equals the cardinality.
-func (s *SimpleIndex) NumBitmaps() int { return s.card }
-
 // Bitmap returns the bitmap for member m. The caller must not modify it.
 func (s *SimpleIndex) Bitmap(m int) *Bitset { return s.maps[m] }
 
-// Select returns a fresh bitset marking all rows whose value equals m.
-// Exactly one bitmap is read.
-func (s *SimpleIndex) Select(m int) *Bitset { return s.maps[m].Clone() }
-
-// SelectInto is Select copying into dst, reusing dst's storage.
+// SelectInto copies into dst, reusing its storage, the bitmap marking all
+// rows whose value equals m: exactly one bitmap is read.
 func (s *SimpleIndex) SelectInto(dst *Bitset, m int) { dst.CopyFrom(s.maps[m]) }
-
-// BitmapsRead returns how many bitmaps a point selection must access: one.
-func (s *SimpleIndex) BitmapsRead() int { return 1 }
-
-// Bytes returns the total storage of all bitmaps in bytes.
-func (s *SimpleIndex) Bytes() int {
-	t := 0
-	for _, m := range s.maps {
-		t += m.Bytes()
-	}
-	return t
-}

@@ -71,7 +71,7 @@ func TestAndAllMatchesOracle(t *testing.T) {
 					}
 					ops[i] = compress(plain[i])
 				}
-				want := plain[0].Clone()
+				want := clone(plain[0])
 				for _, p := range plain[1:] {
 					want.And(p)
 				}
@@ -91,7 +91,7 @@ func TestAndAllIntoReusesScratch(t *testing.T) {
 		n := opTestLens[rng.Intn(len(opTestLens))]
 		a := densityBitset(rng, n, 0.3)
 		b := runnyBitset(rng, n)
-		want := a.Clone()
+		want := clone(a)
 		want.And(b)
 		got := AndAllInto(scratch, compress(a), compress(b))
 		if got != scratch {
@@ -130,10 +130,10 @@ func FuzzCompressedOps(f *testing.F) {
 		a := runnyBitset(rngA, n)
 		b := densityBitset(rngB, n, float64(seedB%100)/99)
 		ca, cb := compress(a), compress(b)
-		if !ca.DecompressInto(b.Clone()).Equal(a) {
+		if !ca.DecompressInto(clone(b)).Equal(a) {
 			t.Fatal("DecompressInto over a dirty destination diverges")
 		}
-		andWant := a.Clone()
+		andWant := clone(a)
 		andWant.And(b)
 		if !decompress(AndAllInto(nil, ca, cb)).Equal(andWant) {
 			t.Fatal("AndAllInto diverges")

@@ -125,9 +125,6 @@ func NewCoordinator(cfg CoordinatorConfig, tr Transport) (*Coordinator, error) {
 	return c, nil
 }
 
-// Nodes returns the cluster's node count.
-func (c *Coordinator) Nodes() int { return len(c.counters) }
-
 // relevantNodes returns, in ascending order, the nodes owning at least
 // one fragment relevant to the query. Enumeration stops early once every
 // node is marked.

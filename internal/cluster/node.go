@@ -157,9 +157,6 @@ func NewStoreNode(scfg epoch.Config, index int, cl alloc.Placement, rows *data.T
 	return n, nil
 }
 
-// Index returns the node's position in the cluster placement.
-func (n *Node) Index() int { return n.index }
-
 // Fail kills the node: every subsequent request fails fast with a typed
 // NodeError wrapping ErrNodeFailed until Revive. In-flight executions
 // finish normally (their snapshot stays pinned) — the fault model is a
@@ -168,9 +165,6 @@ func (n *Node) Fail() { n.failed.Store(true) }
 
 // Revive brings a killed node back.
 func (n *Node) Revive() { n.failed.Store(false) }
-
-// Failed reports whether the node is killed.
-func (n *Node) Failed() bool { return n.failed.Load() }
 
 // nodeErr wraps a node-side failure with the node index.
 func (n *Node) nodeErr(err error) error {

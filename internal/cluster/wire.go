@@ -19,7 +19,7 @@ import (
 
 // wireVersion leads every frame: a peer built with another layout fails
 // on it instead of misreading the fields.
-const wireVersion = 1
+const wireVersion = 2
 
 // errFrame is the one decode error; each failure wraps it with what
 // failed.
@@ -32,9 +32,9 @@ func packPartial(resp *Response, p kernel.FragPartial) {
 }
 
 // EncodeResponse frames a response — what the HTTP transport ships a
-// partial in: walkResponse's 24 fixed varints, then five per group. The
+// partial in: walkResponse's 22 fixed varints, then five per group. The
 // error is always nil.
-func EncodeResponse(r Response) ([]byte, error) { return encodeFrame(r, 24+5*len(r.Groups)), nil }
+func EncodeResponse(r Response) ([]byte, error) { return encodeFrame(r, 22+5*len(r.Groups)), nil }
 
 // DecodeResponse decodes EncodeResponse's frame.
 func DecodeResponse(data []byte) (Response, error) { return decodeFrame[Response](data) }
@@ -61,8 +61,8 @@ func walkResponse(c *codec, r *Response) {
 		c.fail("bad grouped flag")
 	}
 	r.Grouped = grouped == 1
-	ints(c, &r.Epoch, &r.DeltaRows, &e.RowsScanned, &e.BitmapsRead, &e.DeltaRows,
-		&s.FactPages, &s.FactIOs, &s.BitmapPages, &s.BitmapIOs, &s.RowsRead, &s.DeltaRows,
+	ints(c, &r.Epoch, &r.DeltaRows, &e.RowsScanned, &e.BitmapsRead,
+		&s.FactPages, &s.FactIOs, &s.BitmapPages, &s.BitmapIOs, &s.RowsRead,
 		&s.PoolHits, &s.PoolMisses, &s.PoolBytes, &sh.PhysReadsSaved)
 	// A group is at least a one-byte key and four one-byte measures, and
 	// the groups are a run: the coordinator merges runs.

@@ -184,7 +184,11 @@ func FuzzRowsDecode(f *testing.F) {
 // checkFrame's rule.
 func FuzzFragPartialRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{wireVersion, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	reply, _ := EncodeResponse(Response{Grouped: true, Epoch: 1, DeltaRows: 3, Groups: []kernel.Group{
+		{Key: 1, Agg: kernel.Aggregate{Count: 1, UnitsSold: 2}}, {Key: 300, Agg: kernel.Aggregate{Count: 2, Cost: -1}},
+	}})
+	f.Add(reply)
 	seed := make([]byte, 0, 64)
 	for i := 0; i < 8; i++ {
 		seed = binary.LittleEndian.AppendUint64(seed, uint64(i)*0x9e3779b97f4a7c15)

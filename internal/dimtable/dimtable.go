@@ -52,22 +52,8 @@ func Build(dim *schema.Dimension) *Table {
 	return t
 }
 
-// Rows returns the number of rows (leaf members).
-func (t *Table) Rows() int { return t.Dim.LeafCard() }
-
 // Name returns the name of member m at the given level.
 func (t *Table) Name(level, m int) string { return t.names[level][m] }
-
-// Row returns the full denormalized row of leaf member m: its name at
-// every hierarchy level, coarsest first.
-func (t *Table) Row(m int) []string {
-	row := make([]string, t.Dim.Depth())
-	leaf := t.Dim.Leaf()
-	for l := range row {
-		row[l] = t.names[l][t.Dim.Ancestor(leaf, m, l)]
-	}
-	return row
-}
 
 // Lookup resolves a member name at a level.
 func (t *Table) Lookup(level int, name string) (int, bool) {

@@ -11,8 +11,8 @@ import (
 func TestBuildAndLookup(t *testing.T) {
 	s := schema.APB1()
 	tab := Build(s.Dim(schema.DimProduct))
-	if tab.Rows() != 14_400 {
-		t.Fatalf("rows = %d", tab.Rows())
+	if rows := len(tab.names[tab.Dim.Leaf()]); rows != 14_400 {
+		t.Fatalf("rows = %d", rows)
 	}
 	group := tab.Dim.LevelIndex(schema.LvlGroup)
 	name := tab.Name(group, 42)
@@ -47,11 +47,10 @@ func TestRowDenormalized(t *testing.T) {
 	tab := Build(s.Dim(schema.DimProduct))
 	// Code 14399 belongs to class 959, group 479, family 119, line 23,
 	// division 7.
-	row := tab.Row(14399)
 	want := []string{"DIVISION-0007", "LINE-0023", "FAMILY-0119", "GROUP-0479", "CLASS-0959", "CODE-14399"}
-	for i := range want {
-		if row[i] != want[i] {
-			t.Fatalf("row = %v, want %v", row, want)
+	for l := range want {
+		if got := tab.Name(l, tab.Dim.Ancestor(tab.Dim.Leaf(), 14399, l)); got != want[l] {
+			t.Fatalf("level %d of code 14399: %q, want %q", l, got, want[l])
 		}
 	}
 }

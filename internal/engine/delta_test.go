@@ -106,15 +106,15 @@ func TestExecuteGroupedDeltasEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := eBase.ExecuteGroupedDeltas(context.Background(), sched, q, kernel.Deltas{Ix: ix, Set: set})
+		o, err := kernel.Lone(eBase.Shared(context.Background(), sched, []frag.Query{q}, kernel.Deltas{Ix: ix, Set: set}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := o.Gr.Result(o.Part); !reflect.DeepEqual(got, want) {
 			t.Errorf("query %q: base+delta %+v != full %+v", text, got, want)
 		}
-		if q.Preds == nil && st.DeltaRows != int64(extra.N()) {
-			t.Errorf("DeltaRows = %d, want %d", st.DeltaRows, extra.N())
+		if q.Preds == nil && o.DeltaRows != int64(extra.N()) {
+			t.Errorf("DeltaRows = %d, want %d", o.DeltaRows, extra.N())
 		}
 	}
 }

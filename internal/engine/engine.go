@@ -189,9 +189,6 @@ func (e *Engine) buildIndexes(f *fragment) {
 	}
 }
 
-// NumFragments returns the number of non-empty fragments materialised.
-func (e *Engine) NumFragments() int { return len(e.frags) }
-
 // rowKey composes a row's group key from the fragment-constant base and
 // the per-row GroupBy levels, reading the row's leaf members off the
 // column store.

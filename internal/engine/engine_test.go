@@ -206,8 +206,8 @@ func TestUnsupportedQueryVisitsAllFragments(t *testing.T) {
 	if want := Scan(tab, q); agg != want {
 		t.Fatalf("got %+v, want %+v", agg, want)
 	}
-	if st.FragmentsProcessed != e.NumFragments() {
-		t.Errorf("fragments processed = %d, want all %d", st.FragmentsProcessed, e.NumFragments())
+	if st.FragmentsProcessed != len(e.frags) {
+		t.Errorf("fragments processed = %d, want all %d", st.FragmentsProcessed, len(e.frags))
 	}
 }
 

@@ -47,13 +47,13 @@ func TestIndexWordsPinned(t *testing.T) {
 		f := e.frags[id]
 		for d := range s.Dims {
 			if ix := f.encoded[d]; ix != nil {
-				for j := 0; j < ix.NumBitmaps(); j++ {
+				for j := 0; j < e.layouts[d].TotalBits(); j++ {
 					put(ix.Bitmap(j))
 					bitmaps++
 				}
 			}
-			for _, ix := range f.simple[d] {
-				for m := 0; ix != nil && m < ix.NumBitmaps(); m++ {
+			for l, ix := range f.simple[d] {
+				for m := 0; ix != nil && m < s.Dims[d].Levels[l].Card; m++ {
 					put(ix.Bitmap(m))
 					bitmaps++
 				}

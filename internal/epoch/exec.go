@@ -35,19 +35,33 @@ type Out struct {
 }
 
 func engineOut(o kernel.Out[kernel.Stats]) Out {
-	return Out{Part: o.Part, Gr: o.Gr, Engine: o.St, DeltaRows: o.St.DeltaRows, Shared: o.Shared, Err: o.Err}
+	return Out{Part: o.Part, Gr: o.Gr, Engine: o.St, DeltaRows: o.DeltaRows, Shared: o.Shared, Err: o.Err}
 }
 
 func diskOut(o kernel.Out[storage.IOStats]) Out {
-	return Out{Part: o.Part, Gr: o.Gr, IO: o.St, DeltaRows: o.St.DeltaRows, Shared: o.Shared, Err: o.Err}
+	return Out{Part: o.Part, Gr: o.Gr, IO: o.St, DeltaRows: o.DeltaRows, Shared: o.Shared, Err: o.Err}
 }
 
 // SharedStats is the store-wide shared-scan accounting (zero without
-// Config.SharedWindow); mdhf.SharedServingStats documents the fields.
+// Config.SharedWindow), served as mdhf.SharedServingStats.
 type SharedStats struct {
-	Batches, BatchedQueries, SoloWindows int64
-	FragmentsShared, PhysReadsSaved      int64
-	Fallbacks                            int64
+	// Batches counts multi-query batches executed (size >= 2);
+	// BatchedQueries the executions they served. SoloWindows counts
+	// admission windows that closed with a single query (no batch-mate
+	// arrived).
+	Batches        int64
+	BatchedQueries int64
+	SoloWindows    int64
+	// FragmentsShared sums, over every batched query, the fragments whose
+	// scan task also served at least one batch-mate.
+	FragmentsShared int64
+	// PhysReadsSaved counts the physical reads (bitmap and fact-granule
+	// I/Os) batching eliminated: reads a query would have issued solo but
+	// instead consumed from a batch-mate's.
+	PhysReadsSaved int64
+	// Fallbacks counts batch-wide failures whose members re-executed solo
+	// (batching is only ever a performance effect).
+	Fallbacks int64
 }
 
 // Exec runs one query against a pinned snapshot over the fragments the

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -25,9 +24,6 @@ type Batcher[K comparable, I, R any] struct {
 
 	mu     sync.Mutex
 	groups map[K]*batchGroup[I, R]
-
-	batches atomic.Int64
-	items   atomic.Int64
 }
 
 type batchGroup[I, R any] struct {
@@ -45,20 +41,6 @@ func NewBatcher[K comparable, I, R any](window time.Duration) *Batcher[K, I, R] 
 		window = 100 * time.Microsecond
 	}
 	return &Batcher[K, I, R]{window: window, groups: make(map[K]*batchGroup[I, R])}
-}
-
-// BatcherStats is the batcher's lifetime accounting.
-type BatcherStats struct {
-	// Batches counts group executions (a solo run in an empty window
-	// still counts as a batch of one).
-	Batches int64
-	// Items counts the operations submitted across all batches.
-	Items int64
-}
-
-// Stats snapshots the batcher's counters.
-func (b *Batcher[K, I, R]) Stats() BatcherStats {
-	return BatcherStats{Batches: b.batches.Load(), Items: b.items.Load()}
 }
 
 // Do submits one item under a compatibility key and returns its result
@@ -111,8 +93,6 @@ func (b *Batcher[K, I, R]) Do(ctx context.Context, key K, item I, run func(items
 	}
 	g.out, g.err = out, err
 	close(g.done)
-	b.batches.Add(1)
-	b.items.Add(int64(len(items)))
 	if err != nil {
 		return zero, len(items), err
 	}

@@ -12,12 +12,10 @@ import (
 var errNilScheduler = errors.New("kernel: nil scheduler")
 
 // Counts is a backend's work counters as the drivers use them: summed
-// over the tasks and credited with the delta rows the drivers fold
-// themselves. Both are value methods, so that a task's and a query's
+// over the tasks by a value method, so that a task's and a query's
 // counters never leave the stack.
 type Counts[St any] interface {
 	Plus(o St) St
-	WithDeltaRows(n int64) St
 }
 
 // Dispatch is where a backend's fragment tasks run, and with what: each
@@ -45,29 +43,33 @@ func (d Dispatch[S]) shardOf(p *BatchPlan) func(i int) int {
 
 // Out is one query's un-flattened outcome: the merged partial — its
 // groups a run, nil for an ungrouped query (Gr nil) or one no row
-// matched; a node ships it as is, Gr.Result flattens it — the work
-// counted and, in a shared scan, what sharing saved. Err is the query's
-// own validation error; it fails no batch-mate.
+// matched; a node ships it as is, Gr.Result flattens it — the backend's
+// work counted, the appended (not yet compacted) rows the driver folded
+// from delta segments and, in a shared scan, what sharing saved. Err is
+// the query's own validation error; it fails no batch-mate.
 type Out[St any] struct {
-	Part   FragPartial
-	Gr     *Grouper
-	St     St
-	Shared SharedScanStats
-	Err    error
+	Part      FragPartial
+	Gr        *Grouper
+	St        St
+	DeltaRows int64
+	Shared    SharedScanStats
+	Err       error
 
 	g Grouped // a worker's groups of the query; sealed into Part.Groups
 }
 
-// addTo adds one fragment's slot to a query's outcome, given the query's
-// grouper: the aligned path keys the slot's whole total by its base key
-// — an aligned fragment whose selection matched nothing contributes no
-// group — and the per-row fallback's groups are in o.g already.
-func addTo[St Counts[St]](o *Out[St], gr *Grouper, s *Slot, st St, sh SharedScanStats) {
+// addTo adds one fragment's slot, with the delta rows folded into it, to
+// a query's outcome, given the query's grouper: the aligned path keys the
+// slot's whole total by its base key — an aligned fragment whose
+// selection matched nothing contributes no group — and the per-row
+// fallback's groups are in o.g already.
+func addTo[St Counts[St]](o *Out[St], gr *Grouper, s *Slot, st St, deltaRows int64, sh SharedScanStats) {
 	o.Part.Agg.Add(s.Agg)
 	if gr != nil && s.Groups == nil && s.Agg.Count != 0 {
 		o.g.Add(s.Base, s.Agg)
 	}
 	o.St = o.St.Plus(st)
+	o.DeltaRows += deltaRows
 	o.Shared.Add(sh)
 }
 
@@ -76,6 +78,7 @@ func mergeOuts[St Counts[St]](acc, part *Out[St]) {
 	acc.Part.Agg.Add(part.Part.Agg)
 	acc.g.Merge(&part.g)
 	acc.St = acc.St.Plus(part.St)
+	acc.DeltaRows += part.DeltaRows
 	acc.Shared.Add(part.Shared)
 }
 
@@ -197,7 +200,7 @@ func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
 	for k, m := range t.ms {
 		slot, mq := &t.slots[k], &b.Queries[m.Query]
 		n := slot.addDeltas(b.set, id, mq.ranges)
-		addTo(outs.At(m.Query), mq.Gr, slot, m.St.WithDeltaRows(n), m.Shared)
+		addTo(outs.At(m.Query), mq.Gr, slot, m.St, n, m.Shared)
 	}
 	return nil
 }
@@ -253,8 +256,8 @@ func Lone[St any](outs Outs[St], err error) (Out[St], error) {
 	return outs.first, err
 }
 
-// SharedResult is Out with the rows flattened: what the backends'
-// ExecuteSharedDeltas return.
+// SharedResult is Out with the rows flattened: what the engine's
+// ExecuteSharedDeltas returns.
 type SharedResult[St any] struct {
 	Out[St]
 	Res Result

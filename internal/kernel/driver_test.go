@@ -19,16 +19,11 @@ import (
 
 // fakeCounts is the fake backend's work counters.
 type fakeCounts struct {
-	Frags, Rows, DeltaRows int64
+	Frags, Rows int64
 }
 
 func (c fakeCounts) Plus(o fakeCounts) fakeCounts {
-	return fakeCounts{c.Frags + o.Frags, c.Rows + o.Rows, c.DeltaRows + o.DeltaRows}
-}
-
-func (c fakeCounts) WithDeltaRows(n int64) fakeCounts {
-	c.DeltaRows += n
-	return c
+	return fakeCounts{c.Frags + o.Frags, c.Rows + o.Rows}
 }
 
 // fakeRow is one fact row: its leaf members and measures.
@@ -353,7 +348,7 @@ func TestDriverStats(t *testing.T) {
 			}
 		}
 	}
-	want := fakeCounts{Frags: frags, Rows: rows, DeltaRows: deltaRows}
+	want := fakeCounts{Frags: frags, Rows: rows}
 	if deltaRows == 0 {
 		t.Fatal("the query selects no delta row")
 	}
@@ -361,8 +356,8 @@ func TestDriverStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.St != want {
-		t.Errorf("lone counts %+v, want %+v", out.St, want)
+	if out.St != want || out.DeltaRows != deltaRows {
+		t.Errorf("lone counts %+v and %d delta rows, want %+v and %d", out.St, out.DeltaRows, want, deltaRows)
 	}
 	if got, ref := out.Gr.Result(out.Part), w.want(t, q, true, own); !reflect.DeepEqual(got, ref) {
 		t.Errorf("lone %+v, brute force %+v", got, ref)
@@ -373,8 +368,8 @@ func TestDriverStats(t *testing.T) {
 	}
 	for i := 0; i < outs.Len(); i++ {
 		o := outs.At(i)
-		if o.St != want || o.Shared != (SharedScanStats{Batched: 2, FragmentsShared: int(frags)}) {
-			t.Errorf("slot %d: counts %+v shared %+v, want %+v over %d shared fragments", i, o.St, o.Shared, want, frags)
+		if o.St != want || o.DeltaRows != deltaRows || o.Shared != (SharedScanStats{Batched: 2, FragmentsShared: int(frags)}) {
+			t.Errorf("slot %d: counts %+v, %d delta rows, shared %+v, want %+v and %d over %d shared fragments", i, o.St, o.DeltaRows, o.Shared, want, deltaRows, frags)
 		}
 		if !reflect.DeepEqual(o.Part, out.Part) {
 			t.Errorf("slot %d: partial %+v, lone %+v", i, o.Part, out.Part)

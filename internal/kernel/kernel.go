@@ -61,7 +61,8 @@ func (a *Aggregate) AddRow(unitsSold, dollarSales, cost int64) {
 
 // Stats reports the work a query execution performed — used to assert the
 // paper's confinement claims, not just result correctness. The in-memory
-// engine aliases it as engine.Stats.
+// engine aliases it as engine.Stats. The delta rows folded beside it are
+// counted once, in Out.DeltaRows.
 type Stats struct {
 	// FragmentsProcessed is the number of fragments visited.
 	FragmentsProcessed int
@@ -69,9 +70,6 @@ type Stats struct {
 	RowsScanned int64
 	// BitmapsRead is the number of bitmap(-fragment)s evaluated.
 	BitmapsRead int64
-	// DeltaRows is the number of appended (not yet compacted) rows
-	// aggregated from delta segments.
-	DeltaRows int64
 }
 
 // Add folds another execution's counters in.
@@ -79,18 +77,11 @@ func (s *Stats) Add(o Stats) {
 	s.FragmentsProcessed += o.FragmentsProcessed
 	s.RowsScanned += o.RowsScanned
 	s.BitmapsRead += o.BitmapsRead
-	s.DeltaRows += o.DeltaRows
 }
 
 // Plus returns the sum of the two executions' counters.
 func (s Stats) Plus(o Stats) Stats {
 	s.Add(o)
-	return s
-}
-
-// WithDeltaRows returns the counters credited with n delta rows.
-func (s Stats) WithDeltaRows(n int64) Stats {
-	s.DeltaRows += n
 	return s
 }
 

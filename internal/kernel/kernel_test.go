@@ -179,11 +179,11 @@ func TestFragPartialZeroGroupSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var o Out[Stats]
-	addTo(&o, gr, &Slot{Base: 3}, Stats{}, SharedScanStats{})
+	addTo(&o, gr, &Slot{Base: 3}, Stats{}, 0, SharedScanStats{})
 	if len(o.g.m) != 0 {
 		t.Fatalf("zero-count slot created %d groups", len(o.g.m))
 	}
-	addTo(&o, gr, &Slot{Base: 3, Agg: Aggregate{Count: 2, UnitsSold: 5}}, Stats{}, SharedScanStats{})
+	addTo(&o, gr, &Slot{Base: 3, Agg: Aggregate{Count: 2, UnitsSold: 5}}, Stats{}, 0, SharedScanStats{})
 	if len(o.g.m) != 1 || o.Part.Agg.Count != 2 {
 		t.Fatalf("non-empty slot not merged: groups=%d total=%+v", len(o.g.m), o.Part.Agg)
 	}

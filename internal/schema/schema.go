@@ -210,20 +210,3 @@ func (s *Star) FactTuplesPerPage() int {
 	}
 	return s.PageSize / s.TupleSize
 }
-
-// FactPages returns the total number of fact table pages.
-func (s *Star) FactPages() int64 {
-	tpp := int64(s.FactTuplesPerPage())
-	return (s.N() + tpp - 1) / tpp
-}
-
-// BitmapBytes returns the (uncompressed) size in bytes of one full bitmap
-// over the fact table: one bit per fact row.
-func (s *Star) BitmapBytes() int64 {
-	return (s.N() + 7) / 8
-}
-
-// BitmapPages returns the number of pages occupied by one full bitmap.
-func (s *Star) BitmapPages() int64 {
-	return (s.BitmapBytes() + int64(s.PageSize) - 1) / int64(s.PageSize)
-}

@@ -50,7 +50,7 @@ func TestAPB1FactCount(t *testing.T) {
 func TestAPB1BitmapSize(t *testing.T) {
 	s := APB1()
 	// The paper states each bitmap occupies 223 MB (Section 4.4).
-	mb := float64(s.BitmapBytes()) / (1 << 20)
+	mb := float64((s.N()+7)/8) / (1 << 20) // one bit per fact row
 	if mb < 220 || mb > 225 {
 		t.Fatalf("bitmap size = %.1f MB, want ~223 MB", mb)
 	}
@@ -179,10 +179,9 @@ func TestDimIndexLookups(t *testing.T) {
 
 func TestFactPagesAndBytes(t *testing.T) {
 	s := APB1()
-	pages := s.FactPages()
 	// 1,866,240,000 / 200 = 9,331,200 pages.
-	if pages != 9_331_200 {
-		t.Fatalf("FactPages = %d, want 9,331,200", pages)
+	if n, tpp := s.N(), int64(s.FactTuplesPerPage()); n != 1_866_240_000 || n%tpp != 0 || n/tpp != 9_331_200 {
+		t.Fatalf("%d rows at %d a page, want 9,331,200 full pages", n, tpp)
 	}
 	// Default tuples-per-page when not pinned.
 	s.TuplesPerPage = 0

@@ -69,12 +69,3 @@ func (b *lruBuffer) insert(k bufferKey, pages int) {
 	b.entries[k] = b.order.PushFront(&bufferEntry{key: k, pages: pages})
 	b.used += pages
 }
-
-// hitRate returns the fraction of lookups served from the buffer.
-func (b *lruBuffer) hitRate() float64 {
-	total := b.hits + b.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(total)
-}

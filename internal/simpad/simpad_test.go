@@ -435,7 +435,7 @@ func TestLRUBuffer(t *testing.T) {
 	if b.lookup(bufferKey{frag: 4}) {
 		t.Error("oversized granule cached")
 	}
-	if hr := b.hitRate(); hr <= 0 || hr >= 1 {
+	if hr := combinedHitRate(b); hr <= 0 || hr >= 1 {
 		t.Errorf("hit rate = %g", hr)
 	}
 }

@@ -327,9 +327,6 @@ func (bf *BitmapFile) NumBitmaps() int { return bf.ix.NumBitmaps() }
 // Descs returns the stored bitmap enumeration.
 func (bf *BitmapFile) Descs() []BitmapDesc { return bf.ix.Descs() }
 
-// Compressed reports whether the file stores WAH-compressed fragments.
-func (bf *BitmapFile) Compressed() bool { return bf.compressed }
-
 // unitSet is the units a worker has read for the one fragment it is
 // processing: every operand of the query's plan decodes out of the held
 // unit's pages, so a unit is read once however many operands it holds.

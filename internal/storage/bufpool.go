@@ -119,14 +119,6 @@ type PoolStats struct {
 	Entries int
 }
 
-// HitRate returns Hits/(Hits+Misses), 0 when nothing was looked up.
-func (st PoolStats) HitRate() float64 {
-	if n := st.Hits + st.Misses; n > 0 {
-		return float64(st.Hits) / float64(n)
-	}
-	return 0
-}
-
 // poolShards is the fixed shard count. Small enough that tiny test
 // budgets still give each shard useful room, large enough to spread the
 // worker fan-out.

@@ -47,7 +47,7 @@ func buildBoth(t testing.TB) (*schema.Star, *data.Table, *Store, *BitmapFile, *B
 		storeComp.Close()
 		comp.Close()
 	})
-	if !comp.Compressed() || plain.Compressed() {
+	if !comp.compressed || plain.compressed {
 		t.Fatal("Compressed flags wrong")
 	}
 	return s, tab, storeComp, plain, comp

@@ -61,7 +61,8 @@ type diskQueue struct {
 }
 
 // DiskStats is one disk's access counters — the observable per-disk load
-// used to measure allocation balance, plus its resilience counters.
+// used to measure allocation balance — and its fault counters, which
+// DiskSet.Sum adds up into the warehouse's ServingStats.Faults.
 type DiskStats struct {
 	IOs   int64
 	Pages int64
@@ -70,14 +71,20 @@ type DiskStats struct {
 	// them to). IOs/Pages stay purely physical.
 	PoolHits  int64
 	PoolPages int64
-	// Retries counts re-read attempts after failed reads, BreakerTrips the
-	// times this disk's circuit breaker opened, ChecksumFailures the pages
-	// whose CRC32C did not match, and InjectedFaults the faults the active
-	// FaultPlan injected.
-	Retries          int64
-	BreakerTrips     int64
+	FaultStats
+}
+
+// FaultStats is a disk's fault-tolerance counters, or their sum over a
+// disk set.
+type FaultStats struct {
+	// InjectedFaults counts faults the active FaultPlan injected.
+	InjectedFaults int64
+	// Retries counts re-read attempts after failed or corrupt reads.
+	Retries int64
+	// ChecksumFailures counts pages whose CRC32C did not match.
 	ChecksumFailures int64
-	InjectedFaults   int64
+	// BreakerTrips counts circuit-breaker openings.
+	BreakerTrips int64
 }
 
 // NewDiskSet builds a set of d idle virtual disks (d >= 1).
@@ -125,14 +132,16 @@ func (ds *DiskSet) Sum() (t DiskStats) {
 // stats snapshots the disk's counters.
 func (q *diskQueue) stats() DiskStats {
 	return DiskStats{
-		IOs:              q.ios.Load(),
-		Pages:            q.pages.Load(),
-		PoolHits:         q.poolHits.Load(),
-		PoolPages:        q.poolPages.Load(),
-		Retries:          q.retries.Load(),
-		BreakerTrips:     q.trips.Load(),
-		ChecksumFailures: q.checksumFails.Load(),
-		InjectedFaults:   q.injected.Load(),
+		IOs:       q.ios.Load(),
+		Pages:     q.pages.Load(),
+		PoolHits:  q.poolHits.Load(),
+		PoolPages: q.poolPages.Load(),
+		FaultStats: FaultStats{
+			InjectedFaults:   q.injected.Load(),
+			Retries:          q.retries.Load(),
+			ChecksumFailures: q.checksumFails.Load(),
+			BreakerTrips:     q.trips.Load(),
+		},
 	}
 }
 

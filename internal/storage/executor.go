@@ -12,7 +12,8 @@ import (
 )
 
 // IOStats counts the physical I/O a query execution performed — the
-// observable counterpart of the paper's analytical Table 3.
+// observable counterpart of the paper's analytical Table 3. The delta
+// rows, which cost no I/O, are counted once, in kernel.Out.DeltaRows.
 type IOStats struct {
 	FactPages int64
 	FactIOs   int64
@@ -22,9 +23,6 @@ type IOStats struct {
 	BitmapPages int64
 	BitmapIOs   int64
 	RowsRead    int64
-	// DeltaRows counts appended (not yet compacted) rows aggregated from
-	// in-memory delta segments — rows served without any physical I/O.
-	DeltaRows int64
 	// PoolHits/PoolMisses/PoolBytes record how the buffer pool served the
 	// logical reads above: hits cost no physical I/O (the Fact*/Bitmap*
 	// counters stay logical — what the query asked for — while the DiskSet
@@ -42,7 +40,6 @@ func (st *IOStats) Add(o IOStats) {
 	st.BitmapPages += o.BitmapPages
 	st.BitmapIOs += o.BitmapIOs
 	st.RowsRead += o.RowsRead
-	st.DeltaRows += o.DeltaRows
 	st.PoolHits += o.PoolHits
 	st.PoolMisses += o.PoolMisses
 	st.PoolBytes += o.PoolBytes
@@ -63,12 +60,6 @@ func (st *IOStats) notePool(hit bool, n int) {
 	} else {
 		st.PoolMisses++
 	}
-}
-
-// WithDeltaRows returns the counters credited with n delta rows.
-func (st IOStats) WithDeltaRows(n int64) IOStats {
-	st.DeltaRows += n
-	return st
 }
 
 // Aggregate is the star query result over the stored measures — the
@@ -261,7 +252,7 @@ func (e *Executor) selectInto(ctx context.Context, plan []frag.BitmapOp, mask *b
 // fragment-aligned fast path the group key comes from the fragment id,
 // so grouping adds no per-row work and — because the stored tuples carry
 // the dimension keys — never any extra I/O. Delta rows cost no physical
-// I/O; they are reported in IOStats.DeltaRows. A batch-wide failure (an
+// I/O; they are reported in Out.DeltaRows. A batch-wide failure (an
 // I/O error, cancellation) fails the whole call, so every caller can
 // retry alone.
 func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Outs[IOStats], error) {
@@ -303,11 +294,6 @@ func (p bitmapPlans) at(i int) []frag.BitmapOp {
 		return p.first
 	}
 	return p.rest[i-1]
-}
-
-// ExecuteSharedDeltas is Shared with every member's rows flattened.
-func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) ([]kernel.SharedResult[IOStats], error) {
-	return kernel.Flatten(e.Shared(ctx, qs, deltas, own))
 }
 
 // fold returns the fragment task over the batch's bitmap plans, steps

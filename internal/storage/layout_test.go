@@ -418,8 +418,8 @@ func TestSubPageOneBitmapIOPerSubquery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := be.Bitmaps.totalPages(); got != int64(be.Store.NumFragments()) {
-				t.Errorf("%s: %d bitmap pages for %d fragments, want one unit each", name, got, be.Store.NumFragments())
+			if got := be.Bitmaps.totalPages(); got != int64(len(be.Store.Fragments())) {
+				t.Errorf("%s: %d bitmap pages for %d fragments, want one unit each", name, got, len(be.Store.Fragments()))
 			}
 			solo := make([]IOStats, len(queries))
 			routed := 0
@@ -478,7 +478,7 @@ func TestSubPageOneBitmapIOPerSubquery(t *testing.T) {
 					soloUnits += solo[(5*i)%len(queries)].BitmapIOs
 				}
 				be.Disks.ResetStats()
-				out, err := be.Exec.ExecuteSharedDeltas(ctx, batch, kernel.Deltas{}, nil)
+				out, err := kernel.Flatten(be.Exec.Shared(ctx, batch, kernel.Deltas{}, nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -97,6 +97,7 @@ func TestExecutorRegimeMatrix(t *testing.T) {
 				for _, pooled := range []bool{false, true} {
 					name := fmt.Sprintf("compress=%v/%s/prefetch=%d/pool=%v", compress, dl.name, prefetch, pooled)
 					var first []IOStats // per query, from the first grouping variant
+					var firstDelta []int64
 					for _, gb := range regimeGroupBys {
 						var pool *BufPool
 						if pooled {
@@ -110,17 +111,17 @@ func TestExecutorRegimeMatrix(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							got, st, err := be.Exec.ExecuteGroupedDeltas(ctx, q, dl.deltas)
+							o, err := kernel.Lone(be.Exec.Shared(ctx, []frag.Query{q}, dl.deltas, nil))
 							if err != nil {
 								t.Fatalf("%s %q: %v", name, qt+gb, err)
 							}
-							if !reflect.DeepEqual(got, want[qt+gb]) {
+							if !reflect.DeepEqual(o.Gr.Result(o.Part), want[qt+gb]) {
 								t.Errorf("%s %q: result differs from the scan oracle", name, qt+gb)
 							}
 							if len(first) <= i {
-								first = append(first, st)
-							} else if st != first[i] {
-								t.Errorf("%s %q: IOStats %+v, first variant %+v", name, qt+gb, st, first[i])
+								first, firstDelta = append(first, o.St), append(firstDelta, o.DeltaRows)
+							} else if o.St != first[i] || o.DeltaRows != firstDelta[i] {
+								t.Errorf("%s %q: IOStats %+v and %d delta rows, first variant %+v and %d", name, qt+gb, o.St, o.DeltaRows, first[i], firstDelta[i])
 							}
 						}
 						if n := pinnedEntries(pool); n != 0 {
@@ -128,15 +129,17 @@ func TestExecutorRegimeMatrix(t *testing.T) {
 						}
 					}
 					var sum IOStats
-					for _, st := range first {
+					var deltaRows, wantDelta int64
+					for i, st := range first {
 						sum.Add(st)
+						deltaRows += firstDelta[i]
 					}
 					want := regimePinned[fmt.Sprintf("prefetch=%d/pool=%v", prefetch, pooled)]
 					if !dl.deltas.Empty() {
-						want.DeltaRows = regimeDeltaRows
+						wantDelta = regimeDeltaRows
 					}
-					if sum != want {
-						t.Errorf("%s: IOStats %+v, pinned %+v", name, sum, want)
+					if sum != want || deltaRows != wantDelta {
+						t.Errorf("%s: IOStats %+v and %d delta rows, pinned %+v and %d", name, sum, deltaRows, want, wantDelta)
 					}
 				}
 			}

@@ -62,7 +62,7 @@ func tailDeltas(t *testing.T, spec *frag.Spec, icfg frag.IndexConfig, tab *data.
 	return kernel.Deltas{Ix: ix, Set: set}
 }
 
-// TestSharedEqualsSolo: every slot of an ExecuteSharedDeltas batch —
+// TestSharedEqualsSolo: every slot of a flattened Shared batch —
 // result, partial and logical I/O statistics — is byte-identical to the
 // same query's batch of one through ExecuteGroupedDeltas / Shared on the
 // same scheduler, and its result to the ScanGrouped oracle over every
@@ -113,7 +113,7 @@ func TestSharedEqualsSolo(t *testing.T) {
 							if k >= 2 {
 								batch[1] = invalid
 							}
-							out, err := e.ExecuteSharedDeltas(ctx, batch, deltas, own)
+							out, err := kernel.Flatten(e.Shared(ctx, batch, deltas, own))
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}

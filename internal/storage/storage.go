@@ -325,9 +325,6 @@ func (s *Store) encodeMeta(b []byte) []byte {
 	return b
 }
 
-// NumFragments returns the number of non-empty fragments stored.
-func (s *Store) NumFragments() int { return len(s.order) }
-
 // Fragments returns the stored fragment ids in allocation order.
 func (s *Store) Fragments() []int64 { return s.order }
 

@@ -201,8 +201,8 @@ func TestOpenReloadsDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.NumFragments() != len(frags) {
-		t.Fatalf("reopened fragments = %d, want %d", re.NumFragments(), len(frags))
+	if len(re.Fragments()) != len(frags) {
+		t.Fatalf("reopened fragments = %d, want %d", len(re.Fragments()), len(frags))
 	}
 	total := 0
 	for _, id := range re.Fragments() {

@@ -226,6 +226,10 @@ type (
 	DiskSet = storage.DiskSet
 	// DiskStats is one disk's access counters.
 	DiskStats = storage.DiskStats
+	// FaultStats is the warehouse-wide fault-tolerance accounting: the
+	// sum of every disk's fault counters since the epoch's disk set was
+	// installed.
+	FaultStats = storage.FaultStats
 	// DiskParams configures the per-disk queue response model.
 	DiskParams = cost.DiskParams
 	// ResponseEstimate is a modelled query response under a placement.

@@ -70,7 +70,8 @@ type Stats struct {
 	// segments sealed by then, regardless of concurrent compactions.
 	Epoch int64
 	// DeltaRows is the number of appended (not yet compacted) rows folded
-	// into the result, on any backend.
+	// into the result, on any backend: the kernel driver's one count
+	// (kernel.Out.DeltaRows), which Engine and IO do not repeat.
 	DeltaRows int64
 	// CacheHit reports that the result was served from the warehouse's
 	// result cache (WithResultCache) without touching the backend; Shared

@@ -38,17 +38,14 @@ import (
 //
 // All fields are guarded by the store's state lock (epoch.Store.Lock).
 type resCache struct {
-	cap     int
 	entries map[string]*resEntry
 	head    *resEntry // most recently used
 	tail    *resEntry
 	pending map[string]*resPending
 
-	hits          int64
-	misses        int64
-	shared        int64
-	invalidations int64
-	rekeys        int64
+	// st counts the lookups and holds the capacity; a snapshot adds
+	// Entries and Pool.
+	st CacheStats
 }
 
 // resEntry is one cached query result.
@@ -85,9 +82,9 @@ type resPending struct {
 
 func newResCache(capacity int) *resCache {
 	return &resCache{
-		cap:     capacity,
 		entries: make(map[string]*resEntry, capacity),
 		pending: make(map[string]*resPending),
+		st:      CacheStats{Capacity: capacity},
 	}
 }
 
@@ -144,13 +141,13 @@ func (c *resCache) get(text string, epoch int64, maxSeq uint64) *resEntry {
 // re-keyed) state, evicting the least recently used entry when at
 // capacity (state lock held).
 func (c *resCache) put(text string, epoch int64, maxSeq uint64, region frag.Region, res Result, deltaRows int64) {
-	if c.cap < 1 {
+	if c.st.Capacity < 1 {
 		return
 	}
 	if old := c.entries[text]; old != nil {
 		c.remove(old)
 	}
-	for len(c.entries) >= c.cap {
+	for len(c.entries) >= c.st.Capacity {
 		c.remove(c.tail)
 	}
 	e := &resEntry{text: text, epoch: epoch, maxSeq: maxSeq, region: region, res: res, deltaRows: deltaRows}
@@ -172,10 +169,10 @@ func (c *resCache) invalidate(spec *frag.Spec, touched []int64, newSeq uint64) {
 		next := e.next
 		if regionTouches(e.region, coords) {
 			c.remove(e)
-			c.invalidations++
+			c.st.Invalidations++
 		} else {
 			e.maxSeq = newSeq
-			c.rekeys++
+			c.st.Rekeys++
 		}
 		e = next
 	}
@@ -185,7 +182,7 @@ func (c *resCache) invalidate(spec *frag.Spec, touched []int64, newSeq uint64) {
 		}
 		if regionTouches(pd.region, coords) {
 			pd.poisoned = true
-			c.invalidations++
+			c.st.Invalidations++
 		} else {
 			pd.maxSeq = newSeq
 		}
@@ -198,7 +195,7 @@ func (c *resCache) invalidate(spec *frag.Spec, touched []int64, newSeq uint64) {
 func (c *resCache) rekeyAll(epoch int64, maxSeq uint64) {
 	for e := c.head; e != nil; e = e.next {
 		e.epoch, e.maxSeq = epoch, maxSeq
-		c.rekeys++
+		c.st.Rekeys++
 	}
 	for _, pd := range c.pending {
 		if pd.poisoned {
@@ -290,7 +287,7 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 	seq := snap.Deltas.MaxSeq()
 	c := w.rcache
 	if e := c.get(text, snap.Epoch, seq); e != nil {
-		c.hits++
+		c.st.Hits++
 		res := copyResult(e.res)
 		deltaRows := e.deltaRows
 		w.store.Unlock()
@@ -301,7 +298,7 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 		st.Wall = time.Since(start)
 		return res, st, nil
 	}
-	c.misses++
+	c.st.Misses++
 	if pd := c.pending[text]; pd != nil && pd.epoch == snap.Epoch && pd.maxSeq == seq && !pd.poisoned {
 		w.store.Unlock()
 		defer w.store.Unpin(snap.B)
@@ -312,7 +309,7 @@ func (p *PreparedQuery) executeCached(ctx context.Context) (Result, Stats, error
 		}
 		if pd.ok {
 			w.store.Lock()
-			c.shared++
+			c.st.Shared++
 			w.store.Unlock()
 			st := w.baseStats(snap)
 			st.Shared = true

@@ -135,8 +135,8 @@ func TestResCacheInvalidateFragmentGranular(t *testing.T) {
 	if c.get(m2, 0, 5) != nil {
 		t.Fatal("untouched entry still valid under the old MaxSeq")
 	}
-	if c.invalidations != 2 || c.rekeys == 0 {
-		t.Fatalf("counters: invalidations %d (want 2), rekeys %d (want >0)", c.invalidations, c.rekeys)
+	if c.st.Invalidations != 2 || c.st.Rekeys == 0 {
+		t.Fatalf("counters: invalidations %d (want 2), rekeys %d (want >0)", c.st.Invalidations, c.st.Rekeys)
 	}
 }
 

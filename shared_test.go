@@ -37,21 +37,23 @@ func sharedScanQueries(t testing.TB, star *Star) []Query {
 
 // runSharedRound fires K concurrent executions of qs (round-robin) at
 // the warehouse through one start barrier, checking every result and
-// every logical stat against the solo oracle.
-func runSharedRound(t *testing.T, ctx context.Context, w *Warehouse, qs []Query, want []Result, wantSt []Stats, k int) {
+// every logical stat against the solo oracle. It returns each
+// execution's shared-scan report.
+func runSharedRound(t *testing.T, ctx context.Context, w *Warehouse, qs []Query, want []Result, wantSt []Stats, k int) []SharedScanStats {
 	t.Helper()
-	runSharedRoundOpt(t, ctx, w, qs, want, wantSt, k, true)
+	return runSharedRoundOpt(t, ctx, w, qs, want, wantSt, k, true)
 }
 
 // runSharedRoundOpt is runSharedRound with stat checking optional: a
 // round racing a compaction still gets byte-identical results from its
 // pinned snapshot, but its I/O counters legitimately differ (delta rows
 // are served from memory until the swap).
-func runSharedRoundOpt(t *testing.T, ctx context.Context, w *Warehouse, qs []Query, want []Result, wantSt []Stats, k int, checkStats bool) {
+func runSharedRoundOpt(t *testing.T, ctx context.Context, w *Warehouse, qs []Query, want []Result, wantSt []Stats, k int, checkStats bool) []SharedScanStats {
 	t.Helper()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make([]error, k)
+	scans := make([]SharedScanStats, k)
 	for g := 0; g < k; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -63,6 +65,7 @@ func runSharedRoundOpt(t *testing.T, ctx context.Context, w *Warehouse, qs []Que
 				errs[g] = err
 				return
 			}
+			scans[g] = st.SharedScan
 			if !reflect.DeepEqual(res, want[qi]) {
 				errs[g] = fmt.Errorf("query %d: shared result diverged from solo:\n got %+v\nwant %+v", qi, res, want[qi])
 				return
@@ -91,6 +94,32 @@ func runSharedRoundOpt(t *testing.T, ctx context.Context, w *Warehouse, qs []Que
 			t.Fatal(err)
 		}
 	}
+	return scans
+}
+
+// tallyShared derives the store-wide shared-scan counters from the
+// executions' own reports: a batch of b members reports b times, a solo
+// window once, and a fallback nothing.
+func tallyShared(scans []SharedScanStats) SharedServingStats {
+	var st SharedServingStats
+	members := map[int]int64{} // batch size → executions reporting it
+	for _, sc := range scans {
+		switch {
+		case sc.Batched == 0:
+			st.Fallbacks++
+		case sc.Batched == 1:
+			st.SoloWindows++
+		default:
+			st.BatchedQueries++
+			members[sc.Batched]++
+		}
+		st.FragmentsShared += int64(sc.FragmentsShared)
+		st.PhysReadsSaved += sc.PhysReadsSaved
+	}
+	for b, n := range members {
+		st.Batches += n / int64(b)
+	}
+	return st
 }
 
 // soloOracle executes every query alone on the oracle warehouse and
@@ -145,11 +174,15 @@ func TestSharedScanEquivalence(t *testing.T) {
 			defer shared.Close()
 
 			want, wantSt := soloOracle(t, ctx, oracle, qs)
+			var scans []SharedScanStats
 			for _, k := range []int{2, 8, 32} {
-				runSharedRound(t, ctx, shared, qs, want, wantSt, k)
+				scans = append(scans, runSharedRound(t, ctx, shared, qs, want, wantSt, k)...)
 			}
 
 			st := shared.ServingStats()
+			if tally := tallyShared(scans); st.Shared != tally {
+				t.Fatalf("ServingStats.Shared %+v, the executions' own batch counts %+v", st.Shared, tally)
+			}
 			if st.Shared.Batches == 0 {
 				t.Fatalf("no multi-query batches formed: %+v", st.Shared)
 			}

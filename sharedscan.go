@@ -7,28 +7,6 @@ import (
 	"repro/internal/frag"
 )
 
-// SharedServingStats is the warehouse-wide shared-scan accounting
-// surfaced in ServingStats.Shared (zero without WithSharedScans).
-type SharedServingStats struct {
-	// Batches counts multi-query batches executed (size >= 2);
-	// BatchedQueries the executions they served. SoloWindows counts
-	// admission windows that closed with a single query (no batch-mate
-	// arrived).
-	Batches        int64
-	BatchedQueries int64
-	SoloWindows    int64
-	// FragmentsShared sums, over every batched query, the fragments whose
-	// scan task also served at least one batch-mate.
-	FragmentsShared int64
-	// PhysReadsSaved counts the physical reads (bitmap and fact-granule
-	// I/Os) batching eliminated: reads a query would have issued solo but
-	// instead consumed from a batch-mate's.
-	PhysReadsSaved int64
-	// Fallbacks counts batch-wide failures whose members re-executed solo
-	// (batching is only ever a performance effect).
-	Fallbacks int64
-}
-
 // observedQueryCap bounds the per-query-text mix map; executions beyond
 // it still count in the totals but are not individually recorded.
 const observedQueryCap = 512

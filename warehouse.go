@@ -258,52 +258,32 @@ func (w *Warehouse) Indexes() IndexConfig { return w.icfg }
 // Workers returns the size of the shared worker pool.
 func (w *Warehouse) Workers() int { return w.store.Sched.Workers() }
 
-// ServingStats is the warehouse-wide serving snapshot: the admission
-// scheduler's accounting plus the epoch/ingestion counters of the
-// append path.
+// ServingStats is the warehouse-wide serving snapshot. Each part is the
+// struct its counters are kept in where they are counted: the admission
+// scheduler's (SchedStats), the epoch store's ingestion counters
+// (epoch.Counters: Epoch, DeltaSegments, DeltaRows, Appends, AppendedRows,
+// Compactions, CompactedRows), the result cache's with the buffer pool's
+// (Cache), the disk set's fault counters (Faults) and the epoch store's
+// shared-scan counters (Shared).
 type ServingStats struct {
 	SchedStats
-	// Epoch is the current serving epoch (incremented by each compaction).
-	Epoch int64
-	// DeltaSegments and DeltaRows describe the live (not yet compacted)
-	// delta set queries currently merge with the base backend.
-	DeltaSegments int
-	DeltaRows     int64
-	// Appends and AppendedRows count Append calls and rows admitted since
-	// Open.
-	Appends      int64
-	AppendedRows int64
-	// Compactions and CompactedRows count completed compactions and the
-	// delta rows they folded into the base.
-	Compactions   int64
-	CompactedRows int64
+	epoch.Counters
 	// Cache snapshots the caching layer: result-cache hit/miss/shared and
 	// invalidation counters plus the buffer pool's counters. Zero when
 	// neither WithBufferPool nor WithResultCache was given.
 	Cache CacheStats
-	// Faults aggregates the fault-tolerance counters over the current
-	// epoch's disk set (see DiskStats for the per-disk breakdown). Zero
-	// without a disk set; Shed (load-shedding) lives in SchedStats.
+	// Faults sums the fault-tolerance counters over the current epoch's
+	// disk set (see DiskStats for the per-disk breakdown). Zero without a
+	// disk set; Shed (load-shedding) lives in SchedStats.
 	Faults FaultStats
-	// Shared is the shared-scan batching accounting (WithSharedScans):
-	// batches formed, physical reads saved, solo fallbacks. Zero when
-	// sharing is disabled.
+	// Shared is the shared-scan batching accounting (WithSharedScans).
+	// Zero when sharing is disabled.
 	Shared SharedServingStats
 }
 
-// FaultStats is the warehouse-wide fault-tolerance accounting: the sum of
-// every disk's injected faults, retried reads, checksum failures and
-// circuit-breaker trips since the epoch's disk set was installed.
-type FaultStats struct {
-	// InjectedFaults counts faults the active FaultPlan injected.
-	InjectedFaults int64
-	// Retries counts re-read attempts after failed or corrupt reads.
-	Retries int64
-	// ChecksumFailures counts pages whose CRC32C did not match.
-	ChecksumFailures int64
-	// BreakerTrips counts circuit-breaker openings across all disks.
-	BreakerTrips int64
-}
+// SharedServingStats is the warehouse-wide shared-scan accounting
+// surfaced in ServingStats.Shared (zero without WithSharedScans).
+type SharedServingStats = epoch.SharedStats
 
 // ServingStats snapshots the admission scheduler's accounting — queries
 // admitted and done, in-flight and peak concurrency, fragment tasks run
@@ -312,35 +292,18 @@ type FaultStats struct {
 // observed query mix, on a multi-node warehouse the one count of served
 // queries, is QueryMix.
 func (w *Warehouse) ServingStats() ServingStats {
-	c := w.store.Counters()
-	st := ServingStats{
-		SchedStats:    w.store.Sched.Stats(),
-		Epoch:         c.Epoch,
-		DeltaSegments: c.DeltaSegments,
-		DeltaRows:     c.DeltaRows,
-		Appends:       c.Appends,
-		AppendedRows:  c.AppendedRows,
-		Compactions:   c.Compactions,
-		CompactedRows: c.CompactedRows,
-		Shared:        SharedServingStats(w.store.SharedStats()),
-	}
+	st := ServingStats{SchedStats: w.store.Sched.Stats(), Counters: w.store.Counters(), Shared: w.store.SharedStats()}
 	if c := w.rcache; c != nil {
 		w.store.Lock()
-		st.Cache.Hits = c.hits
-		st.Cache.Misses = c.misses
-		st.Cache.Shared = c.shared
-		st.Cache.Invalidations = c.invalidations
-		st.Cache.Rekeys = c.rekeys
+		st.Cache = c.st
 		st.Cache.Entries = len(c.entries)
-		st.Cache.Capacity = c.cap
 		w.store.Unlock()
 	}
 	if pool := w.store.Pool; pool != nil {
 		st.Cache.Pool = pool.Stats()
 	}
 	if ds := w.DiskSet(); ds != nil {
-		d := ds.Sum()
-		st.Faults = FaultStats{InjectedFaults: d.InjectedFaults, Retries: d.Retries, ChecksumFailures: d.ChecksumFailures, BreakerTrips: d.BreakerTrips}
+		st.Faults = ds.Sum().FaultStats
 	}
 	return st
 }
