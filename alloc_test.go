@@ -4,58 +4,94 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"repro/internal/frag"
+	"repro/internal/kernel"
 )
 
-// TestExecuteAllocationFloor pins what one warm in-memory Execute
-// allocates: its answer and little else. A query of one fragment runs on
-// its caller, with no job, channel, partials array or fragment list; a
-// query of 16 fragments pays the pool's dispatch once, not per fragment.
-// The bounds are the measured values (416 B and 4 mallocs, 676 B and 10
-// mallocs on amd64, go1.24) plus about 25 %. When every call went through
-// the pool and listed its fragments, the same queries took 1,212 B and 24
-// mallocs, and 1,316 B and 21.
+// TestExecuteAllocationFloor pins what one warm Execute allocates: its
+// answer and nothing else. The call's dispatch — its batch plan, the
+// backend's fold binding, its partials and the pool job — is recycled with
+// the call's partial set, and an ungrouped answer allocates nothing, so a
+// query of one fragment, which runs on its caller, allocates nothing at
+// all, and one of 16 fragments only the copy of the pool's job snapshot
+// that publishing its job makes, an array and its slice header. On disk (the benchmark's
+// cpu_hot shape: four disks, no delay, a buffer pool holding every page)
+// a query allocates as it does in memory; a shared scan of four members
+// allocates its outcome list besides. The bounds are the measured values
+// (0 B and 0 mallocs; 48 B and 2 mallocs, in memory and on disk; 496 B
+// and 3 mallocs for the shared scan; amd64, go1.24) plus slack for the
+// pool's own goroutines, whose allocations the counters also see. When
+// the dispatch was allocated per call the same queries took 280 B in 4
+// mallocs and 688 B in 11, and before one-task calls ran on their
+// callers and plans stopped listing a lone query's fragments 1,212 B in
+// 24 and 1,316 B in 21.
 func TestExecuteAllocationFloor(t *testing.T) {
 	ctx := context.Background()
 	star := TinySchema()
-	w, err := Open(ctx, Config{Star: star, Fragmentation: "time::month, product::class", Table: MustGenerateData(star, 3)}, WithWorkers(2))
+	cfg := Config{Star: star, Fragmentation: "time::month, product::class", Table: MustGenerateData(star, 3)}
+	mem, err := Open(ctx, cfg, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	for _, tc := range []struct {
-		text           string
-		frags          int64
-		bytes, mallocs uint64
-	}{
-		{"time::month=1, product::class=2", 1, 520, 5},
-		{"customer::store=3", 16, 850, 13},
-	} {
-		p, err := w.QueryText(tc.text)
+	defer mem.Close()
+	disk, err := Open(ctx, cfg, WithOnDisk(t.TempDir()), WithDisks(4, RoundRobin), WithIODelay(0), WithBufferPool(64<<20), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	query := func(w *Warehouse, text string, frags int64) func() {
+		p, err := w.QueryText(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := w.spec.RelevantCount(p.Query()); n != tc.frags {
-			t.Fatalf("%s: %d fragments, want %d", tc.text, n, tc.frags)
+		if n := w.spec.RelevantCount(p.Query()); n != frags {
+			t.Fatalf("%s: %d fragments, want %d", text, n, frags)
 		}
-		run := func() {
+		return func() {
 			if _, _, err := p.Execute(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 10; i++ {
-			run()
+	}
+	var batch []frag.Query
+	for _, text := range []string{"customer::store=3", "time::month=1", "product::class=2", "time::quarter=1"} {
+		p, err := mem.QueryText(text)
+		if err != nil {
+			t.Fatal(err)
 		}
-		mallocs := testing.AllocsPerRun(100, run)
+		batch = append(batch, p.Query())
+	}
+	shared := func() {
+		outs, err := mem.store.Current().B.Engine.Shared(ctx, mem.store.Sched, batch, kernel.Deltas{}, nil)
+		if err != nil || outs.Len() != len(batch) {
+			t.Fatalf("shared scan: %d outcomes, %v", outs.Len(), err)
+		}
+	}
+	for _, tc := range []struct {
+		name           string
+		run            func()
+		bytes, mallocs uint64
+	}{
+		{"in memory, 1 fragment", query(mem, "time::month=1, product::class=2", 1), 64, 1},
+		{"in memory, 16 fragments", query(mem, "customer::store=3", 16), 200, 4},
+		{"on disk, 16 fragments", query(disk, "customer::store=3", 16), 200, 4},
+		{"in memory, a shared scan of 4", shared, 640, 4},
+	} {
+		for i := 0; i < 10; i++ {
+			tc.run()
+		}
+		mallocs := testing.AllocsPerRun(100, tc.run)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 100; i++ {
-			run()
+			tc.run()
 		}
 		runtime.ReadMemStats(&after)
 		bytes := (after.TotalAlloc - before.TotalAlloc) / 100
-		t.Logf("%s (%d fragments): %d bytes, %.0f mallocs per warm Execute", tc.text, tc.frags, bytes, mallocs)
+		t.Logf("%s: %d bytes, %.0f mallocs per warm call", tc.name, bytes, mallocs)
 		if bytes > tc.bytes || mallocs > float64(tc.mallocs) {
-			t.Errorf("%s: %d bytes and %.0f mallocs per warm Execute, want at most %d and %d", tc.text, bytes, mallocs, tc.bytes, tc.mallocs)
+			t.Errorf("%s: %d bytes and %.0f mallocs per warm call, want at most %d and %d", tc.name, bytes, mallocs, tc.bytes, tc.mallocs)
 		}
 	}
 }
@@ -117,8 +153,9 @@ func TestServingStatsPollIsFlat(t *testing.T) {
 // size-class slack, and the grouper the query derives. On disk
 // (1STORE, 1QUARTER; amd64, go1.24) the grouped queries took 7,684 B
 // and 6,636 B against about 1,060 B ungrouped when every call grew its
-// group maps from empty and snapshotted the disk counters; now about
-// 2,650 B against 740 B.
+// group maps from empty and snapshotted the disk counters, and about
+// 2,580 B against 710 B while the call's dispatch was allocated per
+// call; now about 1,910 B in 7 mallocs against 50 B in 2.
 func TestGroupedExecuteAllocatesItsRows(t *testing.T) {
 	const rowBytes = 160
 	ctx := context.Background()

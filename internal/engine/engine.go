@@ -236,34 +236,43 @@ func (sc *scratch) mask(k int) *bitmap.Bitset {
 // membership and fragment co-scanning (PhysReadsSaved stays 0).
 func (e *Engine) Shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Outs[Stats], error) {
 	d := kernel.Dispatch[*scratch]{Star: e.star, Spec: e.spec, Sched: s, Scratch: e.scratch}
-	return kernel.Shared(ctx, d, qs, deltas, own, func([]kernel.BatchQuery) (kernel.SharedFold[*scratch, Stats], error) {
-		return func(sc *scratch, id int64, batch []kernel.BatchQuery, ms []kernel.Member[Stats], slots []kernel.Slot) error {
-			f, ok := e.frags[id]
-			if !ok && !deltas.Has(id) {
-				return nil // fragment has no rows at this density
-			}
-			if ok {
-				shared := len(ms) >= 2
-				sc.evalMasks, sc.evalSlots = sc.evalMasks[:0], sc.evalSlots[:0]
-				for k := range ms {
-					var mask *bitmap.Bitset
-					if m := sc.mask(k); e.selectInto(f, batch[ms[k].Query].Preds, m, sc.sel, &ms[k].St) {
-						mask = m
-					}
-					sc.evalMasks, sc.evalSlots = append(sc.evalMasks, mask), append(sc.evalSlots, &slots[k])
-					if shared {
-						ms[k].Shared.FragmentsShared = 1
-					}
-				}
-				kernel.EvalMany(sc.evalSlots, sc.evalMasks, f.rows, f.cols, nil)
-			}
-			for k := range ms {
-				ms[k].St.RowsScanned += slots[k].Rows
-				ms[k].St.FragmentsProcessed = 1
-			}
-			return nil
-		}, nil
+	return kernel.Shared(ctx, d, qs, deltas, own, func(f *fold, _ []kernel.BatchQuery) error {
+		f.e, f.deltas = e, deltas
+		return nil
 	})
+}
+
+// fold is the engine's fold bound to one Shared call (kernel.SharedFold).
+type fold struct {
+	e      *Engine
+	deltas kernel.Deltas
+}
+
+func (f *fold) Fold(sc *scratch, id int64, batch []kernel.BatchQuery, ms []kernel.Member[Stats], slots []kernel.Slot) error {
+	fr, ok := f.e.frags[id]
+	if !ok && !f.deltas.Has(id) {
+		return nil // fragment has no rows at this density
+	}
+	if ok {
+		shared := len(ms) >= 2
+		sc.evalMasks, sc.evalSlots = sc.evalMasks[:0], sc.evalSlots[:0]
+		for k := range ms {
+			var mask *bitmap.Bitset
+			if m := sc.mask(k); f.e.selectInto(fr, batch[ms[k].Query].Preds, m, sc.sel, &ms[k].St) {
+				mask = m
+			}
+			sc.evalMasks, sc.evalSlots = append(sc.evalMasks, mask), append(sc.evalSlots, &slots[k])
+			if shared {
+				ms[k].Shared.FragmentsShared = 1
+			}
+		}
+		kernel.EvalMany(sc.evalSlots, sc.evalMasks, fr.rows, fr.cols, nil)
+	}
+	for k := range ms {
+		ms[k].St.RowsScanned += slots[k].Rows
+		ms[k].St.FragmentsProcessed = 1
+	}
+	return nil
 }
 
 // ExecuteSharedDeltas is Shared with every member's rows flattened.

@@ -3,25 +3,26 @@
 // in for the paper's Shared Disk processing nodes — and one dispatcher:
 // every execution publishes its independent tasks (typically one per MDHF
 // fragment) as one job in the scheduler's job list; the workers pull —
-// pick a job round-robin, claim its next task with an atomic add — and
-// the one that finishes a job's last task wakes the caller and yields to
-// it: a task costs one atomic claim, no allocation, goroutine switch or
-// slot of its own. A call of one task runs on its caller instead, in a
-// caller slot, with no job published and no worker woken.
+// pick a job round-robin, claim its next task with a compare-and-swap —
+// and the one that finishes a job's last task wakes the caller and yields
+// to it: a task costs one claim, no allocation, goroutine switch or slot
+// of its own. A call of one task runs on its caller instead, in a caller
+// slot, with no job published and no worker woken.
 //
-// Two entry points sit on the dispatcher and differ in the gather.
-// ReduceShardedOn is the paper's "aggregate locally, merge globally"
-// (Section 4.3): a worker folds the tasks it runs into a partial of its
-// own, with the scratch of its slot in the store's Scratch, and
-// the caller merges one partial per worker — identical results at any
-// pool size for merges that commute. The query drivers (internal/kernel)
-// run both backends' fragment tasks through it on the serving process's
-// one scheduler, placement-aware when the backend is declustered.
-// MapOn keeps a result slot per task and returns them in task order, for
-// results that do not commute; its scratch lives and dies with the call.
-// The two offline fan-outs, the cost advisor and the experiment harness,
-// use Map: MapOn on a scheduler owned by the call. The cluster
-// coordinator's scatter, which only waits on nodes, runs on no pool.
+// ReduceShardedOn is the dispatcher's one entry point, the paper's
+// "aggregate locally, merge globally" (Section 4.3): a worker folds the
+// tasks it runs into a partial of its own, with the scratch of its slot
+// in the store's Scratch, and the caller merges one partial per worker —
+// identical results at any pool size for merges that commute. A call's
+// partials, claim order, job and plan (Call) are recycled with the
+// Scratch, so a warm call allocates nothing to dispatch. The query
+// drivers (internal/kernel) run both backends' fragment tasks through it
+// on the serving process's one scheduler, placement-aware when the
+// backend is declustered. MapOn is a reduce with a result slot per task,
+// returned in task order, for results that do not commute; its scratch
+// lives and dies with the call. The two offline fan-outs, the cost
+// advisor and the experiment harness, use Map: MapOn on a scheduler owned
+// by the call. The cluster coordinator's scatter runs on no pool.
 package exec
 
 import (

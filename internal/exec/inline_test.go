@@ -28,7 +28,7 @@ func heldBy[S any](pool *Scratch[S], s *Scheduler) (workers, callers int) {
 // its scratch. onCaller reports that no job was published while the task
 // ran, as when it runs on its caller.
 func oneTask(ctx context.Context, s *Scheduler, pool *Scratch[*int], body func(sc *int) error) (onCaller bool, err error) {
-	_, err = ReduceShardedOn(ctx, s, 1, nil, 1, pool, func(sc *int, acc *int, i int) error {
+	_, err = reduceShardedOn(ctx, s, 1, nil, 1, pool, func(sc *int, acc *int, i int) error {
 		onCaller = len(*s.jobs.Load()) == 0
 		*acc = 1
 		return body(sc)
@@ -124,7 +124,7 @@ func TestOneTaskCallCancelled(t *testing.T) {
 	// Cancelled while it runs: the task completes, the call reports the
 	// cancellation and withholds the partial.
 	ctx, cancel = context.WithCancel(context.Background())
-	got, err := ReduceShardedOn(ctx, s, 1, nil, 1, NewScratch(newInt), func(_ *int, acc *int, _ int) error {
+	got, err := reduceShardedOn(ctx, s, 1, nil, 1, NewScratch(newInt), func(_ *int, acc *int, _ int) error {
 		*acc = 5
 		cancel()
 		return nil
@@ -257,7 +257,7 @@ func TestOneTaskCallersBeyondSlots(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for call := 0; call < 100; call++ {
-				got, err := ReduceShardedOn(context.Background(), s, 1, nil, 1, pool, func(sc *scratch, acc *int, _ int) error {
+				got, err := reduceShardedOn(context.Background(), s, 1, nil, 1, pool, func(sc *scratch, acc *int, _ int) error {
 					if !sc.inUse.CompareAndSwap(false, true) {
 						clashes.Add(1)
 					}

@@ -25,7 +25,7 @@ var ErrClosed = errors.New("exec: scheduler closed")
 // worker goroutines that concurrent query executions share. Each admitted
 // execution (one MapOn/ReduceShardedOn call) publishes one job in the
 // list of active jobs; a worker picks a job round-robin and claims its
-// next task with one atomic add, so M in-flight queries multiplex onto
+// next task with one compare-and-swap, so M in-flight queries multiplex onto
 // the same W workers — and, through the executors' disk-aware task
 // bodies, onto the same DiskSet — instead of each spawning a private
 // worker set. Tasks from different queries interleave at fragment
@@ -43,12 +43,13 @@ type Scheduler struct {
 	wg      sync.WaitGroup
 	callers atomic.Uint64 // bit c set: caller slot c is taken
 
-	// jobs is an immutable snapshot of the active jobs: workers read it
-	// without a lock; its two writers per call (publish, retire) copy it
-	// under mu. Idle workers wait on wake.
+	// jobs is an immutable snapshot of the active jobs' uses: workers
+	// read it without a lock; its two writers per call (publish, retire)
+	// copy it under mu — retire to the shared empty one when it removes
+	// the last. Idle workers wait on wake.
 	mu     sync.Mutex
 	wake   *sync.Cond
-	jobs   atomic.Pointer[[]*job]
+	jobs   atomic.Pointer[[]jobUse]
 	closed atomic.Bool // written under mu
 
 	admitted atomic.Int64
@@ -87,7 +88,7 @@ type SchedStats struct {
 func NewScheduler(workers int) *Scheduler {
 	s := &Scheduler{workers: Workers(workers)}
 	s.wake = sync.NewCond(&s.mu)
-	s.jobs.Store(new([]*job))
+	s.jobs.Store(&noJobs)
 	for w := 0; w < s.workers; w++ {
 		s.wg.Add(1)
 		go s.work(w)
@@ -95,16 +96,19 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// job is one call on the pool: n positions, claimed one at a time
-// through next and counted in done; position k is task order[k] (k
-// itself when order is nil), which run(w, i) runs on worker w; fin is
-// closed by the worker that finishes the last of them.
+var noJobs []jobUse // the empty snapshot; nothing ever writes to it
+
+// job is a call's task set on the pool, reused with the call (Call). Each
+// use is a generation, held in claim's high half beside the use's next
+// position (jobUse.claim). Position k is task order[k] (k itself when
+// order is nil), which run.run(w, i) runs on worker w; the worker that
+// finishes the last signals fin, a channel of capacity 1 made with the job.
 type job struct {
-	n          int64
-	next, done atomic.Int64
-	order      []int32
-	run        func(w, i int) error
-	fin        chan struct{}
+	claim atomic.Uint64
+	done  atomic.Int64
+	order []int32
+	run   runner
+	fin   chan struct{}
 
 	// cutoff is the lowest task index known to have failed: n while
 	// none has, -1 once ctx is cancelled. A claimed task runs only when
@@ -116,6 +120,36 @@ type job struct {
 	mu     sync.Mutex
 	failed int
 	err    error
+}
+
+// runner runs task i in scratch slot w (a caller slot's at workers+c).
+type runner interface{ run(w, i int) error }
+
+// jobUse is a use of a job as the snapshot lists it.
+type jobUse struct {
+	j   *job
+	gen uint32
+	n   int64
+}
+
+// begin readies j, idle, for a use of n positions.
+func (j *job) begin(n int, order []int32, r runner) jobUse {
+	j.order, j.run = order, r
+	j.done.Store(0)
+	j.cutoff.Store(int64(n))
+	j.failed, j.err = 0, nil
+	gen := uint32(j.claim.Load()>>32) + 1
+	j.claim.Store(uint64(gen) << 32) // last: a claim of this use sees every field above
+	return jobUse{j: j, gen: gen, n: int64(n)}
+}
+
+// claim claims the use's next position by a compare-and-swap that checks
+// its generation, so an entry of a stale snapshot never claims a position
+// of a later use: false once every position is claimed, or on a lost race.
+func (u jobUse) claim() (int64, bool) {
+	c := u.j.claim.Load()
+	k := int64(uint32(c))
+	return k, uint32(c>>32) == u.gen && k < u.n && u.j.claim.CompareAndSwap(c, c+1)
 }
 
 // runAt runs position k on worker w unless its task is past the cutoff.
@@ -134,13 +168,13 @@ func (j *job) runAt(w, k int) {
 
 // try runs task i on slot w. A panicking task must poison only its own
 // execution, never the shared pool: the panic is recovered into its error.
-func try(run func(w, i int) error, w, i int) (err error) {
+func try(r runner, w, i int) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: task %d panicked: %v", i, r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("exec: task %d panicked: %v", i, p)
 		}
 	}()
-	return run(w, i)
+	return r.run(w, i)
 }
 
 // stop lowers the cutoff to i — task i failed with err, or the call was
@@ -174,17 +208,17 @@ func (s *Scheduler) work(w int) {
 			s.mu.Unlock()
 			continue
 		}
-		j := jobs[rr%len(jobs)]
-		k := j.next.Add(1) - 1
-		if k >= j.n {
-			continue // fully claimed; its last claimant is retiring it
+		u := jobs[rr%len(jobs)]
+		k, ok := u.claim()
+		if !ok {
+			continue // fully claimed (its last claimant retiring it), reused since or lost to another claim
 		}
-		if k == j.n-1 {
-			s.retire(j)
+		if k == u.n-1 {
+			s.retire(u)
 		}
-		j.runAt(w, int(k))
-		if j.done.Add(1) == j.n {
-			close(j.fin)
+		u.j.runAt(w, int(k))
+		if u.j.done.Add(1) == u.n {
+			u.j.fin <- struct{}{}
 			// Pull workers never block while any job has work, so with
 			// a worker per processor the caller just made runnable would
 			// wait in a run queue for every other job to drain: yield.
@@ -193,32 +227,37 @@ func (s *Scheduler) work(w int) {
 	}
 }
 
-// publish adds j to the job snapshot and wakes up to one idle worker per
-// position; on a closed scheduler it publishes nothing.
-func (s *Scheduler) publish(j *job) error {
+// publish adds use u to the job snapshot and wakes up to one idle worker
+// per position; on a closed scheduler it publishes nothing.
+func (s *Scheduler) publish(u jobUse) error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
 	old := *s.jobs.Load()
-	jobs := append(old[:len(old):len(old)], j) // a copy: cap == len
+	jobs := append(old[:len(old):len(old)], u) // a copy: cap == len
 	s.jobs.Store(&jobs)
 	s.mu.Unlock()
-	for i := min(j.n, int64(s.workers)); i > 0; i-- {
+	for i := min(u.n, int64(s.workers)); i > 0; i-- {
 		s.wake.Signal()
 	}
 	return nil
 }
 
-// retire removes j from the job snapshot, every position of it claimed,
-// and counts its tasks — one add per job, skipped tasks included.
-func (s *Scheduler) retire(j *job) {
-	s.tasksRun.Add(j.n)
+// retire removes use u from the job snapshot, every position of it
+// claimed, and counts its tasks — one add per use, skipped tasks
+// included. The last use out leaves the shared empty snapshot.
+func (s *Scheduler) retire(u jobUse) {
+	s.tasksRun.Add(u.n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jobs := slices.DeleteFunc(slices.Clone(*s.jobs.Load()), func(o *job) bool { return o == j })
-	s.jobs.Store(&jobs)
+	next := &noJobs
+	if old := *s.jobs.Load(); len(old) > 1 {
+		jobs := slices.DeleteFunc(slices.Clone(old), func(o jobUse) bool { return o.j == u.j })
+		next = &jobs
+	}
+	s.jobs.Store(next)
 }
 
 // callerSlots bounds the one-task calls running on their callers at once.
@@ -228,10 +267,10 @@ func (s *Scheduler) retire(j *job) {
 const callerSlots = 8
 
 // inline runs a one-task call on its caller — no job, no wake-up, no
-// hand-back — in a free caller slot c, running run(c). With n != 1 or
-// every slot taken it does nothing (ran is false). Admission, ErrClosed,
-// cancellation, panics and TasksRun are the pool's.
-func inline(ctx context.Context, s *Scheduler, n int, run func(c int) error) (ran bool, err error) {
+// hand-back — in a free caller slot c, running r.run(workers+c, 0). With
+// n != 1 or every slot taken it does nothing (ran is false). Admission,
+// ErrClosed, cancellation, panics and TasksRun are the pool's.
+func inline(ctx context.Context, s *Scheduler, n int, r runner) (ran bool, err error) {
 	c := -1
 	for m := s.callers.Load(); n == 1 && c < 0 && m != 1<<callerSlots-1; m = s.callers.Load() {
 		if bit := ^m & (m + 1); s.callers.CompareAndSwap(m, m|bit) { // the lowest free slot
@@ -253,7 +292,7 @@ func inline(ctx context.Context, s *Scheduler, n int, run func(c int) error) (ra
 		err = ctx.Err()
 	default:
 		s.tasksRun.Add(1)
-		if err = try(func(c, _ int) error { return run(c) }, c, 0); err == nil {
+		if err = try(r, s.workers+c, 0); err == nil {
 			err = ctx.Err()
 		}
 	}
@@ -346,31 +385,28 @@ func (s *Scheduler) release() {
 // own call with an error naming the task; the pool and every other
 // execution on it are unaffected.
 func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func() S, fn func(sc S, i int) (T, error)) ([]T, error) {
-	var r T
-	if ran, err := inline(ctx, s, n, func(int) (err error) {
-		r, err = fn(newScratch(), 0)
-		return err
-	}); ran {
-		if err != nil {
-			return nil, err
-		}
-		return []T{r}, nil
-	}
-	// Storing result i in slot i commutes: a reduce whose per-worker
-	// partial is the worker's scratch for the call, with nothing to merge.
-	results := make([]T, max(n, 0))
-	ws := make([]worker[slot[S]], s.workers)
-	_, err := reduce(ctx, s, n, nil, ws, func(w, i int) (err error) {
-		own := &ws[w].acc
-		results[i], err = fn(own.take(newScratch), i)
-		own.ok = true
-		return err
-	}, func(_, _ *slot[S]) {})
-	if err != nil || n <= 0 {
+	// Storing result i in slot i commutes: a reduce with nothing to merge,
+	// on a scratch list of the call's own.
+	g := &gather[S, T]{results: make([]T, max(n, 0)), fn: fn}
+	if _, err := ReduceShardedOn(ctx, Take[struct{}, struct{}](NewScratch(newScratch), s), n, 1, g); err != nil || n <= 0 {
 		return nil, err
 	}
-	return results, nil
+	return g.results, nil
 }
+
+// gather is a MapOn call's body.
+type gather[S, T any] struct {
+	results []T
+	fn      func(sc S, i int) (T, error)
+}
+
+func (g *gather[S, T]) Task(sc S, _ *struct{}, i int) (err error) {
+	g.results[i], err = g.fn(sc, i)
+	return err
+}
+
+func (g *gather[S, T]) Merge(_, _ *struct{}) {}
+func (g *gather[S, T]) Shard(int) int        { return 0 }
 
 // Scratch is a store's worker scratch — the buffers its fragment tasks
 // reuse — in a slot per pool worker and per caller slot, each on a cache
@@ -382,7 +418,9 @@ func MapOn[S, T any](ctx context.Context, s *Scheduler, n int, newScratch func()
 // are dropped then), so no scratch is ever in two tasks. A scratch must
 // not keep the epoch it last served alive. Not a sync.Pool, which the
 // collector empties when it pleases: allocation per query must repeat.
-// The list also keeps finished calls' partial sets, emptied, for reuse.
+// The list also keeps finished calls' recycled state (Call) — a partial
+// per worker, the claim order, the pool job and the caller's own plan of
+// the call — emptied, for reuse: a warm call allocates none of it.
 type Scratch[S any] struct {
 	build func() S
 	mu    sync.Mutex
@@ -390,7 +428,7 @@ type Scratch[S any] struct {
 }
 
 // scratchSet is one scheduler's share of a list: slot w is pool worker
-// w's, slot workers+c caller slot c's; idle holds *partials[A] values.
+// w's, slot workers+c caller slot c's; idle holds *Call[S, A, C] values.
 type scratchSet[S any] struct {
 	slots []paddedSlot[S]
 	idle  []any
@@ -443,11 +481,30 @@ type worker[A any] struct {
 	ran bool // a task of the call ran here: acc is part of the result
 }
 
-// partials is a call's partial set: a partial per worker, the caller's
-// in the first on a call run inline, and the claim order buffer.
-type partials[A any] struct {
+// Tasks is a ReduceShardedOn call's body, a pointer into the call's State
+// so that a call binds no closure: Task folds task i into acc, the running
+// worker's partial, with its scratch; Merge adds a partial to acc.
+type Tasks[S, A any] interface {
+	Task(sc S, acc *A, i int) error
+	Merge(acc, part *A)
+	Shard(i int) int
+}
+
+// Call is one ReduceShardedOn call's recycled state, which the scratch
+// list keeps between calls: a partial per pool worker (the caller's in
+// the first on a call run inline), the claim order buffer, the pool job
+// and State, the caller's plan of the call, which Give empties with its
+// Reset when *C has one.
+type Call[S, A, C any] struct {
+	State C
+
+	l     *Scratch[S]
+	s     *Scheduler
+	set   *scratchSet[S]
 	ws    []worker[A]
 	order []int32
+	job   job
+	t     Tasks[S, A] // the running call's body
 }
 
 // Recycler is a partial that keeps its buffers in its call's partial set
@@ -459,26 +516,24 @@ type Recycler[A any] interface {
 	Reset()
 }
 
-// takePartials returns s's share of l and an idle partial set for a call
-// on s.
-func takePartials[S, A any](l *Scratch[S], s *Scheduler) (*scratchSet[S], *partials[A]) {
+// Take returns an idle call of l's share for s, or a new one.
+func Take[A, C, S any](l *Scratch[S], s *Scheduler) *Call[S, A, C] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	set := l.of(s)
 	if k := len(set.idle) - 1; k >= 0 {
-		if p, ok := set.idle[k].(*partials[A]); ok {
+		if c, ok := set.idle[k].(*Call[S, A, C]); ok {
 			set.idle = set.idle[:k]
-			return set, p
+			return c
 		}
 	}
-	return set, &partials[A]{ws: make([]worker[A], s.workers)}
+	return &Call[S, A, C]{l: l, s: s, set: set, ws: make([]worker[A], s.workers), job: job{fin: make(chan struct{}, 1)}}
 }
 
-// givePartials empties p's partials that ran, its call's merged value
-// sealed, and hands the set back for reuse.
-func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
-	for w := range p.ws {
-		if me := &p.ws[w]; me.ran {
+// Give empties the call and hands it back; no task of it may be running.
+func (c *Call[S, A, C]) Give() {
+	for w := range c.ws {
+		if me := &c.ws[w]; me.ran {
 			if r, ok := any(&me.acc).(Recycler[A]); ok {
 				r.Reset()
 			} else {
@@ -487,53 +542,66 @@ func givePartials[S, A any](l *Scratch[S], set *scratchSet[S], p *partials[A]) {
 			me.ran = false
 		}
 	}
-	l.mu.Lock()
-	set.idle = append(set.idle, p)
-	l.mu.Unlock()
+	if r, ok := any(&c.State).(interface{ Reset() }); ok {
+		r.Reset()
+	}
+	c.t = nil
+	c.l.mu.Lock()
+	c.set.idle = append(c.set.idle, c)
+	c.l.mu.Unlock()
 }
 
-// ReduceShardedOn runs fn(sc, acc, i) for every i in [0, n) on the
-// scheduler's pool and returns the merged partials — the reduce for
+// run runs task i in scratch slot w: pool worker w's, folded into its
+// partial, or a caller slot's, folded into the first.
+func (c *Call[S, A, C]) run(w, i int) error {
+	me, own := &c.ws[0], &c.set.slots[w].slot
+	if w < len(c.ws) {
+		me = &c.ws[w]
+	}
+	me.ran = true
+	err := c.t.Task(own.take(c.l.build), &me.acc, i)
+	own.ok = true
+	return err
+}
+
+// ReduceShardedOn runs t.Task(sc, acc, i) for every i in [0, n) on the
+// pool of c's scheduler and returns the merged partials — the reduce for
 // commutative merges, which costs nothing per task: each pool worker
 // folds the tasks it runs into its own partial (*acc, at first empty)
 // and the caller merges one partial per worker. Which tasks meet in
 // which partial depends on scheduling, so the result is identical at
-// every pool size, shard layout and admission mix exactly when fn's
-// folding and merge commute and associate, as sums and maxima per key
-// do; a merge that needs task order belongs on MapOn. The partials are
-// a set the scratch list keeps from call to call: a Recycler keeps its
-// buffers there, sealed before the set goes back. A task uses the
-// scratch of its worker's slot in the backend's list, with or without an
-// error — except one it panicked on, whose state nobody knows: that one
-// is dropped and the worker builds another. A call of one task runs on
-// its caller, with the scratch of its caller slot, when one is free.
+// every pool size, shard layout and admission mix exactly when the
+// folding and t.Merge commute and associate, as sums and maxima per key
+// do; a merge that needs task order belongs on MapOn. The partials, the
+// claim order and the job are c's, which its scratch list keeps from
+// call to call: a Recycler keeps its buffers there, sealed before c goes
+// back. A task uses the scratch of its worker's slot in the list, with
+// or without an error — except one it panicked on, whose state nobody
+// knows: that one is dropped and the worker builds another. A call of
+// one task runs on its caller, with the scratch of its caller slot, when
+// one is free.
 //
 // With shards > 1 the tasks are claimed round-robin across their shards
-// (typically the disk of each task's fragment, taken modulo shards), so
-// the first tasks running spread over distinct disks instead of
-// convoying on one queue. Admission, interleaving, the lowest failing
+// (t.Shard, typically the disk of each task's fragment, taken modulo
+// shards), so the first tasks running spread over distinct disks instead
+// of convoying on one queue. Admission, interleaving, the lowest failing
 // index winning, cancellation and panics are MapOn's; on an error the
 // partials are withheld and A's zero value is returned.
-func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int,
-	scratch *Scratch[S], fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
-	set, ps := takePartials[S, A](scratch, s)
-	defer givePartials(scratch, set, ps)
-	ran, err := inline(ctx, s, n, func(c int) error {
-		me, own := &ps.ws[0], &set.slots[s.workers+c].slot
-		me.ran = true
-		err := fn(own.take(scratch.build), &me.acc, 0)
-		own.ok = true
-		return err
-	})
-	acc := &ps.ws[0].acc
-	if !ran {
-		acc, err = reduce(ctx, s, n, shardOrder(&ps.order, n, shardOf, shards), ps.ws, func(w, i int) error {
-			me, own := &ps.ws[w], &set.slots[w].slot
-			me.ran = true
-			err := fn(own.take(scratch.build), &me.acc, i)
-			own.ok = true
-			return err
-		}, merge)
+func ReduceShardedOn[S, A, C any](ctx context.Context, c *Call[S, A, C], n, shards int, t Tasks[S, A]) (A, error) {
+	c.t = t
+	ran, err := inline(ctx, c.s, n, c)
+	if !ran && n > 0 {
+		err = c.dispatch(ctx, n, shards)
+	} else if !ran {
+		err = ctx.Err()
+	}
+	var acc *A
+	for w := 0; err == nil && w < len(c.ws); w++ {
+		if me := &c.ws[w]; me.ran && acc == nil {
+			acc = &me.acc
+		} else if me.ran {
+			t.Merge(acc, &me.acc)
+		}
 	}
 	if err != nil || acc == nil {
 		return *new(A), err
@@ -544,23 +612,16 @@ func ReduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf
 	return *acc, nil
 }
 
-// reduce runs the call whose task i run runs on worker w, claimed in
-// order (task order when nil), and merges the partials ws of the workers
-// that ran one into the first of them, which it returns (nil: none, or
-// an error).
-func reduce[A any](ctx context.Context, s *Scheduler, n int, order []int32,
-	ws []worker[A], run func(w, i int) error, merge func(acc, part *A)) (*A, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
+// dispatch runs the call's n tasks on the pool, a use of its job, and
+// returns the call's error once no task of it runs.
+func (c *Call[S, A, C]) dispatch(ctx context.Context, n, shards int) error {
+	s, j := c.s, &c.job
 	if err := s.admit(); err != nil {
-		return nil, err
+		return err
 	}
 	defer s.release()
-	j := &job{n: int64(n), order: order, fin: make(chan struct{}), run: run}
-	j.cutoff.Store(int64(n))
-	if err := s.publish(j); err != nil {
-		return nil, err
+	if err := s.publish(j.begin(n, shardOrder(&c.order, n, c.t, shards), c)); err != nil {
+		return err
 	}
 	// Wait for the last claimed task also after a failure or a
 	// cancellation: nothing of the call runs once it has returned.
@@ -570,34 +631,20 @@ func reduce[A any](ctx context.Context, s *Scheduler, n int, order []int32,
 		j.stop(-1, nil)
 		<-j.fin
 	}
-	err := j.err
-	if err == nil {
-		err = ctx.Err()
+	if j.err != nil {
+		return j.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	var acc *A
-	for w := range ws {
-		if me := &ws[w]; !me.ran {
-			continue
-		} else if acc == nil {
-			acc = &me.acc
-		} else {
-			merge(acc, &me.acc)
-		}
-	}
-	return acc, nil
+	return ctx.Err()
 }
 
 // shardOrder returns the claim order that interleaves the shards' tasks
 // round-robin, each shard's in task order; nil when there is one shard.
 // It is built in *buf, which grows when it is too small.
-func shardOrder(buf *[]int32, n int, shardOf func(i int) int, shards int) []int32 {
+func shardOrder(buf *[]int32, n int, t interface{ Shard(i int) int }, shards int) []int32 {
 	if shards <= 1 || n <= 1 {
 		return nil
 	}
-	shard := func(i int) int { return (shardOf(i)%shards + shards) % shards }
+	shard := func(i int) int { return (t.Shard(i)%shards + shards) % shards }
 	// A counting sort in one buffer: the order, the tasks bucketed by
 	// shard, and where each shard's bucket ends.
 	if size := 2*n + shards + 1; cap(*buf) < size {

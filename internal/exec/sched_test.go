@@ -23,12 +23,32 @@ type entry struct {
 	run func(ctx context.Context, n int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error)
 }
 
+// funcs is a call's body given as functions.
+type funcs[S, A any] struct {
+	fn      func(sc S, acc *A, i int) error
+	merge   func(acc, part *A)
+	shardOf func(i int) int
+}
+
+func (f *funcs[S, A]) Task(sc S, acc *A, i int) error { return f.fn(sc, acc, i) }
+func (f *funcs[S, A]) Merge(acc, part *A)             { f.merge(acc, part) }
+func (f *funcs[S, A]) Shard(i int) int                { return f.shardOf(i) }
+
+// reduceShardedOn is one ReduceShardedOn call on scheduler s with list l,
+// its body given as functions, on a call taken from l and given back.
+func reduceShardedOn[S, A any](ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, l *Scratch[S],
+	fn func(sc S, acc *A, i int) error, merge func(acc, part *A)) (A, error) {
+	c := Take[A, struct{}](l, s)
+	defer c.Give()
+	return ReduceShardedOn(ctx, c, n, shards, &funcs[S, A]{fn: fn, merge: merge, shardOf: shardOf})
+}
+
 // shardedMap gathers fn's results by index through ReduceShardedOn:
 // the sharded claim order and the worker-side fold, whose "sum" here is
 // storing result i in slot i of one slice all workers share.
 func shardedMap(ctx context.Context, s *Scheduler, n int, shardOf func(i int) int, shards int, newScratch func() *int, fn func(sc *int, i int) (int, error)) ([]int, error) {
 	results := make([]int, max(n, 0))
-	_, err := ReduceShardedOn(ctx, s, n, shardOf, shards, NewScratch(newScratch),
+	_, err := reduceShardedOn(ctx, s, n, shardOf, shards, NewScratch(newScratch),
 		func(sc *int, _ *struct{}, i int) (err error) {
 			results[i], err = fn(sc, i)
 			return err
@@ -253,7 +273,7 @@ func TestScratchBuiltAtMostOncePerWorker(t *testing.T) {
 		}
 		for call := 0; call < 1000; call++ {
 			shards := 1 + 7*(call%2)
-			got, err := ReduceShardedOn(context.Background(), s, 64, func(i int) int { return i % 8 }, shards, pool, fn, addInts)
+			got, err := reduceShardedOn(context.Background(), s, 64, func(i int) int { return i % 8 }, shards, pool, fn, addInts)
 			if err != nil || got != 3*64*63/2 {
 				t.Fatalf("workers=%d call %d: %d, %v", workers, call, got, err)
 			}
@@ -296,7 +316,7 @@ func TestScratchBuiltOncePerWorkerUnderOverlap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for call := 0; call < calls; call++ {
-				got, err := ReduceShardedOn(context.Background(), s, 16, nil, 1, pool,
+				got, err := reduceShardedOn(context.Background(), s, 16, nil, 1, pool,
 					func(sc *int, acc *int, i int) error {
 						*sc = i // a scratch in two tasks at once races here (-race)
 						runtime.Gosched()
@@ -365,7 +385,7 @@ func TestScratchGivenBackOnEveryPath(t *testing.T) {
 			defer cancel()
 			var met sync.WaitGroup
 			met.Add(workers)
-			return ReduceShardedOn(ctx, s, workers, nil, 1, pool, func(sc *scratch, acc *int, i int) error {
+			return reduceShardedOn(ctx, s, workers, nil, 1, pool, func(sc *scratch, acc *int, i int) error {
 				met.Done()
 				met.Wait()
 				*acc++
@@ -440,7 +460,7 @@ func TestScratchSharedBySchedulers(t *testing.T) {
 		go func(s *Scheduler) {
 			defer wg.Done()
 			for call := 0; call < 100; call++ {
-				if got, err := ReduceShardedOn(context.Background(), s, 32, nil, 1, pool, fn, addInts); err != nil || got != 32*31/2 {
+				if got, err := reduceShardedOn(context.Background(), s, 32, nil, 1, pool, fn, addInts); err != nil || got != 32*31/2 {
 					t.Errorf("%d, %v", got, err)
 					return
 				}
@@ -455,7 +475,7 @@ func TestScratchSharedBySchedulers(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()
 	defer scheds[1].Close()
-	if _, err := ReduceShardedOn(context.Background(), s, 1, nil, 1, pool, fn, addInts); err != nil {
+	if _, err := reduceShardedOn(context.Background(), s, 1, nil, 1, pool, fn, addInts); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := pool.slots[scheds[0]]; ok || len(pool.slots) != 2 {
@@ -472,11 +492,13 @@ func BenchmarkScratchBorrow(b *testing.B) {
 			s := NewScheduler(workers)
 			defer s.Close()
 			pool := NewScratch(newInt)
-			fn := func(sc *int, acc *int, i int) error { return nil }
+			body := &funcs[*int, int]{fn: func(sc *int, acc *int, i int) error { return nil }, merge: addInts}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReduceShardedOn(context.Background(), s, tasks, nil, 1, pool, fn, addInts); err != nil {
+				c := Take[int, struct{}](pool, s)
+				_, err := ReduceShardedOn(context.Background(), c, tasks, 1, body)
+				if c.Give(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -491,7 +513,7 @@ func TestShardedRunsEveryTaskOnce(t *testing.T) {
 	s := NewScheduler(8)
 	defer s.Close()
 	counts := make([]atomic.Int64, 200)
-	ran, err := ReduceShardedOn(context.Background(), s, 200,
+	ran, err := reduceShardedOn(context.Background(), s, 200,
 		func(i int) int { return 3 }, 7, NewScratch(newInt),
 		func(_ *int, acc *int, i int) error {
 			counts[i].Add(1)
@@ -538,7 +560,7 @@ func TestReduceGroupedMapDeterministic(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 5, 64} {
 				for rep := 0; rep < 20; rep++ {
-					got, err := ReduceShardedOn(context.Background(), s, n, func(i int) int { return i*13 - 7 }, shards, pool, fn, merge)
+					got, err := reduceShardedOn(context.Background(), s, n, func(i int) int { return i*13 - 7 }, shards, pool, fn, merge)
 					if err != nil || !maps.Equal(got, want) {
 						t.Fatalf("workers=%d n=%d shards=%d: %v, %v; serial fold %v", workers, n, shards, got, err, want)
 					}
@@ -770,5 +792,80 @@ func TestClose(t *testing.T) {
 	}
 	if st := s.Stats(); st.InFlight != 0 {
 		t.Fatalf("in-flight %d after a refused call", st.InFlight)
+	}
+}
+
+// TestReusedJobNeverClaimedStale: a call's job is reused by a later
+// call, so a worker still holding the snapshot that listed its earlier
+// use must never claim a position of the later one. First directly: an
+// entry of a job's first use, read before the job began its second,
+// claims nothing of the second, which hands out each of its positions
+// once. Then under load: on pools of 1, 2 and 4 workers, 8 goroutines
+// make thousands of back-to-back calls of 1-64 tasks each on one list,
+// every call taking the job an earlier one just gave back: every task of
+// every call runs exactly once, no call hangs, and TasksRun counts every
+// task.
+func TestReusedJobNeverClaimedStale(t *testing.T) {
+	var j job
+	first := j.begin(4, nil, nil)
+	if k, ok := first.claim(); !ok || k != 0 {
+		t.Fatalf("first claim of a use: %d, %v", k, ok)
+	}
+	second := j.begin(2, nil, nil)
+	if k, ok := first.claim(); ok {
+		t.Fatalf("an entry of the job's first use claimed position %d of its second", k)
+	}
+	for want := int64(0); want <= 2; want++ {
+		if k, ok := second.claim(); ok != (want < 2) || ok && k != want {
+			t.Fatalf("claim %d of the second use: %d, %v", want, k, ok)
+		}
+	}
+
+	const callers, calls = 8, 2000
+	for _, workers := range []int{1, 2, 4} {
+		s := NewScheduler(workers)
+		pool := NewScratch(newInt)
+		var tasks atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs := make([]atomic.Int32, 64)
+				body := &funcs[*int, int]{
+					fn:      func(_ *int, acc *int, i int) error { runs[i].Add(1); *acc++; return nil },
+					merge:   addInts,
+					shardOf: func(i int) int { return i % 3 },
+				}
+				for call := 0; call < calls; call++ {
+					n := 1 + (g*7919+call*31)%64
+					c := Take[int, struct{}](pool, s)
+					got, err := ReduceShardedOn(context.Background(), c, n, 1+call%3, body)
+					c.Give()
+					tasks.Add(int64(n))
+					if err != nil || got != n {
+						t.Errorf("workers=%d: call %d of %d tasks folded %d, %v", workers, call, n, got, err)
+						return
+					}
+					for i := range runs {
+						if r, want := runs[i].Swap(0), int32(min(1, max(n-i, 0))); r != want {
+							t.Errorf("workers=%d: call %d of %d tasks ran task %d %d times", workers, call, n, i, r)
+							return
+						}
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("workers=%d: a call hangs", workers)
+		}
+		if st := s.Stats(); st.TasksRun != tasks.Load() {
+			t.Errorf("workers=%d: TasksRun %d, the calls had %d tasks", workers, st.TasksRun, tasks.Load())
+		}
+		s.Close()
 	}
 }

@@ -2,6 +2,7 @@ package frag
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/schema"
@@ -346,9 +347,15 @@ func (r Region) Count() int64 {
 // predicate selects the descendant range; no predicate on the dimension
 // selects the full domain.
 func (s *Spec) Relevant(q Query) Region {
-	m := len(s.attrs)
-	b := make([]int, 2*m)
-	r := Region{Lo: b[:m:m], Hi: b[m:]}
+	_, r := s.AppendRelevant(nil, q)
+	return r
+}
+
+// AppendRelevant is Relevant with the region's bounds appended to b.
+func (s *Spec) AppendRelevant(b []int, q Query) ([]int, Region) {
+	m, n := len(s.attrs), len(b)
+	b = slices.Grow(b, 2*m)[:n+2*m]
+	r := Region{Lo: b[n : n+m : n+m], Hi: b[n+m : n+2*m : n+2*m]}
 	for i, a := range s.attrs {
 		d := &s.star.Dims[a.Dim]
 		p, ok := q.PredOnDim(a.Dim)
@@ -362,7 +369,7 @@ func (s *Spec) Relevant(q Query) Region {
 			r.Lo[i], r.Hi[i] = d.DescendantRange(p.Level, p.Member, a.Level)
 		}
 	}
-	return r
+	return b, r
 }
 
 // RelevantCount returns the number of fragments the query is confined to.

@@ -1,30 +1,38 @@
 package kernel
 
 import (
+	"slices"
+
 	"repro/internal/frag"
 	"repro/internal/schema"
 )
 
 // BatchQuery is one member of a shared multi-query scan before dispatch:
 // the query's predicates, its grouper (nil when ungrouped) — the query's
-// GROUP BY — and its own validation error, which stays the member's
-// instead of failing the batch.
+// GROUP BY — its own validation error, which stays the member's instead
+// of failing the batch, and its bitmap plan, which a backend reading
+// stored bitmaps derives in room kept from call to call.
 type BatchQuery struct {
 	Preds []frag.Pred
 	Gr    *Grouper
 	Err   error
+	Plan  []frag.BitmapOp
 
-	ranges []frag.LeafRange // the query compiled for the delta fold (Deltas.ranges)
-	region frag.Region      // the query's relevant fragments (Spec.Relevant)
+	ranges []frag.LeafRange  // the query compiled for the delta fold (Deltas.ranges)
+	region frag.Region       // the query's relevant fragments (Spec.Relevant)
+	delta  frag.DeltaScratch // the room ranges are compiled in, kept from call to call
 }
 
 // BatchPlan is the task set of a shared multi-query scan: one task per
-// fragment of the union of the valid members' relevant fragments.
+// fragment of the union of the valid members' relevant fragments. It is
+// recycled with its call, keeping its buffers from call to call.
 type BatchPlan struct {
 	Queries []BatchQuery
-	ids     []int64 // the union's fragments, ascending, one task each; nil: one's region
+	ids     []int64 // the union's fragments, ascending, one task each, when listed
+	listed  bool    // false: the tasks are a lone member's region
 	spec    *frag.Spec
-	one     [1]BatchQuery // Queries in a batch of one
+	bounds  []int // the members' regions' bounds
+	cur     []cursor
 }
 
 // plan validates every query, derives its grouper, compiles it for the
@@ -32,13 +40,10 @@ type BatchPlan struct {
 // those own selects (nil selects all). The union is ascending, as FragmentAt
 // enumerates each region, so a member's tasks are claimed in its
 // region's order. A valid batch of one takes its tasks from its region,
-// listing them only under an own filter; a larger union is merged twice,
-// once to count it and once to list it.
+// listing them only under an own filter; a larger union is merged.
 func (p *BatchPlan) plan(star *schema.Star, spec *frag.Spec, qs []frag.Query, deltas Deltas, own func(int64) bool) {
-	p.spec = spec
-	if p.Queries = p.one[:]; len(qs) != 1 {
-		p.Queries = make([]BatchQuery, len(qs))
-	}
+	p.spec, p.bounds = spec, p.bounds[:0]
+	p.Queries = slices.Grow(p.Queries[:0], len(qs))[:len(qs)]
 	for si, q := range qs {
 		m := &p.Queries[si]
 		m.Preds = q.Preds
@@ -48,26 +53,21 @@ func (p *BatchPlan) plan(star *schema.Star, spec *frag.Spec, qs []frag.Query, de
 		if m.Gr, m.Err = NewGrouper(star, spec, q.GroupBy); m.Err != nil {
 			continue
 		}
-		m.ranges = deltas.ranges(q)
-		m.region = spec.Relevant(q)
+		m.ranges = deltas.ranges(q, &m.delta)
+		p.bounds, m.region = spec.AppendRelevant(p.bounds, q)
 	}
-	if len(qs) == 1 && own == nil && p.one[0].Err == nil {
+	if len(qs) == 1 && own == nil && p.Queries[0].Err == nil {
 		return
 	}
-	var cur []cursor
-	if len(qs) > 1 {
-		cur = make([]cursor, len(qs))
-	}
-	n := 0
-	p.each(own, cur, func(int64) { n++ })
-	p.ids = make([]int64, 0, n)
-	p.each(own, cur, func(id int64) { p.ids = append(p.ids, id) })
+	p.cur = slices.Grow(p.cur[:0], len(qs))[:len(qs)]
+	p.ids, p.listed = p.ids[:0], true
+	p.each(own, p.cur, func(id int64) { p.ids = append(p.ids, id) })
 }
 
 // Tasks returns the number of the plan's tasks.
 func (p *BatchPlan) Tasks() int {
-	if p.ids == nil {
-		return int(p.one[0].region.Count())
+	if !p.listed {
+		return int(p.Queries[0].region.Count())
 	}
 	return len(p.ids)
 }
@@ -75,10 +75,10 @@ func (p *BatchPlan) Tasks() int {
 // at returns task ti's fragment: listed, or the ti-th of a batch of
 // one's region in ForEachFragment's order.
 func (p *BatchPlan) at(ti int) int64 {
-	if p.ids != nil {
+	if p.listed {
 		return p.ids[ti]
 	}
-	return p.spec.FragmentAt(p.one[0].region, int64(ti))
+	return p.spec.FragmentAt(p.Queries[0].region, int64(ti))
 }
 
 // cursor is the union merge's position in one member's region: its next
@@ -91,7 +91,7 @@ type cursor struct{ i, n, head int64 }
 // in cur advancing past the fragment just emitted.
 func (p *BatchPlan) each(own func(int64) bool, cur []cursor, fn func(id int64)) {
 	if len(p.Queries) == 1 {
-		if m := &p.one[0]; m.Err == nil {
+		if m := &p.Queries[0]; m.Err == nil {
 			for i, n := int64(0), m.region.Count(); i < n; i++ {
 				if id := p.spec.FragmentAt(m.region, i); own == nil || own(id) {
 					fn(id)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,13 +45,14 @@ func testCols[K uint16 | int32, M int32 | int64](rng *rand.Rand, n int, regime i
 }
 
 // testMask returns an n-bit selection whose words are each full, empty,
-// one bit, all bits but one or random — or, by kind, all of one of those.
+// one bit, all bits but one or random — or, by kind, all of one of those,
+// or dense: each bit set with probability 15/16.
 // With stray set, the last word's bits past n are set too: a fold must
 // not read the rows they would name.
 func testMask(rng *rand.Rand, n int, kind int, stray bool) *bitmap.Bitset {
 	sel := bitmap.New(n)
 	for base := 0; base < n; base += 64 {
-		k := kind % 6
+		k := kind % 7
 		if k == 5 {
 			k = rng.Intn(5)
 		}
@@ -65,6 +67,8 @@ func testMask(rng *rand.Rand, n int, kind int, stray bool) *bitmap.Bitset {
 				on = b != 40%min(64, n-base)
 			case 4:
 				on = rng.Intn(2) == 0
+			case 6:
+				on = rng.Intn(16) != 0
 			}
 			if on {
 				sel.Set(base + b)
@@ -123,15 +127,15 @@ func checkColumnFold[K uint16 | int32, M int32 | int64](t *testing.T, cols Cols[
 }
 
 // TestColumnFold: the range and selection kernels equal AddRow row by
-// row at lengths with n%64 in {0, 1, 63}, on full, empty and partial
-// words, stray bits past n, and sums that wrap around ±2^63 — and over a
+// row at lengths with n%64 in {0, 1, 63}, on full, empty, partial and
+// dense words, stray bits past n, and sums that wrap around ±2^63 — and over a
 // fact page's int32/uint16 columns.
 func TestColumnFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 191, 640, 641, 703} {
 		for regime := 0; regime < 3; regime++ {
 			cols, narrow := testCols[int32, int64](rng, n, regime), testCols[uint16, int32](rng, n, regime)
-			for kind := 0; kind < 6; kind++ {
+			for kind := 0; kind < 7; kind++ {
 				for _, stray := range []bool{false, true} {
 					sel := testMask(rng, n, kind, stray)
 					checkColumnFold(t, cols, sel, 0, n)
@@ -157,7 +161,8 @@ func TestColumnFold(t *testing.T) {
 	}
 }
 
-// FuzzColumnFold: any length, value regime, mask shape and row range, in
+// FuzzColumnFold: any length, value regime, mask shape (dense ones among
+// them) and row range, in
 // memory's columns or a fact page's (narrow) — the kernels equal the
 // row-by-row oracle.
 func FuzzColumnFold(f *testing.F) {
@@ -167,6 +172,8 @@ func FuzzColumnFold(f *testing.F) {
 	f.Add(int64(4), uint16(1), uint8(0x3a), uint16(1), uint16(0), false)
 	f.Add(int64(5), uint16(204), uint8(0x16), uint16(5), uint16(200), true)
 	f.Add(int64(6), uint16(409), uint8(0x9e), uint16(0), uint16(409), true)
+	f.Add(int64(7), uint16(1632), uint8(0x18), uint16(0), uint16(1632), true)
+	f.Add(int64(8), uint16(700), uint8(0x9a), uint16(30), uint16(650), false)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8, lo, hi uint16, narrow bool) {
 		rows := int(n % 2048)
 		rng := rand.New(rand.NewSource(seed))
@@ -179,3 +186,36 @@ func FuzzColumnFold(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkFoldDensity folds one 1,632-row granule as its eight 204-row
+// fact pages — each page's columns a view, its rows at their offset in
+// the fragment's selection — into an ungrouped slot, at 5, 50 and 95 %
+// of the rows selected at random.
+func BenchmarkFoldDensity(b *testing.B) {
+	const pages, perPage = 8, 204
+	rng := rand.New(rand.NewSource(1))
+	cols := testCols[uint16, int32](rng, pages*perPage, 0)
+	for _, pct := range []int{5, 50, 95} {
+		sel := bitmap.New(pages * perPage)
+		for i := 0; i < sel.Len(); i++ {
+			if rng.Intn(100) < pct {
+				sel.Set(i)
+			}
+		}
+		b.Run(fmt.Sprintf("selected=%d%%", pct), func(b *testing.B) {
+			var s Slot
+			for i := 0; i < b.N; i++ {
+				for p := 0; p < pages; p++ {
+					lo, hi := p*perPage, (p+1)*perPage
+					page := Cols[uint16, int32]{Units: cols.Units[lo:hi], Dollars: cols.Dollars[lo:hi], Costs: cols.Costs[lo:hi]}
+					Fold(&s, page, 0, perPage, sel, lo)
+				}
+			}
+			foldSink = s.Agg
+			b.ReportMetric(float64(b.N*pages*perPage)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		})
+	}
+}
+
+// foldSink keeps BenchmarkFoldDensity's folds from being optimised away.
+var foldSink Aggregate

@@ -16,13 +16,13 @@ func (d Deltas) Empty() bool { return d.Ix == nil || d.Set.Rows() == 0 }
 // Has reports whether fragment id has delta segments to fold.
 func (d Deltas) Has(id int64) bool { return !d.Empty() && len(d.Set.Of(id)) > 0 }
 
-// ranges compiles a validated query for the delta fold, once per query:
-// nil when there is nothing to fold.
-func (d Deltas) ranges(q frag.Query) []frag.LeafRange {
+// ranges compiles a validated query for the delta fold, once per query,
+// in sc: nil when there is nothing to fold.
+func (d Deltas) ranges(q frag.Query, sc *frag.DeltaScratch) []frag.LeafRange {
 	if d.Empty() {
 		return nil
 	}
-	return d.Ix.Ranges(q, frag.NewDeltaScratch())
+	return d.Ix.Ranges(q, sc)
 }
 
 // AddDelta folds every delta segment of fragment id into the fragment's
@@ -68,7 +68,7 @@ func (s *Slot) addDeltas(set *frag.DeltaSet, id int64, ranges []frag.LeafRange) 
 			switch {
 			case w == 0:
 			case s.Groups == nil:
-				a.Add(cols.sumWord(base, w))
+				a.Add(cols.sumWord(base, w, n-base >= 64))
 			default:
 				addRows(s, &cols, base, w)
 			}

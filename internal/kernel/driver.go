@@ -32,15 +32,6 @@ type Dispatch[S any] struct {
 	DiskOf  interface{ DiskOf(id int64) int }
 }
 
-// shardOf maps task i of the plan to the disk of its fragment.
-func (d Dispatch[S]) shardOf(p *BatchPlan) func(i int) int {
-	if d.Disks <= 1 {
-		return nil
-	}
-	disk := d.DiskOf
-	return func(i int) int { return disk.DiskOf(p.at(i)) }
-}
-
 // Out is one query's un-flattened outcome: the merged partial — its
 // groups a run, nil for an ungrouped query (Gr nil) or one no row
 // matched; a node ships it as is, Gr.Result flattens it — the backend's
@@ -91,11 +82,16 @@ type Member[St any] struct {
 	Shared SharedScanStats
 }
 
-// SharedFold folds the base rows of fragment id into slots[k] for every
-// member ms[k] of batch needing the fragment — one fold per member over
-// one read of it — and counts each member's work into ms[k]. Neither
-// slice outlives the call.
-type SharedFold[S, St any] func(sc S, id int64, batch []BatchQuery, ms []Member[St], slots []Slot) error
+// SharedFold is a backend's fold bound to one Shared call, a pointer to
+// its binding B in the call's recycled batch, zeroed after the call.
+// Fold folds the base rows of fragment id into slots[k] for every member
+// ms[k] of batch needing the fragment — one fold per member over one
+// read of it — and counts each member's work into ms[k]; neither slice
+// outlives the call.
+type SharedFold[S, St, B any] interface {
+	*B
+	Fold(sc S, id int64, batch []BatchQuery, ms []Member[St], slots []Slot) error
+}
 
 // SharedTask is a shared scan's per-task buffers, the running task's
 // members and their slots. Each backend's worker scratch embeds one, so
@@ -166,19 +162,23 @@ func (o *Outs[St]) Reset() {
 	o.n = 0
 }
 
-// batch is what a Shared call's tasks share: its plan, the fold bound to
-// it and the delta segments folded after it (nil: none).
-type batch[S TaskScratch[St], St Counts[St]] struct {
+// batch is a Shared call's State in its recycled exec.Call: the plan, the
+// backend's fold bound to it, the delta segments folded after it (nil:
+// none) and what maps a fragment to its disk. Its methods are the call's
+// body (exec.Tasks). Reset keeps its buffers and drops the rest, so a
+// kept batch holds no epoch alive.
+type batch[S TaskScratch[St], St Counts[St], B any, F SharedFold[S, St, B]] struct {
 	BatchPlan
-	fold SharedFold[S, St]
-	set  *frag.DeltaSet
+	fold   B
+	set    *frag.DeltaSet
+	diskOf interface{ DiskOf(id int64) int }
 }
 
-// task runs fragment task ti: it shapes a slot for every member needing
+// Task runs fragment task ti: it shapes a slot for every member needing
 // the fragment, lets the backend fold the base rows into them, folds the
 // fragment's delta segments in seal order and adds each slot to its
 // member's outcome in outs, the worker's own.
-func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
+func (b *batch[S, St, B, F]) Task(sc S, outs *Outs[St], ti int) error {
 	id := b.at(ti)
 	t := sc.sharedTask()
 	defer clear(t.slots) // no task's slot outlives it in the scratch
@@ -194,7 +194,7 @@ func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
 			t.slots = append(t.slots, slot)
 		}
 	}
-	if err := b.fold(sc, id, b.Queries, t.ms, t.slots); err != nil {
+	if err := F(&b.fold).Fold(sc, id, b.Queries, t.ms, t.slots); err != nil {
 		return err
 	}
 	for k, m := range t.ms {
@@ -205,35 +205,50 @@ func (b *batch[S, St]) task(sc S, outs *Outs[St], ti int) error {
 	return nil
 }
 
-// mergeAll adds a worker's outcomes to another's.
-func mergeAll[St Counts[St]](acc, part *Outs[St]) {
+// Merge adds a worker's outcomes to another's.
+func (b *batch[S, St, B, F]) Merge(acc, part *Outs[St]) {
 	for i := 0; i < acc.Len(); i++ {
 		mergeOuts(acc.At(i), part.At(i))
 	}
+}
+
+// Shard maps task i to its fragment's disk.
+func (b *batch[S, St, B, F]) Shard(i int) int { return b.diskOf.DiskOf(b.at(i)) }
+
+// Reset empties the batch for its next call, keeping the plan's buffers.
+func (b *batch[S, St, B, F]) Reset() {
+	for i := range b.Queries {
+		b.Queries[i] = BatchQuery{Plan: b.Queries[i].Plan[:0], delta: b.Queries[i].delta}
+	}
+	b.Queries, b.listed, b.spec = b.Queries[:0], false, nil
+	b.fold, b.set, b.diskOf = *new(B), nil, nil
 }
 
 // Shared runs K queries in one pass over the union of their relevant
 // fragments (BatchPlan): one task per fragment feeds every member
 // needing it; a lone query is a batch of one. A member's own validation
 // error is recorded in its Out.Err; the returned error is batch-wide (an
-// execution failure). Each worker sums the tasks it runs into outcomes
-// of its own, by batch index, which its call's partial set keeps from
-// call to call; nothing else is allocated per task, and a call allocates
-// only what it returns.
-func Shared[S TaskScratch[St], St Counts[St]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
-	bind func([]BatchQuery) (SharedFold[S, St], error)) (Outs[St], error) {
+// execution failure); bind binds the backend's fold to the batch. Each
+// worker sums the tasks it runs into outcomes of its own, by batch index,
+// recycled with the call (exec.Call) like the plan, the fold's binding
+// and the pool job: a warm call allocates only what it returns, the
+// grouped members' groupers and rows and a larger batch's outcome list.
+func Shared[S TaskScratch[St], St Counts[St], B any, F SharedFold[S, St, B]](ctx context.Context, d Dispatch[S], qs []frag.Query, deltas Deltas, own func(int64) bool,
+	bind func(f F, batch []BatchQuery) error) (Outs[St], error) {
 	if d.Sched == nil {
 		return Outs[St]{}, errNilScheduler
 	}
-	b := new(batch[S, St])
+	c := exec.Take[Outs[St], batch[S, St, B, F]](d.Scratch, d.Sched)
+	defer c.Give()
+	b := &c.State
 	if b.plan(d.Star, d.Spec, qs, deltas, own); !deltas.Empty() {
 		b.set = deltas.Set
 	}
-	var err error
-	if b.fold, err = bind(b.Queries); err != nil {
+	b.diskOf = d.DiskOf
+	if err := bind(&b.fold, b.Queries); err != nil {
 		return Outs[St]{}, err
 	}
-	outs, err := exec.ReduceShardedOn(ctx, d.Sched, b.Tasks(), d.shardOf(&b.BatchPlan), d.Disks, d.Scratch, b.task, mergeAll[St])
+	outs, err := exec.ReduceShardedOn(ctx, c, b.Tasks(), d.Disks, b)
 	if err != nil {
 		return Outs[St]{}, err
 	}

@@ -117,19 +117,25 @@ func (b *fakeBackend) lone(ctx context.Context, s *exec.Scheduler, q frag.Query,
 }
 
 func (b *fakeBackend) shared(ctx context.Context, s *exec.Scheduler, qs []frag.Query, deltas Deltas, own func(int64) bool) (Outs[fakeCounts], error) {
-	return Shared(ctx, b.dispatch(s), qs, deltas, own, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) {
-		return func(sc *fakeScratch, id int64, batch []BatchQuery, ms []Member[fakeCounts], slots []Slot) error {
-			for k := range ms {
-				if err := b.fold(sc, id, frag.Query{Preds: batch[ms[k].Query].Preds}, &slots[k], &ms[k].St); err != nil {
-					return err
-				}
-				if len(ms) >= 2 {
-					ms[k].Shared.FragmentsShared = 1
-				}
-			}
-			return nil
-		}, nil
+	return Shared(ctx, b.dispatch(s), qs, deltas, own, func(f *fakeFold, _ []BatchQuery) error {
+		f.b = b
+		return nil
 	})
+}
+
+// fakeFold is the fake backend's fold bound to one call.
+type fakeFold struct{ b *fakeBackend }
+
+func (f *fakeFold) Fold(sc *fakeScratch, id int64, batch []BatchQuery, ms []Member[fakeCounts], slots []Slot) error {
+	for k := range ms {
+		if err := f.b.fold(sc, id, frag.Query{Preds: batch[ms[k].Query].Preds}, &slots[k], &ms[k].St); err != nil {
+			return err
+		}
+		if len(ms) >= 2 {
+			ms[k].Shared.FragmentsShared = 1
+		}
+	}
+	return nil
 }
 
 // fakeWorld is the fake backend over the first two thirds of a generated
@@ -407,7 +413,7 @@ func TestDriverFailures(t *testing.T) {
 	}
 
 	bindErr := errors.New("no plan")
-	if _, err := Shared(ctx, w.be.dispatch(sched), []frag.Query{all}, Deltas{}, nil, func([]BatchQuery) (SharedFold[*fakeScratch, fakeCounts], error) { return nil, bindErr }); err != bindErr {
+	if _, err := Shared(ctx, w.be.dispatch(sched), []frag.Query{all}, Deltas{}, nil, func(*fakeFold, []BatchQuery) error { return bindErr }); err != bindErr {
 		t.Errorf("shared bind error: %v", err)
 	}
 	if _, err := w.be.lone(ctx, nil, all, Deltas{}, nil); err == nil {

@@ -109,11 +109,6 @@ func NewExecutor(store *Store, bitmaps *BitmapFile, sched *exec.Scheduler) (*Exe
 
 var errNilScheduler = errors.New("storage: nil scheduler")
 
-// planCap is the stack room a member's bitmap plan is derived in; a
-// longer plan (the paper's index configuration can read 15 + 12 bit
-// positions) grows on the heap.
-const planCap = 32
-
 // scratch is a worker's buffer set threaded through internal/exec. Its
 // buffers grow to the working-set size of the first fragments a worker
 // touches and are reused for every later one, in every call and every
@@ -258,140 +253,121 @@ func (e *Executor) selectInto(ctx context.Context, plan []frag.BitmapOp, mask *b
 func (e *Executor) Shared(ctx context.Context, qs []frag.Query, deltas kernel.Deltas, own func(int64) bool) (kernel.Outs[IOStats], error) {
 	d := kernel.Dispatch[*scratch]{Star: e.store.star, Spec: e.store.spec, Sched: e.sched, Scratch: e.scratch,
 		Disks: e.store.disks.Disks(), DiskOf: e.store}
-	return kernel.Shared(ctx, d, qs, deltas, own, func(batch []kernel.BatchQuery) (kernel.SharedFold[*scratch, IOStats], error) {
-		var plans bitmapPlans
-		if len(batch) > 1 {
-			plans.rest = make([][]frag.BitmapOp, len(batch)-1)
-		}
-		var room [planCap]frag.BitmapOp // a plan is derived here and copied out exactly sized
+	return kernel.Shared(ctx, d, qs, deltas, own, func(f *fold, batch []kernel.BatchQuery) error {
+		f.e, f.ctx = e, ctx
 		for i := range batch {
-			if batch[i].Err != nil {
-				continue
-			}
-			derived, err := e.bitmaps.ix.Plan(room[:0], frag.Query{Preds: batch[i].Preds})
-			if err != nil {
-				return nil, err
-			}
-			if plan := slices.Clone(derived); i == 0 {
-				plans.first = plan
-			} else {
-				plans.rest[i-1] = plan
-			}
-		}
-		return e.fold(ctx, plans), nil
-	})
-}
-
-// bitmapPlans are a batch's bitmap plans by member index. The first is
-// held in place, so that a batch of one needs no list for its plan.
-type bitmapPlans struct {
-	first []frag.BitmapOp
-	rest  [][]frag.BitmapOp
-}
-
-func (p bitmapPlans) at(i int) []frag.BitmapOp {
-	if i == 0 {
-		return p.first
-	}
-	return p.rest[i-1]
-}
-
-// fold returns the fragment task over the batch's bitmap plans, steps
-// 2-4 of Section 4.3: every member's mask, the granule payer table, and
-// one union granule stream — the granules holding a hit of some member,
-// each read on this worker and folded before the next is read — over
-// which each member's own rows are folded into its slot with the column
-// kernel, a page's column view at a time (Store.fold).
-func (e *Executor) fold(ctx context.Context, plans bitmapPlans) kernel.SharedFold[*scratch, IOStats] {
-	return func(sc *scratch, id int64, _ []kernel.BatchQuery, ms []kernel.Member[IOStats], slots []kernel.Slot) error {
-		store, g := e.store, e.PrefetchFact
-		sc.reset()
-		loc, ok := store.Loc(id)
-		if !ok {
-			return nil // no rows at this density
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		us := &sc.units
-		if err := us.begin(e.bitmaps, id); err != nil {
-			return err
-		}
-		sc.sel = sc.sel[:0]
-		for k := range ms {
-			m := &ms[k]
-			mask, err := e.selectInto(ctx, plans.at(m.Query), sc.mask(k), &m.St, &m.Shared, sc)
-			if err != nil {
-				us.release()
-				return err
-			}
-			sc.sel = append(sc.sel, mask)
-			if len(ms) >= 2 {
-				m.Shared.FragmentsShared = 1
-			}
-		}
-		us.release()
-
-		// Per-slot logical granule lists (every granule of the fragment
-		// without a mask, only those with a hit otherwise: the
-		// prefetch-efficiency effect of Section 4.5) drive both the logical Fact counters and the union read list;
-		// the first slot listing a granule pays its physical read, later
-		// slots record the saving.
-		pages := int(loc.Pages)
-		granules := (pages + g - 1) / g
-		sc.payer = slices.Grow(sc.payer[:0], granules)[:granules]
-		for i := range sc.payer {
-			sc.payer[i] = -1
-		}
-		for k, mask := range sc.sel {
-			m := &ms[k]
-			sc.gran = appendGranules(sc.gran[:0], mask, pages, g, store.tpp)
-			for _, gr := range sc.gran {
-				m.St.FactIOs++
-				m.St.FactPages += int64(gr.count)
-				if gi := int(gr.start) / g; sc.payer[gi] < 0 {
-					sc.payer[gi] = int32(k)
-				} else {
-					m.Shared.PhysReadsSaved++
+			if m := &batch[i]; m.Err == nil {
+				var err error
+				if m.Plan, err = e.bitmaps.ix.Plan(m.Plan[:0], frag.Query{Preds: m.Preds}); err != nil {
+					return err
 				}
 			}
 		}
-		sc.ugran = sc.ugran[:0]
-		for gi, k := range sc.payer {
-			if k >= 0 {
-				sc.ugran = append(sc.ugran, granuleAt(gi, g, pages))
-			}
-		}
+		return nil
+	})
+}
 
-		// One physical stream over the union granules feeds every slot.
-		// Its Fact counters are the physical read set (the per-slot
-		// logical counts are already accounted above); its pool counters
-		// are credited to the granule's paying slot.
-		sc.phys = IOStats{}
-		var paid IOStats
-		err := e.forEachGranule(ctx, sc, &sc.phys, id, sc.ugran, func(gr granule, buf []byte) {
-			payer := &ms[sc.payer[int(gr.start)/g]].St
-			payer.PoolHits += sc.phys.PoolHits - paid.PoolHits
-			payer.PoolMisses += sc.phys.PoolMisses - paid.PoolMisses
-			payer.PoolBytes += sc.phys.PoolBytes - paid.PoolBytes
-			paid = sc.phys
-			// Each slot folds the granule's rows its mask selects, as it
-			// would alone.
-			lo := int(gr.start) * store.tpp
-			hi := min(lo+int(gr.count)*store.tpp, int(loc.Rows))
-			for k, mask := range sc.sel {
-				store.fold(&slots[k], sc.dims, buf, int(gr.start), int(loc.Rows), lo, hi, mask)
-			}
-		})
-		clear(sc.dims)
+// fold is the executor's fold bound to one Shared call (kernel.SharedFold).
+type fold struct {
+	e   *Executor
+	ctx context.Context
+}
+
+// Fold is the fragment task over the batch's bitmap plans, steps 2-4 of
+// Section 4.3: every member's mask, the granule payer table, and one
+// union granule stream — the granules holding a hit of some member, each
+// read on this worker and folded before the next is read — over which
+// each member's own rows are folded into its slot with the column
+// kernel, a page's column view at a time (Store.fold).
+func (f *fold) Fold(sc *scratch, id int64, batch []kernel.BatchQuery, ms []kernel.Member[IOStats], slots []kernel.Slot) error {
+	e, ctx := f.e, f.ctx
+	store, g := e.store, e.PrefetchFact
+	sc.reset()
+	loc, ok := store.Loc(id)
+	if !ok {
+		return nil // no rows at this density
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	us := &sc.units
+	if err := us.begin(e.bitmaps, id); err != nil {
+		return err
+	}
+	sc.sel = sc.sel[:0]
+	for k := range ms {
+		m := &ms[k]
+		mask, err := e.selectInto(ctx, batch[m.Query].Plan, sc.mask(k), &m.St, &m.Shared, sc)
 		if err != nil {
+			us.release()
 			return err
 		}
-		for k := range ms {
-			ms[k].St.RowsRead += slots[k].Rows
+		sc.sel = append(sc.sel, mask)
+		if len(ms) >= 2 {
+			m.Shared.FragmentsShared = 1
 		}
-		return nil
 	}
+	us.release()
+
+	// Per-slot logical granule lists (every granule of the fragment
+	// without a mask, only those with a hit otherwise: the
+	// prefetch-efficiency effect of Section 4.5) drive both the logical Fact counters and the union read list;
+	// the first slot listing a granule pays its physical read, later
+	// slots record the saving.
+	pages := int(loc.Pages)
+	granules := (pages + g - 1) / g
+	sc.payer = slices.Grow(sc.payer[:0], granules)[:granules]
+	for i := range sc.payer {
+		sc.payer[i] = -1
+	}
+	for k, mask := range sc.sel {
+		m := &ms[k]
+		sc.gran = appendGranules(sc.gran[:0], mask, pages, g, store.tpp)
+		for _, gr := range sc.gran {
+			m.St.FactIOs++
+			m.St.FactPages += int64(gr.count)
+			if gi := int(gr.start) / g; sc.payer[gi] < 0 {
+				sc.payer[gi] = int32(k)
+			} else {
+				m.Shared.PhysReadsSaved++
+			}
+		}
+	}
+	sc.ugran = sc.ugran[:0]
+	for gi, k := range sc.payer {
+		if k >= 0 {
+			sc.ugran = append(sc.ugran, granuleAt(gi, g, pages))
+		}
+	}
+
+	// One physical stream over the union granules feeds every slot.
+	// Its Fact counters are the physical read set (the per-slot
+	// logical counts are already accounted above); its pool counters
+	// are credited to the granule's paying slot.
+	sc.phys = IOStats{}
+	var paid IOStats
+	err := e.forEachGranule(ctx, sc, &sc.phys, id, sc.ugran, func(gr granule, buf []byte) {
+		payer := &ms[sc.payer[int(gr.start)/g]].St
+		payer.PoolHits += sc.phys.PoolHits - paid.PoolHits
+		payer.PoolMisses += sc.phys.PoolMisses - paid.PoolMisses
+		payer.PoolBytes += sc.phys.PoolBytes - paid.PoolBytes
+		paid = sc.phys
+		// Each slot folds the granule's rows its mask selects, as it
+		// would alone.
+		lo := int(gr.start) * store.tpp
+		hi := min(lo+int(gr.count)*store.tpp, int(loc.Rows))
+		for k, mask := range sc.sel {
+			store.fold(&slots[k], sc.dims, buf, int(gr.start), int(loc.Rows), lo, hi, mask)
+		}
+	})
+	clear(sc.dims)
+	if err != nil {
+		return err
+	}
+	for k := range ms {
+		ms[k].St.RowsRead += slots[k].Rows
+	}
+	return nil
 }
 
 // ExecuteGroupedDeltas runs the query and returns the full result: the

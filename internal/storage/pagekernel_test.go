@@ -80,11 +80,12 @@ func checkFold(t testing.TB, s *Store, dims, start, rows, lo, hi int, buf []byte
 }
 
 // pageSel returns a selection of the fragment's rows, every third bit set
-// and then some at random, with stray bits past its end.
-func pageSel(rng *rand.Rand, rows int) *bitmap.Bitset {
+// and then some at random — or, dense, all but one in sixteen at random —
+// with stray bits past its end.
+func pageSel(rng *rand.Rand, rows int, dense bool) *bitmap.Bitset {
 	sel := bitmap.New(rows)
 	for r := 0; r < rows; r++ {
-		if r%3 == 0 || rng.Intn(4) == 0 {
+		if dense && rng.Intn(16) != 0 || !dense && (r%3 == 0 || rng.Intn(4) == 0) {
 			sel.Set(r)
 		}
 	}
@@ -132,7 +133,7 @@ func TestPageKernels(t *testing.T) {
 					}
 				}
 				tpp := s.tpp
-				for _, sel := range []*bitmap.Bitset{nil, pageSel(rng, rows)} {
+				for _, sel := range []*bitmap.Bitset{nil, pageSel(rng, rows, false), pageSel(rng, rows, true)} {
 					for _, c := range [][2]int{
 						{0, 0}, {5, 5}, {rows, rows}, // n = 0
 						{0, 1}, {tpp - 1, tpp}, {tpp - 1, tpp + 1}, // one row, page edge
@@ -172,28 +173,30 @@ func TestPageFoldAllocatesNothing(t *testing.T) {
 	s, rng := kernelStore(4, 4096), rand.New(rand.NewSource(3))
 	rows, buf, view := 8*s.tpp-5, make([]byte, 8*4096), make([][]uint16, 4)
 	rng.Read(buf)
-	sel := pageSel(rng, rows)
+	sel, dense := pageSel(rng, rows, false), pageSel(rng, rows, true)
 	sum, keyed := kernel.Slot{}, kernel.Slot{PerRow: kernelPerRow(4), Groups: new(kernel.Grouped)}
 	if allocs := testing.AllocsPerRun(20, func() {
 		for _, sl := range []*kernel.Slot{&sum, &keyed} {
 			s.fold(sl, view, buf, 0, rows, 0, rows, nil)
 			s.fold(sl, view, buf, 0, rows, 0, rows, sel)
+			s.fold(sl, view, buf, 0, rows, 0, rows, dense)
 		}
 	}); allocs != 0 {
 		t.Fatalf("a granule fold allocates %.1f times", allocs)
 	}
 }
 
-// FuzzPageKernel feeds arbitrary page bytes, an arbitrary selection and
-// an arbitrary row range of an arbitrary granule window to the fold: a
-// range inside the window and the fragment's rows must equal the
-// decodeTuple fold, any other must panic.
+// FuzzPageKernel feeds arbitrary page bytes, an arbitrary selection —
+// none, sparse or dense — and an arbitrary row range of an arbitrary
+// granule window to the fold: a range inside the window and the
+// fragment's rows must equal the decodeTuple fold, any other must panic.
 func FuzzPageKernel(f *testing.F) {
 	f.Add(uint8(4), false, uint8(3), uint16(500), uint8(1), uint16(204), uint16(409), []byte("seed"))
 	f.Add(uint8(1), true, uint8(2), uint16(40), uint8(0), uint16(0), uint16(40), []byte{0xff, 0x7f, 0, 0x80})
 	f.Add(uint8(6), true, uint8(5), uint16(101), uint8(2), uint16(50), uint16(101), []byte{1, 2, 3})
 	f.Add(uint8(3), false, uint8(1), uint16(10), uint8(0), uint16(5), uint16(5), []byte{})
-	f.Add(uint8(2), true, uint8(2), uint16(33), uint8(0), uint16(30), uint16(40), []byte{9}) // past the rows
+	f.Add(uint8(2), true, uint8(2), uint16(33), uint8(0), uint16(30), uint16(40), []byte{9})   // past the rows
+	f.Add(uint8(3), false, uint8(4), uint16(700), uint8(0), uint16(3), uint16(690), []byte{7}) // dense
 	f.Fuzz(func(t *testing.T, dims uint8, small bool, pages uint8, rows uint16, start uint8, lo, hi uint16, fill []byte) {
 		pageSize := 4096
 		if small {
@@ -212,7 +215,7 @@ func FuzzPageKernel(f *testing.F) {
 		}
 		var sel *bitmap.Bitset
 		if len(fill)%2 == 1 {
-			sel = pageSel(rand.New(rand.NewSource(int64(fill[0]))), nrows)
+			sel = pageSel(rand.New(rand.NewSource(int64(fill[0]))), nrows, fill[0]%4 == 3)
 		}
 		l, h := int(lo), int(hi)
 		if l >= h {

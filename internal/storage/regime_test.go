@@ -258,13 +258,13 @@ func TestFaultOnSecondGranule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fold, sc := be.Exec.fold(ctx, bitmapPlans{first: plan}), build()
+			f, sc, batch := &fold{e: be.Exec, ctx: ctx}, build(), []kernel.BatchQuery{{Plan: plan}}
 			ms, slots := make([]kernel.Member[IOStats], 1), make([]kernel.Slot, 1)
-			if err := fold(sc, badID, nil, ms, slots); !errors.As(err, &fe) {
+			if err := f.Fold(sc, badID, batch, ms, slots); !errors.As(err, &fe) {
 				t.Fatalf("fragment over the corrupt granule returned %v, want *FaultError", err)
 			}
 			ms[0], slots[0] = kernel.Member[IOStats]{}, kernel.Slot{}
-			if err := fold(sc, otherID, nil, ms, slots); err != nil {
+			if err := f.Fold(sc, otherID, batch, ms, slots); err != nil {
 				t.Fatal(err)
 			}
 			if want := engine.Scan(base, other); slots[0].Agg != want || ms[0].St.RowsRead != want.Count || ms[0].St.FactIOs < 2 {
