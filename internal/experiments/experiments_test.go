@@ -3,6 +3,12 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/alloc"
+	"repro/internal/frag"
+	"repro/internal/schema"
+	"repro/internal/simpad"
+	"repro/internal/workload"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -23,6 +29,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if pattern != "dddllfffggcoooo" {
 		t.Errorf("pattern = %q", pattern)
 	}
+	checkGolden(t, "table1.csv", table1Rows(rows))
 	// Table 1's element counts.
 	wantTotals := []int{8, 24, 120, 480, 960, 14400}
 	wantWithin := []int{8, 3, 5, 4, 2, 15}
@@ -39,6 +46,7 @@ func TestTable2CloseToPaper(t *testing.T) {
 	if len(cells) != 16 {
 		t.Fatalf("cells = %d", len(cells))
 	}
+	checkGolden(t, "table2.csv", table2Rows(cells))
 	exact, near := 0, 0
 	for _, c := range cells {
 		diff := c.Count - c.Paper
@@ -71,6 +79,7 @@ func TestTable2CloseToPaper(t *testing.T) {
 
 func TestTable3ShapesHold(t *testing.T) {
 	cols := Table3()
+	checkGolden(t, "table3.csv", table3Rows(cols))
 	opt, nosupp := cols[0], cols[1]
 	if opt.Cost.Fragments != opt.PaperFragments {
 		t.Errorf("Fopt fragments = %d, paper %d", opt.Cost.Fragments, opt.PaperFragments)
@@ -98,6 +107,7 @@ func TestTable3ShapesHold(t *testing.T) {
 
 func TestTable6MatchesPaper(t *testing.T) {
 	rows := Table6()
+	checkGolden(t, "table6.csv", table6Rows(rows))
 	for _, r := range rows {
 		if r.Fragments != r.PaperFragments {
 			t.Errorf("%s: fragments %d, paper %d", r.Fragmentation, r.Fragments, r.PaperFragments)
@@ -127,6 +137,7 @@ func TestFigure4ShapesHold(t *testing.T) {
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
+	checkGolden(t, "figure4.csv", figureRows(fig))
 	// Response times decrease with p on every curve.
 	for _, s := range fig.Series {
 		for i := 1; i < len(s.Points); i++ {
@@ -188,6 +199,7 @@ func TestFigure3ShapesHold(t *testing.T) {
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
+	checkGolden(t, "figure3.csv", figureRows(fig))
 	for _, s := range fig.Series {
 		if len(s.Points) != 3 {
 			t.Fatalf("%s: %d points", s.Label, len(s.Points))
@@ -231,5 +243,150 @@ func TestFigureParallelWorkersDeterministic(t *testing.T) {
 	par := Figure6CodeQuarter(Options{Seed: 1, Workers: 4})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel figure differs:\nseq %+v\npar %+v", seq, par)
+	}
+	checkGolden(t, "figure6_code_quarter.csv", figureRows(seq))
+}
+
+func TestFigure5ShapesHold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale simulation")
+	}
+	fig := Figure5(Options{Seed: 1})
+	checkGolden(t, "figure5.csv", figureRows(fig))
+	gain := func(x float64) float64 {
+		return 1 - point(t, fig, "parallel I/O", x).ResponseTime/point(t, fig, "non-parallel I/O", x).ResponseTime
+	}
+	// Reading a subquery's bitmap fragments from their staggered disks in
+	// parallel never slows the query, and pays most where few subqueries
+	// run per node and the disks are idle: 15.7 % at t = 1.
+	for _, p := range fig.Series[0].Points {
+		if g := gain(p.X); g <= 0 {
+			t.Errorf("t = %g: parallel bitmap I/O %.1f %% faster, want > 0", p.X, 100*g)
+		}
+	}
+	if g := gain(1); g < 0.10 {
+		t.Errorf("t = 1: parallel bitmap I/O %.1f %% faster, want >= 10 %%", 100*g)
+	}
+	if gain(13) >= gain(1)/2 {
+		t.Errorf("gain at t = 13 (%.1f %%) should be well below t = 1's (%.1f %%): the disks bound both",
+			100*gain(13), 100*gain(1))
+	}
+	// More subqueries per node help until the disks saturate, near t = 5;
+	// after that the curves stay flat.
+	for _, s := range fig.Series {
+		best := s.Points[0].ResponseTime
+		for _, p := range s.Points {
+			best = min(best, p.ResponseTime)
+		}
+		for _, p := range s.Points {
+			if p.X >= 5 && p.ResponseTime > 1.1*best {
+				t.Errorf("%s: %.1f s at t = %g, more than 10 %% above the best %.1f s", s.Label, p.ResponseTime, p.X, best)
+			}
+		}
+		if s.Points[0].ResponseTime < 4*best {
+			t.Errorf("%s: t = 1 at %.1f s is not 4x the best %.1f s", s.Label, s.Points[0].ResponseTime, best)
+		}
+	}
+}
+
+func TestFigure6StoreShapesHold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale simulation")
+	}
+	fig := Figure6Store(Options{Seed: 1})
+	checkGolden(t, "figure6_store.csv", figureRows(fig))
+	if len(fig.Series) != 3 {
+		t.Fatalf("series = %d", len(fig.Series))
+	}
+	// 1STORE touches every fragment, one subquery each (Table 6).
+	for i, want := range []int{11_520, 23_040, 345_600} {
+		for _, p := range fig.Series[i].Points {
+			if p.Subqueries != want {
+				t.Errorf("%s at %g: %d subqueries, want %d", fig.Series[i].Label, p.X, p.Subqueries, want)
+			}
+		}
+	}
+	// Every fragmentation gains from parallelism, and at every degree the
+	// finer the fragmentation the slower the query: the code
+	// fragmentation's 0.16-page bitmap fragments turn its bitmap I/O into
+	// many small reads (at 160: 363.1 s against the group one's 112.5 s).
+	for _, s := range fig.Series {
+		for i := 1; i < len(s.Points); i++ {
+			if s.Points[i].ResponseTime >= s.Points[i-1].ResponseTime {
+				t.Errorf("%s: not decreasing at %g", s.Label, s.Points[i].X)
+			}
+		}
+	}
+	for i, dop := range []float64{20, 40, 80, 160} {
+		g, c, k := fig.Series[0].Points[i], fig.Series[1].Points[i], fig.Series[2].Points[i]
+		if !(g.ResponseTime < c.ResponseTime && c.ResponseTime < k.ResponseTime) {
+			t.Errorf("at %g: group %.1f s, class %.1f s, code %.1f s, want increasing", dop, g.ResponseTime, c.ResponseTime, k.ResponseTime)
+		}
+		if c.ResponseTime > 1.1*g.ResponseTime {
+			t.Errorf("at %g: class %.1f s more than 10 %% above group %.1f s", dop, c.ResponseTime, g.ResponseTime)
+		}
+	}
+	if g, k := point(t, fig, "product group fragmentation", 160), point(t, fig, "product code fragmentation", 160); k.ResponseTime < 2.5*g.ResponseTime {
+		t.Errorf("at 160: code %.1f s, group %.1f s, want code >= 2.5x group", k.ResponseTime, g.ResponseTime)
+	}
+}
+
+// ablationPoint simulates one 1STORE query under FMonthGroup on the Table
+// 4 system after mutate has changed its configuration or placement.
+func ablationPoint(t *testing.T, x float64, mutate func(*simpad.Config, *alloc.Placement)) Point {
+	t.Helper()
+	star := schema.APB1()
+	icfg := frag.APB1Indexes(star)
+	spec := frag.MustParse(star, "time::month, product::group")
+	cfg := simpad.DefaultConfig()
+	pl := alloc.Placement{Disks: cfg.Disks, Scheme: alloc.RoundRobin, Staggered: true}
+	mutate(&cfg, &pl)
+	sys, err := simpad.NewSystem(cfg, icfg, pl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := workload.NewGenerator(star, 1).Next(workload.OneStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sys.Run([]*simpad.Plan{simpad.NewPlan(spec, icfg, q, cfg)})[0]
+	return Point{X: x, ResponseTime: r.ResponseTime, Subqueries: r.Subqueries, DiskOps: r.DiskOps, Events: r.Events}
+}
+
+// TestAblationsHold simulates the design choices behind the figures:
+// Figure 2's staggered bitmap placement against co-locating every bitmap
+// fragment with its fact fragment (at t = 2), and the fact prefetch
+// granule around the paper's 8 pages (Section 4.4).
+func TestAblationsHold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale simulation")
+	}
+	placement := func(staggered bool) func(*simpad.Config, *alloc.Placement) {
+		return func(c *simpad.Config, p *alloc.Placement) {
+			c.TasksPerNode = 2
+			p.Staggered = staggered
+		}
+	}
+	staggered := Series{Label: "staggered bitmaps (t)", Points: []Point{ablationPoint(t, 2, placement(true))}}
+	colocated := Series{Label: "co-located bitmaps (t)", Points: []Point{ablationPoint(t, 2, placement(false))}}
+	prefetch := Series{Label: "fact prefetch granule (pages)"}
+	for _, g := range []int{1, 8, 32} {
+		prefetch.Points = append(prefetch.Points, ablationPoint(t, float64(g), func(c *simpad.Config, _ *alloc.Placement) {
+			c.PrefetchFact = g
+		}))
+	}
+	for _, s := range []*Series{&staggered, &colocated, &prefetch} {
+		annotateSpeedup(s)
+	}
+	checkGolden(t, "ablations.csv", figureRows(Figure{Series: []Series{staggered, colocated, prefetch}}))
+	// Staggering is what lets a subquery's bitmap reads overlap.
+	if s, c := staggered.Points[0].ResponseTime, colocated.Points[0].ResponseTime; s >= c {
+		t.Errorf("staggered %.1f s, co-located %.1f s: staggering should win", s, c)
+	}
+	// A larger granule reads a fragment's hit pages in fewer operations.
+	for i := 1; i < len(prefetch.Points); i++ {
+		if prefetch.Points[i].DiskOps >= prefetch.Points[i-1].DiskOps {
+			t.Errorf("prefetch %g pages: %d disk ops, not below %d", prefetch.Points[i].X, prefetch.Points[i].DiskOps, prefetch.Points[i-1].DiskOps)
+		}
 	}
 }

@@ -19,6 +19,11 @@ type Point struct {
 	ResponseTime float64
 	// Speedup is relative to the curve's baseline point (first X).
 	Speedup float64
+	// Subqueries and DiskOps are summed over the point's queries; Events
+	// is the number of simulation events its run executed.
+	Subqueries int
+	DiskOps    int64
+	Events     int64
 }
 
 // Series is one curve of a figure.
@@ -83,7 +88,9 @@ type pointJob struct {
 func simulate(fig *Figure, jobs []pointJob, icfg frag.IndexConfig, opt Options) {
 	pts, err := exec.Map(context.Background(), opt.workers(), len(jobs), func(i int) (Point, error) {
 		j := jobs[i]
-		return Point{X: j.x, ResponseTime: runPoint(j.cfg, j.spec, icfg, j.qt, opt)}, nil
+		p := runPoint(j.cfg, j.spec, icfg, j.qt, opt)
+		p.X = j.x
+		return p, nil
 	})
 	if err != nil { // jobs never fail; only a cancelled context could
 		panic(err)
@@ -97,9 +104,9 @@ func simulate(fig *Figure, jobs []pointJob, icfg frag.IndexConfig, opt Options) 
 	}
 }
 
-// runPoint simulates a stream of queries of one type and returns the mean
-// response time.
-func runPoint(cfg simpad.Config, spec *frag.Spec, icfg frag.IndexConfig, qt workload.QueryType, opt Options) float64 {
+// runPoint simulates a stream of queries of one type and returns its mean
+// response time and summed counts.
+func runPoint(cfg simpad.Config, spec *frag.Spec, icfg frag.IndexConfig, qt workload.QueryType, opt Options) Point {
 	star := spec.Star()
 	placement := alloc.Placement{Disks: cfg.Disks, Scheme: alloc.RoundRobin, Staggered: true}
 	sys, err := simpad.NewSystem(cfg, icfg, placement, opt.Seed)
@@ -115,7 +122,14 @@ func runPoint(cfg simpad.Config, spec *frag.Spec, icfg frag.IndexConfig, qt work
 		}
 		plans = append(plans, simpad.NewPlan(spec, icfg, q, cfg))
 	}
-	return simpad.MeanResponseTime(sys.Run(plans))
+	rs := sys.Run(plans)
+	// Result.Events counts the run's events so far, so the last is the total.
+	p := Point{ResponseTime: simpad.MeanResponseTime(rs), Events: rs[len(rs)-1].Events}
+	for _, r := range rs {
+		p.Subqueries += r.Subqueries
+		p.DiskOps += r.DiskOps
+	}
+	return p
 }
 
 // Figure3 reproduces the speed-up experiment for the disk-bound 1STORE
