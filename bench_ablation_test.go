@@ -1,100 +1,16 @@
 package mdhf
 
-// Ablation benchmarks for the design choices DESIGN.md §6 calls out:
-// staggered vs co-located bitmap allocation, prefetch granule sensitivity,
-// prime-disk declustering, and the gap allocation scheme. Plus
-// micro-benchmarks of the core data structures.
+// Micro-benchmarks of the advisor, the in-memory engine and the core data
+// structures. The simulated ablations (staggered vs co-located bitmaps,
+// the prefetch granule) are golden files of internal/experiments, and the
+// prime-disk counts are alloc's TestSection46GcdClustering.
 
 import (
 	"testing"
 
 	"repro/internal/bitmap"
 	"repro/internal/engine"
-	"repro/internal/experiments"
-	"repro/internal/simpad"
 )
-
-func simStoreOnce(b *testing.B, mutate func(*SimConfig, *Placement)) float64 {
-	b.Helper()
-	star := APB1()
-	icfg := APB1Indexes(star)
-	spec, err := ParseFragmentation(star, "time::month, product::group")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultSimConfig()
-	placement := Placement{Disks: cfg.Disks, Scheme: RoundRobin, Staggered: true}
-	mutate(&cfg, &placement)
-	placement.Disks = cfg.Disks
-	sys, err := simpad.NewSystem(cfg, icfg, placement, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := NewQueryGenerator(star, 1)
-	q, err := gen.Next(OneStore)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := sys.Run([]*SimPlan{simpad.NewPlan(spec, icfg, q, cfg)})
-	return rs[0].ResponseTime
-}
-
-// BenchmarkAblationStaggeredVsColocated quantifies Figure 5's premise: the
-// staggered allocation enables parallel bitmap I/O; co-locating all bitmap
-// fragments with their fact fragment serialises it.
-func BenchmarkAblationStaggeredVsColocated(b *testing.B) {
-	var staggered, colocated float64
-	for i := 0; i < b.N; i++ {
-		staggered = simStoreOnce(b, func(c *SimConfig, p *Placement) {
-			c.TasksPerNode = 2
-			p.Staggered = true
-		})
-		colocated = simStoreOnce(b, func(c *SimConfig, p *Placement) {
-			c.TasksPerNode = 2
-			p.Staggered = false
-		})
-	}
-	b.ReportMetric(staggered, "s-staggered")
-	b.ReportMetric(colocated, "s-colocated")
-}
-
-// BenchmarkAblationPrefetchGranule sweeps the fact prefetch size around the
-// paper's 8 pages (Section 4.4's threshold driver).
-func BenchmarkAblationPrefetchGranule(b *testing.B) {
-	var t1, t8, t32 float64
-	for i := 0; i < b.N; i++ {
-		t1 = simStoreOnce(b, func(c *SimConfig, p *Placement) { c.PrefetchFact = 1 })
-		t8 = simStoreOnce(b, func(c *SimConfig, p *Placement) { c.PrefetchFact = 8 })
-		t32 = simStoreOnce(b, func(c *SimConfig, p *Placement) { c.PrefetchFact = 32 })
-	}
-	b.ReportMetric(t1, "s-prefetch1")
-	b.ReportMetric(t8, "s-prefetch8")
-	b.ReportMetric(t32, "s-prefetch32")
-}
-
-// BenchmarkAblationPrimeDisks quantifies the Section 4.6 gcd clustering for
-// the 1CODE query: 100 disks leave only 5 usable; 101 (prime) or the gap
-// scheme restore parallelism.
-func BenchmarkAblationPrimeDisks(b *testing.B) {
-	star := APB1()
-	spec, err := ParseFragmentation(star, "time::month, product::group")
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := ParseQuery(star, "product::code=77")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var d100, d101, gap int
-	for i := 0; i < b.N; i++ {
-		d100 = DisksUsed(spec, q, Placement{Disks: 100, Scheme: RoundRobin})
-		d101 = DisksUsed(spec, q, Placement{Disks: 101, Scheme: RoundRobin})
-		gap = DisksUsed(spec, q, Placement{Disks: 100, Scheme: GapRoundRobin})
-	}
-	b.ReportMetric(float64(d100), "disks-rr100")
-	b.ReportMetric(float64(d101), "disks-prime101")
-	b.ReportMetric(float64(gap), "disks-gap100")
-}
 
 // BenchmarkAdvisor measures the full Section 4.7 guideline pipeline:
 // enumerate 167 options, filter by thresholds, rank by total work.
@@ -208,16 +124,6 @@ func BenchmarkFragmentLookup(b *testing.B) {
 		ids := spec.FragmentIDs(q)
 		if len(ids) != 3 {
 			b.Fatal("unexpected fragment count")
-		}
-	}
-}
-
-// BenchmarkTable2Enumeration measures fragmentation-option enumeration.
-func BenchmarkTable2Enumeration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := experiments.Table2()
-		if len(cells) != 16 {
-			b.Fatal("bad cell count")
 		}
 	}
 }

@@ -1,65 +1,16 @@
 package mdhf
 
-// Benchmarks for the implemented future-work extensions: multi-user mode,
-// clustering granules, Shared Nothing, skewed generation, WAH compression,
-// and the on-disk storage executor.
+// Benchmarks for the implemented future-work extensions: skewed
+// generation, WAH compression, the on-disk storage executor and the
+// dimension-table lookup. The simulated ones (multi-user mode, clustering
+// granules, Shared Nothing) are simpad's tests.
 
 import (
 	"testing"
 
 	"repro/internal/bitmap"
-	"repro/internal/experiments"
 	"repro/internal/storage"
-	"repro/internal/workload"
 )
-
-// BenchmarkExtMultiUser measures mean 1MONTH response times under 1, 2, 4
-// and 8 concurrent query streams (multi-user mode, Section 7 future work).
-func BenchmarkExtMultiUser(b *testing.B) {
-	var s experiments.Series
-	for i := 0; i < b.N; i++ {
-		s = experiments.MultiUser(workload.OneMonth, []int{1, 2, 4, 8}, 1, 1)
-	}
-	for _, pt := range s.Points {
-		switch pt.X {
-		case 1:
-			b.ReportMetric(pt.ResponseTime, "s-1stream")
-		case 8:
-			b.ReportMetric(pt.ResponseTime, "s-8streams")
-		}
-	}
-}
-
-// BenchmarkExtClusteringGranules measures the Section 6.3 fix: 1STORE
-// under FMonthCode with clustering granules of 1, 6 and 30 fragments.
-func BenchmarkExtClusteringGranules(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-scale simulation")
-	}
-	var s experiments.Series
-	for i := 0; i < b.N; i++ {
-		s = experiments.Clustering([]int{1, 6, 30}, 1)
-	}
-	for _, pt := range s.Points {
-		switch pt.X {
-		case 1:
-			b.ReportMetric(pt.ResponseTime, "s-unclustered")
-		case 30:
-			b.ReportMetric(pt.ResponseTime, "s-cluster30")
-		}
-	}
-}
-
-// BenchmarkExtSharedNothing compares Shared Disk and Shared Nothing for
-// the CPU-bound 1MONTH query.
-func BenchmarkExtSharedNothing(b *testing.B) {
-	var sd, sn float64
-	for i := 0; i < b.N; i++ {
-		sd, sn = experiments.ArchComparison(workload.OneMonth, 1)
-	}
-	b.ReportMetric(sd, "s-shared-disk")
-	b.ReportMetric(sn, "s-shared-nothing")
-}
 
 // BenchmarkExtSkewedGeneration measures Zipf-skewed fact generation.
 func BenchmarkExtSkewedGeneration(b *testing.B) {

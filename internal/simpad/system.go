@@ -81,22 +81,9 @@ type Result struct {
 }
 
 // Run executes the plans sequentially (single-user mode, Section 5) and
-// returns one Result per plan.
+// returns one Result per plan: one stream of RunStreams.
 func (s *System) Run(plans []*Plan) []Result {
-	results := make([]Result, len(plans))
-	var issue func(i int)
-	issue = func(i int) {
-		if i == len(plans) {
-			return
-		}
-		s.runQuery(plans[i], func(r Result) {
-			results[i] = r
-			issue(i + 1)
-		})
-	}
-	issue(0)
-	s.sim.Run()
-	return results
+	return s.RunStreams([][]*Plan{plans})[0]
 }
 
 // RunStreams models a closed multi-user workload: each stream issues its

@@ -32,9 +32,6 @@ var surfaceAllowed = map[string]string{
 	"dimtable.Catalog.FormatQuery": "the public inverse of ParseQuery, served through Warehouse.Catalog; FuzzQueryText round-trips through it",
 	"data.Table.LeafMembers":       "the row oracle tests in other packages check a fragment's members with",
 	"storage.DiskSet.ReviveDisk":   "the public inverse of FailDisk, served through mdhf.DiskSet",
-	"experiments.MultiUser":        "run by the root BenchmarkExtMultiUser reproduction benchmark",
-	"experiments.Clustering":       "run by the root BenchmarkExtClustering reproduction benchmark",
-	"experiments.ArchComparison":   "run by the root BenchmarkExtArchComparison reproduction benchmark",
 }
 
 // TestNoTestOnlySurface fails on every function or method declared in
