@@ -6,8 +6,6 @@
 // is involved).
 package des
 
-import "container/heap"
-
 // Time is simulated time in seconds.
 type Time float64
 
@@ -19,30 +17,16 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// before orders the calendar by (at, seq), a total order: seq is unique.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Sim is one simulation run.
 type Sim struct {
 	now    Time
 	seq    int64
-	events eventHeap
+	events []event // a binary min-heap under event.before
 	nRun   int64
 }
 
@@ -62,14 +46,60 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 		delay = 0
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+}
+
+// push adds e to the calendar, moving it up past every later parent.
+func (s *Sim) push(e event) {
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	s.events = h
+}
+
+// pop removes the earliest event from the calendar and returns it: the
+// last event moves down from the root past every earlier child.
+func (s *Sim) pop() event {
+	h := s.events
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = event{} // release the closure
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.events = h
+	return top
 }
 
 // Run executes events until the calendar is empty and returns the final
 // simulated time.
 func (s *Sim) Run() Time {
 	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(event)
+		e := s.pop()
 		s.now = e.at
 		s.nRun++
 		e.fn()

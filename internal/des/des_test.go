@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -183,5 +184,43 @@ func TestClosedNetworkDeterministic(t *testing.T) {
 	}
 	if servedA != 12 || servedB != 12 {
 		t.Fatalf("served a=%d b=%d", servedA, servedB)
+	}
+}
+
+// TestCalendarFiresInTimeThenScheduleOrder schedules many events with
+// ties, some from inside running events, and checks that they fire in
+// (time, schedule order) — the order every figure's numbers depend on.
+func TestCalendarFiresInTimeThenScheduleOrder(t *testing.T) {
+	s := NewSim()
+	rng := rand.New(rand.NewSource(1))
+	type key struct {
+		at Time
+		id int
+	}
+	var fired []key
+	next := 0
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		id := next
+		next++
+		s.Schedule(Time(rng.Intn(20)), func() {
+			fired = append(fired, key{s.Now(), id})
+			if depth < 3 && id%3 == 0 {
+				schedule(depth + 1)
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(0)
+	}
+	s.Run()
+	if len(fired) != next || int64(next) != s.EventsRun() {
+		t.Fatalf("fired %d of %d events, EventsRun %d", len(fired), next, s.EventsRun())
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if b.at < a.at || b.at == a.at && b.id < a.id {
+			t.Fatalf("event %d (t=%v) fired after event %d (t=%v)", b.id, b.at, a.id, a.at)
+		}
 	}
 }

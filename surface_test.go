@@ -21,11 +21,6 @@ import (
 // "pkg.Func" or "pkg.Type.Method", pkg being the directory under
 // internal/, or the import path outside it.
 var surfaceAllowed = map[string]string{
-	"des.eventHeap.Less":           "container/heap reaches it through heap.Interface",
-	"des.eventHeap.Swap":           "container/heap reaches it through heap.Interface",
-	"des.eventHeap.Len":            "container/heap reaches it through heap.Interface",
-	"des.eventHeap.Push":           "container/heap reaches it through heap.Interface",
-	"des.eventHeap.Pop":            "container/heap reaches it through heap.Interface",
 	"bitmap.Bitset.Equal":          "the bit-for-bit oracle tests in other packages compare bitmaps with",
 	"bitmap.Bitset.Get":            "the bit-for-bit oracle tests in other packages read single bits with",
 	"bitmap.EncodedIndex.Bitmap":   "the pinned index digest in internal/engine reads each stored bitmap with",
