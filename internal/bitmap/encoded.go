@@ -32,9 +32,9 @@ type Layout struct {
 
 // NewLayout derives the minimal hierarchical encoding for a dimension:
 // field i is ceil(log2(fan-in of level i)) bits wide. padBits, if non-nil,
-// adds extra (always-zero) bits to the corresponding level's field; the
-// paper's CUSTOMER index uses one pad bit to arrive at its stated 12
-// bitmaps (see DESIGN.md §5).
+// adds extra (always-zero) bits to the corresponding level's field. APB-1
+// needs none: its CUSTOMER index has the paper's 12 bitmaps unpadded
+// (144 retailers of 10 stores, 8 + 4 bits).
 func NewLayout(dim *schema.Dimension, padBits []int) *Layout {
 	if padBits != nil && len(padBits) != len(dim.Levels) {
 		panic(fmt.Sprintf("bitmap: padBits length %d != levels %d", len(padBits), len(dim.Levels)))

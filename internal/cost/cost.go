@@ -1,8 +1,9 @@
 // Package cost implements the analytical I/O cost model of the MDHF study
 // (Section 4.5 and the companion technical report [33], which is
 // unavailable; the formulas are reconstructed from the paper's stated
-// behaviour and calibrated against Tables 2, 3 and 6 — see EXPERIMENTS.md
-// for residual deviations).
+// behaviour and calibrated against Tables 2, 3 and 6; the residual
+// deviations are recorded beside the paper's values in
+// internal/experiments/testdata/repro).
 //
 // The model assumes, as the paper does, a uniform distribution of query
 // hits within each relevant fragment and page, and fragments stored

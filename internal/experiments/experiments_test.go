@@ -63,9 +63,9 @@ func TestTable2CloseToPaper(t *testing.T) {
 				c.Dims, c.MinPages, c.Count, c.Paper, diff)
 		}
 	}
-	// At least 11 of 16 cells must match exactly (see EXPERIMENTS.md T2
-	// for the analysis of the remaining cells, which hinge on the paper's
-	// unstated retailer cardinality and rounding convention).
+	// At least 11 of 16 cells must match exactly (table2.csv holds all
+	// 16; the others hinge on the paper's unstated retailer cardinality
+	// and rounding convention).
 	if exact < 11 {
 		t.Errorf("only %d cells exact, want >= 11 (near: %d)", exact, near)
 	}
@@ -194,7 +194,6 @@ func TestFigure3ShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation")
 	}
-	// Restrict to two ratios for test time; the bench runs all.
 	fig := Figure3(Options{Seed: 1})
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d", len(fig.Series))

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Tables 1-6, Figures 3-6) from the library's modules, with the
 // paper's published values attached for comparison. It is the shared
-// backend of the cmd tools, the examples and the root benchmarks; see
-// EXPERIMENTS.md for paper-vs-measured records.
+// backend of the cmd tools and the examples; its tests record every
+// point, paper values beside measured, in testdata/repro.
 package experiments
 
 import (
@@ -66,7 +66,8 @@ var paperTable2 = map[int][4]int{
 
 // Table2 reproduces Table 2 on the APB-1 schema. Deviations from the
 // published counts stem from the paper's unstated retailer cardinality and
-// its internally inconsistent rounding (see EXPERIMENTS.md T2).
+// its internally inconsistent rounding: 11 of 16 cells match, the other
+// five are off by at most 2 (testdata/repro/table2.csv).
 func Table2() []Table2Cell {
 	s := schema.APB1()
 	specs := frag.Enumerate(s)

@@ -151,8 +151,8 @@ func TestThresholdsFilter(t *testing.T) {
 
 	// Threshold (i): minimal bitmap fragment size of 1 page. The paper's
 	// Table 2 reports 72; our exact arithmetic yields 74 (the paper's table
-	// is internally inconsistent with its own nmax formula — see
-	// EXPERIMENTS.md T2).
+	// is internally inconsistent with its own nmax formula; the cells are
+	// in internal/experiments/testdata/repro/table2.csv).
 	t1 := Thresholds{MinBitmapFragPages: 1}
 	if got := len(admitted(t1, specs, cfg)); got != 74 {
 		t.Errorf("options with >=1 page bitmap fragments = %d, want 74", got)

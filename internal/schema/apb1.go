@@ -31,8 +31,8 @@ const (
 //
 // The retailer cardinality is not stated in the paper; 144 (10 stores per
 // retailer) reproduces both the paper's 12-bitmap encoded CUSTOMER index
-// (ceil(log2 144) + ceil(log2 10) = 8 + 4) and most cells of Table 2
-// (see DESIGN.md §5 and EXPERIMENTS.md).
+// (ceil(log2 144) + ceil(log2 10) = 8 + 4) and 11 of Table 2's 16 cells
+// (internal/experiments/testdata/repro/table2.csv).
 func APB1() *Star {
 	return &Star{
 		Name: "APB-1",

@@ -146,9 +146,11 @@ func WithIODelay(d time.Duration) Option {
 }
 
 // WithClustering groups n consecutive fragments into one allocation
-// granule sharing a disk (Section 6.3); it applies to the declustered
-// placement, the queue response model, and simulated plans. Values
-// below 2 mean no clustering.
+// granule sharing a disk (Section 6.3): the declustered placement, the
+// queue response model and simulated plans see the granules. The
+// executor's reads do not change with it: it still reads every
+// fragment's bitmap units and granules one by one, on the disks the
+// clustered placement picks. Values below 2 mean no clustering.
 func WithClustering(n int) Option {
 	return func(o *options) {
 		if n < 1 {
