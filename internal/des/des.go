@@ -49,47 +49,40 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
 }
 
-// push adds e to the calendar, moving it up past every later parent.
+// push adds e to the calendar, swapping it up past every later parent.
 func (s *Sim) push(e event) {
-	h := append(s.events, e)
-	i := len(h) - 1
-	for i > 0 {
+	s.events = append(s.events, e)
+	h := s.events
+	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !e.before(&h[p]) {
+		if !h[i].before(&h[p]) {
 			break
 		}
-		h[i] = h[p]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	h[i] = e
-	s.events = h
 }
 
 // pop removes the earliest event from the calendar and returns it: the
-// last event moves down from the root past every earlier child.
+// last event takes the root and swaps down past every earlier child.
 func (s *Sim) pop() event {
 	h := s.events
 	top, n := h[0], len(h)-1
-	last := h[n]
-	h[n] = event{} // release the closure
+	h[0], h[n] = h[n], event{} // the emptied slot releases its closure
 	h = h[:n]
-	i := 0
-	for {
+	for i := 0; ; {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
-			c = r
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
 		}
-		if !h[c].before(&last) {
+		if !h[c].before(&h[i]) {
 			break
 		}
-		h[i] = h[c]
+		h[i], h[c] = h[c], h[i]
 		i = c
-	}
-	if n > 0 {
-		h[i] = last
 	}
 	s.events = h
 	return top

@@ -194,6 +194,7 @@ func TestFigure3ShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation")
 	}
+	t.Parallel() // the slowest simulations: overlap them on a second CPU
 	fig := Figure3(Options{Seed: 1})
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d", len(fig.Series))
@@ -250,6 +251,7 @@ func TestFigure5ShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation")
 	}
+	t.Parallel()
 	fig := Figure5(Options{Seed: 1})
 	checkGolden(t, "figure5.csv", figureRows(fig))
 	gain := func(x float64) float64 {
@@ -292,6 +294,7 @@ func TestFigure6StoreShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation")
 	}
+	t.Parallel()
 	fig := Figure6Store(Options{Seed: 1})
 	checkGolden(t, "figure6_store.csv", figureRows(fig))
 	if len(fig.Series) != 3 {
@@ -360,6 +363,7 @@ func TestAblationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation")
 	}
+	t.Parallel()
 	placement := func(staggered bool) func(*simpad.Config, *alloc.Placement) {
 		return func(c *simpad.Config, p *alloc.Placement) {
 			c.TasksPerNode = 2

@@ -70,16 +70,10 @@ func itoa[T int | int64](v T) string { return strconv.FormatInt(int64(v), 10) }
 func figureRows(fig Figure) [][]string {
 	rows := [][]string{{"series", "x", "response_s", "speedup", "subqueries", "disk_ops", "events"}}
 	for _, s := range fig.Series {
-		rows = append(rows, seriesRows(s)...)
-	}
-	return rows
-}
-
-func seriesRows(s Series) [][]string {
-	var rows [][]string
-	for _, p := range s.Points {
-		rows = append(rows, []string{s.Label, ftoa(p.X), ftoa(p.ResponseTime), ftoa(p.Speedup),
-			itoa(p.Subqueries), itoa(p.DiskOps), itoa(p.Events)})
+		for _, p := range s.Points {
+			rows = append(rows, []string{s.Label, ftoa(p.X), ftoa(p.ResponseTime), ftoa(p.Speedup),
+				itoa(p.Subqueries), itoa(p.DiskOps), itoa(p.Events)})
+		}
 	}
 	return rows
 }
