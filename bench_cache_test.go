@@ -8,51 +8,16 @@ package mdhf
 // the baseline throughput with byte-identical results, asserts appends
 // mid-benchmark invalidate only the entries whose fragments they touch,
 // and sweeps the hot fraction against a pool sized below the total
-// working set. The measured numbers are written to BENCH_cache.json.
+// working set. Each sub-benchmark reports its figures as metrics.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 	"time"
 )
-
-// cacheBenchReport is the schema of BENCH_cache.json.
-type cacheBenchReport struct {
-	Benchmark       string  `json:"benchmark"`
-	BaseRows        int     `json:"base_rows"`
-	IODelayUs       int64   `json:"io_delay_us"`
-	PoolBytes       int64   `json:"pool_bytes"`
-	ResultCacheCap  int     `json:"result_cache_entries"`
-	DistinctQueries int     `json:"distinct_queries"`
-	ExecsPerPass    int     `json:"execs_per_pass"`
-	HotFraction     float64 `json:"hot_fraction"`
-
-	UncachedQPS   float64 `json:"uncached_qps"`
-	CachedColdQPS float64 `json:"cached_cold_qps"`
-	CachedWarmQPS float64 `json:"cached_warm_qps"`
-	WarmSpeedup   float64 `json:"warm_speedup_vs_uncached"`
-
-	PoolHitRateWarm   float64 `json:"pool_hit_rate_warm"`
-	ResultHitRateWarm float64 `json:"result_cache_hit_rate_warm"`
-
-	AppendInvalidations int64 `json:"append_invalidations"`
-	AppendRekeys        int64 `json:"append_rekeys"`
-	HotStillCached      bool  `json:"hot_still_cached_after_append"`
-
-	SkewSweep []skewPoint `json:"skew_sweep_pool_only"`
-}
-
-// skewPoint is one hot-fraction measurement of the pool-only sweep.
-type skewPoint struct {
-	HotFraction float64 `json:"hot_fraction"`
-	PoolHitRate float64 `json:"pool_hit_rate"`
-	QPS         float64 `json:"qps"`
-}
 
 // cacheBenchWorkload derives the skewed query mix from the schema: hot
 // queries confine to the last quarter (and its months), cold queries
@@ -169,38 +134,37 @@ func BenchmarkCachedServing(b *testing.B) {
 		return float64(len(seqn)) / time.Since(start).Seconds(), want
 	}
 
-	report := cacheBenchReport{
-		Benchmark: "BenchmarkCachedServing", BaseRows: tab.N(),
-		IODelayUs: ioDelay.Microseconds(), PoolBytes: poolBytes, ResultCacheCap: cacheCap,
-		DistinctQueries: len(wl.hot) + len(wl.cold), ExecsPerPass: execs, HotFraction: hotFrac,
-	}
 	var baseline []Result
+	var uncachedQPS float64
 
 	b.Run("uncached", func(b *testing.B) {
 		w := open()
 		for i := 0; i < b.N; i++ {
-			report.UncachedQPS, baseline = pass(w, seqn, nil)
+			uncachedQPS, baseline = pass(w, seqn, nil)
 		}
-		b.ReportMetric(report.UncachedQPS, "q/s")
+		b.ReportMetric(uncachedQPS, "q/s")
 	})
 
 	b.Run("cached", func(b *testing.B) {
 		w := open(WithBufferPool(poolBytes), WithResultCache(cacheCap))
+		var coldQPS, warmQPS, resultHitRate, poolHit float64
 		for i := 0; i < b.N; i++ {
-			report.CachedColdQPS, _ = pass(w, seqn, baseline)
+			coldQPS, _ = pass(w, seqn, baseline)
 			pre := w.ServingStats()
-			report.CachedWarmQPS, _ = pass(w, seqn, baseline)
+			warmQPS, _ = pass(w, seqn, baseline)
 			post := w.ServingStats()
 			if lookups := post.Cache.Hits + post.Cache.Misses - pre.Cache.Hits - pre.Cache.Misses; lookups > 0 {
-				report.ResultHitRateWarm = float64(post.Cache.Hits-pre.Cache.Hits) / float64(lookups)
+				resultHitRate = float64(post.Cache.Hits-pre.Cache.Hits) / float64(lookups)
 			}
-			report.PoolHitRateWarm = poolHitRate(post.Cache.Pool)
+			poolHit = poolHitRate(post.Cache.Pool)
 		}
-		b.ReportMetric(report.CachedWarmQPS, "q/s")
-		report.WarmSpeedup = report.CachedWarmQPS / report.UncachedQPS
-		if report.WarmSpeedup < 3 {
+		b.ReportMetric(warmQPS, "q/s")
+		b.ReportMetric(coldQPS, "cold-q/s")
+		b.ReportMetric(resultHitRate, "result-hit-rate")
+		b.ReportMetric(poolHit, "pool-hit-rate")
+		if speedup := warmQPS / uncachedQPS; speedup < 3 {
 			b.Fatalf("warm cached serving %.0f q/s is only %.1fx the uncached %.0f q/s, want >= 3x",
-				report.CachedWarmQPS, report.WarmSpeedup, report.UncachedQPS)
+				warmQPS, speedup, uncachedQPS)
 		}
 
 		// Append one row into a cold month mid-serving: only entries whose
@@ -217,22 +181,17 @@ func BenchmarkCachedServing(b *testing.B) {
 			b.Fatal(err)
 		}
 		post := w.ServingStats()
-		report.AppendInvalidations = post.Cache.Invalidations - pre.Cache.Invalidations
-		report.AppendRekeys = post.Cache.Rekeys - pre.Cache.Rekeys
-		if report.AppendInvalidations == 0 || report.AppendRekeys == 0 {
+		invalidated, rekeyed := post.Cache.Invalidations-pre.Cache.Invalidations, post.Cache.Rekeys-pre.Cache.Rekeys
+		if invalidated == 0 || rekeyed == 0 {
 			b.Fatalf("append invalidated %d and re-keyed %d entries — want both partial (fragment-granular)",
-				report.AppendInvalidations, report.AppendRekeys)
+				invalidated, rekeyed)
 		}
-		report.HotStillCached = true
 		for _, q := range wl.hot {
 			if _, st, err := w.Query(q).Execute(ctx); err != nil {
 				b.Fatal(err)
 			} else if !st.CacheHit {
-				report.HotStillCached = false
+				b.Fatal("a hot-quarter entry was evicted by an append confined to a cold month")
 			}
-		}
-		if !report.HotStillCached {
-			b.Fatal("a hot-quarter entry was evicted by an append confined to a cold month")
 		}
 	})
 
@@ -244,31 +203,17 @@ func BenchmarkCachedServing(b *testing.B) {
 			sweepPool = 1 << 20
 		}
 		for i := 0; i < b.N; i++ {
-			report.SkewSweep = report.SkewSweep[:0]
 			for _, frac := range []float64{0.5, 0.8, 0.95} {
 				w := open(WithBufferPool(sweepPool))
 				qps, _ := pass(w, wl.sequence(seed+1, execs, frac), nil)
-				st := w.ServingStats()
-				report.SkewSweep = append(report.SkewSweep, skewPoint{
-					HotFraction: frac, PoolHitRate: poolHitRate(st.Cache.Pool), QPS: qps,
-				})
+				b.ReportMetric(qps, fmt.Sprintf("q/s@hot=%g", frac))
+				b.ReportMetric(poolHitRate(w.ServingStats().Cache.Pool), fmt.Sprintf("pool-hit-rate@hot=%g", frac))
 				if err := w.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cache.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("BENCH_cache.json: uncached %.0f q/s, cached cold %.0f q/s, warm %.0f q/s (%.1fx); pool hit rate %.2f, result hit rate %.2f\n",
-		report.UncachedQPS, report.CachedColdQPS, report.CachedWarmQPS, report.WarmSpeedup,
-		report.PoolHitRateWarm, report.ResultHitRateWarm)
 }
 
 // poolHitRate returns Hits/(Hits+Misses), 0 when nothing was looked up.

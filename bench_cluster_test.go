@@ -4,41 +4,19 @@ package mdhf
 // the disk-latency regime: on-disk nodes with one simulated disk each
 // (200µs per access), 16 concurrent query streams over the cache
 // benchmark's skewed 80%-hot-quarter mix, at 1, 2, 4 and 8 in-process
-// nodes. Throughput (q/s) and p95 latency per node count are written to
-// BENCH_cluster.json; every result is cross-checked against the
+// nodes. Throughput (q/s), p95 latency and client retries per node count
+// are reported as metrics; every result is cross-checked against the
 // single-node warehouse oracle.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 )
-
-// clusterBenchPoint is one node-count measurement in BENCH_cluster.json.
-type clusterBenchPoint struct {
-	Nodes   int     `json:"nodes"`
-	QPS     float64 `json:"qps"`
-	P95Us   int64   `json:"p95_us"`
-	Retries int64   `json:"retries"`
-}
-
-// clusterBenchReport is the schema of BENCH_cluster.json.
-type clusterBenchReport struct {
-	Benchmark   string              `json:"benchmark"`
-	BaseRows    int                 `json:"base_rows"`
-	IODelayUs   int64               `json:"io_delay_us"`
-	Streams     int                 `json:"streams"`
-	Execs       int                 `json:"execs"`
-	HotFraction float64             `json:"hot_fraction"`
-	Points      []clusterBenchPoint `json:"points"`
-	Speedup8x   float64             `json:"speedup_8x_vs_1"`
-}
 
 func BenchmarkClusterServing(b *testing.B) {
 	ctx := context.Background()
@@ -70,15 +48,6 @@ func BenchmarkClusterServing(b *testing.B) {
 	}
 	oracle.Close()
 
-	report := clusterBenchReport{
-		Benchmark:   "BenchmarkClusterServing",
-		BaseRows:    tab.N(),
-		IODelayUs:   ioDelay.Microseconds(),
-		Streams:     streams,
-		Execs:       execs,
-		HotFraction: hotFrac,
-	}
-
 	for _, nodes := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			c, err := Open(ctx,
@@ -97,7 +66,8 @@ func BenchmarkClusterServing(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			var best clusterBenchPoint
+			var bestQPS float64
+			var bestP95 time.Duration
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
 				lat := make([]time.Duration, len(seqn))
@@ -135,13 +105,8 @@ func BenchmarkClusterServing(b *testing.B) {
 					b.Fatal(firstErr)
 				}
 				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-				point := clusterBenchPoint{
-					Nodes: nodes,
-					QPS:   float64(len(seqn)) / wall.Seconds(),
-					P95Us: lat[len(lat)*95/100].Microseconds(),
-				}
-				if point.QPS > best.QPS {
-					best = point
+				if qps := float64(len(seqn)) / wall.Seconds(); qps > bestQPS {
+					bestQPS, bestP95 = qps, lat[len(lat)*95/100]
 				}
 			}
 			b.StopTimer()
@@ -149,28 +114,13 @@ func BenchmarkClusterServing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var retries int64
 			for _, cs := range st.Client {
-				best.Retries += cs.Retries
+				retries += cs.Retries
 			}
-			b.ReportMetric(best.QPS, "q/s")
-			b.ReportMetric(float64(best.P95Us), "p95-µs")
-			report.Points = append(report.Points, best)
+			b.ReportMetric(bestQPS, "q/s")
+			b.ReportMetric(float64(bestP95.Microseconds()), "p95-µs")
+			b.ReportMetric(float64(retries), "retries")
 		})
 	}
-
-	if len(report.Points) == 4 && report.Points[0].QPS > 0 {
-		report.Speedup8x = report.Points[3].QPS / report.Points[0].QPS
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cluster.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("BENCH_cluster.json: %d-row shardset, %dµs disks, %d streams; ", report.BaseRows, report.IODelayUs, report.Streams)
-	for _, p := range report.Points {
-		fmt.Printf("n=%d %.0f q/s p95 %dµs; ", p.Nodes, p.QPS, p.P95Us)
-	}
-	fmt.Printf("8-node speedup %.2fx\n", report.Speedup8x)
 }

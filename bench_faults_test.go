@@ -4,40 +4,15 @@ package mdhf
 // serving workload the cache benchmark established (warm buffer pool,
 // skewed hot-quarter mix): it measures the fault-free throughput, then
 // the throughput and equivalence of the same mix under a seeded 2%
-// transient-fault + corrupt-page plan. The measured numbers are written
-// to BENCH_faults.json.
+// transient-fault + corrupt-page plan. Each sub-benchmark reports its
+// figures as metrics.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"reflect"
 	"testing"
 	"time"
 )
-
-// faultBenchReport is the schema of BENCH_faults.json.
-type faultBenchReport struct {
-	Benchmark    string  `json:"benchmark"`
-	BaseRows     int     `json:"base_rows"`
-	IODelayUs    int64   `json:"io_delay_us"`
-	PoolBytes    int64   `json:"pool_bytes"`
-	ExecsPerPass int     `json:"execs_per_pass"`
-	HotFraction  float64 `json:"hot_fraction"`
-
-	// VerifyOnQPS is the fault-free throughput (page checksums are
-	// verified on every physical read, as always).
-	VerifyOnQPS float64 `json:"verify_on_qps"`
-
-	FaultReadErrorRate float64 `json:"fault_read_error_rate"`
-	FaultCorruptRate   float64 `json:"fault_corrupt_rate"`
-	FaultedQPS         float64 `json:"faulted_qps"`
-	FaultedSlowdownPct float64 `json:"faulted_slowdown_pct"`
-	InjectedFaults     int64   `json:"injected_faults"`
-	Retries            int64   `json:"retries"`
-	ChecksumFailures   int64   `json:"checksum_failures"`
-}
 
 func BenchmarkFaultTolerance(b *testing.B) {
 	ctx := context.Background()
@@ -105,50 +80,33 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		return best, want
 	}
 
-	report := faultBenchReport{
-		Benchmark: "BenchmarkFaultTolerance", BaseRows: tab.N(),
-		IODelayUs: ioDelay.Microseconds(), PoolBytes: poolBytes,
-		ExecsPerPass: execs, HotFraction: hotFrac,
-		FaultReadErrorRate: errRate, FaultCorruptRate: corRate,
-	}
 	var baseline []Result
 
 	b.Run("healthy", func(b *testing.B) {
 		w := open()
+		var qps float64
 		for i := 0; i < b.N; i++ {
 			pass(w, nil) // warm the pool outside timing
-			report.VerifyOnQPS, baseline = bestOf(w, nil)
+			qps, baseline = bestOf(w, nil)
 		}
-		b.ReportMetric(report.VerifyOnQPS, "q/s")
+		b.ReportMetric(qps, "q/s")
 	})
 
 	b.Run("faulted", func(b *testing.B) {
 		w := open(WithFaultPlan(FaultPlan{Seed: 42, ReadErrorRate: errRate, CorruptRate: corRate}),
 			WithRetryPolicy(fastFaultRetry()))
+		var qps float64
 		for i := 0; i < b.N; i++ {
 			pass(w, baseline) // warm + equivalence
-			report.FaultedQPS, _ = bestOf(w, baseline)
+			qps, _ = bestOf(w, baseline)
 		}
-		if report.VerifyOnQPS > 0 {
-			report.FaultedSlowdownPct = 100 * (1 - report.FaultedQPS/report.VerifyOnQPS)
-		}
-		st := w.ServingStats()
-		report.InjectedFaults = st.Faults.InjectedFaults
-		report.Retries = st.Faults.Retries
-		report.ChecksumFailures = st.Faults.ChecksumFailures
-		b.ReportMetric(report.FaultedQPS, "q/s")
-		if report.InjectedFaults == 0 {
+		st := w.ServingStats().Faults
+		b.ReportMetric(qps, "q/s")
+		b.ReportMetric(float64(st.InjectedFaults), "injected")
+		b.ReportMetric(float64(st.Retries), "retries")
+		b.ReportMetric(float64(st.ChecksumFailures), "checksum-failures")
+		if st.InjectedFaults == 0 {
 			b.Fatal("fault plan injected nothing — the faulted pass measured a healthy disk set")
 		}
 	})
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_faults.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("BENCH_faults.json: fault-free %.0f q/s; 2%%+2%% faults %.0f q/s (%.1f%% slower, %d injected, %d retries)\n",
-		report.VerifyOnQPS, report.FaultedQPS, report.FaultedSlowdownPct, report.InjectedFaults, report.Retries)
 }

@@ -4,35 +4,15 @@ package mdhf
 // epoch-versioned warehouse: sustained append throughput while 4 query
 // streams keep serving and background compaction bounds the live delta
 // set, then the per-query cost of folding a fixed delta load against the
-// same query after compaction folded it back into the base. The measured
-// numbers are written to BENCH_ingest.json (the first entry of the
-// machine-readable perf history the ROADMAP asks for) so successive PRs
-// can compare like with like.
+// same query after compaction folded it back into the base. Each phase
+// reports its figures as metrics.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 )
-
-// ingestBenchReport is the schema of BENCH_ingest.json.
-type ingestBenchReport struct {
-	Benchmark        string  `json:"benchmark"`
-	BaseRows         int     `json:"base_rows"`
-	BatchRows        int     `json:"batch_rows"`
-	ServingStreams   int     `json:"serving_streams"`
-	CompactThreshold int     `json:"auto_compact_rows"`
-	AppendRowsPerSec float64 `json:"append_rows_per_sec"`
-	Compactions      int64   `json:"compactions_during_append"`
-	DeltaRowsFolded  int64   `json:"delta_rows_folded"`
-	QueryDeltaNsOp   float64 `json:"query_with_deltas_ns_op"`
-	QueryCompactNsOp float64 `json:"query_compacted_ns_op"`
-	DeltaOverheadPct float64 `json:"delta_overhead_pct"`
-}
 
 func BenchmarkAppendWhileServing(b *testing.B) {
 	ctx := context.Background()
@@ -79,14 +59,6 @@ func BenchmarkAppendWhileServing(b *testing.B) {
 		return rows
 	}
 
-	report := ingestBenchReport{
-		Benchmark:        "BenchmarkAppendWhileServing",
-		BaseRows:         tab.N(),
-		BatchRows:        batchRows,
-		ServingStreams:   streams,
-		CompactThreshold: compactAt,
-	}
-
 	// Phase 1: sustained appends racing a fixed set of live query streams,
 	// with background compaction keeping the live delta set bounded — the
 	// steady-state ingest regime.
@@ -125,10 +97,8 @@ func BenchmarkAppendWhileServing(b *testing.B) {
 			b.Fatal(err)
 		default:
 		}
-		rps := float64(b.N*batchRows) / b.Elapsed().Seconds()
-		b.ReportMetric(rps, "rows/sec")
-		report.AppendRowsPerSec = rps
-		report.Compactions = w.ServingStats().Compactions
+		b.ReportMetric(float64(b.N*batchRows)/b.Elapsed().Seconds(), "rows/sec")
+		b.ReportMetric(float64(w.ServingStats().Compactions), "compactions")
 	})
 
 	// Phase 2: per-query cost with a fixed, known delta load live — the
@@ -142,14 +112,14 @@ func BenchmarkAppendWhileServing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	report.DeltaRowsFolded = w.ServingStats().DeltaRows
+	live := w.ServingStats().DeltaRows
 	b.Run("query/with-deltas", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := w.Query(q).Execute(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}
-		report.QueryDeltaNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(float64(live), "live-delta-rows")
 	})
 
 	// Phase 3: the same query after compaction rebuilt the backend.
@@ -162,19 +132,5 @@ func BenchmarkAppendWhileServing(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		report.QueryCompactNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
-
-	if report.QueryCompactNsOp > 0 {
-		report.DeltaOverheadPct = 100 * (report.QueryDeltaNsOp - report.QueryCompactNsOp) / report.QueryCompactNsOp
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ingest.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("BENCH_ingest.json: append %.0f rows/sec (%d compactions), delta overhead %+.1f%% over %d live rows\n",
-		report.AppendRowsPerSec, report.Compactions, report.DeltaOverheadPct, report.DeltaRowsFolded)
 }

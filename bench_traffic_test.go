@@ -9,55 +9,19 @@ package mdhf
 // back-to-back; the open-loop model fires Poisson arrivals at a fixed
 // offered rate regardless of completions. Every result is checked
 // byte-for-byte against the in-memory solo oracle while the clock runs,
-// and throughput plus p50/p95/p99 latency per point are written to
-// BENCH_serving.json.
+// and each point reports its throughput, p50/p95/p99 latency and the
+// shared-scan counters as metrics.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 )
-
-// trafficPoint is one (model, streams, sharing) measurement in
-// BENCH_serving.json.
-type trafficPoint struct {
-	Model   string  `json:"model"` // "closed" or "open"
-	Streams int     `json:"streams"`
-	Shared  bool    `json:"shared"`
-	QPS     float64 `json:"qps"`
-	P50Us   int64   `json:"p50_us"`
-	P95Us   int64   `json:"p95_us"`
-	P99Us   int64   `json:"p99_us"`
-	// Batches and PhysReadsSaved are the warehouse's shared-scan counters
-	// accumulated during this point (zero with sharing off).
-	Batches        int64 `json:"batches"`
-	PhysReadsSaved int64 `json:"phys_reads_saved"`
-}
-
-// trafficReport is the schema of BENCH_serving.json.
-type trafficReport struct {
-	Benchmark     string         `json:"benchmark"`
-	BaseRows      int            `json:"base_rows"`
-	Disks         int            `json:"disks"`
-	IODelayUs     int64          `json:"io_delay_us"`
-	WindowUs      int64          `json:"window_us"`
-	Execs         int            `json:"execs"`
-	HotFraction   float64        `json:"hot_fraction"`
-	FlashFraction float64        `json:"flash_fraction"`
-	OpenRateQPS   float64        `json:"open_arrival_qps"`
-	OpenBurst     int            `json:"open_burst"`
-	Points        []trafficPoint `json:"points"`
-	// SharedSpeedup64 is the closed-loop shared-on/shared-off throughput
-	// ratio at 64 streams — the headline shared-scan number.
-	SharedSpeedup64 float64 `json:"shared_speedup_closed_64"`
-}
 
 // trafficMix is the skewed serving mix: hot-quarter confinements, a
 // flash-crowd store scan, and a cold tail.
@@ -253,38 +217,31 @@ func BenchmarkServingTraffic(b *testing.B) {
 		return w
 	}
 
-	report := trafficReport{
-		Benchmark:     "BenchmarkServingTraffic",
-		BaseRows:      tab.N(),
-		Disks:         disks,
-		IODelayUs:     ioDelay.Microseconds(),
-		WindowUs:      window.Microseconds(),
-		Execs:         execs,
-		HotFraction:   hotFrac,
-		FlashFraction: flashFrac,
-	}
-
-	measure := func(b *testing.B, w *Warehouse, run func() ([]time.Duration, time.Duration), model string, streams int, shared bool) trafficPoint {
+	// measure reports the best of b.N runs, with the shared-scan counters
+	// accumulated over all of them (zero with sharing off), and returns
+	// its throughput.
+	measure := func(b *testing.B, w *Warehouse, run func() ([]time.Duration, time.Duration)) float64 {
 		b.Helper()
-		var best trafficPoint
+		var qps float64
+		var p50, p95, p99 int64
 		before := w.ServingStats().Shared
 		b.ResetTimer()
 		for it := 0; it < b.N; it++ {
 			lat, wall := run()
-			p := trafficPoint{Model: model, Streams: streams, Shared: shared,
-				QPS: float64(len(lat)) / wall.Seconds()}
-			p.P50Us, p.P95Us, p.P99Us = latPercentiles(lat)
-			if p.QPS > best.QPS {
-				best = p
+			if q := float64(len(lat)) / wall.Seconds(); q > qps {
+				qps = q
+				p50, p95, p99 = latPercentiles(lat)
 			}
 		}
 		b.StopTimer()
 		after := w.ServingStats().Shared
-		best.Batches = after.Batches - before.Batches
-		best.PhysReadsSaved = after.PhysReadsSaved - before.PhysReadsSaved
-		b.ReportMetric(best.QPS, "q/s")
-		b.ReportMetric(float64(best.P95Us), "p95-µs")
-		return best
+		b.ReportMetric(qps, "q/s")
+		b.ReportMetric(float64(p50), "p50-µs")
+		b.ReportMetric(float64(p95), "p95-µs")
+		b.ReportMetric(float64(p99), "p99-µs")
+		b.ReportMetric(float64(after.Batches-before.Batches), "batches")
+		b.ReportMetric(float64(after.PhysReadsSaved-before.PhysReadsSaved), "phys-reads-saved")
+		return qps
 	}
 
 	// Closed loop: streams issue back-to-back, shared off vs on.
@@ -295,18 +252,14 @@ func BenchmarkServingTraffic(b *testing.B) {
 			b.Run(fmt.Sprintf("closed/streams=%d/shared=%v", streams, shared), func(b *testing.B) {
 				w := open(b, shared)
 				defer w.Close()
-				point := measure(b, w, func() ([]time.Duration, time.Duration) {
+				qps := measure(b, w, func() ([]time.Duration, time.Duration) {
 					return runClosedTraffic(b, ctx, w, seqn, want, streams)
-				}, "closed", streams, shared)
-				report.Points = append(report.Points, point)
+				})
 				if streams == 64 {
-					qps64[shared] = point.QPS
+					qps64[shared] = qps
 				}
 			})
 		}
-	}
-	if qps64[false] > 0 {
-		report.SharedSpeedup64 = qps64[true] / qps64[false]
 	}
 
 	// Open loop: bursty Poisson arrivals at a fixed offered rate well
@@ -318,8 +271,6 @@ func BenchmarkServingTraffic(b *testing.B) {
 	if rate <= 0 {
 		rate = 100
 	}
-	report.OpenRateQPS = rate
-	report.OpenBurst = openBurst
 	arrivals := make([]time.Duration, openExecs)
 	rng := rand.New(rand.NewSource(seed + 1))
 	at := time.Duration(0)
@@ -336,35 +287,9 @@ func BenchmarkServingTraffic(b *testing.B) {
 		b.Run(fmt.Sprintf("open/shared=%v", shared), func(b *testing.B) {
 			w := open(b, shared)
 			defer w.Close()
-			point := measure(b, w, func() ([]time.Duration, time.Duration) {
+			measure(b, w, func() ([]time.Duration, time.Duration) {
 				return runOpenTraffic(b, ctx, w, seqn[:openExecs], want[:openExecs], arrivals)
-			}, "open", 0, shared)
-			report.Points = append(report.Points, point)
+			})
 		})
 	}
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serving.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("BENCH_serving.json: %d rows, %d disks at %dµs, %d execs; ",
-		report.BaseRows, report.Disks, report.IODelayUs, report.Execs)
-	for _, p := range report.Points {
-		if p.Model == "closed" {
-			fmt.Printf("closed/%d %s %.0f q/s p95 %dµs; ", p.Streams, onOff(p.Shared), p.QPS, p.P95Us)
-		} else {
-			fmt.Printf("open %s p99 %dµs; ", onOff(p.Shared), p.P99Us)
-		}
-	}
-	fmt.Printf("64-stream shared speedup %.2fx\n", report.SharedSpeedup64)
-}
-
-func onOff(v bool) string {
-	if v {
-		return "shared"
-	}
-	return "solo"
 }

@@ -72,8 +72,12 @@ func MustNew(star *schema.Star, attrs []Attr) *Spec {
 }
 
 // Parse builds a spec from the paper's notation, e.g.
-// "time::month, product::group" (FMonthGroup).
+// "time::month, product::group" (FMonthGroup), with or without the one
+// pair of braces String prints around it.
 func Parse(star *schema.Star, text string) (*Spec, error) {
+	if t := strings.TrimSpace(text); strings.HasPrefix(t, "{") && strings.HasSuffix(t, "}") {
+		text = t[1 : len(t)-1]
+	}
 	var attrs []Attr
 	for _, part := range strings.Split(text, ",") {
 		part = strings.TrimSpace(part)

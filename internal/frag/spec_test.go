@@ -28,6 +28,22 @@ func TestFMonthGroupFragmentCount(t *testing.T) {
 	}
 }
 
+// TestParseReadsString: every fragmentation of APB-1 parses back from
+// the braced notation String prints, as table3.csv, table6.csv and the
+// advisors print it.
+func TestParseReadsString(t *testing.T) {
+	s := schema.APB1()
+	for _, spec := range Enumerate(s) {
+		got, err := Parse(s, spec.String())
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec.String(), err)
+		}
+		if got.String() != spec.String() {
+			t.Fatalf("Parse(%q).String() = %q", spec.String(), got.String())
+		}
+	}
+}
+
 func TestFinestAndCoarsestFragmentations(t *testing.T) {
 	s := schema.APB1()
 	// Section 4.4: finest option {time::month, product::code,

@@ -1,15 +1,10 @@
 package mdhf
 
 import (
-	"errors"
 	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -37,48 +32,7 @@ var surfaceAllowed = map[string]string{
 // resolved by type (testOnlySurface), so a dead method stays dead whatever
 // other method shares its name.
 func TestNoTestOnlySurface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules and the standard library they import from source: 4 s, 20 s under -race, on 2 vCPUs")
-	}
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path → non-test files
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case !d.IsDir():
-			return nil
-		case dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
-			return filepath.SkipDir
-		}
-		bp, err := build.Default.ImportDir(dir, 0)
-		var none *build.NoGoError
-		if errors.As(err, &none) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		path := "repro"
-		if dir != "." {
-			path += "/" + filepath.ToSlash(dir) // the bench module is repro/bench
-		}
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files[path] = append(files[path], f)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decls, err := testOnlySurface(fset, files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decls := testOnlySurface(loadRepo(t))
 	if len(decls) == 0 {
 		t.Fatal("found no function in internal/")
 	}
@@ -166,10 +120,11 @@ func main() {
 		}
 		files[path] = []*ast.File{f}
 	}
-	got, err := testOnlySurface(fset, files)
+	r, err := typeCheck(fset, files)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := testOnlySurface(r)
 	want := map[string]bool{
 		"a.Box.Size": true, "a.Count.Plus": true, "a.Sum": true,
 		"a.Live.Close": true, "a.Dead.Close": false,
@@ -180,56 +135,23 @@ func main() {
 	}
 }
 
-// testOnlySurface type-checks the packages, given by import path with
-// their non-test files, standard-library imports from source, and returns
-// every function and method declared under repro/internal/, and every
-// unexported one outside it and the bench module, keyed as surfaceAllowed
-// is, with whether the packages use it. A function or method is used when
-// an identifier or selector outside its own body resolves to it, a
-// generic one through any instantiation; when it is the method of a type
-// that implements an interface whose method of that name is called (a
-// call through a type parameter is one through its constraint); or when
-// it is a String, Error or Unwrap method, which fmt and errors reach.
-func testOnlySurface(fset *token.FileSet, files map[string][]*ast.File) (map[string]bool, error) {
-	std := importer.ForCompiler(fset, "source", nil)
-	pkgs := map[string]*types.Package{}
-	infos := map[string]*types.Info{}
-	var check func(path string) (*types.Package, error)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if _, ok := files[path]; ok {
-			return check(path)
-		}
-		return std.Import(path)
-	})
-	check = func(path string) (*types.Package, error) {
-		if p := pkgs[path]; p != nil {
-			return p, nil
-		}
-		info := &types.Info{
-			Defs:      map[*ast.Ident]types.Object{},
-			Uses:      map[*ast.Ident]types.Object{},
-			Instances: map[*ast.Ident]types.Instance{},
-		}
-		p, err := (&types.Config{Importer: imp}).Check(path, fset, files[path], info)
-		if err != nil {
-			return nil, err
-		}
-		pkgs[path], infos[path] = p, info
-		return p, nil
-	}
-	paths := make([]string, 0, len(files))
-	for path := range files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
+// testOnlySurface returns every function and method declared under
+// repro/internal/ in the type-checked packages, and every unexported one
+// outside it and the bench module, keyed as surfaceAllowed is, with
+// whether the packages use it. A function or method is used when an
+// identifier or selector outside its own body resolves to it, a generic
+// one through any instantiation; when it is the method of a type that
+// implements an interface whose method of that name is called (a call
+// through a type parameter is one through its constraint); or when it is
+// a String, Error or Unwrap method, which fmt and errors reach.
+func testOnlySurface(r *repo) map[string]bool {
+	files, pkgs, infos := r.files, r.pkgs, r.infos
+	paths := r.paths()
 
 	used := map[*types.Func]bool{}
 	var ifaceCalls []*types.Func
 	var cands []types.Type // the declared types, their instantiations and every type argument
 	for _, path := range paths {
-		if _, err := check(path); err != nil {
-			return nil, err
-		}
 		info := infos[path]
 		for _, f := range files[path] {
 			for _, d := range f.Decls {
@@ -339,7 +261,7 @@ func testOnlySurface(fset *token.FileSet, files map[string][]*ast.File) (map[str
 			}
 		}
 	}
-	return decls, nil
+	return decls
 }
 
 // isTypeParam reports whether t is a type parameter.
@@ -347,8 +269,3 @@ func isTypeParam(t types.Type) bool {
 	_, ok := t.(*types.TypeParam)
 	return ok
 }
-
-// importerFunc is a types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
